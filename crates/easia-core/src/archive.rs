@@ -494,12 +494,8 @@ impl Archive {
             Some(&self.obs),
             &todo,
         );
-        // Stamp with the fingerprint as of *completion*: the gather's
-        // own staging-table merge bumps the hub write counter, so the
-        // pre-run value would mark every parked outcome stale on
-        // arrival. Anything committed after this point (anywhere in
-        // the federation) still invalidates the entries.
-        let fp = self.federation.write_fingerprint(&self.db);
+        // Stamped with the pre-run fingerprint: a write landing
+        // mid-gather invalidates the outcome rather than hiding in it.
         for ((sql, params), res) in todo.into_iter().zip(results) {
             if let Ok(out) = res {
                 issued.inc();

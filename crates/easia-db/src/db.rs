@@ -993,9 +993,12 @@ impl Database {
         for fk in single_fks {
             schema.add_foreign_key(fk)?;
         }
-        // Validate FK targets exist (self-references allowed).
+        // Validate FK targets exist (self-references allowed). Not while
+        // replaying: a checkpoint image lists tables in name order, so a
+        // child can load before the parent it referenced when written.
         for fk in &schema.foreign_keys {
-            if fk.ref_table != upper && !self.tables.contains_key(&fk.ref_table) {
+            if !self.replaying && fk.ref_table != upper && !self.tables.contains_key(&fk.ref_table)
+            {
                 return Err(DbError::Catalog(format!(
                     "foreign key references unknown table {}",
                     fk.ref_table

@@ -1,6 +1,6 @@
 //! Query execution.
 
-use crate::db::{Database, ResultSet};
+use crate::db::{Database, ResultSet, Table};
 use crate::error::{DbError, Result};
 use crate::expr::{truth, EvalContext, RowSchema};
 use crate::mvcc::ReadView;
@@ -47,26 +47,72 @@ pub fn eval_row(
     ctx.eval(expr)
 }
 
-/// Fetch `(RowId, row)` pairs of `table` visible to `view` and matching
-/// `where_clause` (index-accelerated when possible). Used by
-/// UPDATE/DELETE.
-pub fn collect_matching(
+/// An in-memory table a SELECT can read beside the catalogue (the hub
+/// merge binds each gathered federation leg as one). A FROM/JOIN name
+/// matching a supplied relation resolves to it before the catalogue. A
+/// relation is always a full scan and always visible; it has no indexes
+/// and no DATALINK spec.
+#[derive(Debug, Clone)]
+pub struct Relation {
+    /// The table name the relation answers to (case-insensitive).
+    pub name: String,
+    /// Column names, in row order.
+    pub columns: Vec<String>,
+    /// The rows.
+    pub rows: Vec<Vec<Value>>,
+}
+
+/// What a FROM/JOIN table name denotes.
+enum Source<'a> {
+    Relation(&'a Relation),
+    Table(&'a Table),
+}
+
+impl<'a> Source<'a> {
+    /// Resolve `name`: a supplied relation first, else the catalogue.
+    fn resolve(db: &'a Database, relations: &'a [Relation], name: &str) -> Result<Source<'a>> {
+        if let Some(r) = relations.iter().find(|r| r.name.eq_ignore_ascii_case(name)) {
+            return Ok(Source::Relation(r));
+        }
+        db.table(name)
+            .map(Source::Table)
+            .ok_or_else(|| DbError::Catalog(format!("table {name} does not exist")))
+    }
+
+    fn columns(&self) -> Vec<String> {
+        match self {
+            Source::Relation(r) => r.columns.clone(),
+            Source::Table(t) => t.schema.columns.iter().map(|c| c.name.clone()).collect(),
+        }
+    }
+
+    /// The rows `view` can see along `path`; a relation has no indexes
+    /// and no versions, so it is always read whole.
+    fn rows(&self, db: &Database, view: &ReadView, path: AccessPath) -> Vec<Vec<Value>> {
+        match self {
+            Source::Relation(r) => r.rows.clone(),
+            Source::Table(t) => fetch(db, view, t, path, |_, row| row),
+        }
+    }
+}
+
+/// The rows of catalogue table `t` visible to `view`, read along `path`
+/// and passed through `keep` (which picks what of `(RowId, row)` the
+/// caller wants).
+fn fetch<T>(
     db: &Database,
     view: &ReadView,
-    table: &str,
-    where_clause: Option<&Expr>,
-    params: &[Value],
-) -> Result<Vec<(RowId, Vec<Value>)>> {
-    let t = db
-        .table(table)
-        .ok_or_else(|| DbError::Catalog(format!("table {table} does not exist")))?;
-    let path = choose_access_path(db, t, table, where_clause, params)?;
-    let index_probe = matches!(path, AccessPath::IndexEq { .. });
-    let candidates: Vec<(RowId, Vec<Value>)> = match path {
+    t: &Table,
+    path: AccessPath,
+    keep: impl Fn(RowId, Vec<Value>) -> T,
+) -> Vec<T> {
+    let name = &t.schema.name;
+    match path {
         AccessPath::FullScan => t
             .heap
             .scan()
-            .filter(|(rid, _)| db.row_visible(table, *rid, view))
+            .filter(|(rid, _)| db.row_visible(name, *rid, view))
+            .map(|(rid, row)| keep(rid, row))
             .collect(),
         AccessPath::IndexEq { index_pos, key, .. } => {
             let ix = &t.indexes[index_pos];
@@ -84,22 +130,44 @@ pub fn collect_matching(
             };
             probe
                 .into_iter()
-                .filter(|rid| db.row_visible(table, *rid, view))
-                .filter_map(|rid| t.heap.get(rid).map(|row| (rid, row)))
+                .filter(|rid| db.row_visible(name, *rid, view))
+                .filter_map(|rid| t.heap.get(rid).map(|row| keep(rid, row)))
                 .collect()
         }
-    };
+    }
+}
+
+/// Book one base-table scan of `rows` candidate rows.
+fn note_scan(db: &Database, index_probe: bool, rows: usize) {
     if let Some(m) = db.metrics() {
         if index_probe {
             m.index_scans.inc();
         } else {
             m.heap_scans.inc();
         }
-        m.rows_scanned.add(candidates.len() as f64);
-        m.stage_scan.observe(candidates.len() as f64);
+        m.rows_scanned.add(rows as f64);
+        m.stage_scan.observe(rows as f64);
     }
-    let names: Vec<String> = t.schema.columns.iter().map(|c| c.name.clone()).collect();
-    let schema = RowSchema::for_table(table, &names);
+}
+
+/// Fetch `(RowId, row)` pairs of `table` visible to `view` and matching
+/// `where_clause` (index-accelerated when possible). Used by
+/// UPDATE/DELETE.
+pub fn collect_matching(
+    db: &Database,
+    view: &ReadView,
+    table: &str,
+    where_clause: Option<&Expr>,
+    params: &[Value],
+) -> Result<Vec<(RowId, Vec<Value>)>> {
+    let t = db
+        .table(table)
+        .ok_or_else(|| DbError::Catalog(format!("table {table} does not exist")))?;
+    let path = choose_access_path(db, t, table, where_clause, params)?;
+    let index_probe = matches!(path, AccessPath::IndexEq { .. });
+    let candidates = fetch(db, view, t, path, |rid, row| (rid, row));
+    note_scan(db, index_probe, candidates.len());
+    let schema = RowSchema::for_table(table, &Source::Table(t).columns());
     let mut out = Vec::new();
     for (rid, row) in candidates {
         let keep = match where_clause {
@@ -127,6 +195,18 @@ pub fn run_select(
     view: &ReadView,
     sel: &SelectStmt,
     params: &[Value],
+) -> Result<ResultSet> {
+    run_select_over(db, view, sel, params, &[])
+}
+
+/// Execute a SELECT against a read view plus in-memory `relations`
+/// (see [`Relation`] for how names resolve).
+pub fn run_select_over(
+    db: &Database,
+    view: &ReadView,
+    sel: &SelectStmt,
+    params: &[Value],
+    relations: &[Relation],
 ) -> Result<ResultSet> {
     // Table-less SELECT: evaluate items against an empty row.
     let Some(from) = &sel.from else {
@@ -160,65 +240,33 @@ pub fn run_select(
         .alias
         .clone()
         .unwrap_or_else(|| from.name.to_ascii_uppercase());
+    // Catalogue-backed aliases only: a relation carries no DATALINK spec.
     let mut alias_map: HashMap<String, String> = HashMap::new();
-    alias_map.insert(base_alias.clone(), from.name.to_ascii_uppercase());
-    let base_table = db
-        .table(&from.name)
-        .ok_or_else(|| DbError::Catalog(format!("table {} does not exist", from.name)))?;
-    let names: Vec<String> = base_table
-        .schema
-        .columns
-        .iter()
-        .map(|c| c.name.clone())
-        .collect();
-    let mut schema = RowSchema::for_table(&base_alias, &names);
-    let path = choose_access_path(
-        db,
-        base_table,
-        &base_alias,
-        sel.where_clause.as_ref(),
-        params,
-    )?;
-    let index_probe = matches!(path, AccessPath::IndexEq { .. });
-    let base_name = from.name.to_ascii_uppercase();
-    let mut rows: Vec<Vec<Value>> = match path {
-        AccessPath::FullScan => base_table
-            .heap
-            .scan()
-            .filter(|(rid, _)| db.row_visible(&base_name, *rid, view))
-            .map(|(_, r)| r)
-            .collect(),
-        AccessPath::IndexEq { index_pos, key, .. } => {
-            let ix = &base_table.indexes[index_pos];
-            let rids = if ix.col_indices.len() == 1 {
-                ix.tree.get(std::slice::from_ref(&key))
-            } else {
-                ix.tree
-                    .range(None, None)
-                    .into_iter()
-                    .filter(|(k, _)| k.first() == Some(&key))
-                    .flat_map(|(_, r)| r)
-                    .collect()
-            };
-            rids.into_iter()
-                .filter(|rid| db.row_visible(&base_name, *rid, view))
-                .filter_map(|rid| base_table.heap.get(rid))
-                .collect()
+    let base = Source::resolve(db, relations, &from.name)?;
+    let mut schema = RowSchema::for_table(&base_alias, &base.columns());
+    let path = match &base {
+        Source::Relation(_) => AccessPath::FullScan,
+        Source::Table(t) => {
+            alias_map.insert(base_alias.clone(), from.name.to_ascii_uppercase());
+            choose_access_path(db, t, &base_alias, sel.where_clause.as_ref(), params)?
         }
     };
-    if let Some(m) = db.metrics() {
-        if index_probe {
-            m.index_scans.inc();
-        } else {
-            m.heap_scans.inc();
-        }
-        m.rows_scanned.add(rows.len() as f64);
-        m.stage_scan.observe(rows.len() as f64);
-    }
+    let index_probe = matches!(path, AccessPath::IndexEq { .. });
+    let mut rows = base.rows(db, view, path);
+    note_scan(db, index_probe, rows.len());
 
     // ---- joins ----
     for join in &sel.joins {
-        (schema, rows) = run_join(db, view, &schema, rows, join, params, &mut alias_map)?;
+        (schema, rows) = run_join(
+            db,
+            view,
+            relations,
+            &schema,
+            rows,
+            join,
+            params,
+            &mut alias_map,
+        )?;
     }
     if !sel.joins.is_empty() {
         if let Some(m) = db.metrics() {
@@ -254,60 +302,50 @@ pub fn run_select(
         || sel.having.as_ref().is_some_and(|h| h.contains_aggregate())
         || !sel.group_by.is_empty();
 
-    let (columns, mut out_rows, sort_ctx) = if has_agg {
-        let out = aggregate_pipeline(db, sel, &schema, &rows, params)?;
-        if let Some(m) = db.metrics() {
-            m.stage_aggregate.observe(out.1.len() as f64);
-        }
-        out
-    } else {
-        project_pipeline(db, sel, &schema, &rows, params, &alias_map)?
-    };
-
-    // ---- DISTINCT ----
-    if sel.distinct {
-        let mut seen = std::collections::HashSet::new();
-        let mut kept_rows = Vec::new();
-        let mut kept_ctx = Vec::new();
-        for (row, ctx) in out_rows.into_iter().zip(sort_ctx) {
-            let mut buf = Vec::new();
-            encode_row(&row, &mut buf);
-            if seen.insert(buf) {
-                kept_rows.push(row);
-                kept_ctx.push(ctx);
-            }
-        }
-        out_rows = kept_rows;
-        return finish_select(db, sel, columns, out_rows, kept_ctx, params);
+    if has_agg {
+        return aggregate_pipeline(db, sel, &schema, &rows, params);
     }
-    finish_select(db, sel, columns, out_rows, sort_ctx, params)
+    let projected = project_pipeline(db, sel, &schema, &rows, params, &alias_map)?;
+    finish_select(db, sel, &schema, projected, params)
 }
 
-/// Per-output-row context used to evaluate ORDER BY: the underlying
-/// (joined or representative) row plus any aggregate values.
 /// Projected output: column names, rows, and per-row sort context.
 type Projection = (Vec<String>, Vec<Vec<Value>>, Vec<SortCtx>);
 
+/// Per-output-row context used to evaluate ORDER BY: the underlying
+/// (joined or representative) row plus any aggregate values.
 struct SortCtx {
     row: Vec<Value>,
     aggs: HashMap<String, Value>,
 }
 
+/// DISTINCT, ORDER BY (keys evaluated against the joined `schema`) and
+/// LIMIT over projected output.
 fn finish_select(
     db: &Database,
     sel: &SelectStmt,
-    columns: Vec<String>,
-    mut out_rows: Vec<Vec<Value>>,
-    sort_ctx: Vec<SortCtx>,
+    schema: &RowSchema,
+    (columns, mut out_rows, mut sort_ctx): Projection,
     params: &[Value],
 ) -> Result<ResultSet> {
+    if sel.distinct {
+        let mut seen = std::collections::HashSet::new();
+        (out_rows, sort_ctx) = out_rows
+            .into_iter()
+            .zip(sort_ctx)
+            .filter(|(row, _)| {
+                let mut buf = Vec::new();
+                encode_row(row, &mut buf);
+                seen.insert(buf)
+            })
+            .unzip();
+    }
     if !sel.order_by.is_empty() {
-        let schema = order_schema(db, sel)?;
         let mut keyed: Vec<(Vec<Value>, Vec<Value>)> = Vec::with_capacity(out_rows.len());
         for (row, ctx) in out_rows.iter().zip(&sort_ctx) {
             let mut keys = Vec::with_capacity(sel.order_by.len());
             for ob in &sel.order_by {
-                keys.push(order_key(db, ob, &schema, ctx, row, &columns, params)?);
+                keys.push(order_key(db, ob, schema, ctx, row, &columns, params)?);
             }
             keyed.push((keys, row.clone()));
         }
@@ -339,35 +377,6 @@ fn finish_select(
     })
 }
 
-fn order_schema(db: &Database, sel: &SelectStmt) -> Result<RowSchema> {
-    // Rebuild the joined row schema ORDER BY keys are evaluated against.
-    let Some(from) = &sel.from else {
-        return Ok(RowSchema::default());
-    };
-    let base_alias = from
-        .alias
-        .clone()
-        .unwrap_or_else(|| from.name.to_ascii_uppercase());
-    let t = db
-        .table(&from.name)
-        .ok_or_else(|| DbError::Catalog(format!("table {} missing", from.name)))?;
-    let names: Vec<String> = t.schema.columns.iter().map(|c| c.name.clone()).collect();
-    let mut schema = RowSchema::for_table(&base_alias, &names);
-    for j in &sel.joins {
-        let alias = j
-            .table
-            .alias
-            .clone()
-            .unwrap_or_else(|| j.table.name.to_ascii_uppercase());
-        let jt = db
-            .table(&j.table.name)
-            .ok_or_else(|| DbError::Catalog(format!("table {} missing", j.table.name)))?;
-        let jnames: Vec<String> = jt.schema.columns.iter().map(|c| c.name.clone()).collect();
-        schema = schema.join(&RowSchema::for_table(&alias, &jnames));
-    }
-    Ok(schema)
-}
-
 fn order_key(
     db: &Database,
     ob: &OrderBy,
@@ -396,9 +405,11 @@ pub fn derive_name(expr: &Expr) -> String {
     }
 }
 
+#[allow(clippy::too_many_arguments)]
 fn run_join(
     db: &Database,
     view: &ReadView,
+    relations: &[Relation],
     left_schema: &RowSchema,
     left_rows: Vec<Vec<Value>>,
     join: &Join,
@@ -410,63 +421,47 @@ fn run_join(
         .alias
         .clone()
         .unwrap_or_else(|| join.table.name.to_ascii_uppercase());
-    let right_name = join.table.name.to_ascii_uppercase();
-    alias_map.insert(alias.clone(), right_name.clone());
-    let right = db
-        .table(&join.table.name)
-        .ok_or_else(|| DbError::Catalog(format!("table {} does not exist", join.table.name)))?;
-    let rnames: Vec<String> = right
-        .schema
-        .columns
-        .iter()
-        .map(|c| c.name.clone())
-        .collect();
+    let right = Source::resolve(db, relations, &join.table.name)?;
+    let rnames = right.columns();
     let right_schema = RowSchema::for_table(&alias, &rnames);
     let out_schema = left_schema.join(&right_schema);
     let right_width = rnames.len();
 
     // Equi-join acceleration: find `right.col = <left expr>` in the ON
     // conjuncts where the right table has an index on col.
-    let mut probe: Option<(usize, Expr)> = None; // (right index pos, left expr)
-    for c in crate::plan::conjuncts(&join.on) {
-        let Expr::Binary(l, crate::sql::ast::BinaryOp::Eq, r) = c else {
-            continue;
-        };
-        for (a, b) in [(l, r), (r, l)] {
-            if let Expr::Column {
-                table: Some(t),
-                name,
-            } = a.as_ref()
-            {
-                if t.eq_ignore_ascii_case(&alias) {
-                    if let Some(cpos) = right.schema.column_index(name) {
-                        if let Some(ipos) =
-                            right.indexes.iter().position(|ix| ix.col_indices == [cpos])
-                        {
-                            // The other side must be evaluable on the left.
-                            if expr_uses_only(b, left_schema) {
-                                probe = Some((ipos, b.as_ref().clone()));
-                            }
-                        }
-                    }
+    let mut probe: Option<(&Table, usize, Expr)> = None; // (right, index pos, left expr)
+    if let Source::Table(t) = right {
+        alias_map.insert(alias.clone(), join.table.name.to_ascii_uppercase());
+        'conjuncts: for c in crate::plan::conjuncts(&join.on) {
+            let Expr::Binary(l, crate::sql::ast::BinaryOp::Eq, r) = c else {
+                continue;
+            };
+            for (a, b) in [(l, r), (r, l)] {
+                let Expr::Column {
+                    table: Some(ta),
+                    name,
+                } = a.as_ref()
+                else {
+                    continue;
+                };
+                if !ta.eq_ignore_ascii_case(&alias) {
+                    continue;
+                }
+                let Some(cpos) = t.schema.column_index(name) else {
+                    continue;
+                };
+                let ipos = t.indexes.iter().position(|ix| ix.col_indices == [cpos]);
+                // The other side must be evaluable on the left.
+                if let (Some(ipos), true) = (ipos, expr_uses_only(b, left_schema)) {
+                    probe = Some((t, ipos, b.as_ref().clone()));
+                    break 'conjuncts;
                 }
             }
-            if probe.is_some() {
-                break;
-            }
-        }
-        if probe.is_some() {
-            break;
         }
     }
 
     let right_rows: Vec<Vec<Value>> = if probe.is_none() {
-        right
-            .heap
-            .scan()
-            .filter(|(rid, _)| db.row_visible(&right_name, *rid, view))
-            .map(|(_, r)| r)
-            .collect()
+        right.rows(db, view, AccessPath::FullScan)
     } else {
         Vec::new()
     };
@@ -475,7 +470,7 @@ fn run_join(
     for lrow in left_rows {
         let mut matched = false;
         let candidates: Vec<Vec<Value>> = match &probe {
-            Some((ipos, lexpr)) => {
+            Some((t, ipos, lexpr)) => {
                 let lctx = EvalContext {
                     schema: left_schema,
                     row: &lrow,
@@ -486,12 +481,12 @@ fn run_join(
                 if key.is_null() {
                     Vec::new()
                 } else {
-                    right.indexes[*ipos]
+                    t.indexes[*ipos]
                         .tree
                         .get(&[key])
                         .into_iter()
-                        .filter(|rid| db.row_visible(&right_name, *rid, view))
-                        .filter_map(|rid| right.heap.get(rid))
+                        .filter(|rid| db.row_visible(&t.schema.name, *rid, view))
+                        .filter_map(|rid| t.heap.get(rid))
                         .collect()
                 }
             }
@@ -692,8 +687,12 @@ pub fn collect_aggs(e: &Expr, out: &mut Vec<Expr>) {
     }
 }
 
+/// Running state of one aggregate call over one group — the only
+/// aggregate-state machine in the workspace: the local pipeline folds
+/// input values into it, the federation merge folds shipped per-site
+/// partials into it, and both finish it the same way.
 #[derive(Default)]
-struct AggState {
+pub struct AggState {
     count: i64,
     sum: f64,
     sum_is_int: bool,
@@ -703,36 +702,111 @@ struct AggState {
     non_null: i64,
 }
 
-fn finish_agg(name: &str, star: bool, st: &AggState) -> Value {
-    match name {
-        // COUNT(*) counts rows; COUNT(col) counts non-NULL values.
-        // The two tallies are kept separate in AggState — conflating
-        // them over-reports COUNT(col) on NULL-containing columns.
-        "COUNT" => Value::Int(if star { st.count } else { st.non_null }),
-        "SUM" => {
-            if st.non_null == 0 {
-                Value::Null
-            } else if st.sum_is_int {
-                Value::Int(st.int_sum)
-            } else {
-                Value::Double(st.sum)
+impl AggState {
+    /// Fold one input row into aggregate `name`: `arg` is the call's
+    /// evaluated argument, `None` for `COUNT(*)`.
+    fn fold(&mut self, name: &str, arg: Option<&Value>) -> Result<()> {
+        match arg {
+            None => {
+                self.count += 1;
+                Ok(())
             }
+            Some(v) => self.fold_partial(name, v, 1),
         }
-        "AVG" => {
-            if st.non_null == 0 {
-                Value::Null
-            } else {
-                let total = if st.sum_is_int {
-                    st.int_sum as f64
+    }
+
+    /// Fold one partial of aggregate `name`: `v` is what `name` returned
+    /// over `n` non-NULL inputs (a single input value is its own partial
+    /// with `n` = 1). A NULL partial — a NULL input, or a group empty at
+    /// that site — contributes nothing.
+    pub fn fold_partial(&mut self, name: &str, v: &Value, n: i64) -> Result<()> {
+        if v.is_null() {
+            return Ok(());
+        }
+        let first = self.non_null == 0;
+        self.non_null += n;
+        match name {
+            "COUNT" => {}
+            "SUM" | "AVG" => match v {
+                Value::Int(i) => {
+                    if first {
+                        self.sum_is_int = true;
+                    }
+                    if self.sum_is_int {
+                        match self.int_sum.checked_add(*i) {
+                            Some(s) => self.int_sum = s,
+                            // i64 overflow: the aggregate promotes to
+                            // DOUBLE (see DESIGN.md, "aggregate
+                            // overflow policy"); the f64 running sum
+                            // below keeps accumulating.
+                            None => self.sum_is_int = false,
+                        }
+                    }
+                    self.sum += *i as f64;
+                }
+                other => {
+                    let x = other.numeric().ok_or_else(|| {
+                        DbError::Type(format!("{name} over non-numeric {}", other.type_name()))
+                    })?;
+                    self.sum_is_int = false;
+                    self.sum += x;
+                }
+            },
+            "MIN" => {
+                if self
+                    .min
+                    .as_ref()
+                    .is_none_or(|m| v.total_cmp(m) == std::cmp::Ordering::Less)
+                {
+                    self.min = Some(v.clone());
+                }
+            }
+            "MAX" => {
+                if self
+                    .max
+                    .as_ref()
+                    .is_none_or(|m| v.total_cmp(m) == std::cmp::Ordering::Greater)
+                {
+                    self.max = Some(v.clone());
+                }
+            }
+            other => return Err(DbError::Eval(format!("unknown aggregate {other}"))),
+        }
+        Ok(())
+    }
+
+    /// The final value of aggregate `name` (`star` marks `COUNT(*)`).
+    pub fn finish(&self, name: &str, star: bool) -> Value {
+        match name {
+            // COUNT(*) counts rows; COUNT(col) counts non-NULL values.
+            // The two tallies are kept separate — conflating them
+            // over-reports COUNT(col) on NULL-containing columns.
+            "COUNT" => Value::Int(if star { self.count } else { self.non_null }),
+            "SUM" => {
+                if self.non_null == 0 {
+                    Value::Null
+                } else if self.sum_is_int {
+                    Value::Int(self.int_sum)
                 } else {
-                    st.sum
-                };
-                Value::Double(total / st.non_null as f64)
+                    Value::Double(self.sum)
+                }
             }
+            "AVG" => {
+                if self.non_null == 0 {
+                    Value::Null
+                } else {
+                    let total = if self.sum_is_int {
+                        self.int_sum as f64
+                    } else {
+                        self.sum
+                    };
+                    Value::Double(total / self.non_null as f64)
+                }
+            }
+            "MIN" => self.min.clone().unwrap_or(Value::Null),
+            "MAX" => self.max.clone().unwrap_or(Value::Null),
+            _ => Value::Null,
         }
-        "MIN" => st.min.clone().unwrap_or(Value::Null),
-        "MAX" => st.max.clone().unwrap_or(Value::Null),
-        _ => Value::Null,
     }
 }
 
@@ -742,7 +816,7 @@ fn aggregate_pipeline(
     schema: &RowSchema,
     rows: &[Vec<Value>],
     params: &[Value],
-) -> Result<Projection> {
+) -> Result<ResultSet> {
     // Discover aggregate call sites.
     let mut agg_exprs: Vec<Expr> = Vec::new();
     for item in &sel.items {
@@ -785,67 +859,14 @@ fn aggregate_pipeline(
             });
             groups.len() - 1
         });
-        // Update aggregate states.
-        for (ai, agg) in agg_exprs.iter().enumerate() {
+        for (agg, st) in agg_exprs.iter().zip(&mut groups[gi].states) {
             let Expr::Function { name, args, star } = agg else {
                 unreachable!("collect_aggs only collects functions");
             };
-            let st = &mut groups[gi].states[ai];
             if *star {
-                st.count += 1;
-                continue;
-            }
-            let v = ctx.eval(&args[0])?;
-            if v.is_null() {
-                continue;
-            }
-            st.non_null += 1;
-            match name.as_str() {
-                "COUNT" => {}
-                "SUM" | "AVG" => match &v {
-                    Value::Int(i) => {
-                        if st.non_null == 1 {
-                            st.sum_is_int = true;
-                        }
-                        if st.sum_is_int {
-                            match st.int_sum.checked_add(*i) {
-                                Some(s) => st.int_sum = s,
-                                // i64 overflow: the aggregate promotes to
-                                // DOUBLE (see DESIGN.md, "aggregate
-                                // overflow policy"); the f64 running sum
-                                // below keeps accumulating.
-                                None => st.sum_is_int = false,
-                            }
-                        }
-                        st.sum += *i as f64;
-                    }
-                    other => {
-                        let n = other.numeric().ok_or_else(|| {
-                            DbError::Type(format!("{name} over non-numeric {}", other.type_name()))
-                        })?;
-                        st.sum_is_int = false;
-                        st.sum += n;
-                    }
-                },
-                "MIN" => {
-                    let better = match &st.min {
-                        None => true,
-                        Some(m) => v.total_cmp(m) == std::cmp::Ordering::Less,
-                    };
-                    if better {
-                        st.min = Some(v.clone());
-                    }
-                }
-                "MAX" => {
-                    let better = match &st.max {
-                        None => true,
-                        Some(m) => v.total_cmp(m) == std::cmp::Ordering::Greater,
-                    };
-                    if better {
-                        st.max = Some(v.clone());
-                    }
-                }
-                other => return Err(DbError::Eval(format!("unknown aggregate {other}"))),
+                st.fold(name, None)?;
+            } else {
+                st.fold(name, Some(&ctx.eval(&args[0])?))?;
             }
         }
     }
@@ -857,7 +878,38 @@ fn aggregate_pipeline(
         });
     }
 
-    // Materialise per-group aggregate values.
+    let groups = groups
+        .into_iter()
+        .map(|g| {
+            let aggs = agg_exprs
+                .iter()
+                .zip(&g.states)
+                .map(|(agg, st)| {
+                    let Expr::Function { name, star, .. } = agg else {
+                        unreachable!("collect_aggs only collects functions");
+                    };
+                    (agg_key(agg), st.finish(name, *star))
+                })
+                .collect();
+            (g.rep, aggs)
+        })
+        .collect();
+    finish_groups(db, sel, schema, groups, params)
+}
+
+/// Finish an aggregate SELECT from its groups — each a representative
+/// row (scalar parts of the statement evaluate against it under
+/// `schema`) plus the finished aggregate values keyed by [`agg_key`]:
+/// HAVING, the select list, then DISTINCT / ORDER BY / LIMIT. Shared by
+/// the local pipeline and the federation's partial-aggregate merge, so
+/// both apply the same alias-first ORDER BY rule.
+pub fn finish_groups(
+    db: &Database,
+    sel: &SelectStmt,
+    schema: &RowSchema,
+    groups: Vec<(Vec<Value>, HashMap<String, Value>)>,
+    params: &[Value],
+) -> Result<ResultSet> {
     let mut columns = Vec::new();
     for item in &sel.items {
         match item {
@@ -873,17 +925,10 @@ fn aggregate_pipeline(
     }
     let mut out_rows = Vec::new();
     let mut sort_ctx = Vec::new();
-    for g in &groups {
-        let mut aggs = HashMap::new();
-        for (ai, agg) in agg_exprs.iter().enumerate() {
-            let Expr::Function { name, star, .. } = agg else {
-                unreachable!()
-            };
-            aggs.insert(agg_key(agg), finish_agg(name, *star, &g.states[ai]));
-        }
+    for (rep, aggs) in groups {
         // HAVING filter.
         if let Some(h) = &sel.having {
-            let v = eval_with_aggs(db, h, schema, &g.rep, &aggs, params)?;
+            let v = eval_with_aggs(db, h, schema, &rep, &aggs, params)?;
             if truth(&v) != Some(true) {
                 continue;
             }
@@ -891,20 +936,20 @@ fn aggregate_pipeline(
         let mut out = Vec::with_capacity(sel.items.len());
         for item in &sel.items {
             if let SelectItem::Expr { expr, .. } = item {
-                out.push(eval_with_aggs(db, expr, schema, &g.rep, &aggs, params)?);
+                out.push(eval_with_aggs(db, expr, schema, &rep, &aggs, params)?);
             }
         }
         out_rows.push(out);
-        sort_ctx.push(SortCtx {
-            row: g.rep.clone(),
-            aggs,
-        });
+        sort_ctx.push(SortCtx { row: rep, aggs });
     }
-    Ok((columns, out_rows, sort_ctx))
+    if let Some(m) = db.metrics() {
+        m.stage_aggregate.observe(out_rows.len() as f64);
+    }
+    finish_select(db, sel, schema, (columns, out_rows, sort_ctx), params)
 }
 
 /// Evaluate an expression, substituting pre-computed aggregate values.
-pub fn eval_with_aggs(
+fn eval_with_aggs(
     db: &Database,
     e: &Expr,
     schema: &RowSchema,

@@ -20,11 +20,11 @@
 //!    *site*, not the sum of sites. Per-stream stall clocks replace
 //!    whole-wave barriers; the pre-pipeline barrier scheduler survives
 //!    behind the [`Federation::lockstep`] ablation flag.
-//! 5. **Merge** — shipped rows land in a hub staging table and the
-//!    *original* statement re-runs against it, so every SQL feature
-//!    the hub engine supports (aggregates, GROUP BY, DISTINCT,
-//!    functions, ORDER BY/LIMIT) works federated, and pushed filters
-//!    are harmlessly re-applied.
+//! 5. **Merge** — shipped rows are bound as an in-memory relation and
+//!    the *original* statement runs over it ([`crate::merge`]), so every
+//!    SQL feature the hub engine supports (aggregates, GROUP BY,
+//!    DISTINCT, functions, ORDER BY/LIMIT) works federated, and pushed
+//!    filters are harmlessly re-applied. The hub database is only read.
 //!
 //! A site outage climbs the **degradation ladder** instead of
 //! surfacing immediately:
@@ -48,22 +48,20 @@ use crate::catalog::{CatalogError, FedCatalog, ForeignTable};
 use crate::explain::{
     AggExplain, FedExplain, JoinExplain, JoinStrategy, SiteExplain, SiteSource, StaleSite,
 };
+use crate::merge::{merge, merge_partial_agg, partial_from_raw, Leg};
 use crate::planner::{
-    externalize, plan_join, plan_select, strip_qualifiers, AggPlan, Finisher, JoinLeg, JoinPlan,
-    LegStrategy, TablePlan,
+    externalize, plan_join, plan_select, strip_qualifiers, JoinLeg, LegStrategy, TablePlan,
 };
 use crate::remote::{frame_batches, scan_rows, RemoteError};
 use crate::replica::ReplicaCache;
-use crate::wire::{decode_batch, AggCall, ScanRequest};
-use easia_db::exec::{eval_with_aggs, run_select};
-use easia_db::expr::{truth, RowSchema};
-use easia_db::sql::ast::{Expr, JoinKind, SelectItem, SelectStmt, Stmt, TableRef};
+use crate::wire::{decode_batch, ScanRequest};
+use easia_db::sql::ast::{JoinKind, SelectItem, SelectStmt, Stmt};
 use easia_db::sql::parse;
-use easia_db::{Database, DbError, ResultSet, SqlType, Value};
+use easia_db::{Database, DbError, ResultSet, Value};
 use easia_net::{HostId, RetryPolicy, SimNet, TransferId, TransferStatus};
 use easia_obs::Obs;
 use std::cell::{Cell, RefCell};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::rc::Rc;
 
 /// Default bound on concurrently in-flight row-batch transfers.
@@ -532,8 +530,8 @@ impl Federation {
 
     /// Execute one federated SELECT. `net` carries the WAN simulation,
     /// `hub_host` is this hub's network endpoint, `hub_db` holds the
-    /// local partition and receives the staging table, and `obs` (when
-    /// present) gets the federation metrics and a per-query span.
+    /// local partition and is only read, and `obs` (when present) gets
+    /// the federation metrics and a per-query span.
     pub fn query(
         &self,
         net: &mut SimNet,
@@ -580,9 +578,8 @@ impl Federation {
             gather.hub_sql.len() as u64,
         );
 
-        // Merge: combine partial-aggregate states in memory, or land the
-        // shipped rows in a staging table and re-run the original
-        // statement against it.
+        // Merge: combine partial-aggregate states, or run the original
+        // statement over the shipped rows.
         let rs = self.merge_outcome(
             hub_db,
             obs,
@@ -726,7 +723,7 @@ impl Federation {
             let i = ready_idx[k];
             let g = &gathers[k];
             let mut explain = std::mem::take(&mut explains[k]);
-            let res = match self.finish_gather(net, hub_host, obs, g, st, &mut explain) {
+            let res = match self.finish_gather(net, hub_host, hub_db, obs, g, st, &mut explain) {
                 Err(e) => Err(e),
                 Ok(gathered) => {
                     self.conjunct_metrics(obs, g.pushed_sql.len() as u64, g.hub_sql.len() as u64);
@@ -892,7 +889,7 @@ impl Federation {
     ) -> Result<Vec<Vec<Value>>, FedError> {
         let mut st = self.prepare_gather(net, hub_db, obs, g, deadline, explain)?;
         self.pump(net, hub_host, obs, std::slice::from_mut(&mut st))?;
-        self.finish_gather(net, hub_host, obs, g, st, explain)
+        self.finish_gather(net, hub_host, hub_db, obs, g, st, explain)
     }
 
     /// Phase 1 of a gather: walk the table's partitions, pruning,
@@ -974,6 +971,7 @@ impl Federation {
                     if let BreakerCheck::Deny { retry_after_secs } = verdict {
                         self.fallback(
                             net,
+                            hub_db,
                             obs,
                             site,
                             g,
@@ -987,7 +985,7 @@ impl Federation {
                         // Software outage: nothing schedules its end, so
                         // retrying inside this query cannot help.
                         self.note_failure(net, obs, site);
-                        self.fallback(net, obs, site, g, explain, &mut gathered, None)?;
+                        self.fallback(net, hub_db, obs, site, g, explain, &mut gathered, None)?;
                         continue;
                     }
                     if !net.host_up(site.host) {
@@ -996,7 +994,7 @@ impl Federation {
                             // Down past the deadline (or indefinitely):
                             // don't burn the budget waiting.
                             self.note_failure(net, obs, site);
-                            self.fallback(net, obs, site, g, explain, &mut gathered, None)?;
+                            self.fallback(net, hub_db, obs, site, g, explain, &mut gathered, None)?;
                             continue;
                         }
                         // Recovery is scheduled inside the deadline: fall
@@ -1011,7 +1009,7 @@ impl Federation {
                             // a partial-aggregate request re-runs its
                             // grouped statement over them.
                             let rows = if request.partial_agg.is_some() {
-                                Self::partial_from_raw(ft, request, &e.rows)?
+                                partial_from_raw(hub_db, ft, request, &e.rows)?
                             } else {
                                 project(&e.rows, ft, g.columns)
                             };
@@ -1396,10 +1394,12 @@ impl Federation {
     /// whatever the pump left unfinished, then metrics/EXPLAIN
     /// bookkeeping and the replica-cache refill. Returns the gathered
     /// rows (request-column order).
+    #[allow(clippy::too_many_arguments)]
     fn finish_gather(
         &self,
         net: &mut SimNet,
         hub_host: HostId,
+        hub_db: &Database,
         obs: Option<&Obs>,
         g: &TableGather<'_>,
         st: GatherState<'_>,
@@ -1454,7 +1454,7 @@ impl Federation {
                 {
                     explain.sites.remove(pos);
                 }
-                self.fallback(net, obs, p.site, g, explain, &mut gathered, None)?;
+                self.fallback(net, hub_db, obs, p.site, g, explain, &mut gathered, None)?;
                 continue;
             }
             let nrows = p.rows.len() as u64;
@@ -1491,7 +1491,7 @@ impl Federation {
                 // A cache-refilling scan shipped the raw partition: a
                 // partial-aggregate request aggregates it at the hub.
                 if g.request.partial_agg.is_some() {
-                    gathered.extend(Self::partial_from_raw(ft, &g.request, &p.rows)?);
+                    gathered.extend(partial_from_raw(hub_db, ft, &g.request, &p.rows)?);
                 } else {
                     gathered.extend(project(&p.rows, ft, g.columns));
                 }
@@ -1506,7 +1506,7 @@ impl Federation {
     /// Execute a federated JOIN: plan the legs, gather each federated
     /// leg (keyed by an earlier leg's join-key set where the planner
     /// found an equi-join binding), and merge-join at the hub by
-    /// re-running the original statement over the staged legs.
+    /// running the original statement over the gathered legs.
     #[allow(clippy::too_many_arguments)]
     fn query_join(
         &self,
@@ -1720,7 +1720,8 @@ impl Federation {
             }
             self.pump(net, hub_host, obs, &mut states)?;
             for ((w, gth), stt) in wave.iter().zip(&gathers).zip(states) {
-                let rows = self.finish_gather(net, hub_host, obs, gth, stt, &mut frags[w.i])?;
+                let rows =
+                    self.finish_gather(net, hub_host, hub_db, obs, gth, stt, &mut frags[w.i])?;
                 leg_rows[w.i] = Some(rows);
                 done[w.i] = true;
             }
@@ -1738,7 +1739,23 @@ impl Federation {
         }
         self.conjunct_metrics(obs, pushed_total, plan.hub_eval.len() as u64);
 
-        let rs = self.merge_join(hub_db, sel, &plan, params, leg_rows)?;
+        // Merge join at the hub: the original statement runs over the
+        // gathered legs; local legs read in place.
+        let legs = plan
+            .legs
+            .iter()
+            .zip(leg_rows)
+            .enumerate()
+            .filter_map(|(pos, (leg, rows))| {
+                Some(Leg {
+                    pos,
+                    alias: &leg.alias,
+                    columns: &leg.columns,
+                    rows: rows?,
+                })
+            })
+            .collect();
+        let rs = merge(hub_db, sel, params, legs)?;
 
         if let Some(o) = obs {
             o.tracer.record(
@@ -1792,90 +1809,6 @@ impl Federation {
         vals.sort_by(|a, b| a.total_cmp(b));
         vals.dedup();
         Ok(vals)
-    }
-
-    /// Merge join at the hub: stage every federated leg's gathered rows
-    /// and re-run the original statement with the staged tables swapped
-    /// in (local legs read in place). Staging tables are always dropped,
-    /// even on error.
-    fn merge_join(
-        &self,
-        hub_db: &mut Database,
-        sel: &SelectStmt,
-        plan: &JoinPlan,
-        params: &[Value],
-        leg_rows: Vec<Option<Vec<Vec<Value>>>>,
-    ) -> Result<ResultSet, FedError> {
-        let mut staged: Vec<String> = Vec::new();
-        let result = self.stage_join_legs(hub_db, sel, plan, params, leg_rows, &mut staged);
-        for s in &staged {
-            let _ = hub_db.execute(&format!("DROP TABLE {s}"));
-        }
-        result
-    }
-
-    fn stage_join_legs(
-        &self,
-        hub_db: &mut Database,
-        sel: &SelectStmt,
-        plan: &JoinPlan,
-        params: &[Value],
-        leg_rows: Vec<Option<Vec<Vec<Value>>>>,
-        staged: &mut Vec<String>,
-    ) -> Result<ResultSet, FedError> {
-        let mut sel2 = sel.clone();
-        for (i, (leg, rows)) in plan.legs.iter().zip(leg_rows).enumerate() {
-            let Some(rows) = rows else { continue };
-            let ft = self
-                .catalog
-                .table(&leg.table)
-                .ok_or_else(|| FedError::UnknownTable(leg.table.clone()))?;
-            let staging = format!("FED_STAGE_J{i}_{}", leg.table);
-            let _ = hub_db.execute(&format!("DROP TABLE {staging}"));
-            let cols: Vec<String> = leg
-                .columns
-                .iter()
-                .map(|c| {
-                    let ty = ft
-                        .columns
-                        .iter()
-                        .find(|(n, _)| n == c)
-                        .map(|(_, t)| *t)
-                        .unwrap_or(SqlType::Clob);
-                    // DATALINK stages as CLOB text, as in the
-                    // single-table merge.
-                    let ty = match ty {
-                        SqlType::Datalink => SqlType::Clob,
-                        t => t,
-                    };
-                    format!("{c} {}", ty.sql_name())
-                })
-                .collect();
-            hub_db.execute(&format!("CREATE TABLE {staging} ({})", cols.join(", ")))?;
-            staged.push(staging.clone());
-            for row in &rows {
-                let row = row
-                    .iter()
-                    .map(|v| match v {
-                        Value::Datalink(u) => Value::Str(u.clone()),
-                        other => other.clone(),
-                    })
-                    .collect();
-                hub_db.insert_row(&staging, row)?;
-            }
-            // The staged table binds under the leg's original alias, so
-            // every qualified reference in the statement still resolves.
-            let tref = TableRef {
-                name: staging,
-                alias: Some(leg.alias.clone()),
-            };
-            if i == 0 {
-                sel2.from = Some(tref);
-            } else {
-                sel2.joins[i - 1].table = tref;
-            }
-        }
-        run_select(hub_db, &hub_db.read_view(), &sel2, params).map_err(FedError::Db)
     }
 
     /// Per-query pushdown-outcome conjunct counters.
@@ -2290,6 +2223,7 @@ impl Federation {
     fn fallback(
         &self,
         net: &SimNet,
+        hub_db: &Database,
         obs: Option<&Obs>,
         site: &Site,
         g: &TableGather<'_>,
@@ -2330,7 +2264,7 @@ impl Federation {
                 match served {
                     Some((raw, age_secs)) => {
                         let rows = if g.request.partial_agg.is_some() {
-                            Self::partial_from_raw(ft, &g.request, &raw)?
+                            partial_from_raw(hub_db, ft, &g.request, &raw)?
                         } else {
                             project(&raw, ft, g.columns)
                         };
@@ -2379,52 +2313,14 @@ impl Federation {
         }
     }
 
-    /// Convert raw full-partition rows (replica-cache copies and
-    /// cache-refilling scans) into the partial-state rows a live site
-    /// would have shipped for `request`: seed an in-memory database
-    /// with the rows and run the pushed grouped statement over it.
-    /// DATALINK values stage as their URL text but keep NULL-ness, so
-    /// `COUNT(link_col)` counts exactly the rows whose link was set.
-    fn partial_from_raw(
-        ft: &ForeignTable,
-        request: &ScanRequest,
-        raw: &[Vec<Value>],
-    ) -> Result<Vec<Vec<Value>>, FedError> {
-        let mut db = Database::new_in_memory();
-        let cols: Vec<String> = ft
-            .columns
-            .iter()
-            .map(|(c, t)| {
-                let ty = match t {
-                    SqlType::Datalink => SqlType::Clob,
-                    t => *t,
-                };
-                format!("{c} {}", ty.sql_name())
-            })
-            .collect();
-        db.execute(&format!("CREATE TABLE {} ({})", ft.name, cols.join(", ")))?;
-        for row in raw {
-            let row = row
-                .iter()
-                .map(|v| match v {
-                    Value::Datalink(u) => Value::Str(u.clone()),
-                    other => other.clone(),
-                })
-                .collect();
-            db.insert_row(&ft.name, row)?;
-        }
-        let rs = db.execute_with_params(&request.to_sql(), &request.effective_params())?;
-        Ok(rs.rows)
-    }
-
     /// Merge a gather into the statement's final result: partial
-    /// aggregates combine in memory, everything else goes through the
-    /// staging-table re-run. Fills the EXPLAIN aggregate section and
-    /// bumps the partial-agg metric families.
+    /// aggregates combine their shipped states, everything else runs the
+    /// original statement over the rows. Fills the EXPLAIN aggregate
+    /// section and bumps the partial-agg metric families.
     #[allow(clippy::too_many_arguments)]
     fn merge_outcome(
         &self,
-        hub_db: &mut Database,
+        hub_db: &Database,
         obs: Option<&Obs>,
         sel: &SelectStmt,
         ft: &ForeignTable,
@@ -2435,7 +2331,7 @@ impl Federation {
     ) -> Result<ResultSet, FedError> {
         if let Some(agg) = &plan.partial_agg {
             let partial_rows = gathered.len() as u64;
-            let rs = self.merge_partial_agg(hub_db, sel, ft, agg, params, gathered)?;
+            let rs = merge_partial_agg(hub_db, sel, ft, agg, params, gathered)?;
             explain.agg = Some(AggExplain {
                 partial: true,
                 group_cols: agg.group_cols.clone(),
@@ -2477,378 +2373,14 @@ impl Federation {
                     .add(1.0);
             }
         }
-        self.merge(hub_db, sel, &ft.name, plan, params, gathered)
-    }
-
-    /// Merge partial-aggregate state rows into the final result,
-    /// entirely in memory: combine per-site states group by group under
-    /// the site executor's own overflow rules, then apply HAVING, the
-    /// select list, ORDER BY and LIMIT exactly as the single-database
-    /// aggregate pipeline would.
-    fn merge_partial_agg(
-        &self,
-        hub_db: &Database,
-        sel: &SelectStmt,
-        ft: &ForeignTable,
-        agg: &AggPlan,
-        params: &[Value],
-        gathered: Vec<Vec<Value>>,
-    ) -> Result<ResultSet, FedError> {
-        let k = agg.group_cols.len();
-        let mut groups: Vec<(Vec<Value>, Vec<CallState>)> = Vec::new();
-        let mut index: HashMap<String, usize> = HashMap::new();
-        for row in &gathered {
-            if row.len() != k + agg.calls.len() {
-                return Err(FedError::Db(DbError::Eval(format!(
-                    "partial-aggregate row carries {} values, expected {}",
-                    row.len(),
-                    k + agg.calls.len()
-                ))));
-            }
-            let (key_vals, partials) = row.split_at(k);
-            let gi = *index.entry(format!("{key_vals:?}")).or_insert_with(|| {
-                groups.push((
-                    key_vals.to_vec(),
-                    agg.calls.iter().map(CallState::new).collect(),
-                ));
-                groups.len() - 1
-            });
-            for (st, v) in groups[gi].1.iter_mut().zip(partials) {
-                st.absorb(v);
-            }
-        }
-        // A global aggregate whose every partition was pruned or
-        // skipped still yields its one empty-input group, exactly as a
-        // zero-row table does locally.
-        if groups.is_empty() && k == 0 {
-            groups.push((vec![], agg.calls.iter().map(CallState::new).collect()));
-        }
-
-        // Scalar parts of the statement evaluate against a
-        // representative row: group columns carry the group's value,
-        // every other column is NULL (the planner only admits
-        // statements whose scalar parts touch group columns).
-        let alias = sel
-            .from
-            .as_ref()
-            .and_then(|t| t.alias.clone())
-            .unwrap_or_else(|| ft.name.clone());
-        let names: Vec<String> = ft.columns.iter().map(|(c, _)| c.clone()).collect();
-        let schema = RowSchema::for_table(&alias, &names);
-        let mut positions = Vec::with_capacity(k);
-        for c in &agg.group_cols {
-            let pos = names
-                .iter()
-                .position(|n| n.eq_ignore_ascii_case(c))
-                .ok_or_else(|| {
-                    FedError::Db(DbError::Catalog(format!(
-                        "group column {c} missing from {}",
-                        ft.name
-                    )))
-                })?;
-            positions.push(pos);
-        }
-
-        let mut columns = Vec::with_capacity(sel.items.len());
-        for item in &sel.items {
-            let SelectItem::Expr { expr, alias } = item else {
-                return Err(FedError::Db(DbError::Eval(
-                    "wildcard not allowed with GROUP BY / aggregates".into(),
-                )));
-            };
-            columns.push(
-                alias
-                    .clone()
-                    .unwrap_or_else(|| easia_db::exec::derive_name(expr)),
-            );
-        }
-        let mut out_rows = Vec::new();
-        let mut sort_ctx: Vec<(Vec<Value>, HashMap<String, Value>)> = Vec::new();
-        for (key_vals, states) in &groups {
-            let mut rep = vec![Value::Null; names.len()];
-            for (pos, v) in positions.iter().zip(key_vals) {
-                rep[*pos] = v.clone();
-            }
-            let mut aggs: HashMap<String, Value> = HashMap::new();
-            for (key, fin) in &agg.finishers {
-                aggs.insert(key.clone(), finish_call(fin, states));
-            }
-            if let Some(h) = &sel.having {
-                let v = eval_with_aggs(hub_db, h, &schema, &rep, &aggs, params)?;
-                if truth(&v) != Some(true) {
-                    continue;
-                }
-            }
-            let mut out = Vec::with_capacity(sel.items.len());
-            for item in &sel.items {
-                let SelectItem::Expr { expr, .. } = item else {
-                    unreachable!("wildcard items rejected above");
-                };
-                out.push(eval_with_aggs(hub_db, expr, &schema, &rep, &aggs, params)?);
-            }
-            out_rows.push(out);
-            sort_ctx.push((rep, aggs));
-        }
-
-        if !sel.order_by.is_empty() {
-            let mut keyed: Vec<(Vec<Value>, Vec<Value>)> = Vec::with_capacity(out_rows.len());
-            for (row, (rep, aggs)) in out_rows.iter().zip(&sort_ctx) {
-                let mut keys = Vec::with_capacity(sel.order_by.len());
-                for ob in &sel.order_by {
-                    // A bare column matching an output alias sorts by
-                    // the output column, as the local pipeline does.
-                    if let Expr::Column { table: None, name } = &ob.expr {
-                        if let Some(pos) = columns.iter().position(|c| c.eq_ignore_ascii_case(name))
-                        {
-                            keys.push(row[pos].clone());
-                            continue;
-                        }
-                    }
-                    keys.push(eval_with_aggs(
-                        hub_db, &ob.expr, &schema, rep, aggs, params,
-                    )?);
-                }
-                keyed.push((keys, row.clone()));
-            }
-            keyed.sort_by(|a, b| {
-                for (i, ob) in sel.order_by.iter().enumerate() {
-                    let ord = a.0[i].total_cmp(&b.0[i]);
-                    let ord = if ob.asc { ord } else { ord.reverse() };
-                    if ord != std::cmp::Ordering::Equal {
-                        return ord;
-                    }
-                }
-                std::cmp::Ordering::Equal
-            });
-            out_rows = keyed.into_iter().map(|(_, r)| r).collect();
-        }
-        if let Some(limit) = sel.limit {
-            out_rows.truncate(limit);
-        }
-        Ok(ResultSet {
-            columns,
-            rows: out_rows,
-            affected: 0,
-        })
-    }
-
-    /// Create the staging table, load the gathered rows, re-run the
-    /// original statement, and drop the staging table again.
-    fn merge(
-        &self,
-        hub_db: &mut Database,
-        sel: &SelectStmt,
-        table: &str,
-        plan: &TablePlan,
-        params: &[Value],
-        rows: Vec<Vec<Value>>,
-    ) -> Result<ResultSet, FedError> {
-        let ft = self
-            .catalog
-            .table(table)
-            .ok_or_else(|| FedError::UnknownTable(table.to_string()))?;
-        let staging = format!("FED_STAGE_{table}");
-        let _ = hub_db.execute(&format!("DROP TABLE {staging}"));
-        let cols: Vec<String> = plan
-            .columns
-            .iter()
-            .map(|c| {
-                let ty = ft
-                    .columns
-                    .iter()
-                    .find(|(n, _)| n == c)
-                    .map(|(_, t)| *t)
-                    .unwrap_or(SqlType::Clob);
-                // DATALINK columns stage as CLOB text: link control stays
-                // with the owning site, the hub only sees the URL.
-                let ty = match ty {
-                    SqlType::Datalink => SqlType::Clob,
-                    t => t,
-                };
-                format!("{c} {}", ty.sql_name())
-            })
-            .collect();
-        hub_db.execute(&format!("CREATE TABLE {staging} ({})", cols.join(", ")))?;
-        let mut load = || -> Result<ResultSet, FedError> {
-            for row in &rows {
-                let row = row
-                    .iter()
-                    .map(|v| match v {
-                        Value::Datalink(u) => Value::Str(u.clone()),
-                        other => other.clone(),
-                    })
-                    .collect();
-                hub_db.insert_row(&staging, row)?;
-            }
-            let mut sel2 = sel.clone();
-            let alias = sel
-                .from
-                .as_ref()
-                .and_then(|t| t.alias.clone())
-                .unwrap_or_else(|| table.to_string());
-            sel2.from = Some(TableRef {
-                name: staging.clone(),
-                alias: Some(alias),
-            });
-            run_select(hub_db, &hub_db.read_view(), &sel2, params).map_err(FedError::Db)
+        let alias = sel.from.as_ref().and_then(|t| t.alias.as_deref());
+        let leg = Leg {
+            pos: 0,
+            alias: alias.unwrap_or(&ft.name),
+            columns: &plan.columns,
+            rows: gathered,
         };
-        let result = load();
-        let _ = hub_db.execute(&format!("DROP TABLE {staging}"));
-        result
-    }
-}
-
-/// Merge-time accumulator for one pushed aggregate call. The SUM rules
-/// match the site executor's exactly: an all-Int sum stays Int under
-/// `checked_add`, demotes to DOUBLE on overflow, and the f64 shadow sum
-/// keeps accumulating either way — so combining partial states applies
-/// the same overflow policy the sites did (DESIGN.md, "aggregate
-/// overflow policy").
-enum CallState {
-    /// Running COUNT tally (both `COUNT(*)` and `COUNT(col)` partials
-    /// arrive as plain row counts).
-    Count(i64),
-    /// Running SUM with the Int/Double promotion state.
-    Sum {
-        /// Any non-NULL partial absorbed yet?
-        seen: bool,
-        /// Still exactly representable as i64?
-        is_int: bool,
-        /// Integer sum, valid while `is_int`.
-        int_sum: i64,
-        /// Shadow f64 sum, always maintained.
-        f_sum: f64,
-    },
-    /// Running minimum.
-    Min(Option<Value>),
-    /// Running maximum.
-    Max(Option<Value>),
-}
-
-impl CallState {
-    fn new(call: &AggCall) -> CallState {
-        match call {
-            AggCall::CountStar | AggCall::Count(_) => CallState::Count(0),
-            AggCall::Sum(_) => CallState::Sum {
-                seen: false,
-                is_int: true,
-                int_sum: 0,
-                f_sum: 0.0,
-            },
-            AggCall::Min(_) => CallState::Min(None),
-            AggCall::Max(_) => CallState::Max(None),
-        }
-    }
-
-    /// Fold one site's partial value into the running state. NULL
-    /// partials (an empty group at that site) contribute nothing.
-    fn absorb(&mut self, v: &Value) {
-        match self {
-            CallState::Count(n) => {
-                if let Value::Int(i) = v {
-                    *n += i;
-                }
-            }
-            CallState::Sum {
-                seen,
-                is_int,
-                int_sum,
-                f_sum,
-            } => match v {
-                Value::Null => {}
-                Value::Int(i) => {
-                    *seen = true;
-                    if *is_int {
-                        match int_sum.checked_add(*i) {
-                            Some(s) => *int_sum = s,
-                            None => *is_int = false,
-                        }
-                    }
-                    *f_sum += *i as f64;
-                }
-                Value::Double(f) => {
-                    *seen = true;
-                    *is_int = false;
-                    *f_sum += f;
-                }
-                _ => {}
-            },
-            CallState::Min(cur) => {
-                if !v.is_null() {
-                    let better = match cur {
-                        None => true,
-                        Some(m) => v.total_cmp(m) == std::cmp::Ordering::Less,
-                    };
-                    if better {
-                        *cur = Some(v.clone());
-                    }
-                }
-            }
-            CallState::Max(cur) => {
-                if !v.is_null() {
-                    let better = match cur {
-                        None => true,
-                        Some(m) => v.total_cmp(m) == std::cmp::Ordering::Greater,
-                    };
-                    if better {
-                        *cur = Some(v.clone());
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// Produce one original aggregate's final value from the merged call
-/// states, mirroring the single-database `finish_agg` exactly: SUM over
-/// no rows is NULL, an all-Int SUM stays Int, AVG divides the carried
-/// SUM by the carried non-NULL COUNT.
-fn finish_call(fin: &Finisher, states: &[CallState]) -> Value {
-    let sum_of = |idx: usize| match &states[idx] {
-        CallState::Sum {
-            seen,
-            is_int,
-            int_sum,
-            f_sum,
-        } => {
-            if !seen {
-                Value::Null
-            } else if *is_int {
-                Value::Int(*int_sum)
-            } else {
-                Value::Double(*f_sum)
-            }
-        }
-        _ => Value::Null,
-    };
-    match fin {
-        Finisher::Count { idx } => match &states[*idx] {
-            CallState::Count(n) => Value::Int(*n),
-            _ => Value::Null,
-        },
-        Finisher::Sum { idx } => sum_of(*idx),
-        Finisher::Avg { sum_idx, count_idx } => {
-            let n = match &states[*count_idx] {
-                CallState::Count(n) => *n,
-                _ => 0,
-            };
-            if n == 0 {
-                return Value::Null;
-            }
-            match sum_of(*sum_idx) {
-                Value::Int(i) => Value::Double(i as f64 / n as f64),
-                Value::Double(f) => Value::Double(f / n as f64),
-                _ => Value::Null,
-            }
-        }
-        Finisher::Min { idx } => match &states[*idx] {
-            CallState::Min(v) => v.clone().unwrap_or(Value::Null),
-            _ => Value::Null,
-        },
-        Finisher::Max { idx } => match &states[*idx] {
-            CallState::Max(v) => v.clone().unwrap_or(Value::Null),
-            _ => Value::Null,
-        },
+        merge(hub_db, sel, params, vec![leg])
     }
 }
 
@@ -2859,6 +2391,11 @@ mod tests {
 
     fn site_db(site: &str, n: i64) -> Database {
         let mut db = Database::new_in_memory();
+        fill_site(&mut db, site, n);
+        db
+    }
+
+    fn fill_site(db: &mut Database, site: &str, n: i64) {
         db.execute(
             "CREATE TABLE SIM (K VARCHAR(20) PRIMARY KEY, SITE VARCHAR(10), N INTEGER, X DOUBLE)",
         )
@@ -2870,7 +2407,6 @@ mod tests {
             ))
             .unwrap();
         }
-        db
     }
 
     struct Rig {
@@ -2881,6 +2417,10 @@ mod tests {
     }
 
     fn rig() -> Rig {
+        rig_on(site_db("soton", 4))
+    }
+
+    fn rig_on(hub_db: Database) -> Rig {
         let mut net = SimNet::new();
         let hub = net.add_host("hub", 4);
         let cam = net.add_host("cam", 2);
@@ -2888,7 +2428,6 @@ mod tests {
         let spec = LinkSpec::symmetric(1_000_000.0, 0.01);
         net.connect(hub, cam, spec.clone());
         net.connect(hub, edin, spec);
-        let hub_db = site_db("soton", 4);
         let mut fed = Federation::default();
         fed.add_site("cam", cam, site_db("cam", 3));
         fed.add_site("edin", edin, site_db("edin", 5));
@@ -3094,11 +2633,57 @@ mod tests {
     }
 
     #[test]
-    fn staging_table_is_cleaned_up() {
-        let mut r = rig();
-        q(&mut r, "SELECT K FROM SIM", &[]);
-        assert!(r.hub_db.schema("FED_STAGE_SIM").is_none());
-        // Even when the merge query fails mid-way.
+    fn reads_leave_the_hub_untouched() {
+        let (mut r, _) = join_rig();
+        r.hub_db
+            .execute("CREATE TABLE NOTE (K VARCHAR(20) PRIMARY KEY, TXT VARCHAR(40))")
+            .unwrap();
+        r.hub_db
+            .execute("INSERT INTO NOTE VALUES ('cam-0', 'first'), ('edin-1', 'childless')")
+            .unwrap();
+        let obs = Obs::new();
+        r.hub_db.attach_metrics(&obs.metrics);
+        let state = |r: &Rig| {
+            (
+                r.hub_db.table_names(),
+                r.hub_db.write_counter(),
+                r.hub_db.wal_syncs(),
+                obs.metrics
+                    .value("easia_db_mvcc_versions_created_total", &[]),
+            )
+        };
+        let before = state(&r);
+
+        let out = q(&mut r, "SELECT K, N FROM SIM WHERE N >= 1 ORDER BY K", &[]);
+        assert_eq!(out.rs.rows.len(), 9);
+        assert_eq!(state(&r), before, "ship-rows read");
+
+        let out = q(
+            &mut r,
+            "SELECT S.K, R.R FROM SIM S JOIN RES R ON S.K = R.K ORDER BY R.R",
+            &[],
+        );
+        assert!(matches!(
+            out.explain.joins[1].strategy,
+            JoinStrategy::SemiJoin { .. }
+        ));
+        assert_eq!(state(&r), before, "semi-join");
+
+        let out = q(
+            &mut r,
+            "SELECT L.TXT, R.R FROM NOTE L LEFT JOIN RES R ON L.K = R.K ORDER BY L.K",
+            &[],
+        );
+        assert!(matches!(out.explain.joins[0].strategy, JoinStrategy::Local));
+        assert_eq!(
+            out.rs.rows,
+            vec![
+                vec![Value::Str("first".into()), Value::Str("cam-r0".into())],
+                vec![Value::Str("childless".into()), Value::Null],
+            ]
+        );
+        assert_eq!(state(&r), before, "LEFT JOIN with a hub-local leg");
+
         let err = r
             .fed
             .query(
@@ -3111,29 +2696,108 @@ mod tests {
             )
             .unwrap_err();
         assert!(matches!(err, FedError::Unsupported(_) | FedError::Db(_)));
-        assert!(r.hub_db.schema("FED_STAGE_SIM").is_none());
+        assert_eq!(state(&r), before, "a merge that errors");
+
+        // A partial-aggregate read served from fresh replica copies
+        // re-derives its state rows from the raw cached partitions.
+        r.fed.enable_replica_cache(300.0, 1_000);
+        q(&mut r, "SELECT K FROM SIM", &[]);
+        let out = q(
+            &mut r,
+            "SELECT SITE, COUNT(*), SUM(N) FROM SIM GROUP BY SITE ORDER BY SITE",
+            &[],
+        );
+        assert!(out.explain.agg.as_ref().is_some_and(|a| a.partial));
+        assert!(out
+            .explain
+            .sites
+            .iter()
+            .filter(|s| s.site != "local")
+            .all(|s| matches!(s.source, SiteSource::CacheFresh)));
+        assert_eq!(
+            out.rs.rows,
+            vec![
+                vec![Value::Str("cam".into()), Value::Int(3), Value::Int(3)],
+                vec![Value::Str("edin".into()), Value::Int(5), Value::Int(10)],
+                vec![Value::Str("soton".into()), Value::Int(4), Value::Int(6)],
+            ]
+        );
+        assert_eq!(state(&r), before, "partial aggregate over replica copies");
     }
 
     #[test]
+    fn repeated_group_key_merges_like_a_single_one() {
+        // The merge resolves scalar parts against the group key alone,
+        // so a key named twice must not become two columns of it.
+        let mut r = rig();
+        let twice = q(
+            &mut r,
+            "SELECT SITE, COUNT(*) FROM SIM GROUP BY SITE, SITE ORDER BY SITE",
+            &[],
+        );
+        assert!(twice.explain.agg.as_ref().is_some_and(|a| a.partial));
+        let once = q(
+            &mut r,
+            "SELECT SITE, COUNT(*) FROM SIM GROUP BY SITE ORDER BY SITE",
+            &[],
+        );
+        assert_eq!(twice.rs.rows, once.rs.rows);
+        assert_eq!(once.rs.rows.len(), 3);
+    }
+
+    #[test]
+    fn reads_on_a_file_backed_hub_append_nothing_to_the_wal() {
+        let dir = std::env::temp_dir().join(format!("easia-med-hub-wal-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut hub_db = Database::open(&dir).unwrap();
+        fill_site(&mut hub_db, "soton", 4);
+        let mut r = rig_on(hub_db);
+        let wal_len = || std::fs::metadata(dir.join("wal.log")).unwrap().len();
+        let (len, syncs) = (wal_len(), r.hub_db.wal_syncs());
+        for _ in 0..10 {
+            let out = q(&mut r, "SELECT K, N FROM SIM ORDER BY K", &[]);
+            assert_eq!(out.rs.rows.len(), 12);
+        }
+        assert_eq!(wal_len(), len);
+        assert_eq!(r.hub_db.wal_syncs(), syncs);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn federated_read_runs_inside_an_open_hub_transaction() {
+        let mut r = rig();
+        r.hub_db.execute("BEGIN").unwrap();
+        r.hub_db
+            .execute("INSERT INTO SIM VALUES ('soton-9', 'soton', 9, 0.5)")
+            .unwrap();
+        let out = q(&mut r, "SELECT K FROM SIM WHERE N >= 3 ORDER BY K", &[]);
+        let keys: Vec<String> = out.rs.rows.iter().map(|r| r[0].to_string()).collect();
+        assert_eq!(
+            keys,
+            ["edin-3", "edin-4", "soton-3", "soton-9"],
+            "the read sees the transaction's own pending row"
+        );
+        r.hub_db.execute("COMMIT").unwrap();
+        let rs = r
+            .hub_db
+            .execute("SELECT N FROM SIM WHERE K = 'soton-9'")
+            .unwrap();
+        assert_eq!(rs.rows, vec![vec![Value::Int(9)]]);
+    }
+
+    /// DATALINK values reach the hub statement as CLOB text on every
+    /// merge path (link control stays with the owning site).
+    #[test]
     fn datalink_columns_survive_federation() {
         let mut r = rig();
-        r.fed
-            .site("cam")
-            .unwrap()
-            .db
-            .borrow_mut()
-            .execute("CREATE TABLE FILES (ID INTEGER PRIMARY KEY, URL DATALINK)")
-            .unwrap();
-        r.fed
-            .site("cam")
-            .unwrap()
-            .db
-            .borrow_mut()
-            .execute("INSERT INTO FILES VALUES (1, 'http://cam.example/a.dat')")
-            .unwrap();
-        r.hub_db
-            .execute("CREATE TABLE FILES (ID INTEGER PRIMARY KEY, URL DATALINK)")
-            .unwrap();
+        let ddl = "CREATE TABLE FILES (ID INTEGER PRIMARY KEY, URL DATALINK)";
+        {
+            let mut cam = r.fed.site("cam").unwrap().db.borrow_mut();
+            cam.execute(ddl).unwrap();
+            cam.execute("INSERT INTO FILES VALUES (1, 'http://cam.example/a.dat')")
+                .unwrap();
+        }
+        r.hub_db.execute(ddl).unwrap();
         r.fed
             .catalog
             .import_foreign_table(
@@ -3146,12 +2810,26 @@ mod tests {
                 ],
             )
             .unwrap();
-        let out = q(&mut r, "SELECT ID, URL FROM FILES ORDER BY ID", &[]);
-        assert_eq!(out.rs.rows.len(), 1);
-        match &out.rs.rows[0][1] {
-            Value::Str(u) | Value::Clob(u) => assert_eq!(u, "http://cam.example/a.dat"),
-            v => panic!("unexpected {v:?}"),
-        }
+        let link = Value::Clob("http://cam.example/a.dat".into());
+        let single = "SELECT ID, URL FROM FILES ORDER BY ID";
+        let out = q(&mut r, single, &[]);
+        assert_eq!(out.rs.rows, vec![vec![Value::Int(1), link.clone()]]);
+
+        let out = q(
+            &mut r,
+            "SELECT F.URL FROM FILES F JOIN SIM S ON F.ID = S.N ORDER BY S.K",
+            &[],
+        );
+        assert_eq!(out.rs.rows, vec![vec![link.clone()]; 3]);
+
+        r.fed.enable_replica_cache(300.0, 1_000);
+        q(&mut r, single, &[]);
+        let hot = q(&mut r, single, &[]);
+        assert!(matches!(
+            hot.explain.sites[1].source,
+            SiteSource::CacheFresh
+        ));
+        assert_eq!(hot.rs.rows, vec![vec![Value::Int(1), link]]);
     }
 
     #[test]

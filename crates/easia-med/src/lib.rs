@@ -19,8 +19,11 @@
 //!   (ORDER BY/LIMIT) pushdown, and site-key partition pruning.
 //! * [`remote`] — the thin site-side executor that runs pushed scans.
 //! * [`federation`] — scatter-gather execution over the simulated WAN
-//!   with a bounded in-flight window, staging-table merge, typed
-//!   partial-results policy, and federation metrics.
+//!   with a bounded in-flight window, typed partial-results policy, and
+//!   federation metrics. The hub merge binds the gathered rows as
+//!   in-memory relations and runs the original statement over them
+//!   (partial aggregates fold into the executor's own aggregate state);
+//!   a federated read never writes to the hub database.
 //! * [`breaker`] — per-site circuit breakers (closed/open/half-open)
 //!   with fault-schedule-derived cooldowns.
 //! * [`replica`] — the hub's stale-replica cache of small partitions,
@@ -39,6 +42,7 @@ pub mod breaker;
 pub mod catalog;
 pub mod explain;
 pub mod federation;
+mod merge;
 pub mod planner;
 pub mod prefetch;
 pub mod remote;

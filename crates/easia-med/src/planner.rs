@@ -7,8 +7,8 @@
 //! and which partitions a site-key binding allows us to skip entirely
 //! (partition pruning).
 //!
-//! Correctness story: the hub re-runs the *original* statement over a
-//! staging table filled with the shipped rows, so pushdown only ever
+//! Correctness story: the hub runs the *original* statement over an
+//! in-memory relation holding the shipped rows, so pushdown only ever
 //! removes rows/columns that provably cannot influence the result —
 //! pushed conjuncts are row-local filters (evaluating them twice is
 //! idempotent), the shipped projection includes every column the
@@ -250,7 +250,11 @@ fn plan_partial_agg(
     for g in &sel.group_by {
         match g {
             Expr::Column { table, name } if col_ok(table, name, &col_set, &ft.name, alias) => {
-                group_cols.push(name.to_ascii_uppercase());
+                // A repeated key groups no finer: ship it once.
+                let key = name.to_ascii_uppercase();
+                if !group_cols.contains(&key) {
+                    group_cols.push(key);
+                }
             }
             _ => return Err("group-expr"),
         }
