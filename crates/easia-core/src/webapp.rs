@@ -15,6 +15,7 @@ use easia_web::http::{url_encode, Method, Request, Response};
 use easia_web::qbe::{build_browse_query, build_join_query, join_tables, render_query_form};
 use easia_xuis::Widget;
 use std::collections::BTreeMap;
+use std::fmt::Write as _;
 
 /// The application: archive + transient per-session operation outputs.
 pub struct WebApp {
@@ -379,18 +380,19 @@ impl WebApp {
         // Row-level operation applicability.
         let is_guest = matches!(role, Role::Guest);
         let mut row_ops = Vec::with_capacity(rs.rows.len());
+        // The colids are the same for every row: name them once and
+        // refill only the values.
+        let qualifier = table.to_ascii_uppercase();
+        let mut pairs: Vec<(String, String)> = rs
+            .columns
+            .iter()
+            .map(|c| (format!("{qualifier}.{c}"), String::new()))
+            .collect();
         for row in &rs.rows {
-            let pairs: Vec<(String, String)> = rs
-                .columns
-                .iter()
-                .zip(row)
-                .map(|(c, v)| {
-                    (
-                        format!("{}.{}", table.to_ascii_uppercase(), c),
-                        v.to_string(),
-                    )
-                })
-                .collect();
+            for ((_, text), v) in pairs.iter_mut().zip(row) {
+                text.clear();
+                let _ = write!(text, "{v}");
+            }
             row_ops.push(
                 self.archive
                     .catalog

@@ -6,6 +6,7 @@ use crate::crc::crc32;
 use crate::error::{DbError, Result};
 use crate::exec;
 use crate::expr::FnRegistry;
+use crate::index::btree::has_prefix;
 use crate::index::BPlusTree;
 use crate::mvcc::{Csn, MvccState, ReadView, SnapshotId, TxnId, VacuumStats, LATEST_CSN};
 use crate::schema::{ColumnDef, DatalinkSpec, ForeignKey, TableSchema};
@@ -92,14 +93,6 @@ pub struct Table {
 }
 
 impl Table {
-    /// Find an index whose first key column is `col` (used by the
-    /// planner for equality lookups).
-    pub fn index_on(&self, col: usize) -> Option<&Index> {
-        self.indexes
-            .iter()
-            .find(|ix| ix.col_indices.first() == Some(&col))
-    }
-
     /// Find an index exactly matching `cols`.
     pub fn index_matching(&self, cols: &[usize]) -> Option<&Index> {
         self.indexes.iter().find(|ix| ix.col_indices == cols)
@@ -1599,13 +1592,38 @@ impl Database {
                     .iter()
                     .map(|c| child.schema.column_index(c).expect("fk validated"))
                     .collect();
-                let referenced = child.heap.scan().any(|(crid, crow)| {
+                let references = |crid: RowId, crow: &[Value]| {
                     self.mvcc.visible(child_name, crid, &view)
                         && child_idx
                             .iter()
                             .zip(&old_key)
                             .all(|(&ci, &pv)| &crow[ci] == pv)
-                });
+                };
+                // A child index led by the FK columns narrows the check
+                // to the rows filed under the key; `references` decides.
+                let referenced = match child
+                    .indexes
+                    .iter()
+                    .find(|ix| ix.col_indices.starts_with(&child_idx))
+                {
+                    Some(ix) => {
+                        let key: Vec<Value> = old_key.iter().map(|&v| v.clone()).collect();
+                        let mut found = false;
+                        ix.tree.scan_from(&key, |k, rids| {
+                            let under_key = has_prefix(k, &key);
+                            found = under_key
+                                && rids.iter().any(|&crid| {
+                                    child.heap.get(crid).is_some_and(|r| references(crid, &r))
+                                });
+                            under_key && !found
+                        });
+                        found
+                    }
+                    None => child
+                        .heap
+                        .scan()
+                        .any(|(crid, crow)| references(crid, &crow)),
+                };
                 if referenced {
                     return Err(DbError::Constraint(format!(
                         "cannot modify {table}: key referenced by {child_name}"

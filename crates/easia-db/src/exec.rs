@@ -3,8 +3,9 @@
 use crate::db::{Database, ResultSet, Table};
 use crate::error::{DbError, Result};
 use crate::expr::{truth, EvalContext, RowSchema};
+use crate::index::btree::has_prefix;
 use crate::mvcc::ReadView;
-use crate::plan::{choose_access_path, AccessPath};
+use crate::plan::{choose_access_path, choose_in_scope, AccessPath, Scope};
 use crate::sql::ast::{Expr, Join, JoinKind, OrderBy, SelectItem, SelectStmt};
 use crate::storage::RowId;
 use crate::value::{encode_row, Value};
@@ -86,6 +87,14 @@ impl<'a> Source<'a> {
         }
     }
 
+    /// The catalogue schema that types the columns; a relation has none.
+    fn schema(&self) -> Option<&'a crate::schema::TableSchema> {
+        match self {
+            Source::Relation(_) => None,
+            Source::Table(t) => Some(&t.schema),
+        }
+    }
+
     /// The rows `view` can see along `path`; a relation has no indexes
     /// and no versions, so it is always read whole.
     fn rows(&self, db: &Database, view: &ReadView, path: AccessPath) -> Vec<Vec<Value>> {
@@ -114,22 +123,35 @@ fn fetch<T>(
             .filter(|(rid, _)| db.row_visible(name, *rid, view))
             .map(|(rid, row)| keep(rid, row))
             .collect(),
-        AccessPath::IndexEq { index_pos, key, .. } => {
+        AccessPath::IndexRange {
+            index_pos,
+            eq,
+            tail,
+            ..
+        } => {
             let ix = &t.indexes[index_pos];
-            let probe = if ix.col_indices.len() == 1 {
-                ix.tree.get(std::slice::from_ref(&key))
+            let bound = eq.len();
+            let mut rids = if bound == ix.col_indices.len() {
+                ix.tree.get(&eq)
             } else {
-                // Composite index: range over entries whose first column
-                // equals the probe key.
-                ix.tree
-                    .range(None, None)
-                    .into_iter()
-                    .filter(|(k, _)| k.first() == Some(&key))
-                    .flat_map(|(_, rows)| rows)
-                    .collect()
+                // Seek to the equality run (and the tail's lower bound),
+                // then take keys until one leaves the run or the tail.
+                let mut lo = eq;
+                lo.extend(tail.lower_bound());
+                let mut rids = Vec::new();
+                ix.tree.scan_from(&lo, |key, rows| {
+                    let inside = has_prefix(key, &lo[..bound]) && tail.admits(&key[bound]);
+                    if inside {
+                        rids.extend_from_slice(rows);
+                    }
+                    inside
+                });
+                rids
             };
-            probe
-                .into_iter()
+            // Heap order, as a full scan would deliver them: the choice
+            // of path never shows in an un-ORDERed or LIMITed result.
+            rids.sort_unstable();
+            rids.into_iter()
                 .filter(|rid| db.row_visible(name, *rid, view))
                 .filter_map(|rid| t.heap.get(rid).map(|row| keep(rid, row)))
                 .collect()
@@ -164,7 +186,7 @@ pub fn collect_matching(
         .table(table)
         .ok_or_else(|| DbError::Catalog(format!("table {table} does not exist")))?;
     let path = choose_access_path(db, t, table, where_clause, params)?;
-    let index_probe = matches!(path, AccessPath::IndexEq { .. });
+    let index_probe = matches!(path, AccessPath::IndexRange { .. });
     let candidates = fetch(db, view, t, path, |rid, row| (rid, row));
     note_scan(db, index_probe, candidates.len());
     let schema = RowSchema::for_table(table, &Source::Table(t).columns());
@@ -248,10 +270,24 @@ pub fn run_select_over(
         Source::Relation(_) => AccessPath::FullScan,
         Source::Table(t) => {
             alias_map.insert(base_alias.clone(), from.name.to_ascii_uppercase());
-            choose_access_path(db, t, &base_alias, sel.where_clause.as_ref(), params)?
+            // The WHERE runs over joined rows and each ON over the legs
+            // so far; the base narrows only when none of them can raise
+            // on a row the narrowing would skip.
+            let mut scope = Scope::of(&base_alias, &t.schema);
+            let mut ons_total = true;
+            for join in &sel.joins {
+                let leg = Source::resolve(db, relations, &join.table.name)?;
+                scope.join(&join_alias(join), &leg.columns(), leg.schema());
+                ons_total &= scope.total(db, &join.on, params);
+            }
+            if ons_total {
+                choose_in_scope(db, t, &scope, sel.where_clause.as_ref(), params)
+            } else {
+                AccessPath::FullScan
+            }
         }
     };
-    let index_probe = matches!(path, AccessPath::IndexEq { .. });
+    let index_probe = matches!(path, AccessPath::IndexRange { .. });
     let mut rows = base.rows(db, view, path);
     note_scan(db, index_probe, rows.len());
 
@@ -405,6 +441,14 @@ pub fn derive_name(expr: &Expr) -> String {
     }
 }
 
+/// The name a JOIN leg's columns are qualified by.
+fn join_alias(join: &Join) -> String {
+    join.table
+        .alias
+        .clone()
+        .unwrap_or_else(|| join.table.name.to_ascii_uppercase())
+}
+
 #[allow(clippy::too_many_arguments)]
 fn run_join(
     db: &Database,
@@ -416,11 +460,7 @@ fn run_join(
     params: &[Value],
     alias_map: &mut HashMap<String, String>,
 ) -> Result<(RowSchema, Vec<Vec<Value>>)> {
-    let alias = join
-        .table
-        .alias
-        .clone()
-        .unwrap_or_else(|| join.table.name.to_ascii_uppercase());
+    let alias = join_alias(join);
     let right = Source::resolve(db, relations, &join.table.name)?;
     let rnames = right.columns();
     let right_schema = RowSchema::for_table(&alias, &rnames);

@@ -474,21 +474,38 @@ pub fn truth(v: &Value) -> Option<bool> {
 /// SQL LIKE matching: `%` matches any run (including empty), `_` matches
 /// exactly one character. Matching is case-sensitive, per the standard.
 pub fn like_match(s: &str, pattern: &str) -> bool {
-    fn rec(s: &[char], p: &[char]) -> bool {
-        match p.first() {
-            None => s.is_empty(),
-            Some('%') => {
-                // Collapse consecutive % and try all split points.
-                let rest = &p[1..];
-                (0..=s.len()).any(|k| rec(&s[k..], rest))
+    let (mut s, mut p) = (s.chars(), pattern.chars());
+    // Where a mismatch resumes: the pattern just past the latest `%`
+    // and the text that `%` has not swallowed yet. Earlier `%`s never
+    // need revisiting — whatever they could absorb, the latest one can.
+    let mut retry: Option<(std::str::Chars, std::str::Chars)> = None;
+    loop {
+        let (mut p_next, mut s_next) = (p.clone(), s.clone());
+        let matched = match (p_next.next(), s_next.next()) {
+            (None, None) => return true,
+            (Some('%'), _) => {
+                p = p_next;
+                retry = Some((p.clone(), s.clone()));
+                continue;
             }
-            Some('_') => !s.is_empty() && rec(&s[1..], &p[1..]),
-            Some(&c) => s.first() == Some(&c) && rec(&s[1..], &p[1..]),
+            (Some(pc), Some(sc)) => pc == '_' || pc == sc,
+            // The pattern since the latest `%` needs more text than is
+            // left, and swallowing more only leaves less.
+            (Some(_), None) => return false,
+            (None, Some(_)) => false,
+        };
+        if matched {
+            (p, s) = (p_next, s_next);
+            continue;
         }
+        // The latest `%` swallows one more character; the mismatch was
+        // at or after its text, so there is one.
+        let Some((after, rest)) = &mut retry else {
+            return false;
+        };
+        rest.next();
+        (p, s) = (after.clone(), rest.clone());
     }
-    let sc: Vec<char> = s.chars().collect();
-    let pc: Vec<char> = pattern.chars().collect();
-    rec(&sc, &pc)
 }
 
 #[cfg(test)]
@@ -581,6 +598,37 @@ mod tests {
         assert!(like_match("S19990110150932", "S1999%"));
         assert!(!like_match("ABC", "abc"), "case-sensitive");
         assert!(like_match("aaa", "%%a%"));
+    }
+
+    /// Apart from the rest: the test macro names `Result` itself.
+    mod like_oracle {
+        use crate::expr::like_match;
+
+        /// The matcher this module used before: it retries every split
+        /// point of every `%`. Kept as the oracle for the iterative one.
+        fn like_match_recursive(s: &str, pattern: &str) -> bool {
+            fn rec(s: &[char], p: &[char]) -> bool {
+                match p.first() {
+                    None => s.is_empty(),
+                    Some('%') => (0..=s.len()).any(|k| rec(&s[k..], &p[1..])),
+                    Some('_') => !s.is_empty() && rec(&s[1..], &p[1..]),
+                    Some(&c) => s.first() == Some(&c) && rec(&s[1..], &p[1..]),
+                }
+            }
+            let sc: Vec<char> = s.chars().collect();
+            let pc: Vec<char> = pattern.chars().collect();
+            rec(&sc, &pc)
+        }
+
+        proptest::proptest! {
+            #[test]
+            fn iterative_agrees_with_recursive(s in "[abé%_]{0,10}", p in "[abé%_]{0,7}") {
+                proptest::prop_assert!(
+                    like_match(&s, &p) == like_match_recursive(&s, &p),
+                    "{s:?} LIKE {p:?}"
+                );
+            }
+        }
     }
 
     #[test]

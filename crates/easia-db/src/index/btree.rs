@@ -6,6 +6,10 @@
 //! caller's job (the executor checks before inserting for PK/UNIQUE
 //! indexes).
 //!
+//! Reads are [`BPlusTree::get`] for one whole key and
+//! [`BPlusTree::scan_from`], a borrowing in-order cursor, for every
+//! range, prefix and partial-key walk.
+//!
 //! The tree uses a conventional split-on-overflow insertion and
 //! borrow/merge-free deletion (leaves may underflow; with the archive's
 //! append-mostly workload this is a deliberate simplification — deletes
@@ -28,6 +32,12 @@ fn key_cmp(a: &[Value], b: &[Value]) -> Ordering {
         }
     }
     a.len().cmp(&b.len())
+}
+
+/// True when the leading columns of `key` equal `prefix` — the test
+/// that ends a [`BPlusTree::scan_from`] walk over one key prefix.
+pub fn has_prefix(key: &[Value], prefix: &[Value]) -> bool {
+    key.len() >= prefix.len() && key_cmp(&key[..prefix.len()], prefix) == Ordering::Equal
 }
 
 #[derive(Debug, Clone)]
@@ -232,60 +242,44 @@ impl BPlusTree {
         !self.get(key).is_empty()
     }
 
-    /// All `(key, rows)` with `lo <= key <= hi` (inclusive bounds; pass
-    /// `None` for unbounded ends), in key order.
-    pub fn range(&self, lo: Option<&[Value]>, hi: Option<&[Value]>) -> Vec<(Key, Vec<RowId>)> {
-        let mut out = Vec::new();
-        Self::range_rec(&self.root, lo, hi, &mut out);
-        out
+    /// Visit `(key, rows)` in key order, starting at the first key that
+    /// is `>= lo`, until `visit` returns false. `lo` may be shorter than
+    /// the stored keys: a prefix sorts before every key it leads, so the
+    /// walk starts at the first key under that prefix (the whole tree
+    /// for an empty `lo`). Nothing is cloned; upper bounds are the
+    /// visitor's to enforce by stopping.
+    pub fn scan_from(&self, lo: &[Value], mut visit: impl FnMut(&[Value], &[RowId]) -> bool) {
+        Self::scan_rec(&self.root, lo, &mut visit);
     }
 
-    fn range_rec(
+    /// Returns false once the visitor has stopped the walk.
+    fn scan_rec(
         node: &Node,
-        lo: Option<&[Value]>,
-        hi: Option<&[Value]>,
-        out: &mut Vec<(Key, Vec<RowId>)>,
-    ) {
+        mut lo: &[Value],
+        visit: &mut impl FnMut(&[Value], &[RowId]) -> bool,
+    ) -> bool {
         match node {
             Node::Leaf(leaf) => {
-                for (k, rows) in &leaf.entries {
-                    if let Some(lo) = lo {
-                        if key_cmp(k, lo) == Ordering::Less {
-                            continue;
-                        }
-                    }
-                    if let Some(hi) = hi {
-                        if key_cmp(k, hi) == Ordering::Greater {
-                            return;
-                        }
-                    }
-                    out.push((k.clone(), rows.clone()));
-                }
+                let start = leaf
+                    .entries
+                    .partition_point(|(k, _)| key_cmp(k, lo) == Ordering::Less);
+                leaf.entries[start..].iter().all(|(k, rows)| visit(k, rows))
             }
             Node::Internal(int) => {
-                // Children that can intersect [lo, hi].
-                let start = match lo {
-                    Some(lo) => match int.keys.binary_search_by(|k| key_cmp(k, lo)) {
-                        Ok(i) => i + 1,
-                        Err(i) => i,
-                    },
-                    None => 0,
+                let start = match int.keys.binary_search_by(|k| key_cmp(k, lo)) {
+                    Ok(i) => i + 1,
+                    Err(i) => i,
                 };
-                for (i, child) in int.children.iter().enumerate().skip(start) {
-                    if let Some(hi) = hi {
-                        if i > 0 && key_cmp(&int.keys[i - 1], hi) == Ordering::Greater {
-                            return;
-                        }
+                for child in &int.children[start..] {
+                    if !Self::scan_rec(child, lo, visit) {
+                        return false;
                     }
-                    Self::range_rec(child, lo, hi, out);
+                    // Every later child lies wholly above the bound.
+                    lo = &[];
                 }
+                true
             }
         }
-    }
-
-    /// All entries in key order (full index scan).
-    pub fn iter_all(&self) -> Vec<(Key, Vec<RowId>)> {
-        self.range(None, None)
     }
 
     /// Tree height (1 = a single leaf), for tests and stats.
@@ -310,6 +304,19 @@ mod tests {
 
     fn rid(i: u64) -> RowId {
         RowId(i)
+    }
+
+    /// What the cursor visits from `lo` up to and including `hi`.
+    fn collect(t: &BPlusTree, lo: &[Value], hi: Option<&[Value]>) -> Vec<(Key, Vec<RowId>)> {
+        let mut out = Vec::new();
+        t.scan_from(lo, |k, rows| {
+            if hi.is_some_and(|hi| key_cmp(k, hi) == Ordering::Greater) {
+                return false;
+            }
+            out.push((k.to_vec(), rows.to_vec()));
+            true
+        });
+        out
     }
 
     #[test]
@@ -350,7 +357,7 @@ mod tests {
             assert_eq!(t.get(&k(i)), vec![rid(i as u64)], "key {i}");
         }
         // Full scan is sorted.
-        let all = t.iter_all();
+        let all = collect(&t, &[], None);
         assert_eq!(all.len(), n as usize);
         for w in all.windows(2) {
             assert_eq!(key_cmp(&w[0].0, &w[1].0), Ordering::Less);
@@ -385,13 +392,85 @@ mod tests {
         for i in 0..200 {
             t.insert(k(i), rid(i as u64));
         }
-        let r = t.range(Some(&k(10)), Some(&k(19)));
+        let r = collect(&t, &k(10), Some(&k(19)));
         assert_eq!(r.len(), 10);
         assert_eq!(r[0].0, k(10));
         assert_eq!(r[9].0, k(19));
-        assert_eq!(t.range(None, Some(&k(4))).len(), 5);
-        assert_eq!(t.range(Some(&k(195)), None).len(), 5);
-        assert_eq!(t.range(Some(&k(500)), None).len(), 0);
+        assert_eq!(collect(&t, &[], Some(&k(4))).len(), 5);
+        assert_eq!(collect(&t, &k(195), None).len(), 5);
+        assert_eq!(collect(&t, &k(500), None).len(), 0);
+    }
+
+    #[test]
+    fn cursor_seeks_between_keys_and_stops_early() {
+        let mut t = BPlusTree::new();
+        for i in (0..2000).step_by(2) {
+            t.insert(k(i), rid(i as u64));
+        }
+        assert!(t.height() >= 3);
+        // An absent lower bound lands on the next key, wherever in a
+        // leaf (or on whichever side of a separator) that is.
+        for lo in [-5, 1, 31, 63, 65, 999, 1997] {
+            let mut seen = Vec::new();
+            t.scan_from(&k(lo), |key, _| {
+                seen.push(key[0].clone());
+                seen.len() < 3
+            });
+            let first = (lo.max(0) + 1) / 2 * 2;
+            let want: Vec<Value> = (first..2000).step_by(2).take(3).map(Value::Int).collect();
+            assert_eq!(seen, want, "lo {lo}");
+        }
+        let mut visits = 0;
+        t.scan_from(&k(1999), |_, _| {
+            visits += 1;
+            true
+        });
+        assert_eq!(visits, 0, "past the last key");
+    }
+
+    #[test]
+    fn cursor_short_bound_and_duplicates_across_splits() {
+        // 40 groups of 50 two-column keys: every group spans leaves, and
+        // every key holds two rows.
+        let mut t = BPlusTree::new();
+        for i in 0..2000i64 {
+            let j = (i * 7919) % 2000; // scrambled insertion order
+            let key = vec![Value::Str(format!("g{:02}", j / 50)), Value::Int(j % 50)];
+            t.insert(key.clone(), rid(j as u64));
+            t.insert(key, rid(10_000 + j as u64));
+        }
+        assert!(t.height() >= 3);
+        for g in [0, 17, 39] {
+            let lead = Value::Str(format!("g{g:02}"));
+            // A one-column bound starts at the group's first key.
+            let mut keys = Vec::new();
+            t.scan_from(std::slice::from_ref(&lead), |key, rows| {
+                if !has_prefix(key, std::slice::from_ref(&lead)) {
+                    return false;
+                }
+                assert_eq!(
+                    rows,
+                    [
+                        rid((g * 50) as u64 + keys.len() as u64),
+                        rid(10_000 + (g * 50) as u64 + keys.len() as u64)
+                    ]
+                );
+                keys.push(key[1].clone());
+                true
+            });
+            assert_eq!(
+                keys,
+                (0..50).map(Value::Int).collect::<Vec<_>>(),
+                "group {g}"
+            );
+            // A bound inside the group starts mid-group.
+            let mut first = None;
+            t.scan_from(&[lead.clone(), Value::Int(48)], |key, _| {
+                first = Some(key.to_vec());
+                false
+            });
+            assert_eq!(first, Some(vec![lead, Value::Int(48)]));
+        }
     }
 
     #[test]
@@ -400,7 +479,7 @@ mod tests {
         t.insert(vec![Value::Str("a".into()), Value::Int(2)], rid(1));
         t.insert(vec![Value::Str("a".into()), Value::Int(1)], rid(2));
         t.insert(vec![Value::Str("b".into()), Value::Int(0)], rid(3));
-        let all = t.iter_all();
+        let all = collect(&t, &[], None);
         assert_eq!(
             all.iter().map(|(_, r)| r[0]).collect::<Vec<_>>(),
             vec![rid(2), rid(1), rid(3)]
@@ -412,7 +491,7 @@ mod tests {
         let mut t = BPlusTree::new();
         t.insert(vec![Value::Int(1)], rid(1));
         t.insert(vec![Value::Null], rid(0));
-        let all = t.iter_all();
+        let all = collect(&t, &[], None);
         assert_eq!(all[0].1, vec![rid(0)]);
     }
 

@@ -1,30 +1,80 @@
 //! Access-path selection.
 //!
 //! The QBE interface generates WHERE clauses that are conjunctions of
-//! per-column restrictions; the planner recognises equality conjuncts on
-//! indexed columns and turns full scans into index lookups.
+//! per-column restrictions (`=`, `<`, `<=`, `>`, `>=`, `LIKE`); the
+//! planner binds them to the leading columns of an index and turns a
+//! full scan into one ordered walk of that index. The index only ever
+//! narrows: the executor still evaluates the whole predicate on every
+//! candidate, so bounds are inclusive supersets, and a path is chosen
+//! only when skipping the other rows cannot change what the statement
+//! returns *or raises* (see [`Scope::total`]).
 
 use crate::db::Table;
 use crate::error::Result;
 use crate::exec::eval_const;
-use crate::sql::ast::{BinaryOp, Expr};
-use crate::value::Value;
+use crate::expr::RowSchema;
+use crate::schema::TableSchema;
+use crate::sql::ast::{BinaryOp, Expr, UnaryOp};
+use crate::value::{SqlType, Value};
 use crate::Database;
+use std::cmp::Ordering;
 
 /// How the executor will fetch a table's rows.
 #[derive(Debug, Clone, PartialEq)]
 pub enum AccessPath {
     /// Scan every live row.
     FullScan,
-    /// Probe `index_name` with `key` (single leading column equality).
-    IndexEq {
+    /// Walk `index_name` over the keys whose leading columns equal `eq`
+    /// and whose next column satisfies `tail`.
+    IndexRange {
         /// The chosen index name (for EXPLAIN-style reporting).
         index_name: String,
         /// Position of the index in `Table::indexes`.
         index_pos: usize,
-        /// The probe key (single leading column).
-        key: Value,
+        /// Values of the leading key columns, in key order.
+        eq: Vec<Value>,
+        /// The restriction on the key column after them.
+        tail: Tail,
     },
+}
+
+/// What an [`AccessPath::IndexRange`] demands of the key column that
+/// follows its equality run.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Tail {
+    /// Nothing: every key under the equality run (or no column is left).
+    All,
+    /// A value in `[lo, hi]`, both ends inclusive, either may be open.
+    Range {
+        /// Lower bound.
+        lo: Option<Value>,
+        /// Upper bound.
+        hi: Option<Value>,
+    },
+    /// A string starting with this non-empty literal.
+    Prefix(String),
+}
+
+impl Tail {
+    /// The least value the tail column can take, when there is one:
+    /// where a walk of the index seeks to.
+    pub fn lower_bound(&self) -> Option<Value> {
+        match self {
+            Tail::Range { lo, .. } => lo.clone(),
+            Tail::Prefix(p) => Some(Value::Str(p.clone())),
+            Tail::All => None,
+        }
+    }
+
+    /// False once `v`, met walking up from [`Tail::lower_bound`], has
+    /// left the tail.
+    pub fn admits(&self, v: &Value) -> bool {
+        match self {
+            Tail::Range { hi: Some(hi), .. } => v.total_cmp(hi) != Ordering::Greater,
+            Tail::Prefix(p) => v.as_text().is_some_and(|s| s.starts_with(p.as_str())),
+            _ => true,
+        }
+    }
 }
 
 /// Split a predicate into top-level AND conjuncts.
@@ -42,43 +92,6 @@ pub fn conjuncts(expr: &Expr) -> Vec<&Expr> {
     out
 }
 
-/// A `col = constant` equality extracted from a conjunct, if the conjunct
-/// has that shape (either orientation) and the constant side is
-/// row-independent (literal, parameter, or constant function).
-fn column_equality(
-    db: &Database,
-    e: &Expr,
-    params: &[Value],
-    table_alias: &str,
-) -> Result<Option<(String, Value)>> {
-    let Expr::Binary(l, BinaryOp::Eq, r) = e else {
-        return Ok(None);
-    };
-    let (col, konst) = match (l.as_ref(), r.as_ref()) {
-        (Expr::Column { table, name }, rhs) if is_const(rhs) => {
-            if table
-                .as_deref()
-                .is_some_and(|t| !t.eq_ignore_ascii_case(table_alias))
-            {
-                return Ok(None);
-            }
-            (name.clone(), rhs)
-        }
-        (lhs, Expr::Column { table, name }) if is_const(lhs) => {
-            if table
-                .as_deref()
-                .is_some_and(|t| !t.eq_ignore_ascii_case(table_alias))
-            {
-                return Ok(None);
-            }
-            (name.clone(), lhs)
-        }
-        _ => return Ok(None),
-    };
-    let v = eval_const(db, konst, params)?;
-    Ok(Some((col, v)))
-}
-
 fn is_const(e: &Expr) -> bool {
     match e {
         Expr::Literal(_) | Expr::Param(_) => true,
@@ -91,11 +104,160 @@ fn is_const(e: &Expr) -> bool {
     }
 }
 
-/// Choose an access path for `table` given an optional WHERE clause.
-///
-/// Picks the first conjunct of the form `col = const` where `col` is the
-/// leading column of some index; the full predicate is still applied by
-/// the executor afterwards (the index narrows, the filter decides).
+/// A stand-in for whatever non-NULL value a column of type `ty` holds:
+/// stored rows are coerced to their column's type, so the variant is
+/// the only thing a comparison's success depends on.
+fn stand_in(ty: SqlType) -> Value {
+    match ty {
+        SqlType::Integer => Value::Int(0),
+        SqlType::Double => Value::Double(0.0),
+        SqlType::Varchar(_) => Value::Str(String::new()),
+        SqlType::Boolean => Value::Bool(false),
+        SqlType::Timestamp => Value::Timestamp(0),
+        SqlType::Blob => Value::Blob(Vec::new()),
+        SqlType::Clob => Value::Clob(String::new()),
+        SqlType::Datalink => Value::Datalink(String::new()),
+    }
+}
+
+/// The rows a statement's WHERE and ON clauses are evaluated against:
+/// the planned table's columns first, each JOIN leg's after, with the
+/// declared type of every slot (`None` for an in-memory relation's).
+pub struct Scope {
+    schema: RowSchema,
+    types: Vec<Option<SqlType>>,
+}
+
+impl Scope {
+    /// The scope of a single-table statement over `table` known as `alias`.
+    pub fn of(alias: &str, table: &TableSchema) -> Self {
+        let mut scope = Scope {
+            schema: RowSchema::default(),
+            types: Vec::new(),
+        };
+        let names: Vec<String> = table.columns.iter().map(|c| c.name.clone()).collect();
+        scope.join(alias, &names, Some(table));
+        scope
+    }
+
+    /// Append a JOIN leg: its alias, its columns and, when it is a
+    /// catalogue table, the schema that types them.
+    pub fn join(&mut self, alias: &str, columns: &[String], table: Option<&TableSchema>) {
+        self.schema = self.schema.join(&RowSchema::for_table(alias, columns));
+        match table {
+            Some(t) => self.types.extend(t.columns.iter().map(|c| Some(c.ty))),
+            None => self.types.extend(columns.iter().map(|_| None)),
+        }
+    }
+
+    /// True when evaluating `e` cannot raise on any row of this scope.
+    /// Narrowing a scan skips rows, and a skipped row cannot raise the
+    /// error it would have raised under a full scan, so an index path
+    /// is only sound under predicates that never raise.
+    pub fn total(&self, db: &Database, e: &Expr, params: &[Value]) -> bool {
+        self.kind(db, e, params).is_some()
+    }
+
+    /// A value of the kind `e` yields (its actual value when `e` is
+    /// row-independent), or `None` when evaluating `e` could raise: an
+    /// unresolvable or untyped column, a comparison `sql_cmp` refuses,
+    /// `LIKE` over non-strings, arithmetic or a function over a column,
+    /// a constant that fails to evaluate. NULL is a kind of its own that
+    /// every operator accepts.
+    fn kind(&self, db: &Database, e: &Expr, params: &[Value]) -> Option<Value> {
+        if is_const(e) {
+            return eval_const(db, e, params).ok();
+        }
+        let kind = |e: &Expr| self.kind(db, e, params);
+        let truth = Some(Value::Bool(false));
+        match e {
+            Expr::Column { table, name } => {
+                let slot = self.schema.resolve(table.as_deref(), name).ok()?;
+                self.types[slot].map(stand_in)
+            }
+            Expr::Unary(UnaryOp::Not, inner) => kind(inner).and(truth),
+            Expr::Binary(l, op, r) => {
+                let (l, r) = (kind(l)?, kind(r)?);
+                match op {
+                    BinaryOp::And | BinaryOp::Or => truth,
+                    BinaryOp::Eq
+                    | BinaryOp::NotEq
+                    | BinaryOp::Lt
+                    | BinaryOp::LtEq
+                    | BinaryOp::Gt
+                    | BinaryOp::GtEq => (l.is_null() || r.is_null() || l.sql_cmp(&r).is_some())
+                        .then_some(Value::Bool(false)),
+                    _ => None,
+                }
+            }
+            Expr::IsNull { expr, .. } => kind(expr).and(truth),
+            Expr::Like { expr, pattern, .. } => {
+                let text = |v: Value| v.is_null() || v.as_text().is_some();
+                (text(kind(expr)?) && text(kind(pattern)?)).then_some(Value::Bool(false))
+            }
+            // Neither raises on operands it cannot compare: BETWEEN
+            // yields NULL and IN moves on to the next item.
+            Expr::Between { expr, lo, hi, .. } => kind(expr).and(kind(lo)).and(kind(hi)).and(truth),
+            Expr::InList { expr, list, .. } => list
+                .iter()
+                .try_fold(kind(expr)?, |_, item| kind(item))
+                .and(truth),
+            _ => None,
+        }
+    }
+}
+
+/// What the WHERE's top-level conjuncts demand of one column.
+#[derive(Default, Clone)]
+struct Restriction {
+    eq: Option<Value>,
+    lo: Option<Value>,
+    hi: Option<Value>,
+    prefix: Option<String>,
+}
+
+impl Restriction {
+    /// Tighten with `col <op> v` (`op` already oriented column-first).
+    fn bound(&mut self, op: BinaryOp, v: Value) {
+        let tighter = |old: &Option<Value>, want: Ordering| {
+            old.as_ref().is_none_or(|o| v.total_cmp(o) == want)
+        };
+        match op {
+            BinaryOp::Eq => self.eq = self.eq.take().or(Some(v)),
+            BinaryOp::Gt | BinaryOp::GtEq if tighter(&self.lo, Ordering::Greater) => {
+                self.lo = Some(v)
+            }
+            BinaryOp::Lt | BinaryOp::LtEq if tighter(&self.hi, Ordering::Less) => self.hi = Some(v),
+            _ => {}
+        }
+    }
+
+    /// The restriction as an index tail, `Tail::All` when there is none.
+    fn tail(&self) -> Tail {
+        match (&self.prefix, &self.lo, &self.hi) {
+            (Some(p), ..) => Tail::Prefix(p.clone()),
+            (None, None, None) => Tail::All,
+            (None, lo, hi) => Tail::Range {
+                lo: lo.clone(),
+                hi: hi.clone(),
+            },
+        }
+    }
+}
+
+/// The comparison that holds for `b op' a` whenever `a op b` does.
+fn flipped(op: BinaryOp) -> BinaryOp {
+    match op {
+        BinaryOp::Lt => BinaryOp::Gt,
+        BinaryOp::LtEq => BinaryOp::GtEq,
+        BinaryOp::Gt => BinaryOp::Lt,
+        BinaryOp::GtEq => BinaryOp::LtEq,
+        other => other,
+    }
+}
+
+/// Choose an access path for the single-table statement over `table`
+/// (known as `table_alias`) given an optional WHERE clause.
 pub fn choose_access_path(
     db: &Database,
     table: &Table,
@@ -103,42 +265,171 @@ pub fn choose_access_path(
     where_clause: Option<&Expr>,
     params: &[Value],
 ) -> Result<AccessPath> {
-    let Some(pred) = where_clause else {
-        return Ok(AccessPath::FullScan);
+    let scope = Scope::of(table_alias, &table.schema);
+    Ok(choose_in_scope(db, table, &scope, where_clause, params))
+}
+
+/// Choose an access path for `table`, the first leg of `scope`.
+///
+/// Every sargable top-level conjunct on the table — `col = c`,
+/// `col {<,<=,>,>=} c` in either orientation, `col BETWEEN a AND b`,
+/// `col LIKE 'lit%'` with `c` row-independent and not NULL — restricts
+/// its column. Each index binds its longest run of leading columns by
+/// equality plus at most one bounded or prefixed next column; the index
+/// that binds most wins (more equalities, then a bounded tail, then
+/// unique, then declaration order). `FullScan` when no index binds
+/// anything or the predicate is not [`Scope::total`].
+pub fn choose_in_scope(
+    db: &Database,
+    table: &Table,
+    scope: &Scope,
+    where_clause: Option<&Expr>,
+    params: &[Value],
+) -> AccessPath {
+    let Some(pred) = where_clause.filter(|p| scope.total(db, p, params)) else {
+        return AccessPath::FullScan;
     };
+    let width = table.schema.columns.len();
+    // A column of the planned table and the constant it is held against.
+    let own = |col: &Expr, konst: &Expr| -> Option<(usize, Value)> {
+        let Expr::Column { table, name } = col else {
+            return None;
+        };
+        if !is_const(konst) {
+            return None;
+        }
+        let slot = scope.schema.resolve(table.as_deref(), name).ok()?;
+        let v = eval_const(db, konst, params).ok()?;
+        (slot < width && !v.is_null()).then_some((slot, v))
+    };
+    let mut restrictions = vec![Restriction::default(); width];
     for c in conjuncts(pred) {
-        if let Some((col, v)) = column_equality(db, c, params, table_alias)? {
-            if v.is_null() {
-                continue; // `col = NULL` never matches; let the filter handle it
+        match c {
+            Expr::Binary(l, op, r) => {
+                if let Some((slot, v)) = own(l, r) {
+                    restrictions[slot].bound(*op, v);
+                } else if let Some((slot, v)) = own(r, l) {
+                    restrictions[slot].bound(flipped(*op), v);
+                }
             }
-            if let Some(pos) = table.schema.column_index(&col) {
-                for (i, ix) in table.indexes.iter().enumerate() {
-                    if ix.col_indices.first() == Some(&pos) {
-                        return Ok(AccessPath::IndexEq {
-                            index_name: ix.name.clone(),
-                            index_pos: i,
-                            key: v,
-                        });
+            Expr::Between {
+                expr,
+                lo,
+                hi,
+                negated: false,
+            } => {
+                // BETWEEN is total over operands it cannot compare, so
+                // comparability is checked here, not by `total`.
+                if let (Some((slot, lo)), Some((_, hi))) = (own(expr, lo), own(expr, hi)) {
+                    let col = stand_in(table.schema.columns[slot].ty);
+                    if col.sql_cmp(&lo).is_some() && col.sql_cmp(&hi).is_some() {
+                        restrictions[slot].bound(BinaryOp::GtEq, lo);
+                        restrictions[slot].bound(BinaryOp::LtEq, hi);
                     }
                 }
             }
+            Expr::Like {
+                expr,
+                pattern,
+                negated: false,
+            } => {
+                if let Some((slot, pat)) = own(expr, pattern) {
+                    let pat = pat.as_text().expect("a total LIKE has a string pattern");
+                    let lit = pat.split(['%', '_']).next().unwrap_or_default();
+                    let r = &mut restrictions[slot];
+                    if r.prefix.as_ref().is_none_or(|p| lit.len() > p.len()) && !lit.is_empty() {
+                        r.prefix = Some(lit.to_string());
+                    }
+                }
+            }
+            _ => {}
         }
     }
-    Ok(AccessPath::FullScan)
+    let mut best = None;
+    for (index_pos, ix) in table.indexes.iter().enumerate() {
+        let mut eq = Vec::new();
+        let mut tail = Tail::All;
+        for &col in &ix.col_indices {
+            match &restrictions[col].eq {
+                Some(v) => eq.push(v.clone()),
+                None => {
+                    tail = restrictions[col].tail();
+                    break;
+                }
+            }
+        }
+        if eq.is_empty() && tail == Tail::All {
+            continue;
+        }
+        let score = (eq.len(), tail != Tail::All, ix.unique);
+        if best.as_ref().is_none_or(|(s, _)| score > *s) {
+            let path = AccessPath::IndexRange {
+                index_name: ix.name.clone(),
+                index_pos,
+                eq,
+                tail,
+            };
+            best = Some((score, path));
+        }
+    }
+    best.map_or(AccessPath::FullScan, |(_, path)| path)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    #[test]
-    fn conjunct_splitting() {
-        let stmt = crate::sql::parse("SELECT * FROM t WHERE a = 1 AND b = 2 AND (c = 3 OR d = 4)")
-            .unwrap();
-        let w = match stmt {
+    fn where_of(sql: &str) -> Expr {
+        match crate::sql::parse(sql).unwrap() {
             crate::sql::ast::Stmt::Select(s) => s.where_clause.unwrap(),
             _ => unreachable!(),
-        };
+        }
+    }
+
+    /// `RF(F, S, T, Z, NOTE)`: composite PK `(F, S)`, non-unique `IX_S`
+    /// on `S`, `IX_T` on the integer `T`, `IX_Z` on the double `Z`.
+    fn rf() -> Database {
+        let mut db = Database::new_in_memory();
+        db.execute(
+            "CREATE TABLE rf (f VARCHAR(20), s VARCHAR(20), t INTEGER, z DOUBLE, \
+             note VARCHAR(20), PRIMARY KEY (f, s))",
+        )
+        .unwrap();
+        db.execute("CREATE INDEX ix_s ON rf (s)").unwrap();
+        db.execute("CREATE INDEX ix_t ON rf (t)").unwrap();
+        db.execute("CREATE INDEX ix_z ON rf (z)").unwrap();
+        db
+    }
+
+    /// The path chosen for `SELECT * FROM rf WHERE <pred>`, rendered as
+    /// `index eq.. | tail`.
+    fn path(db: &Database, pred: &str, params: &[Value]) -> String {
+        let w = where_of(&format!("SELECT * FROM rf WHERE {pred}"));
+        let table = db.table("RF").unwrap();
+        match choose_access_path(db, table, "RF", Some(&w), params).unwrap() {
+            AccessPath::FullScan => "full".into(),
+            AccessPath::IndexRange {
+                index_name,
+                index_pos,
+                eq,
+                tail,
+            } => {
+                assert_eq!(table.indexes[index_pos].name, index_name);
+                let eq: Vec<String> = eq.iter().map(Value::to_string).collect();
+                let show = |v: &Option<Value>| v.as_ref().map_or("..".into(), Value::to_string);
+                let tail = match &tail {
+                    Tail::All => "all".to_string(),
+                    Tail::Range { lo, hi } => format!("[{}, {}]", show(lo), show(hi)),
+                    Tail::Prefix(p) => format!("{p}%"),
+                };
+                format!("{index_name} {} | {tail}", eq.join(","))
+            }
+        }
+    }
+
+    #[test]
+    fn conjunct_splitting() {
+        let w = where_of("SELECT * FROM t WHERE a = 1 AND b = 2 AND (c = 3 OR d = 4)");
         assert_eq!(conjuncts(&w).len(), 3);
     }
 
@@ -153,54 +444,155 @@ mod tests {
     }
 
     #[test]
-    fn index_path_chosen() {
-        let mut db = Database::new_in_memory();
-        db.execute("CREATE TABLE t (k VARCHAR(10) PRIMARY KEY, v INTEGER)")
-            .unwrap();
-        db.execute("INSERT INTO t VALUES ('a', 1), ('b', 2)")
-            .unwrap();
-        let stmt = crate::sql::parse("SELECT * FROM t WHERE v > 0 AND k = 'a'").unwrap();
-        let w = match stmt {
-            crate::sql::ast::Stmt::Select(s) => s.where_clause.unwrap(),
-            _ => unreachable!(),
-        };
-        let table = db.table("T").unwrap();
-        let path = choose_access_path(&db, table, "T", Some(&w), &[]).unwrap();
-        assert!(
-            matches!(path, AccessPath::IndexEq { ref index_name, ref key, .. }
-                if index_name == "PK_T" && *key == Value::Str("a".into())),
-            "{path:?}"
+    fn path_per_qbe_operator() {
+        let db = rf();
+        // EQ: the single-column index beats the PK's second column; both
+        // PK columns bind the whole unique key.
+        assert_eq!(path(&db, "s = 'S1'", &[]), "IX_S S1 | all");
+        assert_eq!(path(&db, "'S1' = s AND note = 'x'", &[]), "IX_S S1 | all");
+        assert_eq!(path(&db, "s = 'S1' AND f = 't0'", &[]), "PK_RF t0,S1 | all");
+        assert_eq!(path(&db, "f = 't0'", &[]), "PK_RF t0 | all");
+        // LT/LE/GT/GE, either orientation, bounds inclusive and merged.
+        assert_eq!(path(&db, "t < 5", &[]), "IX_T  | [.., 5]");
+        assert_eq!(path(&db, "t <= 5", &[]), "IX_T  | [.., 5]");
+        assert_eq!(path(&db, "t > 5", &[]), "IX_T  | [5, ..]");
+        assert_eq!(path(&db, "5 <= t", &[]), "IX_T  | [5, ..]");
+        assert_eq!(
+            path(&db, "t > 2 AND 9 > t AND t >= 4", &[]),
+            "IX_T  | [4, 9]"
+        );
+        assert_eq!(
+            path(&db, "t BETWEEN 2 AND ?", &[Value::Int(7)]),
+            "IX_T  | [2, 7]"
+        );
+        assert_eq!(path(&db, "z >= 1 AND z < 2.5", &[]), "IX_Z  | [1, 2.5]");
+        assert_eq!(path(&db, "t < 2.5", &[]), "IX_T  | [.., 2.5]");
+        // LIKE: the literal before the first wildcard.
+        assert_eq!(path(&db, "s LIKE 'S00%'", &[]), "IX_S  | S00%");
+        assert_eq!(path(&db, "s LIKE 'S0_1%'", &[]), "IX_S  | S0%");
+        assert_eq!(path(&db, "s LIKE 'S001'", &[]), "IX_S  | S001%");
+        assert_eq!(
+            path(&db, "s LIKE ?", &[Value::Str("é%".into())]),
+            "IX_S  | é%"
+        );
+        // Equality run plus one tail on the next key column.
+        assert_eq!(
+            path(&db, "f = 't0' AND s LIKE 'S0%'", &[]),
+            "PK_RF t0 | S0%"
+        );
+        assert_eq!(
+            path(&db, "f = 't0' AND s > 'S5'", &[]),
+            "PK_RF t0 | [S5, ..]"
+        );
+        // More equalities beat a tail; a tail breaks an equality tie.
+        assert_eq!(path(&db, "t = 3 AND s LIKE 'S0%'", &[]), "IX_T 3 | all");
+        assert_eq!(path(&db, "s = 'S1' AND f > 'a'", &[]), "IX_S S1 | all");
+        assert_eq!(
+            path(&db, "f = 't0' AND s > 'a' AND t = 1", &[]),
+            "PK_RF t0 | [a, ..]"
         );
     }
 
     #[test]
-    fn full_scan_without_usable_conjunct() {
-        let mut db = Database::new_in_memory();
-        db.execute("CREATE TABLE t (k VARCHAR(10) PRIMARY KEY, v INTEGER)")
-            .unwrap();
-        let stmt = crate::sql::parse("SELECT * FROM t WHERE v = 5 OR k = 'a'").unwrap();
-        let w = match stmt {
-            crate::sql::ast::Stmt::Select(s) => s.where_clause.unwrap(),
-            _ => unreachable!(),
-        };
-        let table = db.table("T").unwrap();
-        let path = choose_access_path(&db, table, "T", Some(&w), &[]).unwrap();
-        assert_eq!(path, AccessPath::FullScan, "OR blocks index use");
+    fn full_scan_when_nothing_binds() {
+        let db = rf();
+        for pred in [
+            "t = 5 OR s = 'a'",
+            "s NOT LIKE 'S0%'",
+            "NOT (s = 'S1')",
+            "s = NULL",
+            "t > NULL",
+            "t BETWEEN NULL AND 5",
+            "s LIKE '%x'",
+            "s LIKE '_x%'",
+            "s LIKE ''",
+            "note = 'x'",
+            "s <> 'S1'",
+            "t NOT BETWEEN 1 AND 2",
+            "s IN ('a', 'b')",
+            "s = f",
+        ] {
+            assert_eq!(path(&db, pred, &[]), "full", "{pred}");
+        }
+    }
+
+    #[test]
+    fn full_scan_when_the_predicate_could_raise() {
+        let db = rf();
+        // Each of these raises on some row under a full scan; an index
+        // walk that skipped that row would swallow the error.
+        for pred in [
+            "s = 5",
+            "t = 'x'",
+            "t < 'x'",
+            "t LIKE '1%'",
+            "s = 'S1' AND t > 'x'",
+            "s = 'S1' AND note LIKE 5",
+            "s = 'S1' AND t / 0 = 1",
+            "s = 'S1' AND LENGTH(note) > 1",
+            "s = 'S1' AND nope = 1",
+            "s = 'S1' AND t = ?",
+            "s = 1 / 0",
+        ] {
+            assert_eq!(path(&db, pred, &[]), "full", "{pred}");
+        }
+        assert_eq!(
+            path(&db, "z > ?", &[Value::Double(f64::NAN)]),
+            "full",
+            "NaN compares with nothing"
+        );
+        // BETWEEN over operands it cannot compare yields NULL, not an
+        // error: no bound, but no veto on the other conjunct either.
+        assert_eq!(
+            path(&db, "s = 'S1' AND t BETWEEN 'a' AND 'b'", &[]),
+            "IX_S S1 | all"
+        );
     }
 
     #[test]
     fn alias_qualifier_respected() {
-        let mut db = Database::new_in_memory();
-        db.execute("CREATE TABLE t (k VARCHAR(10) PRIMARY KEY)")
+        let db = rf();
+        let table = db.table("RF").unwrap();
+        let w = where_of("SELECT * FROM rf x WHERE x.s = 'a'");
+        assert!(matches!(
+            choose_access_path(&db, table, "X", Some(&w), &[]).unwrap(),
+            AccessPath::IndexRange { .. }
+        ));
+        // Qualifier `y` does not match alias `x`: the column is unknown,
+        // the statement will raise, no index use.
+        let w = where_of("SELECT * FROM rf x WHERE y.s = 'a'");
+        assert_eq!(
+            choose_access_path(&db, table, "X", Some(&w), &[]).unwrap(),
+            AccessPath::FullScan
+        );
+    }
+
+    #[test]
+    fn join_legs_are_in_scope() {
+        let mut db = rf();
+        db.execute("CREATE TABLE sim (s VARCHAR(20) PRIMARY KEY, title VARCHAR(20), n INTEGER)")
             .unwrap();
-        let stmt = crate::sql::parse("SELECT * FROM t x WHERE y.k = 'a'").unwrap();
-        let w = match stmt {
-            crate::sql::ast::Stmt::Select(s) => s.where_clause.unwrap(),
-            _ => unreachable!(),
+        let table = db.table("RF").unwrap();
+        let sim = db.schema("SIM").unwrap();
+        let names: Vec<String> = sim.columns.iter().map(|c| c.name.clone()).collect();
+        let chosen = |pred: &str, typed: bool| {
+            let mut scope = Scope::of("R", &table.schema);
+            scope.join("M", &names, typed.then_some(sim));
+            let w = where_of(&format!("SELECT * FROM rf WHERE {pred}"));
+            choose_in_scope(&db, table, &scope, Some(&w), &[]) != AccessPath::FullScan
         };
-        let table = db.table("T").unwrap();
-        // Qualifier `y` does not match alias `x`: no index use.
-        let path = choose_access_path(&db, table, "X", Some(&w), &[]).unwrap();
-        assert_eq!(path, AccessPath::FullScan);
+        assert!(chosen("r.s = 'a' AND m.title LIKE 'x%'", true));
+        assert!(chosen("t = 3 AND n > 1", true), "unambiguous bare names");
+        assert!(!chosen("s = 'a'", true), "ambiguous: both legs have S");
+        assert!(!chosen("m.s = 'a'", true), "restricts the other leg only");
+        assert!(
+            !chosen("r.s = 'a' AND m.n = 'x'", true),
+            "the leg's conjunct raises"
+        );
+        assert!(
+            !chosen("r.s = 'a' AND m.n = 1", false),
+            "a relation is untyped"
+        );
+        assert!(chosen("r.s = 'a'", false));
     }
 }

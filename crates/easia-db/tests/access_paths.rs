@@ -1,0 +1,514 @@
+//! Access paths against their oracle: the same table without indexes.
+//!
+//! "The index narrows, the filter decides" means an index may never
+//! show in a statement's outcome. Two databases receive identical
+//! statements; one table carries a unique, two composite and three
+//! non-unique indexes, the other none, so every read and write of it is
+//! a heap scan. Rows, errors and row order must agree for random
+//! conjunctions of the QBE operators over NULLs, Int/Double mixes past
+//! 2^53 (where index keys collapse to one `f64`), strings sharing
+//! prefixes up to `char::MAX`, constants of the wrong type — beside an
+//! open writer, and through UPDATE and DELETE.
+
+use easia_db::plan::{choose_access_path, AccessPath, Tail};
+use easia_db::sql::ast::Stmt;
+use easia_db::{Database, TxnId, Value};
+use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+
+const DDL: &str = "CREATE TABLE t (id INTEGER NOT NULL, g VARCHAR(8), s VARCHAR(16), \
+                   n INTEGER, x DOUBLE, note VARCHAR(8))";
+const INDEXES: [&str; 6] = [
+    "CREATE UNIQUE INDEX ix_id ON t (id)",
+    "CREATE INDEX ix_gs ON t (g, s)",
+    "CREATE INDEX ix_s ON t (s)",
+    "CREATE INDEX ix_n ON t (n)",
+    "CREATE INDEX ix_xn ON t (x, n)",
+    "CREATE INDEX ix_note ON t (note)",
+];
+
+const GROUPS: [&str; 3] = ["g1", "g2", "g\u{10FFFF}"];
+const STEMS: [&str; 13] = [
+    "",
+    "a",
+    "ab",
+    "abc",
+    "abd",
+    "ab\u{10FFFF}",
+    "ab\u{10FFFF}\u{10FFFF}",
+    "ac",
+    "b",
+    "é",
+    "éa",
+    "ê",
+    "a%",
+];
+const SUFFIXES: [&str; 5] = ["", "a", "z", "\u{10FFFF}", "_c"];
+const TWO_53: i64 = 1 << 53;
+const INTS: [i64; 10] = [-7, -1, 0, 1, 2, 3, 5, TWO_53, TWO_53 + 1, i64::MAX];
+const DOUBLES: [f64; 8] = [-1.5, 0.0, 1.0, 2.0, 2.5, 3.0, TWO_53 as f64, 1e300];
+
+/// What a statement did: its rows in order and affected count, or its
+/// error text.
+type Outcome = Result<(Vec<Vec<Value>>, usize), String>;
+
+/// How often the generated statements reached each mechanism.
+#[derive(Default, Debug)]
+struct Coverage {
+    full_key: usize,
+    tail_all: usize,
+    tail_range: usize,
+    tail_prefix: usize,
+    full_scan: usize,
+    errors: usize,
+    rows: usize,
+}
+
+struct Pair {
+    indexed: Database,
+    plain: Database,
+    rng: StdRng,
+    next_id: i64,
+    seen: Coverage,
+}
+
+fn pick<T: Clone>(rng: &mut StdRng, pool: &[T]) -> T {
+    pool[rng.gen_range(0..pool.len())].clone()
+}
+
+fn text(rng: &mut StdRng) -> String {
+    format!("{}{}", pick(rng, &STEMS), pick(rng, &SUFFIXES))
+}
+
+fn number(rng: &mut StdRng) -> Value {
+    if rng.gen_bool(0.5) {
+        Value::Int(pick(rng, &INTS))
+    } else {
+        Value::Double(pick(rng, &DOUBLES))
+    }
+}
+
+fn or_null(v: Value, rng: &mut StdRng) -> Value {
+    if rng.gen_bool(0.15) {
+        Value::Null
+    } else {
+        v
+    }
+}
+
+/// A LIKE pattern: a stored-looking string with wildcards put at the
+/// front, the back, the middle, or nowhere; sometimes empty.
+fn pattern(rng: &mut StdRng) -> String {
+    let base = text(rng);
+    let cut = base
+        .char_indices()
+        .map(|(i, _)| i)
+        .nth(rng.gen_range(0..3))
+        .unwrap_or(base.len());
+    let (head, rest) = base.split_at(cut);
+    match rng.gen_range(0..8) {
+        0 => base,
+        1 => format!("{base}%"),
+        2 => format!("{head}%"),
+        3 => format!("{head}_%"),
+        4 => format!("{head}%{rest}"),
+        5 => format!("%{rest}"),
+        6 => format!("_{rest}"),
+        _ => String::new(),
+    }
+}
+
+impl Pair {
+    fn new(seed: u64) -> Self {
+        let mut indexed = Database::new_in_memory();
+        let mut plain = Database::new_in_memory();
+        indexed.execute(DDL).unwrap();
+        plain.execute(DDL).unwrap();
+        for ix in INDEXES {
+            indexed.execute(ix).unwrap();
+        }
+        Pair {
+            indexed,
+            plain,
+            rng: StdRng::seed_from_u64(seed),
+            next_id: 0,
+            seen: Coverage::default(),
+        }
+    }
+
+    /// Run one statement on both databases (inside `txn` when given)
+    /// and demand the same outcome.
+    fn both(&mut self, txn: Option<(TxnId, TxnId)>, sql: &str, params: &[Value]) -> Outcome {
+        let run = |db: &mut Database, txn: Option<TxnId>| -> Outcome {
+            match txn {
+                Some(t) => db.txn_execute(t, sql, params),
+                None => db.execute_with_params(sql, params),
+            }
+            .map(|rs| (rs.rows, rs.affected))
+            .map_err(|e| e.to_string())
+        };
+        self.note_path(sql, params);
+        let with = run(&mut self.indexed, txn.map(|t| t.0));
+        let without = run(&mut self.plain, txn.map(|t| t.1));
+        assert_eq!(with, without, "{sql}\nparams {params:?}");
+        match &with {
+            Ok((rows, affected)) => self.seen.rows += rows.len() + affected,
+            Err(_) => self.seen.errors += 1,
+        }
+        with
+    }
+
+    /// Record which path the indexed side takes for `sql`.
+    fn note_path(&mut self, sql: &str, params: &[Value]) {
+        let pred = match easia_db::sql::parse(sql).unwrap() {
+            Stmt::Select(s) => s.where_clause,
+            Stmt::Update { where_clause, .. } | Stmt::Delete { where_clause, .. } => where_clause,
+            _ => return,
+        };
+        let table = self.indexed.table("T").unwrap();
+        let seen = &mut self.seen;
+        match choose_access_path(&self.indexed, table, "T", pred.as_ref(), params).unwrap() {
+            AccessPath::FullScan => seen.full_scan += 1,
+            AccessPath::IndexRange {
+                index_pos,
+                eq,
+                tail,
+                ..
+            } => match tail {
+                Tail::All if eq.len() == table.indexes[index_pos].col_indices.len() => {
+                    seen.full_key += 1
+                }
+                Tail::All => seen.tail_all += 1,
+                Tail::Range { .. } => seen.tail_range += 1,
+                Tail::Prefix(_) => seen.tail_prefix += 1,
+            },
+        }
+    }
+
+    fn insert(&mut self, txn: Option<(TxnId, TxnId)>) {
+        let rng = &mut self.rng;
+        let row = vec![
+            Value::Int(self.next_id),
+            or_null(Value::Str(pick(rng, &GROUPS).into()), rng),
+            or_null(Value::Str(text(rng)), rng),
+            or_null(Value::Int(pick(rng, &INTS)), rng),
+            // An integer stored into the DOUBLE column is coerced.
+            or_null(number(rng), rng),
+            or_null(Value::Str(pick(rng, &["p", "q"]).into()), rng),
+        ];
+        self.next_id += 1;
+        self.both(txn, "INSERT INTO t VALUES (?, ?, ?, ?, ?, ?)", &row)
+            .unwrap();
+    }
+
+    /// One restriction on one column, appending its constants to `params`.
+    fn atom(&mut self, params: &mut Vec<Value>) -> String {
+        let rng = &mut self.rng;
+        let (col, stringy) = pick(
+            rng,
+            &[
+                ("id", false),
+                ("g", true),
+                ("s", true),
+                ("s", true),
+                ("n", false),
+                ("n", false),
+                ("x", false),
+                ("note", true),
+            ],
+        );
+        // Mostly a constant of the column's family, sometimes of the
+        // other one (which raises), sometimes NULL.
+        let konst = |rng: &mut StdRng| match rng.gen_range(0..20) {
+            0 => Value::Null,
+            1 | 2 => {
+                if stringy {
+                    number(rng)
+                } else {
+                    Value::Str(text(rng))
+                }
+            }
+            _ if col == "id" => Value::Int(rng.gen_range(0..self.next_id.max(1))),
+            _ if col == "g" => Value::Str(pick(rng, &GROUPS).into()),
+            _ if col == "note" => Value::Str(pick(rng, &["p", "q", "r"]).into()),
+            _ if stringy => Value::Str(text(rng)),
+            _ => number(rng),
+        };
+        match rng.gen_range(0..12) {
+            0..=2 => {
+                params.push(konst(rng));
+                format!("{col} = ?")
+            }
+            3..=6 => {
+                let op = pick(rng, &["<", "<=", ">", ">=", "<>"]);
+                params.push(konst(rng));
+                if rng.gen_bool(0.25) {
+                    format!("? {op} {col}")
+                } else {
+                    format!("{col} {op} ?")
+                }
+            }
+            7 => {
+                params.push(konst(rng));
+                params.push(konst(rng));
+                let not = if rng.gen_bool(0.2) { "NOT " } else { "" };
+                format!("{col} {not}BETWEEN ? AND ?")
+            }
+            8..=10 => {
+                params.push(if rng.gen_bool(0.9) {
+                    Value::Str(pattern(rng))
+                } else {
+                    konst(rng)
+                });
+                let not = if rng.gen_bool(0.15) { "NOT " } else { "" };
+                format!("{col} {not}LIKE ?")
+            }
+            _ => format!("{col} IS NOT NULL"),
+        }
+    }
+
+    /// A conjunction of one to three restrictions, now and then with an
+    /// OR or a NOT the planner must leave to the filter.
+    fn predicate(&mut self) -> (String, Vec<Value>) {
+        let mut params = Vec::new();
+        let mut parts = Vec::new();
+        for _ in 0..self.rng.gen_range(1..4) {
+            let a = self.atom(&mut params);
+            parts.push(match self.rng.gen_range(0..12) {
+                0 => format!("({a} OR {})", self.atom(&mut params)),
+                1 => format!("NOT ({a})"),
+                _ => a,
+            });
+        }
+        (parts.join(" AND "), params)
+    }
+
+    fn select(&mut self, txn: Option<(TxnId, TxnId)>) {
+        let (pred, params) = self.predicate();
+        let limit = if self.rng.gen_bool(0.2) {
+            " LIMIT 3"
+        } else {
+            ""
+        };
+        let _ = self.both(
+            txn,
+            &format!("SELECT * FROM t WHERE {pred}{limit}"),
+            &params,
+        );
+    }
+
+    /// UPDATE (of indexed columns) or DELETE under a random predicate.
+    fn write(&mut self, txn: Option<(TxnId, TxnId)>) {
+        let (pred, mut params) = self.predicate();
+        let sql = if self.rng.gen_bool(0.6) {
+            let set = [
+                Value::Str(text(&mut self.rng)),
+                Value::Int(pick(&mut self.rng, &INTS)),
+            ];
+            params.splice(0..0, set);
+            format!("UPDATE t SET s = ?, n = ? WHERE {pred}")
+        } else {
+            format!("DELETE FROM t WHERE {pred}")
+        };
+        let _ = self.both(txn, &sql, &params);
+    }
+
+    fn same_table(&mut self, txn: Option<(TxnId, TxnId)>) {
+        self.both(txn, "SELECT * FROM t", &[]).unwrap();
+    }
+}
+
+fn run_case(seed: u64) -> Coverage {
+    let mut p = Pair::new(seed);
+    for _ in 0..p.rng.gen_range(30..150) {
+        p.insert(None);
+    }
+    for _ in 0..16 {
+        p.select(None);
+    }
+    // An open writer: its rows are in the indexes but visible to it alone.
+    let (a, b) = (p.indexed.begin_txn(), p.plain.begin_txn());
+    let txn = Some((a, b));
+    for _ in 0..8 {
+        match p.rng.gen_range(0..3) {
+            0 => p.insert(txn),
+            _ => p.write(txn),
+        }
+    }
+    for _ in 0..8 {
+        p.select(None);
+        p.select(txn);
+    }
+    p.same_table(txn);
+    p.same_table(None);
+    if p.rng.gen_bool(0.5) {
+        p.indexed.commit_txn(a).unwrap();
+        p.plain.commit_txn(b).unwrap();
+    } else {
+        p.indexed.rollback_txn(a).unwrap();
+        p.plain.rollback_txn(b).unwrap();
+    }
+    for _ in 0..6 {
+        p.write(None);
+        p.select(None);
+    }
+    if p.rng.gen_bool(0.5) {
+        p.indexed.vacuum();
+        p.plain.vacuum();
+    }
+    for _ in 0..6 {
+        p.select(None);
+    }
+    p.same_table(None);
+    p.seen
+}
+
+proptest! {
+    #[test]
+    fn indexed_and_unindexed_tables_agree(seed in any::<u64>()) {
+        run_case(seed);
+    }
+}
+
+/// The property above is only worth its name if the generator reaches
+/// every kind of path, raises errors and returns rows.
+#[test]
+fn generator_reaches_every_path() {
+    let mut total = Coverage::default();
+    for seed in 0..24 {
+        let c = run_case(seed);
+        total.full_key += c.full_key;
+        total.tail_all += c.tail_all;
+        total.tail_range += c.tail_range;
+        total.tail_prefix += c.tail_prefix;
+        total.full_scan += c.full_scan;
+        total.errors += c.errors;
+        total.rows += c.rows;
+    }
+    for (what, n) in [
+        ("full-key probes", total.full_key),
+        ("equality-run walks", total.tail_all),
+        ("range walks", total.tail_range),
+        ("prefix walks", total.tail_prefix),
+        ("full scans", total.full_scan),
+        ("errors", total.errors),
+    ] {
+        assert!(n >= 40, "only {n} {what}: {total:?}");
+    }
+    assert!(total.rows > 10_000, "{total:?}");
+}
+
+/// The parent-side RESTRICT check probes a child index led by the FK
+/// columns and falls back to the child heap without one: the same
+/// script, inside one open transaction, must fare the same either way.
+#[test]
+fn parent_restrict_agrees_with_and_without_a_child_index() {
+    let script = |b_type: &str, child_index: Option<&str>| -> Vec<Result<usize, String>> {
+        let mut db = Database::new_in_memory();
+        db.execute("CREATE TABLE p (a VARCHAR(4), b INTEGER, v INTEGER, PRIMARY KEY (a, b))")
+            .unwrap();
+        db.execute(&format!(
+            "CREATE TABLE c (id INTEGER, a VARCHAR(4), b {b_type}, \
+             FOREIGN KEY (a, b) REFERENCES p (a, b))"
+        ))
+        .unwrap();
+        if let Some(ddl) = child_index {
+            db.execute(ddl).unwrap();
+        }
+        db.execute("INSERT INTO p VALUES ('k', 1, 0), ('k', 2, 0), ('k', 3, 0), ('m', 1, 0)")
+            .unwrap();
+        // 100 children of ('k', 1) spread the key over index leaves;
+        // ('k', 2) has one child, ('k', 3) and ('m', 1) none.
+        for id in 0..100 {
+            db.execute(&format!("INSERT INTO c VALUES ({id}, 'k', 1)"))
+                .unwrap();
+        }
+        db.execute("INSERT INTO c VALUES (100, 'k', 2), (101, NULL, 1), (102, 'm', NULL)")
+            .unwrap();
+        let txn = db.begin_txn();
+        [
+            "DELETE FROM c WHERE id = 0", // the first entry under ('k', 1) is dead to this txn
+            "DELETE FROM p WHERE a = 'k' AND b = 1", // 99 children left: refused
+            "UPDATE p SET b = 9 WHERE a = 'k' AND b = 2", // key change, referenced: refused
+            "UPDATE p SET v = 1 WHERE a = 'k' AND b = 2", // key unchanged: allowed
+            "DELETE FROM p WHERE a = 'k' AND b = 3", // unreferenced: allowed
+            "DELETE FROM c WHERE id = 100",
+            "DELETE FROM p WHERE a = 'k' AND b = 2", // its only child is gone for this txn
+            "INSERT INTO c VALUES (103, 'm', 1)",
+            "DELETE FROM p WHERE a = 'm'", // referenced by this txn's own insert: refused
+            "DELETE FROM c WHERE b = 1",
+            "DELETE FROM p", // nothing references anything any more
+        ]
+        .iter()
+        .map(|sql| {
+            db.txn_execute(txn, sql, &[])
+                .map(|rs| rs.affected)
+                .map_err(|e| e.to_string())
+        })
+        .collect()
+    };
+    let heap = script("INTEGER", None);
+    let refused =
+        |r: &Result<usize, String>| r.as_ref().is_err_and(|e| e.contains("referenced by C"));
+    let shape: Vec<bool> = heap.iter().map(refused).collect();
+    assert_eq!(
+        shape,
+        [false, true, true, false, false, false, false, false, true, false, false],
+        "{heap:?}"
+    );
+    assert!(heap.iter().all(|r| r.is_ok() || refused(r)), "{heap:?}");
+    // A DOUBLE child column files 1.0 under the parent's integer 1 in
+    // the index, but the check compares values exactly, index or not.
+    let inexact = script("DOUBLE", None);
+    assert!(!inexact.iter().any(refused), "{inexact:?}");
+    for ddl in [
+        "CREATE INDEX ix_fk ON c (a, b)",
+        "CREATE INDEX ix_fk_id ON c (a, b, id)",
+        "CREATE INDEX ix_other_order ON c (b, a)",
+    ] {
+        assert_eq!(script("INTEGER", Some(ddl)), heap, "{ddl}");
+        assert_eq!(script("DOUBLE", Some(ddl)), inexact, "{ddl}");
+    }
+}
+
+/// A JOIN's WHERE runs over joined rows and its ON over every pairing:
+/// narrowing the base table must not swallow what either would raise.
+#[test]
+fn joins_keep_their_rows_and_errors() {
+    let mut p = Pair::new(7);
+    for _ in 0..60 {
+        p.insert(None);
+    }
+    // No index on `u` on either side: only the base table's path differs.
+    let u = "CREATE TABLE u (id INTEGER, k INTEGER, label VARCHAR(8))";
+    p.indexed.execute(u).unwrap();
+    p.plain.execute(u).unwrap();
+    for (i, k) in INTS.iter().enumerate() {
+        let row = [Value::Int(i as i64), Value::Int(*k), Value::Str("p".into())];
+        p.both(None, "INSERT INTO u VALUES (?, ?, ?)", &row)
+            .unwrap();
+    }
+    let from = "SELECT a.id, b.k FROM t a JOIN u b";
+    for (tail, raises) in [
+        ("ON a.n = b.k WHERE a.id < 20", false),
+        (
+            "ON a.n = b.k WHERE a.id < 20 AND k >= 0 AND note = label",
+            false,
+        ),
+        ("ON a.n = b.k WHERE a.s LIKE 'ab%' AND b.label = 'p'", false),
+        // No row has a.id = -5, yet each of these raises on the rows
+        // an index walk for it would skip.
+        ("ON a.s = b.k WHERE a.id = -5", true),
+        ("ON a.n = b.k WHERE b.label > 3 AND a.id = -5", true),
+        ("ON a.n = b.k WHERE id = -5", true),
+        ("ON a.n = b.k WHERE b.nope = 1 AND a.id = -5", true),
+    ] {
+        let sql = format!("{from} {tail}");
+        assert_eq!(p.both(None, &sql, &[]).is_err(), raises, "{sql}");
+    }
+    // LEFT JOIN pads the legs with NULL, which no operator refuses.
+    let padded = "SELECT a.id, b.k FROM t a LEFT JOIN u b ON a.n = b.k + 100 \
+                  WHERE a.id BETWEEN 3 AND 9 AND b.label IS NULL";
+    assert_eq!(p.both(None, padded, &[]).unwrap().0.len(), 7);
+}
