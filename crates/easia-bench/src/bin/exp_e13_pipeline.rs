@@ -8,9 +8,7 @@
 //! sibling statements from one portal session overlap their round
 //! trips through `query_many`; a hypertext FK-browse walk is served
 //! from speculative prefetch until a committed remote write
-//! invalidates the parked screens; and the E14 open-loop ramp is
-//! calibrated under both pump modes to show the refactor preserves
-//! scan capacity and overload shedding. Same seed, same digest, twice.
+//! invalidates the parked screens. Same seed, same digest, twice.
 
 use easia_bench::pipeline::{run_pipeline, PipelineConfig};
 use easia_bench::{fmt_bytes, Report};
@@ -50,11 +48,6 @@ fn main() {
         "-".into(),
     ]);
     screens.row(&[
-        "combined, lockstep".into(),
-        format!("{:.3}s", r.combined_lockstep.elapsed),
-        fmt_bytes(r.combined_lockstep.bytes_wire as f64),
-    ]);
-    screens.row(&[
         "combined, pipelined".into(),
         format!("{:.3}s", r.combined_pipelined.elapsed),
         fmt_bytes(r.combined_pipelined.bytes_wire as f64),
@@ -62,10 +55,10 @@ fn main() {
     screens.print();
 
     let mut siblings = Report::new(
-        "E13 / Sibling statements from one session (query_many)",
+        "E13 / Sibling statements from one session (query in turn vs query_many)",
         &["Mode", "elapsed", "bytes on wire"],
     );
-    for t in [&r.siblings_lockstep, &r.siblings_pipelined] {
+    for t in [&r.siblings_serial, &r.siblings_pipelined] {
         siblings.row(&[
             t.label.clone(),
             format!("{:.3}s", t.elapsed),
@@ -93,22 +86,6 @@ fn main() {
     ]);
     walk.print();
 
-    let mut capacity = Report::new(
-        "E13 / E14 capacity delta (same ramp, pump mode toggled)",
-        &["Mode", "scan capacity", "2x-phase shed"],
-    );
-    capacity.row(&[
-        "lockstep".into(),
-        format!("{:.3} req/s", r.capacity_lockstep),
-        r.shed_2x.0.to_string(),
-    ]);
-    capacity.row(&[
-        "pipelined".into(),
-        format!("{:.3} req/s", r.capacity_pipelined),
-        r.shed_2x.1.to_string(),
-    ]);
-    capacity.print();
-
     assert!(
         r.combined_pipelined.elapsed < 0.8 * r.serial_sum(),
         "combined screen {:.3}s must beat the serial sum {:.3}s",
@@ -121,49 +98,36 @@ fn main() {
         r.combined_pipelined.elapsed,
         r.slowest_site()
     );
-    assert_eq!(
-        r.combined_pipelined.row_hash, r.combined_lockstep.row_hash,
-        "pump modes must answer bit-for-bit identically"
-    );
     assert!(
-        r.siblings_pipelined.elapsed < 0.85 * r.siblings_lockstep.elapsed,
-        "siblings must overlap: pipelined {:.3}s vs lockstep {:.3}s",
+        r.siblings_pipelined.elapsed < 0.85 * r.siblings_serial.elapsed,
+        "siblings must overlap: one call {:.3}s vs in turn {:.3}s",
         r.siblings_pipelined.elapsed,
-        r.siblings_lockstep.elapsed
+        r.siblings_serial.elapsed
+    );
+    assert_eq!(
+        r.siblings_pipelined.bytes_wire,
+        r.siblings_serial.bytes_wire
     );
     assert!(r.prefetch.hits >= 2, "the walk is served from prefetch");
     assert_eq!(
         r.prefetch.stale, 1,
         "the write invalidates exactly one click"
     );
-    assert!(
-        r.capacity_pipelined >= 0.75 * r.capacity_lockstep,
-        "the pump must not regress E14 capacity: {:.3} vs {:.3}",
-        r.capacity_pipelined,
-        r.capacity_lockstep
-    );
-    assert!(
-        r.shed_2x.0 > 0 && r.shed_2x.1 > 0,
-        "2x overload sheds in both modes"
-    );
 
     println!("\ndigest={}", r.digest);
     println!(
         "\nShape check: the combined screen costs the slowest site's time\n\
-         ({:.3}s vs {:.3}s slowest / {:.3}s serial sum) with answers\n\
-         bit-for-bit identical to the lockstep ablation; sibling round\n\
-         trips overlap ({:.3}s vs {:.3}s); the browse walk is served from\n\
-         speculative prefetch ({}/{} clicks, one stale after the write);\n\
-         and E14 scan capacity survives the refactor ({:.3} vs {:.3}\n\
-         req/s). Same seed, same digest, twice.",
+         ({:.3}s vs {:.3}s slowest / {:.3}s serial sum); sibling round trips\n\
+         overlap ({:.3}s in one call vs {:.3}s in turn, same rows, same\n\
+         bytes); and the browse walk is served from speculative prefetch\n\
+         ({}/{} clicks, one stale after the write). Same seed, same digest,\n\
+         twice.",
         r.combined_pipelined.elapsed,
         r.slowest_site(),
         r.serial_sum(),
         r.siblings_pipelined.elapsed,
-        r.siblings_lockstep.elapsed,
+        r.siblings_serial.elapsed,
         r.prefetch.hits,
-        r.prefetch.clicks,
-        r.capacity_pipelined,
-        r.capacity_lockstep
+        r.prefetch.clicks
     );
 }

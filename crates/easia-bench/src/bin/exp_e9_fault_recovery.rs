@@ -6,7 +6,7 @@
 //! daemon is killed mid-transaction and a RECOVERY YES file damaged;
 //! afterwards `reconcile()` replays the database catalog against every
 //! DLFM. The run is executed twice with the same seed to demonstrate
-//! bit-for-bit reproducibility, and once without resume as an ablation.
+//! bit-for-bit reproducibility.
 
 use easia_bench::chaos::{run_chaos, ChaosConfig};
 use easia_bench::{fmt_bytes, hms, Report};
@@ -28,73 +28,35 @@ fn main() {
         first.metrics_snapshot, second.metrics_snapshot,
         "same-seed chaos runs must render byte-identical metric snapshots"
     );
-    let ablation = run_chaos(&ChaosConfig {
-        resume: false,
-        ..cfg.clone()
-    });
 
     let mut report = Report::new(
         &format!("E9 / Fault storm and recovery (seed {seed})"),
-        &["Metric", "resume=on", "resume=off"],
+        &["Metric", "Value"],
     );
-    let pair = |a: String, b: String| [a, b];
-    let rows: Vec<(&str, [String; 2])> = vec![
+    let rows: Vec<(&str, String)> = vec![
         (
             "faults injected (outage/degraded/crash)",
-            pair(
-                format!("{}/{}/{}", first.outages, first.degraded, first.crashes),
-                format!(
-                    "{}/{}/{}",
-                    ablation.outages, ablation.degraded, ablation.crashes
-                ),
-            ),
+            format!("{}/{}/{}", first.outages, first.degraded, first.crashes),
         ),
         (
             "transfers completed",
-            pair(
-                format!("{}/{}", first.completed, first.total_transfers),
-                format!("{}/{}", ablation.completed, ablation.total_transfers),
-            ),
+            format!("{}/{}", first.completed, first.total_transfers),
         ),
+        ("attempts (incl. retries)", first.total_attempts.to_string()),
+        ("payload delivered", fmt_bytes(first.payload_bytes)),
         (
-            "attempts (incl. retries)",
-            pair(
-                first.total_attempts.to_string(),
-                ablation.total_attempts.to_string(),
-            ),
+            "partial progress kept by resume (telemetry)",
+            fmt_bytes(first.telemetry_bytes_resumed),
         ),
-        (
-            "payload delivered",
-            pair(
-                fmt_bytes(first.payload_bytes),
-                fmt_bytes(ablation.payload_bytes),
-            ),
-        ),
-        (
-            "bytes retransmitted",
-            pair(
-                fmt_bytes(first.retransmitted_bytes),
-                fmt_bytes(ablation.retransmitted_bytes),
-            ),
-        ),
-        (
-            "time waiting (backoff/downtime)",
-            pair(hms(first.waiting_secs), hms(ablation.waiting_secs)),
-        ),
-        (
-            "storm wall clock (simulated)",
-            pair(hms(first.elapsed_secs), hms(ablation.elapsed_secs)),
-        ),
+        ("time waiting (backoff/downtime)", hms(first.waiting_secs)),
+        ("storm wall clock (simulated)", hms(first.elapsed_secs)),
         (
             "goodput",
-            pair(
-                format!("{}/s", fmt_bytes(first.goodput_bytes_per_s)),
-                format!("{}/s", fmt_bytes(ablation.goodput_bytes_per_s)),
-            ),
+            format!("{}/s", fmt_bytes(first.goodput_bytes_per_s)),
         ),
     ];
-    for (metric, [a, b]) in rows {
-        report.row(&[metric.to_string(), a, b]);
+    for (metric, value) in rows {
+        report.row(&[metric.to_string(), value]);
     }
     report.print();
 
@@ -125,29 +87,7 @@ fn main() {
     ]);
     report.print();
 
-    // The resume-vs-retransmit ablation, quantified from telemetry
-    // rather than the client's own accounting.
-    let mut report = Report::new(
-        "E9c / Transfer telemetry (from /metrics counters)",
-        &["Counter", "resume=on", "resume=off"],
-    );
-    report.row(&[
-        "easia_transfer_bytes_resumed_total".into(),
-        fmt_bytes(first.telemetry_bytes_resumed),
-        fmt_bytes(ablation.telemetry_bytes_resumed),
-    ]);
-    report.row(&[
-        "easia_transfer_bytes_retransmitted_total".into(),
-        fmt_bytes(first.telemetry_bytes_retransmitted),
-        fmt_bytes(ablation.telemetry_bytes_retransmitted),
-    ]);
-    report.print();
-    assert_eq!(
-        ablation.telemetry_bytes_retransmitted, ablation.retransmitted_bytes,
-        "telemetry must agree with the transfer client's own accounting"
-    );
-
-    println!("\nMetrics snapshot (transfer section, resume=on):");
+    println!("\nMetrics snapshot (transfer section):");
     for line in first
         .metrics_snapshot
         .lines()
@@ -163,8 +103,7 @@ fn main() {
     assert!(first.post_recovery_agreement && first.damaged_file_restored);
     println!(
         "\nShape check: all transfers complete despite the storm (the retrying client\n\
-         waits out downtime and resumes from the delivered offset), the ablation\n\
-         without resume retransmits strictly more bytes for the same payload, and\n\
-         one reconcile pass returns the catalog and every DLFM to agreement."
+         waits out downtime and resumes from the delivered offset), and one\n\
+         reconcile pass returns the catalog and every DLFM to agreement."
     );
 }

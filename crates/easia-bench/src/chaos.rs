@@ -25,8 +25,6 @@ pub struct ChaosConfig {
     pub files_per_server: usize,
     /// Size of each file in bytes (real, deterministic contents).
     pub file_bytes: usize,
-    /// Resume transfers from the delivered offset (the ablation flag).
-    pub resume: bool,
 }
 
 impl ChaosConfig {
@@ -39,7 +37,6 @@ impl ChaosConfig {
             servers: 2,
             files_per_server: 3,
             file_bytes: 8_000_000,
-            resume: true,
         }
     }
 }
@@ -60,8 +57,6 @@ pub struct ChaosResult {
     pub total_attempts: u32,
     /// Payload bytes delivered.
     pub payload_bytes: f64,
-    /// Bytes sent more than once.
-    pub retransmitted_bytes: f64,
     /// Simulated seconds spent in backoff or waiting out downtime.
     pub waiting_secs: f64,
     /// Simulated seconds from first transfer start to last byte.
@@ -90,8 +85,6 @@ pub struct ChaosResult {
     pub metrics_snapshot: String,
     /// `easia_transfer_bytes_resumed_total` read back from telemetry.
     pub telemetry_bytes_resumed: f64,
-    /// `easia_transfer_bytes_retransmitted_total` from telemetry.
-    pub telemetry_bytes_retransmitted: f64,
 }
 
 /// Deterministic file contents: a byte pattern derived from the seed
@@ -114,8 +107,8 @@ pub fn run_chaos(cfg: &ChaosConfig) -> ChaosResult {
     let mut log = String::new();
     let _ = writeln!(
         log,
-        "chaos seed={} servers={} files={} bytes={} resume={}",
-        cfg.seed, cfg.servers, cfg.files_per_server, cfg.file_bytes, cfg.resume
+        "chaos seed={} servers={} files={} bytes={}",
+        cfg.seed, cfg.servers, cfg.files_per_server, cfg.file_bytes
     );
 
     // -- Archive: N file servers on 8 Mbit/s (1 MB/s) links. --
@@ -219,13 +212,11 @@ pub fn run_chaos(cfg: &ChaosConfig) -> ChaosResult {
     let mut completed = 0usize;
     let mut total_attempts = 0u32;
     let mut payload = 0.0f64;
-    let mut retransmitted = 0.0f64;
     let mut waiting = 0.0f64;
     for (host, path, i) in &datasets {
         let (hid, _) = *a.servers.get(host).expect("host known");
         let policy = RetryPolicy {
             jitter_seed: cfg.seed ^ (*i as u64),
-            resume: cfg.resume,
             ..RetryPolicy::default()
         };
         match transfer_with_retry_observed(
@@ -240,15 +231,13 @@ pub fn run_chaos(cfg: &ChaosConfig) -> ChaosResult {
                 completed += 1;
                 total_attempts += out.attempts;
                 payload += out.bytes;
-                retransmitted += out.retransmitted_bytes;
                 waiting += out.waiting_secs;
                 let _ = writeln!(
                     log,
-                    "xfer {host}{path}: attempts={} dur={:.6} wait={:.6} retx={:.3}",
+                    "xfer {host}{path}: attempts={} dur={:.6} wait={:.6}",
                     out.attempts,
                     out.duration(),
-                    out.waiting_secs,
-                    out.retransmitted_bytes
+                    out.waiting_secs
                 );
             }
             Err(e) => {
@@ -292,9 +281,11 @@ pub fn run_chaos(cfg: &ChaosConfig) -> ChaosResult {
     //    Folding its hash into the transcript makes the run digest
     //    cover every counter, gauge and histogram bucket. --
     let metrics_snapshot = a.obs.metrics.render();
-    let value = |name: &str| a.obs.metrics.value(name, &[]).unwrap_or(0.0);
-    let telemetry_bytes_resumed = value("easia_transfer_bytes_resumed_total");
-    let telemetry_bytes_retransmitted = value("easia_transfer_bytes_retransmitted_total");
+    let telemetry_bytes_resumed = a
+        .obs
+        .metrics
+        .value("easia_transfer_bytes_resumed_total", &[])
+        .unwrap_or(0.0);
     let _ = writeln!(
         log,
         "metrics sha256={}",
@@ -308,7 +299,6 @@ pub fn run_chaos(cfg: &ChaosConfig) -> ChaosResult {
         completed,
         total_attempts,
         payload_bytes: payload,
-        retransmitted_bytes: retransmitted,
         waiting_secs: waiting,
         elapsed_secs: elapsed,
         goodput_bytes_per_s: if elapsed > 0.0 {
@@ -324,7 +314,6 @@ pub fn run_chaos(cfg: &ChaosConfig) -> ChaosResult {
         damaged_file_restored,
         metrics_snapshot,
         telemetry_bytes_resumed,
-        telemetry_bytes_retransmitted,
         transcript: log,
     }
 }
@@ -347,7 +336,6 @@ mod tests {
             servers: 1,
             files_per_server: 2,
             file_bytes: 1_000_000,
-            resume: true,
         };
         let r = run_chaos(&cfg);
         assert_eq!(r.completed, r.total_transfers);
@@ -362,7 +350,6 @@ mod tests {
             servers: 1,
             files_per_server: 2,
             file_bytes: 1_000_000,
-            resume: true,
         };
         let a = run_chaos(&cfg);
         let b = run_chaos(&cfg);
@@ -381,28 +368,5 @@ mod tests {
                 a.metrics_snapshot
             );
         }
-    }
-
-    #[test]
-    fn resume_ablation_is_quantified_by_telemetry() {
-        let cfg = ChaosConfig {
-            seed: 5,
-            servers: 1,
-            files_per_server: 2,
-            file_bytes: 2_000_000,
-            resume: true,
-        };
-        let on = run_chaos(&cfg);
-        let off = run_chaos(&ChaosConfig {
-            resume: false,
-            ..cfg
-        });
-        // With resume, partial progress is kept; without, it is resent.
-        assert_eq!(on.telemetry_bytes_retransmitted, 0.0);
-        assert_eq!(off.telemetry_bytes_resumed, 0.0);
-        assert_eq!(
-            off.telemetry_bytes_retransmitted, off.retransmitted_bytes,
-            "telemetry must agree with the client's own accounting"
-        );
     }
 }

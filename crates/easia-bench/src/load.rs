@@ -45,9 +45,6 @@ pub struct LoadConfig {
     pub phase_requests: usize,
     /// Admission control on (false = the ablation).
     pub admission: bool,
-    /// Run the federation gather in the pre-E13 lockstep barrier mode
-    /// (true = the ablation; E13 measures the capacity delta).
-    pub lockstep: bool,
 }
 
 impl LoadConfig {
@@ -63,7 +60,6 @@ impl LoadConfig {
             calibration_requests: 25,
             phase_requests: 1000,
             admission: true,
-            lockstep: false,
         }
     }
 }
@@ -208,7 +204,6 @@ pub(crate) fn build_app(cfg: &LoadConfig) -> (WebApp, Vec<SessionSpec>, Vec<Stri
         .import_foreign_table(&a.db, "SIMULATION", None, partitions)
         .expect("foreign table registers");
     a.federation.analyze(&mut a.db).expect("analyze");
-    a.federation.lockstep = cfg.lockstep;
     a.generate_xuis_federated(4);
 
     let urls: Vec<String> =
@@ -400,15 +395,14 @@ pub fn run_load(cfg: &LoadConfig) -> LoadResult {
     let _ = writeln!(
         log,
         "load seed={} sites={} sims_per_site={} guests={} researchers={} \
-         phase_requests={} admission={} lockstep={}",
+         phase_requests={} admission={}",
         cfg.seed,
         cfg.sites,
         cfg.sims_per_site,
         cfg.guests,
         cfg.researchers,
         cfg.phase_requests,
-        cfg.admission,
-        cfg.lockstep
+        cfg.admission
     );
 
     // Calibration: closed-loop QBE storms measure the mean scan service

@@ -302,7 +302,6 @@ pub fn run_mvcc(cfg: &MvccConfig) -> MvccResult {
         calibration_requests: cfg.calibration_requests,
         phase_requests: cfg.phase_requests,
         admission: true,
-        lockstep: false,
     };
     let (mut app, sessions, urls, datasets) = build_app(&lc);
     app.archive

@@ -1,33 +1,25 @@
 //! The pipelined-gather harness behind `exp_e13_pipeline`: the E13
 //! latency experiments for the event-driven federation pump.
 //!
-//! Four scenarios, one seeded run, one digest:
+//! Three scenarios, one seeded run, one digest:
 //!
 //! 1. **Max-of-sites latency.** A SIM catalog partitioned over two
 //!    deliberately slow, asymmetric WAN links is queried per-site and
 //!    then as one scatter. The combined screen's latency tracks the
 //!    slowest single site, not the serial sum — the pump overlaps every
 //!    site's request/stream chain in one clock-ordered event loop.
-//!    The lockstep ablation answers bit-for-bit identically (same row
-//!    hash), pinning that the refactor changed scheduling, not merge
-//!    semantics.
 //! 2. **Sibling overlap.** Two site-pruned statements from one portal
-//!    session run through [`Federation::query_many`]: pipelined they
-//!    share the pump and their WAN round trips overlap; lockstep they
-//!    serialise — the measured ratio is the E13 sibling win.
+//!    session run through [`Federation::query_many`] share the pump and
+//!    their WAN round trips overlap; issued as two `query` calls in turn
+//!    they serialise — the measured ratio is the E13 sibling win.
 //! 3. **Speculative FK-browse walk.** A hypertext ping-pong over a
 //!    federated AUTHOR/SIMULATION pair: every screen prefetches the
 //!    keyed scans behind its own links, so every follow-the-link click
 //!    is a prefetch hit until a committed remote write invalidates the
 //!    parked screens (one stale, served live, then hits resume).
-//! 4. **E14 capacity delta.** The open-loop load harness is calibrated
-//!    twice — pipelined and lockstep — to show the event-driven pump
-//!    preserves scan capacity and 2x-overload shedding while buying
-//!    its latency wins.
 //!
 //! [`Federation::query_many`]: easia_med::Federation::query_many
 
-use crate::load::{run_load, LoadConfig};
 use easia_core::{paper_link_spec, Archive, WebApp};
 use easia_crypto::sha256::{hex, sha256};
 use easia_db::Value;
@@ -39,7 +31,7 @@ use std::fmt::Write as _;
 /// Parameters of one E13 run.
 #[derive(Debug, Clone)]
 pub struct PipelineConfig {
-    /// Seed for generated rows and the load sub-run.
+    /// Seed for generated rows.
     pub seed: u64,
     /// Remote SIM rows per site in the gather rig.
     pub rows_per_site: usize,
@@ -48,27 +40,17 @@ pub struct PipelineConfig {
     pub batch_rows: usize,
     /// Follow-the-link clicks in the FK-browse walk.
     pub browse_clicks: usize,
-    /// The E14 load sub-run measured under both pump modes.
-    pub load: LoadConfig,
 }
 
 impl PipelineConfig {
-    /// The default scenario: 40 rows/site in 8-row frames, a 6-click
-    /// browse walk, and a reduced E14 ramp for the capacity delta.
+    /// The default scenario: 40 rows/site in 8-row frames and a 6-click
+    /// browse walk.
     pub fn standard(seed: u64) -> Self {
         PipelineConfig {
             seed,
             rows_per_site: 40,
             batch_rows: 8,
             browse_clicks: 6,
-            load: LoadConfig {
-                sims_per_site: 6,
-                guests: 6,
-                researchers: 6,
-                calibration_requests: 10,
-                phase_requests: 300,
-                ..LoadConfig::standard(seed)
-            },
         }
     }
 }
@@ -111,22 +93,14 @@ impl PrefetchStats {
 pub struct PipelineResult {
     /// Per-site single-partition screen latencies (scenario 1).
     pub per_site: Vec<Timing>,
-    /// The combined scatter under the pipelined pump.
+    /// The combined scatter over every site.
     pub combined_pipelined: Timing,
-    /// The combined scatter under the lockstep ablation.
-    pub combined_lockstep: Timing,
-    /// Two sibling statements through `query_many`, lockstep.
-    pub siblings_lockstep: Timing,
-    /// Two sibling statements through `query_many`, pipelined.
+    /// Two sibling statements as two `query` calls in turn.
+    pub siblings_serial: Timing,
+    /// The same two statements through one `query_many` call.
     pub siblings_pipelined: Timing,
     /// The FK-browse walk (scenario 3).
     pub prefetch: PrefetchStats,
-    /// E14 scan capacity (req/s) under the lockstep ablation.
-    pub capacity_lockstep: f64,
-    /// E14 scan capacity (req/s) under the pipelined pump.
-    pub capacity_pipelined: f64,
-    /// Requests shed in the 2x phase, (lockstep, pipelined).
-    pub shed_2x: (usize, usize),
     /// Human-readable log of the whole run.
     pub transcript: String,
     /// SHA-256 of the transcript.
@@ -186,10 +160,10 @@ fn insert_sim_rows(db: &mut easia_db::Database, site: &str, site_no: u64, n: usi
 }
 
 /// A fresh gather rig: hub partition plus [`GATHER_SITES`], SIM
-/// imported with SITE partition pruning, small batch frames, and the
-/// requested pump mode. Fresh per measurement so breakers, caches and
-/// the network clock never leak between timings.
-fn gather_rig(cfg: &PipelineConfig, lockstep: bool) -> Archive {
+/// imported with SITE partition pruning and small batch frames. Fresh
+/// per measurement so breakers, caches and the network clock never leak
+/// between timings.
+fn gather_rig(cfg: &PipelineConfig) -> Archive {
     let mut b = Archive::builder();
     for (site, bps, lat) in GATHER_SITES {
         b = b.federated_site(site, LinkSpec::symmetric(bps, lat));
@@ -214,7 +188,6 @@ fn gather_rig(cfg: &PipelineConfig, lockstep: bool) -> Archive {
         .expect("foreign table registers");
     a.federation.analyze(&mut a.db).expect("analyze");
     a.federation.batch_rows = cfg.batch_rows;
-    a.federation.lockstep = lockstep;
     a
 }
 
@@ -238,9 +211,10 @@ fn timed_query(a: &mut Archive, label: &str, sql: &str) -> Timing {
     }
 }
 
-/// Two site-pruned sibling statements through one `query_many` call;
-/// the timing covers both answers landing.
-fn timed_siblings(a: &mut Archive, label: &str) -> Timing {
+/// Two site-pruned sibling statements, through one `query_many` call
+/// or as two `query` calls in turn; the timing covers both answers
+/// landing.
+fn timed_siblings(a: &mut Archive, label: &str, one_call: bool) -> Timing {
     let queries: Vec<(String, Vec<Value>)> = GATHER_SITES
         .iter()
         .map(|(site, _, _)| {
@@ -251,9 +225,15 @@ fn timed_siblings(a: &mut Archive, label: &str) -> Timing {
         })
         .collect();
     let t0 = a.net.now();
-    let results = a
-        .federation
-        .query_many(&mut a.net, a.db_host, &mut a.db, Some(&a.obs), &queries);
+    let fed = &a.federation;
+    let results = if one_call {
+        fed.query_many(&mut a.net, a.db_host, &mut a.db, Some(&a.obs), &queries)
+    } else {
+        queries
+            .iter()
+            .map(|(sql, p)| fed.query(&mut a.net, a.db_host, &mut a.db, Some(&a.obs), sql, p))
+            .collect()
+    };
     let elapsed = a.net.now() - t0;
     let mut rows = Vec::new();
     let mut bytes = 0u64;
@@ -410,21 +390,20 @@ fn browse_walk(cfg: &PipelineConfig, log: &mut String) -> PrefetchStats {
     stats
 }
 
-/// Run all four E13 scenarios for `cfg` and capture the transcript.
+/// Run all three E13 scenarios for `cfg` and capture the transcript.
 pub fn run_pipeline(cfg: &PipelineConfig) -> PipelineResult {
     let mut log = String::new();
     let _ = writeln!(
         log,
-        "pipeline seed={} rows_per_site={} batch_rows={} browse_clicks={} \
-         load_phase_requests={}",
-        cfg.seed, cfg.rows_per_site, cfg.batch_rows, cfg.browse_clicks, cfg.load.phase_requests
+        "pipeline seed={} rows_per_site={} batch_rows={} browse_clicks={}",
+        cfg.seed, cfg.rows_per_site, cfg.batch_rows, cfg.browse_clicks
     );
 
-    // Scenario 1: per-site screens, then the combined scatter in both
-    // pump modes. Fresh rig per timing.
+    // Scenario 1: per-site screens, then the combined scatter. Fresh
+    // rig per timing.
     let mut per_site = Vec::new();
     for (site, _, _) in GATHER_SITES {
-        let mut a = gather_rig(cfg, false);
+        let mut a = gather_rig(cfg);
         let t = timed_query(
             &mut a,
             site,
@@ -438,24 +417,19 @@ pub fn run_pipeline(cfg: &PipelineConfig) -> PipelineResult {
         per_site.push(t);
     }
     const ALL_SQL: &str = "SELECT K, N, NOTES FROM SIM ORDER BY K";
-    let combined_pipelined = timed_query(&mut gather_rig(cfg, false), "pipelined", ALL_SQL);
-    let combined_lockstep = timed_query(&mut gather_rig(cfg, true), "lockstep", ALL_SQL);
-    for t in [&combined_pipelined, &combined_lockstep] {
-        let _ = writeln!(
-            log,
-            "combined={} elapsed={:.6} bytes={} rows_sha={}",
-            t.label, t.elapsed, t.bytes_wire, t.row_hash
-        );
-    }
-    assert_eq!(
-        combined_pipelined.row_hash, combined_lockstep.row_hash,
-        "pump modes must merge bit-for-bit identical screens"
+    let combined_pipelined = timed_query(&mut gather_rig(cfg), "pipelined", ALL_SQL);
+    let t = &combined_pipelined;
+    let _ = writeln!(
+        log,
+        "combined={} elapsed={:.6} bytes={} rows_sha={}",
+        t.label, t.elapsed, t.bytes_wire, t.row_hash
     );
 
-    // Scenario 2: sibling statements through one query_many call.
-    let siblings_lockstep = timed_siblings(&mut gather_rig(cfg, true), "siblings-lockstep");
-    let siblings_pipelined = timed_siblings(&mut gather_rig(cfg, false), "siblings-pipelined");
-    for t in [&siblings_lockstep, &siblings_pipelined] {
+    // Scenario 2: sibling statements, in turn and through one
+    // query_many call.
+    let siblings_serial = timed_siblings(&mut gather_rig(cfg), "siblings-serial", false);
+    let siblings_pipelined = timed_siblings(&mut gather_rig(cfg), "siblings-pipelined", true);
+    for t in [&siblings_serial, &siblings_pipelined] {
         let _ = writeln!(
             log,
             "{} elapsed={:.6} bytes={} rows_sha={}",
@@ -463,52 +437,20 @@ pub fn run_pipeline(cfg: &PipelineConfig) -> PipelineResult {
         );
     }
     assert_eq!(
-        siblings_lockstep.row_hash, siblings_pipelined.row_hash,
-        "sibling answers must agree across pump modes"
+        siblings_serial.row_hash, siblings_pipelined.row_hash,
+        "sibling answers must not depend on how they were issued"
     );
 
     // Scenario 3: the speculative FK-browse walk.
     let prefetch = browse_walk(cfg, &mut log);
 
-    // Scenario 4: the E14 capacity delta. Same seed, same ramp, only
-    // the pump mode differs.
-    let lock = run_load(&LoadConfig {
-        lockstep: true,
-        ..cfg.load.clone()
-    });
-    let pipe = run_load(&LoadConfig {
-        lockstep: false,
-        ..cfg.load.clone()
-    });
-    let shed_at = |r: &crate::load::LoadResult| {
-        r.phases
-            .last()
-            .map(|p| p.classes[1].shed)
-            .unwrap_or_default()
-    };
-    let shed_2x = (shed_at(&lock), shed_at(&pipe));
-    let _ = writeln!(
-        log,
-        "load lockstep capacity={:.6} mean_scan_service={:.6} shed_2x={} digest={}",
-        lock.scan_capacity, lock.mean_scan_service, shed_2x.0, lock.digest
-    );
-    let _ = writeln!(
-        log,
-        "load pipelined capacity={:.6} mean_scan_service={:.6} shed_2x={} digest={}",
-        pipe.scan_capacity, pipe.mean_scan_service, shed_2x.1, pipe.digest
-    );
-
     let digest = hex(&sha256(log.as_bytes()));
     PipelineResult {
         per_site,
         combined_pipelined,
-        combined_lockstep,
-        siblings_lockstep,
+        siblings_serial,
         siblings_pipelined,
         prefetch,
-        capacity_lockstep: lock.scan_capacity,
-        capacity_pipelined: pipe.scan_capacity,
-        shed_2x,
         transcript: log,
         digest,
     }
@@ -523,14 +465,6 @@ mod tests {
             rows_per_site: 16,
             batch_rows: 4,
             browse_clicks: 4,
-            load: LoadConfig {
-                sims_per_site: 4,
-                guests: 4,
-                researchers: 4,
-                calibration_requests: 6,
-                phase_requests: 120,
-                ..LoadConfig::standard(seed)
-            },
             ..PipelineConfig::standard(seed)
         }
     }
@@ -561,14 +495,14 @@ mod tests {
         );
         // Scenario 2: sibling round trips overlap under the pump.
         assert!(
-            r.siblings_pipelined.elapsed < 0.85 * r.siblings_lockstep.elapsed,
-            "siblings pipelined {:.4}s vs lockstep {:.4}s",
+            r.siblings_pipelined.elapsed < 0.85 * r.siblings_serial.elapsed,
+            "siblings in one call {:.4}s vs in turn {:.4}s",
             r.siblings_pipelined.elapsed,
-            r.siblings_lockstep.elapsed
+            r.siblings_serial.elapsed
         );
         assert_eq!(
             r.siblings_pipelined.bytes_wire,
-            r.siblings_lockstep.bytes_wire
+            r.siblings_serial.bytes_wire
         );
         // Scenario 3: the walk hits until the write, exactly one stale.
         assert!(r.prefetch.hits >= 2, "walk hits: {:?}", r.prefetch);
@@ -578,14 +512,5 @@ mod tests {
             r.prefetch
         );
         assert!(r.prefetch.issued >= r.prefetch.hits);
-        // Scenario 4: capacity survives the refactor, both modes shed.
-        assert!(r.capacity_pipelined > 0.0 && r.capacity_lockstep > 0.0);
-        assert!(
-            r.capacity_pipelined >= 0.75 * r.capacity_lockstep,
-            "pipelined capacity {:.4} vs lockstep {:.4}",
-            r.capacity_pipelined,
-            r.capacity_lockstep
-        );
-        assert!(r.shed_2x.0 > 0 && r.shed_2x.1 > 0, "2x sheds in both modes");
     }
 }

@@ -60,18 +60,3 @@ fn reconcile_restores_agreement_after_daemon_crash() {
     // A second pass finds the catalog and every DLFM in agreement.
     assert!(r.post_recovery_agreement, "{}", r.transcript);
 }
-
-#[test]
-fn resume_ablation_retransmits_more() {
-    let with = run_chaos(&ChaosConfig::standard(42));
-    let without = run_chaos(&ChaosConfig {
-        resume: false,
-        ..ChaosConfig::standard(42)
-    });
-    assert_eq!(with.retransmitted_bytes, 0.0, "resume retransmits nothing");
-    assert!(
-        without.retransmitted_bytes > 0.0,
-        "no-resume must retransmit after mid-transfer faults:\n{}",
-        without.transcript
-    );
-}

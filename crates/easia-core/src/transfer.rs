@@ -33,8 +33,6 @@ pub struct TransferMetrics {
     pub bytes_delivered: Counter,
     /// Partial-progress bytes kept by offset-based resume.
     pub bytes_resumed: Counter,
-    /// Partial-progress bytes sent again because resume was off.
-    pub bytes_retransmitted: Counter,
     /// Simulated seconds spent in backoff waits.
     pub backoff_seconds: Counter,
     /// Simulated seconds spent waiting out endpoint downtime.
@@ -75,10 +73,6 @@ impl TransferMetrics {
                 "easia_transfer_bytes_resumed_total",
                 "Partial-progress bytes kept by offset-based resume.",
             ),
-            bytes_retransmitted: r.counter(
-                "easia_transfer_bytes_retransmitted_total",
-                "Partial-progress bytes sent again because resume was off.",
-            ),
             backoff_seconds: r.counter(
                 "easia_transfer_backoff_seconds_total",
                 "Simulated seconds spent in backoff waits.",
@@ -103,9 +97,6 @@ pub struct TransferOutcome {
     pub started_at: f64,
     /// Simulated instant the final byte arrived.
     pub finished_at: f64,
-    /// Bytes sent more than once (non-zero only when `resume` is off or
-    /// an attempt was cancelled after partial progress without resume).
-    pub retransmitted_bytes: f64,
     /// Simulated seconds spent waiting in backoff or for a host restart.
     pub waiting_secs: f64,
 }
@@ -162,7 +153,7 @@ pub fn transfer_with_retry(
 }
 
 /// [`transfer_with_retry`], reporting every attempt, stall abort,
-/// resumed/retransmitted byte and wait into `obs` when given. The whole
+/// resumed byte and wait into `obs` when given. The whole
 /// retried transfer is recorded as one `transfer` span over simulated
 /// time.
 pub fn transfer_with_retry_observed(
@@ -176,7 +167,6 @@ pub fn transfer_with_retry_observed(
     let started_at = net.now();
     let mut remaining = bytes;
     let mut attempts = 0u32;
-    let mut retransmitted = 0.0f64;
     let mut waiting = 0.0f64;
 
     loop {
@@ -232,7 +222,6 @@ pub fn transfer_with_retry_observed(
                         attempts,
                         started_at,
                         finished_at: rec.end,
-                        retransmitted_bytes: retransmitted,
                         waiting_secs: waiting,
                     });
                 }
@@ -257,16 +246,10 @@ pub fn transfer_with_retry_observed(
             }
         }
 
-        if policy.resume {
-            remaining -= failed_moved;
-            if let Some(m) = obs {
-                m.bytes_resumed.add(failed_moved);
-            }
-        } else {
-            retransmitted += failed_moved;
-            if let Some(m) = obs {
-                m.bytes_retransmitted.add(failed_moved);
-            }
+        // Resume from the delivered offset: partial progress is kept.
+        remaining -= failed_moved;
+        if let Some(m) = obs {
+            m.bytes_resumed.add(failed_moved);
         }
 
         if attempts > policy.max_retries {
@@ -315,7 +298,6 @@ mod tests {
         let out = transfer_with_retry(&mut net, a, b, 10.0 * MB, &RetryPolicy::default()).unwrap();
         assert_eq!(out.attempts, 1);
         assert!((out.duration() - 10.0).abs() < 1e-6);
-        assert_eq!(out.retransmitted_bytes, 0.0);
         assert_eq!(out.waiting_secs, 0.0);
     }
 
@@ -333,7 +315,6 @@ mod tests {
             max_retries: 8,
             jitter_frac: 0.0,
             jitter_seed: 1,
-            resume: true,
         };
         let out = transfer_with_retry(&mut net, a, b, 50.0 * MB, &policy).unwrap();
         // 5 MB move before the outage; the rest resumes afterwards.
@@ -341,24 +322,6 @@ mod tests {
         assert!(out.finished_at > 200.0, "cannot finish during the outage");
         // With resume, total bytes over the link equal the payload:
         assert!((net.link_bytes(l) - 50.0 * MB).abs() < 1.0);
-    }
-
-    #[test]
-    fn no_resume_retransmits_partial_progress() {
-        let (mut net, a, b, l) = paper_pair(Mbit(8.0)); // 1 MB/s
-        let mut faults = FaultSchedule::new();
-        faults.host_crash(b, 5.0, 15.0);
-        net.set_fault_schedule(faults);
-        let policy = RetryPolicy {
-            resume: false,
-            jitter_frac: 0.0,
-            base_backoff_s: 1.0,
-            ..RetryPolicy::default()
-        };
-        let out = transfer_with_retry(&mut net, a, b, 20.0 * MB, &policy).unwrap();
-        assert!(out.retransmitted_bytes >= 5.0 * MB - 1.0);
-        // The link carried payload + retransmissions.
-        assert!(net.link_bytes(l) > 20.0 * MB + 4.0 * MB);
     }
 
     #[test]

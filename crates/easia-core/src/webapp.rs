@@ -1125,7 +1125,14 @@ mod tests {
 
     #[test]
     fn metrics_endpoint_exposes_every_layer() {
-        let mut app = app();
+        // A federated archive, so the per-site families exist too.
+        let mut a = Archive::builder()
+            .file_server("fs1.example", crate::paper_link_spec())
+            .federated_site("cam", crate::paper_link_spec())
+            .build();
+        turbulence::install_schema(&mut a).unwrap();
+        turbulence::seed_demo_data(&mut a, 1, 8).unwrap();
+        let mut app = WebApp::new(a);
         let sess = login(&mut app, "admin", "hpcc-admin");
         let r = app.handle(Request::get("/tables").with_session(&sess));
         assert_eq!(r.status, 200);
@@ -1150,8 +1157,29 @@ mod tests {
             "easia_http_admitted_total",
             "easia_http_queue_delay_seconds",
             "easia_http_latency_seconds",
+            // Families that must render eagerly, at zero, before any
+            // outage, pushdown, conflict, corruption or scrub pass.
+            "easia_med_breaker_state", // federation resilience
+            "easia_med_scan_retries_total",
+            "easia_med_cache_hits_total",
+            "easia_med_cache_stale_served_total",
+            "easia_med_partial_agg_groups_shipped_total", // partial aggregates
+            "easia_med_partial_agg_fallbacks_total",
+            "easia_db_mvcc_open_snapshots", // MVCC
+            "easia_db_mvcc_versions_created_total",
+            "easia_db_mvcc_versions_vacuumed_total",
+            "easia_db_mvcc_write_conflicts_total",
+            "easia_db_mvcc_group_commit_batch_size",
+            "easia_db_wal_fsyncs_total",
+            "easia_db_wal_corruption_detected_total", // durability
+            "easia_db_scrub_frames_verified_total",
+            "easia_db_scrub_errors_total",
         ] {
-            assert!(body.contains(needle), "missing {needle} in:\n{body}");
+            // A sample line, not just the family's HELP/TYPE header.
+            assert!(
+                body.lines().any(|l| l.starts_with(needle)),
+                "missing {needle} in:\n{body}"
+            );
         }
         // The admission families carry every class label eagerly, at
         // zero sheds, before any overload has happened.

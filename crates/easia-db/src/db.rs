@@ -141,10 +141,7 @@ pub struct Database {
 /// (returned by [`Database::open_recovering`]).
 #[derive(Debug, Clone, Default)]
 pub struct RecoveryReport {
-    /// WAL format replayed: 0 = empty log, 1 = legacy unchecksummed
-    /// (upgraded to v2 by an immediate checkpoint), 2 = checksummed.
-    pub wal_format: u8,
-    /// Checksum-verified batch frames replayed (v2 only).
+    /// Checksum-verified batch frames replayed.
     pub batches_replayed: usize,
     /// WAL records applied (including `Commit` markers).
     pub records_replayed: usize,
@@ -265,7 +262,6 @@ impl Database {
         }
         db.replaying = false;
         let mut report = RecoveryReport {
-            wal_format: parse.format,
             batches_replayed: parse.batches,
             records_replayed,
             recovered_csn: parse.last_csn,
@@ -287,11 +283,6 @@ impl Database {
             db.checkpoint()?;
         } else {
             db.wal = Wal::open(&wal_path)?;
-            if report.wal_format == 1 {
-                // Legacy unchecksummed log: replayed fine, but its bytes
-                // can't be scrubbed. Upgrade to v2 via a checkpoint.
-                db.checkpoint()?;
-            }
         }
         Ok((db, report))
     }
@@ -1768,30 +1759,26 @@ impl Database {
         out
     }
 
-    /// Load a snapshot image: v2 (`EASNAP2\0`, CRC-verified) or legacy
-    /// v1 (`EASNAP1\0`, unchecksummed). A v2 body failing its CRC is a
-    /// typed storage error — recovery must not build on rotted pages.
+    /// Load a snapshot image (`EASNAP2\0` + body CRC32 + body). A body
+    /// failing its CRC is a typed storage error — recovery must not
+    /// build on rotted pages.
     fn load_snapshot(&mut self, full: &[u8]) -> Result<()> {
         let trunc = || DbError::Storage("snapshot truncated".into());
-        let bytes: &[u8] = if full.get(..8) == Some(b"EASNAP2\0".as_slice()) {
-            let want = u32::from_le_bytes(
-                full.get(8..12)
-                    .ok_or_else(trunc)?
-                    .try_into()
-                    .expect("4 bytes"),
-            );
-            let body = &full[12..];
-            if crc32(body) != want {
-                return Err(DbError::Storage(
-                    "snapshot checksum mismatch (crc32): refusing to load rotted image".into(),
-                ));
-            }
-            body
-        } else if full.get(..8) == Some(b"EASNAP1\0".as_slice()) {
-            &full[8..] // legacy, unchecksummed
-        } else {
+        if full.get(..8) != Some(b"EASNAP2\0".as_slice()) {
             return Err(DbError::Storage("bad snapshot magic".into()));
-        };
+        }
+        let want = u32::from_le_bytes(
+            full.get(8..12)
+                .ok_or_else(trunc)?
+                .try_into()
+                .expect("4 bytes"),
+        );
+        let bytes = &full[12..];
+        if crc32(bytes) != want {
+            return Err(DbError::Storage(
+                "snapshot checksum mismatch (crc32): refusing to load rotted image".into(),
+            ));
+        }
         let mut pos = 0usize;
         let read_u32 = |pos: &mut usize| -> Result<u32> {
             let s = bytes.get(*pos..*pos + 4).ok_or_else(trunc)?;

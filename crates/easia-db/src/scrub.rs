@@ -36,8 +36,8 @@ pub struct ScrubError {
 pub struct ScrubReport {
     /// A snapshot file exists.
     pub snapshot_present: bool,
-    /// The snapshot body CRC verified (false when absent, legacy v1, or
-    /// damaged — damaged additionally reports an error).
+    /// The snapshot body CRC verified (false when absent or damaged —
+    /// damaged additionally reports an error).
     pub snapshot_verified: bool,
     /// Complete WAL batch frames whose checksums verified.
     pub wal_batches_verified: usize,
@@ -66,8 +66,7 @@ pub(crate) fn scrub_dir(dir: &Path) -> Result<ScrubReport> {
     Ok(report)
 }
 
-/// Verify a snapshot image in memory (v2 only; legacy v1 carries no
-/// checksum and is reported unverified without an error).
+/// Verify a snapshot image in memory.
 fn scrub_snapshot(bytes: &[u8], report: &mut ScrubReport) {
     if bytes.get(..8) == Some(b"EASNAP2\0".as_slice()) {
         match bytes.get(8..12) {
@@ -89,8 +88,6 @@ fn scrub_snapshot(bytes: &[u8], report: &mut ScrubReport) {
                 detail: "snapshot header truncated".into(),
             }),
         }
-    } else if bytes.get(..8) == Some(b"EASNAP1\0".as_slice()) {
-        // Legacy image: nothing to verify. A checkpoint will upgrade it.
     } else {
         report.errors.push(ScrubError {
             file: "snapshot.db".into(),

@@ -39,14 +39,9 @@
 //! real frame, so a fully-present batch header is always intact — if the
 //! header is present but its checksum fails, the bytes were *changed*,
 //! not merely cut short. See [`Wal::parse`] for the classification rules
-//! and DESIGN.md §12 for the model.
-//!
-//! Logs written before v2 (no magic; the file starts directly with a
-//! record tag in `1..=4`) still replay with their original best-effort
-//! semantics — any decode failure is treated as a torn tail, because
-//! without checksums the two cases cannot be told apart. That ambiguity
-//! is exactly the silent-data-loss bug the v2 format fixes; `Database`
-//! upgrades legacy logs to v2 via a checkpoint on first open.
+//! and DESIGN.md §12 for the model. A file that opens with anything but
+//! the magic (or a torn prefix of it) is corruption at offset 0: no byte
+//! is ever replayed without a checksum over it.
 
 use crate::crc::crc32;
 use crate::error::{DbError, Result};
@@ -107,9 +102,8 @@ const TAG_COMMIT: u8 = 5;
 
 /// File magic opening every v2 (checksummed) log.
 pub const WAL_MAGIC_V2: [u8; 8] = *b"EAWAL2\0\0";
-/// First byte of every batch frame. Chosen so no single-bit flip of a
-/// legacy record tag (`1..=4`) or of the v2 magic's first byte collides
-/// with it.
+/// First byte of every batch frame. Chosen so no single-bit flip of
+/// the v2 magic's first byte collides with it.
 pub const BATCH_MAGIC: u8 = 0xB5;
 /// Bytes in a batch frame header: magic, len, header CRC, payload CRC.
 pub const BATCH_HEADER_LEN: usize = 13;
@@ -246,17 +240,15 @@ pub struct WalCorruption {
 
 /// Outcome of parsing a WAL image: the replayable committed records of
 /// the clean prefix, plus everything recovery needs to classify what it
-/// found (format version, batch/frame counts, torn bytes, corruption).
+/// found (batch/frame counts, torn bytes, corruption).
 #[derive(Debug, Clone, PartialEq)]
 pub struct WalParse {
     /// Committed records of the clean prefix, in CSN order, including
     /// the `Commit` markers.
     pub records: Vec<WalRecord>,
-    /// 0 = empty log, 1 = legacy unchecksummed, 2 = checksummed.
-    pub format: u8,
-    /// Complete, checksum-verified batch frames (v2 only).
+    /// Complete, checksum-verified batch frames.
     pub batches: usize,
-    /// Record frames whose individual CRCs verified (v2 only).
+    /// Record frames whose individual CRCs verified.
     pub frames: u64,
     /// Highest commit CSN in `records` (0 if none).
     pub last_csn: Csn,
@@ -369,10 +361,10 @@ impl Wal {
     /// Classify a WAL image and extract the clean committed prefix.
     ///
     /// Never panics, never returns a record at or past damage. The
-    /// torn-tail/corruption distinction (v2):
+    /// torn-tail/corruption distinction:
     ///
     /// * file shorter than the magic, but a prefix of it → torn header,
-    ///   empty log;
+    ///   empty log; any other opening bytes → corruption at offset 0;
     /// * trailing bytes shorter than a batch header, starting with the
     ///   batch magic → torn tail (the header was cut mid-write);
     /// * complete, CRC-valid batch header whose payload runs past EOF →
@@ -388,44 +380,18 @@ impl Wal {
     pub fn parse(buf: &[u8]) -> WalParse {
         let mut out = WalParse {
             records: Vec::new(),
-            format: 0,
             batches: 0,
             frames: 0,
             last_csn: 0,
             torn_bytes: 0,
             corruption: None,
         };
-        if buf.is_empty() {
-            return out;
-        }
-        if buf.len() < WAL_MAGIC_V2.len() {
-            if WAL_MAGIC_V2.starts_with(buf) {
-                // Crash while writing the magic of a fresh log: nothing
-                // was ever committed.
-                out.format = 2;
-                out.torn_bytes = buf.len() as u64;
-            } else if (TAG_DDL..=TAG_UPDATE).contains(&buf[0]) {
-                out.format = 1;
-                Self::parse_legacy(buf, &mut out);
-            } else {
-                out.corruption = Some(WalCorruption {
-                    offset: 0,
-                    csn_horizon: 0,
-                    detail: "unrecognised wal header".into(),
-                });
-            }
-            return out;
-        }
-        if buf[..WAL_MAGIC_V2.len()] == WAL_MAGIC_V2 {
-            out.format = 2;
+        if buf.len() < WAL_MAGIC_V2.len() && WAL_MAGIC_V2.starts_with(buf) {
+            // Empty, or a crash while writing the magic of a fresh log:
+            // nothing was ever committed.
+            out.torn_bytes = buf.len() as u64;
+        } else if buf.starts_with(&WAL_MAGIC_V2) {
             Self::parse_v2(buf, &mut out);
-        } else if (TAG_DDL..=TAG_UPDATE).contains(&buf[0]) {
-            // Legacy logs carry no magic and always open with a redo
-            // record tag (redo precedes the commit marker). No single-bit
-            // flip of the v2 magic's first byte lands in 1..=4, so a
-            // damaged v2 header cannot masquerade as a legacy log.
-            out.format = 1;
-            Self::parse_legacy(buf, &mut out);
         } else {
             out.corruption = Some(WalCorruption {
                 offset: 0,
@@ -436,7 +402,7 @@ impl Wal {
         out
     }
 
-    /// v2 batch-frame walk. `out.format` is already set.
+    /// Batch-frame walk over an image that opens with the magic.
     fn parse_v2(buf: &[u8], out: &mut WalParse) {
         let mut pos = WAL_MAGIC_V2.len();
         let mut pending: Vec<WalRecord> = Vec::new();
@@ -536,29 +502,6 @@ impl Wal {
         }
         // Records staged without a commit marker (writer crash between
         // frames of a multi-batch transaction) are not replayable.
-    }
-
-    /// Legacy (pre-checksum) replay loop: decode until the first
-    /// failure, keep only marker-terminated transactions. Kept verbatim
-    /// so old logs still replay; its torn-tail/corruption ambiguity is
-    /// why the v2 format exists.
-    fn parse_legacy(buf: &[u8], out: &mut WalParse) {
-        let mut pending = Vec::new();
-        let mut pos = 0usize;
-        while pos < buf.len() {
-            match WalRecord::decode(buf, &mut pos) {
-                Ok(WalRecord::Commit { csn }) => {
-                    out.records.append(&mut pending);
-                    out.last_csn = csn;
-                    out.records.push(WalRecord::Commit { csn });
-                }
-                Ok(r) => pending.push(r),
-                Err(_) => {
-                    out.torn_bytes = (buf.len() - pos) as u64;
-                    break;
-                }
-            }
-        }
     }
 
     /// Read and classify the log at `path`. IO failures (other than the
@@ -687,7 +630,6 @@ mod tests {
         want.push(WalRecord::Commit { csn: 2 });
         assert_eq!(got, want);
         let info = Wal::read_with_info(&path).unwrap();
-        assert_eq!(info.format, 2);
         assert_eq!(info.batches, 2);
         assert_eq!(info.frames, 6);
         assert_eq!(info.last_csn, 2);
@@ -796,32 +738,6 @@ mod tests {
         wal.append_committed(&sample_records(), 2).unwrap();
         assert_eq!(wal.syncs(), 2);
         wal.truncate().unwrap();
-    }
-
-    #[test]
-    fn legacy_unchecksummed_log_still_replays() {
-        // A pre-v2 log: raw records, no magic, no frames.
-        let path = temp_path("wal-legacy.log");
-        let recs = sample_records();
-        let mut img = Vec::new();
-        recs[0].encode(&mut img);
-        WalRecord::Commit { csn: 1 }.encode(&mut img);
-        recs[1].encode(&mut img);
-        WalRecord::Commit { csn: 2 }.encode(&mut img);
-        std::fs::write(&path, &img).unwrap();
-        let parse = Wal::read_with_info(&path).unwrap();
-        assert_eq!(parse.format, 1);
-        assert_eq!(
-            parse.records,
-            vec![
-                recs[0].clone(),
-                WalRecord::Commit { csn: 1 },
-                recs[1].clone(),
-                WalRecord::Commit { csn: 2 },
-            ]
-        );
-        assert_eq!(parse.last_csn, 2);
-        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]

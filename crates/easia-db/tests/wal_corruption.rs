@@ -313,3 +313,69 @@ fn recovery_corruption_count_folds_into_metrics_attached_later() {
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// `img`, written as the whole log, must be refused at offset 0 by the
+/// strict open and left byte-for-byte in place; the recovering open
+/// replays nothing from it and moves it aside intact.
+fn assert_header_damage_is_refused(dir: &Path, img: &[u8]) {
+    let wal = dir.join("wal.log");
+    std::fs::write(&wal, img).unwrap();
+    let err = Database::open(dir).map(|_| ()).unwrap_err();
+    assert!(
+        matches!(err, DbError::WalCorrupt { offset: 0, .. }),
+        "{err:?}"
+    );
+    assert_eq!(std::fs::read(&wal).unwrap(), img, "strict open wrote");
+    let (mut db, report) = Database::open_recovering(dir).unwrap();
+    assert_eq!(report.corruption.as_ref().map(|c| c.offset), Some(0));
+    assert_eq!(report.records_replayed, 0);
+    assert!(db.execute("SELECT K FROM T").is_err());
+    let q = report.quarantined.expect("quarantined");
+    assert_eq!(std::fs::read(q).unwrap(), img, "quarantine keeps the bytes");
+}
+
+#[test]
+fn magic_rotted_into_a_record_tag_is_corruption_at_offset_zero() {
+    // Two flipped bits take the magic's first byte 0x45 into 0x01..=0x04,
+    // the redo-record tags an unframed log would open with. Such bytes
+    // carry no checksum, so none of them may be replayed: opening must
+    // not succeed with zero tables and then checkpoint the log away.
+    let dir = temp_dir("tag-rot");
+    let (img, _) = build_fixture(&dir, 5);
+    for tag in 0x01..=0x04u8 {
+        let mut rotted = img.clone();
+        rotted[0] = tag;
+        assert_header_damage_is_refused(&dir, &rotted);
+        assert_header_damage_is_refused(&dir, &[tag, 0, 0]);
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn snapshot_without_a_checksum_is_refused_and_flagged_by_scrub() {
+    let dir = temp_dir("snap-magic");
+    let mut db = Database::open(&dir).unwrap();
+    db.execute("CREATE TABLE T (K INTEGER PRIMARY KEY, V INTEGER)")
+        .unwrap();
+    db.checkpoint().unwrap();
+    // Version digit '1' in the magic announced an image with no body
+    // checksum; nothing reads those any more.
+    let snap = dir.join("snapshot.db");
+    let mut img = std::fs::read(&snap).unwrap();
+    assert_eq!(img[6], b'2');
+    img[6] = b'1';
+    std::fs::write(&snap, &img).unwrap();
+
+    let report = db.scrub().unwrap();
+    assert!(!report.snapshot_verified);
+    assert_eq!(report.errors.len(), 1, "{report:?}");
+    assert_eq!(report.errors[0].file, "snapshot.db");
+    assert_eq!(report.errors[0].detail, "bad snapshot magic");
+    drop(db);
+    let err = Database::open(&dir).map(|_| ()).unwrap_err();
+    match err {
+        DbError::Storage(m) => assert!(m.contains("bad snapshot magic"), "{m}"),
+        other => panic!("expected a magic refusal, got {other:?}"),
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}

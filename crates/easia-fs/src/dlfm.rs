@@ -157,51 +157,51 @@ impl Dlfm {
 
     /// Commit all pending operations. Returns `(newly_linked_recovery,
     /// unlink_actions)`: paths whose backup should be captured, and store
-    /// actions for resolved unlinks.
+    /// actions for resolved unlinks. One in-place pass in path order:
+    /// settled links are stepped over, never copied — this runs on every
+    /// database commit, with every file ever linked in the map.
     pub fn commit(&mut self) -> (Vec<String>, Vec<UnlinkAction>) {
         let mut to_backup = Vec::new();
         let mut actions = Vec::new();
-        let keys: Vec<String> = self.links.keys().cloned().collect();
-        for path in keys {
-            match self.links.get(&path).cloned().expect("key just listed") {
-                LinkState::LinkPending { options, owner } => {
-                    if options.recovery {
-                        to_backup.push(path.clone());
-                    }
-                    self.stats_links += 1;
-                    self.links
-                        .insert(path, LinkState::Linked { options, owner });
+        let (mut linked, mut unlinked) = (0, 0);
+        self.links.retain(|path, state| match state {
+            LinkState::Linked { .. } => true,
+            LinkState::LinkPending { options, owner } => {
+                if options.recovery {
+                    to_backup.push(path.clone());
                 }
-                LinkState::UnlinkPending { options, .. } => {
-                    self.stats_unlinks += 1;
-                    actions.push(if options.on_unlink_restore {
-                        UnlinkAction::Keep(path.clone())
-                    } else {
-                        UnlinkAction::Delete(path.clone())
-                    });
-                    self.links.remove(&path);
-                }
-                LinkState::Linked { .. } => {}
+                linked += 1;
+                let (options, owner) = (options.clone(), std::mem::take(owner));
+                *state = LinkState::Linked { options, owner };
+                true
             }
-        }
+            LinkState::UnlinkPending { options, .. } => {
+                unlinked += 1;
+                actions.push(if options.on_unlink_restore {
+                    UnlinkAction::Keep(path.clone())
+                } else {
+                    UnlinkAction::Delete(path.clone())
+                });
+                false
+            }
+        });
+        self.stats_links += linked;
+        self.stats_unlinks += unlinked;
         (to_backup, actions)
     }
 
-    /// Roll back all pending operations.
+    /// Roll back all pending operations: pending links vanish, pending
+    /// unlinks revert to `Linked`.
     pub fn rollback(&mut self) {
-        let keys: Vec<String> = self.links.keys().cloned().collect();
-        for path in keys {
-            match self.links.get(&path).cloned().expect("key just listed") {
-                LinkState::LinkPending { .. } => {
-                    self.links.remove(&path);
-                }
-                LinkState::UnlinkPending { options, owner } => {
-                    self.links
-                        .insert(path, LinkState::Linked { options, owner });
-                }
-                LinkState::Linked { .. } => {}
+        self.links.retain(|_, state| match state {
+            LinkState::Linked { .. } => true,
+            LinkState::LinkPending { .. } => false,
+            LinkState::UnlinkPending { options, owner } => {
+                let (options, owner) = (options.clone(), std::mem::take(owner));
+                *state = LinkState::Linked { options, owner };
+                true
             }
-        }
+        });
     }
 
     /// Drop volatile pending state after a crash: pending links vanish
@@ -209,19 +209,7 @@ impl Dlfm {
     /// unlinks revert to the durable `Linked` state. The committed link
     /// set — the DLFM's durable metadata — survives.
     pub fn drop_pending(&mut self) {
-        let keys: Vec<String> = self.links.keys().cloned().collect();
-        for path in keys {
-            match self.links.get(&path).cloned().expect("key just listed") {
-                LinkState::LinkPending { .. } => {
-                    self.links.remove(&path);
-                }
-                LinkState::UnlinkPending { options, owner } => {
-                    self.links
-                        .insert(path, LinkState::Linked { options, owner });
-                }
-                LinkState::Linked { .. } => {}
-            }
-        }
+        self.rollback();
     }
 
     /// Recovery-mode link: establish `path` as `Linked` directly,
@@ -331,6 +319,37 @@ mod tests {
         ));
         d.rollback();
         assert!(matches!(d.state("/f"), Some(LinkState::Linked { .. })));
+    }
+
+    #[test]
+    fn commit_resolves_pending_in_path_order_and_leaves_settled_links_alone() {
+        let mut d = Dlfm::new();
+        let settled = ("CODE_FILE".to_string(), "DOWNLOAD_CODE_FILE".to_string());
+        d.prepare_link("/m", LinkOptions::default(), settled.clone())
+            .unwrap();
+        d.commit();
+        d.prepare_link("/z", LinkOptions::default(), owner())
+            .unwrap();
+        d.prepare_link("/a", LinkOptions::default(), owner())
+            .unwrap();
+        d.prepare_unlink("/m").unwrap();
+        d.rollback(); // "/a", "/z" vanish; "/m" is Linked again, owner intact
+        let linked = |o: (String, String)| LinkState::Linked {
+            options: LinkOptions::default(),
+            owner: o,
+        };
+        assert_eq!(d.controlled_paths().count(), 1);
+        assert_eq!(d.state("/m"), Some(&linked(settled.clone())));
+        d.prepare_link("/z", LinkOptions::default(), owner())
+            .unwrap();
+        d.prepare_link("/a", LinkOptions::default(), owner())
+            .unwrap();
+        let (backup, actions) = d.commit();
+        assert_eq!(backup, vec!["/a", "/z"]);
+        assert!(actions.is_empty());
+        assert_eq!(d.state("/a"), Some(&linked(owner())));
+        assert_eq!(d.state("/m"), Some(&linked(settled)));
+        assert_eq!(d.stats(), (3, 0));
     }
 
     #[test]

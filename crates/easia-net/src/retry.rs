@@ -29,10 +29,6 @@ pub struct RetryPolicy {
     pub jitter_frac: f64,
     /// Seed for the deterministic jitter draw.
     pub jitter_seed: u64,
-    /// Resume from the progress marker after a failure (byte offset for
-    /// transfers, batch cursor for scans). When false every retry
-    /// restarts from zero (the ablation case).
-    pub resume: bool,
 }
 
 impl Default for RetryPolicy {
@@ -45,7 +41,6 @@ impl Default for RetryPolicy {
             max_backoff_s: 120.0,
             jitter_frac: 0.5,
             jitter_seed: 0,
-            resume: true,
         }
     }
 }
