@@ -8,9 +8,9 @@ use crate::archive::{Archive, ArchiveError};
 use easia_db::{ResultSet, Value};
 use easia_ops::catalog::OperationCatalog;
 use easia_web::auth::Role;
-use easia_web::browse::{render_results, BrowseContext};
+use easia_web::browse::{render_results_into, BrowseContext};
 use easia_web::fed::{explain_page_body, federation_banner, federation_notice};
-use easia_web::html::{escape, link, page};
+use easia_web::html::{escape, link, page, page_begin, page_end};
 use easia_web::http::{url_encode, Method, Request, Response};
 use easia_web::qbe::{build_browse_query, build_join_query, join_tables, render_query_form};
 use easia_xuis::Widget;
@@ -274,21 +274,45 @@ impl WebApp {
     }
 
     fn run_query(&mut self, table: &str, req: &Request, role: Role) -> Response {
-        let Some(xt) = self.archive.xuis.table(table).cloned() else {
+        let Some(xt) = self.archive.xuis.table(table) else {
             return Response::error(404, &format!("no table {table}"));
         };
         // FK columns with a substitute display column become LEFT JOIN
         // legs, so the readable value is part of the statement itself.
-        let (sql, params) = match build_join_query(&xt, &req.form) {
+        let (sql, params) = match build_join_query(xt, &req.form) {
             Ok(q) => q,
             Err(e) => return Response::error(400, &e.to_string()),
         };
-        // Queries touching any federated table — the table itself or a
-        // joined FK target — run transparently across every registered
-        // site; everything else runs on the hub alone.
+        let federated = self.query_is_federated(xt);
+        let name = xt.name.clone();
+        self.result_screen(&name, &sql, &params, federated, role)
+    }
+
+    /// Does a QBE/browse query for this table touch any federated
+    /// table (the table itself, or an FK-substitute join target)?
+    fn query_is_federated(&self, xt: &easia_xuis::XuisTable) -> bool {
+        join_tables(xt)
+            .iter()
+            .any(|t| self.archive.federation.catalog.is_federated(t))
+    }
+
+    /// Run a screen's statement and render its result page. Statements
+    /// touching any federated table — the table itself or a joined FK
+    /// target — run transparently across every registered site;
+    /// everything else is read-only on the hub alone and runs on a
+    /// snapshot: stable rows even while ingest or link control is
+    /// mid-transaction.
+    fn result_screen(
+        &mut self,
+        table: &str,
+        sql: &str,
+        params: &[Value],
+        federated: bool,
+        role: Role,
+    ) -> Response {
         let mut notice = String::new();
-        let rs = if self.query_is_federated(&xt) {
-            match self.archive.federated_query(&sql, &params) {
+        let rs = if federated {
+            match self.archive.federated_query(sql, params) {
                 Ok(out) => {
                     notice = format!(
                         "{}{}",
@@ -300,63 +324,65 @@ impl WebApp {
                 Err(e) => return error_response(&e),
             }
         } else {
-            // Hub-local QBE reads run on a snapshot: stable rows even
-            // while ingest or link control is mid-transaction.
-            match self.archive.snapshot_read(&sql, &params) {
+            match self.archive.snapshot_read(sql, params) {
                 Ok(rs) => rs,
                 Err(e) => return Response::error(400, &e.to_string()),
             }
         };
-        self.render_result_page(&xt.name, &rs, role, &notice)
+        self.render_result_page(table, &rs, role, &notice)
     }
 
-    /// Does a QBE/browse query for this table touch any federated
-    /// table (the table itself, or an FK-substitute join target)?
-    fn query_is_federated(&self, xt: &easia_xuis::XuisTable) -> bool {
-        join_tables(xt)
-            .iter()
-            .any(|t| self.archive.federation.catalog.is_federated(t))
-    }
-
-    /// Speculatively run the federated keyed scans behind this screen's
-    /// FK/PK browse links while the screen renders, so the next click
-    /// is served from the prefetch cache instead of waiting on the WAN.
-    /// Bounded to the first few distinct link targets; parked results
-    /// are invalidated by the federation write fingerprint, so a write
-    /// anywhere between render and click forces a live re-run.
-    fn speculative_prefetch(&mut self, xt: &easia_xuis::XuisTable, rs: &ResultSet) {
+    /// The federated keyed scans behind this screen's FK/PK browse
+    /// links, to run speculatively while the screen renders, so the next
+    /// click is served from the prefetch cache instead of waiting on the
+    /// WAN. Bounded to the first few distinct link targets; parked
+    /// results are invalidated by the federation write fingerprint, so a
+    /// write anywhere between render and click forces a live re-run.
+    fn link_prefetches(
+        &self,
+        xt: &easia_xuis::XuisTable,
+        rs: &ResultSet,
+    ) -> Vec<(String, Vec<Value>)> {
         const MAX_PREFETCH: usize = 4;
-        let mut queries: Vec<(String, Vec<Value>)> = Vec::new();
-        let mut seen = std::collections::BTreeSet::new();
+        // Where a link leads depends on its column alone: per result
+        // column, the browse statement of each target the renderer links
+        // to — the FK's referenced row, then child rows per referencing
+        // table. Hub-local targets answer without WAN latency;
+        // speculation buys nothing there.
+        let targets: Vec<Vec<String>> = rs
+            .columns
+            .iter()
+            .map(|c| {
+                let Some(xc) = xt.column(c) else {
+                    return Vec::new();
+                };
+                let fk = xc.fk.iter().map(|fk| &fk.tablecolumn);
+                fk.chain(&xc.pk_refby)
+                    .filter_map(|colid| {
+                        let (table, column) = colid.rsplit_once('.')?;
+                        let txt = self.archive.xuis.table(table)?;
+                        self.query_is_federated(txt)
+                            .then(|| build_browse_query(txt, column))
+                    })
+                    .collect()
+            })
+            .collect();
+        let mut queries = Vec::new();
+        if targets.iter().all(Vec::is_empty) {
+            return queries;
+        }
+        let mut text = String::new();
         'rows: for row in &rs.rows {
-            for (c, v) in rs.columns.iter().zip(row) {
+            for (sqls, v) in targets.iter().zip(row) {
                 if v.is_null() {
                     continue;
                 }
-                let Some(xc) = xt.column(c) else { continue };
-                // The same targets render_cell links to: the FK's
-                // referenced row, and child rows per referencing table.
-                let mut targets: Vec<String> = Vec::new();
-                if let Some(fk) = &xc.fk {
-                    targets.push(fk.tablecolumn.clone());
-                }
-                targets.extend(xc.pk_refby.iter().cloned());
-                for colid in targets {
-                    let Some((table, column)) = colid.rsplit_once('.') else {
-                        continue;
-                    };
-                    let Some(txt) = self.archive.xuis.table(table) else {
-                        continue;
-                    };
-                    // Hub-local targets answer without WAN latency;
-                    // speculation buys nothing there.
-                    if !self.query_is_federated(txt) {
-                        continue;
-                    }
-                    let sql = build_browse_query(txt, column);
-                    let value = v.to_string();
-                    if seen.insert((sql.clone(), value.clone())) {
-                        queries.push((sql, vec![Value::Str(value)]));
+                for sql in sqls {
+                    let value = v.display_text(&mut text);
+                    let same =
+                        |(s, p): &(String, Vec<Value>)| s == sql && p[0].as_text() == Some(value);
+                    if !queries.iter().any(same) {
+                        queries.push((sql.clone(), vec![Value::Str(value.to_string())]));
                         if queries.len() >= MAX_PREFETCH {
                             break 'rows;
                         }
@@ -364,7 +390,7 @@ impl WebApp {
                 }
             }
         }
-        self.archive.prefetch_queries(&queries);
+        queries
     }
 
     fn render_result_page(
@@ -374,50 +400,39 @@ impl WebApp {
         role: Role,
         notice: &str,
     ) -> Response {
-        if let Some(xt) = self.archive.xuis.table(table).cloned() {
-            self.speculative_prefetch(&xt, rs);
+        if let Some(xt) = self.archive.xuis.table(table) {
+            let queries = self.link_prefetches(xt, rs);
+            self.archive.prefetch_queries(&queries);
         }
-        // Row-level operation applicability.
+        // Row-level operation applicability: which operations and which
+        // columns their conditions test is settled once, then each row
+        // is judged on its values.
         let is_guest = matches!(role, Role::Guest);
-        let mut row_ops = Vec::with_capacity(rs.rows.len());
-        // The colids are the same for every row: name them once and
-        // refill only the values.
-        let qualifier = table.to_ascii_uppercase();
-        let mut pairs: Vec<(String, String)> = rs
-            .columns
+        let candidates = self.archive.catalog.resolve(table, &rs.columns, is_guest);
+        let mut text = String::new();
+        let row_operations = rs
+            .rows
             .iter()
-            .map(|c| (format!("{qualifier}.{c}"), String::new()))
+            .map(|row| {
+                candidates.for_row(|i, want| {
+                    row.get(i)
+                        .is_some_and(|v| v.display_text(&mut text) == want)
+                })
+            })
             .collect();
-        for row in &rs.rows {
-            for ((_, text), v) in pairs.iter_mut().zip(row) {
-                text.clear();
-                let _ = write!(text, "{v}");
-            }
-            row_ops.push(
-                self.archive
-                    .catalog
-                    .applicable(table, &pairs, is_guest)
-                    .into_iter()
-                    .map(|e| e.op.clone())
-                    .collect::<Vec<_>>(),
-            );
-        }
         let sizes = |url: &str| self.archive.file_size_of(url);
-        let op_refs: Vec<Vec<&easia_xuis::Operation>> =
-            row_ops.iter().map(|v| v.iter().collect()).collect();
         let ctx = BrowseContext {
             xuis: &self.archive.xuis,
             table,
             is_guest,
-            row_operations: op_refs,
+            row_operations,
             file_size: Some(&sizes),
         };
-        let table_html = render_results(&ctx, rs);
-        let count = rs.rows.len();
-        Response::html(page(
-            &format!("Results from {table}"),
-            &format!("<p>{count} row(s)</p>{notice}{table_html}"),
-        ))
+        let mut body = page_begin(&format!("Results from {table}"));
+        let _ = write!(body, "<p>{} row(s)</p>{notice}", rs.rows.len());
+        render_results_into(&ctx, rs, &mut body);
+        page_end(&mut body);
+        Response::html(body)
     }
 
     fn browse(&mut self, kind: &str, colid: &str, value: &str, role: Role) -> Response {
@@ -429,33 +444,15 @@ impl WebApp {
         let Some((table, column)) = colid.rsplit_once('.') else {
             return Response::error(400, "bad column id");
         };
-        let Some(xt) = self.archive.xuis.table(table).cloned() else {
+        let Some(xt) = self.archive.xuis.table(table) else {
             return Response::error(404, &format!("no table {table}"));
         };
-        let sql = build_browse_query(&xt, column);
-        let params = [Value::Str(value.to_string())];
         // Hyperlink browsing also sees the whole federation — including
         // the FK-substitute join legs the statement now carries.
-        let (rs, notice) = if self.query_is_federated(&xt) {
-            match self.archive.federated_query(&sql, &params) {
-                Ok(out) => {
-                    let n = format!(
-                        "{}{}",
-                        federation_banner(&out.explain),
-                        federation_notice(&out.explain)
-                    );
-                    (out.rs, n)
-                }
-                Err(e) => return error_response(&e),
-            }
-        } else {
-            // Hyperlink browsing is read-only: serve it from a snapshot.
-            match self.archive.snapshot_read(&sql, &params) {
-                Ok(rs) => (rs, String::new()),
-                Err(e) => return Response::error(400, &e.to_string()),
-            }
-        };
-        self.render_result_page(table, &rs, role, &notice)
+        let sql = build_browse_query(xt, column);
+        let federated = self.query_is_federated(xt);
+        let params = [Value::Str(value.to_string())];
+        self.result_screen(table, &sql, &params, federated, role)
     }
 
     fn lob(&mut self, table: &str, column: &str, req: &Request) -> Response {
@@ -1357,6 +1354,99 @@ mod tests {
         let m = app.handle(Request::get("/metrics")).body_text();
         assert!(m.contains("easia_med_prefetch_stale_total 1"), "{m}");
     }
+
+    /// The prefetch statements a federated screen issues are pinned to
+    /// what the per-cell walk issued before link targets were resolved
+    /// per column (the list below was printed by that code): columns in
+    /// result order, the FK target before the referencing tables, a
+    /// hub-local target never, duplicates once, cut at four.
+    #[test]
+    fn federated_screen_issues_the_same_prefetches_in_the_same_order() {
+        const DDL: [&str; 4] = [
+            "CREATE TABLE AUTHOR (\
+             AUTHOR_KEY VARCHAR(40) PRIMARY KEY, SITE VARCHAR(20), NAME VARCHAR(80))",
+            "CREATE TABLE SIMULATION (\
+             SIMULATION_KEY VARCHAR(40) PRIMARY KEY, SITE VARCHAR(20), \
+             AUTHOR_KEY VARCHAR(40) REFERENCES AUTHOR(AUTHOR_KEY), \
+             REVIEWER VARCHAR(40) REFERENCES AUTHOR(AUTHOR_KEY))",
+            "CREATE TABLE RESULT_FILE (\
+             FILE_NAME VARCHAR(40) PRIMARY KEY, SITE VARCHAR(20), \
+             SIMULATION_KEY VARCHAR(40) REFERENCES SIMULATION(SIMULATION_KEY))",
+            "CREATE TABLE NOTE (\
+             NOTE_KEY VARCHAR(40) PRIMARY KEY, \
+             SIMULATION_KEY VARCHAR(40) REFERENCES SIMULATION(SIMULATION_KEY))",
+        ];
+        let mut a = Archive::builder()
+            .file_server("fs1.example", crate::paper_link_spec())
+            .federated_site("cam", crate::paper_link_spec())
+            .build();
+        for ddl in DDL {
+            a.db.execute(ddl).unwrap();
+        }
+        a.db.execute("INSERT INTO AUTHOR VALUES ('A1', 'soton', 'Mark'), ('A3', 'soton', 'Denis')")
+            .unwrap();
+        a.db.execute(
+            "INSERT INTO SIMULATION VALUES ('s0', 'soton', 'A1', NULL), \
+             ('s1', 'soton', 'A1', 'A3'), ('s2', 'soton', 'A3', 'A1')",
+        )
+        .unwrap();
+        {
+            let site = a.federation.site("cam").unwrap();
+            let mut db = site.db.borrow_mut();
+            for ddl in &DDL[..3] {
+                db.execute(ddl).unwrap();
+            }
+            db.execute("INSERT INTO AUTHOR VALUES ('A2', 'cam', 'Remote')")
+                .unwrap();
+            db.execute("INSERT INTO SIMULATION VALUES ('c0', 'cam', 'A2', 'A2')")
+                .unwrap();
+        }
+        // NOTE stays hub-local: its browse link is never prefetched.
+        for table in ["AUTHOR", "SIMULATION", "RESULT_FILE"] {
+            a.federation
+                .catalog
+                .import_foreign_table(
+                    &a.db,
+                    table,
+                    Some("SITE"),
+                    vec![
+                        easia_med::Partition::new(None, &["soton"]),
+                        easia_med::Partition::new(Some("cam"), &["cam"]),
+                    ],
+                )
+                .unwrap();
+        }
+        a.generate_xuis_federated(4);
+        let mut app = WebApp::new(a);
+        let sess = login(&mut app, "admin", "hpcc-admin");
+
+        let simulation = app.archive.xuis.table("SIMULATION").unwrap();
+        let (sql, params) = build_join_query(simulation, &BTreeMap::new()).unwrap();
+        let rs = app.archive.federated_query(&sql, &params).unwrap().rs;
+        assert_eq!(rs.rows.len(), 4);
+        let simulation = app.archive.xuis.table("SIMULATION").unwrap();
+        let issued = app.link_prefetches(simulation, &rs);
+        assert_eq!(format!("{issued:?}"), ISSUED_BEFORE);
+
+        // The screen itself parks exactly those four.
+        let r = app
+            .handle(Request::post("/query/SIMULATION", &[("all", "All data")]).with_session(&sess));
+        assert_eq!(r.status, 200, "{}", r.body_text());
+        assert_eq!(app.archive.prefetch.len(), 4);
+        // A hub-only screen has no federated link to follow.
+        let before = app.archive.prefetch.len();
+        let r =
+            app.handle(Request::post("/query/NOTE", &[("all", "All data")]).with_session(&sess));
+        assert_eq!(r.status, 200, "{}", r.body_text());
+        assert_eq!(app.archive.prefetch.len(), before);
+    }
+
+    /// See `federated_screen_issues_the_same_prefetches_in_the_same_order`.
+    const ISSUED_BEFORE: &str = "[\
+        (\"SELECT * FROM RESULT_FILE WHERE SIMULATION_KEY = ?\", [Str(\"c0\")]), \
+        (\"SELECT * FROM AUTHOR WHERE AUTHOR_KEY = ?\", [Str(\"A2\")]), \
+        (\"SELECT * FROM RESULT_FILE WHERE SIMULATION_KEY = ?\", [Str(\"s0\")]), \
+        (\"SELECT * FROM AUTHOR WHERE AUTHOR_KEY = ?\", [Str(\"A1\")])]";
 
     #[test]
     fn admission_sheds_open_loop_burst_with_drain_derived_retry_after() {

@@ -871,9 +871,15 @@ impl Database {
         self.mvcc.last_csn()
     }
 
-    /// Row-version visibility for executor scans.
-    pub(crate) fn row_visible(&self, table: &str, rid: RowId, view: &ReadView) -> bool {
-        self.mvcc.visible(table, rid, view)
+    /// Row-version visibility of `table` to `view` for executor scans:
+    /// the table's version map is taken once, not per row.
+    pub(crate) fn row_visibility<'a>(
+        &'a self,
+        table: &str,
+        view: &'a ReadView,
+    ) -> impl Fn(RowId) -> bool + 'a {
+        let versions = self.mvcc.table_versions(table);
+        move |rid| self.mvcc.visible_in(versions, rid, view)
     }
 
     /// The read view a statement executed right now would use (latest

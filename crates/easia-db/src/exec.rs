@@ -115,12 +115,12 @@ fn fetch<T>(
     path: AccessPath,
     keep: impl Fn(RowId, Vec<Value>) -> T,
 ) -> Vec<T> {
-    let name = &t.schema.name;
+    let visible = db.row_visibility(&t.schema.name, view);
     match path {
         AccessPath::FullScan => t
             .heap
             .scan()
-            .filter(|(rid, _)| db.row_visible(name, *rid, view))
+            .filter(|(rid, _)| visible(*rid))
             .map(|(rid, row)| keep(rid, row))
             .collect(),
         AccessPath::IndexRange {
@@ -152,7 +152,7 @@ fn fetch<T>(
             // of path never shows in an un-ORDERed or LIMITed result.
             rids.sort_unstable();
             rids.into_iter()
-                .filter(|rid| db.row_visible(name, *rid, view))
+                .filter(|rid| visible(*rid))
                 .filter_map(|rid| t.heap.get(rid).map(|row| keep(rid, row)))
                 .collect()
         }
@@ -266,30 +266,49 @@ pub fn run_select_over(
     let mut alias_map: HashMap<String, String> = HashMap::new();
     let base = Source::resolve(db, relations, &from.name)?;
     let mut schema = RowSchema::for_table(&base_alias, &base.columns());
-    let path = match &base {
-        Source::Relation(_) => AccessPath::FullScan,
-        Source::Table(t) => {
-            alias_map.insert(base_alias.clone(), from.name.to_ascii_uppercase());
-            // The WHERE runs over joined rows and each ON over the legs
-            // so far; the base narrows only when none of them can raise
-            // on a row the narrowing would skip.
-            let mut scope = Scope::of(&base_alias, &t.schema);
-            let mut ons_total = true;
-            for join in &sel.joins {
-                let leg = Source::resolve(db, relations, &join.table.name)?;
-                scope.join(&join_alias(join), &leg.columns(), leg.schema());
-                ons_total &= scope.total(db, &join.on, params);
-            }
-            if ons_total {
-                choose_in_scope(db, t, &scope, sel.where_clause.as_ref(), params)
-            } else {
-                AccessPath::FullScan
+    let mut path = AccessPath::FullScan;
+    // WHERE conjuncts over the base table's own columns, applied to its
+    // rows before they are joined.
+    let mut own: Vec<&Expr> = Vec::new();
+    if let Source::Table(t) = &base {
+        alias_map.insert(base_alias.clone(), from.name.to_ascii_uppercase());
+        // The WHERE runs over joined rows and each ON over the legs so
+        // far; the base narrows only when none of them can raise on a
+        // row the narrowing would skip.
+        let mut scope = Scope::of(&base_alias, &t.schema);
+        let mut total = true;
+        for join in &sel.joins {
+            let leg = Source::resolve(db, relations, &join.table.name)?;
+            scope.join(&join_alias(join), &leg.columns(), leg.schema());
+            total &= scope.total(db, &join.on, params);
+        }
+        if let Some(pred) = sel.where_clause.as_ref().filter(|_| total) {
+            if scope.total(db, pred, params) {
+                path = choose_in_scope(db, t, &scope, pred, params);
+                if !sel.joins.is_empty() {
+                    own = scope.own_conjuncts(pred, t.schema.columns.len());
+                }
             }
         }
-    };
+    }
     let index_probe = matches!(path, AccessPath::IndexRange { .. });
     let mut rows = base.rows(db, view, path);
     note_scan(db, index_probe, rows.len());
+    if !own.is_empty() {
+        // A base row failing one of them fails the WHERE on every joined
+        // row made from it, padded or not. A conjunct that raises after
+        // all keeps its row, so the WHERE below raises it too.
+        rows.retain(|row| {
+            let ctx = EvalContext {
+                schema: &schema,
+                row,
+                params,
+                functions: db.functions(),
+            };
+            own.iter()
+                .all(|c| !matches!(ctx.eval(c), Ok(v) if truth(&v) != Some(true)))
+        });
+    }
 
     // ---- joins ----
     for join in &sel.joins {
@@ -345,7 +364,8 @@ pub fn run_select_over(
     finish_select(db, sel, &schema, projected, params)
 }
 
-/// Projected output: column names, rows, and per-row sort context.
+/// Projected output: column names, rows, and per-row sort context
+/// (empty when the statement has no ORDER BY to evaluate against it).
 type Projection = (Vec<String>, Vec<Vec<Value>>, Vec<SortCtx>);
 
 /// Per-output-row context used to evaluate ORDER BY: the underlying
@@ -366,24 +386,27 @@ fn finish_select(
 ) -> Result<ResultSet> {
     if sel.distinct {
         let mut seen = std::collections::HashSet::new();
-        (out_rows, sort_ctx) = out_rows
-            .into_iter()
-            .zip(sort_ctx)
-            .filter(|(row, _)| {
+        let first: Vec<bool> = out_rows
+            .iter()
+            .map(|row| {
                 let mut buf = Vec::new();
                 encode_row(row, &mut buf);
                 seen.insert(buf)
             })
-            .unzip();
+            .collect();
+        let mut keep = first.iter();
+        out_rows.retain(|_| *keep.next().expect("one flag per row"));
+        let mut keep = first.iter();
+        sort_ctx.retain(|_| *keep.next().expect("one flag per row"));
     }
     if !sel.order_by.is_empty() {
         let mut keyed: Vec<(Vec<Value>, Vec<Value>)> = Vec::with_capacity(out_rows.len());
-        for (row, ctx) in out_rows.iter().zip(&sort_ctx) {
+        for (row, ctx) in out_rows.into_iter().zip(&sort_ctx) {
             let mut keys = Vec::with_capacity(sel.order_by.len());
             for ob in &sel.order_by {
-                keys.push(order_key(db, ob, schema, ctx, row, &columns, params)?);
+                keys.push(order_key(db, ob, schema, ctx, &row, &columns, params)?);
             }
-            keyed.push((keys, row.clone()));
+            keyed.push((keys, row));
         }
         keyed.sort_by(|a, b| {
             for (i, ob) in sel.order_by.iter().enumerate() {
@@ -500,56 +523,69 @@ fn run_join(
         }
     }
 
-    let right_rows: Vec<Vec<Value>> = if probe.is_none() {
+    // Without a probe every left row meets the whole right leg, read once.
+    let mut right_rows: Vec<Vec<Value>> = if probe.is_none() {
         right.rows(db, view, AccessPath::FullScan)
     } else {
         Vec::new()
     };
+    let probe = probe.map(|(t, ipos, lexpr)| {
+        let visible = db.row_visibility(&t.schema.name, view);
+        (t, ipos, lexpr, visible)
+    });
 
     let mut out = Vec::new();
+    // The pairing ON is asked about lives in one buffer: the left row
+    // moves in, each candidate is lent to it and taken back, and only a
+    // pairing that passes is copied out.
+    let mut pairing: Vec<Value> = Vec::new();
+    let mut probed: Vec<Vec<Value>> = Vec::new();
     for lrow in left_rows {
-        let mut matched = false;
-        let candidates: Vec<Vec<Value>> = match &probe {
-            Some((t, ipos, lexpr)) => {
+        let left_width = lrow.len();
+        pairing.clear();
+        pairing.extend(lrow);
+        let candidates = match &probe {
+            Some((t, ipos, lexpr, visible)) => {
                 let lctx = EvalContext {
                     schema: left_schema,
-                    row: &lrow,
+                    row: &pairing,
                     params,
                     functions: db.functions(),
                 };
                 let key = lctx.eval(lexpr)?;
-                if key.is_null() {
-                    Vec::new()
-                } else {
-                    t.indexes[*ipos]
-                        .tree
-                        .get(&[key])
-                        .into_iter()
-                        .filter(|rid| db.row_visible(&t.schema.name, *rid, view))
-                        .filter_map(|rid| t.heap.get(rid))
-                        .collect()
+                probed.clear();
+                if !key.is_null() {
+                    probed.extend(
+                        t.indexes[*ipos]
+                            .tree
+                            .get(&[key])
+                            .into_iter()
+                            .filter(|rid| visible(*rid))
+                            .filter_map(|rid| t.heap.get(rid)),
+                    );
                 }
+                &mut probed
             }
-            None => right_rows.clone(),
+            None => &mut right_rows,
         };
-        for rrow in candidates {
-            let mut combined = lrow.clone();
-            combined.extend(rrow);
+        let mut matched = false;
+        for rrow in candidates.iter_mut() {
+            pairing.append(rrow);
             let ctx = EvalContext {
                 schema: &out_schema,
-                row: &combined,
+                row: &pairing,
                 params,
                 functions: db.functions(),
             };
             if truth(&ctx.eval(&join.on)?) == Some(true) {
                 matched = true;
-                out.push(combined);
+                out.push(pairing.clone());
             }
+            rrow.extend(pairing.drain(left_width..));
         }
         if !matched && join.kind == JoinKind::Left {
-            let mut combined = lrow;
-            combined.extend(std::iter::repeat_n(Value::Null, right_width));
-            out.push(combined);
+            pairing.extend(std::iter::repeat_n(Value::Null, right_width));
+            out.push(std::mem::take(&mut pairing));
         }
     }
     Ok((out_schema, out))
@@ -636,7 +672,10 @@ fn project_pipeline(
         }
     }
     let mut out_rows = Vec::with_capacity(rows.len());
-    let mut sort_ctx = Vec::with_capacity(rows.len());
+    // ORDER BY keys are evaluated against the underlying rows; nothing
+    // else reads them.
+    let ordered = !sel.order_by.is_empty();
+    let mut sort_ctx = Vec::with_capacity(if ordered { rows.len() } else { 0 });
     for row in rows {
         let ctx = EvalContext {
             schema,
@@ -661,10 +700,12 @@ fn project_pipeline(
             }
         }
         out_rows.push(out);
-        sort_ctx.push(SortCtx {
-            row: row.clone(),
-            aggs: HashMap::new(),
-        });
+        if ordered {
+            sort_ctx.push(SortCtx {
+                row: row.clone(),
+                aggs: HashMap::new(),
+            });
+        }
     }
     Ok((columns, out_rows, sort_ctx))
 }
@@ -997,8 +1038,11 @@ fn eval_with_aggs(
     aggs: &HashMap<String, Value>,
     params: &[Value],
 ) -> Result<Value> {
-    if let Some(v) = aggs.get(&agg_key(e)) {
-        return Ok(v.clone());
+    // Plain rows carry no aggregates: no key to build per row.
+    if !aggs.is_empty() {
+        if let Some(v) = aggs.get(&agg_key(e)) {
+            return Ok(v.clone());
+        }
     }
     match e {
         // Rebuild composite expressions so nested aggregates resolve.

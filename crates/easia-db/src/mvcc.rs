@@ -242,17 +242,28 @@ impl MvccState {
     /// Is the row at (`table`, `rid`) visible to `view`? Rows without a
     /// version entry are frozen: visible to everyone.
     pub fn visible(&self, table: &str, rid: RowId, view: &ReadView) -> bool {
-        match self.versions.get(table).and_then(|m| m.get(&rid)) {
-            None => true,
-            Some(v) => self.sees(view, v.xmin) && !v.xmax.is_some_and(|x| self.sees(view, x)),
-        }
+        self.visible_in(self.table_versions(table), rid, view)
     }
 
     /// The version map for `table` (None = every row frozen). Scans
-    /// grab this once so the per-row check is a map probe, not a
-    /// double lookup.
+    /// grab this once so the per-row check ([`Mvcc::visible_in`]) is a
+    /// map probe, not a double lookup.
     pub fn table_versions(&self, table: &str) -> Option<&BTreeMap<RowId, RowVersion>> {
         self.versions.get(table).filter(|m| !m.is_empty())
+    }
+
+    /// [`Mvcc::visible`] against a version map already taken with
+    /// [`Mvcc::table_versions`].
+    pub fn visible_in(
+        &self,
+        versions: Option<&BTreeMap<RowId, RowVersion>>,
+        rid: RowId,
+        view: &ReadView,
+    ) -> bool {
+        match versions.and_then(|m| m.get(&rid)) {
+            None => true,
+            Some(v) => self.sees(view, v.xmin) && !v.xmax.is_some_and(|x| self.sees(view, x)),
+        }
     }
 
     /// Version stamps for one row, if it has any.

@@ -158,6 +158,29 @@ impl Scope {
         self.kind(db, e, params).is_some()
     }
 
+    /// The top-level conjuncts of `pred` whose columns all belong to the
+    /// scope's first leg, `width` columns wide (a conjunct naming no
+    /// column at all is one of them). Such a conjunct reads the same
+    /// values on the leg's own row as on every joined row made from it,
+    /// so when `pred` and every ON are [`Scope::total`] it may filter the
+    /// leg before the join: like an index it only narrows, and the whole
+    /// `pred` still decides on the joined rows.
+    pub fn own_conjuncts<'e>(&self, pred: &'e Expr, width: usize) -> Vec<&'e Expr> {
+        let own = |e: &Expr| {
+            let mut own = true;
+            e.walk(&mut |n| {
+                if let Expr::Column { table, name } = n {
+                    own &= self
+                        .schema
+                        .resolve(table.as_deref(), name)
+                        .is_ok_and(|slot| slot < width);
+                }
+            });
+            own
+        };
+        conjuncts(pred).into_iter().filter(|c| own(c)).collect()
+    }
+
     /// A value of the kind `e` yields (its actual value when `e` is
     /// row-independent), or `None` when evaluating `e` could raise: an
     /// unresolvable or untyped column, a comparison `sql_cmp` refuses,
@@ -266,10 +289,16 @@ pub fn choose_access_path(
     params: &[Value],
 ) -> Result<AccessPath> {
     let scope = Scope::of(table_alias, &table.schema);
-    Ok(choose_in_scope(db, table, &scope, where_clause, params))
+    Ok(match where_clause {
+        Some(pred) if scope.total(db, pred, params) => {
+            choose_in_scope(db, table, &scope, pred, params)
+        }
+        _ => AccessPath::FullScan,
+    })
 }
 
-/// Choose an access path for `table`, the first leg of `scope`.
+/// Choose an access path for `table`, the first leg of `scope`, under
+/// a predicate the caller has checked to be [`Scope::total`].
 ///
 /// Every sargable top-level conjunct on the table — `col = c`,
 /// `col {<,<=,>,>=} c` in either orientation, `col BETWEEN a AND b`,
@@ -278,17 +307,14 @@ pub fn choose_access_path(
 /// equality plus at most one bounded or prefixed next column; the index
 /// that binds most wins (more equalities, then a bounded tail, then
 /// unique, then declaration order). `FullScan` when no index binds
-/// anything or the predicate is not [`Scope::total`].
+/// anything.
 pub fn choose_in_scope(
     db: &Database,
     table: &Table,
     scope: &Scope,
-    where_clause: Option<&Expr>,
+    pred: &Expr,
     params: &[Value],
 ) -> AccessPath {
-    let Some(pred) = where_clause.filter(|p| scope.total(db, p, params)) else {
-        return AccessPath::FullScan;
-    };
     let width = table.schema.columns.len();
     // A column of the planned table and the constant it is held against.
     let own = |col: &Expr, konst: &Expr| -> Option<(usize, Value)> {
@@ -579,7 +605,8 @@ mod tests {
             let mut scope = Scope::of("R", &table.schema);
             scope.join("M", &names, typed.then_some(sim));
             let w = where_of(&format!("SELECT * FROM rf WHERE {pred}"));
-            choose_in_scope(&db, table, &scope, Some(&w), &[]) != AccessPath::FullScan
+            scope.total(&db, &w, &[])
+                && choose_in_scope(&db, table, &scope, &w, &[]) != AccessPath::FullScan
         };
         assert!(chosen("r.s = 'a' AND m.title LIKE 'x%'", true));
         assert!(chosen("t = 3 AND n > 1", true), "unambiguous bare names");

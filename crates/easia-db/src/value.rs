@@ -223,6 +223,20 @@ impl Value {
         self.as_str_like()
     }
 
+    /// The text `Display` writes, without a fresh `String`: string kinds
+    /// lend their own, the others are written into `scratch`.
+    pub fn display_text<'a>(&'a self, scratch: &'a mut String) -> &'a str {
+        use fmt::Write as _;
+        match self.as_str_like() {
+            Some(s) => s,
+            None => {
+                scratch.clear();
+                let _ = write!(scratch, "{self}");
+                scratch
+            }
+        }
+    }
+
     /// Borrow as an integer, if numeric and integral.
     pub fn as_int(&self) -> Option<i64> {
         match self {
@@ -485,5 +499,20 @@ mod tests {
         assert_eq!(Value::Null.to_string(), "NULL");
         assert_eq!(Value::Bool(true).to_string(), "TRUE");
         assert_eq!(Value::Blob(vec![1, 2]).to_string(), "<blob 2 bytes>");
+        // `display_text` is `to_string` through a reused buffer.
+        let mut scratch = String::from("left over");
+        for v in [
+            Value::Null,
+            Value::Int(-7),
+            Value::Double(2.5),
+            Value::Str("s".into()),
+            Value::Bool(false),
+            Value::Timestamp(9),
+            Value::Blob(vec![0]),
+            Value::Clob("c".into()),
+            Value::Datalink("http://h/f".into()),
+        ] {
+            assert_eq!(v.display_text(&mut scratch), v.to_string());
+        }
     }
 }

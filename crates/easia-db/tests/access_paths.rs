@@ -9,7 +9,13 @@
 //! 2^53 (where index keys collapse to one `f64`), strings sharing
 //! prefixes up to `char::MAX`, constants of the wrong type — beside an
 //! open writer, and through UPDATE and DELETE.
+//!
+//! A JOIN narrows its base table a second way — WHERE conjuncts over the
+//! base's own columns filter its rows before the join — and has a second
+//! oracle: the same statement with the base bound as an in-memory
+//! `exec::Relation`, which is always read whole and joined whole.
 
+use easia_db::exec::{run_select_over, Relation};
 use easia_db::plan::{choose_access_path, AccessPath, Tail};
 use easia_db::sql::ast::Stmt;
 use easia_db::{Database, TxnId, Value};
@@ -511,4 +517,199 @@ fn joins_keep_their_rows_and_errors() {
     let padded = "SELECT a.id, b.k FROM t a LEFT JOIN u b ON a.n = b.k + 100 \
                   WHERE a.id BETWEEN 3 AND 9 AND b.label IS NULL";
     assert_eq!(p.both(None, padded, &[]).unwrap().0.len(), 7);
+}
+
+/// Rows reaching the join stage, summed over every statement so far.
+fn joined_rows(db: &Database) -> f64 {
+    db.metrics().expect("metrics attached").stage_join.sum()
+}
+
+/// The pre-join filter against its oracle: each JOIN statement runs
+/// with `t` read from the catalogue (indexes, pre-join filter) and with
+/// `t` bound as a relation holding the same rows. Rows, their order and
+/// error text must agree; the catalogue side must also have joined
+/// fewer rows often enough that the filter is known to be reached.
+#[test]
+fn joins_agree_with_the_base_bound_as_a_relation() {
+    let mut p = Pair::new(16);
+    for _ in 0..80 {
+        p.insert(None);
+    }
+    let registry = easia_obs::Registry::new();
+    p.indexed.attach_metrics(&registry);
+    // `u` is joined by nested loop, `v` (same rows) by index probe; `w`
+    // shares the name `id` with `t`.
+    for ddl in [
+        "CREATE TABLE u (uid INTEGER, k INTEGER, label VARCHAR(8))",
+        "CREATE TABLE v (uid INTEGER, k INTEGER, label VARCHAR(8))",
+        "CREATE INDEX ix_vk ON v (k)",
+        "CREATE TABLE w (id INTEGER, k INTEGER)",
+    ] {
+        p.indexed.execute(ddl).unwrap();
+    }
+    for (i, k) in INTS.iter().enumerate() {
+        let label = ["p", "q"][i % 2];
+        for table in ["u", "v"] {
+            p.indexed
+                .execute_with_params(
+                    &format!("INSERT INTO {table} VALUES (?, ?, ?)"),
+                    &[
+                        Value::Int(i as i64),
+                        Value::Int(*k),
+                        Value::Str(label.into()),
+                    ],
+                )
+                .unwrap();
+        }
+        p.indexed
+            .execute_with_params(
+                "INSERT INTO w VALUES (?, ?)",
+                &[Value::Int(i as i64), Value::Int(*k)],
+            )
+            .unwrap();
+    }
+    let base = p.indexed.execute("SELECT * FROM t").unwrap();
+    let as_relation = [Relation {
+        name: "T".into(),
+        columns: base.columns,
+        rows: base.rows,
+    }];
+
+    let mut narrowed = 0;
+    let mut errors = 0;
+    let mut rows_seen = 0;
+    let mut agree = |db: &Database, sql: &str, params: &[Value]| -> Result<usize, String> {
+        let Stmt::Select(sel) = easia_db::sql::parse(sql).unwrap() else {
+            unreachable!("{sql}");
+        };
+        let view = db.read_view();
+        let run = |relations: &[Relation]| {
+            let before = joined_rows(db);
+            let out = run_select_over(db, &view, &sel, params, relations)
+                .map(|rs| rs.rows)
+                .map_err(|e| e.to_string());
+            (out, joined_rows(db) - before)
+        };
+        let (catalogue, joined) = run(&[]);
+        let (relation, joined_whole) = run(&as_relation);
+        assert_eq!(catalogue, relation, "{sql}\nparams {params:?}");
+        assert!(joined <= joined_whole, "{sql}");
+        narrowed += usize::from(joined < joined_whole);
+        match &catalogue {
+            Ok(rows) => rows_seen += rows.len(),
+            Err(_) => errors += 1,
+        }
+        catalogue.map(|rows| rows.len())
+    };
+
+    // Each kind of conjunct by hand, INNER and LEFT, probed and not.
+    let int = Value::Int;
+    for join in ["JOIN", "LEFT JOIN"] {
+        for leg in ["u", "v"] {
+            let from = format!("SELECT a.id, a.s, b.uid, b.label FROM t a {join} {leg} b");
+            for (tail, params, raises) in [
+                // Base-only conjuncts, one of them unqualified.
+                ("ON a.n = b.k WHERE a.id < 20", vec![], false),
+                (
+                    "ON a.n = b.k WHERE a.s LIKE 'ab%' AND note = 'p'",
+                    vec![],
+                    false,
+                ),
+                (
+                    "ON a.n = b.k WHERE a.id BETWEEN ? AND ?",
+                    vec![int(3), int(40)],
+                    false,
+                ),
+                ("ON a.n = b.k WHERE a.g IS NULL", vec![], false),
+                // Right-leg and mixed conjuncts beside them.
+                ("ON a.n = b.k WHERE b.label = 'p'", vec![], false),
+                (
+                    "ON a.n = b.k WHERE a.id < 30 AND b.label = 'q'",
+                    vec![],
+                    false,
+                ),
+                (
+                    "ON a.n = b.k WHERE a.id < 30 AND b.label IS NULL",
+                    vec![],
+                    false,
+                ),
+                (
+                    "ON a.n = b.k WHERE a.note = b.label AND a.id > 5",
+                    vec![],
+                    false,
+                ),
+                (
+                    "ON a.n = b.k WHERE (a.id < 9 OR b.uid = 2) AND a.id < 50",
+                    vec![],
+                    false,
+                ),
+                // Constant conjuncts.
+                ("ON a.n = b.k WHERE 1 = 1 AND a.id < 12", vec![], false),
+                ("ON a.n = b.k WHERE 1 = 0", vec![], false),
+                (
+                    "ON a.n = b.k WHERE ? = 2 AND a.id < 12",
+                    vec![int(2)],
+                    false,
+                ),
+                ("ON a.n = b.k WHERE NULL = 1", vec![], false),
+                // A WHERE that is not total: nothing narrows, the row
+                // the filter would have dropped still raises.
+                (
+                    "ON a.n = b.k WHERE a.n LIKE 'x%' AND a.id = -5",
+                    vec![],
+                    true,
+                ),
+                ("ON a.n = b.k WHERE a.s > 3 AND a.id = -5", vec![], true),
+                ("ON a.n = b.k WHERE b.label > 3 AND a.id = -5", vec![], true),
+                ("ON a.n = b.k WHERE a.id < ? AND a.n = 3", vec![], true),
+                ("ON a.n = b.k WHERE b.nope = 1 AND a.id = -5", vec![], true),
+                // An ON that is not total.
+                ("ON a.s > b.k WHERE a.id = -5", vec![], true),
+                ("ON a.n = b.k + 100 WHERE a.id < 9", vec![], false),
+            ] {
+                let sql = format!("{from} {tail}");
+                let out = agree(&p.indexed, &sql, &params);
+                assert_eq!(out.is_err(), raises, "{sql}: {out:?}");
+            }
+        }
+        // `id` names a column of both legs: the statement raises.
+        let ambiguous = format!("SELECT a.s FROM t a {join} w b ON a.n = b.k WHERE id < 5");
+        let err = agree(&p.indexed, &ambiguous, &[]).unwrap_err();
+        assert!(err.contains("ambiguous"), "{err}");
+        // ... unless no joined row is left to evaluate it on.
+        let sql = format!("SELECT a.s FROM t a {join} w b ON a.n = b.k WHERE id < 5 AND 1 = 0");
+        assert!(
+            agree(&p.indexed, &sql, &[]).is_err(),
+            "not total: nothing narrows"
+        );
+    }
+    // Two legs: the second ON sees the first leg's padding.
+    let two = "SELECT a.id, b.uid, c.uid FROM t a LEFT JOIN u b ON a.n = b.k \
+               JOIN v c ON c.k = a.n WHERE a.id < 40 AND c.label = 'p'";
+    agree(&p.indexed, two, &[]).unwrap();
+
+    // Random conjunctions over the base's columns (raising ones
+    // included) beside a right-leg conjunct, ordered and limited.
+    for round in 0..120 {
+        let (pred, params) = p.predicate();
+        let join = ["JOIN", "LEFT JOIN"][round % 2];
+        let leg = ["u", "v"][round / 2 % 2];
+        let extra = [
+            "",
+            " AND b.label = 'p'",
+            " AND b.uid IS NULL",
+            " AND note = b.label",
+        ][round / 4 % 4];
+        let rest = ["", " ORDER BY a.id DESC", " LIMIT 5"][round % 3];
+        let sql = format!(
+            "SELECT a.id, a.s, b.uid FROM t a {join} {leg} b ON a.n = b.k WHERE {pred}{extra}{rest}"
+        );
+        let _ = agree(&p.indexed, &sql, &params);
+    }
+    assert!(
+        narrowed >= 60,
+        "the pre-join filter narrowed only {narrowed} joins"
+    );
+    assert!(errors >= 20, "only {errors} statements raised");
+    assert!(rows_seen >= 500, "only {rows_seen} rows returned");
 }

@@ -6,7 +6,7 @@
 //! many datasets (via `<if>` conditions), and one dataset may offer many
 //! operations.
 
-use easia_xuis::{Operation, XuisDoc};
+use easia_xuis::{Condition, Operation, XuisDoc};
 
 /// The operation catalog for one XUIS document.
 #[derive(Debug, Clone, Default)]
@@ -23,6 +23,44 @@ pub struct CatalogEntry {
     pub column: String,
     /// The operation definition.
     pub op: Operation,
+}
+
+/// The operations one result set's rows may offer, from
+/// [`OperationCatalog::resolve`].
+pub struct RowOperations<'a> {
+    candidates: Vec<Candidate<'a>>,
+}
+
+/// An operation of the table the viewer may run, if its conditions hold.
+struct Candidate<'a> {
+    op: &'a Operation,
+    conditions: Vec<ResolvedCondition<'a>>,
+}
+
+/// An `<if>` condition with its colid resolved against the result.
+struct ResolvedCondition<'a> {
+    /// Positions of the result columns the colid names. A colid the
+    /// result does not carry names none, and fails on every row.
+    columns: Vec<usize>,
+    /// Required text.
+    eq: &'a str,
+}
+
+impl<'a> RowOperations<'a> {
+    /// The operations applicable to one row: those whose every
+    /// condition finds its text in a column it names. `cell_is(i, text)`
+    /// says whether the row's column `i` displays as `text`.
+    pub fn for_row(&self, mut cell_is: impl FnMut(usize, &str) -> bool) -> Vec<&'a Operation> {
+        self.candidates
+            .iter()
+            .filter(|c| {
+                c.conditions
+                    .iter()
+                    .all(|cond| cond.columns.iter().any(|&i| cell_is(i, cond.eq)))
+            })
+            .map(|c| c.op)
+            .collect()
+    }
 }
 
 impl OperationCatalog {
@@ -63,6 +101,40 @@ impl OperationCatalog {
             .filter(|e| !is_guest || e.op.guest_access)
             .filter(|e| e.op.applies_to(row))
             .collect()
+    }
+
+    /// The per-result-set half of [`OperationCatalog::applicable`]: the
+    /// entries for `table` under the guest policy, each `<if>` condition
+    /// resolved to the positions of the result `columns` it tests, so a
+    /// row is judged without naming its columns again.
+    pub fn resolve(&self, table: &str, columns: &[String], is_guest: bool) -> RowOperations<'_> {
+        let resolved = |cond: &Condition| -> Vec<usize> {
+            let named = |c: &String| format!("{table}.{c}").eq_ignore_ascii_case(&cond.colid);
+            columns
+                .iter()
+                .enumerate()
+                .filter_map(|(i, c)| named(c).then_some(i))
+                .collect()
+        };
+        let candidates = self
+            .entries
+            .iter()
+            .filter(|e| e.table.eq_ignore_ascii_case(table))
+            .filter(|e| !is_guest || e.op.guest_access)
+            .map(|e| Candidate {
+                op: &e.op,
+                conditions: e
+                    .op
+                    .conditions
+                    .iter()
+                    .map(|cond| ResolvedCondition {
+                        columns: resolved(cond),
+                        eq: &cond.eq,
+                    })
+                    .collect(),
+            })
+            .collect();
+        RowOperations { candidates }
     }
 
     /// Look up an operation by table + name (for invocation).

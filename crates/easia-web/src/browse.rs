@@ -11,10 +11,11 @@
 //! * plus the operations column: "result table showing operations
 //!   available for post-processing datasets".
 
-use crate::html::{escape, format_size, link};
-use crate::http::url_encode;
+use crate::html::{escape_into, format_size};
+use crate::http::url_encode_into;
 use easia_db::{ResultSet, Value};
-use easia_xuis::{Operation, XuisDoc, XuisTable};
+use easia_xuis::{Operation, XuisColumn, XuisDoc, XuisTable};
+use std::borrow::Cow;
 
 /// Everything the renderer needs besides the rows.
 pub struct BrowseContext<'a> {
@@ -35,178 +36,260 @@ pub struct BrowseContext<'a> {
 
 /// Render a result set to an HTML table with browsing links.
 pub fn render_results(ctx: &BrowseContext<'_>, rs: &ResultSet) -> String {
-    let Some(xt) = ctx.xuis.table(ctx.table) else {
-        return crate::html::table(
-            &rs.columns,
-            &rs.rows
-                .iter()
-                .map(|r| r.iter().map(|v| escape(&v.to_string())).collect())
-                .collect::<Vec<_>>(),
-        );
-    };
-    let mut headers: Vec<String> = rs
+    let mut out = String::new();
+    render_results_into(ctx, rs, &mut out);
+    out
+}
+
+/// [`render_results`] appended to `out` — a page shell already holding
+/// what precedes the table.
+pub fn render_results_into(ctx: &BrowseContext<'_>, rs: &ResultSet, out: &mut String) {
+    // A table the XUIS does not know renders as plain text throughout.
+    let xt = ctx.xuis.table(ctx.table);
+    let plans: Vec<ColumnPlan<'_>> = rs
         .columns
         .iter()
-        .map(|c| {
-            xt.column(c)
-                .map(|xc| xc.display_name().to_string())
-                .unwrap_or_else(|| c.clone())
-        })
+        .map(|c| ColumnPlan::new(xt, c, rs))
         .collect();
-    let has_ops = ctx.row_operations.iter().any(|ops| !ops.is_empty());
-    if has_ops {
-        headers.push("Operations".to_string());
+    let key = xt.map(|xt| key_plan(xt, rs)).unwrap_or_default();
+    let has_ops = xt.is_some() && ctx.row_operations.iter().any(|ops| !ops.is_empty());
+    let mut op_href = String::from("/op/");
+    url_encode_into(&mut op_href, ctx.table);
+    op_href.push('/');
+
+    out.push_str("<table><tr>");
+    for plan in &plans {
+        out.push_str("<th>");
+        escape_into(out, plan.header);
+        out.push_str("</th>");
     }
-    let mut rows_html = Vec::with_capacity(rs.rows.len());
+    if has_ops {
+        out.push_str("<th>Operations</th>");
+    }
+    out.push_str("</tr>");
+    // Text of a non-string value on its way into the page.
+    let mut scratch = String::new();
     for (ri, row) in rs.rows.iter().enumerate() {
-        let mut cells = Vec::with_capacity(row.len() + 1);
-        for (ci, v) in row.iter().enumerate() {
-            cells.push(render_cell(ctx, xt, &rs.columns[ci], v, row, rs));
+        let row_start = out.len();
+        out.push_str("<tr>");
+        for (v, plan) in row.iter().zip(&plans) {
+            out.push_str("<td>");
+            if xt.is_some() && v.is_null() {
+                out.push_str("<i>null</i>");
+            } else if plan.described {
+                render_cell(out, ctx, plan, &key, v, row, &mut scratch);
+            } else {
+                escape_into(out, v.display_text(&mut scratch));
+            }
+            out.push_str("</td>");
         }
         if has_ops {
+            out.push_str("<td>");
             let ops = ctx.row_operations.get(ri).map(Vec::as_slice).unwrap_or(&[]);
-            let links: Vec<String> = ops
-                .iter()
-                .map(|op| {
-                    let dataset = primary_datalink(rs, row);
-                    let href = format!(
-                        "/op/{}/{}?dataset={}",
-                        url_encode(ctx.table),
-                        url_encode(&op.name),
-                        url_encode(&dataset)
-                    );
-                    link(&href, &op.name)
-                })
-                .collect();
-            cells.push(links.join(" | "));
+            let dataset = if ops.is_empty() {
+                Cow::Borrowed("")
+            } else {
+                primary_datalink(row)
+            };
+            for (n, op) in ops.iter().enumerate() {
+                if n > 0 {
+                    out.push_str(" | ");
+                }
+                out.push_str("<a href=\"");
+                out.push_str(&op_href);
+                url_encode_into(out, &op.name);
+                out.push_str("?dataset=");
+                url_encode_into(out, &dataset);
+                out.push_str("\">");
+                escape_into(out, &op.name);
+                out.push_str("</a>");
+            }
+            out.push_str("</td>");
         }
-        rows_html.push(cells);
-    }
-    crate::html::table(&headers, &rows_html)
-}
-
-/// The row's first DATALINK value in its stored form, used as the
-/// dataset identifier when invoking operations.
-fn primary_datalink(rs: &ResultSet, row: &[Value]) -> String {
-    for (i, v) in row.iter().enumerate() {
-        let _ = i;
-        if let Value::Datalink(url) = v {
-            // Strip any access token: dataset identity is the stored URL.
-            return strip_token(url);
+        out.push_str("</tr>");
+        if ri == 0 {
+            // Rows of one result are much alike: room for the rest at
+            // the first one's size and an eighth more, taken once.
+            let rest = (out.len() - row_start) * (rs.rows.len() - 1);
+            out.reserve(rest + rest / 8);
         }
     }
-    let _ = rs;
-    String::new()
+    out.push_str("</table>");
 }
 
-fn strip_token(url: &str) -> String {
-    match url.rsplit_once('/') {
-        Some((dir, file)) => match file.split_once(';') {
-            Some((_token, real)) => format!("{dir}/{real}"),
-            None => url.to_string(),
-        },
-        None => url.to_string(),
-    }
+/// What the cells of one result column need beyond their value, worked
+/// out once per result set. The strings are ready for the page: URL
+/// encoding leaves nothing for HTML escaping to do, and labels are
+/// escaped here.
+struct ColumnPlan<'a> {
+    /// Column heading.
+    header: &'a str,
+    /// Whether the XUIS describes the column; one it does not is plain
+    /// text.
+    described: bool,
+    /// `/lob/<table>/<column>?`: a BLOB/CLOB link up to the row's key.
+    lob_href: String,
+    /// Foreign-key browsing: `/browse/fk/<target>?value=` and where the
+    /// `__SUBST` companion carrying the display label sits, if present.
+    fk: Option<(String, Option<usize>)>,
+    /// Primary-key browsing, per referencing table:
+    /// `/browse/pk/<target>?value=` and the `→TABLE` label.
+    pk_links: Vec<(String, String)>,
 }
 
-fn render_cell(
-    ctx: &BrowseContext<'_>,
-    xt: &XuisTable,
-    column: &str,
-    v: &Value,
-    row: &[Value],
-    rs: &ResultSet,
-) -> String {
-    if v.is_null() {
-        return "<i>null</i>".to_string();
-    }
-    let Some(xc) = xt.column(column) else {
-        return escape(&v.to_string());
-    };
-    // DATALINK: download link (with token already spliced by the
-    // database layer) labelled with the file size; guests see a
-    // restriction notice instead — "guest users cannot download
-    // datasets".
-    if let Value::Datalink(url) = v {
-        if ctx.is_guest {
-            return format!("<i>download restricted ({})</i>", size_label(ctx, url));
-        }
-        return format!("<a href=\"{}\">{}</a>", escape(url), size_label(ctx, url));
-    }
-    // BLOB/CLOB: size link that rematerialises the object.
-    if matches!(v, Value::Blob(_) | Value::Clob(_)) {
-        let size = v.lob_size().unwrap_or(0) as u64;
-        let key = pk_query(xt, rs, row);
-        let href = format!(
-            "/lob/{}/{}?{}",
-            url_encode(&xt.name),
-            url_encode(&xc.name),
-            key
-        );
-        return link(&href, &format_size(size));
-    }
-    let text = v.to_string();
-    // Foreign-key browsing.
-    if let Some(fk) = &xc.fk {
-        let label = subst_label(rs, row, &xc.name).unwrap_or_else(|| text.clone());
-        let href = format!(
-            "/browse/fk/{}?value={}",
-            url_encode(&fk.tablecolumn),
-            url_encode(&text)
-        );
-        return link(&href, &label);
-    }
-    // Primary-key browsing: one link per referencing table.
-    if !xc.pk_refby.is_empty() {
-        let mut parts = vec![escape(&text)];
+impl<'a> ColumnPlan<'a> {
+    fn new(xt: Option<&'a XuisTable>, column: &'a str, rs: &ResultSet) -> Self {
+        let mut plan = ColumnPlan {
+            header: column,
+            described: false,
+            lob_href: String::new(),
+            fk: None,
+            pk_links: Vec::new(),
+        };
+        let Some((xt, xc)) = xt.and_then(|xt| Some((xt, xt.column(column)?))) else {
+            return plan;
+        };
+        plan.header = xc.display_name();
+        plan.described = true;
+        plan.lob_href.push_str("/lob/");
+        url_encode_into(&mut plan.lob_href, &xt.name);
+        plan.lob_href.push('/');
+        url_encode_into(&mut plan.lob_href, &xc.name);
+        plan.lob_href.push('?');
+        let browse = |kind: &str, target: &str| {
+            let mut href = format!("/browse/{kind}/");
+            url_encode_into(&mut href, target);
+            href.push_str("?value=");
+            href
+        };
+        plan.fk = xc
+            .fk
+            .as_ref()
+            .map(|fk| (browse("fk", &fk.tablecolumn), subst_position(rs, xc)));
         for target in &xc.pk_refby {
-            let href = format!(
-                "/browse/pk/{}?value={}",
-                url_encode(target),
-                url_encode(&text)
-            );
             let tname = target.split('.').next().unwrap_or(target);
-            parts.push(link(&href, &format!("→{tname}")));
+            let mut label = String::from("→");
+            escape_into(&mut label, tname);
+            plan.pk_links.push((browse("pk", target), label));
         }
-        return parts.join(" ");
-    }
-    escape(&text)
-}
-
-fn size_label(ctx: &BrowseContext<'_>, url: &str) -> String {
-    let stored = strip_token(url);
-    match ctx.file_size.and_then(|f| f(&stored)) {
-        Some(n) => format_size(n),
-        None => "download".to_string(),
+        plan
     }
 }
 
 /// `NAME__SUBST` companion columns carry substitute display values (the
 /// XUIS `substcolumn` feature); the query layer adds them via a join.
-fn subst_label(rs: &ResultSet, row: &[Value], column: &str) -> Option<String> {
-    let want = format!("{column}__SUBST");
-    let idx = rs.columns.iter().position(|c| *c == want)?;
-    match &row[idx] {
-        Value::Null => None,
-        v => Some(v.to_string()),
-    }
+fn subst_position(rs: &ResultSet, xc: &XuisColumn) -> Option<usize> {
+    let want = format!("{}__SUBST", xc.name);
+    rs.columns.iter().position(|c| *c == want)
 }
 
-/// Query string identifying this row by primary key, e.g.
+/// The primary-key columns the result carries, as (URL-encoded name,
+/// position): what identifies a row in a `/lob/` link, e.g.
 /// `FILE_NAME=t000.edf&SIMULATION_KEY=S1`.
-fn pk_query(xt: &XuisTable, rs: &ResultSet, row: &[Value]) -> String {
-    let mut parts = Vec::new();
+fn key_plan(xt: &XuisTable, rs: &ResultSet) -> Vec<(String, usize)> {
+    let mut key = Vec::new();
     for pk in &xt.primary_key {
         let col = pk.rsplit_once('.').map(|(_, c)| c).unwrap_or(pk);
         if let Some(i) = rs.columns.iter().position(|c| c == col) {
-            parts.push(format!(
-                "{}={}",
-                url_encode(col),
-                url_encode(&row[i].to_string())
-            ));
+            let mut name = String::new();
+            url_encode_into(&mut name, col);
+            key.push((name, i));
         }
     }
-    parts.join("&")
+    key
+}
+
+/// The row's first DATALINK value in its stored form, used as the
+/// dataset identifier when invoking operations.
+fn primary_datalink(row: &[Value]) -> Cow<'_, str> {
+    row.iter()
+        .find_map(|v| match v {
+            // Strip any access token: dataset identity is the stored URL.
+            Value::Datalink(url) => Some(strip_token(url)),
+            _ => None,
+        })
+        .unwrap_or_default()
+}
+
+fn strip_token(url: &str) -> Cow<'_, str> {
+    match url.rsplit_once('/') {
+        Some((dir, file)) => match file.split_once(';') {
+            Some((_token, real)) => Cow::Owned(format!("{dir}/{real}")),
+            None => Cow::Borrowed(url),
+        },
+        None => Cow::Borrowed(url),
+    }
+}
+
+/// One non-NULL cell of a column the XUIS describes.
+fn render_cell(
+    out: &mut String,
+    ctx: &BrowseContext<'_>,
+    plan: &ColumnPlan<'_>,
+    key: &[(String, usize)],
+    v: &Value,
+    row: &[Value],
+    scratch: &mut String,
+) {
+    // DATALINK: download link (with token already spliced by the
+    // database layer) labelled with the file size; guests see a
+    // restriction notice instead — "guest users cannot download
+    // datasets".
+    if let Value::Datalink(url) = v {
+        let stored = strip_token(url);
+        let size = ctx.file_size.and_then(|f| f(&stored)).map(format_size);
+        let size = size.as_deref().unwrap_or("download");
+        if ctx.is_guest {
+            out.push_str("<i>download restricted (");
+            out.push_str(size);
+            out.push_str(")</i>");
+        } else {
+            out.push_str("<a href=\"");
+            escape_into(out, url);
+            out.push_str("\">");
+            out.push_str(size);
+            out.push_str("</a>");
+        }
+        return;
+    }
+    // BLOB/CLOB: size link that rematerialises the object.
+    if matches!(v, Value::Blob(_) | Value::Clob(_)) {
+        out.push_str("<a href=\"");
+        out.push_str(&plan.lob_href);
+        for (n, (name, pos)) in key.iter().enumerate() {
+            if n > 0 {
+                out.push_str("&amp;");
+            }
+            out.push_str(name);
+            out.push('=');
+            url_encode_into(out, row[*pos].display_text(scratch));
+        }
+        out.push_str("\">");
+        out.push_str(&format_size(v.lob_size().unwrap_or(0) as u64));
+        out.push_str("</a>");
+        return;
+    }
+    // Foreign-key browsing.
+    if let Some((href, subst)) = &plan.fk {
+        out.push_str("<a href=\"");
+        out.push_str(href);
+        url_encode_into(out, v.display_text(scratch));
+        out.push_str("\">");
+        let label = subst.map(|i| &row[i]).filter(|l| !l.is_null()).unwrap_or(v);
+        escape_into(out, label.display_text(scratch));
+        out.push_str("</a>");
+        return;
+    }
+    escape_into(out, v.display_text(scratch));
+    // Primary-key browsing: one link per referencing table.
+    for (href, label) in &plan.pk_links {
+        out.push_str(" <a href=\"");
+        out.push_str(href);
+        url_encode_into(out, v.display_text(scratch));
+        out.push_str("\">");
+        out.push_str(label);
+        out.push_str("</a>");
+    }
 }
 
 /// Hide `NAME__SUBST` helper columns from a rendered result set (the

@@ -1,56 +1,70 @@
 //! Minimal HTML generation with correct escaping.
 
-/// Escape text for element content.
+/// Escape text for element content or a quoted attribute.
 pub fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '&' => out.push_str("&amp;"),
-            '<' => out.push_str("&lt;"),
-            '>' => out.push_str("&gt;"),
-            '"' => out.push_str("&quot;"),
-            '\'' => out.push_str("&#39;"),
-            _ => out.push(c),
-        }
-    }
+    escape_into(&mut out, s);
     out
 }
 
+/// Append `s` to `out`, escaped as [`escape`] does.
+pub fn escape_into(out: &mut String, s: &str) {
+    // Every escaped character is one ASCII byte, so the runs between
+    // them are copied whole.
+    let mut copied = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let entity = match b {
+            b'&' => "&amp;",
+            b'<' => "&lt;",
+            b'>' => "&gt;",
+            b'"' => "&quot;",
+            b'\'' => "&#39;",
+            _ => continue,
+        };
+        out.push_str(&s[copied..i]);
+        out.push_str(entity);
+        copied = i + 1;
+    }
+    out.push_str(&s[copied..]);
+}
+
+const PAGE_END: &str = "<hr><p><a href=\"/tables\">Archive tables</a> | \
+                        <a href=\"/logout\">Log out</a></p></body></html>";
+
 /// A standard page shell in the spirit of the paper's screenshots.
 pub fn page(title: &str, body: &str) -> String {
-    format!(
-        "<!DOCTYPE html><html><head><title>{t} - EASIA</title>\
-         <style>body{{font-family:sans-serif;margin:2em}}table{{border-collapse:collapse}}\
-         td,th{{border:1px solid #999;padding:4px 8px}}th{{background:#dde}}</style>\
-         </head><body><h1>{t}</h1>{body}\
-         <hr><p><a href=\"/tables\">Archive tables</a> | <a href=\"/logout\">Log out</a></p>\
-         </body></html>",
-        t = escape(title)
-    )
+    let mut out = page_begin(title);
+    out.reserve(body.len() + PAGE_END.len());
+    out.push_str(body);
+    page_end(&mut out);
+    out
+}
+
+/// The page shell down to where the body starts: the caller appends the
+/// body and closes with [`page_end`], so a large body is written once,
+/// in place.
+pub fn page_begin(title: &str) -> String {
+    let mut out = String::from("<!DOCTYPE html><html><head><title>");
+    escape_into(&mut out, title);
+    out.push_str(
+        " - EASIA</title>\
+         <style>body{font-family:sans-serif;margin:2em}table{border-collapse:collapse}\
+         td,th{border:1px solid #999;padding:4px 8px}th{background:#dde}</style>\
+         </head><body><h1>",
+    );
+    escape_into(&mut out, title);
+    out.push_str("</h1>");
+    out
+}
+
+/// Close a page opened with [`page_begin`].
+pub fn page_end(out: &mut String) {
+    out.push_str(PAGE_END);
 }
 
 /// `<a href=..>label</a>` with both parts escaped.
 pub fn link(href: &str, label: &str) -> String {
     format!("<a href=\"{}\">{}</a>", escape(href), escape(label))
-}
-
-/// A table from header + rows of already-rendered cell HTML.
-pub fn table(headers: &[String], rows: &[Vec<String>]) -> String {
-    let mut out = String::from("<table><tr>");
-    for h in headers {
-        out.push_str(&format!("<th>{}</th>", escape(h)));
-    }
-    out.push_str("</tr>");
-    for row in rows {
-        out.push_str("<tr>");
-        for cell in row {
-            // Cells arrive pre-rendered (may contain links).
-            out.push_str(&format!("<td>{cell}</td>"));
-        }
-        out.push_str("</tr>");
-    }
-    out.push_str("</table>");
-    out
 }
 
 /// Human-readable size, as the interface shows for BLOB/CLOB/DATALINK
@@ -95,16 +109,6 @@ mod tests {
             link("/q?a=1&b=2", "<next>"),
             "<a href=\"/q?a=1&amp;b=2\">&lt;next&gt;</a>"
         );
-    }
-
-    #[test]
-    fn tables_render() {
-        let t = table(
-            &["A".to_string(), "B".to_string()],
-            &[vec!["1".to_string(), "<b>2</b>".to_string()]],
-        );
-        assert!(t.contains("<th>A</th>"));
-        assert!(t.contains("<td><b>2</b></td>"), "cells are raw HTML");
     }
 
     #[test]

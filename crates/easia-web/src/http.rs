@@ -142,16 +142,27 @@ pub fn url_decode(s: &str) -> String {
 /// Percent-encode for URLs (conservative set).
 pub fn url_encode(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
+    url_encode_into(&mut out, s);
+    out
+}
+
+/// Append `s` to `out`, percent-encoded as [`url_encode`] does. The
+/// output needs no HTML escaping.
+pub fn url_encode_into(out: &mut String, s: &str) {
+    const HEX: &[u8; 16] = b"0123456789ABCDEF";
     for b in s.bytes() {
         match b {
             b'a'..=b'z' | b'A'..=b'Z' | b'0'..=b'9' | b'-' | b'_' | b'.' | b'~' => {
                 out.push(b as char)
             }
             b' ' => out.push('+'),
-            _ => out.push_str(&format!("%{b:02X}")),
+            _ => {
+                out.push('%');
+                out.push(HEX[usize::from(b >> 4)] as char);
+                out.push(HEX[usize::from(b & 15)] as char);
+            }
         }
     }
-    out
 }
 
 /// An outgoing response.
