@@ -2,7 +2,14 @@
 //!
 //! Built alongside every federated query execution, so "estimated"
 //! comes from the catalog statistics and "actual" from what really
-//! crossed the simulated WAN.
+//! crossed the simulated WAN. [`FedExplain::planned`] is the same
+//! report rendered from the plan alone, actuals at zero.
+
+use crate::catalog::Partition;
+use crate::legs::Statement;
+use crate::planner::{JoinLeg, LegStrategy};
+use easia_db::sql::ast::JoinKind;
+use easia_db::Value;
 
 /// Where a partition's rows came from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -53,6 +60,24 @@ pub enum JoinStrategy {
     },
 }
 
+impl From<&LegStrategy> for JoinStrategy {
+    /// The strategy as planned: key counts are only known once the
+    /// leg's key source has been gathered.
+    fn from(s: &LegStrategy) -> Self {
+        match s {
+            LegStrategy::Local => JoinStrategy::Local,
+            LegStrategy::Gather => JoinStrategy::Gather,
+            LegStrategy::SemiJoin { key_column, .. } => JoinStrategy::SemiJoin {
+                key_column: key_column.clone(),
+                keys: None,
+            },
+            LegStrategy::FullShip { reason } => JoinStrategy::FullShip {
+                reason: reason.clone(),
+            },
+        }
+    }
+}
+
 /// One JOIN leg's line in the `EXPLAIN FEDERATED` report.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JoinExplain {
@@ -67,6 +92,21 @@ pub struct JoinExplain {
 }
 
 impl JoinExplain {
+    /// The line for `leg`, fetched by `strategy`.
+    pub(crate) fn of(leg: &JoinLeg, strategy: JoinStrategy) -> Self {
+        JoinExplain {
+            table: leg.table.clone(),
+            alias: leg.alias.clone(),
+            kind: match leg.kind {
+                None => "anchor",
+                Some(JoinKind::Inner) => "INNER",
+                Some(JoinKind::Left) => "LEFT",
+            }
+            .to_string(),
+            strategy,
+        }
+    }
+
     fn render(&self) -> String {
         let name = if self.alias == self.table {
             self.table.clone()
@@ -114,6 +154,47 @@ pub struct SiteExplain {
     pub source: SiteSource,
     /// Scan retries this site needed before the stream completed.
     pub retries: u32,
+}
+
+/// What one leg ships, as the report states it: the plan-side half of
+/// every [`SiteExplain`] entry of the leg.
+pub(crate) struct Shipping {
+    /// The leg's table for a JOIN report; empty for a single-table
+    /// statement.
+    pub(crate) table: String,
+    /// Conjuncts pushed to the leg's sites, as SQL text.
+    pub(crate) pushed: Vec<String>,
+    /// Whole-statement hub-evaluated conjuncts, reported once on the
+    /// first federated leg.
+    pub(crate) hub: Vec<String>,
+    /// Whether the scan carries a top-k ORDER BY/LIMIT cut.
+    pub(crate) topk: bool,
+    /// Site-key constant bound by a pushed conjunct — the pruning
+    /// handle.
+    pub(crate) site_key_value: Option<Value>,
+}
+
+impl Shipping {
+    /// The entry for partition `p` before anything runs: pruned or not,
+    /// actuals at zero. The one place a [`SiteExplain`] is built.
+    pub(crate) fn entry(&self, p: &Partition) -> SiteExplain {
+        SiteExplain {
+            site: p.site_label().to_string(),
+            table: self.table.clone(),
+            pruned: self
+                .site_key_value
+                .as_ref()
+                .is_some_and(|v| !p.may_match(v)),
+            pushed_conjuncts: self.pushed.clone(),
+            hub_conjuncts: self.hub.clone(),
+            est_rows: p.est_rows.get(),
+            rows_shipped: 0,
+            bytes_wire: 0,
+            order_limit_pushed: self.topk,
+            source: SiteSource::Wan,
+            retries: 0,
+        }
+    }
 }
 
 /// Partial-aggregate pushdown section of the report: whether the
@@ -190,6 +271,31 @@ pub struct FedExplain {
 }
 
 impl FedExplain {
+    /// The plan-only report: what executing `stmt` would ship, without
+    /// disturbing the network. Semi-join key counts are unknown and
+    /// every actual is zero.
+    pub(crate) fn planned(stmt: &Statement<'_>) -> FedExplain {
+        let mut explain = FedExplain {
+            table: stmt.legs[0].table.clone(),
+            ..FedExplain::default()
+        };
+        for (i, leg) in stmt.legs.iter().enumerate() {
+            if stmt.is_join() {
+                explain
+                    .joins
+                    .push(JoinExplain::of(leg, JoinStrategy::from(&leg.strategy)));
+            }
+            if let Some(ft) = stmt.tables[i] {
+                let shipping = stmt.shipping(i);
+                explain
+                    .sites
+                    .extend(ft.partitions.iter().map(|p| shipping.entry(p)));
+            }
+        }
+        explain.agg = stmt.agg_explain(&explain.sites, 0, 0);
+        explain
+    }
+
     /// Total rows shipped across all sites.
     pub fn rows_shipped(&self) -> u64 {
         self.sites.iter().map(|s| s.rows_shipped).sum()

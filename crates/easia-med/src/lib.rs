@@ -18,12 +18,19 @@
 //! * [`planner`] — predicate + projection pushdown, top-k
 //!   (ORDER BY/LIMIT) pushdown, and site-key partition pruning.
 //! * [`remote`] — the thin site-side executor that runs pushed scans.
-//! * [`federation`] — scatter-gather execution over the simulated WAN
-//!   with a bounded in-flight window, typed partial-results policy, and
-//!   federation metrics. The hub merge binds the gathered rows as
-//!   in-memory relations and runs the original statement over them
-//!   (partial aggregates fold into the executor's own aggregate state);
-//!   a federated read never writes to the hub database.
+//! * [`federation`] — the engine's front: [`Federation`], its sites,
+//!   errors and partial-results policy, and the `query` / `query_many`
+//!   / `explain` entry points. Every federated statement takes one
+//!   path through the private stages behind it: `legs` (a statement is
+//!   a list of legs; the plan step and the one executor that runs
+//!   dependency waves over them, then the hub merge), `gather` (one
+//!   leg's prepare → pump → finish, with the only event pump), `ladder`
+//!   (retry-with-resume re-entering that pump, breaker bookkeeping,
+//!   stale serve, skip or fail), `merge` (gathered rows bound as
+//!   in-memory relations under the original statement; partial
+//!   aggregates fold into the executor's own aggregate state — a
+//!   federated read never writes to the hub database) and `metrics`
+//!   (every `easia_med_*` family, stated once).
 //! * [`breaker`] — per-site circuit breakers (closed/open/half-open)
 //!   with fault-schedule-derived cooldowns.
 //! * [`replica`] — the hub's stale-replica cache of small partitions,
@@ -34,7 +41,8 @@
 //!   fingerprint.
 //! * [`explain`] — the `EXPLAIN FEDERATED` report (pushed vs.
 //!   hub-evaluated conjuncts, estimated vs. actual rows shipped,
-//!   retries, cache sources, stale serves).
+//!   retries, cache sources, stale serves), built during execution or
+//!   from the plan alone.
 
 #![deny(missing_docs)]
 
@@ -42,7 +50,11 @@ pub mod breaker;
 pub mod catalog;
 pub mod explain;
 pub mod federation;
+mod gather;
+mod ladder;
+mod legs;
 mod merge;
+mod metrics;
 pub mod planner;
 pub mod prefetch;
 pub mod remote;

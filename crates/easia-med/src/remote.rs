@@ -41,23 +41,32 @@ pub fn scan_rows(db: &mut Database, req: &ScanRequest) -> Result<Vec<Vec<Value>>
     Ok(rs.rows)
 }
 
-/// Execute a wire-encoded scan request end to end: decode, run, and
-/// frame the rows into batches of at most `batch_rows`, honouring the
-/// request's resume cursor.
+/// A site serving one scan request: run it and frame the rows into
+/// batches of at most `batch_rows`, honouring the request's resume
+/// cursor and stamping the site's write counter.
+pub(crate) fn serve(
+    db: &mut Database,
+    req: &ScanRequest,
+    batch_rows: usize,
+) -> Result<Vec<Vec<u8>>, RemoteError> {
+    let rows = scan_rows(db, req)?;
+    Ok(frame_batches(
+        &rows,
+        batch_rows,
+        req.resume_from,
+        db.write_counter(),
+    ))
+}
+
+/// Execute a wire-encoded scan request end to end: decode it, then
+/// serve it as the hub's in-process sites do.
 pub fn serve_scan(
     db: &mut Database,
     frame: &[u8],
     batch_rows: usize,
 ) -> Result<Vec<Vec<u8>>, RemoteError> {
     let req = ScanRequest::decode(frame).map_err(RemoteError::Wire)?;
-    let rows = scan_rows(db, &req)?;
-    let write_counter = db.write_counter();
-    Ok(frame_batches(
-        &rows,
-        batch_rows,
-        req.resume_from,
-        write_counter,
-    ))
+    serve(db, &req, batch_rows)
 }
 
 /// Chunk rows into encoded batch frames, skipping the first

@@ -1,0 +1,364 @@
+//! The statement transcript: for a fixed matrix of federated
+//! statements on the asymmetric-link rig, the result rows, the rendered
+//! `EXPLAIN FEDERATED` report, the simulated clock and the summed link
+//! bytes after each call, then the `easia_med_*` exposition and the
+//! span log. It pins plan → request → gather → ladder → merge end to
+//! end, simulated nanoseconds and wire bytes included.
+//!
+//! `golden/statements.txt` was written by `regenerate` in a clone of
+//! the commit before the one-statement-path refactor (13738e5), with
+//! that commit's two-line `p.failed` bookkeeping defect in the retry
+//! rung repaired (CHANGES.md PR 17 has the patch and the 14 transcript
+//! lines it moves: the two resumed-crash sections, two counters, four
+//! spans). Rerun it only for an intended change:
+//! `cargo test -p easia-med --test federation -- --ignored regenerate`.
+
+use crate::rig::{asym_rig, with_res, Rig};
+use easia_db::Value;
+use easia_med::{FedError, PartialPolicy, QueryOutcome};
+use easia_net::FaultSchedule;
+use easia_obs::Obs;
+use std::fmt::Write as _;
+
+const GOLDEN: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/statements.txt");
+
+const PLAIN: &str = "SELECT K, N FROM SIM ORDER BY K";
+const INNER: &str = "SELECT S.K, R.R, R.BYTES FROM SIM S JOIN RES R ON S.K = R.K \
+                     WHERE S.N >= 30 ORDER BY R.R";
+const KEYED: &str = "SELECT S.K, R.R FROM RES R JOIN SIM S ON R.K = S.K ORDER BY R.R";
+
+/// SIM and RES on the asymmetric rig, plus a hub-local NOTE table,
+/// with row estimates analysed.
+fn fresh() -> Rig {
+    let mut r = with_res(asym_rig(), [4, 40, 40]);
+    r.hub_db
+        .execute("CREATE TABLE NOTE (K VARCHAR(20) PRIMARY KEY, TXT VARCHAR(40))")
+        .unwrap();
+    r.hub_db
+        .execute("INSERT INTO NOTE VALUES ('cam-0', 'first'), ('edin-1', 'childless')")
+        .unwrap();
+    r.fed.analyze(&mut r.hub_db).unwrap();
+    r
+}
+
+struct Script {
+    out: String,
+    obs: Obs,
+}
+
+impl Script {
+    fn section(&mut self, label: &str) {
+        let _ = writeln!(self.out, "\n=== {label}");
+    }
+
+    fn outcome(&mut self, res: &Result<QueryOutcome, FedError>) {
+        match res {
+            Ok(o) => {
+                let _ = writeln!(self.out, "columns: {:?}", o.rs.columns);
+                for row in &o.rs.rows {
+                    let _ = writeln!(self.out, "row: {row:?}");
+                }
+                let _ = writeln!(self.out, "explain:\n{}", o.explain.render());
+            }
+            Err(e) => {
+                let _ = writeln!(self.out, "error: {e}");
+            }
+        }
+    }
+
+    fn clock(&mut self, r: &Rig) {
+        let wire: f64 = r.net.link_ids().iter().map(|l| r.net.link_bytes(*l)).sum();
+        let _ = writeln!(self.out, "now={:?} link_bytes={wire:?}", r.net.now());
+    }
+
+    /// One `query` call, transcribed.
+    fn run(&mut self, r: &mut Rig, label: &str, sql: &str, params: &[Value]) {
+        self.section(label);
+        let _ = writeln!(self.out, "sql: {sql}\nparams: {params:?}");
+        let res = r.fed.query(
+            &mut r.net,
+            r.hub,
+            &mut r.hub_db,
+            Some(&self.obs),
+            sql,
+            params,
+        );
+        self.outcome(&res);
+        self.clock(r);
+    }
+
+    /// One `query_many` call, transcribed statement by statement.
+    fn run_many(&mut self, r: &mut Rig, label: &str, sqls: &[&str]) {
+        self.section(label);
+        let qs: Vec<(String, Vec<Value>)> = sqls.iter().map(|s| (s.to_string(), vec![])).collect();
+        let res = r
+            .fed
+            .query_many(&mut r.net, r.hub, &mut r.hub_db, Some(&self.obs), &qs);
+        for (sql, res) in sqls.iter().zip(&res) {
+            let _ = writeln!(self.out, "sql: {sql}");
+            self.outcome(res);
+        }
+        self.clock(r);
+    }
+}
+
+/// How long `sql` takes on an undisturbed [`fresh`] rig.
+fn undisturbed(sql: &str) -> f64 {
+    let mut r = fresh();
+    r.fed
+        .query(&mut r.net, r.hub, &mut r.hub_db, None, sql, &[])
+        .unwrap();
+    r.net.now()
+}
+
+/// A [`fresh`] rig whose `cam` host is down over `[down_at, up_at)`.
+fn crashing(down_at: f64, up_at: f64) -> Rig {
+    let mut r = fresh();
+    let cam = r.fed.site("cam").unwrap().host;
+    let mut faults = FaultSchedule::new();
+    faults.host_crash(cam, down_at, up_at);
+    r.net.set_fault_schedule(faults);
+    r
+}
+
+fn transcript() -> String {
+    let mut s = Script {
+        out: String::new(),
+        obs: Obs::new(),
+    };
+
+    // Single-table statements, pushdown on.
+    let mut r = fresh();
+    r.fed.register_metrics(&s.obs);
+    s.section("metrics after register_metrics");
+    s.out.push_str(&med_families(&s.obs));
+    s.run(&mut r, "plain", PLAIN, &[]);
+    s.run(
+        &mut r,
+        "pruned by a bound site key",
+        "SELECT K FROM SIM WHERE SITE = ? AND N < ? ORDER BY K",
+        &[Value::Str("cam".into()), Value::Int(3)],
+    );
+    s.run(
+        &mut r,
+        "top-k",
+        "SELECT K, N FROM SIM ORDER BY N DESC, K LIMIT 3",
+        &[],
+    );
+    s.run(
+        &mut r,
+        "hub-evaluated conjunct",
+        "SELECT UPPER(K) FROM SIM WHERE UPPER(SITE) = 'CAM' AND N < 2",
+        &[],
+    );
+    s.run(
+        &mut r,
+        "partial aggregate",
+        "SELECT SITE, COUNT(*), SUM(N), AVG(X) FROM SIM GROUP BY SITE ORDER BY SITE",
+        &[],
+    );
+    for (reason, sql) in [
+        (
+            "distinct",
+            "SELECT DISTINCT SITE, COUNT(*) FROM SIM GROUP BY SITE ORDER BY SITE",
+        ),
+        ("expr-arg", "SELECT SUM(N + 0) FROM SIM"),
+        (
+            "hub-conjunct",
+            "SELECT COUNT(*) FROM SIM WHERE UPPER(SITE) = 'CAM'",
+        ),
+        (
+            "group-expr",
+            "SELECT COUNT(*) FROM SIM GROUP BY LENGTH(SITE)",
+        ),
+        (
+            "non-group-column",
+            "SELECT SITE, N, COUNT(*) FROM SIM GROUP BY SITE ORDER BY SITE",
+        ),
+        ("wildcard", "SELECT * FROM SIM GROUP BY SITE"),
+    ] {
+        s.run(&mut r, &format!("aggregate fallback: {reason}"), sql, &[]);
+    }
+    r.fed.partial_agg = false;
+    s.run(
+        &mut r,
+        "aggregate fallback: disabled",
+        "SELECT COUNT(*) FROM SIM",
+        &[],
+    );
+    r.fed.partial_agg = true;
+
+    // query_many.
+    s.run_many(
+        &mut r,
+        "query_many: two siblings",
+        &[
+            "SELECT K FROM SIM WHERE SITE = 'cam' AND N < 10",
+            "SELECT K FROM SIM WHERE SITE = 'edin' AND N < 20",
+        ],
+    );
+    s.run_many(
+        &mut r,
+        "query_many: a sibling and a JOIN",
+        &[INNER, "SELECT COUNT(*) FROM SIM"],
+    );
+    s.run_many(
+        &mut r,
+        "query_many: a parse error in the middle",
+        &[
+            "SELECT COUNT(*) FROM SIM",
+            "SELEKT nonsense",
+            "SELECT * FROM NOPE",
+            "SELECT MAX(N) FROM SIM",
+        ],
+    );
+
+    // JOINs.
+    s.run(&mut r, "INNER JOIN", INNER, &[]);
+    s.run(
+        &mut r,
+        "LEFT JOIN",
+        "SELECT S.K, R.R FROM SIM S LEFT JOIN RES R ON S.K = R.K WHERE S.N < 3 ORDER BY S.K",
+        &[],
+    );
+    s.run(
+        &mut r,
+        "LEFT JOIN with a hub-local leg",
+        "SELECT L.TXT, R.R FROM NOTE L LEFT JOIN RES R ON L.K = R.K ORDER BY L.K",
+        &[],
+    );
+    r.fed.semijoin_max_keys = 2;
+    s.run(&mut r, "key overflow", INNER, &[]);
+    r.fed.semijoin_max_keys = 1024;
+    s.run(
+        &mut r,
+        "empty key set",
+        "SELECT S.K, R.R FROM SIM S JOIN RES R ON S.K = R.K WHERE S.N > 100",
+        &[],
+    );
+    r.fed.pushdown = false;
+    s.run(
+        &mut r,
+        "pushdown off: single-table",
+        "SELECT K FROM SIM WHERE N >= 38 ORDER BY N LIMIT 4",
+        &[],
+    );
+    s.run(
+        &mut r,
+        "pushdown off: aggregate",
+        "SELECT COUNT(*) FROM SIM",
+        &[],
+    );
+    s.run(&mut r, "pushdown off: JOIN", INNER, &[]);
+
+    // A dead site under each policy.
+    for (policy, label) in [
+        (PartialPolicy::FailClosed, "FailClosed"),
+        (PartialPolicy::Partial, "Partial"),
+        (PartialPolicy::Degraded, "Degraded (no replica)"),
+    ] {
+        let mut r = fresh();
+        r.fed.policy = policy;
+        r.fed.site("cam").unwrap().crash();
+        s.run(&mut r, &format!("dead site, {label}"), PLAIN, &[]);
+        s.run(&mut r, &format!("dead site, {label}: JOIN"), INNER, &[]);
+    }
+
+    // Replica cache: fill, fresh hit, stale serve.
+    let mut r = fresh();
+    r.fed.policy = PartialPolicy::Degraded;
+    r.fed.enable_replica_cache(300.0, 1_000);
+    s.run(&mut r, "cache-fill scan", PLAIN, &[]);
+    s.run(&mut r, "fresh replica hit", PLAIN, &[]);
+    s.run(
+        &mut r,
+        "fresh replica hit: partial aggregate",
+        "SELECT SITE, COUNT(*), MIN(N) FROM SIM GROUP BY SITE ORDER BY SITE",
+        &[],
+    );
+    r.fed.site("cam").unwrap().crash();
+    let past_ttl = r.net.now() + 301.0;
+    r.net.run_until(past_ttl);
+    s.run(&mut r, "stale serve", PLAIN, &[]);
+
+    // A zero-second deadline.
+    let mut r = fresh();
+    r.fed.policy = PartialPolicy::Partial;
+    r.fed.deadline_secs = 0.0;
+    s.run(&mut r, "zero-second deadline", PLAIN, &[]);
+
+    // Mid-stream host crashes; the last rig ends with cam's breaker open.
+    let half = undisturbed(PLAIN) * 0.5;
+    let mut r = crashing(half, half + 90.0);
+    s.run(&mut r, "crash resumed inside the deadline", PLAIN, &[]);
+    let late = undisturbed(KEYED) * 0.75;
+    let mut r = crashing(late, late + 90.0);
+    s.run(
+        &mut r,
+        "crash in a keyed JOIN leg, resumed inside the deadline",
+        KEYED,
+        &[],
+    );
+    let mut r = crashing(half, half + 900.0);
+    s.run(&mut r, "crash outlasting the deadline", PLAIN, &[]);
+    r.fed.policy = PartialPolicy::Partial;
+    s.run(&mut r, "the same site, skipped", PLAIN, &[]);
+    s.run(&mut r, "and again: the breaker opens", PLAIN, &[]);
+    s.run(&mut r, "open breaker", PLAIN, &[]);
+
+    s.section("metrics at the end");
+    s.out.push_str(&med_families(&s.obs));
+    s.section("spans");
+    s.out.push_str(&s.obs.tracer.render());
+    s.out
+}
+
+/// The `easia_med_*` lines of the exposition.
+fn med_families(obs: &Obs) -> String {
+    obs.metrics
+        .render()
+        .lines()
+        .filter(|l| l.contains("easia_med_"))
+        .map(|l| format!("{l}\n"))
+        .collect()
+}
+
+#[test]
+fn statements_match_the_parent_commit() {
+    let golden = std::fs::read_to_string(GOLDEN).expect("golden file is committed");
+    let now = transcript();
+    for (want, got) in golden.split("\n=== ").zip(now.split("\n=== ")) {
+        assert_eq!(got, want, "section differs from the golden transcript");
+    }
+    assert_eq!(now, golden);
+    // The transcript really exercises what it claims to.
+    for needle in [
+        "semi-join keyed on",
+        "exceeds the 2-key ship bound",
+        "pushdown disabled",
+        "SKIPPED",
+        "STALE replica served",
+        "retries:",
+        "span easia.med.retry_wait",
+        "span easia.med.query",
+        "error: federation: site cam unavailable",
+        "easia_med_deadline_cancelled_total{site=\"cam\"} 1",
+        "easia_med_breaker_state{site=\"cam\"} 1",
+        "easia_med_partial_agg_fallbacks_total{reason=\"disabled\"} 2",
+        "easia_med_partial_agg_fallbacks_total{reason=\"distinct\"} 1",
+        "easia_med_partial_agg_fallbacks_total{reason=\"expr-arg\"} 1",
+        "easia_med_partial_agg_fallbacks_total{reason=\"group-expr\"} 1",
+        "easia_med_partial_agg_fallbacks_total{reason=\"hub-conjunct\"} 1",
+        "easia_med_partial_agg_fallbacks_total{reason=\"non-group-column\"} 1",
+        "easia_med_partial_agg_fallbacks_total{reason=\"wildcard\"} 1",
+    ] {
+        assert!(golden.contains(needle), "golden lacks {needle}");
+    }
+}
+
+#[test]
+#[ignore = "rewrites the golden transcript; see the module comment"]
+fn regenerate() {
+    std::fs::create_dir_all(std::path::Path::new(GOLDEN).parent().unwrap()).unwrap();
+    std::fs::write(GOLDEN, transcript()).unwrap();
+}

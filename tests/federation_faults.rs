@@ -483,6 +483,88 @@ fn deadline_expiry_mid_stream_cancels_wan_work_without_breaker_penalty() {
 }
 
 #[test]
+fn deadline_expiry_during_a_resumed_stream_is_counted_and_still_a_site_failure() {
+    let sql = "SELECT * FROM SIMULATION ORDER BY SIMULATION_KEY";
+    let rows_per_site = 150;
+    // cam's host dies a third of the way through its batch stream and
+    // is back five seconds later, so the retry rung resumes the stream.
+    let crashing = |deadline_secs: Option<f64>| {
+        let mut probe = fed_archive(rows_per_site);
+        probe.federation.batch_rows = 32;
+        probe.federated_query(sql, &[]).unwrap();
+        let down_at = probe.net.now() / 3.0;
+
+        let mut a = fed_archive(rows_per_site);
+        a.federation.batch_rows = 32;
+        a.federation.policy = PartialPolicy::Partial;
+        a.federation.breaker_threshold = 1;
+        if let Some(d) = deadline_secs {
+            a.federation.deadline_secs = d;
+        }
+        let cam_host = a.federation.site("cam").unwrap().host;
+        let mut faults = FaultSchedule::new();
+        faults.host_crash(cam_host, down_at, down_at + 5.0);
+        a.net.set_fault_schedule(faults);
+        let out = a.federated_query(sql, &[]).unwrap();
+        (a, out)
+    };
+
+    // With the default budget the resume completes; the span log says
+    // when it started shipping and the clock when it finished.
+    let (whole, out) = crashing(None);
+    assert_eq!(out.rs.rows.len(), 3 * rows_per_site);
+    let resumed_at = whole
+        .obs
+        .tracer
+        .spans()
+        .iter()
+        .filter(|s| s.name == "easia.med.retry_wait")
+        .map(|s| s.end)
+        .fold(0.0, f64::max);
+    let finished_at = whole.net.now();
+    assert!(
+        resumed_at > 0.0 && finished_at > resumed_at,
+        "resumed at {resumed_at}, finished at {finished_at}"
+    );
+
+    // The same run with a budget that expires while the resumed stream
+    // is still shipping frames.
+    let (a, out) = crashing(Some((resumed_at + finished_at) / 2.0));
+    // The half-resumed partition is dropped whole and annotated, never
+    // merged as if it were complete.
+    assert_eq!(out.explain.skipped, vec!["cam".to_string()]);
+    assert_eq!(out.rs.rows.len(), 2 * rows_per_site);
+    assert!(
+        a.net.now() < finished_at,
+        "nothing ships past the deadline: {} vs {finished_at}",
+        a.net.now()
+    );
+    let metric = |name: &str, site: &str| a.obs.metrics.value(name, &[("site", site)]);
+    assert!(metric("easia_med_scan_retries_total", "cam").is_some_and(|v| v >= 1.0));
+    // The pump's rule: a stream cut at the deadline is a counted
+    // client-side cancellation, first attempt or resumed.
+    assert_eq!(
+        metric("easia_med_deadline_cancelled_total", "cam"),
+        Some(1.0)
+    );
+    assert_eq!(
+        metric("easia_med_deadline_cancelled_total", "edin"),
+        Some(0.0)
+    );
+    // The stream had already failed at transport level before the
+    // retry, so unlike a first-attempt expiry the site takes the
+    // breaker failure.
+    assert_eq!(
+        a.federation.site("cam").unwrap().breaker_state(),
+        BreakerState::Open
+    );
+    assert_eq!(
+        a.federation.site("edin").unwrap().breaker_state(),
+        BreakerState::Closed
+    );
+}
+
+#[test]
 fn mid_stream_outage_under_partial_policy_keeps_survivors() {
     let sql = "SELECT SIMULATION_KEY, SITE FROM SIMULATION ORDER BY SIMULATION_KEY";
     let rows_per_site = 150;
