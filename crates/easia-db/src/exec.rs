@@ -2,25 +2,35 @@
 
 use crate::db::{Database, ResultSet, Table};
 use crate::error::{DbError, Result};
-use crate::expr::{truth, EvalContext, RowSchema};
+use crate::expr::{agg_key, truth, EvalContext, RowSchema};
 use crate::index::btree::has_prefix;
 use crate::mvcc::ReadView;
 use crate::plan::{choose_access_path, choose_in_scope, AccessPath, Scope};
-use crate::sql::ast::{Expr, Join, JoinKind, OrderBy, SelectItem, SelectStmt};
+use crate::sql::ast::{is_aggregate_fn, Expr, Join, JoinKind, OrderBy, SelectItem, SelectStmt};
 use crate::storage::RowId;
 use crate::value::{encode_row, Value};
 use std::collections::HashMap;
 
-/// Evaluate a row-independent expression (INSERT values, constants).
-pub fn eval_const(db: &Database, expr: &Expr, params: &[Value]) -> Result<Value> {
-    let schema = RowSchema::default();
-    let ctx = EvalContext {
-        schema: &schema,
-        row: &[],
+/// The context in which expressions over `row` (shaped by `schema`)
+/// evaluate; it carries no aggregate values.
+fn row_ctx<'a>(
+    db: &'a Database,
+    schema: &'a RowSchema,
+    row: &'a [Value],
+    params: &'a [Value],
+) -> EvalContext<'a> {
+    EvalContext {
+        schema,
+        row,
         params,
         functions: db.functions(),
-    };
-    ctx.eval(expr)
+        aggs: None,
+    }
+}
+
+/// Evaluate a row-independent expression (INSERT values, constants).
+pub fn eval_const(db: &Database, expr: &Expr, params: &[Value]) -> Result<Value> {
+    row_ctx(db, &RowSchema::default(), &[], params).eval(expr)
 }
 
 /// Evaluate an expression against one row of `table`.
@@ -38,14 +48,7 @@ pub fn eval_row(
         .iter()
         .map(|c| c.name.clone())
         .collect();
-    let schema = RowSchema::for_table(table, &names);
-    let ctx = EvalContext {
-        schema: &schema,
-        row,
-        params,
-        functions: db.functions(),
-    };
-    ctx.eval(expr)
+    row_ctx(db, &RowSchema::for_table(table, &names), row, params).eval(expr)
 }
 
 /// An in-memory table a SELECT can read beside the catalogue (the hub
@@ -195,12 +198,7 @@ pub fn collect_matching(
         let keep = match where_clause {
             None => true,
             Some(pred) => {
-                let ctx = EvalContext {
-                    schema: &schema,
-                    row: &row,
-                    params,
-                    functions: db.functions(),
-                };
+                let ctx = row_ctx(db, &schema, &row, params);
                 truth(&ctx.eval(pred)?) == Some(true)
             }
         };
@@ -233,12 +231,7 @@ pub fn run_select_over(
     // Table-less SELECT: evaluate items against an empty row.
     let Some(from) = &sel.from else {
         let schema = RowSchema::default();
-        let ctx = EvalContext {
-            schema: &schema,
-            row: &[],
-            params,
-            functions: db.functions(),
-        };
+        let ctx = row_ctx(db, &schema, &[], params);
         let mut columns = Vec::new();
         let mut row = Vec::new();
         for item in &sel.items {
@@ -299,12 +292,7 @@ pub fn run_select_over(
         // row made from it, padded or not. A conjunct that raises after
         // all keeps its row, so the WHERE below raises it too.
         rows.retain(|row| {
-            let ctx = EvalContext {
-                schema: &schema,
-                row,
-                params,
-                functions: db.functions(),
-            };
+            let ctx = row_ctx(db, &schema, row, params);
             own.iter()
                 .all(|c| !matches!(ctx.eval(c), Ok(v) if truth(&v) != Some(true)))
         });
@@ -333,12 +321,7 @@ pub fn run_select_over(
     if let Some(pred) = &sel.where_clause {
         let mut kept = Vec::with_capacity(rows.len());
         for row in rows {
-            let ctx = EvalContext {
-                schema: &schema,
-                row: &row,
-                params,
-                functions: db.functions(),
-            };
+            let ctx = row_ctx(db, &schema, &row, params);
             if truth(&ctx.eval(pred)?) == Some(true) {
                 kept.push(row);
             }
@@ -451,7 +434,11 @@ fn order_key(
             return Ok(out_row[pos].clone());
         }
     }
-    eval_with_aggs(db, &ob.expr, schema, &ctx.row, &ctx.aggs, params)
+    EvalContext {
+        aggs: Some(&ctx.aggs),
+        ..row_ctx(db, schema, &ctx.row, params)
+    }
+    .eval(&ob.expr)
 }
 
 /// Derive an output column name for an unaliased select item, exactly
@@ -546,12 +533,7 @@ fn run_join(
         pairing.extend(lrow);
         let candidates = match &probe {
             Some((t, ipos, lexpr, visible)) => {
-                let lctx = EvalContext {
-                    schema: left_schema,
-                    row: &pairing,
-                    params,
-                    functions: db.functions(),
-                };
+                let lctx = row_ctx(db, left_schema, &pairing, params);
                 let key = lctx.eval(lexpr)?;
                 probed.clear();
                 if !key.is_null() {
@@ -571,12 +553,7 @@ fn run_join(
         let mut matched = false;
         for rrow in candidates.iter_mut() {
             pairing.append(rrow);
-            let ctx = EvalContext {
-                schema: &out_schema,
-                row: &pairing,
-                params,
-                functions: db.functions(),
-            };
+            let ctx = row_ctx(db, &out_schema, &pairing, params);
             if truth(&ctx.eval(&join.on)?) == Some(true) {
                 matched = true;
                 out.push(pairing.clone());
@@ -677,12 +654,7 @@ fn project_pipeline(
     let ordered = !sel.order_by.is_empty();
     let mut sort_ctx = Vec::with_capacity(if ordered { rows.len() } else { 0 });
     for row in rows {
-        let ctx = EvalContext {
-            schema,
-            row,
-            params,
-            functions: db.functions(),
-        };
+        let ctx = row_ctx(db, schema, row, params);
         let mut out = Vec::with_capacity(outs.len());
         for o in &outs {
             match o {
@@ -711,19 +683,6 @@ fn project_pipeline(
 }
 
 // ---- aggregation ----
-
-/// Canonical identity key for an aggregate call site, used to dedup
-/// repeated occurrences of the same call (e.g. `AVG(X)` in the item
-/// list and again in HAVING). Exposed so the federation layer can key
-/// its partial-merge states the same way the local executor does.
-pub fn agg_key(e: &Expr) -> String {
-    format!("{e:?}")
-}
-
-/// True when `name` is one of the supported aggregate functions.
-pub fn is_aggregate_fn(name: &str) -> bool {
-    matches!(name, "COUNT" | "SUM" | "AVG" | "MIN" | "MAX")
-}
 
 /// Collect aggregate call sites from an expression, deduplicated by
 /// [`agg_key`], in first-appearance order. Does not recurse into
@@ -920,12 +879,7 @@ fn aggregate_pipeline(
     let mut groups: Vec<Group> = Vec::new();
     let mut group_index: HashMap<Vec<u8>, usize> = HashMap::new();
     for row in rows {
-        let ctx = EvalContext {
-            schema,
-            row,
-            params,
-            functions: db.functions(),
-        };
+        let ctx = row_ctx(db, schema, row, params);
         let key_vals: Vec<Value> = sel
             .group_by
             .iter()
@@ -1007,17 +961,21 @@ pub fn finish_groups(
     let mut out_rows = Vec::new();
     let mut sort_ctx = Vec::new();
     for (rep, aggs) in groups {
-        // HAVING filter.
+        // One evaluator for HAVING and the select list: an aggregate
+        // call anywhere inside them reads the group's finished value.
+        let ctx = EvalContext {
+            aggs: Some(&aggs),
+            ..row_ctx(db, schema, &rep, params)
+        };
         if let Some(h) = &sel.having {
-            let v = eval_with_aggs(db, h, schema, &rep, &aggs, params)?;
-            if truth(&v) != Some(true) {
+            if truth(&ctx.eval(h)?) != Some(true) {
                 continue;
             }
         }
         let mut out = Vec::with_capacity(sel.items.len());
         for item in &sel.items {
             if let SelectItem::Expr { expr, .. } = item {
-                out.push(eval_with_aggs(db, expr, schema, &rep, &aggs, params)?);
+                out.push(ctx.eval(expr)?);
             }
         }
         out_rows.push(out);
@@ -1027,58 +985,4 @@ pub fn finish_groups(
         m.stage_aggregate.observe(out_rows.len() as f64);
     }
     finish_select(db, sel, schema, (columns, out_rows, sort_ctx), params)
-}
-
-/// Evaluate an expression, substituting pre-computed aggregate values.
-fn eval_with_aggs(
-    db: &Database,
-    e: &Expr,
-    schema: &RowSchema,
-    row: &[Value],
-    aggs: &HashMap<String, Value>,
-    params: &[Value],
-) -> Result<Value> {
-    // Plain rows carry no aggregates: no key to build per row.
-    if !aggs.is_empty() {
-        if let Some(v) = aggs.get(&agg_key(e)) {
-            return Ok(v.clone());
-        }
-    }
-    match e {
-        // Rebuild composite expressions so nested aggregates resolve.
-        Expr::Unary(op, inner) => {
-            let v = eval_with_aggs(db, inner, schema, row, aggs, params)?;
-            let ctx = EvalContext {
-                schema,
-                row,
-                params,
-                functions: db.functions(),
-            };
-            ctx.eval(&Expr::Unary(*op, Box::new(Expr::Literal(v))))
-        }
-        Expr::Binary(l, op, r) => {
-            let lv = eval_with_aggs(db, l, schema, row, aggs, params)?;
-            let rv = eval_with_aggs(db, r, schema, row, aggs, params)?;
-            let ctx = EvalContext {
-                schema,
-                row,
-                params,
-                functions: db.functions(),
-            };
-            ctx.eval(&Expr::Binary(
-                Box::new(Expr::Literal(lv)),
-                *op,
-                Box::new(Expr::Literal(rv)),
-            ))
-        }
-        other => {
-            let ctx = EvalContext {
-                schema,
-                row,
-                params,
-                functions: db.functions(),
-            };
-            ctx.eval(other)
-        }
-    }
 }

@@ -1,7 +1,7 @@
 //! Expression evaluation with SQL three-valued logic.
 
 use crate::error::{DbError, Result};
-use crate::sql::ast::{BinaryOp, Expr, UnaryOp};
+use crate::sql::ast::{is_aggregate_fn, BinaryOp, Expr, UnaryOp};
 use crate::value::Value;
 use std::cmp::Ordering;
 use std::collections::HashMap;
@@ -44,35 +44,43 @@ impl RowSchema {
         RowSchema { columns }
     }
 
-    /// Resolve a column reference to a slot index.
-    ///
-    /// Unqualified names must be unambiguous across the schema; qualified
-    /// names match on both alias and column.
-    pub fn resolve(&self, table: Option<&str>, name: &str) -> Result<usize> {
+    /// The slots a column reference could denote — the one statement of
+    /// the name-resolution rule: a slot matches when it carries the
+    /// reference's name and, for a qualified reference, is bound under
+    /// exactly that alias (a table's own name stops matching once the
+    /// statement aliases it).
+    pub fn candidates<'a>(
+        &'a self,
+        table: Option<&str>,
+        name: &str,
+    ) -> impl Iterator<Item = usize> + 'a {
         let name = name.to_ascii_uppercase();
-        let table = table.map(|t| t.to_ascii_uppercase());
-        let mut hit = None;
-        for (i, c) in self.columns.iter().enumerate() {
-            if c.name != name {
-                continue;
-            }
-            if let Some(t) = &table {
-                if c.table.as_deref() != Some(t.as_str()) {
-                    continue;
-                }
-            }
-            if hit.is_some() {
-                return Err(DbError::Eval(format!("ambiguous column reference {name}")));
-            }
-            hit = Some(i);
+        let table = table.map(str::to_ascii_uppercase);
+        self.columns
+            .iter()
+            .enumerate()
+            .filter(move |(_, c)| {
+                c.name == name && table.as_ref().is_none_or(|t| c.table.as_ref() == Some(t))
+            })
+            .map(|(i, _)| i)
+    }
+
+    /// Resolve a column reference to its slot index: no candidate is an
+    /// unknown column, more than one an ambiguous reference.
+    pub fn resolve(&self, table: Option<&str>, name: &str) -> Result<usize> {
+        let mut hits = self.candidates(table, name);
+        let upper = str::to_ascii_uppercase;
+        match (hits.next(), hits.next()) {
+            (Some(slot), None) => Ok(slot),
+            (Some(_), Some(_)) => Err(DbError::Eval(format!(
+                "ambiguous column reference {}",
+                upper(name)
+            ))),
+            (None, _) => Err(DbError::Eval(match table {
+                Some(t) => format!("unknown column {}.{}", upper(t), upper(name)),
+                None => format!("unknown column {}", upper(name)),
+            })),
         }
-        hit.ok_or_else(|| {
-            let full = match &table {
-                Some(t) => format!("{t}.{name}"),
-                None => name.clone(),
-            };
-            DbError::Eval(format!("unknown column {full}"))
-        })
     }
 }
 
@@ -212,6 +220,17 @@ pub struct EvalContext<'a> {
     pub params: &'a [Value],
     /// Scalar functions.
     pub functions: &'a FnRegistry,
+    /// The finished aggregate values of the group `row` represents,
+    /// keyed by [`agg_key`]; `None` outside an aggregate's groups.
+    pub aggs: Option<&'a HashMap<String, Value>>,
+}
+
+/// Canonical identity key for an aggregate call site, used to dedup
+/// repeated occurrences of the same call (e.g. `AVG(X)` in the item
+/// list and again in HAVING). Exposed so the federation layer can key
+/// its partial-merge states the same way the local executor does.
+pub fn agg_key(e: &Expr) -> String {
+    format!("{e:?}")
 }
 
 impl EvalContext<'_> {
@@ -316,6 +335,13 @@ impl EvalContext<'_> {
                 Ok(Value::Bool((ge && le) != *negated))
             }
             Expr::Function { name, args, star } => {
+                // Inside a group an aggregate call is already a value —
+                // wherever in a composite expression it stands.
+                if let Some(aggs) = self.aggs.filter(|_| is_aggregate_fn(name)) {
+                    if let Some(v) = aggs.get(&agg_key(expr)) {
+                        return Ok(v.clone());
+                    }
+                }
                 if *star {
                     return Err(DbError::Eval(format!(
                         "{name}(*) is only valid as an aggregate"
@@ -532,6 +558,7 @@ mod tests {
             row: &[],
             params: &[],
             functions: &fns,
+            aggs: None,
         };
         ctx.eval(&expr)
     }
@@ -720,6 +747,7 @@ mod tests {
             row: &row,
             params: &params,
             functions: &fns,
+            aggs: None,
         };
         let e = E::Binary(
             Box::new(E::Column {

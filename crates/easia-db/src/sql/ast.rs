@@ -326,11 +326,14 @@ impl Expr {
         let mut found = false;
         self.walk(&mut |e| {
             if let Expr::Function { name, .. } = e {
-                if matches!(name.as_str(), "COUNT" | "SUM" | "AVG" | "MIN" | "MAX") {
-                    found = true;
-                }
+                found |= is_aggregate_fn(name);
             }
         });
         found
     }
+}
+
+/// True when `name` is one of the supported aggregate functions.
+pub fn is_aggregate_fn(name: &str) -> bool {
+    matches!(name, "COUNT" | "SUM" | "AVG" | "MIN" | "MAX")
 }

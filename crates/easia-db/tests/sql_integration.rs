@@ -673,3 +673,68 @@ fn aggregates_over_empty_and_all_null_groups() {
         ]
     );
 }
+
+#[test]
+fn aggregates_inside_composite_expressions() {
+    // An aggregate call is a value wherever it stands in HAVING, the
+    // select list or ORDER BY — under a function, IS NULL, BETWEEN or
+    // IN as much as under an operator.
+    let mut db = turbulence_db();
+    db.execute("INSERT INTO author VALUES ('A3', 'Denis Nicole', NULL, 'Southampton')")
+        .unwrap();
+    db.execute("INSERT INTO simulation VALUES ('S4', 'No grid yet', 'A3', NULL, NULL, NULL)")
+        .unwrap();
+    let rows = |db: &mut Database, sql: &str| db.execute(sql).unwrap().rows;
+    let s = |t: &str| Value::Str(t.into());
+    assert_eq!(
+        rows(
+            &mut db,
+            "SELECT author_key, COALESCE(SUM(grid_size), 0), ROUND(AVG(reynolds)) \
+             FROM simulation GROUP BY author_key ORDER BY author_key",
+        ),
+        vec![
+            vec![s("A1"), Value::Int(768), Value::Double(780.0)],
+            vec![s("A2"), Value::Int(128), Value::Double(300.0)],
+            vec![s("A3"), Value::Int(0), Value::Null],
+        ]
+    );
+    assert_eq!(
+        rows(
+            &mut db,
+            "SELECT author_key FROM simulation GROUP BY author_key \
+             HAVING SUM(grid_size) IS NOT NULL ORDER BY author_key",
+        ),
+        vec![vec![s("A1")], vec![s("A2")]]
+    );
+    assert_eq!(
+        rows(
+            &mut db,
+            "SELECT author_key FROM simulation GROUP BY author_key \
+             HAVING COUNT(*) BETWEEN 2 AND 3",
+        ),
+        vec![vec![s("A1")]]
+    );
+    assert_eq!(
+        rows(
+            &mut db,
+            "SELECT author_key FROM simulation GROUP BY author_key \
+             HAVING COUNT(*) IN (1, 5) ORDER BY ABS(0 - MAX(grid_size)) DESC, author_key",
+        ),
+        vec![vec![s("A2")], vec![s("A3")]]
+    );
+    // HAVING short-circuits like any other predicate: the division is
+    // never reached for the group the left side already rejects.
+    assert_eq!(
+        rows(
+            &mut db,
+            "SELECT author_key FROM simulation GROUP BY author_key \
+             HAVING COUNT(grid_size) > 0 AND 768 / COUNT(grid_size) > 400 ORDER BY author_key",
+        ),
+        vec![vec![s("A2")]]
+    );
+    // Outside a group an aggregate call is still an error.
+    assert!(matches!(
+        db.execute("SELECT title FROM simulation WHERE COUNT(*) > 1"),
+        Err(DbError::Eval(_))
+    ));
+}

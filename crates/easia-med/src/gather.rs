@@ -17,7 +17,7 @@ use crate::metrics::{
     BYTES_WIRE, CACHE_HITS, DEADLINE_CANCELLED, PARTIAL_AGG_GROUPS_SHIPPED, ROWS_PRUNED,
     ROWS_SHIPPED,
 };
-use crate::remote::{scan_rows, serve};
+use crate::remote::{scan_rows, serve_scan};
 use crate::wire::{decode_batch, ScanRequest};
 use easia_db::{Database, Value};
 use easia_net::{HostId, SimNet, TransferId, TransferStatus};
@@ -95,12 +95,13 @@ enum Flight {
     /// Nothing — ready to launch the request or the next batch, or the
     /// stream is complete.
     Idle,
-    /// The EMQ1 scan-request frame.
+    /// The EMQ1 scan-request frame, kept so the site decodes exactly
+    /// what was delivered.
     Request {
         /// The in-flight transfer.
         id: TransferId,
-        /// Frame length, accounted on delivery.
-        len: u64,
+        /// The frame bytes.
+        frame: Vec<u8>,
     },
     /// An EMB1 row-batch frame, kept so the hub can account and decode
     /// it the moment it is delivered.
@@ -366,9 +367,9 @@ impl Federation {
                     }
                     let launched = if wants_request {
                         requested[gi][pi] = true;
-                        let len = p.request.encode().len() as u64;
-                        net.try_transfer(hub_host, p.site.host, len as f64)
-                            .map(|id| Flight::Request { id, len })
+                        let frame = p.request.encode();
+                        net.try_transfer(hub_host, p.site.host, frame.len() as f64)
+                            .map(|id| Flight::Request { id, frame })
                     } else if batches_inflight >= window {
                         continue;
                     } else {
@@ -416,9 +417,9 @@ impl Federation {
                     };
                     match net.transfer_status(id) {
                         TransferStatus::Done(_) => match std::mem::replace(fl, Flight::Idle) {
-                            Flight::Request { len, .. } => {
-                                p.bytes += len;
-                                self.serve_request(p)?;
+                            Flight::Request { frame, .. } => {
+                                p.bytes += frame.len() as u64;
+                                self.serve_request(p, &frame)?;
                             }
                             Flight::Batch { frame, .. } => {
                                 // All delivered wire traffic counts,
@@ -454,15 +455,15 @@ impl Federation {
     }
 
     /// The site end of a delivered scan request: unless its service is
-    /// down, the site executes the scan at request-delivery time and
-    /// frames the batches past the request's resume cursor, stamping
-    /// its write counter.
-    fn serve_request(&self, p: &mut Pending<'_>) -> Result<(), FedError> {
+    /// down, the site decodes the frame and executes the scan at
+    /// request-delivery time, framing the batches past the request's
+    /// resume cursor and stamping its write counter.
+    fn serve_request(&self, p: &mut Pending<'_>, frame: &[u8]) -> Result<(), FedError> {
         if !p.site.is_up() {
             p.failed = true;
             return Ok(());
         }
-        let frames = serve(&mut p.site.db.borrow_mut(), &p.request, self.batch_rows)?;
+        let frames = serve_scan(&mut p.site.db.borrow_mut(), frame, self.batch_rows)?;
         p.frames = frames.into_iter();
         Ok(())
     }

@@ -1,10 +1,10 @@
 //! A federated statement is a list of legs, and this is the one
 //! executor that runs them.
 //!
-//! [`Federation::plan`] turns a parsed SELECT into a [`Statement`]: a
-//! single-table statement is the one-leg case (carrying
-//! [`plan_select`]'s top-k and partial-aggregate decisions), a JOIN is
-//! [`plan_join`]'s legs. [`Federation::execute`] runs dependency waves
+//! [`Federation::plan`] turns a parsed SELECT into a [`Statement`]:
+//! [`plan_join`]'s legs, of which a single-table statement has one
+//! (and with it the top-k and partial-aggregate decisions only a
+//! one-leg plan carries). [`Federation::execute`] runs dependency waves
 //! over any number of statements at once — build each ready leg's scan
 //! request, prepare, one pump, finish — and completes a statement the
 //! moment its last leg is gathered: the hub merge, the EXPLAIN
@@ -20,11 +20,9 @@ use crate::metrics::{
     PARTIAL_AGG_FALLBACKS, PARTIAL_AGG_QUERIES, PUSHDOWN_CONJUNCTS, SEMIJOIN_FALLBACKS,
     SEMIJOIN_KEYS_SHIPPED,
 };
-use crate::planner::{
-    externalize, plan_join, plan_select, strip_qualifiers, AggPlan, JoinLeg, LegStrategy, TablePlan,
-};
+use crate::planner::{externalize, plan_join, strip_qualifiers, AggPlan, JoinLeg, LegStrategy};
 use crate::wire::ScanRequest;
-use easia_db::sql::ast::{Expr, SelectItem, SelectStmt, Stmt};
+use easia_db::sql::ast::{Expr, SelectStmt, Stmt};
 use easia_db::sql::{expr_to_sql, parse};
 use easia_db::{Database, Value};
 use easia_net::{HostId, SimNet};
@@ -246,82 +244,26 @@ impl Federation {
         let Stmt::Select(sel) = parse(sql)? else {
             return Err(FedError::Unsupported("only SELECT can be federated".into()));
         };
-        if !sel.joins.is_empty() {
-            let resolver = |t: &str| -> Option<Vec<String>> {
-                hub_db
-                    .schema(t)
-                    .map(|s| s.columns.iter().map(|c| c.name.clone()).collect())
-            };
-            let plan = plan_join(&sel, &self.catalog, &resolver, params, self.pushdown)?;
-            return Ok(Statement {
-                tables: plan
-                    .legs
-                    .iter()
-                    .map(|l| self.catalog.table(&l.table).filter(|_| l.federated))
-                    .collect(),
-                sel,
-                params,
-                legs: plan.legs,
-                hub_eval: plan.hub_eval,
-                order_limit: None,
-                partial_agg: None,
-                agg_fallback: None,
-            });
-        }
-        let from = sel
-            .from
-            .as_ref()
-            .ok_or_else(|| FedError::Unsupported("SELECT without FROM".into()))?;
-        let table = from.name.to_ascii_uppercase();
-        let ft = self
-            .catalog
-            .table(&table)
-            .ok_or(FedError::UnknownTable(table))?;
-        let mut plan = if self.pushdown {
-            plan_select(&sel, ft, params)?
-        } else {
-            // Ship-everything ablation: no pushed conjuncts, full
-            // projection, no top-k cut, no pruning.
-            let is_agg_stmt = !sel.group_by.is_empty()
-                || sel.having.is_some()
-                || sel.items.iter().any(|i| match i {
-                    SelectItem::Expr { expr, .. } => expr.contains_aggregate(),
-                    _ => false,
-                });
-            TablePlan {
-                pushed: vec![],
-                hub_eval: sel
-                    .where_clause
-                    .as_ref()
-                    .map(|w| easia_db::plan::conjuncts(w).into_iter().cloned().collect())
-                    .unwrap_or_default(),
-                columns: ft.columns.iter().map(|(c, _)| c.clone()).collect(),
-                order_limit: None,
-                site_key_value: None,
-                partial_agg: None,
-                agg_fallback: is_agg_stmt.then_some("disabled"),
-            }
+        let local = |t: &str| -> Option<Vec<String>> {
+            hub_db
+                .schema(t)
+                .map(|s| s.columns.iter().map(|c| c.name.clone()).collect())
         };
+        let mut plan = plan_join(&sel, &self.catalog, &local, params, self.pushdown)?;
         if !self.partial_agg && plan.partial_agg.take().is_some() {
             // Partial-aggregate ablation: keep every other pushdown but
             // ship the aggregate's raw rows.
             plan.agg_fallback = Some("disabled");
         }
-        let leg = JoinLeg {
-            table: ft.name.clone(),
-            alias: from.alias.clone().unwrap_or_else(|| ft.name.clone()),
-            kind: None,
-            federated: true,
-            columns: plan.columns,
-            pushed: plan.pushed,
-            site_key_value: plan.site_key_value,
-            strategy: LegStrategy::Gather,
-        };
         Ok(Statement {
+            tables: plan
+                .legs
+                .iter()
+                .map(|l| self.catalog.table(&l.table).filter(|_| l.federated))
+                .collect(),
             sel,
             params,
-            legs: vec![leg],
-            tables: vec![Some(ft)],
+            legs: plan.legs,
             hub_eval: plan.hub_eval,
             order_limit: plan.order_limit,
             partial_agg: plan.partial_agg,

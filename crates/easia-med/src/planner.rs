@@ -1,14 +1,24 @@
-//! The hub-side distributed planner.
+//! The hub-side distributed planner — one of them.
 //!
-//! Given a parsed SELECT over one foreign table, decide per conjunct
-//! whether it can run at the sites (predicate pushdown), which columns
-//! must cross the wire (projection pushdown), whether ORDER BY/LIMIT
-//! can be pushed (top-k merge: every site ships at most `limit` rows),
-//! and which partitions a site-key binding allows us to skip entirely
-//! (partition pruning).
+//! A federated SELECT is a list of table *legs*: the FROM table and
+//! each JOINed one. [`plan_join`] decides, per leg, which conjuncts run
+//! at the sites (predicate pushdown), which columns cross the wire
+//! (projection pushdown), which partitions a site-key binding lets us
+//! skip (partition pruning) and how a joined leg is fetched (semi-join
+//! key shipping). A single-table statement is its one-leg case — the
+//! only one that may also cut a top-k at the sites or decompose its
+//! aggregates into site-local partials — and [`plan_select`] is that
+//! case in the shape single-table callers read.
 //!
-//! Correctness story: the hub runs the *original* statement over an
-//! in-memory relation holding the shipped rows, so pushdown only ever
+//! Which leg a column reference belongs to is never decided here: the
+//! planner joins the legs' columns, each under its binding alias, into
+//! the [`RowSchema`] the hub merge will evaluate the statement over and
+//! asks *it* ([`RowSchema::candidates`]). A conjunct therefore runs at
+//! a leg's sites exactly when the merge would resolve every column in
+//! it to that leg.
+//!
+//! Correctness story: the hub runs the *original* statement over
+//! in-memory relations holding the shipped rows, so pushdown only ever
 //! removes rows/columns that provably cannot influence the result —
 //! pushed conjuncts are row-local filters (evaluating them twice is
 //! idempotent), the shipped projection includes every column the
@@ -18,8 +28,11 @@
 use crate::catalog::{FedCatalog, ForeignTable};
 use crate::wire::{AggCall, PartialAggSpec};
 use crate::FedError;
-use easia_db::exec::{agg_key, collect_aggs, derive_name, is_aggregate_fn};
-use easia_db::sql::ast::{BinaryOp, Expr, JoinKind, OrderBy, SelectItem, SelectStmt, TableRef};
+use easia_db::exec::{collect_aggs, derive_name};
+use easia_db::expr::{agg_key, RowSchema};
+use easia_db::sql::ast::{
+    is_aggregate_fn, BinaryOp, Expr, JoinKind, OrderBy, SelectItem, SelectStmt, TableRef,
+};
 use easia_db::sql::expr_to_sql;
 use easia_db::{plan, Value};
 use std::collections::BTreeSet;
@@ -83,7 +96,7 @@ impl AggPlan {
     }
 }
 
-/// The per-table federation plan.
+/// The per-table federation plan: a one-leg [`JoinPlan`] flattened.
 #[derive(Debug, Clone)]
 pub struct TablePlan {
     /// Conjuncts evaluated at the sites (original form, for display).
@@ -94,7 +107,7 @@ pub struct TablePlan {
     pub columns: Vec<String>,
     /// Pushed top-k: `(order keys, limit)` when sites may cut early.
     pub order_limit: Option<(Vec<(String, bool)>, usize)>,
-    /// The site-key value bound by an equality conjunct, when one
+    /// The site-key value bound by a pushed equality conjunct, when one
     /// exists — the pruning handle.
     pub site_key_value: Option<Value>,
     /// Partial-aggregate pushdown decomposition, when the statement
@@ -118,7 +131,8 @@ impl TablePlan {
     }
 }
 
-/// Build the plan for `sel` against foreign table `ft`.
+/// Plan single-table `sel` against foreign table `ft`, pushdown on: the
+/// one-leg case of [`plan_join`] with `ft` as the whole catalogue.
 ///
 /// `params` are the statement's positional parameters — needed to
 /// resolve a `site_key = ?` binding for pruning.
@@ -132,67 +146,439 @@ pub fn plan_select(
             "JOIN over a foreign table is not federated".into(),
         ));
     }
-    let col_set: BTreeSet<&str> = ft.columns.iter().map(|(c, _)| c.as_str()).collect();
-    let alias = sel
-        .from
-        .as_ref()
-        .and_then(|t| t.alias.clone())
-        .unwrap_or_else(|| ft.name.clone());
+    let only = |t: &str| (t == ft.name).then_some(ft);
+    let mut plan = plan_legs(sel, &only, &|_| None, params, true)?;
+    let leg = plan.legs.pop().expect("no JOIN, one leg");
+    Ok(TablePlan {
+        pushed: leg.pushed,
+        hub_eval: plan.hub_eval,
+        columns: leg.columns,
+        order_limit: plan.order_limit,
+        site_key_value: leg.site_key_value,
+        partial_agg: plan.partial_agg,
+        agg_fallback: plan.agg_fallback,
+    })
+}
 
-    let conjuncts: Vec<&Expr> = sel
-        .where_clause
-        .as_ref()
-        .map(plan::conjuncts)
-        .unwrap_or_default();
-    let mut pushed = Vec::new();
+/// How one leg of a federated statement fetches its rows.
+#[derive(Debug, Clone, PartialEq)]
+pub enum LegStrategy {
+    /// Hub-local table: the merge join reads it in place.
+    Local,
+    /// Deliberate full gather: the FROM anchor always scans its
+    /// surviving partitions (pushed conjuncts and pruning still apply).
+    Gather,
+    /// Keyed remote scan (semi-join shipping): the hub extracts the
+    /// bound join-key set from an earlier leg and ships it with the
+    /// scan request, so sites return only rows that can match.
+    SemiJoin {
+        /// Column of this leg restricted by the shipped key list.
+        key_column: String,
+        /// Index of the earlier leg whose rows supply the keys.
+        source_leg: usize,
+        /// Column of the source leg whose values form the key set.
+        source_column: String,
+    },
+    /// Full-partition ship, with the reason recorded for EXPLAIN.
+    FullShip {
+        /// Why keys could not be shipped for this leg.
+        reason: String,
+    },
+}
+
+/// One table term of a federated statement: the FROM anchor (index 0)
+/// or a joined table, with its fetch strategy and pushdown decisions.
+#[derive(Debug, Clone)]
+pub struct JoinLeg {
+    /// Table name (upper-case).
+    pub table: String,
+    /// Binding alias (upper-case; the table name when unaliased).
+    pub alias: String,
+    /// `None` for the FROM anchor, the join kind otherwise.
+    pub kind: Option<JoinKind>,
+    /// Is this leg a registered foreign table?
+    pub federated: bool,
+    /// Shipped projection for federated legs (foreign-schema order,
+    /// never empty); the full known column list for local legs.
+    pub columns: Vec<String>,
+    /// Conjuncts evaluated at the sites for this leg (original form).
+    pub pushed: Vec<Expr>,
+    /// Site-key value bound by a *pushed* conjunct — the pruning
+    /// handle. Derived only from pushed conjuncts so pruning inherits
+    /// their soundness (a LEFT leg never prunes on a WHERE binding).
+    pub site_key_value: Option<Value>,
+    /// How the leg's rows reach the hub.
+    pub strategy: LegStrategy,
+}
+
+impl JoinLeg {
+    /// Pushed conjuncts rendered as SQL (for EXPLAIN).
+    pub fn pushed_sql(&self) -> Vec<String> {
+        self.pushed.iter().map(expr_to_sql).collect()
+    }
+}
+
+/// The whole-statement plan: its legs (one for a single-table
+/// statement) and what stays at the hub.
+#[derive(Debug, Clone)]
+pub struct JoinPlan {
+    /// Table legs in statement order (FROM anchor first).
+    pub legs: Vec<JoinLeg>,
+    /// WHERE conjuncts that only the hub evaluates (for EXPLAIN; the
+    /// merge re-runs the full original statement regardless).
+    pub hub_eval: Vec<Expr>,
+    /// Pushed top-k: `(order keys, limit)` when sites may cut early.
+    /// One-leg statements only.
+    pub order_limit: Option<(Vec<(String, bool)>, usize)>,
+    /// Partial-aggregate decomposition. One-leg statements only.
+    pub partial_agg: Option<AggPlan>,
+    /// Why a one-leg aggregate statement ships raw rows instead
+    /// (`"disabled"` under the `pushdown = false` ablation).
+    pub agg_fallback: Option<&'static str>,
+}
+
+impl JoinPlan {
+    /// Hub-evaluated conjuncts rendered as SQL (for EXPLAIN).
+    pub fn hub_sql(&self) -> Vec<String> {
+        self.hub_eval.iter().map(expr_to_sql).collect()
+    }
+}
+
+/// Structural checks every federated statement passes first, pushdown
+/// on or off: a FROM table, and no binding alias used twice.
+pub fn validate_join(sel: &SelectStmt) -> Result<(), FedError> {
+    let Some(from) = &sel.from else {
+        return Err(FedError::Unsupported(
+            "a federated SELECT requires a FROM table".into(),
+        ));
+    };
+    let mut seen: BTreeSet<String> = BTreeSet::new();
+    for t in std::iter::once(from).chain(sel.joins.iter().map(|j| &j.table)) {
+        let label = binding_name(t);
+        if !seen.insert(label.clone()) {
+            return Err(FedError::Unsupported(format!(
+                "duplicate table alias {label} in federated JOIN"
+            )));
+        }
+    }
+    Ok(())
+}
+
+/// The upper-case name a table term binds in the statement.
+fn binding_name(t: &TableRef) -> String {
+    t.alias
+        .as_deref()
+        .unwrap_or(t.name.as_str())
+        .to_ascii_uppercase()
+}
+
+/// The rows the hub merge evaluates the statement over: every leg's
+/// full column list under its binding alias, joined in statement order.
+/// All column attribution goes through it, so the planner and the merge
+/// cannot disagree about whose column a reference is.
+#[derive(Default)]
+struct Scope {
+    schema: RowSchema,
+    /// The first slot of each leg.
+    starts: Vec<usize>,
+}
+
+impl Scope {
+    /// The legs holding a column that the reference could denote: none
+    /// for an unknown column, several for an ambiguous one.
+    fn legs_of<'a>(
+        &'a self,
+        table: &Option<String>,
+        name: &str,
+    ) -> impl Iterator<Item = usize> + 'a {
+        self.schema
+            .candidates(table.as_deref(), name)
+            .map(|slot| self.starts.partition_point(|&s| s <= slot) - 1)
+    }
+
+    /// The leg owning the one column the reference resolves to; `None`
+    /// when the merge would call it unknown or ambiguous.
+    fn owner(&self, table: &Option<String>, name: &str) -> Option<usize> {
+        let mut legs = self.legs_of(table, name);
+        let first = legs.next()?;
+        legs.next().is_none().then_some(first)
+    }
+
+    /// The leg whose sites could evaluate conjunct `e` unchanged: every
+    /// column in it resolves to that one leg. A conjunct naming no
+    /// column is the FROM anchor's (an anchor row it drops produces no
+    /// output row under INNER and LEFT alike). Function calls stay at
+    /// the hub — sites only promise the core expression grammar — as
+    /// does anything spanning legs or naming an ambiguous column.
+    fn conjunct_leg(&self, e: &Expr) -> Option<usize> {
+        let mut leg = None;
+        let mut ok = true;
+        e.walk(&mut |n| match n {
+            Expr::Function { .. } => ok = false,
+            Expr::Column { table, name } => match self.owner(table, name) {
+                Some(i) if leg.is_none_or(|l| l == i) => leg = Some(i),
+                _ => ok = false,
+            },
+            _ => {}
+        });
+        ok.then_some(leg.unwrap_or(0))
+    }
+}
+
+/// Decompose a SELECT into per-leg federated scans plus a hub merge.
+///
+/// `local_columns` resolves hub-local table names to their column
+/// lists, so a JOIN may mix foreign and hub-local legs; at least one
+/// leg must be a registered foreign table. `pushdown = false` is the
+/// ship-everything ablation: nothing is pushed, pruned, keyed or cut.
+///
+/// Soundness rules encoded here (the hub re-runs the original
+/// statement over the gathered rows, so a site may only drop rows that
+/// provably cannot change the merged result):
+///
+/// * WHERE conjuncts push only to non-nullable legs — the anchor and
+///   INNER-joined legs. A LEFT-joined leg never receives WHERE pushes:
+///   dropping its rows at the site turns "row present but filtered"
+///   into "row absent", which *creates* a NULL-extended row (e.g.
+///   `WHERE b.x IS NULL` would flip from false to true).
+/// * ON conjuncts referencing only the joined leg push for both join
+///   kinds: a row failing the conjunct and a row absent from the site
+///   result both yield "no match", which INNER and LEFT treat
+///   identically.
+/// * Semi-join keys for a leg come from an earlier leg's *gathered*
+///   rows (a superset of the rows that survive the hub merge), or a
+///   full hub column scan for local legs — never from a post-filter
+///   set. NULL keys are excluded: under three-valued `=` they can
+///   never match.
+/// * A site-key binding prunes only when it comes from a *pushed*
+///   conjunct, so pruning inherits the rules above.
+pub fn plan_join(
+    sel: &SelectStmt,
+    catalog: &FedCatalog,
+    local_columns: &dyn Fn(&str) -> Option<Vec<String>>,
+    params: &[Value],
+    pushdown: bool,
+) -> Result<JoinPlan, FedError> {
+    plan_legs(sel, &|t| catalog.table(t), local_columns, params, pushdown)
+}
+
+/// [`plan_join`] over any source of foreign tables.
+fn plan_legs<'c>(
+    sel: &SelectStmt,
+    foreign: &dyn Fn(&str) -> Option<&'c ForeignTable>,
+    local_columns: &dyn Fn(&str) -> Option<Vec<String>>,
+    params: &[Value],
+    pushdown: bool,
+) -> Result<JoinPlan, FedError> {
+    validate_join(sel)?;
+    let from = sel.from.as_ref().expect("validate_join checked FROM");
+    let terms: Vec<(&TableRef, Option<JoinKind>, Option<&Expr>)> =
+        std::iter::once((from, None, None))
+            .chain(
+                sel.joins
+                    .iter()
+                    .map(|j| (&j.table, Some(j.kind), Some(&j.on))),
+            )
+            .collect();
+
+    // 1. Legs with their full column lists, and the scope they form.
+    let mut scope = Scope::default();
+    let mut legs: Vec<JoinLeg> = Vec::with_capacity(terms.len());
+    let mut site_keys = Vec::with_capacity(terms.len());
+    for (tref, kind, _) in &terms {
+        let table = tref.name.to_ascii_uppercase();
+        let ft = foreign(&table);
+        let columns: Vec<String> = match ft {
+            Some(ft) => ft.columns.iter().map(|(c, _)| c.clone()).collect(),
+            // A hub-local table is a leg only beside others in a JOIN.
+            None => match local_columns(&table).filter(|_| !sel.joins.is_empty()) {
+                Some(cols) => cols.iter().map(|c| c.to_ascii_uppercase()).collect(),
+                None => return Err(FedError::UnknownTable(table)),
+            },
+        };
+        let alias = binding_name(tref);
+        scope.starts.push(scope.schema.columns.len());
+        scope.schema = scope.schema.join(&RowSchema::for_table(&alias, &columns));
+        legs.push(JoinLeg {
+            table,
+            alias,
+            kind: *kind,
+            federated: ft.is_some(),
+            columns,
+            pushed: Vec::new(),
+            site_key_value: None,
+            strategy: match (ft, kind) {
+                (None, _) => LegStrategy::Local,
+                (Some(_), None) => LegStrategy::Gather,
+                (Some(_), Some(_)) => LegStrategy::FullShip {
+                    reason: if pushdown {
+                        "no equi-join key binds this leg to an earlier one".into()
+                    } else {
+                        "pushdown disabled".into()
+                    },
+                },
+            },
+        });
+        site_keys.push(ft.and_then(|ft| ft.site_key.as_deref()));
+    }
+    if !legs.iter().any(|l| l.federated) {
+        return Err(FedError::Unsupported(
+            "JOIN has no foreign-table leg to federate".into(),
+        ));
+    }
+
+    // 2. Every column reference of the statement: each leg that could
+    // hold it ships it (an ambiguous name reaches the merge from all of
+    // them, and the merge raises its own error); one that no leg holds
+    // is the merge's "unknown column", raised here before anything
+    // ships. An ORDER BY output name is not a column reference at all.
+    let mut whole: BTreeSet<usize> = BTreeSet::new();
+    if !pushdown && legs.len() == 1 {
+        // The single-table ablation is E10's ship-everything baseline;
+        // a JOIN's (E12) switches off conjunct and key shipping only.
+        whole.insert(0);
+    }
+    let mut used: Vec<BTreeSet<String>> = vec![BTreeSet::new(); legs.len()];
+    let mut unknown = Ok(());
+    let mut refer = |e: &Expr| {
+        e.walk(&mut |n| {
+            let Expr::Column { table, name } = n else {
+                return;
+            };
+            let mut holders = scope.legs_of(table, name).peekable();
+            if holders.peek().is_none() && unknown.is_ok() {
+                unknown = scope.schema.resolve(table.as_deref(), name).map(drop);
+            }
+            for i in holders {
+                used[i].insert(name.to_ascii_uppercase());
+            }
+        })
+    };
+    for item in &sel.items {
+        match item {
+            SelectItem::Wildcard => whole.extend(0..legs.len()),
+            SelectItem::QualifiedWildcard(q) => {
+                let q = q.to_ascii_uppercase();
+                match legs.iter().position(|l| l.alias == q) {
+                    Some(i) => {
+                        whole.insert(i);
+                    }
+                    // The merge names the unknown alias.
+                    None => whole.extend(0..legs.len()),
+                }
+            }
+            SelectItem::Expr { expr, .. } => refer(expr),
+        }
+    }
+    let ons = terms.iter().filter_map(|(.., on)| *on);
+    for e in ons
+        .chain(&sel.where_clause)
+        .chain(&sel.group_by)
+        .chain(&sel.having)
+    {
+        refer(e);
+    }
+    for o in &sel.order_by {
+        if output_item(sel, &o.expr).is_none() {
+            refer(&o.expr);
+        }
+    }
+    unknown?;
+
+    // 3. WHERE conjuncts: push to non-nullable federated legs.
     let mut hub_eval = Vec::new();
-    for c in &conjuncts {
-        if pushable(c, &col_set, &ft.name, &alias) {
-            pushed.push((*c).clone());
-        } else {
-            hub_eval.push((*c).clone());
+    for c in sel.where_clause.iter().flat_map(plan::conjuncts) {
+        let target = scope
+            .conjunct_leg(c)
+            .filter(|&i| pushdown && legs[i].federated && legs[i].kind != Some(JoinKind::Left));
+        match target {
+            Some(i) => legs[i].pushed.push(c.clone()),
+            None => hub_eval.push(c.clone()),
         }
     }
 
-    let columns = needed_columns(sel, ft)?;
-
-    // Top-k pushdown: sound only when the statement is a plain
-    // filter-project (no aggregation, grouping or DISTINCT), every
-    // conjunct runs at the sites, and the sort keys are shipped columns.
-    let order_limit = match sel.limit {
-        Some(limit)
-            if hub_eval.is_empty()
-                && !sel.distinct
-                && sel.group_by.is_empty()
-                && sel.having.is_none()
-                && !sel.items.iter().any(|i| match i {
-                    SelectItem::Expr { expr, .. } => expr.contains_aggregate(),
-                    _ => false,
-                }) =>
-        {
-            order_keys(&sel.order_by, &col_set, &ft.name, &alias).map(|keys| (keys, limit))
+    // 4. ON conjuncts: push single-leg filters, and key the leg on the
+    // first `its column = an earlier leg's column` (both columns are
+    // already shipped: step 2 saw the ON).
+    for (i, (.., on)) in terms.iter().enumerate() {
+        let Some(on) = on.filter(|_| pushdown && legs[i].federated) else {
+            continue;
+        };
+        for c in plan::conjuncts(on) {
+            if scope.conjunct_leg(c) == Some(i) {
+                legs[i].pushed.push(c.clone());
+                continue;
+            }
+            let column = |e: &Expr| match e {
+                Expr::Column { table, name } => {
+                    Some((scope.owner(table, name)?, name.to_ascii_uppercase()))
+                }
+                _ => None,
+            };
+            let Expr::Binary(l, BinaryOp::Eq, r) = c else {
+                continue;
+            };
+            let (Some(l), Some(r)) = (column(l), column(r)) else {
+                continue;
+            };
+            let (key, source) = if l.0 == i { (l, r) } else { (r, l) };
+            if key.0 == i
+                && source.0 < i
+                && matches!(legs[i].strategy, LegStrategy::FullShip { .. })
+            {
+                legs[i].strategy = LegStrategy::SemiJoin {
+                    key_column: key.1,
+                    source_leg: source.0,
+                    source_column: source.1,
+                };
+            }
         }
-        _ => None,
+    }
+
+    // 5. Shipped projections (never empty: row counts must survive,
+    // e.g. `SELECT COUNT(*)`) and site-key bindings — the pruning
+    // handle, read off the *pushed* conjuncts only.
+    for (i, leg) in legs.iter_mut().enumerate() {
+        if !leg.federated {
+            continue;
+        }
+        if !whole.contains(&i) {
+            let first = leg.columns[0].clone();
+            leg.columns.retain(|c| used[i].contains(c));
+            if leg.columns.is_empty() {
+                leg.columns.push(first);
+            }
+        }
+        if let Some(key) = site_keys[i] {
+            leg.site_key_value = leg.pushed.iter().find_map(|c| key_equality(c, key, params));
+        }
+    }
+
+    // 6. The one-leg extras: under JOIN legs they stay deferred. Top-k
+    // is sound only for a plain filter-project whose every conjunct
+    // runs at the sites and whose sort keys are shipped columns.
+    let one_leg = legs.len() == 1;
+    let agg = if one_leg {
+        plan_partial_agg(sel, hub_eval.is_empty())
+    } else {
+        Ok(None)
+    };
+    let plain = one_leg && matches!(agg, Ok(None)) && !sel.distinct && sel.having.is_none();
+    let order_limit = sel
+        .limit
+        .filter(|_| pushdown && plain && hub_eval.is_empty())
+        .and_then(|n| Some((order_keys(sel)?, n)));
+    let (partial_agg, agg_fallback) = match agg {
+        Ok(None) => (None, None),
+        Ok(agg) if pushdown => (agg, None),
+        Err(reason) if pushdown => (None, Some(reason)),
+        _ => (None, Some("disabled")),
     };
 
-    let site_key_value = match &ft.site_key {
-        Some(key) => conjuncts
-            .iter()
-            .find_map(|c| key_equality(c, key, &ft.name, &alias, params)),
-        None => None,
-    };
-
-    let (partial_agg, agg_fallback) = match plan_partial_agg(sel, ft, &alias, hub_eval.is_empty()) {
-        Ok(p) => (p, None),
-        Err(reason) => (None, Some(reason)),
-    };
-
-    Ok(TablePlan {
-        pushed,
+    Ok(JoinPlan {
+        legs,
         hub_eval,
-        columns,
         order_limit,
-        site_key_value,
         partial_agg,
         agg_fallback,
     })
@@ -204,15 +590,12 @@ pub fn plan_select(
 /// when every shape decomposes exactly, and `Err(reason)` when the
 /// statement aggregates but must fall back to shipping raw rows
 /// (DISTINCT, expression arguments, hub-only conjuncts, computed group
-/// keys, or non-grouped column references).
+/// keys, or non-grouped column references). The statement has one leg
+/// and every column reference in it is already known to be that leg's.
 fn plan_partial_agg(
     sel: &SelectStmt,
-    ft: &ForeignTable,
-    alias: &str,
     hub_eval_empty: bool,
 ) -> Result<Option<AggPlan>, &'static str> {
-    let col_set: BTreeSet<&str> = ft.columns.iter().map(|(c, _)| c.as_str()).collect();
-
     // Aggregate call sites, in the local executor's discovery order.
     let mut aggs: Vec<Expr> = Vec::new();
     let mut wildcard = false;
@@ -249,7 +632,7 @@ fn plan_partial_agg(
     let mut group_cols = Vec::with_capacity(sel.group_by.len());
     for g in &sel.group_by {
         match g {
-            Expr::Column { table, name } if col_ok(table, name, &col_set, &ft.name, alias) => {
+            Expr::Column { name, .. } => {
                 // A repeated key groups no finer: ship it once.
                 let key = name.to_ascii_uppercase();
                 if !group_cols.contains(&key) {
@@ -285,11 +668,7 @@ fn plan_partial_agg(
             }
         } else {
             let col = match args.as_slice() {
-                [Expr::Column { table, name: c }]
-                    if col_ok(table, c, &col_set, &ft.name, alias) =>
-                {
-                    c.to_ascii_uppercase()
-                }
+                [Expr::Column { name: c, .. }] => c.to_ascii_uppercase(),
                 _ => return Err("expr-arg"),
             };
             match name.as_str() {
@@ -317,18 +696,7 @@ fn plan_partial_agg(
 
     // Outside the aggregates, only grouped columns may appear — any
     // other reference reads per-row state the partials no longer carry.
-    let out_names: Vec<String> = sel
-        .items
-        .iter()
-        .map(|i| match i {
-            SelectItem::Expr { expr, alias } => alias.clone().unwrap_or_else(|| derive_name(expr)),
-            _ => String::new(),
-        })
-        .collect();
-    let grouped = |table: &Option<String>, name: &str| -> bool {
-        col_ok(table, name, &col_set, &ft.name, alias)
-            && group_cols.iter().any(|g| g.eq_ignore_ascii_case(name))
-    };
+    let grouped = |name: &str| group_cols.iter().any(|g| g.eq_ignore_ascii_case(name));
     for item in &sel.items {
         if let SelectItem::Expr { expr, .. } = item {
             if !non_agg_cols_grouped(expr, &grouped) {
@@ -342,14 +710,9 @@ fn plan_partial_agg(
         }
     }
     for ob in &sel.order_by {
-        // A bare column naming an output alias sorts by output
-        // position at the hub; anything else must be grouped.
-        if let Expr::Column { table: None, name } = &ob.expr {
-            if out_names.iter().any(|c| c.eq_ignore_ascii_case(name)) {
-                continue;
-            }
-        }
-        if !non_agg_cols_grouped(&ob.expr, &grouped) {
+        // An output name sorts by output position at the hub; anything
+        // else must be grouped.
+        if output_item(sel, &ob.expr).is_none() && !non_agg_cols_grouped(&ob.expr, &grouped) {
             return Err("non-group-column");
         }
     }
@@ -363,14 +726,14 @@ fn plan_partial_agg(
 
 /// True when every column reference *outside* aggregate calls
 /// satisfies `grouped`.
-fn non_agg_cols_grouped(e: &Expr, grouped: &dyn Fn(&Option<String>, &str) -> bool) -> bool {
+fn non_agg_cols_grouped(e: &Expr, grouped: &dyn Fn(&str) -> bool) -> bool {
     if let Expr::Function { name, .. } = e {
         if is_aggregate_fn(name) {
             return true; // aggregate arguments are checked separately
         }
     }
     match e {
-        Expr::Column { table, name } => grouped(table, name),
+        Expr::Column { name, .. } => grouped(name),
         Expr::Unary(_, inner) => non_agg_cols_grouped(inner, grouped),
         Expr::Binary(l, _, r) => {
             non_agg_cols_grouped(l, grouped) && non_agg_cols_grouped(r, grouped)
@@ -393,128 +756,54 @@ fn non_agg_cols_grouped(e: &Expr, grouped: &dyn Fn(&Option<String>, &str) -> boo
     }
 }
 
-/// The columns the statement needs shipped, in schema order. Falls back
-/// to all columns for wildcards; guarantees at least one column so row
-/// counts survive (e.g. `SELECT COUNT(*)`).
-fn needed_columns(sel: &SelectStmt, ft: &ForeignTable) -> Result<Vec<String>, FedError> {
-    let mut wildcard = false;
-    let mut used: BTreeSet<String> = BTreeSet::new();
-    let mut collect = |e: &Expr| {
-        e.walk(&mut |n| {
-            if let Expr::Column { name, .. } = n {
-                used.insert(name.to_ascii_uppercase());
-            }
-        })
+/// The select item an ORDER BY key names, under the executor's
+/// alias-first rule (`easia_db::exec`'s `order_key`): an unqualified
+/// name equal to an item's output name sorts by that output column and
+/// is not a column reference at all.
+fn output_item<'a>(sel: &'a SelectStmt, key: &Expr) -> Option<&'a Expr> {
+    let Expr::Column { table: None, name } = key else {
+        return None;
     };
-    for item in &sel.items {
-        match item {
-            SelectItem::Wildcard | SelectItem::QualifiedWildcard(_) => wildcard = true,
-            SelectItem::Expr { expr, .. } => collect(expr),
-        }
-    }
-    if let Some(w) = &sel.where_clause {
-        collect(w);
-    }
-    for g in &sel.group_by {
-        collect(g);
-    }
-    if let Some(h) = &sel.having {
-        collect(h);
-    }
-    for o in &sel.order_by {
-        collect(&o.expr);
-    }
-    if wildcard {
-        return Ok(ft.columns.iter().map(|(c, _)| c.clone()).collect());
-    }
-    for u in &used {
-        if !ft.columns.iter().any(|(c, _)| c == u) {
-            return Err(FedError::Unsupported(format!(
-                "column {u} is not part of foreign table {}",
-                ft.name
-            )));
-        }
-    }
-    let mut cols: Vec<String> = ft
-        .columns
-        .iter()
-        .filter(|(c, _)| used.contains(c))
-        .map(|(c, _)| c.clone())
-        .collect();
-    if cols.is_empty() {
-        // Row-count-only statements still need one shipped column.
-        cols.push(ft.columns[0].0.clone());
-    }
-    Ok(cols)
-}
-
-/// Is a column reference resolvable against the foreign table?
-fn col_ok(table: &Option<String>, name: &str, cols: &BTreeSet<&str>, t: &str, alias: &str) -> bool {
-    let qual_ok = match table {
-        None => true,
-        Some(q) => {
-            let q = q.to_ascii_uppercase();
-            q == t || q == alias.to_ascii_uppercase()
-        }
-    };
-    qual_ok && cols.contains(name.to_ascii_uppercase().as_str())
-}
-
-/// Can a conjunct run unchanged at a site? Functions stay at the hub
-/// (sites only promise the core expression grammar), everything else
-/// pushes if its columns belong to the table.
-fn pushable(e: &Expr, cols: &BTreeSet<&str>, t: &str, alias: &str) -> bool {
-    let mut ok = true;
-    e.walk(&mut |n| match n {
-        Expr::Function { .. } => ok = false,
-        Expr::Column { table, name } if !col_ok(table, name, cols, t, alias) => {
-            ok = false;
-        }
-        _ => {}
-    });
-    ok
+    sel.items.iter().find_map(|item| match item {
+        SelectItem::Expr { expr, alias } => alias
+            .clone()
+            .unwrap_or_else(|| derive_name(expr))
+            .eq_ignore_ascii_case(name)
+            .then_some(expr),
+        _ => None,
+    })
 }
 
 /// ORDER BY keys as `(column, asc)` pairs if every key is a plain
-/// shipped column (possibly qualified); `None` otherwise. An empty
-/// ORDER BY is fine — a bare LIMIT still pushes.
-fn order_keys(
-    order_by: &[OrderBy],
-    cols: &BTreeSet<&str>,
-    t: &str,
-    alias: &str,
-) -> Option<Vec<(String, bool)>> {
-    let mut keys = Vec::with_capacity(order_by.len());
-    for o in order_by {
-        match &o.expr {
-            Expr::Column { table, name } if col_ok(table, name, cols, t, alias) => {
-                keys.push((name.to_ascii_uppercase(), o.asc));
-            }
-            _ => return None,
-        }
-    }
-    Some(keys)
+/// column of the statement's one leg (possibly qualified); `None`
+/// otherwise. A key that names an output column counts only when that
+/// item is the same-named column itself — the hub sorts by the item,
+/// not by the name. An empty ORDER BY is fine: a bare LIMIT still
+/// pushes.
+fn order_keys(sel: &SelectStmt) -> Option<Vec<(String, bool)>> {
+    let key = |o: &OrderBy| {
+        let Expr::Column { name, .. } = &o.expr else {
+            return None;
+        };
+        let itself = match output_item(sel, &o.expr) {
+            Some(Expr::Column { name: item, .. }) => item.eq_ignore_ascii_case(name),
+            Some(_) => false,
+            None => true,
+        };
+        itself.then(|| (name.to_ascii_uppercase(), o.asc))
+    };
+    sel.order_by.iter().map(key).collect()
 }
 
-/// Match `site_key = <const>` (either orientation) and resolve the
+/// Match `key = <const>` (either orientation) in a conjunct already
+/// attributed to the leg whose site key `key` is, and resolve the
 /// constant, looking through parameters.
-fn key_equality(e: &Expr, key: &str, t: &str, alias: &str, params: &[Value]) -> Option<Value> {
+fn key_equality(e: &Expr, key: &str, params: &[Value]) -> Option<Value> {
     let Expr::Binary(l, BinaryOp::Eq, r) = e else {
         return None;
     };
-    let is_key = |side: &Expr| match side {
-        Expr::Column { table, name } => {
-            name.eq_ignore_ascii_case(key)
-                && match table {
-                    None => true,
-                    Some(q) => {
-                        let q = q.to_ascii_uppercase();
-                        q == t || q == alias.to_ascii_uppercase()
-                    }
-                }
-        }
-        _ => false,
-    };
+    let is_key =
+        |side: &Expr| matches!(side, Expr::Column { name, .. } if name.eq_ignore_ascii_case(key));
     let as_const = |side: &Expr| match side {
         Expr::Literal(v) => Some(v.clone()),
         Expr::Param(i) => params.get(i.checked_sub(1)?).cloned(),
@@ -598,436 +887,6 @@ pub fn externalize(e: &Expr, params: &[Value], out: &mut Vec<Value>) -> Result<E
             ))
         }
     })
-}
-
-/// How one leg of a federated JOIN fetches its rows.
-#[derive(Debug, Clone, PartialEq)]
-pub enum LegStrategy {
-    /// Hub-local table: the merge join reads it in place.
-    Local,
-    /// Deliberate full gather: the FROM anchor always scans its
-    /// surviving partitions (pushed conjuncts and pruning still apply).
-    Gather,
-    /// Keyed remote scan (semi-join shipping): the hub extracts the
-    /// bound join-key set from an earlier leg and ships it with the
-    /// scan request, so sites return only rows that can match.
-    SemiJoin {
-        /// Column of this leg restricted by the shipped key list.
-        key_column: String,
-        /// Index of the earlier leg whose rows supply the keys.
-        source_leg: usize,
-        /// Column of the source leg whose values form the key set.
-        source_column: String,
-    },
-    /// Full-partition ship, with the reason recorded for EXPLAIN.
-    FullShip {
-        /// Why keys could not be shipped for this leg.
-        reason: String,
-    },
-}
-
-/// One table term of a federated JOIN: the FROM anchor (index 0) or a
-/// joined table, with its fetch strategy and pushdown decisions.
-#[derive(Debug, Clone)]
-pub struct JoinLeg {
-    /// Table name (upper-case).
-    pub table: String,
-    /// Binding alias (upper-case; the table name when unaliased).
-    pub alias: String,
-    /// `None` for the FROM anchor, the join kind otherwise.
-    pub kind: Option<JoinKind>,
-    /// Is this leg a registered foreign table?
-    pub federated: bool,
-    /// Shipped projection for federated legs (foreign-schema order,
-    /// never empty); the full known column list for local legs.
-    pub columns: Vec<String>,
-    /// Conjuncts evaluated at the sites for this leg (original form).
-    pub pushed: Vec<Expr>,
-    /// Site-key value bound by a *pushed* conjunct — the pruning
-    /// handle. Derived only from pushed conjuncts so pruning inherits
-    /// their soundness (a LEFT leg never prunes on a WHERE binding).
-    pub site_key_value: Option<Value>,
-    /// How the leg's rows reach the hub.
-    pub strategy: LegStrategy,
-}
-
-impl JoinLeg {
-    /// Pushed conjuncts rendered as SQL (for EXPLAIN).
-    pub fn pushed_sql(&self) -> Vec<String> {
-        self.pushed.iter().map(expr_to_sql).collect()
-    }
-}
-
-/// The whole-statement plan for a federated JOIN.
-#[derive(Debug, Clone)]
-pub struct JoinPlan {
-    /// Table legs in statement order (FROM anchor first).
-    pub legs: Vec<JoinLeg>,
-    /// WHERE conjuncts that only the hub evaluates (for EXPLAIN; the
-    /// merge re-runs the full original statement regardless).
-    pub hub_eval: Vec<Expr>,
-}
-
-impl JoinPlan {
-    /// Hub-evaluated conjuncts rendered as SQL (for EXPLAIN).
-    pub fn hub_sql(&self) -> Vec<String> {
-        self.hub_eval.iter().map(expr_to_sql).collect()
-    }
-}
-
-/// Structural checks shared by the pushdown planner and the
-/// ship-everything ablation, so both reject unsupported JOIN shapes
-/// with the same typed error.
-pub fn validate_join(sel: &SelectStmt) -> Result<(), FedError> {
-    if sel.from.is_none() {
-        return Err(FedError::Unsupported(
-            "federated JOIN requires a FROM table".into(),
-        ));
-    }
-    let mut seen: BTreeSet<String> = BTreeSet::new();
-    let refs = std::iter::once(sel.from.as_ref().expect("checked above"))
-        .chain(sel.joins.iter().map(|j| &j.table));
-    for t in refs {
-        let label = binding_name(t);
-        if !seen.insert(label.clone()) {
-            return Err(FedError::Unsupported(format!(
-                "duplicate table alias {label} in federated JOIN"
-            )));
-        }
-    }
-    Ok(())
-}
-
-/// The upper-case name a table term binds in the statement.
-fn binding_name(t: &TableRef) -> String {
-    t.alias
-        .as_deref()
-        .unwrap_or(t.name.as_str())
-        .to_ascii_uppercase()
-}
-
-/// Decompose a SELECT with JOINs into per-leg federated scans plus a
-/// hub merge join.
-///
-/// `local_columns` resolves hub-local table names to their column
-/// lists — the planner needs them to attribute column references to
-/// legs. At least one leg must be a registered foreign table.
-///
-/// Soundness rules encoded here (the hub re-runs the original
-/// statement over staged rows, so a site may only drop rows that
-/// provably cannot change the merged result):
-///
-/// * WHERE conjuncts push only to non-nullable legs — the anchor and
-///   INNER-joined legs. A LEFT-joined leg never receives WHERE pushes:
-///   dropping its rows at the site turns "row present but filtered"
-///   into "row absent", which *creates* a NULL-extended row (e.g.
-///   `WHERE b.x IS NULL` would flip from false to true).
-/// * ON conjuncts referencing only the joined leg push for both join
-///   kinds: a row failing the conjunct and a row absent from the site
-///   result both yield "no match", which INNER and LEFT treat
-///   identically.
-/// * Semi-join keys for a leg come from an earlier leg's *gathered*
-///   rows (a superset of the rows that survive the hub merge), or a
-///   full hub column scan for local legs — never from a post-filter
-///   set. NULL keys are excluded: under three-valued `=` they can
-///   never match.
-pub fn plan_join(
-    sel: &SelectStmt,
-    catalog: &FedCatalog,
-    local_columns: &dyn Fn(&str) -> Option<Vec<String>>,
-    params: &[Value],
-    pushdown: bool,
-) -> Result<JoinPlan, FedError> {
-    validate_join(sel)?;
-    let from = sel.from.as_ref().expect("validate_join checked FROM");
-
-    struct Term<'a> {
-        tref: &'a TableRef,
-        kind: Option<JoinKind>,
-        on: Option<&'a Expr>,
-    }
-    let mut terms = vec![Term {
-        tref: from,
-        kind: None,
-        on: None,
-    }];
-    for j in &sel.joins {
-        terms.push(Term {
-            tref: &j.table,
-            kind: Some(j.kind),
-            on: Some(&j.on),
-        });
-    }
-
-    // 1. Legs with their full column lists (needed for attribution).
-    let mut legs: Vec<JoinLeg> = Vec::with_capacity(terms.len());
-    for t in &terms {
-        let table = t.tref.name.to_ascii_uppercase();
-        let (federated, cols) = match catalog.table(&table) {
-            Some(ft) => (true, ft.columns.iter().map(|(c, _)| c.clone()).collect()),
-            None => match local_columns(&table) {
-                Some(cols) => (
-                    false,
-                    cols.iter()
-                        .map(|c| c.to_ascii_uppercase())
-                        .collect::<Vec<_>>(),
-                ),
-                None => return Err(FedError::UnknownTable(table)),
-            },
-        };
-        legs.push(JoinLeg {
-            table,
-            alias: binding_name(t.tref),
-            kind: t.kind,
-            federated,
-            columns: cols,
-            pushed: Vec::new(),
-            site_key_value: None,
-            strategy: LegStrategy::Local,
-        });
-    }
-    if !legs.iter().any(|l| l.federated) {
-        return Err(FedError::Unsupported(
-            "JOIN has no foreign-table leg to federate".into(),
-        ));
-    }
-
-    let col_sets: Vec<BTreeSet<String>> = legs
-        .iter()
-        .map(|l| l.columns.iter().cloned().collect())
-        .collect();
-    // Resolve a column reference to its owning leg, or None when it is
-    // unknown or ambiguous (the hub merge is then the arbiter).
-    let owner = |table: &Option<String>, name: &str| -> Option<usize> {
-        let name = name.to_ascii_uppercase();
-        match table {
-            Some(q) => {
-                let q = q.to_ascii_uppercase();
-                let i = legs.iter().position(|l| l.alias == q)?;
-                col_sets[i].contains(&name).then_some(i)
-            }
-            None => {
-                let mut hits = legs
-                    .iter()
-                    .enumerate()
-                    .filter(|(i, _)| col_sets[*i].contains(&name))
-                    .map(|(i, _)| i);
-                let first = hits.next()?;
-                hits.next().is_none().then_some(first)
-            }
-        }
-    };
-    // Does `e` reference exactly one leg (and which)? Conjuncts that
-    // cannot be attributed to a single leg stay at the hub.
-    let single_leg = |e: &Expr| -> Option<usize> {
-        let mut leg: Option<usize> = None;
-        let mut ok = true;
-        let mut any = false;
-        e.walk(&mut |n| match n {
-            Expr::Function { .. } => ok = false,
-            Expr::Column { table, name } => {
-                any = true;
-                match owner(table, name) {
-                    Some(i) if leg.is_none() || leg == Some(i) => leg = Some(i),
-                    _ => ok = false,
-                }
-            }
-            _ => {}
-        });
-        (ok && any).then_some(leg?)
-    };
-
-    // 2. WHERE conjuncts: push to non-nullable federated legs.
-    let mut hub_eval = Vec::new();
-    let mut pushed: Vec<Vec<Expr>> = vec![Vec::new(); legs.len()];
-    for c in sel
-        .where_clause
-        .as_ref()
-        .map(plan::conjuncts)
-        .unwrap_or_default()
-    {
-        let target = single_leg(c)
-            .filter(|&i| pushdown && legs[i].federated && legs[i].kind != Some(JoinKind::Left));
-        match target {
-            Some(i) => pushed[i].push(c.clone()),
-            None => hub_eval.push(c.clone()),
-        }
-    }
-
-    // 3. ON conjuncts: push single-leg filters, extract equi-join keys.
-    let mut strategies: Vec<LegStrategy> = legs
-        .iter()
-        .map(|l| {
-            if !l.federated {
-                LegStrategy::Local
-            } else if l.kind.is_none() {
-                LegStrategy::Gather
-            } else if !pushdown {
-                LegStrategy::FullShip {
-                    reason: "pushdown disabled".into(),
-                }
-            } else {
-                LegStrategy::FullShip {
-                    reason: "no equi-join key binds this leg to an earlier one".into(),
-                }
-            }
-        })
-        .collect();
-    for (i, t) in terms.iter().enumerate() {
-        let Some(on) = t.on else { continue };
-        for c in plan::conjuncts(on) {
-            if pushdown && legs[i].federated && single_leg(c) == Some(i) {
-                pushed[i].push(c.clone());
-                continue;
-            }
-            // Equi-join key: this leg's column = an earlier leg's column.
-            if !pushdown
-                || !legs[i].federated
-                || !matches!(
-                    strategies[i],
-                    LegStrategy::FullShip { ref reason } if reason.starts_with("no equi-join")
-                )
-            {
-                continue;
-            }
-            let Expr::Binary(l, BinaryOp::Eq, r) = c else {
-                continue;
-            };
-            let col_of = |e: &Expr| match e {
-                Expr::Column { table, name } => {
-                    owner(table, name).map(|i| (i, name.to_ascii_uppercase()))
-                }
-                _ => None,
-            };
-            if let (Some((li, lc)), Some((ri, rc))) = (col_of(l), col_of(r)) {
-                let ((ki, kc), (si, sc)) = if li == i && ri < i {
-                    ((li, lc), (ri, rc))
-                } else if ri == i && li < i {
-                    ((ri, rc), (li, lc))
-                } else {
-                    continue;
-                };
-                debug_assert_eq!(ki, i);
-                strategies[i] = LegStrategy::SemiJoin {
-                    key_column: kc,
-                    source_leg: si,
-                    source_column: sc,
-                };
-            }
-        }
-    }
-
-    // 4. Shipped projections: every column the statement mentions for
-    // the leg, plus join-key columns on both ends.
-    let mut wildcard_all = false;
-    let mut wildcard_legs: BTreeSet<usize> = BTreeSet::new();
-    let mut used: Vec<BTreeSet<String>> = vec![BTreeSet::new(); legs.len()];
-    {
-        let mut collect = |e: &Expr| {
-            e.walk(&mut |n| {
-                if let Expr::Column { table, name } = n {
-                    let name = name.to_ascii_uppercase();
-                    match table {
-                        Some(q) => {
-                            let q = q.to_ascii_uppercase();
-                            if let Some(i) = legs.iter().position(|l| l.alias == q) {
-                                used[i].insert(name);
-                            }
-                        }
-                        // Unqualified (possibly ambiguous): every leg
-                        // that knows the column ships it.
-                        None => {
-                            for (i, set) in col_sets.iter().enumerate() {
-                                if set.contains(&name) {
-                                    used[i].insert(name.clone());
-                                }
-                            }
-                        }
-                    }
-                }
-            })
-        };
-        for item in &sel.items {
-            match item {
-                SelectItem::Wildcard => wildcard_all = true,
-                SelectItem::QualifiedWildcard(q) => {
-                    let q = q.to_ascii_uppercase();
-                    match legs.iter().position(|l| l.alias == q) {
-                        Some(i) => {
-                            wildcard_legs.insert(i);
-                        }
-                        None => wildcard_all = true,
-                    }
-                }
-                SelectItem::Expr { expr, .. } => collect(expr),
-            }
-        }
-        if let Some(w) = &sel.where_clause {
-            collect(w);
-        }
-        for g in &sel.group_by {
-            collect(g);
-        }
-        if let Some(h) = &sel.having {
-            collect(h);
-        }
-        for o in &sel.order_by {
-            collect(&o.expr);
-        }
-        for t in &terms {
-            if let Some(on) = t.on {
-                collect(on);
-            }
-        }
-    }
-    for (i, s) in strategies.iter().enumerate() {
-        if let LegStrategy::SemiJoin {
-            key_column,
-            source_leg,
-            source_column,
-        } = s
-        {
-            used[i].insert(key_column.clone());
-            used[*source_leg].insert(source_column.clone());
-        }
-    }
-    for (i, leg) in legs.iter_mut().enumerate() {
-        leg.strategy = strategies[i].clone();
-        leg.pushed = std::mem::take(&mut pushed[i]);
-        if !leg.federated {
-            continue;
-        }
-        if !wildcard_all && !wildcard_legs.contains(&i) {
-            let mut cols: Vec<String> = leg
-                .columns
-                .iter()
-                .filter(|c| used[i].contains(*c))
-                .cloned()
-                .collect();
-            if cols.is_empty() {
-                cols.push(leg.columns[0].clone());
-            }
-            leg.columns = cols;
-        }
-    }
-
-    // 5. Per-leg site-key bindings from the *pushed* conjuncts.
-    for leg in legs.iter_mut() {
-        if !leg.federated {
-            continue;
-        }
-        let Some(ft) = catalog.table(&leg.table) else {
-            continue;
-        };
-        if let Some(key) = &ft.site_key {
-            leg.site_key_value = leg
-                .pushed
-                .iter()
-                .find_map(|c| key_equality(c, key, &leg.table, &leg.alias, params));
-        }
-    }
-
-    Ok(JoinPlan { legs, hub_eval })
 }
 
 /// Clone `e` with every column qualifier removed. Pushed predicates

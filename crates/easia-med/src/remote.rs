@@ -3,8 +3,9 @@
 //! Each foreign server runs one of these against its local `easia-db`
 //! instance: decode the scan request, execute the pushed-down SQL, and
 //! frame the result rows into bounded batches for shipment back to the
-//! hub. It is deliberately thin — all planning lives at the hub, a site
-//! just runs the SELECT it is handed.
+//! hub ([`serve_scan`], which the hub's pump calls with the very frame
+//! it put on the wire). It is deliberately thin — all planning lives at
+//! the hub, a site just runs the SELECT it is handed.
 
 use crate::wire::{encode_batch, ScanRequest, WireError};
 use easia_db::{Database, DbError, Value};
@@ -41,32 +42,24 @@ pub fn scan_rows(db: &mut Database, req: &ScanRequest) -> Result<Vec<Vec<Value>>
     Ok(rs.rows)
 }
 
-/// A site serving one scan request: run it and frame the rows into
-/// batches of at most `batch_rows`, honouring the request's resume
-/// cursor and stamping the site's write counter.
-pub(crate) fn serve(
-    db: &mut Database,
-    req: &ScanRequest,
-    batch_rows: usize,
-) -> Result<Vec<Vec<u8>>, RemoteError> {
-    let rows = scan_rows(db, req)?;
-    Ok(frame_batches(
-        &rows,
-        batch_rows,
-        req.resume_from,
-        db.write_counter(),
-    ))
-}
-
-/// Execute a wire-encoded scan request end to end: decode it, then
-/// serve it as the hub's in-process sites do.
+/// A site serving one wire-encoded scan request end to end: decode the
+/// EMQ1 frame, run the scan and frame the rows into batches of at most
+/// `batch_rows`, honouring the request's resume cursor and stamping the
+/// site's write counter. The hub's in-process sites are served through
+/// this too, so every field the hub encodes is one a site decodes.
 pub fn serve_scan(
     db: &mut Database,
     frame: &[u8],
     batch_rows: usize,
 ) -> Result<Vec<Vec<u8>>, RemoteError> {
     let req = ScanRequest::decode(frame).map_err(RemoteError::Wire)?;
-    serve(db, &req, batch_rows)
+    let rows = scan_rows(db, &req)?;
+    Ok(frame_batches(
+        &rows,
+        batch_rows,
+        req.resume_from,
+        db.write_counter(),
+    ))
 }
 
 /// Chunk rows into encoded batch frames, skipping the first

@@ -10,7 +10,10 @@
 //! that commit's two-line `p.failed` bookkeeping defect in the retry
 //! rung repaired (CHANGES.md PR 17 has the patch and the 14 transcript
 //! lines it moves: the two resumed-crash sections, two counters, four
-//! spans). Rerun it only for an intended change:
+//! spans). The four sections after `spans` were appended by the
+//! one-planner refactor, which is the first commit able to answer them
+//! as the single-database oracle does. Rerun it only for an intended
+//! change:
 //! `cargo test -p easia-med --test federation -- --ignored regenerate`.
 
 use crate::rig::{asym_rig, with_res, Rig};
@@ -310,7 +313,39 @@ fn transcript() -> String {
     s.out.push_str(&med_families(&s.obs));
     s.section("spans");
     s.out.push_str(&s.obs.tracer.render());
-    s.out
+
+    // Appended with the one-planner refactor (CHANGES.md PR 18), on a
+    // registry of their own so every section above keeps its bytes: the
+    // four shapes whose answer that refactor changed.
+    let mut t = Script {
+        out: String::new(),
+        obs: Obs::new(),
+    };
+    let mut r = fresh();
+    for (label, sql) in [
+        (
+            "ORDER BY an output alias",
+            "SELECT SITE, COUNT(*) AS C FROM SIM GROUP BY SITE ORDER BY C DESC, SITE",
+        ),
+        (
+            "the table's name under an alias",
+            "SELECT K FROM SIM S WHERE SIM.SITE = 'cam'",
+        ),
+        (
+            "a constant conjunct over a JOIN",
+            "SELECT S.K, R.R FROM SIM S JOIN RES R ON S.K = R.K WHERE 1 = 0",
+        ),
+        (
+            "aggregates inside composite expressions",
+            "SELECT SITE, COALESCE(SUM(N), 0) FROM SIM GROUP BY SITE \
+             HAVING COUNT(*) BETWEEN 4 AND 40 ORDER BY SITE",
+        ),
+    ] {
+        t.run(&mut r, label, sql, &[]);
+    }
+    t.section("metrics after the appended statements");
+    t.out.push_str(&med_families(&t.obs));
+    s.out + &t.out
 }
 
 /// The `easia_med_*` lines of the exposition.

@@ -1,11 +1,13 @@
 //! `easia-med` through its public API only: the statement suites that
 //! used to live inside `federation.rs`, each beside the seam it
-//! exercises, and the golden statement transcript.
+//! exercises, the golden statement transcript, and the differential
+//! probe against a single-database oracle.
 
 mod gather;
 mod golden;
 mod joins;
 mod ladder;
+mod oracle;
 mod plan_report;
 mod rig;
 mod statements;

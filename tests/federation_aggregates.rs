@@ -139,8 +139,9 @@ fn assert_matches_oracle(
 /// planner decomposes: global and grouped, NULL-bearing columns,
 /// HAVING cuts (including aggregates absent from the select list),
 /// ORDER BY an aggregate with a LIMIT, empty groups, all-NULL inputs,
-/// and the hub-only `Sheared` group no remote site has.
-const MATRIX: [&str; 14] = [
+/// the hub-only `Sheared` group no remote site has, and aggregates
+/// nested inside functions and predicates.
+const MATRIX: [&str; 19] = [
     "SELECT COUNT(*) FROM SIMULATION",
     "SELECT COUNT(GRID_SIZE), COUNT(VISCOSITY), COUNT(RESULT_FILE) FROM SIMULATION",
     "SELECT SUM(GRID_SIZE), MIN(GRID_SIZE), MAX(GRID_SIZE), AVG(GRID_SIZE) FROM SIMULATION",
@@ -164,6 +165,17 @@ const MATRIX: [&str; 14] = [
     "SELECT COUNT(*), COUNT(GRID_SIZE), SUM(GRID_SIZE), AVG(GRID_SIZE) \
      FROM SIMULATION WHERE GRID_SIZE IS NULL",
     "SELECT SITE, COUNT(RESULT_FILE), COUNT(*) FROM SIMULATION GROUP BY SITE ORDER BY SITE",
+    // Aggregates inside composite expressions: under a function,
+    // IS NULL, BETWEEN and IN, and an output alias as the sort key.
+    "SELECT TOPIC, COALESCE(SUM(GRID_SIZE), 0), ROUND(AVG(VISCOSITY)) FROM SIMULATION \
+     WHERE GRID_SIZE IS NULL OR TOPIC <> 'Forced' GROUP BY TOPIC ORDER BY TOPIC",
+    "SELECT TOPIC FROM SIMULATION WHERE GRID_SIZE IS NULL GROUP BY TOPIC \
+     HAVING SUM(GRID_SIZE) IS NULL AND COUNT(*) BETWEEN 1 AND 100 ORDER BY TOPIC",
+    "SELECT TOPIC, COUNT(*) FROM SIMULATION GROUP BY TOPIC \
+     HAVING COUNT(*) NOT IN (0, 1) ORDER BY ABS(MIN(GRID_SIZE) - 100), TOPIC",
+    "SELECT SITE, COUNT(*) AS C FROM SIMULATION GROUP BY SITE ORDER BY C DESC, SITE",
+    "SELECT TOPIC, COUNT(GRID_SIZE) AS C FROM SIMULATION GROUP BY TOPIC \
+     HAVING COUNT(GRID_SIZE) > 0 AND 1000 / COUNT(GRID_SIZE) >= 0 ORDER BY C, TOPIC",
 ];
 
 #[test]

@@ -370,3 +370,34 @@ fn explain_federated_route_reports_join_legs() {
     assert!(body.contains("join leg"), "{body}");
     assert!(body.contains("semi-join keyed on"), "{body}");
 }
+
+#[test]
+fn constant_false_conjunct_over_a_join_ships_nothing() {
+    // A conjunct naming no column is the FROM anchor's, exactly as in a
+    // single-table statement: the anchor's sites filter every row away,
+    // its empty key set skips the keyed leg, and nothing crosses the
+    // WAN — where the JOIN planner used to gather the whole anchor for
+    // the hub to discard.
+    let mut fed = federated_archive();
+    let mut ora = oracle_archive();
+    for sql in [
+        "SELECT T.FILE_NAME, S.TITLE FROM RESULT_FILE T \
+         JOIN SIMULATION S ON T.SIMULATION_KEY = S.SIMULATION_KEY WHERE 1 = 0",
+        "SELECT T.FILE_NAME, S.TITLE FROM RESULT_FILE T \
+         LEFT JOIN SIMULATION S ON T.SIMULATION_KEY = S.SIMULATION_KEY \
+         WHERE 1 = 0 AND T.TIMESTEP >= 0",
+    ] {
+        let out = fed.federated_query(sql, &[]).unwrap();
+        assert_eq!(out.rs.rows, ora.db.execute(sql).unwrap().rows, "{sql}");
+        assert!(out.rs.rows.is_empty(), "{sql}");
+        assert_eq!(out.explain.rows_shipped(), 0, "{}", out.explain.render());
+        let anchor = &out.explain.sites[0];
+        assert_eq!(anchor.table, "RESULT_FILE");
+        assert!(anchor.pushed_conjuncts.contains(&"(1 = 0)".to_string()));
+        assert!(
+            anchor.hub_conjuncts.is_empty(),
+            "{:?}",
+            anchor.hub_conjuncts
+        );
+    }
+}
