@@ -8,7 +8,7 @@ use crate::mvcc::ReadView;
 use crate::plan::{choose_access_path, choose_in_scope, AccessPath, Scope};
 use crate::sql::ast::{is_aggregate_fn, Expr, Join, JoinKind, OrderBy, SelectItem, SelectStmt};
 use crate::storage::RowId;
-use crate::value::{encode_row, Value};
+use crate::value::{decode_row, decode_row_into, encode_row, Value};
 use std::collections::HashMap;
 
 /// The context in which expressions over `row` (shaped by `schema`)
@@ -26,6 +26,11 @@ fn row_ctx<'a>(
         functions: db.functions(),
         aggs: None,
     }
+}
+
+/// Does `pred` hold (evaluate to TRUE, not UNKNOWN) on `ctx`'s row?
+fn holds(ctx: &EvalContext, pred: &Expr) -> Result<bool> {
+    Ok(truth(&*ctx.eval_cow(pred)?) == Some(true))
 }
 
 /// Evaluate a row-independent expression (INSERT values, constants).
@@ -98,34 +103,52 @@ impl<'a> Source<'a> {
         }
     }
 
-    /// The rows `view` can see along `path`; a relation has no indexes
-    /// and no versions, so it is always read whole.
-    fn rows(&self, db: &Database, view: &ReadView, path: AccessPath) -> Vec<Vec<Value>> {
+    /// The rows `view` can see along `path` that `pass`, in storage
+    /// order, with every row visited added to `seen`. A relation has no
+    /// indexes and no versions, so it is always visited whole; it lends
+    /// each row to `pass` and copies out the ones that do.
+    fn rows(
+        &self,
+        db: &Database,
+        view: &ReadView,
+        path: AccessPath,
+        seen: &mut usize,
+        mut pass: impl FnMut(&[Value]) -> Result<bool>,
+    ) -> Result<Vec<Vec<Value>>> {
         match self {
-            Source::Relation(r) => r.rows.clone(),
-            Source::Table(t) => fetch(db, view, t, path, |_, row| row),
+            Source::Relation(r) => {
+                *seen += r.rows.len();
+                let mut out = Vec::new();
+                for row in &r.rows {
+                    if pass(row)? {
+                        out.push(row.clone());
+                    }
+                }
+                Ok(out)
+            }
+            Source::Table(t) => fetch(db, view, t, path, seen, pass, |_, row| row),
         }
     }
 }
 
-/// The rows of catalogue table `t` visible to `view`, read along `path`
-/// and passed through `keep` (which picks what of `(RowId, row)` the
-/// caller wants).
+/// The rows of catalogue table `t` visible to `view` that `pass`, read
+/// along `path` in heap order and handed to `keep` (which picks what of
+/// `(RowId, row)` the caller wants); see [`sift`].
 fn fetch<T>(
     db: &Database,
     view: &ReadView,
     t: &Table,
     path: AccessPath,
+    seen: &mut usize,
+    pass: impl FnMut(&[Value]) -> Result<bool>,
     keep: impl Fn(RowId, Vec<Value>) -> T,
-) -> Vec<T> {
+) -> Result<Vec<T>> {
     let visible = db.row_visibility(&t.schema.name, view);
     match path {
-        AccessPath::FullScan => t
-            .heap
-            .scan()
-            .filter(|(rid, _)| visible(*rid))
-            .map(|(rid, row)| keep(rid, row))
-            .collect(),
+        AccessPath::FullScan => {
+            let records = t.heap.records().filter(|(rid, _)| visible(*rid));
+            sift(records, seen, pass, keep)
+        }
         AccessPath::IndexRange {
             index_pos,
             eq,
@@ -154,12 +177,42 @@ fn fetch<T>(
             // Heap order, as a full scan would deliver them: the choice
             // of path never shows in an un-ORDERed or LIMITed result.
             rids.sort_unstable();
-            rids.into_iter()
+            let records = rids
+                .into_iter()
                 .filter(|rid| visible(*rid))
-                .filter_map(|rid| t.heap.get(rid).map(|row| keep(rid, row)))
-                .collect()
+                .filter_map(|rid| Some((rid, t.heap.record(rid)?)));
+            sift(records, seen, pass, keep)
         }
     }
+}
+
+/// Decode each of `records` into one scratch row, lend it to `pass`,
+/// and move out (through `keep`) only a row that passes: a rejected row
+/// allocates nothing. `seen` grows by the number of records, also when
+/// `pass` or the decoder raises part-way — the first error is the one
+/// returned, and what it left unvisited was a candidate all the same.
+fn sift<'r, T>(
+    mut records: impl Iterator<Item = (RowId, &'r [u8])>,
+    seen: &mut usize,
+    mut pass: impl FnMut(&[Value]) -> Result<bool>,
+    keep: impl Fn(RowId, Vec<Value>) -> T,
+) -> Result<Vec<T>> {
+    let mut scratch = Vec::new();
+    let mut out = Vec::new();
+    let mut raised = None;
+    for (rid, record) in records.by_ref() {
+        *seen += 1;
+        match decode_row_into(record, &mut 0, &mut scratch).and_then(|()| pass(&scratch)) {
+            Ok(true) => out.push(keep(rid, std::mem::take(&mut scratch))),
+            Ok(false) => {}
+            Err(e) => {
+                raised = Some(e);
+                break;
+            }
+        }
+    }
+    *seen += records.count();
+    raised.map_or(Ok(out), Err)
 }
 
 /// Book one base-table scan of `rows` candidate rows.
@@ -190,23 +243,17 @@ pub fn collect_matching(
         .ok_or_else(|| DbError::Catalog(format!("table {table} does not exist")))?;
     let path = choose_access_path(db, t, table, where_clause, params)?;
     let index_probe = matches!(path, AccessPath::IndexRange { .. });
-    let candidates = fetch(db, view, t, path, |rid, row| (rid, row));
-    note_scan(db, index_probe, candidates.len());
     let schema = RowSchema::for_table(table, &Source::Table(t).columns());
-    let mut out = Vec::new();
-    for (rid, row) in candidates {
-        let keep = match where_clause {
-            None => true,
-            Some(pred) => {
-                let ctx = row_ctx(db, &schema, &row, params);
-                truth(&ctx.eval(pred)?) == Some(true)
-            }
-        };
-        if keep {
-            out.push((rid, row));
-        }
-    }
-    Ok(out)
+    let pass = |row: &[Value]| match where_clause {
+        None => Ok(true),
+        Some(pred) => holds(&row_ctx(db, &schema, row, params), pred),
+    };
+    let mut candidates = 0;
+    let matching = fetch(db, view, t, path, &mut candidates, pass, |rid, row| {
+        (rid, row)
+    });
+    note_scan(db, index_probe, candidates);
+    matching
 }
 
 /// Execute a SELECT against a read view.
@@ -285,18 +332,23 @@ pub fn run_select_over(
         }
     }
     let index_probe = matches!(path, AccessPath::IndexRange { .. });
-    let mut rows = base.rows(db, view, path);
-    note_scan(db, index_probe, rows.len());
-    if !own.is_empty() {
-        // A base row failing one of them fails the WHERE on every joined
-        // row made from it, padded or not. A conjunct that raises after
-        // all keeps its row, so the WHERE below raises it too.
-        rows.retain(|row| {
-            let ctx = row_ctx(db, &schema, row, params);
-            own.iter()
-                .all(|c| !matches!(ctx.eval(c), Ok(v) if truth(&v) != Some(true)))
-        });
-    }
+    // The base rows are filtered as they are read: by the whole WHERE
+    // when there is nothing to join, else by the base's own conjuncts.
+    let pass = |row: &[Value]| {
+        let ctx = row_ctx(db, &schema, row, params);
+        match &sel.where_clause {
+            Some(pred) if sel.joins.is_empty() => holds(&ctx, pred),
+            // A base row failing one of them fails the WHERE on every
+            // joined row made from it, padded or not. A conjunct that
+            // raises after all keeps its row, so the WHERE below raises
+            // it too.
+            _ => Ok(own.iter().all(|c| !matches!(holds(&ctx, c), Ok(false)))),
+        }
+    };
+    let mut candidates = 0;
+    let rows = base.rows(db, view, path, &mut candidates, pass);
+    note_scan(db, index_probe, candidates);
+    let mut rows = rows?;
 
     // ---- joins ----
     for join in &sel.joins {
@@ -317,16 +369,17 @@ pub fn run_select_over(
         }
     }
 
-    // ---- WHERE ----
+    // ---- WHERE (over joined rows; a lone table's ran with its scan) ----
     if let Some(pred) = &sel.where_clause {
-        let mut kept = Vec::with_capacity(rows.len());
-        for row in rows {
-            let ctx = row_ctx(db, &schema, &row, params);
-            if truth(&ctx.eval(pred)?) == Some(true) {
-                kept.push(row);
+        if !sel.joins.is_empty() {
+            let mut kept = Vec::with_capacity(rows.len());
+            for row in rows {
+                if holds(&row_ctx(db, &schema, &row, params), pred)? {
+                    kept.push(row);
+                }
             }
+            rows = kept;
         }
-        rows = kept;
         if let Some(m) = db.metrics() {
             m.stage_filter.observe(rows.len() as f64);
         }
@@ -512,7 +565,7 @@ fn run_join(
 
     // Without a probe every left row meets the whole right leg, read once.
     let mut right_rows: Vec<Vec<Value>> = if probe.is_none() {
-        right.rows(db, view, AccessPath::FullScan)
+        right.rows(db, view, AccessPath::FullScan, &mut 0, |_| Ok(true))?
     } else {
         Vec::new()
     };
@@ -537,14 +590,12 @@ fn run_join(
                 let key = lctx.eval(lexpr)?;
                 probed.clear();
                 if !key.is_null() {
-                    probed.extend(
-                        t.indexes[*ipos]
-                            .tree
-                            .get(&[key])
-                            .into_iter()
-                            .filter(|rid| visible(*rid))
-                            .filter_map(|rid| t.heap.get(rid)),
-                    );
+                    let rids = t.indexes[*ipos].tree.get(&[key]);
+                    for rid in rids.into_iter().filter(|rid| visible(*rid)) {
+                        if let Some(record) = t.heap.record(rid) {
+                            probed.push(decode_row(record, &mut 0)?);
+                        }
+                    }
                 }
                 &mut probed
             }
@@ -554,7 +605,7 @@ fn run_join(
         for rrow in candidates.iter_mut() {
             pairing.append(rrow);
             let ctx = row_ctx(db, &out_schema, &pairing, params);
-            if truth(&ctx.eval(&join.on)?) == Some(true) {
+            if holds(&ctx, &join.on)? {
                 matched = true;
                 out.push(pairing.clone());
             }
@@ -985,4 +1036,73 @@ pub fn finish_groups(
         m.stage_aggregate.observe(out_rows.len() as f64);
     }
     finish_select(db, sel, schema, (columns, out_rows, sort_ctx), params)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::db::Index;
+    use crate::index::BPlusTree;
+    use crate::plan::Tail;
+    use crate::schema::{ColumnDef, TableSchema};
+    use crate::storage::HeapTable;
+    use crate::value::SqlType;
+
+    /// Heap pages are restored from disk bytes: a record the decoder
+    /// refuses is that statement's typed error, on the full scan and on
+    /// the index probe alike — neither a panic nor a missing row.
+    #[test]
+    fn a_damaged_stored_row_is_a_typed_error_on_both_paths() {
+        let row = |k: i64| [Value::Int(k), Value::Str(format!("row-{k}"))];
+        let mut heap = HeapTable::new();
+        let mut tree = BPlusTree::new();
+        for k in 0..50 {
+            tree.insert(vec![Value::Int(k)], heap.insert(&row(k)));
+        }
+        let mut image = Vec::new();
+        heap.snapshot(&mut image);
+        // Row 7's record inside its page: count, INTEGER tag and value,
+        // then the tag byte of the string cell.
+        let mut record = Vec::new();
+        encode_row(&row(7), &mut record);
+        let at = image
+            .windows(record.len())
+            .position(|w| w == record)
+            .expect("row 7 is stored inline");
+        image[at + 4 + 1 + 8] = 0xEE;
+        let t = Table {
+            schema: TableSchema::new(
+                "T",
+                vec![
+                    ColumnDef::new("K", SqlType::Integer),
+                    ColumnDef::new("S", SqlType::Varchar(16)),
+                ],
+            )
+            .unwrap(),
+            heap: HeapTable::restore(&image, &mut 0).unwrap(),
+            indexes: vec![Index {
+                name: "IX_K".into(),
+                col_indices: vec![0],
+                unique: true,
+                tree,
+            }],
+        };
+        let db = Database::new_in_memory();
+        let view = db.read_view();
+        let read = |path: AccessPath| {
+            let mut seen = 0;
+            let rows = fetch(&db, &view, &t, path, &mut seen, |_| Ok(true), |_, row| row);
+            (rows, seen)
+        };
+        let probe = |k: i64| AccessPath::IndexRange {
+            index_name: "IX_K".into(),
+            index_pos: 0,
+            eq: vec![Value::Int(k)],
+            tail: Tail::All,
+        };
+        let damaged = Err(DbError::Storage("row decode: bad tag 238".into()));
+        assert_eq!(read(AccessPath::FullScan), (damaged.clone(), 50));
+        assert_eq!(read(probe(7)), (damaged, 1));
+        assert_eq!(read(probe(8)), (Ok(vec![row(8).to_vec()]), 1));
+    }
 }

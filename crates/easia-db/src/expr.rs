@@ -3,6 +3,7 @@
 use crate::error::{DbError, Result};
 use crate::sql::ast::{is_aggregate_fn, BinaryOp, Expr, UnaryOp};
 use crate::value::Value;
+use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::rc::Rc;
@@ -51,16 +52,24 @@ impl RowSchema {
     /// statement aliases it).
     pub fn candidates<'a>(
         &'a self,
-        table: Option<&str>,
-        name: &str,
+        table: Option<&'a str>,
+        name: &'a str,
     ) -> impl Iterator<Item = usize> + 'a {
-        let name = name.to_ascii_uppercase();
-        let table = table.map(str::to_ascii_uppercase);
+        // `slot == reference.to_ascii_uppercase()`, folded byte by byte
+        // as it is compared: a lookup allocates nothing.
+        let is = |slot: &str, reference: &str| {
+            slot.len() == reference.len()
+                && slot
+                    .bytes()
+                    .zip(reference.bytes())
+                    .all(|(s, r)| s == r.to_ascii_uppercase())
+        };
         self.columns
             .iter()
             .enumerate()
             .filter(move |(_, c)| {
-                c.name == name && table.as_ref().is_none_or(|t| c.table.as_ref() == Some(t))
+                is(&c.name, name)
+                    && table.is_none_or(|t| c.table.as_deref().is_some_and(|ct| is(ct, t)))
             })
             .map(|(i, _)| i)
     }
@@ -234,51 +243,59 @@ pub fn agg_key(e: &Expr) -> String {
 }
 
 impl EvalContext<'_> {
-    /// Evaluate `expr` to a value.
+    /// Evaluate `expr` to a value of its own.
     pub fn eval(&self, expr: &Expr) -> Result<Value> {
+        self.eval_cow(expr).map(Cow::into_owned)
+    }
+
+    /// Evaluate `expr`, lending what already exists — a literal, a
+    /// parameter, a cell of the row — instead of copying it: a predicate
+    /// that compares or matches them allocates nothing.
+    pub fn eval_cow<'v>(&'v self, expr: &'v Expr) -> Result<Cow<'v, Value>> {
+        let owned = |v: Value| Ok(Cow::Owned(v));
         match expr {
-            Expr::Literal(v) => Ok(v.clone()),
+            Expr::Literal(v) => Ok(Cow::Borrowed(v)),
             Expr::Param(n) => self
                 .params
                 .get(*n - 1)
-                .cloned()
+                .map(Cow::Borrowed)
                 .ok_or_else(|| DbError::Eval(format!("missing parameter ?{n}"))),
             Expr::Column { table, name } => {
                 let idx = self.schema.resolve(table.as_deref(), name)?;
-                Ok(self.row[idx].clone())
+                Ok(Cow::Borrowed(&self.row[idx]))
             }
             Expr::Unary(op, e) => {
-                let v = self.eval(e)?;
+                let v = self.eval_cow(e)?;
                 match op {
-                    UnaryOp::Neg => match v {
-                        Value::Null => Ok(Value::Null),
-                        Value::Int(i) => Ok(Value::Int(-i)),
-                        Value::Double(d) => Ok(Value::Double(-d)),
+                    UnaryOp::Neg => match &*v {
+                        Value::Null => owned(Value::Null),
+                        Value::Int(i) => owned(Value::Int(-i)),
+                        Value::Double(d) => owned(Value::Double(-d)),
                         other => Err(DbError::Eval(format!(
                             "cannot negate {}",
                             other.type_name()
                         ))),
                     },
-                    UnaryOp::Not => Ok(match truth(&v) {
+                    UnaryOp::Not => owned(match truth(&v) {
                         Some(b) => Value::Bool(!b),
                         None => Value::Null,
                     }),
                 }
             }
-            Expr::Binary(l, op, r) => self.eval_binary(l, *op, r),
+            Expr::Binary(l, op, r) => self.eval_binary(l, *op, r).map(Cow::Owned),
             Expr::IsNull { expr, negated } => {
-                let v = self.eval(expr)?;
-                Ok(Value::Bool(v.is_null() != *negated))
+                let v = self.eval_cow(expr)?;
+                owned(Value::Bool(v.is_null() != *negated))
             }
             Expr::Like {
                 expr,
                 pattern,
                 negated,
             } => {
-                let v = self.eval(expr)?;
-                let p = self.eval(pattern)?;
+                let v = self.eval_cow(expr)?;
+                let p = self.eval_cow(pattern)?;
                 if v.is_null() || p.is_null() {
-                    return Ok(Value::Null);
+                    return owned(Value::Null);
                 }
                 let s = v
                     .as_text()
@@ -286,33 +303,33 @@ impl EvalContext<'_> {
                 let pat = p
                     .as_text()
                     .ok_or_else(|| DbError::Eval("LIKE pattern must be a string".into()))?;
-                Ok(Value::Bool(like_match(s, pat) != *negated))
+                owned(Value::Bool(like_match(s, pat) != *negated))
             }
             Expr::InList {
                 expr,
                 list,
                 negated,
             } => {
-                let v = self.eval(expr)?;
+                let v = self.eval_cow(expr)?;
                 if v.is_null() {
-                    return Ok(Value::Null);
+                    return owned(Value::Null);
                 }
                 let mut saw_null = false;
                 for item in list {
-                    let w = self.eval(item)?;
+                    let w = self.eval_cow(item)?;
                     if w.is_null() {
                         saw_null = true;
                         continue;
                     }
                     if v.sql_cmp(&w) == Some(Ordering::Equal) {
-                        return Ok(Value::Bool(!negated));
+                        return owned(Value::Bool(!negated));
                     }
                 }
                 if saw_null {
                     // x IN (..., NULL) is UNKNOWN when no match was found.
-                    Ok(Value::Null)
+                    owned(Value::Null)
                 } else {
-                    Ok(Value::Bool(*negated))
+                    owned(Value::Bool(*negated))
                 }
             }
             Expr::Between {
@@ -321,25 +338,25 @@ impl EvalContext<'_> {
                 hi,
                 negated,
             } => {
-                let v = self.eval(expr)?;
-                let lo = self.eval(lo)?;
-                let hi = self.eval(hi)?;
+                let v = self.eval_cow(expr)?;
+                let lo = self.eval_cow(lo)?;
+                let hi = self.eval_cow(hi)?;
                 let ge = match v.sql_cmp(&lo) {
                     Some(o) => o != Ordering::Less,
-                    None => return Ok(Value::Null),
+                    None => return owned(Value::Null),
                 };
                 let le = match v.sql_cmp(&hi) {
                     Some(o) => o != Ordering::Greater,
-                    None => return Ok(Value::Null),
+                    None => return owned(Value::Null),
                 };
-                Ok(Value::Bool((ge && le) != *negated))
+                owned(Value::Bool((ge && le) != *negated))
             }
             Expr::Function { name, args, star } => {
                 // Inside a group an aggregate call is already a value —
                 // wherever in a composite expression it stands.
                 if let Some(aggs) = self.aggs.filter(|_| is_aggregate_fn(name)) {
                     if let Some(v) = aggs.get(&agg_key(expr)) {
-                        return Ok(v.clone());
+                        return Ok(Cow::Borrowed(v));
                     }
                 }
                 if *star {
@@ -350,10 +367,9 @@ impl EvalContext<'_> {
                 let f = self
                     .functions
                     .get(name)
-                    .ok_or_else(|| DbError::Eval(format!("unknown function {name}")))?
-                    .clone();
+                    .ok_or_else(|| DbError::Eval(format!("unknown function {name}")))?;
                 let vals: Vec<Value> = args.iter().map(|a| self.eval(a)).collect::<Result<_>>()?;
-                f(&vals)
+                f(&vals).map(Cow::Owned)
             }
         }
     }
@@ -361,11 +377,11 @@ impl EvalContext<'_> {
     fn eval_binary(&self, l: &Expr, op: BinaryOp, r: &Expr) -> Result<Value> {
         // Logical operators get SQL 3VL short-circuit treatment.
         if op == BinaryOp::And {
-            let lv = truth(&self.eval(l)?);
+            let lv = truth(&*self.eval_cow(l)?);
             if lv == Some(false) {
                 return Ok(Value::Bool(false));
             }
-            let rv = truth(&self.eval(r)?);
+            let rv = truth(&*self.eval_cow(r)?);
             return Ok(match (lv, rv) {
                 (_, Some(false)) => Value::Bool(false),
                 (Some(true), Some(true)) => Value::Bool(true),
@@ -373,19 +389,19 @@ impl EvalContext<'_> {
             });
         }
         if op == BinaryOp::Or {
-            let lv = truth(&self.eval(l)?);
+            let lv = truth(&*self.eval_cow(l)?);
             if lv == Some(true) {
                 return Ok(Value::Bool(true));
             }
-            let rv = truth(&self.eval(r)?);
+            let rv = truth(&*self.eval_cow(r)?);
             return Ok(match (lv, rv) {
                 (_, Some(true)) => Value::Bool(true),
                 (Some(false), Some(false)) => Value::Bool(false),
                 _ => Value::Null,
             });
         }
-        let lv = self.eval(l)?;
-        let rv = self.eval(r)?;
+        let lv = self.eval_cow(l)?;
+        let rv = self.eval_cow(r)?;
         match op {
             BinaryOp::Eq
             | BinaryOp::NotEq

@@ -95,14 +95,20 @@ impl HeapTable {
         RowId::paged(self.pages.len() as u32 - 1, slot)
     }
 
+    /// The encoded record at `id`; `None` if deleted/never existed.
+    pub fn record(&self, id: RowId) -> Option<&[u8]> {
+        match id.decode() {
+            RowAddr::Paged(p, s) => self.pages.get(p as usize)?.get(s),
+            RowAddr::Overflow(i) => self.overflow.get(i)?.as_deref(),
+        }
+    }
+
     /// Fetch and decode the row at `id`; `None` if deleted/never existed.
+    /// For the engine's own upkeep (constraint checks, index
+    /// maintenance): a statement's reads take [`HeapTable::record`] and
+    /// report what the decoder makes of it.
     pub fn get(&self, id: RowId) -> Option<Vec<Value>> {
-        let rec: &[u8] = match id.decode() {
-            RowAddr::Paged(p, s) => self.pages.get(p as usize)?.get(s)?,
-            RowAddr::Overflow(i) => self.overflow.get(i)?.as_deref()?,
-        };
-        let mut pos = 0;
-        decode_row(rec, &mut pos).ok()
+        decode_row(self.record(id)?, &mut 0).ok()
     }
 
     /// Delete the row at `id`; returns true if it was live.
@@ -134,23 +140,28 @@ impl HeapTable {
         Ok(self.insert(row))
     }
 
-    /// Iterate `(RowId, row)` over all live rows in storage order.
-    pub fn scan(&self) -> impl Iterator<Item = (RowId, Vec<Value>)> + '_ {
+    /// Iterate `(RowId, encoded record)` over all live rows in storage
+    /// order.
+    pub fn records(&self) -> impl Iterator<Item = (RowId, &[u8])> + '_ {
         let paged = self.pages.iter().enumerate().flat_map(|(pi, page)| {
-            page.iter().map(move |(slot, rec)| {
-                let mut pos = 0;
-                let row = decode_row(rec, &mut pos).expect("stored rows decode");
-                (RowId::paged(pi as u32, slot), row)
-            })
+            page.iter()
+                .map(move |(slot, rec)| (RowId::paged(pi as u32, slot), rec))
         });
-        let over = self.overflow.iter().enumerate().filter_map(|(i, rec)| {
-            rec.as_ref().map(|r| {
-                let mut pos = 0;
-                let row = decode_row(r, &mut pos).expect("stored rows decode");
-                (RowId::overflow(i as u64), row)
-            })
-        });
+        let over = self
+            .overflow
+            .iter()
+            .enumerate()
+            .filter_map(|(i, rec)| Some((RowId::overflow(i as u64), rec.as_deref()?)));
         paged.chain(over)
+    }
+
+    /// Iterate `(RowId, row)` over all live rows in storage order; like
+    /// [`HeapTable::get`], for the engine's own upkeep.
+    pub fn scan(&self) -> impl Iterator<Item = (RowId, Vec<Value>)> + '_ {
+        self.records().map(|(rid, rec)| {
+            let row = decode_row(rec, &mut 0).expect("stored rows decode");
+            (rid, row)
+        })
     }
 
     /// Serialise the whole heap for a snapshot.

@@ -321,33 +321,69 @@ fn put_bytes(out: &mut Vec<u8>, b: &[u8]) {
 
 /// Decode a row previously encoded with [`encode_row`]; advances `pos`.
 pub fn decode_row(buf: &[u8], pos: &mut usize) -> Result<Vec<Value>> {
+    let mut row = Vec::new();
+    decode_row_into(buf, pos, &mut row)?;
+    Ok(row)
+}
+
+/// [`decode_row`] into a row the caller reuses: `row` is overwritten
+/// cell by cell, and a cell that already owns a buffer of the kind being
+/// decoded into it is refilled in place — a scan that decodes record
+/// after record of one table into one row allocates only when a cell
+/// outgrows what it held before. On error `row` is left empty.
+pub fn decode_row_into(buf: &[u8], pos: &mut usize, row: &mut Vec<Value>) -> Result<()> {
+    let decoded = decode_cells(buf, pos, row);
+    if decoded.is_err() {
+        row.clear();
+    }
+    decoded
+}
+
+fn decode_cells(buf: &[u8], pos: &mut usize, row: &mut Vec<Value>) -> Result<()> {
     let n = read_u32(buf, pos)? as usize;
-    let mut row = Vec::with_capacity(n);
-    for _ in 0..n {
+    // Every cell takes at least its tag byte: a count the input cannot
+    // hold is refused before anything is reserved for it.
+    if n > buf.len() - *pos {
+        return Err(DbError::Storage("row decode: truncated".into()));
+    }
+    row.truncate(n);
+    row.reserve_exact(n - row.len());
+    for i in 0..n {
         let tag = *buf
             .get(*pos)
             .ok_or_else(|| DbError::Storage("row decode: truncated".into()))?;
         *pos += 1;
-        let v = match tag {
-            0 => Value::Null,
-            1 => Value::Int(read_i64(buf, pos)?),
-            2 => Value::Double(f64::from_le_bytes(read_8(buf, pos)?)),
-            3 => Value::Str(read_string(buf, pos)?),
-            4 => Value::Bool(false),
-            5 => Value::Bool(true),
-            6 => Value::Timestamp(read_i64(buf, pos)?),
-            7 => {
-                let len = read_u32(buf, pos)? as usize;
-                let b = get_slice(buf, pos, len)?.to_vec();
-                Value::Blob(b)
+        if i == row.len() {
+            row.push(Value::Null);
+        }
+        let cell = &mut row[i];
+        match (tag, &mut *cell) {
+            (3, Value::Str(s)) | (8, Value::Clob(s)) | (9, Value::Datalink(s)) => {
+                s.clear();
+                s.push_str(read_str(buf, pos)?);
             }
-            8 => Value::Clob(read_string(buf, pos)?),
-            9 => Value::Datalink(read_string(buf, pos)?),
-            t => return Err(DbError::Storage(format!("row decode: bad tag {t}"))),
-        };
-        row.push(v);
+            (7, Value::Blob(b)) => {
+                b.clear();
+                b.extend_from_slice(read_bytes(buf, pos)?);
+            }
+            _ => {
+                *cell = match tag {
+                    0 => Value::Null,
+                    1 => Value::Int(read_i64(buf, pos)?),
+                    2 => Value::Double(f64::from_le_bytes(read_8(buf, pos)?)),
+                    3 => Value::Str(read_str(buf, pos)?.to_owned()),
+                    4 => Value::Bool(false),
+                    5 => Value::Bool(true),
+                    6 => Value::Timestamp(read_i64(buf, pos)?),
+                    7 => Value::Blob(read_bytes(buf, pos)?.to_vec()),
+                    8 => Value::Clob(read_str(buf, pos)?.to_owned()),
+                    9 => Value::Datalink(read_str(buf, pos)?.to_owned()),
+                    t => return Err(DbError::Storage(format!("row decode: bad tag {t}"))),
+                }
+            }
+        }
     }
-    Ok(row)
+    Ok(())
 }
 
 fn get_slice<'a>(buf: &'a [u8], pos: &mut usize, len: usize) -> Result<&'a [u8]> {
@@ -372,10 +408,15 @@ fn read_i64(buf: &[u8], pos: &mut usize) -> Result<i64> {
     Ok(i64::from_le_bytes(read_8(buf, pos)?))
 }
 
-fn read_string(buf: &[u8], pos: &mut usize) -> Result<String> {
+/// A length-prefixed run of bytes.
+fn read_bytes<'a>(buf: &'a [u8], pos: &mut usize) -> Result<&'a [u8]> {
     let len = read_u32(buf, pos)? as usize;
-    let s = get_slice(buf, pos, len)?;
-    String::from_utf8(s.to_vec()).map_err(|_| DbError::Storage("row decode: bad utf8".into()))
+    get_slice(buf, pos, len)
+}
+
+fn read_str<'a>(buf: &'a [u8], pos: &mut usize) -> Result<&'a str> {
+    std::str::from_utf8(read_bytes(buf, pos)?)
+        .map_err(|_| DbError::Storage("row decode: bad utf8".into()))
 }
 
 #[cfg(test)]
@@ -484,6 +525,77 @@ mod tests {
         for cut in [1, 4, 6, buf.len() - 1] {
             let mut pos = 0;
             assert!(decode_row(&buf[..cut], &mut pos).is_err(), "cut {cut}");
+        }
+    }
+
+    /// Apart from the rest: the test macro names `Result` itself.
+    mod scratch_row {
+        use crate::value::{decode_row, decode_row_into, encode_row, Value};
+        use rand::rngs::StdRng;
+        use rand::{Rng, RngCore, SeedableRng};
+
+        /// A row of 0..8 cells of every variant, strings of 0..40 bytes.
+        fn any_row(rng: &mut StdRng) -> Vec<Value> {
+            let text = |rng: &mut StdRng| -> String {
+                let len = rng.gen_range(0..20);
+                (0..len)
+                    .map(|_| ['a', 'é', '%', 'Z'][rng.gen_range(0..4usize)])
+                    .collect()
+            };
+            (0..rng.gen_range(0..8))
+                .map(|_| match rng.gen_range(0..9) {
+                    0 => Value::Null,
+                    1 => Value::Int(rng.next_u64() as i64),
+                    2 => Value::Double(rng.gen_range(-1e9..1e9)),
+                    3 => Value::Str(text(rng)),
+                    4 => Value::Bool(rng.gen_bool(0.5)),
+                    5 => Value::Timestamp(rng.next_u64() as i64),
+                    6 => Value::Blob(text(rng).into_bytes()),
+                    7 => Value::Clob(text(rng)),
+                    _ => Value::Datalink(text(rng)),
+                })
+                .collect()
+        }
+
+        proptest::proptest! {
+            /// Whatever the scratch row held before — other widths, other
+            /// variants, longer and shorter strings — decoding into it is
+            /// `decode_row`; damaged input is the same typed error, and
+            /// nothing of the rows before it shows in the next decode.
+            #[test]
+            fn decoding_into_a_dirty_row_is_decode_row(seed in proptest::prelude::any::<u64>()) {
+                let mut rng = StdRng::seed_from_u64(seed);
+                let mut scratch = any_row(&mut rng);
+                for _ in 0..8 {
+                    let row = any_row(&mut rng);
+                    let mut buf = Vec::new();
+                    encode_row(&row, &mut buf);
+                    buf.extend_from_slice(b"next record");
+                    let (mut pos, mut at) = (0, 0);
+                    decode_row_into(&buf, &mut pos, &mut scratch).unwrap();
+                    proptest::prop_assert_eq!(&scratch, &decode_row(&buf, &mut at).unwrap());
+                    proptest::prop_assert_eq!(&scratch, &row);
+                    proptest::prop_assert_eq!(pos, at);
+
+                    // Cut short, or with one tag byte that is no tag.
+                    let mut bad = buf[..pos].to_vec();
+                    if row.is_empty() || rng.gen_bool(0.5) {
+                        bad.truncate(rng.gen_range(0..pos));
+                    } else {
+                        bad[4] = rng.gen_range(10..255u8);
+                    }
+                    let mut dirty = scratch.clone();
+                    let raised = decode_row_into(&bad, &mut 0, &mut dirty).unwrap_err();
+                    proptest::prop_assert_eq!(&raised, &decode_row(&bad, &mut 0).unwrap_err());
+                    proptest::prop_assert!(matches!(raised, crate::DbError::Storage(_)));
+                    proptest::prop_assert!(dirty.is_empty());
+                    let next = any_row(&mut rng);
+                    buf.clear();
+                    encode_row(&next, &mut buf);
+                    decode_row_into(&buf, &mut 0, &mut dirty).unwrap();
+                    proptest::prop_assert_eq!(&dirty, &next);
+                }
+            }
         }
     }
 

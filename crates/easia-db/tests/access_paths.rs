@@ -14,10 +14,16 @@
 //! base's own columns filter its rows before the join — and has a second
 //! oracle: the same statement with the base bound as an in-memory
 //! `exec::Relation`, which is always read whole and joined whole.
+//!
+//! The scan filters as it reads — one scratch row, only survivors copied
+//! out — and has a third oracle: decode every visible row first, then
+//! `EvalContext::eval` on each in order. Rows, the first error and the
+//! executor's counters must be those of the materialising reference.
 
 use easia_db::exec::{run_select_over, Relation};
+use easia_db::expr::{truth, EvalContext, RowSchema};
 use easia_db::plan::{choose_access_path, AccessPath, Tail};
-use easia_db::sql::ast::Stmt;
+use easia_db::sql::ast::{Expr, JoinKind, SelectStmt, Stmt};
 use easia_db::{Database, TxnId, Value};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -712,4 +718,414 @@ fn joins_agree_with_the_base_bound_as_a_relation() {
     );
     assert!(errors >= 20, "only {errors} statements raised");
     assert!(rows_seen >= 500, "only {rows_seen} rows returned");
+}
+
+// ---- the streaming filter against decode-first-evaluate-after ----
+
+/// The executor's read counters: `rows_scanned`, `heap_scans`,
+/// `index_scans`, then count and sum of the scan and filter stages.
+fn reads(db: &Database) -> [f64; 7] {
+    let m = db.metrics().expect("metrics attached");
+    [
+        m.rows_scanned.get(),
+        m.heap_scans.get(),
+        m.index_scans.get(),
+        m.stage_scan.count() as f64,
+        m.stage_scan.sum(),
+        m.stage_filter.count() as f64,
+        m.stage_filter.sum(),
+    ]
+}
+
+/// What a statement whose base scan met `candidates` rows must have
+/// moved: one scan of its kind booked in full, and the filter stage
+/// observed (with the rows it kept) only if the statement got that far.
+fn moved(candidates: usize, index: bool, kept: Option<usize>) -> [f64; 7] {
+    let (c, probe) = (candidates as f64, f64::from(u8::from(index)));
+    let filtered = f64::from(u8::from(kept.is_some()));
+    let kept = kept.unwrap_or(0) as f64;
+    [c, 1.0 - probe, probe, 1.0, c, filtered, kept]
+}
+
+fn since(db: &Database, before: [f64; 7]) -> [f64; 7] {
+    let now = reads(db);
+    std::array::from_fn(|i| now[i] - before[i])
+}
+
+/// How many of `visible` (the rows of `t` a view sees) the path chosen
+/// for `pred` on `db` visits, and whether it is an index walk.
+fn candidates(
+    db: &Database,
+    visible: &[Vec<Value>],
+    pred: &Expr,
+    params: &[Value],
+) -> (usize, bool) {
+    let table = db.table("T").unwrap();
+    match choose_access_path(db, table, "T", Some(pred), params).unwrap() {
+        AccessPath::FullScan => (visible.len(), false),
+        AccessPath::IndexRange {
+            index_pos,
+            eq,
+            tail,
+            ..
+        } => {
+            let cols = &table.indexes[index_pos].col_indices;
+            let below = |v: &Value| {
+                tail.lower_bound()
+                    .is_some_and(|lo| v.total_cmp(&lo) == std::cmp::Ordering::Less)
+            };
+            let on_path = |row: &&Vec<Value>| {
+                let run = eq
+                    .iter()
+                    .zip(cols)
+                    .all(|(v, &c)| row[c].total_cmp(v) == std::cmp::Ordering::Equal);
+                let next = cols.get(eq.len()).map(|&c| &row[c]);
+                run && next.is_none_or(|v| !below(v) && tail.admits(v))
+            };
+            (visible.iter().filter(on_path).count(), true)
+        }
+    }
+}
+
+/// The materialising reference: `rows` (shaped by `schema`) are all
+/// there before the first is looked at; `pred` is evaluated on each in
+/// order by the owning evaluator, and the first error ends it.
+fn filter_after(
+    db: &Database,
+    schema: &RowSchema,
+    rows: Vec<Vec<Value>>,
+    pred: &Expr,
+    params: &[Value],
+) -> Result<Vec<Vec<Value>>, String> {
+    let mut kept = Vec::new();
+    for row in rows {
+        let ctx = EvalContext {
+            schema,
+            row: &row,
+            params,
+            functions: db.functions(),
+            aggs: None,
+        };
+        if truth(&ctx.eval(pred).map_err(|e| e.to_string())?) == Some(true) {
+            kept.push(row);
+        }
+    }
+    Ok(kept)
+}
+
+/// `SELECT * FROM t a [LEFT] JOIN <leg> b ON .. WHERE ..` by the book:
+/// every pairing of whole rows through ON, padding for LEFT, then the
+/// WHERE over the joined rows.
+fn join_after(
+    db: &Database,
+    left: (&[String], &[Vec<Value>]),
+    right: (&[String], &[Vec<Value>]),
+    sel: &SelectStmt,
+    params: &[Value],
+) -> Result<Vec<Vec<Value>>, String> {
+    let schema = RowSchema::for_table("A", left.0).join(&RowSchema::for_table("B", right.0));
+    let join = &sel.joins[0];
+    let mut joined = Vec::new();
+    for l in left.1 {
+        let pairings: Vec<Vec<Value>> = right.1.iter().map(|r| [&l[..], r].concat()).collect();
+        let matched = filter_after(db, &schema, pairings, &join.on, params)?;
+        if matched.is_empty() && join.kind == JoinKind::Left {
+            let mut padded = l.clone();
+            padded.resize(schema.columns.len(), Value::Null);
+            joined.push(padded);
+        }
+        joined.extend(matched);
+    }
+    filter_after(
+        db,
+        &schema,
+        joined,
+        sel.where_clause.as_ref().unwrap(),
+        params,
+    )
+}
+
+fn select_of(sql: &str) -> SelectStmt {
+    match easia_db::sql::parse(sql).unwrap() {
+        Stmt::Select(sel) => sel,
+        other => unreachable!("{other:?}"),
+    }
+}
+
+/// What the checks below saw, so the test can demand they saw enough.
+#[derive(Default, Debug)]
+struct Seen {
+    raised: usize,
+    index_walks: usize,
+    returned: usize,
+}
+
+/// One single-table statement, inside `view`'s transaction or outside
+/// any: indexed table, un-indexed table and (outside) the same rows as
+/// a relation must all give the reference's answer and book the scan the
+/// reference implies — also when the predicate raises part-way.
+fn check_select(
+    p: &mut Pair,
+    view: Option<(TxnId, TxnId)>,
+    pred: &str,
+    params: &[Value],
+    limit: &str,
+    seen: &mut Seen,
+) {
+    let all = p.both(view, "SELECT * FROM t", &[]).unwrap().0;
+    let columns: Vec<String> = p
+        .indexed
+        .table("T")
+        .unwrap()
+        .schema
+        .columns
+        .iter()
+        .map(|c| c.name.clone())
+        .collect();
+    let sql = format!("SELECT * FROM t WHERE {pred}{limit}");
+    let sel = select_of(&sql);
+    let pred = sel.where_clause.as_ref().unwrap();
+    let schema = RowSchema::for_table("T", &columns);
+    let kept = filter_after(&p.plain, &schema, all.clone(), pred, params);
+    let expected = kept.clone().map(|mut rows| {
+        rows.truncate(sel.limit.unwrap_or(usize::MAX));
+        rows
+    });
+    let kept = kept.ok().map(|rows| rows.len());
+    let (on_path, index) = candidates(&p.indexed, &all, pred, params);
+    assert!(
+        expected.is_ok() || !index,
+        "{sql}: a raising predicate narrowed"
+    );
+
+    let (before_ix, before_plain) = (reads(&p.indexed), reads(&p.plain));
+    let got = p.both(view, &sql, params).map(|(rows, _)| rows);
+    assert_eq!(got, expected, "{sql}\nparams {params:?}");
+    assert_eq!(
+        since(&p.indexed, before_ix),
+        moved(on_path, index, kept),
+        "{sql}"
+    );
+    assert_eq!(
+        since(&p.plain, before_plain),
+        moved(all.len(), false, kept),
+        "{sql}"
+    );
+
+    if view.is_none() {
+        let relation = [Relation {
+            name: "T".into(),
+            columns,
+            rows: all.clone(),
+        }];
+        let before = reads(&p.indexed);
+        let over = run_select_over(&p.indexed, &p.indexed.read_view(), &sel, params, &relation)
+            .map(|rs| rs.rows)
+            .map_err(|e| e.to_string());
+        assert_eq!(over, expected, "{sql} over a relation");
+        assert_eq!(
+            since(&p.indexed, before),
+            moved(all.len(), false, kept),
+            "{sql}"
+        );
+    }
+    seen.raised += usize::from(expected.is_err());
+    seen.index_walks += usize::from(index);
+    seen.returned += expected.map_or(0, |rows| rows.len());
+}
+
+/// One two-table statement against [`join_after`], with `t` read from
+/// the catalogue (both databases) and bound as a relation.
+fn check_join(
+    p: &mut Pair,
+    kind: &str,
+    leg: &str,
+    on: &str,
+    pred: &str,
+    params: &[Value],
+    seen: &mut Seen,
+) {
+    let t = p.indexed.execute("SELECT * FROM t").unwrap();
+    let right = p.indexed.execute(&format!("SELECT * FROM {leg}")).unwrap();
+    let sql = format!("SELECT * FROM t a {kind} {leg} b ON {on} WHERE {pred}");
+    let sel = select_of(&sql);
+    let expected = join_after(
+        &p.plain,
+        (&t.columns, &t.rows),
+        (&right.columns, &right.rows),
+        &sel,
+        params,
+    );
+    let before = reads(&p.plain);
+    let got = p.both(None, &sql, params).map(|(rows, _)| rows);
+    assert_eq!(got, expected, "{sql}\nparams {params:?}");
+    // The un-indexed base is read whole, the right leg is not a booked
+    // scan, and the filter stage is observed only by a statement that
+    // got through it.
+    let kept = expected.as_ref().ok().map(|rows| rows.len());
+    assert_eq!(
+        since(&p.plain, before),
+        moved(t.rows.len(), false, kept),
+        "{sql}"
+    );
+    let relation = [Relation {
+        name: "T".into(),
+        columns: t.columns,
+        rows: t.rows,
+    }];
+    let over = run_select_over(&p.indexed, &p.indexed.read_view(), &sel, params, &relation)
+        .map(|rs| rs.rows)
+        .map_err(|e| e.to_string());
+    assert_eq!(over, expected, "{sql} over a relation");
+    seen.raised += usize::from(expected.is_err());
+    seen.returned += expected.map_or(0, |rows| rows.len());
+}
+
+#[test]
+fn the_streaming_filter_is_decode_first_evaluate_after() {
+    let mut seen = Seen::default();
+    for seed in [3, 19, 42] {
+        let mut p = Pair::new(seed);
+        let (ri, rp) = (easia_obs::Registry::new(), easia_obs::Registry::new());
+        p.indexed.attach_metrics(&ri);
+        p.plain.attach_metrics(&rp);
+        for _ in 0..70 {
+            p.insert(None);
+        }
+        // Another session's open transaction. Row 3 is gone for it and
+        // still there for everyone else; row `own` exists for it alone;
+        // rows 7..10 have moved to the end of its heap order.
+        let (a, b) = (p.indexed.begin_txn(), p.plain.begin_txn());
+        let txn = Some((a, b));
+        let own = p.next_id;
+        for _ in 0..6 {
+            p.insert(txn);
+        }
+        p.both(txn, "DELETE FROM t WHERE id = 3", &[]).unwrap();
+        p.both(txn, "UPDATE t SET n = 1 WHERE id > 6 AND id < 10", &[])
+            .unwrap();
+
+        for view in [None, txn] {
+            // Generated conjunctions: total ones narrow on the indexed
+            // side, constants of the wrong family raise part-way.
+            for round in 0..40 {
+                let (pred, params) = p.predicate();
+                let limit = ["", "", " LIMIT 3"][round % 3];
+                check_select(&mut p, view, &pred, &params, limit, &mut seen);
+            }
+            // Predicates that are not total, each raising on particular
+            // rows: which row raises first is in the error text.
+            let on_row_3 = "id / (id - 3) > 1".to_string();
+            let on_own_row = format!("id / (id - {own}) > 1");
+            let by_row = format!(
+                "(id <> 5 OR 'a' > n) AND (id <> 3 OR id / (id - 3) > 1) \
+                 AND (id <> {own} OR nope = 1)"
+            );
+            for pred in [
+                on_row_3.as_str(),
+                &on_own_row,
+                &by_row,
+                "'a' > n",
+                "n > 2 AND 'a' > n",
+                "nope = 1",
+                "t.id = 1 AND zz.id = 1",
+                "id < 0 AND nope = 1",
+                "id = 4 OR nope = 1",
+            ] {
+                check_select(&mut p, view, pred, &[], "", &mut seen);
+            }
+            // The deleted row raises for those who still see it, the
+            // inserted one for its writer, neither for the other side.
+            let raises = |p: &mut Pair, pred: &str| {
+                p.both(view, &format!("SELECT * FROM t WHERE {pred}"), &[])
+                    .is_err()
+            };
+            assert_eq!(raises(&mut p, &on_row_3), view.is_none());
+            assert_eq!(raises(&mut p, &on_own_row), view.is_some());
+        }
+
+        // A table whose only rows belong to the open transaction: to
+        // everyone else it is empty, and an empty scan evaluates nothing.
+        p.both(None, "CREATE TABLE e (k INTEGER, s VARCHAR(8))", &[])
+            .unwrap();
+        p.both(txn, "INSERT INTO e VALUES (1, 'x')", &[]).unwrap();
+        let unknown = "SELECT * FROM e WHERE nope = 1";
+        assert_eq!(p.both(None, unknown, &[]), Ok((vec![], 0)));
+        let err = p.both(txn, unknown, &[]).unwrap_err();
+        assert!(err.contains("unknown column NOPE"), "{err}");
+        let empty = [Relation {
+            name: "E".into(),
+            columns: vec!["K".into(), "S".into()],
+            rows: vec![],
+        }];
+        let over = run_select_over(
+            &p.indexed,
+            &p.indexed.read_view(),
+            &select_of(unknown),
+            &[],
+            &empty,
+        );
+        assert_eq!(over.unwrap().rows, Vec::<Vec<Value>>::new());
+
+        p.indexed.commit_txn(a).unwrap();
+        p.plain.commit_txn(b).unwrap();
+
+        // JOINs: `u` is met by nested loop, `v` (same rows, indexed on
+        // `k`) by index probe; `w` shares the name `id` with `t`.
+        for ddl in [
+            "CREATE TABLE u (uid INTEGER, k INTEGER, label VARCHAR(8))",
+            "CREATE TABLE v (uid INTEGER, k INTEGER, label VARCHAR(8))",
+            "CREATE INDEX ix_vk ON v (k)",
+            "CREATE TABLE w (id INTEGER, k INTEGER)",
+        ] {
+            p.both(None, ddl, &[]).unwrap();
+        }
+        for (i, k) in INTS.iter().enumerate() {
+            let label = Value::Str(["p", "q"][i % 2].into());
+            let row = [Value::Int(i as i64), Value::Int(*k), label];
+            p.both(None, "INSERT INTO u VALUES (?, ?, ?)", &row)
+                .unwrap();
+            p.both(None, "INSERT INTO v VALUES (?, ?, ?)", &row)
+                .unwrap();
+            p.both(None, "INSERT INTO w VALUES (?, ?)", &row[..2])
+                .unwrap();
+        }
+        for round in 0..40 {
+            let (pred, params) = p.predicate();
+            let kind = ["JOIN", "LEFT JOIN"][round % 2];
+            let leg = ["u", "v"][round / 2 % 2];
+            let extra = [
+                "",
+                " AND b.label = 'p'",
+                " AND b.uid IS NULL",
+                " AND note = b.label",
+            ][round / 4 % 4];
+            check_join(
+                &mut p,
+                kind,
+                leg,
+                "a.n = b.k",
+                &format!("{pred}{extra}"),
+                &params,
+                &mut seen,
+            );
+        }
+        for kind in ["JOIN", "LEFT JOIN"] {
+            for (leg, on, pred) in [
+                ("u", "a.n = b.k", "a.id / (a.id - 3) > 1"),
+                ("v", "a.n = b.k", "a.id < 30 AND 'a' > a.n"),
+                ("u", "a.n = b.k", "b.nope = 1 AND a.id = -5"),
+                ("w", "a.n = b.k", "id < 5"),
+                ("w", "a.n = b.k", "a.id < 5 AND k = 1"),
+                ("u", "a.s > b.k", "a.id = -5"),
+                ("u", "a.n = b.k + 100", "a.id < 9 AND b.uid IS NULL"),
+                ("v", "b.k = a.n", "a.s LIKE 'ab%' AND b.label = 'p'"),
+            ] {
+                check_join(&mut p, kind, leg, on, pred, &[], &mut seen);
+            }
+        }
+    }
+    assert!(seen.raised >= 60, "{seen:?}");
+    assert!(seen.index_walks >= 60, "{seen:?}");
+    assert!(seen.returned >= 2_000, "{seen:?}");
 }

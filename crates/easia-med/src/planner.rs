@@ -288,8 +288,8 @@ impl Scope {
     /// for an unknown column, several for an ambiguous one.
     fn legs_of<'a>(
         &'a self,
-        table: &Option<String>,
-        name: &str,
+        table: &'a Option<String>,
+        name: &'a str,
     ) -> impl Iterator<Item = usize> + 'a {
         self.schema
             .candidates(table.as_deref(), name)

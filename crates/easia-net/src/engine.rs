@@ -88,8 +88,9 @@ pub enum TransferStatus {
     },
 }
 
+/// A transfer the engine still moves: everything the event loop needs.
 #[derive(Debug)]
-struct Transfer {
+struct Flow {
     bytes: f64,
     remaining: f64,
     hops: Vec<Hop>,
@@ -99,32 +100,40 @@ struct Transfer {
     start: f64,
     /// Instant the flow begins moving bytes (start + path latency).
     activate_at: f64,
-    done_at: Option<f64>,
-    failed_at: Option<f64>,
-    failure: Option<TransferFailure>,
 }
 
-impl Transfer {
-    /// Still needs engine attention (neither delivered nor aborted).
-    fn active(&self) -> bool {
-        self.done_at.is_none() && self.failed_at.is_none()
+impl Flow {
+    /// The slot of this flow aborted at `at`: delivered bytes stay
+    /// counted so clients can resume from an offset.
+    fn aborted(&self, at: f64, reason: TransferFailure) -> Transfer {
+        Transfer::Settled(TransferStatus::Failed {
+            at,
+            bytes_moved: self.bytes - self.remaining,
+            reason,
+        })
     }
 }
 
+/// One slot of the transfer history. Ids index it for as long as the
+/// simulator lives, so a settled transfer shrinks to what callers may
+/// still ask about it — its final [`TransferStatus`], never `InFlight`.
 #[derive(Debug)]
-struct Job {
-    host: HostId,
-    cpu_secs: f64,
-    remaining: f64,
-    start: f64,
-    done_at: Option<f64>,
-    failed_at: Option<f64>,
+enum Transfer {
+    Live(Box<Flow>),
+    Settled(TransferStatus),
 }
 
-impl Job {
-    fn active(&self) -> bool {
-        self.done_at.is_none() && self.failed_at.is_none()
-    }
+/// One slot of the job history, settled the same way.
+#[derive(Debug)]
+enum Job {
+    Running {
+        host: HostId,
+        cpu_secs: f64,
+        remaining: f64,
+        start: f64,
+    },
+    Done(JobRecord),
+    Failed,
 }
 
 /// The simulator. See the crate docs for the model.
@@ -134,6 +143,12 @@ pub struct SimNet {
     clock: f64,
     transfers: Vec<Transfer>,
     jobs: Vec<Job>,
+    /// Indices of the transfers and jobs that may still be live, in
+    /// ascending order (so flows are visited, and `link_bytes` summed,
+    /// in id order). The event loop walks these, not the histories; an
+    /// entry that settled is dropped by [`SimNet::apply_host_faults`].
+    live_transfers: Vec<usize>,
+    live_jobs: Vec<usize>,
     /// Cumulative bytes carried per link (both directions), for
     /// bytes-over-bottleneck accounting in the experiments.
     link_bytes: HashMap<LinkId, f64>,
@@ -272,23 +287,31 @@ impl SimNet {
             .iter()
             .find(|&&h| self.faults.host_down(h, self.clock))
             .copied();
-        // Local (same-host) or empty transfers complete immediately.
-        let done = dead.is_none() && (hops.is_empty() || bytes == 0.0);
-        self.transfers.push(Transfer {
-            bytes,
-            remaining: if done { 0.0 } else { bytes },
-            hops,
-            path_hosts,
-            start: self.clock,
-            activate_at: self.clock + latency,
-            done_at: if done {
-                Some(self.clock + latency)
-            } else {
-                None
-            },
-            failed_at: dead.map(|_| self.clock),
-            failure: dead.map(TransferFailure::HostDown),
-        });
+        let slot = if let Some(h) = dead {
+            Transfer::Settled(TransferStatus::Failed {
+                at: self.clock,
+                bytes_moved: 0.0,
+                reason: TransferFailure::HostDown(h),
+            })
+        } else if hops.is_empty() || bytes == 0.0 {
+            // Local (same-host) or empty transfers complete immediately.
+            Transfer::Settled(TransferStatus::Done(TransferRecord {
+                start: self.clock,
+                end: self.clock + latency,
+                bytes,
+            }))
+        } else {
+            self.live_transfers.push(self.transfers.len());
+            Transfer::Live(Box::new(Flow {
+                bytes,
+                remaining: bytes,
+                hops,
+                path_hosts,
+                start: self.clock,
+                activate_at: self.clock + latency,
+            }))
+        };
+        self.transfers.push(slot);
         id
     }
 
@@ -296,84 +319,74 @@ impl SimNet {
     pub fn job(&mut self, host: HostId, cpu_secs: f64) -> JobId {
         assert!(cpu_secs >= 0.0 && cpu_secs.is_finite(), "invalid job size");
         let id = JobId(self.jobs.len() as u64);
-        let dead = self.faults.host_down(host, self.clock);
-        self.jobs.push(Job {
-            host,
-            cpu_secs,
-            remaining: cpu_secs,
-            start: self.clock,
-            done_at: if cpu_secs == 0.0 && !dead {
-                Some(self.clock)
-            } else {
-                None
-            },
-            failed_at: dead.then_some(self.clock),
-        });
+        let slot = if self.faults.host_down(host, self.clock) {
+            Job::Failed
+        } else if cpu_secs == 0.0 {
+            Job::Done(JobRecord {
+                start: self.clock,
+                end: self.clock,
+                cpu_secs,
+            })
+        } else {
+            self.live_jobs.push(self.jobs.len());
+            Job::Running {
+                host,
+                cpu_secs,
+                remaining: cpu_secs,
+                start: self.clock,
+            }
+        };
+        self.jobs.push(slot);
         id
     }
 
     /// Completion record for a transfer, if it has finished.
     pub fn transfer_record(&self, id: TransferId) -> Option<TransferRecord> {
-        let t = &self.transfers[id.0 as usize];
-        t.done_at.map(|end| TransferRecord {
-            start: t.start,
-            end,
-            bytes: t.bytes,
-        })
+        match &self.transfers[id.0 as usize] {
+            Transfer::Settled(TransferStatus::Done(rec)) => Some(rec.clone()),
+            _ => None,
+        }
     }
 
     /// Completion record for a job, if it has finished.
     pub fn job_record(&self, id: JobId) -> Option<JobRecord> {
-        let j = &self.jobs[id.0 as usize];
-        j.done_at.map(|end| JobRecord {
-            start: j.start,
-            end,
-            cpu_secs: j.cpu_secs,
-        })
+        match &self.jobs[id.0 as usize] {
+            Job::Done(rec) => Some(rec.clone()),
+            _ => None,
+        }
     }
 
     /// True when the job was killed by a host crash.
     pub fn job_failed(&self, id: JobId) -> bool {
-        self.jobs[id.0 as usize].failed_at.is_some()
+        matches!(self.jobs[id.0 as usize], Job::Failed)
     }
 
     /// Observable state of a transfer.
     pub fn transfer_status(&self, id: TransferId) -> TransferStatus {
-        let t = &self.transfers[id.0 as usize];
-        if let Some(end) = t.done_at {
-            TransferStatus::Done(TransferRecord {
-                start: t.start,
-                end,
-                bytes: t.bytes,
-            })
-        } else if let Some(at) = t.failed_at {
-            TransferStatus::Failed {
-                at,
-                bytes_moved: t.bytes - t.remaining,
-                reason: t.failure.clone().unwrap_or(TransferFailure::Cancelled),
-            }
-        } else {
-            TransferStatus::InFlight {
-                bytes_moved: t.bytes - t.remaining,
-            }
+        match &self.transfers[id.0 as usize] {
+            Transfer::Settled(status) => status.clone(),
+            Transfer::Live(f) => TransferStatus::InFlight {
+                bytes_moved: f.bytes - f.remaining,
+            },
         }
     }
 
     /// Bytes a transfer has delivered so far (full size once done).
     pub fn transfer_bytes_moved(&self, id: TransferId) -> f64 {
-        let t = &self.transfers[id.0 as usize];
-        t.bytes - t.remaining
+        match self.transfer_status(id) {
+            TransferStatus::Done(rec) => rec.bytes,
+            TransferStatus::InFlight { bytes_moved }
+            | TransferStatus::Failed { bytes_moved, .. } => bytes_moved,
+        }
     }
 
     /// Abort an in-flight transfer at the current instant. Bytes already
     /// delivered stay counted (supporting offset-based resume). No-op on
     /// transfers that already finished or failed.
     pub fn cancel_transfer(&mut self, id: TransferId) {
-        let clock = self.clock;
-        let t = &mut self.transfers[id.0 as usize];
-        if t.active() {
-            t.failed_at = Some(clock);
-            t.failure = Some(TransferFailure::Cancelled);
+        let slot = &mut self.transfers[id.0 as usize];
+        if let Transfer::Live(f) = slot {
+            *slot = f.aborted(self.clock, TransferFailure::Cancelled);
         }
     }
 
@@ -385,7 +398,25 @@ impl SimNet {
     /// True when no transfer or job is still running (failed work counts
     /// as settled).
     pub fn is_idle(&self) -> bool {
-        self.transfers.iter().all(|t| !t.active()) && self.jobs.iter().all(|j| !j.active())
+        self.live_flows().next().is_none() && self.running_jobs().next().is_none()
+    }
+
+    /// The live transfers, in id order.
+    fn live_flows(&self) -> impl Iterator<Item = (usize, &Flow)> {
+        self.live_transfers
+            .iter()
+            .filter_map(|&i| match &self.transfers[i] {
+                Transfer::Live(f) => Some((i, &**f)),
+                Transfer::Settled(_) => None,
+            })
+    }
+
+    /// The host of every running job, in id order.
+    fn running_jobs(&self) -> impl Iterator<Item = (usize, HostId)> + '_ {
+        self.live_jobs.iter().filter_map(|&i| match self.jobs[i] {
+            Job::Running { host, .. } => Some((i, host)),
+            _ => None,
+        })
     }
 
     /// Per-flow rates (bytes/sec) for currently *flowing* transfers, and
@@ -400,21 +431,20 @@ impl SimNet {
         };
         // Count flows per directed hop.
         let mut users: HashMap<Hop, u32> = HashMap::new();
-        let mut flowing: Vec<usize> = Vec::new();
-        for (i, t) in self.transfers.iter().enumerate() {
-            if t.active() && t.activate_at <= self.clock + EPS {
+        let mut flowing: Vec<(usize, &Flow)> = Vec::new();
+        for (i, t) in self.live_flows() {
+            if t.activate_at <= self.clock + EPS {
                 if t.hops.iter().any(|&h| hop_capacity(h) == 0.0) {
                     continue; // stalled: contributes no load
                 }
-                flowing.push(i);
+                flowing.push((i, t));
                 for &h in &t.hops {
                     *users.entry(h).or_insert(0) += 1;
                 }
             }
         }
         let mut trates = Vec::with_capacity(flowing.len());
-        for &i in &flowing {
-            let t = &self.transfers[i];
+        for &(i, t) in &flowing {
             let mut rate_bits = f64::INFINITY;
             for &h in &t.hops {
                 let share = hop_capacity(h) / f64::from(users[&h]);
@@ -424,18 +454,14 @@ impl SimNet {
         }
         // Jobs: each active job on a host progresses at min(1, cpus/n).
         let mut per_host: HashMap<HostId, u32> = HashMap::new();
-        let mut running: Vec<usize> = Vec::new();
-        for (i, j) in self.jobs.iter().enumerate() {
-            if j.active() {
-                running.push(i);
-                *per_host.entry(j.host).or_insert(0) += 1;
-            }
+        let running: Vec<(usize, HostId)> = self.running_jobs().collect();
+        for &(_, host) in &running {
+            *per_host.entry(host).or_insert(0) += 1;
         }
         let mut jrates = Vec::with_capacity(running.len());
-        for &i in &running {
-            let j = &self.jobs[i];
-            let n = f64::from(per_host[&j.host]);
-            let cpus = f64::from(self.topo.hosts[j.host.0 as usize].cpus);
+        for &(i, host) in &running {
+            let n = f64::from(per_host[&host]);
+            let cpus = f64::from(self.topo.hosts[host.0 as usize].cpus);
             jrates.push((i, (cpus / n).min(1.0)));
         }
         (trates, jrates)
@@ -443,6 +469,15 @@ impl SimNet {
 
     fn drive(&mut self, until: Option<f64>) {
         self.drive_until(until, None);
+    }
+
+    /// The live flow in slot `i`; the event loop only holds indices of
+    /// flows it has just seen live.
+    fn flow(&self, i: usize) -> &Flow {
+        match &self.transfers[i] {
+            Transfer::Live(f) => f,
+            Transfer::Settled(_) => unreachable!("transfer {i} settled mid-step"),
+        }
     }
 
     /// The event loop. `until` bounds the clock; `stop_any` (when set)
@@ -462,7 +497,7 @@ impl SimNet {
             if let Some(ids) = stop_any {
                 if ids
                     .iter()
-                    .any(|&id| !self.transfers[id.0 as usize].active())
+                    .any(|&id| matches!(self.transfers[id.0 as usize], Transfer::Settled(_)))
                 {
                     return;
                 }
@@ -474,7 +509,7 @@ impl SimNet {
             let mut have_event = until.is_some();
             for &(i, rate) in &trates {
                 if rate > 0.0 {
-                    let eta = self.clock + self.transfers[i].remaining / rate;
+                    let eta = self.clock + self.flow(i).remaining / rate;
                     if eta < next {
                         next = eta;
                     }
@@ -482,14 +517,17 @@ impl SimNet {
                 }
             }
             for &(i, rate) in &jrates {
-                let eta = self.clock + self.jobs[i].remaining / rate;
+                let Job::Running { remaining, .. } = self.jobs[i] else {
+                    unreachable!("job {i} settled mid-step");
+                };
+                let eta = self.clock + remaining / rate;
                 if eta < next {
                     next = eta;
                 }
                 have_event = true;
             }
-            for t in &self.transfers {
-                if t.active() && t.activate_at > self.clock + EPS {
+            for (_, t) in self.live_flows() {
+                if t.activate_at > self.clock + EPS {
                     if t.activate_at < next {
                         next = t.activate_at;
                     }
@@ -497,12 +535,8 @@ impl SimNet {
                 }
             }
             // Profile boundaries only matter while flows are moving.
-            if !trates.is_empty() {
-                let mut hops_in_use: Vec<Hop> = Vec::new();
-                for &(i, _) in &trates {
-                    hops_in_use.extend_from_slice(&self.transfers[i].hops);
-                }
-                for h in hops_in_use {
+            for &(i, _) in &trates {
+                for &h in &self.flow(i).hops {
                     if let Some(b) = self.topo.profile(h).next_boundary(self.clock) {
                         if b < next {
                             next = b;
@@ -512,10 +546,7 @@ impl SimNet {
             }
             // Fault boundaries matter while any work is unfinished: an
             // outage ending un-stalls a flow, a crash starting kills one.
-            if !self.faults.is_empty()
-                && (self.transfers.iter().any(|t| t.active())
-                    || self.jobs.iter().any(|j| j.active()))
-            {
+            if !self.faults.is_empty() && !self.is_idle() {
                 if let Some(b) = self.faults.next_change(self.clock) {
                     if b < next {
                         next = b;
@@ -531,24 +562,39 @@ impl SimNet {
 
             // Advance all flows and jobs by dt at current rates.
             for &(i, rate) in &trates {
-                let t = &mut self.transfers[i];
+                let Transfer::Live(t) = &mut self.transfers[i] else {
+                    unreachable!("transfer {i} settled mid-step");
+                };
                 let moved = (rate * dt).min(t.remaining);
                 t.remaining -= moved;
-                for &h in &t.hops.clone() {
+                for h in &t.hops {
                     *self.link_bytes.entry(h.link).or_insert(0.0) += moved;
                 }
                 if t.remaining <= t.bytes * 1e-12 + BYTE_EPS {
-                    t.remaining = 0.0;
-                    t.done_at = Some(next);
+                    self.transfers[i] = Transfer::Settled(TransferStatus::Done(TransferRecord {
+                        start: t.start,
+                        end: next,
+                        bytes: t.bytes,
+                    }));
                 }
             }
             for &(i, rate) in &jrates {
-                let j = &mut self.jobs[i];
-                let done = (rate * dt).min(j.remaining);
-                j.remaining -= done;
-                if j.remaining <= j.cpu_secs * 1e-12 + BYTE_EPS {
-                    j.remaining = 0.0;
-                    j.done_at = Some(next);
+                let Job::Running {
+                    cpu_secs,
+                    remaining,
+                    start,
+                    ..
+                } = &mut self.jobs[i]
+                else {
+                    unreachable!("job {i} settled mid-step");
+                };
+                *remaining -= (rate * dt).min(*remaining);
+                if *remaining <= *cpu_secs * 1e-12 + BYTE_EPS {
+                    self.jobs[i] = Job::Done(JobRecord {
+                        start: *start,
+                        end: next,
+                        cpu_secs: *cpu_secs,
+                    });
                 }
             }
             self.clock = next;
@@ -570,30 +616,38 @@ impl SimNet {
     /// Abort every active transfer whose path crosses a host that is
     /// down right now, and every active job on a down host. In-flight
     /// state on a crashed host is lost by definition; delivered bytes
-    /// stay counted so clients can resume from an offset.
+    /// stay counted so clients can resume from an offset. Then forget
+    /// whatever has settled — here, in the last step or by cancellation:
+    /// the live lists keep their ascending order, and nothing walks the
+    /// histories.
     fn apply_host_faults(&mut self) {
-        if self.faults.is_empty() {
-            return;
-        }
-        let clock = self.clock;
-        for t in &mut self.transfers {
-            if !t.active() {
-                continue;
-            }
-            if let Some(&h) = t
+        let (clock, faults) = (self.clock, &self.faults);
+        let transfers = &mut self.transfers;
+        self.live_transfers.retain(|&i| {
+            let Transfer::Live(t) = &transfers[i] else {
+                return false;
+            };
+            let down = t
                 .path_hosts
                 .iter()
-                .find(|&&h| self.faults.host_down(h, clock))
-            {
-                t.failed_at = Some(clock);
-                t.failure = Some(TransferFailure::HostDown(h));
+                .copied()
+                .find(|&h| faults.host_down(h, clock));
+            if let Some(h) = down {
+                transfers[i] = t.aborted(clock, TransferFailure::HostDown(h));
             }
-        }
-        for j in &mut self.jobs {
-            if j.active() && self.faults.host_down(j.host, clock) {
-                j.failed_at = Some(clock);
+            down.is_none()
+        });
+        let jobs = &mut self.jobs;
+        self.live_jobs.retain(|&i| {
+            let Job::Running { host, .. } = jobs[i] else {
+                return false;
+            };
+            let down = faults.host_down(host, clock);
+            if down {
+                jobs[i] = Job::Failed;
             }
-        }
+            !down
+        });
     }
 }
 
@@ -1025,6 +1079,62 @@ mod tests {
             net.transfer_status(id),
             TransferStatus::Failed { .. }
         ));
+    }
+
+    /// The histories only grow; what the engine walks, and what a
+    /// settled transfer keeps, must not.
+    #[test]
+    fn settled_transfers_leave_the_live_list_and_shrink_to_their_record() {
+        let (mut net, a, b) = two_hosts(Mbit(8.0)); // 1 MB/s
+        let first = net.transfer(a, b, 2.0 * MB);
+        net.run_until_idle();
+        for _ in 1..20_000 {
+            net.transfer(a, b, 1.0 * MB);
+            net.run_until_idle();
+            assert!(net.live_transfers.len() <= 1, "one stale entry at most");
+        }
+        // A cancelled transfer and a finished job are forgotten too.
+        let cancelled = net.transfer(a, b, 1.0 * MB);
+        net.cancel_transfer(cancelled);
+        let job = net.job(a, 1.0);
+        net.run_until_idle();
+
+        let last = net.transfer(a, b, 1.0 * MB);
+        // What the next event step can touch: the new flow, plus at most
+        // one entry of each list that settled in the step before.
+        assert!(net.live_transfers.len() <= 2, "{:?}", net.live_transfers);
+        assert!(net.live_jobs.len() <= 1, "{:?}", net.live_jobs);
+        assert!(net.live_transfers.windows(2).all(|w| w[0] < w[1]));
+        net.run_until_idle();
+        assert_eq!(net.live_flows().count(), 0);
+        assert!(net.live_transfers.len() <= 1);
+
+        // 20,002 slots of at most 48 bytes, none of them owning heap
+        // memory: a settled slot is its status and nothing else.
+        assert_eq!(net.transfers.len(), 20_002);
+        assert!(std::mem::size_of::<Transfer>() <= 48);
+        assert!(net
+            .transfers
+            .iter()
+            .all(|t| matches!(t, Transfer::Settled(_))));
+        assert!(std::mem::size_of::<Job>() <= 48);
+
+        // Every id still answers, the very first included.
+        let rec = net.transfer_record(first).unwrap();
+        assert_eq!((rec.start, rec.bytes), (0.0, 2.0 * MB));
+        assert!((rec.duration() - 2.0).abs() < 1e-6);
+        assert_eq!(net.transfer_status(first), TransferStatus::Done(rec));
+        assert_eq!(net.transfer_bytes_moved(first), 2.0 * MB);
+        assert!(matches!(
+            net.transfer_status(cancelled),
+            TransferStatus::Failed {
+                reason: TransferFailure::Cancelled,
+                ..
+            }
+        ));
+        assert!(net.transfer_record(last).is_some());
+        assert!(net.job_record(job).is_some());
+        assert!((net.link_bytes(LinkId(0)) - 20_002.0 * MB).abs() < 1.0);
     }
 
     #[test]
