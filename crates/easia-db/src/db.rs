@@ -15,8 +15,8 @@ use crate::sql::ast::{ColumnDefAst, Stmt, TableConstraint};
 use crate::sql::parse;
 use crate::storage::{HeapTable, RowId};
 use crate::txn::{Wal, WalCorruption, WalRecord};
-use crate::value::Value;
-use std::collections::BTreeMap;
+use crate::value::{decode_row_into, encode_row, Value};
+use std::collections::{BTreeMap, HashSet};
 use std::path::{Path, PathBuf};
 use std::rc::Rc;
 
@@ -311,7 +311,7 @@ impl Database {
             // (and the version map) shrink to the live rows.
             self.vacuum_internal();
         }
-        let bytes = self.write_snapshot();
+        let bytes = self.write_snapshot()?;
         let tmp = dir.join("snapshot.tmp");
         std::fs::write(&tmp, &bytes)
             .map_err(|e| DbError::Storage(format!("write snapshot: {e}")))?;
@@ -1091,6 +1091,7 @@ impl Database {
                     .ok_or_else(|| DbError::Catalog(format!("column {c} not found in {tname}")))?,
             );
         }
+        let duplicate = format!("duplicate key for unique index {iname}");
         let mut ix = Index {
             name: iname,
             col_indices,
@@ -1101,24 +1102,27 @@ impl Database {
         // versions through the new index), but enforce uniqueness only
         // across currently-visible rows.
         let mvcc = &self.mvcc;
+        let versions = mvcc.table_versions(&tname);
         let view = ReadView::latest();
-        let mut seen: std::collections::HashSet<Vec<u8>> = std::collections::HashSet::new();
-        for (rid, row) in t.heap.scan() {
-            let key = ix.key_of(&row);
-            let mut enc = Vec::new();
-            crate::value::encode_row(&key, &mut enc);
-            if unique
-                && !key.iter().any(Value::is_null)
-                && mvcc.visible(&tname, rid, &view)
-                && !seen.insert(enc)
-            {
-                return Err(DbError::Constraint(format!(
-                    "duplicate key for unique index {}",
-                    ix.name
-                )));
-            }
-            ix.tree.insert(key, rid);
-        }
+        let mut seen: HashSet<Vec<u8>> = HashSet::new();
+        fill_indexes(
+            &t.schema,
+            &t.heap,
+            std::slice::from_mut(&mut ix),
+            |rid, key| {
+                if unique
+                    && !key.iter().any(Value::is_null)
+                    && mvcc.visible_in(versions, rid, &view)
+                {
+                    let mut enc = Vec::new();
+                    encode_row(key, &mut enc);
+                    if !seen.insert(enc) {
+                        return Err(DbError::Constraint(duplicate.clone()));
+                    }
+                }
+                Ok(())
+            },
+        )?;
         t.indexes.push(ix);
         Ok(())
     }
@@ -1674,11 +1678,27 @@ impl Database {
         Ok(new_id)
     }
 
-    /// Find a live row equal to `row` (used by WAL replay, where physical
-    /// RowIds may differ from the original execution).
+    /// Find the first live row equal to `row` (used by WAL replay, where
+    /// physical RowIds may differ from the original execution). Equal
+    /// means equal *record bytes* — the encoding is canonical, and unlike
+    /// `==` on values it finds a NaN. An index only narrows the records
+    /// compared, to those filed under the row's key.
     fn find_row_by_value(&self, table: &str, row: &[Value]) -> Option<RowId> {
         let t = self.tables.get(table)?;
-        t.heap.scan().find(|(_, r)| r == row).map(|(rid, _)| rid)
+        let mut want = Vec::new();
+        encode_row(row, &mut want);
+        match t.indexes.first() {
+            Some(ix) if row.len() == t.schema.columns.len() => ix
+                .tree
+                .get(&ix.key_of(row))
+                .into_iter()
+                .find(|&rid| t.heap.record(rid) == Some(&want[..])),
+            _ => t
+                .heap
+                .records()
+                .find(|(_, rec)| *rec == want)
+                .map(|(rid, _)| rid),
+        }
     }
 
     fn apply_wal(&mut self, rec: WalRecord) -> Result<()> {
@@ -1730,8 +1750,15 @@ impl Database {
     /// would see (uncommitted and merely-pinned versions excluded; heap
     /// RowIds are not preserved, which is fine — indexes are rebuilt on
     /// load and WAL replay matches rows by value).
-    fn write_snapshot(&self) -> Vec<u8> {
+    ///
+    /// A visible record is checked to be a row of its table
+    /// ([`decode_record`]) and then copied as bytes: the fresh heap places
+    /// a record by its length alone, so the image is the one that
+    /// re-encoding every decoded row would write. A record that is not
+    /// one is a typed error, raised before anything on disk is touched.
+    fn write_snapshot(&self) -> Result<Vec<u8>> {
         let view = self.mvcc.committed_view();
+        let mut scratch = Vec::new();
         let mut body = Vec::new();
         body.extend_from_slice(&(self.tables.len() as u32).to_le_bytes());
         for (name, t) in &self.tables {
@@ -1750,10 +1777,12 @@ impl Database {
                 body.extend_from_slice(&(ddl.len() as u32).to_le_bytes());
                 body.extend_from_slice(ddl.as_bytes());
             }
+            let versions = self.mvcc.table_versions(name);
             let mut committed = HeapTable::new();
-            for (rid, row) in t.heap.scan() {
-                if self.mvcc.visible(name, rid, &view) {
-                    committed.insert(&row);
+            for (rid, rec) in t.heap.records() {
+                if self.mvcc.visible_in(versions, rid, &view) {
+                    decode_record(&t.schema, rid, rec, &mut scratch)?;
+                    committed.insert_record(rec.into());
                 }
             }
             committed.snapshot(&mut body);
@@ -1762,7 +1791,7 @@ impl Database {
         out.extend_from_slice(b"EASNAP2\0");
         out.extend_from_slice(&crc32(&body).to_le_bytes());
         out.extend_from_slice(&body);
-        out
+        Ok(out)
     }
 
     /// Load a snapshot image (`EASNAP2\0` + body CRC32 + body). A body
@@ -1822,13 +1851,7 @@ impl Database {
             let heap = HeapTable::restore(bytes, &mut pos)?;
             let t = self.tables.get_mut(&tname).expect("just created");
             t.heap = heap;
-            let rows: Vec<(RowId, Vec<Value>)> = t.heap.scan().collect();
-            for ix in &mut t.indexes {
-                for (rid, row) in &rows {
-                    let key = ix.col_indices.iter().map(|&i| row[i].clone()).collect();
-                    ix.tree.insert(key, *rid);
-                }
-            }
+            fill_indexes(&t.schema, &t.heap, &mut t.indexes, |_, _| Ok(()))?;
         }
         self.replaying = false;
         Ok(())
@@ -1843,6 +1866,61 @@ impl Database {
         }
         url.to_string()
     }
+}
+
+/// Decode the stored record at `rid` into the caller's reused row,
+/// checking that it is a row of the table: one whole row encoding —
+/// every cell's tag, length and text valid — nothing after it, and as
+/// many cells as the table has columns.
+fn decode_record(schema: &TableSchema, rid: RowId, rec: &[u8], row: &mut Vec<Value>) -> Result<()> {
+    let mut pos = 0;
+    let what = match decode_row_into(rec, &mut pos, row) {
+        Err(DbError::Storage(what)) => what,
+        Err(other) => return Err(other),
+        Ok(()) if pos != rec.len() => "row decode: trailing bytes".into(),
+        Ok(()) if row.len() != schema.columns.len() => format!(
+            "row decode: {} cells for {} columns",
+            row.len(),
+            schema.columns.len()
+        ),
+        Ok(()) => return Ok(()),
+    };
+    Err(DbError::Storage(format!(
+        "{} row {:#x}: {what}",
+        schema.name, rid.0
+    )))
+}
+
+/// Fill the (empty) trees of `indexes` from every record of a table's
+/// heap — the one way an index is built over rows that are already
+/// stored. Each record is decoded once into one scratch row
+/// ([`decode_record`]), only the key cells are cloned out, into one run
+/// of `(key, row id)` per index, and each tree is built bottom-up from
+/// its run ([`BPlusTree::from_pairs`]). `admit` sees every key before it
+/// is filed and may refuse it.
+fn fill_indexes(
+    schema: &TableSchema,
+    heap: &HeapTable,
+    indexes: &mut [Index],
+    mut admit: impl FnMut(RowId, &[Value]) -> Result<()>,
+) -> Result<()> {
+    let mut runs: Vec<Vec<(Vec<Value>, RowId)>> = indexes
+        .iter()
+        .map(|_| Vec::with_capacity(heap.len()))
+        .collect();
+    let mut row = Vec::new();
+    for (rid, rec) in heap.records() {
+        decode_record(schema, rid, rec, &mut row)?;
+        for (ix, run) in indexes.iter().zip(&mut runs) {
+            let key = ix.key_of(&row);
+            admit(rid, &key)?;
+            run.push((key, rid));
+        }
+    }
+    for (ix, run) in indexes.iter_mut().zip(runs) {
+        ix.tree = BPlusTree::from_pairs(run);
+    }
+    Ok(())
 }
 
 /// Reconstruct CREATE TABLE DDL from a schema (used by snapshots; also
@@ -1921,4 +1999,229 @@ fn index_to_ddl(schema: &TableSchema, ix: &Index) -> String {
         schema.name,
         cols.join(", ")
     )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The snapshot writer this one replaced, kept as the reference:
+    /// every row of every table decoded (`scan`), the visible ones
+    /// re-encoded into a fresh heap (`insert`).
+    fn snapshot_by_reencoding(db: &Database) -> Vec<u8> {
+        let view = db.mvcc.committed_view();
+        let mut body = Vec::new();
+        let put = |body: &mut Vec<u8>, s: &str| {
+            body.extend_from_slice(&(s.len() as u32).to_le_bytes());
+            body.extend_from_slice(s.as_bytes());
+        };
+        body.extend_from_slice(&(db.tables.len() as u32).to_le_bytes());
+        for (name, t) in &db.tables {
+            put(&mut body, &schema_to_ddl(&t.schema));
+            let extra: Vec<String> = t
+                .indexes
+                .iter()
+                .filter(|ix| !ix.name.starts_with("PK_") && !ix.name.starts_with("UQ_"))
+                .map(|ix| index_to_ddl(&t.schema, ix))
+                .collect();
+            body.extend_from_slice(&(extra.len() as u32).to_le_bytes());
+            for ddl in &extra {
+                put(&mut body, ddl);
+            }
+            let mut committed = HeapTable::new();
+            for (rid, row) in t.heap.scan() {
+                if db.mvcc.visible(name, rid, &view) {
+                    committed.insert(&row);
+                }
+            }
+            committed.snapshot(&mut body);
+        }
+        let mut out = b"EASNAP2\0".to_vec();
+        out.extend_from_slice(&crc32(&body).to_le_bytes());
+        out.extend_from_slice(&body);
+        out
+    }
+
+    fn temp_dir(name: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("easia-db-unit-{}-{name}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
+    /// Rows of mixed widths — some records pack a page exactly
+    /// differently from their neighbours — one of them over the inline
+    /// limit, NaN and -0.0 among the doubles.
+    fn populate(db: &mut Database) {
+        db.execute(
+            "CREATE TABLE sim (k VARCHAR(20) PRIMARY KEY, title VARCHAR(200), re DOUBLE, doc CLOB)",
+        )
+        .unwrap();
+        db.execute(
+            "CREATE TABLE files (name VARCHAR(40), k VARCHAR(20), n INTEGER, \
+                    PRIMARY KEY (name, k))",
+        )
+        .unwrap();
+        db.execute("CREATE INDEX ix_files_k ON files (k)").unwrap();
+        db.execute("CREATE TABLE empty (a INTEGER)").unwrap();
+        for i in 0..400i64 {
+            let re = match i % 50 {
+                0 => f64::NAN,
+                1 => -0.0,
+                _ => 100.0 + i as f64,
+            };
+            let doc = if i == 123 {
+                "d".repeat(5000)
+            } else {
+                "d".repeat((i % 97) as usize)
+            };
+            db.execute_with_params(
+                "INSERT INTO sim VALUES (?, ?, ?, ?)",
+                &[
+                    Value::Str(format!("S{i:04}")),
+                    Value::Str(format!("run {i} {}", "x".repeat((i * 7 % 61) as usize))),
+                    Value::Double(re),
+                    Value::Clob(doc),
+                ],
+            )
+            .unwrap();
+            for f in 0..3 {
+                db.execute_with_params(
+                    "INSERT INTO files VALUES (?, ?, ?)",
+                    &[
+                        Value::Str(format!("t{f:03}.edf")),
+                        Value::Str(format!("S{i:04}")),
+                        Value::Int(i * 3 + f),
+                    ],
+                )
+                .unwrap();
+            }
+        }
+    }
+
+    #[test]
+    fn snapshot_bytes_are_what_reencoding_every_row_writes() {
+        let mut db = Database::new_in_memory();
+        populate(&mut db);
+        // Committed deletes and updates, vacuumed or not.
+        db.execute("DELETE FROM files WHERE n % 5 = 0").unwrap();
+        db.execute("UPDATE sim SET title = 'retitled' WHERE k > 'S0350'")
+            .unwrap();
+        assert_eq!(db.write_snapshot().unwrap(), snapshot_by_reencoding(&db));
+
+        // An open snapshot pins versions a later delete and update kill...
+        let pinned = db.begin_snapshot();
+        db.execute("DELETE FROM sim WHERE k < 'S0010'").unwrap();
+        db.execute("UPDATE files SET n = -n WHERE k = 'S0200'")
+            .unwrap();
+        // ...and a transaction in flight has inserted, updated and
+        // deleted without committing.
+        let t = db.begin_txn();
+        db.txn_execute(
+            t,
+            "INSERT INTO sim VALUES ('ZZ', 'uncommitted', 1.0, 'x')",
+            &[],
+        )
+        .unwrap();
+        db.txn_execute(t, "DELETE FROM files WHERE k = 'S0300'", &[])
+            .unwrap();
+        db.txn_execute(t, "UPDATE sim SET re = 0 WHERE k = 'S0399'", &[])
+            .unwrap();
+        let image = db.write_snapshot().unwrap();
+        assert_eq!(image, snapshot_by_reencoding(&db));
+
+        // What the image holds is what a fresh reader sees now, with
+        // every index filled from it.
+        let mut back = Database::new_in_memory();
+        back.load_snapshot(&image).unwrap();
+        for q in [
+            "SELECT k, title, doc FROM sim ORDER BY k",
+            "SELECT name, k, n FROM files ORDER BY k, name",
+            "SELECT name FROM files WHERE k = 'S0300' ORDER BY name",
+            "SELECT n FROM files WHERE name = 't001.edf' AND k = 'S0200'",
+            "SELECT COUNT(*) FROM empty",
+        ] {
+            let want = db.execute(q).unwrap();
+            assert!(!want.rows.is_empty());
+            assert_eq!(back.execute(q).unwrap(), want, "{q}");
+        }
+        assert_eq!(
+            back.write_snapshot().unwrap(),
+            image,
+            "a loaded image rewrites itself"
+        );
+        db.rollback_txn(t).unwrap();
+        db.release_snapshot(pinned);
+        assert_eq!(db.write_snapshot().unwrap(), snapshot_by_reencoding(&db));
+    }
+
+    #[test]
+    fn checkpoint_refuses_a_record_that_does_not_decode_and_touches_nothing() {
+        let dir = temp_dir("bad-record");
+        let mut db = Database::open(&dir).unwrap();
+        db.execute("CREATE TABLE t (k INTEGER PRIMARY KEY, v VARCHAR(20))")
+            .unwrap();
+        db.execute("INSERT INTO t VALUES (1, 'one'), (2, 'two')")
+            .unwrap();
+        db.checkpoint().unwrap();
+        db.execute("INSERT INTO t VALUES (3, 'three')").unwrap();
+        let on_disk = |name: &str| std::fs::read(dir.join(name)).unwrap();
+        let (snap, wal) = (on_disk(SNAPSHOT_FILE), on_disk(WAL_FILE));
+        assert!(wal.len() > 8, "the log holds the third row");
+
+        // Memory damage: a record whose second cell claims a tag that
+        // does not exist, and one with bytes after its last cell.
+        let mut rec = Vec::new();
+        encode_row(&[Value::Int(4), Value::Str("four".into())], &mut rec);
+        for damage in [
+            |rec: &mut Vec<u8>| rec[13] = 0xEE,
+            |rec: &mut Vec<u8>| rec.push(0),
+        ] {
+            let mut bad = rec.clone();
+            damage(&mut bad);
+            let heap = &mut db.tables.get_mut("T").unwrap().heap;
+            let rid = heap.insert_record(bad.into());
+            let err = db.checkpoint().unwrap_err();
+            assert!(
+                matches!(&err, DbError::Storage(m) if m.starts_with("T row ") && m.contains("row decode")),
+                "{err}"
+            );
+            assert_eq!(on_disk(SNAPSHOT_FILE), snap);
+            assert_eq!(on_disk(WAL_FILE), wal);
+            assert!(!dir.join("snapshot.tmp").exists());
+            assert!(db.tables.get_mut("T").unwrap().heap.delete(rid));
+        }
+        // With the damage gone the checkpoint goes through, and what was
+        // on disk all along reopens to the three rows.
+        db.checkpoint().unwrap();
+        drop(db);
+        let mut db = Database::open(&dir).unwrap();
+        assert_eq!(db.execute("SELECT k FROM t").unwrap().rows.len(), 3);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_snapshot_row_narrower_than_its_table_is_a_typed_error() {
+        let mut db = Database::new_in_memory();
+        db.execute("CREATE TABLE t (k INTEGER PRIMARY KEY, v VARCHAR(20))")
+            .unwrap();
+        db.execute("INSERT INTO t VALUES (1, 'one')").unwrap();
+        // A whole, well-formed record — of one cell.
+        let mut rec = Vec::new();
+        encode_row(&[Value::Int(2)], &mut rec);
+        db.tables
+            .get_mut("T")
+            .unwrap()
+            .heap
+            .insert_record(rec.into());
+        let refused = |err: DbError| {
+            assert_eq!(
+                err,
+                DbError::Storage("T row 0x1: row decode: 1 cells for 2 columns".into())
+            );
+        };
+        refused(db.write_snapshot().unwrap_err());
+        // The old writer checked nothing: its image carries the record.
+        let image = snapshot_by_reencoding(&db);
+        refused(Database::new_in_memory().load_snapshot(&image).unwrap_err());
+    }
 }

@@ -14,6 +14,10 @@
 //! borrow/merge-free deletion (leaves may underflow; with the archive's
 //! append-mostly workload this is a deliberate simplification — deletes
 //! only shrink entry lists, and empty entries are removed from leaves).
+//! A whole heap is indexed bottom-up instead ([`BPlusTree::from_pairs`]):
+//! one sort, then full nodes level by level. The node *shapes* differ
+//! from what the same pairs inserted one by one would leave; every read
+//! answers the same.
 
 use crate::storage::RowId;
 use crate::value::Value;
@@ -32,6 +36,13 @@ fn key_cmp(a: &[Value], b: &[Value]) -> Ordering {
         }
     }
     a.len().cmp(&b.len())
+}
+
+/// Sizes of the fewest groups of at most `max` that `n` items spread
+/// evenly over: no group is left with a stub of a tail.
+fn spread(n: usize, max: usize) -> impl Iterator<Item = usize> {
+    let groups = n.div_ceil(max);
+    (0..groups).map(move |g| n / groups + usize::from(g < n % groups))
 }
 
 /// True when the leading columns of `key` equal `prefix` — the test
@@ -86,6 +97,68 @@ impl BPlusTree {
                 entries: Vec::new(),
             }),
             len: 0,
+        }
+    }
+
+    /// The tree holding exactly `pairs`, given in any order — what
+    /// inserting them one by one in that order builds, read through
+    /// [`BPlusTree::get`] and [`BPlusTree::scan_from`]: keys that compare
+    /// equal share one entry under the first of them given, its row ids
+    /// ascending and without repeats.
+    ///
+    /// Built bottom-up from the sorted run. Every level is cut into the
+    /// fewest nodes that hold it, filled evenly, so no node exceeds
+    /// `ORDER` keys and none but a lone root falls under half of that
+    /// (an internal node never has fewer than two children). A separator
+    /// is the first key of the subtree to its right, as a split leaves it.
+    pub fn from_pairs(mut pairs: Vec<(Key, RowId)>) -> Self {
+        // Stable: among equal keys the first given stays first.
+        pairs.sort_by(|a, b| key_cmp(&a.0, &b.0));
+        let opens_entry: Vec<bool> = (0..pairs.len())
+            .map(|i| i == 0 || key_cmp(&pairs[i - 1].0, &pairs[i].0) != Ordering::Equal)
+            .collect();
+        let distinct = opens_entry.iter().filter(|&&opens| opens).count();
+        let mut len = 0;
+        let mut run = pairs.into_iter().zip(opens_entry).peekable();
+        // Each node travels with the first key under it: the separator
+        // its parent files it behind.
+        let mut level: Vec<(Key, Node)> = spread(distinct, ORDER)
+            .map(|size| {
+                let mut entries = Vec::with_capacity(size);
+                for _ in 0..size {
+                    let ((key, row), _) = run.next().expect("one run element per entry");
+                    let mut rows = vec![row];
+                    while let Some(((_, row), _)) = run.next_if(|(_, opens)| !opens) {
+                        rows.push(row);
+                    }
+                    rows.sort_unstable();
+                    rows.dedup();
+                    len += rows.len();
+                    entries.push((key, rows));
+                }
+                (entries[0].0.clone(), Node::Leaf(Leaf { entries }))
+            })
+            .collect();
+        while level.len() > 1 {
+            let sizes = spread(level.len(), ORDER + 1);
+            let mut nodes = level.into_iter();
+            level = sizes
+                .map(|size| {
+                    let (first_key, first) = nodes.next().expect("one node per child");
+                    let mut keys = Vec::with_capacity(size - 1);
+                    let mut children = Vec::with_capacity(size);
+                    children.push(first);
+                    for (sep, child) in nodes.by_ref().take(size - 1) {
+                        keys.push(sep);
+                        children.push(child);
+                    }
+                    (first_key, Node::Internal(Internal { keys, children }))
+                })
+                .collect();
+        }
+        match level.pop() {
+            Some((_, root)) => BPlusTree { root, len },
+            None => BPlusTree::new(),
         }
     }
 
@@ -297,6 +370,7 @@ impl BPlusTree {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::value::same_cells as same_key;
 
     fn k(i: i64) -> Key {
         vec![Value::Int(i)]
@@ -493,6 +567,292 @@ mod tests {
         t.insert(vec![Value::Null], rid(0));
         let all = collect(&t, &[], None);
         assert_eq!(all[0].1, vec![rid(0)]);
+    }
+
+    /// Structural invariants, recursively: keys ascending inside a node
+    /// and inside the bounds its ancestors' separators set (`lo`
+    /// inclusive, `hi` exclusive), row lists ascending without repeats,
+    /// no node over `ORDER`, no internal node under two children, every
+    /// leaf at one depth. `packed` adds what a bulk build promises on
+    /// top: every node but a lone root at least half full. Returns
+    /// `(leaf depth, pairs)`.
+    fn check_node(
+        node: &Node,
+        lo: Option<&[Value]>,
+        hi: Option<&[Value]>,
+        packed: bool,
+        is_root: bool,
+    ) -> (usize, usize) {
+        let in_bounds = |k: &[Value]| {
+            lo.is_none_or(|lo| key_cmp(lo, k) != Ordering::Greater)
+                && hi.is_none_or(|hi| key_cmp(k, hi) == Ordering::Less)
+        };
+        match node {
+            Node::Leaf(leaf) => {
+                assert!(leaf.entries.len() <= ORDER, "leaf over ORDER");
+                if packed && !is_root {
+                    assert!(leaf.entries.len() >= ORDER / 2, "leaf under half full");
+                }
+                for w in leaf.entries.windows(2) {
+                    assert_eq!(key_cmp(&w[0].0, &w[1].0), Ordering::Less, "leaf keys");
+                }
+                let mut pairs = 0;
+                for (k, rows) in &leaf.entries {
+                    assert!(in_bounds(k), "{k:?} outside {lo:?}..{hi:?}");
+                    assert!(!rows.is_empty(), "empty entry kept");
+                    assert!(rows.windows(2).all(|w| w[0] < w[1]), "row ids of {k:?}");
+                    pairs += rows.len();
+                }
+                (1, pairs)
+            }
+            Node::Internal(int) => {
+                assert_eq!(int.children.len(), int.keys.len() + 1);
+                assert!(int.keys.len() <= ORDER, "internal node over ORDER");
+                assert!(int.children.len() >= 2, "one-child internal node");
+                if packed && !is_root {
+                    assert!(int.children.len() > ORDER / 2, "under half full");
+                }
+                for w in int.keys.windows(2) {
+                    assert_eq!(key_cmp(&w[0], &w[1]), Ordering::Less, "separators");
+                }
+                assert!(int.keys.iter().all(|k| in_bounds(k)), "separator bounds");
+                let (mut depth, mut pairs) = (None, 0);
+                for (i, child) in int.children.iter().enumerate() {
+                    let lo = if i == 0 {
+                        lo
+                    } else {
+                        Some(&int.keys[i - 1][..])
+                    };
+                    let hi = int.keys.get(i).map(|k| &k[..]).or(hi);
+                    let (d, n) = check_node(child, lo, hi, packed, false);
+                    assert_eq!(*depth.get_or_insert(d), d, "leaves at one depth");
+                    pairs += n;
+                }
+                (depth.expect("has children") + 1, pairs)
+            }
+        }
+    }
+
+    fn check(t: &BPlusTree, packed: bool) {
+        let (depth, pairs) = check_node(&t.root, None, None, packed, true);
+        assert_eq!(depth, t.height());
+        assert_eq!(pairs, t.len());
+    }
+
+    /// Every read of `a` answers as the same read of `b`: `len`, the
+    /// whole cursor walk (keys to the bit), walks from each probe, `get`.
+    fn assert_same_reads(a: &BPlusTree, b: &BPlusTree, probes: &[Key]) {
+        assert_eq!(a.len(), b.len());
+        assert_eq!(a.is_empty(), b.is_empty());
+        let (all_a, all_b) = (collect(a, &[], None), collect(b, &[], None));
+        assert_eq!(all_a.len(), all_b.len());
+        for (x, y) in all_a.iter().zip(&all_b) {
+            assert!(same_key(&x.0, &y.0), "{:?} vs {:?}", x.0, y.0);
+            assert_eq!(x.1, y.1, "rows of {:?}", x.0);
+        }
+        for probe in probes {
+            assert_eq!(a.get(probe), b.get(probe), "get {probe:?}");
+            for lo in [&probe[..], &probe[..1]] {
+                let first = |t: &BPlusTree| {
+                    let mut seen = Vec::new();
+                    t.scan_from(lo, |k, rows| {
+                        seen.push((k.to_vec(), rows.to_vec()));
+                        seen.len() < 3
+                    });
+                    seen
+                };
+                let (fa, fb) = (first(a), first(b));
+                assert_eq!(fa.len(), fb.len(), "walk from {lo:?}");
+                for (x, y) in fa.iter().zip(&fb) {
+                    assert!(same_key(&x.0, &y.0) && x.1 == y.1, "walk from {lo:?}");
+                }
+            }
+        }
+    }
+
+    /// Fisher–Yates (the vendored `rand` has no `seq`).
+    fn shuffle<T>(items: &mut [T], rng: &mut rand::rngs::StdRng) {
+        use rand::Rng;
+        for i in (1..items.len()).rev() {
+            items.swap(i, rng.gen_range(0..i + 1));
+        }
+    }
+
+    fn built_by_inserts(pairs: &[(Key, RowId)]) -> BPlusTree {
+        let mut t = BPlusTree::new();
+        for (key, row) in pairs {
+            t.insert(key.clone(), *row);
+        }
+        t
+    }
+
+    /// Both trees take the same further inserts and removes and must go
+    /// on answering alike (a bulk-built node splits like any other).
+    fn mutate_both(
+        rng: &mut rand::rngs::StdRng,
+        a: &mut BPlusTree,
+        b: &mut BPlusTree,
+        pairs: &[(Key, RowId)],
+        fresh: impl Fn(&mut rand::rngs::StdRng) -> (Key, RowId),
+    ) {
+        use rand::Rng;
+        for _ in 0..300 {
+            if pairs.is_empty() || rng.gen_bool(0.5) {
+                let (key, row) = fresh(rng);
+                a.insert(key.clone(), row);
+                b.insert(key, row);
+            } else {
+                let (key, row) = &pairs[rng.gen_range(0..pairs.len())];
+                assert_eq!(a.remove(key, *row), b.remove(key, *row));
+            }
+        }
+    }
+
+    #[test]
+    fn bulk_build_equals_inserts_at_the_node_boundaries() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(20);
+        let full_two_levels = ORDER * (ORDER + 1);
+        for distinct in [
+            0,
+            1,
+            2,
+            ORDER - 1,
+            ORDER,
+            ORDER + 1,
+            2 * ORDER + 1,
+            full_two_levels,
+            full_two_levels + 1,
+            (ORDER + 1) * (ORDER + 1) + 1,
+        ] {
+            // Every key once, a fifth of them under a second row, a few
+            // pairs given twice; scrambled.
+            let mut pairs: Vec<(Key, RowId)> = (0..distinct as i64)
+                .map(|i| (vec![Value::Int(i / 7), Value::Int(i % 7)], rid(i as u64)))
+                .collect();
+            for i in (0..distinct).step_by(5) {
+                pairs.push((pairs[i].0.clone(), rid(100_000 + i as u64)));
+            }
+            for i in (0..distinct).step_by(11) {
+                pairs.push(pairs[i].clone());
+            }
+            shuffle(&mut pairs, &mut rng);
+            let mut bulk = BPlusTree::from_pairs(pairs.clone());
+            let mut grown = built_by_inserts(&pairs);
+            check(&bulk, true);
+            check(&grown, false);
+            assert_eq!(bulk.len(), distinct + distinct.div_ceil(5));
+            let mut probes: Vec<Key> = pairs.iter().map(|(k, _)| k.clone()).collect();
+            probes.push(vec![Value::Int(-1), Value::Int(0)]);
+            probes.push(vec![Value::Int(3), Value::Int(7)]);
+            probes.push(vec![Value::Null, Value::Null]);
+            assert_same_reads(&bulk, &grown, &probes);
+            if distinct > ORDER {
+                assert!(bulk.height() <= grown.height(), "packed is never taller");
+            }
+            mutate_both(&mut rng, &mut bulk, &mut grown, &pairs, |rng| {
+                let i = rng.gen_range(-5..distinct as i64 + 5);
+                (
+                    vec![Value::Int(i / 7), Value::Int(i % 7)],
+                    rid(rng.gen_range(0..4u64) * 100_000 + i.max(0) as u64),
+                )
+            });
+            check(&bulk, false);
+            check(&grown, false);
+            assert_same_reads(&bulk, &grown, &probes);
+        }
+    }
+
+    /// One or two columns from small domains, so that keys collide:
+    /// NULLs, `Int`/`Double` twins that compare equal, NaNs with different
+    /// bits, both zeros, strings.
+    fn any_pair(rng: &mut rand::rngs::StdRng, domain: i64) -> (Key, RowId) {
+        use rand::Rng;
+        let cell = |rng: &mut rand::rngs::StdRng| match rng.gen_range(0..9) {
+            0 => Value::Null,
+            1 | 2 => Value::Int(rng.gen_range(0..domain)),
+            3 => Value::Double(rng.gen_range(0..domain) as f64),
+            4 => Value::Double(rng.gen_range(0..domain) as f64 + 0.5),
+            5 => Value::Double([f64::NAN, -f64::NAN, 0.0, -0.0][rng.gen_range(0..4usize)]),
+            6 => Value::Timestamp(rng.gen_range(0..domain)),
+            _ => Value::Str(format!("k{:03}", rng.gen_range(0..domain))),
+        };
+        let width = rng.gen_range(1..3);
+        (
+            (0..width).map(|_| cell(rng)).collect(),
+            rid(rng.gen_range(0..6)),
+        )
+    }
+
+    mod differential {
+        use super::*;
+        use rand::{Rng, SeedableRng};
+
+        proptest::proptest! {
+            /// For any multiset of pairs the bulk build reads as the
+            /// tree the same pairs grew by inserts, and keeps doing so
+            /// under further inserts and removes.
+            #[test]
+            fn bulk_build_reads_as_the_insert_built_tree(seed in proptest::prelude::any::<u64>()) {
+                let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+                let domain = [2, 12, 400][rng.gen_range(0..3usize)];
+                let n = [0, 1, 40, 700, 3000][rng.gen_range(0..5usize)];
+                let pairs: Vec<(Key, RowId)> =
+                    (0..n).map(|_| any_pair(&mut rng, domain)).collect();
+                let mut bulk = BPlusTree::from_pairs(pairs.clone());
+                let mut grown = built_by_inserts(&pairs);
+                check(&bulk, true);
+                check(&grown, false);
+                let mut probes: Vec<Key> = pairs.iter().map(|(k, _)| k.clone()).collect();
+                probes.extend((0..20).map(|_| any_pair(&mut rng, domain + 3).0));
+                assert_same_reads(&bulk, &grown, &probes);
+                mutate_both(&mut rng, &mut bulk, &mut grown, &pairs, |rng| {
+                    any_pair(rng, domain + 3)
+                });
+                check(&bulk, false);
+                check(&grown, false);
+                assert_same_reads(&bulk, &grown, &probes);
+            }
+        }
+    }
+
+    #[test]
+    fn nan_keys_file_in_one_place_however_the_index_was_built() {
+        use rand::SeedableRng;
+        let d = |x: f64| vec![Value::Double(x)];
+        let mut pairs: Vec<(Key, RowId)> = (0..200)
+            .map(|i| (d(i as f64 - 100.0), rid(i)))
+            .chain((0..40).map(|i| (d(f64::from_bits(0x7ff8_0000_0000_0000 | i)), rid(1000 + i))))
+            .chain([(d(-0.0), rid(2000)), (d(f64::INFINITY), rid(2001))])
+            .chain([
+                (vec![Value::Int(7)], rid(2002)),
+                (vec![Value::Null], rid(2003)),
+            ])
+            .collect();
+        let read = |t: &BPlusTree| -> Vec<(bool, Vec<RowId>)> {
+            check(t, false);
+            collect(t, &[], None)
+                .into_iter()
+                .map(|(k, rows)| (matches!(k[0], Value::Double(x) if x.is_nan()), rows))
+                .collect()
+        };
+        let want = read(&BPlusTree::from_pairs(pairs.clone()));
+        // All forty NaNs share the last entry; 0.0 and -0.0 share one too.
+        assert_eq!(want.len(), 1 + 200 + 1 + 1);
+        assert_eq!(
+            want.last().unwrap(),
+            &(true, (1000..1040).map(rid).collect())
+        );
+        assert_eq!(want.iter().filter(|(nan, _)| *nan).count(), 1);
+        let mut rng = rand::rngs::StdRng::seed_from_u64(5);
+        for _ in 0..20 {
+            shuffle(&mut pairs, &mut rng);
+            assert_eq!(read(&built_by_inserts(&pairs)), want);
+            assert_eq!(read(&BPlusTree::from_pairs(pairs.clone())), want);
+            let t = built_by_inserts(&pairs);
+            assert_eq!(t.get(&d(f64::NAN)).len(), 40);
+            assert_eq!(t.get(&d(0.0)), vec![rid(100), rid(2000)]);
+        }
     }
 
     #[test]

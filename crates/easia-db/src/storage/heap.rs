@@ -5,6 +5,7 @@
 use super::page::{Page, SlotId, PAGE_SIZE};
 use crate::error::{DbError, Result};
 use crate::value::{decode_row, encode_row, Value};
+use std::borrow::Cow;
 
 /// Stable address of a row in a heap table.
 ///
@@ -75,9 +76,19 @@ impl HeapTable {
     pub fn insert(&mut self, row: &[Value]) -> RowId {
         let mut rec = Vec::new();
         encode_row(row, &mut rec);
+        self.insert_record(rec.into())
+    }
+
+    /// Insert an already encoded row (never empty: an encoding starts
+    /// with its cell count). Where a record lands depends only on its
+    /// length and on the lengths of the records before it, so copying a
+    /// heap's records in order reproduces the placement that encoding
+    /// its rows in order would. (A `Cow`: an oversized record is kept as
+    /// the caller's buffer when the caller can give it up.)
+    pub(crate) fn insert_record(&mut self, rec: Cow<'_, [u8]>) -> RowId {
         self.len += 1;
         if rec.len() > MAX_INLINE {
-            self.overflow.push(Some(rec));
+            self.overflow.push(Some(rec.into_owned()));
             return RowId::overflow(self.overflow.len() as u64 - 1);
         }
         // Append to the last page with room; otherwise a new page. A
@@ -183,7 +194,11 @@ impl HeapTable {
         out.extend_from_slice(&(self.len as u64).to_le_bytes());
     }
 
-    /// Rebuild a heap from snapshot bytes, advancing `pos`.
+    /// Rebuild a heap from snapshot bytes, advancing `pos`. The bytes
+    /// come from disk: a count the remaining input cannot hold is
+    /// refused before anything is reserved for it, every page's slot
+    /// directory is checked ([`Page::from_bytes`]), and the live count
+    /// must be the number of records found.
     pub fn restore(buf: &[u8], pos: &mut usize) -> Result<Self> {
         let trunc = || DbError::Storage("heap snapshot truncated".into());
         let read_u32 = |buf: &[u8], pos: &mut usize| -> Result<u32> {
@@ -192,13 +207,19 @@ impl HeapTable {
             Ok(u32::from_le_bytes(s.try_into().expect("4 bytes")))
         };
         let npages = read_u32(buf, pos)? as usize;
+        if npages > (buf.len() - *pos) / PAGE_SIZE {
+            return Err(trunc());
+        }
         let mut pages = Vec::with_capacity(npages);
         for _ in 0..npages {
-            let bytes = buf.get(*pos..*pos + PAGE_SIZE).ok_or_else(trunc)?;
+            pages.push(Page::from_bytes(&buf[*pos..*pos + PAGE_SIZE])?);
             *pos += PAGE_SIZE;
-            pages.push(Page::from_bytes(bytes).ok_or_else(trunc)?);
         }
         let nover = read_u32(buf, pos)? as usize;
+        // Every overflow entry takes at least its 4-byte marker.
+        if nover > (buf.len() - *pos) / 4 {
+            return Err(trunc());
+        }
         let mut overflow = Vec::with_capacity(nover);
         for _ in 0..nover {
             let marker = read_u32(buf, pos)? as usize;
@@ -213,12 +234,18 @@ impl HeapTable {
         }
         let len_bytes = buf.get(*pos..*pos + 8).ok_or_else(trunc)?;
         *pos += 8;
-        let len = u64::from_le_bytes(len_bytes.try_into().expect("8 bytes")) as usize;
-        Ok(HeapTable {
+        let len = u64::from_le_bytes(len_bytes.try_into().expect("8 bytes"));
+        let heap = HeapTable {
             pages,
             overflow,
-            len,
-        })
+            len: len as usize,
+        };
+        if heap.records().count() as u64 != len {
+            return Err(DbError::Storage(
+                "heap snapshot: live row count does not match the records".into(),
+            ));
+        }
+        Ok(heap)
     }
 }
 

@@ -1,9 +1,12 @@
 //! Slotted pages.
 //!
 //! Classic layout: a slot directory grows from the front, record data grows
-//! from the back. Deleting a record tombstones its slot; `compact` squeezes
-//! out the dead space. Records never move between pages, so a
-//! `(page, slot)` pair is a stable row address until deletion.
+//! from the back. Deleting a record tombstones its slot; the dead space is
+//! squeezed out when a checkpoint copies the live records into a fresh
+//! heap. Records never move between pages, so a `(page, slot)` pair is a
+//! stable row address until deletion.
+
+use crate::error::{DbError, Result};
 
 /// Page size in bytes. 8 KiB, as in most disk-based engines.
 pub const PAGE_SIZE: usize = 8192;
@@ -118,39 +121,41 @@ impl Page {
         (0..self.slot_count()).filter_map(move |s| self.get(s).map(|r| (s, r)))
     }
 
-    /// Bytes recoverable by compaction (dead record space).
-    pub fn dead_space(&self) -> usize {
-        let live: usize = self.iter().map(|(_, r)| r.len()).sum();
-        (PAGE_SIZE - self.free_end()) - live
-    }
-
-    /// Rewrite the page, dropping tombstoned records and renumbering
-    /// slots. Returns the remapping `old_slot -> new_slot` for live rows.
-    /// Used offline (snapshot compaction), since it invalidates RowIds.
-    pub fn compact(&mut self) -> Vec<(SlotId, SlotId)> {
-        let live: Vec<(SlotId, Vec<u8>)> = self.iter().map(|(s, r)| (s, r.to_vec())).collect();
-        *self = Page::new();
-        let mut map = Vec::with_capacity(live.len());
-        for (old, rec) in live {
-            let new = self.insert(&rec);
-            map.push((old, new));
-        }
-        map
-    }
-
     /// Raw bytes, for snapshots.
     pub fn as_bytes(&self) -> &[u8] {
         &self.buf[..]
     }
 
-    /// Rebuild from snapshot bytes.
-    pub fn from_bytes(bytes: &[u8]) -> Option<Self> {
+    /// Rebuild from snapshot bytes. The header and the slot directory
+    /// are checked here, once, so that [`Page::get`] and [`Page::insert`]
+    /// can index by them: the directory ends where the header says free
+    /// space starts, free space ends inside the page, and every live
+    /// record lies between there and the page end. (A checksum only
+    /// proves the bytes are the ones written.)
+    pub fn from_bytes(bytes: &[u8]) -> Result<Self> {
+        let bad = |what: &str| DbError::Storage(format!("page image: {what}"));
         if bytes.len() != PAGE_SIZE {
-            return None;
+            return Err(bad("not a whole page"));
         }
         let mut buf = Box::new([0u8; PAGE_SIZE]);
         buf.copy_from_slice(bytes);
-        Some(Page { buf })
+        let page = Page { buf };
+        let dir_end = HEADER + page.slot_count() as usize * SLOT;
+        if dir_end > PAGE_SIZE || page.free_start() != dir_end {
+            return Err(bad("slot directory does not match the header"));
+        }
+        let free_end = page.free_end();
+        if free_end < dir_end || free_end > PAGE_SIZE {
+            return Err(bad("free space outside the page"));
+        }
+        for slot_off in (HEADER..dir_end).step_by(SLOT) {
+            let off = page.u16_at(slot_off) as usize;
+            let len = page.u16_at(slot_off + 2) as usize;
+            if len != 0 && (off < free_end || off + len > PAGE_SIZE) {
+                return Err(bad("record outside the page's record area"));
+            }
+        }
+        Ok(page)
     }
 }
 
@@ -216,26 +221,50 @@ mod tests {
     }
 
     #[test]
-    fn compact_reclaims_space() {
-        let mut p = Page::new();
-        let a = p.insert(&[1u8; 1000]);
-        p.insert(&[2u8; 1000]);
-        p.delete(a);
-        assert!(p.dead_space() >= 1000);
-        let map = p.compact();
-        assert_eq!(map, vec![(1, 0)]);
-        assert_eq!(p.dead_space(), 0);
-        assert_eq!(p.get(0), Some(&[2u8; 1000][..]));
-    }
-
-    #[test]
     fn snapshot_round_trip() {
         let mut p = Page::new();
         p.insert(b"persisted");
         let bytes = p.as_bytes().to_vec();
         let q = Page::from_bytes(&bytes).unwrap();
         assert_eq!(q.get(0), Some(&b"persisted"[..]));
-        assert!(Page::from_bytes(&bytes[..100]).is_none());
+        assert!(Page::from_bytes(&bytes[..100]).is_err());
+    }
+
+    #[test]
+    fn from_bytes_refuses_a_directory_that_would_index_outside_the_page() {
+        let mut p = Page::new();
+        p.insert(b"first");
+        p.insert(b"second");
+        p.delete(0);
+        let good = p.as_bytes().to_vec();
+        let q = Page::from_bytes(&good).unwrap();
+        assert_eq!(q.get(0), None, "a tombstone is not damage");
+        assert_eq!(q.get(1), Some(&b"second"[..]));
+
+        let set = |img: &mut [u8], off: usize, v: u16| {
+            img[off..off + 2].copy_from_slice(&v.to_le_bytes());
+        };
+        let slot1 = HEADER + SLOT;
+        let hostile: [(&str, usize, u16); 8] = [
+            ("slot_count past the page", 0, u16::MAX),
+            ("slot_count beyond free_start", 0, 3),
+            (
+                "free_start beyond the directory",
+                2,
+                (HEADER + 3 * SLOT) as u16,
+            ),
+            ("free_end past the page", 4, PAGE_SIZE as u16 + 1),
+            ("free_end inside the directory", 4, HEADER as u16),
+            ("record offset past the page", slot1, PAGE_SIZE as u16 - 2),
+            ("record offset in the free area", slot1, 100),
+            ("record length past the page", slot1 + 2, 4000),
+        ];
+        for (what, off, v) in hostile {
+            let mut img = good.clone();
+            set(&mut img, off, v);
+            let err = Page::from_bytes(&img).expect_err(what);
+            assert!(matches!(err, DbError::Storage(_)), "{what}: {err}");
+        }
     }
 
     #[test]

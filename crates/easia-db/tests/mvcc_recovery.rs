@@ -420,3 +420,256 @@ proptest! {
         prop_assert_eq!(db.table("T").unwrap().heap.len(), committed.len());
     }
 }
+
+// ---- replay finds rows by their bytes; reopened indexes are the heap ----
+
+fn temp_dir(name: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(format!("easia-db-mvcc-{}-{name}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
+}
+
+/// `NaN != NaN`, so a replay that looked the logged row up with `==`
+/// could not find it: the database could be written but never reopened.
+#[test]
+fn a_log_that_deletes_or_updates_a_nan_row_reopens() {
+    let dir = temp_dir("nan-replay");
+    {
+        let mut db = Database::open(&dir).unwrap();
+        db.execute("CREATE TABLE T (K INTEGER PRIMARY KEY, X DOUBLE)")
+            .unwrap();
+        db.execute("CREATE TABLE U (K INTEGER, X DOUBLE)").unwrap();
+        for table in ["T", "U"] {
+            for k in 1..=3 {
+                db.execute_with_params(
+                    &format!("INSERT INTO {table} VALUES (?, ?)"),
+                    &[Value::Int(k), Value::Double(f64::NAN)],
+                )
+                .unwrap();
+            }
+            db.execute(&format!("DELETE FROM {table} WHERE K = 1"))
+                .unwrap();
+            db.execute(&format!("UPDATE {table} SET K = 20 WHERE K = 2"))
+                .unwrap();
+        }
+    }
+    let mut db = Database::open(&dir).unwrap();
+    for table in ["T", "U"] {
+        let rs = db
+            .execute(&format!("SELECT K, X FROM {table} ORDER BY K"))
+            .unwrap();
+        assert_eq!(keys(&db, &rs), vec![3, 20], "{table}");
+        assert!(rs
+            .rows
+            .iter()
+            .all(|r| matches!(r[1], Value::Double(x) if x.is_nan())));
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Every index of every table answers as a filter over the table's own
+/// full scan does: each stored key's point lookup, the walk under each
+/// leading column value, and a range between two stored keys.
+fn assert_indexes_are_the_heap(db: &Database, table: &str) {
+    use easia_db::index::btree::has_prefix;
+    use std::cmp::Ordering;
+    let t = db.table(table).unwrap();
+    let rows: Vec<_> = t.heap.scan().collect();
+    assert_eq!(rows.len(), t.heap.len());
+    let cmp = |a: &[Value], b: &[Value]| {
+        a.iter()
+            .zip(b)
+            .map(|(x, y)| x.total_cmp(y))
+            .find(|o| *o != Ordering::Equal)
+            .unwrap_or(a.len().cmp(&b.len()))
+    };
+    for ix in &t.indexes {
+        let key_of = |row: &[Value]| -> Vec<Value> {
+            ix.col_indices.iter().map(|&i| row[i].clone()).collect()
+        };
+        assert_eq!(ix.tree.len(), rows.len(), "{table}.{}", ix.name);
+        let filter = |keep: &dyn Fn(&[Value]) -> bool| {
+            let mut hits: Vec<_> = rows
+                .iter()
+                .filter(|(_, row)| keep(&key_of(row)))
+                .map(|(rid, _)| *rid)
+                .collect();
+            hits.sort();
+            hits
+        };
+        let walk = |lo: &[Value], keep: &dyn Fn(&[Value]) -> bool| {
+            let mut hits = Vec::new();
+            ix.tree.scan_from(lo, |k, rids| {
+                let inside = keep(k);
+                if inside {
+                    hits.extend_from_slice(rids);
+                }
+                inside
+            });
+            hits.sort();
+            hits
+        };
+        let mut keys: Vec<Vec<Value>> = rows.iter().map(|(_, row)| key_of(row)).collect();
+        keys.sort_by(|a, b| cmp(a, b));
+        for key in keys.iter().step_by(keys.len() / 40 + 1) {
+            let point = filter(&|k| cmp(k, key) == Ordering::Equal);
+            assert!(!point.is_empty());
+            assert_eq!(ix.tree.get(key), point, "{table}.{} = {key:?}", ix.name);
+            let lead = &key[..1];
+            assert_eq!(
+                walk(lead, &|k| has_prefix(k, lead)),
+                filter(&|k| has_prefix(k, lead)),
+                "{table}.{} under {lead:?}",
+                ix.name
+            );
+        }
+        let absent = [Value::Str("no such key".into())];
+        assert!(ix.tree.get(&absent).is_empty());
+        if keys.len() > 8 {
+            let (lo, hi) = (&keys[keys.len() / 4], &keys[keys.len() / 2]);
+            assert_eq!(
+                walk(lo, &|k| cmp(k, hi) != Ordering::Greater),
+                filter(&|k| cmp(k, lo) != Ordering::Less && cmp(k, hi) != Ordering::Greater),
+                "{table}.{} between {lo:?} and {hi:?}",
+                ix.name
+            );
+        }
+    }
+}
+
+/// Every row of `table` as text (a NaN is not `==` to itself), sorted.
+fn dump(db: &mut Database, table: &str) -> Vec<String> {
+    let rs = db.execute(&format!("SELECT * FROM {table}")).unwrap();
+    let mut rows: Vec<String> = rs.rows.iter().map(|row| format!("{row:?}")).collect();
+    rows.sort();
+    rows
+}
+
+/// A checkpointed base, then a log of 500 deletes and 500 updates (and
+/// the inserts between them): the reopened database — checkpoint image
+/// loaded, indexes built from sorted runs, log replayed row by row on
+/// top — is the database that never closed, and so is the one recovered
+/// after the log's tail tore mid-flush.
+#[test]
+fn checkpoint_then_a_long_log_replays_to_the_state_that_never_closed() {
+    let dir = temp_dir("long-log");
+    let mut db = Database::open(&dir).unwrap();
+    db.execute(
+        "CREATE TABLE F (NAME VARCHAR(20), SIM VARCHAR(20), N INTEGER, X DOUBLE, \
+         PRIMARY KEY (NAME, SIM))",
+    )
+    .unwrap();
+    db.execute("CREATE INDEX IX_F_SIM ON F (SIM)").unwrap();
+    db.execute("CREATE INDEX IX_F_X ON F (X, N)").unwrap();
+    db.execute("CREATE TABLE LOOSE (A INTEGER, B VARCHAR(10))")
+        .unwrap();
+    let insert = |db: &mut Database, i: i64| {
+        let x = match i % 40 {
+            0 => Value::Double(f64::NAN),
+            1 => Value::Null,
+            _ => Value::Double((i % 17) as f64 / 2.0),
+        };
+        db.execute_with_params(
+            "INSERT INTO F VALUES (?, ?, ?, ?)",
+            &[
+                Value::Str(format!("t{:02}.edf", i % 25)),
+                Value::Str(format!("S{:04}", i / 25)),
+                Value::Int(i),
+                x,
+            ],
+        )
+        .unwrap();
+        db.execute_with_params(
+            "INSERT INTO LOOSE VALUES (?, ?)",
+            &[Value::Int(i % 10), Value::Str(format!("b{}", i % 3))],
+        )
+        .unwrap();
+    };
+    db.execute("BEGIN").unwrap();
+    for i in 0..5000 {
+        insert(&mut db, i);
+    }
+    db.execute("COMMIT").unwrap();
+    db.checkpoint().unwrap();
+
+    let pk = |i: i64| {
+        [
+            Value::Str(format!("t{:02}.edf", i % 25)),
+            Value::Str(format!("S{:04}", i / 25)),
+        ]
+    };
+    for i in 0..500i64 {
+        let victim = i * 10;
+        let deleted = db
+            .execute_with_params("DELETE FROM F WHERE NAME = ? AND SIM = ?", &pk(victim))
+            .unwrap();
+        let [name, sim] = pk(victim + 5);
+        let updated = db
+            .execute_with_params(
+                "UPDATE F SET X = ?, N = ? WHERE NAME = ? AND SIM = ?",
+                &[
+                    if i % 7 == 0 {
+                        Value::Double(f64::NAN)
+                    } else {
+                        Value::Double(-(i as f64))
+                    },
+                    Value::Int(100_000 + i),
+                    name,
+                    sim,
+                ],
+            )
+            .unwrap();
+        assert_eq!((deleted.affected, updated.affected), (1, 1));
+        if i % 50 == 0 {
+            insert(&mut db, 5000 + i);
+            db.execute_with_params(
+                "DELETE FROM LOOSE WHERE A = ? AND B = 'b0'",
+                &[Value::Int(i % 10)],
+            )
+            .unwrap();
+        }
+    }
+    let want = (dump(&mut db, "F"), dump(&mut db, "LOOSE"));
+    assert_eq!(want.0.len(), 5000 + 10 - 500);
+    assert_indexes_are_the_heap(&db, "F");
+    // One more commit, whose frame the crash below tears.
+    db.execute("DELETE FROM F WHERE N = 1").unwrap();
+    drop(db);
+
+    let wal = dir.join("wal.log");
+    let whole = std::fs::read(&wal).unwrap();
+    std::fs::write(&wal, &whole[..whole.len() - 3]).unwrap();
+    let (mut db, report) = Database::open_recovering(&dir).unwrap();
+    assert!(report.torn_bytes > 0 && report.corruption.is_none());
+    assert!(report.records_replayed > 1000);
+    assert_eq!((dump(&mut db, "F"), dump(&mut db, "LOOSE")), want);
+    assert_indexes_are_the_heap(&db, "F");
+    assert_indexes_are_the_heap(&db, "LOOSE");
+
+    // Checkpoint → reopen: no log left, every index from its run alone.
+    db.checkpoint().unwrap();
+    drop(db);
+    let mut db = Database::open(&dir).unwrap();
+    assert_eq!((dump(&mut db, "F"), dump(&mut db, "LOOSE")), want);
+    assert_indexes_are_the_heap(&db, "F");
+    for (q, n) in [
+        (
+            "SELECT N FROM F WHERE NAME = 't07.edf' AND SIM = 'S0003'",
+            1,
+        ),
+        ("SELECT N FROM F WHERE SIM = 'S0100'", 22),
+        (
+            "SELECT N FROM F WHERE NAME = 't00.edf' AND SIM = 'S0000'",
+            0,
+        ),
+    ] {
+        assert_eq!(db.execute(q).unwrap().rows.len(), n, "{q}");
+    }
+    // The reopened trees take writes like any other.
+    db.execute("INSERT INTO F VALUES ('t00.edf', 'S0000', 0, 1.5)")
+        .unwrap();
+    db.execute("DELETE FROM F WHERE SIM = 'S0100'").unwrap();
+    db.vacuum();
+    assert_indexes_are_the_heap(&db, "F");
+    let _ = std::fs::remove_dir_all(&dir);
+}

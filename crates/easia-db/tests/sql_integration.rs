@@ -377,7 +377,25 @@ fn unique_index_rejects_duplicates() {
     assert!(db.execute("INSERT INTO t VALUES (1, 3)").is_err());
     // Building a unique index over existing duplicates fails.
     db.execute("INSERT INTO t VALUES (9, 2)").unwrap();
-    assert!(db.execute("CREATE UNIQUE INDEX uq_b ON t (b)").is_err());
+    assert_eq!(
+        db.execute("CREATE UNIQUE INDEX uq_b ON t (b)").unwrap_err(),
+        DbError::Constraint("duplicate key for unique index UQ_B".into())
+    );
+    // Only rows a fresh reader sees count, and NULL keys never collide:
+    // the deleted twin stays in the heap for the open snapshot, and is
+    // filed in the new index with every other version.
+    let pinned = db.begin_snapshot();
+    db.execute("DELETE FROM t WHERE a = 9").unwrap();
+    db.execute("INSERT INTO t VALUES (10, NULL), (11, NULL)")
+        .unwrap();
+    db.execute("CREATE UNIQUE INDEX uq_b ON t (b)").unwrap();
+    let ix = &db.table("t").unwrap().indexes;
+    assert_eq!(ix.last().unwrap().tree.len(), 5);
+    assert_eq!(ix.last().unwrap().tree.get(&[Value::Int(2)]).len(), 2);
+    db.release_snapshot(pinned);
+    assert!(db.execute("INSERT INTO t VALUES (12, 2)").is_err());
+    let rs = db.execute("SELECT a FROM t WHERE b = 2").unwrap();
+    assert_eq!(rs.rows, vec![vec![Value::Int(2)]]);
 }
 
 #[test]

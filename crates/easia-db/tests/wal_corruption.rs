@@ -379,3 +379,141 @@ fn snapshot_without_a_checksum_is_refused_and_flagged_by_scrub() {
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A checksum only proves the bytes are the ones written: a snapshot
+/// whose CRC is *right* over a body that lies — about a record's tag, a
+/// slot's place in its page, how many pages, overflow records or live
+/// rows follow — is a typed storage error from `open` and from
+/// `open_recovering`, never a panic and never a reservation sized by the
+/// lie.
+#[test]
+fn a_lying_snapshot_body_under_a_valid_checksum_is_a_typed_error() {
+    let dir = temp_dir("hostile-snap");
+    {
+        let mut db = Database::open(&dir).unwrap();
+        db.execute("CREATE TABLE T (K INTEGER PRIMARY KEY, V VARCHAR(40), B BLOB)")
+            .unwrap();
+        for k in 0..300 {
+            let blob = if k == 7 { vec![k as u8; 6000] } else { vec![] };
+            db.execute_with_params(
+                "INSERT INTO T VALUES (?, ?, ?)",
+                &[
+                    Value::Int(k),
+                    Value::Str(format!("row {k}")),
+                    Value::Blob(blob),
+                ],
+            )
+            .unwrap();
+        }
+        db.checkpoint().unwrap();
+    }
+    let snap = dir.join("snapshot.db");
+    let good = std::fs::read(&snap).unwrap();
+    let u32_at = |img: &[u8], at: usize| u32::from_le_bytes(img[at..at + 4].try_into().unwrap());
+    let u16_at = |img: &[u8], at: usize| u16::from_le_bytes(img[at..at + 2].try_into().unwrap());
+    // magic 8, crc 4 | table count 4, DDL (length-prefixed), extra-index
+    // count 4 | page count 4, pages | overflow count 4, records | rows 8.
+    let npages_at = 12 + 4 + 4 + u32_at(&good, 16) as usize + 4;
+    let page0 = npages_at + 4;
+    let npages = u32_at(&good, npages_at) as usize;
+    assert!(npages >= 2, "the fixture spans pages");
+    let nover_at = page0 + npages * 8192;
+    assert_eq!(u32_at(&good, nover_at), 1, "one overflow record");
+    assert_eq!(u32_at(&good, nover_at + 4), 1 + 4 + 9 + 5 + 5 + 5 + 6000);
+    let rows_at = good.len() - 8;
+    let slot0 = page0 + 6;
+    let rec0 = page0 + u16_at(&good, slot0) as usize;
+
+    let reseal = |mut img: Vec<u8>| {
+        let crc = easia_db::crc::crc32(&img[12..]);
+        img[8..12].copy_from_slice(&crc.to_le_bytes());
+        img
+    };
+    let patch = |at: usize, bytes: &[u8]| {
+        let mut img = good.clone();
+        img[at..at + bytes.len()].copy_from_slice(bytes);
+        img
+    };
+    let hostile: Vec<(&str, Vec<u8>)> = vec![
+        (
+            "a tag that is no tag inside a page",
+            patch(rec0 + 4, &[0xEE]),
+        ),
+        (
+            "fewer cells than the record holds",
+            patch(rec0, &2u32.to_le_bytes()),
+        ),
+        (
+            "more cells than the record holds",
+            patch(rec0, &4u32.to_le_bytes()),
+        ),
+        (
+            "a slot past the page end",
+            patch(slot0, &8190u16.to_le_bytes()),
+        ),
+        (
+            "a slot length past the page end",
+            patch(slot0 + 2, &u16::MAX.to_le_bytes()),
+        ),
+        (
+            "a slot directory larger than the page",
+            patch(page0, &u16::MAX.to_le_bytes()),
+        ),
+        (
+            "free space that ends outside the page",
+            patch(page0 + 4, &u16::MAX.to_le_bytes()),
+        ),
+        (
+            "four thousand million pages",
+            patch(npages_at, &u32::MAX.to_le_bytes()),
+        ),
+        (
+            "one page more than there is",
+            patch(npages_at, &(npages as u32 + 1).to_le_bytes()),
+        ),
+        (
+            "four thousand million overflow records",
+            patch(nover_at, &u32::MAX.to_le_bytes()),
+        ),
+        (
+            "an overflow record longer than the input",
+            patch(nover_at + 4, &u32::MAX.to_le_bytes()),
+        ),
+        (
+            "an overflow record cut short",
+            good[..nover_at + 8 + 100].to_vec(),
+        ),
+        (
+            "a bad tag inside the overflow record",
+            patch(nover_at + 8 + 4, &[0x7F]),
+        ),
+        (
+            "a row count the records do not bear out",
+            patch(rows_at, &301u64.to_le_bytes()),
+        ),
+        (
+            "a row count of 2^64 - 1",
+            patch(rows_at, &u64::MAX.to_le_bytes()),
+        ),
+    ];
+    for (what, img) in hostile {
+        std::fs::write(&snap, reseal(img)).unwrap();
+        for recovering in [false, true] {
+            let answer = if recovering {
+                Database::open_recovering(&dir).map(|_| ())
+            } else {
+                Database::open(&dir).map(|_| ())
+            };
+            match answer {
+                Err(DbError::Storage(m)) => assert!(!m.contains("checksum"), "{what}: {m}"),
+                other => panic!("{what} (recovering: {recovering}): {other:?}"),
+            }
+        }
+    }
+    // The same surgery with nothing changed is the image it was.
+    std::fs::write(&snap, reseal(good.clone())).unwrap();
+    assert_eq!(std::fs::read(&snap).unwrap(), good);
+    let mut db = Database::open(&dir).unwrap();
+    assert_eq!(keys(&mut db).unwrap(), (0..300).collect::<Vec<_>>());
+    let _ = std::fs::remove_dir_all(&dir);
+}
