@@ -8,119 +8,6 @@
 //! shipping every partition wholesale. Both runs are executed twice at
 //! the same seed to demonstrate bit-for-bit reproducibility.
 
-use easia_bench::federation::{run_federation, workload, FedBenchConfig};
-use easia_bench::{fmt_bytes, hms, Report};
-
 fn main() {
-    let seed = std::env::args()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(7u64);
-
-    let cfg = FedBenchConfig::standard(seed);
-    let first = run_federation(&cfg);
-    let second = run_federation(&cfg);
-    assert_eq!(
-        first.digest, second.digest,
-        "same-seed federation runs must be bit-for-bit identical"
-    );
-    assert_eq!(
-        first.metrics_snapshot, second.metrics_snapshot,
-        "same-seed federation runs must render byte-identical metric snapshots"
-    );
-    let ablation = run_federation(&FedBenchConfig {
-        pushdown: false,
-        ..cfg.clone()
-    });
-
-    let mut report = Report::new(
-        &format!(
-            "E10 / Federated browse workload, {} foreign sites x {} simulations (seed {seed})",
-            cfg.sites, cfg.rows_per_site
-        ),
-        &["Metric", "pushdown", "ship-everything"],
-    );
-    report.row(&[
-        "queries".into(),
-        first.queries.to_string(),
-        ablation.queries.to_string(),
-    ]);
-    report.row(&[
-        "rows shipped over WAN".into(),
-        first.rows_shipped.to_string(),
-        ablation.rows_shipped.to_string(),
-    ]);
-    report.row(&[
-        "bytes on wire".into(),
-        fmt_bytes(first.bytes_wire as f64),
-        fmt_bytes(ablation.bytes_wire as f64),
-    ]);
-    report.row(&[
-        "simulated workload time".into(),
-        hms(first.elapsed_secs),
-        hms(ablation.elapsed_secs),
-    ]);
-    report.row(&[
-        "byte reduction".into(),
-        format!(
-            "{:.1}x",
-            ablation.bytes_wire as f64 / (first.bytes_wire as f64).max(1.0)
-        ),
-        "1.0x".into(),
-    ]);
-    report.row(&[
-        "same-seed reproducibility (SHA-256)".into(),
-        format!("{} == {}", &first.digest[..16], &second.digest[..16]),
-        "-".into(),
-    ]);
-    report.print();
-
-    println!("\nWorkload:");
-    for (i, sql) in workload().iter().enumerate() {
-        println!("  Q{}: {sql}", i + 1);
-    }
-
-    println!("\nEXPLAIN FEDERATED excerpts (pushdown run):");
-    for line in first
-        .transcript
-        .lines()
-        .filter(|l| {
-            l.starts_with("query:")
-                || l.trim_start().starts_with("pushed:")
-                || l.trim_start().starts_with("hub-eval:")
-                || l.trim_start().starts_with("site ")
-                || l.trim_start().starts_with("total:")
-        })
-        .take(40)
-    {
-        println!("  {line}");
-    }
-
-    println!("\nMetrics snapshot (federation section, pushdown run):");
-    for line in first
-        .metrics_snapshot
-        .lines()
-        .filter(|l| l.contains("easia_med_"))
-    {
-        println!("  {line}");
-    }
-
-    assert!(
-        first.bytes_wire < ablation.bytes_wire,
-        "pushdown must put fewer bytes on the wire ({} vs {})",
-        first.bytes_wire,
-        ablation.bytes_wire
-    );
-    assert!(
-        first.elapsed_secs <= ablation.elapsed_secs,
-        "pushdown must not be slower over the paper's WAN"
-    );
-    println!("\ndigest={}", first.digest);
-    println!(
-        "\nShape check: pushdown ships only the predicate survivors and top-k cuts\n\
-         (a {:.1}x byte reduction on this workload), pruning skips partitions whose\n\
-         site key cannot match, and both runs merge to identical answers — the\n\
-         federated union is transparent to the browse interface.",
-        ablation.bytes_wire as f64 / (first.bytes_wire as f64).max(1.0)
-    );
+    easia_bench::ablation::report(&easia_bench::federation::E10);
 }

@@ -11,24 +11,17 @@
 //! whole chaos schedule.
 
 use easia_bench::degraded::{run_degraded, DegradedConfig, LADDER_SQL};
+use easia_bench::rig::{print_metrics, seed_arg, twice};
 use easia_bench::{fmt_bytes, Report};
 
 fn main() {
-    let seed = std::env::args()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(11u64);
+    let seed = seed_arg(11);
 
     let cfg = DegradedConfig::standard(seed);
-    let first = run_degraded(&cfg);
-    let second = run_degraded(&cfg);
-    assert_eq!(
-        first.digest, second.digest,
-        "same-seed degraded runs must be bit-for-bit identical"
-    );
-    assert_eq!(
-        first.metrics_snapshot, second.metrics_snapshot,
-        "same-seed degraded runs must render byte-identical metric snapshots"
+    let (first, _) = twice(
+        "degraded",
+        || run_degraded(&cfg),
+        |r| (&r.digest, &r.metrics_snapshot),
     );
 
     let mut report = Report::new(
@@ -38,37 +31,33 @@ fn main() {
         ),
         &["Phase", "rows", "WAN bytes", "retries", "stale", "skipped"],
     );
+    let or_dash = |sites: &[String]| match sites {
+        [] => "-".into(),
+        _ => sites.join(","),
+    };
     for p in &first.phases {
         report.row(&[
             p.name.into(),
             p.rows.to_string(),
             fmt_bytes(p.bytes_wire as f64),
             p.retries.to_string(),
-            if p.stale_sites.is_empty() {
-                "-".into()
-            } else {
-                p.stale_sites.join(",")
-            },
-            if p.skipped.is_empty() {
-                "-".into()
-            } else {
-                p.skipped.join(",")
-            },
+            or_dash(&p.stale_sites),
+            or_dash(&p.skipped),
         ]);
     }
     report.print();
 
     println!("\nLadder query: {LADDER_SQL}");
 
-    println!("\nMetrics snapshot (resilience section):");
-    for line in first.metrics_snapshot.lines().filter(|l| {
-        l.contains("easia_med_breaker_state")
-            || l.contains("easia_med_scan_retries_total")
-            || l.contains("easia_med_cache_hits_total")
-            || l.contains("easia_med_cache_stale_served_total")
-    }) {
-        println!("  {line}");
-    }
+    let families = [
+        "easia_med_breaker_state",
+        "easia_med_scan_retries_total",
+        "easia_med_cache_hits_total",
+        "easia_med_cache_stale_served_total",
+    ];
+    print_metrics("resilience section", &first.metrics_snapshot, |l| {
+        families.iter().any(|f| l.contains(f))
+    });
 
     let [warm, hot, stale, refill] = &first.phases[..] else {
         panic!("expected 4 phases, got {}", first.phases.len());

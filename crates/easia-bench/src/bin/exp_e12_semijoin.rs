@@ -10,131 +10,6 @@
 //! ship. Both runs are executed twice at the same seed to demonstrate
 //! bit-for-bit reproducibility, and must merge to identical answers.
 
-use easia_bench::semijoin::{run_semijoin, workload, SemiJoinBenchConfig};
-use easia_bench::{fmt_bytes, hms, Report};
-
 fn main() {
-    let seed = std::env::args()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(7u64);
-
-    let cfg = SemiJoinBenchConfig::standard(seed);
-    let first = run_semijoin(&cfg);
-    let second = run_semijoin(&cfg);
-    assert_eq!(
-        first.digest, second.digest,
-        "same-seed semi-join runs must be bit-for-bit identical"
-    );
-    assert_eq!(
-        first.metrics_snapshot, second.metrics_snapshot,
-        "same-seed semi-join runs must render byte-identical metric snapshots"
-    );
-    let ablation = run_semijoin(&SemiJoinBenchConfig {
-        semijoin: false,
-        ..cfg.clone()
-    });
-    assert_eq!(
-        first.row_hashes, ablation.row_hashes,
-        "keyed and full-ship joins must merge to identical answers"
-    );
-
-    let mut report = Report::new(
-        &format!(
-            "E12 / Federated join workload, {} foreign sites x {} simulations x {} files (seed {seed})",
-            cfg.sites, cfg.sims_per_site, cfg.files_per_sim
-        ),
-        &["Metric", "semi-join keys", "ship-everything"],
-    );
-    report.row(&[
-        "queries".into(),
-        first.queries.to_string(),
-        ablation.queries.to_string(),
-    ]);
-    report.row(&[
-        "rows shipped over WAN".into(),
-        first.rows_shipped.to_string(),
-        ablation.rows_shipped.to_string(),
-    ]);
-    report.row(&[
-        "bytes on wire".into(),
-        fmt_bytes(first.bytes_wire as f64),
-        fmt_bytes(ablation.bytes_wire as f64),
-    ]);
-    report.row(&[
-        "simulated workload time".into(),
-        hms(first.elapsed_secs),
-        hms(ablation.elapsed_secs),
-    ]);
-    report.row(&[
-        "byte reduction".into(),
-        format!(
-            "{:.1}x",
-            ablation.bytes_wire as f64 / (first.bytes_wire as f64).max(1.0)
-        ),
-        "1.0x".into(),
-    ]);
-    report.row(&[
-        "same-seed reproducibility (SHA-256)".into(),
-        format!("{} == {}", &first.digest[..16], &second.digest[..16]),
-        "-".into(),
-    ]);
-    report.print();
-
-    println!("\nWorkload:");
-    for (i, sql) in workload().iter().enumerate() {
-        println!("  Q{}: {sql}", i + 1);
-    }
-
-    println!("\nEXPLAIN FEDERATED excerpts (semi-join run):");
-    for line in first
-        .transcript
-        .lines()
-        .filter(|l| {
-            l.starts_with("query:")
-                || l.trim_start().starts_with("join leg")
-                || l.trim_start().starts_with("site ")
-                || l.trim_start().starts_with("total:")
-        })
-        .take(40)
-    {
-        println!("  {line}");
-    }
-
-    println!("\nMetrics snapshot (semi-join section, keyed run):");
-    for line in first
-        .metrics_snapshot
-        .lines()
-        .filter(|l| l.contains("easia_med_semijoin_"))
-    {
-        println!("  {line}");
-    }
-    println!("\nMetrics snapshot (fallback section, ship-everything run):");
-    for line in ablation
-        .metrics_snapshot
-        .lines()
-        .filter(|l| l.contains("easia_med_semijoin_"))
-    {
-        println!("  {line}");
-    }
-
-    let reduction = ablation.bytes_wire as f64 / (first.bytes_wire as f64).max(1.0);
-    assert!(
-        reduction >= 3.0,
-        "semi-join shipping must cut wire bytes at least 3x ({} vs {}, {:.1}x)",
-        first.bytes_wire,
-        ablation.bytes_wire,
-        reduction
-    );
-    assert!(
-        first.elapsed_secs <= ablation.elapsed_secs,
-        "key shipping must not be slower over the paper's WAN"
-    );
-    println!("\ndigest={}", first.digest);
-    println!(
-        "\nShape check: every RESULT_FILE references a simulation at another\n\
-         site, so the join side cannot be answered locally — shipping the bound\n\
-         key list instead of whole partitions cuts the wire {reduction:.1}x on this\n\
-         workload while both plans merge to identical browse screens."
-    );
+    easia_bench::ablation::report(&easia_bench::semijoin::E12);
 }

@@ -11,22 +11,18 @@
 //! invalidates the parked screens. Same seed, same digest, twice.
 
 use easia_bench::pipeline::{run_pipeline, PipelineConfig};
+use easia_bench::rig::{seed_arg, twice};
 use easia_bench::{fmt_bytes, Report};
 
 fn main() {
-    let seed = std::env::args()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(13u64);
+    let seed = seed_arg(13);
 
     let cfg = PipelineConfig::standard(seed);
-    let r = run_pipeline(&cfg);
-    let again = run_pipeline(&cfg);
-    assert_eq!(
-        r.digest, again.digest,
-        "same-seed pipeline runs must be bit-for-bit identical"
+    let (r, _) = twice(
+        "pipeline",
+        || run_pipeline(&cfg),
+        |r| (&r.digest, &r.transcript),
     );
-    assert_eq!(r.transcript, again.transcript);
 
     let mut screens = Report::new(
         &format!(

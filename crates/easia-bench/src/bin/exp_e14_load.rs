@@ -16,24 +16,17 @@
 //! the same seed.
 
 use easia_bench::load::{run_load, LoadConfig};
+use easia_bench::rig::{print_metrics, seed_arg, twice};
 use easia_bench::Report;
 
 fn main() {
-    let seed = std::env::args()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(14u64);
+    let seed = seed_arg(14);
 
     let cfg = LoadConfig::standard(seed);
-    let on = run_load(&cfg);
-    let again = run_load(&cfg);
-    assert_eq!(
-        on.digest, again.digest,
-        "same-seed load runs must be bit-for-bit identical"
-    );
-    assert_eq!(
-        on.metrics_snapshot, again.metrics_snapshot,
-        "same-seed load runs must render byte-identical metric snapshots"
+    let (on, _) = twice(
+        "load",
+        || run_load(&cfg),
+        |r| (&r.digest, &r.metrics_snapshot),
     );
     let off = run_load(&LoadConfig {
         admission: false,
@@ -98,15 +91,14 @@ fn main() {
     }
     ablation.print();
 
-    println!("\nMetrics snapshot (admission section, ON run):");
-    for line in on.metrics_snapshot.lines().filter(|l| {
-        (l.starts_with("easia_http_queue_depth")
-            || l.starts_with("easia_http_shed_total")
-            || l.starts_with("easia_http_admitted_total"))
-            && !l.starts_with('#')
-    }) {
-        println!("  {line}");
-    }
+    let families = [
+        "easia_http_queue_depth",
+        "easia_http_shed_total",
+        "easia_http_admitted_total",
+    ];
+    print_metrics("admission section, ON run", &on.metrics_snapshot, |l| {
+        families.iter().any(|f| l.starts_with(f))
+    });
 
     let on2 = on.phases.last().expect("ramp has phases");
     let off2 = off.phases.last().expect("ramp has phases");

@@ -15,24 +15,17 @@
 //! modes digest bit-for-bit identically at the same seed.
 
 use easia_bench::mvcc::{run_mvcc, MvccConfig};
+use easia_bench::rig::{print_metrics, seed_arg, twice};
 use easia_bench::Report;
 
 fn main() {
-    let seed = std::env::args()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(15u64);
+    let seed = seed_arg(15);
 
     let cfg = MvccConfig::standard(seed);
-    let on = run_mvcc(&cfg);
-    let again = run_mvcc(&cfg);
-    assert_eq!(
-        on.digest, again.digest,
-        "same-seed MVCC runs must be bit-for-bit identical"
-    );
-    assert_eq!(
-        on.metrics_snapshot, again.metrics_snapshot,
-        "same-seed MVCC runs must render byte-identical metric snapshots"
+    let (on, _) = twice(
+        "MVCC",
+        || run_mvcc(&cfg),
+        |r| (&r.digest, &r.metrics_snapshot),
     );
     let off = run_mvcc(&MvccConfig {
         mvcc: false,
@@ -78,13 +71,9 @@ fn main() {
     }
     report.print();
 
-    println!("\nMetrics snapshot (MVCC section, MVCC run):");
-    for line in on.metrics_snapshot.lines().filter(|l| {
-        (l.starts_with("easia_db_mvcc_") || l.starts_with("easia_db_wal_fsyncs"))
-            && !l.starts_with('#')
-    }) {
-        println!("  {line}");
-    }
+    print_metrics("MVCC section, MVCC run", &on.metrics_snapshot, |l| {
+        l.starts_with("easia_db_mvcc_") || l.starts_with("easia_db_wal_fsyncs")
+    });
 
     assert_eq!(on.oracle_mismatches, 0, "snapshot reads match the oracle");
     assert_eq!(

@@ -20,20 +20,17 @@
 //! Same seed, bit-for-bit same transcript digest, run twice to prove it.
 
 use easia_bench::crashpoint::{run_crashpoint, CrashpointConfig};
+use easia_bench::rig::{seed_arg, twice};
 use easia_bench::Report;
 
 fn main() {
-    let seed = std::env::args()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(16u64);
+    let seed = seed_arg(16);
 
     let cfg = CrashpointConfig::standard(seed);
-    let r = run_crashpoint(&cfg);
-    let again = run_crashpoint(&cfg);
-    assert_eq!(
-        r.digest, again.digest,
-        "same-seed torture runs must be bit-for-bit identical"
+    let (r, _) = twice(
+        "torture",
+        || run_crashpoint(&cfg),
+        |r| (&r.digest, &r.transcript),
     );
 
     println!(

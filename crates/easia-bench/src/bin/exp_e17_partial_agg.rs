@@ -10,131 +10,6 @@
 //! Both runs execute twice at the same seed to demonstrate bit-for-bit
 //! reproducibility, and must merge to identical answers.
 
-use easia_bench::partial_agg::{run_partial_agg, workload, PartialAggBenchConfig};
-use easia_bench::{fmt_bytes, hms, Report};
-
 fn main() {
-    let seed = std::env::args()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(7u64);
-
-    let cfg = PartialAggBenchConfig::standard(seed);
-    let first = run_partial_agg(&cfg);
-    let second = run_partial_agg(&cfg);
-    assert_eq!(
-        first.digest, second.digest,
-        "same-seed partial-aggregate runs must be bit-for-bit identical"
-    );
-    assert_eq!(
-        first.metrics_snapshot, second.metrics_snapshot,
-        "same-seed partial-aggregate runs must render byte-identical metric snapshots"
-    );
-    let ablation = run_partial_agg(&PartialAggBenchConfig {
-        partial_agg: false,
-        ..cfg.clone()
-    });
-    assert_eq!(
-        first.row_hashes, ablation.row_hashes,
-        "partial-merge and raw-ship aggregates must produce identical answers"
-    );
-
-    let mut report = Report::new(
-        &format!(
-            "E17 / Federated aggregate workload, {} foreign sites x {} rows (seed {seed})",
-            cfg.sites, cfg.rows_per_site
-        ),
-        &["Metric", "partial aggregates", "ship-everything"],
-    );
-    report.row(&[
-        "queries".into(),
-        first.queries.to_string(),
-        ablation.queries.to_string(),
-    ]);
-    report.row(&[
-        "rows shipped over WAN".into(),
-        first.rows_shipped.to_string(),
-        ablation.rows_shipped.to_string(),
-    ]);
-    report.row(&[
-        "bytes on wire".into(),
-        fmt_bytes(first.bytes_wire as f64),
-        fmt_bytes(ablation.bytes_wire as f64),
-    ]);
-    report.row(&[
-        "simulated workload time".into(),
-        hms(first.elapsed_secs),
-        hms(ablation.elapsed_secs),
-    ]);
-    report.row(&[
-        "byte reduction".into(),
-        format!(
-            "{:.1}x",
-            ablation.bytes_wire as f64 / (first.bytes_wire as f64).max(1.0)
-        ),
-        "1.0x".into(),
-    ]);
-    report.row(&[
-        "same-seed reproducibility (SHA-256)".into(),
-        format!("{} == {}", &first.digest[..16], &second.digest[..16]),
-        "-".into(),
-    ]);
-    report.print();
-
-    println!("\nWorkload:");
-    for (i, sql) in workload().iter().enumerate() {
-        println!("  Q{}: {sql}", i + 1);
-    }
-
-    println!("\nEXPLAIN FEDERATED excerpts (partial-aggregate run):");
-    for line in first
-        .transcript
-        .lines()
-        .filter(|l| {
-            l.starts_with("query:")
-                || l.trim_start().starts_with("aggregate:")
-                || l.trim_start().starts_with("total:")
-        })
-        .take(40)
-    {
-        println!("  {line}");
-    }
-
-    println!("\nMetrics snapshot (partial-agg section, pushdown run):");
-    for line in first
-        .metrics_snapshot
-        .lines()
-        .filter(|l| l.contains("easia_med_partial_agg_"))
-    {
-        println!("  {line}");
-    }
-    println!("\nMetrics snapshot (fallback section, ship-everything run):");
-    for line in ablation
-        .metrics_snapshot
-        .lines()
-        .filter(|l| l.contains("easia_med_partial_agg_"))
-    {
-        println!("  {line}");
-    }
-
-    let reduction = ablation.bytes_wire as f64 / (first.bytes_wire as f64).max(1.0);
-    assert!(
-        reduction >= 10.0,
-        "partial aggregates must cut wire bytes at least 10x ({} vs {}, {:.1}x)",
-        first.bytes_wire,
-        ablation.bytes_wire,
-        reduction
-    );
-    assert!(
-        first.elapsed_secs <= ablation.elapsed_secs,
-        "partial states must not be slower over the paper's WAN"
-    );
-    println!("\ndigest={}", first.digest);
-    println!(
-        "\nShape check: every site contributes rows to every topic group, so a\n\
-         grouped aggregate must consult all partitions — shipping one partial\n\
-         state row per group per site instead of the raw partitions cuts the\n\
-         wire {reduction:.1}x on this workload while both plans merge to\n\
-         identical summary screens."
-    );
+    easia_bench::ablation::report(&easia_bench::partial_agg::E17);
 }

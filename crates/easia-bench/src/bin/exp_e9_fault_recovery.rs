@@ -9,24 +9,17 @@
 //! bit-for-bit reproducibility.
 
 use easia_bench::chaos::{run_chaos, ChaosConfig};
+use easia_bench::rig::{print_metrics, seed_arg, twice};
 use easia_bench::{fmt_bytes, hms, Report};
 
 fn main() {
-    let seed = std::env::args()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(7u64);
+    let seed = seed_arg(7);
 
     let cfg = ChaosConfig::standard(seed);
-    let first = run_chaos(&cfg);
-    let second = run_chaos(&cfg);
-    assert_eq!(
-        first.digest, second.digest,
-        "same-seed chaos runs must be bit-for-bit identical"
-    );
-    assert_eq!(
-        first.metrics_snapshot, second.metrics_snapshot,
-        "same-seed chaos runs must render byte-identical metric snapshots"
+    let (first, second) = twice(
+        "chaos",
+        || run_chaos(&cfg),
+        |r| (&r.digest, &r.metrics_snapshot),
     );
 
     let mut report = Report::new(
@@ -87,20 +80,16 @@ fn main() {
     ]);
     report.print();
 
-    println!("\nMetrics snapshot (transfer section):");
-    for line in first
-        .metrics_snapshot
-        .lines()
-        .filter(|l| l.contains("easia_transfer_"))
-    {
-        println!("  {line}");
-    }
+    print_metrics("transfer section", &first.metrics_snapshot, |l| {
+        l.contains("easia_transfer_")
+    });
 
     assert_eq!(
         first.completed, first.total_transfers,
         "storm must not lose transfers"
     );
     assert!(first.post_recovery_agreement && first.damaged_file_restored);
+    println!("\ndigest={}", first.digest);
     println!(
         "\nShape check: all transfers complete despite the storm (the retrying client\n\
          waits out downtime and resumes from the delivered offset), and one\n\

@@ -7,8 +7,8 @@
 //! pure function of the seed, so a whole run (captured as a transcript
 //! and hashed) reproduces bit-for-bit across invocations.
 
+use crate::rig::Transcript;
 use easia_core::{transfer_with_retry_observed, Archive, RetryPolicy};
-use easia_crypto::sha256::{hex, sha256};
 use easia_datalink::ReconcileReport;
 use easia_fs::FileContent;
 use easia_net::{FaultSchedule, LinkSpec, Mbit, StormSpec};
@@ -104,7 +104,7 @@ fn pattern(seed: u64, idx: usize, len: usize) -> Vec<u8> {
 
 /// Run the full chaos scenario for `cfg`.
 pub fn run_chaos(cfg: &ChaosConfig) -> ChaosResult {
-    let mut log = String::new();
+    let mut log = Transcript::default();
     let _ = writeln!(
         log,
         "chaos seed={} servers={} files={} bytes={}",
@@ -280,19 +280,12 @@ pub fn run_chaos(cfg: &ChaosConfig) -> ChaosResult {
     // -- Telemetry snapshot: the full registry in exposition format.
     //    Folding its hash into the transcript makes the run digest
     //    cover every counter, gauge and histogram bucket. --
-    let metrics_snapshot = a.obs.metrics.render();
     let telemetry_bytes_resumed = a
         .obs
         .metrics
         .value("easia_transfer_bytes_resumed_total", &[])
         .unwrap_or(0.0);
-    let _ = writeln!(
-        log,
-        "metrics sha256={}",
-        hex(&sha256(metrics_snapshot.as_bytes()))
-    );
-
-    let digest = hex(&sha256(log.as_bytes()));
+    let (digest, metrics_snapshot, transcript) = log.seal(Some(a.obs.metrics.render()));
     ChaosResult {
         digest,
         total_transfers: datasets.len(),
@@ -314,7 +307,7 @@ pub fn run_chaos(cfg: &ChaosConfig) -> ChaosResult {
         damaged_file_restored,
         metrics_snapshot,
         telemetry_bytes_resumed,
-        transcript: log,
+        transcript,
     }
 }
 

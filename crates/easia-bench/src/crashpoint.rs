@@ -21,7 +21,7 @@
 //!
 //! Same seed, bit-for-bit same transcript digest.
 
-use easia_crypto::sha256::{hex, sha256};
+use crate::rig::Transcript;
 use easia_crypto::TokenIssuer;
 use easia_datalink::{ArchiveClock, DataLinkManager};
 use easia_db::txn::Wal;
@@ -174,7 +174,7 @@ fn reconcile_to_agreement(mgr: &DataLinkManager, db: &mut Database) -> (usize, b
 
 /// Run the full torture suite for `cfg`.
 pub fn run_crashpoint(cfg: &CrashpointConfig) -> CrashpointResult {
-    let mut log = String::new();
+    let mut log = Transcript::default();
     let _ = writeln!(
         log,
         "crashpoint seed={} link_batches={} rot_samples={}",
@@ -404,7 +404,7 @@ pub fn run_crashpoint(cfg: &CrashpointConfig) -> CrashpointResult {
     drop(db);
     let _ = std::fs::remove_dir_all(&scratch);
 
-    let digest = hex(&sha256(log.as_bytes()));
+    let (digest, _, transcript) = log.seal(None);
     CrashpointResult {
         wal_bytes: img.len(),
         crash_points,
@@ -418,7 +418,7 @@ pub fn run_crashpoint(cfg: &CrashpointConfig) -> CrashpointResult {
         scrub_frames,
         scrub_errors_clean,
         scrub_errors_after_rot,
-        transcript: log,
+        transcript,
         digest,
     }
 }

@@ -5,10 +5,10 @@
 //! retry/resume refill through a mid-query host crash — with the whole
 //! run captured as a transcript and hashed, E10-style.
 
-use crate::federation::{build_federated_archive, FedBenchConfig};
+use crate::ablation::{build_archive, FedBenchConfig};
+use crate::federation::E10;
+use crate::rig::{row_hash, Transcript};
 use easia_core::Archive;
-use easia_crypto::sha256::{hex, sha256};
-use easia_db::Value;
 use easia_med::PartialPolicy;
 use easia_net::FaultSchedule;
 use std::fmt::Write as _;
@@ -79,13 +79,8 @@ pub struct DegradedResult {
 pub const LADDER_SQL: &str =
     "SELECT SIMULATION_KEY, TITLE, GRID_SIZE FROM SIMULATION ORDER BY SIMULATION_KEY";
 
-fn run_phase(a: &mut Archive, name: &'static str, log: &mut String) -> PhaseStats {
+fn run_phase(a: &mut Archive, name: &'static str, log: &mut Transcript) -> PhaseStats {
     let out = a.federated_query(LADDER_SQL, &[]).expect("ladder query");
-    let mut rows_text = String::new();
-    for row in &out.rs.rows {
-        let cells: Vec<String> = row.iter().map(Value::to_string).collect();
-        let _ = writeln!(rows_text, "{}", cells.join("|"));
-    }
     let stats = PhaseStats {
         name,
         rows: out.rs.rows.len(),
@@ -93,7 +88,7 @@ fn run_phase(a: &mut Archive, name: &'static str, log: &mut String) -> PhaseStat
         retries: out.explain.sites.iter().map(|s| u64::from(s.retries)).sum(),
         stale_sites: out.explain.stale.iter().map(|s| s.site.clone()).collect(),
         skipped: out.explain.skipped.clone(),
-        rows_sha: hex(&sha256(rows_text.as_bytes())),
+        rows_sha: row_hash(&out.rs.rows),
     };
     let _ = writeln!(
         log,
@@ -113,16 +108,15 @@ fn run_phase(a: &mut Archive, name: &'static str, log: &mut String) -> PhaseStat
 /// Run the four-phase ladder for `cfg` and capture the transcript.
 pub fn run_degraded(cfg: &DegradedConfig) -> DegradedResult {
     let fed_cfg = FedBenchConfig {
-        seed: cfg.seed,
         sites: cfg.sites,
         rows_per_site: cfg.rows_per_site,
-        pushdown: true,
+        ..E10.standard(cfg.seed)
     };
-    let mut a = build_federated_archive(&fed_cfg);
+    let mut a = build_archive(&E10, &fed_cfg);
     a.federation.policy = PartialPolicy::Degraded;
     a.federation.enable_replica_cache(cfg.ttl_secs, 10_000);
 
-    let mut log = String::new();
+    let mut log = Transcript::default();
     let _ = writeln!(
         log,
         "degraded seed={} sites={} rows_per_site={} ttl={} outage={}",
@@ -155,18 +149,12 @@ pub fn run_degraded(cfg: &DegradedConfig) -> DegradedResult {
     a.net.set_fault_schedule(faults);
     phases.push(run_phase(&mut a, "refill-retry", &mut log));
 
-    let metrics_snapshot = a.obs.metrics.render();
-    let _ = writeln!(
-        log,
-        "metrics sha256={}",
-        hex(&sha256(metrics_snapshot.as_bytes()))
-    );
-    let digest = hex(&sha256(log.as_bytes()));
+    let (digest, metrics_snapshot, transcript) = log.seal(Some(a.obs.metrics.render()));
     DegradedResult {
         phases,
         digest,
         metrics_snapshot,
-        transcript: log,
+        transcript,
     }
 }
 

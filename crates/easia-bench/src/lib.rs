@@ -4,6 +4,7 @@
 //! experiment index). Each prints a plainly formatted table so its
 //! output can be diffed against EXPERIMENTS.md.
 
+pub mod ablation;
 pub mod chaos;
 pub mod crashpoint;
 pub mod degraded;
@@ -12,10 +13,12 @@ pub mod load;
 pub mod mvcc;
 pub mod partial_agg;
 pub mod pipeline;
+pub mod rig;
 pub mod semijoin;
 
 use easia_core::{turbulence, Archive};
-use easia_net::format_hms;
+/// Format seconds in the paper's `4h50m08s` style.
+pub use easia_net::format_hms as hms;
 
 /// Megabyte (decimal, as the paper's file sizes are quoted).
 pub const MB: f64 = 1_000_000.0;
@@ -73,11 +76,6 @@ impl Report {
             line(r);
         }
     }
-}
-
-/// Format seconds in the paper's `4h50m08s` style.
-pub fn hms(secs: f64) -> String {
-    format_hms(secs)
 }
 
 /// Human bytes.

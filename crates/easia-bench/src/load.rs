@@ -16,11 +16,10 @@
 //! — the classic open-loop collapse curve, reproduced bit-for-bit from
 //! the seed.
 
+use crate::rig::{mix, Transcript, SITE_NAMES, TOPICS};
 use easia_core::{
     paper_link_spec, turbulence, AdmissionConfig, Archive, ClassLimits, RouteClass, WebApp,
 };
-use easia_crypto::sha256::{hex, sha256};
-use easia_med::Partition;
 use easia_net::retry::unit_from;
 use easia_web::auth::Role;
 use easia_web::http::{url_encode, Request};
@@ -140,49 +139,41 @@ const REMOTE_SIM_DDL: &str = "CREATE TABLE simulation (
     timesteps INTEGER,
     description CLOB)";
 
-const SITE_NAMES: [&str; 2] = ["cam", "edin"];
-const TOPICS: [&str; 4] = ["Decaying", "Forced", "Rotating", "Sheared"];
-
 /// One pre-authenticated simulated user.
 pub(crate) struct SessionSpec {
     pub(crate) token: String,
     pub(crate) guest: bool,
 }
 
-pub(crate) fn mix(seed: u64, a: u64, b: u64) -> u64 {
-    let mut z = seed
-        .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-        .wrapping_add(a.wrapping_mul(0xBF58_476D_1CE4_E5B9))
-        .wrapping_add(b.wrapping_mul(0x94D0_49BB_1331_11EB));
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z ^ (z >> 27)
-}
-
 /// Build the portal under test: the turbulence archive on the hub with
 /// its file server, plus foreign sites each holding a remote SIMULATION
 /// partition, all over the paper's measured WAN profiles.
 pub(crate) fn build_app(cfg: &LoadConfig) -> (WebApp, Vec<SessionSpec>, Vec<String>, Vec<String>) {
-    assert!((1..=SITE_NAMES.len()).contains(&cfg.sites), "1..=2 sites");
+    assert!((1..=2).contains(&cfg.sites), "1..=2 sites");
+    let sites = &SITE_NAMES[..cfg.sites];
     let mut b = Archive::builder()
         .file_server("fs1.example", paper_link_spec())
         // Sessions must survive a multi-hour simulated ramp.
         .token_ttl(100_000_000);
-    for site in &SITE_NAMES[..cfg.sites] {
+    for site in sites {
         b = b.federated_site(site, paper_link_spec());
     }
     let mut a = b.build();
     turbulence::install_schema(&mut a).expect("schema");
     turbulence::seed_demo_data(&mut a, 3, 8).expect("demo data");
-    // Remote partitions: same catalog shape, site-local rows whose
-    // AUTHOR_KEY values reference the hub's three authors, so the QBE
-    // FK-substitute join crosses sites exactly as E12 exercises.
-    let mut partitions = vec![Partition::new(None, &[])];
-    for (i, site) in SITE_NAMES[..cfg.sites].iter().enumerate() {
-        let s = a.federation.site(site).expect("registered site");
-        let mut db = s.db.borrow_mut();
+    // Remote partitions (the hub's is the demo data above): same
+    // catalog shape, site-local rows whose AUTHOR_KEY values reference
+    // the hub's three authors, so the QBE FK-substitute join crosses
+    // sites exactly as E12 exercises. No SITE column in the paper's
+    // schema, so no pruning: every QBE scatters to every site — the
+    // expensive class the ramp saturates.
+    let seed_remote = |db: &mut easia_db::Database, site: &str, site_no: u64| {
+        if site_no == 0 {
+            return;
+        }
         db.execute(REMOTE_SIM_DDL).expect("remote schema");
         for n in 0..cfg.sims_per_site {
-            let h = mix(cfg.seed, i as u64 + 1, n as u64);
+            let h = mix(cfg.seed, site_no, n as u64);
             let topic = TOPICS[(h >> 8) as usize % TOPICS.len()];
             let grid = 64 << (h % 3);
             db.execute(&format!(
@@ -194,16 +185,17 @@ pub(crate) fn build_app(cfg: &LoadConfig) -> (WebApp, Vec<SessionSpec>, Vec<Stri
             ))
             .expect("remote row");
         }
-        drop(db);
-        partitions.push(Partition::new(Some(site), &[]));
-    }
-    // No SITE column in the paper's schema, so no pruning: every QBE
-    // scatters to every site — the expensive class the ramp saturates.
+    };
     a.federation
-        .catalog
-        .import_foreign_table(&a.db, "SIMULATION", None, partitions)
-        .expect("foreign table registers");
-    a.federation.analyze(&mut a.db).expect("analyze");
+        .partition_tables(
+            &mut a.db,
+            "soton",
+            sites,
+            &["SIMULATION"],
+            None,
+            seed_remote,
+        )
+        .expect("partitioned catalogue");
     a.generate_xuis_federated(4);
 
     let urls: Vec<String> =
@@ -234,28 +226,13 @@ pub(crate) fn build_app(cfg: &LoadConfig) -> (WebApp, Vec<SessionSpec>, Vec<Stri
             .add_user(&format!("res{r:02}"), "turbulence", Role::Researcher);
     }
     let now = a.clock.now();
+    let guests = (0..cfg.guests).map(|_| ("guest".to_string(), "guest", true));
+    let researchers = (0..cfg.researchers).map(|r| (format!("res{r:02}"), "turbulence", false));
     let mut sessions = Vec::new();
-    for _ in 0..cfg.guests {
-        let u = a
-            .users
-            .authenticate("guest", "guest")
-            .expect("guest")
-            .clone();
-        sessions.push(SessionSpec {
-            token: a.sessions.open(&u, now),
-            guest: true,
-        });
-    }
-    for r in 0..cfg.researchers {
-        let u = a
-            .users
-            .authenticate(&format!("res{r:02}"), "turbulence")
-            .expect("researcher")
-            .clone();
-        sessions.push(SessionSpec {
-            token: a.sessions.open(&u, now),
-            guest: false,
-        });
+    for (user, password, guest) in guests.chain(researchers) {
+        let u = a.users.authenticate(&user, password).expect("user").clone();
+        let token = a.sessions.open(&u, now);
+        sessions.push(SessionSpec { token, guest });
     }
 
     let admission = AdmissionConfig {
@@ -375,6 +352,91 @@ pub(crate) fn gen_request(
     }
 }
 
+/// Closed-loop QBE storms measure the mean scan service time on the
+/// simulated network, which defines scan capacity. Returns both.
+pub(crate) fn calibrate(
+    app: &mut WebApp,
+    sessions: &[SessionSpec],
+    (seed, salt): (u64, u64),
+    requests: usize,
+    log: &mut Transcript,
+) -> (f64, f64) {
+    let researcher = sessions.iter().find(|s| !s.guest).expect("researcher");
+    let cal_t0 = app.archive.net.now();
+    for n in 0..requests.max(1) {
+        let h = mix(seed, salt, n as u64);
+        let r = app.handle(qbe_request(h, &researcher.token));
+        assert_eq!(r.status, 200, "calibration query: {}", r.body_text());
+    }
+    let mean_scan_service = (app.archive.net.now() - cal_t0) / requests.max(1) as f64;
+    let scan_capacity = SCAN_CONCURRENCY as f64 / mean_scan_service.max(1.0e-6);
+    let _ = writeln!(
+        log,
+        "calibration: mean_scan_service={mean_scan_service:.6}s capacity={scan_capacity:.6}/s"
+    );
+    (mean_scan_service, scan_capacity)
+}
+
+/// Per-class books of one open-loop phase, in Browse/Scan/Download
+/// order; each class's delays stay in arrival order.
+#[derive(Default)]
+pub(crate) struct Tally {
+    pub(crate) delays: [Vec<f64>; 3],
+    pub(crate) latencies: [Vec<f64>; 3],
+    pub(crate) admitted: [usize; 3],
+    pub(crate) shed: [usize; 3],
+}
+
+impl Tally {
+    /// Hand arrival `who`'s request to the portal at `arrival` (plus
+    /// any `lock_wait` spent queued behind a writer first), book the
+    /// outcome under its class and log it.
+    pub(crate) fn serve(
+        &mut self,
+        app: &mut WebApp,
+        log: &mut Transcript,
+        who: &str,
+        (kind, req): (&str, Request),
+        arrival: f64,
+        lock_wait: Option<f64>,
+    ) {
+        // Same mapping as the portal's own classifier, so the
+        // per-class report lines up with the metric families.
+        let class = match kind {
+            "qbe" | "fedbrowse" | "op" | "upload" => 1,
+            "download" | "lob" => 2,
+            _ => 0,
+        };
+        let waited = lock_wait.unwrap_or(0.0);
+        let lock = lock_wait.map_or(String::new(), |w| format!("lock_wait={w:.6} "));
+        let t0 = app.archive.net.now();
+        let resp = app.handle_at(req, arrival + waited);
+        let service = app.archive.net.now() - t0;
+        if let (503, Some(retry_after)) = (resp.status, resp.retry_after) {
+            self.shed[class] += 1;
+            let _ = writeln!(
+                log,
+                "{who} t={arrival:.6} {kind} SHED {lock}retry_after={retry_after}"
+            );
+            return;
+        }
+        let status = resp.status;
+        assert!(
+            status < 500,
+            "{who} {kind}: unexpected {status} {}",
+            resp.body_text()
+        );
+        self.admitted[class] += 1;
+        let delay = app.admission.last_queue_delay(RouteClass::ALL[class]);
+        self.delays[class].push(delay);
+        self.latencies[class].push(waited + delay + service);
+        let _ = writeln!(
+            log,
+            "{who} t={arrival:.6} {kind} status={status} {lock}delay={delay:.6} service={service:.6}"
+        );
+    }
+}
+
 pub(crate) fn percentile(sorted: &[f64], q: f64) -> f64 {
     if sorted.is_empty() {
         return 0.0;
@@ -391,7 +453,7 @@ pub(crate) fn sorted(mut v: Vec<f64>) -> Vec<f64> {
 /// Run the calibration plus the three-phase ramp for `cfg`.
 pub fn run_load(cfg: &LoadConfig) -> LoadResult {
     let (mut app, sessions, urls, datasets) = build_app(cfg);
-    let mut log = String::new();
+    let mut log = Transcript::default();
     let _ = writeln!(
         log,
         "load seed={} sites={} sims_per_site={} guests={} researchers={} \
@@ -405,21 +467,12 @@ pub fn run_load(cfg: &LoadConfig) -> LoadResult {
         cfg.admission
     );
 
-    // Calibration: closed-loop QBE storms measure the mean scan service
-    // time on the simulated network, which defines scan capacity.
-    let researcher = sessions.iter().find(|s| !s.guest).expect("researcher");
-    let cal_t0 = app.archive.net.now();
-    for n in 0..cfg.calibration_requests.max(1) {
-        let h = mix(cfg.seed, 0xCA11, n as u64);
-        let r = app.handle(qbe_request(h, &researcher.token));
-        assert_eq!(r.status, 200, "calibration query: {}", r.body_text());
-    }
-    let mean_scan_service =
-        (app.archive.net.now() - cal_t0) / cfg.calibration_requests.max(1) as f64;
-    let scan_capacity = SCAN_CONCURRENCY as f64 / mean_scan_service.max(1.0e-6);
-    let _ = writeln!(
-        log,
-        "calibration: mean_scan_service={mean_scan_service:.6}s capacity={scan_capacity:.6}/s"
+    let (mean_scan_service, scan_capacity) = calibrate(
+        &mut app,
+        &sessions,
+        (cfg.seed, 0xCA11),
+        cfg.calibration_requests,
+        &mut log,
     );
 
     // The open-loop ramp: the arrival clock starts at the service clock
@@ -429,66 +482,26 @@ pub fn run_load(cfg: &LoadConfig) -> LoadResult {
     for (pi, factor) in LOAD_FACTORS.iter().enumerate() {
         let rate = factor * scan_capacity / SCAN_SHARE;
         let label = format!("ramp-{factor:.1}x");
-        let mut delays: [Vec<f64>; 3] = Default::default();
-        let mut latencies: [Vec<f64>; 3] = Default::default();
-        let mut admitted = [0usize; 3];
-        let mut shed = [0usize; 3];
-        let mut scan_delay_seq = Vec::new();
+        let mut tally = Tally::default();
         for n in 0..cfg.phase_requests {
             let h = mix(cfg.seed, (pi + 1) as u64, n as u64);
             let u = unit_from(cfg.seed ^ 0xA441_0000, (pi * cfg.phase_requests + n) as u64);
             arrival += -(1.0 - u).ln() / rate;
             let s = &sessions[(h >> 40) as usize % sessions.len()];
-            let (kind, req) = gen_request(h, s, &urls, &datasets);
-            let t0 = app.archive.net.now();
-            let resp = app.handle_at(req, arrival);
-            let service = app.archive.net.now() - t0;
-            // Same mapping as the portal's own classifier, so the
-            // per-class report lines up with the metric families.
-            let class = match kind {
-                "qbe" | "fedbrowse" | "op" | "upload" => 1,
-                "download" | "lob" => 2,
-                _ => 0,
-            };
-            if resp.status == 503 && resp.retry_after.is_some() {
-                shed[class] += 1;
-                let _ = writeln!(
-                    log,
-                    "{label} n={n} t={arrival:.6} {kind} SHED retry_after={}",
-                    resp.retry_after.unwrap_or(0)
-                );
-            } else {
-                assert!(
-                    resp.status < 500,
-                    "{label} n={n} {kind}: unexpected {} {}",
-                    resp.status,
-                    resp.body_text()
-                );
-                admitted[class] += 1;
-                let delay = app.admission.last_queue_delay(RouteClass::ALL[class]);
-                delays[class].push(delay);
-                latencies[class].push(delay + service);
-                if class == 1 {
-                    scan_delay_seq.push(delay);
-                }
-                let _ = writeln!(
-                    log,
-                    "{label} n={n} t={arrival:.6} {kind} status={} delay={delay:.6} \
-                     service={service:.6}",
-                    resp.status
-                );
-            }
+            let req = gen_request(h, s, &urls, &datasets);
+            let who = format!("{label} n={n}");
+            tally.serve(&mut app, &mut log, &who, req, arrival, None);
         }
         let classes: Vec<ClassStats> = RouteClass::ALL
             .iter()
             .enumerate()
             .map(|(i, c)| {
-                let d = sorted(delays[i].clone());
-                let l = sorted(latencies[i].clone());
+                let d = sorted(tally.delays[i].clone());
+                let l = sorted(tally.latencies[i].clone());
                 ClassStats {
                     class: c.label(),
-                    admitted: admitted[i],
-                    shed: shed[i],
+                    admitted: tally.admitted[i],
+                    shed: tally.shed[i],
                     p50_delay: percentile(&d, 0.5),
                     p99_delay: percentile(&d, 0.99),
                     max_delay: d.last().copied().unwrap_or(0.0),
@@ -496,6 +509,7 @@ pub fn run_load(cfg: &LoadConfig) -> LoadResult {
                 }
             })
             .collect();
+        let scan_delay_seq = &tally.delays[1];
         let q = (scan_delay_seq.len() / 4).max(1);
         let mean = |v: &[f64]| v.iter().sum::<f64>() / v.len().max(1) as f64;
         let first_q = mean(&scan_delay_seq[..q.min(scan_delay_seq.len())]);
@@ -522,18 +536,13 @@ pub fn run_load(cfg: &LoadConfig) -> LoadResult {
         });
     }
 
-    let metrics_snapshot = app.handle(Request::get("/metrics")).body_text();
-    let _ = writeln!(
-        log,
-        "metrics sha256={}",
-        hex(&sha256(metrics_snapshot.as_bytes()))
-    );
-    let digest = hex(&sha256(log.as_bytes()));
+    let metrics = app.handle(Request::get("/metrics")).body_text();
+    let (digest, metrics_snapshot, transcript) = log.seal(Some(metrics));
     LoadResult {
         mean_scan_service,
         scan_capacity,
         phases,
-        transcript: log,
+        transcript,
         digest,
         metrics_snapshot,
     }

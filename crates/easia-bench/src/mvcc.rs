@@ -20,11 +20,9 @@
 //! Both modes digest bit-for-bit identically at the same seed.
 
 use crate::load::{
-    build_app, gen_request, mix, percentile, qbe_request, sorted, LoadConfig, SCAN_CONCURRENCY,
-    SCAN_SHARE,
+    build_app, calibrate, gen_request, percentile, sorted, LoadConfig, Tally, SCAN_SHARE,
 };
-use easia_core::RouteClass;
-use easia_crypto::sha256::{hex, sha256};
+use crate::rig::{mix, Transcript};
 use easia_db::{Database, TxnId, Value};
 use easia_net::retry::unit_from;
 use easia_web::http::Request;
@@ -130,7 +128,7 @@ enum BufOp {
 /// Run the seeded interleaving of snapshot readers and committing
 /// writers on a scratch database, checking every snapshot read against
 /// the serial oracle. Returns (reads, mismatches) and logs each check.
-fn run_oracle(seed: u64, ops: usize, log: &mut String) -> (usize, usize) {
+fn run_oracle(seed: u64, ops: usize, log: &mut Transcript) -> (usize, usize) {
     let mut db = Database::new_in_memory();
     db.execute("CREATE TABLE ORACLE_T (K INTEGER PRIMARY KEY, V INTEGER)")
         .expect("oracle schema");
@@ -276,9 +274,83 @@ struct Window {
     txns: Vec<TxnId>,
 }
 
+/// The ingest writer's books.
+#[derive(Default)]
+struct Ingest {
+    commits: usize,
+    /// Rows committed so far (every transaction carries `rows_per_txn`).
+    rows: usize,
+    syncs: u64,
+    windows: usize,
+    next_key: i64,
+}
+
+impl Ingest {
+    /// Open a window: begin the batch's transactions and write their
+    /// rows; they stay uncommitted until the window closes.
+    fn open(
+        &mut self,
+        db: &mut Database,
+        log: &mut Transcript,
+        cfg: &MvccConfig,
+        start: f64,
+        end: f64,
+    ) -> Window {
+        let window = self.windows;
+        let mut txns = Vec::new();
+        for _ in 0..cfg.ingest_txns {
+            let t = db.begin_txn();
+            for _ in 0..cfg.rows_per_txn {
+                let k = self.next_key;
+                self.next_key += 1;
+                db.txn_execute(
+                    t,
+                    &format!(
+                        "INSERT INTO INGEST_LOG VALUES ({k}, {window}, 'run {window} row {k}')"
+                    ),
+                    &[],
+                )
+                .expect("ingest insert");
+            }
+            txns.push(t);
+        }
+        let _ = writeln!(
+            log,
+            "ingest window={window} open t={start:.6} end={end:.6} txns={}",
+            txns.len()
+        );
+        self.windows += 1;
+        Window { end, txns }
+    }
+
+    /// Close a window: group-commit under MVCC (one sync for the
+    /// batch), solo commits in the ablation (one sync each).
+    fn close(&mut self, db: &mut Database, log: &mut Transcript, cfg: &MvccConfig, w: Window) {
+        let before = db.wal_syncs();
+        let n = w.txns.len();
+        if cfg.mvcc {
+            db.begin_commit_window();
+            for t in &w.txns {
+                db.commit_txn(*t).expect("group commit");
+            }
+            let batched = db.end_commit_window().expect("window flush");
+            assert_eq!(batched as usize, n, "every committer batched");
+        } else {
+            for t in &w.txns {
+                db.commit_txn(*t).expect("solo commit");
+            }
+        }
+        let delta = db.wal_syncs() - before;
+        self.commits += n;
+        self.rows += n * cfg.rows_per_txn;
+        self.syncs += delta;
+        let _ = writeln!(log, "ingest close t={:.6} commits={n} syncs={delta}", w.end);
+    }
+}
+
 /// Run the oracle check plus the portal phase for `cfg`.
 pub fn run_mvcc(cfg: &MvccConfig) -> MvccResult {
-    let mut log = String::new();
+    let mut log = Transcript::default();
     let _ = writeln!(
         log,
         "mvcc seed={} oracle_ops={} phase_requests={} ingest_txns={} rows_per_txn={} mvcc={}",
@@ -313,21 +385,14 @@ pub fn run_mvcc(cfg: &MvccConfig) -> MvccResult {
         .expect("ingest schema");
 
     // Calibration (closed loop), as in E14.
-    let researcher = sessions.iter().find(|s| !s.guest).expect("researcher");
-    let cal_t0 = app.archive.net.now();
-    for n in 0..cfg.calibration_requests.max(1) {
-        let h = mix(cfg.seed, 0xE15_CA11, n as u64);
-        let r = app.handle(qbe_request(h, &researcher.token));
-        assert_eq!(r.status, 200, "calibration query: {}", r.body_text());
-    }
-    let mean_scan_service =
-        (app.archive.net.now() - cal_t0) / cfg.calibration_requests.max(1) as f64;
-    let scan_capacity = SCAN_CONCURRENCY as f64 / mean_scan_service.max(1.0e-6);
-    let rate = scan_capacity / SCAN_SHARE; // 1x the scan class's capacity
-    let _ = writeln!(
-        log,
-        "calibration: mean_scan_service={mean_scan_service:.6}s capacity={scan_capacity:.6}/s"
+    let (mean_scan_service, scan_capacity) = calibrate(
+        &mut app,
+        &sessions,
+        (cfg.seed, 0xE15_CA11),
+        cfg.calibration_requests,
+        &mut log,
     );
+    let rate = scan_capacity / SCAN_SHARE; // 1x the scan class's capacity
 
     // Ingest windows: the writer holds its transactions open for 6 mean
     // scan services out of every 12 — a 50% write duty cycle.
@@ -338,85 +403,8 @@ pub fn run_mvcc(cfg: &MvccConfig) -> MvccResult {
     let phase_t0 = arrival;
     let mut next_start = arrival;
     let mut open: Option<Window> = None;
-    let mut ingest_commits = 0usize;
-    let mut ingest_rows = 0usize;
-    let mut ingest_syncs = 0u64;
-    let mut ingest_windows = 0usize;
-    let mut committed_ingest_rows = 0usize;
-    let mut next_key = 0i64;
-
-    // Open a window: begin the batch's transactions and write their
-    // rows; they stay uncommitted until the window closes.
-    let open_window = |db: &mut Database,
-                       log: &mut String,
-                       next_key: &mut i64,
-                       windows_so_far: usize,
-                       start: f64,
-                       end: f64|
-     -> Window {
-        let mut txns = Vec::new();
-        for _ in 0..cfg.ingest_txns {
-            let t = db.begin_txn();
-            for _ in 0..cfg.rows_per_txn {
-                let k = *next_key;
-                *next_key += 1;
-                db.txn_execute(
-                    t,
-                    &format!(
-                        "INSERT INTO INGEST_LOG VALUES ({k}, {windows_so_far}, \
-                         'run {windows_so_far} row {k}')"
-                    ),
-                    &[],
-                )
-                .expect("ingest insert");
-            }
-            txns.push(t);
-        }
-        let _ = writeln!(
-            log,
-            "ingest window={windows_so_far} open t={start:.6} end={end:.6} txns={}",
-            txns.len()
-        );
-        Window { end, txns }
-    };
-
-    // Close a window: group-commit under MVCC (one sync for the batch),
-    // solo commits in the ablation (one sync each).
-    let close_window = |db: &mut Database,
-                        log: &mut String,
-                        w: Window,
-                        mvcc: bool,
-                        commits: &mut usize,
-                        rows: &mut usize,
-                        syncs: &mut u64,
-                        committed_rows: &mut usize,
-                        rows_per_txn: usize| {
-        let before = db.wal_syncs();
-        let n = w.txns.len();
-        if mvcc {
-            db.begin_commit_window();
-            for t in &w.txns {
-                db.commit_txn(*t).expect("group commit");
-            }
-            let batched = db.end_commit_window().expect("window flush");
-            assert_eq!(batched as usize, n, "every committer batched");
-        } else {
-            for t in &w.txns {
-                db.commit_txn(*t).expect("solo commit");
-            }
-        }
-        let delta = db.wal_syncs() - before;
-        *commits += n;
-        *rows += n * rows_per_txn;
-        *committed_rows += n * rows_per_txn;
-        *syncs += delta;
-        let _ = writeln!(log, "ingest close t={:.6} commits={n} syncs={delta}", w.end);
-    };
-
-    let mut delays: [Vec<f64>; 3] = Default::default();
-    let mut latencies: [Vec<f64>; 3] = Default::default();
-    let mut admitted = [0usize; 3];
-    let mut shed = [0usize; 3];
+    let mut ingest = Ingest::default();
+    let mut tally = Tally::default();
 
     for n in 0..cfg.phase_requests {
         let h = mix(cfg.seed, 0xE15, n as u64);
@@ -424,46 +412,15 @@ pub fn run_mvcc(cfg: &MvccConfig) -> MvccResult {
         arrival += -(1.0 - u).ln() / rate;
 
         // Advance the ingest writer to this arrival.
-        if let Some(w) = &open {
-            if arrival >= w.end {
-                let w = open.take().expect("window open");
-                close_window(
-                    &mut app.archive.db,
-                    &mut log,
-                    w,
-                    cfg.mvcc,
-                    &mut ingest_commits,
-                    &mut ingest_rows,
-                    &mut ingest_syncs,
-                    &mut committed_ingest_rows,
-                    cfg.rows_per_txn,
-                );
-            }
+        if let Some(w) = open.take_if(|w| arrival >= w.end) {
+            ingest.close(&mut app.archive.db, &mut log, cfg, w);
         }
         while open.is_none() && next_start <= arrival {
             let (start, end) = (next_start, next_start + hold);
-            let w = open_window(
-                &mut app.archive.db,
-                &mut log,
-                &mut next_key,
-                ingest_windows,
-                start,
-                end,
-            );
-            ingest_windows += 1;
+            let w = ingest.open(&mut app.archive.db, &mut log, cfg, start, end);
             next_start += interval;
             if arrival >= end {
-                close_window(
-                    &mut app.archive.db,
-                    &mut log,
-                    w,
-                    cfg.mvcc,
-                    &mut ingest_commits,
-                    &mut ingest_rows,
-                    &mut ingest_syncs,
-                    &mut committed_ingest_rows,
-                    cfg.rows_per_txn,
-                );
+                ingest.close(&mut app.archive.db, &mut log, cfg, w);
             } else {
                 open = Some(w);
             }
@@ -479,67 +436,25 @@ pub fn run_mvcc(cfg: &MvccConfig) -> MvccResult {
                 .expect("ingest count");
             assert_eq!(
                 rs.scalar(),
-                Some(&Value::Int(committed_ingest_rows as i64)),
+                Some(&Value::Int(ingest.rows as i64)),
                 "open ingest transactions must stay invisible"
             );
         }
 
         // The ablation queues every reader behind the writer's lock.
-        let lock_wait = match (&open, cfg.mvcc) {
+        let lock_wait = Some(match (&open, cfg.mvcc) {
             (Some(w), false) => w.end - arrival,
             _ => 0.0,
-        };
-        let effective = arrival + lock_wait;
+        });
 
         let s = &sessions[(h >> 40) as usize % sessions.len()];
-        let (kind, req) = gen_request(h, s, &urls, &datasets);
-        let class = match kind {
-            "qbe" | "fedbrowse" | "op" | "upload" => 1,
-            "download" | "lob" => 2,
-            _ => 0,
-        };
-        let t0 = app.archive.net.now();
-        let resp = app.handle_at(req, effective);
-        let service = app.archive.net.now() - t0;
-        if resp.status == 503 && resp.retry_after.is_some() {
-            shed[class] += 1;
-            let _ = writeln!(
-                log,
-                "n={n} t={arrival:.6} {kind} SHED lock_wait={lock_wait:.6} retry_after={}",
-                resp.retry_after.unwrap_or(0)
-            );
-        } else {
-            assert!(
-                resp.status < 500,
-                "n={n} {kind}: unexpected {} {}",
-                resp.status,
-                resp.body_text()
-            );
-            admitted[class] += 1;
-            let delay = app.admission.last_queue_delay(RouteClass::ALL[class]);
-            delays[class].push(delay);
-            latencies[class].push(lock_wait + delay + service);
-            let _ = writeln!(
-                log,
-                "n={n} t={arrival:.6} {kind} status={} lock_wait={lock_wait:.6} \
-                 delay={delay:.6} service={service:.6}",
-                resp.status
-            );
-        }
+        let req = gen_request(h, s, &urls, &datasets);
+        let who = format!("n={n}");
+        tally.serve(&mut app, &mut log, &who, req, arrival, lock_wait);
     }
     // Close any window still open so the run ends quiesced.
     if let Some(w) = open.take() {
-        close_window(
-            &mut app.archive.db,
-            &mut log,
-            w,
-            cfg.mvcc,
-            &mut ingest_commits,
-            &mut ingest_rows,
-            &mut ingest_syncs,
-            &mut committed_ingest_rows,
-            cfg.rows_per_txn,
-        );
+        ingest.close(&mut app.archive.db, &mut log, cfg, w);
     }
     let rs = app
         .archive
@@ -548,49 +463,38 @@ pub fn run_mvcc(cfg: &MvccConfig) -> MvccResult {
         .expect("final ingest count");
     assert_eq!(
         rs.scalar(),
-        Some(&Value::Int(ingest_rows as i64)),
+        Some(&Value::Int(ingest.rows as i64)),
         "every committed ingest row is visible after quiesce"
     );
 
     let duration = (arrival - phase_t0).max(1.0e-9);
-    let d = sorted(delays[1].clone());
-    let l = sorted(latencies[1].clone());
+    let (admitted_scans, shed_scans) = (tally.admitted[1], tally.shed[1]);
+    let p99_queue_delay = percentile(&sorted(tally.delays[1].clone()), 0.99);
+    let p99_latency = percentile(&sorted(tally.latencies[1].clone()), 0.99);
     let _ = writeln!(
         log,
-        "scan admitted={} shed={} p99_delay={:.6} p99_latency={:.6} \
-         ingest commits={} rows={} syncs={} windows={}",
-        admitted[1],
-        shed[1],
-        percentile(&d, 0.99),
-        percentile(&l, 0.99),
-        ingest_commits,
-        ingest_rows,
-        ingest_syncs,
-        ingest_windows
+        "scan admitted={admitted_scans} shed={shed_scans} p99_delay={p99_queue_delay:.6} \
+         p99_latency={p99_latency:.6} ingest commits={} rows={} syncs={} windows={}",
+        ingest.commits, ingest.rows, ingest.syncs, ingest.windows
     );
 
-    let metrics_snapshot = app.handle(Request::get("/metrics")).body_text();
-    let _ = writeln!(
-        log,
-        "metrics sha256={}",
-        hex(&sha256(metrics_snapshot.as_bytes()))
-    );
-    let digest = hex(&sha256(log.as_bytes()));
+    let metrics = app.handle(Request::get("/metrics")).body_text();
+    let (digest, metrics_snapshot, transcript) = log.seal(Some(metrics));
     MvccResult {
         oracle_reads,
         oracle_mismatches,
         mean_scan_service,
         scan_capacity,
-        admitted_scans: admitted[1],
-        shed_scans: shed[1],
-        admitted_scans_per_s: admitted[1] as f64 / duration,
-        p99_queue_delay: percentile(&d, 0.99),
-        p99_latency: percentile(&l, 0.99),
-        ingest_commits,
-        ingest_rows,
-        ingest_syncs,
-        ingest_windows,
-        transcript: log,
+        admitted_scans,
+        shed_scans,
+        admitted_scans_per_s: admitted_scans as f64 / duration,
+        p99_queue_delay,
+        p99_latency,
+        ingest_commits: ingest.commits,
+        ingest_rows: ingest.rows,
+        ingest_syncs: ingest.syncs,
+        ingest_windows: ingest.windows,
+        transcript,
         digest,
         metrics_snapshot,
     }

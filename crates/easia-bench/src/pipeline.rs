@@ -20,10 +20,9 @@
 //!
 //! [`Federation::query_many`]: easia_med::Federation::query_many
 
+use crate::rig::{mix, row_hash, Transcript, TOPICS};
 use easia_core::{paper_link_spec, Archive, WebApp};
-use easia_crypto::sha256::{hex, sha256};
 use easia_db::Value;
-use easia_med::Partition;
 use easia_net::LinkSpec;
 use easia_web::http::Request;
 use std::fmt::Write as _;
@@ -66,6 +65,17 @@ pub struct Timing {
     pub row_hash: String,
     /// Bytes placed on the WAN.
     pub bytes_wire: u64,
+}
+
+impl Timing {
+    /// The transcript line of this timing: `<what><label> elapsed=…`.
+    fn log(&self, log: &mut Transcript, what: &str) {
+        let _ = writeln!(
+            log,
+            "{what}{} elapsed={:.6} bytes={} rows_sha={}",
+            self.label, self.elapsed, self.bytes_wire, self.row_hash
+        );
+    }
 }
 
 /// Prefetch-walk observations.
@@ -124,23 +134,12 @@ impl PipelineResult {
 /// sum clearly separates from the max.
 const GATHER_SITES: [(&str, f64, f64); 2] = [("cam", 40_000.0, 0.05), ("edin", 30_000.0, 0.08)];
 
-const TOPICS: [&str; 4] = ["Decaying", "Forced", "Rotating", "Sheared"];
-
 const SIM_DDL: &str = "CREATE TABLE SIM (
     K VARCHAR(20) PRIMARY KEY,
     SITE VARCHAR(10),
     N INTEGER,
     NOTES VARCHAR(160)
 )";
-
-fn mix(seed: u64, a: u64, b: u64) -> u64 {
-    let mut z = seed
-        .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-        .wrapping_add(a.wrapping_mul(0xBF58_476D_1CE4_E5B9))
-        .wrapping_add(b.wrapping_mul(0x94D0_49BB_1331_11EB));
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z ^ (z >> 27)
-}
 
 fn insert_sim_rows(db: &mut easia_db::Database, site: &str, site_no: u64, n: usize, seed: u64) {
     db.execute(SIM_DDL).expect("SIM schema");
@@ -169,35 +168,22 @@ fn gather_rig(cfg: &PipelineConfig) -> Archive {
         b = b.federated_site(site, LinkSpec::symmetric(bps, lat));
     }
     let mut a = b.build();
-    insert_sim_rows(&mut a.db, "soton", 0, 4, cfg.seed);
-    let mut partitions = vec![Partition::new(None, &["soton"])];
-    for (i, (site, _, _)) in GATHER_SITES.iter().enumerate() {
-        let s = a.federation.site(site).expect("registered site");
-        insert_sim_rows(
-            &mut s.db.borrow_mut(),
-            site,
-            i as u64 + 1,
-            cfg.rows_per_site,
-            cfg.seed,
-        );
-        partitions.push(Partition::new(Some(site), &[site]));
-    }
+    let sites = GATHER_SITES.map(|(site, _, _)| site);
     a.federation
-        .catalog
-        .import_foreign_table(&a.db, "SIM", Some("SITE"), partitions)
-        .expect("foreign table registers");
-    a.federation.analyze(&mut a.db).expect("analyze");
+        .partition_tables(
+            &mut a.db,
+            "soton",
+            &sites,
+            &["SIM"],
+            Some("SITE"),
+            |db, site, site_no| {
+                let n = if site_no == 0 { 4 } else { cfg.rows_per_site };
+                insert_sim_rows(db, site, site_no, n, cfg.seed);
+            },
+        )
+        .expect("partitioned catalogue");
     a.federation.batch_rows = cfg.batch_rows;
     a
-}
-
-fn row_hash(rows: &[Vec<Value>]) -> String {
-    let mut text = String::new();
-    for row in rows {
-        let cells: Vec<String> = row.iter().map(Value::to_string).collect();
-        let _ = writeln!(text, "{}", cells.join("|"));
-    }
-    hex(&sha256(text.as_bytes()))
 }
 
 fn timed_query(a: &mut Archive, label: &str, sql: &str) -> Timing {
@@ -250,17 +236,6 @@ fn timed_siblings(a: &mut Archive, label: &str, one_call: bool) -> Timing {
     }
 }
 
-/// First value of an unlabeled counter in a metrics snapshot.
-fn counter_value(snapshot: &str, name: &str) -> u64 {
-    snapshot
-        .lines()
-        .find_map(|l| {
-            l.strip_prefix(name)
-                .and_then(|rest| rest.trim().parse().ok())
-        })
-        .unwrap_or(0)
-}
-
 const AUTHOR_DDL: &str = "CREATE TABLE AUTHOR (
     AUTHOR_KEY VARCHAR(40) PRIMARY KEY,
     SITE VARCHAR(20),
@@ -273,52 +248,45 @@ const SIMULATION_DDL: &str = "CREATE TABLE SIMULATION (
     AUTHOR_KEY VARCHAR(40) REFERENCES AUTHOR(AUTHOR_KEY)
 )";
 
+/// The walk's rows: the hub's partition, then cam's.
+const WALK_ROWS: [&[&str]; 2] = [
+    &[
+        "INSERT INTO AUTHOR VALUES ('A1', 'soton', 'Mark')",
+        "INSERT INTO SIMULATION VALUES ('soton-0', 'soton', 'Local run', 'A1')",
+    ],
+    &[
+        "INSERT INTO AUTHOR VALUES ('A2', 'cam', 'Remote')",
+        "INSERT INTO SIMULATION VALUES ('cam-0', 'cam', 'Remote run 0', 'A2')",
+        "INSERT INTO SIMULATION VALUES ('cam-1', 'cam', 'Remote run 1', 'A2')",
+        "INSERT INTO SIMULATION VALUES ('cam-2', 'cam', 'Remote run 2', 'A2')",
+    ],
+];
+
 /// The paper's hypertext browsing pattern over a federated AUTHOR /
 /// SIMULATION pair: render a result screen, then keep following the
 /// links that screen offers. Each render speculatively runs the keyed
 /// scans behind its own FK/PK links, so the next click is served from
 /// the prefetch cache; midway a committed write on the remote site
 /// invalidates the parked screens and exactly one click runs live.
-fn browse_walk(cfg: &PipelineConfig, log: &mut String) -> PrefetchStats {
+fn browse_walk(cfg: &PipelineConfig, log: &mut Transcript) -> PrefetchStats {
     let mut a = Archive::builder()
         .federated_site("cam", paper_link_spec())
         .build();
-    for ddl in [AUTHOR_DDL, SIMULATION_DDL] {
-        a.db.execute(ddl).expect("hub schema");
-    }
-    a.db.execute("INSERT INTO AUTHOR VALUES ('A1', 'soton', 'Mark')")
-        .expect("hub author");
-    a.db.execute("INSERT INTO SIMULATION VALUES ('soton-0', 'soton', 'Local run', 'A1')")
-        .expect("hub simulation");
-    {
-        let site = a.federation.site("cam").expect("cam registered");
-        let mut db = site.db.borrow_mut();
-        for ddl in [AUTHOR_DDL, SIMULATION_DDL] {
-            db.execute(ddl).expect("site schema");
-        }
-        db.execute("INSERT INTO AUTHOR VALUES ('A2', 'cam', 'Remote')")
-            .expect("site author");
-        for i in 0..3 {
-            db.execute(&format!(
-                "INSERT INTO SIMULATION VALUES ('cam-{i}', 'cam', 'Remote run {i}', 'A2')"
-            ))
-            .expect("site simulation");
-        }
-    }
-    for table in ["AUTHOR", "SIMULATION"] {
-        a.federation
-            .catalog
-            .import_foreign_table(
-                &a.db,
-                table,
-                Some("SITE"),
-                vec![
-                    Partition::new(None, &["soton"]),
-                    Partition::new(Some("cam"), &["cam"]),
-                ],
-            )
-            .expect("foreign table registers");
-    }
+    a.federation
+        .partition_tables(
+            &mut a.db,
+            "soton",
+            &["cam"],
+            &["AUTHOR", "SIMULATION"],
+            Some("SITE"),
+            |db, _, site_no| {
+                let rows = WALK_ROWS[site_no as usize];
+                for sql in [AUTHOR_DDL, SIMULATION_DDL].iter().chain(rows) {
+                    db.execute(sql).expect("walk catalogue");
+                }
+            },
+        )
+        .expect("partitioned catalogue");
     a.generate_xuis_federated(4);
     let now = a.clock.now();
     let u = a
@@ -371,12 +339,12 @@ fn browse_walk(cfg: &PipelineConfig, log: &mut String) -> PrefetchStats {
         let _ = writeln!(log, "walk click {i} url={url} prefetched={prefetched}");
     }
 
-    let m = app.archive.obs.metrics.render();
+    let counter = |name| app.archive.obs.metrics.value(name, &[]).unwrap_or(0.0) as u64;
     let stats = PrefetchStats {
         clicks,
-        hits: counter_value(&m, "easia_med_prefetch_hits_total"),
-        stale: counter_value(&m, "easia_med_prefetch_stale_total"),
-        issued: counter_value(&m, "easia_med_prefetch_issued_total"),
+        hits: counter("easia_med_prefetch_hits_total"),
+        stale: counter("easia_med_prefetch_stale_total"),
+        issued: counter("easia_med_prefetch_issued_total"),
     };
     let _ = writeln!(
         log,
@@ -392,7 +360,7 @@ fn browse_walk(cfg: &PipelineConfig, log: &mut String) -> PrefetchStats {
 
 /// Run all three E13 scenarios for `cfg` and capture the transcript.
 pub fn run_pipeline(cfg: &PipelineConfig) -> PipelineResult {
-    let mut log = String::new();
+    let mut log = Transcript::default();
     let _ = writeln!(
         log,
         "pipeline seed={} rows_per_site={} batch_rows={} browse_clicks={}",
@@ -409,33 +377,19 @@ pub fn run_pipeline(cfg: &PipelineConfig) -> PipelineResult {
             site,
             &format!("SELECT K, N, NOTES FROM SIM WHERE SITE = '{site}' ORDER BY K"),
         );
-        let _ = writeln!(
-            log,
-            "site={} elapsed={:.6} bytes={} rows_sha={}",
-            t.label, t.elapsed, t.bytes_wire, t.row_hash
-        );
+        t.log(&mut log, "site=");
         per_site.push(t);
     }
     const ALL_SQL: &str = "SELECT K, N, NOTES FROM SIM ORDER BY K";
     let combined_pipelined = timed_query(&mut gather_rig(cfg), "pipelined", ALL_SQL);
-    let t = &combined_pipelined;
-    let _ = writeln!(
-        log,
-        "combined={} elapsed={:.6} bytes={} rows_sha={}",
-        t.label, t.elapsed, t.bytes_wire, t.row_hash
-    );
+    combined_pipelined.log(&mut log, "combined=");
 
     // Scenario 2: sibling statements, in turn and through one
     // query_many call.
     let siblings_serial = timed_siblings(&mut gather_rig(cfg), "siblings-serial", false);
     let siblings_pipelined = timed_siblings(&mut gather_rig(cfg), "siblings-pipelined", true);
-    for t in [&siblings_serial, &siblings_pipelined] {
-        let _ = writeln!(
-            log,
-            "{} elapsed={:.6} bytes={} rows_sha={}",
-            t.label, t.elapsed, t.bytes_wire, t.row_hash
-        );
-    }
+    siblings_serial.log(&mut log, "");
+    siblings_pipelined.log(&mut log, "");
     assert_eq!(
         siblings_serial.row_hash, siblings_pipelined.row_hash,
         "sibling answers must not depend on how they were issued"
@@ -444,14 +398,14 @@ pub fn run_pipeline(cfg: &PipelineConfig) -> PipelineResult {
     // Scenario 3: the speculative FK-browse walk.
     let prefetch = browse_walk(cfg, &mut log);
 
-    let digest = hex(&sha256(log.as_bytes()));
+    let (digest, _, transcript) = log.seal(None);
     PipelineResult {
         per_site,
         combined_pipelined,
         siblings_serial,
         siblings_pipelined,
         prefetch,
-        transcript: log,
+        transcript,
         digest,
     }
 }

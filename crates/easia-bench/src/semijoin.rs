@@ -1,85 +1,12 @@
-//! The semi-join shipping harness behind `exp_e12_semijoin`: a
-//! multi-hub archive whose RESULT_FILE catalog deliberately references
-//! simulations held at *other* sites, run through the browse-screen
-//! join workload twice — once with semi-join key shipping, once with
-//! the key cap forced to zero so every keyed leg degrades to a
-//! full-partition ship — with the whole run captured as a transcript
-//! and hashed, E10-style.
+//! E12's spec over the [`crate::ablation`] runner: a RESULT_FILE
+//! catalog that deliberately references simulations held at *other*
+//! sites, run through the browse-screen join workload once with
+//! semi-join key shipping and once with the key cap forced to zero so
+//! every keyed leg degrades to a full-partition ship.
 
-use easia_core::{paper_link_spec, Archive};
-use easia_crypto::sha256::{hex, sha256};
-use easia_db::Value;
-use easia_med::Partition;
-use std::fmt::Write as _;
-
-/// Parameters of one semi-join run.
-#[derive(Debug, Clone)]
-pub struct SemiJoinBenchConfig {
-    /// Seed for all generated catalog data.
-    pub seed: u64,
-    /// Number of foreign sites (1..=3 named cam/edin/mcc).
-    pub sites: usize,
-    /// Simulations per site (the hub's local partition included).
-    pub sims_per_site: usize,
-    /// Result files per simulation, each referencing a simulation at
-    /// the *next* site round-robin so every join crosses a partition.
-    pub files_per_sim: usize,
-    /// Ship join keys to the remote side (false forces the
-    /// full-partition fallback by capping the key list at zero).
-    pub semijoin: bool,
-}
-
-impl SemiJoinBenchConfig {
-    /// The default scenario: 2 foreign sites, 40 simulations each,
-    /// 3 result files per simulation.
-    pub fn standard(seed: u64) -> Self {
-        SemiJoinBenchConfig {
-            seed,
-            sites: 2,
-            sims_per_site: 60,
-            files_per_sim: 2,
-            semijoin: true,
-        }
-    }
-}
-
-/// Everything a semi-join run produced, plus the reproducibility
-/// digest.
-#[derive(Debug, Clone)]
-pub struct SemiJoinBenchResult {
-    /// Human-readable log: per query the SQL, the EXPLAIN FEDERATED
-    /// report, and a hash of the merged rows.
-    pub transcript: String,
-    /// SHA-256 of the transcript (covers the metrics snapshot too).
-    pub digest: String,
-    /// Per-query SHA-256 of the merged rows — mode-independent, so a
-    /// keyed run can be checked row-for-row against a full-ship run.
-    pub row_hashes: Vec<String>,
-    /// Bytes placed on the WAN across the workload.
-    pub bytes_wire: u64,
-    /// Rows shipped from remote sites across the workload.
-    pub rows_shipped: u64,
-    /// Simulated seconds the workload took.
-    pub elapsed_secs: f64,
-    /// Queries executed.
-    pub queries: usize,
-    /// Metrics registry snapshot at the end of the run.
-    pub metrics_snapshot: String,
-}
-
-const SITE_NAMES: [&str; 3] = ["cam", "edin", "mcc"];
-
-/// Titles follow the seed paper's turbulence vocabulary.
-const TOPICS: [&str; 4] = ["Decaying", "Forced", "Rotating", "Sheared"];
-
-fn mix(seed: u64, a: u64, b: u64) -> u64 {
-    let mut z = seed
-        .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-        .wrapping_add(a.wrapping_mul(0xBF58_476D_1CE4_E5B9))
-        .wrapping_add(b.wrapping_mul(0x94D0_49BB_1331_11EB));
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z ^ (z >> 27)
-}
+use crate::ablation::{AblationSpec, FedBenchConfig};
+use crate::rig::{mix, SITE_NAMES, TOPICS};
+use easia_db::Database;
 
 // The simulation side is deliberately wide (title plus a notes blob):
 // it is the table a naive join ships wholesale, and the one semi-join
@@ -103,12 +30,7 @@ const RF_DDL: &str = "CREATE TABLE RESULT_FILE (
     FILE_SIZE INTEGER
 )";
 
-fn seed_partition(
-    db: &mut easia_db::Database,
-    site: &str,
-    site_no: u64,
-    cfg: &SemiJoinBenchConfig,
-) {
+fn seed_partition(db: &mut Database, site: &str, site_no: u64, cfg: &FedBenchConfig) {
     db.execute(SIM_DDL).expect("simulation schema");
     db.execute(RF_DDL).expect("result file schema");
     let n_sites = cfg.sites + 1; // foreign sites plus the soton hub
@@ -145,43 +67,21 @@ fn seed_partition(
     }
 }
 
-/// Build the multi-hub archive for `cfg`: the hub holds the `soton`
-/// partition, each foreign site its own, all over the paper's measured
-/// SuperJANET day/evening profiles.
-pub fn build_semijoin_archive(cfg: &SemiJoinBenchConfig) -> Archive {
-    assert!((1..=SITE_NAMES.len()).contains(&cfg.sites), "1..=3 sites");
-    let mut b = Archive::builder();
-    for site in &SITE_NAMES[..cfg.sites] {
-        b = b.federated_site(site, paper_link_spec());
-    }
-    let mut a = b.build();
-    seed_partition(&mut a.db, "soton", 0, cfg);
-    let mut partitions = vec![Partition::new(None, &["soton"])];
-    for (i, site) in SITE_NAMES[..cfg.sites].iter().enumerate() {
-        let s = a.federation.site(site).expect("registered site");
-        seed_partition(&mut s.db.borrow_mut(), site, i as u64 + 1, cfg);
-        partitions.push(Partition::new(Some(site), &[site]));
-    }
-    for table in ["SIMULATION", "RESULT_FILE"] {
-        a.federation
-            .catalog
-            .import_foreign_table(&a.db, table, Some("SITE"), partitions.clone())
-            .expect("foreign table registers");
-    }
-    a.federation.analyze(&mut a.db).expect("analyze");
-    if !cfg.semijoin {
-        // A zero-key cap makes every keyed leg overflow, degrading to
-        // the annotated full-partition ship — the ablation baseline.
-        a.federation.semijoin_max_keys = 0;
-    }
-    a
-}
-
-/// The join workload: the browse screens' shapes — a selective anchor
-/// joined to its cross-site parents, a LEFT JOIN substitute lookup,
-/// and a grouped rollup over the joined pair.
-pub fn workload() -> Vec<&'static str> {
-    vec![
+/// E12: keyed remote scans vs. shipping the whole join side. 2 foreign
+/// sites, 60 simulations each, 2 result files per simulation; the
+/// workload is the browse screens' shapes — a selective anchor joined
+/// to its cross-site parents, a LEFT JOIN substitute lookup, and a
+/// grouped rollup over the joined pair.
+pub const E12: AblationSpec = AblationSpec {
+    name: "semijoin",
+    scale: FedBenchConfig {
+        sims_per_site: 60,
+        files_per_sim: 2,
+        ..FedBenchConfig::BASE
+    },
+    tables: &["SIMULATION", "RESULT_FILE"],
+    seed: seed_partition,
+    workload: &[
         "SELECT R.FILE_NAME, S.TITLE FROM RESULT_FILE R \
          JOIN SIMULATION S ON R.SIMULATION_KEY = S.SIMULATION_KEY \
          WHERE R.FILE_SIZE >= 970 ORDER BY R.FILE_NAME",
@@ -191,72 +91,51 @@ pub fn workload() -> Vec<&'static str> {
         "SELECT S.SITE, COUNT(*) FROM RESULT_FILE R \
          JOIN SIMULATION S ON R.SIMULATION_KEY = S.SIMULATION_KEY \
          WHERE R.FILE_SIZE >= 980 GROUP BY S.SITE ORDER BY S.SITE",
-    ]
-}
-
-/// Run the workload for `cfg` and capture the transcript.
-pub fn run_semijoin(cfg: &SemiJoinBenchConfig) -> SemiJoinBenchResult {
-    let mut a = build_semijoin_archive(cfg);
-    let mut log = String::new();
-    let _ = writeln!(
-        log,
-        "semijoin seed={} sites={} sims_per_site={} files_per_sim={} semijoin={}",
-        cfg.seed, cfg.sites, cfg.sims_per_site, cfg.files_per_sim, cfg.semijoin
-    );
-    let start = a.net.now();
-    let mut bytes_wire = 0u64;
-    let mut rows_shipped = 0u64;
-    let mut row_hashes = Vec::new();
-    let queries = workload();
-    for sql in &queries {
-        let out = a.federated_query(sql, &[]).expect("federated join");
-        bytes_wire += out.explain.bytes_wire();
-        rows_shipped += out.explain.rows_shipped();
-        let mut rows_text = String::new();
-        for row in &out.rs.rows {
-            let cells: Vec<String> = row.iter().map(Value::to_string).collect();
-            let _ = writeln!(rows_text, "{}", cells.join("|"));
-        }
-        let rows_sha = hex(&sha256(rows_text.as_bytes()));
-        let _ = writeln!(log, "query: {sql}");
-        let _ = writeln!(log, "{}", out.explain.render());
-        let _ = writeln!(log, "rows={} sha256={}", out.rs.rows.len(), rows_sha);
-        row_hashes.push(rows_sha);
-    }
-    let elapsed = a.net.now() - start;
-    let _ = writeln!(log, "elapsed={elapsed:.6}");
-
-    let metrics_snapshot = a.obs.metrics.render();
-    let _ = writeln!(
-        log,
-        "metrics sha256={}",
-        hex(&sha256(metrics_snapshot.as_bytes()))
-    );
-    let digest = hex(&sha256(log.as_bytes()));
-    SemiJoinBenchResult {
-        digest,
-        row_hashes,
-        bytes_wire,
-        rows_shipped,
-        elapsed_secs: elapsed,
-        queries: queries.len(),
-        metrics_snapshot,
-        transcript: log,
-    }
-}
+    ],
+    ablate: |c| FedBenchConfig {
+        semijoin: false,
+        ..c.clone()
+    },
+    header: |c| {
+        format!(
+            "semijoin seed={} sites={} sims_per_site={} files_per_sim={} semijoin={}",
+            c.seed, c.sites, c.sims_per_site, c.files_per_sim, c.semijoin
+        )
+    },
+    title: |c| {
+        format!(
+            "E12 / Federated join workload, {} foreign sites x {} simulations x {} files (seed {})",
+            c.sites, c.sims_per_site, c.files_per_sim, c.seed
+        )
+    },
+    on_label: "semi-join keys",
+    on_run: "semi-join run",
+    excerpt: &["join leg", "site ", "total:"],
+    metrics_filter: "easia_med_semijoin_",
+    metrics_sections: &[
+        ("semi-join section, keyed run", false),
+        ("fallback section, ship-everything run", true),
+    ],
+    min_reduction: 3.0,
+    shape_check: "Shape check: every RESULT_FILE references a simulation at another\n\
+         site, so the join side cannot be answered locally — shipping the bound\n\
+         key list instead of whole partitions cuts the wire {reduction}x on this\n\
+         workload while both plans merge to identical browse screens.",
+};
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ablation::run_ablation;
 
     #[test]
     fn same_seed_runs_digest_identically() {
-        let cfg = SemiJoinBenchConfig {
+        let cfg = FedBenchConfig {
             sims_per_site: 12,
-            ..SemiJoinBenchConfig::standard(13)
+            ..E12.standard(13)
         };
-        let a = run_semijoin(&cfg);
-        let b = run_semijoin(&cfg);
+        let a = run_ablation(&E12, &cfg);
+        let b = run_ablation(&E12, &cfg);
         assert_eq!(a.digest, b.digest);
         assert_eq!(a.metrics_snapshot, b.metrics_snapshot);
         assert!(a
@@ -266,12 +145,15 @@ mod tests {
 
     #[test]
     fn key_shipping_beats_full_ship_by_3x_with_identical_rows() {
-        let cfg = SemiJoinBenchConfig::standard(7);
-        let keyed = run_semijoin(&cfg);
-        let full = run_semijoin(&SemiJoinBenchConfig {
-            semijoin: false,
-            ..cfg
-        });
+        let cfg = E12.standard(7);
+        let keyed = run_ablation(&E12, &cfg);
+        let full = run_ablation(
+            &E12,
+            &FedBenchConfig {
+                semijoin: false,
+                ..cfg
+            },
+        );
         assert_eq!(keyed.row_hashes, full.row_hashes, "join answers must agree");
         assert!(
             keyed.bytes_wire * 3 <= full.bytes_wire,

@@ -821,9 +821,6 @@ impl Archive {
         let up = xc.upload.clone().ok_or_else(|| {
             ArchiveError::Denied(format!("uploads not allowed on {table}.{column}"))
         })?;
-        if !up.guest_access && !role.can_upload_code() {
-            return Err(ArchiveError::Denied("upload restricted".into()));
-        }
         if !up.conditions.is_empty() {
             let row = self.row_pairs_for_dataset(table, column, dataset_url)?;
             if !up.conditions.iter().all(|c| c.matches(&row)) {

@@ -447,6 +447,10 @@ impl WebApp {
         let Some(xt) = self.archive.xuis.table(table) else {
             return Response::error(404, &format!("no table {table}"));
         };
+        // The column half becomes statement text: it has to be a column.
+        if xt.column(column).is_none() {
+            return Response::error(404, &format!("no column {table}.{column}"));
+        }
         // Hyperlink browsing also sees the whole federation — including
         // the FK-substitute join legs the statement now carries.
         let sql = build_browse_query(xt, column);
@@ -456,6 +460,15 @@ impl WebApp {
     }
 
     fn lob(&mut self, table: &str, column: &str, req: &Request) -> Response {
+        // The column becomes statement text, and this route applies no
+        // role check: only a large object the interface shows is served.
+        let xt = self.archive.xuis.table(table);
+        let shown = xt
+            .and_then(|xt| xt.column(column))
+            .is_some_and(|c| !c.hidden && matches!(c.type_name.as_str(), "BLOB" | "CLOB"));
+        if !shown {
+            return Response::error(404, &format!("no large object {table}.{column}"));
+        }
         // Identify the row by the primary-key query parameters.
         let Some(schema) = self.archive.db.schema(table).cloned() else {
             return Response::error(404, &format!("no table {table}"));
@@ -957,6 +970,60 @@ mod tests {
         assert_eq!(r.status, 200);
         assert!(r.content_type.starts_with("text/plain"));
         assert!(r.body_text().contains("Direct numerical simulation"));
+    }
+
+    /// The column half of a browse id is spliced into the statement:
+    /// anything that is not a column of the table is a 404, not SQL.
+    #[test]
+    fn browse_rejects_a_column_that_is_not_one() {
+        let mut app = app();
+        let sess = login(&mut app, "guest", "guest");
+        let r = app.handle(
+            Request::get("/browse/pk/RESULT_FILE.1=1 OR FILE_NAME?value=zzz").with_session(&sess),
+        );
+        assert_eq!(r.status, 404, "{}", r.body_text());
+        assert!(!r.body_text().contains("t000.edf"), "{}", r.body_text());
+        // Column names match case-insensitively, as table names do.
+        let r = app.handle(
+            Request::get("/browse/pk/RESULT_FILE.simulation_key?value=S01").with_session(&sess),
+        );
+        assert_eq!(r.status, 200, "{}", r.body_text());
+        assert!(r.body_text().contains("t000.edf"));
+    }
+
+    /// `/lob` serves large-object columns only: no expressions…
+    #[test]
+    fn lob_rejects_an_expression_in_the_column_segment() {
+        let mut app = app();
+        let sess = login(&mut app, "guest", "guest");
+        let r = app.handle(
+            Request::get("/lob/RESULT_FILE/COUNT(*)?FILE_NAME=t000.edf&SIMULATION_KEY=S01")
+                .with_session(&sess),
+        );
+        assert_eq!(r.status, 404, "{}", r.body_text());
+    }
+
+    /// …and no DATALINK column, whose SELECT would mint a fresh access
+    /// token for a role the result screen shows "download restricted".
+    #[test]
+    fn lob_does_not_mint_datalink_tokens() {
+        let mut app = app();
+        let sess = login(&mut app, "guest", "guest");
+        let r = app.handle(
+            Request::get("/lob/RESULT_FILE/DOWNLOAD_RESULT?FILE_NAME=t000.edf&SIMULATION_KEY=S01")
+                .with_session(&sess),
+        );
+        assert_eq!(r.status, 404, "{}", r.body_text());
+        assert!(!r.body_text().contains("http://"), "{}", r.body_text());
+        // A hidden large-object column is not served either.
+        let mut doc = app.archive.xuis.clone();
+        let description = doc.table_mut("SIMULATION").unwrap();
+        description.column_mut("DESCRIPTION").unwrap().hidden = true;
+        app.archive.set_xuis(doc);
+        let r = app.handle(
+            Request::get("/lob/SIMULATION/DESCRIPTION?SIMULATION_KEY=S01").with_session(&sess),
+        );
+        assert_eq!(r.status, 404, "{}", r.body_text());
     }
 
     #[test]

@@ -47,7 +47,7 @@
 //!    [`FedError::SiteUnavailable`] with a retry-after hint.
 
 use crate::breaker::{Breaker, BreakerState};
-use crate::catalog::{CatalogError, FedCatalog};
+use crate::catalog::{CatalogError, FedCatalog, Partition};
 use crate::explain::FedExplain;
 use crate::legs::Run;
 use crate::remote::RemoteError;
@@ -325,6 +325,39 @@ impl Federation {
             }
         }
         Ok(())
+    }
+
+    /// Seed and register a partitioned catalogue in one step: `seed`
+    /// fills the hub's partition first (`site_no` 0, labelled `hub`),
+    /// then each of `sites` in the order listed (`site_no` 1..); every
+    /// one of `tables` is then imported from the hub's schema over those
+    /// partitions and analyzed. With a `site_key` column each partition
+    /// is declared to hold its own label (so equality on the column
+    /// prunes); without one no partition declares values.
+    pub fn partition_tables(
+        &mut self,
+        hub_db: &mut Database,
+        hub: &str,
+        sites: &[&str],
+        tables: &[&str],
+        site_key: Option<&str>,
+        mut seed: impl FnMut(&mut Database, &str, u64),
+    ) -> Result<(), FedError> {
+        let keys = |label| site_key.map(|_| label);
+        seed(hub_db, hub, 0);
+        let mut partitions = vec![Partition::new(None, keys(hub).as_slice())];
+        for (site_no, name) in (1..).zip(sites) {
+            let site = self
+                .site(name)
+                .ok_or_else(|| CatalogError::UnknownServer(name.to_string()))?;
+            seed(&mut site.db.borrow_mut(), name, site_no);
+            partitions.push(Partition::new(Some(name), keys(*name).as_slice()));
+        }
+        for table in tables {
+            self.catalog
+                .import_foreign_table(hub_db, table, site_key, partitions.clone())?;
+        }
+        self.analyze(hub_db)
     }
 
     /// Execute one federated SELECT. `net` carries the WAN simulation,

@@ -68,6 +68,83 @@ fn site_key_pruning_skips_partitions() {
     assert_eq!(edin.est_rows, 5, "analyze fed the estimate");
 }
 
+/// `partition_tables` seeds the hub first and the sites in the
+/// caller's order (not the registry's alphabetical one), declares each
+/// partition's own label under a site key and nothing without one, and
+/// leaves every listed table registered and analyzed.
+#[test]
+fn partition_tables_seeds_registers_and_analyzes_in_the_callers_order() {
+    let build = |site_key: Option<&str>| {
+        let mut net = easia_net::SimNet::new();
+        let mut fed = easia_med::Federation::default();
+        for name in ["cam", "edin"] {
+            fed.add_site(name, net.add_host(name, 2), Database::new_in_memory());
+        }
+        let mut hub_db = Database::new_in_memory();
+        let mut calls = Vec::new();
+        fed.partition_tables(
+            &mut hub_db,
+            "soton",
+            &["edin", "cam"],
+            &["SIM", "RES"],
+            site_key,
+            |db, site, site_no| {
+                calls.push((site.to_string(), site_no));
+                fill_site(db, site, 2 + site_no as i64);
+                crate::rig::add_res(db, site, 2 + site_no as i64);
+            },
+        )
+        .unwrap();
+        (fed, calls)
+    };
+
+    let (fed, calls) = build(Some("SITE"));
+    let called = |s: &str, n| (s.to_string(), n);
+    assert_eq!(
+        calls,
+        vec![called("soton", 0), called("edin", 1), called("cam", 2)]
+    );
+    for (table, rows) in [("SIM", [2u64, 3, 4]), ("RES", [1, 2, 2])] {
+        let ft = &fed.catalog.tables[table];
+        assert_eq!(ft.site_key.as_deref(), Some("SITE"));
+        let got: Vec<_> = ft
+            .partitions
+            .iter()
+            .map(|p| (p.server.as_deref(), p.site_keys.clone(), p.est_rows.get()))
+            .collect();
+        let key = |s: &str| vec![Value::Str(s.into())];
+        assert_eq!(
+            got,
+            vec![
+                (None, key("soton"), rows[0]),
+                (Some("edin"), key("edin"), rows[1]),
+                (Some("cam"), key("cam"), rows[2]),
+            ],
+            "{table}"
+        );
+    }
+
+    // No site key (the E14 portal's shape): nothing to prune on.
+    let (fed, _) = build(None);
+    let ft = &fed.catalog.tables["SIM"];
+    assert_eq!(ft.site_key, None);
+    assert!(ft.partitions.iter().all(|p| p.site_keys.is_empty()));
+    assert_eq!(ft.partitions[2].est_rows.get(), 4);
+
+    // A site that was never registered is a typed catalog error.
+    let err = easia_med::Federation::default()
+        .partition_tables(
+            &mut Database::new_in_memory(),
+            "soton",
+            &["cam"],
+            &["SIM"],
+            None,
+            |db, site, _| fill_site(db, site, 1),
+        )
+        .unwrap_err();
+    assert!(matches!(err, FedError::Catalog(_)), "{err}");
+}
+
 #[test]
 fn topk_ships_at_most_limit_per_site() {
     let mut r = rig();

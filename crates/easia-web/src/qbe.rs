@@ -120,17 +120,21 @@ fn sql_op(op: &str) -> Option<&'static str> {
     })
 }
 
-/// Translate a form submission to `(sql, params)`.
-///
-/// * columns with `ret_C` present are returned (all columns if none),
-/// * columns with a non-empty `val_C` contribute a WHERE conjunct using
-///   `op_C` (default `EQ`; `LIKE` if the value contains wildcards),
-/// * numeric columns get their values parsed, so type errors surface as
-///   [`QbeError::BadValue`] rather than SQL failures.
-pub fn build_query(
-    table: &XuisTable,
+/// What one pass over a form submission yields, in column order.
+struct FormPass<'t> {
+    /// The visible columns ticked `ret_C`.
+    returned: Vec<&'t str>,
+    /// A `{qualifier}C <op> ?` conjunct per non-empty `val_C`…
+    conjuncts: Vec<String>,
+    /// …and its typed parameter.
+    params: Vec<Value>,
+}
+
+fn read_form<'t>(
+    table: &'t XuisTable,
     form: &BTreeMap<String, String>,
-) -> Result<(String, Vec<Value>), QbeError> {
+    qualifier: &str,
+) -> Result<FormPass<'t>, QbeError> {
     let mut returned: Vec<&str> = Vec::new();
     let mut conjuncts: Vec<String> = Vec::new();
     let mut params: Vec<Value> = Vec::new();
@@ -166,9 +170,32 @@ pub fn build_query(
         };
         let op = sql_op(op_token).ok_or_else(|| QbeError::BadOperator(op_token.to_string()))?;
         let param = typed_value(col, val)?;
-        conjuncts.push(format!("{} {} ?", col.name, op));
+        conjuncts.push(format!("{qualifier}{} {op} ?", col.name));
         params.push(param);
     }
+    Ok(FormPass {
+        returned,
+        conjuncts,
+        params,
+    })
+}
+
+/// Translate a form submission to `(sql, params)`.
+///
+/// * columns with `ret_C` present are returned (all columns if none),
+/// * columns with a non-empty `val_C` contribute a WHERE conjunct using
+///   `op_C` (default `EQ`; `LIKE` if the value contains wildcards),
+/// * numeric columns get their values parsed, so type errors surface as
+///   [`QbeError::BadValue`] rather than SQL failures.
+pub fn build_query(
+    table: &XuisTable,
+    form: &BTreeMap<String, String>,
+) -> Result<(String, Vec<Value>), QbeError> {
+    let FormPass {
+        returned,
+        conjuncts,
+        params,
+    } = read_form(table, form, "")?;
     let select_list = if returned.is_empty() || returned.len() == table.columns.len() {
         "*".to_string()
     } else {
@@ -260,43 +287,11 @@ pub fn build_join_query(
     if fk_substitutes(table).is_empty() {
         return build_query(table, form);
     }
-    let mut returned: Vec<&str> = Vec::new();
-    let mut conjuncts: Vec<String> = Vec::new();
-    let mut params: Vec<Value> = Vec::new();
-    let all = form.contains_key("all");
-    for col in &table.columns {
-        if col.hidden {
-            continue;
-        }
-        if form.contains_key(&format!("ret_{}", col.name)) {
-            returned.push(&col.name);
-        }
-        let val = form
-            .get(&format!("val_{}", col.name))
-            .map(String::as_str)
-            .unwrap_or("")
-            .trim();
-        if val.is_empty() || all {
-            continue;
-        }
-        let op_token = form
-            .get(&format!("op_{}", col.name))
-            .map(String::as_str)
-            .unwrap_or("");
-        let op_token = if op_token.is_empty() {
-            if val.contains('%') || val.contains('_') {
-                "LIKE"
-            } else {
-                "EQ"
-            }
-        } else {
-            op_token
-        };
-        let op = sql_op(op_token).ok_or_else(|| QbeError::BadOperator(op_token.to_string()))?;
-        let param = typed_value(col, val)?;
-        conjuncts.push(format!("T.{} {} ?", col.name, op));
-        params.push(param);
-    }
+    let FormPass {
+        mut returned,
+        conjuncts,
+        params,
+    } = read_form(table, form, "T.")?;
     if returned.len() == table.columns.len() {
         returned.clear(); // everything checked == everything returned
     }

@@ -83,30 +83,24 @@ fn agg_archive(foreign: &[&str], rows_per_site: usize) -> (Archive, Database) {
         b = b.federated_site(site, easia_core::paper_link_spec());
     }
     let mut a = b.build();
-    a.db.execute(DDL).unwrap();
-    for i in 0..rows_per_site {
-        a.db.insert_row("SIMULATION", sim_row("soton", 0, i))
-            .unwrap();
-    }
-    let mut partitions = vec![Partition::new(None, &["soton"])];
-    let mut parts = vec![("soton", 0usize)];
-    for (idx, site) in foreign.iter().enumerate() {
-        let s = a.federation.site(site).unwrap();
-        let mut db = s.db.borrow_mut();
-        db.execute(DDL).unwrap();
-        for i in 0..rows_per_site {
-            db.insert_row("SIMULATION", sim_row(site, idx + 1, i))
-                .unwrap();
-        }
-        drop(db);
-        partitions.push(Partition::new(Some(site), &[site]));
-        parts.push((site, idx + 1));
-    }
     a.federation
-        .catalog
-        .import_foreign_table(&a.db, "SIMULATION", Some("SITE"), partitions)
+        .partition_tables(
+            &mut a.db,
+            "soton",
+            foreign,
+            &["SIMULATION"],
+            Some("SITE"),
+            |db, site, site_no| {
+                db.execute(DDL).unwrap();
+                for i in 0..rows_per_site {
+                    db.insert_row("SIMULATION", sim_row(site, site_no as usize, i))
+                        .unwrap();
+                }
+            },
+        )
         .unwrap();
-    a.federation.analyze(&mut a.db).unwrap();
+    let sites = std::iter::once("soton").chain(foreign.iter().copied());
+    let parts: Vec<(&str, usize)> = sites.zip(0..).collect();
     (a, oracle_db(&parts, rows_per_site))
 }
 

@@ -4,7 +4,7 @@
 
 use easia_core::{Archive, ArchiveError, WebApp};
 use easia_db::Value;
-use easia_med::{BreakerState, PartialPolicy, Partition, DEFAULT_RETRY_AFTER_SECS};
+use easia_med::{BreakerState, PartialPolicy, DEFAULT_RETRY_AFTER_SECS};
 use easia_net::FaultSchedule;
 use easia_web::http::Request;
 
@@ -21,42 +21,31 @@ fn fed_archive(rows_per_site: usize) -> Archive {
         .federated_site("cam", easia_core::paper_link_spec())
         .federated_site("edin", easia_core::paper_link_spec())
         .build();
-    a.db.execute(DDL).unwrap();
-    for i in 0..rows_per_site {
-        a.db.execute(&format!(
-            "INSERT INTO SIMULATION VALUES \
-             ('soton-{i:04}', 'soton', 'Decaying turbulence run {i}', {})",
-            64 + i
-        ))
-        .unwrap();
-    }
-    for site in ["cam", "edin"] {
-        let s = a.federation.site(site).unwrap();
-        let mut db = s.db.borrow_mut();
-        db.execute(DDL).unwrap();
-        for i in 0..rows_per_site {
-            db.execute(&format!(
-                "INSERT INTO SIMULATION VALUES \
-                 ('{site}-{i:04}', '{site}', 'Forced turbulence run {i}', {})",
-                128 + i
-            ))
-            .unwrap();
-        }
-    }
     a.federation
-        .catalog
-        .import_foreign_table(
-            &a.db,
-            "SIMULATION",
+        .partition_tables(
+            &mut a.db,
+            "soton",
+            &["cam", "edin"],
+            &["SIMULATION"],
             Some("SITE"),
-            vec![
-                Partition::new(None, &["soton"]),
-                Partition::new(Some("cam"), &["cam"]),
-                Partition::new(Some("edin"), &["edin"]),
-            ],
+            |db, site, site_no| {
+                let (topic, grid) = if site_no == 0 {
+                    ("Decaying", 64)
+                } else {
+                    ("Forced", 128)
+                };
+                db.execute(DDL).unwrap();
+                for i in 0..rows_per_site {
+                    db.execute(&format!(
+                        "INSERT INTO SIMULATION VALUES \
+                         ('{site}-{i:04}', '{site}', '{topic} turbulence run {i}', {})",
+                        grid + i
+                    ))
+                    .unwrap();
+                }
+            },
         )
         .unwrap();
-    a.federation.analyze(&mut a.db).unwrap();
     a.generate_xuis_federated(4);
     a
 }
@@ -267,56 +256,37 @@ fn join_archive(rows_per_site: usize, cache: bool) -> Archive {
     if cache {
         a.federation.enable_replica_cache(600.0, 10_000);
     }
-    a.db.execute(DDL).unwrap();
-    a.db.execute(RF_DDL).unwrap();
-    for site in ["cam", "edin"] {
-        let s = a.federation.site(site).unwrap();
-        let mut db = s.db.borrow_mut();
-        db.execute(DDL).unwrap();
-        db.execute(RF_DDL).unwrap();
-    }
-    for (si, site) in sites.iter().enumerate() {
-        for i in 0..rows_per_site {
-            let sim = format!(
-                "INSERT INTO SIMULATION VALUES \
-                 ('{site}-{i:04}', '{site}', 'Turbulence run {i}', {})",
-                64 + i
-            );
-            // Each file references the same-index simulation one site
-            // over, so following the key always crosses a partition.
-            let ref_site = sites[(si + 1) % 3];
-            let file = format!(
-                "INSERT INTO RESULT_FILE VALUES \
-                 ('{site}-f{i:04}', '{ref_site}-{i:04}', '{site}', {})",
-                1000 + i
-            );
-            if *site == "soton" {
-                a.db.execute(&sim).unwrap();
-                a.db.execute(&file).unwrap();
-            } else {
-                let s = a.federation.site(site).unwrap();
-                let mut db = s.db.borrow_mut();
-                db.execute(&sim).unwrap();
-                db.execute(&file).unwrap();
-            }
-        }
-    }
-    for table in ["SIMULATION", "RESULT_FILE"] {
-        a.federation
-            .catalog
-            .import_foreign_table(
-                &a.db,
-                table,
-                Some("SITE"),
-                vec![
-                    Partition::new(None, &["soton"]),
-                    Partition::new(Some("cam"), &["cam"]),
-                    Partition::new(Some("edin"), &["edin"]),
-                ],
-            )
-            .unwrap();
-    }
-    a.federation.analyze(&mut a.db).unwrap();
+    a.federation
+        .partition_tables(
+            &mut a.db,
+            "soton",
+            &sites[1..],
+            &["SIMULATION", "RESULT_FILE"],
+            Some("SITE"),
+            |db, site, site_no| {
+                db.execute(DDL).unwrap();
+                db.execute(RF_DDL).unwrap();
+                // Each file references the same-index simulation one
+                // site over, so following the key always crosses a
+                // partition.
+                let ref_site = sites[(site_no as usize + 1) % 3];
+                for i in 0..rows_per_site {
+                    db.execute(&format!(
+                        "INSERT INTO SIMULATION VALUES \
+                         ('{site}-{i:04}', '{site}', 'Turbulence run {i}', {})",
+                        64 + i
+                    ))
+                    .unwrap();
+                    db.execute(&format!(
+                        "INSERT INTO RESULT_FILE VALUES \
+                         ('{site}-f{i:04}', '{ref_site}-{i:04}', '{site}', {})",
+                        1000 + i
+                    ))
+                    .unwrap();
+                }
+            },
+        )
+        .unwrap();
     a
 }
 

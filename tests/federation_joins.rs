@@ -7,7 +7,6 @@
 //! same ordering, same substituted display values.
 
 use easia_core::{Archive, WebApp};
-use easia_med::Partition;
 use easia_web::http::Request;
 use easia_web::qbe::{build_join_query, fk_substitutes};
 use std::collections::BTreeMap;
@@ -123,37 +122,27 @@ fn federated_archive() -> Archive {
         .federated_site("cam", easia_core::paper_link_spec())
         .federated_site("edin", easia_core::paper_link_spec())
         .build();
-    a.db.execute(AUTHOR_DDL).unwrap();
-    a.db.execute(SIM_DDL).unwrap();
-    a.db.execute(RF_DDL).unwrap();
-    for (k, n, i) in AUTHORS {
-        a.db.execute(&format!("INSERT INTO AUTHOR VALUES ('{k}', '{n}', '{i}')"))
-            .unwrap();
-    }
-    install_data(&mut a.db, Some("soton"));
-    for site in ["cam", "edin"] {
-        let s = a.federation.site(site).unwrap();
-        let mut db = s.db.borrow_mut();
-        db.execute(AUTHOR_DDL).unwrap();
-        db.execute(SIM_DDL).unwrap();
-        db.execute(RF_DDL).unwrap();
-        install_data(&mut db, Some(site));
-    }
-    for table in ["SIMULATION", "RESULT_FILE"] {
-        a.federation
-            .catalog
-            .import_foreign_table(
-                &a.db,
-                table,
-                Some("SITE"),
-                vec![
-                    Partition::new(None, &["soton"]),
-                    Partition::new(Some("cam"), &["cam"]),
-                    Partition::new(Some("edin"), &["edin"]),
-                ],
-            )
-            .unwrap();
-    }
+    a.federation
+        .partition_tables(
+            &mut a.db,
+            "soton",
+            &["cam", "edin"],
+            &["SIMULATION", "RESULT_FILE"],
+            Some("SITE"),
+            |db, site, site_no| {
+                for ddl in [AUTHOR_DDL, SIM_DDL, RF_DDL] {
+                    db.execute(ddl).unwrap();
+                }
+                if site_no == 0 {
+                    for (k, n, i) in AUTHORS {
+                        db.execute(&format!("INSERT INTO AUTHOR VALUES ('{k}', '{n}', '{i}')"))
+                            .unwrap();
+                    }
+                }
+                install_data(db, Some(site));
+            },
+        )
+        .unwrap();
     a.generate_xuis_federated(6);
     customize(&mut a);
     a
