@@ -1,10 +1,13 @@
 //! The [`Archive`]: database + file servers + WAN + operations.
 
+use crate::transfer::{
+    transfer_with_retry_observed, RetryPolicy, TransferClientError, TransferOutcome,
+};
 use easia_crypto::token::TokenIssuer;
 use easia_datalink::functions::register_dl_functions;
 use easia_datalink::{ArchiveClock, DataLinkManager, DatalinkUrl};
 use easia_db::{Database, DbError, Value};
-use easia_fs::{FileContent, FileServer};
+use easia_fs::{FileContent, FileServer, FsError};
 use easia_med::{FedError, Federation, QueryOutcome};
 use easia_net::{HostId, LinkSpec, SimNet};
 use easia_obs::Obs;
@@ -76,7 +79,7 @@ fn map_fed_err(e: FedError) -> ArchiveError {
         FedError::SiteUnavailable {
             site,
             retry_after_secs,
-        } => ArchiveError::Fs(easia_fs::FsError::Unavailable {
+        } => ArchiveError::Fs(FsError::Unavailable {
             host: site,
             retry_after_secs,
         }),
@@ -225,6 +228,16 @@ impl ArchiveBuilder {
     }
 }
 
+/// What a job runs, and the host its package is shipped from.
+struct Code {
+    /// Name on the progress board and in the statistics.
+    operation: String,
+    op_type: String,
+    entry: String,
+    package: Vec<u8>,
+    origin: HostId,
+}
+
 /// Outcome of running a server-side operation end to end.
 #[derive(Debug, Clone)]
 pub struct OperationOutcome {
@@ -322,32 +335,76 @@ impl Archive {
         self.servers.get(host)
     }
 
-    /// Check that a file server is reachable: the server process is up
-    /// and its host is not inside a fault window. Returns the typed
-    /// [`easia_fs::FsError::Unavailable`] with a retry-after hint
-    /// otherwise, so callers can degrade gracefully instead of hanging.
-    pub fn check_available(&self, host: &str) -> Result<(), ArchiveError> {
-        let Some((hid, server)) = self.servers.get(host) else {
-            return Err(ArchiveError::Net(format!("unknown file server {host}")));
-        };
-        let unavailable = |retry_after_secs| {
-            ArchiveError::Fs(easia_fs::FsError::Unavailable {
-                host: host.to_string(),
-                retry_after_secs,
-            })
-        };
-        if server.borrow().is_crashed() {
-            return Err(unavailable(easia_fs::DEFAULT_RETRY_AFTER_SECS));
-        }
-        if !self.net.host_up(*hid) {
-            let up = self.net.host_up_after(*hid);
-            return Err(unavailable(easia_net::retry_after_secs(
-                self.net.now(),
-                Some(up),
+    /// [`Archive::server`], or the error every route reports for a
+    /// host name no file server answers to.
+    fn file_server(&self, host: &str) -> Result<(HostId, Rc<RefCell<FileServer>>), ArchiveError> {
+        let found = self.server(host).cloned();
+        found.ok_or_else(|| ArchiveError::Net(format!("unknown file server {host}")))
+    }
+
+    /// The typed [`FsError::Unavailable`] for a host the archive cannot
+    /// use now. The retry-after hint is the time to the host's
+    /// scheduled restart; when it is up (its server process crashed, or
+    /// the fault is on the path to it) or no restart is scheduled, the
+    /// default.
+    fn unavailable(&self, host: HostId) -> ArchiveError {
+        let (now, up) = (self.net.now(), self.net.host_up_after(host));
+        ArchiveError::Fs(FsError::Unavailable {
+            host: self.net.host_name(host).to_string(),
+            retry_after_secs: easia_net::retry_after_secs(
+                now,
+                (up > now).then_some(up),
                 easia_fs::DEFAULT_RETRY_AFTER_SECS,
-            )));
+            ),
+        })
+    }
+
+    /// The pre-flight before any bytes move: resolve a file server and
+    /// check that it is reachable — the server process is up and its
+    /// host is not inside a fault window. Fails with the typed
+    /// [`FsError::Unavailable`] and its retry-after hint otherwise, so
+    /// callers degrade gracefully instead of hanging.
+    pub fn check_available(
+        &self,
+        host: &str,
+    ) -> Result<(HostId, Rc<RefCell<FileServer>>), ArchiveError> {
+        let (hid, server) = self.file_server(host)?;
+        if server.borrow().is_crashed() || !self.net.host_up(hid) {
+            return Err(self.unavailable(hid));
         }
-        Ok(())
+        Ok((hid, server))
+    }
+
+    /// The one WAN mover: every file, package and result the archive
+    /// sends between hosts goes through the retrying client (stall
+    /// timeout, bounded retries, offset resume) under the default
+    /// policy, counted on the `easia_transfer_*` families. A fault that
+    /// begins after the pre-flight is waited out and resumed from; only
+    /// when the client gives up does the caller see the same
+    /// [`Archive::unavailable`] the pre-flight produces.
+    fn ship(
+        &mut self,
+        src: HostId,
+        dst: HostId,
+        bytes: f64,
+    ) -> Result<TransferOutcome, ArchiveError> {
+        let sent = transfer_with_retry_observed(
+            &mut self.net,
+            src,
+            dst,
+            bytes,
+            &RetryPolicy::default(),
+            Some(&self.transfer_metrics),
+        );
+        self.clock.set(self.net.now() as u64);
+        sent.map_err(|e| match e {
+            TransferClientError::HostDownIndefinitely(h) => self.unavailable(h),
+            // Out of retries: blame the end that is not this portal's.
+            TransferClientError::RetriesExhausted { .. } => {
+                let near = dst == self.client_host || dst == self.db_host;
+                self.unavailable(if near { src } else { dst })
+            }
+        })
     }
 
     /// Regenerate the XUIS from the catalog (keeping any operations and
@@ -524,10 +581,7 @@ impl Archive {
         path: &str,
         content: FileContent,
     ) -> Result<String, ArchiveError> {
-        let (_, server) = self
-            .servers
-            .get(host)
-            .ok_or_else(|| ArchiveError::Net(format!("unknown file server {host}")))?;
+        let (_, server) = self.file_server(host)?;
         server.borrow_mut().ingest(path, content);
         Ok(format!("http://{host}{path}"))
     }
@@ -542,20 +596,10 @@ impl Archive {
         path: &str,
         content: FileContent,
     ) -> Result<(String, f64), ArchiveError> {
-        let (hid, server) = self
-            .servers
-            .get(host)
-            .cloned()
-            .ok_or_else(|| ArchiveError::Net(format!("unknown file server {host}")))?;
-        let bytes = content.len() as f64;
-        let id = self.net.transfer(from, hid, bytes);
-        self.settle();
-        let rec = self
-            .net
-            .transfer_record(id)
-            .ok_or_else(|| ArchiveError::Net("transfer did not complete".into()))?;
+        let (hid, server) = self.file_server(host)?;
+        let sent = self.ship(from, hid, content.len() as f64)?;
         server.borrow_mut().ingest(path, content);
-        Ok((format!("http://{host}{path}"), rec.duration()))
+        Ok((format!("http://{host}{path}"), sent.duration()))
     }
 
     /// Download a DATALINKed file to the user's browser. `url` is the
@@ -571,12 +615,7 @@ impl Archive {
         }
         let (parsed, token) =
             DatalinkUrl::parse_tokenized(url).map_err(|e| ArchiveError::Net(e.to_string()))?;
-        self.check_available(&parsed.host)?;
-        let (hid, server) = self
-            .servers
-            .get(&parsed.host)
-            .cloned()
-            .ok_or_else(|| ArchiveError::Net(format!("unknown file server {}", parsed.host)))?;
+        let (hid, server) = self.check_available(&parsed.host)?;
         let request = parsed.server_request(token.as_deref());
         let now = self.clock.now();
         // Token/link-control validation happens before any bytes move.
@@ -585,19 +624,14 @@ impl Archive {
             // read_range of 0 bytes still validates the token + path.
             s.read_range(&request, 0, 0, now)?;
             s.file_size(&parsed.path)
-                .ok_or_else(|| ArchiveError::Fs(easia_fs::FsError::NotFound(parsed.path.clone())))?
+                .ok_or_else(|| ArchiveError::Fs(FsError::NotFound(parsed.path.clone())))?
         };
-        let id = self.net.transfer(hid, self.client_host, size as f64);
-        self.settle();
-        let rec = self
-            .net
-            .transfer_record(id)
-            .ok_or_else(|| ArchiveError::Net("transfer did not complete".into()))?;
+        let sent = self.ship(hid, self.client_host, size as f64)?;
         let data = server
             .borrow()
             .read_file(&request, self.clock.now().min(now + 1))
             .unwrap_or_default();
-        Ok((data, rec.duration()))
+        Ok((data, sent.duration()))
     }
 
     /// Fetch an operation's executable package per its XUIS location.
@@ -634,18 +668,14 @@ impl Archive {
                 // authority), using a fresh token when required.
                 let (parsed, token) = DatalinkUrl::parse_tokenized(&url)
                     .map_err(|e| ArchiveError::Op(e.to_string()))?;
-                let (_, server) =
-                    self.servers.get(&parsed.host).cloned().ok_or_else(|| {
-                        ArchiveError::Net(format!("unknown host {}", parsed.host))
-                    })?;
+                let (_, server) = self.file_server(&parsed.host)?;
                 let request = parsed.server_request(token.as_deref());
                 let now = self.clock.now();
                 let data = server.borrow().read_file(&request, now)?;
                 Ok(data)
             }
-            Location::Url(_) => Err(ArchiveError::Op(
-                "URL operations are invoked via invoke_url_operation".into(),
-            )),
+            // A URL operation runs where its URL points: nothing to ship.
+            Location::Url(_) => Ok(Vec::new()),
         }
     }
 
@@ -675,8 +705,6 @@ impl Archive {
         }
         OperationCatalog::validate_params(&entry.op, params).map_err(ArchiveError::Op)?;
 
-        let start = self.net.now();
-        // Cache lookup.
         if let Some(cache) = &mut self.cache {
             if let Some(hit) = cache.get(op_name, dataset_url, params) {
                 return Ok(OperationOutcome {
@@ -689,103 +717,27 @@ impl Archive {
                 });
             }
         }
-
-        let parsed =
-            DatalinkUrl::parse(dataset_url).map_err(|e| ArchiveError::Op(e.to_string()))?;
-        self.check_available(&parsed.host)?;
-        let (data_hid, data_server) = self
-            .servers
-            .get(&parsed.host)
-            .cloned()
-            .ok_or_else(|| ArchiveError::Net(format!("unknown host {}", parsed.host)))?;
-
-        // The dataset is read locally on its own server (no token needed:
-        // the DLFM trusts local operations invoked by the archive).
-        let dataset = {
-            let s = data_server.borrow();
-            let size = s.file_size(&parsed.path).ok_or_else(|| {
-                ArchiveError::Fs(easia_fs::FsError::NotFound(parsed.path.clone()))
-            })?;
-            s.store()
-                .get(&parsed.path)
-                .map(|c| c.read_range(0, size))
-                .unwrap_or_default()
-        };
-
-        // Fetch the code package and ship it to the data server (small).
-        let (package, package_bytes) = match &entry.op.location {
-            Location::Url(_) => (Vec::new(), 0.0),
-            loc => {
-                let pkg = self.fetch_package(loc)?;
-                let n = pkg.len() as f64;
-                (pkg, n)
-            }
-        };
-        if package_bytes > 0.0 {
-            let t = self.net.transfer(self.db_host, data_hid, package_bytes);
-            self.settle();
-            let _ = self.net.transfer_record(t);
-        }
-
-        // Execute next to the data.
-        self.board.register(&format!("{session_id}:{op_name}"));
-        let spec = JobSpec {
-            session_id: session_id.to_string(),
+        // The code package is fetched at the hub and shipped from there.
+        let code = Code {
             operation: op_name.to_string(),
             op_type: entry.op.op_type.clone(),
-            package,
             entry: entry.op.filename.clone(),
-            dataset_name: parsed.filename().to_string(),
-            dataset,
-            params: params.clone(),
-            limits: self.op_limits,
+            package: self.fetch_package(&entry.op.location)?,
+            origin: self.db_host,
         };
-        let job = match self.runner.run(&spec) {
-            Ok(j) => j,
-            Err(e) => {
-                self.stats.record_failure(op_name);
-                self.board
-                    .failed(&format!("{session_id}:{op_name}"), &e.to_string());
-                return Err(ArchiveError::Op(e.to_string()));
-            }
-        };
-        // Compute cost: charge simulated CPU seconds proportional to
-        // sandbox work (1e8 instructions/second), minimum 0.1 s.
-        let cpu_secs = (job.instructions as f64 / 1e8).max(0.1);
-        let jid = self.net.job(data_hid, cpu_secs);
-        self.settle();
-        let _ = self.net.job_record(jid);
-
-        // Ship the (reduced) outputs back to the browser.
-        let shipped = job.output_bytes() as f64;
-        if shipped > 0.0 {
-            let t = self.net.transfer(data_hid, self.client_host, shipped);
-            self.settle();
-            let _ = self.net.transfer_record(t);
-        }
-        let elapsed = self.net.now() - start;
-        self.stats
-            .record_success(op_name, job.instructions, elapsed, shipped as u64);
-        self.board.done(&format!("{session_id}:{op_name}"));
+        let out = self.run_job(code, dataset_url, params, session_id)?;
         if let Some(cache) = &mut self.cache {
             cache.put(
                 op_name,
                 dataset_url,
                 params,
                 CachedResult {
-                    outputs: job.outputs.clone(),
-                    stdout: job.stdout.clone(),
+                    outputs: out.outputs.clone(),
+                    stdout: out.stdout.clone(),
                 },
             );
         }
-        Ok(OperationOutcome {
-            outputs: job.outputs,
-            stdout: job.stdout,
-            shipped_bytes: shipped,
-            elapsed_secs: elapsed,
-            from_cache: false,
-            instructions: job.instructions,
-        })
+        Ok(out)
     }
 
     /// Upload user code and run it sandboxed against a dataset — the
@@ -829,64 +781,103 @@ impl Archive {
                 ));
             }
         }
+        let code = Code {
+            operation: format!("upload:{entry}"),
+            op_type: "EPC".into(),
+            entry: entry.to_string(),
+            package: code_package,
+            origin: self.client_host,
+        };
+        self.run_job(code, dataset_url, params, session_id)
+    }
+
+    /// Run `code` next to the data, for catalogue operations and
+    /// uploads alike: the dataset is read locally on its own server, so
+    /// only the package and the outputs cross the WAN. The job shows on
+    /// the progress board and in the statistics from the moment it
+    /// passes the pre-flight; a fault the mover cannot ride out fails
+    /// it there before the code runs.
+    fn run_job(
+        &mut self,
+        code: Code,
+        dataset_url: &str,
+        params: &BTreeMap<String, String>,
+        session_id: &str,
+    ) -> Result<OperationOutcome, ArchiveError> {
         let parsed =
             DatalinkUrl::parse(dataset_url).map_err(|e| ArchiveError::Op(e.to_string()))?;
-        self.check_available(&parsed.host)?;
-        let (data_hid, data_server) = self
-            .servers
-            .get(&parsed.host)
-            .cloned()
-            .ok_or_else(|| ArchiveError::Net(format!("unknown host {}", parsed.host)))?;
-        let start = self.net.now();
-        // Ship the code from the browser to the data server.
-        let t = self
-            .net
-            .transfer(self.client_host, data_hid, code_package.len() as f64);
-        self.settle();
-        let _ = self.net.transfer_record(t);
-
+        let (data_hid, data_server) = self.check_available(&parsed.host)?;
+        // No token needed: the DLFM trusts local operations invoked by
+        // the archive.
         let dataset = {
             let s = data_server.borrow();
-            let size = s.file_size(&parsed.path).ok_or_else(|| {
-                ArchiveError::Fs(easia_fs::FsError::NotFound(parsed.path.clone()))
-            })?;
+            let size = s
+                .file_size(&parsed.path)
+                .ok_or_else(|| ArchiveError::Fs(FsError::NotFound(parsed.path.clone())))?;
             s.store()
                 .get(&parsed.path)
                 .map(|c| c.read_range(0, size))
                 .unwrap_or_default()
         };
-        let spec = JobSpec {
-            session_id: session_id.to_string(),
-            operation: format!("upload:{entry}"),
-            op_type: "EPC".into(),
-            package: code_package,
-            entry: entry.to_string(),
-            dataset_name: parsed.filename().to_string(),
-            dataset,
-            params: params.clone(),
-            limits: self.op_limits,
-        };
-        let job = self
-            .runner
-            .run(&spec)
-            .map_err(|e| ArchiveError::Op(e.to_string()))?;
-        let cpu_secs = (job.instructions as f64 / 1e8).max(0.1);
-        let j = self.net.job(data_hid, cpu_secs);
-        self.settle();
-        let _ = self.net.job_record(j);
-        let shipped = job.output_bytes() as f64;
-        if shipped > 0.0 {
-            let _ = self.net.transfer(data_hid, self.client_host, shipped);
+        let start = self.net.now();
+        let operation = code.operation.clone();
+        let job_id = format!("{session_id}:{operation}");
+        self.board.register(&job_id);
+        let ran = (|| {
+            if !code.package.is_empty() {
+                self.ship(code.origin, data_hid, code.package.len() as f64)?;
+            }
+            let spec = JobSpec {
+                session_id: session_id.to_string(),
+                operation: code.operation,
+                op_type: code.op_type,
+                package: code.package,
+                entry: code.entry,
+                dataset_name: parsed.filename().to_string(),
+                dataset,
+                params: params.clone(),
+                limits: self.op_limits,
+            };
+            let job = self
+                .runner
+                .run(&spec)
+                .map_err(|e| ArchiveError::Op(e.to_string()))?;
+            // Compute cost: charge simulated CPU seconds proportional
+            // to sandbox work (1e8 instructions/second), minimum 0.1 s.
+            let cpu_secs = (job.instructions as f64 / 1e8).max(0.1);
+            let charge = self.net.job(data_hid, cpu_secs);
             self.settle();
+            if self.net.job_failed(charge) {
+                return Err(self.unavailable(data_hid));
+            }
+            // Ship the (reduced) outputs back to the browser.
+            let shipped = job.output_bytes() as f64;
+            if shipped > 0.0 {
+                self.ship(data_hid, self.client_host, shipped)?;
+            }
+            Ok((job, shipped))
+        })();
+        match ran {
+            Ok((job, shipped)) => {
+                let elapsed = self.net.now() - start;
+                self.stats
+                    .record_success(&operation, job.instructions, elapsed, shipped as u64);
+                self.board.done(&job_id);
+                Ok(OperationOutcome {
+                    outputs: job.outputs,
+                    stdout: job.stdout,
+                    shipped_bytes: shipped,
+                    elapsed_secs: elapsed,
+                    from_cache: false,
+                    instructions: job.instructions,
+                })
+            }
+            Err(e) => {
+                self.stats.record_failure(&operation);
+                self.board.failed(&job_id, &e.to_string());
+                Err(e)
+            }
         }
-        Ok(OperationOutcome {
-            shipped_bytes: shipped,
-            elapsed_secs: self.net.now() - start,
-            from_cache: false,
-            instructions: job.instructions,
-            outputs: job.outputs,
-            stdout: job.stdout,
-        })
     }
 
     /// `(colid, value)` pairs for the row owning a dataset URL — used to

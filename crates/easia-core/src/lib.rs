@@ -34,8 +34,8 @@ pub mod webapp;
 pub use admission::{Admission, AdmissionConfig, AdmissionController, ClassLimits, RouteClass};
 pub use archive::{Archive, ArchiveBuilder, ArchiveError, OperationOutcome};
 pub use transfer::{
-    transfer_with_retry, transfer_with_retry_observed, RetryPolicy, TransferClientError,
-    TransferMetrics, TransferOutcome,
+    transfer_with_retry_observed, RetryPolicy, TransferClientError, TransferMetrics,
+    TransferOutcome,
 };
 pub use webapp::WebApp;
 

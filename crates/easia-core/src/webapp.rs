@@ -63,14 +63,15 @@ impl WebApp {
     /// computed drain time, an admitted request is dispatched and its
     /// measured service time fed back to the queue model.
     pub fn handle_at(&mut self, req: Request, arrival: f64) -> Response {
-        let route = route_label(&req);
-        if route == "metrics" {
+        let route = Route::of(&req);
+        let label = route.label();
+        if label == "metrics" {
             // Scrapes are exempt from admission — observability must
             // survive overload — and the route records itself before
             // rendering, so the exposition carries its own sample.
-            return self.dispatch(req);
+            return self.dispatch(&route, &req);
         }
-        let class = self.classify(&req);
+        let class = route.class(&self.archive);
         let ticket = match self.admission.admit(class, arrival) {
             Admission::Admitted(t) => t,
             Admission::Shed { retry_after_secs } => {
@@ -81,52 +82,16 @@ impl WebApp {
                     ),
                     retry_after_secs,
                 );
-                self.record_http(route, resp.status);
+                self.record_http(label, resp.status);
                 return resp;
             }
         };
         let t0 = self.archive.net.now();
-        let resp = self.dispatch(req);
+        let resp = self.dispatch(&route, &req);
         let service = self.archive.net.now() - t0;
         self.admission.complete(ticket, service);
-        self.record_http(route, resp.status);
+        self.record_http(label, resp.status);
         resp
-    }
-
-    /// Classify a request onto its admission queue: bulk byte delivery
-    /// (DATALINK downloads, LOB rematerialisation, operation outputs)
-    /// is `Download`; work that scatters to federated sites or runs
-    /// server-side codes is `Scan`; everything hub-local is `Browse`.
-    fn classify(&self, req: &Request) -> RouteClass {
-        let segs = req.segments();
-        match (req.method, segs.first().copied()) {
-            (_, Some("download" | "lob" | "result")) => RouteClass::Download,
-            (Method::Post, Some("federated" | "op" | "upload")) => RouteClass::Scan,
-            (Method::Post, Some("query")) => {
-                let fed = segs
-                    .get(1)
-                    .and_then(|t| self.archive.xuis.table(t))
-                    .is_some_and(|xt| self.query_is_federated(xt));
-                if fed {
-                    RouteClass::Scan
-                } else {
-                    RouteClass::Browse
-                }
-            }
-            (Method::Get, Some("browse")) => {
-                let fed = segs
-                    .get(2)
-                    .and_then(|colid| colid.rsplit_once('.'))
-                    .and_then(|(table, _)| self.archive.xuis.table(table))
-                    .is_some_and(|xt| self.query_is_federated(xt));
-                if fed {
-                    RouteClass::Scan
-                } else {
-                    RouteClass::Browse
-                }
-            }
-            _ => RouteClass::Browse,
-        }
     }
 
     fn record_http(&self, route: &str, status: u16) {
@@ -146,74 +111,62 @@ impl WebApp {
         }
     }
 
-    fn dispatch(&mut self, req: Request) -> Response {
-        let segments: Vec<String> = req.segments().iter().map(|s| s.to_string()).collect();
-        // Unauthenticated routes.
-        match (req.method, segments.first().map(String::as_str)) {
-            (Method::Get, Some("metrics")) => {
+    /// The routing table. Pages above the `None` arm need no session;
+    /// every page below it names the one it was reached with.
+    fn dispatch(&mut self, route: &Route, req: &Request) -> Response {
+        use Method::{Get, Post};
+        match (route.method, route.segs.as_slice(), self.session_of(req)) {
+            (Get, ["metrics", ..], _) => {
                 self.record_http("metrics", 200);
-                return Response::text(self.archive.obs.metrics.render());
+                Response::text(self.archive.obs.metrics.render())
             }
-            (Method::Get, None | Some("login")) if req.method == Method::Get => {
-                if self.session_of(&req).is_some() && segments.is_empty() {
-                    return Response::redirect("/tables");
-                }
-                if segments.first().map(String::as_str) == Some("login") || segments.is_empty() {
-                    return self.login_page(None);
-                }
-            }
-            (Method::Post, Some("login")) => return self.do_login(&req),
-            _ => {}
-        }
-        let Some((user, role, session)) = self.session_of(&req) else {
-            return Response::redirect("/login");
-        };
-        match (req.method, segments.as_slice()) {
-            (Method::Get, [s]) if s == "logout" => {
+            (Get, [], Some(_)) => Response::redirect("/tables"),
+            (Get, [] | ["login", ..], _) => self.login_page(None),
+            (Post, ["login", ..], _) => self.do_login(req),
+            (_, _, None) => Response::redirect("/login"),
+            (Get, ["logout"], Some((_, session))) => {
                 self.archive.sessions.close(&session);
+                self.outputs.retain(|(owner, _), _| *owner != session);
                 Response::redirect("/login")
             }
-            (Method::Get, [s]) if s == "tables" => self.tables_page(),
-            (Method::Get, [q, table]) if q == "query" => self.query_form(table),
-            (Method::Post, [q, table]) if q == "query" => self.run_query(table, &req, role),
-            (Method::Get, [b, kind, colid]) if b == "browse" => {
-                let value = req.param("value").unwrap_or("").to_string();
-                self.browse(kind, colid, &value, role)
+            (Get, ["tables"], Some(_)) => self.tables_page(),
+            (Get, ["query", table], Some(_)) => self.query_form(table),
+            (Post, ["query", table], Some((role, _))) => self.run_query(table, req, role),
+            (Get, ["browse", kind, colid], Some((role, _))) => {
+                self.browse(kind, colid, req.param("value").unwrap_or(""), role)
             }
-            (Method::Get, [l, table, column]) if l == "lob" => self.lob(table, column, &req),
-            (Method::Get, [o, table, op]) if o == "op" => self.op_form(table, op, &req, role),
-            (Method::Post, [o, table, op]) if o == "op" => {
-                self.op_run(table, op, &req, role, &session)
+            (Get, ["lob", table, column], Some(_)) => self.lob(table, column, req),
+            (Get, ["op", table, op], Some((role, _))) => self.op_form(table, op, req, role),
+            (Post, ["op", table, op], Some((role, session))) => {
+                self.op_run(table, op, req, role, &session)
             }
-            (Method::Get, [r, name]) if r == "result" => {
-                match self.outputs.get(&(session.clone(), name.clone())) {
+            (Get, ["result", name], Some((_, session))) => {
+                match self.outputs.get(&(session, name.to_string())) {
                     Some(data) => Response::bytes(mime_of(name), data.clone()),
                     None => Response::error(404, "no such result"),
                 }
             }
-            (Method::Get, [d]) if d == "download" => self.download_route(&req, role),
-            (Method::Get, [u]) if u == "upload" => self.upload_form(role),
-            (Method::Post, [u]) if u == "upload" => self.do_upload(&req, role, &session),
-            (Method::Get, [f]) if f == "federated" => self.federation_page(),
-            (Method::Post, [f, e, table]) if f == "federated" && e == "explain" => {
-                self.federated_explain_route(table, &req)
+            (Get, ["download"], Some((role, _))) => self.download_route(req, role),
+            (Get, ["upload"], Some((role, _))) => self.upload_form(role),
+            (Post, ["upload"], Some((role, session))) => self.do_upload(req, role, &session),
+            (Get, ["federated"], Some(_)) => self.federation_page(),
+            (Post, ["federated", "explain", table], Some(_)) => {
+                self.federated_explain_route(table, req)
             }
-            (Method::Get, [p]) if p == "progress" => self.progress_page(),
-            (Method::Get, [s]) if s == "stats" => self.stats_page(),
-            (Method::Get, [u]) if u == "users" => self.users_page(role),
-            (Method::Post, [u]) if u == "users" => self.add_user(&req, role),
-            _ => {
-                let _ = user;
-                Response::error(404, &format!("no route for {}", req.path))
-            }
+            (Get, ["progress"], Some(_)) => self.progress_page(),
+            (Get, ["stats"], Some(_)) => self.stats_page(),
+            (Get, ["users"], Some((role, _))) => self.users_page(role),
+            (Post, ["users"], Some((role, _))) => self.add_user(req, role),
+            (_, _, Some(_)) => Response::error(404, &format!("no route for {}", req.path)),
         }
     }
 
-    fn session_of(&self, req: &Request) -> Option<(String, Role, String)> {
+    /// The role and token of the request's live session, if any.
+    fn session_of(&self, req: &Request) -> Option<(Role, String)> {
         let token = req.session.clone()?;
         let now = self.archive.clock.now();
-        let (user, role) = self.archive.sessions.resolve(&token, now)?;
-        Some((user.to_string(), role, token))
+        let (_user, role) = self.archive.sessions.resolve(&token, now)?;
+        Some((role, token))
     }
 
     fn login_page(&self, error: Option<&str>) -> Response {
@@ -283,17 +236,9 @@ impl WebApp {
             Ok(q) => q,
             Err(e) => return Response::error(400, &e.to_string()),
         };
-        let federated = self.query_is_federated(xt);
+        let federated = query_is_federated(&self.archive, xt);
         let name = xt.name.clone();
         self.result_screen(&name, &sql, &params, federated, role)
-    }
-
-    /// Does a QBE/browse query for this table touch any federated
-    /// table (the table itself, or an FK-substitute join target)?
-    fn query_is_federated(&self, xt: &easia_xuis::XuisTable) -> bool {
-        join_tables(xt)
-            .iter()
-            .any(|t| self.archive.federation.catalog.is_federated(t))
     }
 
     /// Run a screen's statement and render its result page. Statements
@@ -361,7 +306,7 @@ impl WebApp {
                     .filter_map(|colid| {
                         let (table, column) = colid.rsplit_once('.')?;
                         let txt = self.archive.xuis.table(table)?;
-                        self.query_is_federated(txt)
+                        query_is_federated(&self.archive, txt)
                             .then(|| build_browse_query(txt, column))
                     })
                     .collect()
@@ -454,7 +399,7 @@ impl WebApp {
         // Hyperlink browsing also sees the whole federation — including
         // the FK-substitute join legs the statement now carries.
         let sql = build_browse_query(xt, column);
-        let federated = self.query_is_federated(xt);
+        let federated = query_is_federated(&self.archive, xt);
         let params = [Value::Str(value.to_string())];
         self.result_screen(table, &sql, &params, federated, role)
     }
@@ -731,7 +676,7 @@ impl WebApp {
         let Some(xt) = self.archive.xuis.table(table).cloned() else {
             return Response::error(404, &format!("no table {table}"));
         };
-        if !self.query_is_federated(&xt) {
+        if !query_is_federated(&self.archive, &xt) {
             return Response::error(400, &format!("{table} is not a federated table"));
         }
         let (sql, params) = match build_join_query(&xt, &req.form) {
@@ -811,35 +756,84 @@ impl WebApp {
     }
 }
 
-/// Collapse a request path onto the bounded route-label set used by
-/// `easia_http_requests_total`, so hostile or mistyped paths cannot
-/// mint unbounded label values.
-fn route_label(req: &Request) -> &'static str {
-    let segs = req.segments();
-    match segs.first() {
-        None => "root",
-        Some(s) => match *s {
+/// A request's method and path segments, taken apart once: the metric
+/// label, the admission class and the handler are all read off it.
+struct Route<'a> {
+    method: Method,
+    segs: Vec<&'a str>,
+}
+
+/// First path segments that are their own `easia_http_requests_total`
+/// label.
+const ROUTE_LABELS: [&str; 15] = [
+    "federated",
+    "login",
+    "logout",
+    "tables",
+    "query",
+    "browse",
+    "lob",
+    "op",
+    "result",
+    "download",
+    "upload",
+    "progress",
+    "stats",
+    "users",
+    "metrics",
+];
+
+impl<'a> Route<'a> {
+    fn of(req: &'a Request) -> Self {
+        Route {
+            method: req.method,
+            segs: req.segments(),
+        }
+    }
+
+    /// Collapse the path onto the bounded route-label set, so hostile
+    /// or mistyped paths cannot mint unbounded label values.
+    fn label(&self) -> &'static str {
+        match self.segs.as_slice() {
+            [] => "root",
             // The federated explain sub-route gets its own label; the
             // table name stays out of the label set.
-            "federated" if segs.get(1).is_some_and(|s| *s == "explain") => "federated_explain",
-            "federated" => "federated",
-            "login" => "login",
-            "logout" => "logout",
-            "tables" => "tables",
-            "query" => "query",
-            "browse" => "browse",
-            "lob" => "lob",
-            "op" => "op",
-            "result" => "result",
-            "download" => "download",
-            "upload" => "upload",
-            "progress" => "progress",
-            "stats" => "stats",
-            "users" => "users",
-            "metrics" => "metrics",
-            _ => "other",
-        },
+            ["federated", "explain", ..] => "federated_explain",
+            [head, ..] => {
+                let known = ROUTE_LABELS.iter().find(|l| *l == head);
+                known.copied().unwrap_or("other")
+            }
+        }
     }
+
+    /// The admission queue: bulk byte delivery (DATALINK downloads, LOB
+    /// rematerialisation, operation outputs) is `Download`; work that
+    /// scatters to federated sites or runs server-side codes is `Scan`;
+    /// everything hub-local is `Browse`.
+    fn class(&self, archive: &Archive) -> RouteClass {
+        let federated = |table: &str| {
+            let xt = archive.xuis.table(table);
+            xt.is_some_and(|xt| query_is_federated(archive, xt))
+        };
+        let table_of = |colid: &'a str| colid.rsplit_once('.').map_or("", |(table, _)| table);
+        match (self.method, self.segs.as_slice()) {
+            (_, ["download" | "lob" | "result", ..]) => RouteClass::Download,
+            (Method::Post, ["federated" | "op" | "upload", ..]) => RouteClass::Scan,
+            (Method::Post, ["query", table, ..]) if federated(table) => RouteClass::Scan,
+            (Method::Get, ["browse", _, colid, ..]) if federated(table_of(colid)) => {
+                RouteClass::Scan
+            }
+            _ => RouteClass::Browse,
+        }
+    }
+}
+
+/// Does a QBE/browse query for this table touch any federated table
+/// (the table itself, or an FK-substitute join target)?
+fn query_is_federated(archive: &Archive, xt: &easia_xuis::XuisTable) -> bool {
+    join_tables(xt)
+        .iter()
+        .any(|t| archive.federation.catalog.is_federated(t))
 }
 
 /// Map archive-level errors onto HTTP: permission problems are 403, an
@@ -889,6 +883,25 @@ mod tests {
         ));
         assert_eq!(resp.status, 302, "{}", resp.body_text());
         resp.set_session.expect("session cookie set")
+    }
+
+    /// A hub ("soton", one file server) and one foreign site ("cam"):
+    /// `seed` creates and fills each side's tables, `tables` are then
+    /// registered as partitioned over the two on `site_key`.
+    fn cam_archive(
+        builder: crate::ArchiveBuilder,
+        tables: &[&str],
+        site_key: Option<&str>,
+        seed: impl FnMut(&mut easia_db::Database, &str, u64),
+    ) -> Archive {
+        let mut a = builder
+            .file_server("fs1.example", crate::paper_link_spec())
+            .federated_site("cam", crate::paper_link_spec())
+            .build();
+        a.federation
+            .partition_tables(&mut a.db, "soton", &["cam"], tables, site_key, seed)
+            .unwrap();
+        a
     }
 
     #[test]
@@ -1272,34 +1285,18 @@ mod tests {
              SITE VARCHAR(20), \
              TITLE VARCHAR(80), \
              GRID_SIZE INTEGER)";
-        let mut a = Archive::builder()
-            .file_server("fs1.example", crate::paper_link_spec())
-            .federated_site("cam", crate::paper_link_spec())
+        let builder = Archive::builder()
             .federation_policy(easia_med::PartialPolicy::Partial)
-            .replica_cache(300.0, 1_000)
-            .build();
-        a.db.execute(DDL).unwrap();
-        a.db.execute("INSERT INTO SIMULATION VALUES ('soton-0', 'soton', 'Local run', 64)")
-            .unwrap();
-        {
-            let site = a.federation.site("cam").unwrap();
-            let mut db = site.db.borrow_mut();
+            .replica_cache(300.0, 1_000);
+        let mut a = cam_archive(builder, &["SIMULATION"], Some("SITE"), |db, _, site_no| {
             db.execute(DDL).unwrap();
-            db.execute("INSERT INTO SIMULATION VALUES ('cam-0', 'cam', 'Remote run', 128)")
-                .unwrap();
-        }
-        a.federation
-            .catalog
-            .import_foreign_table(
-                &a.db,
-                "SIMULATION",
-                Some("SITE"),
-                vec![
-                    easia_med::Partition::new(None, &["soton"]),
-                    easia_med::Partition::new(Some("cam"), &["cam"]),
-                ],
-            )
+            db.execute(if site_no == 0 {
+                "INSERT INTO SIMULATION VALUES ('soton-0', 'soton', 'Local run', 64)"
+            } else {
+                "INSERT INTO SIMULATION VALUES ('cam-0', 'cam', 'Remote run', 128)"
+            })
             .unwrap();
+        });
         a.generate_xuis_federated(4);
         a.federation.site("cam").unwrap().crash();
         let mut app = WebApp::new(a);
@@ -1340,42 +1337,28 @@ mod tests {
              SITE VARCHAR(20), \
              TITLE VARCHAR(80), \
              AUTHOR_KEY VARCHAR(40) REFERENCES AUTHOR(AUTHOR_KEY))";
-        let mut a = Archive::builder()
-            .file_server("fs1.example", crate::paper_link_spec())
-            .federated_site("cam", crate::paper_link_spec())
-            .build();
-        for ddl in [AUTHOR_DDL, SIM_DDL] {
-            a.db.execute(ddl).unwrap();
-        }
-        a.db.execute("INSERT INTO AUTHOR VALUES ('A1', 'soton', 'Mark')")
-            .unwrap();
-        a.db.execute("INSERT INTO SIMULATION VALUES ('soton-0', 'soton', 'Local run', 'A1')")
-            .unwrap();
-        {
-            let site = a.federation.site("cam").unwrap();
-            let mut db = site.db.borrow_mut();
-            for ddl in [AUTHOR_DDL, SIM_DDL] {
-                db.execute(ddl).unwrap();
-            }
-            db.execute("INSERT INTO AUTHOR VALUES ('A2', 'cam', 'Remote')")
-                .unwrap();
-            db.execute("INSERT INTO SIMULATION VALUES ('cam-0', 'cam', 'Remote run', 'A2')")
-                .unwrap();
-        }
-        for table in ["AUTHOR", "SIMULATION"] {
-            a.federation
-                .catalog
-                .import_foreign_table(
-                    &a.db,
-                    table,
-                    Some("SITE"),
-                    vec![
-                        easia_med::Partition::new(None, &["soton"]),
-                        easia_med::Partition::new(Some("cam"), &["cam"]),
-                    ],
-                )
-                .unwrap();
-        }
+        let tables = ["AUTHOR", "SIMULATION"];
+        let mut a = cam_archive(
+            Archive::builder(),
+            &tables,
+            Some("SITE"),
+            |db, _, site_no| {
+                let rows = if site_no == 0 {
+                    [
+                        "INSERT INTO AUTHOR VALUES ('A1', 'soton', 'Mark')",
+                        "INSERT INTO SIMULATION VALUES ('soton-0', 'soton', 'Local run', 'A1')",
+                    ]
+                } else {
+                    [
+                        "INSERT INTO AUTHOR VALUES ('A2', 'cam', 'Remote')",
+                        "INSERT INTO SIMULATION VALUES ('cam-0', 'cam', 'Remote run', 'A2')",
+                    ]
+                };
+                for sql in [AUTHOR_DDL, SIM_DDL].into_iter().chain(rows) {
+                    db.execute(sql).unwrap();
+                }
+            },
+        );
         a.generate_xuis_federated(4);
         let mut app = WebApp::new(a);
         let sess = login(&mut app, "admin", "hpcc-admin");
@@ -1443,46 +1426,29 @@ mod tests {
              NOTE_KEY VARCHAR(40) PRIMARY KEY, \
              SIMULATION_KEY VARCHAR(40) REFERENCES SIMULATION(SIMULATION_KEY))",
         ];
-        let mut a = Archive::builder()
-            .file_server("fs1.example", crate::paper_link_spec())
-            .federated_site("cam", crate::paper_link_spec())
-            .build();
-        for ddl in DDL {
-            a.db.execute(ddl).unwrap();
-        }
-        a.db.execute("INSERT INTO AUTHOR VALUES ('A1', 'soton', 'Mark'), ('A3', 'soton', 'Denis')")
-            .unwrap();
-        a.db.execute(
-            "INSERT INTO SIMULATION VALUES ('s0', 'soton', 'A1', NULL), \
-             ('s1', 'soton', 'A1', 'A3'), ('s2', 'soton', 'A3', 'A1')",
-        )
-        .unwrap();
-        {
-            let site = a.federation.site("cam").unwrap();
-            let mut db = site.db.borrow_mut();
-            for ddl in &DDL[..3] {
-                db.execute(ddl).unwrap();
-            }
-            db.execute("INSERT INTO AUTHOR VALUES ('A2', 'cam', 'Remote')")
-                .unwrap();
-            db.execute("INSERT INTO SIMULATION VALUES ('c0', 'cam', 'A2', 'A2')")
-                .unwrap();
-        }
         // NOTE stays hub-local: its browse link is never prefetched.
-        for table in ["AUTHOR", "SIMULATION", "RESULT_FILE"] {
-            a.federation
-                .catalog
-                .import_foreign_table(
-                    &a.db,
-                    table,
-                    Some("SITE"),
-                    vec![
-                        easia_med::Partition::new(None, &["soton"]),
-                        easia_med::Partition::new(Some("cam"), &["cam"]),
-                    ],
-                )
-                .unwrap();
-        }
+        let tables = ["AUTHOR", "SIMULATION", "RESULT_FILE"];
+        let mut a = cam_archive(
+            Archive::builder(),
+            &tables,
+            Some("SITE"),
+            |db, _, site_no| {
+                let (ddl, rows) = if site_no == 0 {
+                    let authors =
+                    "INSERT INTO AUTHOR VALUES ('A1', 'soton', 'Mark'), ('A3', 'soton', 'Denis')";
+                    let simulations = "INSERT INTO SIMULATION VALUES ('s0', 'soton', 'A1', NULL), \
+                     ('s1', 'soton', 'A1', 'A3'), ('s2', 'soton', 'A3', 'A1')";
+                    (&DDL[..], [authors, simulations])
+                } else {
+                    let authors = "INSERT INTO AUTHOR VALUES ('A2', 'cam', 'Remote')";
+                    let simulations = "INSERT INTO SIMULATION VALUES ('c0', 'cam', 'A2', 'A2')";
+                    (&DDL[..3], [authors, simulations])
+                };
+                for sql in ddl.iter().copied().chain(rows) {
+                    db.execute(sql).unwrap();
+                }
+            },
+        );
         a.generate_xuis_federated(4);
         let mut app = WebApp::new(a);
         let sess = login(&mut app, "admin", "hpcc-admin");
@@ -1556,6 +1522,23 @@ mod tests {
         assert_eq!(r.status, 200);
     }
 
+    /// The turbulence demo archive plus a federated (and empty) SENSOR
+    /// table, partitioned hub + cam.
+    fn sensor_archive() -> Archive {
+        let mut a = cam_archive(Archive::builder(), &["SENSOR"], None, |db, _, _| {
+            db.execute(
+                "CREATE TABLE SENSOR (\
+                 SENSOR_KEY VARCHAR(40) PRIMARY KEY, \
+                 TITLE VARCHAR(80))",
+            )
+            .unwrap();
+        });
+        turbulence::install_schema(&mut a).unwrap();
+        turbulence::seed_demo_data(&mut a, 1, 8).unwrap();
+        a.generate_xuis_federated(4);
+        a
+    }
+
     #[test]
     fn shed_retry_after_matches_fs_and_federation_derivations() {
         // Satellite pin: all 503 paths — file-server unavailability
@@ -1563,26 +1546,7 @@ mod tests {
         // — derive Retry-After through the one shared helper. Crash
         // the file-server host and the federated site's host over the
         // same window and check the two layers' headers agree exactly.
-        const DDL: &str = "CREATE TABLE SENSOR (\
-             SENSOR_KEY VARCHAR(40) PRIMARY KEY, \
-             TITLE VARCHAR(80))";
-        let mut a = Archive::builder()
-            .file_server("fs1.example", crate::paper_link_spec())
-            .federated_site("cam", crate::paper_link_spec())
-            .build();
-        turbulence::install_schema(&mut a).unwrap();
-        turbulence::seed_demo_data(&mut a, 1, 8).unwrap();
-        a.db.execute(DDL).unwrap();
-        a.federation
-            .catalog
-            .import_foreign_table(
-                &a.db,
-                "SENSOR",
-                None,
-                vec![easia_med::Partition::new(Some("cam"), &[])],
-            )
-            .unwrap();
-        a.generate_xuis_federated(4);
+        let mut a = sensor_archive();
         let rs =
             a.db.execute("SELECT download_result FROM RESULT_FILE LIMIT 1")
                 .unwrap();
@@ -1612,6 +1576,387 @@ mod tests {
             fs_503.retry_after, fed_503.retry_after,
             "layers disagree on Retry-After"
         );
+    }
+
+    /// `(tokenized, stored)` DATALINK URL of the demo archive's first
+    /// result file.
+    fn first_result_file(app: &mut WebApp) -> (String, String) {
+        let rs = app
+            .archive
+            .db
+            .execute(
+                "SELECT download_result, DLURLCOMPLETE(download_result) FROM RESULT_FILE LIMIT 1",
+            )
+            .unwrap();
+        (rs.rows[0][0].to_string(), rs.rows[0][1].to_string())
+    }
+
+    fn get_download(app: &mut WebApp, sess: &str, url: &str) -> Response {
+        app.handle(Request::get(&format!("/download?url={}", url_encode(url))).with_session(sess))
+    }
+
+    /// A counter as the serving archive's `/metrics` prints it.
+    fn scraped(app: &mut WebApp, counter: &str) -> f64 {
+        let body = app.handle(Request::get("/metrics")).body_text();
+        let line = body.lines().find(|l| l.starts_with(counter));
+        let value = line.and_then(|l| l.rsplit(' ').next()?.parse().ok());
+        value.unwrap_or_else(|| panic!("no {counter} sample in:\n{body}"))
+    }
+
+    /// Simulated seconds the demo download takes on a quiet network.
+    fn quiet_download_secs() -> f64 {
+        let mut twin = app();
+        let sess = login(&mut twin, "admin", "hpcc-admin");
+        let (url, _) = first_result_file(&mut twin);
+        let t0 = twin.archive.net.now();
+        assert_eq!(get_download(&mut twin, &sess, &url).status, 200);
+        twin.archive.net.now() - t0
+    }
+
+    /// `fs1.example` crashes at `first_down` and again a millisecond
+    /// after every restart — before a resumed transfer's first byte
+    /// clears the path latency — for longer than the mover retries.
+    fn never_stays_up(app: &mut WebApp, first_down: f64) -> easia_net::FaultSchedule {
+        const PERIOD: f64 = 500.0;
+        let fs = app.archive.server("fs1.example").unwrap().0;
+        let restarts = (1..=12).map(|k| app.archive.net.now() + PERIOD * f64::from(k));
+        let mut faults = easia_net::FaultSchedule::new();
+        let mut down = first_down;
+        for up in restarts {
+            faults.host_crash(fs, down, up);
+            down = up + 0.001;
+        }
+        faults
+    }
+
+    /// The hint a 503 must carry: whole seconds to the scheduled restart.
+    fn secs_to_restart(app: &WebApp) -> u64 {
+        let net = &app.archive.net;
+        let fs = app.archive.server("fs1.example").unwrap().0;
+        (net.host_up_after(fs) - net.now()).ceil() as u64
+    }
+
+    #[test]
+    fn download_rides_out_a_link_outage_without_resending_a_byte() {
+        let quiet = quiet_download_secs();
+        let mut app = app();
+        let sess = login(&mut app, "admin", "hpcc-admin");
+        let (url, stored) = first_result_file(&mut app);
+        let size = app.archive.file_size_of(&stored).unwrap();
+        // Every link drops half-way through the file and stays out for
+        // longer than the stall timeout.
+        let links = app.archive.net.link_ids();
+        let from = app.archive.net.now() + quiet / 2.0;
+        let mut faults = easia_net::FaultSchedule::new();
+        for l in &links {
+            faults.link_outage(*l, from, from + 100.0);
+        }
+        app.archive.net.set_fault_schedule(faults);
+
+        let r = get_download(&mut app, &sess, &url);
+        assert_eq!(r.status, 200, "{}", r.body_text());
+        assert_eq!(r.body.len() as u64, size);
+        assert!(app.archive.net.now() > from + 100.0, "outage waited out");
+        assert!(scraped(&mut app, "easia_transfer_retries_total") >= 1.0);
+        let resumed = scraped(&mut app, "easia_transfer_bytes_resumed_total");
+        assert!(resumed > 0.0 && resumed < size as f64, "{resumed}");
+        // Resume, not restart: each link carried the payload once.
+        for l in links {
+            let carried = app.archive.net.link_bytes(l);
+            assert!((carried - size as f64).abs() < 1.0, "{carried} vs {size}");
+        }
+    }
+
+    #[test]
+    fn crash_inside_a_package_ship_fails_the_job_before_it_runs() {
+        let mut app = app();
+        let sess = login(&mut app, "admin", "hpcc-admin");
+        let (_, stored) = first_result_file(&mut app);
+        // A catalogue operation whose code is archived as a DATALINK,
+        // so running it ships a package from the hub to the data.
+        let ran = std::rc::Rc::new(std::cell::Cell::new(false));
+        let flag = ran.clone();
+        app.archive.runner.register_native(
+            "probe",
+            std::rc::Rc::new(move |_, _, _| {
+                flag.set(true);
+                Ok(String::new())
+            }),
+        );
+        let code = easia_fs::FileContent::Bytes(vec![7; 4096]);
+        let code_url = app
+            .archive
+            .archive_file_local("fs1.example", "/codes/probe.bin", code)
+            .unwrap();
+        app.archive
+            .db
+            .execute_with_params(
+                "INSERT INTO code_file VALUES ('probe.bin', 'NATIVE', 'probe', ?)",
+                &[Value::Str(code_url)],
+            )
+            .unwrap();
+        let mut doc = app.archive.xuis.clone();
+        easia_xuis::customize::Customizer::new(&mut doc)
+            .add_operation(
+                "RESULT_FILE",
+                "DOWNLOAD_RESULT",
+                easia_xuis::Operation {
+                    name: "Probe".into(),
+                    op_type: "NATIVE".into(),
+                    filename: "probe".into(),
+                    format: "raw".into(),
+                    guest_access: true,
+                    conditions: vec![],
+                    location: easia_xuis::Location::DatabaseResult {
+                        colid: "CODE_FILE.DOWNLOAD_CODE_FILE".into(),
+                        conditions: vec![easia_xuis::Condition {
+                            colid: "CODE_FILE.CODE_NAME".into(),
+                            eq: "probe.bin".into(),
+                        }],
+                    },
+                    description: None,
+                    parameters: vec![],
+                },
+            )
+            .unwrap();
+        app.archive.set_xuis(doc);
+        let post = Request::post("/op/RESULT_FILE/Probe", &[("dataset", stored.as_str())])
+            .with_session(&sess);
+
+        // On a quiet network the package ships and the code runs.
+        let r = app.handle(post.clone());
+        assert!(
+            r.body_text().contains("Operation complete"),
+            "{}",
+            r.body_text()
+        );
+        assert_eq!(scraped(&mut app, "easia_transfer_completed_total"), 1.0);
+        assert!(ran.replace(false));
+        app.archive.cache = None;
+
+        // The data server passes the pre-flight, then crashes with the
+        // package in flight and never stays up long enough to take it.
+        let first_down = app.archive.net.now() + 0.001;
+        let faults = never_stays_up(&mut app, first_down);
+        app.archive.net.set_fault_schedule(faults);
+        let r = app.handle(post);
+        assert_eq!(r.status, 503, "{}", r.body_text());
+        assert_eq!(r.retry_after, Some(secs_to_restart(&app)));
+        assert_eq!(r.retry_after, Some(500), "read off the fault schedule");
+        assert!(!ran.get(), "the code must not run without its package");
+        assert_eq!(scraped(&mut app, "easia_transfer_failed_total"), 1.0);
+        let stats = app.archive.stats.get("Probe").unwrap();
+        assert_eq!((stats.runs, stats.failures), (1, 1), "only the quiet run");
+        let progress = app.handle(Request::get("/progress").with_session(&sess));
+        assert!(progress.body_text().contains("Probe</td><td>Failed("));
+    }
+
+    #[test]
+    fn crash_inside_a_download_is_waited_out_or_a_503() {
+        let quiet = quiet_download_secs();
+        let mut app = app();
+        let sess = login(&mut app, "admin", "hpcc-admin");
+        let (url, stored) = first_result_file(&mut app);
+        let size = app.archive.file_size_of(&stored).unwrap();
+        let fs = app.archive.server("fs1.example").unwrap().0;
+
+        // One crash, one restart: the download resumes after it.
+        let down = app.archive.net.now() + quiet / 2.0;
+        let mut faults = easia_net::FaultSchedule::new();
+        faults.host_crash(fs, down, down + 90.0);
+        app.archive.net.set_fault_schedule(faults);
+        let r = get_download(&mut app, &sess, &url);
+        assert_eq!(r.status, 200, "{}", r.body_text());
+        assert_eq!(r.body.len() as u64, size);
+        assert!(app.archive.net.now() > down + 90.0);
+        assert!(scraped(&mut app, "easia_transfer_downtime_wait_seconds_total") > 0.0);
+
+        // A restart that never holds: the mover gives up, and the
+        // answer is the 503 the pre-flight would give, not a 400.
+        let (url, _) = first_result_file(&mut app);
+        let first_down = app.archive.net.now() + quiet / 2.0;
+        let faults = never_stays_up(&mut app, first_down);
+        app.archive.net.set_fault_schedule(faults);
+        let r = get_download(&mut app, &sess, &url);
+        assert_eq!(r.status, 503, "{}", r.body_text());
+        assert_eq!(r.retry_after, Some(secs_to_restart(&app)));
+        assert!(r.body_text().contains("fs1.example is unavailable"));
+    }
+
+    #[test]
+    fn uploaded_run_shows_on_progress_and_stats() {
+        let mut app = app();
+        let sess = login(&mut app, "admin", "hpcc-admin");
+        let (_, stored) = first_result_file(&mut app);
+        let r = app.handle(
+            Request::post(
+                "/upload",
+                &[
+                    ("dataset", stored.as_str()),
+                    ("code", "INPUTSIZE\nPRINTNUM\nHALT"),
+                ],
+            )
+            .with_session(&sess),
+        );
+        assert!(
+            r.body_text().contains("ran in the sandbox"),
+            "{}",
+            r.body_text()
+        );
+        let progress = app.handle(Request::get("/progress").with_session(&sess));
+        assert!(
+            progress
+                .body_text()
+                .contains(":upload:main.epc</td><td>Done"),
+            "{}",
+            progress.body_text()
+        );
+        let stats = app.handle(Request::get("/stats").with_session(&sess));
+        assert!(
+            stats
+                .body_text()
+                .contains("<td>upload:main.epc</td><td>1</td><td>0</td>"),
+            "{}",
+            stats.body_text()
+        );
+    }
+
+    #[test]
+    fn logout_drops_the_outputs_of_that_session_only() {
+        let mut app = app();
+        let (_, stored) = first_result_file(&mut app);
+        let leaving = login(&mut app, "admin", "hpcc-admin");
+        let staying = login(&mut app, "guest", "guest");
+        let form = [("dataset", stored.as_str()), ("slice", "z0"), ("type", "u")];
+        for sess in [&leaving, &staying] {
+            let r = app.handle(Request::post("/op/RESULT_FILE/GetImage", &form).with_session(sess));
+            assert!(
+                r.body_text().contains("slice_u_z0.ppm"),
+                "{}",
+                r.body_text()
+            );
+        }
+        assert_eq!(app.outputs.len(), 2);
+        let r = app.handle(Request::get("/logout").with_session(&leaving));
+        assert_eq!(r.status, 302);
+        let kept: Vec<_> = app.outputs.keys().map(|(owner, _)| owner).collect();
+        assert_eq!(kept, [&staying]);
+        let r = app.handle(Request::get("/result/slice_u_z0.ppm").with_session(&staying));
+        assert_eq!(r.status, 200);
+    }
+
+    /// Label, admission class and status of every route shape, both
+    /// methods where both exist, and the malformed neighbours of each.
+    /// The triples were printed by `route_label`, `classify` and
+    /// `dispatch` at the commit before `Route` replaced them; the last
+    /// column of the request says whether it carries the admin session.
+    /// Rows run in order on one portal: the logout near the end is what
+    /// turns the final `/tables` into a redirect.
+    #[test]
+    fn every_route_shape_keeps_its_label_class_and_status() {
+        use RouteClass::{Browse, Download, Scan};
+        type Row<'a> = (
+            &'a str,
+            &'a str,
+            &'a [(&'a str, &'a str)],
+            bool,
+            &'a str,
+            RouteClass,
+            u16,
+        );
+        #[rustfmt::skip]
+        let rows: &[Row] = &[
+            ("GET", "/", &[], false, "root", Browse, 200),
+            ("GET", "/login", &[], false, "login", Browse, 200),
+            ("POST", "/login", &[("username", "guest"), ("password", "wrong")], false, "login", Browse, 200),
+            ("GET", "/tables", &[], false, "tables", Browse, 302),
+            ("GET", "/metrics", &[], false, "metrics", Browse, 200),
+            ("GET", "/metrics/extra", &[], false, "metrics", Browse, 200),
+            ("POST", "/metrics", &[], false, "metrics", Browse, 302),
+            ("GET", "/nonsense", &[], false, "other", Browse, 302),
+            ("POST", "/query/SENSOR", &[("all", "All data")], false, "query", Scan, 302),
+            ("GET", "/", &[], true, "root", Browse, 302),
+            ("POST", "/", &[], true, "root", Browse, 404),
+            ("GET", "/login", &[], true, "login", Browse, 200),
+            ("GET", "/login/extra", &[], true, "login", Browse, 200),
+            ("POST", "/login/extra", &[("username", "guest"), ("password", "guest")], true, "login", Browse, 302),
+            ("POST", "/metrics", &[], true, "metrics", Browse, 404),
+            ("GET", "/tables", &[], true, "tables", Browse, 200),
+            ("GET", "//tables//", &[], true, "tables", Browse, 200),
+            ("GET", "/tables/x", &[], true, "tables", Browse, 404),
+            ("POST", "/tables", &[], true, "tables", Browse, 404),
+            ("GET", "/query/SIMULATION", &[], true, "query", Browse, 200),
+            ("GET", "/query/NOPE", &[], true, "query", Browse, 404),
+            ("GET", "/query/a/b/c", &[], true, "query", Browse, 404),
+            ("GET", "/query", &[], true, "query", Browse, 404),
+            ("POST", "/query/SIMULATION", &[("all", "All data")], true, "query", Browse, 200),
+            ("POST", "/query/SENSOR", &[("all", "All data")], true, "query", Scan, 200),
+            ("POST", "/query/SENSOR/x", &[], true, "query", Scan, 404),
+            ("POST", "/query/NOPE", &[], true, "query", Browse, 404),
+            ("POST", "/query", &[], true, "query", Browse, 404),
+            ("GET", "/browse/fk/AUTHOR.AUTHOR_KEY?value=A1", &[], true, "browse", Browse, 200),
+            ("GET", "/browse/pk/SENSOR.SENSOR_KEY?value=x", &[], true, "browse", Scan, 200),
+            ("GET", "/browse/zz/AUTHOR.AUTHOR_KEY", &[], true, "browse", Browse, 404),
+            ("GET", "/browse/fk/nodot", &[], true, "browse", Browse, 400),
+            ("GET", "/browse/fk", &[], true, "browse", Browse, 404),
+            ("GET", "/browse/fk/SENSOR.SENSOR_KEY/extra", &[], true, "browse", Scan, 404),
+            ("POST", "/browse/fk/SENSOR.SENSOR_KEY", &[], true, "browse", Browse, 404),
+            ("GET", "/lob/SIMULATION/DESCRIPTION?SIMULATION_KEY=S01", &[], true, "lob", Download, 200),
+            ("GET", "/lob/SIMULATION", &[], true, "lob", Download, 404),
+            ("POST", "/lob/SIMULATION/DESCRIPTION", &[], true, "lob", Download, 404),
+            ("GET", "/op/RESULT_FILE/GetImage?dataset=x", &[], true, "op", Browse, 200),
+            ("GET", "/op/RESULT_FILE/Nope", &[], true, "op", Browse, 404),
+            ("GET", "/op/RESULT_FILE", &[], true, "op", Browse, 404),
+            ("POST", "/op/RESULT_FILE/GetImage", &[], true, "op", Scan, 400),
+            ("POST", "/op/RESULT_FILE", &[], true, "op", Scan, 404),
+            ("GET", "/result/none.ppm", &[], true, "result", Download, 404),
+            ("GET", "/result", &[], true, "result", Download, 404),
+            ("POST", "/result/none.ppm", &[], true, "result", Download, 404),
+            ("GET", "/download", &[], true, "download", Download, 400),
+            ("GET", "/download/x", &[], true, "download", Download, 404),
+            ("POST", "/download", &[], true, "download", Download, 404),
+            ("GET", "/upload", &[], true, "upload", Browse, 200),
+            ("POST", "/upload", &[], true, "upload", Scan, 400),
+            ("GET", "/upload/x", &[], true, "upload", Browse, 404),
+            ("GET", "/federated", &[], true, "federated", Browse, 200),
+            ("POST", "/federated", &[], true, "federated", Scan, 404),
+            ("POST", "/federated/explain/SENSOR", &[("all", "All data")], true, "federated_explain", Scan, 200),
+            ("POST", "/federated/explain/SIMULATION", &[], true, "federated_explain", Scan, 400),
+            ("POST", "/federated/explain/NOPE", &[], true, "federated_explain", Scan, 404),
+            ("GET", "/federated/explain/SENSOR", &[], true, "federated_explain", Browse, 404),
+            ("POST", "/federated/explain", &[], true, "federated_explain", Scan, 404),
+            ("POST", "/federated/other/SENSOR", &[], true, "federated", Scan, 404),
+            ("GET", "/progress", &[], true, "progress", Browse, 200),
+            ("POST", "/progress", &[], true, "progress", Browse, 404),
+            ("GET", "/stats", &[], true, "stats", Browse, 200),
+            ("GET", "/stats/x", &[], true, "stats", Browse, 404),
+            ("GET", "/users", &[], true, "users", Browse, 200),
+            ("POST", "/users", &[], true, "users", Browse, 400),
+            ("GET", "/no/such/route", &[], true, "other", Browse, 404),
+            ("POST", "/logout", &[], true, "logout", Browse, 404),
+            ("GET", "/logout/x", &[], true, "logout", Browse, 404),
+            ("GET", "/logout", &[], true, "logout", Browse, 302),
+            ("GET", "/tables", &[], true, "tables", Browse, 302),
+        ];
+        assert!(rows.len() >= 30);
+        let mut app = WebApp::new(sensor_archive());
+        let sess = login(&mut app, "admin", "hpcc-admin");
+        for &(method, path, form, authed, label, class, status) in rows {
+            let mut req = match method {
+                "GET" => Request::get(path),
+                _ => Request::post(path, form),
+            };
+            if authed {
+                req = req.with_session(&sess);
+            }
+            let route = Route::of(&req);
+            let got = (
+                route.label(),
+                route.class(&app.archive),
+                app.handle(req).status,
+            );
+            assert_eq!(got, (label, class, status), "{method} {path}");
+        }
     }
 
     #[test]

@@ -59,15 +59,15 @@ use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
 use std::rc::Rc;
 
-/// Default bound on concurrently in-flight row-batch transfers.
+/// Bound on concurrently in-flight row-batch transfers.
 pub const DEFAULT_WINDOW: usize = 4;
 /// Default per-query deadline budget (simulated seconds) bounding all
 /// retries and backoff waits.
 pub const DEFAULT_DEADLINE_SECS: f64 = 600.0;
 /// Default consecutive-failure count that opens a site's breaker.
 pub const DEFAULT_BREAKER_THRESHOLD: u32 = 3;
-/// Default breaker cooldown when the fault schedule has no recovery
-/// time for the site (simulated seconds).
+/// Breaker cooldown when the fault schedule has no recovery time for
+/// the site (simulated seconds).
 pub const DEFAULT_BREAKER_COOLDOWN_SECS: f64 = 120.0;
 /// Default bound on the join-key set shipped with a semi-join scan.
 /// Beyond this the keyed scan degrades to a full-partition ship (the
@@ -214,8 +214,6 @@ pub struct Federation {
     pub partial_agg: bool,
     /// Rows per shipped batch frame.
     pub batch_rows: usize,
-    /// Bound on concurrently in-flight batch transfers.
-    pub window: usize,
     /// Shared retry/backoff policy for mid-stream scan recovery.
     pub retry: RetryPolicy,
     /// Per-query deadline budget (simulated seconds): retries stop once
@@ -227,8 +225,6 @@ pub struct Federation {
     pub deadline_secs: f64,
     /// Consecutive failures that open a site's circuit breaker.
     pub breaker_threshold: u32,
-    /// Breaker cooldown when the fault schedule offers no recovery time.
-    pub breaker_cooldown_s: f64,
     /// Largest join-key set a semi-join scan will ship; bigger key
     /// lists fall back to a full-partition ship.
     pub semijoin_max_keys: usize,
@@ -247,11 +243,9 @@ impl Default for Federation {
             pushdown: true,
             partial_agg: true,
             batch_rows: crate::remote::DEFAULT_BATCH_ROWS,
-            window: DEFAULT_WINDOW,
             retry: RetryPolicy::default(),
             deadline_secs: DEFAULT_DEADLINE_SECS,
             breaker_threshold: DEFAULT_BREAKER_THRESHOLD,
-            breaker_cooldown_s: DEFAULT_BREAKER_COOLDOWN_SECS,
             semijoin_max_keys: DEFAULT_SEMIJOIN_MAX_KEYS,
             cache: None,
         }

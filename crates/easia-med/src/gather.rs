@@ -11,7 +11,7 @@
 use crate::breaker::BreakerCheck;
 use crate::catalog::{CatalogError, ForeignTable};
 use crate::explain::{FedExplain, Shipping, SiteExplain, SiteSource};
-use crate::federation::{FedError, Federation, Site};
+use crate::federation::{FedError, Federation, Site, DEFAULT_WINDOW};
 use crate::merge::partial_from_raw;
 use crate::metrics::{
     BYTES_WIRE, CACHE_HITS, DEADLINE_CANCELLED, PARTIAL_AGG_GROUPS_SHIPPED, ROWS_PRUNED,
@@ -304,10 +304,11 @@ impl Federation {
     /// [`SimNet::run_until_any_settled`].
     ///
     /// Scan requests all launch immediately and overlap; each site then
-    /// streams its row batches one frame in flight (at most `window`
-    /// concurrent batch frames per group), and `accept_batch` runs the
-    /// moment a frame is delivered — merge work starts when the *first*
-    /// batch lands, not when the slowest site's last one does. Each
+    /// streams its row batches one frame in flight (at most
+    /// [`DEFAULT_WINDOW`] concurrent batch frames per group), and
+    /// `accept_batch` runs the moment a frame is delivered — merge work
+    /// starts when the *first* batch lands, not when the slowest site's
+    /// last one does. Each
     /// stream keeps its own stall clock: a transfer that moves no bytes
     /// for a full stall quantum is cancelled alone while its peers keep
     /// streaming. The wait is scoped to the pump's own transfers:
@@ -325,7 +326,6 @@ impl Federation {
         groups: &mut [(&mut [Pending<'_>], f64)],
     ) -> Result<(), FedError> {
         let stall = self.retry.stall_timeout_s.max(1e-3);
-        let window = self.window.max(1);
         let mut flights: Vec<Vec<Flight>> = groups
             .iter()
             .map(|(ps, _)| ps.iter().map(|_| Flight::Idle).collect())
@@ -370,7 +370,7 @@ impl Federation {
                         let frame = p.request.encode();
                         net.try_transfer(hub_host, p.site.host, frame.len() as f64)
                             .map(|id| Flight::Request { id, frame })
-                    } else if batches_inflight >= window {
+                    } else if batches_inflight >= DEFAULT_WINDOW {
                         continue;
                     } else {
                         let frame = p.frames.next().expect("len checked above");

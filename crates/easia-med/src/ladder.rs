@@ -3,7 +3,7 @@
 //! replica, then skip or fail (see [`crate::federation`]).
 
 use crate::explain::{FedExplain, StaleSite};
-use crate::federation::{FedError, Federation, PartialPolicy, Site};
+use crate::federation::{FedError, Federation, PartialPolicy, Site, DEFAULT_BREAKER_COOLDOWN_SECS};
 use crate::gather::{Pending, TableGather};
 use crate::metrics::{BREAKER_STATE, CACHE_STALE_SERVED, SCAN_RETRIES};
 use easia_db::{Database, Value};
@@ -77,7 +77,7 @@ impl Federation {
         site.breaker.borrow_mut().on_failure(
             net.now(),
             self.breaker_threshold,
-            self.breaker_cooldown_s,
+            DEFAULT_BREAKER_COOLDOWN_SECS,
             hint,
         );
         self.set_breaker_gauge(obs, site);

@@ -144,7 +144,7 @@ fn breaker_opens_after_repeated_failures_and_recovers_via_probe() {
 
     // Past the cooldown the breaker half-opens, the probe query
     // succeeds, and the breaker closes again.
-    let probe_at = r.net.now() + r.fed.breaker_cooldown_s + 1.0;
+    let probe_at = r.net.now() + easia_med::federation::DEFAULT_BREAKER_COOLDOWN_SECS + 1.0;
     r.net.run_until(probe_at);
     let out = q(&mut r, "SELECT COUNT(*) FROM SIM", &[]);
     assert!(out.explain.skipped.is_empty());
