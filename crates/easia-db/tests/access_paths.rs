@@ -981,6 +981,79 @@ fn check_join(
     seen.returned += expected.map_or(0, |rows| rows.len());
 }
 
+/// Error phases: every row is filtered before any is projected, grouped
+/// or sorted, and every row is projected before any ORDER BY key is
+/// asked for. A select item, an aggregate argument, a grouping key or
+/// an ORDER BY key that raises on an early row therefore loses to a
+/// WHERE that raises on a later one (row 60 divides by zero), and an
+/// ORDER BY key raising early loses to a select item raising late. Each
+/// phase raises its own message, so the winner is in the error text.
+fn check_phases(p: &mut Pair, view: Option<(TxnId, TxnId)>, seen: &mut Seen) {
+    let late = "id / (id - 60) > 1";
+    let where_err = p
+        .both(view, &format!("SELECT * FROM t WHERE {late}"), &[])
+        .unwrap_err();
+    assert!(where_err.contains("division by zero"), "{where_err}");
+    let all = p.both(view, "SELECT * FROM t", &[]).unwrap().0;
+    let columns: Vec<String> = ["ID", "G", "S", "N", "X", "NOTE"].map(String::from).into();
+    // (statement with `{w}` for its WHERE, what raises early without one)
+    for (shape, early) in [
+        ("SELECT id, ABS(s) FROM t WHERE {w}", "ABS expects a number"),
+        (
+            "SELECT SUM(ROUND(g)) FROM t WHERE {w}",
+            "ROUND expects a number",
+        ),
+        (
+            "SELECT g, COUNT(*) FROM t WHERE {w} GROUP BY g, ABS(s)",
+            "ABS expects a number",
+        ),
+        (
+            "SELECT g, MAX(n) FROM t WHERE {w} GROUP BY g ORDER BY UPPER(MAX(n))",
+            "expected a string argument",
+        ),
+        (
+            "SELECT id FROM t WHERE {w} ORDER BY UPPER(n)",
+            "expected a string argument",
+        ),
+        (
+            "SELECT id, n FROM t WHERE {w} ORDER BY n DESC, UPPER(n) LIMIT 3",
+            "expected a string argument",
+        ),
+        (
+            "SELECT DISTINCT g, ABS(s) FROM t WHERE {w} ORDER BY UPPER(n) LIMIT 2",
+            "ABS expects a number",
+        ),
+        (
+            "SELECT id / (id - 60) FROM t WHERE {w} ORDER BY UPPER(n)",
+            "division by zero",
+        ),
+    ] {
+        for (pred, want) in [(late, where_err.as_str()), ("id >= 0", early)] {
+            let sql = shape.replace("{w}", pred);
+            let err = p.both(view, &sql, &[]).unwrap_err();
+            assert!(err.contains(want), "{sql}: {err}");
+            if view.is_none() {
+                let relation = [Relation {
+                    name: "T".into(),
+                    columns: columns.clone(),
+                    rows: all.clone(),
+                }];
+                let over = run_select_over(
+                    &p.indexed,
+                    &p.indexed.read_view(),
+                    &select_of(&sql),
+                    &[],
+                    &relation,
+                )
+                .map(|rs| rs.rows)
+                .map_err(|e| e.to_string());
+                assert_eq!(over, Err(err), "{sql} over a relation");
+            }
+            seen.raised += 1;
+        }
+    }
+}
+
 #[test]
 fn the_streaming_filter_is_decode_first_evaluate_after() {
     let mut seen = Seen::default();
@@ -1042,6 +1115,7 @@ fn the_streaming_filter_is_decode_first_evaluate_after() {
             };
             assert_eq!(raises(&mut p, &on_row_3), view.is_none());
             assert_eq!(raises(&mut p, &on_own_row), view.is_some());
+            check_phases(&mut p, view, &mut seen);
         }
 
         // A table whose only rows belong to the open transaction: to
