@@ -8,7 +8,7 @@ use crate::mvcc::ReadView;
 use crate::plan::{choose_access_path, choose_in_scope, AccessPath, Scope};
 use crate::sql::ast::{is_aggregate_fn, Expr, Join, JoinKind, OrderBy, SelectItem, SelectStmt};
 use crate::storage::RowId;
-use crate::value::{decode_row, decode_row_into, encode_row, Value};
+use crate::value::{decode_row, decode_row_into, encode_key_cell, Value};
 use std::collections::HashMap;
 
 /// The context in which expressions over `row` (shaped by `schema`)
@@ -426,7 +426,9 @@ fn finish_select(
             .iter()
             .map(|row| {
                 let mut buf = Vec::new();
-                encode_row(row, &mut buf);
+                for v in row {
+                    encode_key_cell(v, &mut buf);
+                }
                 seen.insert(buf)
             })
             .collect();
@@ -937,7 +939,9 @@ fn aggregate_pipeline(
             .map(|e| ctx.eval(e))
             .collect::<Result<_>>()?;
         let mut key = Vec::new();
-        encode_row(&key_vals, &mut key);
+        for v in &key_vals {
+            encode_key_cell(v, &mut key);
+        }
         let gi = *group_index.entry(key).or_insert_with(|| {
             groups.push(Group {
                 rep: row.clone(),
@@ -1046,7 +1050,7 @@ mod tests {
     use crate::plan::Tail;
     use crate::schema::{ColumnDef, TableSchema};
     use crate::storage::HeapTable;
-    use crate::value::SqlType;
+    use crate::value::{encode_row, SqlType};
 
     /// Heap pages are restored from disk bytes: a record the decoder
     /// refuses is that statement's typed error, on the full scan and on
@@ -1104,5 +1108,39 @@ mod tests {
         assert_eq!(read(AccessPath::FullScan), (damaged.clone(), 50));
         assert_eq!(read(probe(7)), (damaged, 1));
         assert_eq!(read(probe(8)), (Ok(vec![row(8).to_vec()]), 1));
+    }
+
+    /// GROUP BY and DISTINCT put doubles `Value::total_cmp` calls equal
+    /// in one group — `0.0`, `-0.0` and `0.0 - 0.0`; NaNs of any sign or
+    /// payload — and a group shows the value it was first seen with.
+    #[test]
+    fn signed_zeros_and_nans_share_a_group() {
+        let mut db = Database::new_in_memory();
+        db.execute("CREATE TABLE t (k INTEGER, x DOUBLE)").unwrap();
+        db.execute("INSERT INTO t VALUES (1, -0.0), (2, 0.0), (3, 0.0 - 0.0), (4, 1.0)")
+            .unwrap();
+        let payload = f64::from_bits(0x7ff8_0000_0000_beef);
+        for (k, x) in [(5, f64::NAN), (6, -f64::NAN), (7, payload)] {
+            db.execute_with_params(
+                "INSERT INTO t VALUES (?, ?)",
+                &[Value::Int(k), Value::Double(x)],
+            )
+            .unwrap();
+        }
+        let rows = |db: &mut Database, sql: &str| db.execute(sql).unwrap().rows;
+        let grouped = rows(&mut db, "SELECT x, COUNT(*), MIN(k) FROM t GROUP BY x");
+        assert_eq!(grouped.len(), 3, "{grouped:?}");
+        assert!(matches!(grouped[0][0], Value::Double(z) if z.to_bits() == (-0.0f64).to_bits()));
+        assert_eq!(grouped[0][1..], [Value::Int(3), Value::Int(1)]);
+        assert_eq!(
+            grouped[1],
+            [Value::Double(1.0), Value::Int(1), Value::Int(4)]
+        );
+        assert!(matches!(grouped[2][0], Value::Double(n) if n.is_nan()));
+        assert_eq!(grouped[2][1..], [Value::Int(3), Value::Int(5)]);
+        let distinct = rows(&mut db, "SELECT DISTINCT x FROM t");
+        assert_eq!(distinct.len(), 3, "{distinct:?}");
+        let zeros = rows(&mut db, "SELECT COUNT(*) FROM t WHERE k < 5 AND x = 0");
+        assert_eq!(zeros, [[Value::Int(3)]]);
     }
 }

@@ -283,37 +283,59 @@ impl fmt::Display for Value {
 pub fn encode_row(row: &[Value], out: &mut Vec<u8>) {
     out.extend_from_slice(&(row.len() as u32).to_le_bytes());
     for v in row {
-        match v {
-            Value::Null => out.push(0),
-            Value::Int(i) => {
-                out.push(1);
-                out.extend_from_slice(&i.to_le_bytes());
-            }
-            Value::Double(d) => {
-                out.push(2);
-                out.extend_from_slice(&d.to_le_bytes());
-            }
-            Value::Str(s) => {
-                out.push(3);
-                put_bytes(out, s.as_bytes());
-            }
-            Value::Bool(b) => out.push(if *b { 5 } else { 4 }),
-            Value::Timestamp(t) => {
-                out.push(6);
-                out.extend_from_slice(&t.to_le_bytes());
-            }
-            Value::Blob(b) => {
-                out.push(7);
-                put_bytes(out, b);
-            }
-            Value::Clob(c) => {
-                out.push(8);
-                put_bytes(out, c.as_bytes());
-            }
-            Value::Datalink(u) => {
-                out.push(9);
-                put_bytes(out, u.as_bytes());
-            }
+        encode_cell(v, out);
+    }
+}
+
+/// Append `v` to a group key — the one encoder GROUP BY, DISTINCT and
+/// the federation's partial-aggregate merge key their groups by. It is
+/// [`encode_row`]'s cell encoding with doubles made canonical: `-0.0`
+/// files as `0.0` and every NaN as one NaN, so doubles that
+/// [`Value::total_cmp`] calls equal share a group, which shows the value
+/// it was first seen with. Cells of different kinds (`1` and `1.0`, a
+/// string and a CLOB) stay apart, as they always have.
+pub fn encode_key_cell(v: &Value, out: &mut Vec<u8>) {
+    match v {
+        // Adding +0.0 turns -0.0 into 0.0 and leaves every other double.
+        Value::Double(d) => encode_cell(
+            &Value::Double(if d.is_nan() { f64::NAN } else { d + 0.0 }),
+            out,
+        ),
+        other => encode_cell(other, out),
+    }
+}
+
+fn encode_cell(v: &Value, out: &mut Vec<u8>) {
+    match v {
+        Value::Null => out.push(0),
+        Value::Int(i) => {
+            out.push(1);
+            out.extend_from_slice(&i.to_le_bytes());
+        }
+        Value::Double(d) => {
+            out.push(2);
+            out.extend_from_slice(&d.to_le_bytes());
+        }
+        Value::Str(s) => {
+            out.push(3);
+            put_bytes(out, s.as_bytes());
+        }
+        Value::Bool(b) => out.push(if *b { 5 } else { 4 }),
+        Value::Timestamp(t) => {
+            out.push(6);
+            out.extend_from_slice(&t.to_le_bytes());
+        }
+        Value::Blob(b) => {
+            out.push(7);
+            put_bytes(out, b);
+        }
+        Value::Clob(c) => {
+            out.push(8);
+            put_bytes(out, c.as_bytes());
+        }
+        Value::Datalink(u) => {
+            out.push(9);
+            put_bytes(out, u.as_bytes());
         }
     }
 }

@@ -17,6 +17,7 @@ use easia_db::exec::{finish_groups, run_select_over, AggState, Relation};
 use easia_db::expr::RowSchema;
 use easia_db::sql::ast::{SelectStmt, Stmt, TableRef};
 use easia_db::sql::parse;
+use easia_db::value::encode_key_cell;
 use easia_db::{Database, DbError, ResultSet, Value};
 use std::collections::HashMap;
 
@@ -128,7 +129,8 @@ pub(crate) fn merge_partial_agg(
     let new_states =
         || -> Vec<AggState> { agg.finishers.iter().map(|_| AggState::default()).collect() };
     let mut groups: Vec<(Vec<Value>, Vec<AggState>)> = Vec::new();
-    let mut index: HashMap<String, usize> = HashMap::new();
+    let mut index: HashMap<Vec<u8>, usize> = HashMap::new();
+    let mut key = Vec::new();
     for row in &gathered {
         if row.len() != k + agg.calls.len() {
             return Err(FedError::Db(DbError::Eval(format!(
@@ -138,10 +140,18 @@ pub(crate) fn merge_partial_agg(
             ))));
         }
         let (key_vals, partials) = row.split_at(k);
-        let gi = *index.entry(format!("{key_vals:?}")).or_insert_with(|| {
-            groups.push((key_vals.to_vec(), new_states()));
-            groups.len() - 1
-        });
+        key.clear();
+        for v in key_vals {
+            encode_key_cell(v, &mut key);
+        }
+        let gi = match index.get(&key[..]) {
+            Some(&gi) => gi,
+            None => {
+                index.insert(key.clone(), groups.len());
+                groups.push((key_vals.to_vec(), new_states()));
+                groups.len() - 1
+            }
+        };
         // COUNT partials (both `COUNT(*)` and `COUNT(col)`) arrive as
         // plain row counts.
         let count = |idx: usize| match &partials[idx] {

@@ -5,6 +5,7 @@
 
 mod gather;
 mod golden;
+mod group_keys;
 mod joins;
 mod ladder;
 mod oracle;
