@@ -5,7 +5,7 @@
 use crate::crc::crc32;
 use crate::error::{DbError, Result};
 use crate::exec;
-use crate::expr::FnRegistry;
+use crate::expr::{FnRegistry, RowSchema};
 use crate::index::btree::has_prefix;
 use crate::index::BPlusTree;
 use crate::mvcc::{Csn, MvccState, ReadView, SnapshotId, TxnId, VacuumStats, LATEST_CSN};
@@ -1154,8 +1154,19 @@ impl Database {
                 })
                 .collect::<Result<_>>()?
         };
+        // Bound once for the statement; each value evaluates against no row.
+        let none = RowSchema::default();
+        let rows: Vec<Vec<_>> = rows
+            .iter()
+            .map(|exprs| {
+                exprs
+                    .iter()
+                    .map(|e| none.bind(e, &self.functions, &[]))
+                    .collect()
+            })
+            .collect();
         let mut inserted = 0usize;
-        for exprs in rows {
+        for exprs in &rows {
             if exprs.len() != positions.len() {
                 return Err(DbError::Type(format!(
                     "INSERT has {} values for {} columns",
@@ -1165,8 +1176,7 @@ impl Database {
             }
             let mut row = vec![Value::Null; schema.columns.len()];
             for (expr, &pos) in exprs.iter().zip(&positions) {
-                let v = exec::eval_const(self, expr, params)?;
-                row[pos] = v;
+                row[pos] = exec::eval_bound(self, expr, &[], params)?;
             }
             self.insert_row(&tname, row)?;
             inserted += 1;
@@ -1242,18 +1252,21 @@ impl Database {
             .clone();
         let view = self.stmt_view();
         let targets = exec::collect_matching(self, &view, &tname, where_clause, params)?;
+        // Bound once for the statement against the table's rows.
+        let names: Vec<String> = schema.columns.iter().map(|c| c.name.clone()).collect();
+        let rows = RowSchema::for_table(&tname, &names);
         let mut set_pos = Vec::new();
         for (c, e) in sets {
             let pos = schema
                 .column_index(c)
                 .ok_or_else(|| DbError::Catalog(format!("column {c} not found in {tname}")))?;
-            set_pos.push((pos, e.clone()));
+            set_pos.push((pos, rows.bind(e, &self.functions, &[])));
         }
         let mut affected = 0usize;
         for (rid, old_row) in targets {
             let mut new_row = old_row.clone();
             for (pos, e) in &set_pos {
-                new_row[*pos] = exec::eval_row(self, e, &tname, &old_row, params)?;
+                new_row[*pos] = exec::eval_bound(self, e, &old_row, params)?;
             }
             self.update_row(&tname, rid, old_row, new_row)?;
             affected += 1;

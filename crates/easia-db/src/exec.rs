@@ -1,15 +1,26 @@
 //! Query execution.
+//!
+//! A SELECT is bound once against the row its expressions meet
+//! ([`Bound`]): each column reference becomes a slot, each aggregate call
+//! the index of its state. Its base table is read once, decoding only the
+//! cells the bound statement reads, and every row that passes the WHERE —
+//! off the scan itself, or off the last JOIN leg — is lent to one
+//! [`Sink`], which folds it into its group or projects it, and keeps only
+//! what DISTINCT, ORDER BY and LIMIT can still return.
 
 use crate::db::{Database, ResultSet, Table};
 use crate::error::{DbError, Result};
-use crate::expr::{agg_key, truth, EvalContext, RowSchema};
+use crate::expr::{truth, Bound, EvalContext, RowSchema};
 use crate::index::btree::has_prefix;
 use crate::mvcc::ReadView;
-use crate::plan::{choose_access_path, choose_in_scope, AccessPath, Scope};
-use crate::sql::ast::{is_aggregate_fn, Expr, Join, JoinKind, OrderBy, SelectItem, SelectStmt};
+use crate::plan::{choose_access_path, choose_in_scope, conjuncts, AccessPath, Scope};
+use crate::schema::DatalinkSpec;
+use crate::sql::ast::{is_aggregate_fn, BinaryOp, Expr, Join, JoinKind, SelectItem, SelectStmt};
 use crate::storage::RowId;
-use crate::value::{decode_row, decode_row_into, encode_key_cell, Value};
-use std::collections::HashMap;
+use crate::value::{decode_some_into, encode_key_cell, Value};
+use std::borrow::Cow;
+use std::cmp::Ordering;
+use std::collections::{HashMap, HashSet};
 
 /// The context in which expressions over `row` (shaped by `schema`)
 /// evaluate; it carries no aggregate values.
@@ -29,31 +40,26 @@ fn row_ctx<'a>(
 }
 
 /// Does `pred` hold (evaluate to TRUE, not UNKNOWN) on `ctx`'s row?
-fn holds(ctx: &EvalContext, pred: &Expr) -> Result<bool> {
+fn holds(ctx: &EvalContext, pred: &Bound) -> Result<bool> {
     Ok(truth(&*ctx.eval_cow(pred)?) == Some(true))
 }
 
-/// Evaluate a row-independent expression (INSERT values, constants).
+/// `e` bound against `schema`, outside any group.
+fn bind(db: &Database, schema: &RowSchema, e: &Expr) -> Bound {
+    schema.bind(e, db.functions(), &[])
+}
+
+/// Evaluate a row-independent expression (a constant the planner folds).
 pub fn eval_const(db: &Database, expr: &Expr, params: &[Value]) -> Result<Value> {
     row_ctx(db, &RowSchema::default(), &[], params).eval(expr)
 }
 
-/// Evaluate an expression against one row of `table`.
-pub fn eval_row(
-    db: &Database,
-    expr: &Expr,
-    table: &str,
-    row: &[Value],
-    params: &[Value],
-) -> Result<Value> {
-    let names: Vec<String> = db
-        .schema(table)
-        .ok_or_else(|| DbError::Catalog(format!("table {table} does not exist")))?
-        .columns
-        .iter()
-        .map(|c| c.name.clone())
-        .collect();
-    row_ctx(db, &RowSchema::for_table(table, &names), row, params).eval(expr)
+/// Evaluate `expr`, bound once for its statement, against `row` (`&[]`
+/// for INSERT's VALUES): what INSERT and UPDATE run per value.
+pub fn eval_bound(db: &Database, expr: &Bound, row: &[Value], params: &[Value]) -> Result<Value> {
+    let schema = RowSchema::default();
+    let ctx = row_ctx(db, &schema, row, params);
+    ctx.eval_cow(expr).map(Cow::into_owned)
 }
 
 /// An in-memory table a SELECT can read beside the catalogue (the hub
@@ -72,6 +78,7 @@ pub struct Relation {
 }
 
 /// What a FROM/JOIN table name denotes.
+#[derive(Clone, Copy)]
 enum Source<'a> {
     Relation(&'a Relation),
     Table(&'a Table),
@@ -103,51 +110,65 @@ impl<'a> Source<'a> {
         }
     }
 
-    /// The rows `view` can see along `path` that `pass`, in storage
-    /// order, with every row visited added to `seen`. A relation has no
-    /// indexes and no versions, so it is always visited whole; it lends
-    /// each row to `pass` and copies out the ones that do.
-    fn rows(
+    /// Lend each row `view` can see along `path` to `pass`, in storage
+    /// order, and each that passes to `take`, decoding only `cells` (see
+    /// [`fetch`]); returns how many rows it visited. A relation has no
+    /// indexes and no versions: it is visited whole, each row lent as it
+    /// is.
+    fn scan(
         &self,
         db: &Database,
         view: &ReadView,
         path: AccessPath,
-        seen: &mut usize,
+        cells: Cells,
         mut pass: impl FnMut(&[Value]) -> Result<bool>,
-    ) -> Result<Vec<Vec<Value>>> {
+        mut take: impl FnMut(&[Value]) -> Result<()>,
+    ) -> (usize, Result<()>) {
         match self {
             Source::Relation(r) => {
-                *seen += r.rows.len();
-                let mut out = Vec::new();
-                for row in &r.rows {
-                    if pass(row)? {
-                        out.push(row.clone());
-                    }
-                }
-                Ok(out)
+                let visited = r.rows.iter().try_for_each(|row| match pass(row)? {
+                    true => take(row),
+                    false => Ok(()),
+                });
+                (r.rows.len(), visited)
             }
-            Source::Table(t) => fetch(db, view, t, path, seen, pass, |_, row| row),
+            Source::Table(t) => fetch(db, view, t, path, cells, pass, |_, row| take(row)),
         }
     }
 }
 
-/// The rows of catalogue table `t` visible to `view` that `pass`, read
-/// along `path` in heap order and handed to `keep` (which picks what of
-/// `(RowId, row)` the caller wants); see [`sift`].
-fn fetch<T>(
+/// The cells a scan decodes: `sieve`'s for every row it visits, `all`
+/// (which holds them) for a row that passes the scan's filter. An empty
+/// mask is every cell.
+#[derive(Clone, Copy)]
+struct Cells<'m> {
+    sieve: &'m [bool],
+    all: &'m [bool],
+}
+
+/// Every cell of every row.
+const WHOLE: Cells = Cells {
+    sieve: &[],
+    all: &[],
+};
+
+/// Lend the rows of catalogue table `t` visible to `view`, read along
+/// `path` in heap order, to `pass`, and each that passes to `take` with
+/// its row id; see [`sift`].
+fn fetch(
     db: &Database,
     view: &ReadView,
     t: &Table,
     path: AccessPath,
-    seen: &mut usize,
+    cells: Cells,
     pass: impl FnMut(&[Value]) -> Result<bool>,
-    keep: impl Fn(RowId, Vec<Value>) -> T,
-) -> Result<Vec<T>> {
+    take: impl FnMut(RowId, &mut Vec<Value>) -> Result<()>,
+) -> (usize, Result<()>) {
     let visible = db.row_visibility(&t.schema.name, view);
     match path {
         AccessPath::FullScan => {
             let records = t.heap.records().filter(|(rid, _)| visible(*rid));
-            sift(records, seen, pass, keep)
+            sift(records, cells, pass, take)
         }
         AccessPath::IndexRange {
             index_pos,
@@ -181,38 +202,47 @@ fn fetch<T>(
                 .into_iter()
                 .filter(|rid| visible(*rid))
                 .filter_map(|rid| Some((rid, t.heap.record(rid)?)));
-            sift(records, seen, pass, keep)
+            sift(records, cells, pass, take)
         }
     }
 }
 
-/// Decode each of `records` into one scratch row, lend it to `pass`,
-/// and move out (through `keep`) only a row that passes: a rejected row
-/// allocates nothing. `seen` grows by the number of records, also when
-/// `pass` or the decoder raises part-way — the first error is the one
-/// returned, and what it left unvisited was a candidate all the same.
-fn sift<'r, T>(
+/// Decode each of `records` into a scratch row — the sieve's cells
+/// ([`decode_some_into`]) — and lend it to `pass`; decode a row that
+/// passes again, with all its cells, into a second scratch row and lend
+/// that to `take`, which copies out (or takes) what it keeps. Each
+/// scratch row refills the buffers it already owns, so a rejected row
+/// allocates nothing and has only the cells its filter reads decoded.
+/// Returns the number of records, also when a closure or the decoder
+/// raises part-way — the first error is the one returned, and what it
+/// left unvisited was a candidate all the same.
+fn sift<'r>(
     mut records: impl Iterator<Item = (RowId, &'r [u8])>,
-    seen: &mut usize,
+    cells: Cells,
     mut pass: impl FnMut(&[Value]) -> Result<bool>,
-    keep: impl Fn(RowId, Vec<Value>) -> T,
-) -> Result<Vec<T>> {
-    let mut scratch = Vec::new();
-    let mut out = Vec::new();
-    let mut raised = None;
+    mut take: impl FnMut(RowId, &mut Vec<Value>) -> Result<()>,
+) -> (usize, Result<()>) {
+    let (mut sieved, mut whole) = (Vec::new(), Vec::new());
+    let twice = cells.sieve != cells.all;
+    let (mut seen, mut visited) = (0, Ok(()));
     for (rid, record) in records.by_ref() {
-        *seen += 1;
-        match decode_row_into(record, &mut 0, &mut scratch).and_then(|()| pass(&scratch)) {
-            Ok(true) => out.push(keep(rid, std::mem::take(&mut scratch))),
-            Ok(false) => {}
-            Err(e) => {
-                raised = Some(e);
-                break;
+        seen += 1;
+        let decode = |read, row: &mut Vec<Value>| decode_some_into(record, &mut 0, row, read);
+        visited = decode(cells.sieve, &mut sieved).and_then(|()| {
+            if !pass(&sieved)? {
+                return Ok(());
             }
+            if !twice {
+                return take(rid, &mut sieved);
+            }
+            decode(cells.all, &mut whole)?;
+            take(rid, &mut whole)
+        });
+        if visited.is_err() {
+            break;
         }
     }
-    *seen += records.count();
-    raised.map_or(Ok(out), Err)
+    (seen + records.count(), visited)
 }
 
 /// Book one base-table scan of `rows` candidate rows.
@@ -230,7 +260,7 @@ fn note_scan(db: &Database, index_probe: bool, rows: usize) {
 
 /// Fetch `(RowId, row)` pairs of `table` visible to `view` and matching
 /// `where_clause` (index-accelerated when possible). Used by
-/// UPDATE/DELETE.
+/// UPDATE/DELETE, which write whole rows back: every cell is decoded.
 pub fn collect_matching(
     db: &Database,
     view: &ReadView,
@@ -244,16 +274,18 @@ pub fn collect_matching(
     let path = choose_access_path(db, t, table, where_clause, params)?;
     let index_probe = matches!(path, AccessPath::IndexRange { .. });
     let schema = RowSchema::for_table(table, &Source::Table(t).columns());
-    let pass = |row: &[Value]| match where_clause {
+    let pred = where_clause.map(|w| bind(db, &schema, w));
+    let pass = |row: &[Value]| match &pred {
+        Some(p) => holds(&row_ctx(db, &schema, row, params), p),
         None => Ok(true),
-        Some(pred) => holds(&row_ctx(db, &schema, row, params), pred),
     };
-    let mut candidates = 0;
-    let matching = fetch(db, view, t, path, &mut candidates, pass, |rid, row| {
-        (rid, row)
+    let mut matching = Vec::new();
+    let (candidates, read) = fetch(db, view, t, path, WHOLE, pass, |rid, row| {
+        matching.push((rid, std::mem::take(row)));
+        Ok(())
     });
     note_scan(db, index_probe, candidates);
-    matching
+    read.map(|()| matching)
 }
 
 /// Execute a SELECT against a read view.
@@ -268,6 +300,13 @@ pub fn run_select(
 
 /// Execute a SELECT against a read view plus in-memory `relations`
 /// (see [`Relation`] for how names resolve).
+///
+/// Errors keep the phase order of an executor that finished each stage
+/// before the next: a JOIN's ON and probe errors, then the WHERE's (and
+/// the decoder's), then projection and grouping errors, then HAVING and
+/// the select list per group, then ORDER BY keys — within a phase, the
+/// first row's. Streaming holds a later phase's error until the earlier
+/// phases have run over every row.
 pub fn run_select_over(
     db: &Database,
     view: &ReadView,
@@ -297,328 +336,254 @@ pub fn run_select_over(
         });
     };
 
-    // ---- base table ----
+    // ---- bind: the joined row, each leg's ON, the statement ----
     let base_alias = from
         .alias
         .clone()
         .unwrap_or_else(|| from.name.to_ascii_uppercase());
-    // Catalogue-backed aliases only: a relation carries no DATALINK spec.
-    let mut alias_map: HashMap<String, String> = HashMap::new();
     let base = Source::resolve(db, relations, &from.name)?;
     let mut schema = RowSchema::for_table(&base_alias, &base.columns());
+    let base_width = schema.columns.len();
+    // Catalogue-backed aliases only: a relation carries no DATALINK spec.
+    let mut catalogue = HashMap::new();
+    if let Source::Table(_) = base {
+        catalogue.insert(base_alias.clone(), from.name.to_ascii_uppercase());
+    }
+    // A JOIN naming no table ends the legs: over a catalogue base it
+    // raises before anything is read, over a relation once the joins
+    // before it have run.
+    let mut legs = Vec::new();
+    let mut missing = None;
+    for join in &sel.joins {
+        match Source::resolve(db, relations, &join.table.name) {
+            Ok(source) => legs.push(Leg::bind(db, join, source, &mut schema, &mut catalogue)),
+            Err(e) => {
+                missing = Some(e);
+                break;
+            }
+        }
+    }
+    let missing = match missing {
+        Some(e) if matches!(base, Source::Table(_)) => return Err(e),
+        missing => missing,
+    };
+    let filter = sel.where_clause.as_ref().map(|w| bind(db, &schema, w));
+    let mut sink = Sink::bind(db, sel, &schema, &catalogue);
+    // The cells anything above may read; no scan decodes another.
+    let mut read = vec![false; schema.columns.len()];
+    for e in filter.iter().chain(legs.iter().flat_map(Leg::bound)) {
+        e.reads(&mut read);
+    }
+    sink.reads(&mut read);
+
+    // ---- plan the base table ----
     let mut path = AccessPath::FullScan;
     // WHERE conjuncts over the base table's own columns, applied to its
     // rows before they are joined.
-    let mut own: Vec<&Expr> = Vec::new();
-    if let Source::Table(t) = &base {
-        alias_map.insert(base_alias.clone(), from.name.to_ascii_uppercase());
+    let mut own = Vec::new();
+    if let Source::Table(t) = base {
         // The WHERE runs over joined rows and each ON over the legs so
         // far; the base narrows only when none of them can raise on a
         // row the narrowing would skip.
         let mut scope = Scope::of(&base_alias, &t.schema);
         let mut total = true;
-        for join in &sel.joins {
-            let leg = Source::resolve(db, relations, &join.table.name)?;
-            scope.join(&join_alias(join), &leg.columns(), leg.schema());
+        for (join, leg) in sel.joins.iter().zip(&legs) {
+            scope.join(&leg.alias, &leg.columns, leg.source.schema());
             total &= scope.total(db, &join.on, params);
         }
         if let Some(pred) = sel.where_clause.as_ref().filter(|_| total) {
             if scope.total(db, pred, params) {
                 path = choose_in_scope(db, t, &scope, pred, params);
                 if !sel.joins.is_empty() {
-                    own = scope.own_conjuncts(pred, t.schema.columns.len());
+                    own = scope.own_conjuncts(pred, base_width);
                 }
             }
         }
     }
+    let own: Vec<Bound> = own.into_iter().map(|c| bind(db, &schema, c)).collect();
     let index_probe = matches!(path, AccessPath::IndexRange { .. });
-    // The base rows are filtered as they are read: by the whole WHERE
-    // when there is nothing to join, else by the base's own conjuncts.
-    let pass = |row: &[Value]| {
-        let ctx = row_ctx(db, &schema, row, params);
-        match &sel.where_clause {
-            Some(pred) if sel.joins.is_empty() => holds(&ctx, pred),
-            // A base row failing one of them fails the WHERE on every
-            // joined row made from it, padded or not. A conjunct that
-            // raises after all keeps its row, so the WHERE below raises
-            // it too.
-            _ => Ok(own.iter().all(|c| !matches!(holds(&ctx, c), Ok(false)))),
-        }
+
+    // ---- stream ----
+    // The cells the scan's own filter reads are decoded for every row it
+    // visits, the rest of the statement's only for a row that passes.
+    let sieve: Vec<&Bound> = match &filter {
+        Some(w) if sel.joins.is_empty() => vec![w],
+        _ => own.iter().collect(),
     };
-    let mut candidates = 0;
-    let rows = base.rows(db, view, path, &mut candidates, pass);
-    note_scan(db, index_probe, candidates);
-    let mut rows = rows?;
-
-    // ---- joins ----
-    for join in &sel.joins {
-        (schema, rows) = run_join(
-            db,
-            view,
-            relations,
-            &schema,
-            rows,
-            join,
-            params,
-            &mut alias_map,
-        )?;
+    let mut first = read.clone();
+    if !sieve.is_empty() {
+        first.fill(false);
+        sieve.iter().for_each(|e| e.reads(&mut first));
     }
-    if !sel.joins.is_empty() {
-        if let Some(m) = db.metrics() {
-            m.stage_join.observe(rows.len() as f64);
-        }
-    }
-
-    // ---- WHERE (over joined rows; a lone table's ran with its scan) ----
-    if let Some(pred) = &sel.where_clause {
-        if !sel.joins.is_empty() {
-            let mut kept = Vec::with_capacity(rows.len());
-            for row in rows {
-                if holds(&row_ctx(db, &schema, &row, params), pred)? {
-                    kept.push(row);
-                }
-            }
-            rows = kept;
-        }
-        if let Some(m) = db.metrics() {
-            m.stage_filter.observe(rows.len() as f64);
-        }
-    }
-
-    // ---- aggregation or plain projection ----
-    let has_agg = sel
-        .items
-        .iter()
-        .any(|i| matches!(i, SelectItem::Expr { expr, .. } if expr.contains_aggregate()))
-        || sel.having.as_ref().is_some_and(|h| h.contains_aggregate())
-        || !sel.group_by.is_empty();
-
-    if has_agg {
-        return aggregate_pipeline(db, sel, &schema, &rows, params);
-    }
-    let projected = project_pipeline(db, sel, &schema, &rows, params, &alias_map)?;
-    finish_select(db, sel, &schema, projected, params)
-}
-
-/// Projected output: column names, rows, and per-row sort context
-/// (empty when the statement has no ORDER BY to evaluate against it).
-type Projection = (Vec<String>, Vec<Vec<Value>>, Vec<SortCtx>);
-
-/// Per-output-row context used to evaluate ORDER BY: the underlying
-/// (joined or representative) row plus any aggregate values.
-struct SortCtx {
-    row: Vec<Value>,
-    aggs: HashMap<String, Value>,
-}
-
-/// DISTINCT, ORDER BY (keys evaluated against the joined `schema`) and
-/// LIMIT over projected output.
-fn finish_select(
-    db: &Database,
-    sel: &SelectStmt,
-    schema: &RowSchema,
-    (columns, mut out_rows, mut sort_ctx): Projection,
-    params: &[Value],
-) -> Result<ResultSet> {
-    if sel.distinct {
-        let mut seen = std::collections::HashSet::new();
-        let first: Vec<bool> = out_rows
-            .iter()
-            .map(|row| {
-                let mut buf = Vec::new();
-                for v in row {
-                    encode_key_cell(v, &mut buf);
-                }
-                seen.insert(buf)
-            })
-            .collect();
-        let mut keep = first.iter();
-        out_rows.retain(|_| *keep.next().expect("one flag per row"));
-        let mut keep = first.iter();
-        sort_ctx.retain(|_| *keep.next().expect("one flag per row"));
-    }
-    if !sel.order_by.is_empty() {
-        let mut keyed: Vec<(Vec<Value>, Vec<Value>)> = Vec::with_capacity(out_rows.len());
-        for (row, ctx) in out_rows.into_iter().zip(&sort_ctx) {
-            let mut keys = Vec::with_capacity(sel.order_by.len());
-            for ob in &sel.order_by {
-                keys.push(order_key(db, ob, schema, ctx, &row, &columns, params)?);
-            }
-            keyed.push((keys, row));
-        }
-        keyed.sort_by(|a, b| {
-            for (i, ob) in sel.order_by.iter().enumerate() {
-                let ord = a.0[i].total_cmp(&b.0[i]);
-                let ord = if ob.asc { ord } else { ord.reverse() };
-                if ord != std::cmp::Ordering::Equal {
-                    return ord;
-                }
-            }
-            std::cmp::Ordering::Equal
+    let filtered = |row: &[Value]| match &filter {
+        Some(w) => holds(&row_ctx(db, &schema, row, params), w),
+        None => Ok(true),
+    };
+    let mut passed = 0;
+    let mut accept = |row: &[Value], sink: &mut Sink| {
+        passed += 1;
+        sink.take(&row_ctx(db, &schema, row, params));
+    };
+    if sel.joins.is_empty() {
+        let cells = Cells {
+            sieve: &first,
+            all: &read,
+        };
+        let (candidates, scanned) = base.scan(db, view, path, cells, filtered, |row| {
+            accept(row, &mut sink);
+            Ok(())
         });
-        out_rows = keyed.into_iter().map(|(_, r)| r).collect();
+        note_scan(db, index_probe, candidates);
+        scanned?;
+    } else {
+        // A base row failing one of its own conjuncts fails the WHERE on
+        // every joined row made from it, padded or not. A conjunct that
+        // raises after all keeps its row, so the WHERE raises it too.
+        let own_pass = |row: &[Value]| {
+            let ctx = row_ctx(db, &schema, row, params);
+            Ok(own.iter().all(|c| !matches!(holds(&ctx, c), Ok(false))))
+        };
+        let cells = Cells {
+            sieve: &first[..base_width],
+            all: &read[..base_width],
+        };
+        let mut rows = Vec::new();
+        let (candidates, scanned) = base.scan(db, view, path, cells, own_pass, |row| {
+            rows.push(row.to_vec());
+            Ok(())
+        });
+        note_scan(db, index_probe, candidates);
+        scanned?;
+        // Every leg but the last materialises its pairings; the last
+        // lends each to the WHERE, whose error waits for the ONs of the
+        // pairings after it.
+        let (mut at, mut joined, mut raised) = (base_width, 0, None);
+        for (i, leg) in legs.iter().enumerate() {
+            let leg_read = &read[at..at + leg.columns.len()];
+            at += leg.columns.len();
+            let left = std::mem::take(&mut rows);
+            if i + 1 < sel.joins.len() {
+                run_join(db, view, &schema, left, leg, leg_read, params, |row| {
+                    rows.push(row.to_vec());
+                    Ok(())
+                })?;
+            } else {
+                run_join(db, view, &schema, left, leg, leg_read, params, |row| {
+                    joined += 1;
+                    match raised.is_none().then(|| filtered(row)) {
+                        Some(Ok(true)) => accept(row, &mut sink),
+                        Some(Err(e)) => raised = Some(e),
+                        _ => {}
+                    }
+                    Ok(())
+                })?;
+            }
+        }
+        if let Some(e) = missing {
+            return Err(e);
+        }
         if let Some(m) = db.metrics() {
-            m.stage_sort.observe(out_rows.len() as f64);
+            m.stage_join.observe(joined as f64);
+        }
+        if let Some(e) = raised {
+            return Err(e);
         }
     }
-    if let Some(limit) = sel.limit {
-        out_rows.truncate(limit);
-    }
-    if let Some(m) = db.metrics() {
-        m.rows_returned.add(out_rows.len() as f64);
-    }
-    Ok(ResultSet {
-        columns,
-        rows: out_rows,
-        affected: 0,
-    })
-}
-
-fn order_key(
-    db: &Database,
-    ob: &OrderBy,
-    schema: &RowSchema,
-    ctx: &SortCtx,
-    out_row: &[Value],
-    columns: &[String],
-    params: &[Value],
-) -> Result<Value> {
-    // A bare column matching an output alias sorts by the output column.
-    if let Expr::Column { table: None, name } = &ob.expr {
-        if let Some(pos) = columns.iter().position(|c| c.eq_ignore_ascii_case(name)) {
-            return Ok(out_row[pos].clone());
+    if filter.is_some() {
+        if let Some(m) = db.metrics() {
+            m.stage_filter.observe(passed as f64);
         }
     }
-    EvalContext {
-        aggs: Some(&ctx.aggs),
-        ..row_ctx(db, schema, &ctx.row, params)
+    sink.finish(&schema, params)
+}
+
+/// One JOIN leg, bound against the legs before it.
+struct Leg<'a> {
+    source: Source<'a>,
+    kind: JoinKind,
+    /// The name its columns are qualified by.
+    alias: String,
+    columns: Vec<String>,
+    /// ON, over the legs up to this one.
+    on: Bound,
+    /// Index nested loop: ON has a conjunct `alias.col = <expression
+    /// over the legs before>` and the leg is a catalogue table indexed
+    /// on `col` alone — (table, index position, that expression).
+    probe: Option<(&'a Table, usize, Bound)>,
+}
+
+impl<'a> Leg<'a> {
+    /// Bind `join` over `source`, whose columns it appends to `schema`.
+    fn bind(
+        db: &'a Database,
+        join: &Join,
+        source: Source<'a>,
+        schema: &mut RowSchema,
+        catalogue: &mut HashMap<String, String>,
+    ) -> Self {
+        let alias = join
+            .table
+            .alias
+            .clone()
+            .unwrap_or_else(|| join.table.name.to_ascii_uppercase());
+        let columns = source.columns();
+        let mut probe = None;
+        if let Source::Table(t) = source {
+            catalogue.insert(alias.clone(), join.table.name.to_ascii_uppercase());
+            probe = probe_of(db, t, &alias, &join.on, schema);
+        }
+        *schema = schema.join(&RowSchema::for_table(&alias, &columns));
+        Leg {
+            source,
+            kind: join.kind,
+            on: bind(db, schema, &join.on),
+            alias,
+            columns,
+            probe,
+        }
     }
-    .eval(&ob.expr)
-}
 
-/// Derive an output column name for an unaliased select item, exactly
-/// as the aggregate pipeline labels its columns.
-pub fn derive_name(expr: &Expr) -> String {
-    match expr {
-        Expr::Column { name, .. } => name.clone(),
-        Expr::Function { name, .. } => name.clone(),
-        _ => "EXPR".to_string(),
+    /// The expressions it evaluates.
+    fn bound(&self) -> impl Iterator<Item = &Bound> {
+        std::iter::once(&self.on).chain(self.probe.as_ref().map(|(_, _, e)| e))
     }
 }
 
-/// The name a JOIN leg's columns are qualified by.
-fn join_alias(join: &Join) -> String {
-    join.table
-        .alias
-        .clone()
-        .unwrap_or_else(|| join.table.name.to_ascii_uppercase())
-}
-
-#[allow(clippy::too_many_arguments)]
-fn run_join(
+/// Equi-join acceleration: the first conjunct of `on` that equates a
+/// column of `t` (known as `alias`) carrying a one-column index with an
+/// expression over `left` alone.
+fn probe_of<'a>(
     db: &Database,
-    view: &ReadView,
-    relations: &[Relation],
-    left_schema: &RowSchema,
-    left_rows: Vec<Vec<Value>>,
-    join: &Join,
-    params: &[Value],
-    alias_map: &mut HashMap<String, String>,
-) -> Result<(RowSchema, Vec<Vec<Value>>)> {
-    let alias = join_alias(join);
-    let right = Source::resolve(db, relations, &join.table.name)?;
-    let rnames = right.columns();
-    let right_schema = RowSchema::for_table(&alias, &rnames);
-    let out_schema = left_schema.join(&right_schema);
-    let right_width = rnames.len();
-
-    // Equi-join acceleration: find `right.col = <left expr>` in the ON
-    // conjuncts where the right table has an index on col.
-    let mut probe: Option<(&Table, usize, Expr)> = None; // (right, index pos, left expr)
-    if let Source::Table(t) = right {
-        alias_map.insert(alias.clone(), join.table.name.to_ascii_uppercase());
-        'conjuncts: for c in crate::plan::conjuncts(&join.on) {
-            let Expr::Binary(l, crate::sql::ast::BinaryOp::Eq, r) = c else {
+    t: &'a Table,
+    alias: &str,
+    on: &Expr,
+    left: &RowSchema,
+) -> Option<(&'a Table, usize, Bound)> {
+    for c in conjuncts(on) {
+        let Expr::Binary(l, BinaryOp::Eq, r) = c else {
+            continue;
+        };
+        for (a, b) in [(l, r), (r, l)] {
+            let Expr::Column {
+                table: Some(ta),
+                name,
+            } = a.as_ref()
+            else {
                 continue;
             };
-            for (a, b) in [(l, r), (r, l)] {
-                let Expr::Column {
-                    table: Some(ta),
-                    name,
-                } = a.as_ref()
-                else {
-                    continue;
-                };
-                if !ta.eq_ignore_ascii_case(&alias) {
-                    continue;
-                }
-                let Some(cpos) = t.schema.column_index(name) else {
-                    continue;
-                };
-                let ipos = t.indexes.iter().position(|ix| ix.col_indices == [cpos]);
-                // The other side must be evaluable on the left.
-                if let (Some(ipos), true) = (ipos, expr_uses_only(b, left_schema)) {
-                    probe = Some((t, ipos, b.as_ref().clone()));
-                    break 'conjuncts;
-                }
+            if !ta.eq_ignore_ascii_case(alias) {
+                continue;
+            }
+            let Some(cpos) = t.schema.column_index(name) else {
+                continue;
+            };
+            let ipos = t.indexes.iter().position(|ix| ix.col_indices == [cpos]);
+            if let (Some(ipos), true) = (ipos, expr_uses_only(b, left)) {
+                return Some((t, ipos, bind(db, left, b)));
             }
         }
     }
-
-    // Without a probe every left row meets the whole right leg, read once.
-    let mut right_rows: Vec<Vec<Value>> = if probe.is_none() {
-        right.rows(db, view, AccessPath::FullScan, &mut 0, |_| Ok(true))?
-    } else {
-        Vec::new()
-    };
-    let probe = probe.map(|(t, ipos, lexpr)| {
-        let visible = db.row_visibility(&t.schema.name, view);
-        (t, ipos, lexpr, visible)
-    });
-
-    let mut out = Vec::new();
-    // The pairing ON is asked about lives in one buffer: the left row
-    // moves in, each candidate is lent to it and taken back, and only a
-    // pairing that passes is copied out.
-    let mut pairing: Vec<Value> = Vec::new();
-    let mut probed: Vec<Vec<Value>> = Vec::new();
-    for lrow in left_rows {
-        let left_width = lrow.len();
-        pairing.clear();
-        pairing.extend(lrow);
-        let candidates = match &probe {
-            Some((t, ipos, lexpr, visible)) => {
-                let lctx = row_ctx(db, left_schema, &pairing, params);
-                let key = lctx.eval(lexpr)?;
-                probed.clear();
-                if !key.is_null() {
-                    let rids = t.indexes[*ipos].tree.get(&[key]);
-                    for rid in rids.into_iter().filter(|rid| visible(*rid)) {
-                        if let Some(record) = t.heap.record(rid) {
-                            probed.push(decode_row(record, &mut 0)?);
-                        }
-                    }
-                }
-                &mut probed
-            }
-            None => &mut right_rows,
-        };
-        let mut matched = false;
-        for rrow in candidates.iter_mut() {
-            pairing.append(rrow);
-            let ctx = row_ctx(db, &out_schema, &pairing, params);
-            if holds(&ctx, &join.on)? {
-                matched = true;
-                out.push(pairing.clone());
-            }
-            rrow.extend(pairing.drain(left_width..));
-        }
-        if !matched && join.kind == JoinKind::Left {
-            pairing.extend(std::iter::repeat_n(Value::Null, right_width));
-            out.push(std::mem::take(&mut pairing));
-        }
-    }
-    Ok((out_schema, out))
+    None
 }
 
 fn expr_uses_only(e: &Expr, schema: &RowSchema) -> bool {
@@ -633,22 +598,236 @@ fn expr_uses_only(e: &Expr, schema: &RowSchema) -> bool {
     ok
 }
 
-// ---- plain projection ----
-
-fn project_pipeline(
+/// Join `left` rows with `leg`, lending each pairing that passes its ON
+/// — and, for a LEFT JOIN, each unmatched left row padded with NULLs —
+/// to `emit`, in left-row order. The pairing lives in one buffer: the
+/// left row moves in, each right candidate is lent to it and taken back.
+/// The right leg decodes only the cells `read` selects.
+#[allow(clippy::too_many_arguments)]
+fn run_join(
     db: &Database,
+    view: &ReadView,
+    schema: &RowSchema,
+    left: Vec<Vec<Value>>,
+    leg: &Leg,
+    read: &[bool],
+    params: &[Value],
+    mut emit: impl FnMut(&[Value]) -> Result<()>,
+) -> Result<()> {
+    // Without a probe every left row meets the whole right leg, read once.
+    let mut right_rows: Vec<Vec<Value>> = Vec::new();
+    if leg.probe.is_none() {
+        let cells = Cells {
+            sieve: read,
+            all: read,
+        };
+        let keep_all = |_: &[Value]| Ok(true);
+        leg.source
+            .scan(db, view, AccessPath::FullScan, cells, keep_all, |row| {
+                right_rows.push(row.to_vec());
+                Ok(())
+            })
+            .1?;
+    }
+    let probe = leg.probe.as_ref().map(|(t, ipos, lexpr)| {
+        let visible = db.row_visibility(&t.schema.name, view);
+        (t, ipos, lexpr, visible)
+    });
+    let mut pairing: Vec<Value> = Vec::new();
+    let mut probed: Vec<Vec<Value>> = Vec::new();
+    for lrow in left {
+        let left_width = lrow.len();
+        pairing.clear();
+        pairing.extend(lrow);
+        let candidates = match &probe {
+            Some((t, ipos, lexpr, visible)) => {
+                let key = row_ctx(db, schema, &pairing, params)
+                    .eval_cow(lexpr)?
+                    .into_owned();
+                probed.clear();
+                if !key.is_null() {
+                    let rids = t.indexes[**ipos].tree.get(&[key]);
+                    for rid in rids.into_iter().filter(|rid| visible(*rid)) {
+                        if let Some(record) = t.heap.record(rid) {
+                            let mut row = Vec::new();
+                            decode_some_into(record, &mut 0, &mut row, read)?;
+                            probed.push(row);
+                        }
+                    }
+                }
+                &mut probed
+            }
+            None => &mut right_rows,
+        };
+        let mut matched = false;
+        for rrow in candidates.iter_mut() {
+            pairing.append(rrow);
+            let lent = holds(&row_ctx(db, schema, &pairing, params), &leg.on).and_then(|on| {
+                matched |= on;
+                if on {
+                    emit(&pairing)
+                } else {
+                    Ok(())
+                }
+            });
+            rrow.extend(pairing.drain(left_width..));
+            lent?;
+        }
+        if !matched && leg.kind == JoinKind::Left {
+            pairing.extend(std::iter::repeat_n(Value::Null, leg.columns.len()));
+            emit(&pairing)?;
+        }
+    }
+    Ok(())
+}
+
+/// Derive an output column name for an unaliased select item, exactly
+/// as the aggregate pipeline labels its columns.
+pub fn derive_name(expr: &Expr) -> String {
+    match expr {
+        Expr::Column { name, .. } => name.clone(),
+        Expr::Function { name, .. } => name.clone(),
+        _ => "EXPR".to_string(),
+    }
+}
+
+/// Where a SELECT's rows go once they pass its WHERE, each lent as it
+/// arrives: projected and offered to the [`Output`], or folded into its
+/// group, whose rows reach the output once every group is complete. The
+/// first error it meets is held and it takes no row after it — the scan
+/// still owes the WHERE and decoder errors of later rows, which win.
+struct Sink<'a> {
+    db: &'a Database,
+    held: Option<DbError>,
+    shape: Shape<'a>,
+    output: Output,
+}
+
+enum Shape<'a> {
+    /// Each row projected.
+    Rows(Vec<Out<'a>>),
+    /// Each row folded into its group.
+    Groups(Box<Grouping>),
+}
+
+/// One projected column.
+enum Out<'a> {
+    /// A cell passed through, DATALINK-rendered under its column's spec.
+    Slot(usize, Option<&'a DatalinkSpec>),
+    Expr(Bound),
+}
+
+impl<'a> Sink<'a> {
+    fn bind(
+        db: &'a Database,
+        sel: &SelectStmt,
+        schema: &RowSchema,
+        catalogue: &HashMap<String, String>,
+    ) -> Self {
+        let has_agg = sel
+            .items
+            .iter()
+            .any(|i| matches!(i, SelectItem::Expr { expr, .. } if expr.contains_aggregate()))
+            || sel.having.as_ref().is_some_and(|h| h.contains_aggregate())
+            || !sel.group_by.is_empty();
+        if has_agg {
+            let aggs = aggregates(sel);
+            let (finish, output) = Finish::bind(db, sel, schema, &aggs);
+            let grouping = Grouping::bind(db, sel, schema, &aggs, finish);
+            let shape = Shape::Groups(Box::new(grouping));
+            return Sink {
+                db,
+                held: None,
+                shape,
+                output,
+            };
+        }
+        // A select item that cannot be projected is the statement's
+        // error once its rows are filtered.
+        let (held, columns, outs) = match project(db, sel, schema, catalogue) {
+            Ok((columns, outs)) => (None, columns, outs),
+            Err(e) => (Some(e), Vec::new(), Vec::new()),
+        };
+        let output = Output::bind(sel, columns, |e| bind(db, schema, e));
+        let shape = Shape::Rows(outs);
+        Sink {
+            db,
+            held,
+            shape,
+            output,
+        }
+    }
+
+    /// Mark the slots it reads.
+    fn reads(&self, read: &mut [bool]) {
+        match &self.shape {
+            Shape::Rows(outs) => {
+                for out in outs {
+                    match out {
+                        Out::Slot(i, _) => read[*i] = true,
+                        Out::Expr(e) => e.reads(read),
+                    }
+                }
+            }
+            Shape::Groups(g) => g.reads(read),
+        }
+        self.output.reads(read);
+    }
+
+    /// Take one row that passed the WHERE.
+    fn take(&mut self, ctx: &EvalContext) {
+        if self.held.is_some() {
+            return;
+        }
+        let taken = match &mut self.shape {
+            Shape::Rows(outs) => {
+                let mut row = Vec::with_capacity(outs.len());
+                let projected = outs.iter().try_for_each(|out| {
+                    row.push(match out {
+                        Out::Slot(i, spec) => match (&ctx.row[*i], spec) {
+                            (Value::Datalink(url), Some(spec)) => {
+                                Value::Datalink(self.db.render_datalink(spec, url))
+                            }
+                            (v, _) => v.clone(),
+                        },
+                        Out::Expr(e) => ctx.eval_cow(e)?.into_owned(),
+                    });
+                    Ok(())
+                });
+                projected.map(|()| self.output.offer(row, ctx))
+            }
+            Shape::Groups(g) => g.fold(ctx),
+        };
+        self.held = taken.err();
+    }
+
+    fn finish(self, schema: &RowSchema, params: &[Value]) -> Result<ResultSet> {
+        if let Some(e) = self.held {
+            return Err(e);
+        }
+        match self.shape {
+            Shape::Rows(_) => self.output.finish(self.db),
+            Shape::Groups(g) => g.finish(self.output, self.db, schema, params),
+        }
+    }
+}
+
+/// The select list of a plain SELECT over `schema`: its output names and
+/// columns. A bare column passes its cell through (DATALINK-rendered
+/// when the catalogue column has a spec) and must resolve; `t.*` must
+/// name a table of the statement.
+fn project<'a>(
+    db: &'a Database,
     sel: &SelectStmt,
     schema: &RowSchema,
-    rows: &[Vec<Value>],
-    params: &[Value],
-    alias_map: &HashMap<String, String>,
-) -> Result<Projection> {
-    // Expand items to (name, kind) where kind is either a slot index
-    // (column passthrough, datalink-rendered) or an expression.
-    enum Out {
-        Slot(usize),
-        Expr(Expr),
-    }
+    catalogue: &HashMap<String, String>,
+) -> Result<(Vec<String>, Vec<Out<'a>>)> {
+    let spec = |i: usize| -> Option<&'a DatalinkSpec> {
+        let c = &schema.columns[i];
+        let table = db.schema(catalogue.get(c.table.as_ref()?)?)?;
+        table.column(&c.name)?.datalink.as_ref()
+    };
+    let slot = |i: usize| Out::Slot(i, spec(i));
     let mut columns = Vec::new();
     let mut outs = Vec::new();
     for item in &sel.items {
@@ -656,94 +835,415 @@ fn project_pipeline(
             SelectItem::Wildcard => {
                 for (i, c) in schema.columns.iter().enumerate() {
                     columns.push(c.name.clone());
-                    outs.push(Out::Slot(i));
+                    outs.push(slot(i));
                 }
             }
             SelectItem::QualifiedWildcard(t) => {
                 let t = t.to_ascii_uppercase();
-                let mut any = false;
+                let before = outs.len();
                 for (i, c) in schema.columns.iter().enumerate() {
                     if c.table.as_deref() == Some(t.as_str()) {
                         columns.push(c.name.clone());
-                        outs.push(Out::Slot(i));
-                        any = true;
+                        outs.push(slot(i));
                     }
                 }
-                if !any {
+                if outs.len() == before {
                     return Err(DbError::Eval(format!("unknown table alias {t} in {t}.*")));
                 }
             }
             SelectItem::Expr { expr, alias } => {
                 columns.push(alias.clone().unwrap_or_else(|| derive_name(expr)));
-                // Column refs become slots so DATALINK rendering applies.
-                match expr {
-                    Expr::Column { table, name } => {
-                        let i = schema.resolve(table.as_deref(), name)?;
-                        outs.push(Out::Slot(i));
-                    }
-                    other => outs.push(Out::Expr(other.clone())),
-                }
+                outs.push(match expr {
+                    Expr::Column { table, name } => slot(schema.resolve(table.as_deref(), name)?),
+                    other => Out::Expr(bind(db, schema, other)),
+                });
             }
         }
     }
-    // Slot -> datalink spec mapping for token rendering.
-    let mut dl_specs: HashMap<usize, crate::schema::DatalinkSpec> = HashMap::new();
-    for (i, cref) in schema.columns.iter().enumerate() {
-        if let Some(alias) = &cref.table {
-            if let Some(real) = alias_map.get(alias) {
-                if let Some(ts) = db.schema(real) {
-                    if let Some(col) = ts.column(&cref.name) {
-                        if let Some(spec) = &col.datalink {
-                            dl_specs.insert(i, spec.clone());
-                        }
-                    }
-                }
-            }
-        }
-    }
-    let mut out_rows = Vec::with_capacity(rows.len());
-    // ORDER BY keys are evaluated against the underlying rows; nothing
-    // else reads them.
-    let ordered = !sel.order_by.is_empty();
-    let mut sort_ctx = Vec::with_capacity(if ordered { rows.len() } else { 0 });
-    for row in rows {
-        let ctx = row_ctx(db, schema, row, params);
-        let mut out = Vec::with_capacity(outs.len());
-        for o in &outs {
-            match o {
-                Out::Slot(i) => {
-                    let v = row[*i].clone();
-                    let v = match (&v, dl_specs.get(i)) {
-                        (Value::Datalink(url), Some(spec)) => {
-                            Value::Datalink(db.render_datalink(spec, url))
-                        }
-                        _ => v,
-                    };
-                    out.push(v);
-                }
-                Out::Expr(e) => out.push(ctx.eval(e)?),
-            }
-        }
-        out_rows.push(out);
-        if ordered {
-            sort_ctx.push(SortCtx {
-                row: row.clone(),
-                aggs: HashMap::new(),
-            });
-        }
-    }
-    Ok((columns, out_rows, sort_ctx))
+    Ok((columns, outs))
 }
 
-// ---- aggregation ----
+/// An aggregate SELECT: group keys and aggregate arguments evaluate on
+/// each row as it passes, and each group keeps one representative row
+/// (its first) and its states; the rest runs once per group, in
+/// [`Finish`].
+struct Grouping {
+    keys: Vec<Bound>,
+    /// Each aggregate call: its function and argument (`None` for `*`).
+    calls: Vec<(String, Option<Bound>)>,
+    finish: Finish,
+    groups: Vec<(Vec<Value>, Vec<AggState>)>,
+    /// Group key → position in `groups`.
+    index: HashMap<Vec<u8>, usize>,
+    key: Vec<u8>,
+}
 
-/// Collect aggregate call sites from an expression, deduplicated by
-/// [`agg_key`], in first-appearance order. Does not recurse into
-/// aggregate arguments (nested aggregates are invalid SQL).
+impl Grouping {
+    fn bind(
+        db: &Database,
+        sel: &SelectStmt,
+        schema: &RowSchema,
+        aggs: &[Expr],
+        finish: Finish,
+    ) -> Self {
+        let calls = aggs
+            .iter()
+            .map(|agg| {
+                let Expr::Function { name, args, star } = agg else {
+                    unreachable!("collect_aggs only collects functions");
+                };
+                let arg = match args.first() {
+                    _ if *star => None,
+                    Some(arg) => Some(bind(db, schema, arg)),
+                    None => Some(Bound::Raise(DbError::Eval(format!(
+                        "{name} expects 1 argument(s), got 0"
+                    )))),
+                };
+                (name.clone(), arg)
+            })
+            .collect();
+        Grouping {
+            keys: sel.group_by.iter().map(|g| bind(db, schema, g)).collect(),
+            calls,
+            finish,
+            groups: Vec::new(),
+            index: HashMap::new(),
+            key: Vec::new(),
+        }
+    }
+
+    fn reads(&self, read: &mut [bool]) {
+        let args = self.calls.iter().filter_map(|(_, arg)| arg.as_ref());
+        for e in self.keys.iter().chain(args) {
+            e.reads(read);
+        }
+        self.finish.reads(read);
+    }
+
+    /// Fold one row into its group: the key first, then each call's
+    /// argument in turn — which is also the order their errors raise in.
+    fn fold(&mut self, ctx: &EvalContext) -> Result<()> {
+        self.key.clear();
+        for k in &self.keys {
+            encode_key_cell(&*ctx.eval_cow(k)?, &mut self.key);
+        }
+        // Without GROUP BY every row belongs to the one group.
+        let found = if self.keys.is_empty() {
+            (!self.groups.is_empty()).then_some(0)
+        } else {
+            self.index.get(&self.key[..]).copied()
+        };
+        let gi = match found {
+            Some(gi) => gi,
+            None => {
+                self.index.insert(self.key.clone(), self.groups.len());
+                let states = self.calls.iter().map(|_| AggState::default()).collect();
+                self.groups.push((ctx.row.to_vec(), states));
+                self.groups.len() - 1
+            }
+        };
+        for ((name, arg), st) in self.calls.iter().zip(&mut self.groups[gi].1) {
+            match arg {
+                None => st.fold(name, None)?,
+                Some(arg) => st.fold(name, Some(&*ctx.eval_cow(arg)?))?,
+            }
+        }
+        Ok(())
+    }
+
+    fn finish(
+        mut self,
+        output: Output,
+        db: &Database,
+        schema: &RowSchema,
+        params: &[Value],
+    ) -> Result<ResultSet> {
+        // A global aggregate over zero rows still yields one group.
+        if self.groups.is_empty() && self.keys.is_empty() {
+            let states = self.calls.iter().map(|_| AggState::default()).collect();
+            self.groups
+                .push((vec![Value::Null; schema.columns.len()], states));
+        }
+        let calls = &self.calls;
+        let groups = self
+            .groups
+            .into_iter()
+            .map(|(rep, states)| {
+                let aggs = calls
+                    .iter()
+                    .zip(&states)
+                    .map(|((name, arg), st)| st.finish(name, arg.is_none()))
+                    .collect();
+                (rep, aggs)
+            })
+            .collect();
+        self.finish.run(output, db, schema, groups, params)
+    }
+}
+
+/// The aggregate calls of `sel`, deduplicated, in the order
+/// [`collect_aggs`] meets them in the select list, HAVING and ORDER BY.
+fn aggregates(sel: &SelectStmt) -> Vec<Expr> {
+    let mut aggs = Vec::new();
+    for item in &sel.items {
+        if let SelectItem::Expr { expr, .. } = item {
+            collect_aggs(expr, &mut aggs);
+        }
+    }
+    if let Some(h) = &sel.having {
+        collect_aggs(h, &mut aggs);
+    }
+    for ob in &sel.order_by {
+        collect_aggs(&ob.expr, &mut aggs);
+    }
+    aggs
+}
+
+/// An aggregate SELECT's per-group part — HAVING and the select list,
+/// whose rows go to an [`Output`] — bound against the groups'
+/// representative rows and the finished values of its aggregate calls.
+struct Finish {
+    having: Option<Bound>,
+    /// The select list; a wildcard is an error once the rows are grouped.
+    items: Result<Vec<Bound>>,
+}
+
+impl Finish {
+    /// Bind it and the output its rows go to.
+    fn bind(db: &Database, sel: &SelectStmt, schema: &RowSchema, aggs: &[Expr]) -> (Self, Output) {
+        let bind = |e: &Expr| schema.bind(e, db.functions(), aggs);
+        let mut columns = Vec::new();
+        let items = sel
+            .items
+            .iter()
+            .map(|item| match item {
+                SelectItem::Expr { expr, alias } => {
+                    columns.push(alias.clone().unwrap_or_else(|| derive_name(expr)));
+                    Ok(bind(expr))
+                }
+                _ => Err(DbError::Eval(
+                    "wildcard not allowed with GROUP BY / aggregates".into(),
+                )),
+            })
+            .collect();
+        let having = sel.having.as_ref().map(bind);
+        (Finish { having, items }, Output::bind(sel, columns, bind))
+    }
+
+    fn reads(&self, read: &mut [bool]) {
+        let items = self.items.iter().flatten();
+        for e in self.having.iter().chain(items) {
+            e.reads(read);
+        }
+    }
+
+    fn run(
+        self,
+        mut output: Output,
+        db: &Database,
+        schema: &RowSchema,
+        groups: Vec<(Vec<Value>, Vec<Value>)>,
+        params: &[Value],
+    ) -> Result<ResultSet> {
+        let items = self.items?;
+        let mut kept = 0;
+        for (rep, aggs) in groups {
+            // One evaluator for HAVING and the select list: an aggregate
+            // call anywhere inside them reads the group's finished value.
+            let ctx = EvalContext {
+                aggs: Some(&aggs),
+                ..row_ctx(db, schema, &rep, params)
+            };
+            if let Some(h) = &self.having {
+                if !holds(&ctx, h)? {
+                    continue;
+                }
+            }
+            let row = items
+                .iter()
+                .map(|e| ctx.eval_cow(e).map(Cow::into_owned))
+                .collect::<Result<_>>()?;
+            kept += 1;
+            output.offer(row, &ctx);
+        }
+        if let Some(m) = db.metrics() {
+            m.stage_aggregate.observe(kept as f64);
+        }
+        output.finish(db)
+    }
+}
+
+/// Finish an aggregate SELECT from its groups — each a representative
+/// row (scalar parts of the statement evaluate against it under
+/// `schema`) and the finished values of the statement's aggregate calls
+/// in [`collect_aggs`] order over the select list, HAVING and ORDER BY:
+/// HAVING, the select list, then DISTINCT / ORDER BY / LIMIT. Shared by
+/// the local pipeline and the federation's partial-aggregate merge, so
+/// both apply the same alias-first ORDER BY rule.
+pub fn finish_groups(
+    db: &Database,
+    sel: &SelectStmt,
+    schema: &RowSchema,
+    groups: Vec<(Vec<Value>, Vec<Value>)>,
+    params: &[Value],
+) -> Result<ResultSet> {
+    let (finish, output) = Finish::bind(db, sel, schema, &aggregates(sel));
+    finish.run(output, db, schema, groups, params)
+}
+
+/// DISTINCT, ORDER BY and LIMIT over output rows as they arrive.
+/// Without ORDER BY only the first LIMIT rows are kept. With it, each
+/// row's keys are taken on arrival — the output column for a bare name
+/// that is an output alias, else the expression over the row (and
+/// group) it came from — and under a LIMIT of n the rows are cut back to
+/// the n least by (keys, arrival) whenever 2n have gathered: what a
+/// stable sort and a truncate would leave. A key's error is held, since
+/// a select item raising on a later row wins over it.
+struct Output {
+    columns: Vec<String>,
+    distinct: Option<HashSet<Vec<u8>>>,
+    order: Vec<(Key, bool)>,
+    limit: usize,
+    /// `(sort keys, row)`: sorted up to the last cut, then by arrival.
+    rows: Vec<(Vec<Value>, Vec<Value>)>,
+    /// Rows that entered ORDER BY.
+    sorted: usize,
+    late: Option<DbError>,
+    key: Vec<u8>,
+}
+
+/// An ORDER BY key: an output column, or an expression.
+enum Key {
+    Column(usize),
+    Expr(Bound),
+}
+
+impl Output {
+    fn bind(sel: &SelectStmt, columns: Vec<String>, bind: impl Fn(&Expr) -> Bound) -> Self {
+        let order = sel
+            .order_by
+            .iter()
+            .map(|ob| {
+                // A bare column matching an output alias sorts by the
+                // output column.
+                let column = match &ob.expr {
+                    Expr::Column { table: None, name } => {
+                        columns.iter().position(|c| c.eq_ignore_ascii_case(name))
+                    }
+                    _ => None,
+                };
+                let key = column.map_or_else(|| Key::Expr(bind(&ob.expr)), Key::Column);
+                (key, ob.asc)
+            })
+            .collect();
+        Output {
+            columns,
+            distinct: sel.distinct.then(HashSet::new),
+            order,
+            limit: sel.limit.unwrap_or(usize::MAX),
+            rows: Vec::new(),
+            sorted: 0,
+            late: None,
+            key: Vec::new(),
+        }
+    }
+
+    fn reads(&self, read: &mut [bool]) {
+        for (key, _) in &self.order {
+            if let Key::Expr(e) = key {
+                e.reads(read);
+            }
+        }
+    }
+
+    /// Offer one output row; `ctx` is the row (and group) it came from.
+    fn offer(&mut self, row: Vec<Value>, ctx: &EvalContext) {
+        if let Some(seen) = &mut self.distinct {
+            self.key.clear();
+            for v in &row {
+                encode_key_cell(v, &mut self.key);
+            }
+            if seen.contains(&self.key[..]) {
+                return;
+            }
+            seen.insert(self.key.clone());
+        }
+        if self.order.is_empty() {
+            if self.rows.len() < self.limit {
+                self.rows.push((Vec::new(), row));
+            }
+            return;
+        }
+        if self.late.is_some() {
+            return;
+        }
+        self.sorted += 1;
+        let keys = self
+            .order
+            .iter()
+            .map(|(key, _)| match key {
+                Key::Column(i) => Ok(row[*i].clone()),
+                Key::Expr(e) => ctx.eval_cow(e).map(Cow::into_owned),
+            })
+            .collect();
+        match keys {
+            Ok(keys) => {
+                self.rows.push((keys, row));
+                if self.rows.len() > self.limit.saturating_mul(2) {
+                    self.cut();
+                }
+            }
+            Err(e) => self.late = Some(e),
+        }
+    }
+
+    /// Sort the rows by their keys, stably, and keep the first LIMIT.
+    fn cut(&mut self) {
+        let order = &self.order;
+        self.rows.sort_by(|(a, _), (b, _)| {
+            let keys = order.iter().zip(a.iter().zip(b));
+            keys.map(|((_, asc), (x, y))| {
+                let ord = x.total_cmp(y);
+                if *asc {
+                    ord
+                } else {
+                    ord.reverse()
+                }
+            })
+            .find(|ord| ord.is_ne())
+            .unwrap_or(Ordering::Equal)
+        });
+        self.rows.truncate(self.limit);
+    }
+
+    fn finish(mut self, db: &Database) -> Result<ResultSet> {
+        if let Some(e) = self.late {
+            return Err(e);
+        }
+        if !self.order.is_empty() {
+            self.cut();
+            if let Some(m) = db.metrics() {
+                m.stage_sort.observe(self.sorted as f64);
+            }
+        }
+        if let Some(m) = db.metrics() {
+            m.rows_returned.add(self.rows.len() as f64);
+        }
+        Ok(ResultSet {
+            columns: self.columns,
+            rows: self.rows.into_iter().map(|(_, row)| row).collect(),
+            affected: 0,
+        })
+    }
+}
+
+/// Collect aggregate call sites from an expression, deduplicated, in
+/// first-appearance order. Does not recurse into aggregate arguments
+/// (nested aggregates are invalid SQL).
 pub fn collect_aggs(e: &Expr, out: &mut Vec<Expr>) {
     if let Expr::Function { name, .. } = e {
         if is_aggregate_fn(name) {
-            if !out.iter().any(|x| agg_key(x) == agg_key(e)) {
+            if !out.contains(e) {
                 out.push(e.clone());
             }
             return; // nested aggregates are invalid; don't recurse
@@ -903,145 +1403,6 @@ impl AggState {
     }
 }
 
-fn aggregate_pipeline(
-    db: &Database,
-    sel: &SelectStmt,
-    schema: &RowSchema,
-    rows: &[Vec<Value>],
-    params: &[Value],
-) -> Result<ResultSet> {
-    // Discover aggregate call sites.
-    let mut agg_exprs: Vec<Expr> = Vec::new();
-    for item in &sel.items {
-        if let SelectItem::Expr { expr, .. } = item {
-            collect_aggs(expr, &mut agg_exprs);
-        }
-    }
-    if let Some(h) = &sel.having {
-        collect_aggs(h, &mut agg_exprs);
-    }
-    for ob in &sel.order_by {
-        collect_aggs(&ob.expr, &mut agg_exprs);
-    }
-
-    // Group rows.
-    struct Group {
-        rep: Vec<Value>,
-        states: Vec<AggState>,
-    }
-    let mut groups: Vec<Group> = Vec::new();
-    let mut group_index: HashMap<Vec<u8>, usize> = HashMap::new();
-    for row in rows {
-        let ctx = row_ctx(db, schema, row, params);
-        let key_vals: Vec<Value> = sel
-            .group_by
-            .iter()
-            .map(|e| ctx.eval(e))
-            .collect::<Result<_>>()?;
-        let mut key = Vec::new();
-        for v in &key_vals {
-            encode_key_cell(v, &mut key);
-        }
-        let gi = *group_index.entry(key).or_insert_with(|| {
-            groups.push(Group {
-                rep: row.clone(),
-                states: (0..agg_exprs.len()).map(|_| AggState::default()).collect(),
-            });
-            groups.len() - 1
-        });
-        for (agg, st) in agg_exprs.iter().zip(&mut groups[gi].states) {
-            let Expr::Function { name, args, star } = agg else {
-                unreachable!("collect_aggs only collects functions");
-            };
-            if *star {
-                st.fold(name, None)?;
-            } else {
-                st.fold(name, Some(&ctx.eval(&args[0])?))?;
-            }
-        }
-    }
-    // A global aggregate over zero rows still yields one group.
-    if groups.is_empty() && sel.group_by.is_empty() {
-        groups.push(Group {
-            rep: vec![Value::Null; schema.columns.len()],
-            states: (0..agg_exprs.len()).map(|_| AggState::default()).collect(),
-        });
-    }
-
-    let groups = groups
-        .into_iter()
-        .map(|g| {
-            let aggs = agg_exprs
-                .iter()
-                .zip(&g.states)
-                .map(|(agg, st)| {
-                    let Expr::Function { name, star, .. } = agg else {
-                        unreachable!("collect_aggs only collects functions");
-                    };
-                    (agg_key(agg), st.finish(name, *star))
-                })
-                .collect();
-            (g.rep, aggs)
-        })
-        .collect();
-    finish_groups(db, sel, schema, groups, params)
-}
-
-/// Finish an aggregate SELECT from its groups — each a representative
-/// row (scalar parts of the statement evaluate against it under
-/// `schema`) plus the finished aggregate values keyed by [`agg_key`]:
-/// HAVING, the select list, then DISTINCT / ORDER BY / LIMIT. Shared by
-/// the local pipeline and the federation's partial-aggregate merge, so
-/// both apply the same alias-first ORDER BY rule.
-pub fn finish_groups(
-    db: &Database,
-    sel: &SelectStmt,
-    schema: &RowSchema,
-    groups: Vec<(Vec<Value>, HashMap<String, Value>)>,
-    params: &[Value],
-) -> Result<ResultSet> {
-    let mut columns = Vec::new();
-    for item in &sel.items {
-        match item {
-            SelectItem::Expr { expr, alias } => {
-                columns.push(alias.clone().unwrap_or_else(|| derive_name(expr)));
-            }
-            _ => {
-                return Err(DbError::Eval(
-                    "wildcard not allowed with GROUP BY / aggregates".into(),
-                ))
-            }
-        }
-    }
-    let mut out_rows = Vec::new();
-    let mut sort_ctx = Vec::new();
-    for (rep, aggs) in groups {
-        // One evaluator for HAVING and the select list: an aggregate
-        // call anywhere inside them reads the group's finished value.
-        let ctx = EvalContext {
-            aggs: Some(&aggs),
-            ..row_ctx(db, schema, &rep, params)
-        };
-        if let Some(h) = &sel.having {
-            if truth(&ctx.eval(h)?) != Some(true) {
-                continue;
-            }
-        }
-        let mut out = Vec::with_capacity(sel.items.len());
-        for item in &sel.items {
-            if let SelectItem::Expr { expr, .. } = item {
-                out.push(ctx.eval(expr)?);
-            }
-        }
-        out_rows.push(out);
-        sort_ctx.push(SortCtx { row: rep, aggs });
-    }
-    if let Some(m) = db.metrics() {
-        m.stage_aggregate.observe(out_rows.len() as f64);
-    }
-    finish_select(db, sel, schema, (columns, out_rows, sort_ctx), params)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1094,9 +1455,20 @@ mod tests {
         let db = Database::new_in_memory();
         let view = db.read_view();
         let read = |path: AccessPath| {
-            let mut seen = 0;
-            let rows = fetch(&db, &view, &t, path, &mut seen, |_| Ok(true), |_, row| row);
-            (rows, seen)
+            let mut rows = Vec::new();
+            let (seen, read) = fetch(
+                &db,
+                &view,
+                &t,
+                path,
+                WHOLE,
+                |_| Ok(true),
+                |_, row| {
+                    rows.push(row.clone());
+                    Ok(())
+                },
+            );
+            (read.map(|()| rows), seen)
         };
         let probe = |k: i64| AccessPath::IndexRange {
             index_name: "IX_K".into(),

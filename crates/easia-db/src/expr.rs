@@ -1,7 +1,11 @@
 //! Expression evaluation with SQL three-valued logic.
+//!
+//! An [`Expr`] is bound once per statement against the shape of the rows
+//! it will meet ([`RowSchema::bind`]) and the [`Bound`] form is what the
+//! one evaluator ([`EvalContext::eval_cow`]) runs, row after row.
 
 use crate::error::{DbError, Result};
-use crate::sql::ast::{is_aggregate_fn, BinaryOp, Expr, UnaryOp};
+use crate::sql::ast::{BinaryOp, Expr, UnaryOp};
 use crate::value::Value;
 use std::borrow::Cow;
 use std::cmp::Ordering;
@@ -89,6 +93,115 @@ impl RowSchema {
                 Some(t) => format!("unknown column {}.{}", upper(t), upper(name)),
                 None => format!("unknown column {}", upper(name)),
             })),
+        }
+    }
+
+    /// Bind `e` against this row shape. `aggs` lists the aggregate calls
+    /// a group answers, by position (empty outside a group); `functions`
+    /// supplies the scalar functions.
+    pub fn bind(&self, e: &Expr, functions: &FnRegistry, aggs: &[Expr]) -> Bound {
+        let bind = |e: &Expr| Box::new(self.bind(e, functions, aggs));
+        match e {
+            Expr::Literal(v) => Bound::Value(v.clone()),
+            Expr::Param(n) => Bound::Param(*n),
+            Expr::Column { table, name } => match self.resolve(table.as_deref(), name) {
+                Ok(slot) => Bound::Slot(slot),
+                Err(e) => Bound::Raise(e),
+            },
+            Expr::Unary(op, inner) => Bound::Unary(*op, bind(inner)),
+            Expr::Binary(l, op, r) => Bound::Binary(bind(l), *op, bind(r)),
+            Expr::IsNull { expr, negated } => Bound::IsNull(bind(expr), *negated),
+            Expr::Like {
+                expr,
+                pattern,
+                negated,
+            } => Bound::Like(bind(expr), bind(pattern), *negated),
+            Expr::InList {
+                expr,
+                list,
+                negated,
+            } => Bound::InList(
+                bind(expr),
+                list.iter().map(|e| self.bind(e, functions, aggs)).collect(),
+                *negated,
+            ),
+            Expr::Between {
+                expr,
+                lo,
+                hi,
+                negated,
+            } => Bound::Between(bind(expr), bind(lo), bind(hi), *negated),
+            Expr::Function { name, args, star } => {
+                // Inside a group an aggregate call is already a value —
+                // wherever in a composite expression it stands.
+                if let Some(i) = aggs.iter().position(|a| a == e) {
+                    return Bound::Agg(i);
+                }
+                let raise = |what: String| Bound::Raise(DbError::Eval(what));
+                match functions.get(name) {
+                    _ if *star => raise(format!("{name}(*) is only valid as an aggregate")),
+                    None => raise(format!("unknown function {name}")),
+                    Some(f) => Bound::Call(
+                        f.clone(),
+                        args.iter().map(|a| self.bind(a, functions, aggs)).collect(),
+                    ),
+                }
+            }
+        }
+    }
+}
+
+/// An expression bound against the [`RowSchema`] of the rows it will
+/// meet: a column is its slot, an aggregate call answered by a group is
+/// the index of the group's finished value, a scalar function is the
+/// registered function itself. What cannot be bound — an unknown or
+/// ambiguous column, an unknown function, `f(*)` outside a group — is
+/// the error it raises *when evaluated*, so a statement raises it on the
+/// first row that reaches it and on no other, as when names were
+/// resolved row by row.
+#[derive(Clone)]
+pub enum Bound {
+    /// A literal.
+    Value(Value),
+    /// Positional parameter `?n` (1-based).
+    Param(usize),
+    /// A cell of the row.
+    Slot(usize),
+    /// The group's finished value of its `n`th aggregate call.
+    Agg(usize),
+    /// A reference that did not bind.
+    Raise(DbError),
+    /// Unary operator.
+    Unary(UnaryOp, Box<Bound>),
+    /// Binary operator.
+    Binary(Box<Bound>, BinaryOp, Box<Bound>),
+    /// `expr IS [NOT] NULL` (`true` for NOT).
+    IsNull(Box<Bound>, bool),
+    /// `expr [NOT] LIKE pattern`.
+    Like(Box<Bound>, Box<Bound>, bool),
+    /// `expr [NOT] IN (list)`.
+    InList(Box<Bound>, Vec<Bound>, bool),
+    /// `expr [NOT] BETWEEN lo AND hi`.
+    Between(Box<Bound>, Box<Bound>, Box<Bound>, bool),
+    /// A scalar function call.
+    Call(ScalarFn, Vec<Bound>),
+}
+
+impl Bound {
+    /// Mark in `read` every slot evaluating this may read.
+    pub fn reads(&self, read: &mut [bool]) {
+        let mut all = |bs: &[&Bound]| bs.iter().for_each(|b| b.reads(read));
+        match self {
+            Bound::Slot(i) => read[*i] = true,
+            Bound::Value(_) | Bound::Param(_) | Bound::Agg(_) | Bound::Raise(_) => {}
+            Bound::Unary(_, e) | Bound::IsNull(e, _) => all(&[e]),
+            Bound::Binary(a, _, b) | Bound::Like(a, b, _) => all(&[a, b]),
+            Bound::Between(a, b, c, _) => all(&[a, b, c]),
+            Bound::InList(e, list, _) => {
+                e.reads(read);
+                list.iter().for_each(|b| b.reads(read));
+            }
+            Bound::Call(_, args) => args.iter().for_each(|b| b.reads(read)),
         }
     }
 }
@@ -229,42 +342,39 @@ pub struct EvalContext<'a> {
     pub params: &'a [Value],
     /// Scalar functions.
     pub functions: &'a FnRegistry,
-    /// The finished aggregate values of the group `row` represents,
-    /// keyed by [`agg_key`]; `None` outside an aggregate's groups.
-    pub aggs: Option<&'a HashMap<String, Value>>,
-}
-
-/// Canonical identity key for an aggregate call site, used to dedup
-/// repeated occurrences of the same call (e.g. `AVG(X)` in the item
-/// list and again in HAVING). Exposed so the federation layer can key
-/// its partial-merge states the same way the local executor does.
-pub fn agg_key(e: &Expr) -> String {
-    format!("{e:?}")
+    /// The finished aggregate values of the group `row` represents, in
+    /// the order of the aggregate calls the expressions were bound with;
+    /// `None` outside an aggregate's groups.
+    pub aggs: Option<&'a [Value]>,
 }
 
 impl EvalContext<'_> {
-    /// Evaluate `expr` to a value of its own.
+    /// Evaluate `expr` to a value of its own: bind it against this
+    /// context's schema, then run it.
     pub fn eval(&self, expr: &Expr) -> Result<Value> {
-        self.eval_cow(expr).map(Cow::into_owned)
+        let bound = self.schema.bind(expr, self.functions, &[]);
+        self.eval_cow(&bound).map(Cow::into_owned)
     }
 
     /// Evaluate `expr`, lending what already exists — a literal, a
-    /// parameter, a cell of the row — instead of copying it: a predicate
-    /// that compares or matches them allocates nothing.
-    pub fn eval_cow<'v>(&'v self, expr: &'v Expr) -> Result<Cow<'v, Value>> {
+    /// parameter, a cell of the row, a group's aggregate — instead of
+    /// copying it: a predicate that compares or matches them allocates
+    /// nothing. The one evaluator body.
+    pub fn eval_cow<'v>(&'v self, expr: &'v Bound) -> Result<Cow<'v, Value>> {
         let owned = |v: Value| Ok(Cow::Owned(v));
         match expr {
-            Expr::Literal(v) => Ok(Cow::Borrowed(v)),
-            Expr::Param(n) => self
+            Bound::Value(v) => Ok(Cow::Borrowed(v)),
+            Bound::Param(n) => self
                 .params
                 .get(*n - 1)
                 .map(Cow::Borrowed)
                 .ok_or_else(|| DbError::Eval(format!("missing parameter ?{n}"))),
-            Expr::Column { table, name } => {
-                let idx = self.schema.resolve(table.as_deref(), name)?;
-                Ok(Cow::Borrowed(&self.row[idx]))
-            }
-            Expr::Unary(op, e) => {
+            Bound::Slot(i) => Ok(Cow::Borrowed(&self.row[*i])),
+            Bound::Agg(i) => Ok(Cow::Borrowed(
+                &self.aggs.expect("aggregate calls are bound inside a group")[*i],
+            )),
+            Bound::Raise(e) => Err(e.clone()),
+            Bound::Unary(op, e) => {
                 let v = self.eval_cow(e)?;
                 match op {
                     UnaryOp::Neg => match &*v {
@@ -282,16 +392,12 @@ impl EvalContext<'_> {
                     }),
                 }
             }
-            Expr::Binary(l, op, r) => self.eval_binary(l, *op, r).map(Cow::Owned),
-            Expr::IsNull { expr, negated } => {
+            Bound::Binary(l, op, r) => self.eval_binary(l, *op, r).map(Cow::Owned),
+            Bound::IsNull(expr, negated) => {
                 let v = self.eval_cow(expr)?;
                 owned(Value::Bool(v.is_null() != *negated))
             }
-            Expr::Like {
-                expr,
-                pattern,
-                negated,
-            } => {
+            Bound::Like(expr, pattern, negated) => {
                 let v = self.eval_cow(expr)?;
                 let p = self.eval_cow(pattern)?;
                 if v.is_null() || p.is_null() {
@@ -305,11 +411,7 @@ impl EvalContext<'_> {
                     .ok_or_else(|| DbError::Eval("LIKE pattern must be a string".into()))?;
                 owned(Value::Bool(like_match(s, pat) != *negated))
             }
-            Expr::InList {
-                expr,
-                list,
-                negated,
-            } => {
+            Bound::InList(expr, list, negated) => {
                 let v = self.eval_cow(expr)?;
                 if v.is_null() {
                     return owned(Value::Null);
@@ -332,12 +434,7 @@ impl EvalContext<'_> {
                     owned(Value::Bool(*negated))
                 }
             }
-            Expr::Between {
-                expr,
-                lo,
-                hi,
-                negated,
-            } => {
+            Bound::Between(expr, lo, hi, negated) => {
                 let v = self.eval_cow(expr)?;
                 let lo = self.eval_cow(lo)?;
                 let hi = self.eval_cow(hi)?;
@@ -351,30 +448,17 @@ impl EvalContext<'_> {
                 };
                 owned(Value::Bool((ge && le) != *negated))
             }
-            Expr::Function { name, args, star } => {
-                // Inside a group an aggregate call is already a value —
-                // wherever in a composite expression it stands.
-                if let Some(aggs) = self.aggs.filter(|_| is_aggregate_fn(name)) {
-                    if let Some(v) = aggs.get(&agg_key(expr)) {
-                        return Ok(Cow::Borrowed(v));
-                    }
-                }
-                if *star {
-                    return Err(DbError::Eval(format!(
-                        "{name}(*) is only valid as an aggregate"
-                    )));
-                }
-                let f = self
-                    .functions
-                    .get(name)
-                    .ok_or_else(|| DbError::Eval(format!("unknown function {name}")))?;
-                let vals: Vec<Value> = args.iter().map(|a| self.eval(a)).collect::<Result<_>>()?;
+            Bound::Call(f, args) => {
+                let vals: Vec<Value> = args
+                    .iter()
+                    .map(|a| self.eval_cow(a).map(Cow::into_owned))
+                    .collect::<Result<_>>()?;
                 f(&vals).map(Cow::Owned)
             }
         }
     }
 
-    fn eval_binary(&self, l: &Expr, op: BinaryOp, r: &Expr) -> Result<Value> {
+    fn eval_binary(&self, l: &Bound, op: BinaryOp, r: &Bound) -> Result<Value> {
         // Logical operators get SQL 3VL short-circuit treatment.
         if op == BinaryOp::And {
             let lv = truth(&*self.eval_cow(l)?);

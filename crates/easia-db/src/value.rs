@@ -358,14 +358,32 @@ pub fn decode_row(buf: &[u8], pos: &mut usize) -> Result<Vec<Value>> {
 /// after record of one table into one row allocates only when a cell
 /// outgrows what it held before. On error `row` is left empty.
 pub fn decode_row_into(buf: &[u8], pos: &mut usize, row: &mut Vec<Value>) -> Result<()> {
-    let decoded = decode_cells(buf, pos, row);
+    decode_some_into(buf, pos, row, &[])
+}
+
+/// [`decode_row_into`] for a reader of some cells only: a cell whose
+/// `read` entry is `false` has its tag and length checked and its bytes
+/// stepped over — not decoded, not validated as UTF-8 — and is left
+/// NULL; a cell past the end of `read` is decoded. So a damaged tag or
+/// length anywhere in the record is still the typed error it always
+/// was, while the text of a skipped cell is taken on trust: a record
+/// enters a heap only as `encode_row` of typed values or through a
+/// snapshot load that decodes every cell of it (DESIGN.md, "skipped
+/// cells").
+pub fn decode_some_into(
+    buf: &[u8],
+    pos: &mut usize,
+    row: &mut Vec<Value>,
+    read: &[bool],
+) -> Result<()> {
+    let decoded = decode_cells(buf, pos, row, read);
     if decoded.is_err() {
         row.clear();
     }
     decoded
 }
 
-fn decode_cells(buf: &[u8], pos: &mut usize, row: &mut Vec<Value>) -> Result<()> {
+fn decode_cells(buf: &[u8], pos: &mut usize, row: &mut Vec<Value>, read: &[bool]) -> Result<()> {
     let n = read_u32(buf, pos)? as usize;
     // Every cell takes at least its tag byte: a count the input cannot
     // hold is refused before anything is reserved for it.
@@ -383,6 +401,16 @@ fn decode_cells(buf: &[u8], pos: &mut usize, row: &mut Vec<Value>) -> Result<()>
             row.push(Value::Null);
         }
         let cell = &mut row[i];
+        if read.get(i) == Some(&false) {
+            match tag {
+                0 | 4 | 5 => {}
+                1 | 2 | 6 => drop(read_8(buf, pos)?),
+                3 | 7..=9 => drop(read_bytes(buf, pos)?),
+                t => return Err(DbError::Storage(format!("row decode: bad tag {t}"))),
+            }
+            *cell = Value::Null;
+            continue;
+        }
         match (tag, &mut *cell) {
             (3, Value::Str(s)) | (8, Value::Clob(s)) | (9, Value::Datalink(s)) => {
                 s.clear();

@@ -158,7 +158,7 @@ pub(crate) fn merge_partial_agg(
             Value::Int(n) => *n,
             _ => 0,
         };
-        for (st, (_, fin)) in groups[gi].1.iter_mut().zip(&agg.finishers) {
+        for (st, fin) in groups[gi].1.iter_mut().zip(&agg.finishers) {
             // (the partial to fold, how many non-NULL inputs it stands for)
             let (v, n) = match fin {
                 Finisher::Count { idx } => (&partials[*idx], count(*idx)),
@@ -195,7 +195,7 @@ pub(crate) fn merge_partial_agg(
                 .finishers
                 .iter()
                 .zip(&states)
-                .map(|((key, fin), st)| (key.clone(), st.finish(function(fin), false)))
+                .map(|(fin, st)| st.finish(function(fin), false))
                 .collect();
             (key_vals, aggs)
         })

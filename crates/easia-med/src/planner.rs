@@ -29,7 +29,7 @@ use crate::catalog::{FedCatalog, ForeignTable};
 use crate::wire::{AggCall, PartialAggSpec};
 use crate::FedError;
 use easia_db::exec::{collect_aggs, derive_name};
-use easia_db::expr::{agg_key, RowSchema};
+use easia_db::expr::RowSchema;
 use easia_db::sql::ast::{
     is_aggregate_fn, BinaryOp, Expr, JoinKind, OrderBy, SelectItem, SelectStmt, TableRef,
 };
@@ -80,10 +80,10 @@ pub struct AggPlan {
     pub group_cols: Vec<String>,
     /// Deduplicated partial calls each site computes locally.
     pub calls: Vec<AggCall>,
-    /// Per original aggregate call site — `(exec::agg_key of the
-    /// original expression, finisher)` — in discovery order (items,
-    /// HAVING, ORDER BY), matching the local executor's.
-    pub finishers: Vec<(String, Finisher)>,
+    /// One finisher per original aggregate call site, in discovery
+    /// order (items, HAVING, ORDER BY) — the order
+    /// `exec::finish_groups` expects the finished values in.
+    pub finishers: Vec<Finisher>,
 }
 
 impl AggPlan {
@@ -691,7 +691,7 @@ fn plan_partial_agg(
                 _ => return Err("expr-arg"),
             }
         };
-        finishers.push((agg_key(agg), finisher));
+        finishers.push(finisher);
     }
 
     // Outside the aggregates, only grouped columns may appear — any
