@@ -5,7 +5,7 @@
 use crate::crc::crc32;
 use crate::error::{DbError, Result};
 use crate::exec;
-use crate::expr::{FnRegistry, RowSchema};
+use crate::expr::{Bound, FnRegistry, RowSchema};
 use crate::index::btree::has_prefix;
 use crate::index::BPlusTree;
 use crate::mvcc::{Csn, MvccState, ReadView, SnapshotId, TxnId, VacuumStats, LATEST_CSN};
@@ -1154,19 +1154,18 @@ impl Database {
                 })
                 .collect::<Result<_>>()?
         };
-        // Bound once for the statement; each value evaluates against no row.
+        // Bound once for the statement; each value evaluates against no
+        // row, and a literal moves into its row instead of being copied.
         let none = RowSchema::default();
-        let rows: Vec<Vec<_>> = rows
+        let bind = |e| none.bind(e, &self.functions, &[]);
+        let mut values = rows
             .iter()
-            .map(|exprs| {
-                exprs
-                    .iter()
-                    .map(|e| none.bind(e, &self.functions, &[]))
-                    .collect()
-            })
-            .collect();
+            .flatten()
+            .map(bind)
+            .collect::<Vec<_>>()
+            .into_iter();
         let mut inserted = 0usize;
-        for exprs in &rows {
+        for exprs in rows {
             if exprs.len() != positions.len() {
                 return Err(DbError::Type(format!(
                     "INSERT has {} values for {} columns",
@@ -1175,8 +1174,11 @@ impl Database {
                 )));
             }
             let mut row = vec![Value::Null; schema.columns.len()];
-            for (expr, &pos) in exprs.iter().zip(&positions) {
-                row[pos] = exec::eval_bound(self, expr, &[], params)?;
+            for (expr, &pos) in values.by_ref().take(exprs.len()).zip(&positions) {
+                row[pos] = match expr {
+                    Bound::Value(v) => v,
+                    expr => exec::eval_bound(self, &expr, &[], params)?,
+                };
             }
             self.insert_row(&tname, row)?;
             inserted += 1;

@@ -406,14 +406,17 @@ pub fn run_select_over(
     // ---- stream ----
     // The cells the scan's own filter reads are decoded for every row it
     // visits, the rest of the statement's only for a row that passes.
-    let sieve: Vec<&Bound> = match &filter {
-        Some(w) if sel.joins.is_empty() => vec![w],
-        _ => own.iter().collect(),
-    };
-    let mut first = read.clone();
-    if !sieve.is_empty() {
-        first.fill(false);
-        sieve.iter().for_each(|e| e.reads(&mut first));
+    let mut sieve = read.clone();
+    match &filter {
+        Some(w) if sel.joins.is_empty() => {
+            sieve.fill(false);
+            w.reads(&mut sieve);
+        }
+        _ if !own.is_empty() => {
+            sieve.fill(false);
+            own.iter().for_each(|c| c.reads(&mut sieve));
+        }
+        _ => {}
     }
     let filtered = |row: &[Value]| match &filter {
         Some(w) => holds(&row_ctx(db, &schema, row, params), w),
@@ -426,7 +429,7 @@ pub fn run_select_over(
     };
     if sel.joins.is_empty() {
         let cells = Cells {
-            sieve: &first,
+            sieve: &sieve,
             all: &read,
         };
         let (candidates, scanned) = base.scan(db, view, path, cells, filtered, |row| {
@@ -444,7 +447,7 @@ pub fn run_select_over(
             Ok(own.iter().all(|c| !matches!(holds(&ctx, c), Ok(false))))
         };
         let cells = Cells {
-            sieve: &first[..base_width],
+            sieve: &sieve[..base_width],
             all: &read[..base_width],
         };
         let mut rows = Vec::new();
@@ -1514,5 +1517,96 @@ mod tests {
         assert_eq!(distinct.len(), 3, "{distinct:?}");
         let zeros = rows(&mut db, "SELECT COUNT(*) FROM t WHERE k < 5 AND x = 0");
         assert_eq!(zeros, [[Value::Int(3)]]);
+    }
+
+    /// A cell no expression reads is stepped over, not decoded: a bad tag
+    /// or length in it is still the record's typed error, on every path,
+    /// while text in it that is not UTF-8 goes unseen — a heap holds only
+    /// records `encode_row` wrote or a snapshot load decoded whole
+    /// (DESIGN.md, "skipped cells"). A cell that is read is still checked:
+    /// the filter's on every row, the rest on a row that passes.
+    #[test]
+    fn skipped_cells_are_checked_for_shape_not_text() {
+        let row = |k: i64| {
+            [
+                Value::Int(k),
+                Value::Str(format!("row-{k}")),
+                Value::Int(-k),
+            ]
+        };
+        let table = |damage: &dyn Fn(&mut [u8])| {
+            let mut heap = HeapTable::new();
+            for k in 0..50 {
+                heap.insert(&row(k));
+            }
+            let mut image = Vec::new();
+            heap.snapshot(&mut image);
+            let mut record = Vec::new();
+            encode_row(&row(7), &mut record);
+            let at = image
+                .windows(record.len())
+                .position(|w| w == record)
+                .expect("row 7 is stored inline");
+            // Past the count and the INTEGER cell: the string's tag, its
+            // length, its text.
+            damage(&mut image[at + 4 + 9..]);
+            let columns = vec![
+                ColumnDef::new("K", SqlType::Integer),
+                ColumnDef::new("S", SqlType::Varchar(16)),
+                ColumnDef::new("N", SqlType::Integer),
+            ];
+            Table {
+                schema: TableSchema::new("T", columns).unwrap(),
+                heap: HeapTable::restore(&image, &mut 0).unwrap(),
+                indexes: Vec::new(),
+            }
+        };
+        let db = Database::new_in_memory();
+        let view = db.read_view();
+        // (rows kept, or the error), with `sieve` decoded for every row,
+        // `all` for the rows whose K `keep` admits.
+        let scan = |t: &Table, sieve: &[bool], all: &[bool], keep: fn(&Value) -> bool| {
+            let mut rows = Vec::new();
+            let cells = Cells { sieve, all };
+            let pass = |row: &[Value]| Ok(keep(&row[0]));
+            let read = fetch(
+                &db,
+                &view,
+                t,
+                AccessPath::FullScan,
+                cells,
+                pass,
+                |_, row| {
+                    rows.push(row.clone());
+                    Ok(())
+                },
+            );
+            assert_eq!(read.0, 50);
+            read.1.map(|()| rows)
+        };
+        let (k_only, k_and_n) = ([true, false, false], [true, false, true]);
+        let everyone = |_: &Value| true;
+        let seven = |k: &Value| *k == Value::Int(7);
+        let not_seven = |k: &Value| *k != Value::Int(7);
+
+        let bad_tag = table(&|cell| cell[0] = 0xEE);
+        let too_long = table(&|cell| cell[1..5].copy_from_slice(&u32::MAX.to_le_bytes()));
+        for (t, raised) in [(&bad_tag, "bad tag 238"), (&too_long, "truncated")] {
+            let damaged = Err(DbError::Storage(format!("row decode: {raised}")));
+            assert_eq!(scan(t, &[], &[], everyone), damaged);
+            assert_eq!(scan(t, &k_and_n, &k_and_n, everyone), damaged);
+            assert_eq!(scan(t, &k_only, &k_and_n, not_seven), damaged);
+        }
+
+        let not_text = table(&|cell| cell[5] = 0xFF);
+        let bad_utf8 = Err(DbError::Storage("row decode: bad utf8".into()));
+        assert_eq!(scan(&not_text, &[], &[], everyone), bad_utf8);
+        assert_eq!(scan(&not_text, &k_only, &[], seven), bad_utf8);
+        let unread = scan(&not_text, &k_and_n, &k_and_n, everyone).unwrap();
+        assert_eq!(unread.len(), 50);
+        assert_eq!(unread[7], [Value::Int(7), Value::Null, Value::Int(-7)]);
+        let skipped = scan(&not_text, &k_only, &[], not_seven).unwrap();
+        assert_eq!(skipped.len(), 49);
+        assert_eq!(skipped[7], row(8));
     }
 }

@@ -190,18 +190,19 @@ pub enum Bound {
 impl Bound {
     /// Mark in `read` every slot evaluating this may read.
     pub fn reads(&self, read: &mut [bool]) {
-        let mut all = |bs: &[&Bound]| bs.iter().for_each(|b| b.reads(read));
         match self {
             Bound::Slot(i) => read[*i] = true,
             Bound::Value(_) | Bound::Param(_) | Bound::Agg(_) | Bound::Raise(_) => {}
-            Bound::Unary(_, e) | Bound::IsNull(e, _) => all(&[e]),
-            Bound::Binary(a, _, b) | Bound::Like(a, b, _) => all(&[a, b]),
-            Bound::Between(a, b, c, _) => all(&[a, b, c]),
+            Bound::Unary(_, e) | Bound::IsNull(e, _) => e.reads(read),
+            Bound::Binary(a, _, b) | Bound::Like(a, b, _) => {
+                [a, b].iter().for_each(|e| e.reads(read))
+            }
+            Bound::Between(a, b, c, _) => [a, b, c].iter().for_each(|e| e.reads(read)),
             Bound::InList(e, list, _) => {
                 e.reads(read);
-                list.iter().for_each(|b| b.reads(read));
+                list.iter().for_each(|e| e.reads(read));
             }
-            Bound::Call(_, args) => args.iter().for_each(|b| b.reads(read)),
+            Bound::Call(_, args) => args.iter().for_each(|e| e.reads(read)),
         }
     }
 }
@@ -641,16 +642,20 @@ mod tests {
     use crate::sql::ast::{SelectItem, Stmt};
     use crate::sql::parse;
 
-    fn eval_str(sql_expr: &str) -> Result<Value> {
-        // Parse `SELECT <expr>` and evaluate against an empty row.
-        let stmt = parse(&format!("SELECT {sql_expr}"))?;
-        let expr = match stmt {
+    /// The expression of `SELECT <sql_expr>`.
+    fn expr_of(sql_expr: &str) -> Result<Expr> {
+        match parse(&format!("SELECT {sql_expr}"))? {
             Stmt::Select(s) => match s.items.into_iter().next().unwrap() {
-                SelectItem::Expr { expr, .. } => expr,
+                SelectItem::Expr { expr, .. } => Ok(expr),
                 other => panic!("{other:?}"),
             },
             other => panic!("{other:?}"),
-        };
+        }
+    }
+
+    fn eval_str(sql_expr: &str) -> Result<Value> {
+        // Parse `SELECT <expr>` and evaluate against an empty row.
+        let expr = expr_of(sql_expr)?;
         let schema = RowSchema::default();
         let fns = FnRegistry::with_builtins();
         let ctx = EvalContext {
@@ -859,5 +864,55 @@ mod tests {
         );
         assert_eq!(ctx.eval(&e).unwrap(), Value::Bool(true));
         assert!(ctx.eval(&E::Param(2)).is_err(), "missing param");
+    }
+
+    /// Binding never fails: what does not bind raises its own error when
+    /// — and only if — evaluation reaches it; an aggregate call bound
+    /// inside a group reads the group's value by position.
+    #[test]
+    fn binding_defers_errors_and_numbers_aggregates() {
+        let schema = RowSchema::for_table("T", &["A".into(), "B".into()]);
+        let fns = FnRegistry::with_builtins();
+        let row = [Value::Int(1), Value::Int(5)];
+        let ctx = EvalContext {
+            schema: &schema,
+            row: &row,
+            params: &[],
+            functions: &fns,
+            aggs: None,
+        };
+        let run = |sql: &str, aggs: &[Expr], values: Option<&[Value]>| {
+            let bound = schema.bind(&expr_of(sql).unwrap(), &fns, aggs);
+            let ctx = EvalContext {
+                aggs: values,
+                ..ctx
+            };
+            ctx.eval_cow(&bound)
+                .map(Cow::into_owned)
+                .map_err(|e| e.to_string())
+        };
+        assert_eq!(run("A < 0 AND nope = 1", &[], None), Ok(Value::Bool(false)));
+        assert_eq!(run("A + B", &[], None), Ok(Value::Int(6)));
+        for (sql, raised) in [
+            ("nope = 1", "unknown column NOPE"),
+            ("t.nope", "unknown column T.NOPE"),
+            ("NO_SUCH(A)", "unknown function NO_SUCH"),
+            ("COUNT(*) + 1", "COUNT(*) is only valid as an aggregate"),
+        ] {
+            assert_eq!(
+                run(sql, &[], None),
+                Err(format!("evaluation error: {raised}"))
+            );
+        }
+        let aggs = [expr_of("COUNT(*)").unwrap(), expr_of("SUM(B)").unwrap()];
+        let values = [Value::Int(4), Value::Int(20)];
+        let grouped = run("SUM(B) / COUNT(*) + A", &aggs, Some(&values));
+        assert_eq!(grouped, Ok(Value::Int(6)));
+        // A call the group does not answer is the error it always was.
+        let unknown = run("MAX(B)", &aggs, Some(&values));
+        assert_eq!(
+            unknown,
+            Err("evaluation error: unknown function MAX".into())
+        );
     }
 }

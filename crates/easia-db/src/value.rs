@@ -642,7 +642,9 @@ mod tests {
 
     /// Apart from the rest: the test macro names `Result` itself.
     mod scratch_row {
-        use crate::value::{decode_row, decode_row_into, encode_row, same_cells, Value};
+        use crate::value::{
+            decode_row, decode_row_into, decode_some_into, encode_row, same_cells, Value,
+        };
         use rand::rngs::StdRng;
         use rand::{Rng, RngCore, SeedableRng};
 
@@ -744,6 +746,41 @@ mod tests {
                     encode_row(&next, &mut buf);
                     decode_row_into(&buf, &mut 0, &mut dirty).unwrap();
                     proptest::prop_assert!(same_cells(&dirty, &next));
+                }
+            }
+
+            /// Decoding some cells is decoding them all and forgetting the
+            /// rest: a skipped cell is NULL, a read one is `decode_row`'s,
+            /// the record is consumed to its end, and a record cut short
+            /// or carrying a bad tag is the same typed error whatever is
+            /// read.
+            #[test]
+            fn decoding_some_cells_forgets_the_rest(seed in proptest::prelude::any::<u64>()) {
+                let mut rng = StdRng::seed_from_u64(seed);
+                let mut scratch = any_row(&mut rng);
+                for _ in 0..8 {
+                    let row = any_row(&mut rng);
+                    let read: Vec<bool> = (0..rng.gen_range(0..10)).map(|_| rng.gen_bool(0.5)).collect();
+                    let mut buf = Vec::new();
+                    encode_row(&row, &mut buf);
+                    let mut pos = 0;
+                    decode_some_into(&buf, &mut pos, &mut scratch, &read).unwrap();
+                    proptest::prop_assert_eq!(pos, buf.len());
+                    let forgot: Vec<Value> = row
+                        .iter()
+                        .enumerate()
+                        .map(|(i, v)| if read.get(i) == Some(&false) { Value::Null } else { v.clone() })
+                        .collect();
+                    proptest::prop_assert!(same_cells(&scratch, &forgot), "{scratch:?} vs {forgot:?}");
+
+                    if row.is_empty() || rng.gen_bool(0.5) {
+                        buf.truncate(rng.gen_range(0..buf.len()));
+                    } else {
+                        buf[4] = rng.gen_range(10..255u8);
+                    }
+                    let raised = decode_some_into(&buf, &mut 0, &mut scratch, &read).unwrap_err();
+                    proptest::prop_assert_eq!(&raised, &decode_row(&buf, &mut 0).unwrap_err());
+                    proptest::prop_assert!(scratch.is_empty());
                 }
             }
         }

@@ -10,7 +10,10 @@
 //! strings and a `Vec` each) and cloning what the predicate compares
 //! took more than 8 allocations per *scanned* row and fails this by two
 //! orders of magnitude. The same statement over an `exec::Relation`
-//! pins that a read no longer deep-copies the relation first.
+//! pins that a read no longer deep-copies the relation first. Then the
+//! sink: COUNT(*) and a GROUP BY over all 20,000 rows may not allocate
+//! per row at all, and ORDER BY … LIMIT only for a survivor's projected
+//! cells and sort keys.
 //!
 //! One test only: the counter is process-wide.
 
@@ -57,6 +60,12 @@ const PER_STATEMENT: u64 = 150;
 /// strings are then decoded afresh) and projected (a `Vec` and the
 /// title): 7 measured, debug and release alike.
 const PER_SURVIVOR: u64 = 12;
+/// What ORDER BY … LIMIT may spend on one survivor: its projected cells
+/// and its sort keys, 3 measured.
+const PER_KEPT: u64 = 4;
+/// Parsing, binding and finishing an aggregate statement, a copy of each
+/// group's first row included: 104 and 175 measured, whatever the rows.
+const PER_AGGREGATE: u64 = 2 * PER_STATEMENT;
 
 fn counted<T>(run: impl FnOnce() -> T) -> (T, u64) {
     let before = ALLOCS.load(Ordering::Relaxed);
@@ -128,6 +137,41 @@ fn a_selective_scan_allocates_for_its_survivors_only() {
     assert!(
         allocations <= ceiling,
         "{allocations} allocations to read {SURVIVORS} of a {ROWS}-row relation; \
+         the ceiling is {ceiling}"
+    );
+
+    // ---- aggregates fold the scratch row where it lies ----
+    // Each group keeps one copy of its first row and nothing else of the
+    // rows it folds, so a global COUNT(*) and a three-group GROUP BY
+    // allocate as much over 20,000 rows as over one.
+    for sql in [
+        "SELECT COUNT(*) FROM t",
+        "SELECT k % 3, COUNT(*), MIN(reynolds), AVG(grid_size) FROM t GROUP BY k % 3",
+    ] {
+        let warm = db.execute(sql).unwrap();
+        let (rs, allocations) = counted(|| db.execute(sql).unwrap());
+        println!("{sql}: {allocations} allocations");
+        assert_eq!(rs.rows, warm.rows);
+        assert!(
+            allocations <= PER_AGGREGATE,
+            "{allocations} allocations to aggregate {ROWS} rows; the ceiling is {PER_AGGREGATE}"
+        );
+    }
+
+    // ---- ORDER BY … LIMIT keeps the survivors' projected cells ----
+    // A survivor costs its output row (a `Vec` and the title) and its
+    // sort keys (a `Vec`); a copy of its whole row (a `Vec` and four
+    // strings) would blow the ceiling.
+    let sql = "SELECT k, title FROM t WHERE title LIKE ? ORDER BY reynolds DESC, k LIMIT 10";
+    let warm = db.execute_with_params(sql, &pattern).unwrap();
+    assert_eq!(warm.rows.len(), 10);
+    let (rs, allocations) = counted(|| db.execute_with_params(sql, &pattern).unwrap());
+    println!("top-k: {allocations} allocations");
+    assert_eq!(rs.rows, warm.rows);
+    let ceiling = PER_STATEMENT + PER_KEPT * SURVIVORS as u64;
+    assert!(
+        allocations <= ceiling,
+        "{allocations} allocations to keep the top 10 of {SURVIVORS} survivors; \
          the ceiling is {ceiling}"
     );
 }
