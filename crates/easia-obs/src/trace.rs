@@ -50,9 +50,15 @@ pub struct Tracer {
     inner: Rc<RefCell<Inner>>,
 }
 
+/// How many completed spans a default tracer keeps. A portal records an
+/// `easia.med.query` span (≈ 0.7 KB with its attributes) per federated
+/// statement for as long as it runs, so the bound is what caps the log's
+/// memory: a few MB here.
+const DEFAULT_CAPACITY: usize = 4_096;
+
 impl Default for Tracer {
     fn default() -> Self {
-        Tracer::with_capacity(65_536)
+        Tracer::with_capacity(DEFAULT_CAPACITY)
     }
 }
 
