@@ -1256,13 +1256,13 @@ impl Database {
         let targets = exec::collect_matching(self, &view, &tname, where_clause, params)?;
         // Bound once for the statement against the table's rows.
         let names: Vec<String> = schema.columns.iter().map(|c| c.name.clone()).collect();
-        let rows = RowSchema::for_table(&tname, &names);
+        let row_schema = RowSchema::for_table(&tname, &names);
         let mut set_pos = Vec::new();
         for (c, e) in sets {
             let pos = schema
                 .column_index(c)
                 .ok_or_else(|| DbError::Catalog(format!("column {c} not found in {tname}")))?;
-            set_pos.push((pos, rows.bind(e, &self.functions, &[])));
+            set_pos.push((pos, row_schema.bind(e, &self.functions, &[])));
         }
         let mut affected = 0usize;
         for (rid, old_row) in targets {

@@ -2,11 +2,12 @@
 //!
 //! A SELECT is bound once against the row its expressions meet
 //! ([`Bound`]): each column reference becomes a slot, each aggregate call
-//! the index of its state. Its base table is read once, decoding only the
-//! cells the bound statement reads, and every row that passes the WHERE —
-//! off the scan itself, or off the last JOIN leg — is lent to one
-//! [`Sink`], which folds it into its group or projects it, and keeps only
-//! what DISTINCT, ORDER BY and LIMIT can still return.
+//! the index of its state. Its base table is read once, decoding of each
+//! row the cells its filter reads and, only if the row passes, the other
+//! cells the statement reads; every row that passes the WHERE — off the
+//! scan itself, or off the last JOIN leg — is lent to one [`Sink`], which
+//! folds it into its group or projects it, and keeps only what DISTINCT,
+//! ORDER BY and LIMIT can still return.
 
 use crate::db::{Database, ResultSet, Table};
 use crate::error::{DbError, Result};
@@ -406,17 +407,15 @@ pub fn run_select_over(
     // ---- stream ----
     // The cells the scan's own filter reads are decoded for every row it
     // visits, the rest of the statement's only for a row that passes.
+    let scan_filter = if sel.joins.is_empty() {
+        filter.as_slice()
+    } else {
+        &own
+    };
     let mut sieve = read.clone();
-    match &filter {
-        Some(w) if sel.joins.is_empty() => {
-            sieve.fill(false);
-            w.reads(&mut sieve);
-        }
-        _ if !own.is_empty() => {
-            sieve.fill(false);
-            own.iter().for_each(|c| c.reads(&mut sieve));
-        }
-        _ => {}
+    if !scan_filter.is_empty() {
+        sieve.fill(false);
+        scan_filter.iter().for_each(|e| e.reads(&mut sieve));
     }
     let filtered = |row: &[Value]| match &filter {
         Some(w) => holds(&row_ctx(db, &schema, row, params), w),
