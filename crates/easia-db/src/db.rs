@@ -5,7 +5,7 @@
 use crate::crc::crc32;
 use crate::error::{DbError, Result};
 use crate::exec;
-use crate::expr::{Bound, FnRegistry, RowSchema};
+use crate::expr::{Bound, EvalContext, FnRegistry, RowSchema};
 use crate::index::btree::has_prefix;
 use crate::index::BPlusTree;
 use crate::mvcc::{Csn, MvccState, ReadView, SnapshotId, TxnId, VacuumStats, LATEST_CSN};
@@ -1154,16 +1154,15 @@ impl Database {
                 })
                 .collect::<Result<_>>()?
         };
-        // Bound once for the statement; each value evaluates against no
-        // row, and a literal moves into its row instead of being copied.
+        // Bound once for the statement, before any row is written; each
+        // value evaluates against no row, and a literal moves into its
+        // row instead of being copied.
         let none = RowSchema::default();
-        let bind = |e| none.bind(e, &self.functions, &[]);
-        let mut values = rows
-            .iter()
-            .flatten()
-            .map(bind)
-            .collect::<Vec<_>>()
-            .into_iter();
+        let mut values = Vec::with_capacity(rows.iter().map(Vec::len).sum());
+        for e in rows.iter().flatten() {
+            values.push(none.bind(e, &self.functions, &[])?);
+        }
+        let mut values = values.into_iter();
         let mut inserted = 0usize;
         for exprs in rows {
             if exprs.len() != positions.len() {
@@ -1177,7 +1176,7 @@ impl Database {
             for (expr, &pos) in values.by_ref().take(exprs.len()).zip(&positions) {
                 row[pos] = match expr {
                     Bound::Value(v) => v,
-                    expr => exec::eval_bound(self, &expr, &[], params)?,
+                    expr => EvalContext::new(&[], params).eval(&expr)?,
                 };
             }
             self.insert_row(&tname, row)?;
@@ -1252,9 +1251,8 @@ impl Database {
             .schema(&tname)
             .ok_or_else(|| DbError::Catalog(format!("table {tname} does not exist")))?
             .clone();
-        let view = self.stmt_view();
-        let targets = exec::collect_matching(self, &view, &tname, where_clause, params)?;
-        // Bound once for the statement against the table's rows.
+        // Bound once for the statement against the table's rows, before
+        // any is read.
         let names: Vec<String> = schema.columns.iter().map(|c| c.name.clone()).collect();
         let row_schema = RowSchema::for_table(&tname, &names);
         let mut set_pos = Vec::new();
@@ -1262,13 +1260,15 @@ impl Database {
             let pos = schema
                 .column_index(c)
                 .ok_or_else(|| DbError::Catalog(format!("column {c} not found in {tname}")))?;
-            set_pos.push((pos, row_schema.bind(e, &self.functions, &[])));
+            set_pos.push((pos, row_schema.bind(e, &self.functions, &[])?));
         }
+        let view = self.stmt_view();
+        let targets = exec::collect_matching(self, &view, &tname, where_clause, params)?;
         let mut affected = 0usize;
         for (rid, old_row) in targets {
             let mut new_row = old_row.clone();
             for (pos, e) in &set_pos {
-                new_row[*pos] = exec::eval_bound(self, e, &old_row, params)?;
+                new_row[*pos] = EvalContext::new(&old_row, params).eval(e)?;
             }
             self.update_row(&tname, rid, old_row, new_row)?;
             affected += 1;

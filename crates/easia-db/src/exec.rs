@@ -1,71 +1,38 @@
 //! Query execution.
 //!
 //! A SELECT is bound once against the row its expressions meet
-//! ([`Bound`]): each column reference becomes a slot, each aggregate call
-//! the index of its state. Its base table is read once, decoding of each
-//! row the cells its filter reads and, only if the row passes, the other
-//! cells the statement reads; every row that passes the WHERE — off the
-//! scan itself, or off the last JOIN leg — is lent to one [`Sink`], which
-//! folds it into its group or projects it, and keeps only what DISTINCT,
-//! ORDER BY and LIMIT can still return.
+//! ([`BoundSelect`]): each column reference becomes a slot, each aggregate
+//! call the index of its state, and a name that does not resolve is the
+//! statement's error before any row is read. Its base table is read once,
+//! decoding of each row the cells its filter reads and, only if the row
+//! passes, the other cells the statement reads; every row that passes the
+//! WHERE — off the scan itself, or off the last JOIN leg — is lent to one
+//! [`Sink`], which folds it into its group or projects it, and keeps only
+//! what DISTINCT, ORDER BY and LIMIT can still return.
 
 use crate::db::{Database, ResultSet, Table};
 use crate::error::{DbError, Result};
-use crate::expr::{truth, Bound, EvalContext, RowSchema};
+use crate::expr::{truth, Bound, EvalContext, FnRegistry, RowSchema};
 use crate::index::btree::has_prefix;
 use crate::mvcc::ReadView;
-use crate::plan::{choose_access_path, choose_in_scope, conjuncts, AccessPath, Scope};
-use crate::schema::DatalinkSpec;
-use crate::sql::ast::{is_aggregate_fn, BinaryOp, Expr, Join, JoinKind, SelectItem, SelectStmt};
+use crate::plan::{
+    bound_conjuncts, choose_bound, choose_in_scope, own_conjuncts, stand_in, AccessPath, Scope,
+};
+use crate::schema::{DatalinkSpec, TableSchema};
+use crate::sql::ast::{is_aggregate_fn, BinaryOp, Expr, JoinKind, SelectItem, SelectStmt};
 use crate::storage::RowId;
 use crate::value::{decode_some_into, encode_key_cell, Value};
-use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::collections::{HashMap, HashSet};
-
-/// The context in which expressions over `row` (shaped by `schema`)
-/// evaluate; it carries no aggregate values.
-fn row_ctx<'a>(
-    db: &'a Database,
-    schema: &'a RowSchema,
-    row: &'a [Value],
-    params: &'a [Value],
-) -> EvalContext<'a> {
-    EvalContext {
-        schema,
-        row,
-        params,
-        functions: db.functions(),
-        aggs: None,
-    }
-}
 
 /// Does `pred` hold (evaluate to TRUE, not UNKNOWN) on `ctx`'s row?
 fn holds(ctx: &EvalContext, pred: &Bound) -> Result<bool> {
     Ok(truth(&*ctx.eval_cow(pred)?) == Some(true))
 }
 
-/// `e` bound against `schema`, outside any group.
-fn bind(db: &Database, schema: &RowSchema, e: &Expr) -> Bound {
-    schema.bind(e, db.functions(), &[])
-}
-
-/// Evaluate a row-independent expression (a constant the planner folds).
-pub fn eval_const(db: &Database, expr: &Expr, params: &[Value]) -> Result<Value> {
-    row_ctx(db, &RowSchema::default(), &[], params).eval(expr)
-}
-
-/// Evaluate `expr`, bound once for its statement, against `row` (`&[]`
-/// for INSERT's VALUES): what INSERT and UPDATE run per value.
-pub fn eval_bound(db: &Database, expr: &Bound, row: &[Value], params: &[Value]) -> Result<Value> {
-    let schema = RowSchema::default();
-    let ctx = row_ctx(db, &schema, row, params);
-    ctx.eval_cow(expr).map(Cow::into_owned)
-}
-
 /// An in-memory table a SELECT can read beside the catalogue (the hub
 /// merge binds each gathered federation leg as one). A FROM/JOIN name
-/// matching a supplied relation resolves to it before the catalogue. A
+/// matching a supplied relation denotes it before the catalogue. A
 /// relation is always a full scan and always visible; it has no indexes
 /// and no DATALINK spec.
 #[derive(Debug, Clone)]
@@ -86,8 +53,8 @@ enum Source<'a> {
 }
 
 impl<'a> Source<'a> {
-    /// Resolve `name`: a supplied relation first, else the catalogue.
-    fn resolve(db: &'a Database, relations: &'a [Relation], name: &str) -> Result<Source<'a>> {
+    /// What `name` denotes: a supplied relation first, else the catalogue.
+    fn named(db: &'a Database, relations: &'a [Relation], name: &str) -> Result<Source<'a>> {
         if let Some(r) = relations.iter().find(|r| r.name.eq_ignore_ascii_case(name)) {
             return Ok(Source::Relation(r));
         }
@@ -104,7 +71,7 @@ impl<'a> Source<'a> {
     }
 
     /// The catalogue schema that types the columns; a relation has none.
-    fn schema(&self) -> Option<&'a crate::schema::TableSchema> {
+    fn schema(&self) -> Option<&'a TableSchema> {
         match self {
             Source::Relation(_) => None,
             Source::Table(t) => Some(&t.schema),
@@ -272,12 +239,13 @@ pub fn collect_matching(
     let t = db
         .table(table)
         .ok_or_else(|| DbError::Catalog(format!("table {table} does not exist")))?;
-    let path = choose_access_path(db, t, table, where_clause, params)?;
-    let index_probe = matches!(path, AccessPath::IndexRange { .. });
     let schema = RowSchema::for_table(table, &Source::Table(t).columns());
-    let pred = where_clause.map(|w| bind(db, &schema, w));
+    let pred = where_clause.map(|w| schema.bind(w, db.functions(), &[]));
+    let pred = pred.transpose()?;
+    let path = choose_bound(t, pred.as_ref(), params);
+    let index_probe = matches!(path, AccessPath::IndexRange { .. });
     let pass = |row: &[Value]| match &pred {
-        Some(p) => holds(&row_ctx(db, &schema, row, params), p),
+        Some(p) => holds(&EvalContext::new(row, params), p),
         None => Ok(true),
     };
     let mut matching = Vec::new();
@@ -287,6 +255,72 @@ pub fn collect_matching(
     });
     note_scan(db, index_probe, candidates);
     read.map(|()| matching)
+}
+
+/// A SELECT bound once against the rows its clauses meet — the one place
+/// its names resolve ([`RowSchema::bind`]): each JOIN's ON over the legs
+/// up to its own, the WHERE over the joined row, then GROUP BY, the
+/// aggregate calls' arguments, HAVING, the select list and ORDER BY.
+/// What does not bind — an unknown or ambiguous column, an unknown
+/// function, `f(*)` outside an aggregate, an aggregate without its
+/// argument, `t.*` naming no table, `*` beside aggregates — is the
+/// statement's error, the first in that order, before any row is read.
+/// The executor runs it; the federation planner reads off it which leg
+/// each slot a clause reads belongs to.
+pub struct BoundSelect<'a> {
+    /// The joined row: each FROM/JOIN table's columns under its alias.
+    pub schema: RowSchema,
+    /// Each JOIN's ON.
+    pub ons: Vec<Bound>,
+    /// The WHERE.
+    pub filter: Option<Bound>,
+    /// The slots the statement reads, in any clause.
+    pub read: Vec<bool>,
+    sink: Sink<'a>,
+}
+
+impl<'a> BoundSelect<'a> {
+    /// Bind `sel` over `columns`, the column names of its FROM table and
+    /// of each JOINed one in statement order, with the scalar functions
+    /// of `functions`. `specs` holds the DATALINK spec of each joined slot
+    /// a plain select list passes through (empty: none).
+    pub fn bind<C: AsRef<[String]>>(
+        functions: &FnRegistry,
+        sel: &SelectStmt,
+        columns: &[C],
+        specs: &[Option<&'a DatalinkSpec>],
+    ) -> Result<Self> {
+        let tables = sel.from.iter().chain(sel.joins.iter().map(|j| &j.table));
+        let mut schema = RowSchema::default();
+        let mut ons = Vec::new();
+        for (i, (t, names)) in tables.zip(columns).enumerate() {
+            let alias = t.alias.as_deref().unwrap_or(&t.name);
+            schema
+                .columns
+                .extend(RowSchema::for_table(alias, names.as_ref()).columns);
+            if let Some(join) = i.checked_sub(1).map(|j| &sel.joins[j]) {
+                ons.push(schema.bind(&join.on, functions, &[])?);
+            }
+        }
+        let filter = sel
+            .where_clause
+            .as_ref()
+            .map(|w| schema.bind(w, functions, &[]));
+        let filter = filter.transpose()?;
+        let sink = Sink::bind(functions, sel, &schema, specs)?;
+        let mut read = vec![false; schema.columns.len()];
+        for e in filter.iter().chain(&ons) {
+            e.reads(&mut read);
+        }
+        sink.reads(&mut read);
+        Ok(BoundSelect {
+            schema,
+            ons,
+            filter,
+            read,
+            sink,
+        })
+    }
 }
 
 /// Execute a SELECT against a read view.
@@ -302,12 +336,13 @@ pub fn run_select(
 /// Execute a SELECT against a read view plus in-memory `relations`
 /// (see [`Relation`] for how names resolve).
 ///
-/// Errors keep the phase order of an executor that finished each stage
-/// before the next: a JOIN's ON and probe errors, then the WHERE's (and
-/// the decoder's), then projection and grouping errors, then HAVING and
-/// the select list per group, then ORDER BY keys — within a phase, the
-/// first row's. Streaming holds a later phase's error until the earlier
-/// phases have run over every row.
+/// A name that does not resolve is the statement's error before any row
+/// is read ([`BoundSelect`]). Errors rows raise keep the phase order of
+/// an executor that finished each stage before the next: a JOIN's ON and
+/// probe errors, then the WHERE's (and the decoder's), then projection
+/// and grouping errors, then HAVING and the select list per group, then
+/// ORDER BY keys — within a phase, the first row's. Streaming holds a
+/// later phase's error until the earlier phases have run over every row.
 pub fn run_select_over(
     db: &Database,
     view: &ReadView,
@@ -317,100 +352,90 @@ pub fn run_select_over(
 ) -> Result<ResultSet> {
     // Table-less SELECT: evaluate items against an empty row.
     let Some(from) = &sel.from else {
-        let schema = RowSchema::default();
-        let ctx = row_ctx(db, &schema, &[], params);
-        let mut columns = Vec::new();
-        let mut row = Vec::new();
+        let (mut columns, mut items) = (Vec::new(), Vec::new());
         for item in &sel.items {
-            match item {
-                SelectItem::Expr { expr, alias } => {
-                    columns.push(alias.clone().unwrap_or_else(|| derive_name(expr)));
-                    row.push(ctx.eval(expr)?);
-                }
-                _ => return Err(DbError::Eval("wildcard requires FROM".into())),
-            }
+            let SelectItem::Expr { expr, alias } = item else {
+                return Err(DbError::Eval("wildcard requires FROM".into()));
+            };
+            columns.push(alias.clone().unwrap_or_else(|| derive_name(expr)));
+            items.push(RowSchema::default().bind(expr, db.functions(), &[])?);
         }
+        let ctx = EvalContext::new(&[], params);
         return Ok(ResultSet {
             columns,
-            rows: vec![row],
+            rows: vec![items.iter().map(|e| ctx.eval(e)).collect::<Result<_>>()?],
             affected: 0,
         });
     };
 
-    // ---- bind: the joined row, each leg's ON, the statement ----
-    let base_alias = from
-        .alias
-        .clone()
-        .unwrap_or_else(|| from.name.to_ascii_uppercase());
-    let base = Source::resolve(db, relations, &from.name)?;
-    let mut schema = RowSchema::for_table(&base_alias, &base.columns());
-    let base_width = schema.columns.len();
-    // Catalogue-backed aliases only: a relation carries no DATALINK spec.
-    let mut catalogue = HashMap::new();
-    if let Source::Table(_) = base {
-        catalogue.insert(base_alias.clone(), from.name.to_ascii_uppercase());
-    }
-    // A JOIN naming no table ends the legs: over a catalogue base it
-    // raises before anything is read, over a relation once the joins
-    // before it have run.
-    let mut legs = Vec::new();
-    let mut missing = None;
-    for join in &sel.joins {
-        match Source::resolve(db, relations, &join.table.name) {
-            Ok(source) => legs.push(Leg::bind(db, join, source, &mut schema, &mut catalogue)),
-            Err(e) => {
-                missing = Some(e);
-                break;
-            }
+    // ---- bind: the legs, then the statement over them ----
+    let names = std::iter::once(&from.name).chain(sel.joins.iter().map(|j| &j.table.name));
+    let sources = names
+        .map(|name| Source::named(db, relations, name))
+        .collect::<Result<Vec<_>>>()?;
+    let (mut scope, mut columns, mut specs) = (Scope::default(), Vec::new(), Vec::new());
+    for source in &sources {
+        let names = source.columns();
+        scope.join(names.len(), source.schema());
+        match source.schema() {
+            Some(t) => specs.extend(t.columns.iter().map(|c| c.datalink.as_ref())),
+            None => specs.extend(names.iter().map(|_| None)),
         }
+        columns.push(names);
     }
-    let missing = match missing {
-        Some(e) if matches!(base, Source::Table(_)) => return Err(e),
-        missing => missing,
-    };
-    let filter = sel.where_clause.as_ref().map(|w| bind(db, &schema, w));
-    let mut sink = Sink::bind(db, sel, &schema, &catalogue);
-    // The cells anything above may read; no scan decodes another.
-    let mut read = vec![false; schema.columns.len()];
-    for e in filter.iter().chain(legs.iter().flat_map(Leg::bound)) {
-        e.reads(&mut read);
-    }
-    sink.reads(&mut read);
+    let BoundSelect {
+        ons,
+        filter,
+        read,
+        mut sink,
+        ..
+    } = BoundSelect::bind(db.functions(), sel, &columns, &specs)?;
+    let base_width = columns[0].len();
 
-    // ---- plan the base table ----
+    // ---- plan: each leg's probe, the base table's path ----
+    let mut legs = Vec::new();
+    let mut at = base_width;
+    let joins = sel.joins.iter().zip(&sources[1..]).zip(&columns[1..]);
+    for (((join, source), names), on) in joins.zip(ons) {
+        let probe = match source {
+            Source::Table(t) => probe_of(t, &on, at, &scope, params),
+            Source::Relation(_) => None,
+        };
+        let width = names.len();
+        legs.push(Leg {
+            source: *source,
+            kind: join.kind,
+            width,
+            on,
+            probe,
+        });
+        at += width;
+    }
     let mut path = AccessPath::FullScan;
     // WHERE conjuncts over the base table's own columns, applied to its
     // rows before they are joined.
     let mut own = Vec::new();
-    if let Source::Table(t) = base {
+    if let (Source::Table(t), Some(pred)) = (sources[0], &filter) {
         // The WHERE runs over joined rows and each ON over the legs so
         // far; the base narrows only when none of them can raise on a
         // row the narrowing would skip.
-        let mut scope = Scope::of(&base_alias, &t.schema);
-        let mut total = true;
-        for (join, leg) in sel.joins.iter().zip(&legs) {
-            scope.join(&leg.alias, &leg.columns, leg.source.schema());
-            total &= scope.total(db, &join.on, params);
-        }
-        if let Some(pred) = sel.where_clause.as_ref().filter(|_| total) {
-            if scope.total(db, pred, params) {
-                path = choose_in_scope(db, t, &scope, pred, params);
-                if !sel.joins.is_empty() {
-                    own = scope.own_conjuncts(pred, base_width);
-                }
+        let total = |e: &Bound| scope.total(e, params);
+        if total(pred) && legs.iter().all(|leg| total(&leg.on)) {
+            path = choose_in_scope(t, pred, params);
+            if !legs.is_empty() {
+                own = own_conjuncts(pred, base_width, at);
             }
         }
     }
-    let own: Vec<Bound> = own.into_iter().map(|c| bind(db, &schema, c)).collect();
     let index_probe = matches!(path, AccessPath::IndexRange { .. });
 
     // ---- stream ----
     // The cells the scan's own filter reads are decoded for every row it
     // visits, the rest of the statement's only for a row that passes.
-    let scan_filter = if sel.joins.is_empty() {
-        filter.as_slice()
+    let scan_filter = if legs.is_empty() {
+        filter.iter().collect()
     } else {
-        &own
+        own
     };
     let mut sieve = read.clone();
     if !scan_filter.is_empty() {
@@ -418,20 +443,20 @@ pub fn run_select_over(
         scan_filter.iter().for_each(|e| e.reads(&mut sieve));
     }
     let filtered = |row: &[Value]| match &filter {
-        Some(w) => holds(&row_ctx(db, &schema, row, params), w),
+        Some(w) => holds(&EvalContext::new(row, params), w),
         None => Ok(true),
     };
     let mut passed = 0;
     let mut accept = |row: &[Value], sink: &mut Sink| {
         passed += 1;
-        sink.take(&row_ctx(db, &schema, row, params));
+        sink.take(db, &EvalContext::new(row, params));
     };
-    if sel.joins.is_empty() {
+    if legs.is_empty() {
         let cells = Cells {
             sieve: &sieve,
             all: &read,
         };
-        let (candidates, scanned) = base.scan(db, view, path, cells, filtered, |row| {
+        let (candidates, scanned) = sources[0].scan(db, view, path, cells, filtered, |row| {
             accept(row, &mut sink);
             Ok(())
         });
@@ -442,15 +467,17 @@ pub fn run_select_over(
         // every joined row made from it, padded or not. A conjunct that
         // raises after all keeps its row, so the WHERE raises it too.
         let own_pass = |row: &[Value]| {
-            let ctx = row_ctx(db, &schema, row, params);
-            Ok(own.iter().all(|c| !matches!(holds(&ctx, c), Ok(false))))
+            let ctx = EvalContext::new(row, params);
+            Ok(scan_filter
+                .iter()
+                .all(|c| !matches!(holds(&ctx, c), Ok(false))))
         };
         let cells = Cells {
             sieve: &sieve[..base_width],
             all: &read[..base_width],
         };
         let mut rows = Vec::new();
-        let (candidates, scanned) = base.scan(db, view, path, cells, own_pass, |row| {
+        let (candidates, scanned) = sources[0].scan(db, view, path, cells, own_pass, |row| {
             rows.push(row.to_vec());
             Ok(())
         });
@@ -461,16 +488,16 @@ pub fn run_select_over(
         // pairings after it.
         let (mut at, mut joined, mut raised) = (base_width, 0, None);
         for (i, leg) in legs.iter().enumerate() {
-            let leg_read = &read[at..at + leg.columns.len()];
-            at += leg.columns.len();
+            let leg_read = &read[at..at + leg.width];
+            at += leg.width;
             let left = std::mem::take(&mut rows);
-            if i + 1 < sel.joins.len() {
-                run_join(db, view, &schema, left, leg, leg_read, params, |row| {
+            if i + 1 < legs.len() {
+                run_join(db, view, left, leg, leg_read, params, |row| {
                     rows.push(row.to_vec());
                     Ok(())
                 })?;
             } else {
-                run_join(db, view, &schema, left, leg, leg_read, params, |row| {
+                run_join(db, view, left, leg, leg_read, params, |row| {
                     joined += 1;
                     match raised.is_none().then(|| filtered(row)) {
                         Some(Ok(true)) => accept(row, &mut sink),
@@ -480,9 +507,6 @@ pub fn run_select_over(
                     Ok(())
                 })?;
             }
-        }
-        if let Some(e) = missing {
-            return Err(e);
         }
         if let Some(m) = db.metrics() {
             m.stage_join.observe(joined as f64);
@@ -496,144 +520,126 @@ pub fn run_select_over(
             m.stage_filter.observe(passed as f64);
         }
     }
-    sink.finish(&schema, params)
+    sink.finish(db, read.len(), params)
 }
 
-/// One JOIN leg, bound against the legs before it.
+/// One JOIN leg.
 struct Leg<'a> {
     source: Source<'a>,
     kind: JoinKind,
-    /// The name its columns are qualified by.
-    alias: String,
-    columns: Vec<String>,
-    /// ON, over the legs up to this one.
+    /// How many columns it adds to the row.
+    width: usize,
+    /// ON, bound over the legs up to this one.
     on: Bound,
-    /// Index nested loop: ON has a conjunct `alias.col = <expression
-    /// over the legs before>` and the leg is a catalogue table indexed
-    /// on `col` alone — (table, index position, that expression).
-    probe: Option<(&'a Table, usize, Bound)>,
+    probe: Option<Probe<'a>>,
 }
 
-impl<'a> Leg<'a> {
-    /// Bind `join` over `source`, whose columns it appends to `schema`.
-    fn bind(
-        db: &'a Database,
-        join: &Join,
-        source: Source<'a>,
-        schema: &mut RowSchema,
-        catalogue: &mut HashMap<String, String>,
-    ) -> Self {
-        let alias = join
-            .table
-            .alias
-            .clone()
-            .unwrap_or_else(|| join.table.name.to_ascii_uppercase());
-        let columns = source.columns();
-        let mut probe = None;
-        if let Source::Table(t) = source {
-            catalogue.insert(alias.clone(), join.table.name.to_ascii_uppercase());
-            probe = probe_of(db, t, &alias, &join.on, schema);
-        }
-        *schema = schema.join(&RowSchema::for_table(&alias, &columns));
-        Leg {
-            source,
-            kind: join.kind,
-            on: bind(db, schema, &join.on),
-            alias,
-            columns,
-            probe,
-        }
-    }
-
-    /// The expressions it evaluates.
-    fn bound(&self) -> impl Iterator<Item = &Bound> {
-        std::iter::once(&self.on).chain(self.probe.as_ref().map(|(_, _, e)| e))
-    }
+/// Index nested loop: ON has a conjunct `col = key` where `col` is a
+/// column of the leg's catalogue table carrying a one-column index and
+/// `key` reads only the legs before.
+struct Probe<'a> {
+    table: &'a Table,
+    /// Position of the index in `table.indexes`.
+    index: usize,
+    key: Bound,
+    /// A value of the indexed column's type.
+    like: Value,
 }
 
-/// Equi-join acceleration: the first conjunct of `on` that equates a
-/// column of `t` (known as `alias`) carrying a one-column index with an
-/// expression over `left` alone.
+/// The probe for a leg over catalogue table `t`, whose columns start at
+/// slot `at`: the first conjunct of `on` that equates an indexed column
+/// of `t` with a key over the legs before. The probe skips every pairing
+/// the index does not return, so it is taken only when that cannot skip
+/// an error: the key is a bare column or [`Scope::total`], and so is
+/// every other conjunct of `on`. (A key the column's type cannot be
+/// compared with meets the whole leg; see [`run_join`].)
 fn probe_of<'a>(
-    db: &Database,
     t: &'a Table,
-    alias: &str,
-    on: &Expr,
-    left: &RowSchema,
-) -> Option<(&'a Table, usize, Bound)> {
-    for c in conjuncts(on) {
-        let Expr::Binary(l, BinaryOp::Eq, r) = c else {
+    on: &Bound,
+    at: usize,
+    scope: &Scope,
+    params: &[Value],
+) -> Option<Probe<'a>> {
+    let conjuncts = bound_conjuncts(on);
+    let total = |i: usize| {
+        conjuncts
+            .iter()
+            .enumerate()
+            .all(|(j, c)| j == i || scope.total(c, params))
+    };
+    for (i, c) in conjuncts.iter().enumerate() {
+        let Bound::Binary(l, BinaryOp::Eq, r) = c else {
             continue;
         };
-        for (a, b) in [(l, r), (r, l)] {
-            let Expr::Column {
-                table: Some(ta),
-                name,
-            } = a.as_ref()
-            else {
+        for (col, key) in [(l, r), (r, l)] {
+            let Bound::Slot(slot) = **col else {
                 continue;
             };
-            if !ta.eq_ignore_ascii_case(alias) {
-                continue;
-            }
-            let Some(cpos) = t.schema.column_index(name) else {
+            let Some(cpos) = slot.checked_sub(at) else {
                 continue;
             };
-            let ipos = t.indexes.iter().position(|ix| ix.col_indices == [cpos]);
-            if let (Some(ipos), true) = (ipos, expr_uses_only(b, left)) {
-                return Some((t, ipos, bind(db, left, b)));
+            let mut read = vec![false; at + t.schema.columns.len()];
+            key.reads(&mut read);
+            let before = !read[at..].contains(&true);
+            let safe = matches!(**key, Bound::Slot(_)) || scope.total(key, params);
+            let index = t.indexes.iter().position(|ix| ix.col_indices == [cpos]);
+            if let (Some(index), true) = (index, before && safe && total(i)) {
+                let like = stand_in(t.schema.columns[cpos].ty);
+                let key = (**key).clone();
+                return Some(Probe {
+                    table: t,
+                    index,
+                    key,
+                    like,
+                });
             }
         }
     }
     None
 }
 
-fn expr_uses_only(e: &Expr, schema: &RowSchema) -> bool {
-    let mut ok = true;
-    e.walk(&mut |n| {
-        if let Expr::Column { table, name } = n {
-            if schema.resolve(table.as_deref(), name).is_err() {
-                ok = false;
-            }
-        }
-    });
-    ok
-}
-
 /// Join `left` rows with `leg`, lending each pairing that passes its ON
 /// — and, for a LEFT JOIN, each unmatched left row padded with NULLs —
 /// to `emit`, in left-row order. The pairing lives in one buffer: the
 /// left row moves in, each right candidate is lent to it and taken back.
-/// The right leg decodes only the cells `read` selects.
-#[allow(clippy::too_many_arguments)]
+/// The right leg decodes only the cells `read` selects. Under a probe a
+/// left row meets the rows its key finds in the index, unless the key
+/// cannot be compared with the indexed column's type: then every
+/// pairing would raise or not as the ON decides, and the row meets the
+/// whole leg as it would without the probe.
 fn run_join(
     db: &Database,
     view: &ReadView,
-    schema: &RowSchema,
     left: Vec<Vec<Value>>,
     leg: &Leg,
     read: &[bool],
     params: &[Value],
     mut emit: impl FnMut(&[Value]) -> Result<()>,
 ) -> Result<()> {
-    // Without a probe every left row meets the whole right leg, read once.
-    let mut right_rows: Vec<Vec<Value>> = Vec::new();
-    if leg.probe.is_none() {
+    // The whole leg, read once: up front without a probe, under one
+    // when a key first refuses the indexed column.
+    let read_whole = || -> Result<Vec<Vec<Value>>> {
         let cells = Cells {
             sieve: read,
             all: read,
         };
+        let mut rows = Vec::new();
         let keep_all = |_: &[Value]| Ok(true);
         leg.source
             .scan(db, view, AccessPath::FullScan, cells, keep_all, |row| {
-                right_rows.push(row.to_vec());
+                rows.push(row.to_vec());
                 Ok(())
             })
             .1?;
-    }
-    let probe = leg.probe.as_ref().map(|(t, ipos, lexpr)| {
-        let visible = db.row_visibility(&t.schema.name, view);
-        (t, ipos, lexpr, visible)
+        Ok(rows)
+    };
+    let mut whole = match leg.probe {
+        None => Some(read_whole()?),
+        Some(_) => None,
+    };
+    let probe = leg.probe.as_ref().map(|p| {
+        let visible = db.row_visibility(&p.table.schema.name, view);
+        (p, visible)
     });
     let mut pairing: Vec<Value> = Vec::new();
     let mut probed: Vec<Vec<Value>> = Vec::new();
@@ -641,30 +647,33 @@ fn run_join(
         let left_width = lrow.len();
         pairing.clear();
         pairing.extend(lrow);
-        let candidates = match &probe {
-            Some((t, ipos, lexpr, visible)) => {
-                let key = row_ctx(db, schema, &pairing, params)
-                    .eval_cow(lexpr)?
-                    .into_owned();
-                probed.clear();
-                if !key.is_null() {
-                    let rids = t.indexes[**ipos].tree.get(&[key]);
-                    for rid in rids.into_iter().filter(|rid| visible(*rid)) {
-                        if let Some(record) = t.heap.record(rid) {
-                            let mut row = Vec::new();
-                            decode_some_into(record, &mut 0, &mut row, read)?;
-                            probed.push(row);
-                        }
+        let mut by_index = false;
+        if let Some((p, visible)) = &probe {
+            let key = EvalContext::new(&pairing, params).eval(&p.key)?;
+            by_index = key.is_null() || p.like.sql_cmp(&key).is_some();
+            probed.clear();
+            if by_index && !key.is_null() {
+                let rids = p.table.indexes[p.index].tree.get(&[key]);
+                for rid in rids.into_iter().filter(|rid| visible(*rid)) {
+                    if let Some(record) = p.table.heap.record(rid) {
+                        let mut row = Vec::new();
+                        decode_some_into(record, &mut 0, &mut row, read)?;
+                        probed.push(row);
                     }
                 }
-                &mut probed
             }
-            None => &mut right_rows,
+        }
+        if !by_index && whole.is_none() {
+            whole = Some(read_whole()?);
+        }
+        let candidates = match &mut whole {
+            Some(rows) if !by_index => rows,
+            _ => &mut probed,
         };
         let mut matched = false;
         for rrow in candidates.iter_mut() {
             pairing.append(rrow);
-            let lent = holds(&row_ctx(db, schema, &pairing, params), &leg.on).and_then(|on| {
+            let lent = holds(&EvalContext::new(&pairing, params), &leg.on).and_then(|on| {
                 matched |= on;
                 if on {
                     emit(&pairing)
@@ -676,7 +685,7 @@ fn run_join(
             lent?;
         }
         if !matched && leg.kind == JoinKind::Left {
-            pairing.extend(std::iter::repeat_n(Value::Null, leg.columns.len()));
+            pairing.extend(std::iter::repeat_n(Value::Null, leg.width));
             emit(&pairing)?;
         }
     }
@@ -699,7 +708,6 @@ pub fn derive_name(expr: &Expr) -> String {
 /// first error it meets is held and it takes no row after it — the scan
 /// still owes the WHERE and decoder errors of later rows, which win.
 struct Sink<'a> {
-    db: &'a Database,
     held: Option<DbError>,
     shape: Shape<'a>,
     output: Output,
@@ -721,43 +729,30 @@ enum Out<'a> {
 
 impl<'a> Sink<'a> {
     fn bind(
-        db: &'a Database,
+        functions: &FnRegistry,
         sel: &SelectStmt,
         schema: &RowSchema,
-        catalogue: &HashMap<String, String>,
-    ) -> Self {
+        specs: &[Option<&'a DatalinkSpec>],
+    ) -> Result<Self> {
         let has_agg = sel
             .items
             .iter()
             .any(|i| matches!(i, SelectItem::Expr { expr, .. } if expr.contains_aggregate()))
             || sel.having.as_ref().is_some_and(|h| h.contains_aggregate())
             || !sel.group_by.is_empty();
-        if has_agg {
-            let aggs = aggregates(sel);
-            let (finish, output) = Finish::bind(db, sel, schema, &aggs);
-            let grouping = Grouping::bind(db, sel, schema, &aggs, finish);
-            let shape = Shape::Groups(Box::new(grouping));
-            return Sink {
-                db,
-                held: None,
-                shape,
-                output,
-            };
-        }
-        // A select item that cannot be projected is the statement's
-        // error once its rows are filtered.
-        let (held, columns, outs) = match project(db, sel, schema, catalogue) {
-            Ok((columns, outs)) => (None, columns, outs),
-            Err(e) => (Some(e), Vec::new(), Vec::new()),
+        let (shape, output) = if has_agg {
+            let (grouping, output) = Grouping::bind(functions, sel, schema)?;
+            (Shape::Groups(Box::new(grouping)), output)
+        } else {
+            let (columns, outs) = project(functions, sel, schema, specs)?;
+            let output = Output::bind(sel, columns, |e| schema.bind(e, functions, &[]))?;
+            (Shape::Rows(outs), output)
         };
-        let output = Output::bind(sel, columns, |e| bind(db, schema, e));
-        let shape = Shape::Rows(outs);
-        Sink {
-            db,
-            held,
+        Ok(Sink {
+            held: None,
             shape,
             output,
-        }
+        })
     }
 
     /// Mark the slots it reads.
@@ -777,7 +772,7 @@ impl<'a> Sink<'a> {
     }
 
     /// Take one row that passed the WHERE.
-    fn take(&mut self, ctx: &EvalContext) {
+    fn take(&mut self, db: &Database, ctx: &EvalContext) {
         if self.held.is_some() {
             return;
         }
@@ -788,11 +783,11 @@ impl<'a> Sink<'a> {
                     row.push(match out {
                         Out::Slot(i, spec) => match (&ctx.row[*i], spec) {
                             (Value::Datalink(url), Some(spec)) => {
-                                Value::Datalink(self.db.render_datalink(spec, url))
+                                Value::Datalink(db.render_datalink(spec, url))
                             }
                             (v, _) => v.clone(),
                         },
-                        Out::Expr(e) => ctx.eval_cow(e)?.into_owned(),
+                        Out::Expr(e) => ctx.eval(e)?,
                     });
                     Ok(())
                 });
@@ -803,33 +798,29 @@ impl<'a> Sink<'a> {
         self.held = taken.err();
     }
 
-    fn finish(self, schema: &RowSchema, params: &[Value]) -> Result<ResultSet> {
+    /// The result, the rows it took being `width` slots wide.
+    fn finish(self, db: &Database, width: usize, params: &[Value]) -> Result<ResultSet> {
         if let Some(e) = self.held {
             return Err(e);
         }
         match self.shape {
-            Shape::Rows(_) => self.output.finish(self.db),
-            Shape::Groups(g) => g.finish(self.output, self.db, schema, params),
+            Shape::Rows(_) => self.output.finish(db),
+            Shape::Groups(g) => g.finish(self.output, db, width, params),
         }
     }
 }
 
 /// The select list of a plain SELECT over `schema`: its output names and
-/// columns. A bare column passes its cell through (DATALINK-rendered
-/// when the catalogue column has a spec) and must resolve; `t.*` must
-/// name a table of the statement.
+/// columns. A bare column passes its cell through, DATALINK-rendered
+/// under its slot's spec in `specs`; `t.*` must name a table of the
+/// statement.
 fn project<'a>(
-    db: &'a Database,
+    functions: &FnRegistry,
     sel: &SelectStmt,
     schema: &RowSchema,
-    catalogue: &HashMap<String, String>,
+    specs: &[Option<&'a DatalinkSpec>],
 ) -> Result<(Vec<String>, Vec<Out<'a>>)> {
-    let spec = |i: usize| -> Option<&'a DatalinkSpec> {
-        let c = &schema.columns[i];
-        let table = db.schema(catalogue.get(c.table.as_ref()?)?)?;
-        table.column(&c.name)?.datalink.as_ref()
-    };
-    let slot = |i: usize| Out::Slot(i, spec(i));
+    let slot = |i: usize| Out::Slot(i, specs.get(i).copied().flatten());
     let mut columns = Vec::new();
     let mut outs = Vec::new();
     for item in &sel.items {
@@ -855,9 +846,9 @@ fn project<'a>(
             }
             SelectItem::Expr { expr, alias } => {
                 columns.push(alias.clone().unwrap_or_else(|| derive_name(expr)));
-                outs.push(match expr {
-                    Expr::Column { table, name } => slot(schema.resolve(table.as_deref(), name)?),
-                    other => Out::Expr(bind(db, schema, other)),
+                outs.push(match schema.bind(expr, functions, &[])? {
+                    Bound::Slot(i) => slot(i),
+                    bound => Out::Expr(bound),
                 });
             }
         }
@@ -881,37 +872,41 @@ struct Grouping {
 }
 
 impl Grouping {
+    /// Bind the group keys, then each aggregate call's argument, then
+    /// the per-group part and the output its rows go to.
     fn bind(
-        db: &Database,
+        functions: &FnRegistry,
         sel: &SelectStmt,
         schema: &RowSchema,
-        aggs: &[Expr],
-        finish: Finish,
-    ) -> Self {
-        let calls = aggs
-            .iter()
-            .map(|agg| {
-                let Expr::Function { name, args, star } = agg else {
-                    unreachable!("collect_aggs only collects functions");
-                };
-                let arg = match args.first() {
-                    _ if *star => None,
-                    Some(arg) => Some(bind(db, schema, arg)),
-                    None => Some(Bound::Raise(DbError::Eval(format!(
-                        "{name} expects 1 argument(s), got 0"
-                    )))),
-                };
-                (name.clone(), arg)
-            })
-            .collect();
-        Grouping {
-            keys: sel.group_by.iter().map(|g| bind(db, schema, g)).collect(),
+    ) -> Result<(Self, Output)> {
+        let bind = |e: &Expr| schema.bind(e, functions, &[]);
+        let keys = sel.group_by.iter().map(bind).collect::<Result<_>>()?;
+        let aggs = aggregates(sel);
+        let mut calls = Vec::with_capacity(aggs.len());
+        for agg in &aggs {
+            let Expr::Function { name, args, star } = agg else {
+                unreachable!("collect_aggs only collects functions");
+            };
+            let arg = match args.first() {
+                _ if *star => None,
+                Some(arg) => Some(bind(arg)?),
+                None => {
+                    let what = format!("{name} expects 1 argument(s), got 0");
+                    return Err(DbError::Eval(what));
+                }
+            };
+            calls.push((name.clone(), arg));
+        }
+        let (finish, output) = Finish::bind(functions, sel, schema, &aggs)?;
+        let grouping = Grouping {
+            keys,
             calls,
             finish,
             groups: Vec::new(),
             index: HashMap::new(),
             key: Vec::new(),
-        }
+        };
+        Ok((grouping, output))
     }
 
     fn reads(&self, read: &mut [bool]) {
@@ -953,18 +948,18 @@ impl Grouping {
         Ok(())
     }
 
+    /// The result, the rows folded being `width` slots wide.
     fn finish(
         mut self,
         output: Output,
         db: &Database,
-        schema: &RowSchema,
+        width: usize,
         params: &[Value],
     ) -> Result<ResultSet> {
         // A global aggregate over zero rows still yields one group.
         if self.groups.is_empty() && self.keys.is_empty() {
             let states = self.calls.iter().map(|_| AggState::default()).collect();
-            self.groups
-                .push((vec![Value::Null; schema.columns.len()], states));
+            self.groups.push((vec![Value::Null; width], states));
         }
         let calls = &self.calls;
         let groups = self
@@ -979,13 +974,13 @@ impl Grouping {
                 (rep, aggs)
             })
             .collect();
-        self.finish.run(output, db, schema, groups, params)
+        self.finish.run(output, db, groups, params)
     }
 }
 
 /// The aggregate calls of `sel`, deduplicated, in the order
 /// [`collect_aggs`] meets them in the select list, HAVING and ORDER BY.
-fn aggregates(sel: &SelectStmt) -> Vec<Expr> {
+pub fn aggregates(sel: &SelectStmt) -> Vec<Expr> {
     let mut aggs = Vec::new();
     for item in &sel.items {
         if let SelectItem::Expr { expr, .. } = item {
@@ -1006,35 +1001,37 @@ fn aggregates(sel: &SelectStmt) -> Vec<Expr> {
 /// representative rows and the finished values of its aggregate calls.
 struct Finish {
     having: Option<Bound>,
-    /// The select list; a wildcard is an error once the rows are grouped.
-    items: Result<Vec<Bound>>,
+    items: Vec<Bound>,
 }
 
 impl Finish {
-    /// Bind it and the output its rows go to.
-    fn bind(db: &Database, sel: &SelectStmt, schema: &RowSchema, aggs: &[Expr]) -> (Self, Output) {
-        let bind = |e: &Expr| schema.bind(e, db.functions(), aggs);
+    /// Bind it and the output its rows go to: a wildcard in the select
+    /// list is an error first, then HAVING, the items and ORDER BY bind.
+    fn bind(
+        functions: &FnRegistry,
+        sel: &SelectStmt,
+        schema: &RowSchema,
+        aggs: &[Expr],
+    ) -> Result<(Self, Output)> {
+        let bind = |e: &Expr| schema.bind(e, functions, aggs);
         let mut columns = Vec::new();
-        let items = sel
-            .items
-            .iter()
-            .map(|item| match item {
-                SelectItem::Expr { expr, alias } => {
-                    columns.push(alias.clone().unwrap_or_else(|| derive_name(expr)));
-                    Ok(bind(expr))
-                }
-                _ => Err(DbError::Eval(
-                    "wildcard not allowed with GROUP BY / aggregates".into(),
-                )),
-            })
-            .collect();
-        let having = sel.having.as_ref().map(bind);
-        (Finish { having, items }, Output::bind(sel, columns, bind))
+        let mut exprs = Vec::new();
+        for item in &sel.items {
+            let SelectItem::Expr { expr, alias } = item else {
+                let what = "wildcard not allowed with GROUP BY / aggregates";
+                return Err(DbError::Eval(what.into()));
+            };
+            columns.push(alias.clone().unwrap_or_else(|| derive_name(expr)));
+            exprs.push(expr);
+        }
+        let having = sel.having.as_ref().map(bind).transpose()?;
+        let items = exprs.into_iter().map(bind).collect::<Result<_>>()?;
+        let output = Output::bind(sel, columns, bind)?;
+        Ok((Finish { having, items }, output))
     }
 
     fn reads(&self, read: &mut [bool]) {
-        let items = self.items.iter().flatten();
-        for e in self.having.iter().chain(items) {
+        for e in self.having.iter().chain(&self.items) {
             e.reads(read);
         }
     }
@@ -1043,27 +1040,26 @@ impl Finish {
         self,
         mut output: Output,
         db: &Database,
-        schema: &RowSchema,
         groups: Vec<(Vec<Value>, Vec<Value>)>,
         params: &[Value],
     ) -> Result<ResultSet> {
-        let items = self.items?;
         let mut kept = 0;
         for (rep, aggs) in groups {
             // One evaluator for HAVING and the select list: an aggregate
             // call anywhere inside them reads the group's finished value.
             let ctx = EvalContext {
                 aggs: Some(&aggs),
-                ..row_ctx(db, schema, &rep, params)
+                ..EvalContext::new(&rep, params)
             };
             if let Some(h) = &self.having {
                 if !holds(&ctx, h)? {
                     continue;
                 }
             }
-            let row = items
+            let row = self
+                .items
                 .iter()
-                .map(|e| ctx.eval_cow(e).map(Cow::into_owned))
+                .map(|e| ctx.eval(e))
                 .collect::<Result<_>>()?;
             kept += 1;
             output.offer(row, &ctx);
@@ -1089,8 +1085,8 @@ pub fn finish_groups(
     groups: Vec<(Vec<Value>, Vec<Value>)>,
     params: &[Value],
 ) -> Result<ResultSet> {
-    let (finish, output) = Finish::bind(db, sel, schema, &aggregates(sel));
-    finish.run(output, db, schema, groups, params)
+    let (finish, output) = Finish::bind(db.functions(), sel, schema, &aggregates(sel))?;
+    finish.run(output, db, groups, params)
 }
 
 /// DISTINCT, ORDER BY and LIMIT over output rows as they arrive.
@@ -1121,24 +1117,28 @@ enum Key {
 }
 
 impl Output {
-    fn bind(sel: &SelectStmt, columns: Vec<String>, bind: impl Fn(&Expr) -> Bound) -> Self {
-        let order = sel
-            .order_by
-            .iter()
-            .map(|ob| {
-                // A bare column matching an output alias sorts by the
-                // output column.
-                let column = match &ob.expr {
-                    Expr::Column { table: None, name } => {
-                        columns.iter().position(|c| c.eq_ignore_ascii_case(name))
-                    }
-                    _ => None,
-                };
-                let key = column.map_or_else(|| Key::Expr(bind(&ob.expr)), Key::Column);
-                (key, ob.asc)
-            })
-            .collect();
-        Output {
+    fn bind(
+        sel: &SelectStmt,
+        columns: Vec<String>,
+        bind: impl Fn(&Expr) -> Result<Bound>,
+    ) -> Result<Self> {
+        let mut order = Vec::with_capacity(sel.order_by.len());
+        for ob in &sel.order_by {
+            // A bare column matching an output alias sorts by the output
+            // column.
+            let column = match &ob.expr {
+                Expr::Column { table: None, name } => {
+                    columns.iter().position(|c| c.eq_ignore_ascii_case(name))
+                }
+                _ => None,
+            };
+            let key = match column {
+                Some(i) => Key::Column(i),
+                None => Key::Expr(bind(&ob.expr)?),
+            };
+            order.push((key, ob.asc));
+        }
+        Ok(Output {
             columns,
             distinct: sel.distinct.then(HashSet::new),
             order,
@@ -1147,9 +1147,8 @@ impl Output {
             sorted: 0,
             late: None,
             key: Vec::new(),
-        }
+        })
     }
-
     fn reads(&self, read: &mut [bool]) {
         for (key, _) in &self.order {
             if let Key::Expr(e) = key {
@@ -1185,7 +1184,7 @@ impl Output {
             .iter()
             .map(|(key, _)| match key {
                 Key::Column(i) => Ok(row[*i].clone()),
-                Key::Expr(e) => ctx.eval_cow(e).map(Cow::into_owned),
+                Key::Expr(e) => ctx.eval(e),
             })
             .collect();
         match keys {

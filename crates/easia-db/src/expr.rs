@@ -49,16 +49,13 @@ impl RowSchema {
         RowSchema { columns }
     }
 
-    /// The slots a column reference could denote — the one statement of
-    /// the name-resolution rule: a slot matches when it carries the
+    /// Resolve a column reference to its slot — the one statement of the
+    /// name-resolution rule: a slot matches when it carries the
     /// reference's name and, for a qualified reference, is bound under
     /// exactly that alias (a table's own name stops matching once the
-    /// statement aliases it).
-    pub fn candidates<'a>(
-        &'a self,
-        table: Option<&'a str>,
-        name: &'a str,
-    ) -> impl Iterator<Item = usize> + 'a {
+    /// statement aliases it). No match is an unknown column, more than
+    /// one an ambiguous reference. Only [`RowSchema::bind`] asks.
+    fn resolve(&self, table: Option<&str>, name: &str) -> Result<usize> {
         // `slot == reference.to_ascii_uppercase()`, folded byte by byte
         // as it is compared: a lookup allocates nothing.
         let is = |slot: &str, reference: &str| {
@@ -68,23 +65,13 @@ impl RowSchema {
                     .zip(reference.bytes())
                     .all(|(s, r)| s == r.to_ascii_uppercase())
         };
-        self.columns
-            .iter()
-            .enumerate()
-            .filter(move |(_, c)| {
-                is(&c.name, name)
-                    && table.is_none_or(|t| c.table.as_deref().is_some_and(|ct| is(ct, t)))
-            })
-            .map(|(i, _)| i)
-    }
-
-    /// Resolve a column reference to its slot index: no candidate is an
-    /// unknown column, more than one an ambiguous reference.
-    pub fn resolve(&self, table: Option<&str>, name: &str) -> Result<usize> {
-        let mut hits = self.candidates(table, name);
+        let mut hits = self.columns.iter().enumerate().filter(|(_, c)| {
+            is(&c.name, name)
+                && table.is_none_or(|t| c.table.as_deref().is_some_and(|ct| is(ct, t)))
+        });
         let upper = str::to_ascii_uppercase;
         match (hits.next(), hits.next()) {
-            (Some(slot), None) => Ok(slot),
+            (Some((slot, _)), None) => Ok(slot),
             (Some(_), Some(_)) => Err(DbError::Eval(format!(
                 "ambiguous column reference {}",
                 upper(name)
@@ -98,67 +85,61 @@ impl RowSchema {
 
     /// Bind `e` against this row shape. `aggs` lists the aggregate calls
     /// a group answers, by position (empty outside a group); `functions`
-    /// supplies the scalar functions.
-    pub fn bind(&self, e: &Expr, functions: &FnRegistry, aggs: &[Expr]) -> Bound {
-        let bind = |e: &Expr| Box::new(self.bind(e, functions, aggs));
-        match e {
+    /// supplies the scalar functions. What does not bind — an unknown or
+    /// ambiguous column, an unknown function, `f(*)` outside a group — is
+    /// the statement's error, the first in evaluation order.
+    pub fn bind(&self, e: &Expr, functions: &FnRegistry, aggs: &[Expr]) -> Result<Bound> {
+        let one = |e: &Expr| self.bind(e, functions, aggs).map(Box::new);
+        let all = |es: &[Expr]| -> Result<Vec<Bound>> {
+            es.iter().map(|e| self.bind(e, functions, aggs)).collect()
+        };
+        Ok(match e {
             Expr::Literal(v) => Bound::Value(v.clone()),
             Expr::Param(n) => Bound::Param(*n),
-            Expr::Column { table, name } => match self.resolve(table.as_deref(), name) {
-                Ok(slot) => Bound::Slot(slot),
-                Err(e) => Bound::Raise(e),
-            },
-            Expr::Unary(op, inner) => Bound::Unary(*op, bind(inner)),
-            Expr::Binary(l, op, r) => Bound::Binary(bind(l), *op, bind(r)),
-            Expr::IsNull { expr, negated } => Bound::IsNull(bind(expr), *negated),
+            Expr::Column { table, name } => Bound::Slot(self.resolve(table.as_deref(), name)?),
+            Expr::Unary(op, inner) => Bound::Unary(*op, one(inner)?),
+            Expr::Binary(l, op, r) => Bound::Binary(one(l)?, *op, one(r)?),
+            Expr::IsNull { expr, negated } => Bound::IsNull(one(expr)?, *negated),
             Expr::Like {
                 expr,
                 pattern,
                 negated,
-            } => Bound::Like(bind(expr), bind(pattern), *negated),
+            } => Bound::Like(one(expr)?, one(pattern)?, *negated),
             Expr::InList {
                 expr,
                 list,
                 negated,
-            } => Bound::InList(
-                bind(expr),
-                list.iter().map(|e| self.bind(e, functions, aggs)).collect(),
-                *negated,
-            ),
+            } => Bound::InList(one(expr)?, all(list)?, *negated),
             Expr::Between {
                 expr,
                 lo,
                 hi,
                 negated,
-            } => Bound::Between(bind(expr), bind(lo), bind(hi), *negated),
+            } => Bound::Between(one(expr)?, one(lo)?, one(hi)?, *negated),
             Expr::Function { name, args, star } => {
                 // Inside a group an aggregate call is already a value —
                 // wherever in a composite expression it stands.
                 if let Some(i) = aggs.iter().position(|a| a == e) {
-                    return Bound::Agg(i);
+                    return Ok(Bound::Agg(i));
                 }
-                let raise = |what: String| Bound::Raise(DbError::Eval(what));
                 match functions.get(name) {
-                    _ if *star => raise(format!("{name}(*) is only valid as an aggregate")),
-                    None => raise(format!("unknown function {name}")),
-                    Some(f) => Bound::Call(
-                        f.clone(),
-                        args.iter().map(|a| self.bind(a, functions, aggs)).collect(),
-                    ),
+                    _ if *star => {
+                        let what = format!("{name}(*) is only valid as an aggregate");
+                        return Err(DbError::Eval(what));
+                    }
+                    None => return Err(DbError::Eval(format!("unknown function {name}"))),
+                    Some(f) => Bound::Call(f.clone(), all(args)?),
                 }
             }
-        }
+        })
     }
 }
 
 /// An expression bound against the [`RowSchema`] of the rows it will
 /// meet: a column is its slot, an aggregate call answered by a group is
 /// the index of the group's finished value, a scalar function is the
-/// registered function itself. What cannot be bound — an unknown or
-/// ambiguous column, an unknown function, `f(*)` outside a group — is
-/// the error it raises *when evaluated*, so a statement raises it on the
-/// first row that reaches it and on no other, as when names were
-/// resolved row by row.
+/// registered function itself. Nothing in it names anything: evaluating
+/// it raises only what a row's values raise.
 #[derive(Clone)]
 pub enum Bound {
     /// A literal.
@@ -169,8 +150,6 @@ pub enum Bound {
     Slot(usize),
     /// The group's finished value of its `n`th aggregate call.
     Agg(usize),
-    /// A reference that did not bind.
-    Raise(DbError),
     /// Unary operator.
     Unary(UnaryOp, Box<Bound>),
     /// Binary operator.
@@ -192,7 +171,7 @@ impl Bound {
     pub fn reads(&self, read: &mut [bool]) {
         match self {
             Bound::Slot(i) => read[*i] = true,
-            Bound::Value(_) | Bound::Param(_) | Bound::Agg(_) | Bound::Raise(_) => {}
+            Bound::Value(_) | Bound::Param(_) | Bound::Agg(_) => {}
             Bound::Unary(_, e) | Bound::IsNull(e, _) => e.reads(read),
             Bound::Binary(a, _, b) | Bound::Like(a, b, _) => {
                 [a, b].iter().for_each(|e| e.reads(read))
@@ -333,28 +312,31 @@ fn string_fn(v: &Value, f: impl Fn(&str) -> String) -> Result<Value> {
     })
 }
 
-/// Everything needed to evaluate an expression against one row.
+/// Everything a bound expression evaluates against: one row.
 pub struct EvalContext<'a> {
-    /// Shape of `row`.
-    pub schema: &'a RowSchema,
     /// The current row.
     pub row: &'a [Value],
     /// Positional parameter values (1-based indices into this slice + 1).
     pub params: &'a [Value],
-    /// Scalar functions.
-    pub functions: &'a FnRegistry,
     /// The finished aggregate values of the group `row` represents, in
     /// the order of the aggregate calls the expressions were bound with;
     /// `None` outside an aggregate's groups.
     pub aggs: Option<&'a [Value]>,
 }
 
-impl EvalContext<'_> {
-    /// Evaluate `expr` to a value of its own: bind it against this
-    /// context's schema, then run it.
-    pub fn eval(&self, expr: &Expr) -> Result<Value> {
-        let bound = self.schema.bind(expr, self.functions, &[]);
-        self.eval_cow(&bound).map(Cow::into_owned)
+impl<'a> EvalContext<'a> {
+    /// `row` outside any group.
+    pub fn new(row: &'a [Value], params: &'a [Value]) -> Self {
+        EvalContext {
+            row,
+            params,
+            aggs: None,
+        }
+    }
+
+    /// Evaluate `expr` to a value of its own.
+    pub fn eval(&self, expr: &Bound) -> Result<Value> {
+        self.eval_cow(expr).map(Cow::into_owned)
     }
 
     /// Evaluate `expr`, lending what already exists — a literal, a
@@ -374,7 +356,6 @@ impl EvalContext<'_> {
             Bound::Agg(i) => Ok(Cow::Borrowed(
                 &self.aggs.expect("aggregate calls are bound inside a group")[*i],
             )),
-            Bound::Raise(e) => Err(e.clone()),
             Bound::Unary(op, e) => {
                 let v = self.eval_cow(e)?;
                 match op {
@@ -655,17 +636,9 @@ mod tests {
 
     fn eval_str(sql_expr: &str) -> Result<Value> {
         // Parse `SELECT <expr>` and evaluate against an empty row.
-        let expr = expr_of(sql_expr)?;
-        let schema = RowSchema::default();
         let fns = FnRegistry::with_builtins();
-        let ctx = EvalContext {
-            schema: &schema,
-            row: &[],
-            params: &[],
-            functions: &fns,
-            aggs: None,
-        };
-        ctx.eval(&expr)
+        let bound = RowSchema::default().bind(&expr_of(sql_expr)?, &fns, &[])?;
+        EvalContext::new(&[], &[]).eval(&bound)
     }
 
     #[test]
@@ -847,13 +820,7 @@ mod tests {
         let fns = FnRegistry::with_builtins();
         let row = vec![Value::Int(10), Value::Str("x".into())];
         let params = vec![Value::Int(10)];
-        let ctx = EvalContext {
-            schema: &schema,
-            row: &row,
-            params: &params,
-            functions: &fns,
-            aggs: None,
-        };
+        let ctx = EvalContext::new(&row, &params);
         let e = E::Binary(
             Box::new(E::Column {
                 table: None,
@@ -862,40 +829,35 @@ mod tests {
             BinaryOp::Eq,
             Box::new(E::Param(1)),
         );
-        assert_eq!(ctx.eval(&e).unwrap(), Value::Bool(true));
-        assert!(ctx.eval(&E::Param(2)).is_err(), "missing param");
+        let bound = schema.bind(&e, &fns, &[]).unwrap();
+        assert_eq!(ctx.eval(&bound).unwrap(), Value::Bool(true));
+        assert!(ctx.eval(&Bound::Param(2)).is_err(), "missing param");
     }
 
-    /// Binding never fails: what does not bind raises its own error when
-    /// — and only if — evaluation reaches it; an aggregate call bound
-    /// inside a group reads the group's value by position.
+    /// Binding is where names fail: what does not bind is the error of
+    /// the whole expression, whether or not evaluation would have reached
+    /// it; an aggregate call bound inside a group reads the group's value
+    /// by position.
     #[test]
-    fn binding_defers_errors_and_numbers_aggregates() {
+    fn binding_raises_errors_and_numbers_aggregates() {
         let schema = RowSchema::for_table("T", &["A".into(), "B".into()]);
         let fns = FnRegistry::with_builtins();
         let row = [Value::Int(1), Value::Int(5)];
-        let ctx = EvalContext {
-            schema: &schema,
-            row: &row,
-            params: &[],
-            functions: &fns,
-            aggs: None,
-        };
         let run = |sql: &str, aggs: &[Expr], values: Option<&[Value]>| {
-            let bound = schema.bind(&expr_of(sql).unwrap(), &fns, aggs);
+            let bound = schema
+                .bind(&expr_of(sql).unwrap(), &fns, aggs)
+                .map_err(|e| e.to_string())?;
             let ctx = EvalContext {
                 aggs: values,
-                ..ctx
+                ..EvalContext::new(&row, &[])
             };
-            ctx.eval_cow(&bound)
-                .map(Cow::into_owned)
-                .map_err(|e| e.to_string())
+            ctx.eval(&bound).map_err(|e| e.to_string())
         };
-        assert_eq!(run("A < 0 AND nope = 1", &[], None), Ok(Value::Bool(false)));
         assert_eq!(run("A + B", &[], None), Ok(Value::Int(6)));
         for (sql, raised) in [
             ("nope = 1", "unknown column NOPE"),
-            ("t.nope", "unknown column T.NOPE"),
+            ("A < 0 AND nope = 1", "unknown column NOPE"),
+            ("A = 1 OR t.nope", "unknown column T.NOPE"),
             ("NO_SUCH(A)", "unknown function NO_SUCH"),
             ("COUNT(*) + 1", "COUNT(*) is only valid as an aggregate"),
         ] {

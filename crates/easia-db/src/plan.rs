@@ -7,12 +7,13 @@
 //! narrows: the executor still evaluates the whole predicate on every
 //! candidate, so bounds are inclusive supersets, and a path is chosen
 //! only when skipping the other rows cannot change what the statement
-//! returns *or raises* (see [`Scope::total`]).
+//! returns *or raises* (see [`Scope::total`]). The planner reads the
+//! statement's bound form: its names were resolved, once, when it was
+//! bound.
 
 use crate::db::Table;
 use crate::error::Result;
-use crate::exec::eval_const;
-use crate::expr::RowSchema;
+use crate::expr::{Bound, EvalContext, RowSchema};
 use crate::schema::TableSchema;
 use crate::sql::ast::{BinaryOp, Expr, UnaryOp};
 use crate::value::{SqlType, Value};
@@ -78,28 +79,31 @@ impl Tail {
 }
 
 /// Split a predicate into top-level AND conjuncts.
-pub fn conjuncts(expr: &Expr) -> Vec<&Expr> {
-    let mut out = Vec::new();
-    fn rec<'a>(e: &'a Expr, out: &mut Vec<&'a Expr>) {
-        if let Expr::Binary(l, BinaryOp::And, r) = e {
-            rec(l, out);
-            rec(r, out);
-        } else {
-            out.push(e);
-        }
+pub fn conjuncts(e: &Expr) -> Vec<&Expr> {
+    match e {
+        Expr::Binary(l, BinaryOp::And, r) => [conjuncts(l), conjuncts(r)].concat(),
+        _ => vec![e],
     }
-    rec(expr, &mut out);
-    out
 }
 
-fn is_const(e: &Expr) -> bool {
+/// [`conjuncts`] of a bound predicate: binding keeps the tree's shape,
+/// so the bound form of `conjuncts(e)[i]` is `bound_conjuncts(b)[i]`.
+pub fn bound_conjuncts(b: &Bound) -> Vec<&Bound> {
+    match b {
+        Bound::Binary(l, BinaryOp::And, r) => [bound_conjuncts(l), bound_conjuncts(r)].concat(),
+        _ => vec![b],
+    }
+}
+
+/// Does `e` read nothing of the row?
+fn is_const(e: &Bound) -> bool {
     match e {
-        Expr::Literal(_) | Expr::Param(_) => true,
-        Expr::Unary(_, inner) => is_const(inner),
-        Expr::Binary(l, op, r) => {
+        Bound::Value(_) | Bound::Param(_) => true,
+        Bound::Unary(_, inner) => is_const(inner),
+        Bound::Binary(l, op, r) => {
             !matches!(op, BinaryOp::And | BinaryOp::Or) && is_const(l) && is_const(r)
         }
-        Expr::Function { args, star, .. } => !star && args.iter().all(is_const),
+        Bound::Call(_, args) => args.iter().all(is_const),
         _ => false,
     }
 }
@@ -107,7 +111,7 @@ fn is_const(e: &Expr) -> bool {
 /// A stand-in for whatever non-NULL value a column of type `ty` holds:
 /// stored rows are coerced to their column's type, so the variant is
 /// the only thing a comparison's success depends on.
-fn stand_in(ty: SqlType) -> Value {
+pub(crate) fn stand_in(ty: SqlType) -> Value {
     match ty {
         SqlType::Integer => Value::Int(0),
         SqlType::Double => Value::Double(0.0),
@@ -120,33 +124,28 @@ fn stand_in(ty: SqlType) -> Value {
     }
 }
 
-/// The rows a statement's WHERE and ON clauses are evaluated against:
-/// the planned table's columns first, each JOIN leg's after, with the
-/// declared type of every slot (`None` for an in-memory relation's).
+/// The declared type of every slot of the rows a statement's WHERE and
+/// ON clauses meet: the planned table's columns first, each JOIN leg's
+/// after (`None` for an in-memory relation's).
+#[derive(Default)]
 pub struct Scope {
-    schema: RowSchema,
     types: Vec<Option<SqlType>>,
 }
 
 impl Scope {
-    /// The scope of a single-table statement over `table` known as `alias`.
-    pub fn of(alias: &str, table: &TableSchema) -> Self {
-        let mut scope = Scope {
-            schema: RowSchema::default(),
-            types: Vec::new(),
-        };
-        let names: Vec<String> = table.columns.iter().map(|c| c.name.clone()).collect();
-        scope.join(alias, &names, Some(table));
+    /// The scope of a single-table statement over `table`.
+    pub fn of(table: &TableSchema) -> Self {
+        let mut scope = Scope::default();
+        scope.join(table.columns.len(), Some(table));
         scope
     }
 
-    /// Append a JOIN leg: its alias, its columns and, when it is a
-    /// catalogue table, the schema that types them.
-    pub fn join(&mut self, alias: &str, columns: &[String], table: Option<&TableSchema>) {
-        self.schema = self.schema.join(&RowSchema::for_table(alias, columns));
+    /// Append a leg `width` columns wide, typed by `table` when it is a
+    /// catalogue table.
+    pub fn join(&mut self, width: usize, table: Option<&TableSchema>) {
         match table {
             Some(t) => self.types.extend(t.columns.iter().map(|c| Some(c.ty))),
-            None => self.types.extend(columns.iter().map(|_| None)),
+            None => self.types.extend(std::iter::repeat_n(None, width)),
         }
     }
 
@@ -154,52 +153,26 @@ impl Scope {
     /// Narrowing a scan skips rows, and a skipped row cannot raise the
     /// error it would have raised under a full scan, so an index path
     /// is only sound under predicates that never raise.
-    pub fn total(&self, db: &Database, e: &Expr, params: &[Value]) -> bool {
-        self.kind(db, e, params).is_some()
-    }
-
-    /// The top-level conjuncts of `pred` whose columns all belong to the
-    /// scope's first leg, `width` columns wide (a conjunct naming no
-    /// column at all is one of them). Such a conjunct reads the same
-    /// values on the leg's own row as on every joined row made from it,
-    /// so when `pred` and every ON are [`Scope::total`] it may filter the
-    /// leg before the join: like an index it only narrows, and the whole
-    /// `pred` still decides on the joined rows.
-    pub fn own_conjuncts<'e>(&self, pred: &'e Expr, width: usize) -> Vec<&'e Expr> {
-        let own = |e: &Expr| {
-            let mut own = true;
-            e.walk(&mut |n| {
-                if let Expr::Column { table, name } = n {
-                    own &= self
-                        .schema
-                        .resolve(table.as_deref(), name)
-                        .is_ok_and(|slot| slot < width);
-                }
-            });
-            own
-        };
-        conjuncts(pred).into_iter().filter(|c| own(c)).collect()
+    pub fn total(&self, e: &Bound, params: &[Value]) -> bool {
+        self.kind(e, params).is_some()
     }
 
     /// A value of the kind `e` yields (its actual value when `e` is
     /// row-independent), or `None` when evaluating `e` could raise: an
-    /// unresolvable or untyped column, a comparison `sql_cmp` refuses,
-    /// `LIKE` over non-strings, arithmetic or a function over a column,
-    /// a constant that fails to evaluate. NULL is a kind of its own that
-    /// every operator accepts.
-    fn kind(&self, db: &Database, e: &Expr, params: &[Value]) -> Option<Value> {
+    /// untyped column, a comparison `sql_cmp` refuses, `LIKE` over
+    /// non-strings, arithmetic or a function over a column, a constant
+    /// that fails to evaluate. NULL is a kind of its own that every
+    /// operator accepts.
+    fn kind(&self, e: &Bound, params: &[Value]) -> Option<Value> {
         if is_const(e) {
-            return eval_const(db, e, params).ok();
+            return EvalContext::new(&[], params).eval(e).ok();
         }
-        let kind = |e: &Expr| self.kind(db, e, params);
+        let kind = |e: &Bound| self.kind(e, params);
         let truth = Some(Value::Bool(false));
         match e {
-            Expr::Column { table, name } => {
-                let slot = self.schema.resolve(table.as_deref(), name).ok()?;
-                self.types[slot].map(stand_in)
-            }
-            Expr::Unary(UnaryOp::Not, inner) => kind(inner).and(truth),
-            Expr::Binary(l, op, r) => {
+            Bound::Slot(slot) => self.types[*slot].map(stand_in),
+            Bound::Unary(UnaryOp::Not, inner) => kind(inner).and(truth),
+            Bound::Binary(l, op, r) => {
                 let (l, r) = (kind(l)?, kind(r)?);
                 match op {
                     BinaryOp::And | BinaryOp::Or => truth,
@@ -213,21 +186,37 @@ impl Scope {
                     _ => None,
                 }
             }
-            Expr::IsNull { expr, .. } => kind(expr).and(truth),
-            Expr::Like { expr, pattern, .. } => {
+            Bound::IsNull(expr, _) => kind(expr).and(truth),
+            Bound::Like(expr, pattern, _) => {
                 let text = |v: Value| v.is_null() || v.as_text().is_some();
                 (text(kind(expr)?) && text(kind(pattern)?)).then_some(Value::Bool(false))
             }
             // Neither raises on operands it cannot compare: BETWEEN
             // yields NULL and IN moves on to the next item.
-            Expr::Between { expr, lo, hi, .. } => kind(expr).and(kind(lo)).and(kind(hi)).and(truth),
-            Expr::InList { expr, list, .. } => list
+            Bound::Between(expr, lo, hi, _) => kind(expr).and(kind(lo)).and(kind(hi)).and(truth),
+            Bound::InList(expr, list, _) => list
                 .iter()
                 .try_fold(kind(expr)?, |_, item| kind(item))
                 .and(truth),
             _ => None,
         }
     }
+}
+
+/// The top-level conjuncts of `pred`, bound over a row `slots` wide,
+/// that read only its first leg, `width` columns wide (a conjunct
+/// reading no column at all is one of them). Such a conjunct reads the same values on the leg's own
+/// row as on every joined row made from it, so when `pred` and every ON
+/// are [`Scope::total`] it may filter the leg before the join: like an
+/// index it only narrows, and the whole `pred` still decides on the
+/// joined rows.
+pub fn own_conjuncts(pred: &Bound, width: usize, slots: usize) -> Vec<&Bound> {
+    let own = |c: &&Bound| {
+        let mut read = vec![false; slots];
+        c.reads(&mut read);
+        !read[width..].contains(&true)
+    };
+    bound_conjuncts(pred).into_iter().filter(own).collect()
 }
 
 /// What the WHERE's top-level conjuncts demand of one column.
@@ -280,7 +269,9 @@ fn flipped(op: BinaryOp) -> BinaryOp {
 }
 
 /// Choose an access path for the single-table statement over `table`
-/// (known as `table_alias`) given an optional WHERE clause.
+/// (known as `table_alias`) given an optional WHERE clause, bound here
+/// against the table's row: a name it does not know is the statement's
+/// error.
 pub fn choose_access_path(
     db: &Database,
     table: &Table,
@@ -288,17 +279,29 @@ pub fn choose_access_path(
     where_clause: Option<&Expr>,
     params: &[Value],
 ) -> Result<AccessPath> {
-    let scope = Scope::of(table_alias, &table.schema);
-    Ok(match where_clause {
-        Some(pred) if scope.total(db, pred, params) => {
-            choose_in_scope(db, table, &scope, pred, params)
-        }
-        _ => AccessPath::FullScan,
-    })
+    let names: Vec<String> = table
+        .schema
+        .columns
+        .iter()
+        .map(|c| c.name.clone())
+        .collect();
+    let schema = RowSchema::for_table(table_alias, &names);
+    let pred = where_clause.map(|w| schema.bind(w, db.functions(), &[]));
+    Ok(choose_bound(table, pred.transpose()?.as_ref(), params))
 }
 
-/// Choose an access path for `table`, the first leg of `scope`, under
-/// a predicate the caller has checked to be [`Scope::total`].
+/// [`choose_access_path`] under a WHERE already bound against the
+/// table's row.
+pub(crate) fn choose_bound(table: &Table, pred: Option<&Bound>, params: &[Value]) -> AccessPath {
+    match pred {
+        Some(p) if Scope::of(&table.schema).total(p, params) => choose_in_scope(table, p, params),
+        _ => AccessPath::FullScan,
+    }
+}
+
+/// Choose an access path for `table`, the first leg of the row `pred`
+/// is bound over, under a predicate the caller has checked to be
+/// [`Scope::total`].
 ///
 /// Every sargable top-level conjunct on the table — `col = c`,
 /// `col {<,<=,>,>=} c` in either orientation, `col BETWEEN a AND b`,
@@ -308,42 +311,27 @@ pub fn choose_access_path(
 /// that binds most wins (more equalities, then a bounded tail, then
 /// unique, then declaration order). `FullScan` when no index binds
 /// anything.
-pub fn choose_in_scope(
-    db: &Database,
-    table: &Table,
-    scope: &Scope,
-    pred: &Expr,
-    params: &[Value],
-) -> AccessPath {
+pub fn choose_in_scope(table: &Table, pred: &Bound, params: &[Value]) -> AccessPath {
     let width = table.schema.columns.len();
     // A column of the planned table and the constant it is held against.
-    let own = |col: &Expr, konst: &Expr| -> Option<(usize, Value)> {
-        let Expr::Column { table, name } = col else {
+    let own = |col: &Bound, konst: &Bound| -> Option<(usize, Value)> {
+        let (Bound::Slot(slot), true) = (col, is_const(konst)) else {
             return None;
         };
-        if !is_const(konst) {
-            return None;
-        }
-        let slot = scope.schema.resolve(table.as_deref(), name).ok()?;
-        let v = eval_const(db, konst, params).ok()?;
-        (slot < width && !v.is_null()).then_some((slot, v))
+        let v = EvalContext::new(&[], params).eval(konst).ok()?;
+        (*slot < width && !v.is_null()).then_some((*slot, v))
     };
     let mut restrictions = vec![Restriction::default(); width];
-    for c in conjuncts(pred) {
+    for c in bound_conjuncts(pred) {
         match c {
-            Expr::Binary(l, op, r) => {
+            Bound::Binary(l, op, r) => {
                 if let Some((slot, v)) = own(l, r) {
                     restrictions[slot].bound(*op, v);
                 } else if let Some((slot, v)) = own(r, l) {
                     restrictions[slot].bound(flipped(*op), v);
                 }
             }
-            Expr::Between {
-                expr,
-                lo,
-                hi,
-                negated: false,
-            } => {
+            Bound::Between(expr, lo, hi, false) => {
                 // BETWEEN is total over operands it cannot compare, so
                 // comparability is checked here, not by `total`.
                 if let (Some((slot, lo)), Some((_, hi))) = (own(expr, lo), own(expr, hi)) {
@@ -354,11 +342,7 @@ pub fn choose_in_scope(
                     }
                 }
             }
-            Expr::Like {
-                expr,
-                pattern,
-                negated: false,
-            } => {
+            Bound::Like(expr, pattern, false) => {
                 if let Some((slot, pat)) = own(expr, pattern) {
                     let pat = pat.as_text().expect("a total LIKE has a string pattern");
                     let lit = pat.split(['%', '_']).next().unwrap_or_default();
@@ -428,11 +412,15 @@ mod tests {
     }
 
     /// The path chosen for `SELECT * FROM rf WHERE <pred>`, rendered as
-    /// `index eq.. | tail`.
+    /// `index eq.. | tail`, or the statement's error.
     fn path(db: &Database, pred: &str, params: &[Value]) -> String {
         let w = where_of(&format!("SELECT * FROM rf WHERE {pred}"));
         let table = db.table("RF").unwrap();
-        match choose_access_path(db, table, "RF", Some(&w), params).unwrap() {
+        let chosen = match choose_access_path(db, table, "RF", Some(&w), params) {
+            Ok(path) => path,
+            Err(e) => return format!("error: {e}"),
+        };
+        match chosen {
             AccessPath::FullScan => "full".into(),
             AccessPath::IndexRange {
                 index_name,
@@ -461,12 +449,9 @@ mod tests {
 
     #[test]
     fn const_detection() {
-        assert!(is_const(&Expr::Literal(Value::Int(1))));
-        assert!(is_const(&Expr::Param(1)));
-        assert!(!is_const(&Expr::Column {
-            table: None,
-            name: "A".into()
-        }));
+        assert!(is_const(&Bound::Value(Value::Int(1))));
+        assert!(is_const(&Bound::Param(1)));
+        assert!(!is_const(&Bound::Slot(0)));
     }
 
     #[test]
@@ -556,7 +541,6 @@ mod tests {
             "s = 'S1' AND note LIKE 5",
             "s = 'S1' AND t / 0 = 1",
             "s = 'S1' AND LENGTH(note) > 1",
-            "s = 'S1' AND nope = 1",
             "s = 'S1' AND t = ?",
             "s = 1 / 0",
         ] {
@@ -566,6 +550,12 @@ mod tests {
             path(&db, "z > ?", &[Value::Double(f64::NAN)]),
             "full",
             "NaN compares with nothing"
+        );
+        // A name that does not resolve is no veto but the statement's
+        // error, raised before any row is read.
+        assert_eq!(
+            path(&db, "s = 'S1' AND nope = 1", &[]),
+            "error: evaluation error: unknown column NOPE"
         );
         // BETWEEN over operands it cannot compare yields NULL, not an
         // error: no bound, but no veto on the other conjunct either.
@@ -585,12 +575,10 @@ mod tests {
             AccessPath::IndexRange { .. }
         ));
         // Qualifier `y` does not match alias `x`: the column is unknown,
-        // the statement will raise, no index use.
+        // and that is the statement's error.
         let w = where_of("SELECT * FROM rf x WHERE y.s = 'a'");
-        assert_eq!(
-            choose_access_path(&db, table, "X", Some(&w), &[]).unwrap(),
-            AccessPath::FullScan
-        );
+        let err = choose_access_path(&db, table, "X", Some(&w), &[]).unwrap_err();
+        assert_eq!(err.to_string(), "evaluation error: unknown column Y.S");
     }
 
     #[test]
@@ -600,17 +588,24 @@ mod tests {
             .unwrap();
         let table = db.table("RF").unwrap();
         let sim = db.schema("SIM").unwrap();
-        let names: Vec<String> = sim.columns.iter().map(|c| c.name.clone()).collect();
+        let names = |t: &TableSchema| t.columns.iter().map(|c| c.name.clone()).collect::<Vec<_>>();
+        let row = RowSchema::for_table("R", &names(&table.schema))
+            .join(&RowSchema::for_table("M", &names(sim)));
         let chosen = |pred: &str, typed: bool| {
-            let mut scope = Scope::of("R", &table.schema);
-            scope.join("M", &names, typed.then_some(sim));
+            let mut scope = Scope::of(&table.schema);
+            scope.join(sim.columns.len(), typed.then_some(sim));
             let w = where_of(&format!("SELECT * FROM rf WHERE {pred}"));
-            scope.total(&db, &w, &[])
-                && choose_in_scope(&db, table, &scope, &w, &[]) != AccessPath::FullScan
+            let w = row.bind(&w, db.functions(), &[]).unwrap();
+            scope.total(&w, &[]) && choose_in_scope(table, &w, &[]) != AccessPath::FullScan
         };
         assert!(chosen("r.s = 'a' AND m.title LIKE 'x%'", true));
         assert!(chosen("t = 3 AND n > 1", true), "unambiguous bare names");
-        assert!(!chosen("s = 'a'", true), "ambiguous: both legs have S");
+        let ambiguous = row.bind(
+            &where_of("SELECT * FROM rf WHERE s = 'a'"),
+            db.functions(),
+            &[],
+        );
+        assert!(ambiguous.is_err(), "both legs have S: no plan at all");
         assert!(!chosen("m.s = 'a'", true), "restricts the other leg only");
         assert!(
             !chosen("r.s = 'a' AND m.n = 'x'", true),

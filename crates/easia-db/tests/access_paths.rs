@@ -16,9 +16,13 @@
 //! `exec::Relation`, which is always read whole and joined whole.
 //!
 //! The scan filters as it reads — one scratch row, only survivors copied
-//! out — and has a third oracle: decode every visible row first, then
-//! `EvalContext::eval` on each in order. Rows, the first error and the
-//! executor's counters must be those of the materialising reference.
+//! out — and has a third oracle: bind the predicate, decode every visible
+//! row, then `EvalContext::eval` on each in order. Rows, the first error
+//! and the executor's counters must be those of the materialising
+//! reference.
+//!
+//! A name that does not resolve is none of these: it is the statement's
+//! error before any row is read, on every path and over any rows.
 
 use easia_db::exec::{run_select_over, Relation};
 use easia_db::expr::{truth, EvalContext, RowSchema};
@@ -171,7 +175,8 @@ impl Pair {
         with
     }
 
-    /// Record which path the indexed side takes for `sql`.
+    /// Record which path the indexed side takes for `sql` (none when its
+    /// WHERE does not bind).
     fn note_path(&mut self, sql: &str, params: &[Value]) {
         let pred = match easia_db::sql::parse(sql).unwrap() {
             Stmt::Select(s) => s.where_clause,
@@ -180,7 +185,10 @@ impl Pair {
         };
         let table = self.indexed.table("T").unwrap();
         let seen = &mut self.seen;
-        match choose_access_path(&self.indexed, table, "T", pred.as_ref(), params).unwrap() {
+        let Ok(path) = choose_access_path(&self.indexed, table, "T", pred.as_ref(), params) else {
+            return;
+        };
+        match path {
             AccessPath::FullScan => seen.full_scan += 1,
             AccessPath::IndexRange {
                 index_pos,
@@ -514,15 +522,40 @@ fn joins_keep_their_rows_and_errors() {
         ("ON a.s = b.k WHERE a.id = -5", true),
         ("ON a.n = b.k WHERE b.label > 3 AND a.id = -5", true),
         ("ON a.n = b.k WHERE id = -5", true),
-        ("ON a.n = b.k WHERE b.nope = 1 AND a.id = -5", true),
     ] {
         let sql = format!("{from} {tail}");
         assert_eq!(p.both(None, &sql, &[]).is_err(), raises, "{sql}");
     }
+    // A name no leg has raises before any row is read, not on the rows
+    // an index walk would skip.
+    let sql = format!("{from} ON a.n = b.k WHERE b.nope = 1 AND a.id = -5");
+    let err = p.both(None, &sql, &[]).unwrap_err();
+    assert_eq!(err, "evaluation error: unknown column B.NOPE");
     // LEFT JOIN pads the legs with NULL, which no operator refuses.
     let padded = "SELECT a.id, b.k FROM t a LEFT JOIN u b ON a.n = b.k + 100 \
                   WHERE a.id BETWEEN 3 AND 9 AND b.label IS NULL";
     assert_eq!(p.both(None, padded, &[]).unwrap().0.len(), 7);
+
+    // An index on the joined table walks only the pairings whose keys
+    // match — here none — so it may not hide the error an ON conjunct
+    // raises on the others.
+    for sql in [
+        "CREATE TABLE ka (id INTEGER, n INTEGER)",
+        "CREATE TABLE kb (k INTEGER, label VARCHAR(8))",
+        "INSERT INTO ka VALUES (1, 100), (2, 200)",
+        "INSERT INTO kb VALUES (1, 'p'), (2, 'q')",
+    ] {
+        p.both(None, sql, &[]).unwrap();
+    }
+    p.indexed.execute("CREATE INDEX ix_kbk ON kb (k)").unwrap();
+    for join in ["JOIN", "LEFT JOIN"] {
+        let sql = format!("SELECT a.id FROM ka a {join} kb b ON b.label > 5 AND a.n = b.k");
+        let err = p.both(None, &sql, &[]).unwrap_err();
+        assert_eq!(
+            err, "type error: cannot compare VARCHAR with INTEGER",
+            "{sql}"
+        );
+    }
 }
 
 /// Rows reaching the join stage, summed over every statement so far.
@@ -668,6 +701,8 @@ fn joins_agree_with_the_base_bound_as_a_relation() {
                 ("ON a.n = b.k WHERE a.s > 3 AND a.id = -5", vec![], true),
                 ("ON a.n = b.k WHERE b.label > 3 AND a.id = -5", vec![], true),
                 ("ON a.n = b.k WHERE a.id < ? AND a.n = 3", vec![], true),
+                // A name that does not resolve: raised before any row is
+                // read, on both sides alike.
                 ("ON a.n = b.k WHERE b.nope = 1 AND a.id = -5", vec![], true),
                 // An ON that is not total.
                 ("ON a.s > b.k WHERE a.id = -5", vec![], true),
@@ -676,18 +711,22 @@ fn joins_agree_with_the_base_bound_as_a_relation() {
                 let sql = format!("{from} {tail}");
                 let out = agree(&p.indexed, &sql, &params);
                 assert_eq!(out.is_err(), raises, "{sql}: {out:?}");
+                if tail.contains("nope") {
+                    assert_eq!(out, Err("evaluation error: unknown column B.NOPE".into()));
+                }
             }
         }
-        // `id` names a column of both legs: the statement raises.
-        let ambiguous = format!("SELECT a.s FROM t a {join} w b ON a.n = b.k WHERE id < 5");
-        let err = agree(&p.indexed, &ambiguous, &[]).unwrap_err();
-        assert!(err.contains("ambiguous"), "{err}");
-        // ... unless no joined row is left to evaluate it on.
-        let sql = format!("SELECT a.s FROM t a {join} w b ON a.n = b.k WHERE id < 5 AND 1 = 0");
-        assert!(
-            agree(&p.indexed, &sql, &[]).is_err(),
-            "not total: nothing narrows"
-        );
+        // `id` names a column of both legs: the statement raises, also
+        // when no joined row is left to evaluate it on.
+        let ambiguous = "evaluation error: ambiguous column reference ID".to_string();
+        for pred in ["id < 5", "id < 5 AND 1 = 0"] {
+            let sql = format!("SELECT a.s FROM t a {join} w b ON a.n = b.k WHERE {pred}");
+            assert_eq!(
+                agree(&p.indexed, &sql, &[]),
+                Err(ambiguous.clone()),
+                "{sql}"
+            );
+        }
     }
     // Two legs: the second ON sees the first leg's padding.
     let two = "SELECT a.id, b.uid, c.uid FROM t a LEFT JOIN u b ON a.n = b.k \
@@ -753,43 +792,56 @@ fn since(db: &Database, before: [f64; 7]) -> [f64; 7] {
 }
 
 /// How many of `visible` (the rows of `t` a view sees) the path chosen
-/// for `pred` on `db` visits, and whether it is an index walk.
+/// for `pred` on `db` visits, and whether it is an index walk; `None`
+/// when `pred` does not bind, and the statement reads nothing.
 fn candidates(
     db: &Database,
     visible: &[Vec<Value>],
     pred: &Expr,
     params: &[Value],
-) -> (usize, bool) {
+) -> Option<(usize, bool)> {
     let table = db.table("T").unwrap();
-    match choose_access_path(db, table, "T", Some(pred), params).unwrap() {
-        AccessPath::FullScan => (visible.len(), false),
-        AccessPath::IndexRange {
-            index_pos,
-            eq,
-            tail,
-            ..
-        } => {
-            let cols = &table.indexes[index_pos].col_indices;
-            let below = |v: &Value| {
-                tail.lower_bound()
-                    .is_some_and(|lo| v.total_cmp(&lo) == std::cmp::Ordering::Less)
-            };
-            let on_path = |row: &&Vec<Value>| {
-                let run = eq
-                    .iter()
-                    .zip(cols)
-                    .all(|(v, &c)| row[c].total_cmp(v) == std::cmp::Ordering::Equal);
-                let next = cols.get(eq.len()).map(|&c| &row[c]);
-                run && next.is_none_or(|v| !below(v) && tail.admits(v))
-            };
-            (visible.iter().filter(on_path).count(), true)
-        }
-    }
+    let AccessPath::IndexRange {
+        index_pos,
+        eq,
+        tail,
+        ..
+    } = choose_access_path(db, table, "T", Some(pred), params).ok()?
+    else {
+        return Some((visible.len(), false));
+    };
+    let cols = &table.indexes[index_pos].col_indices;
+    let below = |v: &Value| {
+        tail.lower_bound()
+            .is_some_and(|lo| v.total_cmp(&lo) == std::cmp::Ordering::Less)
+    };
+    let on_path = |row: &&Vec<Value>| {
+        let run = eq
+            .iter()
+            .zip(cols)
+            .all(|(v, &c)| row[c].total_cmp(v) == std::cmp::Ordering::Equal);
+        let next = cols.get(eq.len()).map(|&c| &row[c]);
+        run && next.is_none_or(|v| !below(v) && tail.admits(v))
+    };
+    Some((visible.iter().filter(on_path).count(), true))
 }
 
-/// The materialising reference: `rows` (shaped by `schema`) are all
-/// there before the first is looked at; `pred` is evaluated on each in
-/// order by the owning evaluator, and the first error ends it.
+/// The statement's error when one of `exprs`, in order, does not bind
+/// against `schema`: what the executor raises before it reads a row.
+fn unbound(db: &Database, schema: &RowSchema, exprs: &[&Expr]) -> Result<(), String> {
+    for e in exprs {
+        schema
+            .bind(e, db.functions(), &[])
+            .map_err(|e| e.to_string())?;
+    }
+    Ok(())
+}
+
+/// The materialising reference: `pred` is bound against `schema` (a
+/// name it does not resolve is the error, whatever the rows), then
+/// `rows` are all there before the first is looked at; `pred` is
+/// evaluated on each in order by the owning evaluator, and the first
+/// error ends it.
 fn filter_after(
     db: &Database,
     schema: &RowSchema,
@@ -797,38 +849,36 @@ fn filter_after(
     pred: &Expr,
     params: &[Value],
 ) -> Result<Vec<Vec<Value>>, String> {
+    let pred = schema
+        .bind(pred, db.functions(), &[])
+        .map_err(|e| e.to_string())?;
     let mut kept = Vec::new();
     for row in rows {
-        let ctx = EvalContext {
-            schema,
-            row: &row,
-            params,
-            functions: db.functions(),
-            aggs: None,
-        };
-        if truth(&ctx.eval(pred).map_err(|e| e.to_string())?) == Some(true) {
+        let ctx = EvalContext::new(&row, params);
+        if truth(&ctx.eval(&pred).map_err(|e| e.to_string())?) == Some(true) {
             kept.push(row);
         }
     }
     Ok(kept)
 }
 
-/// `SELECT * FROM t a [LEFT] JOIN <leg> b ON .. WHERE ..` by the book:
-/// every pairing of whole rows through ON, padding for LEFT, then the
-/// WHERE over the joined rows.
+/// `SELECT * FROM t a [LEFT] JOIN <leg> b ON .. WHERE ..` by the book,
+/// over the legs' rows `left` and `right` joined as `schema`: every
+/// pairing of whole rows through ON, padding for LEFT, then the WHERE
+/// over the joined rows.
 fn join_after(
     db: &Database,
-    left: (&[String], &[Vec<Value>]),
-    right: (&[String], &[Vec<Value>]),
+    schema: &RowSchema,
+    left: &[Vec<Value>],
+    right: &[Vec<Value>],
     sel: &SelectStmt,
     params: &[Value],
 ) -> Result<Vec<Vec<Value>>, String> {
-    let schema = RowSchema::for_table("A", left.0).join(&RowSchema::for_table("B", right.0));
     let join = &sel.joins[0];
     let mut joined = Vec::new();
-    for l in left.1 {
-        let pairings: Vec<Vec<Value>> = right.1.iter().map(|r| [&l[..], r].concat()).collect();
-        let matched = filter_after(db, &schema, pairings, &join.on, params)?;
+    for l in left {
+        let pairings: Vec<Vec<Value>> = right.iter().map(|r| [&l[..], r].concat()).collect();
+        let matched = filter_after(db, schema, pairings, &join.on, params)?;
         if matched.is_empty() && join.kind == JoinKind::Left {
             let mut padded = l.clone();
             padded.resize(schema.columns.len(), Value::Null);
@@ -838,7 +888,7 @@ fn join_after(
     }
     filter_after(
         db,
-        &schema,
+        schema,
         joined,
         sel.where_clause.as_ref().unwrap(),
         params,
@@ -892,7 +942,14 @@ fn check_select(
         rows
     });
     let kept = kept.ok().map(|rows| rows.len());
-    let (on_path, index) = candidates(&p.indexed, &all, pred, params);
+    // The scan each side books: none for a statement that did not bind.
+    let path = candidates(&p.indexed, &all, pred, params);
+    let scan = |whole: bool| match path {
+        Some(_) if whole => moved(all.len(), false, kept),
+        Some((on_path, index)) => moved(on_path, index, kept),
+        None => [0.0; 7],
+    };
+    let index = path.is_some_and(|(_, index)| index);
     assert!(
         expected.is_ok() || !index,
         "{sql}: a raising predicate narrowed"
@@ -901,16 +958,8 @@ fn check_select(
     let (before_ix, before_plain) = (reads(&p.indexed), reads(&p.plain));
     let got = p.both(view, &sql, params).map(|(rows, _)| rows);
     assert_eq!(got, expected, "{sql}\nparams {params:?}");
-    assert_eq!(
-        since(&p.indexed, before_ix),
-        moved(on_path, index, kept),
-        "{sql}"
-    );
-    assert_eq!(
-        since(&p.plain, before_plain),
-        moved(all.len(), false, kept),
-        "{sql}"
-    );
+    assert_eq!(since(&p.indexed, before_ix), scan(false), "{sql}");
+    assert_eq!(since(&p.plain, before_plain), scan(true), "{sql}");
 
     if view.is_none() {
         let relation = [Relation {
@@ -923,11 +972,7 @@ fn check_select(
             .map(|rs| rs.rows)
             .map_err(|e| e.to_string());
         assert_eq!(over, expected, "{sql} over a relation");
-        assert_eq!(
-            since(&p.indexed, before),
-            moved(all.len(), false, kept),
-            "{sql}"
-        );
+        assert_eq!(since(&p.indexed, before), scan(true), "{sql}");
     }
     seen.raised += usize::from(expected.is_err());
     seen.index_walks += usize::from(index);
@@ -949,25 +994,29 @@ fn check_join(
     let right = p.indexed.execute(&format!("SELECT * FROM {leg}")).unwrap();
     let sql = format!("SELECT * FROM t a {kind} {leg} b ON {on} WHERE {pred}");
     let sel = select_of(&sql);
-    let expected = join_after(
+    // Names first — the ON's, then the WHERE's — then the rows.
+    let schema =
+        RowSchema::for_table("A", &t.columns).join(&RowSchema::for_table("B", &right.columns));
+    let binds = unbound(
         &p.plain,
-        (&t.columns, &t.rows),
-        (&right.columns, &right.rows),
-        &sel,
-        params,
+        &schema,
+        &[&sel.joins[0].on, sel.where_clause.as_ref().unwrap()],
     );
+    let expected = binds
+        .clone()
+        .and_then(|()| join_after(&p.plain, &schema, &t.rows, &right.rows, &sel, params));
     let before = reads(&p.plain);
     let got = p.both(None, &sql, params).map(|(rows, _)| rows);
     assert_eq!(got, expected, "{sql}\nparams {params:?}");
     // The un-indexed base is read whole, the right leg is not a booked
     // scan, and the filter stage is observed only by a statement that
-    // got through it.
+    // got through it; a statement that did not bind reads nothing.
     let kept = expected.as_ref().ok().map(|rows| rows.len());
-    assert_eq!(
-        since(&p.plain, before),
-        moved(t.rows.len(), false, kept),
-        "{sql}"
-    );
+    let scanned = match binds {
+        Ok(()) => moved(t.rows.len(), false, kept),
+        Err(_) => [0.0; 7],
+    };
+    assert_eq!(since(&p.plain, before), scanned, "{sql}");
     let relation = [Relation {
         name: "T".into(),
         columns: t.columns,
@@ -1087,7 +1136,9 @@ fn the_streaming_filter_is_decode_first_evaluate_after() {
                 check_select(&mut p, view, &pred, &params, limit, &mut seen);
             }
             // Predicates that are not total, each raising on particular
-            // rows: which row raises first is in the error text.
+            // rows: which row raises first is in the error text. A name
+            // that does not resolve raises before any row, whatever the
+            // rest of the predicate would have done.
             let on_row_3 = "id / (id - 3) > 1".to_string();
             let on_own_row = format!("id / (id - {own}) > 1");
             let by_row = format!(
@@ -1119,14 +1170,17 @@ fn the_streaming_filter_is_decode_first_evaluate_after() {
         }
 
         // A table whose only rows belong to the open transaction: to
-        // everyone else it is empty, and an empty scan evaluates nothing.
+        // everyone else it is empty, and an empty scan evaluates nothing
+        // — but a name that does not resolve raises before the scan, so
+        // it raises for everyone, and over an empty relation too.
         p.both(None, "CREATE TABLE e (k INTEGER, s VARCHAR(8))", &[])
             .unwrap();
         p.both(txn, "INSERT INTO e VALUES (1, 'x')", &[]).unwrap();
         let unknown = "SELECT * FROM e WHERE nope = 1";
-        assert_eq!(p.both(None, unknown, &[]), Ok((vec![], 0)));
-        let err = p.both(txn, unknown, &[]).unwrap_err();
-        assert!(err.contains("unknown column NOPE"), "{err}");
+        let raised = "evaluation error: unknown column NOPE".to_string();
+        let before = reads(&p.indexed);
+        assert_eq!(p.both(None, unknown, &[]), Err(raised.clone()));
+        assert_eq!(p.both(txn, unknown, &[]), Err(raised.clone()));
         let empty = [Relation {
             name: "E".into(),
             columns: vec!["K".into(), "S".into()],
@@ -1139,7 +1193,11 @@ fn the_streaming_filter_is_decode_first_evaluate_after() {
             &[],
             &empty,
         );
-        assert_eq!(over.unwrap().rows, Vec::<Vec<Value>>::new());
+        assert_eq!(
+            over.map(|rs| rs.rows).map_err(|e| e.to_string()),
+            Err(raised)
+        );
+        assert_eq!(since(&p.indexed, before), [0.0; 7], "nothing was read");
 
         p.indexed.commit_txn(a).unwrap();
         p.plain.commit_txn(b).unwrap();
@@ -1194,6 +1252,16 @@ fn the_streaming_filter_is_decode_first_evaluate_after() {
                 ("u", "a.s > b.k", "a.id = -5"),
                 ("u", "a.n = b.k + 100", "a.id < 9 AND b.uid IS NULL"),
                 ("v", "b.k = a.n", "a.s LIKE 'ab%' AND b.label = 'p'"),
+                // An ON conjunct or key that raises on pairings the index
+                // would not return: the probe may not skip them.
+                ("u", "b.label > 5 AND a.n = b.k", "a.id < 30"),
+                ("v", "b.label > 5 AND a.n = b.k", "a.id < 30"),
+                ("v", "a.n = b.k AND b.label > 5", "a.id < 30"),
+                ("v", "b.uid < 0 AND b.k = a.id / (a.id - 5)", "a.id < 30"),
+                // A key the indexed column cannot be compared with meets
+                // the whole leg, as the nested loop would.
+                ("u", "a.s = b.k", "a.id < 30"),
+                ("v", "a.s = b.k", "a.id < 30"),
             ] {
                 check_join(&mut p, kind, leg, on, pred, &[], &mut seen);
             }
@@ -1202,4 +1270,137 @@ fn the_streaming_filter_is_decode_first_evaluate_after() {
     assert!(seen.raised >= 60, "{seen:?}");
     assert!(seen.index_walks >= 60, "{seen:?}");
     assert!(seen.returned >= 2_000, "{seen:?}");
+}
+
+/// Every kind of statement error is raised before any row is read: the
+/// same text over an empty table, a 1,000-row table, a table whose index
+/// the WHERE would walk and the rows bound as a relation, and not one
+/// row scanned. INSERT and UPDATE write nothing.
+#[test]
+fn statement_errors_are_raised_before_any_row_is_read() {
+    let mut db = Database::new_in_memory();
+    let registry = easia_obs::Registry::new();
+    db.attach_metrics(&registry);
+    for ddl in [
+        "CREATE TABLE e (id INTEGER, s VARCHAR(8))",
+        "CREATE TABLE k (id INTEGER, s VARCHAR(8))",
+        "CREATE TABLE x (id INTEGER, s VARCHAR(8))",
+        "CREATE INDEX ix_id ON x (id)",
+    ] {
+        db.execute(ddl).unwrap();
+    }
+    for id in 0..1_000 {
+        let row = [Value::Int(id), Value::Str(format!("s{}", id % 7))];
+        for table in ["k", "x"] {
+            db.execute_with_params(&format!("INSERT INTO {table} VALUES (?, ?)"), &row)
+                .unwrap();
+        }
+    }
+    let rows = db.execute("SELECT * FROM k").unwrap();
+    let relation = [Relation {
+        name: "R".into(),
+        columns: rows.columns,
+        rows: rows.rows,
+    }];
+    let scanned = |db: &Database| db.metrics().unwrap().rows_scanned.get();
+    let index_scans = |db: &Database| db.metrics().unwrap().index_scans.get();
+    // Without its error the statement walks the index.
+    let before = index_scans(&db);
+    db.execute("SELECT id FROM x WHERE id = 7").unwrap();
+    assert_eq!(index_scans(&db) - before, 1.0);
+
+    let unknown = "evaluation error: unknown column NOPE";
+    for (shape, raised) in [
+        ("SELECT id FROM {t} WHERE id = 7 AND nope = 1", unknown),
+        ("SELECT id FROM {t} WHERE id = 7 OR nope = 1", unknown),
+        ("SELECT nope FROM {t} WHERE id = 7", unknown),
+        ("SELECT id + nope FROM {t} WHERE id = 7", unknown),
+        (
+            "SELECT COUNT(*) FROM {t} WHERE id = 7 GROUP BY nope",
+            unknown,
+        ),
+        ("SELECT SUM(nope) FROM {t} WHERE id = 7", unknown),
+        (
+            "SELECT s, COUNT(*) FROM {t} WHERE id = 7 GROUP BY s HAVING nope > 1",
+            unknown,
+        ),
+        ("SELECT id FROM {t} WHERE id = 7 ORDER BY nope", unknown),
+        (
+            "SELECT a.id FROM {t} a JOIN k b ON a.id = b.nope WHERE a.id = 7",
+            "evaluation error: unknown column B.NOPE",
+        ),
+        (
+            "SELECT a.id FROM {t} a LEFT JOIN k b ON a.id = b.id WHERE id = 7",
+            "evaluation error: ambiguous column reference ID",
+        ),
+        (
+            "SELECT NO_SUCH(id) FROM {t} WHERE id = 7",
+            "evaluation error: unknown function NO_SUCH",
+        ),
+        (
+            "SELECT id FROM {t} WHERE id = 7 AND COUNT(*) > 1",
+            "evaluation error: COUNT(*) is only valid as an aggregate",
+        ),
+        (
+            "SELECT SUM() FROM {t} WHERE id = 7",
+            "evaluation error: SUM expects 1 argument(s), got 0",
+        ),
+        (
+            "SELECT q.* FROM {t} WHERE id = 7",
+            "evaluation error: unknown table alias Q in Q.*",
+        ),
+        (
+            "SELECT * FROM {t} WHERE id = 7 GROUP BY s",
+            "evaluation error: wildcard not allowed with GROUP BY / aggregates",
+        ),
+        (
+            "SELECT a.id FROM {t} a JOIN k b ON a.id = b.id JOIN nowhere c ON c.id = a.id \
+             WHERE a.id = 7",
+            "catalog error: table NOWHERE does not exist",
+        ),
+    ] {
+        let mut got = Vec::new();
+        for t in ["e", "k", "x"] {
+            let before = scanned(&db);
+            let out = db
+                .execute(&shape.replace("{t}", t))
+                .map_err(|e| e.to_string());
+            got.push((t, out.map(|rs| rs.rows), scanned(&db) - before));
+        }
+        let sel = select_of(&shape.replace("{t}", "r"));
+        let before = scanned(&db);
+        let over = run_select_over(&db, &db.read_view(), &sel, &[], &relation);
+        let over = over.map(|rs| rs.rows).map_err(|e| e.to_string());
+        got.push(("relation", over, scanned(&db) - before));
+        for (source, out, rows) in got {
+            assert_eq!(out, Err(raised.to_string()), "{shape} over {source}");
+            assert_eq!(rows, 0.0, "{shape} over {source} read a row");
+        }
+    }
+    // INSERT values and UPDATE assignments: the same rule, nothing written.
+    for (shape, raised) in [
+        ("INSERT INTO {t} VALUES (1, 'a'), (nope, 'b')", unknown),
+        ("UPDATE {t} SET s = nope WHERE id = 7", unknown),
+        ("UPDATE {t} SET s = LOWER(nope) WHERE id < 0", unknown),
+        (
+            "UPDATE {t} SET s = NO_SUCH(s) WHERE id = 7",
+            "evaluation error: unknown function NO_SUCH",
+        ),
+    ] {
+        for t in ["e", "k", "x"] {
+            let sql = shape.replace("{t}", t);
+            let content = db.execute(&format!("SELECT * FROM {t}")).unwrap().rows;
+            let before = scanned(&db);
+            let err = db.execute(&sql).unwrap_err().to_string();
+            assert_eq!(
+                (err.as_str(), scanned(&db) - before),
+                (raised, 0.0),
+                "{sql}"
+            );
+            assert_eq!(
+                db.execute(&format!("SELECT * FROM {t}")).unwrap().rows,
+                content
+            );
+        }
+    }
 }

@@ -15,8 +15,10 @@
 //! `golden/select.txt` was written by `regenerate` at the commit before
 //! the executor bound each statement once and streamed its rows into
 //! one sink; the lines that group ±0.0 and NaN were regenerated by the
-//! commit that canonicalised group keys, and by nothing else. Rerun it
-//! only for an intended change:
+//! commit that canonicalised group keys, and the entries of statements
+//! whose error moved to bind time (raised before any row is read, so no
+//! stage observes a row) by the commit that made names resolve once, at
+//! bind — by nothing else. Rerun it only for an intended change:
 //! `cargo test -p easia-db --test select_golden -- --ignored regenerate`.
 
 use easia_db::exec::{run_select_over, Relation};

@@ -2,14 +2,14 @@
 //! executor that runs them.
 //!
 //! [`Federation::plan`] turns a parsed SELECT into a [`Statement`]:
-//! [`plan_join`]'s legs, of which a single-table statement has one
-//! (and with it the top-k and partial-aggregate decisions only a
-//! one-leg plan carries). [`Federation::execute`] runs dependency waves
-//! over any number of statements at once — build each ready leg's scan
-//! request, prepare, one pump, finish — and completes a statement the
-//! moment its last leg is gathered: the hub merge, the EXPLAIN
-//! aggregate section, the per-statement metrics and the
-//! `easia.med.query` span.
+//! [`plan_join`](crate::planner::plan_join)'s legs, of which a
+//! single-table statement has one (and with it the top-k and
+//! partial-aggregate decisions only a one-leg plan carries).
+//! [`Federation::execute`] runs dependency waves over any number of
+//! statements at once — build each ready leg's scan request, prepare,
+//! one pump, finish — and completes a statement the moment its last leg
+//! is gathered: the hub merge, the EXPLAIN aggregate section, the
+//! per-statement metrics and the `easia.med.query` span.
 
 use crate::catalog::ForeignTable;
 use crate::explain::{AggExplain, FedExplain, JoinExplain, JoinStrategy, Shipping, SiteExplain};
@@ -20,7 +20,7 @@ use crate::metrics::{
     PARTIAL_AGG_FALLBACKS, PARTIAL_AGG_QUERIES, PUSHDOWN_CONJUNCTS, SEMIJOIN_FALLBACKS,
     SEMIJOIN_KEYS_SHIPPED,
 };
-use crate::planner::{externalize, plan_join, strip_qualifiers, AggPlan, JoinLeg, LegStrategy};
+use crate::planner::{externalize, plan_legs, strip_qualifiers, AggPlan, JoinLeg, LegStrategy};
 use crate::wire::ScanRequest;
 use easia_db::sql::ast::{Expr, SelectStmt, Stmt};
 use easia_db::sql::{expr_to_sql, parse};
@@ -232,9 +232,11 @@ fn join_keys(
 }
 
 impl Federation {
-    /// The plan step: parse `sql` and decide, per leg, what is pushed,
-    /// what is shipped and how the rows are fetched — with no network
-    /// side effects. `hub_db` resolves hub-local JOIN legs.
+    /// The plan step: parse `sql`, bind it against the joined row the
+    /// merge will evaluate, and decide, per leg, what is pushed, what is
+    /// shipped and how the rows are fetched — with no network side
+    /// effects. `hub_db` resolves hub-local JOIN legs and supplies the
+    /// scalar functions the statement binds with.
     pub(crate) fn plan<'a>(
         &'a self,
         hub_db: &Database,
@@ -249,7 +251,9 @@ impl Federation {
                 .schema(t)
                 .map(|s| s.columns.iter().map(|c| c.name.clone()).collect())
         };
-        let mut plan = plan_join(&sel, &self.catalog, &local, params, self.pushdown)?;
+        let foreign = |t: &str| self.catalog.table(t);
+        let functions = hub_db.functions();
+        let mut plan = plan_legs(&sel, &foreign, &local, functions, params, self.pushdown)?;
         if !self.partial_agg && plan.partial_agg.take().is_some() {
             // Partial-aggregate ablation: keep every other pushdown but
             // ship the aggregate's raw rows.

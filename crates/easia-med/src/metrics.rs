@@ -86,8 +86,9 @@ pub(crate) const PARTIAL_AGG_FALLBACKS: Family = family(
 /// Every reason a semi-join leg degrades to a full-partition ship.
 const SEMIJOIN_FALLBACK_REASONS: [&str; 3] = ["overflow", "no-key", "pushdown-off"];
 
-/// Every reason `plan_partial_agg` (or the ablation switches) can
-/// decline partial-aggregate pushdown with.
+/// Every reason `plan_partial_agg` (or the ablation switches) declines
+/// partial-aggregate pushdown with. `wildcard` now only reads zero: `*`
+/// beside aggregates fails when the statement binds, before planning.
 const PARTIAL_AGG_FALLBACK_REASONS: [&str; 7] = [
     "distinct",
     "expr-arg",

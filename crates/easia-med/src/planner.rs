@@ -11,11 +11,12 @@
 //! case in the shape single-table callers read.
 //!
 //! Which leg a column reference belongs to is never decided here: the
-//! planner joins the legs' columns, each under its binding alias, into
-//! the [`RowSchema`] the hub merge will evaluate the statement over and
-//! asks *it* ([`RowSchema::candidates`]). A conjunct therefore runs at
-//! a leg's sites exactly when the merge would resolve every column in
-//! it to that leg.
+//! planner binds the statement against the joined row the hub merge
+//! will evaluate it over — each leg's columns under its binding alias —
+//! with the executor's own binder ([`BoundSelect`]), and reads the legs
+//! off the bound slots. A name that row does not resolve, or resolves
+//! twice, is the statement's error before anything ships; a conjunct
+//! runs at a leg's sites exactly when every slot it reads is that leg's.
 //!
 //! Correctness story: the hub runs the *original* statement over
 //! in-memory relations holding the shipped rows, so pushdown only ever
@@ -28,8 +29,8 @@
 use crate::catalog::{FedCatalog, ForeignTable};
 use crate::wire::{AggCall, PartialAggSpec};
 use crate::FedError;
-use easia_db::exec::{collect_aggs, derive_name};
-use easia_db::expr::RowSchema;
+use easia_db::exec::{aggregates, derive_name, BoundSelect};
+use easia_db::expr::{Bound, FnRegistry};
 use easia_db::sql::ast::{
     is_aggregate_fn, BinaryOp, Expr, JoinKind, OrderBy, SelectItem, SelectStmt, TableRef,
 };
@@ -132,7 +133,8 @@ impl TablePlan {
 }
 
 /// Plan single-table `sel` against foreign table `ft`, pushdown on: the
-/// one-leg case of [`plan_join`] with `ft` as the whole catalogue.
+/// one-leg case of [`plan_join`] with `ft` as the whole catalogue, and
+/// bound, as there, with the built-in scalar functions.
 ///
 /// `params` are the statement's positional parameters — needed to
 /// resolve a `site_key = ?` binding for pruning.
@@ -147,7 +149,8 @@ pub fn plan_select(
         ));
     }
     let only = |t: &str| (t == ft.name).then_some(ft);
-    let mut plan = plan_legs(sel, &only, &|_| None, params, true)?;
+    let functions = FnRegistry::with_builtins();
+    let mut plan = plan_legs(sel, &only, &|_| None, &functions, params, true)?;
     let leg = plan.legs.pop().expect("no JOIN, one leg");
     Ok(TablePlan {
         pushed: leg.pushed,
@@ -272,65 +275,14 @@ fn binding_name(t: &TableRef) -> String {
         .to_ascii_uppercase()
 }
 
-/// The rows the hub merge evaluates the statement over: every leg's
-/// full column list under its binding alias, joined in statement order.
-/// All column attribution goes through it, so the planner and the merge
-/// cannot disagree about whose column a reference is.
-#[derive(Default)]
-struct Scope {
-    schema: RowSchema,
-    /// The first slot of each leg.
-    starts: Vec<usize>,
-}
-
-impl Scope {
-    /// The legs holding a column that the reference could denote: none
-    /// for an unknown column, several for an ambiguous one.
-    fn legs_of<'a>(
-        &'a self,
-        table: &'a Option<String>,
-        name: &'a str,
-    ) -> impl Iterator<Item = usize> + 'a {
-        self.schema
-            .candidates(table.as_deref(), name)
-            .map(|slot| self.starts.partition_point(|&s| s <= slot) - 1)
-    }
-
-    /// The leg owning the one column the reference resolves to; `None`
-    /// when the merge would call it unknown or ambiguous.
-    fn owner(&self, table: &Option<String>, name: &str) -> Option<usize> {
-        let mut legs = self.legs_of(table, name);
-        let first = legs.next()?;
-        legs.next().is_none().then_some(first)
-    }
-
-    /// The leg whose sites could evaluate conjunct `e` unchanged: every
-    /// column in it resolves to that one leg. A conjunct naming no
-    /// column is the FROM anchor's (an anchor row it drops produces no
-    /// output row under INNER and LEFT alike). Function calls stay at
-    /// the hub — sites only promise the core expression grammar — as
-    /// does anything spanning legs or naming an ambiguous column.
-    fn conjunct_leg(&self, e: &Expr) -> Option<usize> {
-        let mut leg = None;
-        let mut ok = true;
-        e.walk(&mut |n| match n {
-            Expr::Function { .. } => ok = false,
-            Expr::Column { table, name } => match self.owner(table, name) {
-                Some(i) if leg.is_none_or(|l| l == i) => leg = Some(i),
-                _ => ok = false,
-            },
-            _ => {}
-        });
-        ok.then_some(leg.unwrap_or(0))
-    }
-}
-
 /// Decompose a SELECT into per-leg federated scans plus a hub merge.
 ///
 /// `local_columns` resolves hub-local table names to their column
 /// lists, so a JOIN may mix foreign and hub-local legs; at least one
 /// leg must be a registered foreign table. `pushdown = false` is the
 /// ship-everything ablation: nothing is pushed, pruned, keyed or cut.
+/// The statement is bound with the built-in scalar functions; the
+/// federation binds with its hub database's.
 ///
 /// Soundness rules encoded here (the hub re-runs the original
 /// statement over the gathered rows, so a site may only drop rows that
@@ -359,33 +311,30 @@ pub fn plan_join(
     params: &[Value],
     pushdown: bool,
 ) -> Result<JoinPlan, FedError> {
-    plan_legs(sel, &|t| catalog.table(t), local_columns, params, pushdown)
+    let functions = FnRegistry::with_builtins();
+    let foreign = |t: &str| catalog.table(t);
+    plan_legs(sel, &foreign, local_columns, &functions, params, pushdown)
 }
 
-/// [`plan_join`] over any source of foreign tables.
-fn plan_legs<'c>(
+/// [`plan_join`] over any source of foreign tables, binding with
+/// `functions`.
+pub(crate) fn plan_legs<'c>(
     sel: &SelectStmt,
     foreign: &dyn Fn(&str) -> Option<&'c ForeignTable>,
     local_columns: &dyn Fn(&str) -> Option<Vec<String>>,
+    functions: &FnRegistry,
     params: &[Value],
     pushdown: bool,
 ) -> Result<JoinPlan, FedError> {
     validate_join(sel)?;
     let from = sel.from.as_ref().expect("validate_join checked FROM");
-    let terms: Vec<(&TableRef, Option<JoinKind>, Option<&Expr>)> =
-        std::iter::once((from, None, None))
-            .chain(
-                sel.joins
-                    .iter()
-                    .map(|j| (&j.table, Some(j.kind), Some(&j.on))),
-            )
-            .collect();
+    let terms =
+        std::iter::once((from, None)).chain(sel.joins.iter().map(|j| (&j.table, Some(j.kind))));
 
-    // 1. Legs with their full column lists, and the scope they form.
-    let mut scope = Scope::default();
-    let mut legs: Vec<JoinLeg> = Vec::with_capacity(terms.len());
-    let mut site_keys = Vec::with_capacity(terms.len());
-    for (tref, kind, _) in &terms {
+    // 1. Legs with their full column lists.
+    let mut legs: Vec<JoinLeg> = Vec::with_capacity(sel.joins.len() + 1);
+    let mut site_keys = Vec::with_capacity(legs.capacity());
+    for (tref, kind) in terms {
         let table = tref.name.to_ascii_uppercase();
         let ft = foreign(&table);
         let columns: Vec<String> = match ft {
@@ -396,13 +345,10 @@ fn plan_legs<'c>(
                 None => return Err(FedError::UnknownTable(table)),
             },
         };
-        let alias = binding_name(tref);
-        scope.starts.push(scope.schema.columns.len());
-        scope.schema = scope.schema.join(&RowSchema::for_table(&alias, &columns));
         legs.push(JoinLeg {
             table,
-            alias,
-            kind: *kind,
+            alias: binding_name(tref),
+            kind,
             federated: ft.is_some(),
             columns,
             pushed: Vec::new(),
@@ -427,124 +373,97 @@ fn plan_legs<'c>(
         ));
     }
 
-    // 2. Every column reference of the statement: each leg that could
-    // hold it ships it (an ambiguous name reaches the merge from all of
-    // them, and the merge raises its own error); one that no leg holds
-    // is the merge's "unknown column", raised here before anything
-    // ships. An ORDER BY output name is not a column reference at all.
-    let mut whole: BTreeSet<usize> = BTreeSet::new();
-    if !pushdown && legs.len() == 1 {
-        // The single-table ablation is E10's ship-everything baseline;
-        // a JOIN's (E12) switches off conjunct and key shipping only.
-        whole.insert(0);
-    }
-    let mut used: Vec<BTreeSet<String>> = vec![BTreeSet::new(); legs.len()];
-    let mut unknown = Ok(());
-    let mut refer = |e: &Expr| {
-        e.walk(&mut |n| {
-            let Expr::Column { table, name } = n else {
-                return;
-            };
-            let mut holders = scope.legs_of(table, name).peekable();
-            if holders.peek().is_none() && unknown.is_ok() {
-                unknown = scope.schema.resolve(table.as_deref(), name).map(drop);
-            }
-            for i in holders {
-                used[i].insert(name.to_ascii_uppercase());
-            }
-        })
+    // 2. Bind the statement against the joined row the merge evaluates:
+    // a name it does not resolve, or resolves to two legs' columns, is
+    // the merge's own error, raised here before anything ships.
+    let columns: Vec<&[String]> = legs.iter().map(|l| l.columns.as_slice()).collect();
+    let bound = BoundSelect::bind(functions, sel, &columns, &[])?;
+    let starts: Vec<usize> = columns
+        .iter()
+        .scan(0, |at, c| Some(std::mem::replace(at, *at + c.len())))
+        .collect();
+    let leg_of = |slot: usize| starts.partition_point(|&s| s <= slot) - 1;
+    // The leg whose sites could evaluate conjunct `c` (bound as `b`)
+    // unchanged: every slot it reads is that leg's. A conjunct reading
+    // no slot is the FROM anchor's (an anchor row it drops produces no
+    // output row under INNER and LEFT alike). Function calls stay at the
+    // hub — sites only promise the core expression grammar — as does
+    // anything spanning legs.
+    let conjunct_leg = |c: &Expr, b: &Bound| {
+        let mut call = false;
+        c.walk(&mut |n| call |= matches!(n, Expr::Function { .. }));
+        let mut read = vec![false; bound.read.len()];
+        b.reads(&mut read);
+        let mut holders = (0..read.len()).filter(|&s| read[s]).map(leg_of);
+        let leg = holders.next().unwrap_or(0);
+        (!call && holders.all(|l| l == leg)).then_some(leg)
     };
-    for item in &sel.items {
-        match item {
-            SelectItem::Wildcard => whole.extend(0..legs.len()),
-            SelectItem::QualifiedWildcard(q) => {
-                let q = q.to_ascii_uppercase();
-                match legs.iter().position(|l| l.alias == q) {
-                    Some(i) => {
-                        whole.insert(i);
-                    }
-                    // The merge names the unknown alias.
-                    None => whole.extend(0..legs.len()),
-                }
-            }
-            SelectItem::Expr { expr, .. } => refer(expr),
-        }
-    }
-    let ons = terms.iter().filter_map(|(.., on)| *on);
-    for e in ons
-        .chain(&sel.where_clause)
-        .chain(&sel.group_by)
-        .chain(&sel.having)
-    {
-        refer(e);
-    }
-    for o in &sel.order_by {
-        if output_item(sel, &o.expr).is_none() {
-            refer(&o.expr);
-        }
-    }
-    unknown?;
 
     // 3. WHERE conjuncts: push to non-nullable federated legs.
     let mut hub_eval = Vec::new();
-    for c in sel.where_clause.iter().flat_map(plan::conjuncts) {
-        let target = scope
-            .conjunct_leg(c)
-            .filter(|&i| pushdown && legs[i].federated && legs[i].kind != Some(JoinKind::Left));
-        match target {
-            Some(i) => legs[i].pushed.push(c.clone()),
-            None => hub_eval.push(c.clone()),
+    if let (Some(w), Some(b)) = (&sel.where_clause, &bound.filter) {
+        for (c, b) in plan::conjuncts(w).into_iter().zip(plan::bound_conjuncts(b)) {
+            let target = conjunct_leg(c, b)
+                .filter(|&i| pushdown && legs[i].federated && legs[i].kind != Some(JoinKind::Left));
+            match target {
+                Some(i) => legs[i].pushed.push(c.clone()),
+                None => hub_eval.push(c.clone()),
+            }
         }
     }
 
     // 4. ON conjuncts: push single-leg filters, and key the leg on the
     // first `its column = an earlier leg's column` (both columns are
-    // already shipped: step 2 saw the ON).
-    for (i, (.., on)) in terms.iter().enumerate() {
-        let Some(on) = on.filter(|_| pushdown && legs[i].federated) else {
+    // already shipped: the statement reads them).
+    for (i, (join, on)) in sel.joins.iter().zip(&bound.ons).enumerate() {
+        let i = i + 1;
+        if !(pushdown && legs[i].federated) {
             continue;
-        };
-        for c in plan::conjuncts(on) {
-            if scope.conjunct_leg(c) == Some(i) {
+        }
+        for (c, b) in plan::conjuncts(&join.on)
+            .into_iter()
+            .zip(plan::bound_conjuncts(on))
+        {
+            if conjunct_leg(c, b) == Some(i) {
                 legs[i].pushed.push(c.clone());
                 continue;
             }
-            let column = |e: &Expr| match e {
-                Expr::Column { table, name } => {
-                    Some((scope.owner(table, name)?, name.to_ascii_uppercase()))
-                }
-                _ => None,
-            };
-            let Expr::Binary(l, BinaryOp::Eq, r) = c else {
+            let Bound::Binary(l, BinaryOp::Eq, r) = b else {
                 continue;
             };
-            let (Some(l), Some(r)) = (column(l), column(r)) else {
+            let (&Bound::Slot(l), &Bound::Slot(r)) = (&**l, &**r) else {
                 continue;
             };
-            let (key, source) = if l.0 == i { (l, r) } else { (r, l) };
-            if key.0 == i
-                && source.0 < i
+            let (key, source) = if leg_of(l) == i { (l, r) } else { (r, l) };
+            if leg_of(key) == i
+                && leg_of(source) < i
                 && matches!(legs[i].strategy, LegStrategy::FullShip { .. })
             {
+                let name = |slot: usize| bound.schema.columns[slot].name.clone();
                 legs[i].strategy = LegStrategy::SemiJoin {
-                    key_column: key.1,
-                    source_leg: source.0,
-                    source_column: source.1,
+                    key_column: name(key),
+                    source_leg: leg_of(source),
+                    source_column: name(source),
                 };
             }
         }
     }
 
-    // 5. Shipped projections (never empty: row counts must survive,
-    // e.g. `SELECT COUNT(*)`) and site-key bindings — the pruning
-    // handle, read off the *pushed* conjuncts only.
+    // 5. Shipped projections — the slots the statement reads; never
+    // none: row counts must survive, e.g. `SELECT COUNT(*)` — and
+    // site-key bindings, the pruning handle, read off the *pushed*
+    // conjuncts only. The single-table ablation is E10's
+    // ship-everything baseline; a JOIN's (E12) switches off conjunct
+    // and key shipping only.
+    let ship_all = !pushdown && legs.len() == 1;
     for (i, leg) in legs.iter_mut().enumerate() {
         if !leg.federated {
             continue;
         }
-        if !whole.contains(&i) {
+        if !ship_all {
             let first = leg.columns[0].clone();
-            leg.columns.retain(|c| used[i].contains(c));
+            let mut read = bound.read[starts[i]..].iter();
+            leg.columns.retain(|_| read.next() == Some(&true));
             if leg.columns.is_empty() {
                 leg.columns.push(first);
             }
@@ -597,25 +516,9 @@ fn plan_partial_agg(
     hub_eval_empty: bool,
 ) -> Result<Option<AggPlan>, &'static str> {
     // Aggregate call sites, in the local executor's discovery order.
-    let mut aggs: Vec<Expr> = Vec::new();
-    let mut wildcard = false;
-    for item in &sel.items {
-        match item {
-            SelectItem::Expr { expr, .. } => collect_aggs(expr, &mut aggs),
-            _ => wildcard = true,
-        }
-    }
-    if let Some(h) = &sel.having {
-        collect_aggs(h, &mut aggs);
-    }
-    for ob in &sel.order_by {
-        collect_aggs(&ob.expr, &mut aggs);
-    }
+    let aggs = aggregates(sel);
     if aggs.is_empty() && sel.group_by.is_empty() {
         return Ok(None); // not an aggregate statement
-    }
-    if wildcard {
-        return Err("wildcard");
     }
     if sel.distinct {
         return Err("distinct");
