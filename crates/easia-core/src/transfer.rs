@@ -192,7 +192,11 @@ pub fn transfer_with_retry_observed(
         loop {
             let deadline = net.now() + policy.stall_timeout_s;
             net.run_until_any_settled(&[id], deadline);
-            match net.transfer_status(id) {
+            let status = net.transfer_status(id);
+            // A final status is read once, here: release it (a no-op
+            // while the transfer is in flight).
+            net.release_transfer(id);
+            match status {
                 TransferStatus::Done(rec) => {
                     if let Some(m) = obs {
                         m.completed.inc();
@@ -230,6 +234,7 @@ pub fn transfer_with_retry_observed(
                         // No progress for a full stall window: abort the
                         // attempt and back off.
                         net.cancel_transfer(id);
+                        net.release_transfer(id);
                         if let Some(m) = obs {
                             m.stall_aborts.inc();
                         }

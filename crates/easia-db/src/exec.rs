@@ -3,12 +3,13 @@
 //! A SELECT is bound once against the row its expressions meet
 //! ([`BoundSelect`]): each column reference becomes a slot, each aggregate
 //! call the index of its state, and a name that does not resolve is the
-//! statement's error before any row is read. Its base table is read once,
-//! decoding of each row the cells its filter reads and, only if the row
-//! passes, the other cells the statement reads; every row that passes the
-//! WHERE — off the scan itself, or off the last JOIN leg — is lent to one
-//! [`Sink`], which folds it into its group or projects it, and keeps only
-//! what DISTINCT, ORDER BY and LIMIT can still return.
+//! statement's error before any row is read. Its base table is read once:
+//! each record is tested on its bytes against the sieve a total WHERE
+//! makes, and of each it keeps the cells its filter reads are decoded and,
+//! only if the row passes, the other cells the statement reads; every row
+//! that passes the WHERE — off the scan itself, or off the last JOIN leg —
+//! is lent to one [`Sink`], which folds it into its group or projects it,
+//! and keeps only what DISTINCT, ORDER BY and LIMIT can still return.
 
 use crate::db::{Database, ResultSet, Table};
 use crate::error::{DbError, Result};
@@ -17,6 +18,7 @@ use crate::index::btree::has_prefix;
 use crate::mvcc::ReadView;
 use crate::plan::{
     bound_conjuncts, choose_bound, choose_in_scope, own_conjuncts, stand_in, AccessPath, Scope,
+    Sieve,
 };
 use crate::schema::{DatalinkSpec, TableSchema};
 use crate::sql::ast::{is_aggregate_fn, BinaryOp, Expr, JoinKind, SelectItem, SelectStmt};
@@ -105,18 +107,21 @@ impl<'a> Source<'a> {
     }
 }
 
-/// The cells a scan decodes: `sieve`'s for every row it visits, `all`
-/// (which holds them) for a row that passes the scan's filter. An empty
-/// mask is every cell.
+/// How a scan reads a record: tested against `sieve` on its bytes, then
+/// decoded — `filter`'s cells (the ones the scan's filter reads) for a
+/// row the sieve keeps, `all` (which holds them) for a row that passes
+/// the filter. An empty mask is every cell.
 #[derive(Clone, Copy)]
 struct Cells<'m> {
-    sieve: &'m [bool],
+    sieve: &'m Sieve,
+    filter: &'m [bool],
     all: &'m [bool],
 }
 
-/// Every cell of every row.
+/// Every cell of every row, unsieved.
 const WHOLE: Cells = Cells {
-    sieve: &[],
+    sieve: &Sieve::NONE,
+    filter: &[],
     all: &[],
 };
 
@@ -175,15 +180,17 @@ fn fetch(
     }
 }
 
-/// Decode each of `records` into a scratch row — the sieve's cells
-/// ([`decode_some_into`]) — and lend it to `pass`; decode a row that
-/// passes again, with all its cells, into a second scratch row and lend
-/// that to `take`, which copies out (or takes) what it keeps. Each
-/// scratch row refills the buffers it already owns, so a rejected row
-/// allocates nothing and has only the cells its filter reads decoded.
-/// Returns the number of records, also when a closure or the decoder
-/// raises part-way — the first error is the one returned, and what it
-/// left unvisited was a candidate all the same.
+/// Test each of `records` against the sieve on its bytes
+/// ([`Sieve::keeps`]); decode the filter's cells of a record it keeps
+/// ([`decode_some_into`]) into a scratch row and lend it to `pass`;
+/// decode a row that passes again, with all its cells, into a second
+/// scratch row and lend that to `take`, which copies out (or takes) what
+/// it keeps. A record the sieve refuses is walked once and nothing of it
+/// decoded or evaluated; each scratch row refills the buffers it already
+/// owns, so a rejected row allocates nothing. Returns the number of
+/// records, also when a closure or the decoder raises part-way — the
+/// first error is the one returned, and what it left unvisited was a
+/// candidate all the same.
 fn sift<'r>(
     mut records: impl Iterator<Item = (RowId, &'r [u8])>,
     cells: Cells,
@@ -191,19 +198,22 @@ fn sift<'r>(
     mut take: impl FnMut(RowId, &mut Vec<Value>) -> Result<()>,
 ) -> (usize, Result<()>) {
     let (mut sieved, mut whole) = (Vec::new(), Vec::new());
-    let twice = cells.sieve != cells.all;
+    let twice = cells.filter != cells.all;
     let (mut seen, mut visited) = (0, Ok(()));
     for (rid, record) in records.by_ref() {
         seen += 1;
-        let decode = |read, row: &mut Vec<Value>| decode_some_into(record, &mut 0, row, read);
-        visited = decode(cells.sieve, &mut sieved).and_then(|()| {
+        visited = cells.sieve.keeps(record, cells.filter).and_then(|kept| {
+            if !kept {
+                return Ok(());
+            }
+            decode_some_into(record, &mut 0, &mut sieved, cells.filter)?;
             if !pass(&sieved)? {
                 return Ok(());
             }
             if !twice {
                 return take(rid, &mut sieved);
             }
-            decode(cells.all, &mut whole)?;
+            decode_some_into(record, &mut 0, &mut whole, cells.all)?;
             take(rid, &mut whole)
         });
         if visited.is_err() {
@@ -227,7 +237,7 @@ fn note_scan(db: &Database, index_probe: bool, rows: usize) {
 }
 
 /// Fetch `(RowId, row)` pairs of `table` visible to `view` and matching
-/// `where_clause` (index-accelerated when possible). Used by
+/// `where_clause` (index-accelerated and sieved when possible). Used by
 /// UPDATE/DELETE, which write whole rows back: every cell is decoded.
 pub fn collect_matching(
     db: &Database,
@@ -242,14 +252,18 @@ pub fn collect_matching(
     let schema = RowSchema::for_table(table, &Source::Table(t).columns());
     let pred = where_clause.map(|w| schema.bind(w, db.functions(), &[]));
     let pred = pred.transpose()?;
-    let path = choose_bound(t, pred.as_ref(), params);
+    let (path, sieve) = choose_bound(t, pred.as_ref(), params);
     let index_probe = matches!(path, AccessPath::IndexRange { .. });
     let pass = |row: &[Value]| match &pred {
         Some(p) => holds(&EvalContext::new(row, params), p),
         None => Ok(true),
     };
     let mut matching = Vec::new();
-    let (candidates, read) = fetch(db, view, t, path, WHOLE, pass, |rid, row| {
+    let cells = Cells {
+        sieve: &sieve,
+        ..WHOLE
+    };
+    let (candidates, read) = fetch(db, view, t, path, cells, pass, |rid, row| {
         matching.push((rid, std::mem::take(row)));
         Ok(())
     });
@@ -411,7 +425,7 @@ pub fn run_select_over(
         });
         at += width;
     }
-    let mut path = AccessPath::FullScan;
+    let (mut path, mut sieve) = (AccessPath::FullScan, Sieve::NONE);
     // WHERE conjuncts over the base table's own columns, applied to its
     // rows before they are joined.
     let mut own = Vec::new();
@@ -421,7 +435,7 @@ pub fn run_select_over(
         // row the narrowing would skip.
         let total = |e: &Bound| scope.total(e, params);
         if total(pred) && legs.iter().all(|leg| total(&leg.on)) {
-            path = choose_in_scope(t, pred, params);
+            (path, sieve) = choose_in_scope(t, pred, params);
             if !legs.is_empty() {
                 own = own_conjuncts(pred, base_width, at);
             }
@@ -437,10 +451,10 @@ pub fn run_select_over(
     } else {
         own
     };
-    let mut sieve = read.clone();
+    let mut filter_reads = read.clone();
     if !scan_filter.is_empty() {
-        sieve.fill(false);
-        scan_filter.iter().for_each(|e| e.reads(&mut sieve));
+        filter_reads.fill(false);
+        scan_filter.iter().for_each(|e| e.reads(&mut filter_reads));
     }
     let filtered = |row: &[Value]| match &filter {
         Some(w) => holds(&EvalContext::new(row, params), w),
@@ -454,6 +468,7 @@ pub fn run_select_over(
     if legs.is_empty() {
         let cells = Cells {
             sieve: &sieve,
+            filter: &filter_reads,
             all: &read,
         };
         let (candidates, scanned) = sources[0].scan(db, view, path, cells, filtered, |row| {
@@ -473,7 +488,8 @@ pub fn run_select_over(
                 .all(|c| !matches!(holds(&ctx, c), Ok(false))))
         };
         let cells = Cells {
-            sieve: &sieve[..base_width],
+            sieve: &sieve,
+            filter: &filter_reads[..base_width],
             all: &read[..base_width],
         };
         let mut rows = Vec::new();
@@ -620,8 +636,9 @@ fn run_join(
     // when a key first refuses the indexed column.
     let read_whole = || -> Result<Vec<Vec<Value>>> {
         let cells = Cells {
-            sieve: read,
+            filter: read,
             all: read,
+            ..WHOLE
         };
         let mut rows = Vec::new();
         let keep_all = |_: &[Value]| Ok(true);
@@ -1565,7 +1582,11 @@ mod tests {
         // `all` for the rows whose K `keep` admits.
         let scan = |t: &Table, sieve: &[bool], all: &[bool], keep: fn(&Value) -> bool| {
             let mut rows = Vec::new();
-            let cells = Cells { sieve, all };
+            let cells = Cells {
+                filter: sieve,
+                all,
+                ..WHOLE
+            };
             let pass = |row: &[Value]| Ok(keep(&row[0]));
             let read = fetch(
                 &db,
@@ -1606,5 +1627,56 @@ mod tests {
         let skipped = scan(&not_text, &k_only, &[], not_seven).unwrap();
         assert_eq!(skipped.len(), 49);
         assert_eq!(skipped[7], row(8));
+
+        // Under the sieve of a WHERE, whose rows are every row it keeps
+        // (`filter` decoded, then all): row 7 is refused on its bytes,
+        // and its shape and the text the WHERE reads still checked.
+        let sieved = |t: &Table, pred: &str, filter: &[bool]| {
+            let sql = format!("SELECT * FROM t WHERE {pred}");
+            let Ok(crate::sql::ast::Stmt::Select(sel)) = crate::sql::parse(&sql) else {
+                unreachable!("{sql}");
+            };
+            let names = ["K", "S", "N"].map(String::from);
+            let w = RowSchema::for_table("T", &names).bind(
+                sel.where_clause.as_ref().unwrap(),
+                db.functions(),
+                &[],
+            );
+            let (path, sieve) = choose_bound(t, Some(&w.unwrap()), &[]);
+            let mut rows = Vec::new();
+            let cells = Cells {
+                sieve: &sieve,
+                filter,
+                all: &[],
+            };
+            let read = fetch(
+                &db,
+                &view,
+                t,
+                path,
+                cells,
+                |_| Ok(true),
+                |_, row| {
+                    rows.push(row.clone());
+                    Ok(())
+                },
+            );
+            assert_eq!(read.0, 50);
+            read.1.map(|()| rows)
+        };
+        for (t, raised) in [(&bad_tag, "bad tag 238"), (&too_long, "truncated")] {
+            let damaged = Err(DbError::Storage(format!("row decode: {raised}")));
+            assert_eq!(
+                sieved(t, "k = 8", &k_only),
+                damaged,
+                "after the tested cell"
+            );
+        }
+        let s_only = [false, true, false];
+        assert_eq!(sieved(&not_text, "s LIKE 'zz%'", &s_only), bad_utf8);
+        assert_eq!(
+            sieved(&not_text, "k = 8", &k_only),
+            Ok(vec![row(8).to_vec()])
+        );
     }
 }

@@ -3,20 +3,21 @@
 //! The QBE interface generates WHERE clauses that are conjunctions of
 //! per-column restrictions (`=`, `<`, `<=`, `>`, `>=`, `LIKE`); the
 //! planner binds them to the leading columns of an index and turns a
-//! full scan into one ordered walk of that index. The index only ever
-//! narrows: the executor still evaluates the whole predicate on every
-//! candidate, so bounds are inclusive supersets, and a path is chosen
-//! only when skipping the other rows cannot change what the statement
-//! returns *or raises* (see [`Scope::total`]). The planner reads the
-//! statement's bound form: its names were resolved, once, when it was
-//! bound.
+//! full scan into one ordered walk of that index, and hands the same
+//! restrictions to the executor as a [`Sieve`] for every record the path
+//! visits. Index and sieve only ever narrow: the executor still evaluates
+//! the whole predicate on every candidate they keep, so bounds are
+//! inclusive supersets, and a path or a sieve is chosen only when
+//! skipping the other rows cannot change what the statement returns *or
+//! raises* (see [`Scope::total`]). The planner reads the statement's
+//! bound form: its names were resolved, once, when it was bound.
 
 use crate::db::Table;
 use crate::error::Result;
 use crate::expr::{Bound, EvalContext, RowSchema};
 use crate::schema::TableSchema;
 use crate::sql::ast::{BinaryOp, Expr, UnaryOp};
-use crate::value::{SqlType, Value};
+use crate::value::{scalar_cell, sieve_record, SqlType, Value};
 use crate::Database;
 use std::cmp::Ordering;
 
@@ -220,7 +221,7 @@ pub fn own_conjuncts(pred: &Bound, width: usize, slots: usize) -> Vec<&Bound> {
 }
 
 /// What the WHERE's top-level conjuncts demand of one column.
-#[derive(Default, Clone)]
+#[derive(Default, Clone, PartialEq)]
 struct Restriction {
     eq: Option<Value>,
     lo: Option<Value>,
@@ -228,7 +229,58 @@ struct Restriction {
     prefix: Option<String>,
 }
 
+/// The restrictions of a total WHERE on the planned table's columns
+/// (none when the WHERE is not total): `exec::fetch` tests every record
+/// it visits against them on its bytes, before decoding it. Like an
+/// index it only narrows; the whole WHERE decides every row it keeps.
+pub(crate) struct Sieve(Vec<Option<Restriction>>);
+
+impl Sieve {
+    /// The sieve that keeps every record.
+    pub(crate) const NONE: Sieve = Sieve(Vec::new());
+
+    /// False when `record`, a row of the planned table, fails a
+    /// restriction, tested on its bytes by [`sieve_record`] (which checks
+    /// the cells `read` selects as the decoder would). A sieve without
+    /// restrictions keeps every record unwalked.
+    pub(crate) fn keeps(&self, record: &[u8], read: &[bool]) -> Result<bool> {
+        if self.0.is_empty() {
+            return Ok(true);
+        }
+        sieve_record(record, read, |col, tag, payload| match self.0.get(col) {
+            Some(Some(r)) => r.admits(tag, payload),
+            _ => true,
+        })
+    }
+}
+
 impl Restriction {
+    /// False only on a definite answer: a NULL cell, or an ordering by
+    /// [`Value::sql_cmp`] — the evaluator's comparison — or a prefix that
+    /// the conjuncts refuse. A pairing `sql_cmp` refuses (a NaN among
+    /// them) and a blob are admitted, for the filter to decide.
+    fn admits(&self, tag: u8, payload: &[u8]) -> bool {
+        let (cell, text) = match scalar_cell(tag, payload) {
+            Some(Value::Null) => return false,
+            cell => (cell, matches!(tag, 3 | 8 | 9)),
+        };
+        // The WHERE is total, so a string column is held against strings
+        // only, which `sql_cmp` orders by their bytes.
+        let ord = |v: &Value| match (&cell, v.as_text()) {
+            (Some(cell), _) => cell.sql_cmp(v),
+            (None, Some(s)) if text => Some(payload.cmp(s.as_bytes())),
+            _ => None,
+        };
+        let refuses = |bound: &Option<Value>, refused: fn(Ordering) -> bool| {
+            bound.as_ref().and_then(ord).is_some_and(refused)
+        };
+        let prefix = |p: &String| text && !payload.starts_with(p.as_bytes());
+        !(refuses(&self.eq, Ordering::is_ne)
+            || refuses(&self.lo, Ordering::is_lt)
+            || refuses(&self.hi, Ordering::is_gt)
+            || self.prefix.as_ref().is_some_and(prefix))
+    }
+
     /// Tighten with `col <op> v` (`op` already oriented column-first).
     fn bound(&mut self, op: BinaryOp, v: Value) {
         let tighter = |old: &Option<Value>, want: Ordering| {
@@ -287,15 +339,19 @@ pub fn choose_access_path(
         .collect();
     let schema = RowSchema::for_table(table_alias, &names);
     let pred = where_clause.map(|w| schema.bind(w, db.functions(), &[]));
-    Ok(choose_bound(table, pred.transpose()?.as_ref(), params))
+    Ok(choose_bound(table, pred.transpose()?.as_ref(), params).0)
 }
 
 /// [`choose_access_path`] under a WHERE already bound against the
-/// table's row.
-pub(crate) fn choose_bound(table: &Table, pred: Option<&Bound>, params: &[Value]) -> AccessPath {
+/// table's row, with the WHERE's sieve.
+pub(crate) fn choose_bound(
+    table: &Table,
+    pred: Option<&Bound>,
+    params: &[Value],
+) -> (AccessPath, Sieve) {
     match pred {
         Some(p) if Scope::of(&table.schema).total(p, params) => choose_in_scope(table, p, params),
-        _ => AccessPath::FullScan,
+        _ => (AccessPath::FullScan, Sieve::NONE),
     }
 }
 
@@ -310,8 +366,13 @@ pub(crate) fn choose_bound(table: &Table, pred: Option<&Bound>, params: &[Value]
 /// equality plus at most one bounded or prefixed next column; the index
 /// that binds most wins (more equalities, then a bounded tail, then
 /// unique, then declaration order). `FullScan` when no index binds
-/// anything.
-pub fn choose_in_scope(table: &Table, pred: &Bound, params: &[Value]) -> AccessPath {
+/// anything. The restrictions are returned beside the path, as the
+/// [`Sieve`] of every record it visits.
+pub(crate) fn choose_in_scope(
+    table: &Table,
+    pred: &Bound,
+    params: &[Value],
+) -> (AccessPath, Sieve) {
     let width = table.schema.columns.len();
     // A column of the planned table and the constant it is held against.
     let own = |col: &Bound, konst: &Bound| -> Option<(usize, Value)> {
@@ -382,7 +443,16 @@ pub fn choose_in_scope(table: &Table, pred: &Bound, params: &[Value]) -> AccessP
             best = Some((score, path));
         }
     }
-    best.map_or(AccessPath::FullScan, |(_, path)| path)
+    let path = best.map_or(AccessPath::FullScan, |(_, path)| path);
+    let mut sieve: Vec<_> = restrictions
+        .into_iter()
+        .map(|r| (r != Restriction::default()).then_some(r))
+        .collect();
+    // Columns past the last restricted one test nothing.
+    while sieve.last().is_some_and(Option::is_none) {
+        sieve.pop();
+    }
+    (path, Sieve(sieve))
 }
 
 #[cfg(test)]
@@ -596,7 +666,7 @@ mod tests {
             scope.join(sim.columns.len(), typed.then_some(sim));
             let w = where_of(&format!("SELECT * FROM rf WHERE {pred}"));
             let w = row.bind(&w, db.functions(), &[]).unwrap();
-            scope.total(&w, &[]) && choose_in_scope(table, &w, &[]) != AccessPath::FullScan
+            scope.total(&w, &[]) && choose_in_scope(table, &w, &[]).0 != AccessPath::FullScan
         };
         assert!(chosen("r.s = 'a' AND m.title LIKE 'x%'", true));
         assert!(chosen("t = 3 AND n > 1", true), "unambiguous bare names");

@@ -158,13 +158,14 @@ impl Value {
             (Double(a), Double(b)) => a.partial_cmp(b),
             (Str(a), Str(b)) => Some(a.cmp(b)),
             (Clob(a), Clob(b)) => Some(a.cmp(b)),
-            (Str(a), Clob(b)) | (Clob(b), Str(a)) => Some(a.cmp(b)),
+            // Always `self` against `other`, also across kinds.
+            (Str(a), Clob(b)) | (Clob(a), Str(b)) => Some(a.cmp(b)),
             (Bool(a), Bool(b)) => Some(a.cmp(b)),
             (Timestamp(a), Timestamp(b)) => Some(a.cmp(b)),
-            (Timestamp(a), Int(b)) | (Int(b), Timestamp(a)) => Some(a.cmp(b)),
+            (Timestamp(a), Int(b)) | (Int(a), Timestamp(b)) => Some(a.cmp(b)),
             (Blob(a), Blob(b)) => Some(a.cmp(b)),
             (Datalink(a), Datalink(b)) => Some(a.cmp(b)),
-            (Datalink(a), Str(b)) | (Str(b), Datalink(a)) => Some(a.cmp(b)),
+            (Datalink(a), Str(b)) | (Str(a), Datalink(b)) => Some(a.cmp(b)),
             _ => None,
         }
     }
@@ -376,101 +377,141 @@ pub fn decode_some_into(
     row: &mut Vec<Value>,
     read: &[bool],
 ) -> Result<()> {
-    let decoded = decode_cells(buf, pos, row, read);
+    let decoded = cell_count(buf, pos).and_then(|n| {
+        row.truncate(n);
+        row.reserve_exact(n - row.len());
+        for i in 0..n {
+            let (tag, payload) = next_cell(buf, pos)?;
+            if i == row.len() {
+                row.push(Value::Null);
+            }
+            match read.get(i) {
+                Some(false) => row[i] = Value::Null,
+                _ => decode_cell(tag, payload, &mut row[i])?,
+            }
+        }
+        Ok(())
+    });
     if decoded.is_err() {
         row.clear();
     }
     decoded
 }
 
-fn decode_cells(buf: &[u8], pos: &mut usize, row: &mut Vec<Value>, read: &[bool]) -> Result<()> {
-    let n = read_u32(buf, pos)? as usize;
-    // Every cell takes at least its tag byte: a count the input cannot
-    // hold is refused before anything is reserved for it.
-    if n > buf.len() - *pos {
-        return Err(DbError::Storage("row decode: truncated".into()));
-    }
-    row.truncate(n);
-    row.reserve_exact(n - row.len());
-    for i in 0..n {
-        let tag = *buf
-            .get(*pos)
-            .ok_or_else(|| DbError::Storage("row decode: truncated".into()))?;
-        *pos += 1;
-        if i == row.len() {
-            row.push(Value::Null);
-        }
-        let cell = &mut row[i];
-        if read.get(i) == Some(&false) {
+/// Offer each cell of `record` to `admits` — its position, tag and
+/// payload as [`next_cell`] yields them — without decoding any: whether
+/// the row is kept, which it is when `admits` takes every cell. The walk
+/// checks what [`decode_some_into`] with the same `read` would — every
+/// tag and length, and the text of every string cell `read` selects, as
+/// UTF-8 — and raises its first error, refused row or not. A row is also
+/// kept when a DOUBLE cell `read` selects holds a NaN, which every
+/// comparison raises on (DESIGN.md, "the sieve").
+pub(crate) fn sieve_record(
+    record: &[u8],
+    read: &[bool],
+    mut admits: impl FnMut(usize, u8, &[u8]) -> bool,
+) -> Result<bool> {
+    let pos = &mut 0;
+    let (mut kept, mut nan) = (true, false);
+    for i in 0..cell_count(record, pos)? {
+        let (tag, payload) = next_cell(record, pos)?;
+        if read.get(i) != Some(&false) {
             match tag {
-                0 | 4 | 5 => {}
-                1 | 2 | 6 => drop(read_8(buf, pos)?),
-                3 | 7..=9 => drop(read_bytes(buf, pos)?),
-                t => return Err(DbError::Storage(format!("row decode: bad tag {t}"))),
-            }
-            *cell = Value::Null;
-            continue;
-        }
-        match (tag, &mut *cell) {
-            (3, Value::Str(s)) | (8, Value::Clob(s)) | (9, Value::Datalink(s)) => {
-                s.clear();
-                s.push_str(read_str(buf, pos)?);
-            }
-            (7, Value::Blob(b)) => {
-                b.clear();
-                b.extend_from_slice(read_bytes(buf, pos)?);
-            }
-            _ => {
-                *cell = match tag {
-                    0 => Value::Null,
-                    1 => Value::Int(read_i64(buf, pos)?),
-                    2 => Value::Double(f64::from_le_bytes(read_8(buf, pos)?)),
-                    3 => Value::Str(read_str(buf, pos)?.to_owned()),
-                    4 => Value::Bool(false),
-                    5 => Value::Bool(true),
-                    6 => Value::Timestamp(read_i64(buf, pos)?),
-                    7 => Value::Blob(read_bytes(buf, pos)?.to_vec()),
-                    8 => Value::Clob(read_str(buf, pos)?.to_owned()),
-                    9 => Value::Datalink(read_str(buf, pos)?.to_owned()),
-                    t => return Err(DbError::Storage(format!("row decode: bad tag {t}"))),
+                2 => nan |= f64::from_le_bytes(payload.try_into().expect("8 bytes")).is_nan(),
+                3 | 8 | 9 => {
+                    text(payload)?;
                 }
+                _ => {}
             }
         }
+        kept = kept && admits(i, tag, payload);
+    }
+    Ok(kept || nan)
+}
+
+/// The cell count a record at `pos` starts with. Every cell takes at
+/// least its tag byte: a count the input cannot hold is refused before
+/// anything is reserved for it.
+fn cell_count(buf: &[u8], pos: &mut usize) -> Result<usize> {
+    let count = buf.get(*pos..*pos + 4).ok_or_else(truncated)?;
+    *pos += 4;
+    let n = u32::from_le_bytes(count.try_into().expect("4 bytes")) as usize;
+    match n > buf.len() - *pos {
+        true => Err(truncated()),
+        false => Ok(n),
+    }
+}
+
+#[cold]
+fn truncated() -> DbError {
+    DbError::Storage("row decode: truncated".into())
+}
+
+/// One cell step — the only code that reads a record's shape: the tag
+/// byte at `pos`, then the payload it implies (nothing, 8 bytes, or a
+/// u32 length and that many bytes), checked to lie inside `buf`. Moves
+/// `pos` past the cell.
+#[inline(always)]
+fn next_cell<'a>(buf: &'a [u8], pos: &mut usize) -> Result<(u8, &'a [u8])> {
+    let at = *pos;
+    let tag = *buf.get(at).ok_or_else(truncated)?;
+    let (start, len) = match tag {
+        0 | 4 | 5 => (at + 1, 0),
+        1 | 2 | 6 => (at + 1, 8),
+        3 | 7..=9 => {
+            let len = buf.get(at + 1..at + 5).ok_or_else(truncated)?;
+            (
+                at + 5,
+                u32::from_le_bytes(len.try_into().expect("4 bytes")) as usize,
+            )
+        }
+        t => return Err(DbError::Storage(format!("row decode: bad tag {t}"))),
+    };
+    let payload = buf.get(start..start + len).ok_or_else(truncated)?;
+    *pos = start + len;
+    Ok((tag, payload))
+}
+
+/// The value of a cell that owns no buffer — NULL, a number, a boolean
+/// — or `None` for a string or blob.
+#[inline]
+pub(crate) fn scalar_cell(tag: u8, payload: &[u8]) -> Option<Value> {
+    let word = || i64::from_le_bytes(payload.try_into().expect("8-byte cell"));
+    Some(match tag {
+        0 => Value::Null,
+        1 => Value::Int(word()),
+        2 => Value::Double(f64::from_bits(word() as u64)),
+        4 => Value::Bool(false),
+        5 => Value::Bool(true),
+        6 => Value::Timestamp(word()),
+        _ => return None,
+    })
+}
+
+fn text(payload: &[u8]) -> Result<&str> {
+    std::str::from_utf8(payload).map_err(|_| DbError::Storage("row decode: bad utf8".into()))
+}
+
+/// Decode a cell [`next_cell`] stepped over into `cell`, refilling the
+/// buffer it owns when it already holds that kind.
+#[inline]
+fn decode_cell(tag: u8, payload: &[u8], cell: &mut Value) -> Result<()> {
+    match (tag, &mut *cell) {
+        (3, Value::Str(s)) | (8, Value::Clob(s)) | (9, Value::Datalink(s)) => {
+            s.clear();
+            s.push_str(text(payload)?);
+        }
+        (7, Value::Blob(b)) => {
+            b.clear();
+            b.extend_from_slice(payload);
+        }
+        (3, _) => *cell = Value::Str(text(payload)?.to_owned()),
+        (7, _) => *cell = Value::Blob(payload.to_vec()),
+        (8, _) => *cell = Value::Clob(text(payload)?.to_owned()),
+        (9, _) => *cell = Value::Datalink(text(payload)?.to_owned()),
+        _ => *cell = scalar_cell(tag, payload).expect("a tag `next_cell` yields"),
     }
     Ok(())
-}
-
-fn get_slice<'a>(buf: &'a [u8], pos: &mut usize, len: usize) -> Result<&'a [u8]> {
-    let s = buf
-        .get(*pos..*pos + len)
-        .ok_or_else(|| DbError::Storage("row decode: truncated".into()))?;
-    *pos += len;
-    Ok(s)
-}
-
-fn read_u32(buf: &[u8], pos: &mut usize) -> Result<u32> {
-    Ok(u32::from_le_bytes(
-        get_slice(buf, pos, 4)?.try_into().expect("4 bytes"),
-    ))
-}
-
-fn read_8(buf: &[u8], pos: &mut usize) -> Result<[u8; 8]> {
-    Ok(get_slice(buf, pos, 8)?.try_into().expect("8 bytes"))
-}
-
-fn read_i64(buf: &[u8], pos: &mut usize) -> Result<i64> {
-    Ok(i64::from_le_bytes(read_8(buf, pos)?))
-}
-
-/// A length-prefixed run of bytes.
-fn read_bytes<'a>(buf: &'a [u8], pos: &mut usize) -> Result<&'a [u8]> {
-    let len = read_u32(buf, pos)? as usize;
-    get_slice(buf, pos, len)
-}
-
-fn read_str<'a>(buf: &'a [u8], pos: &mut usize) -> Result<&'a str> {
-    std::str::from_utf8(read_bytes(buf, pos)?)
-        .map_err(|_| DbError::Storage("row decode: bad utf8".into()))
 }
 
 /// `==` on rows, except that a double equals the double with its bits
@@ -534,6 +575,26 @@ mod tests {
             Value::Str("a".into()).sql_cmp(&Value::Int(1)),
             None,
             "incomparable types"
+        );
+        // `self` against `other`, either way round and across kinds.
+        let vals = [
+            Value::Int(2),
+            Value::Timestamp(3),
+            Value::Double(2.5),
+            Value::Str("b".into()),
+            Value::Clob("a".into()),
+            Value::Clob("c".into()),
+            Value::Datalink("d".into()),
+        ];
+        for a in &vals {
+            for b in &vals {
+                let back = b.sql_cmp(a).map(Ordering::reverse);
+                assert_eq!(a.sql_cmp(b), back, "{a:?} vs {b:?}");
+            }
+        }
+        assert_eq!(
+            Value::Clob("c".into()).sql_cmp(&Value::Str("b".into())),
+            Some(Ordering::Greater)
         );
     }
 

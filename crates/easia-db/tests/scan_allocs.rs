@@ -174,4 +174,42 @@ fn a_selective_scan_allocates_for_its_survivors_only() {
         "{allocations} allocations to keep the top 10 of {SURVIVORS} survivors; \
          the ceiling is {ceiling}"
     );
+
+    // ---- the sieve: a rejected row costs nothing ----
+    // A literal prefix rejects all but 12 of the 20,000 rows on their
+    // bytes. The same statement over a table holding only those 12 rows
+    // allocates exactly as much: nothing is spent on a rejected row.
+    let sql = "SELECT k, title FROM {t} WHERE title LIKE 'Forced turbulence run 7%'";
+    let on = |db: &mut Database, table: &str| {
+        let sql = sql.replace("{t}", table);
+        let warm = db.execute(&sql).unwrap();
+        let (rs, allocations) = counted(|| db.execute(&sql).unwrap());
+        assert_eq!(rs.rows, warm.rows);
+        (rs.rows, allocations)
+    };
+    let (rows, allocations) = on(&mut db, "t");
+    println!(
+        "sieved: {allocations} allocations for {} of {ROWS} rows",
+        rows.len()
+    );
+    assert_eq!(rows.len(), 12);
+    db.execute(
+        "CREATE TABLE u (k INTEGER PRIMARY KEY, title VARCHAR(200) NOT NULL, \
+         author_key VARCHAR(30), site VARCHAR(30), grid_size INTEGER, reynolds DOUBLE, \
+         description CLOB)",
+    )
+    .unwrap();
+    let survivors = db.execute(&sql.replace("{t}", "t").replace("k, title", "*"));
+    for row in survivors.unwrap().rows {
+        db.execute_with_params("INSERT INTO u VALUES (?, ?, ?, ?, ?, ?, ?)", &row)
+            .unwrap();
+    }
+    let (alone, survivors_only) = on(&mut db, "u");
+    assert_eq!(alone, rows);
+    assert_eq!(
+        allocations,
+        survivors_only,
+        "a scan of {ROWS} rows allocates as much as one of its {} survivors",
+        rows.len()
+    );
 }

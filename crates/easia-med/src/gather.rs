@@ -415,7 +415,11 @@ impl Federation {
                         Flight::Request { id, .. } | Flight::Batch { id, .. } => *id,
                         Flight::Idle => continue,
                     };
-                    match net.transfer_status(id) {
+                    let status = net.transfer_status(id);
+                    // A final status is read once, here: release it (a no-op
+                    // while the transfer is in flight).
+                    net.release_transfer(id);
+                    match status {
                         TransferStatus::Done(_) => match std::mem::replace(fl, Flight::Idle) {
                             Flight::Request { frame, .. } => {
                                 p.bytes += frame.len() as u64;
@@ -444,6 +448,7 @@ impl Federation {
                                 // Individual stall cancellation: this
                                 // stream's peers keep streaming.
                                 net.cancel_transfer(id);
+                                net.release_transfer(id);
                                 *fl = Flight::Idle;
                                 p.failed = true;
                             }

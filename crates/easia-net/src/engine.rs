@@ -91,6 +91,8 @@ pub enum TransferStatus {
 /// A transfer the engine still moves: everything the event loop needs.
 #[derive(Debug)]
 struct Flow {
+    /// Its [`TransferId`].
+    id: usize,
     bytes: f64,
     remaining: f64,
     hops: Vec<Hop>,
@@ -103,27 +105,18 @@ struct Flow {
 }
 
 impl Flow {
-    /// The slot of this flow aborted at `at`: delivered bytes stay
-    /// counted so clients can resume from an offset.
-    fn aborted(&self, at: f64, reason: TransferFailure) -> Transfer {
-        Transfer::Settled(TransferStatus::Failed {
+    /// This flow aborted at `at`: delivered bytes stay counted so clients
+    /// can resume from an offset.
+    fn aborted(&self, at: f64, reason: TransferFailure) -> TransferStatus {
+        TransferStatus::Failed {
             at,
             bytes_moved: self.bytes - self.remaining,
             reason,
-        })
+        }
     }
 }
 
-/// One slot of the transfer history. Ids index it for as long as the
-/// simulator lives, so a settled transfer shrinks to what callers may
-/// still ask about it — its final [`TransferStatus`], never `InFlight`.
-#[derive(Debug)]
-enum Transfer {
-    Live(Box<Flow>),
-    Settled(TransferStatus),
-}
-
-/// One slot of the job history, settled the same way.
+/// One slot of the job history: a settled job shrinks to its record.
 #[derive(Debug)]
 enum Job {
     Running {
@@ -141,13 +134,17 @@ enum Job {
 pub struct SimNet {
     topo: Topology,
     clock: f64,
-    transfers: Vec<Transfer>,
+    /// The transfers still moving, in id order (so flows are advanced,
+    /// and `link_bytes` summed, in id order): all the event loop walks.
+    flows: Vec<Flow>,
+    /// The final status of every settled transfer not yet released.
+    settled: HashMap<usize, TransferStatus>,
+    /// The id the next transfer gets.
+    next_transfer: usize,
     jobs: Vec<Job>,
-    /// Indices of the transfers and jobs that may still be live, in
-    /// ascending order (so flows are visited, and `link_bytes` summed,
-    /// in id order). The event loop walks these, not the histories; an
-    /// entry that settled is dropped by [`SimNet::apply_host_faults`].
-    live_transfers: Vec<usize>,
+    /// Indices of the jobs that may still be running, in ascending
+    /// order; an entry that settled is dropped by
+    /// [`SimNet::apply_host_faults`].
     live_jobs: Vec<usize>,
     /// Cumulative bytes carried per link (both directions), for
     /// bytes-over-bottleneck accounting in the experiments.
@@ -280,39 +277,41 @@ impl SimNet {
         });
         let latency = self.topo.path_latency(&hops);
         let path_hosts = self.topo.path_hosts(src, &hops);
-        let id = TransferId(self.transfers.len() as u64);
+        let id = self.next_transfer;
+        self.next_transfer += 1;
         // A transfer started towards (or through) a dead host observes
         // the failure immediately.
         let dead = path_hosts
             .iter()
             .find(|&&h| self.faults.host_down(h, self.clock))
             .copied();
-        let slot = if let Some(h) = dead {
-            Transfer::Settled(TransferStatus::Failed {
+        let settled = if let Some(h) = dead {
+            TransferStatus::Failed {
                 at: self.clock,
                 bytes_moved: 0.0,
                 reason: TransferFailure::HostDown(h),
-            })
+            }
         } else if hops.is_empty() || bytes == 0.0 {
             // Local (same-host) or empty transfers complete immediately.
-            Transfer::Settled(TransferStatus::Done(TransferRecord {
+            TransferStatus::Done(TransferRecord {
                 start: self.clock,
                 end: self.clock + latency,
                 bytes,
-            }))
+            })
         } else {
-            self.live_transfers.push(self.transfers.len());
-            Transfer::Live(Box::new(Flow {
+            self.flows.push(Flow {
+                id,
                 bytes,
                 remaining: bytes,
                 hops,
                 path_hosts,
                 start: self.clock,
                 activate_at: self.clock + latency,
-            }))
+            });
+            return TransferId(id as u64);
         };
-        self.transfers.push(slot);
-        id
+        self.settled.insert(id, settled);
+        TransferId(id as u64)
     }
 
     /// Begin a CPU job of `cpu_secs` seconds of single-core work on `host`.
@@ -340,10 +339,19 @@ impl SimNet {
         id
     }
 
+    /// Forget a settled transfer once its owner has read its final
+    /// status: the history keeps the status of every settled id not yet
+    /// released, so a long-lived owner that releases what it has read
+    /// keeps it bounded. Asking about a released id panics. No-op while
+    /// the transfer is still live.
+    pub fn release_transfer(&mut self, id: TransferId) {
+        self.settled.remove(&(id.0 as usize));
+    }
+
     /// Completion record for a transfer, if it has finished.
     pub fn transfer_record(&self, id: TransferId) -> Option<TransferRecord> {
-        match &self.transfers[id.0 as usize] {
-            Transfer::Settled(TransferStatus::Done(rec)) => Some(rec.clone()),
+        match self.transfer_status(id) {
+            TransferStatus::Done(rec) => Some(rec),
             _ => None,
         }
     }
@@ -363,12 +371,20 @@ impl SimNet {
 
     /// Observable state of a transfer.
     pub fn transfer_status(&self, id: TransferId) -> TransferStatus {
-        match &self.transfers[id.0 as usize] {
-            Transfer::Settled(status) => status.clone(),
-            Transfer::Live(f) => TransferStatus::InFlight {
-                bytes_moved: f.bytes - f.remaining,
-            },
+        let i = id.0 as usize;
+        if let Some(status) = self.settled.get(&i) {
+            return status.clone();
         }
+        let at = self.flow_at(i);
+        let f = &self.flows[at.unwrap_or_else(|| panic!("transfer {i} was released"))];
+        TransferStatus::InFlight {
+            bytes_moved: f.bytes - f.remaining,
+        }
+    }
+
+    /// Where transfer `id` is in `flows`, while it is live.
+    fn flow_at(&self, id: usize) -> Option<usize> {
+        self.flows.binary_search_by_key(&id, |f| f.id).ok()
     }
 
     /// Bytes a transfer has delivered so far (full size once done).
@@ -384,9 +400,10 @@ impl SimNet {
     /// delivered stay counted (supporting offset-based resume). No-op on
     /// transfers that already finished or failed.
     pub fn cancel_transfer(&mut self, id: TransferId) {
-        let slot = &mut self.transfers[id.0 as usize];
-        if let Transfer::Live(f) = slot {
-            *slot = f.aborted(self.clock, TransferFailure::Cancelled);
+        if let Some(at) = self.flow_at(id.0 as usize) {
+            let f = self.flows.remove(at);
+            let status = f.aborted(self.clock, TransferFailure::Cancelled);
+            self.settled.insert(f.id, status);
         }
     }
 
@@ -398,17 +415,7 @@ impl SimNet {
     /// True when no transfer or job is still running (failed work counts
     /// as settled).
     pub fn is_idle(&self) -> bool {
-        self.live_flows().next().is_none() && self.running_jobs().next().is_none()
-    }
-
-    /// The live transfers, in id order.
-    fn live_flows(&self) -> impl Iterator<Item = (usize, &Flow)> {
-        self.live_transfers
-            .iter()
-            .filter_map(|&i| match &self.transfers[i] {
-                Transfer::Live(f) => Some((i, &**f)),
-                Transfer::Settled(_) => None,
-            })
+        self.flows.is_empty() && self.running_jobs().next().is_none()
     }
 
     /// The host of every running job, in id order.
@@ -432,7 +439,7 @@ impl SimNet {
         // Count flows per directed hop.
         let mut users: HashMap<Hop, u32> = HashMap::new();
         let mut flowing: Vec<(usize, &Flow)> = Vec::new();
-        for (i, t) in self.live_flows() {
+        for (i, t) in self.flows.iter().enumerate() {
             if t.activate_at <= self.clock + EPS {
                 if t.hops.iter().any(|&h| hop_capacity(h) == 0.0) {
                     continue; // stalled: contributes no load
@@ -471,15 +478,6 @@ impl SimNet {
         self.drive_until(until, None);
     }
 
-    /// The live flow in slot `i`; the event loop only holds indices of
-    /// flows it has just seen live.
-    fn flow(&self, i: usize) -> &Flow {
-        match &self.transfers[i] {
-            Transfer::Live(f) => f,
-            Transfer::Settled(_) => unreachable!("transfer {i} settled mid-step"),
-        }
-    }
-
     /// The event loop. `until` bounds the clock; `stop_any` (when set)
     /// ends the drive as soon as any listed transfer stops being active,
     /// checked before each event step so an already-settled id returns
@@ -495,10 +493,7 @@ impl SimNet {
             );
             self.apply_host_faults();
             if let Some(ids) = stop_any {
-                if ids
-                    .iter()
-                    .any(|&id| matches!(self.transfers[id.0 as usize], Transfer::Settled(_)))
-                {
+                if ids.iter().any(|id| self.flow_at(id.0 as usize).is_none()) {
                     return;
                 }
             }
@@ -509,7 +504,7 @@ impl SimNet {
             let mut have_event = until.is_some();
             for &(i, rate) in &trates {
                 if rate > 0.0 {
-                    let eta = self.clock + self.flow(i).remaining / rate;
+                    let eta = self.clock + self.flows[i].remaining / rate;
                     if eta < next {
                         next = eta;
                     }
@@ -526,7 +521,7 @@ impl SimNet {
                 }
                 have_event = true;
             }
-            for (_, t) in self.live_flows() {
+            for t in &self.flows {
                 if t.activate_at > self.clock + EPS {
                     if t.activate_at < next {
                         next = t.activate_at;
@@ -536,7 +531,7 @@ impl SimNet {
             }
             // Profile boundaries only matter while flows are moving.
             for &(i, _) in &trates {
-                for &h in &self.flow(i).hops {
+                for &h in &self.flows[i].hops {
                     if let Some(b) = self.topo.profile(h).next_boundary(self.clock) {
                         if b < next {
                             next = b;
@@ -560,23 +555,26 @@ impl SimNet {
             }
             let dt = (next - self.clock).max(0.0);
 
-            // Advance all flows and jobs by dt at current rates.
+            // Advance all flows and jobs by dt at current rates; a flow
+            // that delivered its last byte settles and leaves `flows`.
+            let mut finished = false;
             for &(i, rate) in &trates {
-                let Transfer::Live(t) = &mut self.transfers[i] else {
-                    unreachable!("transfer {i} settled mid-step");
-                };
+                let t = &mut self.flows[i];
                 let moved = (rate * dt).min(t.remaining);
                 t.remaining -= moved;
                 for h in &t.hops {
                     *self.link_bytes.entry(h.link).or_insert(0.0) += moved;
                 }
                 if t.remaining <= t.bytes * 1e-12 + BYTE_EPS {
-                    self.transfers[i] = Transfer::Settled(TransferStatus::Done(TransferRecord {
-                        start: t.start,
-                        end: next,
-                        bytes: t.bytes,
-                    }));
+                    let (start, end, bytes) = (t.start, next, t.bytes);
+                    let done = TransferStatus::Done(TransferRecord { start, end, bytes });
+                    self.settled.insert(t.id, done);
+                    finished = true;
                 }
+            }
+            if finished {
+                let settled = &self.settled;
+                self.flows.retain(|t| !settled.contains_key(&t.id));
             }
             for &(i, rate) in &jrates {
                 let Job::Running {
@@ -617,23 +615,19 @@ impl SimNet {
     /// down right now, and every active job on a down host. In-flight
     /// state on a crashed host is lost by definition; delivered bytes
     /// stay counted so clients can resume from an offset. Then forget
-    /// whatever has settled — here, in the last step or by cancellation:
-    /// the live lists keep their ascending order, and nothing walks the
+    /// the jobs that have settled — here, in the last step: `flows` and
+    /// the live list keep their ascending order, and nothing walks the
     /// histories.
     fn apply_host_faults(&mut self) {
-        let (clock, faults) = (self.clock, &self.faults);
-        let transfers = &mut self.transfers;
-        self.live_transfers.retain(|&i| {
-            let Transfer::Live(t) = &transfers[i] else {
-                return false;
-            };
+        let (clock, faults, settled) = (self.clock, &self.faults, &mut self.settled);
+        self.flows.retain(|t| {
             let down = t
                 .path_hosts
                 .iter()
                 .copied()
                 .find(|&h| faults.host_down(h, clock));
             if let Some(h) = down {
-                transfers[i] = t.aborted(clock, TransferFailure::HostDown(h));
+                settled.insert(t.id, t.aborted(clock, TransferFailure::HostDown(h)));
             }
             down.is_none()
         });
@@ -1081,8 +1075,8 @@ mod tests {
         ));
     }
 
-    /// The histories only grow; what the engine walks, and what a
-    /// settled transfer keeps, must not.
+    /// Unreleased, the histories only grow; what the engine walks, and
+    /// what a settled transfer keeps, must not.
     #[test]
     fn settled_transfers_leave_the_live_list_and_shrink_to_their_record() {
         let (mut net, a, b) = two_hosts(Mbit(8.0)); // 1 MB/s
@@ -1091,32 +1085,27 @@ mod tests {
         for _ in 1..20_000 {
             net.transfer(a, b, 1.0 * MB);
             net.run_until_idle();
-            assert!(net.live_transfers.len() <= 1, "one stale entry at most");
+            assert!(net.flows.is_empty(), "a settled flow leaves at once");
         }
         // A cancelled transfer and a finished job are forgotten too.
         let cancelled = net.transfer(a, b, 1.0 * MB);
         net.cancel_transfer(cancelled);
+        assert!(net.flows.is_empty());
         let job = net.job(a, 1.0);
         net.run_until_idle();
 
         let last = net.transfer(a, b, 1.0 * MB);
         // What the next event step can touch: the new flow, plus at most
-        // one entry of each list that settled in the step before.
-        assert!(net.live_transfers.len() <= 2, "{:?}", net.live_transfers);
+        // one job that settled in the step before.
+        assert_eq!(net.flows.len(), 1);
         assert!(net.live_jobs.len() <= 1, "{:?}", net.live_jobs);
-        assert!(net.live_transfers.windows(2).all(|w| w[0] < w[1]));
         net.run_until_idle();
-        assert_eq!(net.live_flows().count(), 0);
-        assert!(net.live_transfers.len() <= 1);
+        assert!(net.flows.is_empty());
 
-        // 20,002 slots of at most 48 bytes, none of them owning heap
-        // memory: a settled slot is its status and nothing else.
-        assert_eq!(net.transfers.len(), 20_002);
-        assert!(std::mem::size_of::<Transfer>() <= 48);
-        assert!(net
-            .transfers
-            .iter()
-            .all(|t| matches!(t, Transfer::Settled(_))));
+        // 20,002 statuses of at most 48 bytes, none of them owning heap
+        // memory: a settled transfer is its status and nothing else.
+        assert_eq!(net.settled.len(), 20_002);
+        assert!(std::mem::size_of::<TransferStatus>() <= 48);
         assert!(std::mem::size_of::<Job>() <= 48);
 
         // Every id still answers, the very first included.
@@ -1135,6 +1124,42 @@ mod tests {
         assert!(net.transfer_record(last).is_some());
         assert!(net.job_record(job).is_some());
         assert!((net.link_bytes(LinkId(0)) - 20_002.0 * MB).abs() < 1.0);
+    }
+
+    /// An owner that releases each transfer once it has read its final
+    /// status keeps the history as small as what it has not released,
+    /// however many transfers it runs and whatever it holds on to; ids
+    /// keep counting up, and the unreleased ones still answer.
+    #[test]
+    fn released_transfers_leave_the_history() {
+        let (mut net, a, b) = two_hosts(Mbit(8.0)); // 1 MB/s
+        let kept = net.transfer(a, b, 1.0 * MB);
+        let live = net.transfer(a, b, 50_000.0 * MB);
+        net.release_transfer(live);
+        let mut last = kept;
+        for n in 0..20_000 {
+            let id = net.transfer(a, b, 1.0 * MB);
+            assert_eq!(format!("{id:?}"), format!("TransferId({})", n + 2));
+            if n % 2 == 0 {
+                net.run_until_any_settled(&[id], f64::INFINITY);
+            } else {
+                net.cancel_transfer(id);
+            }
+            assert!(!matches!(
+                net.transfer_status(id),
+                TransferStatus::InFlight { .. }
+            ));
+            net.release_transfer(id);
+            last = id;
+        }
+        assert_eq!(net.settled.len(), 1, "kept");
+        assert_eq!(net.flows.len(), 1, "the live one");
+        assert!(net.transfer_record(kept).is_some());
+        assert!(matches!(
+            net.transfer_status(live),
+            TransferStatus::InFlight { .. }
+        ));
+        assert!(!net.settled.contains_key(&(last.0 as usize)));
     }
 
     #[test]
