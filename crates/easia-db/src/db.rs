@@ -14,7 +14,7 @@ use crate::scrub::ScrubReport;
 use crate::sql::ast::{ColumnDefAst, Stmt, TableConstraint};
 use crate::sql::parse;
 use crate::storage::{HeapTable, RowId};
-use crate::txn::{Wal, WalCorruption, WalRecord};
+use crate::txn::{seal_batch, Wal, WalCorruption, WalRecord};
 use crate::value::{decode_row_into, encode_row, Value};
 use std::collections::{BTreeMap, HashSet};
 use std::path::{Path, PathBuf};
@@ -821,7 +821,7 @@ impl Database {
             return Ok(0);
         };
         if g.commits > 0 {
-            self.wal.append_batch(&g.buf)?;
+            self.wal.append_raw(&seal_batch(&g.buf))?;
             self.note_wal_sync(1);
             if let Some(m) = &self.metrics {
                 m.group_batch.observe(g.commits as f64);
@@ -1774,12 +1774,13 @@ impl Database {
     fn write_snapshot(&self) -> Result<Vec<u8>> {
         let view = self.mvcc.committed_view();
         let mut scratch = Vec::new();
-        let mut body = Vec::new();
-        body.extend_from_slice(&(self.tables.len() as u32).to_le_bytes());
+        // Room for the magic and the body's CRC, filled in at the end.
+        let mut image = vec![0; 12];
+        image.extend_from_slice(&(self.tables.len() as u32).to_le_bytes());
         for (name, t) in &self.tables {
             let ddl = schema_to_ddl(&t.schema);
-            body.extend_from_slice(&(ddl.len() as u32).to_le_bytes());
-            body.extend_from_slice(ddl.as_bytes());
+            image.extend_from_slice(&(ddl.len() as u32).to_le_bytes());
+            image.extend_from_slice(ddl.as_bytes());
             // Extra (non-implicit) indexes as DDL too.
             let extra: Vec<String> = t
                 .indexes
@@ -1787,10 +1788,10 @@ impl Database {
                 .filter(|ix| !ix.name.starts_with("PK_") && !ix.name.starts_with("UQ_"))
                 .map(|ix| index_to_ddl(&t.schema, ix))
                 .collect();
-            body.extend_from_slice(&(extra.len() as u32).to_le_bytes());
+            image.extend_from_slice(&(extra.len() as u32).to_le_bytes());
             for ddl in extra {
-                body.extend_from_slice(&(ddl.len() as u32).to_le_bytes());
-                body.extend_from_slice(ddl.as_bytes());
+                image.extend_from_slice(&(ddl.len() as u32).to_le_bytes());
+                image.extend_from_slice(ddl.as_bytes());
             }
             let versions = self.mvcc.table_versions(name);
             let mut committed = HeapTable::new();
@@ -1800,13 +1801,12 @@ impl Database {
                     committed.insert_record(rec.into());
                 }
             }
-            committed.snapshot(&mut body);
+            committed.snapshot(&mut image);
         }
-        let mut out = Vec::with_capacity(body.len() + 12);
-        out.extend_from_slice(b"EASNAP2\0");
-        out.extend_from_slice(&crc32(&body).to_le_bytes());
-        out.extend_from_slice(&body);
-        Ok(out)
+        let crc = crc32(&image[12..]);
+        image[..8].copy_from_slice(b"EASNAP2\0");
+        image[8..12].copy_from_slice(&crc.to_le_bytes());
+        Ok(image)
     }
 
     /// Load a snapshot image (`EASNAP2\0` + body CRC32 + body). A body

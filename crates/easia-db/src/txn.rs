@@ -43,13 +43,13 @@
 //! the magic (or a torn prefix of it) is corruption at offset 0: no byte
 //! is ever replayed without a checksum over it.
 
-use crate::crc::crc32;
+use crate::crc::{crc32, crc32_update};
 use crate::error::{DbError, Result};
 use crate::mvcc::Csn;
 use crate::storage::RowId;
 use crate::value::{decode_row, encode_row, Value};
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Write};
+use std::io::{BufWriter, Read, Write};
 use std::path::{Path, PathBuf};
 
 /// A logical redo record. `Insert`/`Delete`/`Update` carry the RowIds the
@@ -179,11 +179,13 @@ impl WalRecord {
     /// Append the v2 record frame (`[rlen][rcrc][bytes]`) to `out`: the
     /// unit transactions stage into a group-commit window buffer.
     pub fn encode_framed(&self, out: &mut Vec<u8>) {
-        let mut body = Vec::new();
-        self.encode(&mut body);
-        out.extend_from_slice(&(body.len() as u32).to_le_bytes());
-        out.extend_from_slice(&crc32(&body).to_le_bytes());
-        out.extend_from_slice(&body);
+        let at = out.len();
+        out.extend_from_slice(&[0; 8]);
+        self.encode(out);
+        let body = &out[at + 8..];
+        let (len, crc) = (body.len() as u32, crc32(body));
+        out[at..at + 4].copy_from_slice(&len.to_le_bytes());
+        out[at + 4..at + 8].copy_from_slice(&crc.to_le_bytes());
     }
 
     /// Decode one record, advancing `pos`.
@@ -340,22 +342,36 @@ impl Wal {
         }
     }
 
-    /// Seal `payload` (a run of record frames) into a batch frame and
-    /// flush it: one write, one sync.
-    pub fn append_batch(&mut self, payload: &[u8]) -> Result<()> {
-        self.append_raw(&seal_batch(payload))
-    }
-
     /// Append one committed transaction (records + `Commit { csn }`
     /// marker) as a single batch frame and flush: the solo-commit path,
-    /// costing one sync.
+    /// costing one sync. The payload is never held whole: one pass frames
+    /// the records for the header's length and CRC, a second writes them
+    /// behind it (DESIGN.md §12, "Writing a commit").
     pub fn append_committed(&mut self, records: &[WalRecord], csn: Csn) -> Result<()> {
-        let mut buf = Vec::new();
-        for r in records {
-            r.encode_framed(&mut buf);
+        let Wal::File { file, path, syncs } = self else {
+            return self.append_raw(&[]); // in memory, only the sync counts
+        };
+        let commit = WalRecord::Commit { csn };
+        let frames = || records.iter().chain([&commit]);
+        let (mut frame, mut len, mut crc) = (Vec::new(), 0, 0);
+        for r in frames() {
+            frame.clear();
+            r.encode_framed(&mut frame);
+            (len, crc) = (len + frame.len(), crc32_update(crc, &frame));
         }
-        WalRecord::Commit { csn }.encode_framed(&mut buf);
-        self.append_batch(&buf)
+        *syncs += 1;
+        let mut out = BufWriter::new(&*file);
+        let written = out.write_all(&batch_header(len, crc)).and_then(|()| {
+            for r in frames() {
+                frame.clear();
+                r.encode_framed(&mut frame);
+                out.write_all(&frame)?;
+            }
+            out.flush()
+        });
+        written
+            .and_then(|()| file.sync_data())
+            .map_err(|e| DbError::Storage(format!("append wal {path:?}: {e}")))
     }
 
     /// Classify a WAL image and extract the clean committed prefix.
@@ -559,14 +575,17 @@ impl Wal {
 
 /// Wrap `payload` (a run of record frames) in a checksummed batch frame.
 pub fn seal_batch(payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(BATCH_HEADER_LEN + payload.len());
-    out.push(BATCH_MAGIC);
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    let hcrc = crc32(&out[..5]);
-    out.extend_from_slice(&hcrc.to_le_bytes());
-    out.extend_from_slice(&crc32(payload).to_le_bytes());
-    out.extend_from_slice(payload);
-    out
+    [&batch_header(payload.len(), crc32(payload))[..], payload].concat()
+}
+
+/// The header of a batch frame over `len` payload bytes with CRC `pcrc`.
+fn batch_header(len: usize, pcrc: u32) -> [u8; BATCH_HEADER_LEN] {
+    let mut h = [BATCH_MAGIC; BATCH_HEADER_LEN];
+    h[1..5].copy_from_slice(&(len as u32).to_le_bytes());
+    let hcrc = crc32(&h[..5]);
+    h[5..9].copy_from_slice(&hcrc.to_le_bytes());
+    h[9..].copy_from_slice(&pcrc.to_le_bytes());
+    h
 }
 
 #[cfg(test)]
@@ -636,6 +655,50 @@ mod tests {
         std::fs::remove_file(&path).unwrap();
     }
 
+    /// A solo commit streams its frames, through several buffer flushes
+    /// for a large one, and writes exactly the batch sealing the whole
+    /// payload would: the reference frames each encoded record by hand.
+    #[test]
+    fn a_streamed_commit_is_the_sealed_batch() {
+        let path = temp_path("wal-streamed.log");
+        let mut wal = Wal::open(&path).unwrap();
+        let big: Vec<WalRecord> = (0..3_000)
+            .map(|i| WalRecord::Insert {
+                table: "RESULT_FILE".into(),
+                row: vec![Value::Int(i), Value::Str(format!("t{i:05}.edf"))],
+            })
+            .collect();
+        let small = sample_records();
+        wal.append_committed(&big, 1).unwrap();
+        wal.append_committed(&small, 2).unwrap();
+        assert_eq!(wal.syncs(), 2);
+
+        let mut want = WAL_MAGIC_V2.to_vec();
+        for (recs, csn) in [(&big, 1), (&small, 2)] {
+            let mut payload = Vec::new();
+            for r in recs.iter().chain([&WalRecord::Commit { csn }]) {
+                let mut body = Vec::new();
+                r.encode(&mut body);
+                payload.extend_from_slice(&(body.len() as u32).to_le_bytes());
+                payload.extend_from_slice(&crc32(&body).to_le_bytes());
+                payload.extend_from_slice(&body);
+            }
+            assert_eq!(
+                csn == 1,
+                payload.len() > 16 << 10,
+                "larger than a write buffer"
+            );
+            want.extend_from_slice(&seal_batch(&payload));
+        }
+        assert!(
+            std::fs::read(&path).unwrap() == want,
+            "streamed bytes differ"
+        );
+        let info = Wal::read_with_info(&path).unwrap();
+        assert_eq!((info.batches, info.last_csn), (2, 2));
+        std::fs::remove_file(&path).unwrap();
+    }
+
     #[test]
     fn torn_tail_drops_whole_batch() {
         let path = temp_path("wal-torn.log");
@@ -697,7 +760,7 @@ mod tests {
             }
             .encode_framed(&mut buf);
         }
-        wal.append_batch(&buf).unwrap();
+        wal.append_raw(&seal_batch(&buf)).unwrap();
         assert_eq!(wal.syncs(), 1, "one flush for three committers");
         let got = Wal::read_committed(&path).unwrap();
         let csns: Vec<u64> = got
