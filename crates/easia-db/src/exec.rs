@@ -902,7 +902,7 @@ impl Grouping {
         let mut calls = Vec::with_capacity(aggs.len());
         for agg in &aggs {
             let Expr::Function { name, args, star } = agg else {
-                unreachable!("collect_aggs only collects functions");
+                unreachable!("aggregates only collects functions");
             };
             let arg = match args.first() {
                 _ if *star => None,
@@ -995,8 +995,8 @@ impl Grouping {
     }
 }
 
-/// The aggregate calls of `sel`, deduplicated, in the order
-/// [`collect_aggs`] meets them in the select list, HAVING and ORDER BY.
+/// The aggregate calls of `sel`, deduplicated, in the order a pre-order
+/// [`Expr::visit`] meets them in the select list, HAVING and ORDER BY.
 pub fn aggregates(sel: &SelectStmt) -> Vec<Expr> {
     let mut aggs = Vec::new();
     for item in &sel.items {
@@ -1091,7 +1091,7 @@ impl Finish {
 /// Finish an aggregate SELECT from its groups — each a representative
 /// row (scalar parts of the statement evaluate against it under
 /// `schema`) and the finished values of the statement's aggregate calls
-/// in [`collect_aggs`] order over the select list, HAVING and ORDER BY:
+/// in [`aggregates`] order over the select list, HAVING and ORDER BY:
 /// HAVING, the select list, then DISTINCT / ORDER BY / LIMIT. Shared by
 /// the local pipeline and the federation's partial-aggregate merge, so
 /// both apply the same alias-first ORDER BY rule.
@@ -1256,46 +1256,18 @@ impl Output {
 }
 
 /// Collect aggregate call sites from an expression, deduplicated, in
-/// first-appearance order. Does not recurse into aggregate arguments
-/// (nested aggregates are invalid SQL).
-pub fn collect_aggs(e: &Expr, out: &mut Vec<Expr>) {
-    if let Expr::Function { name, .. } = e {
-        if is_aggregate_fn(name) {
+/// pre-order. Does not descend into aggregate arguments (nested
+/// aggregates are invalid SQL).
+fn collect_aggs(e: &Expr, out: &mut Vec<Expr>) {
+    e.visit(&mut |e| match e {
+        Expr::Function { name, .. } if is_aggregate_fn(name) => {
             if !out.contains(e) {
                 out.push(e.clone());
             }
-            return; // nested aggregates are invalid; don't recurse
+            false
         }
-    }
-    match e {
-        Expr::Unary(_, inner) => collect_aggs(inner, out),
-        Expr::Binary(l, _, r) => {
-            collect_aggs(l, out);
-            collect_aggs(r, out);
-        }
-        Expr::IsNull { expr, .. } => collect_aggs(expr, out),
-        Expr::Like { expr, pattern, .. } => {
-            collect_aggs(expr, out);
-            collect_aggs(pattern, out);
-        }
-        Expr::InList { expr, list, .. } => {
-            collect_aggs(expr, out);
-            for i in list {
-                collect_aggs(i, out);
-            }
-        }
-        Expr::Between { expr, lo, hi, .. } => {
-            collect_aggs(expr, out);
-            collect_aggs(lo, out);
-            collect_aggs(hi, out);
-        }
-        Expr::Function { args, .. } => {
-            for a in args {
-                collect_aggs(a, out);
-            }
-        }
-        _ => {}
-    }
+        _ => true,
+    });
 }
 
 /// Running state of one aggregate call over one group — the only
@@ -1428,6 +1400,7 @@ mod tests {
     use crate::index::BPlusTree;
     use crate::plan::Tail;
     use crate::schema::{ColumnDef, TableSchema};
+    use crate::sql::{expr_to_sql, parse, Stmt};
     use crate::storage::HeapTable;
     use crate::value::{encode_row, SqlType};
 
@@ -1532,6 +1505,20 @@ mod tests {
         assert_eq!(distinct.len(), 3, "{distinct:?}");
         let zeros = rows(&mut db, "SELECT COUNT(*) FROM t WHERE k < 5 AND x = 0");
         assert_eq!(zeros, [[Value::Int(3)]]);
+    }
+
+    /// Aggregate calls are collected once each, in pre-order over the
+    /// select list, HAVING and ORDER BY, and an aggregate's arguments
+    /// are not searched: `SUM(COUNT(x))` is one call.
+    #[test]
+    fn aggregates_are_collected_in_pre_order_without_descending() {
+        let sql = "SELECT SUM(COUNT(x)), MAX(y) + MIN(y) FROM t \
+                   HAVING MAX(y) > 0 ORDER BY COUNT(*)";
+        let Ok(Stmt::Select(sel)) = parse(sql) else {
+            panic!("{sql} parses as a SELECT");
+        };
+        let calls: Vec<String> = aggregates(&sel).iter().map(expr_to_sql).collect();
+        assert_eq!(calls, ["SUM(COUNT(X))", "MAX(Y)", "MIN(Y)", "COUNT(*)"]);
     }
 
     /// A cell no expression reads is stepped over, not decoded: a bad tag

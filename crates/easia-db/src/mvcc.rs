@@ -163,11 +163,6 @@ impl MvccState {
         id
     }
 
-    /// The read-view CSN ceiling `txn` was started with.
-    pub fn txn_view_csn(&self, txn: TxnId) -> Option<Csn> {
-        self.active.get(&txn).copied()
-    }
-
     /// Is `txn` active (started, neither committed nor aborted)?
     pub fn is_active(&self, txn: TxnId) -> bool {
         self.active.contains_key(&txn)
@@ -225,11 +220,6 @@ impl MvccState {
     /// Number of open snapshots.
     pub fn open_snapshots(&self) -> usize {
         self.snapshots.len()
-    }
-
-    /// Any transactions in flight?
-    pub fn has_active_txns(&self) -> bool {
-        !self.active.is_empty()
     }
 
     // ---- visibility ----

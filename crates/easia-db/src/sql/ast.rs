@@ -274,60 +274,65 @@ pub enum Stmt {
     Rollback,
 }
 
-impl Expr {
-    /// Convenience: build `col = 'value'` equality predicates.
-    pub fn eq_str(column: &str, value: &str) -> Expr {
-        Expr::Binary(
-            Box::new(Expr::Column {
-                table: None,
-                name: column.to_ascii_uppercase(),
-            }),
-            BinaryOp::Eq,
-            Box::new(Expr::Literal(Value::Str(value.to_string()))),
-        )
-    }
-
-    /// Walk the expression tree, visiting every node.
-    pub fn walk(&self, f: &mut dyn FnMut(&Expr)) {
-        f(self);
-        match self {
-            Expr::Unary(_, e) => e.walk(f),
-            Expr::Binary(l, _, r) => {
-                l.walk(f);
-                r.walk(f);
-            }
-            Expr::IsNull { expr, .. } => expr.walk(f),
-            Expr::Like { expr, pattern, .. } => {
-                expr.walk(f);
-                pattern.walk(f);
+/// The body of [`Expr::visit`] and [`Expr::visit_mut`] — the one list of
+/// each variant's children, in the order a walk meets them — over `&Expr`
+/// or `&mut Expr`; `$visit` is the method that recurses into a child.
+macro_rules! visit_body {
+    ($node:expr, $f:ident, $visit:ident) => {
+        if !$f($node) {
+            return;
+        }
+        match $node {
+            Expr::Unary(_, e) | Expr::IsNull { expr: e, .. } => e.$visit($f),
+            Expr::Binary(l, _, r)
+            | Expr::Like {
+                expr: l,
+                pattern: r,
+                ..
+            } => {
+                l.$visit($f);
+                r.$visit($f);
             }
             Expr::InList { expr, list, .. } => {
-                expr.walk(f);
+                expr.$visit($f);
                 for e in list {
-                    e.walk(f);
+                    e.$visit($f);
                 }
             }
             Expr::Between { expr, lo, hi, .. } => {
-                expr.walk(f);
-                lo.walk(f);
-                hi.walk(f);
+                for e in [expr, lo, hi] {
+                    e.$visit($f);
+                }
             }
             Expr::Function { args, .. } => {
-                for a in args {
-                    a.walk(f);
+                for e in args {
+                    e.$visit($f);
                 }
             }
             Expr::Literal(_) | Expr::Column { .. } | Expr::Param(_) => {}
         }
+    };
+}
+
+impl Expr {
+    /// Visit every node, pre-order and left to right; `f` returning
+    /// `false` skips that node's children.
+    pub fn visit(&self, f: &mut dyn FnMut(&Expr) -> bool) {
+        visit_body!(self, f, visit);
+    }
+
+    /// [`Expr::visit`] over `&mut Expr`: `f` may rewrite a node, and the
+    /// walk then descends into the rewritten node's children.
+    pub fn visit_mut(&mut self, f: &mut dyn FnMut(&mut Expr) -> bool) {
+        visit_body!(self, f, visit_mut);
     }
 
     /// True if the expression contains an aggregate function call.
     pub fn contains_aggregate(&self) -> bool {
         let mut found = false;
-        self.walk(&mut |e| {
-            if let Expr::Function { name, .. } = e {
-                found |= is_aggregate_fn(name);
-            }
+        self.visit(&mut |e| {
+            found |= matches!(e, Expr::Function { name, .. } if is_aggregate_fn(name));
+            !found
         });
         found
     }

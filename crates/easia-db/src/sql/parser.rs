@@ -991,15 +991,18 @@ mod tests {
         let mut ins = 0;
         let mut betweens = 0;
         let mut nulls = 0;
-        s.where_clause.unwrap().walk(&mut |e| match e {
-            Expr::Like { negated, .. } => {
-                assert!(negated);
-                likes += 1;
+        s.where_clause.unwrap().visit(&mut |e| {
+            match e {
+                Expr::Like { negated, .. } => {
+                    assert!(negated);
+                    likes += 1;
+                }
+                Expr::InList { .. } => ins += 1,
+                Expr::Between { .. } => betweens += 1,
+                Expr::IsNull { .. } => nulls += 1,
+                _ => {}
             }
-            Expr::InList { .. } => ins += 1,
-            Expr::Between { .. } => betweens += 1,
-            Expr::IsNull { .. } => nulls += 1,
-            _ => {}
+            true
         });
         assert_eq!((likes, ins, betweens, nulls), (1, 1, 1, 1));
     }
@@ -1008,10 +1011,11 @@ mod tests {
     fn params_numbered() {
         let s = sel("SELECT * FROM t WHERE a = ? AND b = ?");
         let mut params = Vec::new();
-        s.where_clause.unwrap().walk(&mut |e| {
+        s.where_clause.unwrap().visit(&mut |e| {
             if let Expr::Param(n) = e {
                 params.push(*n);
             }
+            true
         });
         assert_eq!(params, vec![1, 2]);
     }

@@ -109,11 +109,6 @@ impl Dlfm {
         self.links.get(path)
     }
 
-    /// True when `path` is under (possibly pending) link control.
-    pub fn is_controlled(&self, path: &str) -> bool {
-        self.links.contains_key(path)
-    }
-
     /// Record a pending link. Fails if the path is already controlled
     /// (a file may be linked by at most one DATALINK value).
     pub fn prepare_link(

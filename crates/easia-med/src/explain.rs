@@ -276,10 +276,10 @@ impl FedExplain {
     /// every actual is zero.
     pub(crate) fn planned(stmt: &Statement<'_>) -> FedExplain {
         let mut explain = FedExplain {
-            table: stmt.legs[0].table.clone(),
+            table: stmt.plan.legs[0].table.clone(),
             ..FedExplain::default()
         };
-        for (i, leg) in stmt.legs.iter().enumerate() {
+        for (i, leg) in stmt.plan.legs.iter().enumerate() {
             if stmt.is_join() {
                 explain
                     .joins

@@ -276,11 +276,6 @@ impl Federation {
         self.cache = Some(RefCell::new(ReplicaCache::new(ttl_secs, max_rows)));
     }
 
-    /// Is the replica cache enabled?
-    pub fn replica_cache_enabled(&self) -> bool {
-        self.cache.is_some()
-    }
-
     /// Eagerly register every federation metric family (including the
     /// per-site breaker gauges at 0) so `/metrics` renders them before
     /// the first query or outage.

@@ -20,9 +20,9 @@ use crate::metrics::{
     PARTIAL_AGG_FALLBACKS, PARTIAL_AGG_QUERIES, PUSHDOWN_CONJUNCTS, SEMIJOIN_FALLBACKS,
     SEMIJOIN_KEYS_SHIPPED,
 };
-use crate::planner::{externalize, plan_legs, strip_qualifiers, AggPlan, JoinLeg, LegStrategy};
+use crate::planner::{externalize, plan_legs, strip_qualifiers, JoinLeg, JoinPlan, LegStrategy};
 use crate::wire::ScanRequest;
-use easia_db::sql::ast::{Expr, SelectStmt, Stmt};
+use easia_db::sql::ast::{SelectStmt, Stmt};
 use easia_db::sql::{expr_to_sql, parse};
 use easia_db::{Database, Value};
 use easia_net::{HostId, SimNet};
@@ -32,18 +32,10 @@ use easia_obs::Obs;
 pub(crate) struct Statement<'a> {
     sel: SelectStmt,
     params: &'a [Value],
-    /// Table legs in statement order (FROM table first).
-    pub(crate) legs: Vec<JoinLeg>,
     /// The foreign table behind each federated leg.
     pub(crate) tables: Vec<Option<&'a ForeignTable>>,
-    /// WHERE conjuncts only the hub evaluates.
-    hub_eval: Vec<Expr>,
-    /// Pushed top-k `(order keys, limit)`; single-table only.
-    order_limit: Option<(Vec<(String, bool)>, usize)>,
-    /// Partial-aggregate decomposition; single-table only.
-    partial_agg: Option<AggPlan>,
-    /// Why an aggregate statement ships raw rows instead.
-    agg_fallback: Option<&'static str>,
+    /// The legs (FROM table first) and what stays at the hub.
+    pub(crate) plan: JoinPlan,
 }
 
 impl Statement<'_> {
@@ -57,8 +49,8 @@ impl Statement<'_> {
     /// conjunct list is whole-statement: it is reported once, on the
     /// first federated leg's sites.
     pub(crate) fn shipping(&self, i: usize) -> Shipping {
-        let leg = &self.legs[i];
-        let first_fed = self.legs.iter().position(|l| l.federated);
+        let leg = &self.plan.legs[i];
+        let first_fed = self.plan.legs.iter().position(|l| l.federated);
         Shipping {
             table: if self.is_join() {
                 leg.table.clone()
@@ -67,11 +59,11 @@ impl Statement<'_> {
             },
             pushed: leg.pushed_sql(),
             hub: if Some(i) == first_fed {
-                self.hub_eval.iter().map(expr_to_sql).collect()
+                self.plan.hub_sql()
             } else {
                 vec![]
             },
-            topk: self.order_limit.is_some(),
+            topk: self.plan.order_limit.is_some(),
             site_key_value: leg.site_key_value.clone(),
         }
     }
@@ -84,7 +76,7 @@ impl Statement<'_> {
         partial_rows: u64,
         final_groups: u64,
     ) -> Option<AggExplain> {
-        match (&self.partial_agg, self.agg_fallback) {
+        match (&self.plan.partial_agg, self.plan.agg_fallback) {
             (Some(agg), _) => Some(AggExplain {
                 partial: true,
                 group_cols: agg.group_cols.clone(),
@@ -113,14 +105,14 @@ impl Statement<'_> {
     /// hub-side alias would not resolve there), plus the statement's
     /// top-k cut and partial-aggregate spec.
     fn scan_request(&self, i: usize, ft: &ForeignTable) -> Result<ScanRequest, FedError> {
-        let leg = &self.legs[i];
+        let leg = &self.plan.legs[i];
         let mut params = Vec::new();
         let mut rendered = Vec::with_capacity(leg.pushed.len());
         for c in &leg.pushed {
             let e = externalize(&strip_qualifiers(c), self.params, &mut params)?;
             rendered.push(expr_to_sql(&e));
         }
-        let (order_by, limit) = match &self.order_limit {
+        let (order_by, limit) = match &self.plan.order_limit {
             Some((keys, n)) => (keys.clone(), Some(*n)),
             None => (vec![], None),
         };
@@ -133,7 +125,7 @@ impl Statement<'_> {
             limit,
             resume_from: 0,
             key_filter: None,
-            partial_agg: self.partial_agg.as_ref().map(|a| a.spec()),
+            partial_agg: self.plan.partial_agg.as_ref().map(|a| a.spec()),
         })
     }
 }
@@ -158,8 +150,8 @@ impl<'p, 'a> Run<'p, 'a> {
     /// `stmt` with nothing gathered yet. Hub-local legs need no
     /// gathering: the merge reads them in place.
     pub(crate) fn new(stmt: &'p Statement<'a>) -> Self {
-        let mut frags = vec![FedExplain::default(); stmt.legs.len()];
-        for (leg, frag) in stmt.legs.iter().zip(&mut frags) {
+        let mut frags = vec![FedExplain::default(); stmt.plan.legs.len()];
+        for (leg, frag) in stmt.plan.legs.iter().zip(&mut frags) {
             if !leg.federated {
                 frag.joins.push(JoinExplain::of(leg, JoinStrategy::Local));
             }
@@ -168,21 +160,21 @@ impl<'p, 'a> Run<'p, 'a> {
             stmt,
             t0: 0.0,
             frags,
-            leg_rows: vec![None; stmt.legs.len()],
+            leg_rows: vec![None; stmt.plan.legs.len()],
             outcome: None,
         }
     }
 
     /// Is leg `i` in? (A hub-local leg always is.)
     fn done(&self, i: usize) -> bool {
-        !self.stmt.legs[i].federated || self.leg_rows[i].is_some()
+        !self.stmt.plan.legs[i].federated || self.leg_rows[i].is_some()
     }
 
     /// Unfinished legs whose key source (if any) has been gathered.
     fn ready(&self) -> Vec<usize> {
         let ready: Vec<usize> = (0..self.leg_rows.len())
             .filter(|&i| !self.done(i))
-            .filter(|&i| match &self.stmt.legs[i].strategy {
+            .filter(|&i| match &self.stmt.plan.legs[i].strategy {
                 LegStrategy::SemiJoin { source_leg, .. } => self.done(*source_leg),
                 _ => true,
             })
@@ -259,19 +251,16 @@ impl Federation {
             // ship the aggregate's raw rows.
             plan.agg_fallback = Some("disabled");
         }
+        let tables = plan
+            .legs
+            .iter()
+            .map(|l| self.catalog.table(&l.table).filter(|_| l.federated))
+            .collect();
         Ok(Statement {
-            tables: plan
-                .legs
-                .iter()
-                .map(|l| self.catalog.table(&l.table).filter(|_| l.federated))
-                .collect(),
             sel,
             params,
-            legs: plan.legs,
-            hub_eval: plan.hub_eval,
-            order_limit: plan.order_limit,
-            partial_agg: plan.partial_agg,
-            agg_fallback: plan.agg_fallback,
+            tables,
+            plan,
         })
     }
 
@@ -363,7 +352,7 @@ impl Federation {
         i: usize,
     ) -> Result<TableGather<'p>, FedError> {
         let stmt = run.stmt;
-        let leg = &stmt.legs[i];
+        let leg = &stmt.plan.legs[i];
         let ft = stmt.tables[i].ok_or_else(|| FedError::UnknownTable(leg.table.clone()))?;
         let mut request = stmt.scan_request(i, ft)?;
         let mut skip_all = false;
@@ -375,7 +364,7 @@ impl Federation {
             } => {
                 let keys = join_keys(
                     hub_db,
-                    &stmt.legs[*source_leg],
+                    &stmt.plan.legs[*source_leg],
                     run.leg_rows[*source_leg].as_deref(),
                     source_column,
                 )?;
@@ -441,7 +430,7 @@ impl Federation {
     ) -> Result<QueryOutcome, FedError> {
         let stmt = run.stmt;
         let mut explain = FedExplain {
-            table: stmt.legs[0].table.clone(),
+            table: stmt.plan.legs[0].table.clone(),
             ..FedExplain::default()
         };
         for frag in std::mem::take(&mut run.frags) {
@@ -454,11 +443,11 @@ impl Federation {
             }
             explain.stale.extend(frag.stale);
         }
-        let pushed: usize = stmt.legs.iter().map(|l| l.pushed.len()).sum();
+        let pushed: usize = stmt.plan.legs.iter().map(|l| l.pushed.len()).sum();
         PUSHDOWN_CONJUNCTS.add(obs, "pushed", pushed as u64);
-        PUSHDOWN_CONJUNCTS.add(obs, "hub", stmt.hub_eval.len() as u64);
+        PUSHDOWN_CONJUNCTS.add(obs, "hub", stmt.plan.hub_eval.len() as u64);
 
-        let rs = match (&stmt.partial_agg, stmt.tables[0]) {
+        let rs = match (&stmt.plan.partial_agg, stmt.tables[0]) {
             (Some(agg), Some(ft)) => {
                 let states = run.leg_rows[0].take().unwrap_or_default();
                 let partial_rows = states.len() as u64;
@@ -468,11 +457,12 @@ impl Federation {
                 rs
             }
             _ => {
-                if let Some(reason) = stmt.agg_fallback {
+                if let Some(reason) = stmt.plan.agg_fallback {
                     explain.agg = stmt.agg_explain(&explain.sites, 0, 0);
                     PARTIAL_AGG_FALLBACKS.add(obs, reason, 1);
                 }
                 let legs = stmt
+                    .plan
                     .legs
                     .iter()
                     .zip(std::mem::take(&mut run.leg_rows))
@@ -493,7 +483,7 @@ impl Federation {
         if let Some(o) = obs {
             let mut attrs = vec![("table", explain.table.clone())];
             if stmt.is_join() {
-                attrs.push(("join_legs", stmt.legs.len().to_string()));
+                attrs.push(("join_legs", stmt.plan.legs.len().to_string()));
             }
             attrs.extend([
                 ("rows_shipped", explain.rows_shipped().to_string()),

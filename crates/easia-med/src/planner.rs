@@ -391,7 +391,10 @@ pub(crate) fn plan_legs<'c>(
     // anything spanning legs.
     let conjunct_leg = |c: &Expr, b: &Bound| {
         let mut call = false;
-        c.walk(&mut |n| call |= matches!(n, Expr::Function { .. }));
+        c.visit(&mut |n| {
+            call |= matches!(n, Expr::Function { .. });
+            !call
+        });
         let mut read = vec![false; bound.read.len()];
         b.reads(&mut read);
         let mut holders = (0..read.len()).filter(|&s| read[s]).map(leg_of);
@@ -630,33 +633,17 @@ fn plan_partial_agg(
 /// True when every column reference *outside* aggregate calls
 /// satisfies `grouped`.
 fn non_agg_cols_grouped(e: &Expr, grouped: &dyn Fn(&str) -> bool) -> bool {
-    if let Expr::Function { name, .. } = e {
-        if is_aggregate_fn(name) {
-            return true; // aggregate arguments are checked separately
+    let mut ok = true;
+    e.visit(&mut |e| {
+        match e {
+            // Aggregate arguments are checked separately.
+            Expr::Function { name, .. } if is_aggregate_fn(name) => return false,
+            Expr::Column { name, .. } => ok &= grouped(name),
+            _ => {}
         }
-    }
-    match e {
-        Expr::Column { name, .. } => grouped(name),
-        Expr::Unary(_, inner) => non_agg_cols_grouped(inner, grouped),
-        Expr::Binary(l, _, r) => {
-            non_agg_cols_grouped(l, grouped) && non_agg_cols_grouped(r, grouped)
-        }
-        Expr::IsNull { expr, .. } => non_agg_cols_grouped(expr, grouped),
-        Expr::Like { expr, pattern, .. } => {
-            non_agg_cols_grouped(expr, grouped) && non_agg_cols_grouped(pattern, grouped)
-        }
-        Expr::InList { expr, list, .. } => {
-            non_agg_cols_grouped(expr, grouped)
-                && list.iter().all(|i| non_agg_cols_grouped(i, grouped))
-        }
-        Expr::Between { expr, lo, hi, .. } => {
-            non_agg_cols_grouped(expr, grouped)
-                && non_agg_cols_grouped(lo, grouped)
-                && non_agg_cols_grouped(hi, grouped)
-        }
-        Expr::Function { args, .. } => args.iter().all(|a| non_agg_cols_grouped(a, grouped)),
-        _ => true,
-    }
+        ok
+    });
+    ok
 }
 
 /// The select item an ORDER BY key names, under the executor's
@@ -723,73 +710,36 @@ fn key_equality(e: &Expr, key: &str, params: &[Value]) -> Option<Value> {
 
 /// Clone `e` with every literal and parameter replaced by a fresh
 /// positional parameter, appending the value to `out` in appearance
-/// order — the shipped predicate text then carries no data values.
+/// order — the shipped predicate text then carries no data values. The
+/// error is the first in pre-order: a function call (sites only promise
+/// the core expression grammar), `?0` or a parameter `params` lacks.
 pub fn externalize(e: &Expr, params: &[Value], out: &mut Vec<Value>) -> Result<Expr, FedError> {
-    let push = |v: Value, out: &mut Vec<Value>| {
-        out.push(v);
-        Expr::Param(out.len())
-    };
-    Ok(match e {
-        Expr::Literal(v) => push(v.clone(), out),
-        Expr::Param(i) => {
-            let v = params
-                .get(
-                    i.checked_sub(1)
-                        .ok_or_else(|| FedError::Unsupported("parameter index 0".into()))?,
-                )
+    let mut e = e.clone();
+    let mut err = None;
+    e.visit_mut(&mut |n| {
+        if err.is_some() {
+            return false;
+        }
+        let value = match n {
+            Expr::Literal(v) => Ok(std::mem::replace(v, Value::Null)),
+            Expr::Param(0) => Err("parameter index 0".to_string()),
+            Expr::Param(i) => params
+                .get(*i - 1)
                 .cloned()
-                .ok_or_else(|| FedError::Unsupported(format!("missing parameter ?{i}")))?;
-            push(v, out)
+                .ok_or_else(|| format!("missing parameter ?{i}")),
+            Expr::Function { .. } => Err("function calls cannot be pushed to a site".to_string()),
+            _ => return true,
+        };
+        match value {
+            Ok(v) => {
+                out.push(v);
+                *n = Expr::Param(out.len());
+            }
+            Err(what) => err = Some(FedError::Unsupported(what)),
         }
-        Expr::Column { .. } => e.clone(),
-        Expr::Unary(op, inner) => Expr::Unary(*op, Box::new(externalize(inner, params, out)?)),
-        Expr::Binary(l, op, r) => Expr::Binary(
-            Box::new(externalize(l, params, out)?),
-            *op,
-            Box::new(externalize(r, params, out)?),
-        ),
-        Expr::IsNull { expr, negated } => Expr::IsNull {
-            expr: Box::new(externalize(expr, params, out)?),
-            negated: *negated,
-        },
-        Expr::Like {
-            expr,
-            pattern,
-            negated,
-        } => Expr::Like {
-            expr: Box::new(externalize(expr, params, out)?),
-            pattern: Box::new(externalize(pattern, params, out)?),
-            negated: *negated,
-        },
-        Expr::InList {
-            expr,
-            list,
-            negated,
-        } => Expr::InList {
-            expr: Box::new(externalize(expr, params, out)?),
-            list: list
-                .iter()
-                .map(|x| externalize(x, params, out))
-                .collect::<Result<Vec<_>, _>>()?,
-            negated: *negated,
-        },
-        Expr::Between {
-            expr,
-            lo,
-            hi,
-            negated,
-        } => Expr::Between {
-            expr: Box::new(externalize(expr, params, out)?),
-            lo: Box::new(externalize(lo, params, out)?),
-            hi: Box::new(externalize(hi, params, out)?),
-            negated: *negated,
-        },
-        Expr::Function { .. } => {
-            return Err(FedError::Unsupported(
-                "function calls cannot be pushed to a site".into(),
-            ))
-        }
-    })
+        false
+    });
+    err.map_or(Ok(e), Err)
 }
 
 /// Clone `e` with every column qualifier removed. Pushed predicates
@@ -797,57 +747,14 @@ pub fn externalize(e: &Expr, params: &[Value], out: &mut Vec<Value>) -> Result<E
 /// the hub-side alias would not resolve, and every column in a pushed
 /// conjunct is already known to belong to that one table.
 pub fn strip_qualifiers(e: &Expr) -> Expr {
-    match e {
-        Expr::Column { name, .. } => Expr::Column {
-            table: None,
-            name: name.clone(),
-        },
-        Expr::Literal(_) | Expr::Param(_) => e.clone(),
-        Expr::Unary(op, inner) => Expr::Unary(*op, Box::new(strip_qualifiers(inner))),
-        Expr::Binary(l, op, r) => Expr::Binary(
-            Box::new(strip_qualifiers(l)),
-            *op,
-            Box::new(strip_qualifiers(r)),
-        ),
-        Expr::IsNull { expr, negated } => Expr::IsNull {
-            expr: Box::new(strip_qualifiers(expr)),
-            negated: *negated,
-        },
-        Expr::Like {
-            expr,
-            pattern,
-            negated,
-        } => Expr::Like {
-            expr: Box::new(strip_qualifiers(expr)),
-            pattern: Box::new(strip_qualifiers(pattern)),
-            negated: *negated,
-        },
-        Expr::InList {
-            expr,
-            list,
-            negated,
-        } => Expr::InList {
-            expr: Box::new(strip_qualifiers(expr)),
-            list: list.iter().map(strip_qualifiers).collect(),
-            negated: *negated,
-        },
-        Expr::Between {
-            expr,
-            lo,
-            hi,
-            negated,
-        } => Expr::Between {
-            expr: Box::new(strip_qualifiers(expr)),
-            lo: Box::new(strip_qualifiers(lo)),
-            hi: Box::new(strip_qualifiers(hi)),
-            negated: *negated,
-        },
-        Expr::Function { name, args, star } => Expr::Function {
-            name: name.clone(),
-            args: args.iter().map(strip_qualifiers).collect(),
-            star: *star,
-        },
-    }
+    let mut e = e.clone();
+    e.visit_mut(&mut |n| {
+        if let Expr::Column { table, .. } = n {
+            *table = None;
+        }
+        true
+    });
+    e
 }
 
 #[cfg(test)]
@@ -958,6 +865,108 @@ mod tests {
                 Value::Str("b".into())
             ]
         );
+    }
+
+    fn where_of(sql: &str) -> Expr {
+        sel(sql).where_clause.expect("a WHERE clause")
+    }
+
+    #[test]
+    fn externalize_numbers_parameters_in_pre_order() {
+        // Every operand with more than one child holds a value in each
+        // of its first two, so a child visited out of order shows.
+        let w = where_of(
+            "SELECT K FROM SIM WHERE (-N = 1 OR K || 'b' NOT LIKE 'a%') \
+             AND (NOT (? IS NULL) OR N + 3 BETWEEN 2 AND ?) AND K || 'c' IN ('x', ?)",
+        );
+        let params = [Value::Int(10), Value::Int(20), Value::Str("y".into())];
+        let mut out = Vec::new();
+        let rewritten = externalize(&w, &params, &mut out).unwrap();
+        assert_eq!(
+            expr_to_sql(&rewritten),
+            "(((((-N) = ?) OR ((K || ?) NOT LIKE ?)) \
+             AND ((NOT (? IS NULL)) OR ((N + ?) BETWEEN ? AND ?))) \
+             AND ((K || ?) IN (?, ?)))"
+        );
+        let mut numbers = Vec::new();
+        rewritten.visit(&mut |e| {
+            if let Expr::Param(i) = e {
+                numbers.push(*i);
+            }
+            true
+        });
+        assert_eq!(numbers, (1..=10).collect::<Vec<_>>());
+        let (i, s) = (Value::Int, |v: &str| Value::Str(v.into()));
+        assert_eq!(
+            out,
+            [
+                i(1),
+                s("b"),
+                s("a%"),
+                i(10),
+                i(3),
+                i(2),
+                i(20),
+                s("c"),
+                s("x"),
+                s("y")
+            ]
+        );
+    }
+
+    #[test]
+    fn externalize_raises_the_first_error_in_pre_order() {
+        let run = |e: &Expr, params: &[Value]| {
+            let mut out = Vec::new();
+            let err = externalize(e, params, &mut out).unwrap_err();
+            (err.to_string(), out)
+        };
+        let call = "function calls cannot be pushed to a site";
+        // A call to the left of a missing parameter raises first, and a
+        // missing parameter to the left of a call does.
+        let (err, out) = run(
+            &where_of("SELECT K FROM SIM WHERE N = 5 AND UPPER(K) = ?"),
+            &[],
+        );
+        assert!(err.contains(call), "{err}");
+        assert_eq!(out, [Value::Int(5)], "values before the error are kept");
+        let (err, _) = run(
+            &where_of("SELECT K FROM SIM WHERE N = ? AND UPPER(K) = 'a'"),
+            &[],
+        );
+        assert!(err.contains("missing parameter ?1"), "{err}");
+        let (err, out) = run(
+            &where_of("SELECT K FROM SIM WHERE N = ? AND K = ?"),
+            &[Value::Int(1)],
+        );
+        assert!(err.contains("missing parameter ?2"), "{err}");
+        assert_eq!(out, [Value::Int(1)]);
+        // `?0` never parses, but a hand-built tree may hold it.
+        let zero = Expr::Binary(
+            Box::new(Expr::Param(0)),
+            BinaryOp::And,
+            Box::new(where_of("SELECT K FROM SIM WHERE UPPER(K) = 'a'")),
+        );
+        let (err, _) = run(&zero, &[Value::Int(1)]);
+        assert!(err.contains("parameter index 0"), "{err}");
+    }
+
+    #[test]
+    fn non_agg_cols_grouped_skips_aggregate_arguments_only() {
+        let grouped = |name: &str| name == "K";
+        let check = |e: &str| {
+            let s = sel(&format!("SELECT {e} FROM SIM"));
+            let SelectItem::Expr { expr, .. } = &s.items[0] else {
+                panic!("one expression item");
+            };
+            non_agg_cols_grouped(expr, &grouped)
+        };
+        assert!(check("SUM(N) + COUNT(X)"));
+        assert!(check("UPPER(K) || MAX(N)"));
+        assert!(check("K BETWEEN MIN(N) AND MAX(N)"));
+        assert!(!check("UPPER(N) = K"), "ungrouped under a scalar function");
+        assert!(!check("K BETWEEN 1 AND N"), "ungrouped under BETWEEN");
+        assert!(!check("-(SUM(X) + N)"));
     }
 
     #[test]
@@ -1104,6 +1113,11 @@ mod tests {
         assert_eq!(
             expr_to_sql(&strip_qualifiers(&w)),
             "(((N > 3) AND (K LIKE 'a%')) OR (X IS NULL))"
+        );
+        let w = where_of("SELECT K FROM SIM WHERE UPPER(s.K) IN (LOWER(s.SITE), 'a')");
+        assert_eq!(
+            expr_to_sql(&strip_qualifiers(&w)),
+            "(UPPER(K) IN (LOWER(SITE), 'a'))"
         );
     }
 }

@@ -214,15 +214,6 @@ impl SimNet {
         &self.topo.hosts[h.0 as usize].name
     }
 
-    /// Find a host by name.
-    pub fn host_by_name(&self, name: &str) -> Option<HostId> {
-        self.topo
-            .hosts
-            .iter()
-            .position(|h| h.name == name)
-            .map(|i| HostId(i as u32))
-    }
-
     /// Connect two hosts with a duplex link.
     pub fn connect(&mut self, a: HostId, b: HostId, spec: LinkSpec) -> LinkId {
         self.topo.connect(a, b, spec)
@@ -237,11 +228,6 @@ impl SimNet {
     /// effect from the current clock onward.
     pub fn set_fault_schedule(&mut self, faults: FaultSchedule) {
         self.faults = faults;
-    }
-
-    /// The installed fault schedule.
-    pub fn fault_schedule(&self) -> &FaultSchedule {
-        &self.faults
     }
 
     /// Is `host` up at the current simulated time?

@@ -6,10 +6,12 @@
 //! seeded runs are part of the run's deterministic output and can be
 //! hashed into reproducibility digests alongside metrics.
 //!
-//! The span log is bounded: past the capacity, new spans are counted as
-//! dropped instead of growing memory without limit.
+//! The span log is bounded: it is a ring of the most recent spans, and
+//! past the capacity each new span pushes out the oldest, which is
+//! counted as dropped, instead of growing memory without limit.
 
 use std::cell::RefCell;
+use std::collections::VecDeque;
 use std::rc::Rc;
 
 /// One completed span.
@@ -38,7 +40,7 @@ struct Open {
 
 struct Inner {
     open: Vec<Open>,
-    done: Vec<Span>,
+    done: VecDeque<Span>,
     next_id: u64,
     capacity: usize,
     dropped: u64,
@@ -73,7 +75,7 @@ impl Tracer {
         Tracer {
             inner: Rc::new(RefCell::new(Inner {
                 open: Vec::new(),
-                done: Vec::new(),
+                done: VecDeque::new(),
                 next_id: 0,
                 capacity,
                 dropped: 0,
@@ -154,14 +156,14 @@ impl Tracer {
         self.len() == 0
     }
 
-    /// Spans discarded because the log was full.
+    /// Oldest spans discarded because the log was full.
     pub fn dropped(&self) -> u64 {
         self.inner.borrow().dropped
     }
 
-    /// Clone out the completed spans (completion order).
+    /// Clone out the completed spans kept (completion order).
     pub fn spans(&self) -> Vec<Span> {
-        self.inner.borrow().done.clone()
+        self.inner.borrow().done.iter().cloned().collect()
     }
 
     /// Render the span log as deterministic text, one span per line:
@@ -192,10 +194,10 @@ impl Tracer {
 }
 
 fn push_done(t: &mut Inner, span: Span) {
-    if t.done.len() >= t.capacity {
+    t.done.push_back(span);
+    if t.done.len() > t.capacity {
+        t.done.pop_front();
         t.dropped += 1;
-    } else {
-        t.done.push(span);
     }
 }
 
@@ -238,5 +240,16 @@ mod tests {
         assert_eq!(t.len(), 2);
         assert_eq!(t.dropped(), 3);
         assert!(t.render().ends_with("dropped 3\n"));
+    }
+
+    #[test]
+    fn a_full_log_drops_the_oldest_span() {
+        let t = Tracer::with_capacity(2);
+        for name in ["a", "b", "c"] {
+            t.record(name, 0.0, 0.0, &[]);
+        }
+        let names: Vec<String> = t.spans().into_iter().map(|s| s.name).collect();
+        assert_eq!(names, ["b", "c"]);
+        assert_eq!(t.dropped(), 1);
     }
 }

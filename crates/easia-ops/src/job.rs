@@ -156,11 +156,6 @@ impl JobRunner {
         self.natives.insert(name.to_string(), op);
     }
 
-    /// True if a native operation is registered.
-    pub fn has_native(&self, name: &str) -> bool {
-        self.natives.contains_key(name)
-    }
-
     /// Execute a job.
     pub fn run(&mut self, spec: &JobSpec) -> Result<JobResult, JobError> {
         self.job_seq += 1;

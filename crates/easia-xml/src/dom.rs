@@ -142,11 +142,6 @@ impl Element {
         }
     }
 
-    /// Append a text child.
-    pub fn push_text(&mut self, text: impl Into<String>) {
-        self.children.push(Node::Text(text.into()));
-    }
-
     /// Remove all child elements with the given name; returns how many were
     /// removed.
     pub fn remove_children_named(&mut self, name: &str) -> usize {
