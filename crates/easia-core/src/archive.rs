@@ -792,11 +792,12 @@ impl Archive {
     }
 
     /// Run `code` next to the data, for catalogue operations and
-    /// uploads alike: the dataset is read locally on its own server, so
-    /// only the package and the outputs cross the WAN. The job shows on
-    /// the progress board and in the statistics from the moment it
-    /// passes the pre-flight; a fault the mover cannot ride out fails
-    /// it there before the code runs.
+    /// uploads alike: the job reads the dataset where its server stores
+    /// it, so only the package and the outputs cross the WAN and
+    /// nothing copies the file. The job shows on the progress board and
+    /// in the statistics from the moment it passes the pre-flight; a
+    /// fault the mover cannot ride out fails it there before the code
+    /// runs.
     fn run_job(
         &mut self,
         code: Code,
@@ -807,18 +808,9 @@ impl Archive {
         let parsed =
             DatalinkUrl::parse(dataset_url).map_err(|e| ArchiveError::Op(e.to_string()))?;
         let (data_hid, data_server) = self.check_available(&parsed.host)?;
-        // No token needed: the DLFM trusts local operations invoked by
-        // the archive.
-        let dataset = {
-            let s = data_server.borrow();
-            let size = s
-                .file_size(&parsed.path)
-                .ok_or_else(|| ArchiveError::Fs(FsError::NotFound(parsed.path.clone())))?;
-            s.store()
-                .get(&parsed.path)
-                .map(|c| c.read_range(0, size))
-                .unwrap_or_default()
-        };
+        if !data_server.borrow().exists(&parsed.path) {
+            return Err(ArchiveError::Fs(FsError::NotFound(parsed.path.clone())));
+        }
         let start = self.net.now();
         let operation = code.operation.clone();
         let job_id = format!("{session_id}:{operation}");
@@ -827,27 +819,34 @@ impl Archive {
             if !code.package.is_empty() {
                 self.ship(code.origin, data_hid, code.package.len() as f64)?;
             }
-            let spec = JobSpec {
-                session_id: session_id.to_string(),
-                operation: code.operation,
-                op_type: code.op_type,
-                package: code.package,
-                entry: code.entry,
-                dataset_name: parsed.filename().to_string(),
-                dataset,
-                params: params.clone(),
-                limits: self.op_limits,
-            };
-            let job = self
-                .runner
-                .run(&spec)
-                .map_err(|e| ArchiveError::Op(e.to_string()))?;
+            let job = {
+                // No token needed: the DLFM trusts local operations
+                // invoked by the archive. The server lends the stored
+                // bytes for as long as the job runs.
+                let server = data_server.borrow();
+                let stored = server.store().get(&parsed.path);
+                let spec = JobSpec {
+                    session_id: session_id.to_string(),
+                    operation: code.operation,
+                    op_type: code.op_type,
+                    package: code.package,
+                    entry: code.entry,
+                    dataset_name: parsed.filename().to_string(),
+                    dataset: stored.map(FileContent::bytes).unwrap_or_default(),
+                    params: params.clone(),
+                    limits: self.op_limits,
+                };
+                self.runner.run(&spec)
+            }
+            .map_err(|e| ArchiveError::Op(e.to_string()))?;
             // Compute cost: charge simulated CPU seconds proportional
             // to sandbox work (1e8 instructions/second), minimum 0.1 s.
             let cpu_secs = (job.instructions as f64 / 1e8).max(0.1);
             let charge = self.net.job(data_hid, cpu_secs);
             self.settle();
-            if self.net.job_failed(charge) {
+            let failed = self.net.job_failed(charge);
+            self.net.release_job(charge);
+            if failed {
                 return Err(self.unavailable(data_hid));
             }
             // Ship the (reduced) outputs back to the browser.

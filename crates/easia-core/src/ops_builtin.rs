@@ -54,14 +54,18 @@ fn getimage() -> NativeOp {
 }
 
 /// `FieldStats`: per-component summary statistics plus the turbulent
-/// kinetic energy — reduces megabytes to a dozen lines.
+/// kinetic energy — reduces megabytes to a dozen lines. Each component
+/// is read once; the energy comes from the `u`, `v` and `w` statistics
+/// and is left out when any of them failed.
 fn fieldstats() -> NativeOp {
     Rc::new(|dataset, _params, _ws| {
+        const COMPONENTS: [&str; 4] = ["u", "v", "w", "p"];
+        let stats = COMPONENTS.map(|c| dataset_stats(dataset, c));
         let mut out = String::new();
-        for c in ["u", "v", "w", "p"] {
-            match dataset_stats(dataset, c) {
+        for (c, s) in COMPONENTS.iter().zip(&stats) {
+            match s {
                 Ok(s) => {
-                    out.push_str(&stats_report(c, &s));
+                    out.push_str(&stats_report(c, s));
                     out.push('\n');
                 }
                 Err(e) => {
@@ -69,7 +73,8 @@ fn fieldstats() -> NativeOp {
                 }
             }
         }
-        if let Ok(e) = kinetic_energy(dataset) {
+        if let [Ok(u), Ok(v), Ok(w), _] = &stats {
+            let e = kinetic_energy(u, v, w);
             out.push_str(&format!("turbulent kinetic energy = {e:.6}\n"));
         }
         Ok(out)
@@ -119,6 +124,10 @@ mod tests {
     }
 
     fn run(op: &str, params: &[(&str, &str)]) -> easia_ops::JobResult {
+        run_on(dataset(), op, params)
+    }
+
+    fn run_on(dataset: Vec<u8>, op: &str, params: &[(&str, &str)]) -> easia_ops::JobResult {
         let mut r = JobRunner::new();
         register(&mut r);
         let spec = JobSpec {
@@ -128,7 +137,7 @@ mod tests {
             package: vec![],
             entry: op.into(),
             dataset_name: "t000.edf".into(),
-            dataset: dataset(),
+            dataset,
             params: params
                 .iter()
                 .map(|(k, v)| (k.to_string(), v.to_string()))
@@ -187,6 +196,39 @@ mod tests {
             );
         }
         assert!(res.stdout.contains("kinetic energy"));
+    }
+
+    /// The report's exact bytes: every digit of every statistic and of
+    /// the energy, which is derived from the `u`, `v` and `w` lines.
+    #[test]
+    fn fieldstats_stdout_is_pinned() {
+        assert_eq!(
+            run("fieldstats", &[]).stdout,
+            "dataset u: count=32768 min=-2.535720 max=3.264235 mean=0.003675 rms=0.721449\n\
+             dataset v: count=32768 min=-2.142171 max=2.041892 mean=0.014273 rms=0.578064\n\
+             dataset w: count=32768 min=-2.865190 max=3.152892 mean=0.013563 rms=0.752449\n\
+             dataset p: count=32768 min=-5.967205 max=-0.000432 mean=-0.710613 rms=0.582498\n\
+             turbulent kinetic energy = 0.710413\n"
+        );
+    }
+
+    /// Without `w` its line is the error and the energy line is absent.
+    #[test]
+    fn fieldstats_without_w_prints_the_error_and_no_energy() {
+        let f = TurbulenceField::generate(&FieldSpec::small(5), 0.0);
+        let n = f.n as u64;
+        let bytes = easia_sci::EdfFile::new()
+            .with_dataset("u", &[n, n, n], f.u.clone())
+            .with_dataset("v", &[n, n, n], f.v.clone())
+            .with_dataset("p", &[n, n, n], f.p.clone())
+            .encode();
+        assert_eq!(
+            run_on(bytes, "fieldstats", &[]).stdout,
+            "dataset u: count=32768 min=-2.535720 max=3.264235 mean=0.003675 rms=0.721449\n\
+             dataset v: count=32768 min=-2.142171 max=2.041892 mean=0.014273 rms=0.578064\n\
+             dataset w: no such dataset: w\n\
+             dataset p: count=32768 min=-5.967205 max=-0.000432 mean=-0.710613 rms=0.582498\n"
+        );
     }
 
     #[test]

@@ -23,9 +23,10 @@ pub struct WebApp {
     pub archive: Archive,
     /// Bounded per-route-class admission queues (overload protection).
     pub admission: AdmissionController,
-    /// Operation outputs by `(session, filename)` so result pages can
-    /// link to the produced files.
-    outputs: BTreeMap<(String, String), Vec<u8>>,
+    /// Operation outputs by session, then filename, so result pages can
+    /// link to the produced files. A session's outputs go when it logs
+    /// out, or when a login finds that it no longer resolves.
+    outputs: BTreeMap<String, BTreeMap<String, Vec<u8>>>,
 }
 
 impl WebApp {
@@ -126,7 +127,7 @@ impl WebApp {
             (_, _, None) => Response::redirect("/login"),
             (Get, ["logout"], Some((_, session))) => {
                 self.archive.sessions.close(&session);
-                self.outputs.retain(|(owner, _), _| *owner != session);
+                self.outputs.remove(&session);
                 Response::redirect("/login")
             }
             (Get, ["tables"], Some(_)) => self.tables_page(),
@@ -141,7 +142,11 @@ impl WebApp {
                 self.op_run(table, op, req, role, &session)
             }
             (Get, ["result", name], Some((_, session))) => {
-                match self.outputs.get(&(session, name.to_string())) {
+                match self
+                    .outputs
+                    .get(&session)
+                    .and_then(|files| files.get(*name))
+                {
                     Some(data) => Response::bytes(mime_of(name), data.clone()),
                     None => Response::error(404, "no such result"),
                 }
@@ -191,6 +196,11 @@ impl WebApp {
             Some(u) => {
                 let now = self.archive.clock.now();
                 let token = self.archive.sessions.open(&u, now);
+                // No request can name the outputs of a session that no
+                // longer resolves.
+                let sessions = &self.archive.sessions;
+                self.outputs
+                    .retain(|owner, _| sessions.resolve(owner, now).is_some());
                 Response::redirect("/tables").with_session(&token)
             }
             None => self.login_page(Some("invalid username or password")),
@@ -546,8 +556,6 @@ impl WebApp {
                 if !out.outputs.is_empty() {
                     body.push_str("<ul>");
                     for (name, data) in &out.outputs {
-                        self.outputs
-                            .insert((session.to_string(), name.clone()), data.clone());
                         body.push_str(&format!(
                             "<li>{} ({} bytes)</li>",
                             link(&format!("/result/{}", url_encode(name)), name),
@@ -556,6 +564,7 @@ impl WebApp {
                     }
                     body.push_str("</ul>");
                 }
+                self.keep_outputs(session, out.outputs);
                 Response::html(page(&format!("{op_name} output"), &body))
             }
             Err(e) => error_response(&e),
@@ -608,17 +617,24 @@ impl WebApp {
                 if !out.stdout.is_empty() {
                     body.push_str(&format!("<pre>{}</pre>", escape(&out.stdout)));
                 }
-                for (name, data) in &out.outputs {
-                    self.outputs
-                        .insert((session.to_string(), name.clone()), data.clone());
+                for (name, _) in &out.outputs {
                     body.push_str(&format!(
                         "<p>{}</p>",
                         link(&format!("/result/{}", url_encode(name)), name)
                     ));
                 }
+                self.keep_outputs(session, out.outputs);
                 Response::html(page("Upload complete", &body))
             }
             Err(e) => error_response(&e),
+        }
+    }
+
+    /// Keep a job's outputs for `/result` under the session that ran it.
+    fn keep_outputs(&mut self, session: &str, outputs: Vec<(String, Vec<u8>)>) {
+        if !outputs.is_empty() {
+            let files = self.outputs.entry(session.to_string()).or_default();
+            files.extend(outputs);
         }
     }
 
@@ -1839,10 +1855,34 @@ mod tests {
         assert_eq!(app.outputs.len(), 2);
         let r = app.handle(Request::get("/logout").with_session(&leaving));
         assert_eq!(r.status, 302);
-        let kept: Vec<_> = app.outputs.keys().map(|(owner, _)| owner).collect();
+        let kept: Vec<_> = app.outputs.keys().collect();
         assert_eq!(kept, [&staying]);
         let r = app.handle(Request::get("/result/slice_u_z0.ppm").with_session(&staying));
         assert_eq!(r.status, 200);
+    }
+
+    /// A portal whose users never log out keeps the outputs of the
+    /// sessions that still resolve only: a login drops the rest.
+    #[test]
+    fn a_login_drops_the_outputs_of_expired_sessions() {
+        let mut app = app();
+        let (_, stored) = first_result_file(&mut app);
+        let form = [("dataset", stored.as_str()), ("slice", "z0"), ("type", "u")];
+        let old = login(&mut app, "admin", "hpcc-admin");
+        app.handle(Request::post("/op/RESULT_FILE/GetImage", &form).with_session(&old));
+        // Sessions live one day of archive time.
+        let t = app.archive.net.now() + 86_400.0 + 1.0;
+        app.archive.advance_to(t);
+        let fresh = login(&mut app, "admin", "hpcc-admin");
+        assert!(app.outputs.is_empty(), "{:?}", app.outputs.keys());
+        app.handle(Request::post("/op/RESULT_FILE/GetImage", &form).with_session(&fresh));
+        let again = login(&mut app, "guest", "guest");
+        let kept: Vec<_> = app.outputs.keys().collect();
+        assert_eq!(kept, [&fresh], "a live session keeps its outputs");
+        let r = app.handle(Request::get("/result/slice_u_z0.ppm").with_session(&fresh));
+        assert_eq!(r.status, 200);
+        let r = app.handle(Request::get("/result/slice_u_z0.ppm").with_session(&again));
+        assert_eq!(r.status, 404);
     }
 
     /// Label, admission class and status of every route shape, both

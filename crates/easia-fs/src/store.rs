@@ -1,5 +1,6 @@
 //! The file store: a host's file system.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 
 /// Contents of a stored file.
@@ -33,6 +34,15 @@ impl FileContent {
     /// True for zero-length files.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+
+    /// The whole file, lent where it lies: stored bytes are borrowed,
+    /// and only synthetic contents are generated.
+    pub fn bytes(&self) -> Cow<'_, [u8]> {
+        match self {
+            FileContent::Bytes(b) => Cow::Borrowed(b),
+            FileContent::Synthetic { .. } => Cow::Owned(self.read_range(0, self.len())),
+        }
     }
 
     /// Materialise the byte range `[offset, offset+len)` (clamped to the
@@ -220,6 +230,17 @@ mod tests {
         assert_eq!(f.read_range(10, 5), Vec::<u8>::new());
         let s = FileContent::Synthetic { size: 8, seed: 1 };
         assert_eq!(s.read_range(6, 100).len(), 2);
+    }
+
+    #[test]
+    fn whole_file_is_lent_not_copied() {
+        let f = FileContent::Bytes(b"abcdef".to_vec());
+        let FileContent::Bytes(stored) = &f else {
+            unreachable!()
+        };
+        assert!(matches!(f.bytes(), Cow::Borrowed(b) if std::ptr::eq(b, stored.as_slice())));
+        let s = FileContent::Synthetic { size: 13, seed: 5 };
+        assert_eq!(s.bytes(), Cow::<[u8]>::Owned(s.read_range(0, 13)));
     }
 
     #[test]

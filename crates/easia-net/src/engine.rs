@@ -141,8 +141,11 @@ pub struct SimNet {
     settled: HashMap<usize, TransferStatus>,
     /// The id the next transfer gets.
     next_transfer: usize,
-    jobs: Vec<Job>,
-    /// Indices of the jobs that may still be running, in ascending
+    /// Every job not yet released, by id.
+    jobs: HashMap<usize, Job>,
+    /// The id the next job gets.
+    next_job: usize,
+    /// Ids of the jobs that may still be running, in ascending
     /// order; an entry that settled is dropped by
     /// [`SimNet::apply_host_faults`].
     live_jobs: Vec<usize>,
@@ -303,7 +306,8 @@ impl SimNet {
     /// Begin a CPU job of `cpu_secs` seconds of single-core work on `host`.
     pub fn job(&mut self, host: HostId, cpu_secs: f64) -> JobId {
         assert!(cpu_secs >= 0.0 && cpu_secs.is_finite(), "invalid job size");
-        let id = JobId(self.jobs.len() as u64);
+        let id = self.next_job;
+        self.next_job += 1;
         let slot = if self.faults.host_down(host, self.clock) {
             Job::Failed
         } else if cpu_secs == 0.0 {
@@ -313,7 +317,7 @@ impl SimNet {
                 cpu_secs,
             })
         } else {
-            self.live_jobs.push(self.jobs.len());
+            self.live_jobs.push(id);
             Job::Running {
                 host,
                 cpu_secs,
@@ -321,8 +325,26 @@ impl SimNet {
                 start: self.clock,
             }
         };
-        self.jobs.push(slot);
-        id
+        self.jobs.insert(id, slot);
+        JobId(id as u64)
+    }
+
+    /// Forget a settled job once its owner has read its outcome, as
+    /// [`SimNet::release_transfer`] does for transfers. Asking about a
+    /// released id panics. No-op while the job is still running.
+    pub fn release_job(&mut self, id: JobId) {
+        let i = id.0 as usize;
+        if !matches!(self.jobs.get(&i), Some(Job::Running { .. })) {
+            self.jobs.remove(&i);
+        }
+    }
+
+    /// The history slot of job `id`.
+    fn job_slot(&self, id: JobId) -> &Job {
+        let i = id.0 as usize;
+        self.jobs
+            .get(&i)
+            .unwrap_or_else(|| panic!("job {i} was released"))
     }
 
     /// Forget a settled transfer once its owner has read its final
@@ -344,7 +366,7 @@ impl SimNet {
 
     /// Completion record for a job, if it has finished.
     pub fn job_record(&self, id: JobId) -> Option<JobRecord> {
-        match &self.jobs[id.0 as usize] {
+        match self.job_slot(id) {
             Job::Done(rec) => Some(rec.clone()),
             _ => None,
         }
@@ -352,7 +374,7 @@ impl SimNet {
 
     /// True when the job was killed by a host crash.
     pub fn job_failed(&self, id: JobId) -> bool {
-        matches!(self.jobs[id.0 as usize], Job::Failed)
+        matches!(self.job_slot(id), Job::Failed)
     }
 
     /// Observable state of a transfer.
@@ -406,10 +428,12 @@ impl SimNet {
 
     /// The host of every running job, in id order.
     fn running_jobs(&self) -> impl Iterator<Item = (usize, HostId)> + '_ {
-        self.live_jobs.iter().filter_map(|&i| match self.jobs[i] {
-            Job::Running { host, .. } => Some((i, host)),
-            _ => None,
-        })
+        self.live_jobs
+            .iter()
+            .filter_map(|&i| match self.jobs.get(&i)? {
+                &Job::Running { host, .. } => Some((i, host)),
+                _ => None,
+            })
     }
 
     /// Per-flow rates (bytes/sec) for currently *flowing* transfers, and
@@ -498,7 +522,7 @@ impl SimNet {
                 }
             }
             for &(i, rate) in &jrates {
-                let Job::Running { remaining, .. } = self.jobs[i] else {
+                let Job::Running { remaining, .. } = self.jobs[&i] else {
                     unreachable!("job {i} settled mid-step");
                 };
                 let eta = self.clock + remaining / rate;
@@ -546,7 +570,14 @@ impl SimNet {
             let mut finished = false;
             for &(i, rate) in &trates {
                 let t = &mut self.flows[i];
-                let moved = (rate * dt).min(t.remaining);
+                // What is left may take less time than the clock can
+                // resolve this far from zero: then it arrives now, or the
+                // clock would never move again.
+                let moved = if self.clock + t.remaining / rate <= self.clock {
+                    t.remaining
+                } else {
+                    (rate * dt).min(t.remaining)
+                };
                 t.remaining -= moved;
                 for h in &t.hops {
                     *self.link_bytes.entry(h.link).or_insert(0.0) += moved;
@@ -563,18 +594,19 @@ impl SimNet {
                 self.flows.retain(|t| !settled.contains_key(&t.id));
             }
             for &(i, rate) in &jrates {
+                let job = self.jobs.get_mut(&i).expect("a live job is kept");
                 let Job::Running {
                     cpu_secs,
                     remaining,
                     start,
                     ..
-                } = &mut self.jobs[i]
+                } = job
                 else {
                     unreachable!("job {i} settled mid-step");
                 };
                 *remaining -= (rate * dt).min(*remaining);
                 if *remaining <= *cpu_secs * 1e-12 + BYTE_EPS {
-                    self.jobs[i] = Job::Done(JobRecord {
+                    *job = Job::Done(JobRecord {
                         start: *start,
                         end: next,
                         cpu_secs: *cpu_secs,
@@ -618,13 +650,17 @@ impl SimNet {
             down.is_none()
         });
         let jobs = &mut self.jobs;
-        self.live_jobs.retain(|&i| {
-            let Job::Running { host, .. } = jobs[i] else {
+        // A job that settled may since have been released.
+        self.live_jobs.retain(|i| {
+            let Some(job) = jobs.get_mut(i) else {
+                return false;
+            };
+            let Job::Running { host, .. } = *job else {
                 return false;
             };
             let down = faults.host_down(host, clock);
             if down {
-                jobs[i] = Job::Failed;
+                *job = Job::Failed;
             }
             !down
         });
@@ -822,6 +858,20 @@ mod tests {
         assert_eq!(net.now(), 4.0);
         net.run_until_idle();
         assert!((net.transfer_record(id).unwrap().duration() - 10.0).abs() < 1e-6);
+    }
+
+    /// Far from zero a clock step has a floor: at 10⁹ s it is ≈ 1.2e-7 s,
+    /// longer than a gigabit link takes for 5 bytes. Such a flow once
+    /// kept the clock where it was until the stall guard fired.
+    #[test]
+    fn a_flow_shorter_than_a_clock_step_completes() {
+        let (mut net, a, b) = two_hosts(Mbit(1000.0));
+        net.run_until(1e9);
+        let id = net.transfer(a, b, 5.0);
+        net.run_until_idle();
+        let rec = net.transfer_record(id).unwrap();
+        assert_eq!((rec.start, rec.end, rec.bytes), (1e9, 1e9, 5.0));
+        assert_eq!(net.link_bytes(LinkId(0)), 5.0);
     }
 
     #[test]
@@ -1146,6 +1196,55 @@ mod tests {
             TransferStatus::InFlight { .. }
         ));
         assert!(!net.settled.contains_key(&(last.0 as usize)));
+    }
+
+    /// The same for jobs: an owner that releases each job once it has
+    /// read its outcome keeps the job history as small as what it has
+    /// not released. A job released in the step it settled in is still
+    /// on the live list until the next step, which must pass over it.
+    #[test]
+    fn released_jobs_leave_the_history() {
+        use crate::fault::FaultSchedule;
+        let mut net = SimNet::new();
+        let h = net.add_host("h", 4);
+        let kept = net.job(h, 1.0);
+        let long = net.job(h, 1e9);
+        net.release_job(long); // still running: kept
+        for n in 0..10_000 {
+            let id = net.job(h, 0.5);
+            assert_eq!(format!("{id:?}"), format!("JobId({})", n + 2));
+            let t = net.now() + 1.0;
+            net.run_until(t);
+            assert!(!net.job_failed(id));
+            net.release_job(id);
+        }
+        assert_eq!(net.jobs.len(), 2, "kept and the long one");
+        assert!(net.live_jobs.len() <= 2, "{:?}", net.live_jobs);
+        assert!(net.job_record(kept).is_some());
+        assert!(net.job_record(long).is_none());
+
+        // A job killed by a crash is released the same way.
+        let mut faults = FaultSchedule::new();
+        faults.host_crash(h, net.now() + 1.0, net.now() + 2.0);
+        net.set_fault_schedule(faults);
+        let doomed = net.job(h, 10.0);
+        net.run_until(net.now() + 1.5);
+        assert!(net.job_failed(doomed) && net.job_failed(long));
+        net.release_job(doomed);
+        net.release_job(long);
+        assert_eq!(net.jobs.len(), 1);
+        assert!(net.is_idle());
+    }
+
+    #[test]
+    #[should_panic(expected = "job 0 was released")]
+    fn a_released_job_cannot_be_asked_about() {
+        let mut net = SimNet::new();
+        let h = net.add_host("h", 1);
+        let id = net.job(h, 1.0);
+        net.run_until_idle();
+        net.release_job(id);
+        net.job_failed(id);
     }
 
     #[test]

@@ -25,9 +25,11 @@ use std::rc::Rc;
 pub type NativeOp =
     Rc<dyn Fn(&[u8], &BTreeMap<String, String>, &mut Workspace) -> Result<String, String>>;
 
-/// Specification of one job.
+/// Specification of one job. The dataset is whatever holds its bytes:
+/// an owned `Vec<u8>` by default, or the file server's stored bytes
+/// lent to the job, so that a job reads the dataset where it lies.
 #[derive(Clone)]
-pub struct JobSpec {
+pub struct JobSpec<D = Vec<u8>> {
     /// Session identifier (names the workspace).
     pub session_id: String,
     /// Operation name (for statistics and caching).
@@ -43,7 +45,7 @@ pub struct JobSpec {
     /// "accepts a filename as a command line parameter").
     pub dataset_name: String,
     /// Dataset contents.
-    pub dataset: Vec<u8>,
+    pub dataset: D,
     /// User-supplied parameters from the generated form.
     pub params: BTreeMap<String, String>,
     /// Sandbox limits.
@@ -157,7 +159,8 @@ impl JobRunner {
     }
 
     /// Execute a job.
-    pub fn run(&mut self, spec: &JobSpec) -> Result<JobResult, JobError> {
+    pub fn run<D: AsRef<[u8]>>(&mut self, spec: &JobSpec<D>) -> Result<JobResult, JobError> {
+        let dataset = spec.dataset.as_ref();
         self.job_seq += 1;
         let mut ws = Workspace::for_session(&spec.session_id, self.job_seq);
         let mut script = vec![BatchStep::EnterWorkspace(ws.name.clone())];
@@ -195,9 +198,7 @@ impl JobRunner {
                     params.push(format!("{k}={v}"));
                 }
                 let mut vm = Vm::new(spec.limits);
-                let run = vm
-                    .run(&program, &spec.dataset, &params)
-                    .map_err(JobError::Vm)?;
+                let run = vm.run(&program, dataset, &params).map_err(JobError::Vm)?;
                 for (name, data) in &run.files {
                     ws.write(name, data.clone());
                 }
@@ -221,7 +222,7 @@ impl JobRunner {
                     entry: spec.entry.clone(),
                     interpreter: "native".into(),
                 });
-                let stdout = op(&spec.dataset, &spec.params, &mut ws).map_err(JobError::Native)?;
+                let stdout = op(dataset, &spec.params, &mut ws).map_err(JobError::Native)?;
                 let workspace = ws.name.clone();
                 Ok(JobResult {
                     script,

@@ -58,9 +58,21 @@ pub struct Dataset {
 
 impl Dataset {
     /// Total element count implied by `dims`.
-    pub fn element_count(&self) -> u64 {
-        self.dims.iter().product()
+    pub fn element_count(&self) -> Result<u64, EdfError> {
+        element_count(&self.name, &self.dims)
     }
+}
+
+/// The product of `dims`; `Malformed` when it does not fit a `u64`.
+fn element_count(name: &str, dims: &[u64]) -> Result<u64, EdfError> {
+    dims.iter()
+        .try_fold(1u64, |n, &d| n.checked_mul(d))
+        .ok_or_else(|| overflow(name, dims))
+}
+
+#[cold]
+fn overflow(name: &str, dims: &[u64]) -> EdfError {
+    EdfError::Malformed(format!("{name}: dims {dims:?} overflow"))
 }
 
 /// An in-memory EDF file.
@@ -87,10 +99,9 @@ impl EdfFile {
     /// Add a dataset (builder style). Panics if `data.len()` does not
     /// match the dimensions.
     pub fn with_dataset(mut self, name: &str, dims: &[u64], data: Vec<f64>) -> Self {
-        let expect: u64 = dims.iter().product();
         assert_eq!(
-            data.len() as u64,
-            expect,
+            Ok(data.len() as u64),
+            element_count(name, dims),
             "dataset {name}: {} elements for dims {dims:?}",
             data.len()
         );
@@ -166,14 +177,52 @@ pub struct DatasetMeta {
 
 impl DatasetMeta {
     /// Total element count.
-    pub fn element_count(&self) -> u64 {
-        self.dims.iter().product()
+    pub fn element_count(&self) -> Result<u64, EdfError> {
+        element_count(&self.name, &self.dims)
     }
 
     /// Payload size in bytes.
-    pub fn byte_len(&self) -> u64 {
-        self.element_count() * 8
+    pub fn byte_len(&self) -> Result<u64, EdfError> {
+        let n = self.element_count()?;
+        n.checked_mul(8)
+            .ok_or_else(|| overflow(&self.name, &self.dims))
     }
+}
+
+/// Bytes a directory entry takes at the least: a name length, a
+/// dimension count and one dimension.
+const MIN_ENTRY: usize = 2 + 1 + 8;
+
+/// The values of a range read, decoded as they are read: see
+/// [`EdfReader::values`]. `nth` (and so `step_by`) skips without
+/// decoding.
+#[derive(Debug, Clone)]
+pub struct Values<'a>(std::slice::ChunksExact<'a, u8>);
+
+impl Iterator for Values<'_> {
+    type Item = f64;
+
+    #[inline]
+    fn next(&mut self) -> Option<f64> {
+        self.0.next().map(decode)
+    }
+
+    #[inline]
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.0.size_hint()
+    }
+
+    #[inline]
+    fn nth(&mut self, n: usize) -> Option<f64> {
+        self.0.nth(n).map(decode)
+    }
+}
+
+impl ExactSizeIterator for Values<'_> {}
+
+#[inline]
+fn decode(c: &[u8]) -> f64 {
+    f64::from_le_bytes(c.try_into().expect("8 bytes"))
 }
 
 /// Header-level reader: parses attributes and dataset directory without
@@ -227,7 +276,10 @@ impl EdfReader {
             attrs.insert(k, v);
         }
         let ndatasets = read_u32(&mut pos)?;
-        let mut datasets = Vec::with_capacity(ndatasets as usize);
+        // A count the rest of the file cannot hold reserves no more
+        // than the file could describe.
+        let room = (bytes.len() - pos) / MIN_ENTRY;
+        let mut datasets = Vec::with_capacity((ndatasets as usize).min(room));
         for _ in 0..ndatasets {
             let nlen = read_u16(&mut pos)? as usize;
             let name = read_str(&mut pos, nlen)?;
@@ -245,11 +297,14 @@ impl EdfReader {
                 dims,
                 data_offset: pos,
             };
-            let skip = meta.byte_len() as usize;
-            if pos + skip > bytes.len() {
+            let end = usize::try_from(meta.byte_len()?)
+                .ok()
+                .and_then(|skip| pos.checked_add(skip))
+                .ok_or_else(|| overflow(&meta.name, &meta.dims))?;
+            if end > bytes.len() {
                 return Err(EdfError::Truncated);
             }
-            pos += skip;
+            pos = end;
             datasets.push(meta);
         }
         Ok(EdfReader { attrs, datasets })
@@ -266,11 +321,11 @@ impl EdfReader {
     /// Read a whole dataset's values from the file bytes.
     pub fn read_dataset(&self, bytes: &[u8], name: &str) -> Result<Vec<f64>, EdfError> {
         let meta = self.meta(name)?;
-        self.read_elements(bytes, name, 0, meta.element_count())
+        self.read_elements(bytes, name, 0, meta.element_count()?)
     }
 
-    /// Read `count` elements starting at element `start` — a contiguous
-    /// range read, the primitive that slicing is built on.
+    /// Read `count` elements starting at element `start` into a vector:
+    /// [`EdfReader::values`], collected.
     pub fn read_elements(
         &self,
         bytes: &[u8],
@@ -278,20 +333,35 @@ impl EdfReader {
         start: u64,
         count: u64,
     ) -> Result<Vec<f64>, EdfError> {
+        Ok(self.values(bytes, name, start, count)?.collect())
+    }
+
+    /// The `count` elements from element `start` on, decoded from
+    /// `bytes` as they are read — the one range primitive that slicing,
+    /// statistics and previews are built on. Nothing is copied.
+    pub fn values<'a>(
+        &self,
+        bytes: &'a [u8],
+        name: &str,
+        start: u64,
+        count: u64,
+    ) -> Result<Values<'a>, EdfError> {
         let meta = self.meta(name)?;
-        if start + count > meta.element_count() {
+        let total = meta.element_count()?;
+        if start.checked_add(count).is_none_or(|end| end > total) {
             return Err(EdfError::Malformed(format!(
-                "{name}: range {start}+{count} beyond {} elements",
-                meta.element_count()
+                "{name}: range {start}+{count} beyond {total} elements"
             )));
         }
-        let off = meta.data_offset + (start as usize) * 8;
-        let end = off + (count as usize) * 8;
-        let payload = bytes.get(off..end).ok_or(EdfError::Truncated)?;
-        Ok(payload
-            .chunks_exact(8)
-            .map(|c| f64::from_le_bytes(c.try_into().expect("8 bytes")))
-            .collect())
+        // In range, so `start` and `count` are at most the element
+        // count; the bytes may still be shorter than the header says.
+        let bytes_of = |n: u64| usize::try_from(n).ok()?.checked_mul(8);
+        let payload = bytes_of(start)
+            .and_then(|skip| meta.data_offset.checked_add(skip))
+            .zip(bytes_of(count))
+            .and_then(|(off, len)| bytes.get(off..off.checked_add(len)?))
+            .ok_or(EdfError::Truncated)?;
+        Ok(Values(payload.chunks_exact(8)))
     }
 }
 
@@ -353,6 +423,65 @@ mod tests {
             vec![3.0, 4.0, 5.0]
         );
         assert!(r.read_elements(&bytes, "u", 5, 3).is_err(), "out of range");
+        let odd: Vec<f64> = r.values(&bytes, "u", 0, 6).unwrap().step_by(2).collect();
+        assert_eq!(odd, vec![1.0, 3.0, 5.0]);
+        assert_eq!(r.values(&bytes, "u", 6, 0).unwrap().len(), 0);
+        assert!(matches!(
+            r.values(&bytes, "u", u64::MAX, 2).unwrap_err(),
+            EdfError::Malformed(_)
+        ));
+        // The directory is trusted only as far as the bytes reach.
+        assert_eq!(
+            r.values(&bytes[..bytes.len() - 8], "scalar", 0, 4)
+                .unwrap_err(),
+            EdfError::Truncated
+        );
+    }
+
+    /// A header of one dataset named `d` with these dimensions and no
+    /// payload.
+    fn header(dims: &[u64]) -> Vec<u8> {
+        let mut b = MAGIC.to_vec();
+        b.extend_from_slice(&0u32.to_le_bytes());
+        b.extend_from_slice(&1u32.to_le_bytes());
+        b.extend_from_slice(&1u16.to_le_bytes());
+        b.push(b'd');
+        b.push(dims.len() as u8);
+        for d in dims {
+            b.extend_from_slice(&d.to_le_bytes());
+        }
+        b
+    }
+
+    /// Twelve bytes that declare `u32::MAX` datasets once reserved room
+    /// for all of them before reading the first, and aborted the process.
+    #[test]
+    fn a_dataset_count_reserves_only_what_the_bytes_can_hold() {
+        let mut b = MAGIC.to_vec();
+        b.extend_from_slice(&0u32.to_le_bytes());
+        b.extend_from_slice(&u32::MAX.to_le_bytes());
+        assert_eq!(EdfReader::open(&b).unwrap_err(), EdfError::Truncated);
+    }
+
+    /// Dimensions whose element or byte count overflows a `u64` once
+    /// panicked a debug build and, in release, wrapped to an empty
+    /// dataset.
+    #[test]
+    fn overflowing_dims_are_malformed() {
+        for dims in [
+            &[1u64 << 32, 1 << 32][..],
+            &[1 << 61],
+            &[u64::MAX, 2],
+            &[3, 1 << 63],
+        ] {
+            let err = EdfReader::open(&header(dims)).unwrap_err();
+            assert!(matches!(err, EdfError::Malformed(_)), "{dims:?}: {err}");
+        }
+        // A product that fits but outruns the bytes is a truncation.
+        assert_eq!(
+            EdfReader::open(&header(&[1 << 20, 1 << 20])).unwrap_err(),
+            EdfError::Truncated
+        );
     }
 
     #[test]

@@ -33,8 +33,8 @@ pub fn describe(bytes: &[u8], format: SdbFormat) -> Result<String, EdfError> {
             format!(
                 "shape {} ({} elements, {} bytes){preview}",
                 dims.join("x"),
-                meta.element_count(),
-                meta.byte_len()
+                meta.element_count()?,
+                meta.byte_len()?
             ),
         ));
     }
@@ -66,12 +66,14 @@ pub fn describe(bytes: &[u8], format: SdbFormat) -> Result<String, EdfError> {
 
 fn preview_values(bytes: &[u8], reader: &EdfReader, name: &str) -> Result<String, EdfError> {
     let meta = reader.meta(name)?;
-    let n = meta.element_count().min(3);
+    let n = meta.element_count()?.min(3);
     if n == 0 {
         return Ok(String::new());
     }
-    let vals = reader.read_elements(bytes, name, 0, n)?;
-    let rendered: Vec<String> = vals.iter().map(|v| format!("{v:.4}")).collect();
+    let rendered: Vec<String> = reader
+        .values(bytes, name, 0, n)?
+        .map(|v| format!("{v:.4}"))
+        .collect();
     Ok(format!(", first values [{}...]", rendered.join(", ")))
 }
 

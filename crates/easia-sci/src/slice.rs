@@ -39,13 +39,14 @@ pub struct Plane {
 }
 
 /// Extract the plane `axis = index` of 3-D dataset `name` from an
-/// encoded EDF file, reading only the bytes the plane needs.
+/// encoded EDF file, decoding only the values the plane holds straight
+/// into it.
 ///
 /// Dataset layout is `x` fastest: index `x + nx*(y + ny*z)`.
-/// * `Axis::Z` planes are one contiguous range (1 range read),
-/// * `Axis::Y` planes read `nz` row ranges,
-/// * `Axis::X` planes read element-by-element columns (worst case) —
-///   still only `ny·nz` elements rather than the whole dataset.
+/// * `Axis::Z` planes are one contiguous range,
+/// * `Axis::Y` planes are `nz` row ranges,
+/// * `Axis::X` planes are every `nx`-th element of one range, skipped
+///   over without decoding — still only `ny·nz` values are read.
 pub fn extract_plane(
     bytes: &[u8],
     name: &str,
@@ -53,18 +54,21 @@ pub fn extract_plane(
     index: usize,
 ) -> Result<Plane, EdfError> {
     let reader = EdfReader::open(bytes)?;
-    let meta = reader.meta(name)?.clone();
-    if meta.dims.len() != 3 {
+    let meta = reader.meta(name)?;
+    let &[nx, ny, nz] = meta.dims.as_slice() else {
         return Err(EdfError::Malformed(format!(
             "{name} is {}-dimensional, slicing needs 3",
             meta.dims.len()
         )));
+    };
+    // The reader checked that the bytes hold every element, so a
+    // non-empty dataset's dimensions and their products fit a `usize`;
+    // an empty one has no planes to loop over.
+    let total = meta.element_count()?;
+    if total == 0 {
+        return Err(EdfError::Malformed(format!("{name} is empty")));
     }
-    let (nx, ny, nz) = (
-        meta.dims[0] as usize,
-        meta.dims[1] as usize,
-        meta.dims[2] as usize,
-    );
+    let (nx, ny, nz) = (nx as usize, ny as usize, nz as usize);
     let bound = match axis {
         Axis::X => nx,
         Axis::Y => ny,
@@ -75,45 +79,32 @@ pub fn extract_plane(
             "slice index {index} out of range 0..{bound}"
         )));
     }
+    let (rows, cols) = match axis {
+        Axis::Z => (ny, nx),
+        Axis::Y => (nz, nx),
+        Axis::X => (nz, ny),
+    };
+    let mut values = Vec::with_capacity(rows * cols);
     match axis {
+        // Contiguous nx*ny block at z=index.
         Axis::Z => {
-            // Contiguous nx*ny block at z=index.
-            let start = (index * nx * ny) as u64;
-            let values = reader.read_elements(bytes, name, start, (nx * ny) as u64)?;
-            Ok(Plane {
-                rows: ny,
-                cols: nx,
-                values,
-            })
+            values.extend(reader.values(bytes, name, (index * nx * ny) as u64, (nx * ny) as u64)?)
         }
+        // For each z: contiguous run of nx at (y=index, z).
         Axis::Y => {
-            // For each z: contiguous run of nx at (y=index, z).
-            let mut values = Vec::with_capacity(nx * nz);
             for z in 0..nz {
                 let start = (nx * (index + ny * z)) as u64;
-                values.extend(reader.read_elements(bytes, name, start, nx as u64)?);
+                values.extend(reader.values(bytes, name, start, nx as u64)?);
             }
-            Ok(Plane {
-                rows: nz,
-                cols: nx,
-                values,
-            })
         }
-        Axis::X => {
-            let mut values = Vec::with_capacity(ny * nz);
-            for z in 0..nz {
-                for y in 0..ny {
-                    let start = (index + nx * (y + ny * z)) as u64;
-                    values.extend(reader.read_elements(bytes, name, start, 1)?);
-                }
-            }
-            Ok(Plane {
-                rows: nz,
-                cols: ny,
-                values,
-            })
-        }
+        // Every nx-th element from (x=index, y=0, z=0) on.
+        Axis::X => values.extend(
+            reader
+                .values(bytes, name, index as u64, total - index as u64)?
+                .step_by(nx),
+        ),
     }
+    Ok(Plane { rows, cols, values })
 }
 
 /// Bytes of the source dataset a plane extraction actually reads,
@@ -187,6 +178,25 @@ mod tests {
             .with_dataset("flat", &[6], vec![0.0; 6])
             .encode();
         assert!(extract_plane(&bytes, "flat", Axis::Z, 0).is_err());
+    }
+
+    /// A zero dimension makes the others free to be huge: an empty
+    /// dataset is refused before any loop over them.
+    #[test]
+    fn an_empty_dataset_has_no_planes() {
+        let mut bytes = EdfFile::new()
+            .with_dataset("f", &[0, 1, 1], vec![])
+            .encode();
+        let dims = bytes.len() - 24;
+        for (i, d) in [0u64, 1 << 40, 1 << 40].iter().enumerate() {
+            bytes[dims + 8 * i..dims + 8 * i + 8].copy_from_slice(&d.to_le_bytes());
+        }
+        for axis in [Axis::X, Axis::Y, Axis::Z] {
+            assert!(matches!(
+                extract_plane(&bytes, "f", axis, 0),
+                Err(EdfError::Malformed(m)) if m == "f is empty"
+            ));
+        }
     }
 
     #[test]
