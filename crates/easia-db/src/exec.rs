@@ -795,7 +795,7 @@ impl<'a> Sink<'a> {
         }
         let taken = match &mut self.shape {
             Shape::Rows(outs) => {
-                let mut row = Vec::with_capacity(outs.len());
+                let mut row = Vec::with_capacity(self.output.room());
                 let projected = outs.iter().try_for_each(|out| {
                     row.push(match out {
                         Out::Slot(i, spec) => match (&ctx.row[*i], spec) {
@@ -1073,11 +1073,10 @@ impl Finish {
                     continue;
                 }
             }
-            let row = self
-                .items
-                .iter()
-                .map(|e| ctx.eval(e))
-                .collect::<Result<_>>()?;
+            let mut row = Vec::with_capacity(output.room());
+            for e in &self.items {
+                row.push(ctx.eval(e)?);
+            }
             kept += 1;
             output.offer(row, &ctx);
         }
@@ -1107,30 +1106,28 @@ pub fn finish_groups(
 }
 
 /// DISTINCT, ORDER BY and LIMIT over output rows as they arrive.
-/// Without ORDER BY only the first LIMIT rows are kept. With it, each
-/// row's keys are taken on arrival — the output column for a bare name
-/// that is an output alias, else the expression over the row (and
-/// group) it came from — and under a LIMIT of n the rows are cut back to
-/// the n least by (keys, arrival) whenever 2n have gathered: what a
-/// stable sort and a truncate would leave. A key's error is held, since
-/// a select item raising on a later row wins over it.
+/// Without ORDER BY only the first LIMIT rows are kept. With it, a sort
+/// key is a cell of the row it orders: the output column for a bare name
+/// that is an output alias, else the expression's value over the row
+/// (and group) it came from, taken on arrival and pushed after the
+/// output columns. Under a LIMIT of n the rows are cut back to the n
+/// least by (keys, arrival) whenever 2n have gathered: what a stable
+/// sort and a truncate would leave. A key's error is held, since a
+/// select item raising on a later row wins over it.
 struct Output {
     columns: Vec<String>,
     distinct: Option<HashSet<Vec<u8>>>,
-    order: Vec<(Key, bool)>,
+    /// Each sort key: the cell of a row it reads, and whether it ascends.
+    order: Vec<(usize, bool)>,
+    /// The expression keys, whose values follow the output columns.
+    exprs: Vec<Bound>,
     limit: usize,
-    /// `(sort keys, row)`: sorted up to the last cut, then by arrival.
-    rows: Vec<(Vec<Value>, Vec<Value>)>,
+    /// Sorted up to the last cut, then by arrival.
+    rows: Vec<Vec<Value>>,
     /// Rows that entered ORDER BY.
     sorted: usize,
     late: Option<DbError>,
     key: Vec<u8>,
-}
-
-/// An ORDER BY key: an output column, or an expression.
-enum Key {
-    Column(usize),
-    Expr(Bound),
 }
 
 impl Output {
@@ -1140,6 +1137,7 @@ impl Output {
         bind: impl Fn(&Expr) -> Result<Bound>,
     ) -> Result<Self> {
         let mut order = Vec::with_capacity(sel.order_by.len());
+        let mut exprs = Vec::new();
         for ob in &sel.order_by {
             // A bare column matching an output alias sorts by the output
             // column.
@@ -1149,16 +1147,20 @@ impl Output {
                 }
                 _ => None,
             };
-            let key = match column {
-                Some(i) => Key::Column(i),
-                None => Key::Expr(bind(&ob.expr)?),
+            let at = match column {
+                Some(i) => i,
+                None => {
+                    exprs.push(bind(&ob.expr)?);
+                    columns.len() + exprs.len() - 1
+                }
             };
-            order.push((key, ob.asc));
+            order.push((at, ob.asc));
         }
         Ok(Output {
             columns,
             distinct: sel.distinct.then(HashSet::new),
             order,
+            exprs,
             limit: sel.limit.unwrap_or(usize::MAX),
             rows: Vec::new(),
             sorted: 0,
@@ -1166,16 +1168,21 @@ impl Output {
             key: Vec::new(),
         })
     }
+
     fn reads(&self, read: &mut [bool]) {
-        for (key, _) in &self.order {
-            if let Key::Expr(e) = key {
-                e.reads(read);
-            }
+        for e in &self.exprs {
+            e.reads(read);
         }
     }
 
+    /// The cells an offered row may come to hold: its output columns,
+    /// then its expression keys.
+    fn room(&self) -> usize {
+        self.columns.len() + self.exprs.len()
+    }
+
     /// Offer one output row; `ctx` is the row (and group) it came from.
-    fn offer(&mut self, row: Vec<Value>, ctx: &EvalContext) {
+    fn offer(&mut self, mut row: Vec<Value>, ctx: &EvalContext) {
         if let Some(seen) = &mut self.distinct {
             self.key.clear();
             for v in &row {
@@ -1188,7 +1195,7 @@ impl Output {
         }
         if self.order.is_empty() {
             if self.rows.len() < self.limit {
-                self.rows.push((Vec::new(), row));
+                self.rows.push(row);
             }
             return;
         }
@@ -1196,40 +1203,37 @@ impl Output {
             return;
         }
         self.sorted += 1;
-        let keys = self
-            .order
-            .iter()
-            .map(|(key, _)| match key {
-                Key::Column(i) => Ok(row[*i].clone()),
-                Key::Expr(e) => ctx.eval(e),
-            })
-            .collect();
-        match keys {
-            Ok(keys) => {
-                self.rows.push((keys, row));
-                if self.rows.len() > self.limit.saturating_mul(2) {
-                    self.cut();
+        for e in &self.exprs {
+            match ctx.eval(e) {
+                Ok(v) => row.push(v),
+                Err(e) => {
+                    self.late = Some(e);
+                    return;
                 }
             }
-            Err(e) => self.late = Some(e),
+        }
+        self.rows.push(row);
+        if self.rows.len() > self.limit.saturating_mul(2) {
+            self.cut();
         }
     }
 
     /// Sort the rows by their keys, stably, and keep the first LIMIT.
     fn cut(&mut self) {
         let order = &self.order;
-        self.rows.sort_by(|(a, _), (b, _)| {
-            let keys = order.iter().zip(a.iter().zip(b));
-            keys.map(|((_, asc), (x, y))| {
-                let ord = x.total_cmp(y);
-                if *asc {
-                    ord
-                } else {
-                    ord.reverse()
-                }
-            })
-            .find(|ord| ord.is_ne())
-            .unwrap_or(Ordering::Equal)
+        self.rows.sort_by(|a, b| {
+            order
+                .iter()
+                .map(|&(at, asc)| {
+                    let ord = a[at].total_cmp(&b[at]);
+                    if asc {
+                        ord
+                    } else {
+                        ord.reverse()
+                    }
+                })
+                .find(|ord| ord.is_ne())
+                .unwrap_or(Ordering::Equal)
         });
         self.rows.truncate(self.limit);
     }
@@ -1244,12 +1248,15 @@ impl Output {
                 m.stage_sort.observe(self.sorted as f64);
             }
         }
+        // Cut off the expression keys.
+        let width = self.columns.len();
+        self.rows.iter_mut().for_each(|row| row.truncate(width));
         if let Some(m) = db.metrics() {
             m.rows_returned.add(self.rows.len() as f64);
         }
         Ok(ResultSet {
             columns: self.columns,
-            rows: self.rows.into_iter().map(|(_, row)| row).collect(),
+            rows: self.rows,
             affected: 0,
         })
     }

@@ -139,7 +139,11 @@ impl SessionStore {
     }
 
     /// Open a session for a user at archive time `now`; returns the token.
+    /// Every session whose lifetime has passed at `now` is forgotten.
     pub fn open(&mut self, user: &User, now: u64) -> String {
+        let ttl = self.ttl_secs;
+        self.sessions
+            .retain(|_, (_, _, created)| live(*created, now, ttl));
         self.counter += 1;
         let token = hex(&hmac_sha256(
             &self.key,
@@ -154,7 +158,7 @@ impl SessionStore {
     /// Resolve a session token at archive time `now`.
     pub fn resolve(&self, token: &str, now: u64) -> Option<(&str, Role)> {
         let (user, role, created) = self.sessions.get(token)?;
-        if now.saturating_sub(*created) > self.ttl_secs {
+        if !live(*created, now, self.ttl_secs) {
             return None;
         }
         Some((user.as_str(), *role))
@@ -165,7 +169,8 @@ impl SessionStore {
         self.sessions.remove(token).is_some()
     }
 
-    /// Number of (not necessarily live) sessions.
+    /// Number of sessions kept: every live one, and any that expired
+    /// since the last [`open`](Self::open).
     pub fn len(&self) -> usize {
         self.sessions.len()
     }
@@ -174,6 +179,11 @@ impl SessionStore {
     pub fn is_empty(&self) -> bool {
         self.sessions.is_empty()
     }
+}
+
+/// A session opened at `created` is live at `now` for `ttl` seconds.
+fn live(created: u64, now: u64, ttl: u64) -> bool {
+    now.saturating_sub(created) <= ttl
 }
 
 #[cfg(test)]
@@ -233,6 +243,25 @@ mod tests {
         // Close.
         assert!(sess.close(&t));
         assert_eq!(sess.resolve(&t, 200), None);
+    }
+
+    #[test]
+    fn a_login_forgets_expired_sessions() {
+        let users = UserStore::with_defaults();
+        let mut sess = SessionStore::new(b"key", 3600);
+        let u = users.get("guest").unwrap();
+        let mut last = String::new();
+        for i in 0..1_000 {
+            last = sess.open(u, i * 3601);
+        }
+        assert_eq!(sess.len(), 1, "only the latest session is kept");
+        // At the last second of its lifetime it is live, and the next
+        // login keeps it.
+        let now = 999 * 3601 + 3600;
+        let admin = sess.open(users.get("admin").unwrap(), now);
+        assert_eq!(sess.len(), 2);
+        assert_eq!(sess.resolve(&last, now), Some(("guest", Role::Guest)));
+        assert_eq!(sess.resolve(&admin, now), Some(("admin", Role::Admin)));
     }
 
     #[test]
