@@ -8,10 +8,9 @@ use easia_datalink::functions::register_dl_functions;
 use easia_datalink::{ArchiveClock, DataLinkManager, DatalinkUrl};
 use easia_db::{Database, DbError, Value};
 use easia_fs::{FileContent, FileServer, FsError};
-use easia_med::{FedError, Federation, QueryOutcome};
+use easia_med::{Cache, FedError, Federation, Lookup, QueryOutcome};
 use easia_net::{HostId, LinkSpec, SimNet};
 use easia_obs::Obs;
-use easia_ops::cache::{CachedResult, ResultCache};
 use easia_ops::catalog::OperationCatalog;
 use easia_ops::monitor::ProgressBoard;
 use easia_ops::statistics::StatisticsStore;
@@ -28,6 +27,38 @@ const PREFETCH_HITS_HELP: &str =
 const PREFETCH_STALE_HELP: &str =
     "Prefetched outcomes discarded because a write changed the federation fingerprint";
 const PREFETCH_ISSUED_HELP: &str = "Speculative federated queries parked for the next click";
+
+/// Parked prefetch outcomes: a screen rarely offers more useful next
+/// clicks than this, and each entry holds a full result.
+const PREFETCH_CAPACITY: usize = 16;
+/// Cached operation results.
+const RESULT_CAPACITY: usize = 64;
+/// The one version of every operation result: a DATALINK under
+/// INTEGRITY ALL cannot change behind its link.
+const RESULT_VERSION: u64 = 0;
+
+/// What a prefetched screen is parked under: the statement and its
+/// parameters as one record.
+pub type PrefetchKey = (String, Vec<u8>);
+
+fn prefetch_key(sql: &str, params: &[Value]) -> PrefetchKey {
+    let mut record = Vec::new();
+    easia_db::value::encode_row(params, &mut record);
+    (sql.to_string(), record)
+}
+
+/// What an operation result is cached under: `(dataset URL, operation,
+/// parameters)`.
+pub type ResultKey = (String, String, BTreeMap<String, String>);
+
+/// A cached job outcome.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct CachedResult {
+    /// Output files.
+    pub outputs: Vec<(String, Vec<u8>)>,
+    /// Captured stdout.
+    pub stdout: String,
+}
 
 /// Errors from archive-level workflows.
 #[derive(Debug)]
@@ -96,7 +127,6 @@ pub struct ArchiveBuilder {
     token_ttl: u64,
     secret: Vec<u8>,
     client_link: LinkSpec,
-    cache_capacity: usize,
 }
 
 impl ArchiveBuilder {
@@ -143,12 +173,6 @@ impl ArchiveBuilder {
     /// paper's measured SuperJANET profile.
     pub fn client_link(mut self, link: LinkSpec) -> Self {
         self.client_link = link;
-        self
-    }
-
-    /// Operation result cache capacity (0 disables). Default: 64.
-    pub fn cache_capacity(mut self, n: usize) -> Self {
-        self.cache_capacity = n;
         self
     }
 
@@ -219,11 +243,11 @@ impl ArchiveBuilder {
             runner,
             users: UserStore::with_defaults(),
             sessions: SessionStore::new(&self.secret, 86_400),
-            cache: (self.cache_capacity > 0).then(|| ResultCache::new(self.cache_capacity)),
+            cache: Some(Cache::new(RESULT_CAPACITY)),
             stats: StatisticsStore::new(),
             board: ProgressBoard::new(),
             op_limits: Limits::default(),
-            prefetch: easia_med::PrefetchCache::default(),
+            prefetch: Cache::new(PREFETCH_CAPACITY),
         }
     }
 }
@@ -290,7 +314,7 @@ pub struct Archive {
     /// Login sessions.
     pub sessions: SessionStore,
     /// Operation result cache (None = disabled).
-    pub cache: Option<ResultCache>,
+    pub cache: Option<Cache<ResultKey, CachedResult>>,
     /// Stored operation statistics.
     pub stats: StatisticsStore,
     /// Progress board for running jobs.
@@ -298,8 +322,8 @@ pub struct Archive {
     /// Sandbox limits applied to operation jobs.
     pub op_limits: Limits,
     /// Speculative FK-browse prefetch cache: parked federated query
-    /// outcomes, invalidated by the federation-wide write fingerprint.
-    pub prefetch: easia_med::PrefetchCache,
+    /// outcomes, versioned by the federation-wide write fingerprint.
+    pub prefetch: Cache<PrefetchKey, QueryOutcome>,
 }
 
 impl Archive {
@@ -313,7 +337,6 @@ impl Archive {
             token_ttl: 3600,
             secret: b"easia-archive-shared-secret".to_vec(),
             client_link: crate::paper_link_spec(),
-            cache_capacity: 64,
         }
     }
 
@@ -492,22 +515,23 @@ impl Archive {
         // guarantees the parked result is indistinguishable from a
         // live run.
         let fp = self.federation.write_fingerprint(&self.db);
-        match self.prefetch.take(sql, params, fp) {
-            easia_med::Lookup::Hit(mut out) => {
+        match self.prefetch.take(&prefetch_key(sql, params), fp) {
+            Lookup::Hit(parked) => {
                 self.obs
                     .metrics
                     .counter("easia_med_prefetch_hits_total", PREFETCH_HITS_HELP)
                     .inc();
+                let mut out = parked.value;
                 out.explain.prefetched = true;
-                return Ok(*out);
+                return Ok(out);
             }
-            easia_med::Lookup::Stale => {
+            Lookup::Stale => {
                 self.obs
                     .metrics
                     .counter("easia_med_prefetch_stale_total", PREFETCH_STALE_HELP)
                     .inc();
             }
-            easia_med::Lookup::Miss => {}
+            Lookup::Miss => {}
         }
         let out = self
             .federation
@@ -534,7 +558,10 @@ impl Archive {
         let fp = self.federation.write_fingerprint(&self.db);
         let todo: Vec<(String, Vec<Value>)> = queries
             .iter()
-            .filter(|(sql, params)| !self.prefetch.contains(sql, params, fp))
+            .filter(|(sql, params)| {
+                let parked = self.prefetch.peek(&prefetch_key(sql, params), fp);
+                !matches!(parked, Lookup::Hit(_))
+            })
             .cloned()
             .collect();
         if todo.is_empty() {
@@ -553,10 +580,11 @@ impl Archive {
         );
         // Stamped with the pre-run fingerprint: a write landing
         // mid-gather invalidates the outcome rather than hiding in it.
-        for ((sql, params), res) in todo.into_iter().zip(results) {
+        let now = self.net.now();
+        for ((sql, params), res) in todo.iter().zip(results) {
             if let Ok(out) = res {
                 issued.inc();
-                self.prefetch.insert(sql, params, fp, out);
+                self.prefetch.put(prefetch_key(sql, params), fp, now, out);
             }
         }
         self.clock.set(self.net.now() as u64);
@@ -705,15 +733,16 @@ impl Archive {
         }
         OperationCatalog::validate_params(&entry.op, params).map_err(ArchiveError::Op)?;
 
+        let key = (dataset_url.to_string(), op_name.to_string(), params.clone());
         if let Some(cache) = &mut self.cache {
-            if let Some(hit) = cache.get(op_name, dataset_url, params) {
+            if let Lookup::Hit(hit) = cache.get(&key, RESULT_VERSION) {
                 return Ok(OperationOutcome {
                     shipped_bytes: 0.0,
                     elapsed_secs: 0.0,
                     from_cache: true,
                     instructions: 0,
-                    outputs: hit.outputs,
-                    stdout: hit.stdout,
+                    outputs: hit.value.outputs.clone(),
+                    stdout: hit.value.stdout.clone(),
                 });
             }
         }
@@ -727,17 +756,21 @@ impl Archive {
         };
         let out = self.run_job(code, dataset_url, params, session_id)?;
         if let Some(cache) = &mut self.cache {
-            cache.put(
-                op_name,
-                dataset_url,
-                params,
-                CachedResult {
-                    outputs: out.outputs.clone(),
-                    stdout: out.stdout.clone(),
-                },
-            );
+            let result = CachedResult {
+                outputs: out.outputs.clone(),
+                stdout: out.stdout.clone(),
+            };
+            cache.put(key, RESULT_VERSION, self.net.now(), result);
         }
         Ok(out)
+    }
+
+    /// Forget every cached result of an operation over `dataset_url`
+    /// (its DATALINK was unlinked or replaced); returns how many went.
+    /// The URL is compared whole: `…/a.edf` leaves `…/a.edf2` cached.
+    pub fn invalidate_dataset(&mut self, dataset_url: &str) -> usize {
+        let cache = self.cache.as_mut();
+        cache.map_or(0, |c| c.retain(|(dataset, ..), _| dataset != dataset_url))
     }
 
     /// Upload user code and run it sandboxed against a dataset — the

@@ -15,38 +15,12 @@
 use easia_core::{turbulence, Archive};
 use easia_web::auth::Role;
 use easia_xuis::Widget;
-use std::alloc::{GlobalAlloc, Layout, System};
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 
-struct CountingAlloc;
+#[path = "../../../tests/support/counting_alloc.rs"]
+mod counting_alloc;
 
-// Relaxed: statistics that publish no other data.
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-static BYTES: AtomicU64 = AtomicU64::new(0);
-
-// SAFETY: every call is forwarded unchanged to `System`, which upholds
-// the `GlobalAlloc` contract; the counters never influence the result.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
-        // SAFETY: same layout the caller vouched for.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` came from `System` with this layout.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
-        // SAFETY: `ptr`/`layout` describe a live `System` block.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
+use counting_alloc::{counted, CountingAlloc};
 
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
@@ -57,20 +31,6 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 /// each GetImage and 7.2 KB for FieldStats measured, against 1.08 MB
 /// for a GetImage that copies the file first.
 const BUDGET_BYTES: u64 = 128 * 1024;
-
-/// Allocations and bytes allocated by `run`.
-fn counted<T>(run: impl FnOnce() -> T) -> (T, u64, u64) {
-    let (n0, b0) = (
-        ALLOCS.load(Ordering::Relaxed),
-        BYTES.load(Ordering::Relaxed),
-    );
-    let out = run();
-    let (n1, b1) = (
-        ALLOCS.load(Ordering::Relaxed),
-        BYTES.load(Ordering::Relaxed),
-    );
-    (out, n1 - n0, b1 - b0)
-}
 
 #[test]
 fn an_operation_reads_the_stored_dataset_in_place() {
@@ -127,7 +87,8 @@ fn an_operation_reads_the_stored_dataset_in_place() {
         run(&mut a, &urls[1], op, params);
     }
     for (op, params) in ops {
-        let (out, allocs, bytes) = counted(|| run(&mut a, &urls[0], op, params));
+        let (out, counts) = counted(|| run(&mut a, &urls[0], op, params));
+        let (allocs, bytes) = (counts.allocs, counts.bytes);
         println!("{op} {params:?}: {allocs} allocations, {bytes} bytes");
         assert!(
             bytes < BUDGET_BYTES,

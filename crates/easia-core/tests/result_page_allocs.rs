@@ -12,35 +12,12 @@
 
 use easia_core::{paper_link_spec, turbulence, Archive, WebApp};
 use easia_web::http::Request;
-use std::alloc::{GlobalAlloc, Layout, System};
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicU64, Ordering};
 
-struct CountingAlloc;
+#[path = "../../../tests/support/counting_alloc.rs"]
+mod counting_alloc;
 
-// Relaxed: a statistic that publishes no other data.
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-
-// SAFETY: every call is forwarded unchanged to `System`, which upholds
-// the `GlobalAlloc` contract; the counter never influences the result.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        // SAFETY: same layout the caller vouched for.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` came from `System` with this layout.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        // SAFETY: `ptr`/`layout` describe a live `System` block.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
+use counting_alloc::{counted, CountingAlloc};
 
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
@@ -111,9 +88,8 @@ fn a_5000_row_screen_stays_within_its_allocation_budget() {
         "the screen returns every file"
     );
     let request = screen();
-    let before = ALLOCS.load(Ordering::Relaxed);
-    let response = app.handle(request);
-    let allocations = ALLOCS.load(Ordering::Relaxed) - before;
+    let (response, counts) = counted(|| app.handle(request));
+    let allocations = counts.allocs;
     assert_eq!(response.body, warm.body);
     // Four operation-free cells and an operations column per row.
     assert!(response.body_text().contains("FieldStats"));

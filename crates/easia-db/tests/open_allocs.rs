@@ -13,45 +13,11 @@
 //! One test only: the counters are process-wide.
 
 use easia_db::{Database, Value};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
-struct CountingAlloc;
+#[path = "../../../tests/support/counting_alloc.rs"]
+mod counting_alloc;
 
-// Relaxed: statistics that publish no other data; the test is one thread.
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-static LIVE: AtomicUsize = AtomicUsize::new(0);
-static PEAK: AtomicUsize = AtomicUsize::new(0);
-
-fn grew(by: usize) {
-    let live = LIVE.fetch_add(by, Ordering::Relaxed) + by;
-    PEAK.fetch_max(live, Ordering::Relaxed);
-}
-
-// SAFETY: every call is forwarded unchanged to `System`, which upholds
-// the `GlobalAlloc` contract; the counters never influence the result.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        grew(layout.size());
-        // SAFETY: same layout the caller vouched for.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        LIVE.fetch_sub(layout.size(), Ordering::Relaxed);
-        // SAFETY: `ptr` came from `System` with this layout.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        LIVE.fetch_sub(layout.size(), Ordering::Relaxed);
-        grew(new_size);
-        // SAFETY: `ptr`/`layout` describe a live `System` block.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
+use counting_alloc::{counted, CountingAlloc};
 
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
@@ -103,9 +69,8 @@ fn open_holds_key_runs_not_rows_and_checkpoint_allocates_per_page() {
     // ---- checkpoint: per page, not per row ----
     let pages = db.table("RESULT_FILE").unwrap().heap.page_count() as u64;
     assert!(pages > 100, "{pages} pages");
-    let before = ALLOCS.load(Ordering::Relaxed);
-    db.checkpoint().unwrap();
-    let allocations = ALLOCS.load(Ordering::Relaxed) - before;
+    let ((), counts) = counted(|| db.checkpoint().unwrap());
+    let allocations = counts.allocs;
     println!("checkpoint: {allocations} allocations for {pages} pages, {ROWS} rows");
     assert!(
         allocations <= CHECKPOINT_FIXED + 2 * pages,
@@ -117,11 +82,8 @@ fn open_holds_key_runs_not_rows_and_checkpoint_allocates_per_page() {
 
     // ---- open: the image and the key runs, not the rows again ----
     let image = std::fs::metadata(dir.join("snapshot.db")).unwrap().len() as usize;
-    let before = LIVE.load(Ordering::Relaxed);
-    PEAK.store(before, Ordering::Relaxed);
-    let mut db = Database::open(&dir).unwrap();
-    let peak = PEAK.load(Ordering::Relaxed) - before;
-    let kept = LIVE.load(Ordering::Relaxed) - before;
+    let (mut db, counts) = counted(|| Database::open(&dir).unwrap());
+    let (peak, kept) = (counts.peak as usize, counts.kept as usize);
     let transient = peak - kept;
     println!(
         "open: peak {peak} B, kept {kept} B, image {image} B: {:.0} B/row beyond the image",

@@ -20,34 +20,11 @@
 use easia_db::exec::{run_select_over, Relation};
 use easia_db::sql::ast::Stmt;
 use easia_db::{Database, Value};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
 
-struct CountingAlloc;
+#[path = "../../../tests/support/counting_alloc.rs"]
+mod counting_alloc;
 
-// Relaxed: a statistic that publishes no other data.
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-
-// SAFETY: every call is forwarded unchanged to `System`, which upholds
-// the `GlobalAlloc` contract; the counter never influences the result.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        // SAFETY: same layout the caller vouched for.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` came from `System` with this layout.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        // SAFETY: `ptr`/`layout` describe a live `System` block.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
+use counting_alloc::{counted, CountingAlloc};
 
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
@@ -71,12 +48,6 @@ const PER_GROUP: u64 = 8;
 /// Parsing, binding and finishing an aggregate statement, a copy of each
 /// group's first row included: 104 and 175 measured, whatever the rows.
 const PER_AGGREGATE: u64 = 2 * PER_STATEMENT;
-
-fn counted<T>(run: impl FnOnce() -> T) -> (T, u64) {
-    let before = ALLOCS.load(Ordering::Relaxed);
-    let out = run();
-    (out, ALLOCS.load(Ordering::Relaxed) - before)
-}
 
 #[test]
 fn a_selective_scan_allocates_for_its_survivors_only() {
@@ -112,7 +83,8 @@ fn a_selective_scan_allocates_for_its_survivors_only() {
     let sql = "SELECT k, title FROM t WHERE title LIKE ?";
     let warm = db.execute_with_params(sql, &pattern).unwrap();
     assert_eq!(warm.rows.len(), SURVIVORS);
-    let (rs, allocations) = counted(|| db.execute_with_params(sql, &pattern).unwrap());
+    let (rs, counts) = counted(|| db.execute_with_params(sql, &pattern).unwrap());
+    let allocations = counts.allocs;
     println!("table: {allocations} allocations");
     assert_eq!(rs.rows, warm.rows);
     assert!(
@@ -135,8 +107,9 @@ fn a_selective_scan_allocates_for_its_survivors_only() {
         unreachable!()
     };
     let view = db.read_view();
-    let (over, allocations) =
+    let (over, counts) =
         counted(|| run_select_over(&db, &view, &sel, &pattern, &relation).unwrap());
+    let allocations = counts.allocs;
     println!("relation: {allocations} allocations");
     assert_eq!(over.rows, warm.rows);
     assert!(
@@ -154,7 +127,8 @@ fn a_selective_scan_allocates_for_its_survivors_only() {
         "SELECT k % 3, COUNT(*), MIN(reynolds), AVG(grid_size) FROM t GROUP BY k % 3",
     ] {
         let warm = db.execute(sql).unwrap();
-        let (rs, allocations) = counted(|| db.execute(sql).unwrap());
+        let (rs, counts) = counted(|| db.execute(sql).unwrap());
+        let allocations = counts.allocs;
         println!("{sql}: {allocations} allocations");
         assert_eq!(rs.rows, warm.rows);
         assert!(
@@ -190,7 +164,8 @@ fn a_selective_scan_allocates_for_its_survivors_only() {
     ] {
         let warm = db.execute_with_params(sql, &pattern).unwrap();
         assert_eq!(warm.rows.len(), rows);
-        let (rs, allocations) = counted(|| db.execute_with_params(sql, &pattern).unwrap());
+        let (rs, counts) = counted(|| db.execute_with_params(sql, &pattern).unwrap());
+        let allocations = counts.allocs;
         println!("{label}: {allocations} allocations");
         assert_eq!(rs.rows, warm.rows);
         assert!(
@@ -205,7 +180,8 @@ fn a_selective_scan_allocates_for_its_survivors_only() {
                GROUP BY title ORDER BY MIN(reynolds) DESC";
     let warm = db.execute_with_params(sql, &pattern).unwrap();
     assert_eq!(warm.rows.len(), SURVIVORS);
-    let (rs, allocations) = counted(|| db.execute_with_params(sql, &pattern).unwrap());
+    let (rs, counts) = counted(|| db.execute_with_params(sql, &pattern).unwrap());
+    let allocations = counts.allocs;
     println!("grouped: {allocations} allocations");
     assert_eq!(rs.rows, warm.rows);
     let ceiling = PER_STATEMENT + PER_GROUP * SURVIVORS as u64;
@@ -223,7 +199,8 @@ fn a_selective_scan_allocates_for_its_survivors_only() {
     let on = |db: &mut Database, table: &str| {
         let sql = sql.replace("{t}", table);
         let warm = db.execute(&sql).unwrap();
-        let (rs, allocations) = counted(|| db.execute(&sql).unwrap());
+        let (rs, counts) = counted(|| db.execute(&sql).unwrap());
+        let allocations = counts.allocs;
         assert_eq!(rs.rows, warm.rows);
         (rs.rows, allocations)
     };

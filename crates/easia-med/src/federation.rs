@@ -40,18 +40,18 @@
 //!    [`crate::breaker::Breaker`] so later queries stop paying scatter
 //!    timeouts for a known-dead site; a half-open probe re-admits it.
 //! 3. **Stale replica** — under [`PartialPolicy::Degraded`] a down
-//!    site is served from the hub's [`crate::replica::ReplicaCache`]
-//!    copy, explicitly annotated as stale.
+//!    site is served from the hub's replica copy (a [`Cache`] entry),
+//!    explicitly annotated as stale.
 //! 4. **Skip or fail** — `PARTIAL` skips the dead site and annotates
 //!    the answer; the default fail-closed policy raises a typed
 //!    [`FedError::SiteUnavailable`] with a retry-after hint.
 
 use crate::breaker::{Breaker, BreakerState};
+use crate::cache::Cache;
 use crate::catalog::{CatalogError, FedCatalog, Partition};
 use crate::explain::FedExplain;
 use crate::legs::Run;
 use crate::remote::RemoteError;
-use crate::replica::ReplicaCache;
 use easia_db::{Database, DbError, ResultSet, Value};
 use easia_net::{HostId, RetryPolicy, SimNet};
 use easia_obs::Obs;
@@ -73,6 +73,9 @@ pub const DEFAULT_BREAKER_COOLDOWN_SECS: f64 = 120.0;
 /// Beyond this the keyed scan degrades to a full-partition ship (the
 /// IN-list itself would dominate the wire cost).
 pub const DEFAULT_SEMIJOIN_MAX_KEYS: usize = 1024;
+/// Bound on replica copies: one per `(site, table)`, far above the
+/// sites × tables of any catalogue the archive federates.
+const REPLICA_CAPACITY: usize = 64;
 
 /// Federated-query failures.
 #[derive(Debug, Clone)]
@@ -164,6 +167,9 @@ pub struct Site {
     pub db: Rc<RefCell<Database>>,
     pub(crate) up: Cell<bool>,
     pub(crate) breaker: RefCell<Breaker>,
+    /// The write counter of the last batch the hub accepted from the
+    /// site: the version its replica copies are looked up under.
+    pub(crate) write_counter: Cell<u64>,
 }
 
 impl Site {
@@ -231,8 +237,24 @@ pub struct Federation {
     /// Registered sites by server name.
     pub(crate) sites: BTreeMap<String, Site>,
     /// Hub-side stale-replica cache (None = caching disabled).
-    pub(crate) cache: Option<RefCell<ReplicaCache>>,
+    pub(crate) replicas: Option<Replicas>,
 }
+
+/// The hub's copies of small foreign partitions, keyed on
+/// `(site, table)` and versioned by the site's write counter. A copy
+/// serves a live site's scan while it is at most `ttl_secs` old, and a
+/// down site's under [`PartialPolicy::Degraded`] at any age.
+pub(crate) struct Replicas {
+    pub(crate) ttl_secs: f64,
+    /// Only partitions estimated at this many rows or fewer are copied
+    /// (copying a multi-gigabyte partition would defeat federating).
+    pub(crate) max_rows: u64,
+    pub(crate) copies: RefCell<Copies>,
+}
+
+/// Replica copies by `(site, table)`: each the whole partition, all
+/// columns, in site order.
+pub(crate) type Copies = Cache<(String, String), Vec<Vec<Value>>>;
 
 impl Default for Federation {
     fn default() -> Self {
@@ -247,7 +269,7 @@ impl Default for Federation {
             deadline_secs: DEFAULT_DEADLINE_SECS,
             breaker_threshold: DEFAULT_BREAKER_THRESHOLD,
             semijoin_max_keys: DEFAULT_SEMIJOIN_MAX_KEYS,
-            cache: None,
+            replicas: None,
         }
     }
 }
@@ -265,6 +287,7 @@ impl Federation {
                 db: Rc::new(RefCell::new(db)),
                 up: Cell::new(true),
                 breaker: RefCell::new(Breaker::default()),
+                write_counter: Cell::new(0),
             },
         );
         &self.sites[name]
@@ -273,7 +296,11 @@ impl Federation {
     /// Enable the stale-replica cache: copies live for `ttl_secs`, only
     /// partitions estimated at `max_rows` rows or fewer are cached.
     pub fn enable_replica_cache(&mut self, ttl_secs: f64, max_rows: u64) {
-        self.cache = Some(RefCell::new(ReplicaCache::new(ttl_secs, max_rows)));
+        self.replicas = Some(Replicas {
+            ttl_secs,
+            max_rows,
+            copies: RefCell::new(Cache::new(REPLICA_CAPACITY)),
+        });
     }
 
     /// Eagerly register every federation metric family (including the

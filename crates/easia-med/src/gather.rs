@@ -9,6 +9,7 @@
 //! the degradation ladder ([`crate::ladder`]) and books the outcome.
 
 use crate::breaker::BreakerCheck;
+use crate::cache::Lookup;
 use crate::catalog::{CatalogError, ForeignTable};
 use crate::explain::{FedExplain, Shipping, SiteExplain, SiteSource};
 use crate::federation::{FedError, Federation, Site, DEFAULT_WINDOW};
@@ -36,8 +37,6 @@ pub(crate) struct Pending<'a> {
     /// Count of fully-received batches == next expected sequence
     /// number == the `resume_from` cursor for a retry.
     pub(crate) cursor: u64,
-    /// Write counter from the most recent batch header.
-    last_write_counter: u64,
     /// Wire bytes this stream *actually* moved over the WAN: request
     /// frames (including retry re-ships) plus every **delivered** batch
     /// frame — even one the sequence check then discards. This is
@@ -227,29 +226,32 @@ impl Federation {
                         )?;
                         continue;
                     }
-                    // Rung 3 (happy side): a fresh replica copy answers
-                    // with zero WAN traffic.
-                    if let Some(cache) = &self.cache {
-                        let mut c = cache.borrow_mut();
-                        if let Some(e) = c.fresh(&site.name, &ft.name, net.now()) {
-                            let rows = g.shipped_from_raw(hub_db, &e.rows)?;
-                            drop(c);
-                            CACHE_HITS.add(obs, &site.name, 1);
-                            explain.sites.push(SiteExplain {
-                                source: SiteSource::CacheFresh,
-                                ..base
-                            });
-                            gathered.extend(rows);
-                            continue;
+                    // Rung 3 (happy side): a replica copy no older than
+                    // the TTL answers with zero WAN traffic.
+                    if let Some(r) = &self.replicas {
+                        let mut copies = r.copies.borrow_mut();
+                        let key = (site.name.clone(), ft.name.clone());
+                        match copies.get(&key, site.write_counter.get()) {
+                            Lookup::Hit(e) if net.now() - e.stored_at <= r.ttl_secs => {
+                                let rows = g.shipped_from_raw(hub_db, &e.value)?;
+                                CACHE_HITS.add(obs, &site.name, 1);
+                                explain.sites.push(SiteExplain {
+                                    source: SiteSource::CacheFresh,
+                                    ..base
+                                });
+                                gathered.extend(rows);
+                                continue;
+                            }
+                            _ => {}
                         }
                     }
                     // WAN scan. Cacheable partitions ship the *full*
                     // partition (all columns, no predicate/top-k) so the
                     // reply can refill the replica cache.
                     let cache_fill = self
-                        .cache
+                        .replicas
                         .as_ref()
-                        .is_some_and(|c| c.borrow().cacheable(p.est_rows.get()));
+                        .is_some_and(|r| p.est_rows.get() <= r.max_rows);
                     let req = if cache_fill {
                         ScanRequest {
                             table: ft.name.clone(),
@@ -271,7 +273,6 @@ impl Federation {
                         frames: Vec::new().into_iter(),
                         rows: Vec::new(),
                         cursor: 0,
-                        last_write_counter: 0,
                         bytes: 0,
                         retries: 0,
                         failed: false,
@@ -474,8 +475,8 @@ impl Federation {
     }
 
     /// Decode a delivered batch frame into `p`, enforcing sequence
-    /// contiguity and feeding the write counter to the replica cache's
-    /// invalidation protocol.
+    /// contiguity and noting the site's write counter: the version its
+    /// replica copies are stored and looked up under.
     ///
     /// Callers account `frame.len()` into `p.bytes` *before* this runs:
     /// a delivered-but-out-of-sequence frame still crossed the WAN, so
@@ -491,12 +492,7 @@ impl Federation {
             return Ok(());
         }
         p.cursor += 1;
-        p.last_write_counter = batch.write_counter;
-        if let Some(cache) = &self.cache {
-            cache
-                .borrow_mut()
-                .note_write_counter(&p.site.name, batch.write_counter);
-        }
+        p.site.write_counter.set(batch.write_counter);
         p.rows.extend(batch.rows);
         Ok(())
     }
@@ -577,14 +573,10 @@ impl Federation {
                 // A cache-refilling scan shipped the raw partition; the
                 // replica keeps it even when this statement cannot use it.
                 let shipped = g.shipped_from_raw(hub_db, &p.rows);
-                if let Some(cache) = &self.cache {
-                    cache.borrow_mut().store(
-                        &p.site.name,
-                        &g.ft.name,
-                        p.rows,
-                        p.last_write_counter,
-                        net.now(),
-                    );
+                if let Some(r) = &self.replicas {
+                    let key = (p.site.name.clone(), g.ft.name.clone());
+                    let version = p.site.write_counter.get();
+                    r.copies.borrow_mut().put(key, version, net.now(), p.rows);
                 }
                 gathered.extend(shipped?);
             } else {
@@ -631,7 +623,6 @@ mod tests {
             frames: Vec::new().into_iter(),
             rows: Vec::new(),
             cursor: 0,
-            last_write_counter: 0,
             bytes: 0,
             retries: 0,
             failed: false,
@@ -660,5 +651,34 @@ mod tests {
             p.bytes, expected,
             "wire bytes = all delivered traffic, not useful payload"
         );
+    }
+
+    #[test]
+    fn only_partitions_within_max_rows_refill_the_replica() {
+        for (max_rows, copied) in [(4, false), (5, true)] {
+            let mut net = SimNet::new();
+            let hub = net.add_host("hub", 4);
+            let cam = net.add_host("cam", 2);
+            net.connect(hub, cam, easia_net::LinkSpec::symmetric(1e6, 0.01));
+            let mut fed = Federation::default();
+            fed.add_site("cam", cam, Database::new_in_memory());
+            fed.enable_replica_cache(300.0, max_rows);
+            let mut hub_db = Database::new_in_memory();
+            let seed = |db: &mut Database, _: &str, _: u64| {
+                db.execute("CREATE TABLE SIM (N INTEGER)").unwrap();
+                for n in 0..5 {
+                    db.execute(&format!("INSERT INTO SIM VALUES ({n})"))
+                        .unwrap();
+                }
+            };
+            fed.partition_tables(&mut hub_db, "hub", &["cam"], &["SIM"], None, seed)
+                .unwrap();
+            let sql = "SELECT N FROM SIM WHERE N > 2";
+            let out = fed.query(&mut net, hub, &mut hub_db, None, sql, &[]);
+            let sites = out.unwrap().explain.sites;
+            let cam = sites.iter().find(|s| s.site == "cam").unwrap();
+            let fill = matches!(cam.source, SiteSource::CacheFill);
+            assert_eq!(fill, copied, "a 5-row partition under max_rows {max_rows}");
+        }
     }
 }

@@ -2,6 +2,7 @@
 //! immediately: retry with resume, the circuit breaker, the stale
 //! replica, then skip or fail (see [`crate::federation`]).
 
+use crate::cache::Lookup;
 use crate::explain::{FedExplain, StaleSite};
 use crate::federation::{FedError, Federation, PartialPolicy, Site, DEFAULT_BREAKER_COOLDOWN_SECS};
 use crate::gather::{Pending, TableGather};
@@ -107,22 +108,23 @@ impl Federation {
                 None => self.unavailable(net, site),
             });
         }
-        // Under `Degraded` the replica's raw full-partition rows are
-        // converted the same way a live reply would be.
-        let served = match &self.cache {
-            Some(cache) if self.policy == PartialPolicy::Degraded => {
-                cache.borrow_mut().any(&site.name, &g.ft.name).map(|e| {
-                    (
-                        e.rows.clone(),
-                        (net.now() - e.fetched_at).ceil().max(0.0) as u64,
-                    )
-                })
+        // Under `Degraded` stale beats absent: a replica copy of any age
+        // is converted from where it lies, as a live reply would be.
+        let served = match &self.replicas {
+            Some(r) if self.policy == PartialPolicy::Degraded => {
+                let key = (site.name.clone(), g.ft.name.clone());
+                match r.copies.borrow_mut().get(&key, site.write_counter.get()) {
+                    Lookup::Hit(e) => Some((
+                        g.shipped_from_raw(hub_db, &e.value)?,
+                        (net.now() - e.stored_at).ceil().max(0.0) as u64,
+                    )),
+                    _ => None,
+                }
             }
             _ => None,
         };
         match served {
-            Some((raw, age_secs)) => {
-                let rows = g.shipped_from_raw(hub_db, &raw)?;
+            Some((rows, age_secs)) => {
                 CACHE_STALE_SERVED.add(obs, &site.name, 1);
                 explain.stale.push(StaleSite {
                     site: site.name.clone(),

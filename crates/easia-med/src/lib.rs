@@ -33,12 +33,11 @@
 //!   (every `easia_med_*` family, stated once).
 //! * [`breaker`] — per-site circuit breakers (closed/open/half-open)
 //!   with fault-schedule-derived cooldowns.
-//! * [`replica`] — the hub's stale-replica cache of small partitions,
-//!   invalidated by site write counters shipped in batch headers.
-//! * [`prefetch`] — the speculative FK-browse prefetch cache: the next
-//!   screen's keyed scans run while the current screen renders, with
-//!   parked results invalidated by the federation-wide write
-//!   fingerprint.
+//! * [`cache`] — the one bounded, versioned store behind every cache of
+//!   the archive: the hub's stale replicas of small partitions
+//!   (versioned by site write counters shipped in batch headers), the
+//!   speculative FK-browse prefetch (by the federation-wide write
+//!   fingerprint) and the operation results.
 //! * [`explain`] — the `EXPLAIN FEDERATED` report (pushed vs.
 //!   hub-evaluated conjuncts, estimated vs. actual rows shipped,
 //!   retries, cache sources, stale serves), built during execution or
@@ -47,6 +46,7 @@
 #![deny(missing_docs)]
 
 pub mod breaker;
+pub mod cache;
 pub mod catalog;
 pub mod explain;
 pub mod federation;
@@ -56,21 +56,18 @@ mod legs;
 mod merge;
 mod metrics;
 pub mod planner;
-pub mod prefetch;
 pub mod remote;
-pub mod replica;
 pub mod wire;
 
 pub use breaker::{Breaker, BreakerCheck, BreakerState};
+pub use cache::{Cache, CacheStats, Lookup};
 pub use catalog::{CatalogError, FedCatalog, ForeignTable, Partition};
 pub use explain::{AggExplain, FedExplain, SiteExplain, SiteSource, StaleSite};
 pub use federation::{
     FedError, Federation, PartialPolicy, QueryOutcome, Site, DEFAULT_DEADLINE_SECS,
 };
 pub use planner::{plan_select, AggPlan, Finisher, TablePlan};
-pub use prefetch::{Lookup, PrefetchCache, DEFAULT_PREFETCH_CAPACITY};
 pub use remote::{serve_scan, RemoteError, DEFAULT_BATCH_ROWS};
-pub use replica::{CacheEntry, ReplicaCache};
 pub use wire::{
     decode_batch, encode_batch, AggCall, Batch, PartialAggSpec, ScanRequest, WireError,
 };

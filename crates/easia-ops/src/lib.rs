@@ -21,13 +21,13 @@
 //!   collect outputs,
 //! * [`catalog`] — operations resolved from XUIS markup, with `<if>`
 //!   condition filtering and guest-access policy,
-//! * extensions from the paper's "Future" slide: [`cache`] (operation
-//!   result caching), [`statistics`] (stored execution statistics),
-//!   [`monitor`] (runtime progress), [`chain`] (operation chaining and
-//!   multi-dataset operations).
+//! * extensions from the paper's "Future" slide: [`statistics`] (stored
+//!   execution statistics), [`monitor`] (runtime progress), [`chain`]
+//!   (operation chaining and multi-dataset operations). Operation
+//!   results are cached by the archive (`easia-core`) in the one
+//!   versioned store every cache uses (`easia_med::cache`).
 
 pub mod asm;
-pub mod cache;
 pub mod catalog;
 pub mod chain;
 pub mod job;

@@ -20,34 +20,11 @@ use easia_sci::slice::{extract_plane, Axis};
 use easia_sci::stats::dataset_stats;
 use easia_sci::{FieldSpec, TurbulenceField};
 use proptest::prelude::*;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
 
-struct CountingAlloc;
+#[path = "../../../tests/support/counting_alloc.rs"]
+mod counting_alloc;
 
-// Relaxed: a statistic that publishes no other data.
-static BYTES: AtomicU64 = AtomicU64::new(0);
-
-// SAFETY: every call is forwarded unchanged to `System`, which upholds
-// the `GlobalAlloc` contract; the counter never influences the result.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
-        // SAFETY: same layout the caller vouched for.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` came from `System` with this layout.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
-        // SAFETY: `ptr`/`layout` describe a live `System` block.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
+use counting_alloc::{counted, CountingAlloc};
 
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
@@ -84,9 +61,8 @@ fn sample() -> (Vec<u8>, Vec<usize>) {
 /// Run one reader call, failing the case when it allocates more than
 /// in proportion to `len` input bytes.
 fn bounded<T>(what: &str, len: usize, call: impl FnOnce() -> T) -> Result<T, TestCaseError> {
-    let before = BYTES.load(Ordering::Relaxed);
-    let out = call();
-    let spent = BYTES.load(Ordering::Relaxed) - before;
+    let (out, counts) = counted(call);
+    let spent = counts.bytes;
     let cap = PER_BYTE * len as u64 + CONSTANT;
     prop_assert!(
         spent <= cap,

@@ -268,11 +268,44 @@ fn unlink_restores_files_and_invalidates_cache_key_space() {
         &[easia_db::Value::Str(stored.clone())],
     )
     .unwrap();
-    if let Some(cache) = &mut a.cache {
-        assert!(cache.invalidate_dataset(&stored) >= 1);
-    }
+    assert!(a.invalidate_dataset(&stored) >= 1);
     // ON UNLINK RESTORE: the file still exists, now unlinked.
     let server = a.server(&host).unwrap().1.clone();
     assert!(server.borrow().exists(&path));
     assert!(server.borrow().link_state(&path).is_none());
+}
+
+#[test]
+fn invalidating_a_dataset_keeps_the_results_of_a_longer_url() {
+    let mut a = demo();
+    let rs =
+        a.db.execute("SELECT DLURLPATH(download_result) FROM result_file LIMIT 1")
+            .unwrap();
+    let seeded = rs.rows[0][0].to_string();
+    let server = a.server("fs1.example").unwrap().1.clone();
+    let content = server.borrow().store().get(&seeded).unwrap().clone();
+    let run = |a: &mut Archive, url: &str| {
+        let out = a.run_operation(
+            "RESULT_FILE",
+            "FieldStats",
+            url,
+            &BTreeMap::new(),
+            Role::Guest,
+            "it",
+        );
+        out.unwrap().from_cache
+    };
+    let mut urls = Vec::new();
+    for path in ["/d/a.edf", "/d/a.edf2"] {
+        let url = a.archive_file_local("fs1.example", path, content.clone());
+        urls.push(url.unwrap());
+    }
+    for url in &urls {
+        assert!(!run(&mut a, url), "{url}: a first run misses");
+        assert!(run(&mut a, url), "{url}: a second run hits");
+    }
+    // The first URL is a prefix of the second: only its own result goes.
+    assert_eq!(a.invalidate_dataset(&urls[0]), 1);
+    assert!(run(&mut a, &urls[1]), "a.edf2 is still cached");
+    assert!(!run(&mut a, &urls[0]), "a.edf runs again");
 }
