@@ -15,7 +15,7 @@ use crate::sql::ast::{ColumnDefAst, Stmt, TableConstraint};
 use crate::sql::parse;
 use crate::storage::{HeapTable, RowId};
 use crate::txn::{seal_batch, Wal, WalCorruption, WalRecord};
-use crate::value::{decode_row_into, encode_row, Value};
+use crate::value::{decode_row_into, encode_row, Lent, Value};
 use std::collections::{BTreeMap, HashSet};
 use std::path::{Path, PathBuf};
 use std::rc::Rc;
@@ -401,6 +401,24 @@ impl Database {
     pub fn execute_with_params(&mut self, sql: &str, params: &[Value]) -> Result<ResultSet> {
         let stmt = parse(sql)?;
         self.execute_stmt(stmt, params, Some(sql))
+    }
+
+    /// Run a SELECT with positional `?` parameters, lending each result
+    /// row to `each` as [`exec::run_select_each`] does, instead of
+    /// collecting a result set.
+    pub fn execute_each(
+        &self,
+        sql: &str,
+        params: &[Value],
+        mut each: impl FnMut(Lent),
+    ) -> Result<()> {
+        let Stmt::Select(sel) = parse(sql)? else {
+            return Err(DbError::Eval("execute_each runs a SELECT".into()));
+        };
+        if let Some(m) = &self.metrics {
+            m.statement(crate::obs::StmtKind::Select);
+        }
+        exec::run_select_each(self, &self.stmt_view(), &sel, params, &[], &mut each).map(drop)
     }
 
     fn execute_stmt(

@@ -23,7 +23,8 @@ use crate::plan::{
 use crate::schema::{DatalinkSpec, TableSchema};
 use crate::sql::ast::{is_aggregate_fn, BinaryOp, Expr, JoinKind, SelectItem, SelectStmt};
 use crate::storage::RowId;
-use crate::value::{decode_some_into, encode_key_cell, Value};
+use crate::value::{assign, decode_some_into, encode_key_cell, encode_row, Lent, Records, Value};
+use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::collections::{HashMap, HashSet};
 
@@ -36,7 +37,8 @@ fn holds(ctx: &EvalContext, pred: &Bound) -> Result<bool> {
 /// merge binds each gathered federation leg as one). A FROM/JOIN name
 /// matching a supplied relation denotes it before the catalogue. A
 /// relation is always a full scan and always visible; it has no indexes
-/// and no DATALINK spec.
+/// and no DATALINK spec. Its rows are records, read through the scan a
+/// heap page's are.
 #[derive(Debug, Clone)]
 pub struct Relation {
     /// The table name the relation answers to (case-insensitive).
@@ -44,7 +46,24 @@ pub struct Relation {
     /// Column names, in row order.
     pub columns: Vec<String>,
     /// The rows.
-    pub rows: Vec<Vec<Value>>,
+    pub rows: Records,
+    /// Read a DATALINK cell as a CLOB of its URL: the hub sees a foreign
+    /// link's text, link control stays with the site that owns it.
+    pub links_as_clob: bool,
+}
+
+impl Relation {
+    /// A relation of `rows`, read back as they are.
+    pub fn from_rows(name: &str, columns: Vec<String>, rows: &[Vec<Value>]) -> Relation {
+        let mut records = Records::default();
+        rows.iter().for_each(|row| records.push(row));
+        Relation {
+            name: name.to_string(),
+            columns,
+            rows: records,
+            links_as_clob: false,
+        }
+    }
 }
 
 /// What a FROM/JOIN table name denotes.
@@ -72,37 +91,16 @@ impl<'a> Source<'a> {
         }
     }
 
+    /// Does it read DATALINK cells as CLOB ([`Relation::links_as_clob`])?
+    fn links_as_clob(&self) -> bool {
+        matches!(self, Source::Relation(r) if r.links_as_clob)
+    }
+
     /// The catalogue schema that types the columns; a relation has none.
     fn schema(&self) -> Option<&'a TableSchema> {
         match self {
             Source::Relation(_) => None,
             Source::Table(t) => Some(&t.schema),
-        }
-    }
-
-    /// Lend each row `view` can see along `path` to `pass`, in storage
-    /// order, and each that passes to `take`, decoding only `cells` (see
-    /// [`fetch`]); returns how many rows it visited. A relation has no
-    /// indexes and no versions: it is visited whole, each row lent as it
-    /// is.
-    fn scan(
-        &self,
-        db: &Database,
-        view: &ReadView,
-        path: AccessPath,
-        cells: Cells,
-        mut pass: impl FnMut(&[Value]) -> Result<bool>,
-        mut take: impl FnMut(&[Value]) -> Result<()>,
-    ) -> (usize, Result<()>) {
-        match self {
-            Source::Relation(r) => {
-                let visited = r.rows.iter().try_for_each(|row| match pass(row)? {
-                    true => take(row),
-                    false => Ok(()),
-                });
-                (r.rows.len(), visited)
-            }
-            Source::Table(t) => fetch(db, view, t, path, cells, pass, |_, row| take(row)),
         }
     }
 }
@@ -116,6 +114,8 @@ struct Cells<'m> {
     sieve: &'m Sieve,
     filter: &'m [bool],
     all: &'m [bool],
+    /// DATALINK cells decode as CLOB ([`Relation::links_as_clob`]).
+    links_as_clob: bool,
 }
 
 /// Every cell of every row, unsieved.
@@ -123,20 +123,33 @@ const WHOLE: Cells = Cells {
     sieve: &Sieve::NONE,
     filter: &[],
     all: &[],
+    links_as_clob: false,
 };
 
-/// Lend the rows of catalogue table `t` visible to `view`, read along
-/// `path` in heap order, to `pass`, and each that passes to `take` with
-/// its row id; see [`sift`].
-fn fetch(
+/// Lend the rows of `source` visible to `view`, read along `path` in
+/// storage order, to `pass`, and each that passes to `take` with its row
+/// id; see [`sift`]. A relation has no indexes and no versions: its
+/// records are visited whole, each row id its position.
+fn fetch<'r>(
     db: &Database,
     view: &ReadView,
-    t: &Table,
+    source: Source<'r>,
     path: AccessPath,
     cells: Cells,
     pass: impl FnMut(&[Value]) -> Result<bool>,
-    take: impl FnMut(RowId, &mut Vec<Value>) -> Result<()>,
+    take: impl FnMut((RowId, &'r [u8]), &mut Vec<Value>) -> Result<()>,
 ) -> (usize, Result<()>) {
+    let t = match source {
+        Source::Table(t) => t,
+        Source::Relation(r) => {
+            let records = (0..).map(RowId).zip(r.rows.iter());
+            let cells = Cells {
+                links_as_clob: source.links_as_clob(),
+                ..cells
+            };
+            return sift(records, cells, pass, take);
+        }
+    };
     let visible = db.row_visibility(&t.schema.name, view);
     match path {
         AccessPath::FullScan => {
@@ -184,10 +197,11 @@ fn fetch(
 /// ([`Sieve::keeps`]); decode the filter's cells of a record it keeps
 /// ([`decode_some_into`]) into a scratch row and lend it to `pass`;
 /// decode a row that passes again, with all its cells, into a second
-/// scratch row and lend that to `take`, which copies out (or takes) what
-/// it keeps. A record the sieve refuses is walked once and nothing of it
-/// decoded or evaluated; each scratch row refills the buffers it already
-/// owns, so a rejected row allocates nothing. Returns the number of
+/// scratch row and lend that to `take`, beside its row id and record,
+/// which copies out (or takes) what it keeps. A record the sieve refuses
+/// is walked once and nothing of it decoded or evaluated; each scratch
+/// row refills the buffers it already owns, so a rejected row allocates
+/// nothing. Returns the number of
 /// records, also when a closure or the decoder raises part-way — the
 /// first error is the one returned, and what it left unvisited was a
 /// candidate all the same.
@@ -195,7 +209,7 @@ fn sift<'r>(
     mut records: impl Iterator<Item = (RowId, &'r [u8])>,
     cells: Cells,
     mut pass: impl FnMut(&[Value]) -> Result<bool>,
-    mut take: impl FnMut(RowId, &mut Vec<Value>) -> Result<()>,
+    mut take: impl FnMut((RowId, &'r [u8]), &mut Vec<Value>) -> Result<()>,
 ) -> (usize, Result<()>) {
     let (mut sieved, mut whole) = (Vec::new(), Vec::new());
     let twice = cells.filter != cells.all;
@@ -206,15 +220,16 @@ fn sift<'r>(
             if !kept {
                 return Ok(());
             }
-            decode_some_into(record, &mut 0, &mut sieved, cells.filter)?;
+            let links = cells.links_as_clob;
+            decode_some_into(record, &mut 0, &mut sieved, cells.filter, links)?;
             if !pass(&sieved)? {
                 return Ok(());
             }
             if !twice {
-                return take(rid, &mut sieved);
+                return take((rid, record), &mut sieved);
             }
-            decode_some_into(record, &mut 0, &mut whole, cells.all)?;
-            take(rid, &mut whole)
+            decode_some_into(record, &mut 0, &mut whole, cells.all, links)?;
+            take((rid, record), &mut whole)
         });
         if visited.is_err() {
             break;
@@ -249,7 +264,8 @@ pub fn collect_matching(
     let t = db
         .table(table)
         .ok_or_else(|| DbError::Catalog(format!("table {table} does not exist")))?;
-    let schema = RowSchema::for_table(table, &Source::Table(t).columns());
+    let source = Source::Table(t);
+    let schema = RowSchema::for_table(table, &source.columns());
     let pred = where_clause.map(|w| schema.bind(w, db.functions(), &[]));
     let pred = pred.transpose()?;
     let (path, sieve) = choose_bound(t, pred.as_ref(), params);
@@ -263,7 +279,7 @@ pub fn collect_matching(
         sieve: &sieve,
         ..WHOLE
     };
-    let (candidates, read) = fetch(db, view, t, path, cells, pass, |rid, row| {
+    let (candidates, read) = fetch(db, view, source, path, cells, pass, |(rid, _), row| {
         matching.push((rid, std::mem::take(row)));
         Ok(())
     });
@@ -364,6 +380,37 @@ pub fn run_select_over(
     params: &[Value],
     relations: &[Relation],
 ) -> Result<ResultSet> {
+    select(db, view, sel, params, relations, None)
+}
+
+/// [`run_select_over`], lending each result row to `each` instead of
+/// keeping it: as the row passes when nothing orders the rows, at the
+/// end under ORDER BY or an aggregate. Returns the result's columns. A
+/// statement that fails may have lent rows before its error was known;
+/// they are not its answer.
+pub fn run_select_each(
+    db: &Database,
+    view: &ReadView,
+    sel: &SelectStmt,
+    params: &[Value],
+    relations: &[Relation],
+    each: &mut dyn FnMut(Lent),
+) -> Result<Vec<String>> {
+    select(db, view, sel, params, relations, Some(each)).map(|rs| rs.columns)
+}
+
+/// A reader each result row is lent to.
+type Lend<'a> = &'a mut dyn FnMut(Lent);
+
+/// A SELECT whose rows are lent to `lend`, or kept in the result set.
+fn select<'a>(
+    db: &'a Database,
+    view: &ReadView,
+    sel: &SelectStmt,
+    params: &[Value],
+    relations: &'a [Relation],
+    lend: Option<Lend<'a>>,
+) -> Result<ResultSet> {
     // Table-less SELECT: evaluate items against an empty row.
     let Some(from) = &sel.from else {
         let (mut columns, mut items) = (Vec::new(), Vec::new());
@@ -375,9 +422,17 @@ pub fn run_select_over(
             items.push(RowSchema::default().bind(expr, db.functions(), &[])?);
         }
         let ctx = EvalContext::new(&[], params);
+        let row: Vec<Value> = items.iter().map(|e| ctx.eval(e)).collect::<Result<_>>()?;
+        let rows = match lend {
+            Some(each) => {
+                each(Lent::Cells(&row));
+                Vec::new()
+            }
+            None => vec![row],
+        };
         return Ok(ResultSet {
             columns,
-            rows: vec![items.iter().map(|e| ctx.eval(e)).collect::<Result<_>>()?],
+            rows,
             affected: 0,
         });
     };
@@ -404,6 +459,7 @@ pub fn run_select_over(
         mut sink,
         ..
     } = BoundSelect::bind(db.functions(), sel, &columns, &specs)?;
+    sink.output.reader = lend;
     let base_width = columns[0].len();
 
     // ---- plan: each leg's probe, the base table's path ----
@@ -445,14 +501,20 @@ pub fn run_select_over(
 
     // ---- stream ----
     // The cells the scan's own filter reads are decoded for every row it
-    // visits, the rest of the statement's only for a row that passes.
+    // visits, the rest of the statement's only for a row that passes —
+    // by the scan, or for a JOIN's base by the join, from its record.
     let scan_filter = if legs.is_empty() {
         filter.iter().collect()
     } else {
         own
     };
+    // A statement that lends every stored column as it is, as the rows
+    // pass, lends the record itself: none of its cells are decoded but
+    // the filter's.
+    sink.records = legs.is_empty() && matches!(sources[0], Source::Table(_));
+    sink.records &= sink.lends_stored_rows(base_width);
     let mut filter_reads = read.clone();
-    if !scan_filter.is_empty() {
+    if !scan_filter.is_empty() || !legs.is_empty() || sink.records {
         filter_reads.fill(false);
         scan_filter.iter().for_each(|e| e.reads(&mut filter_reads));
     }
@@ -461,20 +523,22 @@ pub fn run_select_over(
         None => Ok(true),
     };
     let mut passed = 0;
-    let mut accept = |row: &[Value], sink: &mut Sink| {
+    let mut accept = |row: &[Value], record: Option<&[u8]>, sink: &mut Sink| {
         passed += 1;
-        sink.take(db, &EvalContext::new(row, params));
+        sink.take(db, &EvalContext::new(row, params), record);
     };
     if legs.is_empty() {
         let cells = Cells {
             sieve: &sieve,
             filter: &filter_reads,
-            all: &read,
+            all: if sink.records { &filter_reads } else { &read },
+            ..WHOLE
         };
-        let (candidates, scanned) = sources[0].scan(db, view, path, cells, filtered, |row| {
-            accept(row, &mut sink);
-            Ok(())
-        });
+        let (candidates, scanned) =
+            fetch(db, view, sources[0], path, cells, filtered, |rec, row| {
+                accept(row, Some(rec.1), &mut sink);
+                Ok(())
+            });
         note_scan(db, index_probe, candidates);
         scanned?;
     } else {
@@ -490,33 +554,48 @@ pub fn run_select_over(
         let cells = Cells {
             sieve: &sieve,
             filter: &filter_reads[..base_width],
-            all: &read[..base_width],
+            all: &filter_reads[..base_width],
+            ..WHOLE
         };
-        let mut rows = Vec::new();
-        let (candidates, scanned) = sources[0].scan(db, view, path, cells, own_pass, |row| {
-            rows.push(row.to_vec());
+        // The records of the base rows that pass.
+        let mut base = Vec::new();
+        let (candidates, scanned) = fetch(db, view, sources[0], path, cells, own_pass, |rec, _| {
+            base.push(rec.1);
             Ok(())
         });
         note_scan(db, index_probe, candidates);
         scanned?;
-        // Every leg but the last materialises its pairings; the last
+        // Every leg but the last keeps its pairings as records; the last
         // lends each to the WHERE, whose error waits for the ONs of the
         // pairings after it.
         let (mut at, mut joined, mut raised) = (base_width, 0, None);
+        // The first leg meets the base's records, read as the scan reads
+        // them; a later one the pairings before it.
+        let mut left_cells = Cells {
+            all: &read[..base_width],
+            links_as_clob: sources[0].links_as_clob(),
+            ..WHOLE
+        };
+        let mut pairings = Records::default();
         for (i, leg) in legs.iter().enumerate() {
             let leg_read = &read[at..at + leg.width];
             at += leg.width;
-            let left = std::mem::take(&mut rows);
+            let prior = std::mem::take(&mut pairings);
+            let left = match i {
+                0 => std::mem::take(&mut base),
+                _ => prior.iter().collect(),
+            };
             if i + 1 < legs.len() {
-                run_join(db, view, left, leg, leg_read, params, |row| {
-                    rows.push(row.to_vec());
+                run_join(db, view, &left, left_cells, leg, leg_read, params, |row| {
+                    pairings.push(row);
                     Ok(())
                 })?;
+                left_cells = WHOLE;
             } else {
-                run_join(db, view, left, leg, leg_read, params, |row| {
+                run_join(db, view, &left, left_cells, leg, leg_read, params, |row| {
                     joined += 1;
                     match raised.is_none().then(|| filtered(row)) {
-                        Some(Ok(true)) => accept(row, &mut sink),
+                        Some(Ok(true)) => accept(row, None, &mut sink),
                         Some(Err(e)) => raised = Some(e),
                         _ => {}
                     }
@@ -614,19 +693,23 @@ fn probe_of<'a>(
     None
 }
 
-/// Join `left` rows with `leg`, lending each pairing that passes its ON
-/// — and, for a LEFT JOIN, each unmatched left row padded with NULLs —
-/// to `emit`, in left-row order. The pairing lives in one buffer: the
-/// left row moves in, each right candidate is lent to it and taken back.
-/// The right leg decodes only the cells `read` selects. Under a probe a
-/// left row meets the rows its key finds in the index, unless the key
-/// cannot be compared with the indexed column's type: then every
-/// pairing would raise or not as the ON decides, and the row meets the
-/// whole leg as it would without the probe.
+/// Join the `left` rows with `leg`, lending each pairing that passes its
+/// ON — and, for a LEFT JOIN, each unmatched left row padded with NULLs
+/// — to `emit`, in left-row order. The pairing lives in one buffer: the
+/// left record is decoded into it, each right candidate is lent to it
+/// and taken back. The right leg decodes only the cells `read` selects.
+/// Under a probe a left row meets the rows its key finds in the index,
+/// unless the key cannot be compared with the indexed column's type:
+/// then every pairing would raise or not as the ON decides, and the row
+/// meets the whole leg as it would without the probe. A left row whose
+/// key has the bytes of the one before it (so `0.0` is not `-0.0`, nor
+/// `1` `1.0`) meets the rows that one found.
+#[allow(clippy::too_many_arguments)]
 fn run_join(
     db: &Database,
     view: &ReadView,
-    left: Vec<Vec<Value>>,
+    left: &[&[u8]],
+    left_cells: Cells,
     leg: &Leg,
     read: &[bool],
     params: &[Value],
@@ -642,12 +725,12 @@ fn run_join(
         };
         let mut rows = Vec::new();
         let keep_all = |_: &[Value]| Ok(true);
-        leg.source
-            .scan(db, view, AccessPath::FullScan, cells, keep_all, |row| {
-                rows.push(row.to_vec());
-                Ok(())
-            })
-            .1?;
+        let path = AccessPath::FullScan;
+        fetch(db, view, leg.source, path, cells, keep_all, |_, row| {
+            rows.push(std::mem::take(row));
+            Ok(())
+        })
+        .1?;
         Ok(rows)
     };
     let mut whole = match leg.probe {
@@ -660,25 +743,44 @@ fn run_join(
     });
     let mut pairing: Vec<Value> = Vec::new();
     let mut probed: Vec<Vec<Value>> = Vec::new();
-    for lrow in left {
-        let left_width = lrow.len();
-        pairing.clear();
-        pairing.extend(lrow);
+    // The key `probed` was found under, as a record, and whether it was
+    // looked up in the index; the key in hand.
+    let (mut found, mut key_bytes) = (None::<(Vec<u8>, bool)>, Vec::new());
+    for record in left {
+        let links = left_cells.links_as_clob;
+        decode_some_into(record, &mut 0, &mut pairing, left_cells.all, links)?;
+        let left_width = pairing.len();
         let mut by_index = false;
         if let Some((p, visible)) = &probe {
-            let key = EvalContext::new(&pairing, params).eval(&p.key)?;
-            by_index = key.is_null() || p.like.sql_cmp(&key).is_some();
-            probed.clear();
-            if by_index && !key.is_null() {
-                let rids = p.table.indexes[p.index].tree.get(&[key]);
-                for rid in rids.into_iter().filter(|rid| visible(*rid)) {
-                    if let Some(record) = p.table.heap.record(rid) {
-                        let mut row = Vec::new();
-                        decode_some_into(record, &mut 0, &mut row, read)?;
-                        probed.push(row);
+            let ctx = EvalContext::new(&pairing, params);
+            let key = ctx.eval_cow(&p.key)?;
+            key_bytes.clear();
+            encode_row(std::slice::from_ref(&*key), &mut key_bytes);
+            let reused = found.as_ref().filter(|f| f.0 == key_bytes).map(|f| f.1);
+            by_index = match reused {
+                Some(indexed) => indexed,
+                None => {
+                    let indexed = key.is_null() || p.like.sql_cmp(&key).is_some();
+                    probed.clear();
+                    if indexed && !key.is_null() {
+                        let index = &p.table.indexes[p.index].tree;
+                        let rids = index.get(std::slice::from_ref(&*key));
+                        for rid in rids.into_iter().filter(|rid| visible(*rid)) {
+                            if let Some(record) = p.table.heap.record(rid) {
+                                let mut row = Vec::new();
+                                decode_some_into(record, &mut 0, &mut row, read, false)?;
+                                probed.push(row);
+                            }
+                        }
                     }
+                    // Keep the key; the next is written where the last was.
+                    let kept = (std::mem::take(&mut key_bytes), indexed);
+                    if let Some((last, _)) = found.replace(kept) {
+                        key_bytes = last;
+                    }
+                    indexed
                 }
-            }
+            };
         }
         if !by_index && whole.is_none() {
             whole = Some(read_whole()?);
@@ -727,7 +829,11 @@ pub fn derive_name(expr: &Expr) -> String {
 struct Sink<'a> {
     held: Option<DbError>,
     shape: Shape<'a>,
-    output: Output,
+    output: Output<'a>,
+    /// The projected row, refilled for each row unless the output keeps it.
+    row: Vec<Value>,
+    /// Lend each row's stored record ([`Sink::lends_stored_rows`]).
+    records: bool,
 }
 
 enum Shape<'a> {
@@ -762,14 +868,40 @@ impl<'a> Sink<'a> {
             (Shape::Groups(Box::new(grouping)), output)
         } else {
             let (columns, outs) = project(functions, sel, schema, specs)?;
-            let output = Output::bind(sel, columns, |e| schema.bind(e, functions, &[]))?;
+            // The output column passing slot `s` through unrendered.
+            let passes = |s: usize| {
+                outs.iter()
+                    .position(|o| matches!(o, Out::Slot(i, None) if *i == s))
+            };
+            let bind = |e: &Expr| schema.bind(e, functions, &[]);
+            let output = Output::bind(sel, columns, passes, bind)?;
             (Shape::Rows(outs), output)
         };
         Ok(Sink {
             held: None,
             shape,
             output,
+            row: Vec::new(),
+            records: false,
         })
+    }
+
+    /// Does it lend each row as it arrives, all `width` cells of it as
+    /// they are — no expression, DATALINK rendering, DISTINCT or ORDER
+    /// BY — so that a stored row's record is the row it lends?
+    fn lends_stored_rows(&self, width: usize) -> bool {
+        let Shape::Rows(outs) = &self.shape else {
+            return false;
+        };
+        let output = &self.output;
+        outs.len() == width
+            && outs
+                .iter()
+                .enumerate()
+                .all(|(j, o)| matches!(o, Out::Slot(i, None) if *i == j))
+            && output.reader.is_some()
+            && output.order.is_empty()
+            && output.distinct.is_none()
     }
 
     /// Mark the slots it reads.
@@ -788,24 +920,35 @@ impl<'a> Sink<'a> {
         self.output.reads(read);
     }
 
-    /// Take one row that passed the WHERE.
-    fn take(&mut self, db: &Database, ctx: &EvalContext) {
+    /// Take one row that passed the WHERE, and the record it was read
+    /// from, if any.
+    fn take(&mut self, db: &Database, ctx: &EvalContext, record: Option<&[u8]>) {
         if self.held.is_some() {
             return;
         }
+        if let (true, Some(record)) = (self.records, record) {
+            return self.output.lend(Lent::Record(record));
+        }
         let taken = match &mut self.shape {
             Shape::Rows(outs) => {
-                let mut row = Vec::with_capacity(self.output.room());
-                let projected = outs.iter().try_for_each(|out| {
-                    row.push(match out {
+                let row = &mut self.row;
+                row.truncate(outs.len());
+                row.reserve_exact(self.output.room() - row.len());
+                let projected = outs.iter().enumerate().try_for_each(|(at, out)| {
+                    let v = match out {
                         Out::Slot(i, spec) => match (&ctx.row[*i], spec) {
                             (Value::Datalink(url), Some(spec)) => {
-                                Value::Datalink(db.render_datalink(spec, url))
+                                Cow::Owned(Value::Datalink(db.render_datalink(spec, url)))
                             }
-                            (v, _) => v.clone(),
+                            (v, _) => Cow::Borrowed(v),
                         },
-                        Out::Expr(e) => ctx.eval(e)?,
-                    });
+                        Out::Expr(e) => ctx.eval_cow(e)?,
+                    };
+                    match (row.get_mut(at), v) {
+                        (Some(cell), Cow::Borrowed(v)) => assign(cell, v),
+                        (Some(cell), Cow::Owned(v)) => *cell = v,
+                        (None, v) => row.push(v.into_owned()),
+                    }
                     Ok(())
                 });
                 projected.map(|()| self.output.offer(row, ctx))
@@ -891,11 +1034,11 @@ struct Grouping {
 impl Grouping {
     /// Bind the group keys, then each aggregate call's argument, then
     /// the per-group part and the output its rows go to.
-    fn bind(
+    fn bind<'a>(
         functions: &FnRegistry,
         sel: &SelectStmt,
         schema: &RowSchema,
-    ) -> Result<(Self, Output)> {
+    ) -> Result<(Self, Output<'a>)> {
         let bind = |e: &Expr| schema.bind(e, functions, &[]);
         let keys = sel.group_by.iter().map(bind).collect::<Result<_>>()?;
         let aggs = aggregates(sel);
@@ -968,7 +1111,7 @@ impl Grouping {
     /// The result, the rows folded being `width` slots wide.
     fn finish(
         mut self,
-        output: Output,
+        output: Output<'_>,
         db: &Database,
         width: usize,
         params: &[Value],
@@ -1024,12 +1167,12 @@ struct Finish {
 impl Finish {
     /// Bind it and the output its rows go to: a wildcard in the select
     /// list is an error first, then HAVING, the items and ORDER BY bind.
-    fn bind(
+    fn bind<'a>(
         functions: &FnRegistry,
         sel: &SelectStmt,
         schema: &RowSchema,
         aggs: &[Expr],
-    ) -> Result<(Self, Output)> {
+    ) -> Result<(Self, Output<'a>)> {
         let bind = |e: &Expr| schema.bind(e, functions, aggs);
         let mut columns = Vec::new();
         let mut exprs = Vec::new();
@@ -1043,7 +1186,7 @@ impl Finish {
         }
         let having = sel.having.as_ref().map(bind).transpose()?;
         let items = exprs.into_iter().map(bind).collect::<Result<_>>()?;
-        let output = Output::bind(sel, columns, bind)?;
+        let output = Output::bind(sel, columns, |_| None, bind)?;
         Ok((Finish { having, items }, output))
     }
 
@@ -1055,7 +1198,7 @@ impl Finish {
 
     fn run(
         self,
-        mut output: Output,
+        mut output: Output<'_>,
         db: &Database,
         groups: Vec<(Vec<Value>, Vec<Value>)>,
         params: &[Value],
@@ -1078,7 +1221,7 @@ impl Finish {
                 row.push(ctx.eval(e)?);
             }
             kept += 1;
-            output.offer(row, &ctx);
+            output.offer(&mut row, &ctx);
         }
         if let Some(m) = db.metrics() {
             m.stage_aggregate.observe(kept as f64);
@@ -1108,13 +1251,20 @@ pub fn finish_groups(
 /// DISTINCT, ORDER BY and LIMIT over output rows as they arrive.
 /// Without ORDER BY only the first LIMIT rows are kept. With it, a sort
 /// key is a cell of the row it orders: the output column for a bare name
-/// that is an output alias, else the expression's value over the row
-/// (and group) it came from, taken on arrival and pushed after the
-/// output columns. Under a LIMIT of n the rows are cut back to the n
-/// least by (keys, arrival) whenever 2n have gathered: what a stable
-/// sort and a truncate would leave. A key's error is held, since a
-/// select item raising on a later row wins over it.
-struct Output {
+/// that is an output alias or for a column the output passes through as
+/// it is, else the expression's value over the row (and group) it came
+/// from, taken on arrival and pushed after the output columns. Under a
+/// LIMIT of n the rows are cut back to the n least by (keys, arrival)
+/// whenever 2n have gathered: what a stable sort and a truncate would
+/// leave. A key's error is held, since a select item raising on a later
+/// row wins over it. The rows are kept for the result set, or each lent
+/// to a reader: as it arrives when nothing orders them, else once the
+/// last is in.
+struct Output<'a> {
+    /// The reader the rows are lent to; `None` keeps them.
+    reader: Option<Lend<'a>>,
+    /// Rows lent as they arrived.
+    lent: usize,
     columns: Vec<String>,
     distinct: Option<HashSet<Vec<u8>>>,
     /// Each sort key: the cell of a row it reads, and whether it ascends.
@@ -1130,10 +1280,11 @@ struct Output {
     key: Vec<u8>,
 }
 
-impl Output {
+impl Output<'_> {
     fn bind(
         sel: &SelectStmt,
         columns: Vec<String>,
+        passes: impl Fn(usize) -> Option<usize>,
         bind: impl Fn(&Expr) -> Result<Bound>,
     ) -> Result<Self> {
         let mut order = Vec::with_capacity(sel.order_by.len());
@@ -1150,13 +1301,23 @@ impl Output {
             let at = match column {
                 Some(i) => i,
                 None => {
-                    exprs.push(bind(&ob.expr)?);
-                    columns.len() + exprs.len() - 1
+                    // So does a column the output passes through as it is.
+                    let key = bind(&ob.expr)?;
+                    let passed = match key {
+                        Bound::Slot(s) => passes(s),
+                        _ => None,
+                    };
+                    passed.unwrap_or_else(|| {
+                        exprs.push(key);
+                        columns.len() + exprs.len() - 1
+                    })
                 }
             };
             order.push((at, ob.asc));
         }
         Ok(Output {
+            reader: None,
+            lent: 0,
             columns,
             distinct: sel.distinct.then(HashSet::new),
             order,
@@ -1181,11 +1342,12 @@ impl Output {
         self.columns.len() + self.exprs.len()
     }
 
-    /// Offer one output row; `ctx` is the row (and group) it came from.
-    fn offer(&mut self, mut row: Vec<Value>, ctx: &EvalContext) {
+    /// Offer one output row, lent or taken; `ctx` is the row (and group)
+    /// it came from.
+    fn offer(&mut self, row: &mut Vec<Value>, ctx: &EvalContext) {
         if let Some(seen) = &mut self.distinct {
             self.key.clear();
-            for v in &row {
+            for v in row.iter() {
                 encode_key_cell(v, &mut self.key);
             }
             if seen.contains(&self.key[..]) {
@@ -1194,8 +1356,10 @@ impl Output {
             seen.insert(self.key.clone());
         }
         if self.order.is_empty() {
-            if self.rows.len() < self.limit {
-                self.rows.push(row);
+            match self.reader {
+                Some(_) => self.lend(Lent::Cells(row)),
+                None if self.rows.len() < self.limit => self.rows.push(std::mem::take(row)),
+                None => {}
             }
             return;
         }
@@ -1212,9 +1376,18 @@ impl Output {
                 }
             }
         }
-        self.rows.push(row);
+        self.rows.push(std::mem::take(row));
         if self.rows.len() > self.limit.saturating_mul(2) {
             self.cut();
+        }
+    }
+
+    /// Lend one row as it arrives, nothing ordering the rows, while the
+    /// LIMIT allows.
+    fn lend(&mut self, row: Lent) {
+        if let (Some(each), true) = (&mut self.reader, self.lent < self.limit) {
+            each(row);
+            self.lent += 1;
         }
     }
 
@@ -1252,11 +1425,18 @@ impl Output {
         let width = self.columns.len();
         self.rows.iter_mut().for_each(|row| row.truncate(width));
         if let Some(m) = db.metrics() {
-            m.rows_returned.add(self.rows.len() as f64);
+            m.rows_returned.add((self.lent + self.rows.len()) as f64);
         }
+        let rows = match self.reader {
+            Some(each) => {
+                self.rows.iter().for_each(|row| each(Lent::Cells(row)));
+                Vec::new()
+            }
+            None => self.rows,
+        };
         Ok(ResultSet {
             columns: self.columns,
-            rows: self.rows,
+            rows,
             affected: 0,
         })
     }
@@ -1457,7 +1637,7 @@ mod tests {
             let (seen, read) = fetch(
                 &db,
                 &view,
-                &t,
+                Source::Table(&t),
                 path,
                 WHOLE,
                 |_| Ok(true),
@@ -1585,7 +1765,7 @@ mod tests {
             let read = fetch(
                 &db,
                 &view,
-                t,
+                Source::Table(t),
                 AccessPath::FullScan,
                 cells,
                 pass,
@@ -1642,11 +1822,12 @@ mod tests {
                 sieve: &sieve,
                 filter,
                 all: &[],
+                links_as_clob: false,
             };
             let read = fetch(
                 &db,
                 &view,
-                t,
+                Source::Table(t),
                 path,
                 cells,
                 |_| Ok(true),

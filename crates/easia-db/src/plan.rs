@@ -247,9 +247,11 @@ impl Sieve {
         if self.0.is_empty() {
             return Ok(true);
         }
-        sieve_record(record, read, |col, tag, payload| match self.0.get(col) {
-            Some(Some(r)) => r.admits(tag, payload),
-            _ => true,
+        sieve_record(record, &mut 0, read, |col, tag, payload| {
+            match self.0.get(col) {
+                Some(Some(r)) => r.admits(tag, payload),
+                _ => true,
+            }
         })
     }
 }

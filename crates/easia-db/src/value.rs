@@ -346,6 +346,134 @@ fn put_bytes(out: &mut Vec<u8>, b: &[u8]) {
     out.extend_from_slice(b);
 }
 
+/// Rows as [`encode_row`] records, back to back in one buffer: what a
+/// federated leg keeps of the batches its sites ship, and what a
+/// [`Relation`](crate::exec::Relation) is read from, through the scan a
+/// heap page goes through.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct Records {
+    bytes: Vec<u8>,
+    /// Where each record ends in `bytes`.
+    ends: Vec<usize>,
+}
+
+impl Records {
+    /// How many records it holds.
+    pub fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    /// Does it hold none?
+    pub fn is_empty(&self) -> bool {
+        self.ends.is_empty()
+    }
+
+    /// Make room for `records` more records of `bytes` bytes in all;
+    /// each takes at least 4, so a count they cannot hold reserves no
+    /// more than they can.
+    pub fn reserve(&mut self, bytes: usize, records: usize) {
+        self.bytes.reserve(bytes);
+        self.ends.reserve(records.min(bytes / 4));
+    }
+
+    /// Append `row`'s record.
+    pub fn push(&mut self, row: &[Value]) {
+        self.push_cells(row.iter());
+    }
+
+    /// Append a lent row's record.
+    pub fn push_lent(&mut self, row: Lent) {
+        row.encode(&mut self.bytes);
+        self.ends.push(self.bytes.len());
+    }
+
+    /// Append the record of a row made of `cells`.
+    pub fn push_cells<'v>(&mut self, cells: impl ExactSizeIterator<Item = &'v Value>) {
+        self.bytes
+            .extend_from_slice(&(cells.len() as u32).to_le_bytes());
+        cells.for_each(|v| encode_cell(v, &mut self.bytes));
+        self.ends.push(self.bytes.len());
+    }
+
+    /// Append the record at `pos` in `buf` and move `pos` past it,
+    /// checked as [`decode_row`] checks it — every tag and length, the
+    /// text of every string cell as UTF-8 — and raising the error it
+    /// would. On error nothing is appended.
+    pub fn push_checked(&mut self, buf: &[u8], pos: &mut usize) -> Result<()> {
+        let start = *pos;
+        sieve_record(buf, pos, &[], |_, _, _| true)?;
+        self.bytes.extend_from_slice(&buf[start..*pos]);
+        self.ends.push(self.bytes.len());
+        Ok(())
+    }
+
+    /// The records, in the order they were appended.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = &[u8]> + '_ {
+        (0..self.ends.len()).map(|i| {
+            let start = i.checked_sub(1).map_or(0, |j| self.ends[j]);
+            &self.bytes[start..self.ends[i]]
+        })
+    }
+
+    /// Keep the first `n` records.
+    pub fn truncate(&mut self, n: usize) {
+        self.ends.truncate(n);
+        self.bytes.truncate(self.ends.last().copied().unwrap_or(0));
+    }
+
+    /// Append every record of `other`.
+    pub fn append(&mut self, other: Records) {
+        if self.is_empty() {
+            *self = other;
+            return;
+        }
+        let base = self.bytes.len();
+        self.bytes.extend_from_slice(&other.bytes);
+        self.ends.extend(other.ends.iter().map(|end| base + end));
+    }
+}
+
+/// A result row lent to a reader: its cells, or — for a statement that
+/// returns every stored column as it is — the record they are stored as.
+#[derive(Debug, Clone, Copy)]
+pub enum Lent<'r> {
+    /// The row's cells.
+    Cells(&'r [Value]),
+    /// The row's [`encode_row`] record, as the heap holds it.
+    Record(&'r [u8]),
+}
+
+impl Lent<'_> {
+    /// Append the row's record to `out`.
+    pub fn encode(self, out: &mut Vec<u8>) {
+        match self {
+            Lent::Cells(cells) => encode_row(cells, out),
+            Lent::Record(record) => out.extend_from_slice(record),
+        }
+    }
+
+    /// The row's cells, owned.
+    pub fn to_row(self) -> Result<Vec<Value>> {
+        match self {
+            Lent::Cells(cells) => Ok(cells.to_vec()),
+            Lent::Record(record) => decode_row(record, &mut 0),
+        }
+    }
+}
+
+/// `*cell = v.clone()`, refilling the buffer `cell` owns when it holds
+/// text or bytes of `v`'s kind: a row projected again and again into one
+/// scratch row allocates only when a cell outgrows what it held before.
+pub(crate) fn assign(cell: &mut Value, v: &Value) {
+    match (cell, v) {
+        (Value::Str(s), Value::Str(v))
+        | (Value::Clob(s), Value::Clob(v))
+        | (Value::Datalink(s), Value::Datalink(v)) => s.clone_from(v),
+        (Value::Blob(b), Value::Blob(v)) => b.clone_from(v),
+        (cell, v) => *cell = v.clone(),
+    }
+}
+
 /// Decode a row previously encoded with [`encode_row`]; advances `pos`.
 pub fn decode_row(buf: &[u8], pos: &mut usize) -> Result<Vec<Value>> {
     let mut row = Vec::new();
@@ -359,7 +487,7 @@ pub fn decode_row(buf: &[u8], pos: &mut usize) -> Result<Vec<Value>> {
 /// after record of one table into one row allocates only when a cell
 /// outgrows what it held before. On error `row` is left empty.
 pub fn decode_row_into(buf: &[u8], pos: &mut usize, row: &mut Vec<Value>) -> Result<()> {
-    decode_some_into(buf, pos, row, &[])
+    decode_some_into(buf, pos, row, &[], false)
 }
 
 /// [`decode_row_into`] for a reader of some cells only: a cell whose
@@ -369,13 +497,16 @@ pub fn decode_row_into(buf: &[u8], pos: &mut usize, row: &mut Vec<Value>) -> Res
 /// length anywhere in the record is still the typed error it always
 /// was, while the text of a skipped cell is taken on trust: a record
 /// enters a heap only as `encode_row` of typed values or through a
-/// snapshot load that decodes every cell of it (DESIGN.md, "skipped
-/// cells").
+/// snapshot load that decodes every cell of it, and a relation only as
+/// `encode_row` or through [`Records::push_checked`] (DESIGN.md,
+/// "skipped cells"). With `links_as_clob` a DATALINK cell decodes as a
+/// CLOB of its URL.
 pub fn decode_some_into(
     buf: &[u8],
     pos: &mut usize,
     row: &mut Vec<Value>,
     read: &[bool],
+    links_as_clob: bool,
 ) -> Result<()> {
     let decoded = cell_count(buf, pos).and_then(|n| {
         row.truncate(n);
@@ -385,6 +516,8 @@ pub fn decode_some_into(
             if i == row.len() {
                 row.push(Value::Null);
             }
+            // A CLOB cell is a DATALINK's bytes under another tag.
+            let tag = if links_as_clob && tag == 9 { 8 } else { tag };
             match read.get(i) {
                 Some(false) => row[i] = Value::Null,
                 _ => decode_cell(tag, payload, &mut row[i])?,
@@ -398,23 +531,24 @@ pub fn decode_some_into(
     decoded
 }
 
-/// Offer each cell of `record` to `admits` — its position, tag and
-/// payload as [`next_cell`] yields them — without decoding any: whether
-/// the row is kept, which it is when `admits` takes every cell. The walk
+/// Offer each cell of the record at `pos` in `buf` to `admits` — its
+/// position, tag and payload as [`next_cell`] yields them — without
+/// decoding any, and move `pos` past the record: whether the row is
+/// kept, which it is when `admits` takes every cell. The walk
 /// checks what [`decode_some_into`] with the same `read` would — every
 /// tag and length, and the text of every string cell `read` selects, as
 /// UTF-8 — and raises its first error, refused row or not. A row is also
 /// kept when a DOUBLE cell `read` selects holds a NaN, which every
 /// comparison raises on (DESIGN.md, "the sieve").
 pub(crate) fn sieve_record(
-    record: &[u8],
+    buf: &[u8],
+    pos: &mut usize,
     read: &[bool],
     mut admits: impl FnMut(usize, u8, &[u8]) -> bool,
 ) -> Result<bool> {
-    let pos = &mut 0;
     let (mut kept, mut nan) = (true, false);
-    for i in 0..cell_count(record, pos)? {
-        let (tag, payload) = next_cell(record, pos)?;
+    for i in 0..cell_count(buf, pos)? {
+        let (tag, payload) = next_cell(buf, pos)?;
         if read.get(i) != Some(&false) {
             match tag {
                 2 => nan |= f64::from_le_bytes(payload.try_into().expect("8 bytes")).is_nan(),
@@ -825,7 +959,7 @@ mod tests {
                     let mut buf = Vec::new();
                     encode_row(&row, &mut buf);
                     let mut pos = 0;
-                    decode_some_into(&buf, &mut pos, &mut scratch, &read).unwrap();
+                    decode_some_into(&buf, &mut pos, &mut scratch, &read, false).unwrap();
                     proptest::prop_assert_eq!(pos, buf.len());
                     let forgot: Vec<Value> = row
                         .iter()
@@ -839,7 +973,7 @@ mod tests {
                     } else {
                         buf[4] = rng.gen_range(10..255u8);
                     }
-                    let raised = decode_some_into(&buf, &mut 0, &mut scratch, &read).unwrap_err();
+                    let raised = decode_some_into(&buf, &mut 0, &mut scratch, &read, false).unwrap_err();
                     proptest::prop_assert_eq!(&raised, &decode_row(&buf, &mut 0).unwrap_err());
                     proptest::prop_assert!(scratch.is_empty());
                 }

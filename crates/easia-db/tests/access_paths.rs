@@ -558,6 +558,76 @@ fn joins_keep_their_rows_and_errors() {
     }
 }
 
+/// A probe meets a run of left rows with one key once: each row of the
+/// run meets the rows the first found, while a key of other bytes probes
+/// again — `0.0` beside `-0.0`, `1` beside `1.0`, NULL beside NULL. The
+/// left rows are a relation, which holds integers and doubles in one
+/// column; the probed leg is a DOUBLE column with an index on one side
+/// and none on the other. Rows, their order and the padding of a LEFT
+/// JOIN must agree.
+#[test]
+fn a_probe_reuses_its_rows_only_for_a_key_of_the_same_bytes() {
+    let mut p = Pair::new(5);
+    for sql in [
+        "CREATE TABLE r (k DOUBLE, label VARCHAR(8))",
+        "INSERT INTO r VALUES (0.0, 'zero'), (-0.0, 'nzero'), (1.0, 'one'), \
+         (1, 'int one'), (2.5, 'half'), (NULL, 'none'), (7.5, 'odd')",
+    ] {
+        p.both(None, sql, &[]).unwrap();
+    }
+    p.indexed.execute("CREATE INDEX ix_rk ON r (k)").unwrap();
+    let keys = [
+        Value::Int(1),
+        Value::Int(1),
+        Value::Double(1.0),
+        Value::Double(1.0),
+        Value::Int(1),
+        Value::Null,
+        Value::Null,
+        Value::Double(0.0),
+        Value::Double(-0.0),
+        Value::Double(-0.0),
+        Value::Double(0.0),
+        Value::Double(2.5),
+        Value::Double(2.5),
+        Value::Int(9),
+        Value::Int(9),
+        Value::Null,
+        Value::Double(1.0),
+        Value::Double(7.5),
+    ];
+    let rows: Vec<Vec<Value>> = (0..)
+        .zip(&keys)
+        .map(|(i, k)| vec![Value::Int(i), k.clone()])
+        .collect();
+    let left = [Relation::from_rows(
+        "L",
+        vec!["ID".into(), "K".into()],
+        &rows,
+    )];
+    for sql in [
+        "SELECT a.id, a.k, b.label, b.k FROM l a LEFT JOIN r b ON a.k = b.k",
+        "SELECT a.id, b.label FROM l a JOIN r b ON b.k = a.k",
+        "SELECT a.id, b.label FROM l a LEFT JOIN r b ON a.k = b.k AND b.label <> 'one'",
+        "SELECT b.label, a.id FROM l a LEFT JOIN r b ON a.k = b.k WHERE b.k IS NULL",
+    ] {
+        let sel = select_of(sql);
+        let run = |db: &Database| {
+            run_select_over(db, &db.read_view(), &sel, &[], &left)
+                .map(|rs| rs.rows)
+                .map_err(|e| e.to_string())
+        };
+        let probed = run(&p.indexed);
+        assert_eq!(probed, run(&p.plain), "{sql}");
+        assert!(!probed.unwrap().is_empty(), "{sql}");
+    }
+    // Each zero finds both zeros, each one both ones.
+    let sel = select_of("SELECT a.id FROM l a JOIN r b ON a.k = b.k");
+    let view = p.indexed.read_view();
+    let joined = run_select_over(&p.indexed, &view, &sel, &[], &left).unwrap();
+    assert_eq!(joined.rows.len(), 2 * 6 + 2 * 4 + 2 + 1);
+}
+
 /// Rows reaching the join stage, summed over every statement so far.
 fn joined_rows(db: &Database) -> f64 {
     db.metrics().expect("metrics attached").stage_join.sum()
@@ -608,11 +678,7 @@ fn joins_agree_with_the_base_bound_as_a_relation() {
             .unwrap();
     }
     let base = p.indexed.execute("SELECT * FROM t").unwrap();
-    let as_relation = [Relation {
-        name: "T".into(),
-        columns: base.columns,
-        rows: base.rows,
-    }];
+    let as_relation = [Relation::from_rows("T", base.columns, &base.rows)];
 
     let mut narrowed = 0;
     let mut errors = 0;
@@ -962,11 +1028,7 @@ fn check_select(
     assert_eq!(since(&p.plain, before_plain), scan(true), "{sql}");
 
     if view.is_none() {
-        let relation = [Relation {
-            name: "T".into(),
-            columns,
-            rows: all.clone(),
-        }];
+        let relation = [Relation::from_rows("T", columns, &all)];
         let before = reads(&p.indexed);
         let over = run_select_over(&p.indexed, &p.indexed.read_view(), &sel, params, &relation)
             .map(|rs| rs.rows)
@@ -1017,11 +1079,7 @@ fn check_join(
         Err(_) => [0.0; 7],
     };
     assert_eq!(since(&p.plain, before), scanned, "{sql}");
-    let relation = [Relation {
-        name: "T".into(),
-        columns: t.columns,
-        rows: t.rows,
-    }];
+    let relation = [Relation::from_rows("T", t.columns, &t.rows)];
     let over = run_select_over(&p.indexed, &p.indexed.read_view(), &sel, params, &relation)
         .map(|rs| rs.rows)
         .map_err(|e| e.to_string());
@@ -1082,11 +1140,7 @@ fn check_phases(p: &mut Pair, view: Option<(TxnId, TxnId)>, seen: &mut Seen) {
             let err = p.both(view, &sql, &[]).unwrap_err();
             assert!(err.contains(want), "{sql}: {err}");
             if view.is_none() {
-                let relation = [Relation {
-                    name: "T".into(),
-                    columns: columns.clone(),
-                    rows: all.clone(),
-                }];
+                let relation = [Relation::from_rows("T", columns.clone(), &all)];
                 let over = run_select_over(
                     &p.indexed,
                     &p.indexed.read_view(),
@@ -1181,11 +1235,7 @@ fn the_streaming_filter_is_decode_first_evaluate_after() {
         let before = reads(&p.indexed);
         assert_eq!(p.both(None, unknown, &[]), Err(raised.clone()));
         assert_eq!(p.both(txn, unknown, &[]), Err(raised.clone()));
-        let empty = [Relation {
-            name: "E".into(),
-            columns: vec!["K".into(), "S".into()],
-            rows: vec![],
-        }];
+        let empty = [Relation::from_rows("E", vec!["K".into(), "S".into()], &[])];
         let over = run_select_over(
             &p.indexed,
             &p.indexed.read_view(),
@@ -1297,11 +1347,7 @@ fn statement_errors_are_raised_before_any_row_is_read() {
         }
     }
     let rows = db.execute("SELECT * FROM k").unwrap();
-    let relation = [Relation {
-        name: "R".into(),
-        columns: rows.columns,
-        rows: rows.rows,
-    }];
+    let relation = [Relation::from_rows("R", rows.columns, &rows.rows)];
     let scanned = |db: &Database| db.metrics().unwrap().rows_scanned.get();
     let index_scans = |db: &Database| db.metrics().unwrap().index_scans.get();
     // Without its error the statement walks the index.
@@ -1474,11 +1520,7 @@ fn the_sieve_agrees_with_the_base_bound_as_a_relation() {
     }
     let mut relation = |table: &str| {
         let rs = db.execute(&format!("SELECT * FROM {table}")).unwrap();
-        Relation {
-            name: table.to_ascii_uppercase(),
-            columns: rs.columns,
-            rows: rs.rows,
-        }
+        Relation::from_rows(&table.to_ascii_uppercase(), rs.columns, &rs.rows)
     };
     let bases = [relation("s"), relation("z")];
     let (mut returned, mut raised) = (0, 0);

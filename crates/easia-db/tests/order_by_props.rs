@@ -196,11 +196,7 @@ proptest! {
     ) {
         let mut db = Database::new_in_memory();
         db.execute(DDL).unwrap();
-        let mut relation = Relation {
-            name: "T".into(),
-            columns: ["ID", "G", "N", "X", "S"].map(String::from).to_vec(),
-            rows: Vec::new(),
-        };
+        let mut all = Vec::new();
         for (id, (g, n, x, s, tail)) in rows.iter().enumerate() {
             let row = vec![
                 Value::Int(id as i64),
@@ -217,8 +213,10 @@ proptest! {
             ];
             db.execute_with_params("INSERT INTO T VALUES (?, ?, ?, ?, ?)", &row)
                 .unwrap();
-            relation.rows.push(row);
+            all.push(row);
         }
+        let columns = ["ID", "G", "N", "X", "S"].map(String::from).to_vec();
+        let relation = Relation::from_rows("T", columns, &all);
         let limit = match limit {
             0 => None,
             1 => Some(0),

@@ -22,15 +22,15 @@ fn relations_shadow_the_catalogue_pad_left_joins_and_sort_by_hidden_columns() {
         .unwrap();
     db.execute("INSERT INTO T VALUES (1, 'catalogue'), (2, 'catalogue')")
         .unwrap();
-    let t = Relation {
-        name: "t".into(),
-        columns: vec!["K".into(), "V".into(), "W".into()],
-        rows: vec![
+    let t = Relation::from_rows(
+        "t",
+        vec!["K".into(), "V".into(), "W".into()],
+        &[
             vec![Value::Int(1), Value::Str("b".into()), Value::Int(30)],
             vec![Value::Int(7), Value::Str("a".into()), Value::Int(10)],
             vec![Value::Int(9), Value::Str("c".into()), Value::Int(20)],
         ],
-    };
+    );
     let strs = |vs: &[&str]| -> Vec<Vec<Value>> {
         vs.iter().map(|v| vec![Value::Str((*v).into())]).collect()
     };
@@ -57,11 +57,11 @@ fn relations_shadow_the_catalogue_pad_left_joins_and_sort_by_hidden_columns() {
     );
 
     // A relation on the right of a LEFT JOIN pads unmatched rows.
-    let r = Relation {
-        name: "R".into(),
-        columns: vec!["K".into(), "NOTE".into()],
-        rows: vec![vec![Value::Int(2), Value::Str("hit".into())]],
-    };
+    let r = Relation::from_rows(
+        "R",
+        vec!["K".into(), "NOTE".into()],
+        &[vec![Value::Int(2), Value::Str("hit".into())]],
+    );
     assert_eq!(
         run(
             &db,

@@ -96,11 +96,7 @@ fn a_selective_scan_allocates_for_its_survivors_only() {
 
     // ---- the same rows as a relation ----
     let whole = db.execute("SELECT * FROM t").unwrap();
-    let relation = [Relation {
-        name: "R".into(),
-        columns: whole.columns,
-        rows: whole.rows,
-    }];
+    let relation = [Relation::from_rows("R", whole.columns, &whole.rows)];
     let Stmt::Select(sel) =
         easia_db::sql::parse("SELECT k, title FROM r WHERE title LIKE ?").unwrap()
     else {

@@ -575,11 +575,7 @@ fn transcript() -> String {
     let registry = Registry::new();
     db.attach_metrics(&registry);
     let whole = db.execute("SELECT * FROM m").unwrap();
-    let relation = [Relation {
-        name: "M".into(),
-        columns: whole.columns,
-        rows: whole.rows,
-    }];
+    let relation = [Relation::from_rows("M", whole.columns, &whole.rows)];
     let mut out = String::new();
     for (i, sql) in statements().iter().enumerate() {
         let _ = writeln!(out, "\n=== {i}\nsql: {sql}");

@@ -16,18 +16,18 @@
 //! 3. **Pump** — sites execute the pushed scan and stream row-batch
 //!    frames back through a bounded in-flight window. Streams are
 //!    *pipelined*: every request scatters immediately, each site's
-//!    batches flow independently, and a delivered frame is decoded the
-//!    moment it lands, so a screen's latency tracks the slowest *site*,
-//!    not the sum of sites. Each stream keeps its own stall clock, so
-//!    one stalled site never holds up its peers.
+//!    batches flow independently, and a delivered frame is checked into
+//!    its leg's records the moment it lands, so a screen's latency
+//!    tracks the slowest *site*, not the sum of sites. Each stream keeps
+//!    its own stall clock, so one stalled site never holds up its peers.
 //! 4. **Finish** — whatever the pump left unfinished climbs the
 //!    degradation ladder below; the rest is booked.
-//! 5. **Merge** ([`crate::merge`]) — shipped rows are bound as
-//!    in-memory relations and the *original* statement runs over them,
-//!    so every SQL feature the hub engine supports (aggregates, GROUP
-//!    BY, DISTINCT, functions, ORDER BY/LIMIT) works federated, and
-//!    pushed filters are harmlessly re-applied. The hub database is
-//!    only read.
+//! 5. **Merge** ([`crate::merge`]) — shipped rows, still the records
+//!    the sites encoded, are bound as in-memory relations and the
+//!    *original* statement runs over them, so every SQL feature the hub
+//!    engine supports (aggregates, GROUP BY, DISTINCT, functions, ORDER
+//!    BY/LIMIT) works federated, and pushed filters are harmlessly
+//!    re-applied. The hub database is only read.
 //!
 //! A site outage climbs the **degradation ladder** ([`crate::ladder`])
 //! instead of surfacing immediately:
@@ -52,6 +52,7 @@ use crate::catalog::{CatalogError, FedCatalog, Partition};
 use crate::explain::FedExplain;
 use crate::legs::Run;
 use crate::remote::RemoteError;
+use easia_db::value::Records;
 use easia_db::{Database, DbError, ResultSet, Value};
 use easia_net::{HostId, RetryPolicy, SimNet};
 use easia_obs::Obs;
@@ -254,7 +255,7 @@ pub(crate) struct Replicas {
 
 /// Replica copies by `(site, table)`: each the whole partition, all
 /// columns, in site order.
-pub(crate) type Copies = Cache<(String, String), Vec<Vec<Value>>>;
+pub(crate) type Copies = Cache<(String, String), Records>;
 
 impl Default for Federation {
     fn default() -> Self {

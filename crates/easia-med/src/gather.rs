@@ -18,9 +18,10 @@ use crate::metrics::{
     BYTES_WIRE, CACHE_HITS, DEADLINE_CANCELLED, PARTIAL_AGG_GROUPS_SHIPPED, ROWS_PRUNED,
     ROWS_SHIPPED,
 };
-use crate::remote::{scan_rows, serve_scan};
-use crate::wire::{decode_batch, ScanRequest};
-use easia_db::{Database, Value};
+use crate::remote::{scan_each, serve_scan};
+use crate::wire::{walk_batch, ScanRequest};
+use easia_db::value::{decode_row_into, Records};
+use easia_db::Database;
 use easia_net::{HostId, SimNet, TransferId, TransferStatus};
 use easia_obs::Obs;
 
@@ -33,7 +34,7 @@ pub(crate) struct Pending<'a> {
     pub(crate) request: ScanRequest,
     frames: std::vec::IntoIter<Vec<u8>>,
     /// Accepted rows, in request-column order.
-    rows: Vec<Vec<Value>>,
+    rows: Records,
     /// Count of fully-received batches == next expected sequence
     /// number == the `resume_from` cursor for a retry.
     pub(crate) cursor: u64,
@@ -82,7 +83,7 @@ pub(crate) struct GatherState<'a> {
     pub(crate) pending: Vec<Pending<'a>>,
     /// Rows contributed without streaming (local scans, fresh cache
     /// hits, stale fallbacks); WAN rows are appended by the finish.
-    gathered: Vec<Vec<Value>>,
+    gathered: Records,
     /// Where this gather's entries start in its explain report.
     first_entry: usize,
     /// The owning query's absolute deadline (simulated time).
@@ -102,7 +103,7 @@ enum Flight {
         /// The frame bytes.
         frame: Vec<u8>,
     },
-    /// An EMB1 row-batch frame, kept so the hub can account and decode
+    /// An EMB1 row-batch frame, kept so the hub can account and accept
     /// it the moment it is delivered.
     Batch {
         /// The in-flight transfer.
@@ -114,14 +115,17 @@ enum Flight {
 
 /// Project full-partition rows (all `ft` columns, site-schema order)
 /// onto the plan's shipped column subset.
-fn project(rows: &[Vec<Value>], ft: &ForeignTable, cols: &[String]) -> Vec<Vec<Value>> {
+fn project(raw: &Records, ft: &ForeignTable, cols: &[String]) -> Result<Records, FedError> {
     let idx: Vec<usize> = cols
         .iter()
         .filter_map(|c| ft.columns.iter().position(|(n, _)| n == c))
         .collect();
-    rows.iter()
-        .map(|r| idx.iter().map(|&i| r[i].clone()).collect())
-        .collect()
+    let (mut row, mut shipped) = (Vec::new(), Records::default());
+    for record in raw.iter() {
+        decode_row_into(record, &mut 0, &mut row)?;
+        shipped.push_cells(idx.iter().map(|&i| &row[i]));
+    }
+    Ok(shipped)
 }
 
 impl TableGather<'_> {
@@ -132,12 +136,12 @@ impl TableGather<'_> {
     pub(crate) fn shipped_from_raw(
         &self,
         hub_db: &Database,
-        raw: &[Vec<Value>],
-    ) -> Result<Vec<Vec<Value>>, FedError> {
+        raw: &Records,
+    ) -> Result<Records, FedError> {
         if self.request.partial_agg.is_some() {
             partial_from_raw(hub_db, self.ft, &self.request, raw)
         } else {
-            Ok(project(raw, self.ft, self.columns))
+            project(raw, self.ft, self.columns)
         }
     }
 }
@@ -163,7 +167,7 @@ impl Federation {
         // same site once per leg, so later bookkeeping must not touch
         // an earlier leg's entries.
         let first_entry = explain.sites.len();
-        let mut gathered: Vec<Vec<Value>> = Vec::new();
+        let mut gathered = Records::default();
         let mut pending: Vec<Pending<'s>> = Vec::new();
 
         for p in &ft.partitions {
@@ -181,7 +185,7 @@ impl Federation {
             match &p.server {
                 None => {
                     // Local partition: scan in place, no wire traffic.
-                    gathered.extend(scan_rows(hub_db, request)?);
+                    scan_each(hub_db, request, |row| gathered.push_lent(row))?;
                     explain.sites.push(base);
                 }
                 Some(server) => {
@@ -239,7 +243,7 @@ impl Federation {
                                     source: SiteSource::CacheFresh,
                                     ..base
                                 });
-                                gathered.extend(rows);
+                                gathered.append(rows);
                                 continue;
                             }
                             _ => {}
@@ -271,7 +275,7 @@ impl Federation {
                         site,
                         request: req,
                         frames: Vec::new().into_iter(),
-                        rows: Vec::new(),
+                        rows: Records::default(),
                         cursor: 0,
                         bytes: 0,
                         retries: 0,
@@ -474,9 +478,10 @@ impl Federation {
         Ok(())
     }
 
-    /// Decode a delivered batch frame into `p`, enforcing sequence
-    /// contiguity and noting the site's write counter: the version its
-    /// replica copies are stored and looked up under.
+    /// Take a delivered batch frame's records into `p` — walked once and
+    /// checked as a decode would check them, kept as bytes — enforcing
+    /// sequence contiguity and noting the site's write counter: the
+    /// version its replica copies are stored and looked up under.
     ///
     /// Callers account `frame.len()` into `p.bytes` *before* this runs:
     /// a delivered-but-out-of-sequence frame still crossed the WAN, so
@@ -484,16 +489,18 @@ impl Federation {
     /// after resume. `bytes_wire` is deliberately transport accounting
     /// (all delivered traffic); `rows_shipped` is the useful measure.
     fn accept_batch(&self, p: &mut Pending<'_>, frame: &[u8]) -> Result<(), FedError> {
-        let batch = decode_batch(frame).map_err(|e| FedError::Wire(e.to_string()))?;
-        if u64::from(batch.seq) != p.cursor {
+        let before = p.rows.len();
+        let walked = walk_batch(frame, &mut p.rows);
+        let (seq, write_counter) = walked.map_err(|e| FedError::Wire(e.to_string()))?;
+        if u64::from(seq) != p.cursor {
             // A gap means an earlier frame was lost: resume will
             // re-request from the cursor.
+            p.rows.truncate(before);
             p.failed = true;
             return Ok(());
         }
         p.cursor += 1;
-        p.site.write_counter.set(batch.write_counter);
-        p.rows.extend(batch.rows);
+        p.site.write_counter.set(write_counter);
         Ok(())
     }
 
@@ -511,7 +518,7 @@ impl Federation {
         g: &TableGather<'_>,
         st: GatherState<'_>,
         explain: &mut FedExplain,
-    ) -> Result<Vec<Vec<Value>>, FedError> {
+    ) -> Result<Records, FedError> {
         let GatherState {
             mut pending,
             mut gathered,
@@ -578,9 +585,9 @@ impl Federation {
                     let version = p.site.write_counter.get();
                     r.copies.borrow_mut().put(key, version, net.now(), p.rows);
                 }
-                gathered.extend(shipped?);
+                gathered.append(shipped?);
             } else {
-                gathered.extend(p.rows);
+                gathered.append(p.rows);
             }
         }
 
@@ -604,7 +611,7 @@ mod tests {
         let cam = SimNet::new().add_host("cam", 2);
         fed.add_site("cam", cam, Database::new_in_memory());
         let site = fed.site("cam").unwrap();
-        let rows: Vec<Vec<Value>> = (0..4).map(|i| vec![Value::Int(i)]).collect();
+        let rows: Vec<_> = (0..4).map(|i| vec![easia_db::Value::Int(i)]).collect();
         let frames = frame_batches(&rows, 2, 0, 7);
         assert_eq!(frames.len(), 2);
         let mut p = Pending {
@@ -621,7 +628,7 @@ mod tests {
                 partial_agg: None,
             },
             frames: Vec::new().into_iter(),
-            rows: Vec::new(),
+            rows: Records::default(),
             cursor: 0,
             bytes: 0,
             retries: 0,

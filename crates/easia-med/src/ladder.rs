@@ -7,7 +7,8 @@ use crate::explain::{FedExplain, StaleSite};
 use crate::federation::{FedError, Federation, PartialPolicy, Site, DEFAULT_BREAKER_COOLDOWN_SECS};
 use crate::gather::{Pending, TableGather};
 use crate::metrics::{BREAKER_STATE, CACHE_STALE_SERVED, SCAN_RETRIES};
-use easia_db::{Database, Value};
+use easia_db::value::Records;
+use easia_db::Database;
 use easia_net::{HostId, SimNet};
 use easia_obs::Obs;
 
@@ -96,7 +97,7 @@ impl Federation {
         site: &Site,
         g: &TableGather<'_>,
         explain: &mut FedExplain,
-        gathered: &mut Vec<Vec<Value>>,
+        gathered: &mut Records,
         retry_after: Option<u64>,
     ) -> Result<(), FedError> {
         if self.policy == PartialPolicy::FailClosed {
@@ -131,7 +132,7 @@ impl Federation {
                     age_secs,
                     rows: rows.len() as u64,
                 });
-                gathered.extend(rows);
+                gathered.append(rows);
             }
             // `Partial`, or stale beats absent but there is no copy: a
             // skip. A JOIN can hit the same dead site once per leg: one

@@ -24,6 +24,7 @@ use crate::planner::{externalize, plan_legs, strip_qualifiers, JoinLeg, JoinPlan
 use crate::wire::ScanRequest;
 use easia_db::sql::ast::{SelectStmt, Stmt};
 use easia_db::sql::{expr_to_sql, parse};
+use easia_db::value::{decode_row_into, Records};
 use easia_db::{Database, Value};
 use easia_net::{HostId, SimNet};
 use easia_obs::Obs;
@@ -141,7 +142,7 @@ pub(crate) struct Run<'p, 'a> {
     frags: Vec<FedExplain>,
     /// Gathered rows per federated leg, once it is in; a hub-local leg
     /// stays `None`.
-    leg_rows: Vec<Option<Vec<Vec<Value>>>>,
+    leg_rows: Vec<Option<Records>>,
     /// Set once: the statement completed or failed.
     pub(crate) outcome: Option<Result<QueryOutcome, FedError>>,
 }
@@ -195,7 +196,7 @@ impl<'p, 'a> Run<'p, 'a> {
 fn join_keys(
     hub_db: &mut Database,
     source: &JoinLeg,
-    gathered: Option<&[Vec<Value>]>,
+    gathered: Option<&Records>,
     column: &str,
 ) -> Result<Vec<Value>, FedError> {
     let mut vals: Vec<Value> = match gathered {
@@ -210,7 +211,13 @@ fn join_keys(
                         source.table
                     ))
                 })?;
-            rows.iter().map(|r| r[idx].clone()).collect()
+            // The shipped cell, DATALINK or not, of each record.
+            let (mut row, mut vals) = (Vec::new(), Vec::with_capacity(rows.len()));
+            for record in rows.iter() {
+                decode_row_into(record, &mut 0, &mut row)?;
+                vals.extend(row.get(idx).cloned());
+            }
+            vals
         }
         None => {
             let rs = hub_db.execute(&format!("SELECT {column} FROM {}", source.table))?;
@@ -365,7 +372,7 @@ impl Federation {
                 let keys = join_keys(
                     hub_db,
                     &stmt.plan.legs[*source_leg],
-                    run.leg_rows[*source_leg].as_deref(),
+                    run.leg_rows[*source_leg].as_ref(),
                     source_column,
                 )?;
                 let n = keys.len();
@@ -451,7 +458,7 @@ impl Federation {
             (Some(agg), Some(ft)) => {
                 let states = run.leg_rows[0].take().unwrap_or_default();
                 let partial_rows = states.len() as u64;
-                let rs = merge_partial_agg(hub_db, &stmt.sel, ft, agg, stmt.params, states)?;
+                let rs = merge_partial_agg(hub_db, &stmt.sel, ft, agg, stmt.params, &states)?;
                 explain.agg = stmt.agg_explain(&explain.sites, partial_rows, rs.rows.len() as u64);
                 PARTIAL_AGG_QUERIES.add(obs, &ft.name, 1);
                 rs

@@ -13,11 +13,11 @@ use crate::catalog::ForeignTable;
 use crate::planner::{AggPlan, Finisher};
 use crate::wire::ScanRequest;
 use crate::FedError;
-use easia_db::exec::{finish_groups, run_select_over, AggState, Relation};
+use easia_db::exec::{finish_groups, run_select_each, run_select_over, AggState, Relation};
 use easia_db::expr::RowSchema;
 use easia_db::sql::ast::{SelectStmt, Stmt, TableRef};
 use easia_db::sql::parse;
-use easia_db::value::encode_key_cell;
+use easia_db::value::{decode_row_into, encode_key_cell, Lent, Records};
 use easia_db::{Database, DbError, ResultSet, Value};
 use std::collections::HashMap;
 
@@ -30,7 +30,7 @@ pub(crate) struct Leg<'a> {
     /// Column names of `rows`.
     pub columns: &'a [String],
     /// The gathered rows.
-    pub rows: Vec<Vec<Value>>,
+    pub rows: Records,
 }
 
 /// Run `sel` at the hub with each gathered leg swapped in as an
@@ -38,15 +38,20 @@ pub(crate) struct Leg<'a> {
 /// qualified reference still resolves; tables of `sel` without a leg
 /// are hub-local and read in place. The one function that runs a
 /// statement over gathered rows.
-///
-/// DATALINK values arrive as CLOB text: link control stays with the
-/// owning site, the hub only sees the URL.
 pub(crate) fn merge(
     hub_db: &Database,
     sel: &SelectStmt,
     params: &[Value],
     legs: Vec<Leg<'_>>,
 ) -> Result<ResultSet, FedError> {
+    let (sel, relations) = bind_legs(sel, legs);
+    run_select_over(hub_db, &hub_db.read_view(), &sel, params, &relations).map_err(FedError::Db)
+}
+
+/// `sel` reading each leg as a relation: the statement [`merge`] runs.
+/// DATALINK values read as CLOB text: link control stays with the
+/// owning site, the hub only sees the URL.
+fn bind_legs(sel: &SelectStmt, legs: Vec<Leg<'_>>) -> (SelectStmt, Vec<Relation>) {
     let mut sel = sel.clone();
     let mut relations = Vec::with_capacity(legs.len());
     for leg in legs {
@@ -62,19 +67,14 @@ pub(crate) fn merge(
         } else {
             sel.joins[leg.pos - 1].table = tref;
         }
-        let mut rows = leg.rows;
-        for v in rows.iter_mut().flatten() {
-            if let Value::Datalink(u) = v {
-                *v = Value::Clob(std::mem::take(u));
-            }
-        }
         relations.push(Relation {
             name,
             columns: leg.columns.to_vec(),
-            rows,
+            rows: leg.rows,
+            links_as_clob: true,
         });
     }
-    run_select_over(hub_db, &hub_db.read_view(), &sel, params, &relations).map_err(FedError::Db)
+    (sel, relations)
 }
 
 /// Convert raw full-partition rows (replica-cache copies and
@@ -86,8 +86,8 @@ pub(crate) fn partial_from_raw(
     hub_db: &Database,
     ft: &ForeignTable,
     request: &ScanRequest,
-    raw: &[Vec<Value>],
-) -> Result<Vec<Vec<Value>>, FedError> {
+    raw: &Records,
+) -> Result<Records, FedError> {
     let Stmt::Select(sel) = parse(&request.to_sql())? else {
         unreachable!("a scan request renders as a SELECT");
     };
@@ -96,9 +96,14 @@ pub(crate) fn partial_from_raw(
         pos: 0,
         alias: &ft.name,
         columns: &columns,
-        rows: raw.to_vec(),
+        rows: raw.clone(),
     };
-    Ok(merge(hub_db, &sel, &request.effective_params(), vec![leg])?.rows)
+    let (sel, relations) = bind_legs(&sel, vec![leg]);
+    let (view, params) = (hub_db.read_view(), request.effective_params());
+    let mut partials = Records::default();
+    let mut each = |row: Lent| partials.push_lent(row);
+    run_select_each(hub_db, &view, &sel, &params, &relations, &mut each)?;
+    Ok(partials)
 }
 
 /// The aggregate function a finisher completes.
@@ -123,15 +128,16 @@ pub(crate) fn merge_partial_agg(
     ft: &ForeignTable,
     agg: &AggPlan,
     params: &[Value],
-    gathered: Vec<Vec<Value>>,
+    gathered: &Records,
 ) -> Result<ResultSet, FedError> {
     let k = agg.group_cols.len();
     let new_states =
         || -> Vec<AggState> { agg.finishers.iter().map(|_| AggState::default()).collect() };
     let mut groups: Vec<(Vec<Value>, Vec<AggState>)> = Vec::new();
     let mut index: HashMap<Vec<u8>, usize> = HashMap::new();
-    let mut key = Vec::new();
-    for row in &gathered {
+    let (mut key, mut row) = (Vec::new(), Vec::new());
+    for record in gathered.iter() {
+        decode_row_into(record, &mut 0, &mut row)?;
         if row.len() != k + agg.calls.len() {
             return Err(FedError::Db(DbError::Eval(format!(
                 "partial-aggregate row carries {} values, expected {}",

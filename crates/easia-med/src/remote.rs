@@ -7,8 +7,10 @@
 //! it put on the wire). It is deliberately thin — all planning lives at
 //! the hub, a site just runs the SELECT it is handed.
 
-use crate::wire::{encode_batch, ScanRequest, WireError};
+use crate::wire::{batch_header, encode_batch, ScanRequest, WireError, BATCH_COUNT_AT};
+use easia_db::value::Lent;
 use easia_db::{Database, DbError, Value};
+use std::convert::Infallible;
 
 /// Default rows per shipped batch frame.
 pub const DEFAULT_BATCH_ROWS: usize = 64;
@@ -33,33 +35,41 @@ impl std::fmt::Display for RemoteError {
 
 impl std::error::Error for RemoteError {}
 
+/// Run a decoded scan request against the database `db`, lending each
+/// result row to `each` as the executor produces it.
+pub fn scan_each(db: &Database, req: &ScanRequest, each: impl FnMut(Lent)) -> Result<(), DbError> {
+    db.execute_each(&req.to_sql(), &req.effective_params(), each)
+}
+
 /// Execute a decoded scan request against the site database, returning
 /// the result rows.
 pub fn scan_rows(db: &mut Database, req: &ScanRequest) -> Result<Vec<Vec<Value>>, RemoteError> {
-    let rs = db
-        .execute_with_params(&req.to_sql(), &req.effective_params())
-        .map_err(RemoteError::Db)?;
-    Ok(rs.rows)
+    let (mut rows, mut decoded) = (Vec::new(), Ok(()));
+    let scanned = scan_each(db, req, |row| {
+        if decoded.is_ok() {
+            decoded = row.to_row().map(|row| rows.push(row));
+        }
+    });
+    scanned.and(decoded).map_err(RemoteError::Db)?;
+    Ok(rows)
 }
 
 /// A site serving one wire-encoded scan request end to end: decode the
-/// EMQ1 frame, run the scan and frame the rows into batches of at most
-/// `batch_rows`, honouring the request's resume cursor and stamping the
-/// site's write counter. The hub's in-process sites are served through
-/// this too, so every field the hub encodes is one a site decodes.
+/// EMQ1 frame, run the scan and frame each row the executor lends into
+/// batches of at most `batch_rows`, honouring the request's resume
+/// cursor and stamping the site's write counter. The hub's in-process
+/// sites are served through this too, so every field the hub encodes is
+/// one a site decodes.
 pub fn serve_scan(
     db: &mut Database,
     frame: &[u8],
     batch_rows: usize,
 ) -> Result<Vec<Vec<u8>>, RemoteError> {
     let req = ScanRequest::decode(frame).map_err(RemoteError::Wire)?;
-    let rows = scan_rows(db, &req)?;
-    Ok(frame_batches(
-        &rows,
-        batch_rows,
-        req.resume_from,
-        db.write_counter(),
-    ))
+    framed(batch_rows, req.resume_from, db.write_counter(), |each| {
+        scan_each(db, &req, each)
+    })
+    .map_err(RemoteError::Db)
 }
 
 /// Chunk rows into encoded batch frames, skipping the first
@@ -73,21 +83,50 @@ pub fn frame_batches(
     resume_from: u64,
     write_counter: u64,
 ) -> Vec<Vec<u8>> {
+    let Ok(frames) = framed::<Infallible>(batch_rows, resume_from, write_counter, |each| {
+        rows.iter().for_each(|row| each(Lent::Cells(row)));
+        Ok(())
+    });
+    frames
+}
+
+/// [`frame_batches`] over the rows `scan` lends, as they come: each is
+/// encoded into the frame being filled.
+fn framed<E>(
+    batch_rows: usize,
+    resume_from: u64,
+    write_counter: u64,
+    scan: impl FnOnce(&mut dyn FnMut(Lent)) -> Result<(), E>,
+) -> Result<Vec<Vec<u8>>, E> {
     let size = batch_rows.max(1);
-    if rows.is_empty() && resume_from == 0 {
-        return vec![encode_batch(&[], 0, write_counter)];
+    let (mut frames, mut n) = (Vec::<Vec<u8>>::new(), 0);
+    scan(&mut |row| {
+        let seq = (n / size) as u64;
+        if seq >= resume_from {
+            if n % size == 0 {
+                // Room for a frame as large as the one before it.
+                let room = frames.last().map_or(28 + size * 16, Vec::len);
+                let mut frame = Vec::with_capacity(room);
+                batch_header(&mut frame, seq as u32, write_counter, 0);
+                frames.push(frame);
+            }
+            let frame = frames.last_mut().expect("opened at its first row");
+            row.encode(frame);
+            let count = (n % size + 1) as u32;
+            frame[BATCH_COUNT_AT..BATCH_COUNT_AT + 4].copy_from_slice(&count.to_le_bytes());
+        }
+        n += 1;
+    })?;
+    if n == 0 && resume_from == 0 {
+        frames.push(encode_batch(&[], 0, write_counter));
     }
-    rows.chunks(size)
-        .enumerate()
-        .skip(resume_from as usize)
-        .map(|(seq, chunk)| encode_batch(chunk, seq as u32, write_counter))
-        .collect()
+    Ok(frames)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::wire::decode_batch;
+    use crate::wire::{decode_batch, AggCall, PartialAggSpec};
 
     fn site_db() -> Database {
         let mut db = Database::new_in_memory();
@@ -216,5 +255,78 @@ mod tests {
             serve_scan(&mut db, &req.encode(), 64),
             Err(RemoteError::Db(_))
         ));
+    }
+
+    /// A site with NULLs, duplicate group keys and text, for the
+    /// request shapes below.
+    fn wide_db() -> Database {
+        let mut db = Database::new_in_memory();
+        db.execute(
+            "CREATE TABLE SIM (K VARCHAR(10) PRIMARY KEY, G VARCHAR(4), N INTEGER, X DOUBLE)",
+        )
+        .unwrap();
+        for i in 0..11 {
+            let g = ["'a'", "'b'", "NULL"][i % 3];
+            let n = if i % 4 == 0 {
+                "NULL".to_string()
+            } else {
+                (i % 5).to_string()
+            };
+            db.execute(&format!(
+                "INSERT INTO SIM VALUES ('k{i:02}', {g}, {n}, {i}.5)"
+            ))
+            .unwrap();
+        }
+        db
+    }
+
+    proptest::proptest! {
+        /// The frames a site streams from the rows its executor lends are
+        /// the bytes `frame_batches` makes of the collected result: plain
+        /// and keyed scans (full rows, lent as their stored records),
+        /// top-k, partial aggregates, resumed scans and empty results
+        /// alike.
+        #[test]
+        fn streamed_frames_are_the_collected_result_framed(
+            shape in 0u8..4,
+            bound in -1i64..6,
+            limit in 0usize..6,
+            resume_from in 0u64..4,
+            batch_rows in 1usize..5,
+        ) {
+            let mut db = wide_db();
+            let mut req = ScanRequest {
+                table: "SIM".into(),
+                columns: vec!["K".into(), "G".into(), "N".into(), "X".into()],
+                predicate: "(N >= ?)".into(),
+                params: vec![Value::Int(bound)],
+                order_by: vec![],
+                limit: None,
+                resume_from,
+                key_filter: None,
+                partial_agg: None,
+            };
+            match shape {
+                0 => {}
+                1 => {
+                    req.order_by = vec![("N".into(), false), ("K".into(), true)];
+                    req.limit = Some(limit);
+                }
+                2 => {
+                    req.partial_agg = Some(PartialAggSpec {
+                        group_by: vec!["G".into()],
+                        calls: vec![AggCall::CountStar, AggCall::Sum("X".into()), AggCall::Min("N".into())],
+                    });
+                }
+                _ => {
+                    let keys = (0..limit).map(|i| Value::Str(format!("k{:02}", i * 2))).collect();
+                    req.key_filter = Some(("K".into(), keys));
+                }
+            }
+            let rs = db.execute_with_params(&req.to_sql(), &req.effective_params()).unwrap();
+            let collected = frame_batches(&rs.rows, batch_rows, resume_from, db.write_counter());
+            let streamed = serve_scan(&mut db, &req.encode(), batch_rows).unwrap();
+            proptest::prop_assert!(streamed == collected, "{}", req.to_sql());
+        }
     }
 }

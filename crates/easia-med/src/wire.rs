@@ -16,7 +16,7 @@
 //! message always yields the same bytes, which is what lets same-seed
 //! federation runs digest identically.
 
-use easia_db::value::{decode_row, encode_row};
+use easia_db::value::{decode_row, encode_row, Records};
 use easia_db::Value;
 
 /// Frame magic for a row batch: "EMB" + format version 1.
@@ -65,23 +65,35 @@ pub struct Batch {
     pub rows: Vec<Vec<Value>>,
 }
 
+/// Where a batch frame's row count lies: after the magic, the sequence
+/// number and the write counter.
+pub(crate) const BATCH_COUNT_AT: usize = 16;
+
+/// Start a batch frame in `out`: its header, with `rows` as the count.
+pub(crate) fn batch_header(out: &mut Vec<u8>, seq: u32, write_counter: u64, rows: u32) {
+    out.extend_from_slice(&BATCH_MAGIC);
+    out.extend_from_slice(&seq.to_le_bytes());
+    out.extend_from_slice(&write_counter.to_le_bytes());
+    out.extend_from_slice(&rows.to_le_bytes());
+}
+
 /// Encode a batch of rows into one wire frame with its stream position
 /// and the site's current write counter in the header.
 pub fn encode_batch(rows: &[Vec<Value>], seq: u32, write_counter: u64) -> Vec<u8> {
     let mut out = Vec::with_capacity(28 + rows.len() * 16);
-    out.extend_from_slice(&BATCH_MAGIC);
-    out.extend_from_slice(&seq.to_le_bytes());
-    out.extend_from_slice(&write_counter.to_le_bytes());
-    out.extend_from_slice(&(rows.len() as u32).to_le_bytes());
+    batch_header(&mut out, seq, write_counter, rows.len() as u32);
     for row in rows {
         encode_row(row, &mut out);
     }
     out
 }
 
-/// Decode a frame produced by [`encode_batch`]. Rejects bad magic,
-/// truncation and trailing garbage.
-pub fn decode_batch(buf: &[u8]) -> Result<Batch, WireError> {
+/// Walk a frame produced by [`encode_batch`] once — its header, then
+/// each record checked as [`decode_row`] would check it — appending the
+/// records to `rows`. Returns the frame's sequence number and write
+/// counter. Rejects bad magic, truncation and trailing garbage, and then
+/// leaves `rows` as it was.
+pub fn walk_batch(buf: &[u8], rows: &mut Records) -> Result<(u32, u64), WireError> {
     if buf.len() < 20 {
         return Err(WireError::Truncated);
     }
@@ -90,16 +102,33 @@ pub fn decode_batch(buf: &[u8]) -> Result<Batch, WireError> {
     }
     let seq = u32::from_le_bytes(buf[4..8].try_into().expect("4 bytes"));
     let write_counter = u64::from_le_bytes(buf[8..16].try_into().expect("8 bytes"));
-    let n = u32::from_le_bytes(buf[16..20].try_into().expect("4 bytes")) as usize;
-    let mut pos = 20usize;
-    let mut rows = Vec::with_capacity(n);
-    for _ in 0..n {
-        let row = decode_row(buf, &mut pos).map_err(|e| WireError::Row(e.to_string()))?;
-        rows.push(row);
+    let n = u32::from_le_bytes(buf[16..20].try_into().expect("4 bytes"));
+    let (before, mut pos) = (rows.len(), 20usize);
+    rows.reserve(buf.len() - pos, n as usize);
+    let walked = (0..n)
+        .try_for_each(|_| rows.push_checked(buf, &mut pos))
+        .map_err(|e| WireError::Row(e.to_string()))
+        .and_then(|()| match buf.len() - pos {
+            0 => Ok(()),
+            left => Err(WireError::TrailingBytes(left)),
+        });
+    if let Err(e) = walked {
+        rows.truncate(before);
+        return Err(e);
     }
-    if pos != buf.len() {
-        return Err(WireError::TrailingBytes(buf.len() - pos));
-    }
+    Ok((seq, write_counter))
+}
+
+/// Decode a frame produced by [`encode_batch`]: [`walk_batch`], then
+/// each record decoded.
+pub fn decode_batch(buf: &[u8]) -> Result<Batch, WireError> {
+    let mut records = Records::default();
+    let (seq, write_counter) = walk_batch(buf, &mut records)?;
+    let rows = records
+        .iter()
+        .map(|record| decode_row(record, &mut 0))
+        .collect::<Result<_, _>>()
+        .map_err(|e| WireError::Row(e.to_string()))?;
     Ok(Batch {
         seq,
         write_counter,
@@ -331,93 +360,49 @@ impl ScanRequest {
         if buf[..4] != REQUEST_MAGIC {
             return Err(WireError::BadMagic);
         }
-        let mut pos = 4usize;
-        let table = get_str(buf, &mut pos)?;
-        let ncols = get_u32(buf, &mut pos)? as usize;
-        let mut columns = Vec::with_capacity(ncols);
-        for _ in 0..ncols {
-            columns.push(get_str(buf, &mut pos)?);
-        }
-        let predicate = get_str(buf, &mut pos)?;
-        let params = decode_row(buf, &mut pos).map_err(|e| WireError::Row(e.to_string()))?;
-        let nord = get_u32(buf, &mut pos)? as usize;
-        let mut order_by = Vec::with_capacity(nord);
-        for _ in 0..nord {
-            let c = get_str(buf, &mut pos)?;
-            let asc = *buf.get(pos).ok_or(WireError::Truncated)? != 0;
-            pos += 1;
-            order_by.push((c, asc));
-        }
-        let has_limit = *buf.get(pos).ok_or(WireError::Truncated)?;
-        pos += 1;
-        let limit = if has_limit != 0 {
-            let b: [u8; 8] = buf
-                .get(pos..pos + 8)
-                .ok_or(WireError::Truncated)?
-                .try_into()
-                .expect("8 bytes");
-            pos += 8;
-            Some(u64::from_le_bytes(b) as usize)
-        } else {
-            None
+        let pos = &mut 4usize;
+        let row = |pos: &mut usize| decode_row(buf, pos).map_err(|e| WireError::Row(e.to_string()));
+        let table = get_str(buf, pos)?;
+        let columns = list(buf, pos, 4, |pos| get_str(buf, pos))?;
+        let predicate = get_str(buf, pos)?;
+        let params = row(pos)?;
+        let order_by = list(buf, pos, 5, |pos| Ok((get_str(buf, pos)?, flag(buf, pos)?)))?;
+        let limit = match flag(buf, pos)? {
+            true => Some(u64::from_le_bytes(get(buf, pos)?) as usize),
+            false => None,
         };
-        let b: [u8; 8] = buf
-            .get(pos..pos + 8)
-            .ok_or(WireError::Truncated)?
-            .try_into()
-            .expect("8 bytes");
-        pos += 8;
-        let resume_from = u64::from_le_bytes(b);
-        let has_keys = *buf.get(pos).ok_or(WireError::Truncated)?;
-        pos += 1;
-        let key_filter = if has_keys != 0 {
-            let col = get_str(buf, &mut pos)?;
-            let keys = decode_row(buf, &mut pos).map_err(|e| WireError::Row(e.to_string()))?;
-            Some((col, keys))
-        } else {
-            None
+        let resume_from = u64::from_le_bytes(get(buf, pos)?);
+        let key_filter = match flag(buf, pos)? {
+            true => Some((get_str(buf, pos)?, row(pos)?)),
+            false => None,
         };
-        let has_agg = *buf.get(pos).ok_or(WireError::Truncated)?;
-        pos += 1;
-        let partial_agg = if has_agg != 0 {
-            let ngroup = get_u32(buf, &mut pos)? as usize;
-            let mut group_by = Vec::with_capacity(ngroup);
-            for _ in 0..ngroup {
-                group_by.push(get_str(buf, &mut pos)?);
-            }
-            let ncalls = get_u32(buf, &mut pos)? as usize;
-            let mut calls = Vec::with_capacity(ncalls);
-            for _ in 0..ncalls {
-                let tag = *buf.get(pos).ok_or(WireError::Truncated)?;
-                pos += 1;
-                let has_col = *buf.get(pos).ok_or(WireError::Truncated)?;
-                pos += 1;
-                let col = if has_col != 0 {
-                    Some(get_str(buf, &mut pos)?)
-                } else {
-                    None
-                };
-                let call = match (tag, col) {
-                    (0, None) => AggCall::CountStar,
-                    (1, Some(c)) => AggCall::Count(c),
-                    (2, Some(c)) => AggCall::Sum(c),
-                    (3, Some(c)) => AggCall::Min(c),
-                    (4, Some(c)) => AggCall::Max(c),
-                    (t, c) => {
-                        return Err(WireError::Row(format!(
-                            "bad aggregate call tag {t} (column: {})",
-                            c.is_some()
-                        )))
-                    }
-                };
-                calls.push(call);
-            }
-            Some(PartialAggSpec { group_by, calls })
-        } else {
-            None
+        let partial_agg = match flag(buf, pos)? {
+            true => Some(PartialAggSpec {
+                group_by: list(buf, pos, 4, |pos| get_str(buf, pos))?,
+                calls: list(buf, pos, 2, |pos| {
+                    let [tag] = get(buf, pos)?;
+                    let col = match flag(buf, pos)? {
+                        true => Some(get_str(buf, pos)?),
+                        false => None,
+                    };
+                    Ok(match (tag, col) {
+                        (0, None) => AggCall::CountStar,
+                        (1, Some(c)) => AggCall::Count(c),
+                        (2, Some(c)) => AggCall::Sum(c),
+                        (3, Some(c)) => AggCall::Min(c),
+                        (4, Some(c)) => AggCall::Max(c),
+                        (t, c) => {
+                            let what =
+                                format!("bad aggregate call tag {t} (column: {})", c.is_some());
+                            return Err(WireError::Row(what));
+                        }
+                    })
+                })?,
+            }),
+            false => None,
         };
-        if pos != buf.len() {
-            return Err(WireError::TrailingBytes(buf.len() - pos));
+        if *pos != buf.len() {
+            return Err(WireError::TrailingBytes(buf.len() - *pos));
         }
         Ok(ScanRequest {
             table,
@@ -438,21 +423,39 @@ fn put_str(out: &mut Vec<u8>, s: &str) {
     out.extend_from_slice(s.as_bytes());
 }
 
-fn get_u32(buf: &[u8], pos: &mut usize) -> Result<u32, WireError> {
-    let b: [u8; 4] = buf
-        .get(*pos..*pos + 4)
-        .ok_or(WireError::Truncated)?
-        .try_into()
-        .expect("4 bytes");
-    *pos += 4;
-    Ok(u32::from_le_bytes(b))
+/// The `N` bytes at `pos`, moving past them.
+fn get<const N: usize>(buf: &[u8], pos: &mut usize) -> Result<[u8; N], WireError> {
+    let bytes = buf.get(*pos..*pos + N).ok_or(WireError::Truncated)?;
+    *pos += N;
+    Ok(bytes.try_into().expect("N bytes"))
+}
+
+fn flag(buf: &[u8], pos: &mut usize) -> Result<bool, WireError> {
+    Ok(get::<1>(buf, pos)?[0] != 0)
 }
 
 fn get_str(buf: &[u8], pos: &mut usize) -> Result<String, WireError> {
-    let n = get_u32(buf, pos)? as usize;
+    let n = u32::from_le_bytes(get(buf, pos)?) as usize;
     let s = buf.get(*pos..*pos + n).ok_or(WireError::Truncated)?;
     *pos += n;
     String::from_utf8(s.to_vec()).map_err(|e| WireError::Row(e.to_string()))
+}
+
+/// A u32 count, then that many items of at least `size` bytes each: a
+/// count the bytes left cannot hold reserves no more than they can, and
+/// the read fails on the first missing item.
+fn list<T>(
+    buf: &[u8],
+    pos: &mut usize,
+    size: usize,
+    mut item: impl FnMut(&mut usize) -> Result<T, WireError>,
+) -> Result<Vec<T>, WireError> {
+    let n = u32::from_le_bytes(get(buf, pos)?) as usize;
+    let mut items = Vec::with_capacity(n.min((buf.len() - *pos) / size));
+    for _ in 0..n {
+        items.push(item(pos)?);
+    }
+    Ok(items)
 }
 
 #[cfg(test)]
@@ -500,6 +503,50 @@ mod tests {
             decode_batch(&buf[..buf.len() - 1]),
             Err(WireError::Row(_))
         ));
+    }
+
+    /// A count no frame of its length can hold is a typed error, never a
+    /// reservation sized by the count: this frame once asked the
+    /// allocator for ~100 GB and aborted the hub.
+    #[test]
+    fn a_hostile_batch_row_count_is_a_typed_error() {
+        let mut batch = encode_batch(&[], 0, 0);
+        batch[16..20].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert_eq!(batch.len(), 20);
+        assert!(matches!(decode_batch(&batch), Err(WireError::Row(_))));
+    }
+
+    /// The same for each count of a request frame: columns, order keys,
+    /// group columns and calls.
+    #[test]
+    fn hostile_request_counts_are_typed_errors() {
+        let max = u32::MAX.to_le_bytes();
+        let empty = u32::to_le_bytes(0);
+        let mut request = REQUEST_MAGIC.to_vec();
+        request.extend_from_slice(&1u32.to_le_bytes());
+        request.push(b'T');
+        // Columns.
+        let mut columns = request.clone();
+        columns.extend_from_slice(&max);
+        // Order keys: no columns, an empty predicate and parameter row.
+        request.extend_from_slice(&empty);
+        request.extend_from_slice(&empty);
+        request.extend_from_slice(&empty);
+        let mut order_keys = request.clone();
+        order_keys.extend_from_slice(&max);
+        // Group columns and calls: no order keys, limit, cursor or keys.
+        request.extend_from_slice(&empty);
+        request.push(0);
+        request.extend_from_slice(&[0; 8]);
+        request.extend_from_slice(&[0, 1]);
+        let mut groups = request.clone();
+        groups.extend_from_slice(&max);
+        let mut calls = request;
+        calls.extend_from_slice(&empty);
+        calls.extend_from_slice(&max);
+        for frame in [columns, order_keys, groups, calls] {
+            assert_eq!(ScanRequest::decode(&frame), Err(WireError::Truncated));
+        }
     }
 
     #[test]
