@@ -6,16 +6,16 @@ use crate::crc::crc32;
 use crate::error::{DbError, Result};
 use crate::exec;
 use crate::expr::{Bound, EvalContext, FnRegistry, RowSchema};
-use crate::index::btree::has_prefix;
+use crate::index::btree::KeyRef;
 use crate::index::BPlusTree;
 use crate::mvcc::{Csn, MvccState, ReadView, SnapshotId, TxnId, VacuumStats, LATEST_CSN};
 use crate::schema::{ColumnDef, DatalinkSpec, ForeignKey, TableSchema};
 use crate::scrub::ScrubReport;
 use crate::sql::ast::{ColumnDefAst, Stmt, TableConstraint};
 use crate::sql::parse;
-use crate::storage::{HeapTable, RowId};
+use crate::storage::{HeapTable, RowId, PAGE_SIZE};
 use crate::txn::{seal_batch, Wal, WalCorruption, WalRecord};
-use crate::value::{decode_row_into, encode_row, Lent, Value};
+use crate::value::{encode_cells, encode_row, sieve_record, Lent, Records, Value};
 use std::collections::{BTreeMap, HashSet};
 use std::path::{Path, PathBuf};
 use std::rc::Rc;
@@ -76,8 +76,18 @@ pub struct Index {
 }
 
 impl Index {
-    fn key_of(&self, row: &[Value]) -> Vec<Value> {
-        self.col_indices.iter().map(|&i| row[i].clone()).collect()
+    /// Whether `create_table` makes this index, so an image need not name it.
+    fn implicit(&self, s: &TableSchema) -> bool {
+        let uq = |c: &ColumnDef| c.unique && self.name == format!("UQ_{}_{}", s.name, c.name);
+        !s.primary_key.is_empty() && self.name == format!("PK_{}", s.name)
+            || s.columns.iter().any(uq)
+    }
+
+    /// `row`'s key as the tree files it, written over `key`.
+    fn key_into<'k>(&self, row: &[Value], key: &'k mut Vec<u8>) -> KeyRef<'k> {
+        key.clear();
+        encode_cells(self.col_indices.iter().map(|&i| &row[i]), key);
+        KeyRef(key)
     }
 }
 
@@ -178,6 +188,8 @@ struct GroupWindow {
 }
 
 const SNAPSHOT_FILE: &str = "snapshot.db";
+/// What a checkpoint image starts with, before the CRC32 of its body.
+const SNAPSHOT_MAGIC: &[u8] = b"EASNAP3\0";
 const WAL_FILE: &str = "wal.log";
 const QUARANTINE_FILE: &str = "wal.log.quarantined";
 
@@ -312,11 +324,16 @@ impl Database {
             self.vacuum_internal();
         }
         let bytes = self.write_snapshot()?;
+        // The image reaches the disk, then its name, then the log empties.
         let tmp = dir.join("snapshot.tmp");
-        std::fs::write(&tmp, &bytes)
-            .map_err(|e| DbError::Storage(format!("write snapshot: {e}")))?;
-        std::fs::rename(&tmp, dir.join(SNAPSHOT_FILE))
-            .map_err(|e| DbError::Storage(format!("publish snapshot: {e}")))?;
+        let publish = || {
+            let mut file = std::fs::File::create(&tmp)?;
+            std::io::Write::write_all(&mut file, &bytes)?;
+            file.sync_data()?;
+            std::fs::rename(&tmp, dir.join(SNAPSHOT_FILE))?;
+            std::fs::File::open(&dir)?.sync_all()
+        };
+        publish().map_err(|e| DbError::Storage(format!("publish snapshot: {e}")))?;
         self.wal.truncate()
     }
 
@@ -1127,16 +1144,14 @@ impl Database {
             &t.schema,
             &t.heap,
             std::slice::from_mut(&mut ix),
+            None,
             |rid, key| {
                 if unique
-                    && !key.iter().any(Value::is_null)
+                    && !key.cells().any(|(tag, _)| tag == 0)
                     && mvcc.visible_in(versions, rid, &view)
+                    && !seen.insert(key.0.to_vec())
                 {
-                    let mut enc = Vec::new();
-                    encode_row(key, &mut enc);
-                    if !seen.insert(enc) {
-                        return Err(DbError::Constraint(duplicate.clone()));
-                    }
+                    return Err(DbError::Constraint(duplicate.clone()));
                 }
                 Ok(())
             },
@@ -1486,15 +1501,12 @@ impl Database {
         txn: TxnId,
     ) -> Result<()> {
         let t = self.tables.get(table).expect("caller validated table");
+        let mut key = Vec::new();
         for ix in &t.indexes {
-            if !ix.unique {
-                continue;
-            }
-            let key = ix.key_of(row);
-            if key.iter().any(Value::is_null) {
+            if !ix.unique || ix.col_indices.iter().any(|&i| row[i].is_null()) {
                 continue; // NULLs are exempt from uniqueness
             }
-            for hit in ix.tree.get(&key) {
+            for &hit in ix.tree.get_key(ix.key_into(row, &mut key)) {
                 if Some(hit) == exclude {
                     continue;
                 }
@@ -1641,10 +1653,12 @@ impl Database {
                     .find(|ix| ix.col_indices.starts_with(&child_idx))
                 {
                     Some(ix) => {
-                        let key: Vec<Value> = old_key.iter().map(|&v| v.clone()).collect();
+                        let mut key = Vec::new();
+                        encode_cells(old_key.iter().copied(), &mut key);
+                        let key = KeyRef(&key);
                         let mut found = false;
-                        ix.tree.scan_from(&key, |k, rids| {
-                            let under_key = has_prefix(k, &key);
+                        ix.tree.scan_from_key(key, |k, rids| {
+                            let under_key = k.has_prefix(key);
                             found = under_key
                                 && rids.iter().any(|&crid| {
                                     child.heap.get(crid).is_some_and(|r| references(crid, &r))
@@ -1673,9 +1687,10 @@ impl Database {
     fn physical_insert(&mut self, table: &str, row: &[Value]) -> RowId {
         let t = self.tables.get_mut(table).expect("caller validated table");
         let rid = t.heap.insert(row);
+        let mut key = Vec::new();
         for ix in &mut t.indexes {
-            let key = ix.col_indices.iter().map(|&i| row[i].clone()).collect();
-            ix.tree.insert(key, rid);
+            let key = ix.key_into(row, &mut key);
+            ix.tree.insert_key(key, rid);
         }
         rid
     }
@@ -1683,9 +1698,10 @@ impl Database {
     fn physical_delete(&mut self, table: &str, rid: RowId) {
         let t = self.tables.get_mut(table).expect("caller validated table");
         if let Some(row) = t.heap.get(rid) {
+            let mut key = Vec::new();
             for ix in &mut t.indexes {
-                let key = ix.key_of(&row);
-                ix.tree.remove(&key, rid);
+                let key = ix.key_into(&row, &mut key);
+                ix.tree.remove_key(key, rid);
             }
             t.heap.delete(rid);
         }
@@ -1699,14 +1715,15 @@ impl Database {
         new: &[Value],
     ) -> Result<RowId> {
         let t = self.tables.get_mut(table).expect("caller validated table");
+        let mut key = Vec::new();
         for ix in &mut t.indexes {
-            let key = ix.key_of(old);
-            ix.tree.remove(&key, rid);
+            let key = ix.key_into(old, &mut key);
+            ix.tree.remove_key(key, rid);
         }
         let new_id = t.heap.update(rid, new)?;
         for ix in &mut t.indexes {
-            let key = ix.key_of(new);
-            ix.tree.insert(key, new_id);
+            let key = ix.key_into(new, &mut key);
+            ix.tree.insert_key(key, new_id);
         }
         Ok(new_id)
     }
@@ -1723,8 +1740,9 @@ impl Database {
         match t.indexes.first() {
             Some(ix) if row.len() == t.schema.columns.len() => ix
                 .tree
-                .get(&ix.key_of(row))
-                .into_iter()
+                .get_key(ix.key_into(row, &mut Vec::new()))
+                .iter()
+                .copied()
                 .find(|&rid| t.heap.record(rid) == Some(&want[..])),
             _ => t
                 .heap
@@ -1776,24 +1794,27 @@ impl Database {
 
     // ---- snapshotting ----
 
-    /// Serialise the committed state as a v2 snapshot:
-    /// `EASNAP2\0` + body CRC32 + body. Rows are filtered to the commit
+    /// Serialise the committed state as an `EASNAP3` image: the magic,
+    /// the body's CRC32, then the body. Rows are filtered to the commit
     /// horizon's read view, so a checkpoint taken under in-flight
     /// transactions or open snapshots writes exactly what a fresh reader
     /// would see (uncommitted and merely-pinned versions excluded; heap
-    /// RowIds are not preserved, which is fine — indexes are rebuilt on
-    /// load and WAL replay matches rows by value).
+    /// RowIds are not preserved — WAL replay matches rows by value).
     ///
     /// A visible record is checked to be a row of its table
-    /// ([`decode_record`]) and then copied as bytes: the fresh heap places
+    /// ([`check_record`]) and then copied as bytes: the fresh heap places
     /// a record by its length alone, so the image is the one that
     /// re-encoding every decoded row would write. A record that is not
     /// one is a typed error, raised before anything on disk is touched.
+    /// After a table's heap, each index's order: its rows' `u32`
+    /// positions in the image, in key order.
     fn write_snapshot(&self) -> Result<Vec<u8>> {
         let view = self.mvcc.committed_view();
-        let mut scratch = Vec::new();
+        // Pages and orders bound the image, overflow aside: reserved once.
+        let room = |t: &Table| PAGE_SIZE * t.heap.page_count() + 4 * t.heap.len() * t.indexes.len();
+        let mut image = Vec::with_capacity(self.tables.values().map(room).sum::<usize>() + 4096);
         // Room for the magic and the body's CRC, filled in at the end.
-        let mut image = vec![0; 12];
+        image.resize(12, 0);
         image.extend_from_slice(&(self.tables.len() as u32).to_le_bytes());
         for (name, t) in &self.tables {
             let ddl = schema_to_ddl(&t.schema);
@@ -1803,7 +1824,7 @@ impl Database {
             let extra: Vec<String> = t
                 .indexes
                 .iter()
-                .filter(|ix| !ix.name.starts_with("PK_") && !ix.name.starts_with("UQ_"))
+                .filter(|ix| !ix.implicit(&t.schema))
                 .map(|ix| index_to_ddl(&t.schema, ix))
                 .collect();
             image.extend_from_slice(&(extra.len() as u32).to_le_bytes());
@@ -1813,81 +1834,83 @@ impl Database {
             }
             let versions = self.mvcc.table_versions(name);
             let mut committed = HeapTable::new();
+            // Where each visible row moves to, by its place here; a fresh
+            // heap has no gaps, so a place there is a position.
+            let (places, place) = t.heap.places();
+            let mut moved = vec![None; places];
             for (rid, rec) in t.heap.records() {
                 if self.mvcc.visible_in(versions, rid, &view) {
-                    decode_record(&t.schema, rid, rec, &mut scratch)?;
-                    committed.insert_record(rec.into());
+                    check_record(&t.schema, rid, rec, |_| {})?;
+                    moved[place(rid)] = Some(committed.insert_record(rec.into()));
                 }
             }
             committed.snapshot(&mut image);
+            let (_, position) = committed.places();
+            for ix in &t.indexes {
+                ix.tree.scan_from(&[], |_, rows| {
+                    for to in rows.iter().filter_map(|&rid| moved[place(rid)]) {
+                        image.extend_from_slice(&(position(to) as u32).to_le_bytes());
+                    }
+                    true
+                });
+            }
         }
         let crc = crc32(&image[12..]);
-        image[..8].copy_from_slice(b"EASNAP2\0");
+        image[..8].copy_from_slice(SNAPSHOT_MAGIC);
         image[8..12].copy_from_slice(&crc.to_le_bytes());
         Ok(image)
     }
 
-    /// Load a snapshot image (`EASNAP2\0` + body CRC32 + body). A body
-    /// failing its CRC is a typed storage error — recovery must not
-    /// build on rotted pages.
-    fn load_snapshot(&mut self, full: &[u8]) -> Result<()> {
+    /// Load an image [`Database::write_snapshot`] wrote. A rotted body is
+    /// a typed storage error, and so is one that lies under a good CRC.
+    fn load_snapshot(&mut self, image: &[u8]) -> Result<()> {
+        let bytes = snapshot_body(image).map_err(|e| DbError::Storage(e.into()))?;
         let trunc = || DbError::Storage("snapshot truncated".into());
-        if full.get(..8) != Some(b"EASNAP2\0".as_slice()) {
-            return Err(DbError::Storage("bad snapshot magic".into()));
-        }
-        let want = u32::from_le_bytes(
-            full.get(8..12)
-                .ok_or_else(trunc)?
-                .try_into()
-                .expect("4 bytes"),
-        );
-        let bytes = &full[12..];
-        if crc32(bytes) != want {
-            return Err(DbError::Storage(
-                "snapshot checksum mismatch (crc32): refusing to load rotted image".into(),
-            ));
-        }
         let mut pos = 0usize;
-        let read_u32 = |pos: &mut usize| -> Result<u32> {
-            let s = bytes.get(*pos..*pos + 4).ok_or_else(trunc)?;
-            *pos += 4;
-            Ok(u32::from_le_bytes(s.try_into().expect("4 bytes")))
+        let take = |pos: &mut usize, len: usize| -> Result<&[u8]> {
+            let s = bytes.get(*pos..pos.saturating_add(len)).ok_or_else(trunc)?;
+            *pos += len;
+            Ok(s)
+        };
+        let read_u32 = |pos: &mut usize| -> Result<usize> {
+            let s = take(pos, 4)?;
+            Ok(u32::from_le_bytes(s.try_into().expect("4 bytes")) as usize)
         };
         let read_str = |pos: &mut usize| -> Result<String> {
-            let len = {
-                let s = bytes.get(*pos..*pos + 4).ok_or_else(trunc)?;
-                *pos += 4;
-                u32::from_le_bytes(s.try_into().expect("4 bytes")) as usize
-            };
-            let s = bytes.get(*pos..*pos + len).ok_or_else(trunc)?;
-            *pos += len;
-            String::from_utf8(s.to_vec()).map_err(|_| DbError::Storage("snapshot utf8".into()))
+            let len = read_u32(pos)?;
+            String::from_utf8(take(pos, len)?.to_vec())
+                .map_err(|_| DbError::Storage("snapshot utf8".into()))
         };
-        let ntables = read_u32(&mut pos)? as usize;
+        let ntables = read_u32(&mut pos)?;
         self.replaying = true;
         for _ in 0..ntables {
-            let ddl = read_str(&mut pos)?;
-            let stmt = parse(&ddl)?;
+            let stmt = parse(&read_str(&mut pos)?)?;
+            let Stmt::CreateTable { name, .. } = &stmt else {
+                return Err(DbError::Storage("snapshot: expected CREATE TABLE".into()));
+            };
+            let tname = name.to_ascii_uppercase();
             self.apply_ddl(&stmt)?;
-            let nextra = read_u32(&mut pos)? as usize;
+            let nextra = read_u32(&mut pos)?;
             for _ in 0..nextra {
-                let iddl = read_str(&mut pos)?;
-                let stmt = parse(&iddl)?;
+                let stmt = parse(&read_str(&mut pos)?)?;
+                if !matches!(stmt, Stmt::CreateIndex { .. }) {
+                    return Err(DbError::Storage("snapshot: expected CREATE INDEX".into()));
+                }
                 self.apply_ddl(&stmt)?;
             }
-            // Replace the fresh heap with the snapshotted one and rebuild
-            // index contents from it.
-            let tname = match parse(&ddl)? {
-                Stmt::CreateTable { name, .. } => name.to_ascii_uppercase(),
-                _ => return Err(DbError::Storage("snapshot: expected CREATE TABLE".into())),
-            };
             let heap = HeapTable::restore(bytes, &mut pos)?;
-            let t = self.tables.get_mut(&tname).expect("just created");
+            let t = self.tables.get_mut(&tname).expect("created above");
+            let orders = take(&mut pos, 4 * heap.len() * t.indexes.len())?;
             t.heap = heap;
-            fill_indexes(&t.schema, &t.heap, &mut t.indexes, |_, _| Ok(()))?;
+            fill_indexes(&t.schema, &t.heap, &mut t.indexes, Some(orders), |_, _| {
+                Ok(())
+            })?;
         }
         self.replaying = false;
-        Ok(())
+        match pos == bytes.len() {
+            true => Ok(()),
+            false => Err(DbError::Storage("snapshot: trailing bytes".into())),
+        }
     }
 
     /// Render DATALINK values for output via the registered observers.
@@ -1901,22 +1924,41 @@ impl Database {
     }
 }
 
-/// Decode the stored record at `rid` into the caller's reused row,
-/// checking that it is a row of the table: one whole row encoding —
-/// every cell's tag, length and text valid — nothing after it, and as
-/// many cells as the table has columns.
-fn decode_record(schema: &TableSchema, rid: RowId, rec: &[u8], row: &mut Vec<Value>) -> Result<()> {
-    let mut pos = 0;
-    let what = match decode_row_into(rec, &mut pos, row) {
+/// The body of a checkpoint image, once its magic and its CRC check.
+pub(crate) fn snapshot_body(image: &[u8]) -> std::result::Result<&[u8], &'static str> {
+    let (Some(SNAPSHOT_MAGIC), Some(want)) = (image.get(..8), image.get(8..12)) else {
+        return Err("bad snapshot magic");
+    };
+    match crc32(&image[12..]) == u32::from_le_bytes(want.try_into().expect("4 bytes")) {
+        true => Ok(&image[12..]),
+        false => Err("snapshot checksum mismatch (crc32): refusing to load rotted image"),
+    }
+}
+
+/// Check that `rec`, the stored record at `rid`, is a row of the table:
+/// one whole row encoding — every cell's tag, length and text valid —
+/// nothing after it, and a cell per column; lend each cell to `cell`.
+fn check_record<'r>(
+    schema: &TableSchema,
+    rid: RowId,
+    rec: &'r [u8],
+    mut cell: impl FnMut(&'r [u8]),
+) -> Result<()> {
+    let (mut pos, mut cells) = (0, 0);
+    let walked = sieve_record(rec, &mut pos, &[], |_, _, _, span| {
+        cell(&rec[span]);
+        cells += 1;
+        true
+    });
+    let what = match walked {
         Err(DbError::Storage(what)) => what,
         Err(other) => return Err(other),
-        Ok(()) if pos != rec.len() => "row decode: trailing bytes".into(),
-        Ok(()) if row.len() != schema.columns.len() => format!(
-            "row decode: {} cells for {} columns",
-            row.len(),
+        Ok(_) if pos != rec.len() => "row decode: trailing bytes".into(),
+        Ok(_) if cells != schema.columns.len() => format!(
+            "row decode: {cells} cells for {} columns",
             schema.columns.len()
         ),
-        Ok(()) => return Ok(()),
+        Ok(_) => return Ok(()),
     };
     Err(DbError::Storage(format!(
         "{} row {:#x}: {what}",
@@ -1924,34 +1966,54 @@ fn decode_record(schema: &TableSchema, rid: RowId, rec: &[u8], row: &mut Vec<Val
     )))
 }
 
-/// Fill the (empty) trees of `indexes` from every record of a table's
-/// heap — the one way an index is built over rows that are already
-/// stored. Each record is decoded once into one scratch row
-/// ([`decode_record`]), only the key cells are cloned out, into one run
-/// of `(key, row id)` per index, and each tree is built bottom-up from
-/// its run ([`BPlusTree::from_pairs`]). `admit` sees every key before it
-/// is filed and may refuse it.
+/// Fill the (empty) trees of `indexes` from a table's heap: one walk
+/// checks each record and copies each key's cells out, then each tree is
+/// built in the order `orders` holds for it (checked to ascend), or by
+/// sorting. `admit` sees every key before it is filed and may refuse it.
 fn fill_indexes(
     schema: &TableSchema,
     heap: &HeapTable,
     indexes: &mut [Index],
-    mut admit: impl FnMut(RowId, &[Value]) -> Result<()>,
+    orders: Option<&[u8]>,
+    mut admit: impl FnMut(RowId, KeyRef) -> Result<()>,
 ) -> Result<()> {
-    let mut runs: Vec<Vec<(Vec<Value>, RowId)>> = indexes
-        .iter()
-        .map(|_| Vec::with_capacity(heap.len()))
-        .collect();
-    let mut row = Vec::new();
+    let (n, mut keys) = (heap.len(), vec![Records::default(); indexes.len()]);
+    // Every key takes at least its cell count.
+    keys.iter_mut().for_each(|k| k.reserve(4 * n, n));
+    let mut rids = Vec::with_capacity(n);
+    let (mut cells, mut key) = (Vec::with_capacity(schema.columns.len()), Vec::new());
     for (rid, rec) in heap.records() {
-        decode_record(schema, rid, rec, &mut row)?;
-        for (ix, run) in indexes.iter().zip(&mut runs) {
-            let key = ix.key_of(&row);
-            admit(rid, &key)?;
-            run.push((key, rid));
+        cells.clear();
+        check_record(schema, rid, rec, |cell| cells.push(cell))?;
+        for (ix, keys) in indexes.iter().zip(&mut keys) {
+            key.clear();
+            key.extend_from_slice(&(ix.col_indices.len() as u32).to_le_bytes());
+            ix.col_indices
+                .iter()
+                .for_each(|&i| key.extend_from_slice(cells[i]));
+            admit(rid, KeyRef(&key))?;
+            keys.push_lent(Lent::Record(&key));
         }
+        rids.push(rid);
     }
-    for (ix, run) in indexes.iter_mut().zip(runs) {
-        ix.tree = BPlusTree::from_pairs(run);
+    let bad =
+        |what: &str| DbError::Storage(format!("snapshot: {} index order {what}", schema.name));
+    for (i, (ix, keys)) in indexes.iter_mut().zip(&keys).enumerate() {
+        let pair = |p: usize| (keys.get(p), rids[p]);
+        ix.tree = match orders {
+            None => BPlusTree::from_pairs((0..n).map(pair).collect()),
+            Some(orders) => {
+                let order = orders[4 * n * i..4 * n * (i + 1)]
+                    .chunks_exact(4)
+                    .map(|p| u32::from_le_bytes(p.try_into().expect("4 bytes")) as usize);
+                // n positions that ascend strictly by key and row id, each
+                // under n, name every record once.
+                if order.clone().any(|p| p >= n) {
+                    return Err(bad("names a record past the table"));
+                }
+                BPlusTree::from_run(order.map(pair)).map_err(|_| bad("does not ascend"))?
+            }
+        };
     }
     Ok(())
 }
@@ -2040,7 +2102,8 @@ mod tests {
 
     /// The snapshot writer this one replaced, kept as the reference:
     /// every row of every table decoded (`scan`), the visible ones
-    /// re-encoded into a fresh heap (`insert`).
+    /// re-encoded into a fresh heap (`insert`), and each index's order
+    /// found from scratch: the rows' positions sorted by their keys.
     fn snapshot_by_reencoding(db: &Database) -> Vec<u8> {
         let view = db.mvcc.committed_view();
         let mut body = Vec::new();
@@ -2054,7 +2117,7 @@ mod tests {
             let extra: Vec<String> = t
                 .indexes
                 .iter()
-                .filter(|ix| !ix.name.starts_with("PK_") && !ix.name.starts_with("UQ_"))
+                .filter(|ix| !ix.implicit(&t.schema))
                 .map(|ix| index_to_ddl(&t.schema, ix))
                 .collect();
             body.extend_from_slice(&(extra.len() as u32).to_le_bytes());
@@ -2062,14 +2125,30 @@ mod tests {
                 put(&mut body, ddl);
             }
             let mut committed = HeapTable::new();
+            let mut rows = Vec::new();
             for (rid, row) in t.heap.scan() {
                 if db.mvcc.visible(name, rid, &view) {
                     committed.insert(&row);
+                    rows.push(row);
                 }
             }
             committed.snapshot(&mut body);
+            for ix in &t.indexes {
+                let key_cmp = |a: &Vec<Value>, b: &Vec<Value>| {
+                    ix.col_indices
+                        .iter()
+                        .map(|&i| a[i].total_cmp(&b[i]))
+                        .find(|o| o.is_ne())
+                        .unwrap_or(std::cmp::Ordering::Equal)
+                };
+                let mut order: Vec<usize> = (0..rows.len()).collect();
+                order.sort_by(|&a, &b| key_cmp(&rows[a], &rows[b]).then(a.cmp(&b)));
+                for p in order {
+                    body.extend_from_slice(&(p as u32).to_le_bytes());
+                }
+            }
         }
-        let mut out = b"EASNAP2\0".to_vec();
+        let mut out = SNAPSHOT_MAGIC.to_vec();
         out.extend_from_slice(&crc32(&body).to_le_bytes());
         out.extend_from_slice(&body);
         out
@@ -2185,6 +2264,33 @@ mod tests {
         db.rollback_txn(t).unwrap();
         db.release_snapshot(pinned);
         assert_eq!(db.write_snapshot().unwrap(), snapshot_by_reencoding(&db));
+    }
+
+    /// An image lists only the indexes `create_table` does not make, and
+    /// carries an order for every index: one a user named like an
+    /// implicit one must come back, with its order.
+    #[test]
+    fn an_index_named_like_an_implicit_one_survives_a_checkpoint() {
+        let dir = temp_dir("named-index");
+        let mut db = Database::open(&dir).unwrap();
+        db.execute("CREATE TABLE author (k INTEGER PRIMARY KEY, email VARCHAR(40))")
+            .unwrap();
+        db.execute("CREATE UNIQUE INDEX uq_email ON author (email)")
+            .unwrap();
+        db.execute("CREATE INDEX pk_by_email ON author (email, k)")
+            .unwrap();
+        db.execute("INSERT INTO author VALUES (1, 'a@x'), (2, 'b@x')")
+            .unwrap();
+        db.checkpoint().unwrap();
+        drop(db);
+        let mut db = Database::open(&dir).unwrap();
+        let t = db.table("AUTHOR").unwrap();
+        let names: Vec<&str> = t.indexes.iter().map(|ix| ix.name.as_str()).collect();
+        assert_eq!(names, ["PK_AUTHOR", "UQ_EMAIL", "PK_BY_EMAIL"]);
+        assert!(t.indexes.iter().all(|ix| ix.tree.len() == 2));
+        let dup = db.execute("INSERT INTO author VALUES (3, 'a@x')");
+        assert!(matches!(dup, Err(DbError::Constraint(_))), "{dup:?}");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -14,7 +14,7 @@
 use crate::db::{Database, ResultSet, Table};
 use crate::error::{DbError, Result};
 use crate::expr::{truth, Bound, EvalContext, FnRegistry, RowSchema};
-use crate::index::btree::has_prefix;
+use crate::index::btree::{key_record, KeyRef};
 use crate::mvcc::ReadView;
 use crate::plan::{
     bound_conjuncts, choose_bound, choose_in_scope, own_conjuncts, stand_in, AccessPath, Scope,
@@ -163,17 +163,19 @@ fn fetch<'r>(
             ..
         } => {
             let ix = &t.indexes[index_pos];
-            let bound = eq.len();
-            let mut rids = if bound == ix.col_indices.len() {
+            let mut rids = if eq.len() == ix.col_indices.len() {
                 ix.tree.get(&eq)
             } else {
                 // Seek to the equality run (and the tail's lower bound),
                 // then take keys until one leaves the run or the tail.
+                let (run, bound) = (key_record(&eq), eq.len());
+                let run = KeyRef(&run);
                 let mut lo = eq;
                 lo.extend(tail.lower_bound());
                 let mut rids = Vec::new();
                 ix.tree.scan_from(&lo, |key, rows| {
-                    let inside = has_prefix(key, &lo[..bound]) && tail.admits(&key[bound]);
+                    let next = key.cells().nth(bound);
+                    let inside = key.has_prefix(run) && next.is_some_and(|c| tail.admits_cell(c));
                     if inside {
                         rids.extend_from_slice(rows);
                     }

@@ -1,41 +1,88 @@
-//! An in-memory B+tree mapping composite [`Value`] keys to [`RowId`]s.
+//! An in-memory B+tree mapping composite keys to [`RowId`]s.
 //!
-//! Keys are ordered by [`Value::total_cmp`] lexicographically across the
-//! key columns. Duplicate keys are allowed (secondary indexes); each leaf
-//! entry carries the set of row ids for its key. Unique enforcement is the
-//! caller's job (the executor checks before inserting for PK/UNIQUE
-//! indexes).
-//!
-//! Reads are [`BPlusTree::get`] for one whole key and
-//! [`BPlusTree::scan_from`], a borrowing in-order cursor, for every
-//! range, prefix and partial-key walk.
+//! A key is the [`encode_row`] record of its cells — byte for byte the
+//! cells of the heap record it indexes — ordered cell by cell as
+//! [`Value::total_cmp`] orders values ([`KeyRef::order`]). Duplicate keys
+//! are allowed (secondary indexes); each leaf entry owns its key and its
+//! row ids, a lone one inline. Unique enforcement is the caller's job.
+//! Every operation takes its key as values, or as a record (the `_key`
+//! forms); [`BPlusTree::scan_from`] lends each key as a [`KeyRef`].
 //!
 //! The tree uses a conventional split-on-overflow insertion and
 //! borrow/merge-free deletion (leaves may underflow; with the archive's
 //! append-mostly workload this is a deliberate simplification — deletes
 //! only shrink entry lists, and empty entries are removed from leaves).
-//! A whole heap is indexed bottom-up instead ([`BPlusTree::from_pairs`]):
-//! one sort, then full nodes level by level. The node *shapes* differ
+//! A whole run of keys is indexed bottom-up instead
+//! ([`BPlusTree::from_run`], the keys in order; [`BPlusTree::from_pairs`]
+//! sorts them first): full nodes level by level. The node *shapes* differ
 //! from what the same pairs inserted one by one would leave; every read
 //! answers the same.
 
+use crate::error::DbError;
 use crate::storage::RowId;
-use crate::value::Value;
+use crate::value::{as_cell, cell_cmp, cells, decode_row, encode_row, sieve_record, Value};
 use std::cmp::Ordering;
 
 /// Maximum entries per node before a split.
 const ORDER: usize = 32;
 
-type Key = Vec<Value>;
+/// A key as a node owns it: an [`encode_row`] record.
+type Key = Box<[u8]>;
 
-fn key_cmp(a: &[Value], b: &[Value]) -> Ordering {
-    for (x, y) in a.iter().zip(b.iter()) {
-        match x.total_cmp(y) {
-            Ordering::Equal => continue,
-            o => return o,
+/// A key as the tree files it, lent and read in place.
+#[derive(Debug, Clone, Copy)]
+pub struct KeyRef<'a>(pub(crate) &'a [u8]);
+
+impl<'a> KeyRef<'a> {
+    /// View `record`, once checked to be one whole [`encode_row`] record.
+    pub fn new(record: &'a [u8]) -> crate::error::Result<Self> {
+        let mut pos = 0;
+        sieve_record(record, &mut pos, &[], |_, _, _, _| true)?;
+        match pos == record.len() {
+            true => Ok(KeyRef(record)),
+            false => Err(DbError::Storage("row decode: trailing bytes".into())),
         }
     }
-    a.len().cmp(&b.len())
+
+    /// The key's cells, as their tags and payloads.
+    pub fn cells(self) -> impl Iterator<Item = (u8, &'a [u8])> {
+        cells(self.0)
+    }
+
+    /// The key's cells, decoded.
+    pub fn values(self) -> Vec<Value> {
+        decode_row(self.0, &mut 0).expect("a key is a whole record")
+    }
+
+    /// True when this key's leading cells equal `prefix`'s.
+    pub fn has_prefix(self, prefix: KeyRef<'_>) -> bool {
+        let mut mine = self.cells();
+        (prefix.cells()).all(|p| mine.next().is_some_and(|c| cell_cmp(c, p).is_eq()))
+    }
+
+    /// The tree's order: cell by cell, a key before a longer one it leads.
+    pub fn order(self, other: KeyRef<'_>) -> Ordering {
+        let (mut mine, mut theirs) = (self.cells(), other.cells());
+        loop {
+            match (mine.next(), theirs.next()) {
+                (Some(a), Some(b)) if cell_cmp(a, b).is_eq() => {}
+                (Some(a), Some(b)) => return cell_cmp(a, b),
+                (a, b) => return a.is_some().cmp(&b.is_some()),
+            }
+        }
+    }
+}
+
+fn key_cmp(a: &[u8], b: &[u8]) -> Ordering {
+    KeyRef(a).order(KeyRef(b))
+}
+
+/// `key` as a record, in a buffer sized once (≤ 5 bytes a cell beside its payload).
+pub(crate) fn key_record(key: &[Value]) -> Vec<u8> {
+    let payloads: usize = key.iter().map(|v| as_cell(v, &mut [0; 8]).1.len()).sum();
+    let mut record = Vec::with_capacity(4 + 5 * key.len() + payloads);
+    encode_row(key, &mut record);
+    record
 }
 
 /// Sizes of the fewest groups of at most `max` that `n` items spread
@@ -45,16 +92,31 @@ fn spread(n: usize, max: usize) -> impl Iterator<Item = usize> {
     (0..groups).map(move |g| n / groups + usize::from(g < n % groups))
 }
 
-/// True when the leading columns of `key` equal `prefix` — the test
-/// that ends a [`BPlusTree::scan_from`] walk over one key prefix.
+/// [`KeyRef::has_prefix`] over values.
 pub fn has_prefix(key: &[Value], prefix: &[Value]) -> bool {
-    key.len() >= prefix.len() && key_cmp(&key[..prefix.len()], prefix) == Ordering::Equal
+    key.len() >= prefix.len() && key.iter().zip(prefix).all(|(k, p)| k.total_cmp(p).is_eq())
+}
+
+/// The row ids under one key, ascending, without repeats.
+#[derive(Debug, Clone)]
+enum Rows {
+    One(RowId),
+    Many(Box<[RowId]>),
+}
+
+impl Rows {
+    fn as_slice(&self) -> &[RowId] {
+        match self {
+            Rows::One(row) => std::slice::from_ref(row),
+            Rows::Many(rows) => rows,
+        }
+    }
 }
 
 #[derive(Debug, Clone)]
 struct Leaf {
     /// Sorted by key; each entry owns the row ids for that exact key.
-    entries: Vec<(Key, Vec<RowId>)>,
+    entries: Vec<(Key, Rows)>,
 }
 
 #[derive(Debug, Clone)]
@@ -62,6 +124,13 @@ struct Internal {
     /// `keys[i]` separates `children[i]` (< key) from `children[i+1]` (>= key).
     keys: Vec<Key>,
     children: Vec<Node>,
+}
+
+impl Internal {
+    /// The child whose subtree `key` falls in.
+    fn child(&self, key: &[u8]) -> usize {
+        self.keys.partition_point(|k| key_cmp(k, key).is_le())
+    }
 }
 
 #[derive(Debug, Clone)]
@@ -100,41 +169,64 @@ impl BPlusTree {
         }
     }
 
-    /// The tree holding exactly `pairs`, given in any order — what
-    /// inserting them one by one in that order builds, read through
-    /// [`BPlusTree::get`] and [`BPlusTree::scan_from`]: keys that compare
-    /// equal share one entry under the first of them given, its row ids
-    /// ascending and without repeats.
-    ///
-    /// Built bottom-up from the sorted run. Every level is cut into the
-    /// fewest nodes that hold it, filled evenly, so no node exceeds
-    /// `ORDER` keys and none but a lone root falls under half of that
-    /// (an internal node never has fewer than two children). A separator
-    /// is the first key of the subtree to its right, as a split leaves it.
-    pub fn from_pairs(mut pairs: Vec<(Key, RowId)>) -> Self {
-        // Stable: among equal keys the first given stays first.
-        pairs.sort_by(|a, b| key_cmp(&a.0, &b.0));
-        let opens_entry: Vec<bool> = (0..pairs.len())
-            .map(|i| i == 0 || key_cmp(&pairs[i - 1].0, &pairs[i].0) != Ordering::Equal)
-            .collect();
-        let distinct = opens_entry.iter().filter(|&&opens| opens).count();
-        let mut len = 0;
-        let mut run = pairs.into_iter().zip(opens_entry).peekable();
+    /// The tree holding exactly `pairs` (keys as records, in any order,
+    /// repeats allowed), read as inserting them one by one builds it:
+    /// sorted, then built by [`BPlusTree::from_run`].
+    pub fn from_pairs<K: AsRef<[u8]>>(mut pairs: Vec<(K, RowId)>) -> Self {
+        let cmp = |a: &(K, RowId), b: &(K, RowId)| key_cmp(a.0.as_ref(), b.0.as_ref());
+        pairs.sort_by(|a, b| cmp(a, b).then(a.1.cmp(&b.1)));
+        pairs.dedup_by(|a, b| a.1 == b.1 && cmp(a, b) == Ordering::Equal);
+        Self::from_run(pairs.iter().map(|(key, row)| (key.as_ref(), *row)))
+            .expect("a sorted run ascends")
+    }
+
+    /// The tree holding `run`, which must ascend: each key after the one
+    /// before, or equal to it with a greater row id (else the error is the
+    /// position of the first pair that does not). Equal keys share one
+    /// entry, under the first of them. Built bottom-up. Every level is cut into the fewest nodes that
+    /// hold it, filled evenly, so no node exceeds `ORDER` keys and none
+    /// but a lone root falls under half of that (an internal node never
+    /// has fewer than two children). A separator is the first key of the
+    /// subtree to its right, as a split leaves it.
+    pub fn from_run<'k, I>(run: I) -> Result<Self, usize>
+    where
+        I: IntoIterator<Item = (&'k [u8], RowId)>,
+        I::IntoIter: Clone,
+    {
+        let mut run = run.into_iter();
+        // Which pairs open an entry, checked on the way.
+        let mut opens = Vec::with_capacity(run.size_hint().0);
+        let mut last: Option<(&[u8], RowId)> = None;
+        for (at, (key, row)) in run.clone().enumerate() {
+            opens.push(match last {
+                None => true,
+                Some((k, r)) => match key_cmp(k, key) {
+                    Ordering::Less => true,
+                    Ordering::Equal if r < row => false,
+                    _ => return Err(at),
+                },
+            });
+            last = Some((key, row));
+        }
+        let distinct = opens.iter().filter(|&&opens| opens).count();
+        let (len, mut at) = (opens.len(), 0);
         // Each node travels with the first key under it: the separator
         // its parent files it behind.
         let mut level: Vec<(Key, Node)> = spread(distinct, ORDER)
             .map(|size| {
                 let mut entries = Vec::with_capacity(size);
                 for _ in 0..size {
-                    let ((key, row), _) = run.next().expect("one run element per entry");
-                    let mut rows = vec![row];
-                    while let Some(((_, row), _)) = run.next_if(|(_, opens)| !opens) {
-                        rows.push(row);
-                    }
-                    rows.sort_unstable();
-                    rows.dedup();
-                    len += rows.len();
-                    entries.push((key, rows));
+                    let rows = 1 + opens[at + 1..].iter().take_while(|&&o| !o).count();
+                    let (key, row) = run.next().expect("one run element per row");
+                    let more = run.by_ref().take(rows - 1).map(|(_, row)| row);
+                    entries.push((
+                        Key::from(key),
+                        match rows {
+                            1 => Rows::One(row),
+                            _ => Rows::Many([row].into_iter().chain(more).collect()),
+                        },
+                    ));
+                    at += rows;
                 }
                 (entries[0].0.clone(), Node::Leaf(Leaf { entries }))
             })
@@ -156,10 +248,10 @@ impl BPlusTree {
                 })
                 .collect();
         }
-        match level.pop() {
+        Ok(match level.pop() {
             Some((_, root)) => BPlusTree { root, len },
             None => BPlusTree::new(),
-        }
+        })
     }
 
     /// Total number of `(key, row)` pairs.
@@ -174,8 +266,13 @@ impl BPlusTree {
 
     /// Insert a `(key, row)` pair. Duplicate keys accumulate rows;
     /// inserting the same `(key, row)` twice is a no-op.
-    pub fn insert(&mut self, key: Key, row: RowId) {
-        let result = Self::insert_rec(&mut self.root, key, row, &mut self.len);
+    pub fn insert(&mut self, key: Vec<Value>, row: RowId) {
+        self.insert_key(KeyRef(&key_record(&key)), row)
+    }
+
+    /// [`BPlusTree::insert`] of a key given as a record.
+    pub fn insert_key(&mut self, key: KeyRef<'_>, row: RowId) {
+        let result = Self::insert_rec(&mut self.root, key.0, row, &mut self.len);
         if let InsertResult::Split(sep, right) = result {
             let old_root = std::mem::replace(
                 &mut self.root,
@@ -190,21 +287,23 @@ impl BPlusTree {
         }
     }
 
-    fn insert_rec(node: &mut Node, key: Key, row: RowId, len: &mut usize) -> InsertResult {
+    fn insert_rec(node: &mut Node, key: &[u8], row: RowId, len: &mut usize) -> InsertResult {
         match node {
             Node::Leaf(leaf) => {
-                match leaf.entries.binary_search_by(|(k, _)| key_cmp(k, &key)) {
+                match leaf.entries.binary_search_by(|(k, _)| key_cmp(k, key)) {
                     Ok(i) => {
                         // Row lists stay sorted so duplicate checks are
                         // O(log k) even for heavily duplicated keys.
-                        if let Err(pos) = leaf.entries[i].1.binary_search(&row) {
-                            leaf.entries[i].1.insert(pos, row);
+                        let rows = leaf.entries[i].1.as_slice();
+                        if let Err(at) = rows.binary_search(&row) {
+                            let grown = [&rows[..at], &[row], &rows[at..]].concat();
+                            leaf.entries[i].1 = Rows::Many(grown.into());
                             *len += 1;
                         }
                         InsertResult::Done
                     }
                     Err(i) => {
-                        leaf.entries.insert(i, (key, vec![row]));
+                        leaf.entries.insert(i, (key.into(), Rows::One(row)));
                         *len += 1;
                         if leaf.entries.len() > ORDER {
                             let mid = leaf.entries.len() / 2;
@@ -223,10 +322,7 @@ impl BPlusTree {
                 }
             }
             Node::Internal(int) => {
-                let idx = match int.keys.binary_search_by(|k| key_cmp(k, &key)) {
-                    Ok(i) => i + 1,
-                    Err(i) => i,
-                };
+                let idx = int.child(key);
                 match Self::insert_rec(&mut int.children[idx], key, row, len) {
                     InsertResult::Done => InsertResult::Done,
                     InsertResult::Split(sep, right) => {
@@ -256,33 +352,37 @@ impl BPlusTree {
 
     /// Remove a `(key, row)` pair; returns true if it was present.
     pub fn remove(&mut self, key: &[Value], row: RowId) -> bool {
-        let removed = Self::remove_rec(&mut self.root, key, row);
+        self.remove_key(KeyRef(&key_record(key)), row)
+    }
+
+    /// [`BPlusTree::remove`] of a key given as a record.
+    pub fn remove_key(&mut self, key: KeyRef<'_>, row: RowId) -> bool {
+        let removed = Self::remove_rec(&mut self.root, key.0, row);
         if removed {
             self.len -= 1;
         }
         removed
     }
 
-    fn remove_rec(node: &mut Node, key: &[Value], row: RowId) -> bool {
+    fn remove_rec(node: &mut Node, key: &[u8], row: RowId) -> bool {
         match node {
             Node::Leaf(leaf) => {
-                if let Ok(i) = leaf.entries.binary_search_by(|(k, _)| key_cmp(k, key)) {
-                    let rows = &mut leaf.entries[i].1;
-                    if let Ok(p) = rows.binary_search(&row) {
-                        rows.remove(p);
-                        if rows.is_empty() {
-                            leaf.entries.remove(i);
-                        }
-                        return true;
-                    }
+                let Ok(i) = leaf.entries.binary_search_by(|(k, _)| key_cmp(k, key)) else {
+                    return false;
+                };
+                let rows = leaf.entries[i].1.as_slice();
+                let Ok(at) = rows.binary_search(&row) else {
+                    return false;
+                };
+                match [&rows[..at], &rows[at + 1..]].concat()[..] {
+                    [] => drop(leaf.entries.remove(i)),
+                    [one] => leaf.entries[i].1 = Rows::One(one),
+                    ref left => leaf.entries[i].1 = Rows::Many(left.into()),
                 }
-                false
+                true
             }
             Node::Internal(int) => {
-                let idx = match int.keys.binary_search_by(|k| key_cmp(k, key)) {
-                    Ok(i) => i + 1,
-                    Err(i) => i,
-                };
+                let idx = int.child(key);
                 Self::remove_rec(&mut int.children[idx], key, row)
             }
         }
@@ -290,29 +390,25 @@ impl BPlusTree {
 
     /// All rows with exactly `key`.
     pub fn get(&self, key: &[Value]) -> Vec<RowId> {
+        self.get_key(KeyRef(&key_record(key))).to_vec()
+    }
+
+    /// [`BPlusTree::get`] of a key given as a record, lent.
+    pub fn get_key(&self, key: KeyRef<'_>) -> &[RowId] {
         let mut node = &self.root;
         loop {
             match node {
                 Node::Leaf(leaf) => {
-                    return match leaf.entries.binary_search_by(|(k, _)| key_cmp(k, key)) {
-                        Ok(i) => leaf.entries[i].1.clone(),
-                        Err(_) => Vec::new(),
+                    return match leaf.entries.binary_search_by(|(k, _)| key_cmp(k, key.0)) {
+                        Ok(i) => leaf.entries[i].1.as_slice(),
+                        Err(_) => &[],
                     };
                 }
                 Node::Internal(int) => {
-                    let idx = match int.keys.binary_search_by(|k| key_cmp(k, key)) {
-                        Ok(i) => i + 1,
-                        Err(i) => i,
-                    };
-                    node = &int.children[idx];
+                    node = &int.children[int.child(key.0)];
                 }
             }
         }
-    }
-
-    /// True if any row has exactly `key`.
-    pub fn contains_key(&self, key: &[Value]) -> bool {
-        !self.get(key).is_empty()
     }
 
     /// Visit `(key, rows)` in key order, starting at the first key that
@@ -321,34 +417,43 @@ impl BPlusTree {
     /// walk starts at the first key under that prefix (the whole tree
     /// for an empty `lo`). Nothing is cloned; upper bounds are the
     /// visitor's to enforce by stopping.
-    pub fn scan_from(&self, lo: &[Value], mut visit: impl FnMut(&[Value], &[RowId]) -> bool) {
-        Self::scan_rec(&self.root, lo, &mut visit);
+    pub fn scan_from(&self, lo: &[Value], visit: impl FnMut(KeyRef<'_>, &[RowId]) -> bool) {
+        self.scan_from_key(KeyRef(&key_record(lo)), visit)
+    }
+
+    /// [`BPlusTree::scan_from`] from a bound given as a record.
+    pub fn scan_from_key(
+        &self,
+        lo: KeyRef<'_>,
+        mut visit: impl FnMut(KeyRef<'_>, &[RowId]) -> bool,
+    ) {
+        Self::scan_rec(&self.root, Some(lo.0), &mut visit);
     }
 
     /// Returns false once the visitor has stopped the walk.
     fn scan_rec(
         node: &Node,
-        mut lo: &[Value],
-        visit: &mut impl FnMut(&[Value], &[RowId]) -> bool,
+        mut lo: Option<&[u8]>,
+        visit: &mut impl FnMut(KeyRef<'_>, &[RowId]) -> bool,
     ) -> bool {
         match node {
             Node::Leaf(leaf) => {
-                let start = leaf
-                    .entries
-                    .partition_point(|(k, _)| key_cmp(k, lo) == Ordering::Less);
-                leaf.entries[start..].iter().all(|(k, rows)| visit(k, rows))
+                let start = lo.map_or(0, |lo| {
+                    leaf.entries
+                        .partition_point(|(k, _)| key_cmp(k, lo) == Ordering::Less)
+                });
+                leaf.entries[start..]
+                    .iter()
+                    .all(|(k, rows)| visit(KeyRef(k), rows.as_slice()))
             }
             Node::Internal(int) => {
-                let start = match int.keys.binary_search_by(|k| key_cmp(k, lo)) {
-                    Ok(i) => i + 1,
-                    Err(i) => i,
-                };
+                let start = lo.map_or(0, |lo| int.child(lo));
                 for child in &int.children[start..] {
                     if !Self::scan_rec(child, lo, visit) {
                         return false;
                     }
                     // Every later child lies wholly above the bound.
-                    lo = &[];
+                    lo = None;
                 }
                 true
             }
@@ -370,7 +475,32 @@ impl BPlusTree {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::value::same_cells as same_key;
+
+    /// Keys as the tests write them: values.
+    type Key = Vec<Value>;
+
+    /// The order the tree keeps, over values: `Value::total_cmp` cell by
+    /// cell, a key before every longer key it leads.
+    fn value_cmp(a: &[Value], b: &[Value]) -> Ordering {
+        a.iter()
+            .zip(b)
+            .map(|(x, y)| x.total_cmp(y))
+            .find(|o| *o != Ordering::Equal)
+            .unwrap_or(a.len().cmp(&b.len()))
+    }
+
+    fn same_key(a: &[Value], b: &[Value]) -> bool {
+        value_cmp(a, b) == Ordering::Equal
+    }
+
+    fn from_values(pairs: Vec<(Key, RowId)>) -> BPlusTree {
+        let encode = |key: &Key| {
+            let mut record = Vec::new();
+            encode_row(key, &mut record);
+            record
+        };
+        BPlusTree::from_pairs(pairs.iter().map(|(k, r)| (encode(k), *r)).collect())
+    }
 
     fn k(i: i64) -> Key {
         vec![Value::Int(i)]
@@ -384,10 +514,11 @@ mod tests {
     fn collect(t: &BPlusTree, lo: &[Value], hi: Option<&[Value]>) -> Vec<(Key, Vec<RowId>)> {
         let mut out = Vec::new();
         t.scan_from(lo, |k, rows| {
-            if hi.is_some_and(|hi| key_cmp(k, hi) == Ordering::Greater) {
+            let k = k.values();
+            if hi.is_some_and(|hi| value_cmp(&k, hi) == Ordering::Greater) {
                 return false;
             }
-            out.push((k.to_vec(), rows.to_vec()));
+            out.push((k, rows.to_vec()));
             true
         });
         out
@@ -434,7 +565,7 @@ mod tests {
         let all = collect(&t, &[], None);
         assert_eq!(all.len(), n as usize);
         for w in all.windows(2) {
-            assert_eq!(key_cmp(&w[0].0, &w[1].0), Ordering::Less);
+            assert_eq!(value_cmp(&w[0].0, &w[1].0), Ordering::Less);
         }
     }
 
@@ -487,7 +618,7 @@ mod tests {
         for lo in [-5, 1, 31, 63, 65, 999, 1997] {
             let mut seen = Vec::new();
             t.scan_from(&k(lo), |key, _| {
-                seen.push(key[0].clone());
+                seen.push(key.values().remove(0));
                 seen.len() < 3
             });
             let first = (lo.max(0) + 1) / 2 * 2;
@@ -519,7 +650,8 @@ mod tests {
             // A one-column bound starts at the group's first key.
             let mut keys = Vec::new();
             t.scan_from(std::slice::from_ref(&lead), |key, rows| {
-                if !has_prefix(key, std::slice::from_ref(&lead)) {
+                let key = key.values();
+                if !has_prefix(&key, std::slice::from_ref(&lead)) {
                     return false;
                 }
                 assert_eq!(
@@ -540,7 +672,7 @@ mod tests {
             // A bound inside the group starts mid-group.
             let mut first = None;
             t.scan_from(&[lead.clone(), Value::Int(48)], |key, _| {
-                first = Some(key.to_vec());
+                first = Some(key.values());
                 false
             });
             assert_eq!(first, Some(vec![lead, Value::Int(48)]));
@@ -578,12 +710,12 @@ mod tests {
     /// `(leaf depth, pairs)`.
     fn check_node(
         node: &Node,
-        lo: Option<&[Value]>,
-        hi: Option<&[Value]>,
+        lo: Option<&[u8]>,
+        hi: Option<&[u8]>,
         packed: bool,
         is_root: bool,
     ) -> (usize, usize) {
-        let in_bounds = |k: &[Value]| {
+        let in_bounds = |k: &[u8]| {
             lo.is_none_or(|lo| key_cmp(lo, k) != Ordering::Greater)
                 && hi.is_none_or(|hi| key_cmp(k, hi) == Ordering::Less)
         };
@@ -598,6 +730,7 @@ mod tests {
                 }
                 let mut pairs = 0;
                 for (k, rows) in &leaf.entries {
+                    let rows = rows.as_slice();
                     assert!(in_bounds(k), "{k:?} outside {lo:?}..{hi:?}");
                     assert!(!rows.is_empty(), "empty entry kept");
                     assert!(rows.windows(2).all(|w| w[0] < w[1]), "row ids of {k:?}");
@@ -656,7 +789,7 @@ mod tests {
                 let first = |t: &BPlusTree| {
                     let mut seen = Vec::new();
                     t.scan_from(lo, |k, rows| {
-                        seen.push((k.to_vec(), rows.to_vec()));
+                        seen.push((k.values(), rows.to_vec()));
                         seen.len() < 3
                     });
                     seen
@@ -737,7 +870,7 @@ mod tests {
                 pairs.push(pairs[i].clone());
             }
             shuffle(&mut pairs, &mut rng);
-            let mut bulk = BPlusTree::from_pairs(pairs.clone());
+            let mut bulk = from_values(pairs.clone());
             let mut grown = built_by_inserts(&pairs);
             check(&bulk, true);
             check(&grown, false);
@@ -799,7 +932,7 @@ mod tests {
                 let n = [0, 1, 40, 700, 3000][rng.gen_range(0..5usize)];
                 let pairs: Vec<(Key, RowId)> =
                     (0..n).map(|_| any_pair(&mut rng, domain)).collect();
-                let mut bulk = BPlusTree::from_pairs(pairs.clone());
+                let mut bulk = from_values(pairs.clone());
                 let mut grown = built_by_inserts(&pairs);
                 check(&bulk, true);
                 check(&grown, false);
@@ -836,7 +969,7 @@ mod tests {
                 .map(|(k, rows)| (matches!(k[0], Value::Double(x) if x.is_nan()), rows))
                 .collect()
         };
-        let want = read(&BPlusTree::from_pairs(pairs.clone()));
+        let want = read(&from_values(pairs.clone()));
         // All forty NaNs share the last entry; 0.0 and -0.0 share one too.
         assert_eq!(want.len(), 1 + 200 + 1 + 1);
         assert_eq!(
@@ -848,18 +981,10 @@ mod tests {
         for _ in 0..20 {
             shuffle(&mut pairs, &mut rng);
             assert_eq!(read(&built_by_inserts(&pairs)), want);
-            assert_eq!(read(&BPlusTree::from_pairs(pairs.clone())), want);
+            assert_eq!(read(&from_values(pairs.clone())), want);
             let t = built_by_inserts(&pairs);
             assert_eq!(t.get(&d(f64::NAN)).len(), 40);
             assert_eq!(t.get(&d(0.0)), vec![rid(100), rid(2000)]);
         }
-    }
-
-    #[test]
-    fn contains_key_works() {
-        let mut t = BPlusTree::new();
-        t.insert(k(7), rid(1));
-        assert!(t.contains_key(&k(7)));
-        assert!(!t.contains_key(&k(8)));
     }
 }

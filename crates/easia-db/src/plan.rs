@@ -17,7 +17,7 @@ use crate::error::Result;
 use crate::expr::{Bound, EvalContext, RowSchema};
 use crate::schema::TableSchema;
 use crate::sql::ast::{BinaryOp, Expr, UnaryOp};
-use crate::value::{scalar_cell, sieve_record, SqlType, Value};
+use crate::value::{as_cell, cell_cmp, scalar_cell, sieve_record, SqlType, Value};
 use crate::Database;
 use std::cmp::Ordering;
 
@@ -71,9 +71,16 @@ impl Tail {
     /// False once `v`, met walking up from [`Tail::lower_bound`], has
     /// left the tail.
     pub fn admits(&self, v: &Value) -> bool {
+        self.admits_cell(as_cell(v, &mut [0; 8]))
+    }
+
+    /// [`Tail::admits`] of a stored key cell's tag and payload.
+    pub(crate) fn admits_cell(&self, (tag, payload): (u8, &[u8])) -> bool {
         match self {
-            Tail::Range { hi: Some(hi), .. } => v.total_cmp(hi) != Ordering::Greater,
-            Tail::Prefix(p) => v.as_text().is_some_and(|s| s.starts_with(p.as_str())),
+            Tail::Range { hi: Some(hi), .. } => {
+                cell_cmp((tag, payload), as_cell(hi, &mut [0; 8])) != Ordering::Greater
+            }
+            Tail::Prefix(p) => matches!(tag, 3 | 8 | 9) && payload.starts_with(p.as_bytes()),
             _ => true,
         }
     }
@@ -247,7 +254,7 @@ impl Sieve {
         if self.0.is_empty() {
             return Ok(true);
         }
-        sieve_record(record, &mut 0, read, |col, tag, payload| {
+        sieve_record(record, &mut 0, read, |col, tag, payload, _| {
             match self.0.get(col) {
                 Some(Some(r)) => r.admits(tag, payload),
                 _ => true,

@@ -5,7 +5,7 @@
 //! when-not-if event; waiting for recovery to trip over a rotted byte
 //! means discovering the damage at the worst possible moment. The scrub
 //! pass re-reads the durable artifacts — the heap snapshot and the
-//! write-ahead log — and verifies every checksum the v2 formats carry:
+//! write-ahead log — and verifies every checksum the formats carry:
 //! the snapshot body CRC, each WAL batch frame's header and payload
 //! CRCs, and each record frame inside. Only complete batches are
 //! checked: they are exactly the bytes behind the commit horizon (a
@@ -15,7 +15,7 @@
 //! `easia_db_scrub_frames_verified_total` / `easia_db_scrub_errors_total`
 //! metric families. See DESIGN.md §12.
 
-use crate::crc::crc32;
+use crate::db::snapshot_body;
 use crate::error::{DbError, Result};
 use crate::txn::Wal;
 use std::path::Path;
@@ -66,34 +66,16 @@ pub(crate) fn scrub_dir(dir: &Path) -> Result<ScrubReport> {
     Ok(report)
 }
 
-/// Verify a snapshot image in memory.
+/// Verify a snapshot image in memory by the header test `open` makes; an
+/// image is verified whole, so a finding is at offset 0.
 fn scrub_snapshot(bytes: &[u8], report: &mut ScrubReport) {
-    if bytes.get(..8) == Some(b"EASNAP2\0".as_slice()) {
-        match bytes.get(8..12) {
-            Some(crc_b) => {
-                let want = u32::from_le_bytes(crc_b.try_into().expect("4 bytes"));
-                if crc32(&bytes[12..]) == want {
-                    report.snapshot_verified = true;
-                } else {
-                    report.errors.push(ScrubError {
-                        file: "snapshot.db".into(),
-                        offset: 12,
-                        detail: "snapshot body checksum mismatch".into(),
-                    });
-                }
-            }
-            None => report.errors.push(ScrubError {
-                file: "snapshot.db".into(),
-                offset: 0,
-                detail: "snapshot header truncated".into(),
-            }),
-        }
-    } else {
-        report.errors.push(ScrubError {
+    match snapshot_body(bytes) {
+        Ok(_) => report.snapshot_verified = true,
+        Err(e) => report.errors.push(ScrubError {
             file: "snapshot.db".into(),
             offset: 0,
-            detail: "bad snapshot magic".into(),
-        });
+            detail: e.into(),
+        }),
     }
 }
 
@@ -117,6 +99,7 @@ fn scrub_wal(bytes: &[u8], report: &mut ScrubReport) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::crc::crc32;
     use crate::txn::{seal_batch, WalRecord, WAL_MAGIC_V2};
     use crate::value::Value;
 
@@ -169,7 +152,7 @@ mod tests {
     #[test]
     fn snapshot_crc_checked() {
         let body = b"not a real body but crc'd all the same".to_vec();
-        let mut img = b"EASNAP2\0".to_vec();
+        let mut img = b"EASNAP3\0".to_vec();
         img.extend_from_slice(&crc32(&body).to_le_bytes());
         img.extend_from_slice(&body);
         let mut report = ScrubReport::default();

@@ -175,6 +175,21 @@ impl HeapTable {
         })
     }
 
+    /// How many places a record of this heap can take — each page's slots
+    /// in turn, then the overflow entries — and each row id's place.
+    pub(crate) fn places(&self) -> (usize, impl Fn(RowId) -> usize + '_) {
+        let mut starts = vec![0];
+        for page in &self.pages {
+            starts.push(starts[starts.len() - 1] + usize::from(page.slot_count()));
+        }
+        let overflow = starts[self.pages.len()];
+        let place = move |id: RowId| match id.decode() {
+            RowAddr::Paged(p, s) => starts[p as usize] + usize::from(s),
+            RowAddr::Overflow(i) => overflow + i,
+        };
+        (overflow + self.overflow.len(), place)
+    }
+
     /// Serialise the whole heap for a snapshot.
     pub fn snapshot(&self, out: &mut Vec<u8>) {
         out.extend_from_slice(&(self.pages.len() as u32).to_le_bytes());
@@ -330,6 +345,35 @@ mod tests {
         assert_eq!(h2.get(a).unwrap()[0], Value::Int(1));
         assert_eq!(h2.get(b).unwrap()[0], Value::Blob(vec![9u8; 20_000]));
         assert!(h2.get(c).is_none());
+    }
+
+    /// A fresh heap's places are its records' positions; with records
+    /// deleted they stay distinct and in range.
+    #[test]
+    fn places_number_every_record_once() {
+        let mut h = HeapTable::new();
+        let ids: Vec<RowId> = (0..300)
+            .map(|i| match i % 50 {
+                7 => h.insert(&[Value::Blob(vec![1; 6000])]),
+                _ => h.insert(&row(i)),
+            })
+            .collect();
+        {
+            let (places, place) = h.places();
+            assert_eq!(places, h.len());
+            for (k, (id, _)) in h.records().enumerate() {
+                assert_eq!(place(id), k);
+            }
+        }
+        for id in ids.iter().step_by(3) {
+            assert!(h.delete(*id));
+        }
+        let (places, place) = h.places();
+        let mut seen: Vec<usize> = ids.iter().map(|&id| place(id)).collect();
+        assert!(seen.iter().all(|&p| p < places));
+        seen.sort_unstable();
+        seen.dedup();
+        assert_eq!(seen.len(), ids.len());
     }
 
     #[test]

@@ -3,6 +3,7 @@
 use crate::error::{DbError, Result};
 use std::cmp::Ordering;
 use std::fmt;
+use std::ops::Range;
 
 /// Column types supported by the engine.
 ///
@@ -282,10 +283,14 @@ impl fmt::Display for Value {
 
 /// Encode a row (for heap pages, WAL records and snapshots).
 pub fn encode_row(row: &[Value], out: &mut Vec<u8>) {
-    out.extend_from_slice(&(row.len() as u32).to_le_bytes());
-    for v in row {
-        encode_cell(v, out);
-    }
+    encode_cells(row.iter(), out);
+}
+
+/// Encode the row made of `cells`: [`encode_row`] of them, without
+/// gathering them into a row first (an index key of a row's columns).
+pub(crate) fn encode_cells<'v>(cells: impl ExactSizeIterator<Item = &'v Value>, out: &mut Vec<u8>) {
+    out.extend_from_slice(&(cells.len() as u32).to_le_bytes());
+    cells.for_each(|v| encode_cell(v, out));
 }
 
 /// Append `v` to a group key — the one encoder GROUP BY, DISTINCT and
@@ -307,43 +312,62 @@ pub fn encode_key_cell(v: &Value, out: &mut Vec<u8>) {
 }
 
 fn encode_cell(v: &Value, out: &mut Vec<u8>) {
-    match v {
-        Value::Null => out.push(0),
-        Value::Int(i) => {
-            out.push(1);
-            out.extend_from_slice(&i.to_le_bytes());
-        }
-        Value::Double(d) => {
-            out.push(2);
-            out.extend_from_slice(&d.to_le_bytes());
-        }
-        Value::Str(s) => {
-            out.push(3);
-            put_bytes(out, s.as_bytes());
-        }
-        Value::Bool(b) => out.push(if *b { 5 } else { 4 }),
-        Value::Timestamp(t) => {
-            out.push(6);
-            out.extend_from_slice(&t.to_le_bytes());
-        }
-        Value::Blob(b) => {
-            out.push(7);
-            put_bytes(out, b);
-        }
-        Value::Clob(c) => {
-            out.push(8);
-            put_bytes(out, c.as_bytes());
-        }
-        Value::Datalink(u) => {
-            out.push(9);
-            put_bytes(out, u.as_bytes());
-        }
+    let mut word = [0; 8];
+    let (tag, payload) = as_cell(v, &mut word);
+    out.push(tag);
+    if matches!(tag, 3 | 7..=9) {
+        out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
     }
+    out.extend_from_slice(payload);
 }
 
-fn put_bytes(out: &mut Vec<u8>, b: &[u8]) {
-    out.extend_from_slice(&(b.len() as u32).to_le_bytes());
-    out.extend_from_slice(b);
+/// `v` as the tag and payload of its cell, neither encoded nor copied: a
+/// number's payload is written into `word`.
+pub(crate) fn as_cell<'a>(v: &'a Value, word: &'a mut [u8; 8]) -> (u8, &'a [u8]) {
+    let (tag, bytes) = match v {
+        Value::Null => return (0, &[]),
+        Value::Bool(b) => return (4 + u8::from(*b), &[]),
+        Value::Str(s) => return (3, s.as_bytes()),
+        Value::Blob(b) => return (7, b),
+        Value::Clob(s) => return (8, s.as_bytes()),
+        Value::Datalink(s) => return (9, s.as_bytes()),
+        Value::Int(i) => (1, i.to_le_bytes()),
+        Value::Double(d) => (2, d.to_le_bytes()),
+        Value::Timestamp(t) => (6, t.to_le_bytes()),
+    };
+    *word = bytes;
+    (tag, word)
+}
+
+/// [`Value::total_cmp`] of two cells, given as their tags and payloads:
+/// ranked by kind, numbers as `f64`s (NaN last, `-0.0` equal to `0.0`),
+/// text by its UTF-8 bytes, a blob by its bytes. What orders index keys.
+pub(crate) fn cell_cmp((ta, a): (u8, &[u8]), (tb, b): (u8, &[u8])) -> Ordering {
+    // By tag: NULL, then booleans, numbers, text, blobs.
+    let rank = |tag: u8| [0, 2, 2, 3, 1, 1, 2, 4, 3, 3][usize::from(tag)];
+    let num = |tag, p| {
+        scalar_cell(tag, p)
+            .and_then(|v| v.as_f64())
+            .expect("a number")
+    };
+    rank(ta).cmp(&rank(tb)).then_with(|| match rank(ta) {
+        1 => ta.cmp(&tb),
+        2 => {
+            let (x, y) = (num(ta, a), num(tb, b));
+            x.partial_cmp(&y)
+                .unwrap_or_else(|| x.is_nan().cmp(&y.is_nan()))
+        }
+        _ => a.cmp(b),
+    })
+}
+
+/// The cells of `record`, a whole [`encode_row`] record, as their tags
+/// and payloads.
+pub(crate) fn cells(record: &[u8]) -> impl Iterator<Item = (u8, &[u8])> {
+    let mut pos = 4;
+    std::iter::from_fn(move || {
+        (pos < record.len()).then(|| next_cell(record, &mut pos).expect("a whole record"))
+    })
 }
 
 /// Rows as [`encode_row`] records, back to back in one buffer: what a
@@ -389,9 +413,7 @@ impl Records {
 
     /// Append the record of a row made of `cells`.
     pub fn push_cells<'v>(&mut self, cells: impl ExactSizeIterator<Item = &'v Value>) {
-        self.bytes
-            .extend_from_slice(&(cells.len() as u32).to_le_bytes());
-        cells.for_each(|v| encode_cell(v, &mut self.bytes));
+        encode_cells(cells, &mut self.bytes);
         self.ends.push(self.bytes.len());
     }
 
@@ -401,18 +423,21 @@ impl Records {
     /// would. On error nothing is appended.
     pub fn push_checked(&mut self, buf: &[u8], pos: &mut usize) -> Result<()> {
         let start = *pos;
-        sieve_record(buf, pos, &[], |_, _, _| true)?;
+        sieve_record(buf, pos, &[], |_, _, _, _| true)?;
         self.bytes.extend_from_slice(&buf[start..*pos]);
         self.ends.push(self.bytes.len());
         Ok(())
     }
 
+    /// The record appended `i`th.
+    pub(crate) fn get(&self, i: usize) -> &[u8] {
+        let start = i.checked_sub(1).map_or(0, |j| self.ends[j]);
+        &self.bytes[start..self.ends[i]]
+    }
+
     /// The records, in the order they were appended.
     pub fn iter(&self) -> impl ExactSizeIterator<Item = &[u8]> + '_ {
-        (0..self.ends.len()).map(|i| {
-            let start = i.checked_sub(1).map_or(0, |j| self.ends[j]);
-            &self.bytes[start..self.ends[i]]
-        })
+        (0..self.ends.len()).map(|i| self.get(i))
     }
 
     /// Keep the first `n` records.
@@ -532,22 +557,23 @@ pub fn decode_some_into(
 }
 
 /// Offer each cell of the record at `pos` in `buf` to `admits` — its
-/// position, tag and payload as [`next_cell`] yields them — without
-/// decoding any, and move `pos` past the record: whether the row is
-/// kept, which it is when `admits` takes every cell. The walk
-/// checks what [`decode_some_into`] with the same `read` would — every
+/// position, tag and payload as [`next_cell`] yields them, and where in
+/// `buf` its whole encoding lies — without decoding any, and move `pos` past the record:
+/// whether the row is kept, which it is when `admits` takes every cell.
+/// The walk checks what [`decode_some_into`] with the same `read` would — every
 /// tag and length, and the text of every string cell `read` selects, as
 /// UTF-8 — and raises its first error, refused row or not. A row is also
 /// kept when a DOUBLE cell `read` selects holds a NaN, which every
 /// comparison raises on (DESIGN.md, "the sieve").
-pub(crate) fn sieve_record(
-    buf: &[u8],
+pub(crate) fn sieve_record<'b>(
+    buf: &'b [u8],
     pos: &mut usize,
     read: &[bool],
-    mut admits: impl FnMut(usize, u8, &[u8]) -> bool,
+    mut admits: impl FnMut(usize, u8, &'b [u8], Range<usize>) -> bool,
 ) -> Result<bool> {
     let (mut kept, mut nan) = (true, false);
     for i in 0..cell_count(buf, pos)? {
+        let at = *pos;
         let (tag, payload) = next_cell(buf, pos)?;
         if read.get(i) != Some(&false) {
             match tag {
@@ -558,7 +584,7 @@ pub(crate) fn sieve_record(
                 _ => {}
             }
         }
-        kept = kept && admits(i, tag, payload);
+        kept = kept && admits(i, tag, payload, at..*pos);
     }
     Ok(kept || nan)
 }

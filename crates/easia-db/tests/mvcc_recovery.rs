@@ -500,7 +500,7 @@ fn assert_indexes_are_the_heap(db: &Database, table: &str) {
         let walk = |lo: &[Value], keep: &dyn Fn(&[Value]) -> bool| {
             let mut hits = Vec::new();
             ix.tree.scan_from(lo, |k, rids| {
-                let inside = keep(k);
+                let inside = keep(&k.values());
                 if inside {
                     hits.extend_from_slice(rids);
                 }

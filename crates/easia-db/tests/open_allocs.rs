@@ -1,14 +1,19 @@
 //! Footprint of the durability paths.
 //!
-//! `Database::open` fills every index of a checkpointed table from the
-//! restored heap. What it may hold *beyond what it keeps* is the image
-//! it is reading and one `(key, row id)` run per index — not the table
-//! a second time as decoded rows, which at some 350 bytes a row was
-//! three times the image. `checkpoint()` copies visible records as
-//! bytes: its allocations grow with the pages it writes, not with the
-//! rows on them. Both are measured through a counting global allocator
-//! on a 20,000-row table shaped like the benchmark's `RESULT_FILE`
-//! (seven columns, a composite primary key, one secondary index).
+//! `Database::open` builds every index of a checkpointed table from the
+//! restored heap, in the key order the image carries: each key is its
+//! row's key cells copied out of the stored record, and each index entry
+//! owns one key allocation (a lone row id inline). What it may hold
+//! *beyond what it keeps* is the image it is reading, the key cells and
+//! the row ids in heap order — not the table a second time as decoded
+//! rows, which at some 350 bytes a row was three times the image. What it
+//! keeps is the heap and the trees: about one allocation per row of a
+//! table whose secondary keys repeat. `checkpoint()` copies visible
+//! records as bytes: its allocations grow with the pages it writes, not
+//! with the rows on them. Both are measured through a counting global
+//! allocator on a 20,000-row table shaped like the benchmark's
+//! `RESULT_FILE` (seven columns, a composite primary key, one secondary
+//! index).
 //!
 //! One test only: the counters are process-wide.
 
@@ -23,11 +28,18 @@ use counting_alloc::{counted, CountingAlloc};
 static GLOBAL: CountingAlloc = CountingAlloc;
 
 const ROWS: usize = 20_000;
-/// Beyond the image being read: two runs of 32-byte pairs, the sort's
-/// scratch, and the secondary index's repeated keys until they are
-/// grouped — 93 measured. Every row decoded into a vector of its own
-/// first measures 345.
-const OPEN_TRANSIENT_PER_ROW: usize = 150;
+/// Beyond the image being read: the key cells of both indexes copied
+/// out of the records, the row ids in heap order, the order's checks —
+/// 73 measured. Two runs of `(Vec<Value>, RowId)` pairs sorted from
+/// scratch measured 93, every row decoded into a vector of its own 345.
+const OPEN_TRANSIENT_PER_ROW: usize = 100;
+/// Allocations `open` makes per row: 1.13 measured — one key per primary
+/// key entry, and a key and a row list per distinct secondary key. Keys
+/// as `Vec<Value>`s, cloned out of decoded rows, measured 6.28.
+const OPEN_ALLOCS_PER_ROW: f64 = 1.5;
+/// Bytes `open` keeps per row: the restored heap and both trees, 193
+/// measured (129 of them the heap). `Vec<Value>` keys measured 272.
+const OPEN_KEPT_PER_ROW: usize = 200;
 /// A checkpoint's own buffers (the body doubling as it grows, the
 /// scratch row's strings, file names), whatever the table size.
 const CHECKPOINT_FIXED: u64 = 200;
@@ -86,13 +98,27 @@ fn open_holds_key_runs_not_rows_and_checkpoint_allocates_per_page() {
     let (peak, kept) = (counts.peak as usize, counts.kept as usize);
     let transient = peak - kept;
     println!(
-        "open: peak {peak} B, kept {kept} B, image {image} B: {:.0} B/row beyond the image",
+        "open: {} allocations ({:.2} per row), peak {peak} B, kept {kept} B ({:.0} B/row), \
+         image {image} B: {:.0} B/row beyond the image",
+        counts.allocs,
+        counts.allocs as f64 / ROWS as f64,
+        kept as f64 / ROWS as f64,
         (transient as f64 - image as f64) / ROWS as f64
     );
     assert!(
         transient <= image + OPEN_TRANSIENT_PER_ROW * ROWS,
         "open held {transient} B it did not keep: the {image} B image and {:.0} B per row",
         (transient as f64 - image as f64) / ROWS as f64
+    );
+    assert!(
+        counts.allocs as f64 <= OPEN_ALLOCS_PER_ROW * ROWS as f64,
+        "open made {} allocations for {ROWS} rows",
+        counts.allocs
+    );
+    assert!(
+        kept <= OPEN_KEPT_PER_ROW * ROWS,
+        "open kept {kept} B for {ROWS} rows: {:.0} B per row",
+        kept as f64 / ROWS as f64
     );
     let rs = db
         .execute("SELECT file_name FROM result_file WHERE simulation_key = 'S00123'")
