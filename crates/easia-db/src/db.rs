@@ -71,18 +71,13 @@ pub struct Index {
     pub col_indices: Vec<usize>,
     /// Whether keys must be unique (NULL-free keys only).
     pub unique: bool,
+    /// Whether `create_table` made this index, so an image need not name it.
+    pub(crate) implicit: bool,
     /// The tree.
     pub tree: BPlusTree,
 }
 
 impl Index {
-    /// Whether `create_table` makes this index, so an image need not name it.
-    fn implicit(&self, s: &TableSchema) -> bool {
-        let uq = |c: &ColumnDef| c.unique && self.name == format!("UQ_{}_{}", s.name, c.name);
-        !s.primary_key.is_empty() && self.name == format!("PK_{}", s.name)
-            || s.columns.iter().any(uq)
-    }
-
     /// `row`'s key as the tree files it, written over `key`.
     fn key_into<'k>(&self, row: &[Value], key: &'k mut Vec<u8>) -> KeyRef<'k> {
         key.clear();
@@ -1042,6 +1037,7 @@ impl Database {
                 name: format!("PK_{upper}"),
                 col_indices: cols,
                 unique: true,
+                implicit: true,
                 tree: BPlusTree::new(),
             });
         }
@@ -1059,6 +1055,7 @@ impl Database {
                     name: format!("UQ_{upper}_{cname}"),
                     col_indices: vec![i],
                     unique: true,
+                    implicit: true,
                     tree: BPlusTree::new(),
                 });
             }
@@ -1131,6 +1128,7 @@ impl Database {
             name: iname,
             col_indices,
             unique,
+            implicit: false,
             tree: BPlusTree::new(),
         };
         // Index every heap row (older read views must still find their
@@ -1689,8 +1687,7 @@ impl Database {
         let rid = t.heap.insert(row);
         let mut key = Vec::new();
         for ix in &mut t.indexes {
-            let key = ix.key_into(row, &mut key);
-            ix.tree.insert_key(key, rid);
+            ix.tree.insert_key(ix.key_into(row, &mut key), rid);
         }
         rid
     }
@@ -1700,8 +1697,7 @@ impl Database {
         if let Some(row) = t.heap.get(rid) {
             let mut key = Vec::new();
             for ix in &mut t.indexes {
-                let key = ix.key_into(&row, &mut key);
-                ix.tree.remove_key(key, rid);
+                ix.tree.remove_key(ix.key_into(&row, &mut key), rid);
             }
             t.heap.delete(rid);
         }
@@ -1717,13 +1713,11 @@ impl Database {
         let t = self.tables.get_mut(table).expect("caller validated table");
         let mut key = Vec::new();
         for ix in &mut t.indexes {
-            let key = ix.key_into(old, &mut key);
-            ix.tree.remove_key(key, rid);
+            ix.tree.remove_key(ix.key_into(old, &mut key), rid);
         }
         let new_id = t.heap.update(rid, new)?;
         for ix in &mut t.indexes {
-            let key = ix.key_into(new, &mut key);
-            ix.tree.insert_key(key, new_id);
+            ix.tree.insert_key(ix.key_into(new, &mut key), new_id);
         }
         Ok(new_id)
     }
@@ -1824,7 +1818,7 @@ impl Database {
             let extra: Vec<String> = t
                 .indexes
                 .iter()
-                .filter(|ix| !ix.implicit(&t.schema))
+                .filter(|ix| !ix.implicit)
                 .map(|ix| index_to_ddl(&t.schema, ix))
                 .collect();
             image.extend_from_slice(&(extra.len() as u32).to_le_bytes());
@@ -1981,18 +1975,13 @@ fn fill_indexes(
     // Every key takes at least its cell count.
     keys.iter_mut().for_each(|k| k.reserve(4 * n, n));
     let mut rids = Vec::with_capacity(n);
-    let (mut cells, mut key) = (Vec::with_capacity(schema.columns.len()), Vec::new());
+    let mut cells = Vec::with_capacity(schema.columns.len());
     for (rid, rec) in heap.records() {
         cells.clear();
         check_record(schema, rid, rec, |cell| cells.push(cell))?;
         for (ix, keys) in indexes.iter().zip(&mut keys) {
-            key.clear();
-            key.extend_from_slice(&(ix.col_indices.len() as u32).to_le_bytes());
-            ix.col_indices
-                .iter()
-                .for_each(|&i| key.extend_from_slice(cells[i]));
-            admit(rid, KeyRef(&key))?;
-            keys.push_lent(Lent::Record(&key));
+            keys.push_spans(ix.col_indices.iter().map(|&i| cells[i]));
+            admit(rid, KeyRef(keys.get(keys.len() - 1)))?;
         }
         rids.push(rid);
     }
@@ -2117,7 +2106,7 @@ mod tests {
             let extra: Vec<String> = t
                 .indexes
                 .iter()
-                .filter(|ix| !ix.implicit(&t.schema))
+                .filter(|ix| !ix.implicit)
                 .map(|ix| index_to_ddl(&t.schema, ix))
                 .collect();
             body.extend_from_slice(&(extra.len() as u32).to_le_bytes());
@@ -2291,6 +2280,33 @@ mod tests {
         let dup = db.execute("INSERT INTO author VALUES (3, 'a@x')");
         assert!(matches!(dup, Err(DbError::Constraint(_))), "{dup:?}");
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A UNIQUE column that is also the whole primary key gets no index of
+    /// its own, so a user may take that index's name: it is a real index,
+    /// and the image must name it.
+    #[test]
+    fn an_index_named_like_a_skipped_unique_one_survives_a_checkpoint() {
+        for ddl in [
+            "CREATE TABLE t (k INTEGER PRIMARY KEY UNIQUE, v INTEGER)",
+            "CREATE TABLE t (k INTEGER, v INTEGER, PRIMARY KEY (k), UNIQUE (k))",
+        ] {
+            let dir = temp_dir("skipped-unique");
+            let mut db = Database::open(&dir).unwrap();
+            db.execute(ddl).unwrap();
+            db.execute("CREATE INDEX uq_t_k ON t (k)").unwrap();
+            db.execute("INSERT INTO t VALUES (2, 20), (1, 10)").unwrap();
+            db.checkpoint().unwrap();
+            drop(db);
+            let mut db = Database::open(&dir).unwrap();
+            let t = db.table("T").unwrap();
+            let names: Vec<&str> = t.indexes.iter().map(|ix| ix.name.as_str()).collect();
+            assert_eq!(names, ["PK_T", "UQ_T_K"], "{ddl}");
+            assert!(t.indexes.iter().all(|ix| ix.tree.len() == 2), "{ddl}");
+            let rs = db.execute("SELECT v FROM t WHERE k = 1").unwrap();
+            assert_eq!(rs.rows, vec![vec![Value::Int(10)]], "{ddl}");
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
 
     #[test]

@@ -1629,6 +1629,7 @@ mod tests {
                 name: "IX_K".into(),
                 col_indices: vec![0],
                 unique: true,
+                implicit: false,
                 tree,
             }],
         };

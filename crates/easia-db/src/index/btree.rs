@@ -101,7 +101,10 @@ pub fn has_prefix(key: &[Value], prefix: &[Value]) -> bool {
 #[derive(Debug, Clone)]
 enum Rows {
     One(RowId),
-    Many(Box<[RowId]>),
+    /// Two or more, in a `Vec` that grows in place, boxed so that the
+    /// many entries of one row stay two words.
+    #[allow(clippy::box_collection)]
+    Many(Box<Vec<RowId>>),
 }
 
 impl Rows {
@@ -111,9 +114,39 @@ impl Rows {
             Rows::Many(rows) => rows,
         }
     }
+
+    /// Files `row`; false if it is already here.
+    fn insert(&mut self, row: RowId) -> bool {
+        let Err(at) = self.as_slice().binary_search(&row) else {
+            return false;
+        };
+        match self {
+            Rows::One(one) => {
+                let mut rows = vec![*one; 2];
+                rows[at] = row;
+                *self = Rows::Many(Box::new(rows));
+            }
+            Rows::Many(rows) => rows.insert(at, row),
+        }
+        true
+    }
+
+    /// Drops `row`: `None` if it is not here, else whether none is left.
+    fn remove(&mut self, row: RowId) -> Option<bool> {
+        match self {
+            Rows::One(one) => (*one == row).then_some(true),
+            Rows::Many(rows) => {
+                rows.remove(rows.binary_search(&row).ok()?);
+                if let [one] = rows[..] {
+                    *self = Rows::One(one);
+                }
+                Some(false)
+            }
+        }
+    }
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 struct Leaf {
     /// Sorted by key; each entry owns the row ids for that exact key.
     entries: Vec<(Key, Rows)>,
@@ -139,17 +172,17 @@ enum Node {
     Internal(Internal),
 }
 
+impl Default for Node {
+    fn default() -> Self {
+        Node::Leaf(Leaf::default())
+    }
+}
+
 /// A B+tree index.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct BPlusTree {
     root: Node,
     len: usize,
-}
-
-impl Default for BPlusTree {
-    fn default() -> Self {
-        Self::new()
-    }
 }
 
 enum InsertResult {
@@ -161,12 +194,7 @@ enum InsertResult {
 impl BPlusTree {
     /// New empty tree.
     pub fn new() -> Self {
-        BPlusTree {
-            root: Node::Leaf(Leaf {
-                entries: Vec::new(),
-            }),
-            len: 0,
-        }
+        Self::default()
     }
 
     /// The tree holding exactly `pairs` (keys as records, in any order,
@@ -223,7 +251,7 @@ impl BPlusTree {
                         Key::from(key),
                         match rows {
                             1 => Rows::One(row),
-                            _ => Rows::Many([row].into_iter().chain(more).collect()),
+                            _ => Rows::Many(Box::new([row].into_iter().chain(more).collect())),
                         },
                     ));
                     at += rows;
@@ -274,12 +302,7 @@ impl BPlusTree {
     pub fn insert_key(&mut self, key: KeyRef<'_>, row: RowId) {
         let result = Self::insert_rec(&mut self.root, key.0, row, &mut self.len);
         if let InsertResult::Split(sep, right) = result {
-            let old_root = std::mem::replace(
-                &mut self.root,
-                Node::Leaf(Leaf {
-                    entries: Vec::new(),
-                }),
-            );
+            let old_root = std::mem::take(&mut self.root);
             self.root = Node::Internal(Internal {
                 keys: vec![sep],
                 children: vec![old_root, right],
@@ -294,10 +317,7 @@ impl BPlusTree {
                     Ok(i) => {
                         // Row lists stay sorted so duplicate checks are
                         // O(log k) even for heavily duplicated keys.
-                        let rows = leaf.entries[i].1.as_slice();
-                        if let Err(at) = rows.binary_search(&row) {
-                            let grown = [&rows[..at], &[row], &rows[at..]].concat();
-                            leaf.entries[i].1 = Rows::Many(grown.into());
+                        if leaf.entries[i].1.insert(row) {
                             *len += 1;
                         }
                         InsertResult::Done
@@ -306,15 +326,8 @@ impl BPlusTree {
                         leaf.entries.insert(i, (key.into(), Rows::One(row)));
                         *len += 1;
                         if leaf.entries.len() > ORDER {
-                            let mid = leaf.entries.len() / 2;
-                            let right_entries = leaf.entries.split_off(mid);
-                            let sep = right_entries[0].0.clone();
-                            InsertResult::Split(
-                                sep,
-                                Node::Leaf(Leaf {
-                                    entries: right_entries,
-                                }),
-                            )
+                            let entries = leaf.entries.split_off(leaf.entries.len() / 2);
+                            InsertResult::Split(entries[0].0.clone(), Node::Leaf(Leaf { entries }))
                         } else {
                             InsertResult::Done
                         }
@@ -330,17 +343,11 @@ impl BPlusTree {
                         int.children.insert(idx + 1, right);
                         if int.keys.len() > ORDER {
                             let mid = int.keys.len() / 2;
-                            let promoted = int.keys[mid].clone();
-                            let right_keys = int.keys.split_off(mid + 1);
-                            int.keys.pop(); // the promoted separator
-                            let right_children = int.children.split_off(mid + 1);
-                            InsertResult::Split(
-                                promoted,
-                                Node::Internal(Internal {
-                                    keys: right_keys,
-                                    children: right_children,
-                                }),
-                            )
+                            let keys = int.keys.split_off(mid + 1);
+                            let promoted = int.keys.pop().expect("the middle separator");
+                            let children = int.children.split_off(mid + 1);
+                            let right = Node::Internal(Internal { keys, children });
+                            InsertResult::Split(promoted, right)
                         } else {
                             InsertResult::Done
                         }
@@ -358,9 +365,7 @@ impl BPlusTree {
     /// [`BPlusTree::remove`] of a key given as a record.
     pub fn remove_key(&mut self, key: KeyRef<'_>, row: RowId) -> bool {
         let removed = Self::remove_rec(&mut self.root, key.0, row);
-        if removed {
-            self.len -= 1;
-        }
+        self.len -= usize::from(removed);
         removed
     }
 
@@ -370,14 +375,11 @@ impl BPlusTree {
                 let Ok(i) = leaf.entries.binary_search_by(|(k, _)| key_cmp(k, key)) else {
                     return false;
                 };
-                let rows = leaf.entries[i].1.as_slice();
-                let Ok(at) = rows.binary_search(&row) else {
+                let Some(emptied) = leaf.entries[i].1.remove(row) else {
                     return false;
                 };
-                match [&rows[..at], &rows[at + 1..]].concat()[..] {
-                    [] => drop(leaf.entries.remove(i)),
-                    [one] => leaf.entries[i].1 = Rows::One(one),
-                    ref left => leaf.entries[i].1 = Rows::Many(left.into()),
+                if emptied {
+                    leaf.entries.remove(i);
                 }
                 true
             }

@@ -417,6 +417,15 @@ impl Records {
         self.ends.push(self.bytes.len());
     }
 
+    /// Append the record of a row made of `cells`, each already encoded
+    /// (spans of other records: an index key of a stored row's columns).
+    pub(crate) fn push_spans<'c>(&mut self, cells: impl ExactSizeIterator<Item = &'c [u8]>) {
+        self.bytes
+            .extend_from_slice(&(cells.len() as u32).to_le_bytes());
+        cells.for_each(|cell| self.bytes.extend_from_slice(cell));
+        self.ends.push(self.bytes.len());
+    }
+
     /// Append the record at `pos` in `buf` and move `pos` past it,
     /// checked as [`decode_row`] checks it — every tag and length, the
     /// text of every string cell as UTF-8 — and raising the error it

@@ -15,8 +15,14 @@
 //! `RESULT_FILE` (seven columns, a composite primary key, one secondary
 //! index).
 //!
+//! Filing rows under one shared key grows that key's row list in place:
+//! its allocations grow with the logarithm of the rows, not with them.
+//!
 //! One test only: the counters are process-wide.
 
+use easia_db::index::btree::{BPlusTree, KeyRef};
+use easia_db::storage::RowId;
+use easia_db::value::encode_row;
 use easia_db::{Database, Value};
 
 #[path = "../../../tests/support/counting_alloc.rs"]
@@ -33,16 +39,20 @@ const ROWS: usize = 20_000;
 /// 73 measured. Two runs of `(Vec<Value>, RowId)` pairs sorted from
 /// scratch measured 93, every row decoded into a vector of its own 345.
 const OPEN_TRANSIENT_PER_ROW: usize = 100;
-/// Allocations `open` makes per row: 1.13 measured — one key per primary
+/// Allocations `open` makes per row: 1.15 measured — one key per primary
 /// key entry, and a key and a row list per distinct secondary key. Keys
 /// as `Vec<Value>`s, cloned out of decoded rows, measured 6.28.
 const OPEN_ALLOCS_PER_ROW: f64 = 1.5;
-/// Bytes `open` keeps per row: the restored heap and both trees, 193
+/// Bytes `open` keeps per row: the restored heap and both trees, 194
 /// measured (129 of them the heap). `Vec<Value>` keys measured 272.
 const OPEN_KEPT_PER_ROW: usize = 200;
 /// A checkpoint's own buffers (the body doubling as it grows, the
 /// scratch row's strings, file names), whatever the table size.
 const CHECKPOINT_FIXED: u64 = 200;
+/// Filing `ROWS` rows under one key: the key, the boxed row list and its
+/// doublings — 18 measured. A list copied whole on every insert made one
+/// allocation per row.
+const SHARED_KEY_ALLOCS: u64 = 64;
 
 #[test]
 fn open_holds_key_runs_not_rows_and_checkpoint_allocates_per_page() {
@@ -126,4 +136,18 @@ fn open_holds_key_runs_not_rows_and_checkpoint_allocates_per_page() {
     assert_eq!(rs.rows.len(), 50);
     drop(db);
     let _ = std::fs::remove_dir_all(&dir);
+
+    // ---- a shared key: one more row is filed in place ----
+    let mut record = Vec::new();
+    encode_row(&[Value::Str("velocity".into())], &mut record);
+    let key = KeyRef::new(&record).unwrap();
+    let mut tree = BPlusTree::new();
+    let ((), counts) = counted(|| (0..ROWS as u64).for_each(|i| tree.insert_key(key, RowId(i))));
+    println!("shared key: {} allocations for {ROWS} rows", counts.allocs);
+    assert!(
+        counts.allocs <= SHARED_KEY_ALLOCS,
+        "{} allocations to file {ROWS} rows under one key",
+        counts.allocs
+    );
+    assert_eq!(tree.get_key(key).len(), ROWS);
 }
