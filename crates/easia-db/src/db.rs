@@ -15,7 +15,9 @@ use crate::sql::ast::{ColumnDefAst, Stmt, TableConstraint};
 use crate::sql::parse;
 use crate::storage::{HeapTable, RowId, PAGE_SIZE};
 use crate::txn::{seal_batch, Wal, WalCorruption, WalRecord};
-use crate::value::{encode_cells, encode_row, sieve_record, Lent, Records, Value};
+use crate::value::{
+    as_cell, cell_cmp, encode_cells, encode_row, sieve_record, Lent, Records, Value,
+};
 use std::collections::{BTreeMap, HashSet};
 use std::path::{Path, PathBuf};
 use std::rc::Rc;
@@ -77,13 +79,11 @@ pub struct Index {
     pub tree: BPlusTree,
 }
 
-impl Index {
-    /// `row`'s key as the tree files it, written over `key`.
-    fn key_into<'k>(&self, row: &[Value], key: &'k mut Vec<u8>) -> KeyRef<'k> {
-        key.clear();
-        encode_cells(self.col_indices.iter().map(|&i| &row[i]), key);
-        KeyRef(key)
-    }
+/// `row`'s key in columns `cols`, as a tree files it, written over `key`.
+fn key_into<'k>(cols: &[usize], row: &[Value], key: &'k mut Vec<u8>) -> KeyRef<'k> {
+    key.clear();
+    encode_cells(cols.iter().map(|&i| &row[i]), key);
+    KeyRef(key)
 }
 
 /// A table: schema + heap + indexes.
@@ -101,6 +101,49 @@ impl Table {
     /// Find an index exactly matching `cols`.
     pub fn index_matching(&self, cols: &[usize]) -> Option<&Index> {
         self.indexes.iter().find(|ix| ix.col_indices == cols)
+    }
+
+    /// Whether a row `visible` admits holds `key`, a record of cells, in
+    /// columns `cols` — the one probe of both FK checks. Equal is the
+    /// index's equality ([`cell_cmp`]): `1` is `1.0`, `-0.0` is `0.0`,
+    /// NaN is NaN, a VARCHAR is the CLOB of its text. An index led by
+    /// `cols` is walked under the key; otherwise every stored record's
+    /// cells are compared in place. No row is decoded.
+    fn holds_key(
+        &self,
+        cols: &[usize],
+        key: KeyRef,
+        visible: impl Fn(RowId) -> bool,
+    ) -> Result<bool> {
+        if let Some(ix) = self
+            .indexes
+            .iter()
+            .find(|ix| ix.col_indices.starts_with(cols))
+        {
+            let mut found = false;
+            ix.tree.scan_from_key(key, |k, rids| {
+                let under_key = k.has_prefix(key);
+                found = under_key && rids.iter().any(|&rid| visible(rid));
+                under_key && !found
+            });
+            return Ok(found);
+        }
+        let want: Vec<_> = key.cells().collect();
+        let read = vec![false; self.schema.columns.len()];
+        let mut cells = Vec::with_capacity(read.len());
+        for (rid, rec) in self.heap.records() {
+            cells.clear();
+            sieve_record(rec, &mut 0, &read, |_, tag, payload, _| {
+                cells.push((tag, payload));
+                true
+            })?;
+            let equal =
+                |(&c, &w): (&usize, _)| cells.get(c).is_some_and(|&cell| cell_cmp(cell, w).is_eq());
+            if cols.iter().zip(&want).all(equal) && visible(rid) {
+                return Ok(true);
+            }
+        }
+        Ok(false)
     }
 }
 
@@ -1218,35 +1261,95 @@ impl Database {
 
     /// Typed row insert (used by DML, the datalink layer and tests).
     pub fn insert_row(&mut self, table: &str, row: Vec<Value>) -> Result<()> {
-        let tname = table.to_ascii_uppercase();
+        self.write_row(table.to_ascii_uppercase(), None, Some(row))?;
+        self.writes += 1;
+        Ok(())
+    }
+
+    /// The one checked row write: an insert (`new` only), an update
+    /// (both) or a delete (`old` only) of a row of `table`. Its checks
+    /// run in one order: the new row's types, a write conflict on the old
+    /// one, the new row's UNIQUE and FK keys, the old row's referencing
+    /// children, then DATALINK unlink and link of every link that
+    /// changed. Only then is the old version stamped, the new one
+    /// inserted and the redo recorded.
+    fn write_row(
+        &mut self,
+        table: String,
+        old: Option<(RowId, Vec<Value>)>,
+        new: Option<Vec<Value>>,
+    ) -> Result<()> {
         let schema = self
-            .schema(&tname)
-            .ok_or_else(|| DbError::Catalog(format!("table {tname} does not exist")))?
+            .schema(&table)
+            .ok_or_else(|| DbError::Catalog(format!("table {table} does not exist")))?
             .clone();
-        let row = self.check_row(&schema, row)?;
+        let new = new.map(|row| self.check_row(&schema, row)).transpose()?;
         let txn = self.write_txn();
-        self.check_unique(&tname, &row, None, txn)?;
-        self.check_fk_child(&schema, &row, txn)?;
-        // Observers: link every non-null DATALINK value.
+        if let Some((rid, _)) = &old {
+            self.check_write_conflict(&table, *rid, txn)?;
+        }
+        if let Some(row) = &new {
+            self.check_unique(&table, row, old.as_ref().map(|(rid, _)| *rid), txn)?;
+            self.check_fk_child(&schema, row, txn)?;
+        }
+        if let Some((_, row)) = &old {
+            self.check_fk_parent(&table, &schema, row, new.as_deref(), txn)?;
+        }
+        fn url(cell: Option<&Value>) -> Option<&str> {
+            match cell {
+                Some(Value::Datalink(u)) => Some(u),
+                _ => None,
+            }
+        }
         if !self.replaying {
             for (i, spec) in schema.datalink_columns() {
-                if let Value::Datalink(url) = &row[i] {
-                    self.claim_links(txn)?;
+                let was = url(old.as_ref().map(|(_, row)| &row[i]));
+                let now = url(new.as_ref().map(|row| &row[i]));
+                if was == now {
+                    continue;
+                }
+                self.claim_links(txn)?;
+                let col = &schema.columns[i].name;
+                if let Some(u) = was {
                     for obs in &self.observers {
-                        obs.on_link(&tname, &schema.columns[i].name, spec, url)?;
+                        obs.on_unlink(&table, col, spec, u)?;
+                    }
+                }
+                if let Some(u) = now {
+                    for obs in &self.observers {
+                        obs.on_link(&table, col, spec, u)?;
                     }
                 }
             }
         }
-        let rid = self.physical_insert(&tname, &row);
-        self.mvcc.note_insert(&tname, rid, txn);
-        let tw = self.txns.get_mut(&txn).expect("write txn is active");
-        tw.created.push((tname.clone(), rid));
-        tw.redo.push(WalRecord::Insert { table: tname, row });
-        if let Some(m) = &self.metrics {
-            m.versions_created.inc();
+        // MVCC: the old version is only stamped — older read views keep
+        // it until vacuum reclaims it after our commit — and the new row
+        // goes in as a fresh version.
+        if let Some((rid, _)) = &old {
+            self.mvcc.stamp_delete(&table, *rid, txn);
         }
-        self.writes += 1;
+        let created = new.as_ref().map(|row| self.physical_insert(&table, row));
+        if let Some(rid) = created {
+            self.mvcc.note_insert(&table, rid, txn);
+            if let Some(m) = &self.metrics {
+                m.versions_created.inc();
+            }
+        }
+        let tw = self.txns.get_mut(&txn).expect("write txn is active");
+        tw.deleted
+            .extend(old.as_ref().map(|(rid, _)| (table.clone(), *rid)));
+        tw.created.extend(created.map(|rid| (table.clone(), rid)));
+        tw.redo.push(match (old, new) {
+            (None, Some(row)) => WalRecord::Insert { table, row },
+            (Some((old_id, old)), Some(new)) => WalRecord::Update {
+                table,
+                old_id,
+                old,
+                new,
+            },
+            (Some((row_id, row)), None) => WalRecord::Delete { table, row_id, row },
+            (None, None) => unreachable!("a write has an old row, a new one or both"),
+        });
         Ok(())
     }
 
@@ -1301,73 +1404,10 @@ impl Database {
             for (pos, e) in &set_pos {
                 new_row[*pos] = EvalContext::new(&old_row, params).eval(e)?;
             }
-            self.update_row(&tname, rid, old_row, new_row)?;
+            self.write_row(tname.clone(), Some((rid, old_row)), Some(new_row))?;
             affected += 1;
         }
         Ok(affected)
-    }
-
-    /// Typed row update.
-    pub fn update_row(
-        &mut self,
-        table: &str,
-        rid: RowId,
-        old_row: Vec<Value>,
-        new_row: Vec<Value>,
-    ) -> Result<()> {
-        let tname = table.to_ascii_uppercase();
-        let schema = self.schema(&tname).expect("caller validated table").clone();
-        let new_row = self.check_row(&schema, new_row)?;
-        let txn = self.write_txn();
-        self.check_write_conflict(&tname, rid, txn)?;
-        self.check_unique(&tname, &new_row, Some(rid), txn)?;
-        self.check_fk_child(&schema, &new_row, txn)?;
-        self.check_fk_parent(&tname, &schema, &old_row, Some(&new_row), txn)?;
-        if !self.replaying {
-            for (i, spec) in schema.datalink_columns() {
-                let old_url = match &old_row[i] {
-                    Value::Datalink(u) => Some(u.clone()),
-                    _ => None,
-                };
-                let new_url = match &new_row[i] {
-                    Value::Datalink(u) => Some(u.clone()),
-                    _ => None,
-                };
-                if old_url != new_url {
-                    self.claim_links(txn)?;
-                    let col = &schema.columns[i].name;
-                    if let Some(u) = &old_url {
-                        for obs in &self.observers {
-                            obs.on_unlink(&tname, col, spec, u)?;
-                        }
-                    }
-                    if let Some(u) = &new_url {
-                        for obs in &self.observers {
-                            obs.on_link(&tname, col, spec, u)?;
-                        }
-                    }
-                }
-            }
-        }
-        // MVCC update = delete-stamp the old version + insert the new row
-        // as a fresh version; readers pinned before our commit keep
-        // seeing the old row until vacuum reclaims it.
-        self.mvcc.stamp_delete(&tname, rid, txn);
-        let new_id = self.physical_insert(&tname, &new_row);
-        self.mvcc.note_insert(&tname, new_id, txn);
-        let tw = self.txns.get_mut(&txn).expect("write txn is active");
-        tw.deleted.push((tname.clone(), rid));
-        tw.created.push((tname.clone(), new_id));
-        tw.redo.push(WalRecord::Update {
-            table: tname,
-            old_id: rid,
-            old: old_row,
-            new: new_row,
-        });
-        if let Some(m) = &self.metrics {
-            m.versions_created.inc();
-        }
-        Ok(())
     }
 
     fn run_delete(
@@ -1384,41 +1424,10 @@ impl Database {
         let targets = exec::collect_matching(self, &view, &tname, where_clause, params)?;
         let mut affected = 0usize;
         for (rid, row) in targets {
-            self.delete_row(&tname, rid, row)?;
+            self.write_row(tname.clone(), Some((rid, row)), None)?;
             affected += 1;
         }
         Ok(affected)
-    }
-
-    /// Typed row delete.
-    pub fn delete_row(&mut self, table: &str, rid: RowId, row: Vec<Value>) -> Result<()> {
-        let tname = table.to_ascii_uppercase();
-        let schema = self.schema(&tname).expect("caller validated table").clone();
-        let txn = self.write_txn();
-        self.check_write_conflict(&tname, rid, txn)?;
-        self.check_fk_parent(&tname, &schema, &row, None, txn)?;
-        if !self.replaying {
-            for (i, spec) in schema.datalink_columns() {
-                if let Value::Datalink(url) = &row[i] {
-                    self.claim_links(txn)?;
-                    for obs in &self.observers {
-                        obs.on_unlink(&tname, &schema.columns[i].name, spec, url)?;
-                    }
-                }
-            }
-        }
-        // MVCC delete: stamp only — the heap row survives for older read
-        // views until vacuum reclaims it after our commit passes the
-        // horizon.
-        self.mvcc.stamp_delete(&tname, rid, txn);
-        let tw = self.txns.get_mut(&txn).expect("write txn is active");
-        tw.deleted.push((tname.clone(), rid));
-        tw.redo.push(WalRecord::Delete {
-            table: tname,
-            row_id: rid,
-            row,
-        });
-        Ok(())
     }
 
     /// First-committer-wins gate for delete/update of `rid`: refuse when
@@ -1504,7 +1513,7 @@ impl Database {
             if !ix.unique || ix.col_indices.iter().any(|&i| row[i].is_null()) {
                 continue; // NULLs are exempt from uniqueness
             }
-            for &hit in ix.tree.get_key(ix.key_into(row, &mut key)) {
+            for &hit in ix.tree.get_key(key_into(&ix.col_indices, row, &mut key)) {
                 if Some(hit) == exclude {
                     continue;
                 }
@@ -1541,7 +1550,7 @@ impl Database {
         DbError::Constraint(format!("duplicate key in unique index {index} of {table}"))
     }
 
-    /// Child-side FK check: every FK value combination must exist in the
+    /// Child-side FK check: every FK key must be held by a row of the
     /// referenced table (NULLs exempt a key). Only rows visible to the
     /// writing transaction count.
     fn check_fk_child(&self, schema: &TableSchema, row: &[Value], txn: TxnId) -> Result<()> {
@@ -1549,13 +1558,14 @@ impl Database {
             csn: LATEST_CSN,
             txn: Some(txn),
         };
+        let mut key = Vec::new();
         for fk in &schema.foreign_keys {
-            let vals: Vec<Value> = fk
+            let cols: Vec<usize> = fk
                 .columns
                 .iter()
-                .map(|c| row[schema.column_index(c).expect("fk validated")].clone())
+                .map(|c| schema.column_index(c).expect("fk validated"))
                 .collect();
-            if vals.iter().any(Value::is_null) {
+            if cols.iter().any(|&i| row[i].is_null()) {
                 continue;
             }
             let parent = self.tables.get(&fk.ref_table).ok_or_else(|| {
@@ -1570,18 +1580,8 @@ impl Database {
                         })
                     })
                     .collect::<Result<_>>()?;
-            let found = if let Some(ix) = parent.index_matching(&ref_idx) {
-                ix.tree
-                    .get(&vals)
-                    .iter()
-                    .any(|&prid| self.mvcc.visible(&fk.ref_table, prid, &view))
-            } else {
-                parent.heap.scan().any(|(prid, prow)| {
-                    self.mvcc.visible(&fk.ref_table, prid, &view)
-                        && ref_idx.iter().zip(&vals).all(|(&i, v)| &prow[i] == v)
-                })
-            };
-            if !found {
+            let key = key_into(&cols, row, &mut key);
+            if !parent.holds_key(&ref_idx, key, self.row_visibility(&fk.ref_table, &view))? {
                 return Err(DbError::Constraint(format!(
                     "foreign key violation: {}({}) -> {}({}) value not found",
                     schema.name,
@@ -1608,6 +1608,7 @@ impl Database {
             csn: LATEST_CSN,
             txn: Some(txn),
         };
+        let mut key = Vec::new();
         for (child_name, child) in &self.tables {
             for fk in &child.schema.foreign_keys {
                 if fk.ref_table != table {
@@ -1618,59 +1619,30 @@ impl Database {
                     .iter()
                     .filter_map(|c| schema.column_index(c))
                     .collect();
-                if ref_idx.len() != fk.ref_columns.len() {
+                if ref_idx.len() != fk.ref_columns.len()
+                    || ref_idx.iter().any(|&i| old_row[i].is_null())
+                {
                     continue;
                 }
-                let old_key: Vec<&Value> = ref_idx.iter().map(|&i| &old_row[i]).collect();
-                if old_key.iter().any(|v| v.is_null()) {
+                // The key is unchanged when the index would file both
+                // rows under one key.
+                let same = |new_row: &[Value], i: usize| {
+                    cell_cmp(
+                        as_cell(&old_row[i], &mut [0; 8]),
+                        as_cell(&new_row[i], &mut [0; 8]),
+                    )
+                    .is_eq()
+                };
+                if new_row.is_some_and(|new_row| ref_idx.iter().all(|&i| same(new_row, i))) {
                     continue;
-                }
-                if let Some(new_row) = new_row {
-                    let unchanged = ref_idx.iter().all(|&i| old_row[i] == new_row[i]);
-                    if unchanged {
-                        continue;
-                    }
                 }
                 let child_idx: Vec<usize> = fk
                     .columns
                     .iter()
                     .map(|c| child.schema.column_index(c).expect("fk validated"))
                     .collect();
-                let references = |crid: RowId, crow: &[Value]| {
-                    self.mvcc.visible(child_name, crid, &view)
-                        && child_idx
-                            .iter()
-                            .zip(&old_key)
-                            .all(|(&ci, &pv)| &crow[ci] == pv)
-                };
-                // A child index led by the FK columns narrows the check
-                // to the rows filed under the key; `references` decides.
-                let referenced = match child
-                    .indexes
-                    .iter()
-                    .find(|ix| ix.col_indices.starts_with(&child_idx))
-                {
-                    Some(ix) => {
-                        let mut key = Vec::new();
-                        encode_cells(old_key.iter().copied(), &mut key);
-                        let key = KeyRef(&key);
-                        let mut found = false;
-                        ix.tree.scan_from_key(key, |k, rids| {
-                            let under_key = k.has_prefix(key);
-                            found = under_key
-                                && rids.iter().any(|&crid| {
-                                    child.heap.get(crid).is_some_and(|r| references(crid, &r))
-                                });
-                            under_key && !found
-                        });
-                        found
-                    }
-                    None => child
-                        .heap
-                        .scan()
-                        .any(|(crid, crow)| references(crid, &crow)),
-                };
-                if referenced {
+                let key = key_into(&ref_idx, old_row, &mut key);
+                if child.holds_key(&child_idx, key, self.row_visibility(child_name, &view))? {
                     return Err(DbError::Constraint(format!(
                         "cannot modify {table}: key referenced by {child_name}"
                     )));
@@ -1687,39 +1659,31 @@ impl Database {
         let rid = t.heap.insert(row);
         let mut key = Vec::new();
         for ix in &mut t.indexes {
-            ix.tree.insert_key(ix.key_into(row, &mut key), rid);
+            ix.tree
+                .insert_key(key_into(&ix.col_indices, row, &mut key), rid);
         }
         rid
     }
 
+    /// Remove the row at `rid` and its index entries, whose keys are cut
+    /// out of the stored record's cells. A record that is not a row of
+    /// the table is left where it is.
     fn physical_delete(&mut self, table: &str, rid: RowId) {
         let t = self.tables.get_mut(table).expect("caller validated table");
-        if let Some(row) = t.heap.get(rid) {
-            let mut key = Vec::new();
-            for ix in &mut t.indexes {
-                ix.tree.remove_key(ix.key_into(&row, &mut key), rid);
-            }
-            t.heap.delete(rid);
+        let Some(rec) = t.heap.record(rid) else {
+            return;
+        };
+        let mut cells = Vec::with_capacity(t.schema.columns.len());
+        if check_record(&t.schema, rid, rec, |cell| cells.push(cell)).is_err() {
+            return;
         }
-    }
-
-    fn physical_update(
-        &mut self,
-        table: &str,
-        rid: RowId,
-        old: &[Value],
-        new: &[Value],
-    ) -> Result<RowId> {
-        let t = self.tables.get_mut(table).expect("caller validated table");
-        let mut key = Vec::new();
+        let mut key = Records::default();
         for ix in &mut t.indexes {
-            ix.tree.remove_key(ix.key_into(old, &mut key), rid);
+            key.truncate(0);
+            key.push_spans(ix.col_indices.iter().map(|&i| cells[i]));
+            ix.tree.remove_key(KeyRef(key.get(0)), rid);
         }
-        let new_id = t.heap.update(rid, new)?;
-        for ix in &mut t.indexes {
-            ix.tree.insert_key(ix.key_into(new, &mut key), new_id);
-        }
-        Ok(new_id)
+        t.heap.delete(rid);
     }
 
     /// Find the first live row equal to `row` (used by WAL replay, where
@@ -1734,7 +1698,7 @@ impl Database {
         match t.indexes.first() {
             Some(ix) if row.len() == t.schema.columns.len() => ix
                 .tree
-                .get_key(ix.key_into(row, &mut Vec::new()))
+                .get_key(key_into(&ix.col_indices, row, &mut Vec::new()))
                 .iter()
                 .copied()
                 .find(|&rid| t.heap.record(rid) == Some(&want[..])),
@@ -1774,7 +1738,8 @@ impl Database {
                 let rid = self.find_row_by_value(&table, &old).ok_or_else(|| {
                     DbError::Storage(format!("wal replay: row not found in {table}"))
                 })?;
-                self.physical_update(&table, rid, &old, &new)?;
+                self.physical_delete(&table, rid);
+                self.physical_insert(&table, &new);
                 Ok(())
             }
             WalRecord::Commit { csn } => {
@@ -2090,7 +2055,7 @@ mod tests {
     use super::*;
 
     /// The snapshot writer this one replaced, kept as the reference:
-    /// every row of every table decoded (`scan`), the visible ones
+    /// every row of every table decoded, the visible ones
     /// re-encoded into a fresh heap (`insert`), and each index's order
     /// found from scratch: the rows' positions sorted by their keys.
     fn snapshot_by_reencoding(db: &Database) -> Vec<u8> {
@@ -2115,7 +2080,8 @@ mod tests {
             }
             let mut committed = HeapTable::new();
             let mut rows = Vec::new();
-            for (rid, row) in t.heap.scan() {
+            for (rid, rec) in t.heap.records() {
+                let row = crate::value::decode_row(rec, &mut 0).unwrap();
                 if db.mvcc.visible(name, rid, &view) {
                     committed.insert(&row);
                     rows.push(row);

@@ -4,7 +4,7 @@
 
 use super::page::{Page, SlotId, PAGE_SIZE};
 use crate::error::{DbError, Result};
-use crate::value::{decode_row, encode_row, Value};
+use crate::value::{encode_row, Value};
 use std::borrow::Cow;
 
 /// Stable address of a row in a heap table.
@@ -114,14 +114,6 @@ impl HeapTable {
         }
     }
 
-    /// Fetch and decode the row at `id`; `None` if deleted/never existed.
-    /// For the engine's own upkeep (constraint checks, index
-    /// maintenance): a statement's reads take [`HeapTable::record`] and
-    /// report what the decoder makes of it.
-    pub fn get(&self, id: RowId) -> Option<Vec<Value>> {
-        decode_row(self.record(id)?, &mut 0).ok()
-    }
-
     /// Delete the row at `id`; returns true if it was live.
     pub fn delete(&mut self, id: RowId) -> bool {
         let deleted = match id.decode() {
@@ -142,15 +134,6 @@ impl HeapTable {
         deleted
     }
 
-    /// Replace the row at `id` with `row`. The row moves (delete +
-    /// re-insert), so the returned id supersedes the old one.
-    pub fn update(&mut self, id: RowId, row: &[Value]) -> Result<RowId> {
-        if !self.delete(id) {
-            return Err(DbError::Storage(format!("update of missing row {id:?}")));
-        }
-        Ok(self.insert(row))
-    }
-
     /// Iterate `(RowId, encoded record)` over all live rows in storage
     /// order.
     pub fn records(&self) -> impl Iterator<Item = (RowId, &[u8])> + '_ {
@@ -164,15 +147,6 @@ impl HeapTable {
             .enumerate()
             .filter_map(|(i, rec)| Some((RowId::overflow(i as u64), rec.as_deref()?)));
         paged.chain(over)
-    }
-
-    /// Iterate `(RowId, row)` over all live rows in storage order; like
-    /// [`HeapTable::get`], for the engine's own upkeep.
-    pub fn scan(&self) -> impl Iterator<Item = (RowId, Vec<Value>)> + '_ {
-        self.records().map(|(rid, rec)| {
-            let row = decode_row(rec, &mut 0).expect("stored rows decode");
-            (rid, row)
-        })
     }
 
     /// How many places a record of this heap can take — each page's slots
@@ -272,29 +246,30 @@ mod tests {
         vec![Value::Int(i), Value::Str(format!("row-{i}"))]
     }
 
+    /// `row` as the heap stores it.
+    fn rec(row: &[Value]) -> Vec<u8> {
+        let mut out = Vec::new();
+        encode_row(row, &mut out);
+        out
+    }
+
+    /// The record at `id`, copied out.
+    fn record(h: &HeapTable, id: RowId) -> Option<Vec<u8>> {
+        h.record(id).map(<[u8]>::to_vec)
+    }
+
     #[test]
     fn insert_get_delete() {
         let mut h = HeapTable::new();
         let a = h.insert(&row(1));
         let b = h.insert(&row(2));
         assert_eq!(h.len(), 2);
-        assert_eq!(h.get(a).unwrap()[0], Value::Int(1));
+        assert_eq!(record(&h, a), Some(rec(&row(1))));
         assert!(h.delete(a));
-        assert!(h.get(a).is_none());
+        assert!(h.record(a).is_none());
         assert!(!h.delete(a));
         assert_eq!(h.len(), 1);
-        assert_eq!(h.get(b).unwrap()[0], Value::Int(2));
-    }
-
-    #[test]
-    fn update_moves_row() {
-        let mut h = HeapTable::new();
-        let a = h.insert(&row(1));
-        let a2 = h.update(a, &row(99)).unwrap();
-        assert!(h.get(a).is_none());
-        assert_eq!(h.get(a2).unwrap()[0], Value::Int(99));
-        assert_eq!(h.len(), 1);
-        assert!(h.update(a, &row(5)).is_err(), "stale id rejected");
+        assert_eq!(record(&h, b), Some(rec(&row(2))));
     }
 
     #[test]
@@ -303,9 +278,9 @@ mod tests {
         let ids: Vec<RowId> = (0..2000).map(|i| h.insert(&row(i))).collect();
         assert!(h.page_count() > 1);
         for (i, id) in ids.iter().enumerate() {
-            assert_eq!(h.get(*id).unwrap()[0], Value::Int(i as i64));
+            assert_eq!(record(&h, *id), Some(rec(&row(i as i64))));
         }
-        assert_eq!(h.scan().count(), 2000);
+        assert_eq!(h.records().count(), 2000);
     }
 
     #[test]
@@ -314,9 +289,9 @@ mod tests {
         let big = vec![Value::Blob(vec![7u8; 100_000])];
         let id = h.insert(&big);
         assert_eq!(h.page_count(), 0, "big row bypasses pages");
-        assert_eq!(h.get(id).unwrap(), big);
+        assert_eq!(record(&h, id), Some(rec(&big)));
         assert!(h.delete(id));
-        assert!(h.get(id).is_none());
+        assert!(h.record(id).is_none());
     }
 
     #[test]
@@ -325,7 +300,7 @@ mod tests {
         h.insert(&row(1));
         h.insert(&[Value::Blob(vec![1u8; 50_000])]);
         h.insert(&row(2));
-        let rows: Vec<_> = h.scan().collect();
+        let rows: Vec<_> = h.records().collect();
         assert_eq!(rows.len(), 3);
     }
 
@@ -342,9 +317,9 @@ mod tests {
         let h2 = HeapTable::restore(&buf, &mut pos).unwrap();
         assert_eq!(pos, buf.len());
         assert_eq!(h2.len(), 2);
-        assert_eq!(h2.get(a).unwrap()[0], Value::Int(1));
-        assert_eq!(h2.get(b).unwrap()[0], Value::Blob(vec![9u8; 20_000]));
-        assert!(h2.get(c).is_none());
+        assert_eq!(record(&h2, a), Some(rec(&row(1))));
+        assert_eq!(record(&h2, b), Some(rec(&[Value::Blob(vec![9u8; 20_000])])));
+        assert!(h2.record(c).is_none());
     }
 
     /// A fresh heap's places are its records' positions; with records

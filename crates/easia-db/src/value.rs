@@ -445,7 +445,7 @@ impl Records {
     }
 
     /// The records, in the order they were appended.
-    pub fn iter(&self) -> impl ExactSizeIterator<Item = &[u8]> + '_ {
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = &[u8]> + DoubleEndedIterator + '_ {
         (0..self.ends.len()).map(|i| self.get(i))
     }
 

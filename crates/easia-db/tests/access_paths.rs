@@ -478,10 +478,11 @@ fn parent_restrict_agrees_with_and_without_a_child_index() {
         "{heap:?}"
     );
     assert!(heap.iter().all(|r| r.is_ok() || refused(r)), "{heap:?}");
-    // A DOUBLE child column files 1.0 under the parent's integer 1 in
-    // the index, but the check compares values exactly, index or not.
+    // A DOUBLE child column files 1.0 under the parent's integer 1, and
+    // both FK checks compare keys as the index does, index or not: the
+    // children hold their parents exactly as INTEGER ones do.
     let inexact = script("DOUBLE", None);
-    assert!(!inexact.iter().any(refused), "{inexact:?}");
+    assert_eq!(inexact, heap);
     for ddl in [
         "CREATE INDEX ix_fk ON c (a, b)",
         "CREATE INDEX ix_fk_id ON c (a, b, id)",
@@ -489,6 +490,34 @@ fn parent_restrict_agrees_with_and_without_a_child_index() {
     ] {
         assert_eq!(script("INTEGER", Some(ddl)), heap, "{ddl}");
         assert_eq!(script("DOUBLE", Some(ddl)), inexact, "{ddl}");
+    }
+}
+
+/// A child whose INTEGER key is its DOUBLE parent's under the index's
+/// equality (`1` is `1.0`) is accepted, and then holds that parent:
+/// neither a DELETE nor a key-changing UPDATE may orphan it, with or
+/// without an index on the child's column.
+#[test]
+fn a_parent_cannot_orphan_a_child_of_another_numeric_kind() {
+    for child_index in [None, Some("CREATE INDEX ix_c_r ON c (r)")] {
+        let mut db = Database::new_in_memory();
+        db.execute("CREATE TABLE p (k DOUBLE PRIMARY KEY)").unwrap();
+        db.execute("CREATE TABLE c (id INTEGER PRIMARY KEY, r INTEGER REFERENCES p (k))")
+            .unwrap();
+        if let Some(ddl) = child_index {
+            db.execute(ddl).unwrap();
+        }
+        db.execute("INSERT INTO p VALUES (1.0)").unwrap();
+        db.execute("INSERT INTO c VALUES (1, 1)").unwrap();
+        for sql in ["DELETE FROM p", "UPDATE p SET k = 2.0"] {
+            let err = db.execute(sql).map_err(|e| e.to_string());
+            assert!(
+                err.as_ref().is_err_and(|e| e.contains("referenced by C")),
+                "{child_index:?} {sql}: {err:?}"
+            );
+        }
+        let parents = db.execute("SELECT k FROM p").unwrap().rows;
+        assert_eq!(parents, [[Value::Double(1.0)]], "{child_index:?}");
     }
 }
 

@@ -472,9 +472,12 @@ fn a_log_that_deletes_or_updates_a_nan_row_reopens() {
 /// leading column value, and a range between two stored keys.
 fn assert_indexes_are_the_heap(db: &Database, table: &str) {
     use easia_db::index::btree::has_prefix;
+    use easia_db::value::decode_row;
     use std::cmp::Ordering;
     let t = db.table(table).unwrap();
-    let rows: Vec<_> = t.heap.scan().collect();
+    let rows: Vec<_> = (t.heap.records())
+        .map(|(rid, rec)| (rid, decode_row(rec, &mut 0).unwrap()))
+        .collect();
     assert_eq!(rows.len(), t.heap.len());
     let cmp = |a: &[Value], b: &[Value]| {
         a.iter()

@@ -17,6 +17,7 @@
 
 use easia_db::crc::crc32;
 use easia_db::storage::RowId;
+use easia_db::value::decode_row;
 use easia_db::{Database, DbError, Value};
 use proptest::prelude::*;
 use std::cmp::Ordering;
@@ -110,7 +111,9 @@ fn order_at(image_len: usize, index: usize, at: usize) -> usize {
 fn indexes_are_the_heap(db: &Database) -> Result<(), TestCaseError> {
     for name in db.table_names() {
         let t = db.table(&name).unwrap();
-        let rows: HashMap<RowId, Vec<Value>> = t.heap.scan().collect();
+        let rows: HashMap<RowId, Vec<Value>> = (t.heap.records())
+            .map(|(rid, rec)| (rid, decode_row(rec, &mut 0).unwrap()))
+            .collect();
         for ix in &t.indexes {
             let (mut ok, mut seen, mut last) = (true, HashSet::new(), None::<Vec<Value>>);
             ix.tree.scan_from(&[], |key, rids| {

@@ -1,7 +1,7 @@
 //! End-to-end SQL tests against the embedded engine, modelled on the
 //! paper's five-table turbulence schema.
 
-use easia_db::{Database, DbError, Value};
+use easia_db::{Database, DatalinkSpec, DbError, Value};
 
 fn turbulence_db() -> Database {
     let mut db = Database::new_in_memory();
@@ -288,6 +288,98 @@ fn foreign_key_restricts_parent_key_update() {
     // Updating a non-key column of the parent is fine.
     db.execute("UPDATE author SET name = 'M. Papiani' WHERE author_key = 'A1'")
         .unwrap();
+}
+
+/// `P (K)` with the keys 1 and 2, and `C` whose one row references 1.
+fn parent_and_child() -> Database {
+    let mut db = Database::new_in_memory();
+    db.execute("CREATE TABLE p (k INTEGER PRIMARY KEY, v INTEGER)")
+        .unwrap();
+    db.execute(
+        "CREATE TABLE c (id INTEGER, r INTEGER REFERENCES p (k), \
+         doc DATALINK LINKTYPE URL NO FILE LINK CONTROL)",
+    )
+    .unwrap();
+    db.execute("INSERT INTO p VALUES (1, 0), (2, 0)").unwrap();
+    db.execute("INSERT INTO c VALUES (1, 1, 'http://fs1/a.edf')")
+        .unwrap();
+    db
+}
+
+/// A row write runs its checks in one order — the new row's types, a
+/// write conflict on the old row, the new row's UNIQUE and FK keys, the
+/// old row's children, then DATALINK link control — so a write that
+/// fails two of them reports the earlier.
+#[test]
+fn row_writes_check_in_one_order() {
+    // UNIQUE before the parent's children.
+    let mut db = parent_and_child();
+    let err = db.execute("UPDATE p SET k = 2 WHERE k = 1").unwrap_err();
+    assert_eq!(
+        err,
+        DbError::Constraint("duplicate key in unique index PK_P of P".into())
+    );
+    // Types before the missing parent.
+    let err = db
+        .execute("INSERT INTO c VALUES ('one', 99, NULL)")
+        .unwrap_err();
+    assert!(
+        matches!(&err, DbError::Type(m) if m.starts_with("column ID")),
+        "{err}"
+    );
+    // A write conflict before the children: another transaction has
+    // stamped the referenced row (its key unchanged).
+    let (t1, t2) = (db.begin_txn(), db.begin_txn());
+    db.txn_execute(t1, "UPDATE p SET v = 1 WHERE k = 1", &[])
+        .unwrap();
+    let err = db
+        .txn_execute(t2, "DELETE FROM p WHERE k = 1", &[])
+        .unwrap_err();
+    assert!(
+        matches!(&err, DbError::Txn(m) if m.contains("write conflict")),
+        "{err}"
+    );
+    db.rollback_txn(t1).unwrap();
+    db.rollback_txn(t2).unwrap();
+}
+
+/// Counts the link-control calls it sees.
+#[derive(Default)]
+struct Calls(std::cell::Cell<usize>);
+
+impl easia_db::LinkObserver for Calls {
+    fn on_link(&self, _: &str, _: &str, _: &DatalinkSpec, _: &str) -> Result<(), DbError> {
+        self.0.set(self.0.get() + 1);
+        Ok(())
+    }
+    fn on_unlink(&self, _: &str, _: &str, _: &DatalinkSpec, _: &str) -> Result<(), DbError> {
+        self.0.set(self.0.get() + 1);
+        Ok(())
+    }
+    fn on_commit(&self) {}
+    fn on_rollback(&self) {}
+    fn render_datalink(&self, _: &DatalinkSpec, _: &str) -> Option<String> {
+        None
+    }
+}
+
+/// An UPDATE that fails its FK check has told no file manager to link
+/// or unlink anything.
+#[test]
+fn a_write_refused_by_its_keys_calls_no_link_observer() {
+    let mut db = parent_and_child();
+    let calls = std::rc::Rc::new(Calls::default());
+    db.add_observer(calls.clone());
+    let err = db
+        .execute("UPDATE c SET r = 99, doc = 'http://fs1/b.edf' WHERE id = 1")
+        .unwrap_err();
+    assert!(err.to_string().contains("foreign key violation"), "{err}");
+    assert_eq!(calls.0.get(), 0);
+    // The same change to a key that exists unlinks one file and links
+    // the other.
+    db.execute("UPDATE c SET r = 2, doc = 'http://fs1/b.edf' WHERE id = 1")
+        .unwrap();
+    assert_eq!(calls.0.get(), 2);
 }
 
 #[test]

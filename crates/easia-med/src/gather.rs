@@ -479,7 +479,8 @@ impl Federation {
     }
 
     /// Take a delivered batch frame's records into `p` — walked once and
-    /// checked as a decode would check them, kept as bytes — enforcing
+    /// checked as a decode would check them, each as wide as the request
+    /// (its columns, or its groups and calls), kept as bytes — enforcing
     /// sequence contiguity and noting the site's write counter: the
     /// version its replica copies are stored and looked up under.
     ///
@@ -492,6 +493,19 @@ impl Federation {
         let before = p.rows.len();
         let walked = walk_batch(frame, &mut p.rows);
         let (seq, write_counter) = walked.map_err(|e| FedError::Wire(e.to_string()))?;
+        let width = match &p.request.partial_agg {
+            Some(spec) => spec.group_by.len() + spec.calls.len(),
+            None => p.request.columns.len(),
+        };
+        // A walked record starts with its cell count.
+        let cells = (width as u32).to_le_bytes();
+        let new = p.rows.len() - before;
+        if (p.rows.iter().rev().take(new)).any(|record| !record.starts_with(&cells)) {
+            p.rows.truncate(before);
+            return Err(FedError::Wire(format!(
+                "a shipped record is not the request's {width} cells wide"
+            )));
+        }
         if u64::from(seq) != p.cursor {
             // A gap means an earlier frame was lost: resume will
             // re-request from the cursor.
@@ -599,6 +613,7 @@ impl Federation {
 mod tests {
     use super::*;
     use crate::remote::frame_batches;
+    use crate::wire::{AggCall, PartialAggSpec};
 
     #[test]
     fn wire_accounting_counts_every_delivered_frame() {
@@ -658,6 +673,62 @@ mod tests {
             p.bytes, expected,
             "wire bytes = all delivered traffic, not useful payload"
         );
+    }
+
+    /// A record narrower or wider than the request is refused at
+    /// accept, before the merge could index past it; the stream keeps
+    /// what it had.
+    #[test]
+    fn a_record_of_another_width_is_refused_at_accept() {
+        let mut fed = Federation::default();
+        let cam = SimNet::new().add_host("cam", 2);
+        fed.add_site("cam", cam, Database::new_in_memory());
+        let site = fed.site("cam").unwrap();
+        let request = |columns: &[&str], partial_agg| ScanRequest {
+            table: "SIM".into(),
+            columns: columns.iter().map(|c| c.to_string()).collect(),
+            predicate: String::new(),
+            params: vec![],
+            order_by: vec![],
+            limit: None,
+            resume_from: 0,
+            key_filter: None,
+            partial_agg,
+        };
+        let one = |i| vec![easia_db::Value::Int(i)];
+        let two = |i| vec![easia_db::Value::Int(i), easia_db::Value::Int(i)];
+        let grouped = Some(PartialAggSpec {
+            group_by: vec!["G".into()],
+            calls: vec![AggCall::CountStar],
+        });
+        for (request, width) in [
+            (request(&["N", "M"], None), 2),
+            (request(&["N"], grouped), 2),
+            (request(&["N"], None), 1),
+        ] {
+            let mut p = Pending {
+                site,
+                request,
+                frames: Vec::new().into_iter(),
+                rows: Records::default(),
+                cursor: 0,
+                bytes: 0,
+                retries: 0,
+                failed: false,
+                expired: false,
+                cache_fill: false,
+            };
+            let good = |i| if width == 2 { two(i) } else { one(i) };
+            let bad = |i| if width == 2 { one(i) } else { two(i) };
+            let frames = frame_batches(&[good(0), good(1), bad(2), good(3)], 2, 0, 7);
+            fed.accept_batch(&mut p, &frames[0]).unwrap();
+            let err = fed.accept_batch(&mut p, &frames[1]).unwrap_err();
+            assert!(
+                matches!(&err, FedError::Wire(m) if m.contains("cells wide")),
+                "{err}"
+            );
+            assert_eq!((p.rows.len(), p.cursor), (2, 1));
+        }
     }
 
     #[test]
