@@ -1,19 +1,23 @@
 //! CRC32 (IEEE 802.3, reflected polynomial 0xEDB88320).
 //!
 //! The durability layer checksums every WAL batch frame, every record
-//! frame inside a batch, and the heap snapshot body (DESIGN.md §12).
+//! frame inside a batch, and each frame of the checkpoint file
+//! (DESIGN.md §12).
 //! The build environment is offline, so this is a small local
-//! implementation — the standard table-driven slicing-by-8 variant,
-//! eight bytes a step — rather than an external crate. It matches the
+//! implementation — the standard table-driven slicing-by-16 variant,
+//! sixteen bytes a step — rather than an external crate. It matches the
 //! ubiquitous zlib/PNG CRC32, which makes the on-disk format checkable
 //! with standard tools.
 
+/// Bytes folded per step.
+const STEP: usize = 16;
+
 /// `TABLES[0]` is the classic 256-entry table of the reflected IEEE
 /// polynomial; `TABLES[k][b]` is the checksum state after byte `b`
-/// followed by `k` zero bytes, which lets one step fold eight input
-/// bytes with eight independent lookups.
-const fn build_tables() -> [[u32; 256]; 8] {
-    let mut tables = [[0u32; 256]; 8];
+/// followed by `k` zero bytes, which lets one step fold sixteen input
+/// bytes with sixteen independent lookups.
+const fn build_tables() -> [[u32; 256]; STEP] {
+    let mut tables = [[0u32; 256]; STEP];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -30,7 +34,7 @@ const fn build_tables() -> [[u32; 256]; 8] {
         i += 1;
     }
     let mut k = 1;
-    while k < 8 {
+    while k < STEP {
         let mut i = 0;
         while i < 256 {
             let prev = tables[k - 1][i];
@@ -42,7 +46,7 @@ const fn build_tables() -> [[u32; 256]; 8] {
     tables
 }
 
-static TABLES: [[u32; 256]; 8] = build_tables();
+static TABLES: [[u32; 256]; STEP] = build_tables();
 
 /// CRC32 of `data` (initial value 0, i.e. the plain one-shot checksum).
 pub fn crc32(data: &[u8]) -> u32 {
@@ -53,17 +57,13 @@ pub fn crc32(data: &[u8]) -> u32 {
 /// (`crc32_update(crc32(a), b) == crc32(a ++ b)`).
 pub fn crc32_update(crc: u32, data: &[u8]) -> u32 {
     let mut c = crc ^ 0xFFFF_FFFF;
-    let mut words = data.chunks_exact(8);
+    let mut words = data.chunks_exact(STEP);
     for w in &mut words {
-        let lo = c ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
-        c = TABLES[7][(lo & 0xFF) as usize]
-            ^ TABLES[6][((lo >> 8) & 0xFF) as usize]
-            ^ TABLES[5][((lo >> 16) & 0xFF) as usize]
-            ^ TABLES[4][(lo >> 24) as usize]
-            ^ TABLES[3][w[4] as usize]
-            ^ TABLES[2][w[5] as usize]
-            ^ TABLES[1][w[6] as usize]
-            ^ TABLES[0][w[7] as usize];
+        // Byte `j` of the step is followed by `STEP - 1 - j` more; the
+        // running state folds into the first four.
+        let lo = (c ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]])).to_le_bytes();
+        let byte = |j: usize| if j < 4 { lo[j] } else { w[j] };
+        c = (0..STEP).fold(0, |x, j| x ^ TABLES[STEP - 1 - j][usize::from(byte(j))]);
     }
     for &b in words.remainder() {
         c = TABLES[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
@@ -93,7 +93,7 @@ mod tests {
 
     #[test]
     fn sliced_matches_the_bytewise_reference_at_every_length_and_split() {
-        // Not a multiple of anything: every alignment of the 8-byte step
+        // Not a multiple of anything: every alignment of the 16-byte step
         // against the head, the body and the tail is visited.
         let data: Vec<u8> = (0..70u32).map(|i| (i * 37 + 11) as u8 ^ 0xA5).collect();
         for len in 0..=data.len() {

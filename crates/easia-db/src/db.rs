@@ -14,11 +14,14 @@ use crate::scrub::ScrubReport;
 use crate::sql::ast::{ColumnDefAst, Stmt, TableConstraint};
 use crate::sql::parse;
 use crate::storage::{HeapTable, RowId, PAGE_SIZE};
-use crate::txn::{seal_batch, Wal, WalCorruption, WalRecord};
+use crate::txn::{
+    batch_header, frame_at, seal_batch, Frame, Wal, WalCorruption, WalRecord, BATCH_HEADER_LEN,
+};
 use crate::value::{
     as_cell, cell_cmp, encode_cells, encode_row, sieve_record, Lent, Records, Value,
 };
 use std::collections::{BTreeMap, HashSet};
+use std::io::{Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::rc::Rc;
 
@@ -183,6 +186,19 @@ pub struct Database {
     /// Not persisted: reopening resets it to zero, which conservatively
     /// invalidates any remote replica keyed on it.
     writes: u64,
+    /// Where `snapshot.db`'s base and its last whole frame end (`None`
+    /// until the file holds a base).
+    image: Option<ImageExtent>,
+    /// DDL ran since the last checkpoint: the next one rewrites the image.
+    ddl_since_checkpoint: bool,
+}
+
+/// The extent of a checkpoint file: byte offsets of the end of its base
+/// and of its last whole frame.
+#[derive(Debug, Clone, Copy)]
+struct ImageExtent {
+    base: u64,
+    end: u64,
 }
 
 /// What recovery found and did while opening a durable database
@@ -226,8 +242,8 @@ struct GroupWindow {
 }
 
 const SNAPSHOT_FILE: &str = "snapshot.db";
-/// What a checkpoint image starts with, before the CRC32 of its body.
-const SNAPSHOT_MAGIC: &[u8] = b"EASNAP3\0";
+/// What a checkpoint file starts with, before its base frame.
+const SNAPSHOT_MAGIC: &[u8] = b"EASNAP4\0";
 const WAL_FILE: &str = "wal.log";
 const QUARANTINE_FILE: &str = "wal.log.quarantined";
 
@@ -251,6 +267,8 @@ impl Database {
             metrics: None,
             corruption_detected: 0,
             writes: 0,
+            image: None,
+            ddl_since_checkpoint: false,
         }
     }
 
@@ -289,11 +307,13 @@ impl Database {
         let mut db = Database::new_in_memory();
         db.dir = Some(dir.to_path_buf());
         let snap = dir.join(SNAPSHOT_FILE);
+        let mut image_csn = 0;
         if snap.exists() {
             let bytes = std::fs::read(&snap)
                 .map_err(|e| DbError::Storage(format!("read snapshot: {e}")))?;
-            db.load_snapshot(&bytes)?;
+            image_csn = db.load_snapshot(&bytes)?;
         }
+        db.ddl_since_checkpoint = false;
         let wal_path = dir.join(WAL_FILE);
         let parse = Wal::read_with_info(&wal_path)?;
         if let Some(c) = &parse.corruption {
@@ -305,9 +325,15 @@ impl Database {
                 });
             }
         }
+        // A crash between publishing an image and truncating the log
+        // leaves commits in the log that the image already holds: the
+        // prefix up to the last of them is not replayed.
+        let held = (parse.records.iter())
+            .rposition(|r| matches!(r, WalRecord::Commit { csn } if *csn <= image_csn))
+            .map_or(0, |i| i + 1);
         db.replaying = true;
-        let records_replayed = parse.records.len();
-        for rec in parse.records {
+        let records_replayed = parse.records.len() - held;
+        for rec in parse.records.into_iter().skip(held) {
             db.apply_wal(rec)?;
         }
         db.replaying = false;
@@ -337,7 +363,7 @@ impl Database {
         Ok((db, report))
     }
 
-    /// Write a snapshot and truncate the WAL.
+    /// Write a checkpoint and truncate the WAL.
     ///
     /// Non-blocking: runs under open snapshots and in-flight
     /// transactions by checkpointing *at the current commit horizon* —
@@ -347,6 +373,12 @@ impl Database {
     /// excluded too (snapshots do not survive a restart). Only an open
     /// group-commit window blocks: its staged-but-unsynced commits are
     /// already visible in memory and would otherwise be persisted twice.
+    ///
+    /// A checkpoint appends a frame of its dirty pages to `snapshot.db`
+    /// and syncs it. The whole image is rewritten beside it and renamed
+    /// into place instead — compaction — when the file has no base, when
+    /// DDL ran since the last checkpoint, or when its frames together
+    /// outgrow its base. Either way the log empties last.
     pub fn checkpoint(&mut self) -> Result<()> {
         let Some(dir) = self.dir.clone() else {
             return Ok(()); // in-memory: nothing to do
@@ -361,22 +393,73 @@ impl Database {
             // (and the version map) shrink to the live rows.
             self.vacuum_internal();
         }
-        let bytes = self.write_snapshot()?;
-        // The image reaches the disk, then its name, then the log empties.
-        let tmp = dir.join("snapshot.tmp");
-        let publish = || {
-            let mut file = std::fs::File::create(&tmp)?;
-            std::io::Write::write_all(&mut file, &bytes)?;
-            file.sync_data()?;
-            std::fs::rename(&tmp, dir.join(SNAPSHOT_FILE))?;
-            std::fs::File::open(&dir)?.sync_all()
+        // A versioned record's visibility can change without a heap
+        // write, so its page is written whatever its dirty bit says.
+        self.mark_versioned_dirty();
+        let full = self.ddl_since_checkpoint || self.image.is_none_or(|i| i.end - i.base > i.base);
+        let bytes = self.write_snapshot(full)?;
+        let path = dir.join(SNAPSHOT_FILE);
+        let publish = |image: Option<ImageExtent>| -> std::io::Result<ImageExtent> {
+            let len = bytes.len() as u64;
+            match image {
+                Some(ImageExtent { base, end }) if !full => {
+                    let mut file = std::fs::OpenOptions::new().write(true).open(&path)?;
+                    // A torn frame a crash left is cut off first, durably.
+                    if file.metadata()?.len() != end {
+                        file.set_len(end)?;
+                        file.sync_data()?;
+                    }
+                    file.seek(SeekFrom::Start(end))?;
+                    file.write_all(&bytes)?;
+                    file.sync_data()?;
+                    Ok(ImageExtent {
+                        base,
+                        end: end + len,
+                    })
+                }
+                // The image reaches the disk, then its name.
+                _ => {
+                    let tmp = dir.join("snapshot.tmp");
+                    let mut file = std::fs::File::create(&tmp)?;
+                    file.write_all(&bytes)?;
+                    file.sync_data()?;
+                    std::fs::rename(&tmp, &path)?;
+                    std::fs::File::open(&dir)?.sync_all()?;
+                    Ok(ImageExtent {
+                        base: len,
+                        end: len,
+                    })
+                }
+            }
         };
-        publish().map_err(|e| DbError::Storage(format!("publish snapshot: {e}")))?;
+        let image = publish(self.image);
+        self.image = Some(image.map_err(|e| DbError::Storage(format!("publish snapshot: {e}")))?);
+        self.ddl_since_checkpoint = false;
+        // A page is clean once written with every record on it frozen.
+        for t in self.tables.values_mut() {
+            t.heap.mark_clean();
+        }
+        self.mark_versioned_dirty();
         self.wal.truncate()
     }
 
-    /// Verify every checksum behind the commit horizon: the snapshot
-    /// body CRC and each record frame of every complete WAL batch. Pure
+    /// Mark dirty each page holding a record that has a version entry.
+    fn mark_versioned_dirty(&mut self) {
+        for (name, t) in &mut self.tables {
+            for &rid in self
+                .mvcc
+                .table_versions(name)
+                .into_iter()
+                .flat_map(|v| v.keys())
+            {
+                t.heap.mark_dirty(rid);
+            }
+        }
+    }
+
+    /// Verify every checksum behind the commit horizon: the checkpoint
+    /// file's base and each whole frame after it, and each record frame
+    /// of every complete WAL batch. Pure
     /// read-side pass — finds silent bit rot before recovery needs the
     /// bytes. Results also feed the `easia_db_scrub_*` metric families.
     pub fn scrub(&self) -> Result<ScrubReport> {
@@ -965,6 +1048,7 @@ impl Database {
     // ---- DDL ----
 
     fn apply_ddl(&mut self, stmt: &Stmt) -> Result<()> {
+        self.ddl_since_checkpoint = true;
         match stmt {
             Stmt::CreateTable {
                 name,
@@ -1753,123 +1837,170 @@ impl Database {
 
     // ---- snapshotting ----
 
-    /// Serialise the committed state as an `EASNAP3` image: the magic,
-    /// the body's CRC32, then the body. Rows are filtered to the commit
-    /// horizon's read view, so a checkpoint taken under in-flight
-    /// transactions or open snapshots writes exactly what a fresh reader
-    /// would see (uncommitted and merely-pinned versions excluded; heap
-    /// RowIds are not preserved — WAL replay matches rows by value).
+    /// Serialise the committed state: the whole image (`full`) — the
+    /// file magic, then a base frame holding every table with its DDL —
+    /// or one frame holding the tables that have a dirty page or overflow
+    /// entry, each by its name. A frame's payload opens with the image's
+    /// CSN. Each table's entry is its heap section
+    /// ([`HeapTable::write_section`]: every page, or only the dirty ones,
+    /// copied as the committed view sees them) and then each index's
+    /// order: the `u32` places of its visible rows, in key order. Rows
+    /// are filtered to the commit horizon's read view, so a checkpoint
+    /// taken under in-flight transactions or open snapshots writes
+    /// exactly what a fresh reader would see.
     ///
-    /// A visible record is checked to be a row of its table
-    /// ([`check_record`]) and then copied as bytes: the fresh heap places
-    /// a record by its length alone, so the image is the one that
-    /// re-encoding every decoded row would write. A record that is not
-    /// one is a typed error, raised before anything on disk is touched.
-    /// After a table's heap, each index's order: its rows' `u32`
-    /// positions in the image, in key order.
-    fn write_snapshot(&self) -> Result<Vec<u8>> {
+    /// Every record written is checked to be a row of its table
+    /// ([`check_record`]); one that is not is a typed error, raised
+    /// before anything on disk is touched.
+    fn write_snapshot(&self, full: bool) -> Result<Vec<u8>> {
         let view = self.mvcc.committed_view();
-        // Pages and orders bound the image, overflow aside: reserved once.
-        let room = |t: &Table| PAGE_SIZE * t.heap.page_count() + 4 * t.heap.len() * t.indexes.len();
-        let mut image = Vec::with_capacity(self.tables.values().map(room).sum::<usize>() + 4096);
-        // Room for the magic and the body's CRC, filled in at the end.
-        image.resize(12, 0);
-        image.extend_from_slice(&(self.tables.len() as u32).to_le_bytes());
-        for (name, t) in &self.tables {
-            let ddl = schema_to_ddl(&t.schema);
-            image.extend_from_slice(&(ddl.len() as u32).to_le_bytes());
-            image.extend_from_slice(ddl.as_bytes());
-            // Extra (non-implicit) indexes as DDL too.
-            let extra: Vec<String> = t
-                .indexes
-                .iter()
-                .filter(|ix| !ix.implicit)
-                .map(|ix| index_to_ddl(&t.schema, ix))
-                .collect();
-            image.extend_from_slice(&(extra.len() as u32).to_le_bytes());
-            for ddl in extra {
-                image.extend_from_slice(&(ddl.len() as u32).to_le_bytes());
-                image.extend_from_slice(ddl.as_bytes());
+        let tables: Vec<_> = (self.tables.iter())
+            .filter(|(_, t)| full || t.heap.is_dirty())
+            .collect();
+        // Orders, and a base's pages, bound the frame: reserved once.
+        let room = |t: &&Table| {
+            4 * t.heap.len() * t.indexes.len() + usize::from(full) * PAGE_SIZE * t.heap.page_count()
+        };
+        let mut out = Vec::with_capacity(tables.iter().map(|(_, t)| room(t)).sum::<usize>() + 4096);
+        if full {
+            out.extend_from_slice(SNAPSHOT_MAGIC);
+        }
+        // Room for the frame header, filled in at the end.
+        let header = out.len();
+        out.resize(header + BATCH_HEADER_LEN, 0);
+        out.extend_from_slice(&view.csn.to_le_bytes());
+        out.extend_from_slice(&(tables.len() as u32).to_le_bytes());
+        let put_str = |out: &mut Vec<u8>, s: &str| {
+            out.extend_from_slice(&(s.len() as u32).to_le_bytes());
+            out.extend_from_slice(s.as_bytes());
+        };
+        for (name, t) in tables {
+            if full {
+                put_str(&mut out, &schema_to_ddl(&t.schema));
+                // Extra (non-implicit) indexes as DDL too.
+                let extra: Vec<String> = (t.indexes.iter())
+                    .filter(|ix| !ix.implicit)
+                    .map(|ix| index_to_ddl(&t.schema, ix))
+                    .collect();
+                out.extend_from_slice(&(extra.len() as u32).to_le_bytes());
+                for ddl in extra {
+                    put_str(&mut out, &ddl);
+                }
+            } else {
+                put_str(&mut out, name);
             }
             let versions = self.mvcc.table_versions(name);
-            let mut committed = HeapTable::new();
-            // Where each visible row moves to, by its place here; a fresh
-            // heap has no gaps, so a place there is a position.
-            let (places, place) = t.heap.places();
-            let mut moved = vec![None; places];
-            for (rid, rec) in t.heap.records() {
-                if self.mvcc.visible_in(versions, rid, &view) {
-                    check_record(&t.schema, rid, rec, |_| {})?;
-                    moved[place(rid)] = Some(committed.insert_record(rec.into()));
-                }
-            }
-            committed.snapshot(&mut image);
-            let (_, position) = committed.places();
+            let visible = |rid| self.mvcc.visible_in(versions, rid, &view);
+            // Every record the view cannot see has a version entry.
+            let hidden = (versions.into_iter().flat_map(|v| v.keys()))
+                .filter(|&&rid| t.heap.record(rid).is_some() && !visible(rid))
+                .count();
+            let live = t.heap.len() - hidden;
+            let keep = |rid, rec: &[u8]| match visible(rid) {
+                true => check_record(&t.schema, rid, rec, |_| {}).map(|()| true),
+                false => Ok(false),
+            };
+            t.heap.write_section(full, live, keep, &mut out)?;
+            let (_, place) = t.heap.places();
             for ix in &t.indexes {
+                let at = out.len();
                 ix.tree.scan_from(&[], |_, rows| {
-                    for to in rows.iter().filter_map(|&rid| moved[place(rid)]) {
-                        image.extend_from_slice(&(position(to) as u32).to_le_bytes());
+                    for &rid in rows.iter().filter(|&&rid| visible(rid)) {
+                        out.extend_from_slice(&(place(rid) as u32).to_le_bytes());
                     }
                     true
                 });
+                if out.len() - at != 4 * live {
+                    return Err(DbError::Storage(format!(
+                        "{name} index {} files {} of {live} rows",
+                        ix.name,
+                        (out.len() - at) / 4
+                    )));
+                }
             }
         }
-        let crc = crc32(&image[12..]);
-        image[..8].copy_from_slice(SNAPSHOT_MAGIC);
-        image[8..12].copy_from_slice(&crc.to_le_bytes());
-        Ok(image)
+        let payload = &out[header + BATCH_HEADER_LEN..];
+        if payload.len() > u32::MAX as usize {
+            return Err(DbError::Storage("checkpoint frame over 4 GiB".into()));
+        }
+        let sealed = batch_header(payload.len(), crc32(payload));
+        out[header..header + BATCH_HEADER_LEN].copy_from_slice(&sealed);
+        Ok(out)
     }
 
-    /// Load an image [`Database::write_snapshot`] wrote. A rotted body is
-    /// a typed storage error, and so is one that lies under a good CRC.
-    fn load_snapshot(&mut self, image: &[u8]) -> Result<()> {
-        let bytes = snapshot_body(image).map_err(|e| DbError::Storage(e.into()))?;
-        let trunc = || DbError::Storage("snapshot truncated".into());
-        let mut pos = 0usize;
-        let take = |pos: &mut usize, len: usize| -> Result<&[u8]> {
-            let s = bytes.get(*pos..pos.saturating_add(len)).ok_or_else(trunc)?;
-            *pos += len;
-            Ok(s)
-        };
-        let read_u32 = |pos: &mut usize| -> Result<usize> {
-            let s = take(pos, 4)?;
-            Ok(u32::from_le_bytes(s.try_into().expect("4 bytes")) as usize)
-        };
-        let read_str = |pos: &mut usize| -> Result<String> {
-            let len = read_u32(pos)?;
-            String::from_utf8(take(pos, len)?.to_vec())
-                .map_err(|_| DbError::Storage("snapshot utf8".into()))
-        };
-        let ntables = read_u32(&mut pos)?;
+    /// Load a checkpoint file [`Database::write_snapshot`] wrote: restore
+    /// the base, let each whole frame's pages and overflow entries replace
+    /// or extend it, and build every index in the order the newest frame
+    /// holding its table carries. A torn last frame is dropped, as a torn
+    /// log tail is. Damage is a typed storage error, and so is a body that
+    /// lies under good checksums. The CSN counter moves past the image's
+    /// CSN, which is returned.
+    fn load_snapshot(&mut self, file: &[u8]) -> Result<Csn> {
+        let (frames, end, damage) = snapshot_frames(file);
+        if let Some((at, what)) = damage {
+            return Err(DbError::Storage(format!("snapshot at byte {at}: {what}")));
+        }
+        let mut orders: BTreeMap<String, &[u8]> = BTreeMap::new();
+        let mut csn = 0;
         self.replaying = true;
-        for _ in 0..ntables {
-            let stmt = parse(&read_str(&mut pos)?)?;
-            let Stmt::CreateTable { name, .. } = &stmt else {
-                return Err(DbError::Storage("snapshot: expected CREATE TABLE".into()));
+        for (i, &(_, payload)) in frames.iter().enumerate() {
+            let mut c = Cursor {
+                buf: payload,
+                pos: 0,
             };
-            let tname = name.to_ascii_uppercase();
-            self.apply_ddl(&stmt)?;
-            let nextra = read_u32(&mut pos)?;
-            for _ in 0..nextra {
-                let stmt = parse(&read_str(&mut pos)?)?;
-                if !matches!(stmt, Stmt::CreateIndex { .. }) {
-                    return Err(DbError::Storage("snapshot: expected CREATE INDEX".into()));
-                }
-                self.apply_ddl(&stmt)?;
+            csn = c.u64()?;
+            for _ in 0..c.u32()? {
+                let name = match i {
+                    0 => {
+                        let stmt = parse(&c.str()?)?;
+                        let Stmt::CreateTable { name, .. } = &stmt else {
+                            return Err(DbError::Storage("snapshot: expected CREATE TABLE".into()));
+                        };
+                        let name = name.to_ascii_uppercase();
+                        self.apply_ddl(&stmt)?;
+                        for _ in 0..c.u32()? {
+                            let stmt = parse(&c.str()?)?;
+                            if !matches!(stmt, Stmt::CreateIndex { .. }) {
+                                return Err(DbError::Storage(
+                                    "snapshot: expected CREATE INDEX".into(),
+                                ));
+                            }
+                            self.apply_ddl(&stmt)?;
+                        }
+                        name
+                    }
+                    _ => c.str()?,
+                };
+                let t = self.tables.get_mut(&name).ok_or_else(|| {
+                    DbError::Storage(format!("snapshot: a frame names no table {name}"))
+                })?;
+                t.heap.restore_section(c.buf, &mut c.pos)?;
+                let n = 4 * t.heap.len() * t.indexes.len();
+                orders.insert(name, c.take(n)?);
             }
-            let heap = HeapTable::restore(bytes, &mut pos)?;
-            let t = self.tables.get_mut(&tname).expect("created above");
-            let orders = take(&mut pos, 4 * heap.len() * t.indexes.len())?;
-            t.heap = heap;
-            fill_indexes(&t.schema, &t.heap, &mut t.indexes, Some(orders), |_, _| {
-                Ok(())
-            })?;
+            if c.pos != payload.len() {
+                return Err(DbError::Storage("snapshot: trailing bytes".into()));
+            }
         }
         self.replaying = false;
-        match pos == bytes.len() {
-            true => Ok(()),
-            false => Err(DbError::Storage("snapshot: trailing bytes".into())),
+        for (name, t) in &mut self.tables {
+            fill_indexes(
+                &t.schema,
+                &t.heap,
+                &mut t.indexes,
+                Some(orders[name]),
+                |_, _| Ok(()),
+            )?;
         }
+        let base = frames[0].0 + BATCH_HEADER_LEN + frames[0].1.len();
+        self.image = Some(ImageExtent {
+            base: base as u64,
+            end: end as u64,
+        });
+        // Commits after a reopen are numbered past the image, so that the
+        // next recovery does not take them for commits the image holds.
+        self.mvcc.observe_recovered_csn(csn);
+        Ok(csn)
     }
 
     /// Render DATALINK values for output via the registered observers.
@@ -1883,14 +2014,64 @@ impl Database {
     }
 }
 
-/// The body of a checkpoint image, once its magic and its CRC check.
-pub(crate) fn snapshot_body(image: &[u8]) -> std::result::Result<&[u8], &'static str> {
-    let (Some(SNAPSHOT_MAGIC), Some(want)) = (image.get(..8), image.get(8..12)) else {
-        return Err("bad snapshot magic");
-    };
-    match crc32(&image[12..]) == u32::from_le_bytes(want.try_into().expect("4 bytes")) {
-        true => Ok(&image[12..]),
-        false => Err("snapshot checksum mismatch (crc32): refusing to load rotted image"),
+/// The whole frames of a checkpoint file, the base first, each as its
+/// offset and payload; where the last of them ends; and the damage that
+/// stopped the walk, if any, as its offset and what failed to verify. A
+/// torn last frame ends the walk as a torn log tail does, by one
+/// classifier ([`frame_at`]); a file with no whole base is damage.
+pub(crate) fn snapshot_frames(file: &[u8]) -> SnapshotFrames<'_> {
+    let mut frames = Vec::new();
+    if !file.starts_with(SNAPSHOT_MAGIC) {
+        return (frames, 0, Some((0, "bad snapshot magic".into())));
+    }
+    let mut pos = SNAPSHOT_MAGIC.len();
+    while pos < file.len() {
+        match frame_at(file, pos) {
+            Frame::Whole(payload) => {
+                frames.push((pos, payload));
+                pos += BATCH_HEADER_LEN + payload.len();
+            }
+            Frame::Torn => break,
+            Frame::Damaged(what) => return (frames, pos, Some((pos, what))),
+        }
+    }
+    let damage = frames
+        .is_empty()
+        .then(|| (pos, "snapshot has no whole base".into()));
+    (frames, pos, damage)
+}
+
+/// What [`snapshot_frames`] finds.
+pub(crate) type SnapshotFrames<'a> = (Vec<(usize, &'a [u8])>, usize, Option<(usize, String)>);
+
+/// A cursor over a checkpoint frame's payload.
+struct Cursor<'a> {
+    buf: &'a [u8],
+    pos: usize,
+}
+
+impl<'a> Cursor<'a> {
+    fn take(&mut self, n: usize) -> Result<&'a [u8]> {
+        let trunc = || DbError::Storage("snapshot truncated".into());
+        let s = (self.buf.get(self.pos..self.pos.saturating_add(n))).ok_or_else(trunc)?;
+        self.pos += n;
+        Ok(s)
+    }
+
+    fn u32(&mut self) -> Result<usize> {
+        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4 bytes")) as usize)
+    }
+
+    fn u64(&mut self) -> Result<u64> {
+        Ok(u64::from_le_bytes(
+            self.take(8)?.try_into().expect("8 bytes"),
+        ))
+    }
+
+    fn str(&mut self) -> Result<String> {
+        let len = self.u32()?;
+        String::from_utf8(self.take(len)?.to_vec())
+            .map_err(|_| DbError::Storage("snapshot utf8".into()))
     }
 }
 
@@ -1927,8 +2108,9 @@ fn check_record<'r>(
 
 /// Fill the (empty) trees of `indexes` from a table's heap: one walk
 /// checks each record and copies each key's cells out, then each tree is
-/// built in the order `orders` holds for it (checked to ascend), or by
-/// sorting. `admit` sees every key before it is filed and may refuse it.
+/// built in the order `orders` holds for it — the heap's places of its
+/// rows, checked to hold a record and to ascend — or by sorting. `admit`
+/// sees every key before it is filed and may refuse it.
 fn fill_indexes(
     schema: &TableSchema,
     heap: &HeapTable,
@@ -1940,6 +2122,11 @@ fn fill_indexes(
     // Every key takes at least its cell count.
     keys.iter_mut().for_each(|k| k.reserve(4 * n, n));
     let mut rids = Vec::with_capacity(n);
+    // Which record, in heap order, each place holds (`u32::MAX`: none);
+    // in a heap without a tombstone a place is that position itself.
+    let (places, place) = heap.places();
+    let dense = places == n;
+    let mut at = vec![u32::MAX; if dense || orders.is_none() { 0 } else { places }];
     let mut cells = Vec::with_capacity(schema.columns.len());
     for (rid, rec) in heap.records() {
         cells.clear();
@@ -1947,6 +2134,9 @@ fn fill_indexes(
         for (ix, keys) in indexes.iter().zip(&mut keys) {
             keys.push_spans(ix.col_indices.iter().map(|&i| cells[i]));
             admit(rid, KeyRef(keys.get(keys.len() - 1)))?;
+        }
+        if let Some(k) = at.get_mut(place(rid)) {
+            *k = rids.len() as u32;
         }
         rids.push(rid);
     }
@@ -1957,15 +2147,20 @@ fn fill_indexes(
         ix.tree = match orders {
             None => BPlusTree::from_pairs((0..n).map(pair).collect()),
             Some(orders) => {
+                let record = |p: usize| match dense {
+                    true => (p < n).then_some(p),
+                    false => at.get(p).filter(|&&k| k != u32::MAX).map(|&k| k as usize),
+                };
                 let order = orders[4 * n * i..4 * n * (i + 1)]
                     .chunks_exact(4)
-                    .map(|p| u32::from_le_bytes(p.try_into().expect("4 bytes")) as usize);
-                // n positions that ascend strictly by key and row id, each
-                // under n, name every record once.
-                if order.clone().any(|p| p >= n) {
-                    return Err(bad("names a record past the table"));
+                    .map(|p| record(u32::from_le_bytes(p.try_into().expect("4 bytes")) as usize));
+                // n places that each hold a record and ascend strictly by
+                // key and row id name every record once.
+                if order.clone().any(|k| k.is_none()) {
+                    return Err(bad("names a place that holds no record"));
                 }
-                BPlusTree::from_run(order.map(pair)).map_err(|_| bad("does not ascend"))?
+                let order = order.map(|k| pair(k.expect("checked")));
+                BPlusTree::from_run(order).map_err(|_| bad("does not ascend"))?
             }
         };
     }
@@ -2054,18 +2249,20 @@ fn index_to_ddl(schema: &TableSchema, ix: &Index) -> String {
 mod tests {
     use super::*;
 
-    /// The snapshot writer this one replaced, kept as the reference:
-    /// every row of every table decoded, the visible ones
-    /// re-encoded into a fresh heap (`insert`), and each index's order
-    /// found from scratch: the rows' positions sorted by their keys.
+    /// The base image by hand, the reference for the writer: every
+    /// stored row of every table decoded and re-encoded in place, the
+    /// slot of each the committed view cannot see tombstoned in a copy
+    /// of its page, and each index's order found from scratch: the
+    /// visible rows' places sorted by their keys.
     fn snapshot_by_reencoding(db: &Database) -> Vec<u8> {
         let view = db.mvcc.committed_view();
-        let mut body = Vec::new();
+        let mut body = view.csn.to_le_bytes().to_vec();
         let put = |body: &mut Vec<u8>, s: &str| {
             body.extend_from_slice(&(s.len() as u32).to_le_bytes());
             body.extend_from_slice(s.as_bytes());
         };
-        body.extend_from_slice(&(db.tables.len() as u32).to_le_bytes());
+        let u32_le = |n: usize| (n as u32).to_le_bytes();
+        body.extend_from_slice(&u32_le(db.tables.len()));
         for (name, t) in &db.tables {
             put(&mut body, &schema_to_ddl(&t.schema));
             let extra: Vec<String> = t
@@ -2074,20 +2271,62 @@ mod tests {
                 .filter(|ix| !ix.implicit)
                 .map(|ix| index_to_ddl(&t.schema, ix))
                 .collect();
-            body.extend_from_slice(&(extra.len() as u32).to_le_bytes());
+            body.extend_from_slice(&u32_le(extra.len()));
             for ddl in &extra {
                 put(&mut body, ddl);
             }
-            let mut committed = HeapTable::new();
+            let (places, place) = t.heap.places();
+            let visible = |rid| db.mvcc.visible(name, rid, &view);
             let mut rows = Vec::new();
-            for (rid, rec) in t.heap.records() {
-                let row = crate::value::decode_row(rec, &mut 0).unwrap();
-                if db.mvcc.visible(name, rid, &view) {
-                    committed.insert(&row);
-                    rows.push(row);
+            let reencoded = |rec: &[u8]| {
+                let mut again = Vec::new();
+                encode_row(&crate::value::decode_row(rec, &mut 0).unwrap(), &mut again);
+                assert_eq!(again, rec);
+                again
+            };
+            let pages = t.heap.page_count();
+            body.extend_from_slice(&u32_le(pages));
+            body.extend_from_slice(&u32_le(pages));
+            let mut slots = 0;
+            for i in 0..pages {
+                let page = t.heap.page(i);
+                body.extend_from_slice(&u32_le(i));
+                let at = body.len();
+                body.extend_from_slice(page.as_bytes());
+                for (slot, rec) in page.iter() {
+                    let rid = RowId(((i as u64) << 16) | u64::from(slot));
+                    // A slot is its record's offset and length, after the
+                    // page's three-u16 header.
+                    let off = u16::from_le_bytes([
+                        body[at + 6 + 4 * slot as usize],
+                        body[at + 7 + 4 * slot as usize],
+                    ]) as usize;
+                    let again = reencoded(rec);
+                    body[at + off..at + off + again.len()].copy_from_slice(&again);
+                    if visible(rid) {
+                        rows.push((place(rid), crate::value::decode_row(rec, &mut 0).unwrap()));
+                    } else {
+                        body[at + 8 + 4 * slot as usize..at + 10 + 4 * slot as usize].fill(0);
+                    }
+                }
+                slots += usize::from(page.slot_count());
+            }
+            let overflow = places - slots;
+            body.extend_from_slice(&u32_le(overflow));
+            body.extend_from_slice(&u32_le(overflow));
+            for i in 0..overflow {
+                let rid = RowId((1 << 63) | i as u64);
+                body.extend_from_slice(&u32_le(i));
+                match t.heap.record(rid) {
+                    Some(rec) if visible(rid) => {
+                        body.extend_from_slice(&u32_le(rec.len() + 1));
+                        body.extend_from_slice(&reencoded(rec));
+                        rows.push((place(rid), crate::value::decode_row(rec, &mut 0).unwrap()));
+                    }
+                    _ => body.extend_from_slice(&u32_le(0)),
                 }
             }
-            committed.snapshot(&mut body);
+            body.extend_from_slice(&(rows.len() as u64).to_le_bytes());
             for ix in &t.indexes {
                 let key_cmp = |a: &Vec<Value>, b: &Vec<Value>| {
                     ix.col_indices
@@ -2096,16 +2335,15 @@ mod tests {
                         .find(|o| o.is_ne())
                         .unwrap_or(std::cmp::Ordering::Equal)
                 };
-                let mut order: Vec<usize> = (0..rows.len()).collect();
-                order.sort_by(|&a, &b| key_cmp(&rows[a], &rows[b]).then(a.cmp(&b)));
-                for p in order {
-                    body.extend_from_slice(&(p as u32).to_le_bytes());
+                let mut order: Vec<&(usize, Vec<Value>)> = rows.iter().collect();
+                order.sort_by(|a, b| key_cmp(&a.1, &b.1).then(a.0.cmp(&b.0)));
+                for (p, _) in order {
+                    body.extend_from_slice(&u32_le(*p));
                 }
             }
         }
         let mut out = SNAPSHOT_MAGIC.to_vec();
-        out.extend_from_slice(&crc32(&body).to_le_bytes());
-        out.extend_from_slice(&body);
+        out.extend_from_slice(&seal_batch(&body));
         out
     }
 
@@ -2173,7 +2411,10 @@ mod tests {
         db.execute("DELETE FROM files WHERE n % 5 = 0").unwrap();
         db.execute("UPDATE sim SET title = 'retitled' WHERE k > 'S0350'")
             .unwrap();
-        assert_eq!(db.write_snapshot().unwrap(), snapshot_by_reencoding(&db));
+        assert_eq!(
+            db.write_snapshot(true).unwrap(),
+            snapshot_by_reencoding(&db)
+        );
 
         // An open snapshot pins versions a later delete and update kill...
         let pinned = db.begin_snapshot();
@@ -2193,7 +2434,7 @@ mod tests {
             .unwrap();
         db.txn_execute(t, "UPDATE sim SET re = 0 WHERE k = 'S0399'", &[])
             .unwrap();
-        let image = db.write_snapshot().unwrap();
+        let image = db.write_snapshot(true).unwrap();
         assert_eq!(image, snapshot_by_reencoding(&db));
 
         // What the image holds is what a fresh reader sees now, with
@@ -2212,13 +2453,16 @@ mod tests {
             assert_eq!(back.execute(q).unwrap(), want, "{q}");
         }
         assert_eq!(
-            back.write_snapshot().unwrap(),
+            back.write_snapshot(true).unwrap(),
             image,
             "a loaded image rewrites itself"
         );
         db.rollback_txn(t).unwrap();
         db.release_snapshot(pinned);
-        assert_eq!(db.write_snapshot().unwrap(), snapshot_by_reencoding(&db));
+        assert_eq!(
+            db.write_snapshot(true).unwrap(),
+            snapshot_by_reencoding(&db)
+        );
     }
 
     /// An image lists only the indexes `create_table` does not make, and
@@ -2340,9 +2584,52 @@ mod tests {
                 DbError::Storage("T row 0x1: row decode: 1 cells for 2 columns".into())
             );
         };
-        refused(db.write_snapshot().unwrap_err());
-        // The old writer checked nothing: its image carries the record.
+        refused(db.write_snapshot(true).unwrap_err());
+        // The reference checks nothing: its image carries the record.
         let image = snapshot_by_reencoding(&db);
         refused(Database::new_in_memory().load_snapshot(&image).unwrap_err());
+    }
+
+    /// Every single-bit flip of a whole frame is damage its checksums
+    /// find, at the frame's offset, and `open` refuses it by name; the
+    /// frame cut short at any byte is dropped, leaving the base.
+    #[test]
+    fn every_bit_flipped_in_a_frame_is_found_and_every_cut_dropped() {
+        let dir = temp_dir("frame-flips");
+        let mut db = Database::open(&dir).unwrap();
+        db.execute("CREATE TABLE t (k INTEGER PRIMARY KEY, v VARCHAR(20))")
+            .unwrap();
+        db.checkpoint().unwrap();
+        let base = std::fs::read(dir.join(SNAPSHOT_FILE)).unwrap().len();
+        db.execute("INSERT INTO t VALUES (1, 'one'), (2, 'two')")
+            .unwrap();
+        db.checkpoint().unwrap();
+        drop(db);
+        let file = std::fs::read(dir.join(SNAPSHOT_FILE)).unwrap();
+        assert!(file.len() > base + PAGE_SIZE, "a frame of one page");
+        let mut flipped = file.clone();
+        for at in base..file.len() {
+            for bit in 0..8 {
+                flipped[at] ^= 1 << bit;
+                let (frames, _, damage) = snapshot_frames(&flipped);
+                assert_eq!((frames.len(), damage.map(|d| d.0)), (1, Some(base)));
+                flipped[at] ^= 1 << bit;
+            }
+        }
+        for at in [base, base + 13, file.len() - 1] {
+            flipped[at] ^= 0x10;
+            let err = Database::new_in_memory().load_snapshot(&flipped);
+            let named = format!("snapshot at byte {base}: ");
+            assert!(matches!(err, Err(DbError::Storage(m)) if m.starts_with(&named)));
+            flipped[at] ^= 0x10;
+        }
+        for cut in base..file.len() {
+            let (frames, end, damage) = snapshot_frames(&file[..cut]);
+            assert_eq!((frames.len(), end, damage), (1, base, None));
+        }
+        let mut back = Database::new_in_memory();
+        back.load_snapshot(&file).unwrap();
+        assert_eq!(back.execute("SELECT k FROM t").unwrap().rows.len(), 2);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

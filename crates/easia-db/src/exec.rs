@@ -1605,7 +1605,8 @@ mod tests {
             tree.insert(vec![Value::Int(k)], heap.insert(&row(k)));
         }
         let mut image = Vec::new();
-        heap.snapshot(&mut image);
+        heap.write_section(true, heap.len(), |_, _| Ok(true), &mut image)
+            .unwrap();
         // Row 7's record inside its page: count, INTEGER tag and value,
         // then the tag byte of the string cell.
         let mut record = Vec::new();
@@ -1624,7 +1625,11 @@ mod tests {
                 ],
             )
             .unwrap(),
-            heap: HeapTable::restore(&image, &mut 0).unwrap(),
+            heap: {
+                let mut heap = HeapTable::new();
+                heap.restore_section(&image, &mut 0).unwrap();
+                heap
+            },
             indexes: vec![Index {
                 name: "IX_K".into(),
                 col_indices: vec![0],
@@ -1732,7 +1737,8 @@ mod tests {
                 heap.insert(&row(k));
             }
             let mut image = Vec::new();
-            heap.snapshot(&mut image);
+            heap.write_section(true, heap.len(), |_, _| Ok(true), &mut image)
+                .unwrap();
             let mut record = Vec::new();
             encode_row(&row(7), &mut record);
             let at = image
@@ -1749,7 +1755,11 @@ mod tests {
             ];
             Table {
                 schema: TableSchema::new("T", columns).unwrap(),
-                heap: HeapTable::restore(&image, &mut 0).unwrap(),
+                heap: {
+                    let mut heap = HeapTable::new();
+                    heap.restore_section(&image, &mut 0).unwrap();
+                    heap
+                },
                 indexes: Vec::new(),
             }
         };

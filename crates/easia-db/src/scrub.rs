@@ -4,10 +4,11 @@
 //! Archive-scale stores treat silent on-disk corruption as a
 //! when-not-if event; waiting for recovery to trip over a rotted byte
 //! means discovering the damage at the worst possible moment. The scrub
-//! pass re-reads the durable artifacts — the heap snapshot and the
+//! pass re-reads the durable artifacts — the checkpoint file and the
 //! write-ahead log — and verifies every checksum the formats carry:
-//! the snapshot body CRC, each WAL batch frame's header and payload
-//! CRCs, and each record frame inside. Only complete batches are
+//! the header and payload CRCs of the checkpoint's base and of each
+//! frame appended after it, each WAL batch frame's header and payload
+//! CRCs, and each record frame inside. Only complete frames are
 //! checked: they are exactly the bytes behind the commit horizon (a
 //! torn tail, by construction, was never acknowledged).
 //!
@@ -15,7 +16,7 @@
 //! `easia_db_scrub_frames_verified_total` / `easia_db_scrub_errors_total`
 //! metric families. See DESIGN.md §12.
 
-use crate::db::snapshot_body;
+use crate::db::snapshot_frames;
 use crate::error::{DbError, Result};
 use crate::txn::Wal;
 use std::path::Path;
@@ -25,7 +26,7 @@ use std::path::Path;
 pub struct ScrubError {
     /// Which durable artifact (`snapshot.db` or `wal.log`).
     pub file: String,
-    /// Byte offset of the damaged region (0 for whole-file damage).
+    /// Byte offset of the damaged frame (0 for a damaged file header).
     pub offset: u64,
     /// What failed to verify.
     pub detail: String,
@@ -36,9 +37,12 @@ pub struct ScrubError {
 pub struct ScrubReport {
     /// A snapshot file exists.
     pub snapshot_present: bool,
-    /// The snapshot body CRC verified (false when absent or damaged —
-    /// damaged additionally reports an error).
+    /// The snapshot's base and every whole frame after it verified
+    /// (false when absent or damaged — damaged additionally reports an
+    /// error).
     pub snapshot_verified: bool,
+    /// Whole snapshot frames, the base first, whose checksums verified.
+    pub snapshot_frames_verified: usize,
     /// Complete WAL batch frames whose checksums verified.
     pub wal_batches_verified: usize,
     /// WAL record frames whose individual CRCs verified.
@@ -66,15 +70,18 @@ pub(crate) fn scrub_dir(dir: &Path) -> Result<ScrubReport> {
     Ok(report)
 }
 
-/// Verify a snapshot image in memory by the header test `open` makes; an
-/// image is verified whole, so a finding is at offset 0.
+/// Verify a checkpoint file in memory by the frame walk `open` makes:
+/// the base and every whole frame must verify, a finding names the
+/// damaged frame's offset, and a torn last frame is not a finding.
 fn scrub_snapshot(bytes: &[u8], report: &mut ScrubReport) {
-    match snapshot_body(bytes) {
-        Ok(_) => report.snapshot_verified = true,
-        Err(e) => report.errors.push(ScrubError {
+    let (frames, _, damage) = snapshot_frames(bytes);
+    report.snapshot_frames_verified = frames.len();
+    match damage {
+        None => report.snapshot_verified = true,
+        Some((offset, detail)) => report.errors.push(ScrubError {
             file: "snapshot.db".into(),
-            offset: 0,
-            detail: e.into(),
+            offset: offset as u64,
+            detail,
         }),
     }
 }
@@ -99,7 +106,6 @@ fn scrub_wal(bytes: &[u8], report: &mut ScrubReport) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::crc::crc32;
     use crate::txn::{seal_batch, WalRecord, WAL_MAGIC_V2};
     use crate::value::Value;
 
@@ -149,20 +155,45 @@ mod tests {
         assert!(report.errors.is_empty());
     }
 
+    /// A checkpoint file of a base and two frames, sealed as the writer
+    /// seals them.
+    fn snapshot_image() -> (Vec<u8>, Vec<usize>) {
+        let mut img = b"EASNAP4\0".to_vec();
+        let mut starts = Vec::new();
+        for body in [
+            &b"a base, crc'd all the same"[..],
+            b"frame one",
+            b"frame two",
+        ] {
+            starts.push(img.len());
+            img.extend_from_slice(&seal_batch(body));
+        }
+        (img, starts)
+    }
+
     #[test]
     fn snapshot_crc_checked() {
-        let body = b"not a real body but crc'd all the same".to_vec();
-        let mut img = b"EASNAP3\0".to_vec();
-        img.extend_from_slice(&crc32(&body).to_le_bytes());
-        img.extend_from_slice(&body);
+        let (img, starts) = snapshot_image();
         let mut report = ScrubReport::default();
         scrub_snapshot(&img, &mut report);
         assert!(report.snapshot_verified);
+        assert_eq!(report.snapshot_frames_verified, 3);
         assert!(report.errors.is_empty());
-        img[20] ^= 0x80;
+        // Rot in the base, or in a frame, is a finding at that frame.
+        for (i, &at) in starts.iter().enumerate() {
+            let mut rotted = img.clone();
+            rotted[at + 20] ^= 0x80;
+            let mut report = ScrubReport::default();
+            scrub_snapshot(&rotted, &mut report);
+            assert!(!report.snapshot_verified);
+            assert_eq!(report.snapshot_frames_verified, i);
+            assert_eq!(report.errors.len(), 1);
+            assert_eq!(report.errors[0].offset, at as u64);
+        }
+        // A torn last frame is not.
         let mut report = ScrubReport::default();
-        scrub_snapshot(&img, &mut report);
-        assert!(!report.snapshot_verified);
-        assert_eq!(report.errors.len(), 1);
+        scrub_snapshot(&img[..img.len() - 3], &mut report);
+        assert!(report.snapshot_verified && report.errors.is_empty());
+        assert_eq!(report.snapshot_frames_verified, 2);
     }
 }

@@ -49,6 +49,10 @@ pub struct HeapTable {
     overflow: Vec<Option<Vec<u8>>>,
     /// Live row count.
     len: usize,
+    /// Per page: written to since a checkpoint last marked it clean.
+    dirty: Vec<bool>,
+    /// The same, per overflow entry.
+    dirty_overflow: Vec<bool>,
 }
 
 impl HeapTable {
@@ -72,6 +76,12 @@ impl HeapTable {
         self.pages.len()
     }
 
+    /// Page `i`, for tests that write an image by hand.
+    #[cfg(test)]
+    pub(crate) fn page(&self, i: usize) -> &Page {
+        &self.pages[i]
+    }
+
     /// Insert a row; returns its stable id.
     pub fn insert(&mut self, row: &[Value]) -> RowId {
         let mut rec = Vec::new();
@@ -89,6 +99,7 @@ impl HeapTable {
         self.len += 1;
         if rec.len() > MAX_INLINE {
             self.overflow.push(Some(rec.into_owned()));
+            self.dirty_overflow.push(true);
             return RowId::overflow(self.overflow.len() as u64 - 1);
         }
         // Append to the last page with room; otherwise a new page. A
@@ -97,12 +108,14 @@ impl HeapTable {
         if let Some((i, page)) = self.pages.iter_mut().enumerate().next_back() {
             if page.fits(rec.len()) {
                 let slot = page.insert(&rec);
+                self.dirty[i] = true;
                 return RowId::paged(i as u32, slot);
             }
         }
         let mut page = Page::new();
         let slot = page.insert(&rec);
         self.pages.push(page);
+        self.dirty.push(true);
         RowId::paged(self.pages.len() as u32 - 1, slot)
     }
 
@@ -130,8 +143,31 @@ impl HeapTable {
         };
         if deleted {
             self.len -= 1;
+            self.mark_dirty(id);
         }
         deleted
+    }
+
+    /// Mark the page (or overflow entry) holding `id` as changed.
+    pub(crate) fn mark_dirty(&mut self, id: RowId) {
+        let bit = match id.decode() {
+            RowAddr::Paged(p, _) => self.dirty.get_mut(p as usize),
+            RowAddr::Overflow(i) => self.dirty_overflow.get_mut(i),
+        };
+        if let Some(bit) = bit {
+            *bit = true;
+        }
+    }
+
+    /// Whether any page or overflow entry is dirty.
+    pub(crate) fn is_dirty(&self) -> bool {
+        self.dirty.iter().chain(&self.dirty_overflow).any(|&d| d)
+    }
+
+    /// Mark every page and overflow entry clean.
+    pub(crate) fn mark_clean(&mut self) {
+        self.dirty.fill(false);
+        self.dirty_overflow.fill(false);
     }
 
     /// Iterate `(RowId, encoded record)` over all live rows in storage
@@ -164,77 +200,133 @@ impl HeapTable {
         (overflow + self.overflow.len(), place)
     }
 
-    /// Serialise the whole heap for a snapshot.
-    pub fn snapshot(&self, out: &mut Vec<u8>) {
+    /// Write this heap's section of a checkpoint: its page count and
+    /// every page (`all`) or only the dirty ones, each as its number and
+    /// its 8 KiB; its overflow count and those overflow entries the same
+    /// way; then `live`, the rows the section holds. A page is copied
+    /// with the slot of every record `keep` refuses tombstoned, slot
+    /// numbers kept, so row ids — and an index order's places — survive a
+    /// restart. `keep` sees every record written and may fail the write.
+    pub(crate) fn write_section(
+        &self,
+        all: bool,
+        live: usize,
+        mut keep: impl FnMut(RowId, &[u8]) -> Result<bool>,
+        out: &mut Vec<u8>,
+    ) -> Result<()> {
         out.extend_from_slice(&(self.pages.len() as u32).to_le_bytes());
-        for p in &self.pages {
-            out.extend_from_slice(p.as_bytes());
-        }
-        out.extend_from_slice(&(self.overflow.len() as u32).to_le_bytes());
-        for rec in &self.overflow {
-            match rec {
-                Some(r) => {
-                    out.extend_from_slice(&(r.len() as u32 + 1).to_le_bytes());
-                    out.extend_from_slice(r);
-                }
-                None => out.extend_from_slice(&0u32.to_le_bytes()),
+        let listed = out.len();
+        out.extend_from_slice(&0u32.to_le_bytes());
+        let mut n = 0u32;
+        for (i, page) in self.pages.iter().enumerate() {
+            if all || self.dirty[i] {
+                out.extend_from_slice(&(i as u32).to_le_bytes());
+                page.copy_into(out, |slot, rec| keep(RowId::paged(i as u32, slot), rec))?;
+                n += 1;
             }
         }
-        out.extend_from_slice(&(self.len as u64).to_le_bytes());
+        out[listed..listed + 4].copy_from_slice(&n.to_le_bytes());
+        out.extend_from_slice(&(self.overflow.len() as u32).to_le_bytes());
+        let listed = out.len();
+        out.extend_from_slice(&0u32.to_le_bytes());
+        let mut n = 0u32;
+        for (i, rec) in self.overflow.iter().enumerate() {
+            if all || self.dirty_overflow[i] {
+                out.extend_from_slice(&(i as u32).to_le_bytes());
+                match rec {
+                    Some(r) if keep(RowId::overflow(i as u64), r)? => {
+                        out.extend_from_slice(&(r.len() as u32 + 1).to_le_bytes());
+                        out.extend_from_slice(r);
+                    }
+                    _ => out.extend_from_slice(&0u32.to_le_bytes()),
+                }
+                n += 1;
+            }
+        }
+        out[listed..listed + 4].copy_from_slice(&n.to_le_bytes());
+        out.extend_from_slice(&(live as u64).to_le_bytes());
+        Ok(())
     }
 
-    /// Rebuild a heap from snapshot bytes, advancing `pos`. The bytes
-    /// come from disk: a count the remaining input cannot hold is
-    /// refused before anything is reserved for it, every page's slot
-    /// directory is checked ([`Page::from_bytes`]), and the live count
-    /// must be the number of records found.
-    pub fn restore(buf: &[u8], pos: &mut usize) -> Result<Self> {
-        let trunc = || DbError::Storage("heap snapshot truncated".into());
-        let read_u32 = |buf: &[u8], pos: &mut usize| -> Result<u32> {
-            let s = buf.get(*pos..*pos + 4).ok_or_else(trunc)?;
-            *pos += 4;
-            Ok(u32::from_le_bytes(s.try_into().expect("4 bytes")))
+    /// Apply a section [`HeapTable::write_section`] wrote, advancing
+    /// `pos`: each page and overflow entry it lists replaces this heap's
+    /// or extends it, and the result is clean. The bytes come from disk:
+    /// a count the remaining input cannot hold is refused before anything
+    /// is reserved for it, numbers must ascend and leave no gap, every
+    /// page's slot directory is checked ([`Page::from_bytes`]), and the
+    /// section's live count must be the number of records the heap then
+    /// holds.
+    pub(crate) fn restore_section(&mut self, buf: &[u8], pos: &mut usize) -> Result<()> {
+        let bad = |what: &str| DbError::Storage(format!("heap snapshot: {what}"));
+        let trunc = || bad("truncated");
+        let take = |pos: &mut usize, n: usize| -> Result<&[u8]> {
+            let s = buf.get(*pos..pos.saturating_add(n)).ok_or_else(trunc)?;
+            *pos += n;
+            Ok(s)
         };
-        let npages = read_u32(buf, pos)? as usize;
-        if npages > (buf.len() - *pos) / PAGE_SIZE {
+        let read_u32 = |pos: &mut usize| -> Result<usize> {
+            Ok(u32::from_le_bytes(take(pos, 4)?.try_into().expect("4 bytes")) as usize)
+        };
+        // Where each listed entry goes: over an old one, or onto the end.
+        let target = |at: usize, had: usize, count: usize, next: &mut usize| match at {
+            _ if at < *next || at >= count => Err(bad("an entry out of order or past the table")),
+            _ if at > had => Err(bad("an entry number leaves a gap")),
+            _ => {
+                *next = at + 1;
+                Ok(at)
+            }
+        };
+        let npages = read_u32(pos)?;
+        let listed = read_u32(pos)?;
+        if listed > (buf.len() - *pos) / (4 + PAGE_SIZE) {
             return Err(trunc());
         }
-        let mut pages = Vec::with_capacity(npages);
-        for _ in 0..npages {
-            pages.push(Page::from_bytes(&buf[*pos..*pos + PAGE_SIZE])?);
-            *pos += PAGE_SIZE;
-        }
-        let nover = read_u32(buf, pos)? as usize;
-        // Every overflow entry takes at least its 4-byte marker.
-        if nover > (buf.len() - *pos) / 4 {
-            return Err(trunc());
-        }
-        let mut overflow = Vec::with_capacity(nover);
-        for _ in 0..nover {
-            let marker = read_u32(buf, pos)? as usize;
-            if marker == 0 {
-                overflow.push(None);
-            } else {
-                let len = marker - 1;
-                let rec = buf.get(*pos..*pos + len).ok_or_else(trunc)?.to_vec();
-                *pos += len;
-                overflow.push(Some(rec));
+        self.pages
+            .reserve(npages.saturating_sub(self.pages.len()).min(listed));
+        let mut next = 0;
+        for _ in 0..listed {
+            let at = target(read_u32(pos)?, self.pages.len(), npages, &mut next)?;
+            let page = Page::from_bytes(take(pos, PAGE_SIZE)?)?;
+            self.len += page.iter().count();
+            match self.pages.get_mut(at) {
+                Some(old) => self.len -= std::mem::replace(old, page).iter().count(),
+                None => self.pages.push(page),
             }
         }
-        let len_bytes = buf.get(*pos..*pos + 8).ok_or_else(trunc)?;
-        *pos += 8;
-        let len = u64::from_le_bytes(len_bytes.try_into().expect("8 bytes"));
-        let heap = HeapTable {
-            pages,
-            overflow,
-            len: len as usize,
-        };
-        if heap.records().count() as u64 != len {
-            return Err(DbError::Storage(
-                "heap snapshot: live row count does not match the records".into(),
-            ));
+        if self.pages.len() != npages {
+            return Err(bad("a page count the listed pages do not bear out"));
         }
-        Ok(heap)
+        let nover = read_u32(pos)?;
+        let listed = read_u32(pos)?;
+        // Every overflow entry takes at least its number and its marker.
+        if listed > (buf.len() - *pos) / 8 {
+            return Err(trunc());
+        }
+        self.overflow
+            .reserve(nover.saturating_sub(self.overflow.len()).min(listed));
+        let mut next = 0;
+        for _ in 0..listed {
+            let at = target(read_u32(pos)?, self.overflow.len(), nover, &mut next)?;
+            let rec = match read_u32(pos)? {
+                0 => None,
+                marker => Some(take(pos, marker - 1)?.to_vec()),
+            };
+            self.len += usize::from(rec.is_some());
+            match self.overflow.get_mut(at) {
+                Some(old) => self.len -= usize::from(std::mem::replace(old, rec).is_some()),
+                None => self.overflow.push(rec),
+            }
+        }
+        if self.overflow.len() != nover {
+            return Err(bad("an overflow count the listed entries do not bear out"));
+        }
+        let live = u64::from_le_bytes(take(pos, 8)?.try_into().expect("8 bytes"));
+        if live != self.len as u64 {
+            return Err(bad("live row count does not match the records"));
+        }
+        self.dirty = vec![false; npages];
+        self.dirty_overflow = vec![false; nover];
+        Ok(())
     }
 }
 
@@ -304,6 +396,15 @@ mod tests {
         assert_eq!(rows.len(), 3);
     }
 
+    /// `h`'s section — every page, or only the dirty ones — with every
+    /// record kept.
+    fn section(h: &HeapTable, all: bool) -> Vec<u8> {
+        let mut buf = Vec::new();
+        h.write_section(all, h.len(), |_, _| Ok(true), &mut buf)
+            .unwrap();
+        buf
+    }
+
     #[test]
     fn snapshot_round_trip() {
         let mut h = HeapTable::new();
@@ -311,15 +412,70 @@ mod tests {
         let b = h.insert(&[Value::Blob(vec![9u8; 20_000])]);
         let c = h.insert(&row(3));
         h.delete(c);
-        let mut buf = Vec::new();
-        h.snapshot(&mut buf);
+        let buf = section(&h, true);
         let mut pos = 0;
-        let h2 = HeapTable::restore(&buf, &mut pos).unwrap();
+        let mut h2 = HeapTable::new();
+        h2.restore_section(&buf, &mut pos).unwrap();
         assert_eq!(pos, buf.len());
         assert_eq!(h2.len(), 2);
         assert_eq!(record(&h2, a), Some(rec(&row(1))));
         assert_eq!(record(&h2, b), Some(rec(&[Value::Blob(vec![9u8; 20_000])])));
         assert!(h2.record(c).is_none());
+        assert!(!h2.is_dirty(), "a restored heap is clean");
+    }
+
+    /// A section of the dirty pages alone, applied over the heap's last
+    /// whole section, is the heap: replaced pages, new pages, a replaced
+    /// and a new overflow entry; a record `keep` refuses is tombstoned
+    /// in the copy and nowhere else.
+    #[test]
+    fn a_dirty_section_over_a_whole_one_is_the_heap() {
+        let mut h = HeapTable::new();
+        let ids: Vec<RowId> = (0..5000).map(|i| h.insert(&row(i))).collect();
+        let big = h.insert(&[Value::Blob(vec![3u8; 9000])]);
+        let whole = section(&h, true);
+        h.mark_clean();
+        assert!(!h.is_dirty());
+        h.delete(ids[3]);
+        h.delete(big);
+        let late: Vec<RowId> = (5000..5400).map(|i| h.insert(&row(i))).collect();
+        let big2 = h.insert(&[Value::Blob(vec![4u8; 9000])]);
+        let hidden = late[10];
+        let mut dirty = Vec::new();
+        h.write_section(false, h.len() - 1, |id, _| Ok(id != hidden), &mut dirty)
+            .unwrap();
+        assert!(
+            dirty.len() < section(&h, true).len() / 2,
+            "the clean pages stay out"
+        );
+
+        let mut back = HeapTable::new();
+        let mut pos = 0;
+        back.restore_section(&whole, &mut pos).unwrap();
+        let mut pos = 0;
+        back.restore_section(&dirty, &mut pos).unwrap();
+        assert_eq!(pos, dirty.len());
+        assert_eq!(back.len(), h.len() - 1);
+        assert!(back.record(hidden).is_none() && h.record(hidden).is_some());
+        let kept = |heap: &HeapTable| -> Vec<(RowId, Vec<u8>)> {
+            (heap.records())
+                .filter(|&(id, _)| id != hidden)
+                .map(|(id, r)| (id, r.to_vec()))
+                .collect()
+        };
+        assert_eq!(kept(&back), kept(&h));
+        assert_eq!(record(&back, big2), record(&h, big2));
+
+        // Applied to a heap that lacks the pages it extends, or with a
+        // live count the records do not bear out, it is refused.
+        let mut pos = 0;
+        assert!(HeapTable::new().restore_section(&dirty, &mut pos).is_err());
+        let mut lying = dirty.clone();
+        let n = lying.len();
+        lying[n - 8..].copy_from_slice(&(h.len() as u64).to_le_bytes());
+        let mut back = HeapTable::new();
+        back.restore_section(&whole, &mut 0).unwrap();
+        assert!(back.restore_section(&lying, &mut 0).is_err());
     }
 
     /// A fresh heap's places are its records' positions; with records
@@ -355,9 +511,10 @@ mod tests {
     fn restore_rejects_truncation() {
         let mut h = HeapTable::new();
         h.insert(&row(1));
-        let mut buf = Vec::new();
-        h.snapshot(&mut buf);
+        let buf = section(&h, true);
         let mut pos = 0;
-        assert!(HeapTable::restore(&buf[..buf.len() - 4], &mut pos).is_err());
+        assert!(HeapTable::new()
+            .restore_section(&buf[..buf.len() - 4], &mut pos)
+            .is_err());
     }
 }

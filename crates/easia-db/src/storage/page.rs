@@ -1,10 +1,10 @@
 //! Slotted pages.
 //!
 //! Classic layout: a slot directory grows from the front, record data grows
-//! from the back. Deleting a record tombstones its slot; the dead space is
-//! squeezed out when a checkpoint copies the live records into a fresh
-//! heap. Records never move between pages, so a `(page, slot)` pair is a
-//! stable row address until deletion.
+//! from the back. Deleting a record tombstones its slot, and a slot is
+//! never reused. Records never move between pages, so a `(page, slot)`
+//! pair is a stable row address until deletion — across a checkpoint and
+//! a restart too, since a checkpoint copies pages whole.
 
 use crate::error::{DbError, Result};
 
@@ -124,6 +124,25 @@ impl Page {
     /// Raw bytes, for snapshots.
     pub fn as_bytes(&self) -> &[u8] {
         &self.buf[..]
+    }
+
+    /// Append this page's bytes to `out` with the slot of every live
+    /// record `keep` refuses tombstoned: slot numbers, and every other
+    /// record's place, are kept.
+    pub(crate) fn copy_into(
+        &self,
+        out: &mut Vec<u8>,
+        mut keep: impl FnMut(SlotId, &[u8]) -> Result<bool>,
+    ) -> Result<()> {
+        let at = out.len();
+        out.extend_from_slice(self.as_bytes());
+        for (slot, rec) in self.iter() {
+            if !keep(slot, rec)? {
+                let len_at = at + HEADER + slot as usize * SLOT + 2;
+                out[len_at..len_at + 2].fill(0);
+            }
+        }
+        Ok(())
     }
 
     /// Rebuild from snapshot bytes. The header and the slot directory

@@ -430,37 +430,19 @@ impl Wal {
             });
         };
         while pos < buf.len() {
-            let rem = buf.len() - pos;
-            if buf[pos] != BATCH_MAGIC {
-                corrupt(out, pos, format!("bad batch magic 0x{:02x}", buf[pos]));
-                return;
-            }
-            if rem < BATCH_HEADER_LEN {
-                // Torn mid-header: every byte present is a genuine
-                // prefix of the frame the writer was appending.
-                out.torn_bytes = rem as u64;
-                return;
-            }
-            let header = &buf[pos..pos + 5];
-            let len =
-                u32::from_le_bytes(buf[pos + 1..pos + 5].try_into().expect("4 bytes")) as usize;
-            let hcrc = u32::from_le_bytes(buf[pos + 5..pos + 9].try_into().expect("4 bytes"));
-            let pcrc = u32::from_le_bytes(buf[pos + 9..pos + 13].try_into().expect("4 bytes"));
-            if crc32(header) != hcrc {
-                corrupt(out, pos, "batch header checksum mismatch".into());
-                return;
-            }
-            if rem < BATCH_HEADER_LEN + len {
-                // Header intact, so `len` is what the writer intended:
-                // the payload was cut short by the crash.
-                out.torn_bytes = rem as u64;
-                return;
-            }
-            let payload = &buf[pos + BATCH_HEADER_LEN..pos + BATCH_HEADER_LEN + len];
-            if crc32(payload) != pcrc {
-                corrupt(out, pos, "batch payload checksum mismatch".into());
-                return;
-            }
+            let (payload, len) = match frame_at(buf, pos) {
+                Frame::Whole(payload) => (payload, payload.len()),
+                Frame::Torn => {
+                    // Every byte present is a genuine prefix of the frame
+                    // the writer was appending.
+                    out.torn_bytes = (buf.len() - pos) as u64;
+                    return;
+                }
+                Frame::Damaged(detail) => {
+                    corrupt(out, pos, detail);
+                    return;
+                }
+            };
             // The batch is checksum-verified; walk its record frames.
             let mut p = 0usize;
             let mut frames = 0u64;
@@ -578,8 +560,46 @@ pub fn seal_batch(payload: &[u8]) -> Vec<u8> {
     [&batch_header(payload.len(), crc32(payload))[..], payload].concat()
 }
 
+/// What the bytes at `pos` of a run of batch frames hold. The log and
+/// the checkpoint file both sort their frames by this one classifier.
+pub(crate) enum Frame<'a> {
+    /// A whole frame whose two checksums verify: its payload.
+    Whole(&'a [u8]),
+    /// A prefix of a frame ends the input: a crash cut the write short.
+    Torn,
+    /// Bytes were changed, not cut short: what failed to verify.
+    Damaged(String),
+}
+
+/// Classify the frame at `pos` (under `buf.len()`):
+///
+/// * fewer bytes than a header, opening with the batch magic → torn;
+/// * a complete, CRC-valid header whose payload runs past the end →
+///   torn (the header proves the intended length);
+/// * a bad magic, a header CRC or a payload CRC mismatch → damaged.
+pub(crate) fn frame_at(buf: &[u8], pos: usize) -> Frame<'_> {
+    let rest = &buf[pos..];
+    if rest[0] != BATCH_MAGIC {
+        return Frame::Damaged(format!("bad batch magic 0x{:02x}", rest[0]));
+    }
+    let Some(header) = rest.get(..BATCH_HEADER_LEN) else {
+        return Frame::Torn;
+    };
+    let u32_at = |at: usize| u32::from_le_bytes(header[at..at + 4].try_into().expect("4 bytes"));
+    if crc32(&header[..5]) != u32_at(5) {
+        return Frame::Damaged("batch header checksum mismatch".into());
+    }
+    let Some(payload) = rest[BATCH_HEADER_LEN..].get(..u32_at(1) as usize) else {
+        return Frame::Torn;
+    };
+    match crc32(payload) == u32_at(9) {
+        true => Frame::Whole(payload),
+        false => Frame::Damaged("batch payload checksum mismatch".into()),
+    }
+}
+
 /// The header of a batch frame over `len` payload bytes with CRC `pcrc`.
-fn batch_header(len: usize, pcrc: u32) -> [u8; BATCH_HEADER_LEN] {
+pub(crate) fn batch_header(len: usize, pcrc: u32) -> [u8; BATCH_HEADER_LEN] {
     let mut h = [BATCH_MAGIC; BATCH_HEADER_LEN];
     h[1..5].copy_from_slice(&(len as u32).to_le_bytes());
     let hcrc = crc32(&h[..5]);

@@ -134,6 +134,56 @@ fn open_holds_key_runs_not_rows_and_checkpoint_allocates_per_page() {
         .execute("SELECT file_name FROM result_file WHERE simulation_key = 'S00123'")
         .unwrap();
     assert_eq!(rs.rows.len(), 50);
+
+    // ---- a frame: the dirty pages and the touched table's orders ----
+    let snapshot = dir.join("snapshot.db");
+    let size = || std::fs::metadata(&snapshot).unwrap().len();
+    let (before, pages_before) = (size(), pages);
+    db.execute("BEGIN").unwrap();
+    for i in 0..10 {
+        db.insert_row(
+            "RESULT_FILE",
+            vec![
+                Value::Str(format!("late{i}.edf")),
+                Value::Str("S99999".into()),
+                Value::Int(i),
+                Value::Str("velocity".into()),
+                Value::Str("EDF".into()),
+                Value::Int(1),
+                Value::Null,
+            ],
+        )
+        .unwrap();
+    }
+    db.execute("COMMIT").unwrap();
+    db.checkpoint().unwrap();
+    let t = db.table("RESULT_FILE").unwrap();
+    // The last page before and every page after took the new rows.
+    let dirty = (t.heap.page_count() as u64 - pages_before) + 1;
+    let bound = dirty * 8192 + 4 * t.heap.len() as u64 * t.indexes.len() as u64 + 4096;
+    let grown = size() - before;
+    println!("frame: {grown} B for {dirty} dirty pages, bound {bound} B");
+    assert!(
+        grown <= bound,
+        "a frame of {grown} B over a bound of {bound} B"
+    );
+    let before = size();
+    db.checkpoint().unwrap();
+    assert!(
+        size() - before <= 4096,
+        "nothing dirty, {} B",
+        size() - before
+    );
+
+    // ---- a whole rewrite: per page, not per row ----
+    db.execute("CREATE TABLE other (a INTEGER)").unwrap();
+    let ((), counts) = counted(|| db.checkpoint().unwrap());
+    println!(
+        "whole rewrite: {} allocations for {pages} pages, {ROWS} rows",
+        counts.allocs
+    );
+    assert!(counts.allocs <= CHECKPOINT_FIXED + 2 * pages);
+    assert!(size() < before, "the rewrite drops the frames");
     drop(db);
     let _ = std::fs::remove_dir_all(&dir);
 

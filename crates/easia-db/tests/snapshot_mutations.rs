@@ -1,22 +1,30 @@
-//! Mutation property of the checkpoint image: `Database::open` of a
-//! damaged `EASNAP3` image is a typed error, or a database whose every
+//! Mutation property of the checkpoint file: `Database::open` of a
+//! damaged `EASNAP4` file is a typed error, or a database whose every
 //! index answers as its heap — never a panic, and never an allocation out
-//! of proportion to the image.
+//! of proportion to the file.
 //!
-//! The image is a real one: a table with a composite primary key and a
+//! The base is a real one: a table with a composite primary key and a
 //! secondary index over doubles (NULLs, `-0.0`, NaNs, repeats), beside a
 //! table with an overflow record. Each case truncates it, or flips bits
-//! and rewrites bytes anywhere in it, and then recomputes the body CRC,
-//! so that what is tested is the structure checks behind the checksum.
-//! Other cases damage what the checksum cannot vouch for on purpose: an
-//! index order naming a record twice, naming one past the table, or with
-//! two positions swapped, or a heap's live row count — each of which
-//! must be a `DbError::Storage`.
+//! and rewrites bytes anywhere in it, and then seals the base frame
+//! again, so that what is tested is the structure checks behind the
+//! checksums. Other cases damage what the checksum cannot vouch for on
+//! purpose: an index order naming a record twice, naming one past the
+//! table, or with two places swapped, or a heap's live row count — each
+//! of which must be a `DbError::Storage`.
+//!
+//! A second file is the same base with one frame appended: the table of
+//! the two indexes after rows were deleted, inserted and updated. A bit
+//! flipped anywhere in the frame is damage its checksums find; a frame
+//! sealed again over a lie — a page numbered past the table, an order
+//! entry at a place whose row was deleted, a live row count the pages do
+//! not bear out — is a `DbError::Storage` too; and a frame cut short is
+//! dropped, leaving the base.
 //!
 //! One test only: the allocation counter is process-wide.
 
-use easia_db::crc::crc32;
 use easia_db::storage::RowId;
+use easia_db::txn::seal_batch;
 use easia_db::value::decode_row;
 use easia_db::{Database, DbError, Value};
 use proptest::prelude::*;
@@ -45,13 +53,18 @@ fn dir() -> PathBuf {
     std::env::temp_dir().join(format!("easia-db-snap-mutations-{}", std::process::id()))
 }
 
-/// The checkpoint image of the two tables, written once.
-fn sample() -> Vec<u8> {
-    static IMAGE: OnceLock<Vec<u8>> = OnceLock::new();
-    IMAGE.get_or_init(write_sample).clone()
+/// The checkpoint file of the two tables, written once: its base alone,
+/// and the base with a frame after it.
+fn sample(framed: bool) -> Vec<u8> {
+    static IMAGES: OnceLock<(Vec<u8>, Vec<u8>)> = OnceLock::new();
+    let images = IMAGES.get_or_init(write_sample);
+    match framed {
+        false => images.0.clone(),
+        true => images.1.clone(),
+    }
 }
 
-fn write_sample() -> Vec<u8> {
+fn write_sample() -> (Vec<u8>, Vec<u8>) {
     let dir = dir();
     let _ = std::fs::remove_dir_all(&dir);
     let mut db = Database::open(&dir).unwrap();
@@ -88,16 +101,54 @@ fn write_sample() -> Vec<u8> {
         .unwrap();
     }
     db.checkpoint().unwrap();
+    let base = std::fs::read(dir.join("snapshot.db")).unwrap();
+    // The first row is deleted, its place left dead; rows are added and
+    // two moved: the frame holds the first and the last pages of FILES.
+    db.execute("DELETE FROM files WHERE name = 't00.edf' AND sim = 'S000'")
+        .unwrap();
+    db.execute("UPDATE files SET x = 1.5 WHERE sim = 'S001' AND name < 't02.edf'")
+        .unwrap();
+    for i in 0..FRAME_INSERTS {
+        db.execute_with_params(
+            "INSERT INTO files VALUES (?, 'S999', ?)",
+            &[Value::Str(format!("n{i:02}.edf")), Value::Double(i as f64)],
+        )
+        .unwrap();
+    }
+    db.checkpoint().unwrap();
+    let framed = std::fs::read(dir.join("snapshot.db")).unwrap();
+    assert_eq!(&framed[..base.len()], &base[..], "a frame is appended");
+    // Where the cases below find the frame's fields.
+    let u32_at = |at: usize| u32::from_le_bytes(framed[at..at + 4].try_into().unwrap());
+    let name_at = base.len() + 13 + 8 + 4 + 4;
+    assert_eq!(
+        &framed[name_at..name_at + 5],
+        b"FILES",
+        "the frame's one table"
+    );
+    let pages = db.table("FILES").unwrap().heap.page_count();
+    assert_eq!(u32_at(name_at + 5) as usize, pages);
+    assert_eq!(
+        u32_at(name_at + 13),
+        0,
+        "the first page listed is the first"
+    );
+    let live_at = framed.len() - 4 * (ROWS - 1 + FRAME_INSERTS) * INDEXES - 8;
+    assert_eq!(u32_at(live_at) as usize, ROWS - 1 + FRAME_INSERTS);
     drop(db);
-    let image = std::fs::read(dir.join("snapshot.db")).unwrap();
     std::fs::remove_dir_all(&dir).unwrap();
-    image
+    (base, framed)
 }
 
-fn reseal(image: &mut [u8]) {
-    if image.len() >= 12 {
-        let crc = crc32(&image[12..]);
-        image[8..12].copy_from_slice(&crc.to_le_bytes());
+/// Rows the frame adds to `FILES`, beside the one it deletes.
+const FRAME_INSERTS: usize = 10;
+
+/// Seal the frame at `at` again over whatever its payload now is.
+fn reseal(image: &mut Vec<u8>, at: usize) {
+    if image.len() >= at + 13 {
+        let sealed = seal_batch(&image[at + 13..]);
+        image.truncate(at);
+        image.extend_from_slice(&sealed);
     }
 }
 
@@ -143,20 +194,25 @@ fn indexes_are_the_heap(db: &Database) -> Result<(), TestCaseError> {
 proptest! {
     #[test]
     fn damaged_images_are_typed_errors_or_consistent_databases(
-        kind in 0u8..6,
+        kind in 0u8..11,
         edits in proptest::collection::vec((any::<usize>(), 0u8..8, any::<u8>(), any::<bool>()), 1..6),
         a in 0usize..ROWS,
         b in 1usize..ROWS,
         index in 0usize..INDEXES,
     ) {
-        let clean = sample();
+        let framed = kind >= 6;
+        let clean = sample(framed);
         let mut image = clean.clone();
         let len = image.len();
+        // The frame is sealed again after a lie; the base always is.
+        let frame = sample(false).len();
+        let sealed = if framed { frame } else { 8 };
         let order = |at: usize| order_at(len, index, at);
         let position = |image: &[u8], at: usize| image[order(at)..order(at) + 4].to_vec();
         let other = (a + b) % ROWS;
-        // Damage the checksum cannot vouch for must be refused by name.
-        let refused = kind >= 2;
+        // Damage the checksum cannot vouch for must be refused by name,
+        // and so must a bit flipped in a whole frame.
+        let refused = (2..10).contains(&kind);
         match kind {
             0 => {
                 for &(at, bit, byte, rewrite) in &edits {
@@ -178,13 +234,45 @@ proptest! {
                 image[order(a)..order(a) + 4].copy_from_slice(&pb);
                 image[order(other)..order(other) + 4].copy_from_slice(&pa);
             }
-            _ => {
+            5 => {
                 let rows_at = order_at(len, 0, 0) - 8;
                 let lie = if edits[0].3 { u64::MAX } else { (ROWS + 1 + edits[0].0 % 5) as u64 };
                 image[rows_at..rows_at + 8].copy_from_slice(&lie.to_le_bytes());
             }
+            6 => {
+                let (at, bit, ..) = edits[0];
+                image[frame + at % (len - frame)] ^= 1 << bit;
+            }
+            7 => {
+                // The frame's payload: CSN 8, one table, its name, the
+                // page count, how many pages are listed, the first's
+                // number.
+                let npages_at = frame + 13 + 8 + 4 + 4 + "FILES".len();
+                let npages = u32::from_le_bytes(image[npages_at..npages_at + 4].try_into().unwrap());
+                let past = npages + (edits[0].0 % 3) as u32;
+                image[npages_at + 8..npages_at + 12].copy_from_slice(&past.to_le_bytes());
+            }
+            8 => {
+                // The row deleted first held place 0 of FILES.
+                let live = ROWS - 1 + FRAME_INSERTS;
+                let at = len - 4 * live * (INDEXES - index) + 4 * (a % live);
+                let dead = if edits[0].3 { 0u32 } else { u32::MAX };
+                image[at..at + 4].copy_from_slice(&dead.to_le_bytes());
+                if edits[0].3 {
+                    prop_assert!(image != clean, "place 0 is not named");
+                }
+            }
+            9 => {
+                let live_at = len - 4 * (ROWS - 1 + FRAME_INSERTS) * INDEXES - 8;
+                let lie = if edits[0].3 { 0 } else { (ROWS + FRAME_INSERTS + edits[0].0 % 5) as u64 };
+                image[live_at..live_at + 8].copy_from_slice(&lie.to_le_bytes());
+            }
+            // A frame cut short is dropped: the base remains.
+            _ => image.truncate(frame + edits[0].0 % (len - frame)),
         }
-        reseal(&mut image);
+        if kind != 6 && kind != 10 {
+            reseal(&mut image, sealed);
+        }
         let dir = dir();
         std::fs::create_dir_all(&dir).unwrap();
         std::fs::write(dir.join("snapshot.db"), &image).unwrap();
@@ -201,8 +289,12 @@ proptest! {
             Ok(db) => {
                 prop_assert!(!refused, "kind {kind} opened");
                 indexes_are_the_heap(&db)?;
+                let rows = db.table("FILES").unwrap().heap.len();
                 if image == clean {
-                    prop_assert!(db.table("FILES").unwrap().heap.len() == ROWS);
+                    prop_assert!(rows == ROWS + usize::from(framed) * (FRAME_INSERTS - 1));
+                }
+                if kind == 10 {
+                    prop_assert!(rows == ROWS, "a torn frame leaves the base");
                 }
             }
             Err(e) => {

@@ -362,7 +362,7 @@ fn snapshot_without_a_checksum_is_refused_and_flagged_by_scrub() {
     // checksum; nothing reads those any more.
     let snap = dir.join("snapshot.db");
     let mut img = std::fs::read(&snap).unwrap();
-    assert_eq!(img[6], b'3');
+    assert_eq!(img[6], b'4');
     img[6] = b'1';
     std::fs::write(&snap, &img).unwrap();
 
@@ -411,24 +411,31 @@ fn a_lying_snapshot_body_under_a_valid_checksum_is_a_typed_error() {
     let good = std::fs::read(&snap).unwrap();
     let u32_at = |img: &[u8], at: usize| u32::from_le_bytes(img[at..at + 4].try_into().unwrap());
     let u16_at = |img: &[u8], at: usize| u16::from_le_bytes(img[at..at + 2].try_into().unwrap());
-    // magic 8, crc 4 | table count 4, DDL (length-prefixed), extra-index
-    // count 4 | page count 4, pages | overflow count 4, records | rows 8.
-    let npages_at = 12 + 4 + 4 + u32_at(&good, 16) as usize + 4;
-    let page0 = npages_at + 4;
+    // magic 8, frame header 13 | CSN 8, table count 4, DDL
+    // (length-prefixed), extra-index count 4 | page count 4, listed 4,
+    // (number 4, page) each | overflow count 4, listed 4, (number 4,
+    // length + 1 4, record) each | rows 8 | the primary key's order.
+    let npages_at = 21 + 8 + 4 + 4 + u32_at(&good, 33) as usize + 4;
+    let page0 = npages_at + 12;
     let npages = u32_at(&good, npages_at) as usize;
     assert!(npages >= 2, "the fixture spans pages");
-    let nover_at = page0 + npages * 8192;
+    assert_eq!(
+        u32_at(&good, npages_at + 4),
+        npages as u32,
+        "a base lists them all"
+    );
+    let nover_at = page0 + npages * (4 + 8192) - 4;
     assert_eq!(u32_at(&good, nover_at), 1, "one overflow record");
-    assert_eq!(u32_at(&good, nover_at + 4), 1 + 4 + 9 + 5 + 5 + 5 + 6000);
-    let rows_at = good.len() - 8;
+    assert_eq!(u32_at(&good, nover_at + 4), 1, "listed");
+    let marker = nover_at + 12;
+    assert_eq!(u32_at(&good, marker), 1 + 4 + 9 + 5 + 5 + 5 + 6000);
+    let rows_at = good.len() - 4 * 300 - 8;
+    assert_eq!(u32_at(&good, rows_at), 300);
     let slot0 = page0 + 6;
     let rec0 = page0 + u16_at(&good, slot0) as usize;
 
-    let reseal = |mut img: Vec<u8>| {
-        let crc = easia_db::crc::crc32(&img[12..]);
-        img[8..12].copy_from_slice(&crc.to_le_bytes());
-        img
-    };
+    // The base frame sealed again over whatever its payload now is.
+    let reseal = |img: Vec<u8>| [&img[..8], &easia_db::txn::seal_batch(&img[21..])[..]].concat();
     let patch = |at: usize, bytes: &[u8]| {
         let mut img = good.clone();
         img[at..at + bytes.len()].copy_from_slice(bytes);
@@ -472,20 +479,32 @@ fn a_lying_snapshot_body_under_a_valid_checksum_is_a_typed_error() {
             patch(npages_at, &(npages as u32 + 1).to_le_bytes()),
         ),
         (
+            "four thousand million pages listed",
+            patch(npages_at + 4, &u32::MAX.to_le_bytes()),
+        ),
+        (
+            "a page numbered past the table",
+            patch(page0 - 4, &(npages as u32).to_le_bytes()),
+        ),
+        (
+            "a page listed twice",
+            patch(page0 + 8192, &0u32.to_le_bytes()),
+        ),
+        (
             "four thousand million overflow records",
             patch(nover_at, &u32::MAX.to_le_bytes()),
         ),
         (
             "an overflow record longer than the input",
-            patch(nover_at + 4, &u32::MAX.to_le_bytes()),
+            patch(marker, &u32::MAX.to_le_bytes()),
         ),
         (
             "an overflow record cut short",
-            good[..nover_at + 8 + 100].to_vec(),
+            good[..marker + 4 + 100].to_vec(),
         ),
         (
             "a bad tag inside the overflow record",
-            patch(nover_at + 8 + 4, &[0x7F]),
+            patch(marker + 4 + 4, &[0x7F]),
         ),
         (
             "a row count the records do not bear out",
@@ -515,5 +534,68 @@ fn a_lying_snapshot_body_under_a_valid_checksum_is_a_typed_error() {
     assert_eq!(std::fs::read(&snap).unwrap(), good);
     let mut db = Database::open(&dir).unwrap();
     assert_eq!(keys(&mut db).unwrap(), (0..300).collect::<Vec<_>>());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A crash after a checkpoint is published and before the log is
+/// truncated leaves the log's commits beside an image that holds them.
+/// The image's CSN keeps them from being replayed: no row is filed twice,
+/// and a `CREATE TABLE` in that log does not fail the open. Once through
+/// a whole rewrite (DDL ran since the last checkpoint) and once through a
+/// frame appended to a base.
+#[test]
+fn a_log_the_image_already_holds_is_not_replayed() {
+    for framed in [false, true] {
+        let dir = temp_dir(if framed { "held-frame" } else { "held-base" });
+        let mut db = Database::open(&dir).unwrap();
+        db.execute("CREATE TABLE T (K INTEGER PRIMARY KEY, V INTEGER)")
+            .unwrap();
+        if framed {
+            db.checkpoint().unwrap();
+        }
+        db.execute("INSERT INTO T VALUES (1, 10)").unwrap();
+        db.execute("INSERT INTO T VALUES (2, 20)").unwrap();
+        let wal = dir.join("wal.log");
+        let log = std::fs::read(&wal).unwrap();
+        let snap_before = std::fs::metadata(dir.join("snapshot.db")).map_or(0, |m| m.len());
+        db.checkpoint().unwrap();
+        drop(db);
+        let snap_after = std::fs::metadata(dir.join("snapshot.db")).unwrap().len();
+        assert_eq!(
+            framed,
+            snap_before > 0 && snap_after > snap_before,
+            "framed: {framed}"
+        );
+        // The crash: the image is on disk, the log was never truncated.
+        std::fs::write(&wal, &log).unwrap();
+        let mut db = Database::open(&dir).unwrap();
+        assert_eq!(keys(&mut db).unwrap(), vec![1, 2], "framed: {framed}");
+        assert_eq!(db.table("T").unwrap().indexes[0].tree.len(), 2);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+/// Reopened onto an empty log, the CSN counter continues past the
+/// image's CSN: a commit made then is numbered above it, so the next
+/// recovery replays it instead of taking it for one the image holds.
+#[test]
+fn a_commit_after_a_reopen_onto_an_empty_log_survives_a_crash() {
+    let dir = temp_dir("csn-after-reopen");
+    {
+        let mut db = Database::open(&dir).unwrap();
+        db.execute("CREATE TABLE T (K INTEGER PRIMARY KEY, V INTEGER)")
+            .unwrap();
+        db.execute("INSERT INTO T VALUES (1, 10)").unwrap();
+        db.execute("INSERT INTO T VALUES (2, 20)").unwrap();
+        db.checkpoint().unwrap();
+    }
+    {
+        let mut db = Database::open(&dir).unwrap();
+        assert!(db.last_csn() >= 3, "the counter starts past the image");
+        db.execute("INSERT INTO T VALUES (3, 30)").unwrap();
+        // A crash: the log keeps the commit, nothing is checkpointed.
+    }
+    let mut db = Database::open(&dir).unwrap();
+    assert_eq!(keys(&mut db).unwrap(), vec![1, 2, 3]);
     let _ = std::fs::remove_dir_all(&dir);
 }
