@@ -189,8 +189,10 @@ pub struct Database {
     /// Where `snapshot.db`'s base and its last whole frame end (`None`
     /// until the file holds a base).
     image: Option<ImageExtent>,
-    /// DDL ran since the last checkpoint: the next one rewrites the image.
-    ddl_since_checkpoint: bool,
+    /// DDL ran, or a heap was compacted, since the last checkpoint: the
+    /// next one rewrites the image (a frame names only tables the base
+    /// created, by pages the base numbered).
+    rewrite: bool,
 }
 
 /// The extent of a checkpoint file: byte offsets of the end of its base
@@ -268,7 +270,7 @@ impl Database {
             corruption_detected: 0,
             writes: 0,
             image: None,
-            ddl_since_checkpoint: false,
+            rewrite: false,
         }
     }
 
@@ -313,7 +315,7 @@ impl Database {
                 .map_err(|e| DbError::Storage(format!("read snapshot: {e}")))?;
             image_csn = db.load_snapshot(&bytes)?;
         }
-        db.ddl_since_checkpoint = false;
+        db.rewrite = false;
         let wal_path = dir.join(WAL_FILE);
         let parse = Wal::read_with_info(&wal_path)?;
         if let Some(c) = &parse.corruption {
@@ -376,9 +378,12 @@ impl Database {
     ///
     /// A checkpoint appends a frame of its dirty pages to `snapshot.db`
     /// and syncs it. The whole image is rewritten beside it and renamed
-    /// into place instead — compaction — when the file has no base, when
-    /// DDL ran since the last checkpoint, or when its frames together
-    /// outgrow its base. Either way the log empties last.
+    /// into place instead when the file has no base, when DDL ran since
+    /// the last checkpoint, when its frames together outgrow its base, or
+    /// when deleted records take more than a quarter of the heaps' pages.
+    /// The whole rewrite is a compaction: every heap with dead space is
+    /// first rebuilt from its records ([`Database::compact`]). Either way
+    /// the log empties last.
     pub fn checkpoint(&mut self) -> Result<()> {
         let Some(dir) = self.dir.clone() else {
             return Ok(()); // in-memory: nothing to do
@@ -389,14 +394,22 @@ impl Database {
             ));
         }
         if self.txns.is_empty() && self.mvcc.open_snapshots() == 0 {
-            // Quiescent: reclaim dead versions first so the snapshot
-            // (and the version map) shrink to the live rows.
+            // Quiescent: reclaim dead versions first, so that the image
+            // (and the version map) hold the live rows only.
             self.vacuum_internal();
+        }
+        let (dead, pages) = (self.tables.values()).fold((0, 0), |(d, p), t| {
+            (d + t.heap.dead_bytes(), p + t.heap.page_count())
+        });
+        let full = self.rewrite
+            || self.image.is_none_or(|i| i.end - i.base > i.base)
+            || 4 * dead > pages * PAGE_SIZE;
+        if full {
+            self.compact();
         }
         // A versioned record's visibility can change without a heap
         // write, so its page is written whatever its dirty bit says.
         self.mark_versioned_dirty();
-        let full = self.ddl_since_checkpoint || self.image.is_none_or(|i| i.end - i.base > i.base);
         let bytes = self.write_snapshot(full)?;
         let path = dir.join(SNAPSHOT_FILE);
         let publish = |image: Option<ImageExtent>| -> std::io::Result<ImageExtent> {
@@ -434,13 +447,51 @@ impl Database {
         };
         let image = publish(self.image);
         self.image = Some(image.map_err(|e| DbError::Storage(format!("publish snapshot: {e}")))?);
-        self.ddl_since_checkpoint = false;
+        self.rewrite = false;
         // A page is clean once written with every record on it frozen.
         for t in self.tables.values_mut() {
             t.heap.mark_clean();
         }
         self.mark_versioned_dirty();
         self.wal.truncate()
+    }
+
+    /// Compact every heap that holds dead space ([`HeapTable::compact`])
+    /// and rename its row ids wherever they are held: in its trees, its
+    /// version entries, and the write sets of transactions in flight
+    /// (their redo's row ids are left as written: replay finds rows by
+    /// value). A record that is still in the heap stays, visible or not.
+    /// The heap's pages are no longer the file's, so the next checkpoint
+    /// rewrites the image.
+    fn compact(&mut self) {
+        for (name, t) in &mut self.tables {
+            if t.heap.dead_bytes() == 0 {
+                continue;
+            }
+            let moves = t.heap.compact();
+            let moved = |rid| {
+                moves
+                    .get(rid)
+                    .expect("a tree files only rows the heap holds")
+            };
+            for ix in &mut t.indexes {
+                ix.tree.rename_rows(moved);
+            }
+            self.mvcc.rename_rows(name, |rid| moves.get(rid));
+            for w in self.txns.values_mut() {
+                for held in [&mut w.created, &mut w.deleted] {
+                    held.retain_mut(|(table, rid)| match moves.get(*rid) {
+                        _ if table != name => true,
+                        Some(to) => {
+                            *rid = to;
+                            true
+                        }
+                        None => false,
+                    });
+                }
+            }
+            self.rewrite = true;
+        }
     }
 
     /// Mark dirty each page holding a record that has a version entry.
@@ -1048,7 +1099,7 @@ impl Database {
     // ---- DDL ----
 
     fn apply_ddl(&mut self, stmt: &Stmt) -> Result<()> {
-        self.ddl_since_checkpoint = true;
+        self.rewrite = true;
         match stmt {
             Stmt::CreateTable {
                 name,
@@ -2250,10 +2301,11 @@ mod tests {
     use super::*;
 
     /// The base image by hand, the reference for the writer: every
-    /// stored row of every table decoded and re-encoded in place, the
-    /// slot of each the committed view cannot see tombstoned in a copy
-    /// of its page, and each index's order found from scratch: the
-    /// visible rows' places sorted by their keys.
+    /// stored row of every table the committed view sees decoded and
+    /// re-encoded in place in a copy of its page whose record area is
+    /// otherwise zeros, the slot of each it cannot see tombstoned, and
+    /// each index's order found from scratch: the visible rows' places
+    /// sorted by their keys.
     fn snapshot_by_reencoding(db: &Database) -> Vec<u8> {
         let view = db.mvcc.committed_view();
         let mut body = view.csn.to_le_bytes().to_vec();
@@ -2293,6 +2345,9 @@ mod tests {
                 body.extend_from_slice(&u32_le(i));
                 let at = body.len();
                 body.extend_from_slice(page.as_bytes());
+                // The record area holds only what is copied back below.
+                let directory = 6 + 4 * usize::from(page.slot_count());
+                body[at + directory..].fill(0);
                 for (slot, rec) in page.iter() {
                     let rid = RowId(((i as u64) << 16) | u64::from(slot));
                     // A slot is its record's offset and length, after the
@@ -2301,9 +2356,9 @@ mod tests {
                         body[at + 6 + 4 * slot as usize],
                         body[at + 7 + 4 * slot as usize],
                     ]) as usize;
-                    let again = reencoded(rec);
-                    body[at + off..at + off + again.len()].copy_from_slice(&again);
                     if visible(rid) {
+                        let again = reencoded(rec);
+                        body[at + off..at + off + again.len()].copy_from_slice(&again);
                         rows.push((place(rid), crate::value::decode_row(rec, &mut 0).unwrap()));
                     } else {
                         body[at + 8 + 4 * slot as usize..at + 10 + 4 * slot as usize].fill(0);
@@ -2463,6 +2518,75 @@ mod tests {
             db.write_snapshot(true).unwrap(),
             snapshot_by_reencoding(&db)
         );
+    }
+
+    /// A compaction under a transaction in flight and an open snapshot
+    /// renames every row id they hold: both read what they read before,
+    /// and a rollback or a commit then leaves what it leaves beside a
+    /// twin whose heaps were never compacted.
+    #[test]
+    fn a_compaction_renames_the_rows_of_transactions_and_snapshots() {
+        let reads = [
+            "SELECT k, title, re, doc FROM sim ORDER BY k",
+            "SELECT name, k, n FROM files ORDER BY k, name",
+            "SELECT name FROM files WHERE k = 'S0301' ORDER BY name",
+        ];
+        for commit in [false, true] {
+            let mut dbs = [Database::new_in_memory(), Database::new_in_memory()];
+            let mut held = Vec::new();
+            for db in &mut dbs {
+                populate(db);
+                db.execute("DELETE FROM files WHERE n % 3 = 0").unwrap();
+                db.execute("DELETE FROM sim WHERE k = 'S0001' OR k = 'S0123'")
+                    .unwrap();
+                db.vacuum();
+                let snap = db.begin_snapshot();
+                db.execute("DELETE FROM sim WHERE k < 'S0100'").unwrap();
+                let t = db.begin_txn();
+                for sql in [
+                    "INSERT INTO sim VALUES ('ZZ', 'new', 1.0, 'x')",
+                    "UPDATE sim SET re = 0 WHERE k > 'S0390'",
+                    "DELETE FROM files WHERE k = 'S0300'",
+                ] {
+                    db.txn_execute(t, sql, &[]).unwrap();
+                }
+                held.push((snap, t));
+            }
+            let dead = |db: &Database, t: &str| db.tables[t].heap.dead_bytes();
+            assert!(dead(&dbs[0], "SIM") > 0 && dead(&dbs[0], "FILES") > 0);
+            dbs[0].compact();
+            assert!(dead(&dbs[0], "SIM") == 0 && dead(&dbs[0], "FILES") == 0);
+            let [(sa, ta), (sb, tb)] = [held[0], held[1]];
+            for q in reads {
+                let [a, b] = &mut dbs;
+                // As text: a NaN is not `==` to itself.
+                let snapped = |db: &Database, s| format!("{:?}", db.snapshot_query(s, q, &[]));
+                assert_eq!(snapped(a, sa), snapped(b, sb), "{q}");
+                let own = |db: &mut Database, t| format!("{:?}", db.txn_execute(t, q, &[]));
+                assert_eq!(own(a, ta), own(b, tb), "{q}");
+            }
+            for (db, (snap, t)) in dbs.iter_mut().zip(held) {
+                match commit {
+                    true => db.commit_txn(t).map(|_| ()),
+                    false => db.rollback_txn(t),
+                }
+                .unwrap();
+                db.release_snapshot(snap);
+                db.vacuum();
+            }
+            for q in reads {
+                let want = format!("{:?}", dbs[1].execute(q));
+                assert_eq!(format!("{:?}", dbs[0].execute(q)), want, "{q}");
+            }
+            // Nothing the transaction wrote is left behind, and every
+            // index still files exactly the live rows.
+            for t in ["SIM", "FILES"] {
+                let rows = |db: &Database| db.tables[t].heap.len();
+                assert_eq!(rows(&dbs[0]), rows(&dbs[1]), "{t}");
+            }
+            assert_eq!(dbs[0].mvcc.version_entries(), dbs[1].mvcc.version_entries());
+            dbs[0].write_snapshot(true).unwrap();
+        }
     }
 
     /// An image lists only the indexes `create_table` does not make, and

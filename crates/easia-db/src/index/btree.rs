@@ -282,6 +282,31 @@ impl BPlusTree {
         })
     }
 
+    /// Rename every row id the tree files through `rename`, in place.
+    /// The renaming must ascend — keep the row ids' order, as a heap's
+    /// compaction does — so every key's rows stay sorted and the tree
+    /// keeps its shape.
+    pub fn rename_rows(&mut self, mut rename: impl FnMut(RowId) -> RowId) {
+        fn walk(node: &mut Node, rename: &mut impl FnMut(RowId) -> RowId) {
+            match node {
+                Node::Leaf(leaf) => {
+                    for (_, rows) in &mut leaf.entries {
+                        match rows {
+                            Rows::One(row) => *row = rename(*row),
+                            Rows::Many(rows) => rows.iter_mut().for_each(|r| *r = rename(*r)),
+                        }
+                    }
+                }
+                Node::Internal(node) => {
+                    for child in &mut node.children {
+                        walk(child, rename);
+                    }
+                }
+            }
+        }
+        walk(&mut self.root, &mut rename);
+    }
+
     /// Total number of `(key, row)` pairs.
     pub fn len(&self) -> usize {
         self.len

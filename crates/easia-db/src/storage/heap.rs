@@ -2,7 +2,7 @@
 //! overflow area for records too large for one page (big BLOB/CLOB rows —
 //! the "small files that can be uploaded over the Internet").
 
-use super::page::{Page, SlotId, PAGE_SIZE};
+use super::page::{Page, SlotId, PAGE_SIZE, SLOT};
 use crate::error::{DbError, Result};
 use crate::value::{encode_row, Value};
 use std::borrow::Cow;
@@ -53,6 +53,21 @@ pub struct HeapTable {
     dirty: Vec<bool>,
     /// The same, per overflow entry.
     dirty_overflow: Vec<bool>,
+    /// Page bytes deleted records still take (their slots and bytes).
+    dead: usize,
+}
+
+/// How [`HeapTable::compact`] renumbered a heap's records: each old row
+/// id beside its new one, ascending in both.
+#[derive(Debug)]
+pub(crate) struct Moves(Vec<(RowId, RowId)>);
+
+impl Moves {
+    /// The new id of the record that was at `old`; `None` if none was.
+    pub(crate) fn get(&self, old: RowId) -> Option<RowId> {
+        let i = self.0.binary_search_by_key(&old, |&(from, _)| from).ok()?;
+        Some(self.0[i].1)
+    }
 }
 
 impl HeapTable {
@@ -74,6 +89,12 @@ impl HeapTable {
     /// Number of allocated pages (for stats/benchmarks).
     pub fn page_count(&self) -> usize {
         self.pages.len()
+    }
+
+    /// Bytes of the heap's pages that deleted records still take: what a
+    /// compaction would give back.
+    pub fn dead_bytes(&self) -> usize {
+        self.dead
     }
 
     /// Page `i`, for tests that write an image by hand.
@@ -130,11 +151,14 @@ impl HeapTable {
     /// Delete the row at `id`; returns true if it was live.
     pub fn delete(&mut self, id: RowId) -> bool {
         let deleted = match id.decode() {
-            RowAddr::Paged(p, s) => self
-                .pages
-                .get_mut(p as usize)
-                .map(|pg| pg.delete(s))
-                .unwrap_or(false),
+            RowAddr::Paged(p, s) => match self.pages.get_mut(p as usize) {
+                Some(pg) => {
+                    let freed = pg.get(s).map_or(0, |rec| rec.len() + SLOT);
+                    self.dead += freed;
+                    pg.delete(s)
+                }
+                None => false,
+            },
             RowAddr::Overflow(i) => self
                 .overflow
                 .get_mut(i)
@@ -168,6 +192,29 @@ impl HeapTable {
     pub(crate) fn mark_clean(&mut self) {
         self.dirty.fill(false);
         self.dirty_overflow.fill(false);
+    }
+
+    /// Rebuild the heap from its records, in storage order, into fresh
+    /// pages: the space deleted records took is given back. Every record
+    /// keeps its bytes and its order, and every page of the new heap is
+    /// dirty. Returns the renumbering, which whoever holds a row id of
+    /// this heap must apply.
+    pub(crate) fn compact(&mut self) -> Moves {
+        let old = std::mem::take(self);
+        let mut moves = Vec::with_capacity(old.len);
+        for (pi, page) in old.pages.iter().enumerate() {
+            for (slot, rec) in page.iter() {
+                let id = self.insert_record(Cow::Borrowed(rec));
+                moves.push((RowId::paged(pi as u32, slot), id));
+            }
+        }
+        for (i, rec) in old.overflow.into_iter().enumerate() {
+            if let Some(rec) = rec {
+                let id = self.insert_record(Cow::Owned(rec));
+                moves.push((RowId::overflow(i as u64), id));
+            }
+        }
+        Moves(moves)
     }
 
     /// Iterate `(RowId, encoded record)` over all live rows in storage
@@ -326,6 +373,7 @@ impl HeapTable {
         }
         self.dirty = vec![false; npages];
         self.dirty_overflow = vec![false; nover];
+        self.dead = self.pages.iter().map(Page::dead_bytes).sum();
         Ok(())
     }
 }
@@ -505,6 +553,45 @@ mod tests {
         seen.sort_unstable();
         seen.dedup();
         assert_eq!(seen.len(), ids.len());
+    }
+
+    /// Compaction gives back what deleted records took and moves every
+    /// other record, in order, keeping its bytes.
+    #[test]
+    fn compaction_gives_back_dead_space_and_renumbers_in_order() {
+        let mut h = HeapTable::new();
+        let ids: Vec<RowId> = (0..3000)
+            .map(|i| match i % 500 {
+                9 => h.insert(&[Value::Blob(vec![5; 6000])]),
+                _ => h.insert(&row(i)),
+            })
+            .collect();
+        let pages = h.page_count();
+        for id in ids.iter().step_by(2) {
+            assert!(h.delete(*id));
+        }
+        assert!(h.dead_bytes() * 3 > pages * PAGE_SIZE, "{}", h.dead_bytes());
+        let before: Vec<(RowId, Vec<u8>)> = h.records().map(|(id, r)| (id, r.to_vec())).collect();
+        let moves = h.compact();
+        assert_eq!(h.dead_bytes(), 0);
+        assert!(
+            h.page_count() <= pages / 2 + 1,
+            "{} of {pages}",
+            h.page_count()
+        );
+        assert_eq!(h.len(), before.len());
+        let after: Vec<(RowId, Vec<u8>)> = h.records().map(|(id, r)| (id, r.to_vec())).collect();
+        let renumbered: Vec<(RowId, Vec<u8>)> = (before.iter())
+            .map(|(id, r)| (moves.get(*id).unwrap(), r.clone()))
+            .collect();
+        assert_eq!(renumbered, after, "every record, in order, at its new id");
+        assert!(moves.get(ids[0]).is_none(), "a deleted record goes nowhere");
+        assert!(h.is_dirty());
+        // A restored heap counts the space its tombstones hold.
+        let mut back = HeapTable::new();
+        h.delete(after[1].0);
+        back.restore_section(&section(&h, true), &mut 0).unwrap();
+        assert_eq!(back.dead_bytes(), h.dead_bytes());
     }
 
     #[test]

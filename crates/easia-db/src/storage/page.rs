@@ -4,7 +4,9 @@
 //! from the back. Deleting a record tombstones its slot, and a slot is
 //! never reused. Records never move between pages, so a `(page, slot)`
 //! pair is a stable row address until deletion — across a checkpoint and
-//! a restart too, since a checkpoint copies pages whole.
+//! a restart too, since a checkpoint copies pages with their slot numbers
+//! kept. Only a heap's compaction moves records, into fresh pages
+//! (`HeapTable::compact`).
 
 use crate::error::{DbError, Result};
 
@@ -15,7 +17,9 @@ pub const PAGE_SIZE: usize = 8192;
 pub type SlotId = u16;
 
 const HEADER: usize = 6; // slot_count: u16, free_start: u16, free_end: u16
-const SLOT: usize = 4; // offset: u16, len: u16 (len 0 = tombstone)
+/// Bytes of one slot directory entry: offset: u16, len: u16 (len 0 =
+/// tombstone).
+pub(crate) const SLOT: usize = 4;
 
 /// An 8 KiB slotted page.
 #[derive(Clone)]
@@ -128,21 +132,34 @@ impl Page {
 
     /// Append this page's bytes to `out` with the slot of every live
     /// record `keep` refuses tombstoned: slot numbers, and every other
-    /// record's place, are kept.
+    /// record's place, are kept. Only the records kept are copied: the
+    /// bytes of a refused record, and of one deleted earlier, are zeros
+    /// in the copy.
     pub(crate) fn copy_into(
         &self,
         out: &mut Vec<u8>,
         mut keep: impl FnMut(SlotId, &[u8]) -> Result<bool>,
     ) -> Result<()> {
         let at = out.len();
-        out.extend_from_slice(self.as_bytes());
+        out.extend_from_slice(&self.buf[..self.free_start()]);
+        out.resize(at + PAGE_SIZE, 0);
         for (slot, rec) in self.iter() {
-            if !keep(slot, rec)? {
+            if keep(slot, rec)? {
+                let off = self.u16_at(HEADER + slot as usize * SLOT) as usize;
+                out[at + off..at + off + rec.len()].copy_from_slice(rec);
+            } else {
                 let len_at = at + HEADER + slot as usize * SLOT + 2;
                 out[len_at..len_at + 2].fill(0);
             }
         }
         Ok(())
+    }
+
+    /// Bytes of the page its deleted records still take: their slots and
+    /// their record bytes, which only a compaction gives back.
+    pub(crate) fn dead_bytes(&self) -> usize {
+        let used = self.free_start() - HEADER + PAGE_SIZE - self.free_end();
+        used.saturating_sub(self.iter().map(|(_, rec)| rec.len() + SLOT).sum())
     }
 
     /// Rebuild from snapshot bytes. The header and the slot directory
@@ -284,6 +301,35 @@ mod tests {
             let err = Page::from_bytes(&img).expect_err(what);
             assert!(matches!(err, DbError::Storage(_)), "{what}: {err}");
         }
+    }
+
+    /// A copy holds the records it keeps and nothing of the others: a
+    /// refused record and a deleted one are zeros, and every slot keeps
+    /// its number.
+    #[test]
+    fn a_copy_carries_no_bytes_of_a_record_it_does_not_keep() {
+        let mut p = Page::new();
+        p.insert(b"kept-one");
+        let deleted = p.insert(b"deleted-secret");
+        let refused = p.insert(b"refused-secret");
+        p.insert(b"kept-two");
+        p.delete(deleted);
+        assert_eq!(p.dead_bytes(), b"deleted-secret".len() + SLOT);
+        let mut out = Vec::new();
+        p.copy_into(&mut out, |slot, _| Ok(slot != refused))
+            .unwrap();
+        assert_eq!(out.len(), PAGE_SIZE);
+        assert!(!out.windows(6).any(|w| w == b"secret"));
+        let q = Page::from_bytes(&out).unwrap();
+        let live: Vec<_> = q.iter().map(|(s, r)| (s, r.to_vec())).collect();
+        assert_eq!(
+            live,
+            vec![(0, b"kept-one".to_vec()), (3, b"kept-two".to_vec())]
+        );
+        assert_eq!(
+            q.dead_bytes(),
+            p.dead_bytes() + b"refused-secret".len() + SLOT
+        );
     }
 
     #[test]

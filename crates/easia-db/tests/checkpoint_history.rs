@@ -18,8 +18,13 @@
 //!
 //! After each checkpoint, what each directory opens to — and after each
 //! reopen, the reopened database — agrees: `frames` holds the rows
-//! `never` holds, its indexes file its heap, and its heap is `whole`'s
-//! record for record, row ids included.
+//! `never` holds, its indexes file its heap, and its heap holds
+//! `whole`'s records in `whole`'s order (a whole rewrite compacts, which
+//! renumbers row ids).
+//!
+//! Beside the property: updates keep the file and the heap to the size
+//! of the live rows, and no byte of a row never committed, or deleted,
+//! reaches the file.
 
 use easia_db::storage::RowId;
 use easia_db::value::decode_row;
@@ -217,8 +222,8 @@ impl Run {
 }
 
 /// `frames` holds the rows `never` holds (in its latest committed view),
-/// its indexes file its heap, and its heap is `whole`'s record for
-/// record, row ids included.
+/// its indexes file its heap, and its heap holds `whole`'s records in
+/// `whole`'s order.
 fn check(
     frames: &mut Database,
     whole: &mut Database,
@@ -243,12 +248,10 @@ fn dump(db: &mut Database, table: &str) -> Vec<String> {
     rows
 }
 
-/// `table`'s stored records with their row ids.
-fn records(db: &Database, table: &str) -> Vec<(RowId, Vec<u8>)> {
+/// `table`'s stored records, in storage order.
+fn records(db: &Database, table: &str) -> Vec<Vec<u8>> {
     let heap = &db.table(table).unwrap().heap;
-    heap.records()
-        .map(|(rid, rec)| (rid, rec.to_vec()))
-        .collect()
+    heap.records().map(|(_, rec)| rec.to_vec()).collect()
 }
 
 /// Every index of `table` files each heap row once, under the row's own
@@ -303,4 +306,126 @@ proptest! {
         drop(run);
         cleanup(&dirs);
     }
+}
+
+/// `snapshot.db`'s length in `dir`.
+fn file_len(dir: &Path) -> u64 {
+    std::fs::metadata(dir.join("snapshot.db")).unwrap().len()
+}
+
+/// Rounds of updates, each checkpointed, reopened every fifth: a whole
+/// rewrite compacts, so neither the heap nor the file grows with the
+/// versions ever written, only with the live rows.
+#[test]
+fn updates_keep_the_file_and_the_heap_to_the_live_rows() {
+    const ROWS: i64 = 2000;
+    let d = dir("updates");
+    let _ = std::fs::remove_dir_all(&d);
+    let mut db = Database::open(&d).unwrap();
+    db.execute("CREATE TABLE T (K INTEGER PRIMARY KEY, G INTEGER, D VARCHAR(200))")
+        .unwrap();
+    db.execute("BEGIN").unwrap();
+    for k in 0..ROWS {
+        db.insert_row(
+            "T",
+            vec![Value::Int(k), Value::Int(0), Value::Str("x".repeat(100))],
+        )
+        .unwrap();
+    }
+    db.execute("COMMIT").unwrap();
+    db.checkpoint().unwrap();
+    let pages = |db: &Database| db.table("T").unwrap().heap.page_count();
+    let (base_pages, base_len) = (pages(&db), file_len(&d));
+    for round in 1..=40i64 {
+        db.execute_with_params(
+            "UPDATE T SET G = ? WHERE K % 4 = ?",
+            &[Value::Int(round), Value::Int(round % 4)],
+        )
+        .unwrap();
+        db.checkpoint().unwrap();
+        if round % 5 == 0 {
+            drop(db);
+            db = Database::open(&d).unwrap();
+        }
+        assert!(
+            pages(&db) <= 2 * base_pages,
+            "round {round}: {} pages for rows that took {base_pages}",
+            pages(&db)
+        );
+        assert!(
+            file_len(&d) <= 4 * base_len,
+            "round {round}: a file of {} B for rows whose image took {base_len} B",
+            file_len(&d)
+        );
+    }
+    let rs = db.execute("SELECT COUNT(*), SUM(G) FROM T").unwrap();
+    let sum: i64 = (0..4)
+        .map(|r| (37..=40).find(|x| x % 4 == r).unwrap())
+        .sum();
+    assert_eq!(
+        rs.rows,
+        vec![vec![Value::Int(ROWS), Value::Int(sum * ROWS / 4)]]
+    );
+    drop(db);
+    let _ = std::fs::remove_dir_all(&d);
+}
+
+/// A row inserted by a transaction still in flight at a checkpoint and
+/// then rolled back, and a committed row deleted again, leave no byte in
+/// `snapshot.db`: a checkpoint copies only the records its view sees.
+/// A row an earlier frame holds is gone once the whole image is
+/// rewritten.
+#[test]
+fn rows_never_committed_or_deleted_leave_no_bytes_in_the_file() {
+    let d = dir("secrets");
+    let _ = std::fs::remove_dir_all(&d);
+    let mut db = Database::open(&d).unwrap();
+    db.execute("CREATE TABLE T (K INTEGER PRIMARY KEY, V VARCHAR(40))")
+        .unwrap();
+    db.execute("INSERT INTO T VALUES (1, 'kept')").unwrap();
+    db.checkpoint().unwrap();
+    let holds = |secret: &str| {
+        let file = std::fs::read(d.join("snapshot.db")).unwrap();
+        file.windows(secret.len()).any(|w| w == secret.as_bytes())
+    };
+
+    let t = db.begin_txn();
+    db.txn_execute(t, "INSERT INTO T VALUES (2, 'uncommitted-secret')", &[])
+        .unwrap();
+    db.checkpoint().unwrap();
+    assert!(
+        !holds("uncommitted-secret"),
+        "an in-flight insert reached the file"
+    );
+    db.rollback_txn(t).unwrap();
+    db.checkpoint().unwrap();
+    assert!(!holds("uncommitted-secret"));
+
+    db.execute("INSERT INTO T VALUES (3, 'deleted-secret')")
+        .unwrap();
+    db.execute("DELETE FROM T WHERE K = 3").unwrap();
+    db.checkpoint().unwrap();
+    assert!(!holds("deleted-secret"), "a deleted row reached the file");
+
+    db.execute("INSERT INTO T VALUES (4, 'framed-secret')")
+        .unwrap();
+    db.checkpoint().unwrap();
+    assert!(holds("framed-secret"));
+    db.execute("DELETE FROM T WHERE K = 4").unwrap();
+    db.execute("CREATE TABLE PAD (A INTEGER)").unwrap();
+    db.checkpoint().unwrap();
+    assert!(
+        !holds("framed-secret"),
+        "the whole rewrite kept a deleted row"
+    );
+
+    drop(db);
+    let mut db = Database::open(&d).unwrap();
+    let rs = db.execute("SELECT K, V FROM T").unwrap();
+    assert_eq!(
+        rs.rows,
+        vec![vec![Value::Int(1), Value::Str("kept".into())]]
+    );
+    drop(db);
+    let _ = std::fs::remove_dir_all(&d);
 }

@@ -86,12 +86,12 @@ fn open_holds_key_runs_not_rows_and_checkpoint_allocates_per_page() {
         .unwrap();
     }
     db.execute("COMMIT").unwrap();
-    db.checkpoint().unwrap();
 
     // ---- checkpoint: per page, not per row ----
+    // The first writes the whole image.
+    let ((), counts) = counted(|| db.checkpoint().unwrap());
     let pages = db.table("RESULT_FILE").unwrap().heap.page_count() as u64;
     assert!(pages > 100, "{pages} pages");
-    let ((), counts) = counted(|| db.checkpoint().unwrap());
     let allocations = counts.allocs;
     println!("checkpoint: {allocations} allocations for {pages} pages, {ROWS} rows");
     assert!(
@@ -156,16 +156,24 @@ fn open_holds_key_runs_not_rows_and_checkpoint_allocates_per_page() {
         .unwrap();
     }
     db.execute("COMMIT").unwrap();
-    db.checkpoint().unwrap();
+    let ((), counts) = counted(|| db.checkpoint().unwrap());
     let t = db.table("RESULT_FILE").unwrap();
     // The last page before and every page after took the new rows.
     let dirty = (t.heap.page_count() as u64 - pages_before) + 1;
     let bound = dirty * 8192 + 4 * t.heap.len() as u64 * t.indexes.len() as u64 + 4096;
     let grown = size() - before;
-    println!("frame: {grown} B for {dirty} dirty pages, bound {bound} B");
+    println!(
+        "frame: {grown} B for {dirty} dirty pages, bound {bound} B; {} allocations",
+        counts.allocs
+    );
     assert!(
         grown <= bound,
         "a frame of {grown} B over a bound of {bound} B"
+    );
+    assert!(
+        counts.allocs <= CHECKPOINT_FIXED + 2 * dirty,
+        "{} allocations to write a frame of {dirty} dirty pages",
+        counts.allocs
     );
     let before = size();
     db.checkpoint().unwrap();
