@@ -6,7 +6,8 @@ use crate::transfer::{
 use easia_crypto::token::TokenIssuer;
 use easia_datalink::functions::register_dl_functions;
 use easia_datalink::{ArchiveClock, DataLinkManager, DatalinkUrl};
-use easia_db::{Database, DbError, Value};
+use easia_db::value::Records;
+use easia_db::{Database, DbError, SnapshotId, Value};
 use easia_fs::{FileContent, FileServer, FsError};
 use easia_med::{Cache, FedError, Federation, Lookup, QueryOutcome};
 use easia_net::{HostId, LinkSpec, SimNet};
@@ -495,8 +496,28 @@ impl Archive {
         sql: &str,
         params: &[Value],
     ) -> Result<easia_db::ResultSet, DbError> {
+        self.in_snapshot(|db, snap| db.snapshot_query(snap, sql, params))
+    }
+
+    /// [`Archive::snapshot_read`] for a result screen: its columns, and
+    /// its rows lent into one record arena ([`Records::push_lent`]; a
+    /// stored row's record is copied byte for byte), not a row apiece.
+    pub fn snapshot_records(
+        &mut self,
+        sql: &str,
+        params: &[Value],
+    ) -> Result<(Vec<String>, Records), DbError> {
+        let mut rows = Records::default();
+        let columns = self.in_snapshot(|db, snap| {
+            db.snapshot_query_each(snap, sql, params, |row| rows.push_lent(row))
+        })?;
+        Ok((columns, rows))
+    }
+
+    /// Run `read` on a fresh snapshot, released after it.
+    fn in_snapshot<T>(&mut self, read: impl FnOnce(&Database, SnapshotId) -> T) -> T {
         let snap = self.db.begin_snapshot();
-        let out = self.db.snapshot_query(snap, sql, params);
+        let out = read(&self.db, snap);
         self.db.release_snapshot(snap);
         out
     }

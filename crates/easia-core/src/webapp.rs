@@ -5,10 +5,10 @@
 
 use crate::admission::{Admission, AdmissionConfig, AdmissionController, RouteClass};
 use crate::archive::{Archive, ArchiveError};
-use easia_db::{ResultSet, Value};
+use easia_db::Value;
 use easia_ops::catalog::OperationCatalog;
 use easia_web::auth::Role;
-use easia_web::browse::{render_results_into, BrowseContext};
+use easia_web::browse::{BrowseContext, ResultTable, Rows};
 use easia_web::fed::{explain_page_body, federation_banner, federation_notice};
 use easia_web::html::{escape, link, page, page_begin, page_end};
 use easia_web::http::{url_encode, Method, Request, Response};
@@ -256,7 +256,8 @@ impl WebApp {
     /// target — run transparently across every registered site;
     /// everything else is read-only on the hub alone and runs on a
     /// snapshot: stable rows even while ingest or link control is
-    /// mid-transaction.
+    /// mid-transaction. A hub screen's rows stay records from the scan
+    /// to the page ([`Archive::snapshot_records`]).
     fn result_screen(
         &mut self,
         table: &str,
@@ -265,128 +266,113 @@ impl WebApp {
         federated: bool,
         role: Role,
     ) -> Response {
-        let mut notice = String::new();
-        let rs = if federated {
-            match self.archive.federated_query(sql, params) {
-                Ok(out) => {
-                    notice = format!(
-                        "{}{}",
-                        federation_banner(&out.explain),
-                        federation_notice(&out.explain)
-                    );
-                    out.rs
+        if !federated {
+            return match self.archive.snapshot_records(sql, params) {
+                Ok((columns, rows)) => {
+                    self.render_result_page(table, &columns, Rows::Records(&rows), role, "")
                 }
-                Err(e) => return error_response(&e),
+                Err(e) => Response::error(400, &e.to_string()),
+            };
+        }
+        match self.archive.federated_query(sql, params) {
+            Ok(out) => {
+                let notice = format!(
+                    "{}{}",
+                    federation_banner(&out.explain),
+                    federation_notice(&out.explain)
+                );
+                let rows = Rows::Values(&out.rs.rows);
+                self.render_result_page(table, &out.rs.columns, rows, role, &notice)
             }
-        } else {
-            match self.archive.snapshot_read(sql, params) {
-                Ok(rs) => rs,
-                Err(e) => return Response::error(400, &e.to_string()),
-            }
-        };
-        self.render_result_page(table, &rs, role, &notice)
+            Err(e) => error_response(&e),
+        }
     }
 
-    /// The federated keyed scans behind this screen's FK/PK browse
-    /// links, to run speculatively while the screen renders, so the next
-    /// click is served from the prefetch cache instead of waiting on the
-    /// WAN. Bounded to the first few distinct link targets; parked
-    /// results are invalidated by the federation write fingerprint, so a
-    /// write anywhere between render and click forces a live re-run.
-    fn link_prefetches(
-        &self,
-        xt: &easia_xuis::XuisTable,
-        rs: &ResultSet,
-    ) -> Vec<(String, Vec<Value>)> {
-        const MAX_PREFETCH: usize = 4;
-        // Where a link leads depends on its column alone: per result
-        // column, the browse statement of each target the renderer links
-        // to — the FK's referenced row, then child rows per referencing
-        // table. Hub-local targets answer without WAN latency;
-        // speculation buys nothing there.
-        let targets: Vec<Vec<String>> = rs
-            .columns
-            .iter()
-            .map(|c| {
-                let Some(xc) = xt.column(c) else {
-                    return Vec::new();
-                };
-                let fk = xc.fk.iter().map(|fk| &fk.tablecolumn);
-                fk.chain(&xc.pk_refby)
-                    .filter_map(|colid| {
-                        let (table, column) = colid.rsplit_once('.')?;
-                        let txt = self.archive.xuis.table(table)?;
-                        query_is_federated(&self.archive, txt)
-                            .then(|| build_browse_query(txt, column))
-                    })
-                    .collect()
-            })
-            .collect();
-        let mut queries = Vec::new();
-        if targets.iter().all(Vec::is_empty) {
-            return queries;
+    /// The federated keyed scans behind a screen's FK/PK browse links
+    /// ([`LinkPrefetches`]), for a result over `columns`. Where a link
+    /// leads depends on its column alone: per column, the browse
+    /// statement of each target the renderer links to — the FK's
+    /// referenced row, then child rows per referencing table. Hub-local
+    /// targets answer without WAN latency; speculation buys nothing there.
+    fn link_prefetches(&self, xt: &easia_xuis::XuisTable, columns: &[String]) -> LinkPrefetches {
+        let targets = columns.iter().map(|c| {
+            let Some(xc) = xt.column(c) else {
+                return Vec::new();
+            };
+            let fk = xc.fk.iter().map(|fk| &fk.tablecolumn);
+            fk.chain(&xc.pk_refby)
+                .filter_map(|colid| {
+                    let (table, column) = colid.rsplit_once('.')?;
+                    let txt = self.archive.xuis.table(table)?;
+                    query_is_federated(&self.archive, txt).then(|| build_browse_query(txt, column))
+                })
+                .collect()
+        });
+        LinkPrefetches {
+            targets: targets.collect(),
+            queries: Vec::new(),
         }
-        let mut text = String::new();
-        'rows: for row in &rs.rows {
-            for (sqls, v) in targets.iter().zip(row) {
-                if v.is_null() {
-                    continue;
-                }
-                for sql in sqls {
-                    let value = v.display_text(&mut text);
-                    let same =
-                        |(s, p): &(String, Vec<Value>)| s == sql && p[0].as_text() == Some(value);
-                    if !queries.iter().any(same) {
-                        queries.push((sql.clone(), vec![Value::Str(value.to_string())]));
-                        if queries.len() >= MAX_PREFETCH {
-                            break 'rows;
-                        }
-                    }
-                }
-            }
-        }
-        queries
     }
 
+    /// Render a result page in two passes over its rows. The first
+    /// decodes only the columns operation conditions and link targets
+    /// read: it judges each row's operations into one page-wide vector of
+    /// flags and gathers the screen's [`LinkPrefetches`]. The second
+    /// renders each row, decoded into one scratch row. The prefetches
+    /// run once the page is built.
     fn render_result_page(
         &mut self,
         table: &str,
-        rs: &ResultSet,
+        columns: &[String],
+        rows: Rows,
         role: Role,
         notice: &str,
     ) -> Response {
-        if let Some(xt) = self.archive.xuis.table(table) {
-            let queries = self.link_prefetches(xt, rs);
-            self.archive.prefetch_queries(&queries);
-        }
-        // Row-level operation applicability: which operations and which
-        // columns their conditions test is settled once, then each row
-        // is judged on its values.
+        let xt = self.archive.xuis.table(table);
+        let mut prefetches = match xt {
+            Some(xt) => self.link_prefetches(xt, columns),
+            None => LinkPrefetches::default(),
+        };
         let is_guest = matches!(role, Role::Guest);
-        let candidates = self.archive.catalog.resolve(table, &rs.columns, is_guest);
-        let mut text = String::new();
-        let row_operations = rs
-            .rows
-            .iter()
-            .map(|row| {
-                candidates.for_row(|i, want| {
-                    row.get(i)
-                        .is_some_and(|v| v.display_text(&mut text) == want)
-                })
-            })
-            .collect();
+        // Which operations and which columns their conditions test is
+        // settled once; each row is judged on its values.
+        let candidates = self.archive.catalog.resolve(table, columns, is_guest);
+        let mut read = vec![false; columns.len()];
+        candidates.reads(&mut read);
+        prefetches.reads(&mut read);
+        let (mut flags, mut text) = (Vec::new(), String::new());
+        let judged = rows.each(&read, |_, row| {
+            let shows = |i: usize, want: &str| {
+                row.get(i)
+                    .is_some_and(|v| v.display_text(&mut text) == want)
+            };
+            candidates.for_row(shows, &mut flags);
+            prefetches.note(row, &mut text);
+        });
         let sizes = |url: &str| self.archive.file_size_of(url);
         let ctx = BrowseContext {
             xuis: &self.archive.xuis,
             table,
             is_guest,
-            row_operations,
+            row_operations: Vec::new(),
             file_size: Some(&sizes),
         };
         let mut body = page_begin(&format!("Results from {table}"));
-        let _ = write!(body, "<p>{} row(s)</p>{notice}", rs.rows.len());
-        render_results_into(&ctx, rs, &mut body);
+        let _ = write!(body, "<p>{} row(s)</p>{notice}", rows.len());
+        let (n, has_ops) = (candidates.len(), flags.contains(&true));
+        let mut screen = ResultTable::begin(&ctx, columns, rows.len(), has_ops, &mut body);
+        let rendered = judged.and_then(|()| {
+            rows.each(&[], |ri, row| {
+                let ops = candidates.chosen(&flags[ri * n..(ri + 1) * n]);
+                screen.row(&mut body, row, ops);
+            })
+        });
+        if let Err(e) = rendered {
+            return Response::error(500, &e.to_string());
+        }
+        screen.end(&mut body);
         page_end(&mut body);
+        self.archive.prefetch_queries(&prefetches.queries);
         Response::html(body)
     }
 
@@ -840,6 +826,51 @@ impl<'a> Route<'a> {
                 RouteClass::Scan
             }
             _ => RouteClass::Browse,
+        }
+    }
+}
+
+/// The keyed scans behind a result screen's federated FK/PK browse
+/// links, gathered row by row: the first [`LinkPrefetches::MAX`] distinct
+/// (statement, value) pairs, columns in result order and each column's
+/// targets in link order, to run speculatively while the page is served
+/// so the next click is answered from the prefetch cache instead of
+/// waiting on the WAN. Parked results are invalidated by the federation
+/// write fingerprint, so a write between render and click forces a live
+/// re-run.
+#[derive(Default)]
+struct LinkPrefetches {
+    /// Per result column, the browse statement of each federated target.
+    targets: Vec<Vec<String>>,
+    queries: Vec<(String, Vec<Value>)>,
+}
+
+impl LinkPrefetches {
+    /// A screen rarely offers more useful next clicks than this.
+    const MAX: usize = 4;
+
+    /// Mark the columns whose links lead somewhere federated.
+    fn reads(&self, read: &mut [bool]) {
+        for (r, sqls) in read.iter_mut().zip(&self.targets) {
+            *r |= !sqls.is_empty();
+        }
+    }
+
+    /// Gather the scans behind one row's links; `text` is scratch.
+    fn note(&mut self, row: &[Value], text: &mut String) {
+        for (v, sqls) in row.iter().zip(&self.targets) {
+            for sql in sqls.iter().filter(|_| !v.is_null()) {
+                if self.queries.len() >= Self::MAX {
+                    return;
+                }
+                let value = v.display_text(text);
+                let same =
+                    |(s, p): &(String, Vec<Value>)| s == sql && p[0].as_text() == Some(value);
+                if !self.queries.iter().any(same) {
+                    self.queries
+                        .push((sql.clone(), vec![Value::Str(value.to_string())]));
+                }
+            }
         }
     }
 }
@@ -1474,8 +1505,10 @@ mod tests {
         let rs = app.archive.federated_query(&sql, &params).unwrap().rs;
         assert_eq!(rs.rows.len(), 4);
         let simulation = app.archive.xuis.table("SIMULATION").unwrap();
-        let issued = app.link_prefetches(simulation, &rs);
-        assert_eq!(format!("{issued:?}"), ISSUED_BEFORE);
+        let mut issued = app.link_prefetches(simulation, &rs.columns);
+        let mut text = String::new();
+        rs.rows.iter().for_each(|row| issued.note(row, &mut text));
+        assert_eq!(format!("{:?}", issued.queries), ISSUED_BEFORE);
 
         // The screen itself parks exactly those four.
         let r = app

@@ -647,7 +647,7 @@ impl Database {
         let result = match stmt {
             Stmt::Select(sel) => {
                 let view = self.stmt_view();
-                exec::run_select(self, &view, &sel, params)
+                exec::run_select_over(self, &view, &sel, params, &[])
             }
             Stmt::Begin => {
                 if self.cur.is_some() {
@@ -929,6 +929,32 @@ impl Database {
         sql: &str,
         params: &[Value],
     ) -> Result<ResultSet> {
+        self.snapshot_select(snap, sql, params, None)
+    }
+
+    /// [`Database::snapshot_query`], lending each result row to `each` as
+    /// [`Database::execute_each`] does instead of collecting a result
+    /// set. Returns the result's columns.
+    pub fn snapshot_query_each(
+        &self,
+        snap: SnapshotId,
+        sql: &str,
+        params: &[Value],
+        mut each: impl FnMut(Lent),
+    ) -> Result<Vec<String>> {
+        let rs = self.snapshot_select(snap, sql, params, Some(&mut each))?;
+        Ok(rs.columns)
+    }
+
+    /// The one body of both snapshot reads: the rows are lent to `each`,
+    /// or kept in the result set.
+    fn snapshot_select<'a>(
+        &'a self,
+        snap: SnapshotId,
+        sql: &str,
+        params: &[Value],
+        each: Option<&'a mut dyn FnMut(Lent)>,
+    ) -> Result<ResultSet> {
         let csn = self
             .mvcc
             .snapshot_csn(snap)
@@ -941,7 +967,7 @@ impl Database {
             m.statement(crate::obs::StmtKind::Select);
         }
         let view = ReadView { csn, txn: None };
-        exec::run_select(self, &view, &sel, params)
+        exec::select(self, &view, &sel, params, &[], each)
     }
 
     /// Begin an API transaction with a snapshot-isolation read view
@@ -1091,7 +1117,7 @@ impl Database {
 
     /// The read view a statement executed right now would use (latest
     /// committed plus the session transaction's own writes). External
-    /// executors driving [`exec::run_select`] directly use this.
+    /// executors driving [`exec::run_select_over`] directly use this.
     pub fn read_view(&self) -> ReadView {
         self.stmt_view()
     }

@@ -23,9 +23,11 @@ use crate::plan::{
 use crate::schema::{DatalinkSpec, TableSchema};
 use crate::sql::ast::{is_aggregate_fn, BinaryOp, Expr, JoinKind, SelectItem, SelectStmt};
 use crate::storage::RowId;
-use crate::value::{assign, decode_some_into, encode_key_cell, encode_row, Lent, Records, Value};
+use crate::value::{
+    assign, cell_start, decode_row_into, decode_some_into, encode_key_cell, encode_row, record_cmp,
+    Lent, Records, Value,
+};
 use std::borrow::Cow;
-use std::cmp::Ordering;
 use std::collections::{HashMap, HashSet};
 
 /// Does `pred` hold (evaluate to TRUE, not UNKNOWN) on `ctx`'s row?
@@ -355,16 +357,6 @@ impl<'a> BoundSelect<'a> {
     }
 }
 
-/// Execute a SELECT against a read view.
-pub fn run_select(
-    db: &Database,
-    view: &ReadView,
-    sel: &SelectStmt,
-    params: &[Value],
-) -> Result<ResultSet> {
-    run_select_over(db, view, sel, params, &[])
-}
-
 /// Execute a SELECT against a read view plus in-memory `relations`
 /// (see [`Relation`] for how names resolve).
 ///
@@ -405,7 +397,7 @@ pub fn run_select_each(
 type Lend<'a> = &'a mut dyn FnMut(Lent);
 
 /// A SELECT whose rows are lent to `lend`, or kept in the result set.
-fn select<'a>(
+pub(crate) fn select<'a>(
     db: &'a Database,
     view: &ReadView,
     sel: &SelectStmt,
@@ -934,8 +926,7 @@ impl<'a> Sink<'a> {
         let taken = match &mut self.shape {
             Shape::Rows(outs) => {
                 let row = &mut self.row;
-                row.truncate(outs.len());
-                row.reserve_exact(self.output.room() - row.len());
+                row.reserve_exact(outs.len() - row.len());
                 let projected = outs.iter().enumerate().try_for_each(|(at, out)| {
                     let v = match out {
                         Out::Slot(i, spec) => match (&ctx.row[*i], spec) {
@@ -946,11 +937,7 @@ impl<'a> Sink<'a> {
                         },
                         Out::Expr(e) => ctx.eval_cow(e)?,
                     };
-                    match (row.get_mut(at), v) {
-                        (Some(cell), Cow::Borrowed(v)) => assign(cell, v),
-                        (Some(cell), Cow::Owned(v)) => *cell = v,
-                        (None, v) => row.push(v.into_owned()),
-                    }
+                    refill(row, at, v);
                     Ok(())
                 });
                 projected.map(|()| self.output.offer(row, ctx))
@@ -1016,6 +1003,16 @@ fn project<'a>(
         }
     }
     Ok((columns, outs))
+}
+
+/// Set cell `at` of a scratch row (its next cell, if it is that short)
+/// to `v`, refilling the buffer the cell owns ([`assign`]).
+fn refill(row: &mut Vec<Value>, at: usize, v: Cow<Value>) {
+    match (row.get_mut(at), v) {
+        (Some(cell), Cow::Borrowed(v)) => assign(cell, v),
+        (Some(cell), Cow::Owned(v)) => *cell = v,
+        (None, v) => row.push(v.into_owned()),
+    }
 }
 
 /// An aggregate SELECT: group keys and aggregate arguments evaluate on
@@ -1205,7 +1202,7 @@ impl Finish {
         groups: Vec<(Vec<Value>, Vec<Value>)>,
         params: &[Value],
     ) -> Result<ResultSet> {
-        let mut kept = 0;
+        let (mut kept, mut row) = (0, Vec::new());
         for (rep, aggs) in groups {
             // One evaluator for HAVING and the select list: an aggregate
             // call anywhere inside them reads the group's finished value.
@@ -1218,9 +1215,9 @@ impl Finish {
                     continue;
                 }
             }
-            let mut row = Vec::with_capacity(output.room());
-            for e in &self.items {
-                row.push(ctx.eval(e)?);
+            row.reserve_exact(self.items.len() - row.len());
+            for (at, e) in self.items.iter().enumerate() {
+                refill(&mut row, at, ctx.eval_cow(e)?);
             }
             kept += 1;
             output.offer(&mut row, &ctx);
@@ -1251,17 +1248,17 @@ pub fn finish_groups(
 }
 
 /// DISTINCT, ORDER BY and LIMIT over output rows as they arrive.
-/// Without ORDER BY only the first LIMIT rows are kept. With it, a sort
-/// key is a cell of the row it orders: the output column for a bare name
-/// that is an output alias or for a column the output passes through as
-/// it is, else the expression's value over the row (and group) it came
-/// from, taken on arrival and pushed after the output columns. Under a
-/// LIMIT of n the rows are cut back to the n least by (keys, arrival)
-/// whenever 2n have gathered: what a stable sort and a truncate would
-/// leave. A key's error is held, since a select item raising on a later
-/// row wins over it. The rows are kept for the result set, or each lent
-/// to a reader: as it arrives when nothing orders them, else once the
-/// last is in.
+/// Without ORDER BY only the first LIMIT rows are kept. With it, each row
+/// is encoded into one arena — its output cells, then each expression
+/// key's value over the row (and group) it came from — and a permutation
+/// of the records is sorted by their key cells ([`record_cmp`]), ties by
+/// arrival; a bare name that is an output alias, or a column the output
+/// passes through as it is, keys by that output cell. Under a LIMIT of n
+/// the records are cut back to the n least whenever 2n have gathered. A
+/// key's error is held, since a select item raising on a later row wins
+/// over it. The rows are kept for the result set or lent to a reader: as
+/// they arrive when nothing orders them, else decoded once the last is in.
+#[derive(Default)]
 struct Output<'a> {
     /// The reader the rows are lent to; `None` keeps them.
     reader: Option<Lend<'a>>,
@@ -1269,15 +1266,21 @@ struct Output<'a> {
     lent: usize,
     columns: Vec<String>,
     distinct: Option<HashSet<Vec<u8>>>,
-    /// Each sort key: the cell of a row it reads, and whether it ascends.
+    /// Each sort key: the cell of a record it reads, and whether it ascends.
     order: Vec<(usize, bool)>,
     /// The expression keys, whose values follow the output columns.
     exprs: Vec<Bound>,
     limit: usize,
-    /// Sorted up to the last cut, then by arrival.
+    /// Rows kept as they arrived, nothing ordering them.
     rows: Vec<Vec<Value>>,
+    /// ORDER BY's records; a cut copies those it keeps into `spare`.
+    kept: Records,
+    spare: Records,
+    /// `kept`'s records sorted up to the last cut, then by arrival: each
+    /// one's position and where its first key's cell starts in it.
+    sorted: Vec<(u32, u32)>,
     /// Rows that entered ORDER BY.
-    sorted: usize,
+    offered: usize,
     late: Option<DbError>,
     key: Vec<u8>,
 }
@@ -1318,17 +1321,12 @@ impl Output<'_> {
             order.push((at, ob.asc));
         }
         Ok(Output {
-            reader: None,
-            lent: 0,
             columns,
             distinct: sel.distinct.then(HashSet::new),
             order,
             exprs,
             limit: sel.limit.unwrap_or(usize::MAX),
-            rows: Vec::new(),
-            sorted: 0,
-            late: None,
-            key: Vec::new(),
+            ..Output::default()
         })
     }
 
@@ -1338,14 +1336,8 @@ impl Output<'_> {
         }
     }
 
-    /// The cells an offered row may come to hold: its output columns,
-    /// then its expression keys.
-    fn room(&self) -> usize {
-        self.columns.len() + self.exprs.len()
-    }
-
-    /// Offer one output row, lent or taken; `ctx` is the row (and group)
-    /// it came from.
+    /// Offer one output row, lent, taken or encoded; `ctx` is the row
+    /// (and group) it came from.
     fn offer(&mut self, row: &mut Vec<Value>, ctx: &EvalContext) {
         if let Some(seen) = &mut self.distinct {
             self.key.clear();
@@ -1368,18 +1360,20 @@ impl Output<'_> {
         if self.late.is_some() {
             return;
         }
-        self.sorted += 1;
+        self.offered += 1;
+        self.kept.open(row.len() + self.exprs.len());
+        row.iter().for_each(|v| self.kept.push_cell(v));
         for e in &self.exprs {
-            match ctx.eval(e) {
-                Ok(v) => row.push(v),
-                Err(e) => {
-                    self.late = Some(e);
-                    return;
-                }
+            match ctx.eval_cow(e) {
+                Ok(v) => self.kept.push_cell(&v),
+                Err(e) => return self.late = Some(e),
             }
         }
-        self.rows.push(std::mem::take(row));
-        if self.rows.len() > self.limit.saturating_mul(2) {
+        self.kept.seal();
+        let at = self.kept.len() - 1;
+        let first = cell_start(self.kept.get(at), self.order[0].0);
+        self.sorted.push((at as u32, first as u32));
+        if self.sorted.len() > self.limit.saturating_mul(2) {
             self.cut();
         }
     }
@@ -1393,24 +1387,24 @@ impl Output<'_> {
         }
     }
 
-    /// Sort the rows by their keys, stably, and keep the first LIMIT.
+    /// Sort the records by their keys, ties by arrival, and keep the
+    /// first LIMIT, copied to the front of a fresh arena in that order.
     fn cut(&mut self) {
-        let order = &self.order;
-        self.rows.sort_by(|a, b| {
-            order
-                .iter()
-                .map(|&(at, asc)| {
-                    let ord = a[at].total_cmp(&b[at]);
-                    if asc {
-                        ord
-                    } else {
-                        ord.reverse()
-                    }
-                })
-                .find(|ord| ord.is_ne())
-                .unwrap_or(Ordering::Equal)
+        let (kept, order) = (&self.kept, &self.order);
+        self.sorted.sort_unstable_by(|&(a, ka), &(b, kb)| {
+            let at = |i: u32, first: u32| (kept.get(i as usize), first as usize);
+            record_cmp(at(a, ka), at(b, kb), order).then(a.cmp(&b))
         });
-        self.rows.truncate(self.limit);
+        if self.sorted.len() > self.limit {
+            self.sorted.truncate(self.limit);
+            self.spare.clear();
+            for (i, (at, _)) in self.sorted.iter_mut().enumerate() {
+                self.spare
+                    .push_lent(Lent::Record(self.kept.get(*at as usize)));
+                *at = i as u32;
+            }
+            std::mem::swap(&mut self.kept, &mut self.spare);
+        }
     }
 
     fn finish(mut self, db: &Database) -> Result<ResultSet> {
@@ -1420,25 +1414,26 @@ impl Output<'_> {
         if !self.order.is_empty() {
             self.cut();
             if let Some(m) = db.metrics() {
-                m.stage_sort.observe(self.sorted as f64);
+                m.stage_sort.observe(self.offered as f64);
             }
         }
-        // Cut off the expression keys.
-        let width = self.columns.len();
-        self.rows.iter_mut().for_each(|row| row.truncate(width));
         if let Some(m) = db.metrics() {
-            m.rows_returned.add((self.lent + self.rows.len()) as f64);
+            let returned = self.lent + self.rows.len() + self.sorted.len();
+            m.rows_returned.add(returned as f64);
         }
-        let rows = match self.reader {
-            Some(each) => {
-                self.rows.iter().for_each(|row| each(Lent::Cells(row)));
-                Vec::new()
+        // Each record decoded once and its expression keys cut off.
+        let (width, mut row) = (self.columns.len(), Vec::new());
+        for &(at, _) in &self.sorted {
+            decode_row_into(self.kept.get(at as usize), &mut 0, &mut row)?;
+            row.truncate(width);
+            match &mut self.reader {
+                Some(each) => each(Lent::Cells(&row)),
+                None => self.rows.push(std::mem::take(&mut row)),
             }
-            None => self.rows,
-        };
+        }
         Ok(ResultSet {
             columns: self.columns,
-            rows,
+            rows: self.rows,
             affected: 0,
         })
     }

@@ -361,6 +361,29 @@ pub(crate) fn cell_cmp((ta, a): (u8, &[u8]), (tb, b): (u8, &[u8])) -> Ordering {
     })
 }
 
+/// The order of two whole records by their key cells, each key a cell
+/// position and whether it ascends, compared with [`cell_cmp`]. Each
+/// record comes with where its first key's cell starts ([`cell_start`]),
+/// so a comparison that key decides walks neither record.
+pub(crate) fn record_cmp(
+    (a, first_a): (&[u8], usize),
+    (b, first_b): (&[u8], usize),
+    keys: &[(usize, bool)],
+) -> Ordering {
+    let by = |asc: bool, ord: Ordering| if asc { ord } else { ord.reverse() };
+    let first = by(
+        keys[0].1,
+        cell_cmp(cell_at(a, first_a), cell_at(b, first_b)),
+    );
+    first.then_with(|| {
+        let key = |record, at| cells(record).nth(at).expect("a key cell");
+        let rest = keys[1..].iter();
+        rest.map(|&(at, asc)| by(asc, cell_cmp(key(a, at), key(b, at))))
+            .find(|ord| ord.is_ne())
+            .unwrap_or(Ordering::Equal)
+    })
+}
+
 /// The cells of `record`, a whole [`encode_row`] record, as their tags
 /// and payloads.
 pub(crate) fn cells(record: &[u8]) -> impl Iterator<Item = (u8, &[u8])> {
@@ -368,6 +391,21 @@ pub(crate) fn cells(record: &[u8]) -> impl Iterator<Item = (u8, &[u8])> {
     std::iter::from_fn(move || {
         (pos < record.len()).then(|| next_cell(record, &mut pos).expect("a whole record"))
     })
+}
+
+/// Where the `n`th cell of `record`, a whole record, starts: what
+/// [`cell_at`] reads it back from without walking the cells before it.
+pub(crate) fn cell_start(record: &[u8], n: usize) -> usize {
+    let mut pos = 4;
+    for _ in 0..n {
+        next_cell(record, &mut pos).expect("a whole record");
+    }
+    pos
+}
+
+/// The cell starting at `pos` in `record`, a whole record.
+pub(crate) fn cell_at(record: &[u8], mut pos: usize) -> (u8, &[u8]) {
+    next_cell(record, &mut pos).expect("a whole record")
 }
 
 /// Rows as [`encode_row`] records, back to back in one buffer: what a
@@ -417,6 +455,25 @@ impl Records {
         self.ends.push(self.bytes.len());
     }
 
+    /// Begin a record of `cells` cells, each then written by
+    /// [`Records::push_cell`] and the record closed by [`Records::seal`]:
+    /// a row whose cells are not gathered in one slice. A record begun
+    /// and never sealed is dropped by the next.
+    pub(crate) fn open(&mut self, cells: usize) {
+        self.bytes.truncate(self.ends.last().copied().unwrap_or(0));
+        self.bytes.extend_from_slice(&(cells as u32).to_le_bytes());
+    }
+
+    /// Write the next cell of the record [`Records::open`] began.
+    pub(crate) fn push_cell(&mut self, v: &Value) {
+        encode_cell(v, &mut self.bytes);
+    }
+
+    /// Close the record [`Records::open`] began.
+    pub(crate) fn seal(&mut self) {
+        self.ends.push(self.bytes.len());
+    }
+
     /// Append the record of a row made of `cells`, each already encoded
     /// (spans of other records: an index key of a stored row's columns).
     pub(crate) fn push_spans<'c>(&mut self, cells: impl ExactSizeIterator<Item = &'c [u8]>) {
@@ -447,6 +504,11 @@ impl Records {
     /// The records, in the order they were appended.
     pub fn iter(&self) -> impl ExactSizeIterator<Item = &[u8]> + DoubleEndedIterator + '_ {
         (0..self.ends.len()).map(|i| self.get(i))
+    }
+
+    /// Hold no records, keeping the buffers.
+    pub fn clear(&mut self) {
+        self.truncate(0);
     }
 
     /// Keep the first `n` records.

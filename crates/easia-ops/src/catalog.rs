@@ -26,7 +26,9 @@ pub struct CatalogEntry {
 }
 
 /// The operations one result set's rows may offer, from
-/// [`OperationCatalog::resolve`].
+/// [`OperationCatalog::resolve`]. A row is judged into one flag per
+/// candidate ([`RowOperations::for_row`]), so a page's judgements are
+/// one vector of `len()` flags per row, back to back.
 pub struct RowOperations<'a> {
     candidates: Vec<Candidate<'a>>,
 }
@@ -47,19 +49,41 @@ struct ResolvedCondition<'a> {
 }
 
 impl<'a> RowOperations<'a> {
-    /// The operations applicable to one row: those whose every
-    /// condition finds its text in a column it names. `cell_is(i, text)`
-    /// says whether the row's column `i` displays as `text`.
-    pub fn for_row(&self, mut cell_is: impl FnMut(usize, &str) -> bool) -> Vec<&'a Operation> {
-        self.candidates
-            .iter()
-            .filter(|c| {
-                c.conditions
-                    .iter()
-                    .all(|cond| cond.columns.iter().any(|&i| cell_is(i, cond.eq)))
-            })
-            .map(|c| c.op)
-            .collect()
+    /// The flags a row is judged into: one per candidate operation.
+    pub fn len(&self) -> usize {
+        self.candidates.len()
+    }
+
+    /// Has the table no operation the viewer may run?
+    pub fn is_empty(&self) -> bool {
+        self.candidates.is_empty()
+    }
+
+    /// Mark the result columns some condition tests.
+    pub fn reads(&self, read: &mut [bool]) {
+        let conditions = self.candidates.iter().flat_map(|c| &c.conditions);
+        conditions
+            .flat_map(|cond| &cond.columns)
+            .for_each(|&i| read[i] = true);
+    }
+
+    /// Judge one row: push a flag per candidate onto `flags`, set when
+    /// every condition of the operation finds its text in a column it
+    /// names. `cell_is(i, text)` says whether the row's column `i`
+    /// displays as `text`.
+    pub fn for_row(&self, mut cell_is: impl FnMut(usize, &str) -> bool, flags: &mut Vec<bool>) {
+        flags.extend(self.candidates.iter().map(|c| {
+            c.conditions
+                .iter()
+                .all(|cond| cond.columns.iter().any(|&i| cell_is(i, cond.eq)))
+        }));
+    }
+
+    /// The operations one row's flags (from [`RowOperations::for_row`])
+    /// select, in catalog order.
+    pub fn chosen<'f>(&'f self, flags: &'f [bool]) -> impl Iterator<Item = &'a Operation> + 'f {
+        let flagged = self.candidates.iter().zip(flags);
+        flagged.filter(|(_, on)| **on).map(|(c, _)| c.op)
     }
 }
 

@@ -3,7 +3,7 @@
 //! `OperationCatalog::resolve` settles once per result set which
 //! operations are candidates and which result columns each `<if>`
 //! condition tests; `RowOperations::for_row` then judges a row on its
-//! values alone. `OperationCatalog::applicable` — every row named and
+//! values alone, reading only the columns `RowOperations::reads` marks. `OperationCatalog::applicable` — every row named and
 //! formatted into `(colid, text)` pairs, as the portal did before — is
 //! the reference: both must offer the same operations in the same order
 //! for duplicate and mixed-case columns, colids of another table or of
@@ -172,12 +172,22 @@ fn check(
             .into_iter()
             .map(|e| e.op.name.as_str())
             .collect();
+        let (mut flags, mut asked) = (Vec::new(), vec![false; columns.len()]);
+        let cell_is = |i: usize, eq: &str| {
+            asked[i] = true;
+            row[i].display_text(&mut text) == eq
+        };
+        candidates.for_row(cell_is, &mut flags);
+        assert_eq!(flags.len(), candidates.len());
         let got: Vec<&str> = candidates
-            .for_row(|i, eq| row[i].display_text(&mut text) == eq)
-            .into_iter()
+            .chosen(&flags)
             .map(|op| op.name.as_str())
             .collect();
         assert_eq!(got, want, "columns {columns:?} row {row:?} ops {ops:?}");
+        // A row is judged on the columns `reads` marks alone.
+        let mut read = vec![false; columns.len()];
+        candidates.reads(&mut read);
+        assert!(asked.iter().zip(&read).all(|(asked, read)| !asked || *read));
         seen.offered += got.len();
         for (i, (guest_access, _)) in ops.iter().enumerate() {
             if guest && !guest_access {

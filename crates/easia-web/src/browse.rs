@@ -11,11 +11,11 @@
 //! * plus the operations column: "result table showing operations
 //!   available for post-processing datasets".
 
-use crate::html::{escape_into, format_size};
+use crate::html::{escape_into, format_size_into};
 use crate::http::url_encode_into;
-use easia_db::{ResultSet, Value};
+use easia_db::value::{decode_some_into, Records};
+use easia_db::{DbError, ResultSet, Value};
 use easia_xuis::{Operation, XuisColumn, XuisDoc, XuisTable};
-use std::borrow::Cow;
 
 /// Everything the renderer needs besides the rows.
 pub struct BrowseContext<'a> {
@@ -27,7 +27,8 @@ pub struct BrowseContext<'a> {
     /// operations filtered).
     pub is_guest: bool,
     /// Operations applicable per row, already filtered by conditions and
-    /// guest policy (supplied by the ops catalog).
+    /// guest policy (supplied by the ops catalog), for
+    /// [`render_results`]; a [`ResultTable`] is handed each row's.
     pub row_operations: Vec<Vec<&'a Operation>>,
     /// File size lookup for DATALINK URLs (stored form).
     #[allow(clippy::type_complexity)]
@@ -42,64 +43,173 @@ pub fn render_results(ctx: &BrowseContext<'_>, rs: &ResultSet) -> String {
 }
 
 /// [`render_results`] appended to `out` — a page shell already holding
-/// what precedes the table.
+/// what precedes the table: each row through [`ResultTable`], offering
+/// its operations from [`BrowseContext::row_operations`].
 pub fn render_results_into(ctx: &BrowseContext<'_>, rs: &ResultSet, out: &mut String) {
-    // A table the XUIS does not know renders as plain text throughout.
-    let xt = ctx.xuis.table(ctx.table);
-    let plans: Vec<ColumnPlan<'_>> = rs
-        .columns
-        .iter()
-        .map(|c| ColumnPlan::new(xt, c, rs))
-        .collect();
-    let key = xt.map(|xt| key_plan(xt, rs)).unwrap_or_default();
-    let has_ops = xt.is_some() && ctx.row_operations.iter().any(|ops| !ops.is_empty());
-    let mut op_href = String::from("/op/");
-    url_encode_into(&mut op_href, ctx.table);
-    op_href.push('/');
-
-    out.push_str("<table><tr>");
-    for plan in &plans {
-        out.push_str("<th>");
-        escape_into(out, plan.header);
-        out.push_str("</th>");
-    }
-    if has_ops {
-        out.push_str("<th>Operations</th>");
-    }
-    out.push_str("</tr>");
-    // Text of a non-string value on its way into the page.
-    let mut scratch = String::new();
+    let has_ops = ctx.row_operations.iter().any(|ops| !ops.is_empty());
+    let mut table = ResultTable::begin(ctx, &rs.columns, rs.rows.len(), has_ops, out);
     for (ri, row) in rs.rows.iter().enumerate() {
+        let ops = ctx.row_operations.get(ri).map(Vec::as_slice).unwrap_or(&[]);
+        table.row(out, row, ops.iter().copied());
+    }
+    table.end(out);
+}
+
+/// A result's rows as a screen reads them: a result set's, or the
+/// records of one [`Records`] arena, each decoded into a scratch row.
+#[derive(Clone, Copy)]
+pub enum Rows<'r> {
+    /// Owned rows.
+    Values(&'r [Vec<Value>]),
+    /// One record per row.
+    Records(&'r Records),
+}
+
+impl Rows<'_> {
+    /// How many rows.
+    pub fn len(&self) -> usize {
+        match self {
+            Rows::Values(rows) => rows.len(),
+            Rows::Records(records) => records.len(),
+        }
+    }
+
+    /// Are there none?
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Lend each row, with its position, to `each`. A record is decoded
+    /// into one scratch row, only the cells `read` marks (the others
+    /// read as NULL; empty: every cell); a result set's rows are lent as
+    /// they are.
+    pub fn each(
+        &self,
+        read: &[bool],
+        mut each: impl FnMut(usize, &[Value]),
+    ) -> Result<(), DbError> {
+        match self {
+            Rows::Values(rows) => rows.iter().enumerate().for_each(|(i, row)| each(i, row)),
+            Rows::Records(records) => {
+                let mut row = Vec::new();
+                for (i, record) in records.iter().enumerate() {
+                    decode_some_into(record, &mut 0, &mut row, read, false)?;
+                    each(i, &row);
+                }
+            }
+        }
+        Ok(())
+    }
+}
+
+/// The one row renderer of every result screen: the table's head, then
+/// each row as it is handed over, then its end. What a column's cells
+/// need beyond their values is worked out once, when the table begins,
+/// and a row allocates nothing but the page's own growth.
+pub struct ResultTable<'c> {
+    ctx: &'c BrowseContext<'c>,
+    /// The XUIS describes the table; a table it does not know renders as
+    /// plain text throughout.
+    described: bool,
+    plans: Vec<ColumnPlan<'c>>,
+    key: Vec<(String, usize)>,
+    has_ops: bool,
+    /// `/op/<table>/`.
+    op_href: String,
+    /// Rows of the result, and rows rendered so far.
+    rows: usize,
+    rendered: usize,
+    scratch: Scratch,
+}
+
+/// The text a row is rendered through, refilled row after row.
+#[derive(Default)]
+struct Scratch {
+    /// A non-string value on its way into the page.
+    text: String,
+    /// A DATALINK URL in its stored form.
+    stored: String,
+}
+
+impl<'c> ResultTable<'c> {
+    /// Open the table of a result of `rows` rows over `columns`: its
+    /// head, with an operations column if `has_ops` and the XUIS knows
+    /// the table.
+    pub fn begin(
+        ctx: &'c BrowseContext<'c>,
+        columns: &'c [String],
+        rows: usize,
+        has_ops: bool,
+        out: &mut String,
+    ) -> Self {
+        let xt = ctx.xuis.table(ctx.table);
+        let plans: Vec<ColumnPlan<'_>> = columns
+            .iter()
+            .map(|c| ColumnPlan::new(xt, c, columns))
+            .collect();
+        let mut op_href = String::from("/op/");
+        url_encode_into(&mut op_href, ctx.table);
+        op_href.push('/');
+        out.push_str("<table><tr>");
+        for plan in &plans {
+            out.push_str("<th>");
+            escape_into(out, plan.header);
+            out.push_str("</th>");
+        }
+        let has_ops = xt.is_some() && has_ops;
+        if has_ops {
+            out.push_str("<th>Operations</th>");
+        }
+        out.push_str("</tr>");
+        ResultTable {
+            ctx,
+            described: xt.is_some(),
+            plans,
+            key: xt.map(|xt| key_plan(xt, columns)).unwrap_or_default(),
+            has_ops,
+            op_href,
+            rows,
+            rendered: 0,
+            scratch: Scratch::default(),
+        }
+    }
+
+    /// Render one row, offering `ops` in its operations column.
+    pub fn row<'o>(
+        &mut self,
+        out: &mut String,
+        row: &[Value],
+        ops: impl IntoIterator<Item = &'o Operation>,
+    ) {
         let row_start = out.len();
         out.push_str("<tr>");
-        for (v, plan) in row.iter().zip(&plans) {
+        for (v, plan) in row.iter().zip(&self.plans) {
             out.push_str("<td>");
-            if xt.is_some() && v.is_null() {
+            if self.described && v.is_null() {
                 out.push_str("<i>null</i>");
             } else if plan.described {
-                render_cell(out, ctx, plan, &key, v, row, &mut scratch);
+                render_cell(out, self.ctx, &self.key, plan, v, row, &mut self.scratch);
             } else {
-                escape_into(out, v.display_text(&mut scratch));
+                escape_into(out, v.display_text(&mut self.scratch.text));
             }
             out.push_str("</td>");
         }
-        if has_ops {
+        if self.has_ops {
             out.push_str("<td>");
-            let ops = ctx.row_operations.get(ri).map(Vec::as_slice).unwrap_or(&[]);
-            let dataset = if ops.is_empty() {
-                Cow::Borrowed("")
-            } else {
-                primary_datalink(row)
+            let mut ops = ops.into_iter().peekable();
+            let dataset = match ops.peek() {
+                Some(_) => primary_datalink(row, &mut self.scratch.stored),
+                None => "",
             };
-            for (n, op) in ops.iter().enumerate() {
+            for (n, op) in ops.enumerate() {
                 if n > 0 {
                     out.push_str(" | ");
                 }
                 out.push_str("<a href=\"");
-                out.push_str(&op_href);
+                out.push_str(&self.op_href);
                 url_encode_into(out, &op.name);
                 out.push_str("?dataset=");
-                url_encode_into(out, &dataset);
+                url_encode_into(out, dataset);
                 out.push_str("\">");
                 escape_into(out, &op.name);
                 out.push_str("</a>");
@@ -107,14 +217,94 @@ pub fn render_results_into(ctx: &BrowseContext<'_>, rs: &ResultSet, out: &mut St
             out.push_str("</td>");
         }
         out.push_str("</tr>");
-        if ri == 0 {
+        if self.rendered == 0 {
             // Rows of one result are much alike: room for the rest at
             // the first one's size and an eighth more, taken once.
-            let rest = (out.len() - row_start) * (rs.rows.len() - 1);
+            let rest = (out.len() - row_start) * self.rows.saturating_sub(1);
             out.reserve(rest + rest / 8);
         }
+        self.rendered += 1;
     }
-    out.push_str("</table>");
+
+    /// Close the table.
+    pub fn end(self, out: &mut String) {
+        out.push_str("</table>");
+    }
+}
+
+/// One non-NULL cell of a column the XUIS describes; `key` is the
+/// result's [`key_plan`].
+fn render_cell(
+    out: &mut String,
+    ctx: &BrowseContext<'_>,
+    key: &[(String, usize)],
+    plan: &ColumnPlan<'_>,
+    v: &Value,
+    row: &[Value],
+    Scratch { text, stored }: &mut Scratch,
+) {
+    // DATALINK: download link (with token already spliced by the
+    // database layer) labelled with the file size; guests see a
+    // restriction notice instead — "guest users cannot download
+    // datasets".
+    if let Value::Datalink(url) = v {
+        let stored = stored_form(url, stored);
+        let size = ctx.file_size.and_then(|f| f(stored));
+        let size = |out: &mut String| match size {
+            Some(bytes) => format_size_into(out, bytes),
+            None => out.push_str("download"),
+        };
+        if ctx.is_guest {
+            out.push_str("<i>download restricted (");
+            size(out);
+            out.push_str(")</i>");
+        } else {
+            out.push_str("<a href=\"");
+            escape_into(out, url);
+            out.push_str("\">");
+            size(out);
+            out.push_str("</a>");
+        }
+        return;
+    }
+    // BLOB/CLOB: size link that rematerialises the object.
+    if matches!(v, Value::Blob(_) | Value::Clob(_)) {
+        out.push_str("<a href=\"");
+        out.push_str(&plan.lob_href);
+        for (n, (name, pos)) in key.iter().enumerate() {
+            if n > 0 {
+                out.push_str("&amp;");
+            }
+            out.push_str(name);
+            out.push('=');
+            url_encode_into(out, row[*pos].display_text(text));
+        }
+        out.push_str("\">");
+        format_size_into(out, v.lob_size().unwrap_or(0) as u64);
+        out.push_str("</a>");
+        return;
+    }
+    // Foreign-key browsing.
+    if let Some((href, subst)) = &plan.fk {
+        out.push_str("<a href=\"");
+        out.push_str(href);
+        url_encode_into(out, v.display_text(text));
+        out.push_str("\">");
+        let label = subst.map(|i| &row[i]).filter(|l| !l.is_null()).unwrap_or(v);
+        escape_into(out, label.display_text(text));
+        out.push_str("</a>");
+        return;
+    }
+    escape_into(out, v.display_text(text));
+    // Primary-key browsing: one link per referencing table.
+    for (href, label) in &plan.pk_links {
+        out.push_str(" <a href=\"");
+        out.push_str(href);
+        url_encode_into(out, v.display_text(text));
+        out.push_str("\">");
+        out.push_str(label);
+        out.push_str("</a>");
+    }
 }
 
 /// What the cells of one result column need beyond their value, worked
@@ -138,7 +328,7 @@ struct ColumnPlan<'a> {
 }
 
 impl<'a> ColumnPlan<'a> {
-    fn new(xt: Option<&'a XuisTable>, column: &'a str, rs: &ResultSet) -> Self {
+    fn new(xt: Option<&'a XuisTable>, column: &'a str, columns: &[String]) -> Self {
         let mut plan = ColumnPlan {
             header: column,
             described: false,
@@ -165,7 +355,7 @@ impl<'a> ColumnPlan<'a> {
         plan.fk = xc
             .fk
             .as_ref()
-            .map(|fk| (browse("fk", &fk.tablecolumn), subst_position(rs, xc)));
+            .map(|fk| (browse("fk", &fk.tablecolumn), subst_position(columns, xc)));
         for target in &xc.pk_refby {
             let tname = target.split('.').next().unwrap_or(target);
             let mut label = String::from("→");
@@ -178,19 +368,19 @@ impl<'a> ColumnPlan<'a> {
 
 /// `NAME__SUBST` companion columns carry substitute display values (the
 /// XUIS `substcolumn` feature); the query layer adds them via a join.
-fn subst_position(rs: &ResultSet, xc: &XuisColumn) -> Option<usize> {
+fn subst_position(columns: &[String], xc: &XuisColumn) -> Option<usize> {
     let want = format!("{}__SUBST", xc.name);
-    rs.columns.iter().position(|c| *c == want)
+    columns.iter().position(|c| *c == want)
 }
 
 /// The primary-key columns the result carries, as (URL-encoded name,
 /// position): what identifies a row in a `/lob/` link, e.g.
 /// `FILE_NAME=t000.edf&SIMULATION_KEY=S1`.
-fn key_plan(xt: &XuisTable, rs: &ResultSet) -> Vec<(String, usize)> {
+fn key_plan(xt: &XuisTable, columns: &[String]) -> Vec<(String, usize)> {
     let mut key = Vec::new();
     for pk in &xt.primary_key {
         let col = pk.rsplit_once('.').map(|(_, c)| c).unwrap_or(pk);
-        if let Some(i) = rs.columns.iter().position(|c| c == col) {
+        if let Some(i) = columns.iter().position(|c| c == col) {
             let mut name = String::new();
             url_encode_into(&mut name, col);
             key.push((name, i));
@@ -199,97 +389,31 @@ fn key_plan(xt: &XuisTable, rs: &ResultSet) -> Vec<(String, usize)> {
     key
 }
 
-/// The row's first DATALINK value in its stored form, used as the
-/// dataset identifier when invoking operations.
-fn primary_datalink(row: &[Value]) -> Cow<'_, str> {
+/// The row's first DATALINK value in its stored form ([`stored_form`]),
+/// used as the dataset identifier when invoking operations.
+fn primary_datalink<'s>(row: &'s [Value], scratch: &'s mut String) -> &'s str {
     row.iter()
         .find_map(|v| match v {
-            // Strip any access token: dataset identity is the stored URL.
-            Value::Datalink(url) => Some(strip_token(url)),
+            Value::Datalink(url) => Some(url),
             _ => None,
         })
-        .unwrap_or_default()
+        .map_or("", |url| stored_form(url, scratch))
 }
 
-fn strip_token(url: &str) -> Cow<'_, str> {
-    match url.rsplit_once('/') {
-        Some((dir, file)) => match file.split_once(';') {
-            Some((_token, real)) => Cow::Owned(format!("{dir}/{real}")),
-            None => Cow::Borrowed(url),
-        },
-        None => Cow::Borrowed(url),
-    }
-}
-
-/// One non-NULL cell of a column the XUIS describes.
-fn render_cell(
-    out: &mut String,
-    ctx: &BrowseContext<'_>,
-    plan: &ColumnPlan<'_>,
-    key: &[(String, usize)],
-    v: &Value,
-    row: &[Value],
-    scratch: &mut String,
-) {
-    // DATALINK: download link (with token already spliced by the
-    // database layer) labelled with the file size; guests see a
-    // restriction notice instead — "guest users cannot download
-    // datasets".
-    if let Value::Datalink(url) = v {
-        let stored = strip_token(url);
-        let size = ctx.file_size.and_then(|f| f(&stored)).map(format_size);
-        let size = size.as_deref().unwrap_or("download");
-        if ctx.is_guest {
-            out.push_str("<i>download restricted (");
-            out.push_str(size);
-            out.push_str(")</i>");
-        } else {
-            out.push_str("<a href=\"");
-            escape_into(out, url);
-            out.push_str("\">");
-            out.push_str(size);
-            out.push_str("</a>");
-        }
-        return;
-    }
-    // BLOB/CLOB: size link that rematerialises the object.
-    if matches!(v, Value::Blob(_) | Value::Clob(_)) {
-        out.push_str("<a href=\"");
-        out.push_str(&plan.lob_href);
-        for (n, (name, pos)) in key.iter().enumerate() {
-            if n > 0 {
-                out.push_str("&amp;");
-            }
-            out.push_str(name);
-            out.push('=');
-            url_encode_into(out, row[*pos].display_text(scratch));
-        }
-        out.push_str("\">");
-        out.push_str(&format_size(v.lob_size().unwrap_or(0) as u64));
-        out.push_str("</a>");
-        return;
-    }
-    // Foreign-key browsing.
-    if let Some((href, subst)) = &plan.fk {
-        out.push_str("<a href=\"");
-        out.push_str(href);
-        url_encode_into(out, v.display_text(scratch));
-        out.push_str("\">");
-        let label = subst.map(|i| &row[i]).filter(|l| !l.is_null()).unwrap_or(v);
-        escape_into(out, label.display_text(scratch));
-        out.push_str("</a>");
-        return;
-    }
-    escape_into(out, v.display_text(scratch));
-    // Primary-key browsing: one link per referencing table.
-    for (href, label) in &plan.pk_links {
-        out.push_str(" <a href=\"");
-        out.push_str(href);
-        url_encode_into(out, v.display_text(scratch));
-        out.push_str("\">");
-        out.push_str(label);
-        out.push_str("</a>");
-    }
+/// `url` without its access token — dataset identity is the stored URL:
+/// `dir/token;file` is `dir/file`, written into `scratch`.
+fn stored_form<'s>(url: &'s str, scratch: &'s mut String) -> &'s str {
+    let Some((dir, (_token, file))) = url
+        .rsplit_once('/')
+        .and_then(|(dir, file)| Some((dir, file.split_once(';')?)))
+    else {
+        return url;
+    };
+    scratch.clear();
+    scratch.push_str(dir);
+    scratch.push('/');
+    scratch.push_str(file);
+    scratch
 }
 
 /// Hide `NAME__SUBST` helper columns from a rendered result set (the

@@ -1,5 +1,7 @@
 //! Minimal HTML generation with correct escaping.
 
+use std::fmt::Write as _;
+
 /// Escape text for element content or a quoted attribute.
 pub fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
@@ -67,21 +69,32 @@ pub fn link(href: &str, label: &str) -> String {
     format!("<a href=\"{}\">{}</a>", escape(href), escape(label))
 }
 
-/// Human-readable size, as the interface shows for BLOB/CLOB/DATALINK
-/// links ("hypertext link displays size of object").
-pub fn format_size(bytes: u64) -> String {
+/// Append a human-readable size to `out`, as the interface shows for
+/// BLOB/CLOB/DATALINK links ("hypertext link displays size of object"):
+/// whole bytes under 1000, else one decimal of the largest unit up to GB
+/// that keeps the rounded value under 1000 — 999,950 B is "1.0 MB", not
+/// "1000.0 KB".
+pub fn format_size_into(out: &mut String, bytes: u64) {
     const UNITS: [&str; 4] = ["B", "KB", "MB", "GB"];
-    let mut v = bytes as f64;
-    let mut unit = 0;
+    let (mut v, mut unit) = (bytes as f64, 0);
     while v >= 1000.0 && unit < UNITS.len() - 1 {
         v /= 1000.0;
         unit += 1;
     }
     if unit == 0 {
-        format!("{bytes} B")
-    } else {
-        format!("{v:.1} {}", UNITS[unit])
+        let _ = write!(out, "{bytes} B");
+        return;
     }
+    let start = out.len();
+    let _ = write!(out, "{v:.1}");
+    // 999.95 and up rounds to 1000.0, which is the next unit's 1.0.
+    if &out[start..] == "1000.0" && unit < UNITS.len() - 1 {
+        out.truncate(start);
+        let _ = write!(out, "{:.1}", v / 1000.0);
+        unit += 1;
+    }
+    out.push(' ');
+    out.push_str(UNITS[unit]);
 }
 
 #[cfg(test)]
@@ -111,11 +124,30 @@ mod tests {
         );
     }
 
+    fn size(bytes: u64) -> String {
+        let mut out = String::from("<td>");
+        format_size_into(&mut out, bytes);
+        out.split_off(4)
+    }
+
     #[test]
     fn sizes() {
-        assert_eq!(format_size(512), "512 B");
-        assert_eq!(format_size(85_000_000), "85.0 MB");
-        assert_eq!(format_size(544_000_000), "544.0 MB");
-        assert_eq!(format_size(1_500_000_000), "1.5 GB");
+        assert_eq!(size(512), "512 B");
+        assert_eq!(size(85_000_000), "85.0 MB");
+        assert_eq!(size(544_000_000), "544.0 MB");
+        assert_eq!(size(1_500_000_000), "1.5 GB");
+    }
+
+    #[test]
+    fn a_size_that_rounds_to_1000_takes_the_next_unit() {
+        assert_eq!(size(999), "999 B");
+        assert_eq!(size(1_000), "1.0 KB");
+        assert_eq!(size(999_949), "999.9 KB");
+        assert_eq!(size(999_950), "1.0 MB");
+        assert_eq!(size(999_999), "1.0 MB");
+        assert_eq!(size(999_950_000), "1.0 GB");
+        // GB is the largest unit: it goes on past 1000.
+        assert_eq!(size(999_950_000_000), "1000.0 GB");
+        assert_eq!(size(2_500_000_000_000), "2500.0 GB");
     }
 }
