@@ -34,9 +34,6 @@ const PREFETCH_ISSUED_HELP: &str = "Speculative federated queries parked for the
 const PREFETCH_CAPACITY: usize = 16;
 /// Cached operation results.
 const RESULT_CAPACITY: usize = 64;
-/// The one version of every operation result: a DATALINK under
-/// INTEGRITY ALL cannot change behind its link.
-const RESULT_VERSION: u64 = 0;
 
 /// What a prefetched screen is parked under: the statement and its
 /// parameters as one record.
@@ -314,7 +311,8 @@ pub struct Archive {
     pub users: UserStore,
     /// Login sessions.
     pub sessions: SessionStore,
-    /// Operation result cache (None = disabled).
+    /// Operation result cache (None = disabled), each result under the
+    /// link generation of its dataset ([`DataLinkManager::generation`]).
     pub cache: Option<Cache<ResultKey, CachedResult>>,
     /// Stored operation statistics.
     pub stats: StatisticsStore,
@@ -755,8 +753,13 @@ impl Archive {
         OperationCatalog::validate_params(&entry.op, params).map_err(ArchiveError::Op)?;
 
         let key = (dataset_url.to_string(), op_name.to_string(), params.clone());
-        if let Some(cache) = &mut self.cache {
-            if let Lookup::Hit(hit) = cache.get(&key, RESULT_VERSION) {
+        // A result holds for the link it was computed under: a DATALINK
+        // under INTEGRITY ALL cannot change while linked, but a file
+        // unlinked and linked again may hold other bytes. A file not
+        // linked has no such guarantee, and its results are not kept.
+        let generation = self.manager.generation(dataset_url);
+        if let (Some(cache), Some(generation)) = (&mut self.cache, generation) {
+            if let Lookup::Hit(hit) = cache.get(&key, generation) {
                 return Ok(OperationOutcome {
                     shipped_bytes: 0.0,
                     elapsed_secs: 0.0,
@@ -776,22 +779,14 @@ impl Archive {
             origin: self.db_host,
         };
         let out = self.run_job(code, dataset_url, params, session_id)?;
-        if let Some(cache) = &mut self.cache {
+        if let (Some(cache), Some(generation)) = (&mut self.cache, generation) {
             let result = CachedResult {
                 outputs: out.outputs.clone(),
                 stdout: out.stdout.clone(),
             };
-            cache.put(key, RESULT_VERSION, self.net.now(), result);
+            cache.put(key, generation, self.net.now(), result);
         }
         Ok(out)
-    }
-
-    /// Forget every cached result of an operation over `dataset_url`
-    /// (its DATALINK was unlinked or replaced); returns how many went.
-    /// The URL is compared whole: `…/a.edf` leaves `…/a.edf2` cached.
-    pub fn invalidate_dataset(&mut self, dataset_url: &str) -> usize {
-        let cache = self.cache.as_mut();
-        cache.map_or(0, |c| c.retain(|(dataset, ..), _| dataset != dataset_url))
     }
 
     /// Upload user code and run it sandboxed against a dataset — the

@@ -9,11 +9,14 @@ use easia_db::{Database, DbError, LinkObserver, Value};
 use easia_fs::dlfm::{LinkOptions, LinkState};
 use easia_fs::FileServer;
 use std::cell::{Cell, RefCell};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::rc::Rc;
 
 /// Catalog expectations for one host: path -> (options, (table, column) owner).
 type ExpectedLinks = BTreeMap<String, (LinkOptions, (String, String))>;
+
+/// A linked file: its server's host and its path there.
+type LinkedFile = (String, String);
 
 /// Shared archive clock (seconds). The simulation driver advances it; the
 /// manager stamps token lifetimes from it, so token expiry follows
@@ -70,6 +73,14 @@ pub struct DataLinkManager {
     touched: RefCell<Vec<String>>,
     /// Count of tokens issued (for experiments/statistics).
     tokens_issued: Cell<u64>,
+    /// The generation of each linked file: a number no earlier committed
+    /// link of any file had, so a file unlinked and linked again — the
+    /// same URL, perhaps other bytes — is a new generation.
+    generations: RefCell<HashMap<LinkedFile, u64>>,
+    /// The last generation handed out.
+    generation: Cell<u64>,
+    /// The in-flight transaction's links (`true`) and unlinks, in order.
+    pending: RefCell<Vec<(LinkedFile, bool)>>,
     /// Protocol telemetry, attached by the archive builder.
     metrics: RefCell<Option<DlMetrics>>,
 }
@@ -84,6 +95,9 @@ impl DataLinkManager {
             clock,
             touched: RefCell::new(Vec::new()),
             tokens_issued: Cell::new(0),
+            generations: RefCell::new(HashMap::new()),
+            generation: Cell::new(0),
+            pending: RefCell::new(Vec::new()),
             metrics: RefCell::new(None),
         })
     }
@@ -137,6 +151,27 @@ impl DataLinkManager {
         self.with_metrics(|m| m.tokens_issued.inc());
         self.issuer
             .issue(TokenScope::Read, host, path, self.clock.now())
+    }
+
+    /// The generation of the committed link of the file `url` (stored
+    /// form) names, or `None` if no link of it is committed: what a
+    /// result computed from the file is valid for.
+    pub fn generation(&self, url: &str) -> Option<u64> {
+        let parsed = DatalinkUrl::parse(url).ok()?;
+        let file = (parsed.host, parsed.path);
+        self.generations.borrow().get(&file).copied()
+    }
+
+    /// A committed link (`true`) or unlink of `file`: a link is a new
+    /// generation, an unlinked file has none.
+    fn committed(&self, file: LinkedFile, linked: bool) {
+        let mut generations = self.generations.borrow_mut();
+        if linked {
+            self.generation.set(self.generation.get() + 1);
+            generations.insert(file, self.generation.get());
+        } else {
+            generations.remove(&file);
+        }
     }
 
     fn touch(&self, host: &str) {
@@ -270,10 +305,14 @@ impl DataLinkManager {
                 if intact {
                     continue; // catalog and DLFM agree; nothing to do
                 }
-                match server
-                    .borrow_mut()
-                    .recover_link(path, options.clone(), owner.clone())
-                {
+                let relinked =
+                    server
+                        .borrow_mut()
+                        .recover_link(path, options.clone(), owner.clone());
+                if relinked.is_ok() {
+                    self.committed((host.clone(), path.clone()), true);
+                }
+                match relinked {
                     Ok(true) => report.restored.push(format!("{host}{path}")),
                     Ok(false) => report.relinked.push(format!("{host}{path}")),
                     Err(e) => report.unrepairable.push(format!("{host}{path}: {e}")),
@@ -282,7 +321,10 @@ impl DataLinkManager {
             for (path, _) in &have {
                 if !want.contains_key(path) {
                     match server.borrow_mut().recover_unlink(path) {
-                        Ok(()) => report.orphans_unlinked.push(format!("{host}{path}")),
+                        Ok(()) => {
+                            self.committed((host.clone(), path.clone()), false);
+                            report.orphans_unlinked.push(format!("{host}{path}"));
+                        }
                         Err(e) => report.unrepairable.push(format!("{host}{path}: {e}")),
                     }
                 }
@@ -356,6 +398,9 @@ impl LinkObserver for DataLinkManager {
             )
             .map_err(|e| DbError::Link(e.to_string()))?;
         self.touch(&parsed.host);
+        self.pending
+            .borrow_mut()
+            .push(((parsed.host, parsed.path), true));
         self.with_metrics(|m| m.link_prepares.inc());
         Ok(())
     }
@@ -379,11 +424,17 @@ impl LinkObserver for DataLinkManager {
             .prepare_unlink(&parsed.path)
             .map_err(|e| DbError::Link(e.to_string()))?;
         self.touch(&parsed.host);
+        self.pending
+            .borrow_mut()
+            .push(((parsed.host, parsed.path), false));
         self.with_metrics(|m| m.unlink_prepares.inc());
         Ok(())
     }
 
     fn on_commit(&self) {
+        for (file, linked) in self.pending.take() {
+            self.committed(file, linked);
+        }
         for host in self.touched.borrow_mut().drain(..) {
             if let Some(server) = self.servers.borrow().get(&host) {
                 server.borrow_mut().commit_links();
@@ -393,6 +444,7 @@ impl LinkObserver for DataLinkManager {
     }
 
     fn on_rollback(&self) {
+        self.pending.borrow_mut().clear();
         for host in self.touched.borrow_mut().drain(..) {
             if let Some(server) = self.servers.borrow().get(&host) {
                 server.borrow_mut().rollback_links();
@@ -606,6 +658,31 @@ mod tests {
         let report = mgr.reconcile(&mut db);
         assert!(report.in_agreement(), "{report:?}");
         assert_eq!(report.checked, 1);
+    }
+
+    #[test]
+    fn each_committed_link_is_a_new_generation() {
+        let (mut db, mgr, fs1, _clock) = setup();
+        let url = "http://fs1/data/t0.edf";
+        let insert = "INSERT INTO result_file VALUES ('t0.edf', 'http://fs1/data/t0.edf')";
+        assert_eq!(mgr.generation(url), None, "not linked");
+        db.execute("BEGIN").unwrap();
+        db.execute(insert).unwrap();
+        assert_eq!(mgr.generation(url), None, "not committed");
+        db.execute("ROLLBACK").unwrap();
+        assert_eq!(mgr.generation(url), None, "rolled back");
+        db.execute(insert).unwrap();
+        let first = mgr.generation(url).expect("linked");
+        assert_eq!(mgr.generation("http://fs1/data/t1.edf"), None);
+        db.execute("DELETE FROM result_file").unwrap();
+        assert_eq!(mgr.generation(url), None, "unlinked");
+        db.execute(insert).unwrap();
+        let second = mgr.generation(url).expect("linked again");
+        assert!(second > first);
+        // A link reconcile re-establishes is a new generation too.
+        fs1.borrow_mut().recover_unlink("/data/t0.edf").unwrap();
+        assert_eq!(mgr.reconcile(&mut db).relinked, vec!["fs1/data/t0.edf"]);
+        assert!(mgr.generation(url).expect("relinked") > second);
     }
 
     #[test]

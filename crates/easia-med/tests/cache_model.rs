@@ -11,6 +11,11 @@
 //! bound of 16 — is also held to the FIFO the prefetch cache used to be:
 //! least recently used evicts exactly what first-in-first-out evicts
 //! when lookups never count as uses.
+//!
+//! The operation-result shape runs link, unlink and relink steps beside
+//! the lookups: each key a dataset whose version is the generation of
+//! its current link. A lookup may only hit what was stored since that
+//! link, and a dataset not linked is neither looked up nor stored.
 
 use easia_med::{Cache, CacheStats, Lookup};
 use proptest::prelude::*;
@@ -123,6 +128,53 @@ proptest! {
     #[test]
     fn the_store_agrees_with_the_naive_model(capacity in 1usize..7, steps in steps()) {
         agree(capacity, &steps, 5)?;
+    }
+
+    #[test]
+    fn a_result_is_served_only_within_its_link_generation(
+        capacity in 1usize..7,
+        steps in steps(),
+    ) {
+        let mut cache: Cache<u8, u32> = Cache::new(capacity);
+        let mut model = Model {
+            capacity,
+            slots: Vec::new(),
+            stats: CacheStats::default(),
+        };
+        // Each dataset's current link generation, and what was stored for
+        // it since that link.
+        let (mut last, mut linked, mut stored) = (0, [None; 8], [None; 8]);
+        for (at, &(op, key, _, value)) in steps.iter().enumerate() {
+            let k = usize::from(key);
+            stored[k] = match op {
+                // A link, or a relink of a linked dataset: a new generation.
+                0 => {
+                    last += 1;
+                    linked[k] = Some(last);
+                    None
+                }
+                1 => {
+                    linked[k] = None;
+                    None
+                }
+                _ => {
+                    let Some(generation) = linked[k] else {
+                        continue;
+                    };
+                    let found = cache.get(&key, generation).map(value_of);
+                    prop_assert_eq!(found, model.read(Read::Get, key, generation));
+                    if let Lookup::Hit((v, _)) = found {
+                        prop_assert_eq!(Some(v), stored[k]);
+                        continue;
+                    }
+                    cache.put(key, generation, at as f64, value);
+                    model.put(key, generation, at as f64, value);
+                    Some(value)
+                }
+            };
+            prop_assert_eq!(cache.len(), model.slots.len());
+            prop_assert_eq!(cache.stats(), model.stats);
+        }
     }
 
     #[test]

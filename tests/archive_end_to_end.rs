@@ -3,6 +3,7 @@
 
 use easia_core::{turbulence, Archive, WebApp};
 use easia_datalink::DatalinkUrl;
+use easia_db::Value;
 use easia_web::auth::Role;
 use easia_web::http::Request;
 use std::collections::BTreeMap;
@@ -263,16 +264,44 @@ fn unlink_restores_files_and_invalidates_cache_key_space() {
         )
         .unwrap();
     assert!(!out.from_cache);
+    let row =
+        a.db.execute_with_params(
+            "SELECT * FROM result_file WHERE DLURLCOMPLETE(download_result) = ?",
+            &[easia_db::Value::Str(stored.clone())],
+        )
+        .unwrap()
+        .rows
+        .remove(0);
     a.db.execute_with_params(
         "DELETE FROM result_file WHERE DLURLCOMPLETE(download_result) = ?",
         &[easia_db::Value::Str(stored.clone())],
     )
     .unwrap();
-    assert!(a.invalidate_dataset(&stored) >= 1);
     // ON UNLINK RESTORE: the file still exists, now unlinked.
     let server = a.server(&host).unwrap().1.clone();
     assert!(server.borrow().exists(&path));
     assert!(server.borrow().link_state(&path).is_none());
+    // Linked again, the file is a new link generation: its cached result
+    // is not served.
+    let mut row = row;
+    row[6] = easia_db::Value::Str(stored.clone());
+    a.db.execute_with_params("INSERT INTO result_file VALUES (?, ?, ?, ?, ?, ?, ?)", &row)
+        .unwrap();
+    assert!(server.borrow().link_state(&path).is_some());
+    let out = a
+        .run_operation(
+            "RESULT_FILE",
+            "FieldStats",
+            &stored,
+            &BTreeMap::new(),
+            Role::Guest,
+            "it",
+        )
+        .unwrap();
+    assert!(
+        !out.from_cache,
+        "a relinked file's result is computed again"
+    );
 }
 
 #[test]
@@ -295,17 +324,65 @@ fn invalidating_a_dataset_keeps_the_results_of_a_longer_url() {
         );
         out.unwrap().from_cache
     };
+    let link = |a: &mut Archive, name: &str, url: &str| {
+        a.db.execute_with_params(
+            "INSERT INTO result_file VALUES (?, 'S01', 0, 'u', 'EDF', 0, ?)",
+            &[Value::Str(name.into()), Value::Str(url.into())],
+        )
+        .unwrap();
+    };
     let mut urls = Vec::new();
-    for path in ["/d/a.edf", "/d/a.edf2"] {
+    for (name, path) in [("a", "/d/a.edf"), ("a2", "/d/a.edf2")] {
         let url = a.archive_file_local("fs1.example", path, content.clone());
-        urls.push(url.unwrap());
+        let url = url.unwrap();
+        link(&mut a, name, &url);
+        urls.push(url);
     }
     for url in &urls {
         assert!(!run(&mut a, url), "{url}: a first run misses");
         assert!(run(&mut a, url), "{url}: a second run hits");
     }
-    // The first URL is a prefix of the second: only its own result goes.
-    assert_eq!(a.invalidate_dataset(&urls[0]), 1);
+    // The first URL is a prefix of the second: unlinking and linking it
+    // again drops its own result only.
+    a.db.execute("DELETE FROM result_file WHERE file_name = 'a'")
+        .unwrap();
+    link(&mut a, "a", &urls[0]);
     assert!(run(&mut a, &urls[1]), "a.edf2 is still cached");
     assert!(!run(&mut a, &urls[0]), "a.edf runs again");
+}
+
+/// An operation result follows the file, not its URL. A file unlinked,
+/// replaced and linked again under the same URL is a new link
+/// generation: the first run over it computes, exactly as a fresh
+/// archive does, and is not served the replaced file's cached result
+/// (which it was while every result shared one constant version).
+#[test]
+fn a_relinked_file_is_not_served_its_predecessors_result() {
+    let fieldstats = |a: &mut Archive, url: &str| {
+        let params = BTreeMap::new();
+        let out = a.run_operation("RESULT_FILE", "FieldStats", url, &params, Role::Guest, "it");
+        out.unwrap()
+    };
+    let ingest = |a: &mut Archive, seed: u64| {
+        turbulence::ingest_timestep(a, "fs1.example", "S01", 900, 16, seed).unwrap()
+    };
+    let mut a = demo();
+    let url = ingest(&mut a, 7);
+    let first = fieldstats(&mut a, &url);
+    assert!(!first.from_cache);
+    assert!(
+        fieldstats(&mut a, &url).from_cache,
+        "a linked file's result is kept"
+    );
+    a.db.execute("DELETE FROM result_file WHERE timestep = 900")
+        .unwrap();
+    assert_eq!(ingest(&mut a, 8), url, "a different field at the same URL");
+    let second = fieldstats(&mut a, &url);
+    assert!(!second.from_cache, "a relinked file is a new generation");
+    let mut fresh = demo();
+    let url = ingest(&mut fresh, 8);
+    let want = fieldstats(&mut fresh, &url);
+    assert_eq!(second.outputs, want.outputs);
+    assert_eq!(second.stdout, want.stdout);
+    assert_ne!(first.stdout, want.stdout, "the two fields differ");
 }
