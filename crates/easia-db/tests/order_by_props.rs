@@ -12,7 +12,11 @@
 //! both directions, under DISTINCT and GROUP BY, with LIMIT 0 / 1 / 3 / n
 //! and past n. Each statement runs over the catalogue table and again
 //! over the same rows as an in-memory `exec::Relation`, whose DOUBLE
-//! column keeps the INTEGER cells the table coerces.
+//! column keeps the INTEGER cells the table coerces; and the rows
+//! `Database::execute_each` lends for it must be the rows `execute`
+//! returns, in order. A fixed case runs many more rows than twice the
+//! LIMIT over few distinct keys, so that ties keep their arrival order
+//! across the cuts a LIMIT makes as the rows arrive.
 
 use easia_db::exec::{run_select_over, Relation};
 use easia_db::sql::ast::Stmt;
@@ -144,6 +148,15 @@ fn run(db: &mut Database, relation: Option<&Relation>, sql: &str) -> ResultSet {
     outcome.unwrap_or_else(|e| panic!("{sql}: {e}"))
 }
 
+/// The rows `Database::execute_each` lends for a statement.
+fn lent(db: &Database, sql: &str) -> Vec<String> {
+    let mut rows = Vec::new();
+    let each = |row: easia_db::value::Lent| rows.push(format!("{:?}", row.to_row().unwrap()));
+    db.execute_each(sql, &[], each)
+        .unwrap_or_else(|e| panic!("{sql}: {e}"));
+    rows
+}
+
 /// `SELECT [DISTINCT] items FROM T [GROUP BY ..] ORDER BY keys [LIMIT ..]`
 /// against its reference, over the table and over the relation.
 fn check(
@@ -181,8 +194,52 @@ fn check(
             rows == want,
             "{sql} over the {over}\n  got:  {rows:?}\n  want: {want:?}"
         );
+        if source.is_none() {
+            let lent = lent(db, &sql);
+            prop_assert!(
+                lent == rows,
+                "{sql} lent\n  lent:      {lent:?}\n  collected: {rows:?}"
+            );
+        }
     }
     Ok(())
+}
+
+/// 300 rows over six distinct `(G, N)` pairs, ordered and cut at LIMITs
+/// far below half the rows: every cut sorts ties that arrived on both
+/// sides of an earlier cut, which must keep them in arrival order.
+#[test]
+fn ties_keep_their_arrival_order_across_limit_cuts() {
+    let mut db = Database::new_in_memory();
+    db.execute(DDL).unwrap();
+    let mut all = Vec::new();
+    for id in 0..300i64 {
+        let row = vec![
+            Value::Int(id),
+            Value::Str(format!("g{}", id % 2)),
+            Value::Int(id % 3),
+            x_of((id % 10) as u8),
+            s_of((id % 4) as u8, "t"),
+        ];
+        db.execute_with_params("INSERT INTO T VALUES (?, ?, ?, ?, ?)", &row)
+            .unwrap();
+        all.push(row);
+    }
+    let columns = ["ID", "G", "N", "X", "S"].map(String::from).to_vec();
+    let relation = Relation::from_rows("T", columns, &all);
+    let items = [ITEMS[0], ITEMS[1], ITEMS[6]];
+    let orders: [&[(&str, bool)]; 4] = [
+        &[("G", true)],
+        &[("N", false), ("G", true)],
+        &[("N + X", true)],
+        &[("LENGTH(S)", false), ("-N", true)],
+    ];
+    for keys in orders {
+        for limit in [1, 2, 7, 40, 149, 150, 151] {
+            let limit = Some(limit);
+            check(&mut db, &relation, "SELECT", &items, " FROM T", keys, limit).unwrap();
+        }
+    }
 }
 
 proptest! {
