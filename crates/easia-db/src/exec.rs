@@ -1387,13 +1387,14 @@ impl Output<'_> {
         }
     }
 
-    /// Sort the records by their keys, ties by arrival, and keep the
-    /// first LIMIT, copied to the front of a fresh arena in that order.
+    /// Sort the records by their keys — stably, so ties stay in arrival
+    /// order — and keep the first LIMIT, copied into a fresh arena in
+    /// that order.
     fn cut(&mut self) {
         let (kept, order) = (&self.kept, &self.order);
-        self.sorted.sort_unstable_by(|&(a, ka), &(b, kb)| {
+        self.sorted.sort_by(|&(a, ka), &(b, kb)| {
             let at = |i: u32, first: u32| (kept.get(i as usize), first as usize);
-            record_cmp(at(a, ka), at(b, kb), order).then(a.cmp(&b))
+            record_cmp(at(a, ka), at(b, kb), order)
         });
         if self.sorted.len() > self.limit {
             self.sorted.truncate(self.limit);
