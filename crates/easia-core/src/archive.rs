@@ -960,9 +960,9 @@ impl Archive {
 
     /// File size lookup across all servers by stored DATALINK URL.
     pub fn file_size_of(&self, stored_url: &str) -> Option<u64> {
-        let parsed = DatalinkUrl::parse(stored_url).ok()?;
-        let (_, server) = self.servers.get(&parsed.host)?;
-        server.borrow().file_size(&parsed.path)
+        let (_, host, path) = DatalinkUrl::split(stored_url).ok()?;
+        let (_, server) = self.servers.get(host)?;
+        server.borrow().file_size(path)
     }
 }
 

@@ -31,6 +31,17 @@ impl std::error::Error for UrlError {}
 impl DatalinkUrl {
     /// Parse a stored-form DATALINK URL.
     pub fn parse(url: &str) -> Result<DatalinkUrl, UrlError> {
+        let (scheme, host, path) = DatalinkUrl::split(url)?;
+        Ok(DatalinkUrl {
+            scheme: scheme.to_string(),
+            host: host.to_string(),
+            path: path.to_string(),
+        })
+    }
+
+    /// The scheme, host and path of a stored-form DATALINK URL, borrowed
+    /// from it: [`DatalinkUrl::parse`] without a copy.
+    pub fn split(url: &str) -> Result<(&str, &str, &str), UrlError> {
         let rest = url
             .split_once("://")
             .ok_or_else(|| UrlError(url.to_string()))?;
@@ -49,11 +60,7 @@ impl DatalinkUrl {
         if host.is_empty() || path.len() < 2 {
             return Err(UrlError(url.to_string()));
         }
-        Ok(DatalinkUrl {
-            scheme: scheme.to_string(),
-            host: host.to_string(),
-            path: path.to_string(),
-        })
+        Ok((scheme, host, path))
     }
 
     /// The stored (linked) form.
