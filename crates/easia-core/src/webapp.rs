@@ -341,14 +341,19 @@ impl WebApp {
         candidates.reads(&mut read);
         prefetches.reads(&mut read);
         let (mut flags, mut text) = (Vec::new(), String::new());
-        let judged = rows.each(&read, |_, row| {
+        let judge = |_, row: &[Value]| {
             let shows = |i: usize, want: &str| {
                 row.get(i)
                     .is_some_and(|v| v.display_text(&mut text) == want)
             };
             candidates.for_row(shows, &mut flags);
             prefetches.note(row, &mut text);
-        });
+        };
+        // No operation and no federated link: nothing to judge.
+        let judged = match candidates.is_empty() && !read.contains(&true) {
+            true => Ok(()),
+            false => rows.each(&read, judge),
+        };
         let sizes = |url: &str| self.archive.file_size_of(url);
         let ctx = BrowseContext {
             xuis: &self.archive.xuis,
@@ -367,8 +372,10 @@ impl WebApp {
                 screen.row(&mut body, row, ops);
             })
         });
+        // A record the read lent but cannot decode is the statement's
+        // error, as it is when the statement decodes it.
         if let Err(e) = rendered {
-            return Response::error(500, &e.to_string());
+            return Response::error(400, &e.to_string());
         }
         screen.end(&mut body);
         page_end(&mut body);

@@ -73,10 +73,11 @@ pub struct DataLinkManager {
     touched: RefCell<Vec<String>>,
     /// Count of tokens issued (for experiments/statistics).
     tokens_issued: Cell<u64>,
-    /// The generation of each linked file: a number no earlier committed
-    /// link of any file had, so a file unlinked and linked again — the
-    /// same URL, perhaps other bytes — is a new generation.
-    generations: RefCell<HashMap<LinkedFile, u64>>,
+    /// The generation of each linked file, by host and path: a number no
+    /// earlier committed link of any file had, so a file unlinked and
+    /// linked again — the same URL, perhaps other bytes — is a new
+    /// generation.
+    generations: RefCell<HashMap<String, HashMap<String, u64>>>,
     /// The last generation handed out.
     generation: Cell<u64>,
     /// The in-flight transaction's links (`true`) and unlinks, in order.
@@ -157,20 +158,20 @@ impl DataLinkManager {
     /// form) names, or `None` if no link of it is committed: what a
     /// result computed from the file is valid for.
     pub fn generation(&self, url: &str) -> Option<u64> {
-        let parsed = DatalinkUrl::parse(url).ok()?;
-        let file = (parsed.host, parsed.path);
-        self.generations.borrow().get(&file).copied()
+        let (_, host, path) = DatalinkUrl::split(url).ok()?;
+        self.generations.borrow().get(host)?.get(path).copied()
     }
 
     /// A committed link (`true`) or unlink of `file`: a link is a new
     /// generation, an unlinked file has none.
-    fn committed(&self, file: LinkedFile, linked: bool) {
+    fn committed(&self, (host, path): LinkedFile, linked: bool) {
         let mut generations = self.generations.borrow_mut();
         if linked {
             self.generation.set(self.generation.get() + 1);
-            generations.insert(file, self.generation.get());
-        } else {
-            generations.remove(&file);
+            let paths = generations.entry(host).or_default();
+            paths.insert(path, self.generation.get());
+        } else if let Some(paths) = generations.get_mut(&host) {
+            paths.remove(&path);
         }
     }
 
