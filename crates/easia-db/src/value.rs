@@ -507,7 +507,7 @@ impl Records {
     }
 
     /// Hold no records, keeping the buffers.
-    pub fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         self.truncate(0);
     }
 
