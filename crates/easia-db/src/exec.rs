@@ -1586,7 +1586,7 @@ mod tests {
     use crate::plan::Tail;
     use crate::schema::{ColumnDef, TableSchema};
     use crate::sql::{expr_to_sql, parse, Stmt};
-    use crate::storage::HeapTable;
+    use crate::storage::{Cursor, HeapTable};
     use crate::value::{encode_row, SqlType};
 
     /// Heap pages are restored from disk bytes: a record the decoder
@@ -1623,7 +1623,8 @@ mod tests {
             .unwrap(),
             heap: {
                 let mut heap = HeapTable::new();
-                heap.restore_section(&image, &mut 0).unwrap();
+                heap.restore_section(&mut Cursor::new("snapshot", &image, 0))
+                    .unwrap();
                 heap
             },
             indexes: vec![Index {
@@ -1753,7 +1754,8 @@ mod tests {
                 schema: TableSchema::new("T", columns).unwrap(),
                 heap: {
                     let mut heap = HeapTable::new();
-                    heap.restore_section(&image, &mut 0).unwrap();
+                    heap.restore_section(&mut Cursor::new("snapshot", &image, 0))
+                        .unwrap();
                     heap
                 },
                 indexes: Vec::new(),

@@ -13,7 +13,8 @@
 //! * [`schema`] — catalog: tables, columns, primary/foreign keys, the
 //!   referential-integrity metadata that DBbrowse/EASIA mine to generate
 //!   the browsing interface,
-//! * [`storage`] — slotted 8 KiB pages and heap tables,
+//! * [`storage`] — slotted 8 KiB pages, heap tables and the checkpoint
+//!   image ([`storage::snapshot`]),
 //! * [`index`] — B+tree secondary/primary indexes,
 //! * [`sql`] — lexer, AST and recursive-descent parser for the SQL subset
 //!   the EASIA interface generates (DDL with DATALINK options, DML, joins,

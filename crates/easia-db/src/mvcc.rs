@@ -303,19 +303,6 @@ impl MvccState {
         }
     }
 
-    /// Rename the row ids of `table`'s version entries after its heap was
-    /// compacted; an entry whose record `rename` does not find is dropped.
-    pub fn rename_rows(&mut self, table: &str, rename: impl Fn(RowId) -> Option<RowId>) {
-        if let Some(map) = self.versions.remove(table) {
-            let map: BTreeMap<_, _> = (map.into_iter())
-                .filter_map(|(rid, v)| Some((rename(rid)?, v)))
-                .collect();
-            if !map.is_empty() {
-                self.versions.insert(table.to_string(), map);
-            }
-        }
-    }
-
     /// Forget all versions of a dropped table.
     pub fn drop_table(&mut self, table: &str) {
         self.versions.remove(table);

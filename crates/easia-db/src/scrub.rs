@@ -16,9 +16,9 @@
 //! `easia_db_scrub_frames_verified_total` / `easia_db_scrub_errors_total`
 //! metric families. See DESIGN.md §12.
 
-use crate::db::snapshot_frames;
 use crate::error::{DbError, Result};
-use crate::txn::Wal;
+use crate::storage::snapshot;
+use crate::txn::{Wal, WAL_FILE};
 use std::path::Path;
 
 /// One checksum failure found by the scrub pass.
@@ -55,14 +55,14 @@ pub struct ScrubReport {
 /// checksum failures are *findings*, reported inside the [`ScrubReport`].
 pub(crate) fn scrub_dir(dir: &Path) -> Result<ScrubReport> {
     let mut report = ScrubReport::default();
-    let snap = dir.join("snapshot.db");
+    let snap = dir.join(snapshot::FILE);
     if snap.exists() {
         report.snapshot_present = true;
         let bytes =
             std::fs::read(&snap).map_err(|e| DbError::Storage(format!("scrub snapshot: {e}")))?;
         scrub_snapshot(&bytes, &mut report);
     }
-    let wal = dir.join("wal.log");
+    let wal = dir.join(WAL_FILE);
     if wal.exists() {
         let bytes = std::fs::read(&wal).map_err(|e| DbError::Storage(format!("scrub wal: {e}")))?;
         scrub_wal(&bytes, &mut report);
@@ -74,12 +74,12 @@ pub(crate) fn scrub_dir(dir: &Path) -> Result<ScrubReport> {
 /// the base and every whole frame must verify, a finding names the
 /// damaged frame's offset, and a torn last frame is not a finding.
 fn scrub_snapshot(bytes: &[u8], report: &mut ScrubReport) {
-    let (frames, _, damage) = snapshot_frames(bytes);
+    let (frames, _, damage) = snapshot::frames(bytes);
     report.snapshot_frames_verified = frames.len();
     match damage {
         None => report.snapshot_verified = true,
         Some((offset, detail)) => report.errors.push(ScrubError {
-            file: "snapshot.db".into(),
+            file: snapshot::FILE.into(),
             offset: offset as u64,
             detail,
         }),
@@ -96,7 +96,7 @@ fn scrub_wal(bytes: &[u8], report: &mut ScrubReport) {
     report.wal_frames_verified = parse.frames;
     if let Some(c) = parse.corruption {
         report.errors.push(ScrubError {
-            file: "wal.log".into(),
+            file: WAL_FILE.into(),
             offset: c.offset,
             detail: c.detail,
         });
@@ -158,7 +158,7 @@ mod tests {
     /// A checkpoint file of a base and two frames, sealed as the writer
     /// seals them.
     fn snapshot_image() -> (Vec<u8>, Vec<usize>) {
-        let mut img = b"EASNAP4\0".to_vec();
+        let mut img = snapshot::MAGIC.to_vec();
         let mut starts = Vec::new();
         for body in [
             &b"a base, crc'd all the same"[..],

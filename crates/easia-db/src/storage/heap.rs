@@ -3,6 +3,7 @@
 //! the "small files that can be uploaded over the Internet").
 
 use super::page::{Page, SlotId, PAGE_SIZE, SLOT};
+use super::Cursor;
 use crate::error::{DbError, Result};
 use crate::value::{encode_row, Value};
 use std::borrow::Cow;
@@ -261,22 +262,20 @@ impl HeapTable {
         mut keep: impl FnMut(RowId, &[u8]) -> Result<bool>,
         out: &mut Vec<u8>,
     ) -> Result<()> {
-        out.extend_from_slice(&(self.pages.len() as u32).to_le_bytes());
-        let listed = out.len();
-        out.extend_from_slice(&0u32.to_le_bytes());
-        let mut n = 0u32;
+        // Each area's count, then how many of its entries are listed.
+        let counts = |out: &mut Vec<u8>, dirty: &[bool]| {
+            let listed = dirty.iter().filter(|&&d| all || d).count();
+            out.extend_from_slice(&(dirty.len() as u32).to_le_bytes());
+            out.extend_from_slice(&(listed as u32).to_le_bytes());
+        };
+        counts(out, &self.dirty);
         for (i, page) in self.pages.iter().enumerate() {
             if all || self.dirty[i] {
                 out.extend_from_slice(&(i as u32).to_le_bytes());
                 page.copy_into(out, |slot, rec| keep(RowId::paged(i as u32, slot), rec))?;
-                n += 1;
             }
         }
-        out[listed..listed + 4].copy_from_slice(&n.to_le_bytes());
-        out.extend_from_slice(&(self.overflow.len() as u32).to_le_bytes());
-        let listed = out.len();
-        out.extend_from_slice(&0u32.to_le_bytes());
-        let mut n = 0u32;
+        counts(out, &self.dirty_overflow);
         for (i, rec) in self.overflow.iter().enumerate() {
             if all || self.dirty_overflow[i] {
                 out.extend_from_slice(&(i as u32).to_le_bytes());
@@ -287,33 +286,22 @@ impl HeapTable {
                     }
                     _ => out.extend_from_slice(&0u32.to_le_bytes()),
                 }
-                n += 1;
             }
         }
-        out[listed..listed + 4].copy_from_slice(&n.to_le_bytes());
         out.extend_from_slice(&(live as u64).to_le_bytes());
         Ok(())
     }
 
-    /// Apply a section [`HeapTable::write_section`] wrote, advancing
-    /// `pos`: each page and overflow entry it lists replaces this heap's
-    /// or extends it, and the result is clean. The bytes come from disk:
+    /// Apply a section [`HeapTable::write_section`] wrote, advancing `c`:
+    /// each page and overflow entry it lists replaces this heap's or
+    /// extends it, and the result is clean. The bytes come from disk:
     /// a count the remaining input cannot hold is refused before anything
     /// is reserved for it, numbers must ascend and leave no gap, every
     /// page's slot directory is checked ([`Page::from_bytes`]), and the
     /// section's live count must be the number of records the heap then
     /// holds.
-    pub(crate) fn restore_section(&mut self, buf: &[u8], pos: &mut usize) -> Result<()> {
+    pub(crate) fn restore_section(&mut self, c: &mut Cursor) -> Result<()> {
         let bad = |what: &str| DbError::Storage(format!("heap snapshot: {what}"));
-        let trunc = || bad("truncated");
-        let take = |pos: &mut usize, n: usize| -> Result<&[u8]> {
-            let s = buf.get(*pos..pos.saturating_add(n)).ok_or_else(trunc)?;
-            *pos += n;
-            Ok(s)
-        };
-        let read_u32 = |pos: &mut usize| -> Result<usize> {
-            Ok(u32::from_le_bytes(take(pos, 4)?.try_into().expect("4 bytes")) as usize)
-        };
         // Where each listed entry goes: over an old one, or onto the end.
         let target = |at: usize, had: usize, count: usize, next: &mut usize| match at {
             _ if at < *next || at >= count => Err(bad("an entry out of order or past the table")),
@@ -323,17 +311,17 @@ impl HeapTable {
                 Ok(at)
             }
         };
-        let npages = read_u32(pos)?;
-        let listed = read_u32(pos)?;
-        if listed > (buf.len() - *pos) / (4 + PAGE_SIZE) {
-            return Err(trunc());
+        let npages = c.u32()?;
+        let listed = c.u32()?;
+        if listed > (c.buf.len() - c.pos) / (4 + PAGE_SIZE) {
+            return Err(c.error("truncated"));
         }
         self.pages
             .reserve(npages.saturating_sub(self.pages.len()).min(listed));
         let mut next = 0;
         for _ in 0..listed {
-            let at = target(read_u32(pos)?, self.pages.len(), npages, &mut next)?;
-            let page = Page::from_bytes(take(pos, PAGE_SIZE)?)?;
+            let at = target(c.u32()?, self.pages.len(), npages, &mut next)?;
+            let page = Page::from_bytes(c.take(PAGE_SIZE)?)?;
             self.len += page.iter().count();
             match self.pages.get_mut(at) {
                 Some(old) => self.len -= std::mem::replace(old, page).iter().count(),
@@ -343,20 +331,20 @@ impl HeapTable {
         if self.pages.len() != npages {
             return Err(bad("a page count the listed pages do not bear out"));
         }
-        let nover = read_u32(pos)?;
-        let listed = read_u32(pos)?;
+        let nover = c.u32()?;
+        let listed = c.u32()?;
         // Every overflow entry takes at least its number and its marker.
-        if listed > (buf.len() - *pos) / 8 {
-            return Err(trunc());
+        if listed > (c.buf.len() - c.pos) / 8 {
+            return Err(c.error("truncated"));
         }
         self.overflow
             .reserve(nover.saturating_sub(self.overflow.len()).min(listed));
         let mut next = 0;
         for _ in 0..listed {
-            let at = target(read_u32(pos)?, self.overflow.len(), nover, &mut next)?;
-            let rec = match read_u32(pos)? {
+            let at = target(c.u32()?, self.overflow.len(), nover, &mut next)?;
+            let rec = match c.u32()? {
                 0 => None,
-                marker => Some(take(pos, marker - 1)?.to_vec()),
+                marker => Some(c.take(marker - 1)?.to_vec()),
             };
             self.len += usize::from(rec.is_some());
             match self.overflow.get_mut(at) {
@@ -367,7 +355,7 @@ impl HeapTable {
         if self.overflow.len() != nover {
             return Err(bad("an overflow count the listed entries do not bear out"));
         }
-        let live = u64::from_le_bytes(take(pos, 8)?.try_into().expect("8 bytes"));
+        let live = c.u64()?;
         if live != self.len as u64 {
             return Err(bad("live row count does not match the records"));
         }
@@ -453,6 +441,12 @@ mod tests {
         buf
     }
 
+    /// Apply the section `buf` holds to `h`; where it ends.
+    fn restore(h: &mut HeapTable, buf: &[u8]) -> Result<usize> {
+        let mut c = Cursor::new("snapshot", buf, 0);
+        h.restore_section(&mut c).map(|()| c.pos)
+    }
+
     #[test]
     fn snapshot_round_trip() {
         let mut h = HeapTable::new();
@@ -461,10 +455,8 @@ mod tests {
         let c = h.insert(&row(3));
         h.delete(c);
         let buf = section(&h, true);
-        let mut pos = 0;
         let mut h2 = HeapTable::new();
-        h2.restore_section(&buf, &mut pos).unwrap();
-        assert_eq!(pos, buf.len());
+        assert_eq!(restore(&mut h2, &buf).unwrap(), buf.len());
         assert_eq!(h2.len(), 2);
         assert_eq!(record(&h2, a), Some(rec(&row(1))));
         assert_eq!(record(&h2, b), Some(rec(&[Value::Blob(vec![9u8; 20_000])])));
@@ -498,11 +490,8 @@ mod tests {
         );
 
         let mut back = HeapTable::new();
-        let mut pos = 0;
-        back.restore_section(&whole, &mut pos).unwrap();
-        let mut pos = 0;
-        back.restore_section(&dirty, &mut pos).unwrap();
-        assert_eq!(pos, dirty.len());
+        restore(&mut back, &whole).unwrap();
+        assert_eq!(restore(&mut back, &dirty).unwrap(), dirty.len());
         assert_eq!(back.len(), h.len() - 1);
         assert!(back.record(hidden).is_none() && h.record(hidden).is_some());
         let kept = |heap: &HeapTable| -> Vec<(RowId, Vec<u8>)> {
@@ -516,14 +505,13 @@ mod tests {
 
         // Applied to a heap that lacks the pages it extends, or with a
         // live count the records do not bear out, it is refused.
-        let mut pos = 0;
-        assert!(HeapTable::new().restore_section(&dirty, &mut pos).is_err());
+        assert!(restore(&mut HeapTable::new(), &dirty).is_err());
         let mut lying = dirty.clone();
         let n = lying.len();
         lying[n - 8..].copy_from_slice(&(h.len() as u64).to_le_bytes());
         let mut back = HeapTable::new();
-        back.restore_section(&whole, &mut 0).unwrap();
-        assert!(back.restore_section(&lying, &mut 0).is_err());
+        restore(&mut back, &whole).unwrap();
+        assert!(restore(&mut back, &lying).is_err());
     }
 
     /// A fresh heap's places are its records' positions; with records
@@ -590,7 +578,7 @@ mod tests {
         // A restored heap counts the space its tombstones hold.
         let mut back = HeapTable::new();
         h.delete(after[1].0);
-        back.restore_section(&section(&h, true), &mut 0).unwrap();
+        restore(&mut back, &section(&h, true)).unwrap();
         assert_eq!(back.dead_bytes(), h.dead_bytes());
     }
 
@@ -599,9 +587,6 @@ mod tests {
         let mut h = HeapTable::new();
         h.insert(&row(1));
         let buf = section(&h, true);
-        let mut pos = 0;
-        assert!(HeapTable::new()
-            .restore_section(&buf[..buf.len() - 4], &mut pos)
-            .is_err());
+        assert!(restore(&mut HeapTable::new(), &buf[..buf.len() - 4]).is_err());
     }
 }

@@ -46,7 +46,7 @@
 use crate::crc::{crc32, crc32_update};
 use crate::error::{DbError, Result};
 use crate::mvcc::Csn;
-use crate::storage::RowId;
+use crate::storage::{put_str, Cursor, RowId};
 use crate::value::{decode_row, encode_row, Value};
 use std::fs::{File, OpenOptions};
 use std::io::{BufWriter, Read, Write};
@@ -100,6 +100,8 @@ const TAG_DELETE: u8 = 3;
 const TAG_UPDATE: u8 = 4;
 const TAG_COMMIT: u8 = 5;
 
+/// The log's file name in a database's directory.
+pub(crate) const WAL_FILE: &str = "wal.log";
 /// File magic opening every v2 (checksummed) log.
 pub const WAL_MAGIC_V2: [u8; 8] = *b"EAWAL2\0\0";
 /// First byte of every batch frame. Chosen so no single-bit flip of
@@ -107,36 +109,6 @@ pub const WAL_MAGIC_V2: [u8; 8] = *b"EAWAL2\0\0";
 pub const BATCH_MAGIC: u8 = 0xB5;
 /// Bytes in a batch frame header: magic, len, header CRC, payload CRC.
 pub const BATCH_HEADER_LEN: usize = 13;
-
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    out.extend_from_slice(&(s.len() as u32).to_le_bytes());
-    out.extend_from_slice(s.as_bytes());
-}
-
-fn get_str(buf: &[u8], pos: &mut usize) -> Result<String> {
-    let len = get_u32(buf, pos)? as usize;
-    let s = buf
-        .get(*pos..*pos + len)
-        .ok_or_else(|| DbError::Storage("wal: truncated string".into()))?;
-    *pos += len;
-    String::from_utf8(s.to_vec()).map_err(|_| DbError::Storage("wal: bad utf8".into()))
-}
-
-fn get_u32(buf: &[u8], pos: &mut usize) -> Result<u32> {
-    let s = buf
-        .get(*pos..*pos + 4)
-        .ok_or_else(|| DbError::Storage("wal: truncated".into()))?;
-    *pos += 4;
-    Ok(u32::from_le_bytes(s.try_into().expect("4 bytes")))
-}
-
-fn get_u64(buf: &[u8], pos: &mut usize) -> Result<u64> {
-    let s = buf
-        .get(*pos..*pos + 8)
-        .ok_or_else(|| DbError::Storage("wal: truncated".into()))?;
-    *pos += 8;
-    Ok(u64::from_le_bytes(s.try_into().expect("8 bytes")))
-}
 
 impl WalRecord {
     /// Append the binary form to `out`.
@@ -190,39 +162,30 @@ impl WalRecord {
 
     /// Decode one record, advancing `pos`.
     pub fn decode(buf: &[u8], pos: &mut usize) -> Result<WalRecord> {
-        let tag = *buf
-            .get(*pos)
-            .ok_or_else(|| DbError::Storage("wal: truncated".into()))?;
-        *pos += 1;
-        Ok(match tag {
-            TAG_DDL => WalRecord::Ddl(get_str(buf, pos)?),
+        let mut c = Cursor::new("wal", buf, *pos);
+        let row = |c: &mut Cursor| decode_row(c.buf, &mut c.pos);
+        let rec = match c.take(1)?[0] {
+            TAG_DDL => WalRecord::Ddl(c.str()?),
             TAG_INSERT => WalRecord::Insert {
-                table: get_str(buf, pos)?,
-                row: decode_row(buf, pos)?,
+                table: c.str()?,
+                row: row(&mut c)?,
             },
-            TAG_DELETE => {
-                let table = get_str(buf, pos)?;
-                let row_id = RowId(get_u64(buf, pos)?);
-                let row = decode_row(buf, pos)?;
-                WalRecord::Delete { table, row_id, row }
-            }
-            TAG_UPDATE => {
-                let table = get_str(buf, pos)?;
-                let old_id = RowId(get_u64(buf, pos)?);
-                let old = decode_row(buf, pos)?;
-                let new = decode_row(buf, pos)?;
-                WalRecord::Update {
-                    table,
-                    old_id,
-                    old,
-                    new,
-                }
-            }
-            TAG_COMMIT => WalRecord::Commit {
-                csn: get_u64(buf, pos)?,
+            TAG_DELETE => WalRecord::Delete {
+                table: c.str()?,
+                row_id: RowId(c.u64()?),
+                row: row(&mut c)?,
             },
-            t => return Err(DbError::Storage(format!("wal: bad tag {t}"))),
-        })
+            TAG_UPDATE => WalRecord::Update {
+                table: c.str()?,
+                old_id: RowId(c.u64()?),
+                old: row(&mut c)?,
+                new: row(&mut c)?,
+            },
+            TAG_COMMIT => WalRecord::Commit { csn: c.u64()? },
+            t => return Err(c.error(&format!("bad tag {t}"))),
+        };
+        *pos = c.pos;
+        Ok(rec)
     }
 }
 
@@ -444,47 +407,19 @@ impl Wal {
                 }
             };
             // The batch is checksum-verified; walk its record frames.
-            let mut p = 0usize;
-            let mut frames = 0u64;
-            let mut recs: Vec<WalRecord> = Vec::new();
-            let mut ok = true;
-            while p < payload.len() {
-                let Some(rlen_b) = payload.get(p..p + 4) else {
-                    ok = false;
-                    break;
+            let mut c = Cursor::new("wal", payload, 0);
+            let mut recs = Vec::new();
+            while c.pos < payload.len() {
+                let Some(rec) = record_frame(&mut c) else {
+                    // The payload CRC passed but a record frame inside it
+                    // is malformed: still damage, never a torn tail (torn
+                    // writes cannot produce a CRC-valid payload).
+                    corrupt(out, pos, "malformed record frame in batch".into());
+                    return;
                 };
-                let rlen = u32::from_le_bytes(rlen_b.try_into().expect("4 bytes")) as usize;
-                let Some(rcrc_b) = payload.get(p + 4..p + 8) else {
-                    ok = false;
-                    break;
-                };
-                let rcrc = u32::from_le_bytes(rcrc_b.try_into().expect("4 bytes"));
-                let Some(body) = payload.get(p + 8..p + 8 + rlen) else {
-                    ok = false;
-                    break;
-                };
-                if crc32(body) != rcrc {
-                    ok = false;
-                    break;
-                }
-                let mut rp = 0usize;
-                match WalRecord::decode(body, &mut rp) {
-                    Ok(r) if rp == body.len() => recs.push(r),
-                    _ => {
-                        ok = false;
-                        break;
-                    }
-                }
-                frames += 1;
-                p += 8 + rlen;
+                recs.push(rec);
             }
-            if !ok {
-                // The payload CRC passed but a record frame inside it is
-                // malformed: still damage, never a torn tail (torn
-                // writes cannot produce a CRC-valid payload).
-                corrupt(out, pos, "malformed record frame in batch".into());
-                return;
-            }
+            out.frames += recs.len() as u64;
             for r in recs {
                 if let WalRecord::Commit { csn } = r {
                     out.records.append(&mut pending);
@@ -494,7 +429,6 @@ impl Wal {
                     pending.push(r);
                 }
             }
-            out.frames += frames;
             out.batches += 1;
             pos += BATCH_HEADER_LEN + len;
         }
@@ -553,6 +487,19 @@ impl Wal {
             }
         }
     }
+}
+
+/// The record frame at `c`, `[rlen][rcrc][record bytes]`: its record,
+/// if its CRC verifies and the record decodes to its last byte.
+fn record_frame(c: &mut Cursor) -> Option<WalRecord> {
+    let (len, crc) = (c.u32().ok()?, c.u32().ok()?);
+    let body = c.take(len).ok()?;
+    if crc32(body) as usize != crc {
+        return None;
+    }
+    let mut pos = 0;
+    let rec = WalRecord::decode(body, &mut pos).ok()?;
+    (pos == body.len()).then_some(rec)
 }
 
 /// Wrap `payload` (a run of record frames) in a checksummed batch frame.

@@ -9,7 +9,7 @@
 //! Three databases run each history in lockstep:
 //!
 //! * `frames` checkpoints as the engine does: a frame of its dirty pages
-//!   on a base, the whole image only when compaction's rule says so;
+//!   on a base, the whole image only when the rewrite rule says so;
 //! * `whole` runs a `CREATE TABLE` before each checkpoint, which forces
 //!   every one of its checkpoints to rewrite the whole image;
 //! * `never` lives in memory and never closes. At a reopen, its
@@ -19,8 +19,8 @@
 //! After each checkpoint, what each directory opens to — and after each
 //! reopen, the reopened database — agrees: `frames` holds the rows
 //! `never` holds, its indexes file its heap, and its heap holds
-//! `whole`'s records in `whole`'s order (a whole rewrite compacts, which
-//! renumbers row ids).
+//! `whole`'s records in `whole`'s order (a quiescent vacuum compacts,
+//! which renumbers row ids).
 //!
 //! Beside the property: updates keep the file and the heap to the size
 //! of the live rows, and no byte of a row never committed, or deleted,
@@ -313,9 +313,9 @@ fn file_len(dir: &Path) -> u64 {
     std::fs::metadata(dir.join("snapshot.db")).unwrap().len()
 }
 
-/// Rounds of updates, each checkpointed, reopened every fifth: a whole
-/// rewrite compacts, so neither the heap nor the file grows with the
-/// versions ever written, only with the live rows.
+/// Rounds of updates, each checkpointed, reopened every fifth: a
+/// quiescent vacuum compacts, so neither the heap nor the file grows
+/// with the versions ever written, only with the live rows.
 #[test]
 fn updates_keep_the_file_and_the_heap_to_the_live_rows() {
     const ROWS: i64 = 2000;
