@@ -1231,6 +1231,40 @@ mod tests {
     }
 
     #[test]
+    fn an_upload_declaring_a_huge_length_is_an_error_page() {
+        let mut app = app();
+        let sess = login(&mut app, "admin", "hpcc-admin");
+        let rs = app
+            .archive
+            .db
+            .execute("SELECT DLURLCOMPLETE(download_result) FROM RESULT_FILE LIMIT 1")
+            .unwrap();
+        let url = rs.rows[0][0].to_string();
+        // 13 bytes of valid UTF-8: the "ez" magic, a declared length of
+        // 64 GiB and one flag byte. Reserving the claim aborted the
+        // process.
+        let mut code = String::from("EZ01");
+        code.extend((1u64 << 36).to_le_bytes().map(char::from));
+        code.push('\0');
+        assert_eq!(code.len(), 13);
+        let upload = |app: &mut WebApp, code: &str| {
+            app.handle(
+                Request::post("/upload", &[("dataset", url.as_str()), ("code", code)])
+                    .with_session(&sess),
+            )
+        };
+        let r = upload(&mut app, &code);
+        assert_eq!(r.status, 400, "{}", r.body_text());
+        assert!(
+            r.body_text().contains("length mismatch"),
+            "{}",
+            r.body_text()
+        );
+        let r = upload(&mut app, "INPUTSIZE\nPRINTNUM\nHALT");
+        assert!(r.body_text().contains("ran in the sandbox"));
+    }
+
+    #[test]
     fn admin_pages() {
         let mut app = app();
         let sess = login(&mut app, "admin", "hpcc-admin");

@@ -158,7 +158,11 @@ pub fn assemble(src: &str) -> Result<Program, AsmError> {
                 })?;
                 let text = &tail[..end];
                 for (i, b) in text.bytes().enumerate() {
-                    pending.push(Pending::Ready(Insn::Push(addr + i as i64)));
+                    let at = addr.checked_add(i as i64).ok_or_else(|| AsmError {
+                        line,
+                        msg: format!("DATA at {addr} runs past the largest address"),
+                    })?;
+                    pending.push(Pending::Ready(Insn::Push(at)));
                     pending.push(Pending::Ready(Insn::Push(i64::from(b))));
                     pending.push(Pending::Ready(Insn::Store8));
                 }
@@ -346,6 +350,15 @@ mod tests {
         assert!(err.msg.contains("bad integer"));
         let err = assemble("PUSH").unwrap_err();
         assert!(err.msg.contains("needs an argument"));
+    }
+
+    #[test]
+    fn data_past_the_largest_address_is_an_error() {
+        let err = assemble("HALT\nDATA 9223372036854775807 \"ab\"\n").unwrap_err();
+        assert_eq!(err.line, 2);
+        assert!(err.msg.contains("past the largest address"), "{}", err.msg);
+        // The last byte may sit at the largest address itself.
+        assert!(assemble("DATA 9223372036854775806 \"ab\"").is_ok());
     }
 
     #[test]

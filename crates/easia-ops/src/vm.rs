@@ -15,6 +15,7 @@
 //! numbering scheme, keeping programs readable in assembly.
 
 use std::collections::BTreeMap;
+use std::fmt::Write as _;
 
 /// Execution limits for one run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -181,6 +182,13 @@ pub struct Vm {
     progress: Option<Box<dyn FnMut(u64, u64)>>,
 }
 
+/// Progress is reported when the executed count reaches a multiple of
+/// this.
+const TICK: u64 = 65_536;
+
+/// The most instructions one lowered [`Step`] stands for.
+const WIDEST: u64 = 3;
+
 impl Vm {
     /// VM with the given limits.
     pub fn new(limits: Limits) -> Self {
@@ -198,12 +206,31 @@ impl Vm {
     }
 
     /// Run `program` over `input` with `params`.
+    ///
+    /// The program is lowered once (`Run::lower`), then one loop runs
+    /// it. Every instruction is accounted exactly as if it ran alone: a
+    /// lowered step runs only while it cannot reach the budget or a
+    /// progress tick (the *edge*); within `WIDEST` of the edge the loop
+    /// runs single instructions, each checked against the budget and
+    /// counted on its own.
     pub fn run(
         &mut self,
         program: &Program,
         input: &[u8],
         params: &[String],
     ) -> Result<RunOutput, VmError> {
+        let Limits {
+            max_instructions: budget,
+            max_memory,
+            max_output,
+            max_stack,
+        } = self.limits;
+        let code = &program.code;
+        let run = Run {
+            input_size: input.len() as i64,
+            arg_count: params.len() as i64,
+        };
+        let steps: Vec<Step> = (0..=code.len()).map(|at| run.lower(code, at)).collect();
         let mut stack: Vec<i64> = Vec::new();
         let mut mem: Vec<u8> = Vec::new();
         let mut out = RunOutput::default();
@@ -211,74 +238,75 @@ impl Vm {
         let mut total_out = 0usize;
         let mut pc = 0usize;
         let mut executed = 0u64;
+        let mut edge = edge_after(executed, budget);
 
         macro_rules! pop {
             () => {
                 stack.pop().ok_or(VmError::StackViolation)?
             };
         }
-        macro_rules! push {
-            ($v:expr) => {{
-                if stack.len() >= self.limits.max_stack {
+        // A fused step that stands in for a `PUSH` first checks the room
+        // that `PUSH` needed.
+        macro_rules! room {
+            ($n:expr) => {
+                if stack.len() + $n > max_stack {
                     return Err(VmError::StackViolation);
                 }
+            };
+        }
+        macro_rules! push {
+            ($v:expr) => {{
+                room!(1);
                 stack.push($v);
             }};
         }
-
-        let mem_range = |mem: &mut Vec<u8>,
-                         addr: i64,
-                         len: i64,
-                         max: usize|
-         -> Result<std::ops::Range<usize>, VmError> {
-            if addr < 0 || len < 0 {
-                return Err(VmError::MemoryViolation {
-                    addr: addr as u64,
-                    len: len as u64,
-                });
-            }
-            let (addr, len) = (addr as u64, len as u64);
-            let end = addr
-                .checked_add(len)
-                .ok_or(VmError::MemoryViolation { addr, len })?;
-            if end > max as u64 {
-                return Err(VmError::MemoryViolation { addr, len });
-            }
-            if mem.len() < end as usize {
-                mem.resize(end as usize, 0);
-            }
-            Ok(addr as usize..end as usize)
-        };
+        macro_rules! top {
+            () => {
+                stack.last_mut().ok_or(VmError::StackViolation)?
+            };
+        }
 
         loop {
-            if executed >= self.limits.max_instructions {
-                return Err(VmError::BudgetExhausted);
-            }
-            executed += 1;
-            if executed.is_multiple_of(65_536) {
-                if let Some(p) = &mut self.progress {
-                    p(executed, self.limits.max_instructions);
+            let step = if executed + WIDEST <= edge {
+                let step = steps[pc];
+                executed += u64::from(step.width);
+                step
+            } else {
+                // Near the edge: the plain instruction at `pc`, checked
+                // against the budget, counted and reported on its own.
+                if executed >= budget {
+                    return Err(VmError::BudgetExhausted);
                 }
-            }
-            let insn = *program.code.get(pc).ok_or(VmError::NoHalt)?;
-            pc += 1;
-            match insn {
-                Insn::Push(v) => push!(v),
-                Insn::Pop => {
+                executed += 1;
+                if executed.is_multiple_of(TICK) {
+                    if let Some(p) = &mut self.progress {
+                        p(executed, budget);
+                    }
+                }
+                edge = edge_after(executed, budget);
+                Step {
+                    op: run.plain(code, pc),
+                    width: 1,
+                }
+            };
+            pc += step.width as usize;
+            match step.op {
+                Op::Push(v) => push!(v),
+                Op::Pop => {
                     pop!();
                 }
-                Insn::Dup => {
+                Op::Dup => {
                     let v = *stack.last().ok_or(VmError::StackViolation)?;
                     push!(v);
                 }
-                Insn::Swap => {
+                Op::Swap => {
                     let n = stack.len();
                     if n < 2 {
                         return Err(VmError::StackViolation);
                     }
                     stack.swap(n - 1, n - 2);
                 }
-                Insn::Over(k) => {
+                Op::Over(k) => {
                     let n = stack.len();
                     let idx = n
                         .checked_sub(1 + k as usize)
@@ -286,200 +314,437 @@ impl Vm {
                     let v = stack[idx];
                     push!(v);
                 }
-                Insn::Add => {
+                Op::Bin(f) => {
                     let b = pop!();
-                    let a = pop!();
-                    push!(a.wrapping_add(b));
+                    let a = top!();
+                    *a = f.apply(*a, b)?;
                 }
-                Insn::Sub => {
-                    let b = pop!();
-                    let a = pop!();
-                    push!(a.wrapping_sub(b));
+                Op::BinK(f, k) => {
+                    room!(1);
+                    let a = top!();
+                    *a = f.apply(*a, k)?;
                 }
-                Insn::Mul => {
-                    let b = pop!();
-                    let a = pop!();
-                    push!(a.wrapping_mul(b));
+                Op::Neg => {
+                    let a = top!();
+                    *a = a.wrapping_neg();
                 }
-                Insn::Div => {
-                    let b = pop!();
-                    let a = pop!();
-                    if b == 0 {
-                        return Err(VmError::DivideByZero);
+                Op::Jmp(t) => pc = t as usize,
+                Op::Jz(t) => {
+                    if pop!() == 0 {
+                        pc = t as usize;
                     }
-                    push!(a.wrapping_div(b));
                 }
-                Insn::Mod => {
-                    let b = pop!();
-                    let a = pop!();
-                    if b == 0 {
-                        return Err(VmError::DivideByZero);
+                Op::Jnz(t) => {
+                    if pop!() != 0 {
+                        pc = t as usize;
                     }
-                    push!(a.wrapping_rem(b));
                 }
-                Insn::Neg => {
-                    let a = pop!();
-                    push!(a.wrapping_neg());
-                }
-                Insn::Eq => {
-                    let b = pop!();
-                    let a = pop!();
-                    push!(i64::from(a == b));
-                }
-                Insn::Lt => {
-                    let b = pop!();
-                    let a = pop!();
-                    push!(i64::from(a < b));
-                }
-                Insn::Gt => {
-                    let b = pop!();
-                    let a = pop!();
-                    push!(i64::from(a > b));
-                }
-                Insn::And => {
-                    let b = pop!();
-                    let a = pop!();
-                    push!(a & b);
-                }
-                Insn::Or => {
-                    let b = pop!();
-                    let a = pop!();
-                    push!(a | b);
-                }
-                Insn::Xor => {
-                    let b = pop!();
-                    let a = pop!();
-                    push!(a ^ b);
-                }
-                Insn::Jmp(t) => {
-                    if t as usize > program.code.len() {
+                Op::JmpBad(t) => return Err(VmError::BadJump(t)),
+                Op::JzBad(t) => {
+                    if pop!() == 0 {
                         return Err(VmError::BadJump(t));
                     }
-                    pc = t as usize;
                 }
-                Insn::Jz(t) => {
-                    let v = pop!();
-                    if v == 0 {
-                        if t as usize > program.code.len() {
-                            return Err(VmError::BadJump(t));
-                        }
+                Op::JnzBad(t) => {
+                    if pop!() != 0 {
+                        return Err(VmError::BadJump(t));
+                    }
+                }
+                Op::CmpJump(f, on, t) => {
+                    let b = pop!();
+                    let a = pop!();
+                    if (f.apply(a, b)? != 0) == on {
                         pc = t as usize;
                     }
                 }
-                Insn::Jnz(t) => {
-                    let v = pop!();
-                    if v != 0 {
-                        if t as usize > program.code.len() {
-                            return Err(VmError::BadJump(t));
-                        }
+                Op::CmpKJump(f, on, k, t) => {
+                    room!(1);
+                    let a = pop!();
+                    if (f.apply(a, k)? != 0) == on {
                         pc = t as usize;
                     }
                 }
-                Insn::Load8 => {
-                    let addr = pop!();
-                    let r = mem_range(&mut mem, addr, 1, self.limits.max_memory)?;
-                    push!(i64::from(mem[r.start]));
+                Op::Load8 => {
+                    let a = top!();
+                    let r = mem_range(&mut mem, *a, 1, max_memory)?;
+                    *a = i64::from(mem[r.start]);
                 }
-                Insn::Store8 => {
+                Op::Load8K(addr) => {
+                    room!(1);
+                    let r = mem_range(&mut mem, addr, 1, max_memory)?;
+                    stack.push(i64::from(mem[r.start]));
+                }
+                Op::Load64 => {
+                    let a = top!();
+                    let r = mem_range(&mut mem, *a, 8, max_memory)?;
+                    *a = word(&mem[r]);
+                }
+                Op::Load64K(addr) => {
+                    room!(1);
+                    let r = mem_range(&mut mem, addr, 8, max_memory)?;
+                    stack.push(word(&mem[r]));
+                }
+                Op::PushLoad64(v, addr) => {
+                    room!(2);
+                    let r = mem_range(&mut mem, i64::from(addr), 8, max_memory)?;
+                    stack.push(v);
+                    stack.push(word(&mem[r]));
+                }
+                Op::Store8 => {
                     let value = pop!();
                     let addr = pop!();
-                    let r = mem_range(&mut mem, addr, 1, self.limits.max_memory)?;
+                    let r = mem_range(&mut mem, addr, 1, max_memory)?;
                     mem[r.start] = value as u8;
                 }
-                Insn::Load64 => {
-                    let addr = pop!();
-                    let r = mem_range(&mut mem, addr, 8, self.limits.max_memory)?;
-                    let v = i64::from_le_bytes(mem[r].try_into().expect("8 bytes"));
-                    push!(v);
-                }
-                Insn::Store64 => {
+                Op::Store64 => {
                     let value = pop!();
                     let addr = pop!();
-                    let r = mem_range(&mut mem, addr, 8, self.limits.max_memory)?;
+                    let r = mem_range(&mut mem, addr, 8, max_memory)?;
                     mem[r].copy_from_slice(&value.to_le_bytes());
                 }
-                Insn::InputSize => push!(input.len() as i64),
-                Insn::ReadInput => {
+                Op::ReadInput => {
                     let len = pop!();
                     let off = pop!();
                     let dst = pop!();
-                    if off < 0 || len < 0 || (off + len) as usize > input.len() {
-                        return Err(VmError::InputRange {
-                            off: off.max(0) as u64,
-                            len: len.max(0) as u64,
-                        });
-                    }
-                    let r = mem_range(&mut mem, dst, len, self.limits.max_memory)?;
-                    mem[r].copy_from_slice(&input[off as usize..(off + len) as usize]);
+                    read_input(&mut mem, input, dst, off, len, max_memory)?;
                 }
-                Insn::OutOpen => {
+                Op::ReadInputK(len) => {
+                    room!(1);
+                    let off = pop!();
+                    let dst = pop!();
+                    read_input(&mut mem, input, dst, off, len, max_memory)?;
+                }
+                Op::OutOpen => {
                     let len = pop!();
                     let addr = pop!();
-                    let r = mem_range(&mut mem, addr, len, self.limits.max_memory)?;
+                    let r = mem_range(&mut mem, addr, len, max_memory)?;
                     let name = String::from_utf8_lossy(&mem[r]).into_owned();
                     validate_filename(&name)?;
                     out.files.entry(name.clone()).or_default();
                     current_out = Some(name);
                 }
-                Insn::OutWrite => {
+                Op::OutWrite => {
                     let len = pop!();
                     let addr = pop!();
-                    let r = mem_range(&mut mem, addr, len, self.limits.max_memory)?;
-                    let name = current_out.clone().ok_or(VmError::NoOutputOpen)?;
+                    let r = mem_range(&mut mem, addr, len, max_memory)?;
+                    let name = current_out.as_deref().ok_or(VmError::NoOutputOpen)?;
                     total_out += r.len();
-                    if total_out > self.limits.max_output {
+                    if total_out > max_output {
                         return Err(VmError::OutputQuota);
                     }
-                    let bytes = mem[r].to_vec();
                     out.files
-                        .get_mut(&name)
+                        .get_mut(name)
                         .expect("opened above")
-                        .extend(bytes);
+                        .extend_from_slice(&mem[r]);
                 }
-                Insn::PrintNum => {
+                Op::PrintNum => {
                     let v = pop!();
-                    out.stdout.push_str(&v.to_string());
-                    out.stdout.push('\n');
-                    if out.stdout.len() > self.limits.max_output {
+                    // Writing to a `String` cannot fail.
+                    let _ = writeln!(out.stdout, "{v}");
+                    if out.stdout.len() > max_output {
                         return Err(VmError::OutputQuota);
                     }
                 }
-                Insn::PrintMem => {
+                Op::PrintMem => {
                     let len = pop!();
                     let addr = pop!();
-                    let r = mem_range(&mut mem, addr, len, self.limits.max_memory)?;
+                    let r = mem_range(&mut mem, addr, len, max_memory)?;
                     out.stdout.push_str(&String::from_utf8_lossy(&mem[r]));
-                    if out.stdout.len() > self.limits.max_output {
+                    if out.stdout.len() > max_output {
                         return Err(VmError::OutputQuota);
                     }
                 }
-                Insn::ArgCount => push!(params.len() as i64),
-                Insn::ArgLen => {
+                Op::ArgLen => {
                     let i = pop!();
-                    let p = usize::try_from(i)
-                        .ok()
-                        .and_then(|i| params.get(i))
-                        .ok_or(VmError::BadArg(i))?;
+                    let p = param(params, i)?;
                     push!(p.len() as i64);
                 }
-                Insn::ArgRead => {
+                Op::ArgRead => {
                     let dst = pop!();
                     let i = pop!();
-                    let p = usize::try_from(i)
-                        .ok()
-                        .and_then(|i| params.get(i))
-                        .ok_or(VmError::BadArg(i))?
-                        .clone();
-                    let r = mem_range(&mut mem, dst, p.len() as i64, self.limits.max_memory)?;
+                    let p = param(params, i)?;
+                    let r = mem_range(&mut mem, dst, p.len() as i64, max_memory)?;
                     mem[r].copy_from_slice(p.as_bytes());
                 }
-                Insn::Halt => {
+                Op::Halt => {
                     out.instructions = executed;
                     return Ok(out);
                 }
+                Op::End => return Err(VmError::NoHalt),
             }
         }
     }
+}
+
+/// The last instruction count a lowered step may reach from `executed`:
+/// the budget, or the count just before the next progress tick.
+fn edge_after(executed: u64, budget: u64) -> u64 {
+    budget.min(executed | (TICK - 1))
+}
+
+/// One entry of a lowered program: an operation and the number of
+/// instructions it stands for, all of which it counts.
+#[derive(Debug, Clone, Copy)]
+struct Step {
+    op: Op,
+    width: u32,
+}
+
+/// A lowered operation. Each fused one takes the same operands from
+/// the stack and raises the same error on the same input as the
+/// instructions it replaces, in their order.
+#[derive(Debug, Clone, Copy)]
+enum Op {
+    /// `PUSH k`, or `INPUTSIZE`/`ARGCOUNT`, whose values a run fixes.
+    Push(i64),
+    Pop,
+    Dup,
+    Swap,
+    Over(u32),
+    /// Pop b, a; push a ∘ b.
+    Bin(Bin),
+    /// `PUSH k` then a binary instruction: replace a with a ∘ k.
+    BinK(Bin, i64),
+    Neg,
+    /// A jump to an instruction, or to the end (which raises `NoHalt`).
+    Jmp(u32),
+    Jz(u32),
+    Jnz(u32),
+    /// A jump past the end: raises `BadJump` when taken.
+    JmpBad(u32),
+    JzBad(u32),
+    JnzBad(u32),
+    /// `EQ|LT|GT`, then `JNZ t` (`true`) or `JZ t` (`false`).
+    CmpJump(Bin, bool, u32),
+    /// `PUSH k`, `EQ|LT|GT`, then `JNZ t` or `JZ t`.
+    CmpKJump(Bin, bool, i64, u32),
+    Load8,
+    /// `PUSH addr; LOAD8`.
+    Load8K(i64),
+    Load64,
+    /// `PUSH addr; LOAD64`.
+    Load64K(i64),
+    /// `PUSH v; PUSH addr; LOAD64`, for an `addr` that fits a `u32`
+    /// (which keeps every step 24 bytes; larger ones never fit memory).
+    PushLoad64(i64, u32),
+    Store8,
+    Store64,
+    ReadInput,
+    /// `PUSH len; READINPUT`.
+    ReadInputK(i64),
+    OutOpen,
+    OutWrite,
+    PrintNum,
+    PrintMem,
+    ArgLen,
+    ArgRead,
+    Halt,
+    /// One past the last instruction: raises `NoHalt`.
+    End,
+}
+
+/// The binary instructions.
+#[derive(Debug, Clone, Copy)]
+enum Bin {
+    Add,
+    Sub,
+    Mul,
+    Div,
+    Mod,
+    Eq,
+    Lt,
+    Gt,
+    And,
+    Or,
+    Xor,
+}
+
+impl Bin {
+    fn of(insn: Insn) -> Option<Bin> {
+        Some(match insn {
+            Insn::Add => Bin::Add,
+            Insn::Sub => Bin::Sub,
+            Insn::Mul => Bin::Mul,
+            Insn::Div => Bin::Div,
+            Insn::Mod => Bin::Mod,
+            Insn::Eq => Bin::Eq,
+            Insn::Lt => Bin::Lt,
+            Insn::Gt => Bin::Gt,
+            Insn::And => Bin::And,
+            Insn::Or => Bin::Or,
+            Insn::Xor => Bin::Xor,
+            _ => return None,
+        })
+    }
+
+    fn is_comparison(self) -> bool {
+        matches!(self, Bin::Eq | Bin::Lt | Bin::Gt)
+    }
+
+    #[inline(always)]
+    fn apply(self, a: i64, b: i64) -> Result<i64, VmError> {
+        Ok(match self {
+            Bin::Add => a.wrapping_add(b),
+            Bin::Sub => a.wrapping_sub(b),
+            Bin::Mul => a.wrapping_mul(b),
+            Bin::Div | Bin::Mod if b == 0 => return Err(VmError::DivideByZero),
+            Bin::Div => a.wrapping_div(b),
+            Bin::Mod => a.wrapping_rem(b),
+            Bin::Eq => i64::from(a == b),
+            Bin::Lt => i64::from(a < b),
+            Bin::Gt => i64::from(a > b),
+            Bin::And => a & b,
+            Bin::Or => a | b,
+            Bin::Xor => a ^ b,
+        })
+    }
+}
+
+/// What a run fixes before its first instruction.
+#[derive(Clone, Copy)]
+struct Run {
+    input_size: i64,
+    arg_count: i64,
+}
+
+impl Run {
+    /// The instruction at `at` as a plain operation; [`Op::End`] past
+    /// the last one.
+    fn plain(self, code: &[Insn], at: usize) -> Op {
+        let Some(&insn) = code.get(at) else {
+            return Op::End;
+        };
+        let fits = |t: u32| t as usize <= code.len();
+        match insn {
+            Insn::Push(v) => Op::Push(v),
+            Insn::InputSize => Op::Push(self.input_size),
+            Insn::ArgCount => Op::Push(self.arg_count),
+            Insn::Pop => Op::Pop,
+            Insn::Dup => Op::Dup,
+            Insn::Swap => Op::Swap,
+            Insn::Over(k) => Op::Over(k),
+            Insn::Neg => Op::Neg,
+            Insn::Jmp(t) if fits(t) => Op::Jmp(t),
+            Insn::Jz(t) if fits(t) => Op::Jz(t),
+            Insn::Jnz(t) if fits(t) => Op::Jnz(t),
+            Insn::Jmp(t) => Op::JmpBad(t),
+            Insn::Jz(t) => Op::JzBad(t),
+            Insn::Jnz(t) => Op::JnzBad(t),
+            Insn::Load8 => Op::Load8,
+            Insn::Store8 => Op::Store8,
+            Insn::Load64 => Op::Load64,
+            Insn::Store64 => Op::Store64,
+            Insn::ReadInput => Op::ReadInput,
+            Insn::OutOpen => Op::OutOpen,
+            Insn::OutWrite => Op::OutWrite,
+            Insn::PrintNum => Op::PrintNum,
+            Insn::PrintMem => Op::PrintMem,
+            Insn::ArgLen => Op::ArgLen,
+            Insn::ArgRead => Op::ArgRead,
+            Insn::Halt => Op::Halt,
+            binary => Op::Bin(Bin::of(binary).expect("every other instruction is binary")),
+        }
+    }
+
+    /// The longest step that starts at `at`: a fused idiom of two or
+    /// three instructions, or the plain instruction. Every index gets
+    /// its own step, so a jump into the middle of an idiom lands on the
+    /// instructions from there on.
+    fn lower(self, code: &[Insn], at: usize) -> Step {
+        let op = |i: usize| self.plain(code, i);
+        let step = |op, width| Step { op, width };
+        let jump = |i: usize| match op(i) {
+            Op::Jz(t) => Some((false, t)),
+            Op::Jnz(t) => Some((true, t)),
+            _ => None,
+        };
+        match (op(at), op(at + 1)) {
+            (Op::Push(k), Op::Bin(f)) if f.is_comparison() => {
+                if let Some((on, t)) = jump(at + 2) {
+                    return step(Op::CmpKJump(f, on, k, t), 3);
+                }
+                step(Op::BinK(f, k), 2)
+            }
+            (Op::Push(v), Op::Push(addr)) => match (op(at + 2), u32::try_from(addr)) {
+                (Op::Load64, Ok(addr)) => step(Op::PushLoad64(v, addr), 3),
+                _ => step(Op::Push(v), 1),
+            },
+            (Op::Push(k), Op::Bin(f)) => step(Op::BinK(f, k), 2),
+            (Op::Push(k), Op::Load8) => step(Op::Load8K(k), 2),
+            (Op::Push(k), Op::Load64) => step(Op::Load64K(k), 2),
+            (Op::Push(k), Op::ReadInput) => step(Op::ReadInputK(k), 2),
+            (Op::Bin(f), _) if f.is_comparison() => match jump(at + 1) {
+                Some((on, t)) => step(Op::CmpJump(f, on, t), 2),
+                None => step(Op::Bin(f), 1),
+            },
+            (first, _) => step(first, 1),
+        }
+    }
+}
+
+/// The little-endian word in an 8-byte memory range.
+#[inline(always)]
+fn word(bytes: &[u8]) -> i64 {
+    i64::from_le_bytes(bytes.try_into().expect("8 bytes"))
+}
+
+/// The memory range `addr..addr + len`, growing memory to hold it; a
+/// negative operand or an end past `max` is a `MemoryViolation`.
+#[inline(always)]
+fn mem_range(
+    mem: &mut Vec<u8>,
+    addr: i64,
+    len: i64,
+    max: usize,
+) -> Result<std::ops::Range<usize>, VmError> {
+    if addr < 0 || len < 0 {
+        return Err(VmError::MemoryViolation {
+            addr: addr as u64,
+            len: len as u64,
+        });
+    }
+    let (addr, len) = (addr as u64, len as u64);
+    let end = addr
+        .checked_add(len)
+        .ok_or(VmError::MemoryViolation { addr, len })?;
+    if end > max as u64 {
+        return Err(VmError::MemoryViolation { addr, len });
+    }
+    if mem.len() < end as usize {
+        mem.resize(end as usize, 0);
+    }
+    Ok(addr as usize..end as usize)
+}
+
+/// `READINPUT`: copy `input[off..off + len]` to memory at `dst`.
+fn read_input(
+    mem: &mut Vec<u8>,
+    input: &[u8],
+    dst: i64,
+    off: i64,
+    len: i64,
+    max: usize,
+) -> Result<(), VmError> {
+    let src = usize::try_from(off)
+        .ok()
+        .zip(usize::try_from(len).ok())
+        .and_then(|(off, len)| Some(off..off.checked_add(len)?))
+        .filter(|src| src.end <= input.len())
+        .ok_or(VmError::InputRange {
+            off: off.max(0) as u64,
+            len: len.max(0) as u64,
+        })?;
+    let r = mem_range(mem, dst, len, max)?;
+    mem[r].copy_from_slice(&input[src]);
+    Ok(())
+}
+
+/// Parameter `i`, or `BadArg`.
+fn param(params: &[String], i: i64) -> Result<&String, VmError> {
+    usize::try_from(i)
+        .ok()
+        .and_then(|i| params.get(i))
+        .ok_or(VmError::BadArg(i))
 }
 
 /// Output names must be clean relative filenames — the confinement the
@@ -690,6 +955,52 @@ mod tests {
         ];
         let err = run(code, b"short", &[]).unwrap_err();
         assert!(matches!(err, VmError::InputRange { .. }));
+    }
+
+    #[test]
+    fn an_input_range_past_the_word_is_out_of_range() {
+        // off + len overflows i64: the range is out of the input, not a
+        // panic (debug) or a wrapped sum (release).
+        let code = vec![
+            Insn::Push(0),
+            Insn::Push(i64::MAX),
+            Insn::Push(1),
+            Insn::ReadInput,
+            Insn::Halt,
+        ];
+        assert_eq!(
+            run(code, b"short", &[]).unwrap_err(),
+            VmError::InputRange {
+                off: i64::MAX as u64,
+                len: 1
+            }
+        );
+    }
+
+    #[test]
+    fn the_checksum_loop_lowers_to_half_its_dispatches() {
+        let program = crate::asm::assemble(crate::asm::EXAMPLE_CHECKSUM).unwrap();
+        let run = Run {
+            input_size: 1 << 15,
+            arg_count: 1,
+        };
+        let steps: Vec<Step> = (0..=program.code.len())
+            .map(|at| run.lower(&program.code, at))
+            .collect();
+        // The loop runs from 0 to its `JMP loop`, leaving through the
+        // `JZ done` near its top only when the input is exhausted.
+        let (mut pc, mut dispatches, mut width) = (0, 0, 0);
+        loop {
+            let step = steps[pc];
+            dispatches += 1;
+            width += step.width;
+            if matches!(step.op, Op::Jmp(0)) {
+                break;
+            }
+            pc += step.width as usize;
+        }
+        assert_eq!(width, 24, "the loop body is 24 instructions");
+        assert!(dispatches <= 12, "{dispatches} dispatches");
     }
 
     #[test]

@@ -155,7 +155,11 @@ pub fn decompress(input: &[u8]) -> Result<Vec<u8>, LzssError> {
         return Err(LzssError::BadMagic);
     }
     let expected = u64::from_le_bytes(input[4..12].try_into().expect("12-byte header"));
-    let mut out: Vec<u8> = Vec::with_capacity(expected as usize);
+    // The header's length is a claim: reserve no more than the stream
+    // can decode to, a match of MAX_MATCH bytes per two token bytes.
+    let most = (input.len() - 12) / 2 * MAX_MATCH;
+    let reserve = usize::try_from(expected).map_or(most, |e| e.min(most));
+    let mut out: Vec<u8> = Vec::with_capacity(reserve);
     let mut i = 12usize;
     'outer: while i < input.len() {
         let flags = input[i];
@@ -295,6 +299,31 @@ mod tests {
             decompress(cut).unwrap_err(),
             LzssError::Truncated | LzssError::LengthMismatch { .. }
         ));
+    }
+
+    #[test]
+    fn a_declared_length_reserves_no_more_than_the_stream_holds() {
+        // 13 bytes declaring 64 GiB: reserving the claim aborted the
+        // process; the stream delivers nothing.
+        let mut c = MAGIC.to_vec();
+        c.extend_from_slice(&(1u64 << 36).to_le_bytes());
+        c.push(0xff);
+        assert_eq!(
+            decompress(&c).unwrap_err(),
+            LzssError::LengthMismatch {
+                expected: 1 << 36,
+                actual: 0
+            }
+        );
+        let mut c = compress(b"abcabcabcabcabcabc");
+        c[4..12].copy_from_slice(&u64::MAX.to_le_bytes());
+        assert_eq!(
+            decompress(&c).unwrap_err(),
+            LzssError::LengthMismatch {
+                expected: u64::MAX,
+                actual: 18
+            }
+        );
     }
 
     #[test]
