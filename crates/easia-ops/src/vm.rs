@@ -350,13 +350,6 @@ impl Vm {
                         return Err(VmError::BadJump(t));
                     }
                 }
-                Op::CmpJump(f, on, t) => {
-                    let b = pop!();
-                    let a = pop!();
-                    if (f.apply(a, b)? != 0) == on {
-                        pc = t as usize;
-                    }
-                }
                 Op::CmpKJump(f, on, k, t) => {
                     room!(1);
                     let a = pop!();
@@ -514,9 +507,7 @@ enum Op {
     JmpBad(u32),
     JzBad(u32),
     JnzBad(u32),
-    /// `EQ|LT|GT`, then `JNZ t` (`true`) or `JZ t` (`false`).
-    CmpJump(Bin, bool, u32),
-    /// `PUSH k`, `EQ|LT|GT`, then `JNZ t` or `JZ t`.
+    /// `PUSH k`, `EQ|LT|GT`, then `JNZ t` (`true`) or `JZ t` (`false`).
     CmpKJump(Bin, bool, i64, u32),
     Load8,
     /// `PUSH addr; LOAD8`.
@@ -673,10 +664,6 @@ impl Run {
             (Op::Push(k), Op::Load8) => step(Op::Load8K(k), 2),
             (Op::Push(k), Op::Load64) => step(Op::Load64K(k), 2),
             (Op::Push(k), Op::ReadInput) => step(Op::ReadInputK(k), 2),
-            (Op::Bin(f), _) if f.is_comparison() => match jump(at + 1) {
-                Some((on, t)) => step(Op::CmpJump(f, on, t), 2),
-                None => step(Op::Bin(f), 1),
-            },
             (first, _) => step(first, 1),
         }
     }
