@@ -122,7 +122,8 @@ impl AblationSpec {
 }
 
 /// Build the multi-hub archive for `cfg`: the hub holds the `soton`
-/// partition, each foreign site its own.
+/// partition, each foreign site its own. Seeding leaves no transaction
+/// open on any of them: every seeded row is committed.
 pub fn build_archive(spec: &AblationSpec, cfg: &FedBenchConfig) -> Archive {
     assert!((1..=SITE_NAMES.len()).contains(&cfg.sites), "1..=3 sites");
     let sites = &SITE_NAMES[..cfg.sites];
@@ -141,6 +142,11 @@ pub fn build_archive(spec: &AblationSpec, cfg: &FedBenchConfig) -> Archive {
             |db, site, site_no| (spec.seed)(db, site, site_no, cfg),
         )
         .expect("partitioned catalogue");
+    assert_eq!(a.db.active_txns(), 0, "the hub's seeding committed");
+    for site in sites {
+        let db = &a.federation.site(site).expect("seeded site").db;
+        assert_eq!(db.borrow().active_txns(), 0, "{site}'s seeding committed");
+    }
     a.federation.pushdown = cfg.pushdown;
     a.federation.partial_agg = cfg.partial_agg;
     if !cfg.semijoin {

@@ -9,7 +9,7 @@ use crate::error::{DbError, Result};
 use crate::exec;
 use crate::expr::FnRegistry;
 use crate::index::BPlusTree;
-use crate::mvcc::{Csn, MvccState, ReadView, SnapshotId, TxnId, VacuumStats, LATEST_CSN};
+use crate::mvcc::{Csn, MvccState, ReadView, SnapshotId, TxnId, VacuumStats};
 use crate::schema::{ColumnDef, DatalinkSpec, ForeignKey, TableSchema};
 use crate::scrub::ScrubReport;
 use crate::sql::ast::{ColumnDefAst, Stmt, TableConstraint};
@@ -106,14 +106,9 @@ pub struct Database {
     mvcc: MvccState,
     /// Per-transaction write sets (redo + created/deleted row ids).
     txns: BTreeMap<TxnId, TxnWrites>,
-    /// The implicit/explicit SQL session transaction (legacy single-txn
-    /// statement API: `BEGIN`/`COMMIT`/autocommit).
+    /// The transaction SQL `BEGIN` opened, until `COMMIT` or `ROLLBACK`:
+    /// the one statements run through [`Database::execute`] run in.
     session: Option<TxnId>,
-    /// Whether the session transaction was opened by an explicit `BEGIN`.
-    session_explicit: bool,
-    /// Transaction targeted by the currently-executing statement when the
-    /// caller came in through [`Database::txn_execute`].
-    cur: Option<TxnId>,
     /// The one in-flight transaction allowed to hold pending DATALINK
     /// link/unlink operations (LinkObserver hooks carry no txn id, so
     /// link control stays single-writer; see DESIGN.md).
@@ -168,13 +163,10 @@ pub struct RecoveryReport {
     pub quarantined: Option<PathBuf>,
 }
 
-/// Write set of one in-flight transaction.
+/// Write set of one in-flight transaction. Its read view is kept by
+/// [`MvccState::view_of`].
 #[derive(Default)]
 struct TxnWrites {
-    /// CSN ceiling of the transaction's read view (`LATEST_CSN` for the
-    /// session transaction, which reads latest-committed like the legacy
-    /// single-transaction engine did).
-    view_csn: Csn,
     /// Logical redo, appended to the WAL in one unit at commit.
     redo: Vec<WalRecord>,
     /// Row versions this transaction created (for rollback removal).
@@ -202,8 +194,6 @@ impl Database {
             mvcc: MvccState::default(),
             txns: BTreeMap::new(),
             session: None,
-            session_explicit: false,
-            cur: None,
             link_owner: None,
             group: None,
             wal: Wal::memory(),
@@ -482,10 +472,13 @@ impl Database {
         self.execute_with_params(sql, &[])
     }
 
-    /// Execute a statement with positional `?` parameters.
+    /// Execute a statement with positional `?` parameters, in the
+    /// transaction SQL `BEGIN` opened. Outside one, a SELECT reads the
+    /// latest committed state and a write runs in a transaction of its
+    /// own.
     pub fn execute_with_params(&mut self, sql: &str, params: &[Value]) -> Result<ResultSet> {
         let stmt = parse(sql)?;
-        self.execute_stmt(stmt, params, Some(sql))
+        self.execute_stmt(stmt, params, sql, self.session)
     }
 
     /// Run a SELECT with positional `?` parameters, lending each result
@@ -503,14 +496,16 @@ impl Database {
         if let Some(m) = &self.metrics {
             m.statement(crate::obs::StmtKind::Select);
         }
-        exec::run_select_each(self, &self.stmt_view(), &sel, params, &[], &mut each).map(drop)
+        exec::run_select_each(self, &self.read_view(), &sel, params, &[], &mut each).map(drop)
     }
 
+    /// Execute `stmt` in `txn`, or outside any transaction when `None`.
     fn execute_stmt(
         &mut self,
         stmt: Stmt,
         params: &[Value],
-        sql_text: Option<&str>,
+        sql: &str,
+        txn: Option<TxnId>,
     ) -> Result<ResultSet> {
         if let Some(m) = &self.metrics {
             use crate::obs::StmtKind;
@@ -527,182 +522,100 @@ impl Database {
                 Stmt::Delete { .. } => StmtKind::Delete,
             });
         }
-        let mutates = matches!(
-            stmt,
-            Stmt::CreateTable { .. }
-                | Stmt::DropTable { .. }
-                | Stmt::CreateIndex { .. }
-                | Stmt::Insert { .. }
-                | Stmt::Update { .. }
-                | Stmt::Delete { .. }
-        );
-        let is_dml = matches!(
-            stmt,
-            Stmt::Insert { .. } | Stmt::Update { .. } | Stmt::Delete { .. }
-        );
+        let affected = |n| ResultSet {
+            affected: n,
+            ..Default::default()
+        };
         let result = match stmt {
             Stmt::Select(sel) => {
-                let view = self.stmt_view();
-                exec::run_select_over(self, &view, &sel, params, &[])
+                let view = self.view(txn);
+                return exec::run_select_over(self, &view, &sel, params, &[]);
             }
             Stmt::Begin => {
-                if self.cur.is_some() {
-                    return Err(DbError::Txn(
-                        "use commit_txn/rollback_txn for API transactions".into(),
-                    ));
-                }
-                if self.session.is_some() {
+                if txn.is_some() {
                     return Err(DbError::Txn("transaction already active".into()));
                 }
-                let t = self.mvcc.begin_txn(LATEST_CSN);
-                self.txns.insert(t, TxnWrites::default());
-                self.session = Some(t);
-                self.session_explicit = true;
-                Ok(ResultSet::default())
+                self.session = Some(self.begin_txn());
+                return Ok(ResultSet::default());
             }
             Stmt::Commit => {
-                if self.cur.is_some() {
-                    return Err(DbError::Txn(
-                        "use commit_txn/rollback_txn for API transactions".into(),
-                    ));
-                }
-                if !self.session_explicit {
-                    return Err(DbError::Txn("COMMIT without BEGIN".into()));
-                }
-                let t = self.session.take().expect("explicit session has a txn");
-                self.session_explicit = false;
+                let t = self.session.take();
+                let t = t.ok_or_else(|| DbError::Txn("COMMIT without BEGIN".into()))?;
                 self.commit_txn_internal(t)?;
-                Ok(ResultSet::default())
+                return Ok(ResultSet::default());
             }
             Stmt::Rollback => {
-                if self.cur.is_some() {
-                    return Err(DbError::Txn(
-                        "use commit_txn/rollback_txn for API transactions".into(),
-                    ));
-                }
-                if !self.session_explicit {
-                    return Err(DbError::Txn("ROLLBACK without BEGIN".into()));
-                }
-                let t = self.session.take().expect("explicit session has a txn");
-                self.session_explicit = false;
+                let t = self.session.take();
+                let t = t.ok_or_else(|| DbError::Txn("ROLLBACK without BEGIN".into()))?;
                 self.rollback_txn_internal(t);
-                Ok(ResultSet::default())
+                return Ok(ResultSet::default());
             }
             Stmt::CreateTable { .. } | Stmt::DropTable { .. } | Stmt::CreateIndex { .. } => {
-                if self.session_explicit || self.cur.is_some() {
+                if txn.is_some() {
                     return Err(DbError::Txn(
                         "DDL inside a transaction is not supported".into(),
                     ));
                 }
-                // Flush any pending implicit-session work first so the WAL
-                // stays ordered (DDL is its own commit unit).
-                if let Some(t) = self.session.take() {
-                    self.commit_txn_internal(t)?;
-                }
-                let text = sql_text
-                    .ok_or_else(|| DbError::Txn("DDL requires statement text".into()))?
-                    .to_string();
                 self.apply_ddl(&stmt)?;
-                if !self.replaying {
-                    let csn = self.mvcc.allocate_csn();
-                    self.wal.append_committed(&[WalRecord::Ddl(text)], csn)?;
-                    self.note_wal_sync(1);
-                }
-                Ok(ResultSet::default())
+                let csn = self.mvcc.allocate_csn();
+                self.wal
+                    .append_committed(&[WalRecord::Ddl(sql.to_string())], csn)?;
+                self.note_wal_sync(1);
+                ResultSet::default()
             }
             Stmt::Insert {
                 table,
                 columns,
                 rows,
-            } => self
-                .run_insert(&table, &columns, &rows, params)
-                .map(|n| ResultSet {
-                    affected: n,
-                    ..Default::default()
-                }),
+            } => affected(self.write_in(txn, |db, t| {
+                db.run_insert(t, &table, &columns, &rows, params)
+            })?),
             Stmt::Update {
                 table,
                 sets,
                 where_clause,
-            } => self
-                .run_update(&table, &sets, where_clause.as_ref(), params)
-                .map(|n| ResultSet {
-                    affected: n,
-                    ..Default::default()
-                }),
+            } => affected(self.write_in(txn, |db, t| {
+                db.run_update(t, &table, &sets, where_clause.as_ref(), params)
+            })?),
             Stmt::Delete {
                 table,
                 where_clause,
-            } => self
-                .run_delete(&table, where_clause.as_ref(), params)
-                .map(|n| ResultSet {
-                    affected: n,
-                    ..Default::default()
-                }),
+            } => affected(self.write_in(txn, |db, t| {
+                db.run_delete(t, &table, where_clause.as_ref(), params)
+            })?),
         };
-        let result = if is_dml && self.cur.is_none() {
-            match result {
-                Ok(rs) => {
-                    self.autocommit()?;
-                    Ok(rs)
-                }
-                Err(e) => {
-                    // A failed statement outside an explicit transaction
-                    // must not leave partial work staged for the next
-                    // autocommit: roll the implicit session back.
-                    if !self.session_explicit {
-                        if let Some(t) = self.session.take() {
-                            self.rollback_txn_internal(t);
-                        }
-                    }
-                    Err(e)
-                }
-            }
-        } else {
-            result
-        };
-        if mutates && result.is_ok() {
-            self.writes += 1;
-        }
-        result
+        self.writes += 1;
+        Ok(result)
     }
 
-    /// The read view for a plain statement: the API transaction being
-    /// driven via [`Database::txn_execute`], else the session transaction
-    /// (latest-committed + own writes), else latest-committed.
-    fn stmt_view(&self) -> ReadView {
-        match self.cur.or(self.session) {
-            Some(t) => ReadView {
-                csn: self.txns.get(&t).map(|w| w.view_csn).unwrap_or(LATEST_CSN),
-                txn: Some(t),
-            },
-            None => ReadView::latest(),
+    /// Run `write` in `txn`. Outside any transaction it runs in one of
+    /// its own, committed if `write` succeeds and rolled back if it fails.
+    fn write_in<T>(
+        &mut self,
+        txn: Option<TxnId>,
+        write: impl FnOnce(&mut Self, TxnId) -> Result<T>,
+    ) -> Result<T> {
+        if let Some(t) = txn {
+            return write(self, t);
         }
-    }
-
-    fn autocommit(&mut self) -> Result<()> {
-        if !self.session_explicit {
-            if let Some(t) = self.session.take() {
+        let t = self.begin_txn();
+        match write(self, t) {
+            Ok(out) => {
                 self.commit_txn_internal(t)?;
+                Ok(out)
+            }
+            Err(e) => {
+                self.rollback_txn_internal(t);
+                Err(e)
             }
         }
-        Ok(())
     }
 
-    /// The transaction the current statement's writes belong to, creating
-    /// an implicit session transaction when none is active.
-    fn write_txn(&mut self) -> TxnId {
-        if let Some(t) = self.cur {
-            return t;
-        }
-        if let Some(t) = self.session {
-            return t;
-        }
-        let t = self.mvcc.begin_txn(LATEST_CSN);
-        self.txns.insert(t, TxnWrites::default());
-        self.session = Some(t);
-        self.session_explicit = false;
-        t
+    /// The read view of a statement in `txn` ([`MvccState::view_of`]),
+    /// or of one outside any transaction: the latest committed state.
+    fn view(&self, txn: Option<TxnId>) -> ReadView {
+        txn.and_then(|t| self.mvcc.view_of(t))
+            .unwrap_or_else(ReadView::latest)
     }
 
     fn commit_txn_internal(&mut self, id: TxnId) -> Result<Csn> {
@@ -861,23 +774,17 @@ impl Database {
         exec::select(self, &view, &sel, params, &[], each)
     }
 
-    /// Begin an API transaction with a snapshot-isolation read view
-    /// pinned at the current commit horizon. Drive it with
+    /// Begin a transaction with a snapshot-isolation read view pinned
+    /// at the current commit horizon: the one kind of transaction, which
+    /// SQL `BEGIN` and every write outside one open too. Drive it with
     /// [`Database::txn_execute`] and resolve it with
     /// [`Database::commit_txn`] / [`Database::rollback_txn`]. Multiple
-    /// API transactions may be in flight at once (logical concurrency);
+    /// transactions may be in flight at once (logical concurrency);
     /// first-committer-wins conflicts surface as `write conflict` errors
     /// at write time.
     pub fn begin_txn(&mut self) -> TxnId {
-        let view = self.mvcc.last_csn();
-        let t = self.mvcc.begin_txn(view);
-        self.txns.insert(
-            t,
-            TxnWrites {
-                view_csn: view,
-                ..Default::default()
-            },
-        );
+        let t = self.mvcc.begin_txn();
+        self.txns.insert(t, TxnWrites::default());
         t
     }
 
@@ -893,10 +800,7 @@ impl Database {
                 "transaction control inside txn_execute is not supported".into(),
             ));
         }
-        let prev = self.cur.replace(txn);
-        let result = self.execute_stmt(stmt, params, Some(sql));
-        self.cur = prev;
-        result
+        self.execute_stmt(stmt, params, sql, Some(txn))
     }
 
     /// Commit an API transaction, returning its commit sequence number
@@ -990,7 +894,7 @@ impl Database {
         self.mvcc.open_snapshots()
     }
 
-    /// Number of in-flight transactions (session + API).
+    /// Number of in-flight transactions, the SQL session's included.
     pub fn active_txns(&self) -> usize {
         self.txns.len()
     }
@@ -1011,11 +915,12 @@ impl Database {
         move |rid| self.mvcc.visible_in(versions, rid, view)
     }
 
-    /// The read view a statement executed right now would use (latest
-    /// committed plus the session transaction's own writes). External
-    /// executors driving [`exec::run_select_over`] directly use this.
+    /// The read view a SELECT run through [`Database::execute`] right
+    /// now would use: the SQL session's, else the latest committed
+    /// state. External executors driving [`exec::run_select_over`]
+    /// directly use this.
     pub fn read_view(&self) -> ReadView {
-        self.stmt_view()
+        self.view(self.session)
     }
 
     // ---- DDL ----

@@ -7,7 +7,7 @@ use crate::error::{DbError, Result};
 use crate::exec;
 use crate::expr::{Bound, EvalContext, RowSchema};
 use crate::index::btree::KeyRef;
-use crate::mvcc::{ReadView, TxnId, LATEST_CSN};
+use crate::mvcc::{ReadView, TxnId};
 use crate::schema::TableSchema;
 use crate::storage::snapshot::check_record;
 use crate::storage::RowId;
@@ -69,6 +69,7 @@ impl Table {
 impl Database {
     pub(super) fn run_insert(
         &mut self,
+        txn: TxnId,
         table: &str,
         columns: &[String],
         rows: &[Vec<crate::sql::ast::Expr>],
@@ -113,7 +114,7 @@ impl Database {
                     expr => EvalContext::new(&[], params).eval(&expr)?,
                 };
             }
-            self.insert_row(&tname, row)?;
+            self.insert_in(txn, tname.clone(), row)?;
         }
         Ok(rows.len())
     }
@@ -124,15 +125,22 @@ impl Database {
         schema.ok_or_else(|| DbError::Catalog(format!("table {table} does not exist")))
     }
 
-    /// Typed row insert (used by DML, the datalink layer and tests).
+    /// Insert one typed row, checked as an INSERT statement's rows are.
+    /// It runs in the transaction SQL `BEGIN` opened, else in one of its
+    /// own that has committed when this returns.
     pub fn insert_row(&mut self, table: &str, row: Vec<Value>) -> Result<()> {
-        self.write_row(table.to_ascii_uppercase(), None, Some(row))?;
+        let table = table.to_ascii_uppercase();
+        self.write_in(self.session, |db, t| db.insert_in(t, table, row))
+    }
+
+    fn insert_in(&mut self, txn: TxnId, table: String, row: Vec<Value>) -> Result<()> {
+        self.write_row(txn, table, None, Some(row))?;
         self.writes += 1;
         Ok(())
     }
 
-    /// The one checked row write: an insert (`new` only), an update
-    /// (both) or a delete (`old` only) of a row of `table`. Its checks
+    /// The one checked row write in `txn`: an insert (`new` only), an
+    /// update (both) or a delete (`old` only) of a row of `table`. Its checks
     /// run in one order: the new row's types, a write conflict on the old
     /// one, the new row's UNIQUE and FK keys, the old row's referencing
     /// children, then DATALINK unlink and link of every link that
@@ -140,13 +148,13 @@ impl Database {
     /// inserted and the redo recorded.
     fn write_row(
         &mut self,
+        txn: TxnId,
         table: String,
         old: Option<(RowId, Vec<Value>)>,
         new: Option<Vec<Value>>,
     ) -> Result<()> {
         let schema = self.schema_of(&table)?;
         let new = new.map(|row| self.check_row(&schema, row)).transpose()?;
-        let txn = self.write_txn();
         if let Some((rid, _)) = &old {
             self.check_write_conflict(&table, *rid, txn)?;
         }
@@ -237,6 +245,7 @@ impl Database {
 
     pub(super) fn run_update(
         &mut self,
+        txn: TxnId,
         table: &str,
         sets: &[(String, crate::sql::ast::Expr)],
         where_clause: Option<&crate::sql::ast::Expr>,
@@ -255,7 +264,7 @@ impl Database {
                 .ok_or_else(|| DbError::Catalog(format!("column {c} not found in {tname}")))?;
             set_pos.push((pos, row_schema.bind(e, &self.functions, &[])?));
         }
-        let view = self.stmt_view();
+        let view = self.view(Some(txn));
         let targets = exec::collect_matching(self, &view, &tname, where_clause, params)?;
         let affected = targets.len();
         for (rid, old_row) in targets {
@@ -263,24 +272,25 @@ impl Database {
             for (pos, e) in &set_pos {
                 new_row[*pos] = EvalContext::new(&old_row, params).eval(e)?;
             }
-            self.write_row(tname.clone(), Some((rid, old_row)), Some(new_row))?;
+            self.write_row(txn, tname.clone(), Some((rid, old_row)), Some(new_row))?;
         }
         Ok(affected)
     }
 
     pub(super) fn run_delete(
         &mut self,
+        txn: TxnId,
         table: &str,
         where_clause: Option<&crate::sql::ast::Expr>,
         params: &[Value],
     ) -> Result<usize> {
         let tname = table.to_ascii_uppercase();
         self.schema_of(&tname)?;
-        let view = self.stmt_view();
+        let view = self.view(Some(txn));
         let targets = exec::collect_matching(self, &view, &tname, where_clause, params)?;
         let affected = targets.len();
         for (rid, row) in targets {
-            self.write_row(tname.clone(), Some((rid, row)), None)?;
+            self.write_row(txn, tname.clone(), Some((rid, row)), None)?;
         }
         Ok(affected)
     }
@@ -307,11 +317,7 @@ impl Database {
             if self.mvcc.is_active(v.xmin) {
                 return Err(self.conflict(table, "row created by a concurrent transaction"));
             }
-            let snap = self
-                .txns
-                .get(&txn)
-                .map(|w| w.view_csn)
-                .unwrap_or(LATEST_CSN);
+            let snap = self.view(Some(txn)).csn;
             if self.mvcc.csn_of(v.xmin).is_some_and(|c| c > snap) {
                 return Err(self.conflict(table, "row modified since this transaction's snapshot"));
             }
@@ -410,8 +416,8 @@ impl Database {
     /// writing transaction count.
     fn check_fk_child(&self, schema: &TableSchema, row: &[Value], txn: TxnId) -> Result<()> {
         let view = ReadView {
-            csn: LATEST_CSN,
             txn: Some(txn),
+            ..ReadView::latest()
         };
         let mut key = Vec::new();
         for fk in &schema.foreign_keys {
@@ -455,8 +461,8 @@ impl Database {
         txn: TxnId,
     ) -> Result<()> {
         let view = ReadView {
-            csn: LATEST_CSN,
             txn: Some(txn),
+            ..ReadView::latest()
         };
         let mut key = Vec::new();
         for (child_name, child) in &self.tables {
@@ -536,8 +542,8 @@ impl Database {
         t.heap.delete(rid);
     }
 
-    /// Find the first live row equal to `row` (used by WAL replay, where
-    /// physical RowIds may differ from the original execution). Equal
+    /// Find the first live row equal to `row` (used by WAL replay, which
+    /// logs rows by value, not by row id). Equal
     /// means equal *record bytes* — the encoding is canonical, and unlike
     /// `==` on values it finds a NaN. An index only narrows the records
     /// compared, to those filed under the row's key.

@@ -44,7 +44,8 @@ pub type Csn = u64;
 /// before every possible view.
 pub const FROZEN_TXN: TxnId = 0;
 
-/// CSN ceiling meaning "read the latest committed state".
+/// CSN ceiling meaning "read the latest committed state": the ceiling
+/// of [`ReadView::latest`]. No transaction's view has it.
 pub const LATEST_CSN: Csn = u64::MAX;
 
 /// Creation/deletion stamps for one heap row version.
@@ -67,7 +68,8 @@ pub struct ReadView {
 }
 
 impl ReadView {
-    /// The latest-committed view (what plain autocommit statements see).
+    /// The latest-committed view: what a read outside any transaction
+    /// sees, and what foreign-key checks see.
     pub fn latest() -> Self {
         ReadView {
             csn: LATEST_CSN,
@@ -99,8 +101,8 @@ pub struct MvccState {
     /// Committed transactions still referenced by version entries.
     /// Vacuum prunes stamps at or below the horizon.
     committed: BTreeMap<TxnId, Csn>,
-    /// Active transactions and the CSN ceiling of their read view
-    /// ([`LATEST_CSN`] for read-latest legacy sessions).
+    /// Active transactions and the CSN ceiling of their read view: the
+    /// one copy of it ([`MvccState::view_of`]).
     active: BTreeMap<TxnId, Csn>,
     /// Open snapshots and their pinned CSN.
     snapshots: BTreeMap<u64, Csn>,
@@ -154,13 +156,23 @@ impl MvccState {
 
     // ---- transactions ----
 
-    /// Start a transaction whose reads are pinned at `view_csn`
-    /// ([`LATEST_CSN`] to read the latest committed state).
-    pub fn begin_txn(&mut self, view_csn: Csn) -> TxnId {
+    /// Start a transaction whose reads are pinned at the current commit
+    /// horizon, [`MvccState::last_csn`].
+    pub fn begin_txn(&mut self) -> TxnId {
         let id = self.next_txn;
         self.next_txn += 1;
-        self.active.insert(id, view_csn);
+        self.active.insert(id, self.last_csn());
         id
+    }
+
+    /// The read view of active transaction `txn`: what was committed when
+    /// it began, plus its own writes.
+    pub fn view_of(&self, txn: TxnId) -> Option<ReadView> {
+        let csn = *self.active.get(&txn)?;
+        Some(ReadView {
+            csn,
+            txn: Some(txn),
+        })
     }
 
     /// Is `txn` active (started, neither committed nor aborted)?
@@ -309,12 +321,11 @@ impl MvccState {
     }
 
     /// The vacuum horizon: the oldest CSN any open view can demand.
-    /// Snapshots and pinned-view transactions hold it back; read-latest
-    /// sessions do not.
+    /// Open snapshots and active transactions hold it back.
     pub fn horizon(&self) -> Csn {
         self.snapshots
             .values()
-            .chain(self.active.values().filter(|&&c| c != LATEST_CSN))
+            .chain(self.active.values())
             .copied()
             .min()
             .unwrap_or_else(|| self.last_csn())
@@ -399,12 +410,9 @@ mod tests {
     #[test]
     fn uncommitted_insert_visible_only_to_owner() {
         let mut s = MvccState::new();
-        let t = s.begin_txn(LATEST_CSN);
+        let t = s.begin_txn();
         s.note_insert("T", RowId(1), t);
-        let own = ReadView {
-            csn: LATEST_CSN,
-            txn: Some(t),
-        };
+        let own = s.view_of(t).unwrap();
         assert!(s.visible("T", RowId(1), &own));
         assert!(!s.visible("T", RowId(1), &ReadView::latest()));
         let csn = s.commit(t);
@@ -420,12 +428,9 @@ mod tests {
     #[test]
     fn delete_stamp_hides_row_after_commit_only() {
         let mut s = MvccState::new();
-        let t = s.begin_txn(LATEST_CSN);
+        let t = s.begin_txn();
         s.stamp_delete("T", RowId(7), t);
-        let own = ReadView {
-            csn: LATEST_CSN,
-            txn: Some(t),
-        };
+        let own = s.view_of(t).unwrap();
         assert!(!s.visible("T", RowId(7), &own), "own delete hides the row");
         assert!(
             s.visible("T", RowId(7), &ReadView::latest()),
@@ -443,7 +448,7 @@ mod tests {
     #[test]
     fn sweep_reclaims_dead_and_freezes_live() {
         let mut s = MvccState::new();
-        let t1 = s.begin_txn(LATEST_CSN);
+        let t1 = s.begin_txn();
         s.note_insert("T", RowId(1), t1);
         s.stamp_delete("T", RowId(2), t1);
         s.commit(t1);
@@ -458,7 +463,7 @@ mod tests {
     fn sweep_respects_snapshot_horizon() {
         let mut s = MvccState::new();
         let snap = s.begin_snapshot(); // pinned at CSN 0
-        let t1 = s.begin_txn(LATEST_CSN);
+        let t1 = s.begin_txn();
         s.stamp_delete("T", RowId(2), t1);
         s.commit(t1);
         let (dead, _) = s.sweep(s.horizon());
@@ -479,10 +484,10 @@ mod tests {
         // t2; sweep must keep the row visible to latest even after the
         // committed map is pruned — the xmin freezes to FROZEN_TXN.
         let mut s = MvccState::new();
-        let t1 = s.begin_txn(LATEST_CSN);
+        let t1 = s.begin_txn();
         s.note_insert("T", RowId(3), t1);
         s.commit(t1);
-        let t2 = s.begin_txn(LATEST_CSN);
+        let t2 = s.begin_txn();
         s.stamp_delete("T", RowId(3), t2);
         let (dead, _) = s.sweep(s.horizon());
         assert!(dead.is_empty());
@@ -496,20 +501,23 @@ mod tests {
     #[test]
     fn horizon_tracks_oldest_reader() {
         let mut s = MvccState::new();
-        let t = s.begin_txn(LATEST_CSN);
+        let t = s.begin_txn();
         s.note_insert("T", RowId(1), t);
         s.commit(t); // csn 1
         let s1 = s.begin_snapshot(); // pinned 1
-        let t2 = s.begin_txn(LATEST_CSN);
+        let t2 = s.begin_txn();
         s.note_insert("T", RowId(2), t2);
         s.commit(t2); // csn 2
-        let _s2 = s.begin_snapshot(); // pinned 2
+        let s2 = s.begin_snapshot(); // pinned 2
         assert_eq!(s.horizon(), 1);
         s.release_snapshot(s1);
         assert_eq!(s.horizon(), 2);
-        let pinned = s.begin_txn(1);
-        assert_eq!(s.horizon(), 1, "pinned-view txn holds the horizon");
+        let pinned = s.begin_txn(); // pinned 2
+        let t3 = s.begin_txn();
+        s.commit(t3); // csn 3
+        s.release_snapshot(s2);
+        assert_eq!(s.horizon(), 2, "pinned-view txn holds the horizon");
         s.forget(pinned);
-        assert_eq!(s.horizon(), 2);
+        assert_eq!(s.horizon(), 3);
     }
 }

@@ -52,9 +52,9 @@ use std::fs::{File, OpenOptions};
 use std::io::{BufWriter, Read, Write};
 use std::path::{Path, PathBuf};
 
-/// A logical redo record. `Insert`/`Delete`/`Update` carry the RowIds the
-/// original execution produced; replay reproduces them because heap
-/// allocation is deterministic.
+/// A logical redo record. `Delete`/`Update` also carry the RowId the
+/// original execution wrote, but replay does not rely on it: `apply_wal`
+/// finds the old row by its value.
 #[derive(Debug, Clone, PartialEq)]
 pub enum WalRecord {
     /// Raw DDL statement text, re-executed on replay.
@@ -70,7 +70,7 @@ pub enum WalRecord {
     Delete {
         /// Target table.
         table: String,
-        /// Heap address of the deleted row.
+        /// Heap address of the deleted row when it was written.
         row_id: RowId,
         /// The deleted row (needed for undo and index maintenance).
         row: Vec<Value>,
@@ -79,7 +79,7 @@ pub enum WalRecord {
     Update {
         /// Target table.
         table: String,
-        /// Old heap address.
+        /// Old heap address when it was written.
         old_id: RowId,
         /// Old values.
         old: Vec<Value>,

@@ -235,7 +235,9 @@ fn crash_mid_group_commit_recovers_the_committed_prefix() {
 // ---- serial-oracle interleaving ----
 
 /// One step of a randomized schedule of logically concurrent writers
-/// and snapshot readers.
+/// and snapshot readers. Writers are of every kind of transaction: API
+/// transactions in three slots, one SQL session driven by `BEGIN`,
+/// `COMMIT` and `ROLLBACK`, and autocommit statements.
 #[derive(Debug, Clone)]
 enum Op {
     Begin,
@@ -261,6 +263,23 @@ enum Op {
     },
     Vacuum,
     LatestRead,
+    /// A write statement outside any transaction (kinds as in `Write`).
+    AutoWrite {
+        kind: u8,
+        k: i64,
+        v: i64,
+    },
+    SessionBegin,
+    /// A write statement inside the SQL session (kinds as in `Write`).
+    SessionWrite {
+        kind: u8,
+        k: i64,
+        v: i64,
+    },
+    SessionEnd {
+        commit: bool,
+    },
+    SessionRead,
 }
 
 /// A buffered write that succeeded against the engine; replayed into
@@ -276,7 +295,7 @@ enum BufOp {
 /// the opcode ranges here (writes get the biggest share).
 fn decode_op((opcode, slot, kind, k, v): (u8, u8, u8, i64, i64)) -> Op {
     let s = slot as usize % 3;
-    match opcode % 24 {
+    match opcode % 32 {
         0 | 1 => Op::Begin,
         2..=9 => Op::Write {
             w: s,
@@ -290,7 +309,51 @@ fn decode_op((opcode, slot, kind, k, v): (u8, u8, u8, i64, i64)) -> Op {
         17..=19 => Op::ReadSnap { s },
         20 | 21 => Op::ReleaseSnap { s },
         22 => Op::Vacuum,
-        _ => Op::LatestRead,
+        23 => Op::LatestRead,
+        24..=26 => Op::AutoWrite {
+            kind: kind % 3,
+            k,
+            v,
+        },
+        27 => Op::SessionBegin,
+        28 | 29 => Op::SessionWrite {
+            kind: kind % 3,
+            k,
+            v,
+        },
+        30 => Op::SessionEnd { commit: s != 0 },
+        _ => Op::SessionRead,
+    }
+}
+
+/// The statement of write `kind` on key `k`, and what it does to the
+/// oracle when the engine accepts it.
+fn write_sql(kind: u8, k: i64, v: i64) -> (String, BufOp) {
+    match kind {
+        0 => (format!("INSERT INTO T VALUES ({k}, {v})"), BufOp::Put(k, v)),
+        1 => (
+            format!("UPDATE T SET V = {v} WHERE K = {k}"),
+            BufOp::Put(k, v),
+        ),
+        _ => (format!("DELETE FROM T WHERE K = {k}"), BufOp::Del(k)),
+    }
+}
+
+/// Whether the engine accepted a write: an INSERT that succeeded, or an
+/// UPDATE or DELETE that matched a row. A conflict or duplicate is
+/// rejected on both sides.
+fn accepted(kind: u8, result: &Result<easia_db::ResultSet, easia_db::DbError>) -> bool {
+    matches!(result, Ok(rs) if kind == 0 || rs.affected > 0)
+}
+
+fn apply(map: &mut BTreeMap<i64, i64>, op: &BufOp) {
+    match *op {
+        BufOp::Put(k, v) => {
+            map.insert(k, v);
+        }
+        BufOp::Del(k) => {
+            map.remove(&k);
+        }
     }
 }
 
@@ -305,11 +368,13 @@ proptest! {
     /// yields reader rows identical to a serial oracle that applies
     /// each transaction's successful writes atomically at its commit
     /// point, and snapshot reads that are repeatable (pinned at the
-    /// commit horizon when the snapshot was taken).
+    /// commit horizon when the snapshot was taken). The SQL session
+    /// reads the state at its `BEGIN` plus its own writes, like an API
+    /// transaction; an autocommit write commits at once.
     #[test]
     fn interleaved_snapshots_match_serial_oracle(
         raw in proptest::collection::vec(
-            (0u8..24, 0u8..3, 0u8..3, 0i64..8, 0i64..1000), 1..60)
+            (0u8..32, 0u8..3, 0u8..3, 0i64..8, 0i64..1000), 1..80)
     ) {
         let ops: Vec<Op> = raw.into_iter().map(decode_op).collect();
         let mut db = Database::new_in_memory();
@@ -322,6 +387,9 @@ proptest! {
         // when the snapshot was taken.
         let mut snaps: Vec<Option<(easia_db::SnapshotId, BTreeMap<i64, i64>)>> =
             vec![None, None, None];
+        // The SQL session: the oracle state it reads (committed at its
+        // BEGIN, plus its own writes) and its write buffer.
+        let mut session: Option<(BTreeMap<i64, i64>, Vec<BufOp>)> = None;
         // Serial oracle: the committed state.
         let mut committed: BTreeMap<i64, i64> = BTreeMap::new();
 
@@ -334,31 +402,19 @@ proptest! {
                 }
                 Op::Write { w, kind, k, v } => {
                     let Some((t, buf)) = writers[w].as_mut() else { continue };
-                    let t = *t;
-                    let (sql, ok_buf): (String, BufOp) = match kind {
-                        0 => (format!("INSERT INTO T VALUES ({k}, {v})"), BufOp::Put(k, v)),
-                        1 => (format!("UPDATE T SET V = {v} WHERE K = {k}"), BufOp::Put(k, v)),
-                        _ => (format!("DELETE FROM T WHERE K = {k}"), BufOp::Del(k)),
-                    };
+                    let (sql, ok_buf) = write_sql(kind, k, v);
                     // Mirror outcomes: the engine decides (uniqueness,
                     // visibility, first-committer-wins); the oracle
                     // buffers exactly the writes the engine accepted.
-                    match db.txn_execute(t, &sql, &[]) {
-                        Ok(rs) if kind == 0 || rs.affected > 0 => buf.push(ok_buf),
-                        Ok(_) => {}   // update/delete matched nothing
-                        Err(_) => {}  // conflict or duplicate: rejected both sides
+                    if accepted(kind, &db.txn_execute(*t, &sql, &[])) {
+                        buf.push(ok_buf);
                     }
                 }
                 Op::Commit { w } => {
                     if let Some((t, buf)) = writers[w].take() {
                         db.commit_txn(t).unwrap();
                         // Serial point: apply the buffer atomically.
-                        for b in buf {
-                            match b {
-                                BufOp::Put(k, v) => { committed.insert(k, v); }
-                                BufOp::Del(k) => { committed.remove(&k); }
-                            }
-                        }
+                        buf.iter().for_each(|b| apply(&mut committed, b));
                     }
                 }
                 Op::Rollback { w } => {
@@ -388,17 +444,63 @@ proptest! {
                     // snapshot or latest read (checked by later ops).
                     db.vacuum();
                 }
-                Op::LatestRead => {
-                    // All writes go through API txns, so a latest read
-                    // sees exactly the oracle's committed state.
+                Op::LatestRead | Op::SessionRead => {
+                    // Outside the session a read sees exactly the
+                    // oracle's committed state; inside it, the session's.
                     let rs = db.execute("SELECT K, V FROM T ORDER BY K").unwrap();
-                    prop_assert_eq!(&rs.rows, &oracle_rows(&committed));
+                    let want = session.as_ref().map_or(&committed, |(seen, _)| seen);
+                    prop_assert_eq!(&rs.rows, &oracle_rows(want));
+                }
+                Op::AutoWrite { kind, k, v } => {
+                    if session.is_some() {
+                        continue;
+                    }
+                    let (sql, op) = write_sql(kind, k, v);
+                    let result = db.execute(&sql);
+                    // A committed key no open writer has touched is the
+                    // statement's to change: no conflict, one row.
+                    let touched = writers.iter().flatten().flat_map(|(_, buf)| buf).any(
+                        |b| matches!(*b, BufOp::Put(j, _) | BufOp::Del(j) if j == k),
+                    );
+                    if kind != 0 && committed.contains_key(&k) && !touched {
+                        prop_assert_eq!(result.as_ref().map(|rs| rs.affected).ok(), Some(1));
+                    }
+                    if accepted(kind, &result) {
+                        apply(&mut committed, &op);
+                    }
+                }
+                Op::SessionBegin => {
+                    if session.is_none() {
+                        db.execute("BEGIN").unwrap();
+                        session = Some((committed.clone(), Vec::new()));
+                    }
+                }
+                Op::SessionWrite { kind, k, v } => {
+                    let Some((seen, buf)) = session.as_mut() else { continue };
+                    let (sql, op) = write_sql(kind, k, v);
+                    if accepted(kind, &db.execute(&sql)) {
+                        apply(seen, &op);
+                        buf.push(op);
+                    }
+                }
+                Op::SessionEnd { commit } => {
+                    if let Some((_, buf)) = session.take() {
+                        if commit {
+                            db.execute("COMMIT").unwrap();
+                            buf.iter().for_each(|b| apply(&mut committed, b));
+                        } else {
+                            db.execute("ROLLBACK").unwrap();
+                        }
+                    }
                 }
             }
         }
 
         // Drain: roll back in-flight writers, release snapshots, vacuum
         // to the clean steady state, and check the final image.
+        if session.take().is_some() {
+            db.execute("ROLLBACK").unwrap();
+        }
         for w in writers.iter_mut() {
             if let Some((t, _)) = w.take() {
                 db.rollback_txn(t).unwrap();

@@ -443,6 +443,80 @@ fn nested_begin_rejected() {
     assert!(matches!(db.execute("COMMIT").unwrap_err(), DbError::Txn(_)));
 }
 
+/// `T (K, V)` holding `(1, 0)`, frozen: committed with no view open.
+fn one_row() -> Database {
+    let mut db = Database::new_in_memory();
+    db.execute("CREATE TABLE t (k INTEGER PRIMARY KEY, v INTEGER)")
+        .unwrap();
+    db.execute("INSERT INTO t VALUES (1, 0)").unwrap();
+    db
+}
+
+fn rows(db: &mut Database) -> Vec<Vec<Value>> {
+    db.execute("SELECT k, v FROM t ORDER BY k").unwrap().rows
+}
+
+fn row(k: i64, v: i64) -> Vec<Value> {
+    vec![Value::Int(k), Value::Int(v)]
+}
+
+/// While a snapshot is open no row is frozen; a row an autocommit INSERT
+/// committed under it is seen, and updated, inside a later `BEGIN`.
+#[test]
+fn a_session_sees_what_committed_before_its_begin_under_a_snapshot() {
+    let mut db = one_row();
+    let snap = db.begin_snapshot();
+    db.execute("INSERT INTO t VALUES (2, 0)").unwrap();
+    db.execute("BEGIN").unwrap();
+    assert_eq!(rows(&mut db), vec![row(1, 0), row(2, 0)]);
+    let rs = db.execute("UPDATE t SET v = 5 WHERE k = 2").unwrap();
+    assert_eq!(rs.affected, 1);
+    db.execute("COMMIT").unwrap();
+    assert_eq!(rows(&mut db), vec![row(1, 0), row(2, 5)]);
+    let pinned = db.snapshot_query(snap, "SELECT k, v FROM t", &[]).unwrap();
+    assert_eq!(pinned.rows, vec![row(1, 0)]);
+    db.release_snapshot(snap);
+}
+
+/// An autocommit UPDATE or DELETE runs in a transaction of its own,
+/// pinned when the statement starts: a row committed under an open
+/// snapshot is no write conflict for it.
+#[test]
+fn autocommit_writes_of_rows_committed_under_a_snapshot_do_not_conflict() {
+    let mut db = one_row();
+    let snap = db.begin_snapshot();
+    db.execute("INSERT INTO t VALUES (2, 0), (3, 0)").unwrap();
+    let rs = db.execute("UPDATE t SET v = 7 WHERE k = 2").unwrap();
+    assert_eq!(rs.affected, 1);
+    let rs = db.execute("DELETE FROM t WHERE k = 3").unwrap();
+    assert_eq!(rs.affected, 1);
+    assert_eq!(rows(&mut db), vec![row(1, 0), row(2, 7)]);
+    assert_eq!(db.active_txns(), 0);
+    db.release_snapshot(snap);
+}
+
+/// A SQL session reads the state its `BEGIN` saw plus its own writes,
+/// as an API transaction does: a commit made after its `BEGIN` stays
+/// unseen until the session ends.
+#[test]
+fn a_session_reads_from_its_begin_and_its_own_writes() {
+    let mut db = one_row();
+    let t = db.begin_txn();
+    db.execute("BEGIN").unwrap();
+    db.txn_execute(t, "INSERT INTO t VALUES (2, 0)", &[])
+        .unwrap();
+    db.commit_txn(t).unwrap();
+    db.execute("INSERT INTO t VALUES (3, 0)").unwrap();
+    assert_eq!(rows(&mut db), vec![row(1, 0), row(3, 0)]);
+    let rs = db.execute("UPDATE t SET v = 9 WHERE k = 2").unwrap();
+    assert_eq!(
+        rs.affected, 0,
+        "the later commit's row is not the session's to see"
+    );
+    db.execute("COMMIT").unwrap();
+    assert_eq!(rows(&mut db), vec![row(1, 0), row(2, 0), row(3, 0)]);
+}
+
 #[test]
 fn secondary_index_used_and_maintained() {
     let mut db = turbulence_db();

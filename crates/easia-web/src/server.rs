@@ -9,6 +9,11 @@ use std::net::{TcpListener, TcpStream};
 /// Handle one ready-parsed request.
 pub type Handler = dyn FnMut(Request) -> Response;
 
+/// The most bytes the request line and headers may take together. A
+/// longer head is answered 400 without reading it on, so a peer that
+/// never sends a newline cannot grow a line without bound.
+const MAX_HEAD_BYTES: u64 = 16 * 1024;
+
 /// Serve `handler` on `addr` (e.g. `127.0.0.1:8080`). Each connection is
 /// handled sequentially; returns only on listener failure. `max_requests`
 /// (if given) stops the server after that many requests — handy in tests.
@@ -34,8 +39,8 @@ pub fn serve(addr: &str, handler: &mut Handler, max_requests: Option<u64>) -> st
 fn handle_connection(stream: &mut TcpStream, handler: &mut Handler) -> std::io::Result<()> {
     let peer = stream.try_clone()?;
     let mut reader = BufReader::new(peer);
-    let mut request_line = String::new();
-    reader.read_line(&mut request_line)?;
+    let mut budget = MAX_HEAD_BYTES;
+    let request_line = head_line(&mut reader, &mut budget)?;
     let mut parts = request_line.split_whitespace();
     let method = parts
         .next()
@@ -50,8 +55,7 @@ fn handle_connection(stream: &mut TcpStream, handler: &mut Handler) -> std::io::
     let mut content_length = 0usize;
     let mut session = None;
     loop {
-        let mut line = String::new();
-        reader.read_line(&mut line)?;
+        let line = head_line(&mut reader, &mut budget)?;
         let line = line.trim_end();
         if line.is_empty() {
             break;
@@ -88,6 +92,20 @@ fn handle_connection(stream: &mut TcpStream, handler: &mut Handler) -> std::io::
     write_response(stream, &response)
 }
 
+/// Read one line of the request head, charged to what is left of its
+/// `budget`. A line the budget ends before its newline is an error.
+fn head_line(reader: &mut impl BufRead, budget: &mut u64) -> std::io::Result<String> {
+    let mut line = String::new();
+    *budget -= reader.by_ref().take(*budget).read_line(&mut line)? as u64;
+    if *budget == 0 && !line.ends_with('\n') {
+        return Err(std::io::Error::new(
+            std::io::ErrorKind::InvalidData,
+            format!("request head exceeds {MAX_HEAD_BYTES} bytes"),
+        ));
+    }
+    Ok(line)
+}
+
 fn write_response(stream: &mut TcpStream, r: &Response) -> std::io::Result<()> {
     let reason = match r.status {
         200 => "OK",
@@ -115,8 +133,11 @@ fn write_response(stream: &mut TcpStream, r: &Response) -> std::io::Result<()> {
         head.push_str(&format!("Retry-After: {secs}\r\n"));
     }
     head.push_str("\r\n");
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(&r.body)?;
+    // One write: a connection closed with request bytes still unread is
+    // reset, and a body still queued behind its head would be lost.
+    let mut out = head.into_bytes();
+    out.extend_from_slice(&r.body);
+    stream.write_all(&out)?;
     stream.flush()
 }
 
@@ -178,5 +199,39 @@ mod tests {
         let out = send(&addr, "GET /missing HTTP/1.1\r\nHost: x\r\n\r\n");
         assert!(out.starts_with("HTTP/1.1 404"), "{out}");
         t.join().unwrap();
+    }
+
+    /// A peer streaming a 1 MiB header line with no newline gets a 400
+    /// once the head passes its cap, and the server serves on.
+    #[test]
+    fn an_oversized_request_head_is_answered_400() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        drop(listener);
+        let addr2 = addr.clone();
+        let server = std::thread::spawn(move || {
+            let mut handler = |_: Request| Response::text("ok".to_string());
+            serve(&addr2, &mut handler, Some(2)).unwrap();
+        });
+        std::thread::sleep(std::time::Duration::from_millis(100));
+
+        let mut c = Client::connect(&addr).unwrap();
+        let mut w = c.try_clone().unwrap();
+        let writer = std::thread::spawn(move || {
+            let mut line = b"GET / HTTP/1.1\r\nX-Long: ".to_vec();
+            line.resize(line.len() + (1 << 20), b'a');
+            // The server stops reading at the cap: the rest may be refused.
+            let _ = w.write_all(&line);
+        });
+        let mut out = Vec::new();
+        let _ = c.read_to_end(&mut out);
+        let out = String::from_utf8_lossy(&out);
+        assert!(out.starts_with("HTTP/1.1 400 Bad Request"), "{out}");
+        assert!(out.contains("request head exceeds 16384 bytes"), "{out}");
+        writer.join().unwrap();
+
+        let out = send(&addr, "GET / HTTP/1.1\r\nHost: x\r\n\r\n");
+        assert!(out.starts_with("HTTP/1.1 200 OK"), "{out}");
+        server.join().unwrap();
     }
 }
