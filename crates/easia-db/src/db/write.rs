@@ -140,11 +140,11 @@ impl Database {
     }
 
     /// The one checked row write in `txn`: an insert (`new` only), an
-    /// update (both) or a delete (`old` only) of a row of `table`. Its checks
-    /// run in one order: the new row's types, a write conflict on the old
-    /// one, the new row's UNIQUE and FK keys, the old row's referencing
-    /// children, then DATALINK unlink and link of every link that
-    /// changed. Only then is the old version stamped, the new one
+    /// update (both) or a delete (`old` only) of a row of `table`. Its
+    /// checks run in one order: the new row's types, a write conflict on
+    /// the old one, the new row's UNIQUE and FK keys, the old row's
+    /// referencing children, then DATALINK unlink and link of every link
+    /// that changed. Only then is the old version stamped, the new one
     /// inserted and the redo recorded.
     fn write_row(
         &mut self,
@@ -543,10 +543,10 @@ impl Database {
     }
 
     /// Find the first live row equal to `row` (used by WAL replay, which
-    /// logs rows by value, not by row id). Equal
-    /// means equal *record bytes* — the encoding is canonical, and unlike
-    /// `==` on values it finds a NaN. An index only narrows the records
-    /// compared, to those filed under the row's key.
+    /// finds the rows it deletes and updates by value, not by row id).
+    /// Equal means equal *record bytes* — the encoding is canonical, and
+    /// unlike `==` on values it finds a NaN. An index only narrows the
+    /// records compared, to those filed under the row's key.
     pub(super) fn find_row_by_value(&self, table: &str, row: &[Value]) -> Option<RowId> {
         let t = self.tables.get(table)?;
         let mut want = Vec::new();
