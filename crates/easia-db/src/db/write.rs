@@ -12,7 +12,9 @@ use crate::schema::TableSchema;
 use crate::storage::snapshot::check_record;
 use crate::storage::RowId;
 use crate::txn::WalRecord;
-use crate::value::{as_cell, cell_cmp, encode_cells, encode_row, sieve_record, Records, Value};
+use crate::value::{
+    as_cell, cell_cmp, cell_count, encode_cells, encode_row, next_cell, Records, Value,
+};
 
 /// `row`'s key in columns `cols`, as a tree files it, written over `key`.
 fn key_into<'k>(cols: &[usize], row: &[Value], key: &'k mut Vec<u8>) -> KeyRef<'k> {
@@ -26,8 +28,10 @@ impl Table {
     /// columns `cols` — the one probe of both FK checks. Equal is the
     /// index's equality ([`cell_cmp`]): `1` is `1.0`, `-0.0` is `0.0`,
     /// NaN is NaN, a VARCHAR is the CLOB of its text. An index led by
-    /// `cols` is walked under the key; otherwise every stored record's
-    /// cells are compared in place. No row is decoded.
+    /// `cols` is walked under the key; otherwise every stored record is
+    /// stepped through cell by cell — a damaged shape is its typed error,
+    /// its text trusted as a heap's is — and its key cells compared in
+    /// place. No row is decoded.
     fn holds_key(
         &self,
         cols: &[usize],
@@ -48,14 +52,13 @@ impl Table {
             return Ok(found);
         }
         let want: Vec<_> = key.cells().collect();
-        let read = vec![false; self.schema.columns.len()];
-        let mut cells = Vec::with_capacity(read.len());
+        let mut cells = Vec::with_capacity(self.schema.columns.len());
         for (rid, rec) in self.heap.records() {
             cells.clear();
-            sieve_record(rec, &mut 0, &read, |_, tag, payload, _| {
-                cells.push((tag, payload));
-                true
-            })?;
+            let mut pos = 0;
+            for _ in 0..cell_count(rec, &mut pos)? {
+                cells.push(next_cell(rec, &mut pos)?);
+            }
             let equal =
                 |(&c, &w): (&usize, _)| cells.get(c).is_some_and(|&cell| cell_cmp(cell, w).is_eq());
             if cols.iter().zip(&want).all(equal) && visible(rid) {

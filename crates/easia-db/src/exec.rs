@@ -18,7 +18,7 @@ use crate::index::btree::{key_record, KeyRef};
 use crate::mvcc::ReadView;
 use crate::plan::{
     bound_conjuncts, choose_bound, choose_in_scope, own_conjuncts, stand_in, AccessPath, Scope,
-    Sieve,
+    Sieve, SieveScan,
 };
 use crate::schema::{DatalinkSpec, TableSchema};
 use crate::sql::ast::{is_aggregate_fn, BinaryOp, Expr, JoinKind, SelectItem, SelectStmt};
@@ -149,14 +149,15 @@ fn fetch<'r>(
                 links_as_clob: source.links_as_clob(),
                 ..cells
             };
-            return sift(records, cells, pass, take);
+            return sift(records, SieveScan::ALL, cells, pass, take);
         }
     };
     let visible = db.row_visibility(&t.schema.name, view);
+    let sieve = cells.sieve.over(&t.schema, cells.filter);
     match path {
         AccessPath::FullScan => {
             let records = t.heap.records().filter(|(rid, _)| visible(*rid));
-            sift(records, cells, pass, take)
+            sift(records, sieve, cells, pass, take)
         }
         AccessPath::IndexRange {
             index_pos,
@@ -192,25 +193,27 @@ fn fetch<'r>(
                 .into_iter()
                 .filter(|rid| visible(*rid))
                 .filter_map(|rid| Some((rid, t.heap.record(rid)?)));
-            sift(records, cells, pass, take)
+            sift(records, sieve, cells, pass, take)
         }
     }
 }
 
-/// Test each of `records` against the sieve on its bytes
-/// ([`Sieve::keeps`]); decode the filter's cells of a record it keeps
+/// Test each of `records` against `sieve` on its bytes
+/// ([`SieveScan::keeps`]); decode the filter's cells of a record it keeps
 /// ([`decode_some_into`]) into a scratch row and lend it to `pass`;
 /// decode a row that passes again, with all its cells, into a second
 /// scratch row and lend that to `take`, beside its row id and record,
 /// which copies out (or takes) what it keeps. A record the sieve refuses
-/// is walked once and nothing of it decoded or evaluated; each scratch
-/// row refills the buffers it already owns, so a rejected row allocates
-/// nothing. Returns the number of
-/// records, also when a closure or the decoder raises part-way — the
-/// first error is the one returned, and what it left unvisited was a
-/// candidate all the same.
+/// is walked no further than the cell that refuses it (or a later one
+/// the filter reads that could hold a NaN), and nothing of it decoded
+/// or evaluated; each scratch row refills the buffers it already owns,
+/// so a rejected row allocates nothing. Returns the number of records,
+/// also when a closure or the decoder raises part-way — the first error
+/// is the one returned, and what it left unvisited was a candidate all
+/// the same.
 fn sift<'r>(
     mut records: impl Iterator<Item = (RowId, &'r [u8])>,
+    sieve: SieveScan,
     cells: Cells,
     mut pass: impl FnMut(&[Value]) -> Result<bool>,
     mut take: impl FnMut((RowId, &'r [u8]), &mut Vec<Value>) -> Result<()>,
@@ -220,21 +223,20 @@ fn sift<'r>(
     let (mut seen, mut visited) = (0, Ok(()));
     for (rid, record) in records.by_ref() {
         seen += 1;
-        visited = cells.sieve.keeps(record, cells.filter).and_then(|kept| {
-            if !kept {
-                return Ok(());
-            }
-            let links = cells.links_as_clob;
-            decode_some_into(record, &mut 0, &mut sieved, cells.filter, links)?;
-            if !pass(&sieved)? {
-                return Ok(());
-            }
-            if !twice {
-                return take((rid, record), &mut sieved);
-            }
-            decode_some_into(record, &mut 0, &mut whole, cells.all, links)?;
-            take((rid, record), &mut whole)
-        });
+        if !sieve.keeps(record) {
+            continue;
+        }
+        let links = cells.links_as_clob;
+        visited = decode_some_into(record, &mut 0, &mut sieved, cells.filter, links)
+            .and_then(|()| pass(&sieved))
+            .and_then(|passed| match (passed, twice) {
+                (false, _) => Ok(()),
+                (true, false) => take((rid, record), &mut sieved),
+                (true, true) => {
+                    decode_some_into(record, &mut 0, &mut whole, cells.all, links)?;
+                    take((rid, record), &mut whole)
+                }
+            });
         if visited.is_err() {
             break;
         }
@@ -1713,22 +1715,58 @@ mod tests {
         assert_eq!(calls, ["SUM(COUNT(X))", "MAX(Y)", "MIN(Y)", "COUNT(*)"]);
     }
 
+    /// Row `k` of the damaged-record tests' table `T (K INTEGER, S
+    /// VARCHAR(16), N INTEGER)`.
+    fn damaged_table_row(k: i64) -> [Value; 3] {
+        [
+            Value::Int(k),
+            Value::Str(format!("row-{k}")),
+            Value::Int(-k),
+        ]
+    }
+
+    /// Damage done to a cell, handed over from its tag on.
+    type Damage = fn(&mut [u8]);
+
+    /// The damage done to the string cell of row 7, each beside the
+    /// decoder's error for it: a tag that is no tag, a length past the
+    /// record, text that is not UTF-8.
+    const DAMAGES: [(Damage, &str); 3] = [
+        (|cell| cell[0] = 0xEE, "bad tag 238"),
+        (
+            |cell| cell[1..5].copy_from_slice(&u32::MAX.to_le_bytes()),
+            "truncated",
+        ),
+        (|cell| cell[5] = 0xFF, "bad utf8"),
+    ];
+
+    /// Where the string cell of row 7 starts in `image`, which holds the
+    /// row's record inline.
+    fn damaged_cell_at(image: &[u8]) -> usize {
+        let mut record = Vec::new();
+        encode_row(&damaged_table_row(7), &mut record);
+        let at = image
+            .windows(record.len())
+            .position(|w| w == record)
+            .expect("row 7 is stored inline");
+        // Past the count and the INTEGER cell.
+        at + 4 + 9
+    }
+
     /// A cell no expression reads is stepped over, not decoded: a bad tag
     /// or length in it is still the record's typed error, on every path,
-    /// while text in it that is not UTF-8 goes unseen — a heap holds only
-    /// records `encode_row` wrote or a snapshot load decoded whole
-    /// (DESIGN.md, "skipped cells"). A cell that is read is still checked:
-    /// the filter's on every row, the rest on a row that passes.
+    /// while text in it that is not UTF-8 goes unseen. A cell that is read
+    /// is still checked: the filter's on every row, the rest on a row that
+    /// passes. Under a sieve the record is trusted outright: the walk that
+    /// tests it stops at the cell that refuses the row, and nothing after
+    /// that cell is examined — a heap holds only records `encode_row`
+    /// wrote or a snapshot load checked whole (DESIGN.md, "the
+    /// skipped-cell rule"; `open_refuses_each_damaged_record_at_load`).
+    /// Nothing panics.
     #[test]
     fn skipped_cells_are_checked_for_shape_not_text() {
-        let row = |k: i64| {
-            [
-                Value::Int(k),
-                Value::Str(format!("row-{k}")),
-                Value::Int(-k),
-            ]
-        };
-        let table = |damage: &dyn Fn(&mut [u8])| {
+        let row = damaged_table_row;
+        let table = |damage: Damage| {
             let mut heap = HeapTable::new();
             for k in 0..50 {
                 heap.insert(&row(k));
@@ -1736,15 +1774,8 @@ mod tests {
             let mut image = Vec::new();
             heap.write_section(true, heap.len(), |_, _| Ok(true), &mut image)
                 .unwrap();
-            let mut record = Vec::new();
-            encode_row(&row(7), &mut record);
-            let at = image
-                .windows(record.len())
-                .position(|w| w == record)
-                .expect("row 7 is stored inline");
-            // Past the count and the INTEGER cell: the string's tag, its
-            // length, its text.
-            damage(&mut image[at + 4 + 9..]);
+            let at = damaged_cell_at(&image);
+            damage(&mut image[at..]);
             let columns = vec![
                 ColumnDef::new("K", SqlType::Integer),
                 ColumnDef::new("S", SqlType::Varchar(16)),
@@ -1793,8 +1824,7 @@ mod tests {
         let seven = |k: &Value| *k == Value::Int(7);
         let not_seven = |k: &Value| *k != Value::Int(7);
 
-        let bad_tag = table(&|cell| cell[0] = 0xEE);
-        let too_long = table(&|cell| cell[1..5].copy_from_slice(&u32::MAX.to_le_bytes()));
+        let [bad_tag, too_long, not_text] = DAMAGES.map(|(damage, _)| table(damage));
         for (t, raised) in [(&bad_tag, "bad tag 238"), (&too_long, "truncated")] {
             let damaged = Err(DbError::Storage(format!("row decode: {raised}")));
             assert_eq!(scan(t, &[], &[], everyone), damaged);
@@ -1802,7 +1832,6 @@ mod tests {
             assert_eq!(scan(t, &k_only, &k_and_n, not_seven), damaged);
         }
 
-        let not_text = table(&|cell| cell[5] = 0xFF);
         let bad_utf8 = Err(DbError::Storage("row decode: bad utf8".into()));
         assert_eq!(scan(&not_text, &[], &[], everyone), bad_utf8);
         assert_eq!(scan(&not_text, &k_only, &[], seven), bad_utf8);
@@ -1814,8 +1843,7 @@ mod tests {
         assert_eq!(skipped[7], row(8));
 
         // Under the sieve of a WHERE, whose rows are every row it keeps
-        // (`filter` decoded, then all): row 7 is refused on its bytes,
-        // and its shape and the text the WHERE reads still checked.
+        // (`filter` decoded, then all).
         let sieved = |t: &Table, pred: &str, filter: &[bool]| {
             let sql = format!("SELECT * FROM t WHERE {pred}");
             let Ok(crate::sql::ast::Stmt::Select(sel)) = crate::sql::parse(&sql) else {
@@ -1850,19 +1878,74 @@ mod tests {
             assert_eq!(read.0, 50);
             read.1.map(|()| rows)
         };
+        let (s_only, n_only) = ([false, true, false], [false, false, true]);
+        let just_eight = Ok(vec![row(8).to_vec()]);
+        // After the cell that refuses row 7, no damage is examined: the
+        // row is refused.
+        for t in [&bad_tag, &too_long, &not_text] {
+            assert_eq!(sieved(t, "k = 8", &k_only), just_eight, "after");
+        }
+        // A shape the walk cannot step at or before the tested cell keeps
+        // the row, for the decoder to raise; so does any damage in a row
+        // the sieve keeps.
         for (t, raised) in [(&bad_tag, "bad tag 238"), (&too_long, "truncated")] {
             let damaged = Err(DbError::Storage(format!("row decode: {raised}")));
+            assert_eq!(sieved(t, "s LIKE 'zz%'", &s_only), damaged, "at");
+            assert_eq!(sieved(t, "n = -8", &n_only), damaged, "before");
+            assert_eq!(sieved(t, "k = 7", &k_only), damaged, "kept");
+        }
+        // Text is the decoder's to check, on the rows the sieve keeps —
+        // the tested cell's, one before it, one after it. Text a row is
+        // refused on, or stepped over to refuse it, is trusted.
+        assert_eq!(sieved(&not_text, "s >= 'a'", &s_only), bad_utf8);
+        assert_eq!(sieved(&not_text, "n = -7", &n_only), bad_utf8);
+        assert_eq!(sieved(&not_text, "k = 7", &k_only), bad_utf8);
+        assert_eq!(sieved(&not_text, "s LIKE 'zz%'", &s_only), Ok(vec![]));
+        assert_eq!(sieved(&not_text, "n = -8", &n_only), just_eight);
+    }
+
+    /// What the sieve trusts: `Database::open` checks every record of the
+    /// snapshot it loads (`snapshot::check_record`), so each damaged
+    /// record of `skipped_cells_are_checked_for_shape_not_text`, in a
+    /// file sealed again over it, is the record's typed error there and
+    /// never reaches a heap.
+    #[test]
+    fn open_refuses_each_damaged_record_at_load() {
+        let dir = std::env::temp_dir().join(format!(
+            "easia-db-exec-{}-damaged-record",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let rid = {
+            let mut db = Database::open(&dir).unwrap();
+            db.execute("CREATE TABLE t (k INTEGER, s VARCHAR(16), n INTEGER)")
+                .unwrap();
+            for k in 0..50 {
+                db.execute_with_params("INSERT INTO t VALUES (?, ?, ?)", &damaged_table_row(k))
+                    .unwrap();
+            }
+            db.checkpoint().unwrap();
+            let seventh = db.table("T").unwrap().heap.records().nth(7);
+            seventh.unwrap().0
+        };
+        let snap = dir.join(crate::storage::snapshot::FILE);
+        let good = std::fs::read(&snap).unwrap();
+        let at = damaged_cell_at(&good);
+        for (damage, raised) in DAMAGES {
+            let mut image = good.clone();
+            damage(&mut image[at..]);
+            // The magic, then the base frame sealed again over the damage.
+            let image = [&image[..8], &crate::txn::seal_batch(&image[21..])[..]].concat();
+            std::fs::write(&snap, image).unwrap();
+            let refused = format!("T row {:#x}: row decode: {raised}", rid.0);
             assert_eq!(
-                sieved(t, "k = 8", &k_only),
-                damaged,
-                "after the tested cell"
+                Database::open(&dir).map(|_| ()),
+                Err(DbError::Storage(refused))
             );
         }
-        let s_only = [false, true, false];
-        assert_eq!(sieved(&not_text, "s LIKE 'zz%'", &s_only), bad_utf8);
-        assert_eq!(
-            sieved(&not_text, "k = 8", &k_only),
-            Ok(vec![row(8).to_vec()])
-        );
+        std::fs::write(&snap, &good).unwrap();
+        let mut db = Database::open(&dir).unwrap();
+        assert_eq!(db.execute("SELECT k FROM t").unwrap().rows.len(), 50);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

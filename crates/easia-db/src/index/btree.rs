@@ -37,7 +37,7 @@ impl<'a> KeyRef<'a> {
     /// View `record`, once checked to be one whole [`encode_row`] record.
     pub fn new(record: &'a [u8]) -> crate::error::Result<Self> {
         let mut pos = 0;
-        sieve_record(record, &mut pos, &[], |_, _, _, _| true)?;
+        sieve_record(record, &mut pos, |_| {})?;
         match pos == record.len() {
             true => Ok(KeyRef(record)),
             false => Err(DbError::Storage("row decode: trailing bytes".into())),

@@ -17,7 +17,7 @@ use crate::error::Result;
 use crate::expr::{Bound, EvalContext, RowSchema};
 use crate::schema::TableSchema;
 use crate::sql::ast::{BinaryOp, Expr, UnaryOp};
-use crate::value::{as_cell, cell_cmp, scalar_cell, sieve_record, SqlType, Value};
+use crate::value::{as_cell, cell_cmp, cell_count, next_cell, scalar_cell, SqlType, Value};
 use crate::Database;
 use std::cmp::Ordering;
 
@@ -246,20 +246,83 @@ impl Sieve {
     /// The sieve that keeps every record.
     pub(crate) const NONE: Sieve = Sieve(Vec::new());
 
-    /// False when `record`, a row of the planned table, fails a
-    /// restriction, tested on its bytes by [`sieve_record`] (which checks
-    /// the cells `read` selects as the decoder would). A sieve without
-    /// restrictions keeps every record unwalked.
-    pub(crate) fn keeps(&self, record: &[u8], read: &[bool]) -> Result<bool> {
-        if self.0.is_empty() {
-            return Ok(true);
+    /// This sieve as a scan of `schema`'s rows applies it, whose filter
+    /// reads the cells `read` selects (an empty mask: every cell).
+    pub(crate) fn over<'s>(&'s self, schema: &TableSchema, read: &'s [bool]) -> SieveScan<'s> {
+        let may_be_nan =
+            |&i: &usize| schema.columns[i].ty == SqlType::Double && read.get(i) != Some(&false);
+        let nan_end = (0..schema.columns.len()).rev().find(may_be_nan);
+        SieveScan {
+            tests: &self.0,
+            read,
+            nan_end: nan_end.map_or(0, |i| i + 1),
         }
-        sieve_record(record, &mut 0, read, |col, tag, payload, _| {
-            match self.0.get(col) {
-                Some(Some(r)) => r.admits(tag, payload),
-                _ => true,
+    }
+}
+
+/// A [`Sieve`] as one scan applies it ([`Sieve::over`]).
+#[derive(Clone, Copy)]
+pub(crate) struct SieveScan<'s> {
+    tests: &'s [Option<Restriction>],
+    read: &'s [bool],
+    /// One past the last DOUBLE cell the filter reads: how far a refused
+    /// record is walked on, for a NaN that keeps it.
+    nan_end: usize,
+}
+
+impl SieveScan<'_> {
+    /// The scan that keeps every record: a relation's, never sieved.
+    pub(crate) const ALL: SieveScan<'static> = SieveScan {
+        tests: &[],
+        read: &[],
+        nan_end: 0,
+    };
+
+    /// False when `record`, a stored row of the planned table, fails a
+    /// restriction ([`Restriction::admits`], on its bytes). The record is
+    /// trusted: it was checked when it entered the process (DESIGN.md,
+    /// "the skipped-cell rule"), so no text is checked as UTF-8 here and
+    /// the walk stops at the last restricted cell — or, at the first
+    /// refusal, as soon as no later cell the filter reads could hold a
+    /// NaN. A NaN in a DOUBLE cell the filter reads keeps the row, as
+    /// every comparison raises on it (DESIGN.md, "the sieve"). A cell
+    /// whose shape is not what a record's is keeps the row too, for
+    /// `decode_some_into` to raise the typed error. Walks nothing when
+    /// there are no restrictions, and allocates nothing.
+    pub(crate) fn keeps(&self, record: &[u8]) -> bool {
+        if self.tests.is_empty() {
+            return true;
+        }
+        let mut pos = 0;
+        let Ok(n) = cell_count(record, &mut pos) else {
+            return true;
+        };
+        let mut refused = false;
+        for i in 0..n {
+            // Past the last restricted cell nothing refuses the row; once
+            // it is refused, past the last cell that could hold a NaN
+            // nothing keeps it.
+            let end = if refused {
+                self.nan_end
+            } else {
+                self.tests.len()
+            };
+            if i >= end {
+                break;
             }
-        })
+            let Ok((tag, payload)) = next_cell(record, &mut pos) else {
+                return true;
+            };
+            let read = self.read.get(i) != Some(&false);
+            let nan = || matches!(scalar_cell(tag, payload), Some(Value::Double(x)) if x.is_nan());
+            if tag == 2 && read && nan() {
+                return true;
+            }
+            if let Some(Some(r)) = self.tests.get(i) {
+                refused = refused || !r.admits(tag, payload);
+            }
+        }
+        !refused
     }
 }
 

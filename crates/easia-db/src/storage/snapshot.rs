@@ -238,20 +238,19 @@ pub(crate) fn check_record<'r>(
     mut cell: impl FnMut(&'r [u8]),
 ) -> Result<()> {
     let (mut pos, mut cells) = (0, 0);
-    let walked = sieve_record(rec, &mut pos, &[], |_, _, _, span| {
+    let walked = sieve_record(rec, &mut pos, |span| {
         cell(&rec[span]);
         cells += 1;
-        true
     });
     let what = match walked {
         Err(DbError::Storage(what)) => what,
         Err(other) => return Err(other),
-        Ok(_) if pos != rec.len() => "row decode: trailing bytes".into(),
-        Ok(_) if cells != schema.columns.len() => format!(
+        Ok(()) if pos != rec.len() => "row decode: trailing bytes".into(),
+        Ok(()) if cells != schema.columns.len() => format!(
             "row decode: {cells} cells for {} columns",
             schema.columns.len()
         ),
-        Ok(_) => return Ok(()),
+        Ok(()) => return Ok(()),
     };
     Err(DbError::Storage(format!(
         "{} row {:#x}: {what}",

@@ -489,7 +489,7 @@ impl Records {
     /// would. On error nothing is appended.
     pub fn push_checked(&mut self, buf: &[u8], pos: &mut usize) -> Result<()> {
         let start = *pos;
-        sieve_record(buf, pos, &[], |_, _, _, _| true)?;
+        sieve_record(buf, pos, |_| {})?;
         self.bytes.extend_from_slice(&buf[start..*pos]);
         self.ends.push(self.bytes.len());
         Ok(())
@@ -627,43 +627,35 @@ pub fn decode_some_into(
     decoded
 }
 
-/// Offer each cell of the record at `pos` in `buf` to `admits` — its
-/// position, tag and payload as [`next_cell`] yields them, and where in
-/// `buf` its whole encoding lies — without decoding any, and move `pos` past the record:
-/// whether the row is kept, which it is when `admits` takes every cell.
-/// The walk checks what [`decode_some_into`] with the same `read` would — every
-/// tag and length, and the text of every string cell `read` selects, as
-/// UTF-8 — and raises its first error, refused row or not. A row is also
-/// kept when a DOUBLE cell `read` selects holds a NaN, which every
-/// comparison raises on (DESIGN.md, "the sieve").
-pub(crate) fn sieve_record<'b>(
-    buf: &'b [u8],
+/// Check the record at `pos` in `buf` as [`decode_row`] would — every
+/// tag and length, and the text of every string cell as UTF-8 — without
+/// decoding any cell, raising its first error; lend where in `buf` each
+/// cell's whole encoding lies to `cell`, and move `pos` past the record.
+/// The one entry check: a record is walked by it when it enters the
+/// process — a snapshot load (`snapshot::check_record`), an `EMB1` frame
+/// accepted ([`Records::push_checked`]), an index key handed in — and is
+/// trusted after, by the sieve and by every skipped cell (DESIGN.md,
+/// "the skipped-cell rule").
+pub(crate) fn sieve_record(
+    buf: &[u8],
     pos: &mut usize,
-    read: &[bool],
-    mut admits: impl FnMut(usize, u8, &'b [u8], Range<usize>) -> bool,
-) -> Result<bool> {
-    let (mut kept, mut nan) = (true, false);
-    for i in 0..cell_count(buf, pos)? {
+    mut cell: impl FnMut(Range<usize>),
+) -> Result<()> {
+    for _ in 0..cell_count(buf, pos)? {
         let at = *pos;
         let (tag, payload) = next_cell(buf, pos)?;
-        if read.get(i) != Some(&false) {
-            match tag {
-                2 => nan |= f64::from_le_bytes(payload.try_into().expect("8 bytes")).is_nan(),
-                3 | 8 | 9 => {
-                    text(payload)?;
-                }
-                _ => {}
-            }
+        if matches!(tag, 3 | 8 | 9) {
+            text(payload)?;
         }
-        kept = kept && admits(i, tag, payload, at..*pos);
+        cell(at..*pos);
     }
-    Ok(kept || nan)
+    Ok(())
 }
 
 /// The cell count a record at `pos` starts with. Every cell takes at
 /// least its tag byte: a count the input cannot hold is refused before
 /// anything is reserved for it.
-fn cell_count(buf: &[u8], pos: &mut usize) -> Result<usize> {
+pub(crate) fn cell_count(buf: &[u8], pos: &mut usize) -> Result<usize> {
     let count = buf.get(*pos..*pos + 4).ok_or_else(truncated)?;
     *pos += 4;
     let n = u32::from_le_bytes(count.try_into().expect("4 bytes")) as usize;
@@ -683,7 +675,7 @@ fn truncated() -> DbError {
 /// u32 length and that many bytes), checked to lie inside `buf`. Moves
 /// `pos` past the cell.
 #[inline(always)]
-fn next_cell<'a>(buf: &'a [u8], pos: &mut usize) -> Result<(u8, &'a [u8])> {
+pub(crate) fn next_cell<'a>(buf: &'a [u8], pos: &mut usize) -> Result<(u8, &'a [u8])> {
     let at = *pos;
     let tag = *buf.get(at).ok_or_else(truncated)?;
     let (start, len) = match tag {

@@ -1489,7 +1489,12 @@ fn statement_errors_are_raised_before_any_row_is_read() {
 /// as a relation, and must agree on rows, order and error text — for
 /// each restriction kind on each column type, NULL cells, ±0.0, an
 /// INTEGER column held against DOUBLE constants, a stored NaN (which
-/// still raises), WHEREs that are not total, and JOIN bases.
+/// still raises), WHEREs that are not total, and JOIN bases. The sieve's
+/// walk stops early — at the last restricted cell, or at the first
+/// refusal once no later cell the WHERE reads can hold a NaN — so `w`
+/// restricts a column after a CLOB, its last column, and, under an
+/// index walk, any column; two restrictions where only the later one
+/// refuses; and a NaN read after the refusing cell.
 #[test]
 fn the_sieve_agrees_with_the_base_bound_as_a_relation() {
     let mut db = Database::new_in_memory();
@@ -1497,6 +1502,8 @@ fn the_sieve_agrees_with_the_base_bound_as_a_relation() {
         "CREATE TABLE s (id INTEGER, t VARCHAR(16), n INTEGER, x DOUBLE, c CLOB)",
         "CREATE TABLE z (id INTEGER, t VARCHAR(16), x DOUBLE)",
         "CREATE TABLE u (k INTEGER, label VARCHAR(8))",
+        "CREATE TABLE w (id INTEGER, c CLOB, t VARCHAR(16), x DOUBLE, n INTEGER)",
+        "CREATE INDEX ix_w_id ON w (id)",
     ] {
         db.execute(ddl).unwrap();
     }
@@ -1542,6 +1549,31 @@ fn the_sieve_agrees_with_the_base_bound_as_a_relation() {
         db.execute_with_params("INSERT INTO z VALUES (?, ?, ?)", &[Value::Int(id), t, x])
             .unwrap();
     }
+    // `w`: ids 0..80, a NaN at ids 40 and 41, whose t and n are NULL:
+    // every restriction on either refuses them.
+    for id in 0..80 {
+        let nan = matches!(id, 40 | 41);
+        let or_nan = |v: Value, rng: &mut StdRng| match nan {
+            true => Value::Null,
+            false => or_null(v, rng),
+        };
+        let x = match nan {
+            true => Value::Double(f64::NAN),
+            false => or_null(Value::Double(pick(&mut rng, &doubles)), &mut rng),
+        };
+        let row = [
+            Value::Int(id),
+            or_null(
+                Value::Clob(format!("doc {}", rng.gen_range(0..40))),
+                &mut rng,
+            ),
+            or_nan(Value::Str(pick(&mut rng, &texts).into()), &mut rng),
+            x,
+            or_nan(Value::Int(pick(&mut rng, &ints)), &mut rng),
+        ];
+        db.execute_with_params("INSERT INTO w VALUES (?, ?, ?, ?, ?)", &row)
+            .unwrap();
+    }
     for k in [-7, 0, 1, 2, 3, 5] {
         let row = [Value::Int(k), Value::Str(format!("k{k}"))];
         db.execute_with_params("INSERT INTO u VALUES (?, ?)", &row)
@@ -1551,7 +1583,7 @@ fn the_sieve_agrees_with_the_base_bound_as_a_relation() {
         let rs = db.execute(&format!("SELECT * FROM {table}")).unwrap();
         Relation::from_rows(&table.to_ascii_uppercase(), rs.columns, &rs.rows)
     };
-    let bases = [relation("s"), relation("z")];
+    let bases = [relation("s"), relation("z"), relation("w")];
     let (mut returned, mut raised) = (0, 0);
     let mut agree = |sql: &str, params: &[Value]| {
         let sel = select_of(sql);
@@ -1664,6 +1696,61 @@ fn the_sieve_agrees_with_the_base_bound_as_a_relation() {
             Err("type error: cannot compare DOUBLE with INTEGER".into()),
             "{pred}"
         );
+    }
+    // The walk stops at the last restricted cell, or after a refusal:
+    // a column after a CLOB, the last column, two restrictions of which
+    // the later one refuses, each over a full scan of `w` and, with
+    // `id` bound, under a walk of its index that is sieved the same way.
+    let cannot_compare = Err("type error: cannot compare DOUBLE with INTEGER".to_string());
+    let walks = [
+        ("", ""),
+        ("id BETWEEN 10 AND 39 AND ", " LIMIT 5"),
+        ("id >= 42 AND ", " ORDER BY id DESC"),
+    ];
+    for pred in [
+        "t LIKE 'a%'",
+        "t = 'ab'",
+        "t >= 'b'",
+        "c LIKE 'doc 1%' AND t < 'b'",
+        "n = 2",
+        "n BETWEEN 0 AND 3",
+        "n >= 9007199254740992.0",
+        "t >= '' AND n = 3",
+        "c >= 'doc' AND t LIKE 'ab%'",
+        "t LIKE 'a%' AND n < 2.5",
+        "x >= -1 AND n = 1",
+    ] {
+        for (index, rest) in walks {
+            let sql = format!("SELECT * FROM w WHERE {index}{pred}{rest}");
+            let _ = agree(&sql, &[]);
+            let _ = agree(&sql.replace("SELECT *", "SELECT id, n"), &[]);
+        }
+    }
+    let index_walk = db.table("W").and_then(|w| {
+        let pred = select_of("SELECT * FROM w WHERE id >= 42 AND n = 2").where_clause;
+        choose_access_path(&db, w, "W", pred.as_ref(), &[]).ok()
+    });
+    assert!(
+        matches!(index_walk, Some(AccessPath::IndexRange { .. })),
+        "{index_walk:?}"
+    );
+    // A NaN read after the refusing cell keeps its row, whose WHERE
+    // raises: on the full scan, and under an index walk that reaches it.
+    for sql in [
+        "SELECT * FROM w WHERE t LIKE 'zz%' AND x > 0",
+        "SELECT * FROM w WHERE t = 'b' AND x < 100",
+        "SELECT * FROM w WHERE id BETWEEN 30 AND 50 AND t LIKE 'zz%' AND x > 0",
+        "SELECT id FROM z WHERE x < 100 AND id = 1",
+    ] {
+        assert_eq!(agree(sql, &[]), cannot_compare, "{sql}");
+    }
+    // One the walk does not reach, or whose x the WHERE does not read,
+    // raises nothing.
+    for sql in [
+        "SELECT * FROM w WHERE id < 40 AND t LIKE 'zz%' AND x > 0",
+        "SELECT * FROM w WHERE id >= 40 AND t LIKE 'zz%'",
+    ] {
+        assert_eq!(agree(sql, &[]), Ok(vec![]), "{sql}");
     }
     let unread = agree("SELECT id FROM z WHERE t LIKE 'a%'", &[]);
     assert_eq!(
