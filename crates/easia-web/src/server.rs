@@ -14,6 +14,11 @@ pub type Handler = dyn FnMut(Request) -> Response;
 /// never sends a newline cannot grow a line without bound.
 const MAX_HEAD_BYTES: u64 = 16 * 1024;
 
+/// The most bytes a request body may take. A request declaring a longer
+/// one is answered 413 without its body being read or its handler run:
+/// a form cut short at the cap would be a different form.
+const MAX_BODY_BYTES: usize = 1 << 20;
+
 /// Serve `handler` on `addr` (e.g. `127.0.0.1:8080`). Each connection is
 /// handled sequentially; returns only on listener failure. `max_requests`
 /// (if given) stops the server after that many requests — handy in tests.
@@ -64,7 +69,12 @@ fn handle_connection(stream: &mut TcpStream, handler: &mut Handler) -> std::io::
             let name = name.trim().to_ascii_lowercase();
             let value = value.trim();
             if name == "content-length" {
-                content_length = value.parse().unwrap_or(0);
+                content_length = value.parse().map_err(|_| {
+                    std::io::Error::new(
+                        std::io::ErrorKind::InvalidData,
+                        format!("bad Content-Length: {value}"),
+                    )
+                })?;
             } else if name == "cookie" {
                 for c in value.split(';') {
                     if let Some((k, v)) = c.trim().split_once('=') {
@@ -77,7 +87,11 @@ fn handle_connection(stream: &mut TcpStream, handler: &mut Handler) -> std::io::
         }
     }
     // Body.
-    let mut body = vec![0u8; content_length.min(1 << 20)];
+    if content_length > MAX_BODY_BYTES {
+        let too_large = format!("request body exceeds {MAX_BODY_BYTES} bytes");
+        return write_response(stream, &Response::error(413, &too_large));
+    }
+    let mut body = vec![0u8; content_length];
     if !body.is_empty() {
         reader.read_exact(&mut body)?;
     }
@@ -113,6 +127,7 @@ fn write_response(stream: &mut TcpStream, r: &Response) -> std::io::Result<()> {
         400 => "Bad Request",
         403 => "Forbidden",
         404 => "Not Found",
+        413 => "Content Too Large",
         503 => "Service Unavailable",
         _ => "Error",
     };
@@ -233,5 +248,85 @@ mod tests {
         let out = send(&addr, "GET / HTTP/1.1\r\nHost: x\r\n\r\n");
         assert!(out.starts_with("HTTP/1.1 200 OK"), "{out}");
         server.join().unwrap();
+    }
+
+    /// Serve `requests` in turn to a handler that echoes the length of
+    /// the `code` field it was given; the answers, and how many requests
+    /// reached the handler.
+    fn serve_counting(requests: &[String]) -> (Vec<String>, usize) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        drop(listener);
+        let (addr2, n) = (addr.clone(), requests.len() as u64);
+        let server = std::thread::spawn(move || {
+            let calls = std::rc::Rc::new(std::cell::Cell::new(0));
+            let counted = calls.clone();
+            let mut handler = move |req: Request| {
+                counted.set(counted.get() + 1);
+                Response::text(format!("code {}", req.param("code").unwrap_or("").len()))
+            };
+            serve(&addr2, &mut handler, Some(n)).unwrap();
+            calls.get()
+        });
+        std::thread::sleep(std::time::Duration::from_millis(100));
+        let answers = requests.iter().map(|r| send(&addr, r)).collect();
+        (answers, server.join().unwrap())
+    }
+
+    /// A body declared longer than the cap is answered 413 before any of
+    /// it is read, and its handler is not run: an upload's `code` is
+    /// never handed over cut short. One at the cap is served whole.
+    #[test]
+    fn an_oversized_request_body_is_answered_413() {
+        let post = |declared: usize, body: &str| {
+            format!("POST /op HTTP/1.1\r\nHost: x\r\nContent-Length: {declared}\r\n\r\n{body}")
+        };
+        let whole = format!("code={}", "a".repeat(MAX_BODY_BYTES - 5));
+        let (answers, calls) = serve_counting(&[
+            post(MAX_BODY_BYTES + 1, ""),
+            post(whole.len(), &whole),
+            post(usize::MAX, ""),
+        ]);
+        assert!(
+            answers[0].starts_with("HTTP/1.1 413 Content Too Large"),
+            "{}",
+            answers[0]
+        );
+        assert!(
+            answers[0].contains("request body exceeds 1048576 bytes"),
+            "{}",
+            answers[0]
+        );
+        assert!(answers[1].starts_with("HTTP/1.1 200 OK"), "{}", answers[1]);
+        assert!(
+            answers[1].ends_with(&format!("code {}", MAX_BODY_BYTES - 5)),
+            "{}",
+            answers[1]
+        );
+        assert!(answers[2].starts_with("HTTP/1.1 413"), "{}", answers[2]);
+        assert_eq!(calls, 1, "only the body within the cap reaches the handler");
+    }
+
+    /// A `Content-Length` that is not a length is answered 400, and its
+    /// handler is not run; it was once read as 0, serving an empty form.
+    #[test]
+    fn an_unparsable_content_length_is_answered_400() {
+        let post = |declared: &str| {
+            format!("POST /op HTTP/1.1\r\nHost: x\r\nContent-Length: {declared}\r\n\r\n")
+        };
+        let too_long = format!("{}0", usize::MAX);
+        let (answers, calls) =
+            serve_counting(&[post("ten"), post("-1"), post(&too_long), post("")]);
+        for (answer, declared) in answers.iter().zip(["ten", "-1", &too_long, ""]) {
+            assert!(
+                answer.starts_with("HTTP/1.1 400 Bad Request"),
+                "{declared}: {answer}"
+            );
+            assert!(
+                answer.contains("bad Content-Length"),
+                "{declared}: {answer}"
+            );
+        }
+        assert_eq!(calls, 0);
     }
 }
