@@ -106,9 +106,11 @@ pub fn parse_urlencoded(s: &str) -> BTreeMap<String, String> {
     out
 }
 
-/// Percent-decode (plus `+` as space).
+/// Percent-decode (plus `+` as space). A `%` is decoded only when two
+/// ASCII hex digits follow it; any other `%` is kept as it is.
 pub fn url_decode(s: &str) -> String {
     let bytes = s.as_bytes();
+    let hex = |at: usize| bytes.get(at).and_then(|&b| char::from(b).to_digit(16));
     let mut out = Vec::with_capacity(bytes.len());
     let mut i = 0;
     while i < bytes.len() {
@@ -117,19 +119,16 @@ pub fn url_decode(s: &str) -> String {
                 out.push(b' ');
                 i += 1;
             }
-            b'%' if i + 2 < bytes.len() => {
-                let hex = std::str::from_utf8(&bytes[i + 1..i + 3]).ok();
-                match hex.and_then(|h| u8::from_str_radix(h, 16).ok()) {
-                    Some(b) => {
-                        out.push(b);
-                        i += 3;
-                    }
-                    None => {
-                        out.push(bytes[i]);
-                        i += 1;
-                    }
+            b'%' => match (hex(i + 1), hex(i + 2)) {
+                (Some(hi), Some(lo)) => {
+                    out.push((hi << 4 | lo) as u8);
+                    i += 3;
                 }
-            }
+                _ => {
+                    out.push(b'%');
+                    i += 1;
+                }
+            },
             b => {
                 out.push(b);
                 i += 1;
@@ -279,6 +278,14 @@ mod tests {
         assert_eq!(url_decode("plain"), "plain");
         assert_eq!(url_decode("bad%zz"), "bad%zz");
         assert_eq!(url_decode("%41"), "A");
+        // Only two ASCII hex digits make an escape: a sign, one digit or
+        // a `%` at the end is kept as it is.
+        assert_eq!(url_decode("%+F"), "% F");
+        assert_eq!(url_decode("%+1"), "% 1");
+        assert_eq!(url_decode("%-1"), "%-1");
+        assert_eq!(url_decode("%4"), "%4");
+        assert_eq!(url_decode("a%"), "a%");
+        assert_eq!(url_decode("%%41"), "%A");
     }
 
     #[test]
