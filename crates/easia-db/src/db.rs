@@ -102,9 +102,10 @@ pub struct Database {
     tables: BTreeMap<String, Table>,
     functions: FnRegistry,
     observers: Vec<Rc<dyn LinkObserver>>,
-    /// MVCC registry: txn/snapshot bookkeeping + row-version metadata.
+    /// MVCC registry: open views + row-version metadata.
     mvcc: MvccState,
-    /// Per-transaction write sets (redo + created/deleted row ids).
+    /// Per-transaction write sets (redo + created/deleted row ids). An
+    /// open view without one is a snapshot: a reader.
     txns: BTreeMap<TxnId, TxnWrites>,
     /// The transaction SQL `BEGIN` opened, until `COMMIT` or `ROLLBACK`:
     /// the one statements run through [`Database::execute`] run in.
@@ -183,6 +184,11 @@ struct GroupWindow {
 }
 
 const QUARANTINE_FILE: &str = "wal.log.quarantined";
+
+/// What a snapshot read answers a statement that is not a SELECT.
+fn read_only() -> DbError {
+    DbError::Txn("snapshot sessions are read-only".into())
+}
 
 impl Database {
     /// A volatile in-memory database.
@@ -357,10 +363,10 @@ impl Database {
         self.wal.truncate()
     }
 
-    /// No transaction is in flight and no snapshot is open: a vacuum
-    /// then leaves no version entry, and no write set holds a row id.
+    /// No view is open, reader's or writer's: a vacuum then leaves no
+    /// version entry, and no write set holds a row id.
     fn quiescent(&self) -> bool {
-        self.txns.is_empty() && self.mvcc.open_snapshots() == 0
+        self.mvcc.open_views() == 0
     }
 
     /// Compact each heap whose deleted records take more than a quarter
@@ -490,13 +496,29 @@ impl Database {
         params: &[Value],
         mut each: impl FnMut(Lent),
     ) -> Result<()> {
+        let refused = || DbError::Eval("execute_each runs a SELECT".into());
+        self.select_at(self.read_view(), sql, params, Some(&mut each), refused)
+            .map(drop)
+    }
+
+    /// The one body of every read by SQL text: parse it, book one
+    /// SELECT, and run it at `view`, its rows lent to `each` or kept in
+    /// the result set. Any other statement is `refused`.
+    fn select_at<'a>(
+        &'a self,
+        view: ReadView,
+        sql: &str,
+        params: &[Value],
+        each: Option<&'a mut dyn FnMut(Lent)>,
+        refused: fn() -> DbError,
+    ) -> Result<ResultSet> {
         let Stmt::Select(sel) = parse(sql)? else {
-            return Err(DbError::Eval("execute_each runs a SELECT".into()));
+            return Err(refused());
         };
         if let Some(m) = &self.metrics {
             m.statement(crate::obs::StmtKind::Select);
         }
-        exec::run_select_each(self, &self.read_view(), &sel, params, &[], &mut each).map(drop)
+        exec::select(self, &view, &sel, params, &[], each)
     }
 
     /// Execute `stmt` in `txn`, or outside any transaction when `None`.
@@ -705,24 +727,37 @@ impl Database {
     // ---- MVCC session API ----
 
     /// Begin a snapshot-isolation read view pinned at the current commit
-    /// horizon. Release it with [`Database::release_snapshot`]; vacuum
-    /// never reclaims versions a live snapshot can still see.
+    /// horizon: a transaction that never writes. Release it with
+    /// [`Database::release_snapshot`]; vacuum never reclaims versions a
+    /// live snapshot can still see.
     pub fn begin_snapshot(&mut self) -> SnapshotId {
-        let id = self.mvcc.begin_snapshot();
+        let id = SnapshotId(self.mvcc.begin_txn());
         if let Some(m) = &self.metrics {
-            m.open_snapshots.set(self.mvcc.open_snapshots() as f64);
+            m.open_snapshots.set(self.open_snapshots() as f64);
         }
         id
     }
 
-    /// Release a snapshot. Returns false when the id is unknown.
+    /// Release a snapshot. Returns false when the id names no open
+    /// snapshot (a writer's id included: the writer stays open).
     pub fn release_snapshot(&mut self, snap: SnapshotId) -> bool {
-        let ok = self.mvcc.release_snapshot(snap);
+        let open = self.reader_view(snap).is_ok();
+        if open {
+            self.mvcc.forget(snap.0);
+        }
         if let Some(m) = &self.metrics {
-            m.open_snapshots.set(self.mvcc.open_snapshots() as f64);
+            m.open_snapshots.set(self.open_snapshots() as f64);
         }
         self.maybe_autovacuum();
-        ok
+        open
+    }
+
+    /// The read view of open snapshot `snap`: an open view with no
+    /// write set.
+    fn reader_view(&self, snap: SnapshotId) -> Result<ReadView> {
+        (self.mvcc.view_of(snap.0))
+            .filter(|_| !self.txns.contains_key(&snap.0))
+            .ok_or_else(|| DbError::Txn(format!("unknown snapshot {}", snap.0)))
     }
 
     /// Run a read-only query against a snapshot's pinned view. Writers
@@ -733,7 +768,7 @@ impl Database {
         sql: &str,
         params: &[Value],
     ) -> Result<ResultSet> {
-        self.snapshot_select(snap, sql, params, None)
+        self.select_at(self.reader_view(snap)?, sql, params, None, read_only)
     }
 
     /// [`Database::snapshot_query`], lending each result row to `each` as
@@ -746,32 +781,8 @@ impl Database {
         params: &[Value],
         mut each: impl FnMut(Lent),
     ) -> Result<Vec<String>> {
-        let rs = self.snapshot_select(snap, sql, params, Some(&mut each))?;
-        Ok(rs.columns)
-    }
-
-    /// The one body of both snapshot reads: the rows are lent to `each`,
-    /// or kept in the result set.
-    fn snapshot_select<'a>(
-        &'a self,
-        snap: SnapshotId,
-        sql: &str,
-        params: &[Value],
-        each: Option<&'a mut dyn FnMut(Lent)>,
-    ) -> Result<ResultSet> {
-        let csn = self
-            .mvcc
-            .snapshot_csn(snap)
-            .ok_or_else(|| DbError::Txn(format!("unknown snapshot {}", snap.0)))?;
-        let stmt = parse(sql)?;
-        let Stmt::Select(sel) = stmt else {
-            return Err(DbError::Txn("snapshot sessions are read-only".into()));
-        };
-        if let Some(m) = &self.metrics {
-            m.statement(crate::obs::StmtKind::Select);
-        }
-        let view = ReadView { csn, txn: None };
-        exec::select(self, &view, &sel, params, &[], each)
+        let view = self.reader_view(snap)?;
+        (self.select_at(view, sql, params, Some(&mut each), read_only)).map(|rs| rs.columns)
     }
 
     /// Begin a transaction with a snapshot-isolation read view pinned
@@ -889,12 +900,13 @@ impl Database {
         self.wal.syncs()
     }
 
-    /// Number of open snapshots.
+    /// Number of open snapshots: open views without a write set.
     pub fn open_snapshots(&self) -> usize {
-        self.mvcc.open_snapshots()
+        self.mvcc.open_views() - self.txns.len()
     }
 
-    /// Number of in-flight transactions, the SQL session's included.
+    /// Number of in-flight transactions, the SQL session's included;
+    /// snapshots are not counted.
     pub fn active_txns(&self) -> usize {
         self.txns.len()
     }

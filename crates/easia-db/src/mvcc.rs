@@ -3,13 +3,14 @@
 //!
 //! The engine is single-threaded (the whole archive runs in virtual
 //! time), so "concurrency" means *logically* concurrent transactions
-//! and snapshots interleaved on one thread: the portal's browse
-//! sessions hold snapshot read views open while ingest and DATALINK
-//! linking commit underneath them. Each transaction is identified by a
-//! [`TxnId`]; each commit is stamped with a monotonically increasing
-//! [`Csn`]. A row version is visible to a [`ReadView`] iff its creator
-//! committed at or before the view's CSN ceiling (or is the view's own
-//! transaction) and its deleter did not.
+//! interleaved on one thread: the portal's browse sessions hold read
+//! views open while ingest and DATALINK linking commit underneath them.
+//! A snapshot is a transaction that never writes, so there is one
+//! registry of open views and one vacuum horizon. Each transaction is
+//! identified by a [`TxnId`]; each commit is stamped with a
+//! monotonically increasing [`Csn`]. A row version is visible to a
+//! [`ReadView`] iff its creator committed at or before the view's CSN
+//! ceiling (or is the view's own transaction) and its deleter did not.
 //!
 //! Version metadata lives *beside* the heap, not in the page format: a
 //! per-table map from [`RowId`] to [`RowVersion`]. A row with **no**
@@ -78,9 +79,10 @@ impl ReadView {
     }
 }
 
-/// Handle for an open read-only snapshot.
+/// Handle for an open read-only snapshot: the id of a transaction that
+/// never writes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub struct SnapshotId(pub u64);
+pub struct SnapshotId(pub TxnId);
 
 /// What the vacuum pass did.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -92,8 +94,8 @@ pub struct VacuumStats {
     pub versions_frozen: usize,
 }
 
-/// The MVCC registries: transaction status, open snapshots, and the
-/// per-table version map.
+/// The MVCC registries: transaction status (readers and writers alike)
+/// and the per-table version map.
 #[derive(Debug)]
 pub struct MvccState {
     next_txn: TxnId,
@@ -101,12 +103,9 @@ pub struct MvccState {
     /// Committed transactions still referenced by version entries.
     /// Vacuum prunes stamps at or below the horizon.
     committed: BTreeMap<TxnId, Csn>,
-    /// Active transactions and the CSN ceiling of their read view: the
-    /// one copy of it ([`MvccState::view_of`]).
+    /// Open views, readers' and writers', and the CSN ceiling of each:
+    /// the one copy of it ([`MvccState::view_of`]).
     active: BTreeMap<TxnId, Csn>,
-    /// Open snapshots and their pinned CSN.
-    snapshots: BTreeMap<u64, Csn>,
-    next_snapshot: u64,
     /// table name -> RowId -> version stamps (missing entry = frozen).
     versions: BTreeMap<String, BTreeMap<RowId, RowVersion>>,
 }
@@ -118,15 +117,13 @@ impl Default for MvccState {
 }
 
 impl MvccState {
-    /// Fresh state: no transactions, no snapshots, everything frozen.
+    /// Fresh state: no transactions, everything frozen.
     pub fn new() -> Self {
         MvccState {
             next_txn: 1,
             next_csn: 1,
             committed: BTreeMap::new(),
             active: BTreeMap::new(),
-            snapshots: BTreeMap::new(),
-            next_snapshot: 1,
             versions: BTreeMap::new(),
         }
     }
@@ -139,7 +136,7 @@ impl MvccState {
     /// The read view of a hypothetical reader starting right now:
     /// everything committed up to the horizon, belonging to no
     /// transaction. Checkpoints write exactly this view, which is what
-    /// lets them run under open snapshots and in-flight transactions.
+    /// lets them run under open views.
     pub fn committed_view(&self) -> ReadView {
         ReadView {
             csn: self.last_csn(),
@@ -180,6 +177,11 @@ impl MvccState {
         self.active.contains_key(&txn)
     }
 
+    /// Number of open views, readers' and writers'.
+    pub(crate) fn open_views(&self) -> usize {
+        self.active.len()
+    }
+
     /// Commit `txn`, assigning the next CSN.
     pub fn commit(&mut self, txn: TxnId) -> Csn {
         self.active.remove(&txn);
@@ -207,31 +209,6 @@ impl MvccState {
             return Some(0);
         }
         self.committed.get(&txn).copied()
-    }
-
-    // ---- snapshots ----
-
-    /// Open a read-only snapshot pinned at the latest committed CSN.
-    pub fn begin_snapshot(&mut self) -> SnapshotId {
-        let id = self.next_snapshot;
-        self.next_snapshot += 1;
-        self.snapshots.insert(id, self.last_csn());
-        SnapshotId(id)
-    }
-
-    /// The pinned CSN of an open snapshot.
-    pub fn snapshot_csn(&self, snap: SnapshotId) -> Option<Csn> {
-        self.snapshots.get(&snap.0).copied()
-    }
-
-    /// Close a snapshot. Returns true if it was open.
-    pub fn release_snapshot(&mut self, snap: SnapshotId) -> bool {
-        self.snapshots.remove(&snap.0).is_some()
-    }
-
-    /// Number of open snapshots.
-    pub fn open_snapshots(&self) -> usize {
-        self.snapshots.len()
     }
 
     // ---- visibility ----
@@ -321,14 +298,9 @@ impl MvccState {
     }
 
     /// The vacuum horizon: the oldest CSN any open view can demand.
-    /// Open snapshots and active transactions hold it back.
     pub fn horizon(&self) -> Csn {
-        self.snapshots
-            .values()
-            .chain(self.active.values())
-            .copied()
-            .min()
-            .unwrap_or_else(|| self.last_csn())
+        let oldest = self.active.values().min();
+        oldest.copied().unwrap_or_else(|| self.last_csn())
     }
 
     /// Sweep the version map against `horizon`: return the dead rows to
@@ -462,18 +434,16 @@ mod tests {
     #[test]
     fn sweep_respects_snapshot_horizon() {
         let mut s = MvccState::new();
-        let snap = s.begin_snapshot(); // pinned at CSN 0
+        let snap = s.begin_txn(); // a reader, pinned at CSN 0
         let t1 = s.begin_txn();
         s.stamp_delete("T", RowId(2), t1);
         s.commit(t1);
         let (dead, _) = s.sweep(s.horizon());
         assert!(dead.is_empty(), "snapshot still reads the deleted row");
-        let view = ReadView {
-            csn: s.snapshot_csn(snap).unwrap(),
-            txn: None,
-        };
+        let view = s.view_of(snap).unwrap();
+        assert_eq!(view.csn, 0);
         assert!(s.visible("T", RowId(2), &view));
-        s.release_snapshot(snap);
+        s.forget(snap);
         let (dead, _) = s.sweep(s.horizon());
         assert_eq!(dead.len(), 1);
     }
@@ -504,18 +474,18 @@ mod tests {
         let t = s.begin_txn();
         s.note_insert("T", RowId(1), t);
         s.commit(t); // csn 1
-        let s1 = s.begin_snapshot(); // pinned 1
+        let s1 = s.begin_txn(); // a reader, pinned 1
         let t2 = s.begin_txn();
         s.note_insert("T", RowId(2), t2);
         s.commit(t2); // csn 2
-        let s2 = s.begin_snapshot(); // pinned 2
+        let s2 = s.begin_txn(); // a reader, pinned 2
         assert_eq!(s.horizon(), 1);
-        s.release_snapshot(s1);
+        s.forget(s1);
         assert_eq!(s.horizon(), 2);
         let pinned = s.begin_txn(); // pinned 2
         let t3 = s.begin_txn();
         s.commit(t3); // csn 3
-        s.release_snapshot(s2);
+        s.forget(s2);
         assert_eq!(s.horizon(), 2, "pinned-view txn holds the horizon");
         s.forget(pinned);
         assert_eq!(s.horizon(), 3);

@@ -73,11 +73,17 @@ impl std::fmt::Display for Sym {
 
 /// Tokenise SQL text.
 pub fn lex(sql: &str) -> Result<Vec<Token>> {
+    lex_at(sql, |_| true)
+}
+
+/// [`lex`], telling `start` the character index each token starts at
+/// until it answers false, where the tokens end.
+pub(crate) fn lex_at(sql: &str, mut start: impl FnMut(usize) -> bool) -> Result<Vec<Token>> {
     let chars: Vec<char> = sql.chars().collect();
     let mut i = 0usize;
     let mut out = Vec::new();
     while i < chars.len() {
-        let c = chars[i];
+        let (c, at, tokens) = (chars[i], i, out.len());
         match c {
             c if c.is_whitespace() => i += 1,
             '-' if chars.get(i + 1) == Some(&'-') => {
@@ -215,6 +221,9 @@ pub fn lex(sql: &str) -> Result<Vec<Token>> {
                 out.push(Token::Symbol(sym));
                 i += adv;
             }
+        }
+        if out.len() > tokens && !start(at) {
+            break;
         }
     }
     Ok(out)

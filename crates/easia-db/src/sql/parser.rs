@@ -1,18 +1,32 @@
 //! Recursive-descent parser.
 
 use super::ast::*;
-use super::lexer::{lex, Sym, Token};
+use super::lexer::{lex, lex_at, Sym, Token};
 use crate::error::{DbError, Result};
 use crate::schema::DatalinkSpec;
 use crate::value::{SqlType, Value};
 
-/// Parse one SQL statement (an optional trailing `;` is allowed).
+/// How high an expression tree may stand: each operator node adds a
+/// level (each link of a binary chain, a prefix `NOT` or `-`, a
+/// predicate, a function call). It bounds every walk of the tree: bind,
+/// plan, eval, render and drop. The parser itself may nest twice as
+/// deep (each parenthesis, list item, prefix operand and right operand
+/// opens a level), which is what the text [`crate::sql::expr_to_sql`]
+/// renders for a tree at the budget needs. DESIGN.md "Nesting budgets"
+/// gives the stack a level costs.
+pub(crate) const MAX_DEPTH: usize = 64;
+
+/// Parse one SQL statement (an optional trailing `;` is allowed). An
+/// expression nested deeper than the budget (`MAX_DEPTH`) is a parse
+/// error naming the byte offset of the token where the budget ran out.
 pub fn parse(sql: &str) -> Result<Stmt> {
     let tokens = lex(sql)?;
     let mut p = P {
+        sql,
         toks: tokens,
         i: 0,
         params: 0,
+        depth: 0,
     };
     let stmt = p.statement()?;
     p.accept_sym(Sym::Semicolon);
@@ -25,13 +39,16 @@ pub fn parse(sql: &str) -> Result<Stmt> {
     Ok(stmt)
 }
 
-struct P {
+struct P<'a> {
+    sql: &'a str,
     toks: Vec<Token>,
     i: usize,
     params: usize,
+    /// Expressions open at the cursor (calls of `climb`).
+    depth: usize,
 }
 
-impl P {
+impl P<'_> {
     fn peek(&self) -> Option<&Token> {
         self.toks.get(self.i)
     }
@@ -573,210 +590,254 @@ impl P {
         Ok(spec)
     }
 
-    // ---- expressions: precedence climbing ----
+    // ---- expressions: one precedence loop ----
 
     fn expr(&mut self) -> Result<Expr> {
-        self.or_expr()
+        Ok(self.climb(0)?.0)
     }
 
-    fn or_expr(&mut self) -> Result<Expr> {
-        let mut lhs = self.and_expr()?;
-        while self.accept_kw("OR") {
-            let rhs = self.and_expr()?;
-            lhs = Expr::Binary(Box::new(lhs), BinaryOp::Or, Box::new(rhs));
+    /// The expression at the cursor built from operators that bind at
+    /// least as tight as `min`, and its height. Binding powers, loosest
+    /// first: OR 1, AND 2, prefix NOT 3, a predicate 4 (a comparison,
+    /// IS, LIKE, IN or BETWEEN: one per operand, they do not chain),
+    /// `+ - ||` 5, `* / %` 6, prefix `-` and `+` 7.
+    fn climb(&mut self, min: u8) -> Result<(Expr, usize)> {
+        let at = self.i;
+        if self.depth == 2 * MAX_DEPTH {
+            return Err(self.too_deep(at));
         }
-        Ok(lhs)
-    }
-
-    fn and_expr(&mut self) -> Result<Expr> {
-        let mut lhs = self.not_expr()?;
-        while self.accept_kw("AND") {
-            let rhs = self.not_expr()?;
-            lhs = Expr::Binary(Box::new(lhs), BinaryOp::And, Box::new(rhs));
+        self.depth += 1;
+        let (mut lhs, mut height, mut level) = if min <= 3 && self.accept_kw("NOT") {
+            let (e, h) = self.climb(3)?;
+            self.node(at, Expr::Unary(UnaryOp::Not, Box::new(e)), h, 3)?
+        } else if self.accept_sym(Sym::Minus) {
+            let (e, h) = self.climb(7)?;
+            self.node(at, Expr::Unary(UnaryOp::Neg, Box::new(e)), h, 7)?
+        } else if self.accept_sym(Sym::Plus) {
+            let (e, h) = self.climb(7)?;
+            (e, h, 7)
+        } else {
+            let (e, h) = self.primary()?;
+            (e, h, 7)
+        };
+        while let Some((bp, op)) = self.infix() {
+            // A predicate takes an operand with no predicate in it.
+            if bp < min || level < bp || (level == 4 && bp == 4) {
+                break;
+            }
+            let at = self.i;
+            (lhs, height, level) = match op {
+                Some(op) => {
+                    self.i += 1;
+                    self.link(at, lhs, height, op, bp)?
+                }
+                None => self.predicate(at, lhs, height)?,
+            };
         }
-        Ok(lhs)
+        self.depth -= 1;
+        Ok((lhs, height))
     }
 
-    fn not_expr(&mut self) -> Result<Expr> {
-        if self.accept_kw("NOT") {
-            let e = self.not_expr()?;
-            return Ok(Expr::Unary(UnaryOp::Not, Box::new(e)));
-        }
-        self.predicate()
+    /// The operator at the cursor: its binding power, and the binary
+    /// operator it is (`None` for a predicate's keyword).
+    fn infix(&self) -> Option<(u8, Option<BinaryOp>)> {
+        use BinaryOp::*;
+        let bp = match self.peek()? {
+            Token::Ident(w) => match w.as_str() {
+                "OR" => (1, Some(Or)),
+                "AND" => (2, Some(And)),
+                "IS" | "NOT" | "LIKE" | "IN" | "BETWEEN" => (4, None),
+                _ => return None,
+            },
+            Token::Symbol(s) => match s {
+                Sym::Eq => (4, Some(Eq)),
+                Sym::NotEq => (4, Some(NotEq)),
+                Sym::Lt => (4, Some(Lt)),
+                Sym::LtEq => (4, Some(LtEq)),
+                Sym::Gt => (4, Some(Gt)),
+                Sym::GtEq => (4, Some(GtEq)),
+                Sym::Plus => (5, Some(Add)),
+                Sym::Minus => (5, Some(Sub)),
+                Sym::Concat => (5, Some(Concat)),
+                Sym::Star => (6, Some(Mul)),
+                Sym::Slash => (6, Some(Div)),
+                Sym::Percent => (6, Some(Mod)),
+                _ => return None,
+            },
+            _ => return None,
+        };
+        Some(bp)
     }
 
-    fn predicate(&mut self) -> Result<Expr> {
-        let lhs = self.additive()?;
-        // IS [NOT] NULL
+    /// `lhs op rhs`, the operator at token `at` and of binding power
+    /// `bp`: a comparison takes an additive operand, the others bind
+    /// their right operand one level tighter (left associative).
+    fn link(
+        &mut self,
+        at: usize,
+        lhs: Expr,
+        height: usize,
+        op: BinaryOp,
+        bp: u8,
+    ) -> Result<(Expr, usize, u8)> {
+        let (rhs, h) = self.climb(bp + 1)?;
+        let e = Expr::Binary(Box::new(lhs), op, Box::new(rhs));
+        self.node(at, e, height.max(h), bp)
+    }
+
+    /// The predicate at token `at` after operand `lhs`: `IS [NOT]
+    /// NULL`, `[NOT] LIKE`, `[NOT] IN (...)` or `[NOT] BETWEEN ... AND
+    /// ...`.
+    fn predicate(&mut self, at: usize, lhs: Expr, height: usize) -> Result<(Expr, usize, u8)> {
+        let expr = Box::new(lhs);
         if self.accept_kw("IS") {
             let negated = self.accept_kw("NOT");
             self.expect_kw("NULL")?;
-            return Ok(Expr::IsNull {
-                expr: Box::new(lhs),
-                negated,
-            });
+            return self.node(at, Expr::IsNull { expr, negated }, height, 4);
         }
         let negated = self.accept_kw("NOT");
-        if self.accept_kw("LIKE") {
-            let pat = self.additive()?;
-            return Ok(Expr::Like {
-                expr: Box::new(lhs),
-                pattern: Box::new(pat),
-                negated,
-            });
-        }
-        if self.accept_kw("IN") {
-            self.expect_sym(Sym::LParen)?;
-            let mut list = Vec::new();
-            loop {
-                list.push(self.expr()?);
-                if !self.accept_sym(Sym::Comma) {
-                    break;
-                }
-            }
-            self.expect_sym(Sym::RParen)?;
-            return Ok(Expr::InList {
-                expr: Box::new(lhs),
-                list,
-                negated,
-            });
-        }
-        if self.accept_kw("BETWEEN") {
-            let lo = self.additive()?;
-            self.expect_kw("AND")?;
-            let hi = self.additive()?;
-            return Ok(Expr::Between {
-                expr: Box::new(lhs),
-                lo: Box::new(lo),
-                hi: Box::new(hi),
-                negated,
-            });
-        }
-        if negated {
+        let word = ["LIKE", "IN", "BETWEEN"]
+            .into_iter()
+            .find(|&w| self.accept_kw(w));
+        let Some(word) = word else {
             return self.err("expected LIKE, IN or BETWEEN after NOT");
-        }
-        // Comparison operators.
-        let op = match self.peek() {
-            Some(Token::Symbol(Sym::Eq)) => Some(BinaryOp::Eq),
-            Some(Token::Symbol(Sym::NotEq)) => Some(BinaryOp::NotEq),
-            Some(Token::Symbol(Sym::Lt)) => Some(BinaryOp::Lt),
-            Some(Token::Symbol(Sym::LtEq)) => Some(BinaryOp::LtEq),
-            Some(Token::Symbol(Sym::Gt)) => Some(BinaryOp::Gt),
-            Some(Token::Symbol(Sym::GtEq)) => Some(BinaryOp::GtEq),
-            _ => None,
         };
-        if let Some(op) = op {
-            self.bump();
-            let rhs = self.additive()?;
-            return Ok(Expr::Binary(Box::new(lhs), op, Box::new(rhs)));
-        }
-        Ok(lhs)
+        let (e, below) = match word {
+            "LIKE" => {
+                let (pattern, h) = self.climb(5)?;
+                let pattern = Box::new(pattern);
+                (
+                    Expr::Like {
+                        expr,
+                        pattern,
+                        negated,
+                    },
+                    h,
+                )
+            }
+            "IN" => {
+                self.expect_sym(Sym::LParen)?;
+                let (list, h) = self.list()?;
+                (
+                    Expr::InList {
+                        expr,
+                        list,
+                        negated,
+                    },
+                    h,
+                )
+            }
+            _ => {
+                let (lo, h1) = self.climb(5)?;
+                self.expect_kw("AND")?;
+                let (hi, h2) = self.climb(5)?;
+                let (lo, hi) = (Box::new(lo), Box::new(hi));
+                (
+                    Expr::Between {
+                        expr,
+                        lo,
+                        hi,
+                        negated,
+                    },
+                    h1.max(h2),
+                )
+            }
+        };
+        self.node(at, e, height.max(below), 4)
     }
 
-    fn additive(&mut self) -> Result<Expr> {
-        let mut lhs = self.multiplicative()?;
+    /// The comma-separated expressions up to a closing parenthesis, and
+    /// the height of the highest.
+    fn list(&mut self) -> Result<(Vec<Expr>, usize)> {
+        let (mut list, mut height) = (Vec::new(), 0);
         loop {
-            let op = match self.peek() {
-                Some(Token::Symbol(Sym::Plus)) => BinaryOp::Add,
-                Some(Token::Symbol(Sym::Minus)) => BinaryOp::Sub,
-                Some(Token::Symbol(Sym::Concat)) => BinaryOp::Concat,
-                _ => break,
-            };
-            self.bump();
-            let rhs = self.multiplicative()?;
-            lhs = Expr::Binary(Box::new(lhs), op, Box::new(rhs));
+            let (e, h) = self.climb(0)?;
+            list.push(e);
+            height = height.max(h);
+            if !self.accept_sym(Sym::Comma) {
+                break;
+            }
         }
-        Ok(lhs)
+        self.expect_sym(Sym::RParen)?;
+        Ok((list, height))
     }
 
-    fn multiplicative(&mut self) -> Result<Expr> {
-        let mut lhs = self.unary()?;
-        loop {
-            let op = match self.peek() {
-                Some(Token::Symbol(Sym::Star)) => BinaryOp::Mul,
-                Some(Token::Symbol(Sym::Slash)) => BinaryOp::Div,
-                Some(Token::Symbol(Sym::Percent)) => BinaryOp::Mod,
-                _ => break,
-            };
-            self.bump();
-            let rhs = self.unary()?;
-            lhs = Expr::Binary(Box::new(lhs), op, Box::new(rhs));
+    /// Operator node `e` (token `at`, binding power `bp`) over children
+    /// at most `below` high, or the budget's error when it would stand
+    /// higher than [`MAX_DEPTH`].
+    fn node(&self, at: usize, e: Expr, below: usize, bp: u8) -> Result<(Expr, usize, u8)> {
+        if below >= MAX_DEPTH {
+            return Err(self.too_deep(at));
         }
-        Ok(lhs)
+        Ok((e, below + 1, bp))
     }
 
-    fn unary(&mut self) -> Result<Expr> {
-        if self.accept_sym(Sym::Minus) {
-            let e = self.unary()?;
-            return Ok(Expr::Unary(UnaryOp::Neg, Box::new(e)));
-        }
-        if self.accept_sym(Sym::Plus) {
-            return self.unary();
-        }
-        self.primary()
+    /// The budget's error, naming the byte offset of token `at`.
+    fn too_deep(&self, at: usize) -> DbError {
+        let (mut k, mut start) = (0, None);
+        let _ = lex_at(self.sql, |c| {
+            start = (k == at).then_some(c);
+            k += 1;
+            k <= at
+        });
+        let start = start.and_then(|c| self.sql.char_indices().nth(c));
+        let byte = start.map_or(self.sql.len(), |(b, _)| b);
+        DbError::Parse(format!(
+            "expression nested deeper than {MAX_DEPTH} at byte {byte}"
+        ))
     }
 
-    fn primary(&mut self) -> Result<Expr> {
-        match self.bump() {
-            Some(Token::Int(v)) => Ok(Expr::Literal(Value::Int(v))),
-            Some(Token::Number(v)) => Ok(Expr::Literal(Value::Double(v))),
-            Some(Token::Str(s)) => Ok(Expr::Literal(Value::Str(s))),
+    /// A literal, `?`, column, function call or parenthesised
+    /// expression, and its height.
+    fn primary(&mut self) -> Result<(Expr, usize)> {
+        let at = self.i;
+        let leaf = match self.bump() {
+            Some(Token::Int(v)) => Expr::Literal(Value::Int(v)),
+            Some(Token::Number(v)) => Expr::Literal(Value::Double(v)),
+            Some(Token::Str(s)) => Expr::Literal(Value::Str(s)),
             Some(Token::Symbol(Sym::Question)) => {
                 self.params += 1;
-                Ok(Expr::Param(self.params))
+                Expr::Param(self.params)
             }
             Some(Token::Symbol(Sym::LParen)) => {
-                let e = self.expr()?;
+                let e = self.climb(0)?;
                 self.expect_sym(Sym::RParen)?;
-                Ok(e)
+                return Ok(e);
             }
             Some(Token::Ident(word)) => match word.as_str() {
-                "NULL" => Ok(Expr::Literal(Value::Null)),
-                "TRUE" => Ok(Expr::Literal(Value::Bool(true))),
-                "FALSE" => Ok(Expr::Literal(Value::Bool(false))),
-                _ => {
-                    // Function call?
-                    if self.accept_sym(Sym::LParen) {
-                        if self.accept_sym(Sym::Star) {
-                            self.expect_sym(Sym::RParen)?;
-                            return Ok(Expr::Function {
-                                name: word,
-                                args: vec![],
-                                star: true,
-                            });
-                        }
-                        let mut args = Vec::new();
-                        if !self.accept_sym(Sym::RParen) {
-                            loop {
-                                args.push(self.expr()?);
-                                if !self.accept_sym(Sym::Comma) {
-                                    break;
-                                }
-                            }
-                            self.expect_sym(Sym::RParen)?;
-                        }
-                        return Ok(Expr::Function {
-                            name: word,
-                            args,
-                            star: false,
-                        });
+                "NULL" => Expr::Literal(Value::Null),
+                "TRUE" => Expr::Literal(Value::Bool(true)),
+                "FALSE" => Expr::Literal(Value::Bool(false)),
+                // Function call?
+                _ if self.accept_sym(Sym::LParen) => {
+                    let star = self.accept_sym(Sym::Star);
+                    if star {
+                        self.expect_sym(Sym::RParen)?;
                     }
-                    // Qualified column?
-                    if self.accept_sym(Sym::Dot) {
-                        let col = self.ident()?;
-                        return Ok(Expr::Column {
-                            table: Some(word),
-                            name: col,
-                        });
-                    }
-                    Ok(Expr::Column {
-                        table: None,
+                    let (args, h) = match star || self.accept_sym(Sym::RParen) {
+                        true => (Vec::new(), 0),
+                        false => self.list()?,
+                    };
+                    let e = Expr::Function {
                         name: word,
-                    })
+                        args,
+                        star,
+                    };
+                    return self.node(at, e, h, 7).map(|(e, h, _)| (e, h));
                 }
+                // Qualified column?
+                _ if self.accept_sym(Sym::Dot) => Expr::Column {
+                    table: Some(word),
+                    name: self.ident()?,
+                },
+                _ => Expr::Column {
+                    table: None,
+                    name: word,
+                },
             },
-            other => Err(DbError::Parse(format!("unexpected token {other:?}"))),
-        }
+            other => return Err(DbError::Parse(format!("unexpected token {other:?}"))),
+        };
+        Ok((leaf, 1))
     }
 }
 
@@ -807,6 +868,7 @@ fn is_clause_keyword(w: &str) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sql::expr_to_sql;
 
     fn sel(sql: &str) -> SelectStmt {
         match parse(sql).unwrap() {
@@ -1065,5 +1127,109 @@ mod tests {
     fn qualified_wildcard() {
         let s = sel("SELECT s.* FROM simulation s");
         assert_eq!(s.items, vec![SelectItem::QualifiedWildcard("S".into())]);
+    }
+
+    /// Each way to nest, with trees `d` high (the parenthesis shape: its
+    /// parser as deep as such a tree may need), and the byte offset of
+    /// the token where a budget of `d - 1` runs out: parentheses, NOT,
+    /// an AND chain, a right-deep chain in parentheses, unary minus,
+    /// function calls and an additive chain.
+    fn nested(shape: usize, d: usize) -> (String, usize) {
+        let w = "SELECT ID FROM T WHERE ".len();
+        match shape {
+            0 => {
+                let (open, close) = ("(".repeat(2 * d - 1), ")".repeat(2 * d - 1));
+                (
+                    format!("SELECT ID FROM T WHERE {open}B{close}"),
+                    w + 2 * d - 2,
+                )
+            }
+            1 => (
+                format!("SELECT ID FROM T WHERE {}B", "NOT ".repeat(d - 1)),
+                w,
+            ),
+            2 => (
+                format!("SELECT ID FROM T WHERE B{}", " AND B".repeat(d - 1)),
+                w + 6 * d - 10,
+            ),
+            3 => {
+                let (open, close) = ("B AND (".repeat(d - 1), ")".repeat(d - 1));
+                (
+                    format!("SELECT ID FROM T WHERE {open}B{close}"),
+                    w + 7 * d - 7,
+                )
+            }
+            4 => (format!("SELECT {}ID FROM T", "- ".repeat(d - 1)), 7),
+            5 => (
+                format!(
+                    "SELECT {}ID{} FROM T",
+                    "ABS(".repeat(d - 1),
+                    ")".repeat(d - 1)
+                ),
+                7,
+            ),
+            _ => (
+                format!("SELECT ID{} FROM T", " + 1".repeat(d - 1)),
+                4 * d + 2,
+            ),
+        }
+    }
+
+    /// Every shape parses at the budget, renders to text that parses to
+    /// the same tree, and executes, all on half a default thread stack
+    /// in any profile; one level more is a parse error naming its byte.
+    #[test]
+    fn the_nesting_budget_is_exact_and_fits_half_a_default_stack() {
+        let run = || {
+            let mut db = crate::Database::new_in_memory();
+            db.execute("CREATE TABLE T (ID INTEGER PRIMARY KEY, B BOOLEAN)")
+                .unwrap();
+            db.execute("INSERT INTO T VALUES (1, TRUE), (2, FALSE)")
+                .unwrap();
+            for shape in 0..7 {
+                let (sql, _) = nested(shape, MAX_DEPTH);
+                let s = sel(&sql);
+                let again = match &s.where_clause {
+                    Some(w) => format!("SELECT ID FROM T WHERE {}", expr_to_sql(w)),
+                    None => {
+                        let SelectItem::Expr { expr, .. } = &s.items[0] else {
+                            panic!("{sql}")
+                        };
+                        format!("SELECT {} FROM T", expr_to_sql(expr))
+                    }
+                };
+                assert_eq!(sel(&again), s, "{again}");
+                let rs = db.execute(&sql).unwrap();
+                assert!(!rs.rows.is_empty(), "{sql}");
+                let (past, byte) = nested(shape, MAX_DEPTH + 1);
+                let want = format!("expression nested deeper than {MAX_DEPTH} at byte {byte}");
+                assert_eq!(parse(&past), Err(DbError::Parse(want)), "{past}");
+            }
+        };
+        let thread = std::thread::Builder::new().stack_size(1 << 20);
+        thread.spawn(run).unwrap().join().unwrap();
+    }
+
+    /// The budget bounds the probes that overflowed the stack before it:
+    /// 1,000 parentheses, and 10,000 AND links, which parsed but could
+    /// not be executed.
+    #[test]
+    fn deep_statements_are_refused_before_any_walk() {
+        let parens = format!(
+            "SELECT ID FROM T WHERE {}ID = ?{}",
+            "(".repeat(1000),
+            ")".repeat(1000)
+        );
+        let links = format!(
+            "SELECT ID FROM T WHERE ID = 1{}",
+            " AND ID = 1".repeat(10_000)
+        );
+        for sql in [parens, links] {
+            let err = parse(&sql).unwrap_err();
+            assert!(
+                matches!(&err, DbError::Parse(m) if m.starts_with("expression nested deeper")),
+                "{err}"
+            );
+        }
     }
 }

@@ -1,7 +1,7 @@
 //! End-to-end SQL tests against the embedded engine, modelled on the
 //! paper's five-table turbulence schema.
 
-use easia_db::{Database, DatalinkSpec, DbError, Value};
+use easia_db::{Database, DatalinkSpec, DbError, SnapshotId, Value};
 
 fn turbulence_db() -> Database {
     let mut db = Database::new_in_memory();
@@ -515,6 +515,103 @@ fn a_session_reads_from_its_begin_and_its_own_writes() {
     );
     db.execute("COMMIT").unwrap();
     assert_eq!(rows(&mut db), vec![row(1, 0), row(2, 0), row(3, 0)]);
+}
+
+/// A snapshot and an idle transaction are one kind of open view: each
+/// keeps a row deleted under it from the vacuum until it ends, and
+/// neither keeps more.
+#[test]
+fn a_reader_and_a_writer_hold_the_horizon_alike() {
+    for reader in [true, false] {
+        let mut db = one_row();
+        db.execute("INSERT INTO t VALUES (2, 0), (3, 0)").unwrap();
+        let (snap, txn) = if reader {
+            (Some(db.begin_snapshot()), None)
+        } else {
+            (None, Some(db.begin_txn()))
+        };
+        db.execute("DELETE FROM t WHERE k = 2").unwrap();
+        assert_eq!(db.vacuum().versions_removed, 0, "reader={reader}");
+        match (snap, txn) {
+            (Some(s), _) => {
+                let rs = db.snapshot_query(s, "SELECT k FROM t", &[]).unwrap();
+                assert_eq!(rs.rows.len(), 3);
+                assert!(db.release_snapshot(s));
+            }
+            (_, Some(t)) => {
+                let rs = db.txn_execute(t, "SELECT k FROM t", &[]).unwrap();
+                assert_eq!(rs.rows.len(), 3);
+                db.commit_txn(t).unwrap();
+            }
+            _ => unreachable!(),
+        }
+        // The view's end vacuumed the row it held.
+        assert_eq!(db.vacuum().versions_removed, 0, "reader={reader}");
+        assert_eq!(rows(&mut db), vec![row(1, 0), row(3, 0)]);
+    }
+}
+
+/// A `SnapshotId` naming a writer names no snapshot: reads and release
+/// refuse it, and the writer commits afterwards. A reader's id is no
+/// transaction to commit, roll back or write in.
+#[test]
+fn snapshot_and_transaction_ids_name_only_their_own_kind() {
+    let mut db = one_row();
+    let t = db.begin_txn();
+    db.txn_execute(t, "INSERT INTO t VALUES (2, 0)", &[])
+        .unwrap();
+    let writer = SnapshotId(t);
+    let unknown = DbError::Txn(format!("unknown snapshot {t}"));
+    assert_eq!(
+        db.snapshot_query(writer, "SELECT k FROM t", &[]),
+        Err(unknown.clone())
+    );
+    let each = db.snapshot_query_each(writer, "SELECT k FROM t", &[], |_| {});
+    assert_eq!(each, Err(unknown));
+    assert!(!db.release_snapshot(writer));
+    assert_eq!(db.active_txns(), 1);
+    db.commit_txn(t).unwrap();
+    assert_eq!(rows(&mut db), vec![row(1, 0), row(2, 0)]);
+
+    let snap = db.begin_snapshot();
+    let none = DbError::Txn(format!("no active transaction {}", snap.0));
+    assert_eq!(db.commit_txn(snap.0), Err(none.clone()));
+    assert_eq!(db.rollback_txn(snap.0), Err(none.clone()));
+    let write = db.txn_execute(snap.0, "INSERT INTO t VALUES (3, 0)", &[]);
+    assert_eq!(write, Err(none));
+    let read_only = DbError::Txn("snapshot sessions are read-only".into());
+    let write = db.snapshot_query(snap, "DELETE FROM t", &[]);
+    assert_eq!(write, Err(read_only));
+    assert!(db.release_snapshot(snap));
+    assert!(!db.release_snapshot(snap), "a second release finds nothing");
+    let gone = db.snapshot_query(snap, "SELECT k FROM t", &[]);
+    assert_eq!(
+        gone,
+        Err(DbError::Txn(format!("unknown snapshot {}", snap.0)))
+    );
+}
+
+/// `open_snapshots` (and its gauge) counts readers only, `active_txns`
+/// writers only, the SQL session's included.
+#[test]
+fn open_snapshots_and_active_txns_count_their_own_kind() {
+    let mut db = one_row();
+    let registry = easia_obs::Registry::new();
+    db.attach_metrics(&registry);
+    let gauge = |r: &easia_obs::Registry| r.value("easia_db_mvcc_open_snapshots", &[]);
+    let (s1, s2) = (db.begin_snapshot(), db.begin_snapshot());
+    let t = db.begin_txn();
+    db.execute("BEGIN").unwrap();
+    assert_eq!((db.open_snapshots(), db.active_txns()), (2, 2));
+    assert_eq!(gauge(&registry), Some(2.0));
+    db.release_snapshot(s1);
+    db.execute("COMMIT").unwrap();
+    assert_eq!((db.open_snapshots(), db.active_txns()), (1, 1));
+    assert_eq!(gauge(&registry), Some(1.0));
+    db.rollback_txn(t).unwrap();
+    db.release_snapshot(s2);
+    assert_eq!((db.open_snapshots(), db.active_txns()), (0, 0));
+    assert_eq!(gauge(&registry), Some(0.0));
 }
 
 #[test]

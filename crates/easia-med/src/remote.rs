@@ -175,6 +175,36 @@ mod tests {
         assert_eq!(b.rows.len(), 2);
     }
 
+    /// A 2 KB frame whose predicate is `N = ?` inside 1,000 parentheses,
+    /// and one of 10,000 AND links, are the site's parse errors: they
+    /// overflowed the stack and aborted the process before the parser
+    /// had a nesting budget.
+    #[test]
+    fn predicates_nested_past_the_budget_are_db_errors() {
+        let mut db = site_db();
+        let parens = format!("{}N = ?{}", "(".repeat(1000), ")".repeat(1000));
+        let links = format!("N = ?{}", " AND N = ?".repeat(10_000));
+        for predicate in [parens, links] {
+            let req = ScanRequest {
+                table: "SIM".into(),
+                columns: vec!["K".into()],
+                params: vec![Value::Int(1); predicate.matches('?').count()],
+                predicate,
+                order_by: vec![],
+                limit: None,
+                resume_from: 0,
+                key_filter: None,
+                partial_agg: None,
+            };
+            match serve_scan(&mut db, &req.encode(), 64) {
+                Err(RemoteError::Db(DbError::Parse(m))) => {
+                    assert!(m.starts_with("expression nested deeper than"), "{m}")
+                }
+                other => panic!("{other:?}"),
+            }
+        }
+    }
+
     #[test]
     fn empty_result_still_ships_one_frame() {
         let mut db = site_db();

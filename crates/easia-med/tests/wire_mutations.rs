@@ -13,13 +13,15 @@
 //! `serve_scan`, which a site runs on the request frame it was sent.
 //! Before counts were bounded by the bytes left, a 20-byte batch frame
 //! or a request declaring `u32::MAX` columns, order keys, group columns
-//! or calls asked the allocator for ~100 GB and aborted the hub.
+//! or calls asked the allocator for ~100 GB and aborted the hub. A
+//! request whose predicate nests deep is served or refused by the
+//! parser's nesting budget.
 //!
 //! One test only: the allocation counter is process-wide.
 
 use easia_db::value::Records;
-use easia_db::{Database, Value};
-use easia_med::remote::frame_batches;
+use easia_db::{Database, DbError, Value};
+use easia_med::remote::{frame_batches, RemoteError};
 use easia_med::wire::walk_batch;
 use easia_med::{decode_batch, serve_scan, AggCall, PartialAggSpec, ScanRequest};
 use proptest::prelude::*;
@@ -37,6 +39,14 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 /// its reply, formatted error text.
 const PER_BYTE: u64 = 64;
 const CONSTANT: u64 = 16 * 1024;
+
+/// The same for a nested predicate, which is mostly one-byte tokens:
+/// the lexer keeps 32 bytes per token, and a vector that grows by
+/// doubling allocates up to four times its final length (128 bytes per
+/// input byte); the tree, a node every few bytes, takes the rest.
+/// Measured: at most 149 bytes per input byte beyond the constant, for
+/// 1,021 parentheses.
+const PER_NESTED_BYTE: u64 = 192;
 
 /// The site: a handful of rows of every kind the wire carries.
 fn site() -> Database {
@@ -129,12 +139,52 @@ fn request() -> Vec<u8> {
     .encode()
 }
 
+/// A request whose predicate nests `n` deep, in one of four forms:
+/// parentheses, NOT, an AND chain, and a right-deep chain in
+/// parentheses. Random flips never build these; before the parser had a
+/// nesting budget, 1,000 parentheses (a 2 KB frame) aborted the site.
+fn nested_request(form: usize, n: usize) -> Vec<u8> {
+    let leaf = "N >= 1";
+    let predicate = match form {
+        0 => format!("{}{leaf}{}", "(".repeat(n), ")".repeat(n)),
+        1 => format!("{}{leaf}", "NOT ".repeat(n)),
+        2 => format!("{leaf}{}", format!(" AND {leaf}").repeat(n)),
+        _ => format!(
+            "{}{leaf}{}",
+            format!("{leaf} AND (").repeat(n),
+            ")".repeat(n)
+        ),
+    };
+    ScanRequest {
+        table: "SIM".into(),
+        columns: vec!["K".into()],
+        predicate,
+        params: vec![],
+        order_by: vec![],
+        limit: None,
+        resume_from: 0,
+        key_filter: None,
+        partial_agg: None,
+    }
+    .encode()
+}
+
 /// Run one reader call, failing the case when it allocates more than
 /// in proportion to `len` input bytes.
 fn bounded<T>(what: &str, len: usize, call: impl FnOnce() -> T) -> Result<T, TestCaseError> {
+    bounded_by(PER_BYTE, what, len, call)
+}
+
+/// [`bounded`] at `per_byte` bytes per input byte.
+fn bounded_by<T>(
+    per_byte: u64,
+    what: &str,
+    len: usize,
+    call: impl FnOnce() -> T,
+) -> Result<T, TestCaseError> {
     let (out, counts) = counted(call);
     let spent = counts.bytes;
-    let cap = PER_BYTE * len as u64 + CONSTANT;
+    let cap = per_byte * len as u64 + CONSTANT;
     prop_assert!(
         spent <= cap,
         "{what} allocated {spent} bytes for {len} input bytes"
@@ -170,6 +220,8 @@ proptest! {
         frame in 0usize..3,
         cut in any::<usize>(),
         truncate in any::<bool>(),
+        form in 0usize..4,
+        nest in 0usize..1200,
     ) {
         let clean = batches();
         let mut bytes = clean[frame].clone();
@@ -206,6 +258,20 @@ proptest! {
         prop_assert!(decoded.is_ok() || served.is_err());
         if bytes == clean {
             prop_assert!(served.is_ok(), "{served:?}");
+        }
+
+        // A nested predicate is served, or refused by the parser's
+        // budget: shallow ones are served, deep ones refused.
+        let bytes = nested_request(form, nest);
+        let serve = || serve_scan(&mut db, &bytes, 2);
+        let served = bounded_by(PER_NESTED_BYTE, "serve_scan", bytes.len(), serve)?;
+        match &served {
+            Ok(_) => prop_assert!(nest < 200, "{nest} deep in form {form} served"),
+            Err(RemoteError::Db(DbError::Parse(m))) => {
+                prop_assert!(m.starts_with("expression nested deeper than"), "{m}");
+                prop_assert!(nest > 30, "{nest} deep in form {form}: {m}");
+            }
+            Err(e) => prop_assert!(false, "{nest} deep in form {form}: {e}"),
         }
     }
 }

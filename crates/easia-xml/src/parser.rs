@@ -3,11 +3,18 @@
 //! The parser walks the input character by character, tracking line/column
 //! for diagnostics, and yields [`Event`]s. Well-formedness is enforced:
 //! matching end tags, unique attributes, a single root element, and valid
-//! entity/character references.
+//! entity/character references. Elements nest at most `MAX_DEPTH` deep.
 
 use crate::Pos;
 use std::collections::BTreeSet;
 use std::fmt;
+
+/// How deep elements may nest. It bounds every walk of a parsed tree
+/// (write, validate, the XUIS reader, clone and drop), which recurse
+/// once per level; DESIGN.md "Nesting budgets" gives the stack a level
+/// costs. A start tag deeper than this is an error naming its byte
+/// offset.
+pub(crate) const MAX_DEPTH: usize = 256;
 
 /// A parse event.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -247,6 +254,13 @@ impl<'a> Parser<'a> {
                 None => self.err(format!("unexpected end tag </{name}>")),
             }
         } else {
+            if self.stack.len() == MAX_DEPTH {
+                // The tag's '<' is the character before the cursor.
+                let byte: usize = self.chars[..self.i - 1].iter().map(|c| c.len_utf8()).sum();
+                return self.err(format!(
+                    "elements nested deeper than {MAX_DEPTH} at byte {byte}"
+                ));
+            }
             let name = self.parse_name()?;
             let mut attrs: Vec<(String, String)> = Vec::new();
             let mut seen: BTreeSet<String> = BTreeSet::new();
@@ -670,5 +684,40 @@ mod tests {
     #[test]
     fn whitespace_between_prolog_and_root_ok() {
         assert!(parse_document("  \n<a/>\n  ").is_ok());
+    }
+
+    /// `depth` elements nested in one another, each with an attribute.
+    fn nested(depth: usize) -> String {
+        format!("{}x{}", "<a k=\"v\">".repeat(depth), "</a>".repeat(depth))
+    }
+
+    /// A document at the budget parses, and every walk of its tree runs
+    /// on half a default thread stack in any profile; one element more
+    /// is an error naming the byte offset of its tag.
+    #[test]
+    fn the_nesting_budget_is_exact_and_fits_half_a_default_stack() {
+        let run = || {
+            let root = parse_document(&nested(MAX_DEPTH)).unwrap();
+            let pretty = crate::write_document(&root, &crate::WriteOptions::default());
+            assert!(parse_document(&pretty).is_ok());
+            let text = crate::write_document(&root, &crate::WriteOptions::compact());
+            assert!(parse_document(&text).unwrap() == root);
+            assert_eq!(root.subtree_size(), MAX_DEPTH);
+            assert_eq!(root.clone().deep_text(), "x");
+            let err = parse_document(&nested(MAX_DEPTH + 1)).unwrap_err();
+            let byte = MAX_DEPTH * "<a k=\"v\">".len();
+            let want = format!("elements nested deeper than {MAX_DEPTH} at byte {byte}");
+            assert_eq!(err.msg, want);
+        };
+        let thread = std::thread::Builder::new().stack_size(1 << 20);
+        thread.spawn(run).unwrap().join().unwrap();
+    }
+
+    /// 100,000 nested elements (600 KB) aborted the process on a
+    /// default stack before the budget.
+    #[test]
+    fn deep_documents_are_refused_before_any_walk() {
+        let err = parse_document(&nested(100_000)).unwrap_err();
+        assert!(err.msg.starts_with("elements nested deeper than"), "{err}");
     }
 }

@@ -649,4 +649,31 @@ mod tests {
             r#"<xuis><table name="T" primaryKey=""><column name="C" colid="T.C"/></table></xuis>"#;
         assert!(from_xml(bad_col).is_err(), "column needs type");
     }
+
+    /// A XUIS nested deeper than the XML parser's budget is its typed
+    /// error, at the budget the DTD check and the reader walk it on half
+    /// a default thread stack: 100,000 nested elements aborted the
+    /// process before the budget.
+    #[test]
+    fn deep_documents_are_typed_errors() {
+        let nested = |d: usize| format!("<xuis>{}{}</xuis>", "<t>".repeat(d), "</t>".repeat(d));
+        match from_xml(&nested(100_000)) {
+            Err(XuisParseError::Xml(e)) => {
+                assert!(e.msg.starts_with("elements nested deeper than"), "{e}")
+            }
+            other => panic!("{other:?}"),
+        }
+        let run = move || {
+            let text = nested(254);
+            let root = easia_xml::parse_document(&text).unwrap();
+            assert!(!crate::dtd::validate(&root).is_empty());
+            assert!(!matches!(from_xml(&text), Err(XuisParseError::Xml(_))));
+            assert!(matches!(
+                from_xml(&nested(256)),
+                Err(XuisParseError::Xml(_))
+            ));
+        };
+        let thread = std::thread::Builder::new().stack_size(1 << 20);
+        thread.spawn(run).unwrap().join().unwrap();
+    }
 }
