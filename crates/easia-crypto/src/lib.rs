@@ -9,7 +9,7 @@
 //! This crate provides everything that token scheme needs, implemented from
 //! scratch so the workspace has no external crypto dependency:
 //!
-//! * [`sha256`] — FIPS 180-4 SHA-256 (validated against the standard test
+//! * [`sha256`](mod@sha256) — FIPS 180-4 SHA-256 (validated against the standard test
 //!   vectors),
 //! * [`hmac`] — RFC 2104 HMAC-SHA-256 (validated against RFC 4231 vectors),
 //! * [`base64`] — URL-safe base64 without padding, used to embed tokens in

@@ -14,7 +14,7 @@ use crate::schema::{ColumnDef, DatalinkSpec, ForeignKey, TableSchema};
 use crate::scrub::ScrubReport;
 use crate::sql::ast::{ColumnDefAst, Stmt, TableConstraint};
 use crate::sql::parse;
-use crate::storage::snapshot::{self, fill_indexes, Entry};
+use crate::storage::snapshot::{self, fill_indexes, Changes, Entry};
 use crate::storage::{HeapTable, RowId, PAGE_SIZE};
 use crate::txn::{seal_batch, Wal, WalCorruption, WalRecord, WAL_FILE};
 use crate::value::{Lent, Value};
@@ -88,6 +88,9 @@ pub struct Table {
     pub heap: HeapTable,
     /// Indexes (PK index first if present).
     pub indexes: Vec<Index>,
+    /// The rows that may have entered or left the image since the last
+    /// checkpoint: what the next frame's delta orders are read off.
+    pub(crate) changes: Changes,
 }
 
 impl Table {
@@ -338,8 +341,15 @@ impl Database {
         }
         let full = self.rewrite || self.image.is_none_or(|i| i.end - i.base > i.base);
         // A versioned record's visibility can change without a heap
-        // write, so its page is written whatever its dirty bit says.
-        self.mark_versioned_dirty();
+        // write, so its page is written whatever its dirty bit says, and
+        // its row is a candidate for the frame's delta orders.
+        for (name, t) in &mut self.tables {
+            let versioned = self.mvcc.table_versions(name).into_iter();
+            for &rid in versioned.flat_map(|v| v.keys()) {
+                t.heap.mark_dirty(rid);
+                t.changes.versioned(rid);
+            }
+        }
         let bytes = self.write_snapshot(full)?;
         let frames = self.image.filter(|_| !full);
         snapshot::publish(&dir, &bytes, frames.map(|i| i.end))?;
@@ -355,11 +365,7 @@ impl Database {
             },
         });
         self.rewrite = false;
-        // A page is clean once written with every record on it frozen.
-        for t in self.tables.values_mut() {
-            t.heap.mark_clean();
-        }
-        self.mark_versioned_dirty();
+        self.published();
         self.wal.truncate()
     }
 
@@ -390,14 +396,27 @@ impl Database {
         }
     }
 
-    /// Mark dirty each page holding a record that has a version entry.
-    fn mark_versioned_dirty(&mut self) {
+    /// An image at the commit horizon was published: every page is clean
+    /// once written with every record on it frozen, so a page holding a
+    /// versioned record stays dirty; and each table's changes start over
+    /// from its versioned rows, each beside whether the image holds it.
+    fn published(&mut self) {
+        let view = self.mvcc.committed_view();
         for (name, t) in &mut self.tables {
+            t.heap.mark_clean();
+            let (live, visible) = image_rows(&self.mvcc, name, &t.heap, &view);
             let versions = self.mvcc.table_versions(name).into_iter();
-            versions
-                .flat_map(|v| v.keys())
-                .for_each(|&rid| t.heap.mark_dirty(rid));
+            let versioned = versions.flat_map(|v| v.keys());
+            let held = |&rid: &RowId| (rid, t.heap.record(rid).is_some() && visible(rid));
+            t.changes.published(live, versioned.clone().map(held));
+            versioned.for_each(|&rid| t.heap.mark_dirty(rid));
         }
+    }
+
+    /// Whether the next checkpoint may append a frame, whose delta
+    /// orders need the rows that change until then.
+    fn tracks_changes(&self) -> bool {
+        self.image.is_some() && !self.rewrite
     }
 
     /// Verify every checksum behind the commit horizon: the checkpoint
@@ -871,7 +890,8 @@ impl Database {
 
     /// Reclaim row versions no open snapshot or transaction can see;
     /// then, when quiescent, compact the heaps with most dead space
-    /// ([`Database::compact`]'s rule).
+    /// (the compaction rule: a heap whose dead records take over a
+    /// quarter of its pages).
     pub fn vacuum(&mut self) -> VacuumStats {
         self.vacuum_internal()
     }
@@ -1046,6 +1066,7 @@ impl Database {
             heap: HeapTable::new(),
             indexes: Vec::new(),
             schema,
+            changes: Changes::default(),
         };
         // Implicit indexes: PK, then single-column UNIQUEs.
         if !table.schema.primary_key.is_empty() {
@@ -1226,16 +1247,10 @@ impl Database {
     fn write_snapshot(&self, full: bool) -> Result<Vec<u8>> {
         let view = &self.mvcc.committed_view();
         let tables: Vec<_> = (self.tables.iter())
-            .filter(|(_, t)| full || t.heap.is_dirty())
+            .filter(|(_, t)| full || t.heap.is_dirty() || !t.changes.is_empty())
             .collect();
         snapshot::write(full, view.csn, &tables, |name, t| {
-            let versions = self.mvcc.table_versions(name);
-            let visible = move |rid| self.mvcc.visible_in(versions, rid, view);
-            // Every record the view cannot see has a version entry.
-            let hidden = (versions.into_iter().flat_map(|v| v.keys()))
-                .filter(|&&rid| t.heap.record(rid).is_some() && !visible(rid))
-                .count();
-            (t.heap.len() - hidden, visible)
+            image_rows(&self.mvcc, name, &t.heap, view)
         })
     }
 
@@ -1248,6 +1263,7 @@ impl Database {
         self.replaying = false;
         let (csn, base, end) = read?;
         self.image = Some(ImageExtent { base, end });
+        self.published();
         // Commits after a reopen are numbered past the image, so that the
         // next recovery does not take them for commits the image holds.
         self.mvcc.observe_recovered_csn(csn);
@@ -1263,6 +1279,23 @@ impl Database {
         }
         url.to_string()
     }
+}
+
+/// What an image at `view` holds of the table `name` stored in `heap`:
+/// its live row count, and whether it holds each row. Every record the
+/// view cannot see has a version entry.
+fn image_rows<'a>(
+    mvcc: &'a MvccState,
+    name: &str,
+    heap: &HeapTable,
+    view: &'a ReadView,
+) -> (usize, impl Fn(RowId) -> bool + 'a) {
+    let versions = mvcc.table_versions(name);
+    let visible = move |rid| mvcc.visible_in(versions, rid, view);
+    let hidden = (versions.into_iter().flat_map(|v| v.keys()))
+        .filter(|&&rid| heap.record(rid).is_some() && !visible(rid))
+        .count();
+    (heap.len() - hidden, visible)
 }
 
 impl snapshot::Restore for Database {
@@ -1324,7 +1357,8 @@ mod tests {
             for ddl in &extra {
                 put(&mut body, ddl);
             }
-            let (places, place) = t.heap.places();
+            let places = t.heap.places();
+            let place = |rid| places.of(rid).unwrap();
             let visible = |rid| db.mvcc.visible(name, rid, &view);
             let mut rows = Vec::new();
             let reencoded = |rec: &[u8]| {
@@ -1363,7 +1397,7 @@ mod tests {
                 }
                 slots += usize::from(page.slot_count());
             }
-            let overflow = places - slots;
+            let overflow = places.count() - slots;
             body.extend_from_slice(&u32_le(overflow));
             body.extend_from_slice(&u32_le(overflow));
             for i in 0..overflow {

@@ -214,13 +214,8 @@ impl Database {
         tw.created.extend(created.map(|rid| (table.clone(), rid)));
         tw.redo.push(match (old, new) {
             (None, Some(row)) => WalRecord::Insert { table, row },
-            (Some((old_id, old)), Some(new)) => WalRecord::Update {
-                table,
-                old_id,
-                old,
-                new,
-            },
-            (Some((row_id, row)), None) => WalRecord::Delete { table, row_id, row },
+            (Some((_, old)), Some(new)) => WalRecord::Update { table, old, new },
+            (Some((_, row)), None) => WalRecord::Delete { table, row },
             (None, None) => unreachable!("a write has an old row, a new one or both"),
         });
         Ok(())
@@ -513,7 +508,10 @@ impl Database {
 
     // ---- physical operations (heap + index maintenance only) ----
 
+    /// Insert `row` into the heap and its keys into every index, noting
+    /// the row among the table's changes.
     pub(super) fn physical_insert(&mut self, table: &str, row: &[Value]) -> RowId {
+        let track = self.tracks_changes();
         let t = self.tables.get_mut(table).expect("caller validated table");
         let rid = t.heap.insert(row);
         let mut key = Vec::new();
@@ -521,13 +519,18 @@ impl Database {
             ix.tree
                 .insert_key(key_into(&ix.col_indices, row, &mut key), rid);
         }
+        if track {
+            t.changes.filed(rid);
+        }
         rid
     }
 
     /// Remove the row at `rid` and its index entries, whose keys are cut
-    /// out of the stored record's cells. A record that is not a row of
-    /// the table is left where it is.
+    /// out of the stored record's cells, noting the row among the
+    /// table's changes. A record that is not a row of the table is left
+    /// where it is.
     pub(super) fn physical_delete(&mut self, table: &str, rid: RowId) {
+        let track = self.tracks_changes();
         let t = self.tables.get_mut(table).expect("caller validated table");
         let Some(rec) = t.heap.record(rid) else {
             return;
@@ -541,6 +544,9 @@ impl Database {
             key.truncate(0);
             key.push_spans(ix.col_indices.iter().map(|&i| cells[i]));
             ix.tree.remove_key(KeyRef(key.get(0)), rid);
+        }
+        if track {
+            t.changes.removed(rid, rec);
         }
         t.heap.delete(rid);
     }

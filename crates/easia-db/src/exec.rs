@@ -8,7 +8,7 @@
 //! makes, and of each it keeps the cells its filter reads are decoded and,
 //! only if the row passes, the other cells the statement reads; every row
 //! that passes the WHERE — off the scan itself, or off the last JOIN leg —
-//! is lent to one [`Sink`], which folds it into its group or projects it,
+//! is lent to one `Sink`, which folds it into its group or projects it,
 //! and keeps only what DISTINCT, ORDER BY and LIMIT can still return.
 
 use crate::db::{Database, ResultSet, Table};
@@ -1636,6 +1636,7 @@ mod tests {
                 implicit: false,
                 tree,
             }],
+            changes: Default::default(),
         };
         let db = Database::new_in_memory();
         let view = db.read_view();
@@ -1790,6 +1791,7 @@ mod tests {
                     heap
                 },
                 indexes: Vec::new(),
+                changes: Default::default(),
             }
         };
         let db = Database::new_in_memory();

@@ -225,14 +225,14 @@ impl MvccState {
     }
 
     /// The version map for `table` (None = every row frozen). Scans
-    /// grab this once so the per-row check ([`Mvcc::visible_in`]) is a
+    /// grab this once so the per-row check ([`MvccState::visible_in`]) is a
     /// map probe, not a double lookup.
     pub fn table_versions(&self, table: &str) -> Option<&BTreeMap<RowId, RowVersion>> {
         self.versions.get(table).filter(|m| !m.is_empty())
     }
 
-    /// [`Mvcc::visible`] against a version map already taken with
-    /// [`Mvcc::table_versions`].
+    /// [`MvccState::visible`] against a version map already taken with
+    /// [`MvccState::table_versions`].
     pub fn visible_in(
         &self,
         versions: Option<&BTreeMap<RowId, RowVersion>>,

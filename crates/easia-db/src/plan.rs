@@ -4,7 +4,7 @@
 //! per-column restrictions (`=`, `<`, `<=`, `>`, `>=`, `LIKE`); the
 //! planner binds them to the leading columns of an index and turns a
 //! full scan into one ordered walk of that index, and hands the same
-//! restrictions to the executor as a [`Sieve`] for every record the path
+//! restrictions to the executor as a `Sieve` for every record the path
 //! visits. Index and sieve only ever narrow: the executor still evaluates
 //! the whole predicate on every candidate they keep, so bounds are
 //! inclusive supersets, and a path or a sieve is chosen only when

@@ -106,11 +106,11 @@ fn scrub_wal(bytes: &[u8], report: &mut ScrubReport) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::txn::{seal_batch, WalRecord, WAL_MAGIC_V2};
+    use crate::txn::{seal_batch, WalRecord, WAL_MAGIC};
     use crate::value::Value;
 
     fn wal_image() -> Vec<u8> {
-        let mut img = WAL_MAGIC_V2.to_vec();
+        let mut img = WAL_MAGIC.to_vec();
         for csn in 1..=3u64 {
             let mut p = Vec::new();
             WalRecord::Insert {

@@ -127,7 +127,7 @@ pub struct TableRef {
 pub enum JoinKind {
     /// INNER JOIN.
     Inner,
-    /// LEFT [OUTER] JOIN.
+    /// LEFT \[OUTER\] JOIN.
     Left,
 }
 
@@ -255,7 +255,7 @@ pub enum Stmt {
         /// Table name.
         name: String,
     },
-    /// CREATE [UNIQUE] INDEX name ON table (cols)
+    /// CREATE \[UNIQUE\] INDEX name ON table (cols)
     CreateIndex {
         /// Index name.
         name: String,
@@ -266,7 +266,7 @@ pub enum Stmt {
         /// Uniqueness constraint.
         unique: bool,
     },
-    /// BEGIN [TRANSACTION]
+    /// BEGIN \[TRANSACTION\]
     Begin,
     /// COMMIT
     Commit,

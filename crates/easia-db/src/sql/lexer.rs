@@ -76,93 +76,67 @@ pub fn lex(sql: &str) -> Result<Vec<Token>> {
     lex_at(sql, |_| true)
 }
 
-/// [`lex`], telling `start` the character index each token starts at
-/// until it answers false, where the tokens end.
+/// [`lex`], telling `start` the byte offset each token starts at until
+/// it answers false, where the tokens end. The text is stepped in place:
+/// a token's text is copied once, into its token.
 pub(crate) fn lex_at(sql: &str, mut start: impl FnMut(usize) -> bool) -> Result<Vec<Token>> {
-    let chars: Vec<char> = sql.chars().collect();
+    let bytes = sql.as_bytes();
+    // Where the run of ASCII digits from `i` ends.
+    let digits = |i: usize| i + bytes[i..].iter().take_while(|b| b.is_ascii_digit()).count();
     let mut i = 0usize;
     let mut out = Vec::new();
-    while i < chars.len() {
-        let (c, at, tokens) = (chars[i], i, out.len());
+    while let Some(c) = sql[i..].chars().next() {
+        let (at, tokens) = (i, out.len());
         match c {
-            c if c.is_whitespace() => i += 1,
-            '-' if chars.get(i + 1) == Some(&'-') => {
+            c if c.is_whitespace() => i += c.len_utf8(),
+            '-' if bytes.get(i + 1) == Some(&b'-') => {
                 // Line comment.
-                while i < chars.len() && chars[i] != '\n' {
-                    i += 1;
-                }
+                i = sql[i..].find('\n').map_or(sql.len(), |n| i + n);
             }
             '\'' => {
                 i += 1;
                 let mut s = String::new();
                 loop {
-                    match chars.get(i) {
-                        Some('\'') if chars.get(i + 1) == Some(&'\'') => {
-                            s.push('\'');
-                            i += 2;
-                        }
-                        Some('\'') => {
-                            i += 1;
-                            break;
-                        }
-                        Some(&c) => {
-                            s.push(c);
-                            i += 1;
-                        }
-                        None => return Err(DbError::Parse("unterminated string literal".into())),
+                    let Some(n) = sql[i..].find('\'') else {
+                        return Err(DbError::Parse("unterminated string literal".into()));
+                    };
+                    s.push_str(&sql[i..i + n]);
+                    i += n + 1;
+                    if bytes.get(i) != Some(&b'\'') {
+                        break;
                     }
+                    s.push('\'');
+                    i += 1;
                 }
                 out.push(Token::Str(s));
             }
             '"' => {
                 i += 1;
-                let mut s = String::new();
-                loop {
-                    match chars.get(i) {
-                        Some('"') => {
-                            i += 1;
-                            break;
-                        }
-                        Some(&c) => {
-                            s.push(c);
-                            i += 1;
-                        }
-                        None => {
-                            return Err(DbError::Parse("unterminated quoted identifier".into()))
-                        }
-                    }
-                }
-                out.push(Token::Ident(s));
+                let Some(n) = sql[i..].find('"') else {
+                    return Err(DbError::Parse("unterminated quoted identifier".into()));
+                };
+                out.push(Token::Ident(sql[i..i + n].to_string()));
+                i += n + 1;
             }
             c if c.is_ascii_digit() => {
                 let start = i;
-                while i < chars.len() && chars[i].is_ascii_digit() {
-                    i += 1;
-                }
+                i = digits(i);
                 let mut is_float = false;
-                if chars.get(i) == Some(&'.')
-                    && chars.get(i + 1).is_some_and(|c| c.is_ascii_digit())
-                {
+                if bytes.get(i) == Some(&b'.') && bytes.get(i + 1).is_some_and(u8::is_ascii_digit) {
                     is_float = true;
-                    i += 1;
-                    while i < chars.len() && chars[i].is_ascii_digit() {
-                        i += 1;
-                    }
+                    i = digits(i + 1);
                 }
-                if matches!(chars.get(i), Some('e' | 'E')) {
+                if matches!(bytes.get(i), Some(b'e' | b'E')) {
                     let mut j = i + 1;
-                    if matches!(chars.get(j), Some('+' | '-')) {
+                    if matches!(bytes.get(j), Some(b'+' | b'-')) {
                         j += 1;
                     }
-                    if chars.get(j).is_some_and(|c| c.is_ascii_digit()) {
+                    if bytes.get(j).is_some_and(u8::is_ascii_digit) {
                         is_float = true;
-                        i = j;
-                        while i < chars.len() && chars[i].is_ascii_digit() {
-                            i += 1;
-                        }
+                        i = digits(j);
                     }
                 }
-                let text: String = chars[start..i].iter().collect();
+                let text = &sql[start..i];
                 if is_float {
                     let v = text
                         .parse::<f64>()
@@ -181,23 +155,20 @@ pub(crate) fn lex_at(sql: &str, mut start: impl FnMut(usize) -> bool) -> Result<
                 }
             }
             c if c.is_alphabetic() || c == '_' => {
-                let start = i;
-                while i < chars.len()
-                    && (chars[i].is_alphanumeric() || chars[i] == '_' || chars[i] == '$')
-                {
-                    i += 1;
-                }
-                let word: String = chars[start..i].iter().collect();
-                out.push(Token::Ident(word.to_ascii_uppercase()));
+                let word = (sql[i..].chars())
+                    .take_while(|&c| c.is_alphanumeric() || c == '_' || c == '$')
+                    .map(char::len_utf8)
+                    .sum::<usize>();
+                out.push(Token::Ident(sql[i..i + word].to_ascii_uppercase()));
+                i += word;
             }
             _ => {
-                let two: String = chars[i..(i + 2).min(chars.len())].iter().collect();
-                let (sym, adv) = match two.as_str() {
-                    "<=" => (Sym::LtEq, 2),
-                    ">=" => (Sym::GtEq, 2),
-                    "<>" => (Sym::NotEq, 2),
-                    "!=" => (Sym::NotEq, 2),
-                    "||" => (Sym::Concat, 2),
+                let (sym, adv) = match bytes.get(i..i + 2) {
+                    Some(b"<=") => (Sym::LtEq, 2),
+                    Some(b">=") => (Sym::GtEq, 2),
+                    Some(b"<>") => (Sym::NotEq, 2),
+                    Some(b"!=") => (Sym::NotEq, 2),
+                    Some(b"||") => (Sym::Concat, 2),
                     _ => match c {
                         '(' => (Sym::LParen, 1),
                         ')' => (Sym::RParen, 1),

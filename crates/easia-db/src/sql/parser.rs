@@ -57,12 +57,12 @@ impl P<'_> {
         self.i >= self.toks.len()
     }
 
+    /// Consume the token at the cursor, moved out of the token list: the
+    /// cursor never steps back, so nothing reads it there again.
     fn bump(&mut self) -> Option<Token> {
-        let t = self.toks.get(self.i).cloned();
-        if t.is_some() {
-            self.i += 1;
-        }
-        t
+        let t = self.toks.get_mut(self.i)?;
+        self.i += 1;
+        Some(std::mem::replace(t, Token::Symbol(Sym::Semicolon)))
     }
 
     fn err<T>(&self, msg: impl Into<String>) -> Result<T> {
@@ -775,13 +775,12 @@ impl P<'_> {
     /// The budget's error, naming the byte offset of token `at`.
     fn too_deep(&self, at: usize) -> DbError {
         let (mut k, mut start) = (0, None);
-        let _ = lex_at(self.sql, |c| {
-            start = (k == at).then_some(c);
+        let _ = lex_at(self.sql, |b| {
+            start = (k == at).then_some(b);
             k += 1;
             k <= at
         });
-        let start = start.and_then(|c| self.sql.char_indices().nth(c));
-        let byte = start.map_or(self.sql.len(), |(b, _)| b);
+        let byte = start.unwrap_or(self.sql.len());
         DbError::Parse(format!(
             "expression nested deeper than {MAX_DEPTH} at byte {byte}"
         ))

@@ -71,6 +71,39 @@ impl Moves {
     }
 }
 
+/// How a heap numbers the places a record can take: each page's slots
+/// in turn, then the overflow entries. A checkpoint's whole index
+/// order names rows by these. A page that gains a slot moves every
+/// place after it, so a numbering holds for the heap it was taken of.
+#[derive(Debug)]
+pub(crate) struct Places {
+    /// Where each page's places start; the last, where the overflow
+    /// entries' start.
+    starts: Vec<usize>,
+    overflow: usize,
+}
+
+impl Places {
+    /// How many places there are.
+    pub(crate) fn count(&self) -> usize {
+        self.starts[self.starts.len() - 1] + self.overflow
+    }
+
+    /// The place of `id`; `None` past the heap this numbering was taken
+    /// of.
+    pub(crate) fn of(&self, id: RowId) -> Option<usize> {
+        let last = self.starts[self.starts.len() - 1];
+        match id.decode() {
+            RowAddr::Paged(p, s) => {
+                let start = *self.starts.get(p as usize)?;
+                let place = start + usize::from(s);
+                (place < *self.starts.get(p as usize + 1)?).then_some(place)
+            }
+            RowAddr::Overflow(i) => (i < self.overflow).then_some(last + i),
+        }
+    }
+}
+
 impl HeapTable {
     /// New empty heap.
     pub fn new() -> Self {
@@ -233,19 +266,23 @@ impl HeapTable {
         paged.chain(over)
     }
 
-    /// How many places a record of this heap can take — each page's slots
-    /// in turn, then the overflow entries — and each row id's place.
-    pub(crate) fn places(&self) -> (usize, impl Fn(RowId) -> usize + '_) {
-        let mut starts = vec![0];
+    /// How this heap numbers its places now.
+    pub(crate) fn places(&self) -> Places {
+        let mut starts = Vec::with_capacity(self.pages.len() + 1);
+        starts.push(0);
         for page in &self.pages {
             starts.push(starts[starts.len() - 1] + usize::from(page.slot_count()));
         }
-        let overflow = starts[self.pages.len()];
-        let place = move |id: RowId| match id.decode() {
-            RowAddr::Paged(p, s) => starts[p as usize] + usize::from(s),
-            RowAddr::Overflow(i) => overflow + i,
-        };
-        (overflow + self.overflow.len(), place)
+        Places {
+            starts,
+            overflow: self.overflow.len(),
+        }
+    }
+
+    /// How many pages are dirty: what a section of the dirty pages
+    /// copies.
+    pub(crate) fn dirty_pages(&self) -> usize {
+        self.dirty.iter().filter(|&&d| d).count()
     }
 
     /// Write this heap's section of a checkpoint: its page count and
@@ -525,19 +562,17 @@ mod tests {
                 _ => h.insert(&row(i)),
             })
             .collect();
-        {
-            let (places, place) = h.places();
-            assert_eq!(places, h.len());
-            for (k, (id, _)) in h.records().enumerate() {
-                assert_eq!(place(id), k);
-            }
+        let places = h.places();
+        assert_eq!(places.count(), h.len());
+        for (k, (id, _)) in h.records().enumerate() {
+            assert_eq!(places.of(id), Some(k));
         }
         for id in ids.iter().step_by(3) {
             assert!(h.delete(*id));
         }
-        let (places, place) = h.places();
-        let mut seen: Vec<usize> = ids.iter().map(|&id| place(id)).collect();
-        assert!(seen.iter().all(|&p| p < places));
+        let places = h.places();
+        let mut seen: Vec<usize> = ids.iter().map(|&id| places.of(id).unwrap()).collect();
+        assert!(seen.iter().all(|&p| p < places.count()));
         seen.sort_unstable();
         seen.dedup();
         assert_eq!(seen.len(), ids.len());

@@ -22,9 +22,9 @@
 //!   [`crate::db::LinkObserver`] two-phase hooks, driven by the same
 //!   commit/rollback decision.
 //!
-//! # On-disk format (v2, checksummed)
+//! # On-disk format (v3, checksummed)
 //!
-//! A v2 log is the 8-byte magic `EAWAL2\0\0` followed by *batch frames*,
+//! A v3 log is the 8-byte magic `EAWAL3\0\0` followed by *batch frames*,
 //! one per `sync_data` (one group-commit flush or one solo commit):
 //!
 //! ```text
@@ -42,19 +42,25 @@
 //! and DESIGN.md §12 for the model. A file that opens with anything but
 //! the magic (or a torn prefix of it) is corruption at offset 0: no byte
 //! is ever replayed without a checksum over it.
+//!
+//! A record is a tag byte and its fields: a DDL statement's text; an
+//! insert's table and row; a delete's table and row; an update's table,
+//! old row and new row; a commit's CSN. A row is its `encode_row`
+//! record and a table its length-prefixed name. No record carries a row
+//! id: replay finds the row a delete or an update names by its value.
 
 use crate::crc::{crc32, crc32_update};
 use crate::error::{DbError, Result};
 use crate::mvcc::Csn;
-use crate::storage::{put_str, Cursor, RowId};
+use crate::storage::{put_str, Cursor};
 use crate::value::{decode_row, encode_row, Value};
 use std::fs::{File, OpenOptions};
 use std::io::{BufWriter, Read, Write};
 use std::path::{Path, PathBuf};
 
-/// A logical redo record. `Delete`/`Update` also carry the RowId the
-/// original execution wrote, but replay does not rely on it: `apply_wal`
-/// finds the old row by its value.
+/// A logical redo record. Replay finds the row a `Delete` or an
+/// `Update` names by its value (`apply_wal`), so no record carries a
+/// row id.
 #[derive(Debug, Clone, PartialEq)]
 pub enum WalRecord {
     /// Raw DDL statement text, re-executed on replay.
@@ -70,18 +76,14 @@ pub enum WalRecord {
     Delete {
         /// Target table.
         table: String,
-        /// Heap address of the deleted row when it was written.
-        row_id: RowId,
-        /// The deleted row (needed for undo and index maintenance).
+        /// The deleted row, which replay finds by value.
         row: Vec<Value>,
     },
     /// Row updated (old version delete-stamped, new version inserted).
     Update {
         /// Target table.
         table: String,
-        /// Old heap address when it was written.
-        old_id: RowId,
-        /// Old values.
+        /// Old values, which replay finds the row by.
         old: Vec<Value>,
         /// New values.
         new: Vec<Value>,
@@ -102,10 +104,12 @@ const TAG_COMMIT: u8 = 5;
 
 /// The log's file name in a database's directory.
 pub(crate) const WAL_FILE: &str = "wal.log";
-/// File magic opening every v2 (checksummed) log.
-pub const WAL_MAGIC_V2: [u8; 8] = *b"EAWAL2\0\0";
+/// File magic opening every v3 (checksummed) log. A v2 log carried a
+/// row id in each delete and update that nothing read; it is named and
+/// refused as corruption at offset 0, never read.
+pub const WAL_MAGIC: [u8; 8] = *b"EAWAL3\0\0";
 /// First byte of every batch frame. Chosen so no single-bit flip of
-/// the v2 magic's first byte collides with it.
+/// the magic's first byte collides with it.
 pub const BATCH_MAGIC: u8 = 0xB5;
 /// Bytes in a batch frame header: magic, len, header CRC, payload CRC.
 pub const BATCH_HEADER_LEN: usize = 13;
@@ -123,21 +127,14 @@ impl WalRecord {
                 put_str(out, table);
                 encode_row(row, out);
             }
-            WalRecord::Delete { table, row_id, row } => {
+            WalRecord::Delete { table, row } => {
                 out.push(TAG_DELETE);
                 put_str(out, table);
-                out.extend_from_slice(&row_id.0.to_le_bytes());
                 encode_row(row, out);
             }
-            WalRecord::Update {
-                table,
-                old_id,
-                old,
-                new,
-            } => {
+            WalRecord::Update { table, old, new } => {
                 out.push(TAG_UPDATE);
                 put_str(out, table);
-                out.extend_from_slice(&old_id.0.to_le_bytes());
                 encode_row(old, out);
                 encode_row(new, out);
             }
@@ -148,7 +145,7 @@ impl WalRecord {
         }
     }
 
-    /// Append the v2 record frame (`[rlen][rcrc][bytes]`) to `out`: the
+    /// Append the record frame (`[rlen][rcrc][bytes]`) to `out`: the
     /// unit transactions stage into a group-commit window buffer.
     pub fn encode_framed(&self, out: &mut Vec<u8>) {
         let at = out.len();
@@ -172,12 +169,10 @@ impl WalRecord {
             },
             TAG_DELETE => WalRecord::Delete {
                 table: c.str()?,
-                row_id: RowId(c.u64()?),
                 row: row(&mut c)?,
             },
             TAG_UPDATE => WalRecord::Update {
                 table: c.str()?,
-                old_id: RowId(c.u64()?),
                 old: row(&mut c)?,
                 new: row(&mut c)?,
             },
@@ -255,7 +250,7 @@ impl Wal {
     }
 
     /// Open (creating if needed) the WAL at `path`. A fresh (empty) file
-    /// gets the v2 magic; an existing file is appended to as-is.
+    /// gets the magic; an existing file is appended to as-is.
     pub fn open(path: &Path) -> Result<Wal> {
         let file = OpenOptions::new()
             .create(true)
@@ -273,7 +268,7 @@ impl Wal {
                 .map_err(|e| DbError::Storage(format!("stat wal {path:?}: {e}")))?
                 .len();
             if len == 0 {
-                file.write_all(&WAL_MAGIC_V2)
+                file.write_all(&WAL_MAGIC)
                     .and_then(|()| file.sync_data())
                     .map_err(|e| DbError::Storage(format!("init wal {path:?}: {e}")))?;
             }
@@ -365,25 +360,39 @@ impl Wal {
             torn_bytes: 0,
             corruption: None,
         };
-        if buf.len() < WAL_MAGIC_V2.len() && WAL_MAGIC_V2.starts_with(buf) {
+        if buf.len() < WAL_MAGIC.len() && WAL_MAGIC.starts_with(buf) {
             // Empty, or a crash while writing the magic of a fresh log:
             // nothing was ever committed.
             out.torn_bytes = buf.len() as u64;
-        } else if buf.starts_with(&WAL_MAGIC_V2) {
-            Self::parse_v2(buf, &mut out);
+        } else if buf.starts_with(&WAL_MAGIC) {
+            Self::parse_frames(buf, &mut out);
         } else {
+            // A log of another format (`EAWAL` and another digit) is
+            // named, not read: its records are laid out otherwise.
+            let other = buf.len() >= WAL_MAGIC.len()
+                && buf[..5] == WAL_MAGIC[..5]
+                && buf[5].is_ascii_digit()
+                && buf[6..8] == WAL_MAGIC[6..];
+            let detail = match other {
+                true => format!(
+                    "wal format {}, and this build reads {} only",
+                    String::from_utf8_lossy(&buf[..6]),
+                    String::from_utf8_lossy(&WAL_MAGIC[..6])
+                ),
+                false => "unrecognised wal header".into(),
+            };
             out.corruption = Some(WalCorruption {
                 offset: 0,
                 csn_horizon: 0,
-                detail: "unrecognised wal header".into(),
+                detail,
             });
         }
         out
     }
 
     /// Batch-frame walk over an image that opens with the magic.
-    fn parse_v2(buf: &[u8], out: &mut WalParse) {
-        let mut pos = WAL_MAGIC_V2.len();
+    fn parse_frames(buf: &[u8], out: &mut WalParse) {
+        let mut pos = WAL_MAGIC.len();
         let mut pending: Vec<WalRecord> = Vec::new();
         let corrupt = |out: &mut WalParse, offset: usize, detail: String| {
             out.corruption = Some(WalCorruption {
@@ -469,7 +478,7 @@ impl Wal {
         Ok(parse.records)
     }
 
-    /// Truncate the log (after a checkpoint) and re-stamp the v2 magic.
+    /// Truncate the log (after a checkpoint) and re-stamp the magic.
     pub fn truncate(&mut self) -> Result<()> {
         match self {
             Wal::Memory { .. } => Ok(()),
@@ -480,7 +489,7 @@ impl Wal {
                     .truncate(true)
                     .open(&*path)
                     .map_err(|e| DbError::Storage(format!("truncate wal {path:?}: {e}")))?;
-                file.write_all(&WAL_MAGIC_V2)
+                file.write_all(&WAL_MAGIC)
                     .and_then(|()| file.sync_data())
                     .map_err(|e| DbError::Storage(format!("init wal {path:?}: {e}")))?;
                 Ok(())
@@ -568,12 +577,10 @@ mod tests {
             },
             WalRecord::Delete {
                 table: "T".into(),
-                row_id: RowId(42),
                 row: vec![Value::Int(1)],
             },
             WalRecord::Update {
                 table: "T".into(),
-                old_id: RowId(7),
                 old: vec![Value::Int(1)],
                 new: vec![Value::Int(2)],
             },
@@ -640,7 +647,7 @@ mod tests {
         wal.append_committed(&small, 2).unwrap();
         assert_eq!(wal.syncs(), 2);
 
-        let mut want = WAL_MAGIC_V2.to_vec();
+        let mut want = WAL_MAGIC.to_vec();
         for (recs, csn) in [(&big, 1), (&small, 2)] {
             let mut payload = Vec::new();
             for r in recs.iter().chain([&WalRecord::Commit { csn }]) {
@@ -699,7 +706,7 @@ mod tests {
         // verified but not replayed.
         let path = temp_path("wal-uncommitted.log");
         let recs = sample_records();
-        let mut img = WAL_MAGIC_V2.to_vec();
+        let mut img = WAL_MAGIC.to_vec();
         let mut p1 = Vec::new();
         recs[0].encode_framed(&mut p1);
         WalRecord::Commit { csn: 1 }.encode_framed(&mut p1);
@@ -761,6 +768,25 @@ mod tests {
         assert_eq!(Wal::read_committed(&path).unwrap(), vec![]);
     }
 
+    /// A log of the format before this one — its deletes and updates
+    /// carried row ids — is corruption at offset 0 that names the
+    /// format, not bytes read by this build's record layout; a magic
+    /// rotted elsewhere stays "unrecognised".
+    #[test]
+    fn a_log_of_another_format_is_named_not_read() {
+        let mut img = WAL_MAGIC.to_vec();
+        img.extend_from_slice(&seal_batch(&[]));
+        img[5] = b'2';
+        let parse = Wal::parse(&img);
+        let c = parse.corruption.expect("refused");
+        assert_eq!((c.offset, parse.records.len()), (0, 0));
+        assert_eq!(c.detail, "wal format EAWAL2, and this build reads EAWAL3 only");
+        img[5] = b'3';
+        img[7] = b'x';
+        let c = Wal::parse(&img).corruption.expect("refused");
+        assert_eq!((c.offset, c.detail.as_str()), (0, "unrecognised wal header"));
+    }
+
     #[test]
     fn memory_wal_counts_syncs() {
         let mut wal = Wal::memory();
@@ -808,12 +834,12 @@ mod tests {
 
     #[test]
     fn every_single_bit_flip_in_a_complete_log_is_detected() {
-        // Exhaustive: a complete v2 image with 3 batches; flipping any
+        // Exhaustive: a complete image with 3 batches; flipping any
         // single bit anywhere must be classified as corruption (a
         // complete file has no torn tail to hide behind) and must never
         // panic or replay records past the damage.
         let recs = sample_records();
-        let mut img = WAL_MAGIC_V2.to_vec();
+        let mut img = WAL_MAGIC.to_vec();
         for (i, r) in recs.iter().enumerate().take(3) {
             let mut p = Vec::new();
             r.encode_framed(&mut p);

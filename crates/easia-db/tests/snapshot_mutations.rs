@@ -1,5 +1,5 @@
 //! Mutation property of the checkpoint file: `Database::open` of a
-//! damaged `EASNAP4` file is a typed error, or a database whose every
+//! damaged `EASNAP5` file is a typed error, or a database whose every
 //! index answers as its heap — never a panic, and never an allocation out
 //! of proportion to the file.
 //!
@@ -14,12 +14,16 @@
 //! of which must be a `DbError::Storage`.
 //!
 //! A second file is the same base with one frame appended: the table of
-//! the two indexes after rows were deleted, inserted and updated. A bit
-//! flipped anywhere in the frame is damage its checksums find; a frame
-//! sealed again over a lie — a page numbered past the table, an order
-//! entry at a place whose row was deleted, a live row count the pages do
-//! not bear out — is a `DbError::Storage` too; and a frame cut short is
-//! dropped, leaving the base.
+//! the two indexes after rows were deleted, inserted and updated, as its
+//! dirty pages and, for each index, the rows removed from and filed in
+//! its order. A bit flipped anywhere in the frame is damage its
+//! checksums find; a frame sealed again over a lie — a page numbered
+//! past the table, a live row count the pages do not bear out, or a
+//! delta that lies: a removed place the order does not hold, a filed
+//! place that holds no record, a list out of key order, a place filed
+//! twice — is a `DbError::Storage` too; so is a file of the format
+//! before this one (`EASNAP4`); and a frame cut short is dropped,
+//! leaving the base.
 //!
 //! One test only: the allocation counter is process-wide.
 
@@ -53,18 +57,30 @@ fn dir() -> PathBuf {
     std::env::temp_dir().join(format!("easia-db-snap-mutations-{}", std::process::id()))
 }
 
+/// Where the frame's entry for `FILES` holds what the cases below lie
+/// about: each index's list of removed rows, the heap section (its page
+/// count), the section's live row count, and each index's list of filed
+/// rows.
+#[derive(Clone, Copy)]
+struct Layout {
+    removed: [usize; INDEXES],
+    section: usize,
+    live: usize,
+    filed: [usize; INDEXES],
+}
+
 /// The checkpoint file of the two tables, written once: its base alone,
-/// and the base with a frame after it.
-fn sample(framed: bool) -> Vec<u8> {
-    static IMAGES: OnceLock<(Vec<u8>, Vec<u8>)> = OnceLock::new();
-    let images = IMAGES.get_or_init(write_sample);
+/// and the base with a frame after it; and where the frame's fields are.
+fn sample(framed: bool) -> (Vec<u8>, Layout) {
+    static IMAGES: OnceLock<(Vec<u8>, Vec<u8>, Layout)> = OnceLock::new();
+    let (base, with_frame, layout) = IMAGES.get_or_init(write_sample);
     match framed {
-        false => images.0.clone(),
-        true => images.1.clone(),
+        false => (base.clone(), *layout),
+        true => (with_frame.clone(), *layout),
     }
 }
 
-fn write_sample() -> (Vec<u8>, Vec<u8>) {
+fn write_sample() -> (Vec<u8>, Vec<u8>, Layout) {
     let dir = dir();
     let _ = std::fs::remove_dir_all(&dir);
     let mut db = Database::open(&dir).unwrap();
@@ -118,7 +134,8 @@ fn write_sample() -> (Vec<u8>, Vec<u8>) {
     db.checkpoint().unwrap();
     let framed = std::fs::read(dir.join("snapshot.db")).unwrap();
     assert_eq!(&framed[..base.len()], &base[..], "a frame is appended");
-    // Where the cases below find the frame's fields.
+    // Where the cases below find the frame's fields: the payload is its
+    // CSN, one table, the table's name, then FILES' entry.
     let u32_at = |at: usize| u32::from_le_bytes(framed[at..at + 4].try_into().unwrap());
     let name_at = base.len() + 13 + 8 + 4 + 4;
     assert_eq!(
@@ -126,22 +143,41 @@ fn write_sample() -> (Vec<u8>, Vec<u8>) {
         b"FILES",
         "the frame's one table"
     );
+    let mut at = name_at + 5;
+    let removed = [0; INDEXES].map(|_| {
+        assert_eq!(u32_at(at) as usize, REMOVED, "rows removed from an order");
+        at += 4 + 8 * REMOVED;
+        at - 4 - 8 * REMOVED
+    });
     let pages = db.table("FILES").unwrap().heap.page_count();
-    assert_eq!(u32_at(name_at + 5) as usize, pages);
-    assert_eq!(
-        u32_at(name_at + 13),
-        0,
-        "the first page listed is the first"
-    );
-    let live_at = framed.len() - 4 * (ROWS - 1 + FRAME_INSERTS) * INDEXES - 8;
-    assert_eq!(u32_at(live_at) as usize, ROWS - 1 + FRAME_INSERTS);
+    assert_eq!(u32_at(at) as usize, pages);
+    assert_eq!(u32_at(at + 8), 0, "the first page listed is the first");
+    let list = 4 + 8 * FILED;
+    let filed = [0, 1].map(|i| framed.len() - list * (INDEXES - i));
+    for at in filed {
+        assert_eq!(u32_at(at) as usize, FILED, "rows filed in an order");
+    }
+    let live = filed[0] - 8;
+    assert_eq!(u32_at(live) as usize, ROWS - 1 + FRAME_INSERTS);
+    let layout = Layout {
+        removed,
+        section: at,
+        live,
+        filed,
+    };
     drop(db);
     std::fs::remove_dir_all(&dir).unwrap();
-    (base, framed)
+    (base, framed, layout)
 }
 
 /// Rows the frame adds to `FILES`, beside the one it deletes.
 const FRAME_INSERTS: usize = 10;
+/// Rows the frame removes from each order of `FILES`: the one deleted
+/// and the old versions of the two updated.
+const REMOVED: usize = 3;
+/// Rows the frame files in each order: the inserted and the new
+/// versions of the updated.
+const FILED: usize = FRAME_INSERTS + 2;
 
 /// Seal the frame at `at` again over whatever its payload now is.
 fn reseal(image: &mut Vec<u8>, at: usize) {
@@ -194,25 +230,28 @@ fn indexes_are_the_heap(db: &Database) -> Result<(), TestCaseError> {
 proptest! {
     #[test]
     fn damaged_images_are_typed_errors_or_consistent_databases(
-        kind in 0u8..11,
+        kind in 0u8..15,
         edits in proptest::collection::vec((any::<usize>(), 0u8..8, any::<u8>(), any::<bool>()), 1..6),
         a in 0usize..ROWS,
         b in 1usize..ROWS,
         index in 0usize..INDEXES,
     ) {
         let framed = kind >= 6;
-        let clean = sample(framed);
+        let (clean, layout) = sample(framed);
         let mut image = clean.clone();
         let len = image.len();
         // The frame is sealed again after a lie; the base always is.
-        let frame = sample(false).len();
+        let frame = sample(false).0.len();
         let sealed = if framed { frame } else { 8 };
         let order = |at: usize| order_at(len, index, at);
         let position = |image: &[u8], at: usize| image[order(at)..order(at) + 4].to_vec();
         let other = (a + b) % ROWS;
         // Damage the checksum cannot vouch for must be refused by name,
         // and so must a bit flipped in a whole frame.
-        let refused = (2..10).contains(&kind);
+        let refused = (2..14).contains(&kind);
+        // Entry `i` of the delta list at `list`: a row id.
+        let entry = |list: usize, i: usize| list + 4 + 8 * i;
+        let rid_at = |image: &[u8], at: usize| image[at..at + 8].to_vec();
         match kind {
             0 => {
                 for &(at, bit, byte, rewrite) in &edits {
@@ -244,33 +283,65 @@ proptest! {
                 image[frame + at % (len - frame)] ^= 1 << bit;
             }
             7 => {
-                // The frame's payload: CSN 8, one table, its name, the
-                // page count, how many pages are listed, the first's
-                // number.
-                let npages_at = frame + 13 + 8 + 4 + 4 + "FILES".len();
+                // The section's page count, how many pages are listed,
+                // the first's number.
+                let npages_at = layout.section;
                 let npages = u32::from_le_bytes(image[npages_at..npages_at + 4].try_into().unwrap());
                 let past = npages + (edits[0].0 % 3) as u32;
                 image[npages_at + 8..npages_at + 12].copy_from_slice(&past.to_le_bytes());
             }
             8 => {
-                // The row deleted first held place 0 of FILES.
-                let live = ROWS - 1 + FRAME_INSERTS;
-                let at = len - 4 * live * (INDEXES - index) + 4 * (a % live);
-                let dead = if edits[0].3 { 0u32 } else { u32::MAX };
-                image[at..at + 4].copy_from_slice(&dead.to_le_bytes());
-                if edits[0].3 {
-                    prop_assert!(image != clean, "place 0 is not named");
-                }
+                // A filed place that holds no record: the row deleted
+                // first (row id 0), or one past the table.
+                let at = entry(layout.filed[index], a % FILED);
+                let dead = if edits[0].3 { 0u64 } else { u64::MAX };
+                image[at..at + 8].copy_from_slice(&dead.to_le_bytes());
             }
             9 => {
-                let live_at = len - 4 * (ROWS - 1 + FRAME_INSERTS) * INDEXES - 8;
                 let lie = if edits[0].3 { 0 } else { (ROWS + FRAME_INSERTS + edits[0].0 % 5) as u64 };
-                image[live_at..live_at + 8].copy_from_slice(&lie.to_le_bytes());
+                image[layout.live..layout.live + 8].copy_from_slice(&lie.to_le_bytes());
             }
+            10 => {
+                // A removed place the order does not hold: a row the
+                // frame files (not in the image before it), one past the
+                // table, or a row that stays (row id 5).
+                let at = entry(layout.removed[index], a % REMOVED);
+                let lie = match edits[0].0 % 3 {
+                    0 => rid_at(&image, entry(layout.filed[index], b % FILED)),
+                    1 => u64::MAX.to_le_bytes().to_vec(),
+                    _ => 5u64.to_le_bytes().to_vec(),
+                };
+                image[at..at + 8].copy_from_slice(&lie);
+            }
+            11 => {
+                // A list out of key order: two entries of the removed
+                // list, or of the filed one, swapped.
+                let (list, n) = match edits[0].3 {
+                    true => (layout.removed[index], REMOVED),
+                    false => (layout.filed[index], FILED),
+                };
+                let (i, j) = (a % n, (a + 1 + b % (n - 1)) % n);
+                let (ri, rj) = (rid_at(&image, entry(list, i)), rid_at(&image, entry(list, j)));
+                image[entry(list, i)..entry(list, i) + 8].copy_from_slice(&rj);
+                image[entry(list, j)..entry(list, j) + 8].copy_from_slice(&ri);
+            }
+            12 => {
+                // A place filed twice: an entry repeated in the list, or
+                // a row the order already holds (row id 5).
+                let i = a % (FILED - 1);
+                let twice = match edits[0].3 {
+                    true => rid_at(&image, entry(layout.filed[index], i)),
+                    false => 5u64.to_le_bytes().to_vec(),
+                };
+                image[entry(layout.filed[index], i + 1)..entry(layout.filed[index], i + 1) + 8]
+                    .copy_from_slice(&twice);
+            }
+            // The format before this one is named and refused.
+            13 => image[6] = b'4',
             // A frame cut short is dropped: the base remains.
             _ => image.truncate(frame + edits[0].0 % (len - frame)),
         }
-        if kind != 6 && kind != 10 {
+        if kind != 6 && kind != 14 {
             reseal(&mut image, sealed);
         }
         let dir = dir();
@@ -293,7 +364,7 @@ proptest! {
                 if image == clean {
                     prop_assert!(rows == ROWS + usize::from(framed) * (FRAME_INSERTS - 1));
                 }
-                if kind == 10 {
+                if kind == 14 {
                     prop_assert!(rows == ROWS, "a torn frame leaves the base");
                 }
             }
@@ -301,6 +372,9 @@ proptest! {
                 prop_assert!(image != clean, "the clean image refused: {e}");
                 if refused {
                     prop_assert!(matches!(e, DbError::Storage(_)), "kind {kind}: {e:?}");
+                }
+                if kind == 13 {
+                    prop_assert!(e.to_string().contains("a EASNAP4 file"), "{e}");
                 }
             }
         }

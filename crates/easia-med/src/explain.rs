@@ -2,7 +2,7 @@
 //!
 //! Built alongside every federated query execution, so "estimated"
 //! comes from the catalog statistics and "actual" from what really
-//! crossed the simulated WAN. [`FedExplain::planned`] is the same
+//! crossed the simulated WAN. `FedExplain::planned` is the same
 //! report rendered from the plan alone, actuals at zero.
 
 use crate::catalog::Partition;

@@ -4,11 +4,11 @@
 //! Every federated statement — single-table or JOIN, alone or beside
 //! its siblings in [`Federation::query_many`] — takes one path:
 //!
-//! 1. **Plan** ([`crate::legs`]) — the statement becomes a list of
+//! 1. **Plan** (`legs.rs`) — the statement becomes a list of
 //!    legs: per leg, split conjuncts into pushed vs. hub-evaluated,
 //!    pick the shipped projection, decide top-k and partial-aggregate
 //!    pushdown, choose how a JOIN leg is fetched ([`crate::planner`]).
-//! 2. **Prepare** ([`crate::gather`]) — per ready leg, skip partitions
+//! 2. **Prepare** (`gather.rs`) — per ready leg, skip partitions
 //!    whose declared site-key values cannot match a
 //!    `site_key = <const>` conjunct, scan the local partition in place
 //!    for free, and line up one [`ScanRequest`](crate::ScanRequest)
@@ -22,14 +22,14 @@
 //!    its own stall clock, so one stalled site never holds up its peers.
 //! 4. **Finish** — whatever the pump left unfinished climbs the
 //!    degradation ladder below; the rest is booked.
-//! 5. **Merge** ([`crate::merge`]) — shipped rows, still the records
+//! 5. **Merge** (`merge.rs`) — shipped rows, still the records
 //!    the sites encoded, are bound as in-memory relations and the
 //!    *original* statement runs over them, so every SQL feature the hub
 //!    engine supports (aggregates, GROUP BY, DISTINCT, functions, ORDER
 //!    BY/LIMIT) works federated, and pushed filters are harmlessly
 //!    re-applied. The hub database is only read.
 //!
-//! A site outage climbs the **degradation ladder** ([`crate::ladder`])
+//! A site outage climbs the **degradation ladder** (`ladder.rs`)
 //! instead of surfacing immediately:
 //!
 //! 1. **Retry with resume** — a mid-stream failure re-enters the pump

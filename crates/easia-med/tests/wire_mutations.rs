@@ -44,9 +44,10 @@ const CONSTANT: u64 = 16 * 1024;
 /// the lexer keeps 32 bytes per token, and a vector that grows by
 /// doubling allocates up to four times its final length (128 bytes per
 /// input byte); the tree, a node every few bytes, takes the rest.
-/// Measured: at most 149 bytes per input byte beyond the constant, for
-/// 1,021 parentheses.
-const PER_NESTED_BYTE: u64 = 192;
+/// Measured: at most 125 bytes per input byte beyond the constant, for
+/// 1,021 parentheses; 147 while the lexer copied the text into a vector
+/// of characters and the parser cloned each token it consumed.
+const PER_NESTED_BYTE: u64 = 140;
 
 /// The site: a handful of rows of every kind the wire carries.
 fn site() -> Database {

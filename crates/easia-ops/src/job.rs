@@ -2,8 +2,8 @@
 //! mechanism.
 //!
 //! "The batch file is dynamically created by the startup servlet and
-//! contains commands to unpack [the] operation into [a] temporary
-//! directory and appropriate commands to invoke [a] second Java
+//! contains commands to unpack \[the\] operation into \[a\] temporary
+//! directory and appropriate commands to invoke \[a\] second Java
 //! interpreter or non-Java post-processing code."
 //!
 //! Here the "batch script" is an explicit list of [`BatchStep`]s the

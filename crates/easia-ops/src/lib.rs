@@ -1,7 +1,7 @@
 //! Server-side post-processing operations.
 //!
 //! EASIA's defining feature is the *active* archive: "post-processing
-//! applications that have been archived using DATALINK values [can] be
+//! applications that have been archived using DATALINK values \[can\] be
 //! dynamically executed server-side to reduce the data volume returned
 //! to the user". Applications are loosely coupled to datasets through
 //! XUIS `<operation>` markup; the only contract is that "the initial

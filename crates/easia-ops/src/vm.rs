@@ -78,9 +78,9 @@ pub enum Insn {
     Jz(u32),
     /// Pop; jump if non-zero.
     Jnz(u32),
-    /// Pop addr; push mem[addr] (one byte, zero-extended).
+    /// Pop addr; push `mem[addr]` (one byte, zero-extended).
     Load8,
-    /// Pop addr, value; mem[addr] = value & 0xff.
+    /// Pop addr, value; `mem[addr] = value & 0xff`.
     Store8,
     /// Pop addr; push little-endian i64 at mem[addr..addr+8].
     Load64,

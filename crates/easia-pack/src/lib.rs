@@ -13,7 +13,7 @@
 //!   header fields, checksums, 512-byte block framing,
 //! * [`lzss`] — a byte-oriented LZSS compressor/decompressor ("ez" format)
 //!   playing the role of `.Z`/`.gz`,
-//! * [`format`] — container sniffing (`detect`) and one-call
+//! * [`format`](mod@format) — container sniffing (`detect`) and one-call
 //!   [`format::unpack`] that peels compression and archive layers exactly
 //!   like the paper's dynamically generated batch file does.
 

@@ -13,7 +13,7 @@
 //! * [`edf`] — the EASIA Data Format, a simple self-describing
 //!   scientific container (named datasets, shapes, doubles) standing in
 //!   for the HDF files the paper mentions,
-//! * [`slice`] — plane extraction (the paper's "array slicing" data
+//! * [`slice`](mod@slice) — plane extraction (the paper's "array slicing" data
 //!   reduction: "select the slice you wish to visualise"),
 //! * [`render`] — colormapped PPM rendering of 2-D slices (the GetImage
 //!   operation's output),

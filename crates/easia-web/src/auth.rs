@@ -1,6 +1,6 @@
 //! Users, sessions, and the role policy from the paper's demo slide:
 //! guest users "cannot download datasets, cannot upload post-processing
-//! codes, [and] are limited in the types of operations they can run".
+//! codes, \[and\] are limited in the types of operations they can run".
 
 use easia_crypto::hmac::hmac_sha256;
 use easia_crypto::sha256::{hex, sha256};

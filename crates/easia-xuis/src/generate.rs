@@ -1,7 +1,7 @@
 //! The default-XUIS generator.
 //!
 //! "Default XUIS can be created prior to system initialisation using a
-//! tool that we provide [which] uses JDBC to extract data and schema
+//! tool that we provide \[which\] uses JDBC to extract data and schema
 //! information from the database. The XUIS contains table names, column
 //! names, column types, sample data values for each column, and details
 //! of primary keys and foreign keys."

@@ -1,6 +1,6 @@
 //! XUIS — the XML User Interface Specification.
 //!
-//! EASIA "separate[s] the user interface specification from the user
+//! EASIA "separate\[s\] the user interface specification from the user
 //! interface processing": the whole web interface is driven by an XML
 //! document generated from the database catalog and optionally
 //! hand-customised before system initialisation. This crate implements:
