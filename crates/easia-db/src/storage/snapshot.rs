@@ -818,16 +818,18 @@ mod tests {
         }
     }
 
-    /// A base of two tables, then a frame that replaces a dirty page of
-    /// one and a frame that extends its heap by a page and an overflow
-    /// entry, read back to the tables; and the base alone to the tables
-    /// as they were when it was written.
+    /// A base of two tables, then a frame that deletes a row from a
+    /// dirty page of one and a frame that extends its heap by a page and
+    /// an overflow entry and deletes the base's overflow row — whose
+    /// place the new slots moved — read back to the tables; and the base
+    /// alone to the tables as they were when it was written.
     #[test]
     fn a_base_and_two_frames_read_back_to_the_tables() {
         let [mut t, mut u] = ["T", "U"].map(table);
         for k in 0..300 {
             insert(&mut t, k, "d".repeat(k as usize % 90));
         }
+        insert(&mut t, -2, "g".repeat(5000));
         for k in 0..5 {
             insert(&mut u, k, String::new());
         }
@@ -844,6 +846,7 @@ mod tests {
         file.extend_from_slice(&frame);
         written(&mut t);
 
+        let big = t.heap.records().last().unwrap().0;
         let pages = t.heap.page_count();
         for k in 300.. {
             insert(&mut t, k, "e".repeat(80));
@@ -852,6 +855,7 @@ mod tests {
             }
         }
         insert(&mut t, -1, "f".repeat(5000));
+        delete(&mut t, big);
         let frame = write(false, 3, &[(&names[0], &t)], all).unwrap();
         assert!(frame.len() < 3 * PAGE_SIZE, "a frame of two pages");
         file.extend_from_slice(&frame);

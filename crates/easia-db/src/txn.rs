@@ -780,11 +780,17 @@ mod tests {
         let parse = Wal::parse(&img);
         let c = parse.corruption.expect("refused");
         assert_eq!((c.offset, parse.records.len()), (0, 0));
-        assert_eq!(c.detail, "wal format EAWAL2, and this build reads EAWAL3 only");
+        assert_eq!(
+            c.detail,
+            "wal format EAWAL2, and this build reads EAWAL3 only"
+        );
         img[5] = b'3';
         img[7] = b'x';
         let c = Wal::parse(&img).corruption.expect("refused");
-        assert_eq!((c.offset, c.detail.as_str()), (0, "unrecognised wal header"));
+        assert_eq!(
+            (c.offset, c.detail.as_str()),
+            (0, "unrecognised wal header")
+        );
     }
 
     #[test]

@@ -135,7 +135,7 @@ fn open_holds_key_runs_not_rows_and_checkpoint_allocates_per_page() {
         .unwrap();
     assert_eq!(rs.rows.len(), 50);
 
-    // ---- a frame: the dirty pages and the touched table's orders ----
+    // ---- a frame: the dirty pages and the touched table's delta orders ----
     let snapshot = dir.join("snapshot.db");
     let size = || std::fs::metadata(&snapshot).unwrap().len();
     let (before, pages_before) = (size(), pages);
