@@ -14,7 +14,7 @@ use crate::schema::{ColumnDef, DatalinkSpec, ForeignKey, TableSchema};
 use crate::scrub::ScrubReport;
 use crate::sql::ast::{ColumnDefAst, Stmt, TableConstraint};
 use crate::sql::parse;
-use crate::storage::snapshot::{self, fill_indexes, Changes, Entry};
+use crate::storage::snapshot::{self, fill_indexes, Entry};
 use crate::storage::{HeapTable, RowId, PAGE_SIZE};
 use crate::txn::{seal_batch, Wal, WalCorruption, WalRecord, WAL_FILE};
 use crate::value::{Lent, Value};
@@ -88,9 +88,6 @@ pub struct Table {
     pub heap: HeapTable,
     /// Indexes (PK index first if present).
     pub indexes: Vec<Index>,
-    /// The rows that may have entered or left the image since the last
-    /// checkpoint: what the next frame's delta orders are read off.
-    pub(crate) changes: Changes,
 }
 
 impl Table {
@@ -320,7 +317,10 @@ impl Database {
     ///
     /// A quiescent checkpoint vacuums first, and so compacts what that
     /// vacuum's rule says to. Then it appends a frame of its dirty pages
-    /// to `snapshot.db` and syncs it. The whole image is rewritten beside
+    /// to `snapshot.db` and syncs it: nothing else, since what the frame
+    /// removes from the index orders and files in them is read off those
+    /// pages against the ones they replace when the file is opened
+    /// (`snapshot::read`). The whole image is rewritten beside
     /// it and renamed into place instead when the file has no base, when
     /// DDL ran or a heap was compacted since the last checkpoint, or when
     /// its frames together outgrow its base (`snapshot::publish`).
@@ -341,13 +341,12 @@ impl Database {
         }
         let full = self.rewrite || self.image.is_none_or(|i| i.end - i.base > i.base);
         // A versioned record's visibility can change without a heap
-        // write, so its page is written whatever its dirty bit says, and
-        // its row is a candidate for the frame's delta orders.
+        // write, so its page is written whatever its dirty bit says: the
+        // frame's page then shows whether the image holds the row.
         for (name, t) in &mut self.tables {
             let versioned = self.mvcc.table_versions(name).into_iter();
             for &rid in versioned.flat_map(|v| v.keys()) {
                 t.heap.mark_dirty(rid);
-                t.changes.versioned(rid);
             }
         }
         let bytes = self.write_snapshot(full)?;
@@ -398,25 +397,15 @@ impl Database {
 
     /// An image at the commit horizon was published: every page is clean
     /// once written with every record on it frozen, so a page holding a
-    /// versioned record stays dirty; and each table's changes start over
-    /// from its versioned rows, each beside whether the image holds it.
+    /// versioned record stays dirty.
     fn published(&mut self) {
-        let view = self.mvcc.committed_view();
         for (name, t) in &mut self.tables {
             t.heap.mark_clean();
-            let (live, visible) = image_rows(&self.mvcc, name, &t.heap, &view);
             let versions = self.mvcc.table_versions(name).into_iter();
-            let versioned = versions.flat_map(|v| v.keys());
-            let held = |&rid: &RowId| (rid, t.heap.record(rid).is_some() && visible(rid));
-            t.changes.published(live, versioned.clone().map(held));
-            versioned.for_each(|&rid| t.heap.mark_dirty(rid));
+            versions
+                .flat_map(|v| v.keys())
+                .for_each(|&rid| t.heap.mark_dirty(rid));
         }
-    }
-
-    /// Whether the next checkpoint may append a frame, whose delta
-    /// orders need the rows that change until then.
-    fn tracks_changes(&self) -> bool {
-        self.image.is_some() && !self.rewrite
     }
 
     /// Verify every checksum behind the commit horizon: the checkpoint
@@ -1066,7 +1055,6 @@ impl Database {
             heap: HeapTable::new(),
             indexes: Vec::new(),
             schema,
-            changes: Changes::default(),
         };
         // Implicit indexes: PK, then single-column UNIQUEs.
         if !table.schema.primary_key.is_empty() {
@@ -1247,7 +1235,7 @@ impl Database {
     fn write_snapshot(&self, full: bool) -> Result<Vec<u8>> {
         let view = &self.mvcc.committed_view();
         let tables: Vec<_> = (self.tables.iter())
-            .filter(|(_, t)| full || t.heap.is_dirty() || !t.changes.is_empty())
+            .filter(|(_, t)| full || t.heap.is_dirty())
             .collect();
         snapshot::write(full, view.csn, &tables, |name, t| {
             image_rows(&self.mvcc, name, &t.heap, view)

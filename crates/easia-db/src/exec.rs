@@ -1625,7 +1625,7 @@ mod tests {
             .unwrap(),
             heap: {
                 let mut heap = HeapTable::new();
-                heap.restore_section(&mut Cursor::new("snapshot", &image, 0))
+                heap.restore_section(&mut Cursor::new("snapshot", &image, 0), |_, _| {})
                     .unwrap();
                 heap
             },
@@ -1636,7 +1636,6 @@ mod tests {
                 implicit: false,
                 tree,
             }],
-            changes: Default::default(),
         };
         let db = Database::new_in_memory();
         let view = db.read_view();
@@ -1786,12 +1785,11 @@ mod tests {
                 schema: TableSchema::new("T", columns).unwrap(),
                 heap: {
                     let mut heap = HeapTable::new();
-                    heap.restore_section(&mut Cursor::new("snapshot", &image, 0))
+                    heap.restore_section(&mut Cursor::new("snapshot", &image, 0), |_, _| {})
                         .unwrap();
                     heap
                 },
                 indexes: Vec::new(),
-                changes: Default::default(),
             }
         };
         let db = Database::new_in_memory();

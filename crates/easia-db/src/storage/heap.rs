@@ -331,13 +331,21 @@ impl HeapTable {
 
     /// Apply a section [`HeapTable::write_section`] wrote, advancing `c`:
     /// each page and overflow entry it lists replaces this heap's or
-    /// extends it, and the result is clean. The bytes come from disk:
-    /// a count the remaining input cannot hold is refused before anything
-    /// is reserved for it, numbers must ascend and leave no gap, every
-    /// page's slot directory is checked ([`Page::from_bytes`]), and the
-    /// section's live count must be the number of records the heap then
-    /// holds.
-    pub(crate) fn restore_section(&mut self, c: &mut Cursor) -> Result<()> {
+    /// extends it, and the result is clean. Each place whose record the
+    /// section adds or takes away is reported to `changed`, beside
+    /// whether it now holds one: every record of a page or entry that
+    /// extends the heap, and in one that replaces another, each slot or
+    /// entry that held a record before and none now, or the reverse. The
+    /// bytes come from disk: a count the remaining input cannot hold is
+    /// refused before anything is reserved for it, numbers must ascend
+    /// and leave no gap, every page's slot directory is checked
+    /// ([`Page::from_bytes`]), and the section's live count must be the
+    /// number of records the heap then holds.
+    pub(crate) fn restore_section(
+        &mut self,
+        c: &mut Cursor,
+        mut changed: impl FnMut(RowId, bool),
+    ) -> Result<()> {
         let bad = |what: &str| DbError::Storage(format!("heap snapshot: {what}"));
         // Where each listed entry goes: over an old one, or onto the end.
         let target = |at: usize, had: usize, count: usize, next: &mut usize| match at {
@@ -346,6 +354,13 @@ impl HeapTable {
             _ => {
                 *next = at + 1;
                 Ok(at)
+            }
+        };
+        // A place that held a record (`was`) and holds one (`is`).
+        let mut flip = |id: RowId, was: bool, is: bool| {
+            if was != is {
+                changed(id, is);
+                self.len = if is { self.len + 1 } else { self.len - 1 };
             }
         };
         let npages = c.u32()?;
@@ -359,9 +374,13 @@ impl HeapTable {
         for _ in 0..listed {
             let at = target(c.u32()?, self.pages.len(), npages, &mut next)?;
             let page = Page::from_bytes(c.take(PAGE_SIZE)?)?;
-            self.len += page.iter().count();
+            let old = self.pages.get(at);
+            for s in 0..page.slot_count().max(old.map_or(0, Page::slot_count)) {
+                let was = old.is_some_and(|o| o.get(s).is_some());
+                flip(RowId::paged(at as u32, s), was, page.get(s).is_some());
+            }
             match self.pages.get_mut(at) {
-                Some(old) => self.len -= std::mem::replace(old, page).iter().count(),
+                Some(old) => *old = page,
                 None => self.pages.push(page),
             }
         }
@@ -383,9 +402,10 @@ impl HeapTable {
                 0 => None,
                 marker => Some(c.take(marker - 1)?.to_vec()),
             };
-            self.len += usize::from(rec.is_some());
+            let was = self.overflow.get(at).is_some_and(Option::is_some);
+            flip(RowId::overflow(at as u64), was, rec.is_some());
             match self.overflow.get_mut(at) {
-                Some(old) => self.len -= usize::from(std::mem::replace(old, rec).is_some()),
+                Some(old) => *old = rec,
                 None => self.overflow.push(rec),
             }
         }
@@ -481,7 +501,7 @@ mod tests {
     /// Apply the section `buf` holds to `h`; where it ends.
     fn restore(h: &mut HeapTable, buf: &[u8]) -> Result<usize> {
         let mut c = Cursor::new("snapshot", buf, 0);
-        h.restore_section(&mut c).map(|()| c.pos)
+        h.restore_section(&mut c, |_, _| {}).map(|()| c.pos)
     }
 
     #[test]
@@ -549,6 +569,43 @@ mod tests {
         let mut back = HeapTable::new();
         restore(&mut back, &whole).unwrap();
         assert!(restore(&mut back, &lying).is_err());
+    }
+
+    /// Each section applied reports the places whose record it adds or
+    /// takes away, and no other: a whole one over an empty heap every
+    /// record, a dirty one a deleted record, new slots of a page it
+    /// replaces, a new page's records, and an overflow entry deleted and
+    /// one added.
+    #[test]
+    fn a_section_reports_the_places_it_fills_and_empties() {
+        let applied = |h: &mut HeapTable, buf: &[u8]| {
+            let mut changed = Vec::new();
+            let mut c = Cursor::new("snapshot", buf, 0);
+            h.restore_section(&mut c, |id, is| changed.push((id, is)))
+                .unwrap();
+            changed.sort_unstable();
+            changed
+        };
+        let mut h = HeapTable::new();
+        let ids: Vec<RowId> = (0..300).map(|i| h.insert(&row(i))).collect();
+        let big = h.insert(&[Value::Blob(vec![3u8; 9000])]);
+        let mut back = HeapTable::new();
+        let all: Vec<_> = h.records().map(|(id, _)| (id, true)).collect();
+        assert_eq!(applied(&mut back, &section(&h, true)), all);
+        h.mark_clean();
+        h.delete(ids[3]);
+        h.delete(big);
+        let pages = h.page_count();
+        let mut late = Vec::new();
+        while h.page_count() == pages {
+            late.push(h.insert(&row(late.len() as i64)));
+        }
+        late.push(h.insert(&[Value::Blob(vec![4u8; 9000])]));
+        let mut want: Vec<_> = late.iter().map(|&id| (id, true)).collect();
+        want.extend([(ids[3], false), (big, false)]);
+        want.sort_unstable();
+        assert_eq!(applied(&mut back, &section(&h, false)), want);
+        assert!(applied(&mut back, &section(&h, false)).is_empty());
     }
 
     /// A fresh heap's places are its records' positions; with records

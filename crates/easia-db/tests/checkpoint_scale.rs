@@ -4,10 +4,11 @@
 //! `(file_name, simulation_key)` and an index on `simulation_key` — of
 //! 20,000, 200,000 and 1,000,000 rows.
 //!
-//! A frame carries the dirty pages and, for each index, the rows removed
-//! from and filed in its order: what changed, not the table. So the
-//! bytes must not grow with the table: the tiers differ by less than one
-//! page. (A frame that carried every index's whole order appended 4
+//! A frame carries the table's name and its dirty pages, each beside its
+//! number, and nothing else: what the frame removes from the index orders
+//! and files in them is read off those pages when the file is opened. So
+//! the bytes must not grow with the table: the tiers differ by less than
+//! one page. (A frame that carried every index's whole order appended 4
 //! bytes per row per index: 160 KB more at 20,000 rows, 1.6 MB at
 //! 200,000.) The bound is a ratio between tiers, so it does not move
 //! with the machine.
@@ -17,8 +18,8 @@
 //! of their own at every tier. Rows of the natural width leave the last
 //! page as full as the row count happens to make it, and the new
 //! versions may then need one tail page more at one tier than at
-//! another — a page that does not grow with the table either (16,792
-//! bytes at 20,000 and 200,000 rows, 24,988 at 1,000,000).
+//! another — a page that does not grow with the table either (16,456
+//! bytes at 20,000 and 200,000 rows, 24,652 at 1,000,000).
 //!
 //! Release mode only (`cargo test --release --test checkpoint_scale`):
 //! the 200,000-row tier takes seconds there and far longer in a debug

@@ -49,6 +49,10 @@ const OPEN_KEPT_PER_ROW: usize = 200;
 /// A checkpoint's own buffers (the body doubling as it grows, the
 /// scratch row's strings, file names), whatever the table size.
 const CHECKPOINT_FIXED: u64 = 200;
+/// A frame's bytes beyond its dirty pages and their numbers: the frame
+/// header, the CSN, the table's name and its section's counts — 64
+/// measured.
+const FRAME_FIXED: u64 = 4096;
 /// Filing `ROWS` rows under one key: the key, the boxed row list and its
 /// doublings — 18 measured. A list copied whole on every insert made one
 /// allocation per row.
@@ -135,7 +139,7 @@ fn open_holds_key_runs_not_rows_and_checkpoint_allocates_per_page() {
         .unwrap();
     assert_eq!(rs.rows.len(), 50);
 
-    // ---- a frame: the dirty pages and the touched table's delta orders ----
+    // ---- a frame: the dirty pages, each beside its number, and nothing else ----
     let snapshot = dir.join("snapshot.db");
     let size = || std::fs::metadata(&snapshot).unwrap().len();
     let (before, pages_before) = (size(), pages);
@@ -160,7 +164,7 @@ fn open_holds_key_runs_not_rows_and_checkpoint_allocates_per_page() {
     let t = db.table("RESULT_FILE").unwrap();
     // The last page before and every page after took the new rows.
     let dirty = (t.heap.page_count() as u64 - pages_before) + 1;
-    let bound = dirty * 8192 + 4 * t.heap.len() as u64 * t.indexes.len() as u64 + 4096;
+    let bound = dirty * (8192 + 4) + FRAME_FIXED;
     let grown = size() - before;
     println!(
         "frame: {grown} B for {dirty} dirty pages, bound {bound} B; {} allocations",

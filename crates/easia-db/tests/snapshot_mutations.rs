@@ -1,5 +1,5 @@
 //! Mutation property of the checkpoint file: `Database::open` of a
-//! damaged `EASNAP5` file is a typed error, or a database whose every
+//! damaged `EASNAP6` file is a typed error, or a database whose every
 //! index answers as its heap — never a panic, and never an allocation out
 //! of proportion to the file.
 //!
@@ -15,15 +15,18 @@
 //!
 //! A second file is the same base with one frame appended: the table of
 //! the two indexes after rows were deleted, inserted and updated, as its
-//! dirty pages and, for each index, the rows removed from and filed in
-//! its order. A bit flipped anywhere in the frame is damage its
+//! dirty pages alone. A bit flipped anywhere in the frame is damage its
 //! checksums find; a frame sealed again over a lie — a page numbered
-//! past the table, a live row count the pages do not bear out, or a
-//! delta that lies: a removed place the order does not hold, a filed
-//! place that holds no record, a list out of key order, a place filed
-//! twice — is a `DbError::Storage` too; so is a file of the format
-//! before this one (`EASNAP4`); and a frame cut short is dropped,
-//! leaving the base.
+//! past the table, a live row count the pages do not bear out, or a page
+//! holding a record that is not a row of the table — is a
+//! `DbError::Storage` too; so is a file of the format before this one
+//! (`EASNAP5`); and a frame cut short is dropped, leaving the base. A
+//! frame page that lies about which of its slots hold a record — one
+//! that revives a slot the frame tombstoned, as its zeroed bytes or as
+//! a copy of another row, or tombstones a live one — with the live count
+//! made to match, is a typed error or a database whose indexes answer as
+//! its heap: the rows the frame removes and files are read off its
+//! pages, so what a lying page says is what the heap then holds.
 //!
 //! One test only: the allocation counter is process-wide.
 
@@ -58,15 +61,13 @@ fn dir() -> PathBuf {
 }
 
 /// Where the frame's entry for `FILES` holds what the cases below lie
-/// about: each index's list of removed rows, the heap section (its page
-/// count), the section's live row count, and each index's list of filed
-/// rows.
+/// about: the heap section (its page count), the first and the last
+/// page it lists, and the section's live row count.
 #[derive(Clone, Copy)]
 struct Layout {
-    removed: [usize; INDEXES],
     section: usize,
+    pages: [usize; 2],
     live: usize,
-    filed: [usize; INDEXES],
 }
 
 /// The checkpoint file of the two tables, written once: its base alone,
@@ -143,28 +144,27 @@ fn write_sample() -> (Vec<u8>, Vec<u8>, Layout) {
         b"FILES",
         "the frame's one table"
     );
-    let mut at = name_at + 5;
-    let removed = [0; INDEXES].map(|_| {
-        assert_eq!(u32_at(at) as usize, REMOVED, "rows removed from an order");
-        at += 4 + 8 * REMOVED;
-        at - 4 - 8 * REMOVED
-    });
+    let section = name_at + 5;
     let pages = db.table("FILES").unwrap().heap.page_count();
-    assert_eq!(u32_at(at) as usize, pages);
-    assert_eq!(u32_at(at + 8), 0, "the first page listed is the first");
-    let list = 4 + 8 * FILED;
-    let filed = [0, 1].map(|i| framed.len() - list * (INDEXES - i));
-    for at in filed {
-        assert_eq!(u32_at(at) as usize, FILED, "rows filed in an order");
-    }
-    let live = filed[0] - 8;
-    assert_eq!(u32_at(live) as usize, ROWS - 1 + FRAME_INSERTS);
+    assert_eq!(u32_at(section) as usize, pages);
+    let listed = u32_at(section + 4) as usize;
+    assert_eq!(u32_at(section + 8), 0, "the first page listed is the first");
+    // Entry `i` is its number and its page.
+    let entry = |i: usize| section + 8 + i * (4 + PAGE);
+    let over = entry(listed);
+    assert_eq!(&framed[over..over + 8], &[0; 8], "no overflow entry");
+    let live = framed.len() - 8;
+    assert_eq!(over + 8, live);
+    let live_rows = u64::from_le_bytes(framed[live..].try_into().unwrap());
+    assert_eq!(live_rows as usize, ROWS - 1 + FRAME_INSERTS);
     let layout = Layout {
-        removed,
-        section: at,
+        section,
+        pages: [entry(0) + 4, entry(listed - 1) + 4],
         live,
-        filed,
     };
+    // The first page's tombstones: the row deleted and the old versions
+    // of the two updated.
+    assert_eq!(slots(&framed[entry(0) + 4..], false).len(), 3);
     drop(db);
     std::fs::remove_dir_all(&dir).unwrap();
     (base, framed, layout)
@@ -172,12 +172,35 @@ fn write_sample() -> (Vec<u8>, Vec<u8>, Layout) {
 
 /// Rows the frame adds to `FILES`, beside the one it deletes.
 const FRAME_INSERTS: usize = 10;
-/// Rows the frame removes from each order of `FILES`: the one deleted
-/// and the old versions of the two updated.
-const REMOVED: usize = 3;
-/// Rows the frame files in each order: the inserted and the new
-/// versions of the updated.
-const FILED: usize = FRAME_INSERTS + 2;
+/// A heap page.
+const PAGE: usize = 8192;
+
+/// The slots of the page at the start of `page` that hold a record
+/// (`live`) or are tombstones.
+fn slots(page: &[u8], live: bool) -> Vec<usize> {
+    let count = u16::from_le_bytes([page[0], page[1]]) as usize;
+    (0..count)
+        .filter(|&s| (len_of(page, s) != 0) == live)
+        .collect()
+}
+
+/// Where slot `slot`'s entry of the page at `page` starts: its offset,
+/// then its length.
+fn slot_at(page: usize, slot: usize) -> usize {
+    page + 6 + 4 * slot
+}
+
+fn len_of(page: &[u8], slot: usize) -> u16 {
+    let at = slot_at(0, slot) + 2;
+    u16::from_le_bytes([page[at], page[at + 1]])
+}
+
+/// Add `by` to the frame's live row count.
+fn recount(image: &mut [u8], layout: Layout, by: i64) {
+    let at = layout.live;
+    let live = u64::from_le_bytes(image[at..at + 8].try_into().unwrap());
+    image[at..at + 8].copy_from_slice(&(live as i64 + by).to_le_bytes());
+}
 
 /// Seal the frame at `at` again over whatever its payload now is.
 fn reseal(image: &mut Vec<u8>, at: usize) {
@@ -248,10 +271,11 @@ proptest! {
         let other = (a + b) % ROWS;
         // Damage the checksum cannot vouch for must be refused by name,
         // and so must a bit flipped in a whole frame.
-        let refused = (2..14).contains(&kind);
-        // Entry `i` of the delta list at `list`: a row id.
-        let entry = |list: usize, i: usize| list + 4 + 8 * i;
-        let rid_at = |image: &[u8], at: usize| image[at..at + 8].to_vec();
+        let refused = (2..10).contains(&kind) || kind == 13;
+        // The first or the last page the frame lists, and its slots that
+        // hold a record.
+        let page = layout.pages[usize::from(edits[0].3)];
+        let live = if framed { slots(&image[page..], true) } else { Vec::new() };
         match kind {
             0 => {
                 for &(at, bit, byte, rewrite) in &edits {
@@ -291,53 +315,47 @@ proptest! {
                 image[npages_at + 8..npages_at + 12].copy_from_slice(&past.to_le_bytes());
             }
             8 => {
-                // A filed place that holds no record: the row deleted
-                // first (row id 0), or one past the table.
-                let at = entry(layout.filed[index], a % FILED);
-                let dead = if edits[0].3 { 0u64 } else { u64::MAX };
-                image[at..at + 8].copy_from_slice(&dead.to_le_bytes());
+                // A record that is not a row: one byte short, or a cell
+                // count of 2 or 4 for the 3 columns.
+                let slot = live[a % live.len()];
+                let at = slot_at(page, slot);
+                match edits[0].2 % 3 {
+                    0 => {
+                        let short = len_of(&image[page..], slot) - 1;
+                        image[at + 2..at + 4].copy_from_slice(&short.to_le_bytes());
+                    }
+                    n => {
+                        let rec = page + u16::from_le_bytes([image[at], image[at + 1]]) as usize;
+                        image[rec..rec + 4].copy_from_slice(&(2 * n as u32).to_le_bytes());
+                    }
+                }
             }
             9 => {
                 let lie = if edits[0].3 { 0 } else { (ROWS + FRAME_INSERTS + edits[0].0 % 5) as u64 };
                 image[layout.live..layout.live + 8].copy_from_slice(&lie.to_le_bytes());
             }
-            10 => {
-                // A removed place the order does not hold: a row the
-                // frame files (not in the image before it), one past the
-                // table, or a row that stays (row id 5).
-                let at = entry(layout.removed[index], a % REMOVED);
-                let lie = match edits[0].0 % 3 {
-                    0 => rid_at(&image, entry(layout.filed[index], b % FILED)),
-                    1 => u64::MAX.to_le_bytes().to_vec(),
-                    _ => 5u64.to_le_bytes().to_vec(),
+            10 | 11 => {
+                // A tombstone of the first page revived: over its zeroed
+                // bytes, or as a copy of a live record's place and length.
+                let page = layout.pages[0];
+                let (dead, live) = (slots(&image[page..], false), slots(&image[page..], true));
+                let at = |slot: usize| slot_at(page, slot);
+                let slot = dead[a % dead.len()];
+                let revived = match kind {
+                    10 => [&image[at(slot)..at(slot) + 2], &(1 + b as u16 % 40).to_le_bytes()].concat(),
+                    _ => image[at(live[b % live.len()])..at(live[b % live.len()]) + 4].to_vec(),
                 };
-                image[at..at + 8].copy_from_slice(&lie);
-            }
-            11 => {
-                // A list out of key order: two entries of the removed
-                // list, or of the filed one, swapped.
-                let (list, n) = match edits[0].3 {
-                    true => (layout.removed[index], REMOVED),
-                    false => (layout.filed[index], FILED),
-                };
-                let (i, j) = (a % n, (a + 1 + b % (n - 1)) % n);
-                let (ri, rj) = (rid_at(&image, entry(list, i)), rid_at(&image, entry(list, j)));
-                image[entry(list, i)..entry(list, i) + 8].copy_from_slice(&rj);
-                image[entry(list, j)..entry(list, j) + 8].copy_from_slice(&ri);
+                image[at(slot)..at(slot) + 4].copy_from_slice(&revived);
+                recount(&mut image, layout, 1);
             }
             12 => {
-                // A place filed twice: an entry repeated in the list, or
-                // a row the order already holds (row id 5).
-                let i = a % (FILED - 1);
-                let twice = match edits[0].3 {
-                    true => rid_at(&image, entry(layout.filed[index], i)),
-                    false => 5u64.to_le_bytes().to_vec(),
-                };
-                image[entry(layout.filed[index], i + 1)..entry(layout.filed[index], i + 1) + 8]
-                    .copy_from_slice(&twice);
+                // A live record tombstoned.
+                let at = slot_at(page, live[a % live.len()]);
+                image[at + 2..at + 4].fill(0);
+                recount(&mut image, layout, -1);
             }
             // The format before this one is named and refused.
-            13 => image[6] = b'4',
+            13 => image[6] = b'5',
             // A frame cut short is dropped: the base remains.
             _ => image.truncate(frame + edits[0].0 % (len - frame)),
         }
@@ -374,7 +392,7 @@ proptest! {
                     prop_assert!(matches!(e, DbError::Storage(_)), "kind {kind}: {e:?}");
                 }
                 if kind == 13 {
-                    prop_assert!(e.to_string().contains("a EASNAP4 file"), "{e}");
+                    prop_assert!(e.to_string().contains("a EASNAP5 file"), "{e}");
                 }
             }
         }

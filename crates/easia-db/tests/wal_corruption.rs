@@ -362,7 +362,7 @@ fn snapshot_without_a_checksum_is_refused_and_flagged_by_scrub() {
     // checksum; nothing reads those any more.
     let snap = dir.join("snapshot.db");
     let mut img = std::fs::read(&snap).unwrap();
-    assert_eq!(img[6], b'5');
+    assert_eq!(img[6], b'6');
     img[6] = b'1';
     std::fs::write(&snap, &img).unwrap();
 
