@@ -25,12 +25,13 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 
 const SIMULATIONS: usize = 100;
 const FILES: usize = 50;
-/// Measured: 344 allocations for the screen, 0.07 per row, debug and
-/// release alike; the ceiling is that count and a quarter over the 5,000
-/// rows. A row of values apiece — the sorted result set and its
-/// operations lists — read 20,267 (4.1 per row), a copy of each row's
-/// sort key beside it 30,265, and the serving path before the rewrite
-/// 600,515 (120.1 per row); all fail this.
+/// Measured: 322 allocations for the screen, 0.06 per row, debug and
+/// release alike (344 while projection and ORDER BY decoded each cell
+/// and re-encoded it); the ceiling is the earlier count and a quarter
+/// over the 5,000 rows. A row of values apiece — the sorted result set
+/// and its operations lists — read 20,267 (4.1 per row), a copy of each
+/// row's sort key beside it 30,265, and the serving path before the
+/// rewrite 600,515 (120.1 per row); all fail this.
 const CEILING_PER_ROW: f64 = 0.086;
 
 #[test]

@@ -6,10 +6,12 @@
 //! statement's error before any row is read. Its base table is read once:
 //! each record is tested on its bytes against the sieve a total WHERE
 //! makes, and of each it keeps the cells its filter reads are decoded and,
-//! only if the row passes, the other cells the statement reads; every row
-//! that passes the WHERE — off the scan itself, or off the last JOIN leg —
-//! is lent to one `Sink`, which folds it into its group or projects it,
-//! and keeps only what DISTINCT, ORDER BY and LIMIT can still return.
+//! only if the row passes, the other cells the statement evaluates; every
+//! row that passes the WHERE — off the scan itself, with its record, or
+//! off the last JOIN leg — is lent to one `Sink`, which folds it into its
+//! group or projects it (a scan's cells copied out of the record as
+//! bytes), and keeps only what DISTINCT, ORDER BY and LIMIT can still
+//! return.
 
 use crate::db::{Database, ResultSet, Table};
 use crate::error::{DbError, Result};
@@ -24,11 +26,12 @@ use crate::schema::{DatalinkSpec, TableSchema};
 use crate::sql::ast::{is_aggregate_fn, BinaryOp, Expr, JoinKind, SelectItem, SelectStmt};
 use crate::storage::RowId;
 use crate::value::{
-    assign, cell_start, decode_row_into, decode_some_into, encode_key_cell, encode_row, record_cmp,
-    Lent, Records, Value,
+    assign, cell_at, cell_spans, cell_start, decode_row, decode_some_into, encode_key_cell,
+    encode_row, key_cells, record_cmp, sort_prefix, Lent, Records, SortRow, Value,
 };
 use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
+use std::ops::Range;
 
 /// Does `pred` hold (evaluate to TRUE, not UNKNOWN) on `ctx`'s row?
 fn holds(ctx: &EvalContext, pred: &Bound) -> Result<bool> {
@@ -110,7 +113,8 @@ impl<'a> Source<'a> {
 /// How a scan reads a record: tested against `sieve` on its bytes, then
 /// decoded — `filter`'s cells (the ones the scan's filter reads) for a
 /// row the sieve keeps, `all` (which holds them) for a row that passes
-/// the filter. An empty mask is every cell.
+/// the filter (for a scan whose rows are copied out of their records,
+/// only the cells the statement evaluates). An empty mask is every cell.
 #[derive(Clone, Copy)]
 struct Cells<'m> {
     sieve: &'m Sieve,
@@ -201,7 +205,7 @@ fn fetch<'r>(
 /// Test each of `records` against `sieve` on its bytes
 /// ([`SieveScan::keeps`]); decode the filter's cells of a record it keeps
 /// ([`decode_some_into`]) into a scratch row and lend it to `pass`;
-/// decode a row that passes again, with all its cells, into a second
+/// decode a row that passes again, with the cells of `all`, into a second
 /// scratch row and lend that to `take`, beside its row id and record,
 /// which copies out (or takes) what it keeps. A record the sieve refuses
 /// is walked no further than the cell that refuses it (or a later one
@@ -504,15 +508,20 @@ pub(crate) fn select<'a>(
     } else {
         own
     };
-    // A statement that lends every stored column as it is, as the rows
-    // pass, lends the record itself: none of its cells are decoded but
-    // the filter's.
-    sink.records = legs.is_empty() && matches!(sources[0], Source::Table(_));
-    sink.records &= sink.lends_stored_rows(base_width);
+    // A scan's rows are projected from their records: the cells they
+    // pass through are copied as bytes, so only what the filter, the
+    // select list's expressions and its DATALINK renderings read is
+    // decoded.
+    let copies = legs.is_empty() && sink.copies();
+    sink.links_as_clob = sources[0].links_as_clob();
     let mut filter_reads = read.clone();
-    if !scan_filter.is_empty() || !legs.is_empty() || sink.records {
+    if !scan_filter.is_empty() || !legs.is_empty() || copies {
         filter_reads.fill(false);
         scan_filter.iter().for_each(|e| e.reads(&mut filter_reads));
+    }
+    let mut decoded = filter_reads.clone();
+    if copies {
+        sink.decodes(&mut decoded);
     }
     let filtered = |row: &[Value]| match &filter {
         Some(w) => holds(&EvalContext::new(row, params), w),
@@ -527,7 +536,7 @@ pub(crate) fn select<'a>(
         let cells = Cells {
             sieve: &sieve,
             filter: &filter_reads,
-            all: if sink.records { &filter_reads } else { &read },
+            all: if copies { &decoded } else { &read },
             ..WHOLE
         };
         let (candidates, scanned) =
@@ -819,17 +828,23 @@ pub fn derive_name(expr: &Expr) -> String {
 
 /// Where a SELECT's rows go once they pass its WHERE, each lent as it
 /// arrives: projected and offered to the [`Output`], or folded into its
-/// group, whose rows reach the output once every group is complete. The
-/// first error it meets is held and it takes no row after it — the scan
-/// still owes the WHERE and decoder errors of later rows, which win.
+/// group, whose rows reach the output once every group is complete. A
+/// row lent with the record it was read from is projected into a record
+/// the output opens: each cell it passes through is copied as its bytes,
+/// and only an expression item or a DATALINK rendering is encoded from a
+/// value. A joined row, which has no one record, is projected as values.
+/// The first error it meets is held and it takes no row after it — the
+/// scan still owes the WHERE and decoder errors of later rows, which win.
 struct Sink<'a> {
     held: Option<DbError>,
     shape: Shape<'a>,
     output: Output<'a>,
     /// The projected row, refilled for each row unless the output keeps it.
     row: Vec<Value>,
-    /// Lend each row's stored record ([`Sink::lends_stored_rows`]).
-    records: bool,
+    /// Where each cell of the record in hand lies ([`cell_spans`]).
+    spans: Vec<Range<usize>>,
+    /// A DATALINK cell copied is a CLOB ([`Relation::links_as_clob`]).
+    links_as_clob: bool,
 }
 
 enum Shape<'a> {
@@ -878,26 +893,30 @@ impl<'a> Sink<'a> {
             shape,
             output,
             row: Vec::new(),
-            records: false,
+            spans: Vec::new(),
+            links_as_clob: false,
         })
     }
 
-    /// Does it lend each row as it arrives, all `width` cells of it as
-    /// they are — no expression, DATALINK rendering, DISTINCT or ORDER
-    /// BY — so that a stored row's record is the row it lends?
-    fn lends_stored_rows(&self, width: usize) -> bool {
-        let Shape::Rows(outs) = &self.shape else {
-            return false;
-        };
-        let output = &self.output;
-        outs.len() == width
-            && outs
-                .iter()
-                .enumerate()
-                .all(|(j, o)| matches!(o, Out::Slot(i, None) if *i == j))
-            && output.reader.is_some()
-            && output.order.is_empty()
-            && output.distinct.is_none()
+    /// Does it project the rows it takes, so that a row lent with its
+    /// record is copied out of it ([`Sink::take`])?
+    fn copies(&self) -> bool {
+        matches!(self.shape, Shape::Rows(_))
+    }
+
+    /// Mark the slots it decodes when it copies a row out of its record:
+    /// what its expressions read and the cells it renders.
+    fn decodes(&self, read: &mut [bool]) {
+        if let Shape::Rows(outs) = &self.shape {
+            for out in outs {
+                match out {
+                    Out::Slot(i, Some(_)) => read[*i] = true,
+                    Out::Slot(_, None) => {}
+                    Out::Expr(e) => e.reads(read),
+                }
+            }
+        }
+        self.output.reads(read);
     }
 
     /// Mark the slots it reads.
@@ -922,11 +941,28 @@ impl<'a> Sink<'a> {
         if self.held.is_some() {
             return;
         }
-        if let (true, Some(record)) = (self.records, record) {
-            return self.output.lend(Lent::Record(record));
-        }
-        let taken = match &mut self.shape {
-            Shape::Rows(outs) => {
+        let taken = match (&mut self.shape, record) {
+            (Shape::Rows(outs), Some(record)) => {
+                cell_spans(record, &mut self.spans);
+                let out = self.output.open(outs.len());
+                let copied = outs.iter().try_for_each(|o| {
+                    match o {
+                        Out::Slot(i, None) => {
+                            out.push_span(&record[self.spans[*i].clone()], self.links_as_clob)
+                        }
+                        Out::Slot(i, Some(spec)) => match &ctx.row[*i] {
+                            Value::Datalink(url) => {
+                                out.push_cell(&Value::Datalink(db.render_datalink(spec, url)))
+                            }
+                            v => out.push_cell(v),
+                        },
+                        Out::Expr(e) => out.push_cell(&*ctx.eval_cow(e)?),
+                    }
+                    Ok(())
+                });
+                copied.map(|()| self.output.offer_record(ctx))
+            }
+            (Shape::Rows(outs), None) => {
                 let row = &mut self.row;
                 row.reserve_exact(outs.len() - row.len());
                 let projected = outs.iter().enumerate().try_for_each(|(at, out)| {
@@ -944,7 +980,7 @@ impl<'a> Sink<'a> {
                 });
                 projected.map(|()| self.output.offer(row, ctx))
             }
-            Shape::Groups(g) => g.fold(ctx),
+            (Shape::Groups(g), _) => g.fold(ctx),
         };
         self.held = taken.err();
     }
@@ -1249,17 +1285,21 @@ pub fn finish_groups(
     finish.run(output, db, groups, params)
 }
 
-/// DISTINCT, ORDER BY and LIMIT over output rows as they arrive.
-/// Without ORDER BY only the first LIMIT rows are kept. With it, each row
-/// is encoded into one arena — its output cells, then each expression
-/// key's value over the row (and group) it came from — and a permutation
-/// of the records is sorted by their key cells ([`record_cmp`]), ties by
-/// arrival; a bare name that is an output alias, or a column the output
-/// passes through as it is, keys by that output cell. Under a LIMIT of n
-/// the records are cut back to the n least whenever 2n have gathered. A
-/// key's error is held, since a select item raising on a later row wins
-/// over it. The rows are kept for the result set or lent to a reader: as
-/// they arrive when nothing orders them, else decoded once the last is in.
+/// DISTINCT, ORDER BY and LIMIT over output rows as they arrive, each
+/// offered as values or as a record opened in `kept` and filled by the
+/// caller. Without ORDER BY only the first LIMIT rows are kept, and
+/// `kept` holds just the record being offered. With it, `kept` is one
+/// arena of the output records and `keys` a parallel one of each row's
+/// expression keys, valued over the row (and group) it came from; a
+/// permutation of the records is sorted by their key cells, read from
+/// whichever arena holds each ([`record_cmp`]), ties by arrival. A bare
+/// name that is an output alias, or a column the output passes through
+/// as it is, keys by that output cell. Under a LIMIT of n the records are
+/// cut back to the n least whenever 2n have gathered. A key's error is
+/// held, since a select item raising on a later row wins over it. The
+/// rows are kept for the result set or lent to a reader: as they arrive
+/// when nothing orders them, else once the last is in — each sorted
+/// record lent as it is, and decoded only into a result set.
 #[derive(Default)]
 struct Output<'a> {
     /// The reader the rows are lent to; `None` keeps them.
@@ -1268,19 +1308,23 @@ struct Output<'a> {
     lent: usize,
     columns: Vec<String>,
     distinct: Option<HashSet<Vec<u8>>>,
-    /// Each sort key: the cell of a record it reads, and whether it ascends.
+    /// Each sort key: the cell it reads — an output cell, or past the
+    /// output's columns an expression key — and whether it ascends.
     order: Vec<(usize, bool)>,
-    /// The expression keys, whose values follow the output columns.
+    /// The expression keys.
     exprs: Vec<Bound>,
     limit: usize,
     /// Rows kept as they arrived, nothing ordering them.
     rows: Vec<Vec<Value>>,
-    /// ORDER BY's records; a cut copies those it keeps into `spare`.
+    /// The output records, and each one's expression keys; a cut copies
+    /// those it keeps into `spare`.
     kept: Records,
-    spare: Records,
+    keys: Records,
+    spare: (Records, Records),
     /// `kept`'s records sorted up to the last cut, then by arrival: each
-    /// one's position and where its first key's cell starts in it.
-    sorted: Vec<(u32, u32)>,
+    /// one's first key's [`sort_prefix`], its position, and where its
+    /// first key's cell starts in whichever arena holds it.
+    sorted: Vec<(u128, u32, u32)>,
     /// Rows that entered ORDER BY.
     offered: usize,
     late: Option<DbError>,
@@ -1338,43 +1382,93 @@ impl Output<'_> {
         }
     }
 
-    /// Offer one output row, lent, taken or encoded; `ctx` is the row
-    /// (and group) it came from.
+    /// Open the record of the next output row, `cells` cells wide, for
+    /// the caller to fill and [`Output::offer_record`] to take.
+    fn open(&mut self, cells: usize) -> &mut Records {
+        if self.order.is_empty() {
+            self.kept.clear();
+        }
+        self.kept.open(cells);
+        &mut self.kept
+    }
+
+    /// Offer one output row as values, lent, taken or encoded; `ctx` is
+    /// the row (and group) it came from.
     fn offer(&mut self, row: &mut Vec<Value>, ctx: &EvalContext) {
+        if !self.order.is_empty() {
+            let out = self.open(row.len());
+            row.iter().for_each(|v| out.push_cell(v));
+            return self.offer_record(ctx);
+        }
         if let Some(seen) = &mut self.distinct {
             self.key.clear();
             for v in row.iter() {
                 encode_key_cell(v, &mut self.key);
             }
-            if seen.contains(&self.key[..]) {
+            if !first_seen(seen, &self.key) {
                 return;
             }
-            seen.insert(self.key.clone());
+        }
+        match self.reader {
+            Some(_) => self.lend(Lent::Cells(row)),
+            None if self.rows.len() < self.limit => self.rows.push(std::mem::take(row)),
+            None => {}
+        }
+    }
+
+    /// Offer the output row whose record [`Output::open`] began and the
+    /// caller filled: lent or decoded as it arrives, nothing ordering
+    /// the rows, else kept with its expression keys.
+    fn offer_record(&mut self, ctx: &EvalContext) {
+        self.kept.seal();
+        let at = self.kept.len() - 1;
+        if let Some(seen) = &mut self.distinct {
+            self.key.clear();
+            key_cells(self.kept.get(at), &mut self.key);
+            if !first_seen(seen, &self.key) {
+                return self.kept.truncate(at);
+            }
         }
         if self.order.is_empty() {
-            match self.reader {
-                Some(_) => self.lend(Lent::Cells(row)),
-                None if self.rows.len() < self.limit => self.rows.push(std::mem::take(row)),
-                None => {}
+            let record = self.kept.get(at);
+            match &mut self.reader {
+                Some(each) if self.lent < self.limit => {
+                    each(Lent::Record(record));
+                    self.lent += 1;
+                }
+                None if self.rows.len() < self.limit => match decode_row(record, &mut 0) {
+                    Ok(row) => self.rows.push(row),
+                    Err(e) => _ = self.late.get_or_insert(e),
+                },
+                _ => {}
             }
             return;
         }
         if self.late.is_some() {
-            return;
+            return self.kept.truncate(at);
         }
         self.offered += 1;
-        self.kept.open(row.len() + self.exprs.len());
-        row.iter().for_each(|v| self.kept.push_cell(v));
-        for e in &self.exprs {
-            match ctx.eval_cow(e) {
-                Ok(v) => self.kept.push_cell(&v),
-                Err(e) => return self.late = Some(e),
+        if !self.exprs.is_empty() {
+            self.keys.open(self.exprs.len());
+            for e in &self.exprs {
+                match ctx.eval_cow(e) {
+                    Ok(v) => self.keys.push_cell(&v),
+                    Err(e) => {
+                        self.late = Some(e);
+                        return self.kept.truncate(at);
+                    }
+                }
             }
+            self.keys.seal();
         }
-        self.kept.seal();
-        let at = self.kept.len() - 1;
-        let first = cell_start(self.kept.get(at), self.order[0].0);
-        self.sorted.push((at as u32, first as u32));
+        let (first, width) = (self.order[0].0, self.columns.len());
+        let (record, first) = match first.checked_sub(width) {
+            Some(k) => (self.keys.get(at), k),
+            None => (self.kept.get(at), first),
+        };
+        let first = cell_start(record, first);
+        let prefix = sort_prefix(cell_at(record, first));
+        self.sorted.push((prefix, at as u32, first as u32));
         if self.sorted.len() > self.limit.saturating_mul(2) {
             self.cut();
         }
@@ -1389,25 +1483,42 @@ impl Output<'_> {
         }
     }
 
-    /// Sort the records by their keys — stably, so ties stay in arrival
-    /// order — and keep the first LIMIT, copied into a fresh arena in
-    /// that order.
-    fn cut(&mut self) {
-        let (kept, order) = (&self.kept, &self.order);
-        self.sorted.sort_by(|&(a, ka), &(b, kb)| {
-            let at = |i: u32, first: u32| (kept.get(i as usize), first as usize);
-            record_cmp(at(a, ka), at(b, kb), order)
-        });
-        if self.sorted.len() > self.limit {
-            self.sorted.truncate(self.limit);
-            self.spare.clear();
-            for (i, (at, _)) in self.sorted.iter_mut().enumerate() {
-                self.spare
-                    .push_lent(Lent::Record(self.kept.get(*at as usize)));
-                *at = i as u32;
-            }
-            std::mem::swap(&mut self.kept, &mut self.spare);
+    /// Row `at` as ORDER BY sorts it, its first key's cell at `first`
+    /// and of that `prefix`.
+    fn sort_row(&self, (prefix, at, first): (u128, u32, u32)) -> SortRow<'_> {
+        SortRow {
+            out: &self.kept,
+            keys: &self.keys,
+            at: at as usize,
+            first: first as usize,
+            prefix,
         }
+    }
+
+    /// Sort the records by their keys — stably, so ties stay in arrival
+    /// order — and keep the first LIMIT, copied with their expression
+    /// keys into fresh arenas in that order.
+    fn cut(&mut self) {
+        let mut sorted = std::mem::take(&mut self.sorted);
+        let width = self.columns.len();
+        sorted.sort_by(|&a, &b| record_cmp(self.sort_row(a), self.sort_row(b), &self.order, width));
+        if sorted.len() > self.limit {
+            sorted.truncate(self.limit);
+            let (mut out, mut keys) = std::mem::take(&mut self.spare);
+            out.clear();
+            keys.clear();
+            for (i, entry) in sorted.iter_mut().enumerate() {
+                let at = entry.1 as usize;
+                out.push_lent(Lent::Record(self.kept.get(at)));
+                if !self.exprs.is_empty() {
+                    keys.push_lent(Lent::Record(self.keys.get(at)));
+                }
+                entry.1 = i as u32;
+            }
+            let kept = std::mem::replace(&mut self.kept, out);
+            self.spare = (kept, std::mem::replace(&mut self.keys, keys));
+        }
+        self.sorted = sorted;
     }
 
     fn finish(mut self, db: &Database) -> Result<ResultSet> {
@@ -1424,14 +1535,12 @@ impl Output<'_> {
             let returned = self.lent + self.rows.len() + self.sorted.len();
             m.rows_returned.add(returned as f64);
         }
-        // Each record decoded once and its expression keys cut off.
-        let (width, mut row) = (self.columns.len(), Vec::new());
-        for &(at, _) in &self.sorted {
-            decode_row_into(self.kept.get(at as usize), &mut 0, &mut row)?;
-            row.truncate(width);
+        // Each sorted record lent as it is, or decoded once.
+        for &(_, at, _) in &self.sorted {
+            let record = self.kept.get(at as usize);
             match &mut self.reader {
-                Some(each) => each(Lent::Cells(&row)),
-                None => self.rows.push(std::mem::take(&mut row)),
+                Some(each) => each(Lent::Record(record)),
+                None => self.rows.push(decode_row(record, &mut 0)?),
             }
         }
         Ok(ResultSet {
@@ -1440,6 +1549,11 @@ impl Output<'_> {
             affected: 0,
         })
     }
+}
+
+/// Is `key` new to `seen`? It is filed if so.
+fn first_seen(seen: &mut HashSet<Vec<u8>>, key: &[u8]) -> bool {
+    !seen.contains(key) && seen.insert(key.to_vec())
 }
 
 /// Collect aggregate call sites from an expression, deduplicated, in

@@ -339,8 +339,9 @@ impl HeapTable {
     /// bytes come from disk: a count the remaining input cannot hold is
     /// refused before anything is reserved for it, numbers must ascend
     /// and leave no gap, every page's slot directory is checked
-    /// ([`Page::from_bytes`]), and the section's live count must be the
-    /// number of records the heap then holds.
+    /// ([`Page::from_bytes`]) and no two of its records may share a byte
+    /// ([`Page::check_disjoint`]), and the section's live count must be
+    /// the number of records the heap then holds.
     pub(crate) fn restore_section(
         &mut self,
         c: &mut Cursor,
@@ -370,10 +371,11 @@ impl HeapTable {
         }
         self.pages
             .reserve(npages.saturating_sub(self.pages.len()).min(listed));
-        let mut next = 0;
+        let (mut next, mut spans) = (0, Vec::new());
         for _ in 0..listed {
             let at = target(c.u32()?, self.pages.len(), npages, &mut next)?;
             let page = Page::from_bytes(c.take(PAGE_SIZE)?)?;
+            page.check_disjoint(&mut spans)?;
             let old = self.pages.get(at);
             for s in 0..page.slot_count().max(old.map_or(0, Page::slot_count)) {
                 let was = old.is_some_and(|o| o.get(s).is_some());

@@ -120,6 +120,32 @@ impl Page {
         true
     }
 
+    /// Check that no two live records of a page read back from disk
+    /// share a byte: two slots over one record would be two rows. A page
+    /// as inserts lay it out, each record below the slot's before it,
+    /// passes in one walk; any other layout has its records' spans
+    /// sorted in `spans`, a scratch buffer reused page after page.
+    pub(crate) fn check_disjoint(&self, spans: &mut Vec<(u16, u16)>) -> Result<()> {
+        spans.clear();
+        let mut below = u16::MAX;
+        for slot in 0..self.slot_count() as usize {
+            let slot_off = HEADER + slot * SLOT;
+            let (off, len) = (self.u16_at(slot_off), self.u16_at(slot_off + 2));
+            if len != 0 {
+                spans.push((off, off + len));
+                below = if off + len <= below { off } else { 0 };
+            }
+        }
+        if below > 0 {
+            return Ok(());
+        }
+        spans.sort_unstable();
+        match spans.windows(2).any(|w| w[0].1 > w[1].0) {
+            true => Err(DbError::Storage("page image: two records overlap".into())),
+            false => Ok(()),
+        }
+    }
+
     /// Live records as `(slot, bytes)` pairs, in slot order.
     pub fn iter(&self) -> impl Iterator<Item = (SlotId, &[u8])> {
         (0..self.slot_count()).filter_map(move |s| self.get(s).map(|r| (s, r)))
@@ -301,6 +327,38 @@ mod tests {
             let err = Page::from_bytes(&img).expect_err(what);
             assert!(matches!(err, DbError::Storage(_)), "{what}: {err}");
         }
+    }
+
+    /// Two live slots over one record's bytes, or over parts of two
+    /// records, are refused; a tombstone over a live record's place is
+    /// no record, and records side by side do not overlap.
+    #[test]
+    fn overlapping_records_are_refused() {
+        let mut p = Page::new();
+        p.insert(b"first");
+        p.insert(b"second");
+        p.insert(b"third");
+        let mut spans = Vec::new();
+        assert_eq!(p.check_disjoint(&mut spans), Ok(()));
+        let slot = |s: usize| HEADER + s * SLOT;
+        let mut img = p.as_bytes().to_vec();
+        img.copy_within(slot(0)..slot(0) + 4, slot(2));
+        let twice = Page::from_bytes(&img).unwrap();
+        assert!(matches!(
+            twice.check_disjoint(&mut spans),
+            Err(DbError::Storage(_))
+        ));
+        // Slot 2 one byte longer, into the record before it.
+        let mut img = p.as_bytes().to_vec();
+        let len = u16::from_le_bytes([img[slot(2) + 2], img[slot(2) + 3]]);
+        img[slot(2) + 2..slot(2) + 4].copy_from_slice(&(len + 1).to_le_bytes());
+        let grown = Page::from_bytes(&img).unwrap();
+        assert!(grown.check_disjoint(&mut spans).is_err());
+        p.delete(1);
+        let mut img = p.as_bytes().to_vec();
+        img.copy_within(slot(0)..slot(0) + 2, slot(1));
+        let tombstone = Page::from_bytes(&img).unwrap();
+        assert_eq!(tombstone.check_disjoint(&mut spans), Ok(()));
     }
 
     /// A copy holds the records it keeps and nothing of the others: a

@@ -329,8 +329,9 @@ pub(crate) fn check_record<'r>(
 /// built from the order `orders` holds for it, or by sorting. An order
 /// is its base's places — each checked to hold a record — less the rows
 /// removed since, merged in one pass with the rows filed since, in key
-/// order; the run must ascend and name every record. `admit` sees every
-/// key before it is filed and may refuse it.
+/// order; the run must ascend, name every record and, for a unique
+/// index, hold each NULL-free key once. `admit` sees every key before it
+/// is filed and may refuse it.
 pub(crate) fn fill_indexes(
     schema: &TableSchema,
     heap: &HeapTable,
@@ -418,6 +419,18 @@ pub(crate) fn fill_indexes(
             _ => filed.next(),
         });
         ix.tree = BPlusTree::from_run(run.map(pair)).map_err(|_| bad("does not ascend"))?;
+        // A unique index files each NULL-free key once: the tree files
+        // equal keys under one entry.
+        let mut twice = false;
+        if ix.unique {
+            ix.tree.scan_from(&[], |key, rows| {
+                twice = rows.len() > 1 && !key.cells().any(|(tag, _)| tag == 0);
+                !twice
+            });
+        }
+        if twice {
+            return Err(bad("holds a unique key twice"));
+        }
     }
     Ok(())
 }

@@ -230,17 +230,33 @@ impl Value {
     }
 
     /// The text `Display` writes, without a fresh `String`: string kinds
-    /// lend their own, the others are written into `scratch`.
+    /// lend their own, the others are written into `scratch` — an
+    /// integer digit by digit, not through the formatter.
     pub fn display_text<'a>(&'a self, scratch: &'a mut String) -> &'a str {
         use fmt::Write as _;
-        match self.as_str_like() {
-            Some(s) => s,
-            None => {
-                scratch.clear();
+        scratch.clear();
+        match self {
+            Value::Str(s) | Value::Clob(s) | Value::Datalink(s) => return s,
+            Value::Int(i) => {
+                let (mut digits, mut at, mut n) = ([0u8; 20], 20, i.unsigned_abs());
+                loop {
+                    at -= 1;
+                    digits[at] = b'0' + (n % 10) as u8;
+                    n /= 10;
+                    if n == 0 {
+                        break;
+                    }
+                }
+                if *i < 0 {
+                    scratch.push('-');
+                }
+                scratch.push_str(std::str::from_utf8(&digits[at..]).expect("ASCII digits"));
+            }
+            _ => {
                 let _ = write!(scratch, "{self}");
-                scratch
             }
         }
+        scratch
     }
 
     /// Borrow as an integer, if numeric and integral.
@@ -343,17 +359,10 @@ pub(crate) fn as_cell<'a>(v: &'a Value, word: &'a mut [u8; 8]) -> (u8, &'a [u8])
 /// ranked by kind, numbers as `f64`s (NaN last, `-0.0` equal to `0.0`),
 /// text by its UTF-8 bytes, a blob by its bytes. What orders index keys.
 pub(crate) fn cell_cmp((ta, a): (u8, &[u8]), (tb, b): (u8, &[u8])) -> Ordering {
-    // By tag: NULL, then booleans, numbers, text, blobs.
-    let rank = |tag: u8| [0, 2, 2, 3, 1, 1, 2, 4, 3, 3][usize::from(tag)];
-    let num = |tag, p| {
-        scalar_cell(tag, p)
-            .and_then(|v| v.as_f64())
-            .expect("a number")
-    };
     rank(ta).cmp(&rank(tb)).then_with(|| match rank(ta) {
         1 => ta.cmp(&tb),
         2 => {
-            let (x, y) = (num(ta, a), num(tb, b));
+            let (x, y) = (number(ta, a), number(tb, b));
             x.partial_cmp(&y)
                 .unwrap_or_else(|| x.is_nan().cmp(&y.is_nan()))
         }
@@ -361,27 +370,152 @@ pub(crate) fn cell_cmp((ta, a): (u8, &[u8]), (tb, b): (u8, &[u8])) -> Ordering {
     })
 }
 
-/// The order of two whole records by their key cells, each key a cell
-/// position and whether it ascends, compared with [`cell_cmp`]. Each
-/// record comes with where its first key's cell starts ([`cell_start`]),
-/// so a comparison that key decides walks neither record.
-pub(crate) fn record_cmp(
-    (a, first_a): (&[u8], usize),
-    (b, first_b): (&[u8], usize),
+/// Where a cell's kind ranks by tag: NULL, then booleans, numbers, text,
+/// blobs.
+fn rank(tag: u8) -> u8 {
+    [0, 2, 2, 3, 1, 1, 2, 4, 3, 3][usize::from(tag)]
+}
+
+/// The value of a number's cell, as [`cell_cmp`] compares it.
+fn number(tag: u8, payload: &[u8]) -> f64 {
+    scalar_cell(tag, payload)
+        .and_then(|v| v.as_f64())
+        .expect("a number")
+}
+
+/// A cell as one number that orders as [`cell_cmp`] orders the cell: its
+/// kind's rank; then a boolean's tag, a number's `f64` in bits that order
+/// as the values do (`-0.0` as `0.0`, every NaN as one, above the rest),
+/// or the first 14 bytes of text or bytes and their length up to 15. Two
+/// cells whose prefixes differ are ordered by them, and two with one
+/// prefix are equal unless it is of text or bytes 15 or more long
+/// ([`prefix_decides`]).
+pub(crate) fn sort_prefix((tag, payload): (u8, &[u8])) -> u128 {
+    let mut key = [0u8; 16];
+    key[0] = rank(tag);
+    match key[0] {
+        1 => key[1] = tag,
+        2 => {
+            let x = number(tag, payload);
+            let bits = if x.is_nan() { f64::NAN } else { x + 0.0 }.to_bits();
+            let ordered = if bits >> 63 == 1 {
+                !bits
+            } else {
+                bits | 1 << 63
+            };
+            key[1..9].copy_from_slice(&ordered.to_be_bytes());
+        }
+        3 | 4 => {
+            let n = payload.len().min(14);
+            key[1..=n].copy_from_slice(&payload[..n]);
+            key[15] = payload.len().min(15) as u8;
+        }
+        _ => {}
+    }
+    u128::from_be_bytes(key)
+}
+
+/// Do two cells with this [`sort_prefix`] compare equal?
+fn prefix_decides(prefix: u128) -> bool {
+    let [rank, .., len] = prefix.to_be_bytes();
+    !matches!(rank, 3 | 4) || len < 15
+}
+
+/// A row ORDER BY sorts: record `at` of an arena of output records and
+/// of a parallel one of their expression keys (empty when there are
+/// none), where its first key's cell starts in whichever of the two
+/// holds it ([`cell_start`]), and that cell's [`sort_prefix`].
+#[derive(Clone, Copy)]
+pub(crate) struct SortRow<'r> {
+    pub(crate) out: &'r Records,
+    pub(crate) keys: &'r Records,
+    pub(crate) at: usize,
+    pub(crate) first: usize,
+    pub(crate) prefix: u128,
+}
+
+impl<'r> SortRow<'r> {
+    /// The record holding key cell `at`, and the cell's place in it: the
+    /// output record's cell `at`, or past its `width` cells the
+    /// expression key `at - width`.
+    fn holding(&self, at: usize, width: usize) -> (&'r [u8], usize) {
+        match at.checked_sub(width) {
+            Some(k) => (self.keys.get(self.at), k),
+            None => (self.out.get(self.at), at),
+        }
+    }
+}
+
+/// The order of two rows by their key cells, each key a cell position
+/// (read from the row's output record, or past its `width` cells from
+/// its expression keys) and whether it ascends, compared with
+/// [`cell_cmp`]. A comparison the first key's prefixes decide reads
+/// neither row.
+#[inline]
+pub(crate) fn record_cmp<'r>(
+    a: SortRow<'r>,
+    b: SortRow<'r>,
     keys: &[(usize, bool)],
+    width: usize,
 ) -> Ordering {
+    let (at, asc) = keys[0];
+    let first = match a.prefix.cmp(&b.prefix) {
+        Ordering::Equal if !prefix_decides(a.prefix) => {
+            let first = |row: SortRow<'r>| cell_at(row.holding(at, width).0, row.first);
+            cell_cmp(first(a), first(b))
+        }
+        ord => ord,
+    };
+    match first {
+        Ordering::Equal if keys.len() > 1 => later_keys_cmp(a, b, &keys[1..], width),
+        ord if asc => ord,
+        ord => ord.reverse(),
+    }
+}
+
+/// [`record_cmp`] by `keys`, the keys after the first.
+fn later_keys_cmp<'r>(
+    a: SortRow<'r>,
+    b: SortRow<'r>,
+    keys: &[(usize, bool)],
+    width: usize,
+) -> Ordering {
+    let key = |row: SortRow<'r>, at| {
+        let (record, n) = row.holding(at, width);
+        cells(record).nth(n).expect("a key cell")
+    };
     let by = |asc: bool, ord: Ordering| if asc { ord } else { ord.reverse() };
-    let first = by(
-        keys[0].1,
-        cell_cmp(cell_at(a, first_a), cell_at(b, first_b)),
-    );
-    first.then_with(|| {
-        let key = |record, at| cells(record).nth(at).expect("a key cell");
-        let rest = keys[1..].iter();
-        rest.map(|&(at, asc)| by(asc, cell_cmp(key(a, at), key(b, at))))
-            .find(|ord| ord.is_ne())
-            .unwrap_or(Ordering::Equal)
-    })
+    keys.iter()
+        .map(|&(at, asc)| by(asc, cell_cmp(key(a, at), key(b, at))))
+        .find(|ord| ord.is_ne())
+        .unwrap_or(Ordering::Equal)
+}
+
+/// Where each cell's whole encoding lies in `record`, a whole record
+/// (one the decoder has walked): one walk, as [`sieve_record`] walks it,
+/// but checking no text.
+pub(crate) fn cell_spans(record: &[u8], spans: &mut Vec<Range<usize>>) {
+    spans.clear();
+    let mut pos = 4;
+    while pos < record.len() {
+        let at = pos;
+        next_cell(record, &mut pos).expect("a whole record");
+        spans.push(at..pos);
+    }
+}
+
+/// Append the cells of `record`, a whole record, to a group key as
+/// [`encode_key_cell`] appends their values, without decoding them.
+pub(crate) fn key_cells(record: &[u8], out: &mut Vec<u8>) {
+    let mut pos = 4;
+    while pos < record.len() {
+        let at = pos;
+        let (tag, payload) = next_cell(record, &mut pos).expect("a whole record");
+        match scalar_cell(tag, payload) {
+            Some(double @ Value::Double(_)) => encode_key_cell(&double, out),
+            _ => out.extend_from_slice(&record[at..pos]),
+        }
+    }
 }
 
 /// The cells of `record`, a whole [`encode_row`] record, as their tags
@@ -469,6 +603,17 @@ impl Records {
         encode_cell(v, &mut self.bytes);
     }
 
+    /// Write the next cell of the record [`Records::open`] began as
+    /// `cell`, the whole encoding of a cell of another record; with
+    /// `links_as_clob` a DATALINK cell is written as a CLOB of its URL.
+    pub(crate) fn push_span(&mut self, cell: &[u8], links_as_clob: bool) {
+        let at = self.bytes.len();
+        self.bytes.extend_from_slice(cell);
+        if links_as_clob && cell[0] == 9 {
+            self.bytes[at] = 8;
+        }
+    }
+
     /// Close the record [`Records::open`] began.
     pub(crate) fn seal(&mut self) {
         self.ends.push(self.bytes.len());
@@ -529,13 +674,14 @@ impl Records {
     }
 }
 
-/// A result row lent to a reader: its cells, or — for a statement that
-/// returns every stored column as it is — the record they are stored as.
+/// A result row lent to a reader: its cells, or the record they are
+/// encoded as — a scan's rows and ORDER BY's are lent as records, their
+/// stored cells copied into them as bytes.
 #[derive(Debug, Clone, Copy)]
 pub enum Lent<'r> {
     /// The row's cells.
     Cells(&'r [Value]),
-    /// The row's [`encode_row`] record, as the heap holds it.
+    /// The row's [`encode_row`] record.
     Record(&'r [u8]),
 }
 
@@ -752,6 +898,19 @@ pub(crate) fn same_cells(a: &[Value], b: &[Value]) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// An integer's text is `Display`'s, at both ends of the range.
+    #[test]
+    fn display_text_of_an_integer_is_its_display() {
+        let mut scratch = String::new();
+        for i in [0, 7, -7, 10, 85_000_049, -100, i64::MAX, i64::MIN] {
+            let v = Value::Int(i);
+            assert_eq!(v.display_text(&mut scratch), v.to_string());
+        }
+        let s = Value::Str("x".into());
+        assert_eq!(s.display_text(&mut scratch), "x");
+        assert_eq!(Value::Double(-0.5).display_text(&mut scratch), "-0.5");
+    }
 
     #[test]
     fn coercions() {

@@ -26,7 +26,11 @@
 //! a copy of another row, or tombstones a live one — with the live count
 //! made to match, is a typed error or a database whose indexes answer as
 //! its heap: the rows the frame removes and files are read off its
-//! pages, so what a lying page says is what the heap then holds.
+//! pages, so what a lying page says is what the heap then holds. Two
+//! lies the orders' ascent cannot see are refused by name: a record
+//! rewritten to carry its order neighbour's primary key, in the base or
+//! in a frame (a unique index holding a key twice), and a frame page
+//! gaining a slot over a live record's bytes (two records overlapping).
 //!
 //! One test only: the allocation counter is process-wide.
 
@@ -253,13 +257,16 @@ fn indexes_are_the_heap(db: &Database) -> Result<(), TestCaseError> {
 proptest! {
     #[test]
     fn damaged_images_are_typed_errors_or_consistent_databases(
-        kind in 0u8..15,
+        kind in 0u8..17,
         edits in proptest::collection::vec((any::<usize>(), 0u8..8, any::<u8>(), any::<bool>()), 1..6),
         a in 0usize..ROWS,
         b in 1usize..ROWS,
         index in 0usize..INDEXES,
     ) {
-        let framed = kind >= 6;
+        let framed = match kind {
+            15 => edits[0].3,
+            kind => kind >= 6,
+        };
         let (clean, layout) = sample(framed);
         let mut image = clean.clone();
         let len = image.len();
@@ -271,7 +278,7 @@ proptest! {
         let other = (a + b) % ROWS;
         // Damage the checksum cannot vouch for must be refused by name,
         // and so must a bit flipped in a whole frame.
-        let refused = (2..10).contains(&kind) || kind == 13;
+        let refused = (2..10).contains(&kind) || kind == 13 || kind >= 15;
         // The first or the last page the frame lists, and its slots that
         // hold a record.
         let page = layout.pages[usize::from(edits[0].3)];
@@ -356,8 +363,49 @@ proptest! {
             }
             // The format before this one is named and refused.
             13 => image[6] = b'5',
+            15 => {
+                // A row's key rewritten to the next one's in its unique
+                // order: in the base, row `i`'s SIM to that of row
+                // `i + 10` (same NAME); in the frame, an inserted row's
+                // NAME to the next inserted one's.
+                let (name, sim, to, from) = match framed {
+                    false => {
+                        let i = a % (ROWS - 10);
+                        let name = format!("t{:02}.edf", i % 10);
+                        let sim = (format!("S{:03}", i / 10), format!("S{:03}", i / 10 + 1));
+                        (name.clone(), sim.0, (name, sim.1), 8)
+                    }
+                    true => {
+                        let j = a % (FRAME_INSERTS - 1);
+                        let name = format!("n{j:02}.edf");
+                        let to = (format!("n{:02}.edf", j + 1), "S999".to_string());
+                        (name, "S999".into(), to, frame)
+                    }
+                };
+                let record = |name: &str, sim: &str| {
+                    [&[3, 7, 0, 0, 0][..], name.as_bytes(), &[3, 4, 0, 0, 0], sim.as_bytes()].concat()
+                };
+                let old = record(&name, &sim);
+                let at = from + image[from..].windows(old.len()).position(|w| w == old).unwrap();
+                image[at..at + old.len()].copy_from_slice(&record(&to.0, &to.1));
+            }
+            16 => {
+                // The last frame page gains a slot over a live record.
+                let page = layout.pages[1];
+                let u16_at = |image: &[u8], at: usize| u16::from_le_bytes([image[at], image[at + 1]]);
+                let (count, free_start) = (u16_at(&image, page), u16_at(&image, page + 2));
+                assert!(u16_at(&image, page + 4) >= free_start + 4, "room for a slot");
+                let live = slots(&image[page..], true);
+                let copied = slot_at(page, live[a % live.len()]);
+                let slot = slot_at(page, count as usize);
+                image.copy_within(copied..copied + 4, slot);
+                image[page..page + 2].copy_from_slice(&(count + 1).to_le_bytes());
+                image[page + 2..page + 4].copy_from_slice(&(free_start + 4).to_le_bytes());
+                recount(&mut image, layout, 1);
+            }
             // A frame cut short is dropped: the base remains.
-            _ => image.truncate(frame + edits[0].0 % (len - frame)),
+            14 => image.truncate(frame + edits[0].0 % (len - frame)),
+            _ => unreachable!("kind {kind}"),
         }
         if kind != 6 && kind != 14 {
             reseal(&mut image, sealed);
@@ -391,9 +439,13 @@ proptest! {
                 if refused {
                     prop_assert!(matches!(e, DbError::Storage(_)), "kind {kind}: {e:?}");
                 }
-                if kind == 13 {
-                    prop_assert!(e.to_string().contains("a EASNAP5 file"), "{e}");
-                }
+                let named = match kind {
+                    13 => "a EASNAP5 file",
+                    15 => "index order holds a unique key twice",
+                    16 => "two records overlap",
+                    _ => "",
+                };
+                prop_assert!(e.to_string().contains(named), "kind {kind}: {e}");
             }
         }
     }

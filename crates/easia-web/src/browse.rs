@@ -103,9 +103,13 @@ impl Rows<'_> {
 }
 
 /// The one row renderer of every result screen: the table's head, then
-/// each row as it is handed over, then its end. What a column's cells
-/// need beyond their values is worked out once, when the table begins,
-/// and a row allocates nothing but the page's own growth.
+/// each row as it is handed over, then its end. The text a row has in
+/// common with every other is built once per result, as fragments: each
+/// column's, when the table begins (`<td><a href="/browse/fk/…?value=`,
+/// a primary-key link's `">→T</a>`), and each operation's, the first time
+/// a row offers it (`<a href="/op/T/Op?dataset=` and `">Op</a>`). A row
+/// pushes only those fragments and its own values, encoded, and
+/// allocates nothing but the page's own growth.
 pub struct ResultTable<'c> {
     ctx: &'c BrowseContext<'c>,
     /// The XUIS describes the table; a table it does not know renders as
@@ -116,10 +120,44 @@ pub struct ResultTable<'c> {
     has_ops: bool,
     /// `/op/<table>/`.
     op_href: String,
+    /// The link of each operation a row has offered so far.
+    op_links: Vec<OpLink>,
     /// Rows of the result, and rows rendered so far.
     rows: usize,
     rendered: usize,
     scratch: Scratch,
+}
+
+/// An operation's link in the operations column, around the dataset it
+/// is offered on.
+struct OpLink {
+    name: String,
+    /// `<a href="/op/<table>/<op>?dataset=`.
+    head: String,
+    /// `">Op</a>`.
+    tail: String,
+}
+
+impl OpLink {
+    /// The link of `op` in `links`, built and filed the first time it is
+    /// asked for; `op_href` is `/op/<table>/`.
+    fn of<'l>(links: &'l mut Vec<OpLink>, op_href: &str, op: &Operation) -> &'l OpLink {
+        let at = match links.iter().position(|l| l.name == op.name) {
+            Some(at) => at,
+            None => {
+                let mut head = format!("<a href=\"{op_href}");
+                url_encode_into(&mut head, &op.name);
+                head.push_str("?dataset=");
+                let mut tail = String::from("\">");
+                escape_into(&mut tail, &op.name);
+                tail.push_str("</a>");
+                let name = op.name.clone();
+                links.push(OpLink { name, head, tail });
+                links.len() - 1
+            }
+        };
+        &links[at]
+    }
 }
 
 /// The text a row is rendered through, refilled row after row.
@@ -168,6 +206,7 @@ impl<'c> ResultTable<'c> {
             key: xt.map(|xt| key_plan(xt, columns)).unwrap_or_default(),
             has_ops,
             op_href,
+            op_links: Vec::new(),
             rows,
             rendered: 0,
             scratch: Scratch::default(),
@@ -184,15 +223,15 @@ impl<'c> ResultTable<'c> {
         let row_start = out.len();
         out.push_str("<tr>");
         for (v, plan) in row.iter().zip(&self.plans) {
-            out.push_str("<td>");
             if self.described && v.is_null() {
-                out.push_str("<i>null</i>");
+                out.push_str("<td><i>null</i></td>");
             } else if plan.described {
                 render_cell(out, self.ctx, &self.key, plan, v, row, &mut self.scratch);
             } else {
+                out.push_str("<td>");
                 escape_into(out, v.display_text(&mut self.scratch.text));
+                out.push_str("</td>");
             }
-            out.push_str("</td>");
         }
         if self.has_ops {
             out.push_str("<td>");
@@ -205,14 +244,10 @@ impl<'c> ResultTable<'c> {
                 if n > 0 {
                     out.push_str(" | ");
                 }
-                out.push_str("<a href=\"");
-                out.push_str(&self.op_href);
-                url_encode_into(out, &op.name);
-                out.push_str("?dataset=");
+                let link = OpLink::of(&mut self.op_links, &self.op_href, op);
+                out.push_str(&link.head);
                 url_encode_into(out, dataset);
-                out.push_str("\">");
-                escape_into(out, &op.name);
-                out.push_str("</a>");
+                out.push_str(&link.tail);
             }
             out.push_str("</td>");
         }
@@ -232,8 +267,8 @@ impl<'c> ResultTable<'c> {
     }
 }
 
-/// One non-NULL cell of a column the XUIS describes; `key` is the
-/// result's [`key_plan`].
+/// One non-NULL cell of a column the XUIS describes, `<td>` to `</td>`;
+/// `key` is the result's [`key_plan`].
 fn render_cell(
     out: &mut String,
     ctx: &BrowseContext<'_>,
@@ -255,21 +290,21 @@ fn render_cell(
             None => out.push_str("download"),
         };
         if ctx.is_guest {
-            out.push_str("<i>download restricted (");
+            out.push_str("<td><i>download restricted (");
             size(out);
-            out.push_str(")</i>");
+            out.push_str(")</i></td>");
         } else {
-            out.push_str("<a href=\"");
+            out.push_str("<td><a href=\"");
             escape_into(out, url);
             out.push_str("\">");
             size(out);
-            out.push_str("</a>");
+            out.push_str("</a></td>");
         }
         return;
     }
     // BLOB/CLOB: size link that rematerialises the object.
     if matches!(v, Value::Blob(_) | Value::Clob(_)) {
-        out.push_str("<a href=\"");
+        out.push_str("<td><a href=\"");
         out.push_str(&plan.lob_href);
         for (n, (name, pos)) in key.iter().enumerate() {
             if n > 0 {
@@ -281,36 +316,35 @@ fn render_cell(
         }
         out.push_str("\">");
         format_size_into(out, v.lob_size().unwrap_or(0) as u64);
-        out.push_str("</a>");
+        out.push_str("</a></td>");
         return;
     }
     // Foreign-key browsing.
-    if let Some((href, subst)) = &plan.fk {
-        out.push_str("<a href=\"");
-        out.push_str(href);
+    if let Some((head, subst)) = &plan.fk {
+        out.push_str(head);
         url_encode_into(out, v.display_text(text));
         out.push_str("\">");
         let label = subst.map(|i| &row[i]).filter(|l| !l.is_null()).unwrap_or(v);
         escape_into(out, label.display_text(text));
-        out.push_str("</a>");
+        out.push_str("</a></td>");
         return;
     }
-    escape_into(out, v.display_text(text));
+    out.push_str("<td>");
+    let shown = v.display_text(text);
+    escape_into(out, shown);
     // Primary-key browsing: one link per referencing table.
-    for (href, label) in &plan.pk_links {
-        out.push_str(" <a href=\"");
-        out.push_str(href);
-        url_encode_into(out, v.display_text(text));
-        out.push_str("\">");
-        out.push_str(label);
-        out.push_str("</a>");
+    for (head, tail) in &plan.pk_links {
+        out.push_str(head);
+        url_encode_into(out, shown);
+        out.push_str(tail);
     }
+    out.push_str("</td>");
 }
 
 /// What the cells of one result column need beyond their value, worked
-/// out once per result set. The strings are ready for the page: URL
-/// encoding leaves nothing for HTML escaping to do, and labels are
-/// escaped here.
+/// out once per result set as the fragments a cell is written from. The
+/// strings are ready for the page: URL encoding leaves nothing for HTML
+/// escaping to do, and labels are escaped here.
 struct ColumnPlan<'a> {
     /// Column heading.
     header: &'a str,
@@ -319,11 +353,13 @@ struct ColumnPlan<'a> {
     described: bool,
     /// `/lob/<table>/<column>?`: a BLOB/CLOB link up to the row's key.
     lob_href: String,
-    /// Foreign-key browsing: `/browse/fk/<target>?value=` and where the
+    /// Foreign-key browsing: the cell up to its value,
+    /// `<td><a href="/browse/fk/<target>?value=`, and where the
     /// `__SUBST` companion carrying the display label sits, if present.
     fk: Option<(String, Option<usize>)>,
-    /// Primary-key browsing, per referencing table:
-    /// `/browse/pk/<target>?value=` and the `→TABLE` label.
+    /// Primary-key browsing, per referencing table: the link up to the
+    /// value, ` <a href="/browse/pk/<target>?value=`, and after it,
+    /// `">→TABLE</a>`.
     pk_links: Vec<(String, String)>,
 }
 
@@ -346,21 +382,24 @@ impl<'a> ColumnPlan<'a> {
         plan.lob_href.push('/');
         url_encode_into(&mut plan.lob_href, &xc.name);
         plan.lob_href.push('?');
-        let browse = |kind: &str, target: &str| {
-            let mut href = format!("/browse/{kind}/");
-            url_encode_into(&mut href, target);
-            href.push_str("?value=");
-            href
+        let browse = |open: &str, kind: &str, target: &str| {
+            let mut head = format!("{open}<a href=\"/browse/{kind}/");
+            url_encode_into(&mut head, target);
+            head.push_str("?value=");
+            head
         };
-        plan.fk = xc
-            .fk
-            .as_ref()
-            .map(|fk| (browse("fk", &fk.tablecolumn), subst_position(columns, xc)));
+        plan.fk = (xc.fk.as_ref()).map(|fk| {
+            (
+                browse("<td>", "fk", &fk.tablecolumn),
+                subst_position(columns, xc),
+            )
+        });
         for target in &xc.pk_refby {
             let tname = target.split('.').next().unwrap_or(target);
-            let mut label = String::from("→");
-            escape_into(&mut label, tname);
-            plan.pk_links.push((browse("pk", target), label));
+            let mut tail = String::from("\">→");
+            escape_into(&mut tail, tname);
+            tail.push_str("</a>");
+            plan.pk_links.push((browse(" ", "pk", target), tail));
         }
         plan
     }

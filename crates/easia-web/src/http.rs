@@ -146,14 +146,21 @@ pub fn url_encode(s: &str) -> String {
 }
 
 /// Append `s` to `out`, percent-encoded as [`url_encode`] does. The
-/// output needs no HTML escaping.
+/// output needs no HTML escaping. Runs of unreserved bytes are copied
+/// whole, as [`crate::html::escape_into`] copies the text between the
+/// characters it escapes: a run is ASCII, so it starts and ends on a
+/// character boundary.
 pub fn url_encode_into(out: &mut String, s: &str) {
     const HEX: &[u8; 16] = b"0123456789ABCDEF";
-    for b in s.bytes() {
+    let mut copied = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if matches!(b, b'a'..=b'z' | b'A'..=b'Z' | b'0'..=b'9' | b'-' | b'_' | b'.' | b'~') {
+            continue;
+        }
+        if copied < i {
+            out.push_str(&s[copied..i]);
+        }
         match b {
-            b'a'..=b'z' | b'A'..=b'Z' | b'0'..=b'9' | b'-' | b'_' | b'.' | b'~' => {
-                out.push(b as char)
-            }
             b' ' => out.push('+'),
             _ => {
                 out.push('%');
@@ -161,6 +168,10 @@ pub fn url_encode_into(out: &mut String, s: &str) {
                 out.push(HEX[usize::from(b & 15)] as char);
             }
         }
+        copied = i + 1;
+    }
+    if copied < s.len() {
+        out.push_str(&s[copied..]);
     }
 }
 

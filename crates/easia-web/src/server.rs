@@ -43,24 +43,32 @@ pub fn serve(addr: &str, handler: &mut Handler, max_requests: Option<u64>) -> st
 
 fn handle_connection(stream: &mut TcpStream, handler: &mut Handler) -> std::io::Result<()> {
     let peer = stream.try_clone()?;
-    let mut reader = BufReader::new(peer);
+    let response = match read_request(BufReader::new(peer)) {
+        Ok(request) => handler(request),
+        Err(refused) => refused,
+    };
+    write_response(stream, &response)
+}
+
+/// Read one request — its line, its headers and its body — from
+/// `reader`, or the response that refuses it: 400 for a request that
+/// does not parse or breaks off, and for a head past its 16 KiB cap,
+/// which is not read on; 413 for a body declared past its 1 MiB cap,
+/// which is not read at all. So at most the two caps are read.
+pub fn read_request(mut reader: impl BufRead) -> Result<Request, Response> {
+    let bad = |e: std::io::Error| Response::error(400, &e.to_string());
+    let malformed = |what: &str| Response::error(400, what);
     let mut budget = MAX_HEAD_BYTES;
-    let request_line = head_line(&mut reader, &mut budget)?;
+    let request_line = head_line(&mut reader, &mut budget).map_err(bad)?;
     let mut parts = request_line.split_whitespace();
-    let method = parts
-        .next()
-        .and_then(Method::parse)
-        .ok_or_else(|| std::io::Error::new(std::io::ErrorKind::InvalidData, "bad method"))?;
-    let target = parts
-        .next()
-        .ok_or_else(|| std::io::Error::new(std::io::ErrorKind::InvalidData, "bad target"))?
-        .to_string();
+    let method = (parts.next().and_then(Method::parse)).ok_or_else(|| malformed("bad method"))?;
+    let target = parts.next().ok_or_else(|| malformed("bad target"))?;
 
     // Headers.
     let mut content_length = 0usize;
     let mut session = None;
     loop {
-        let line = head_line(&mut reader, &mut budget)?;
+        let line = head_line(&mut reader, &mut budget).map_err(bad)?;
         let line = line.trim_end();
         if line.is_empty() {
             break;
@@ -69,12 +77,8 @@ fn handle_connection(stream: &mut TcpStream, handler: &mut Handler) -> std::io::
             let name = name.trim().to_ascii_lowercase();
             let value = value.trim();
             if name == "content-length" {
-                content_length = value.parse().map_err(|_| {
-                    std::io::Error::new(
-                        std::io::ErrorKind::InvalidData,
-                        format!("bad Content-Length: {value}"),
-                    )
-                })?;
+                content_length = (value.parse())
+                    .map_err(|_| malformed(&format!("bad Content-Length: {value}")))?;
             } else if name == "cookie" {
                 for c in value.split(';') {
                     if let Some((k, v)) = c.trim().split_once('=') {
@@ -89,21 +93,18 @@ fn handle_connection(stream: &mut TcpStream, handler: &mut Handler) -> std::io::
     // Body.
     if content_length > MAX_BODY_BYTES {
         let too_large = format!("request body exceeds {MAX_BODY_BYTES} bytes");
-        return write_response(stream, &Response::error(413, &too_large));
+        return Err(Response::error(413, &too_large));
     }
     let mut body = vec![0u8; content_length];
-    if !body.is_empty() {
-        reader.read_exact(&mut body)?;
-    }
+    reader.read_exact(&mut body).map_err(bad)?;
 
-    let mut request = Request::get(&target);
+    let mut request = Request::get(target);
     request.method = method;
     request.session = session;
     if method == Method::Post {
         request.form = parse_urlencoded(&String::from_utf8_lossy(&body));
     }
-    let response = handler(request);
-    write_response(stream, &response)
+    Ok(request)
 }
 
 /// Read one line of the request head, charged to what is left of its
