@@ -18,7 +18,7 @@ use crate::storage::snapshot::{self, fill_indexes, Entry};
 use crate::storage::{HeapTable, RowId, PAGE_SIZE};
 use crate::txn::{seal_batch, Wal, WalCorruption, WalRecord, WAL_FILE};
 use crate::value::{Lent, Value};
-use std::collections::{BTreeMap, HashSet};
+use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::rc::Rc;
 
@@ -77,6 +77,20 @@ pub struct Index {
     pub(crate) implicit: bool,
     /// The tree.
     pub tree: BPlusTree,
+}
+
+impl Index {
+    /// Does one NULL-free key file two rows `counts` names — what a
+    /// unique index may not? Equal keys are the tree's: one entry.
+    pub(crate) fn holds_twice(&self, counts: impl Fn(RowId) -> bool) -> bool {
+        let mut twice = false;
+        self.tree.scan_from_key(&[], |key, rows| {
+            twice = rows.iter().filter(|&&rid| counts(rid)).nth(1).is_some()
+                && !key.values().iter().any(Value::is_null);
+            !twice
+        });
+        twice
+    }
 }
 
 /// A table: schema + heap + indexes.
@@ -1149,7 +1163,6 @@ impl Database {
                     .ok_or_else(|| DbError::Catalog(format!("column {c} not found in {tname}")))?,
             );
         }
-        let duplicate = format!("duplicate key for unique index {iname}");
         let mut ix = Index {
             name: iname,
             col_indices,
@@ -1160,26 +1173,13 @@ impl Database {
         // Index every heap row (older read views must still find their
         // versions through the new index), but enforce uniqueness only
         // across currently-visible rows.
-        let mvcc = &self.mvcc;
-        let versions = mvcc.table_versions(&tname);
+        fill_indexes(&t.schema, &t.heap, std::slice::from_mut(&mut ix), None)?;
+        let versions = self.mvcc.table_versions(&tname);
         let view = ReadView::latest();
-        let mut seen: HashSet<Vec<u8>> = HashSet::new();
-        fill_indexes(
-            &t.schema,
-            &t.heap,
-            std::slice::from_mut(&mut ix),
-            None,
-            |rid, key| {
-                if unique
-                    && !key.cells().any(|(tag, _)| tag == 0)
-                    && mvcc.visible_in(versions, rid, &view)
-                    && !seen.insert(key.0.to_vec())
-                {
-                    return Err(DbError::Constraint(duplicate.clone()));
-                }
-                Ok(())
-            },
-        )?;
+        if unique && ix.holds_twice(|rid| self.mvcc.visible_in(versions, rid, &view)) {
+            let what = format!("duplicate key for unique index {}", ix.name);
+            return Err(DbError::Constraint(what));
+        }
         t.indexes.push(ix);
         Ok(())
     }

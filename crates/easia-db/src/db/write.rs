@@ -6,36 +6,34 @@ use super::{Database, Table};
 use crate::error::{DbError, Result};
 use crate::exec;
 use crate::expr::{Bound, EvalContext, RowSchema};
-use crate::index::btree::KeyRef;
+use crate::index::btree::record_key;
 use crate::mvcc::{ReadView, TxnId};
 use crate::schema::TableSchema;
 use crate::storage::snapshot::check_record;
 use crate::storage::RowId;
 use crate::txn::WalRecord;
-use crate::value::{
-    as_cell, cell_cmp, cell_count, encode_cells, encode_row, next_cell, Records, Value,
-};
+use crate::value::{cell_count, encode_row, next_cell, order_key, Value};
 
 /// `row`'s key in columns `cols`, as a tree files it, written over `key`.
-fn key_into<'k>(cols: &[usize], row: &[Value], key: &'k mut Vec<u8>) -> KeyRef<'k> {
+fn key_into<'k>(cols: &[usize], row: &[Value], key: &'k mut Vec<u8>) -> &'k [u8] {
     key.clear();
-    encode_cells(cols.iter().map(|&i| &row[i]), key);
-    KeyRef(key)
+    cols.iter().for_each(|&i| order_key(&row[i], false, key));
+    key
 }
 
 impl Table {
-    /// Whether a row `visible` admits holds `key`, a record of cells, in
+    /// Whether a row `visible` admits holds `key`, an order key, in
     /// columns `cols` — the one probe of both FK checks. Equal is the
-    /// index's equality ([`cell_cmp`]): `1` is `1.0`, `-0.0` is `0.0`,
+    /// index's equality, equal order keys: `1` is `1.0`, `-0.0` is `0.0`,
     /// NaN is NaN, a VARCHAR is the CLOB of its text. An index led by
     /// `cols` is walked under the key; otherwise every stored record is
     /// stepped through cell by cell — a damaged shape is its typed error,
-    /// its text trusted as a heap's is — and its key cells compared in
-    /// place. No row is decoded.
+    /// its text trusted as a heap's is — and the key of its cells `cols`
+    /// compared. No row is decoded.
     fn holds_key(
         &self,
         cols: &[usize],
-        key: KeyRef,
+        key: &[u8],
         visible: impl Fn(RowId) -> bool,
     ) -> Result<bool> {
         if let Some(ix) = self
@@ -45,23 +43,24 @@ impl Table {
         {
             let mut found = false;
             ix.tree.scan_from_key(key, |k, rids| {
-                let under_key = k.has_prefix(key);
+                let under_key = k.0.starts_with(key);
                 found = under_key && rids.iter().any(|&rid| visible(rid));
                 under_key && !found
             });
             return Ok(found);
         }
-        let want: Vec<_> = key.cells().collect();
-        let mut cells = Vec::with_capacity(self.schema.columns.len());
+        let (mut cells, mut stored) = (Vec::with_capacity(self.schema.columns.len()), Vec::new());
         for (rid, rec) in self.heap.records() {
             cells.clear();
             let mut pos = 0;
             for _ in 0..cell_count(rec, &mut pos)? {
                 cells.push(next_cell(rec, &mut pos)?);
             }
-            let equal =
-                |(&c, &w): (&usize, _)| cells.get(c).is_some_and(|&cell| cell_cmp(cell, w).is_eq());
-            if cols.iter().zip(&want).all(equal) && visible(rid) {
+            stored.clear();
+            if cols.iter().all(|&c| c < cells.len()) {
+                record_key(cols, &cells, &mut stored);
+            }
+            if stored == key && visible(rid) {
                 return Ok(true);
             }
         }
@@ -462,7 +461,7 @@ impl Database {
             txn: Some(txn),
             ..ReadView::latest()
         };
-        let mut key = Vec::new();
+        let (mut key, mut new_key) = (Vec::new(), Vec::new());
         for (child_name, child) in &self.tables {
             for fk in &child.schema.foreign_keys {
                 if fk.ref_table != table {
@@ -480,14 +479,8 @@ impl Database {
                 }
                 // The key is unchanged when the index would file both
                 // rows under one key.
-                let same = |new_row: &[Value], i: usize| {
-                    cell_cmp(
-                        as_cell(&old_row[i], &mut [0; 8]),
-                        as_cell(&new_row[i], &mut [0; 8]),
-                    )
-                    .is_eq()
-                };
-                if new_row.is_some_and(|new_row| ref_idx.iter().all(|&i| same(new_row, i))) {
+                let key = key_into(&ref_idx, old_row, &mut key);
+                if new_row.is_some_and(|new_row| key_into(&ref_idx, new_row, &mut new_key) == key) {
                     continue;
                 }
                 let child_idx: Vec<usize> = fk
@@ -495,7 +488,6 @@ impl Database {
                     .iter()
                     .map(|c| child.schema.column_index(c).expect("fk validated"))
                     .collect();
-                let key = key_into(&ref_idx, old_row, &mut key);
                 if child.holds_key(&child_idx, key, self.row_visibility(child_name, &view))? {
                     return Err(DbError::Constraint(format!(
                         "cannot modify {table}: key referenced by {child_name}"
@@ -532,11 +524,11 @@ impl Database {
         if check_record(&t.schema, rid, rec, |cell| cells.push(cell)).is_err() {
             return;
         }
-        let mut key = Records::default();
+        let mut key = Vec::new();
         for ix in &mut t.indexes {
-            key.truncate(0);
-            key.push_spans(ix.col_indices.iter().map(|&i| cells[i]));
-            ix.tree.remove_key(KeyRef(key.get(0)), rid);
+            key.clear();
+            record_key(&ix.col_indices, &cells, &mut key);
+            ix.tree.remove_key(&key, rid);
         }
         t.heap.delete(rid);
     }

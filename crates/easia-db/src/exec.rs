@@ -16,7 +16,6 @@
 use crate::db::{Database, ResultSet, Table};
 use crate::error::{DbError, Result};
 use crate::expr::{truth, Bound, EvalContext, FnRegistry, RowSchema};
-use crate::index::btree::{key_record, KeyRef};
 use crate::mvcc::ReadView;
 use crate::plan::{
     bound_conjuncts, choose_bound, choose_in_scope, own_conjuncts, stand_in, AccessPath, Scope,
@@ -26,8 +25,8 @@ use crate::schema::{DatalinkSpec, TableSchema};
 use crate::sql::ast::{is_aggregate_fn, BinaryOp, Expr, JoinKind, SelectItem, SelectStmt};
 use crate::storage::RowId;
 use crate::value::{
-    assign, cell_at, cell_spans, cell_start, decode_row, decode_some_into, encode_key_cell,
-    encode_row, key_cells, record_cmp, sort_prefix, Lent, Records, SortRow, Value,
+    assign, cell_at, cell_spans, cells, decode_row, decode_some_into, encode_key_cell, encode_row,
+    key_cells, order_key, order_key_cell, Lent, Records, Value,
 };
 use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
@@ -175,14 +174,10 @@ fn fetch<'r>(
             } else {
                 // Seek to the equality run (and the tail's lower bound),
                 // then take keys until one leaves the run or the tail.
-                let (run, bound) = (key_record(&eq), eq.len());
-                let run = KeyRef(&run);
-                let mut lo = eq;
-                lo.extend(tail.lower_bound());
+                let range = tail.key_range(&eq);
                 let mut rids = Vec::new();
-                ix.tree.scan_from(&lo, |key, rows| {
-                    let next = key.cells().nth(bound);
-                    let inside = key.has_prefix(run) && next.is_some_and(|c| tail.admits_cell(c));
+                ix.tree.scan_from_key(&range.lo, |key, rows| {
+                    let inside = range.admits(key.0);
                     if inside {
                         rids.extend_from_slice(rows);
                     }
@@ -916,7 +911,7 @@ impl<'a> Sink<'a> {
                 }
             }
         }
-        self.output.reads(read);
+        self.output.reads(read, false);
     }
 
     /// Mark the slots it reads.
@@ -932,7 +927,7 @@ impl<'a> Sink<'a> {
             }
             Shape::Groups(g) => g.reads(read),
         }
-        self.output.reads(read);
+        self.output.reads(read, true);
     }
 
     /// Take one row that passed the WHERE, and the record it was read
@@ -960,7 +955,8 @@ impl<'a> Sink<'a> {
                     }
                     Ok(())
                 });
-                copied.map(|()| self.output.offer_record(ctx))
+                let input = Some((record, &self.spans[..]));
+                copied.map(|()| self.output.offer_record(ctx, input))
             }
             (Shape::Rows(outs), None) => {
                 let row = &mut self.row;
@@ -1290,16 +1286,18 @@ pub fn finish_groups(
 /// caller. Without ORDER BY only the first LIMIT rows are kept, and
 /// `kept` holds just the record being offered. With it, `kept` is one
 /// arena of the output records and `keys` a parallel one of each row's
-/// expression keys, valued over the row (and group) it came from; a
-/// permutation of the records is sorted by their key cells, read from
-/// whichever arena holds each ([`record_cmp`]), ties by arrival. A bare
-/// name that is an output alias, or a column the output passes through
-/// as it is, keys by that output cell. Under a LIMIT of n the records are
-/// cut back to the n least whenever 2n have gathered. A key's error is
-/// held, since a select item raising on a later row wins over it. The
-/// rows are kept for the result set or lent to a reader: as they arrive
-/// when nothing orders them, else once the last is in — each sorted
-/// record lent as it is, and decoded only into a result set.
+/// order key: its sort keys' cells one after another
+/// ([`order_key_cell`]), each taken from the output record (a bare name
+/// that is an output alias, or a column the output passes through as it
+/// is), from the record the row was read from (a column the output drops;
+/// from the row itself when it has no record), or from the value of an
+/// expression over the row (and group). The rows are sorted by their
+/// keys' bytes, ties by arrival. Under a LIMIT of n the records are cut
+/// back to the n least whenever 2n have gathered. A key's error is held,
+/// since a select item raising on a later row wins over it. The rows are
+/// kept for the result set or lent to a reader: as they arrive when
+/// nothing orders them, else once the last is in — each sorted record
+/// lent as it is, and decoded only into a result set.
 #[derive(Default)]
 struct Output<'a> {
     /// The reader the rows are lent to; `None` keeps them.
@@ -1308,27 +1306,33 @@ struct Output<'a> {
     lent: usize,
     columns: Vec<String>,
     distinct: Option<HashSet<Vec<u8>>>,
-    /// Each sort key: the cell it reads — an output cell, or past the
-    /// output's columns an expression key — and whether it ascends.
-    order: Vec<(usize, bool)>,
-    /// The expression keys.
-    exprs: Vec<Bound>,
+    /// Each sort key and whether it ascends.
+    order: Vec<(SortKey, bool)>,
     limit: usize,
     /// Rows kept as they arrived, nothing ordering them.
     rows: Vec<Vec<Value>>,
-    /// The output records, and each one's expression keys; a cut copies
-    /// those it keeps into `spare`.
+    /// The output records, and each one's order key; a cut copies those
+    /// it keeps into `spare`.
     kept: Records,
     keys: Records,
     spare: (Records, Records),
-    /// `kept`'s records sorted up to the last cut, then by arrival: each
-    /// one's first key's [`sort_prefix`], its position, and where its
-    /// first key's cell starts in whichever arena holds it.
-    sorted: Vec<(u128, u32, u32)>,
+    /// The positions of `kept`'s records, sorted up to the last cut, then
+    /// by arrival.
+    sorted: Vec<u32>,
     /// Rows that entered ORDER BY.
     offered: usize,
     late: Option<DbError>,
     key: Vec<u8>,
+}
+
+/// Where an ORDER BY key's cell comes from.
+enum SortKey {
+    /// The output row's cell.
+    Out(usize),
+    /// The cell of a slot the output drops.
+    Slot(usize),
+    /// An expression's value over the row (and group).
+    Expr(Bound),
 }
 
 impl Output<'_> {
@@ -1339,7 +1343,6 @@ impl Output<'_> {
         bind: impl Fn(&Expr) -> Result<Bound>,
     ) -> Result<Self> {
         let mut order = Vec::with_capacity(sel.order_by.len());
-        let mut exprs = Vec::new();
         for ob in &sel.order_by {
             // A bare column matching an output alias sorts by the output
             // column.
@@ -1349,36 +1352,34 @@ impl Output<'_> {
                 }
                 _ => None,
             };
-            let at = match column {
-                Some(i) => i,
-                None => {
-                    // So does a column the output passes through as it is.
-                    let key = bind(&ob.expr)?;
-                    let passed = match key {
-                        Bound::Slot(s) => passes(s),
-                        _ => None,
-                    };
-                    passed.unwrap_or_else(|| {
-                        exprs.push(key);
-                        columns.len() + exprs.len() - 1
-                    })
-                }
+            let key = match column {
+                Some(i) => SortKey::Out(i),
+                // So does a column the output passes through as it is.
+                None => match bind(&ob.expr)? {
+                    Bound::Slot(s) => passes(s).map_or(SortKey::Slot(s), SortKey::Out),
+                    key => SortKey::Expr(key),
+                },
             };
-            order.push((at, ob.asc));
+            order.push((key, ob.asc));
         }
         Ok(Output {
             columns,
             distinct: sel.distinct.then(HashSet::new),
             order,
-            exprs,
             limit: sel.limit.unwrap_or(usize::MAX),
             ..Output::default()
         })
     }
 
-    fn reads(&self, read: &mut [bool]) {
-        for e in &self.exprs {
-            e.reads(read);
+    /// Mark the slots its keys read: the expressions', and with `slots`
+    /// those it reads as they are.
+    fn reads(&self, read: &mut [bool], slots: bool) {
+        for (key, _) in &self.order {
+            match key {
+                SortKey::Slot(s) if slots => read[*s] = true,
+                SortKey::Expr(e) => e.reads(read),
+                _ => {}
+            }
         }
     }
 
@@ -1398,7 +1399,7 @@ impl Output<'_> {
         if !self.order.is_empty() {
             let out = self.open(row.len());
             row.iter().for_each(|v| out.push_cell(v));
-            return self.offer_record(ctx);
+            return self.offer_record(ctx, None);
         }
         if let Some(seen) = &mut self.distinct {
             self.key.clear();
@@ -1418,8 +1419,9 @@ impl Output<'_> {
 
     /// Offer the output row whose record [`Output::open`] began and the
     /// caller filled: lent or decoded as it arrives, nothing ordering
-    /// the rows, else kept with its expression keys.
-    fn offer_record(&mut self, ctx: &EvalContext) {
+    /// the rows, else kept with its order key. `input` is the record the
+    /// row was read from and where each of its cells lies, if it has one.
+    fn offer_record(&mut self, ctx: &EvalContext, input: Option<(&[u8], &[Range<usize>])>) {
         self.kept.seal();
         let at = self.kept.len() - 1;
         if let Some(seen) = &mut self.distinct {
@@ -1448,27 +1450,29 @@ impl Output<'_> {
             return self.kept.truncate(at);
         }
         self.offered += 1;
-        if !self.exprs.is_empty() {
-            self.keys.open(self.exprs.len());
-            for e in &self.exprs {
-                match ctx.eval_cow(e) {
-                    Ok(v) => self.keys.push_cell(&v),
+        self.key.clear();
+        let record = self.kept.get(at);
+        for (key, asc) in &self.order {
+            let (out, desc) = (&mut self.key, !asc);
+            match (key, input) {
+                (SortKey::Out(i), _) => {
+                    order_key_cell(cells(record).nth(*i).expect("a cell"), desc, out)
+                }
+                (SortKey::Slot(s), Some((rec, spans))) => {
+                    order_key_cell(cell_at(rec, spans[*s].start), desc, out)
+                }
+                (SortKey::Slot(s), None) => order_key(&ctx.row[*s], desc, out),
+                (SortKey::Expr(e), _) => match ctx.eval_cow(e) {
+                    Ok(v) => order_key(&v, desc, out),
                     Err(e) => {
                         self.late = Some(e);
                         return self.kept.truncate(at);
                     }
-                }
+                },
             }
-            self.keys.seal();
         }
-        let (first, width) = (self.order[0].0, self.columns.len());
-        let (record, first) = match first.checked_sub(width) {
-            Some(k) => (self.keys.get(at), k),
-            None => (self.kept.get(at), first),
-        };
-        let first = cell_start(record, first);
-        let prefix = sort_prefix(cell_at(record, first));
-        self.sorted.push((prefix, at as u32, first as u32));
+        self.keys.push_bytes(&self.key);
+        self.sorted.push(at as u32);
         if self.sorted.len() > self.limit.saturating_mul(2) {
             self.cut();
         }
@@ -1483,37 +1487,21 @@ impl Output<'_> {
         }
     }
 
-    /// Row `at` as ORDER BY sorts it, its first key's cell at `first`
-    /// and of that `prefix`.
-    fn sort_row(&self, (prefix, at, first): (u128, u32, u32)) -> SortRow<'_> {
-        SortRow {
-            out: &self.kept,
-            keys: &self.keys,
-            at: at as usize,
-            first: first as usize,
-            prefix,
-        }
-    }
-
-    /// Sort the records by their keys — stably, so ties stay in arrival
-    /// order — and keep the first LIMIT, copied with their expression
-    /// keys into fresh arenas in that order.
+    /// Sort the records by their order keys — stably, so ties stay in
+    /// arrival order — and keep the first LIMIT, copied with their keys
+    /// into fresh arenas in that order.
     fn cut(&mut self) {
         let mut sorted = std::mem::take(&mut self.sorted);
-        let width = self.columns.len();
-        sorted.sort_by(|&a, &b| record_cmp(self.sort_row(a), self.sort_row(b), &self.order, width));
+        sorted.sort_by_key(|&at| self.keys.get(at as usize));
         if sorted.len() > self.limit {
             sorted.truncate(self.limit);
             let (mut out, mut keys) = std::mem::take(&mut self.spare);
             out.clear();
             keys.clear();
-            for (i, entry) in sorted.iter_mut().enumerate() {
-                let at = entry.1 as usize;
-                out.push_lent(Lent::Record(self.kept.get(at)));
-                if !self.exprs.is_empty() {
-                    keys.push_lent(Lent::Record(self.keys.get(at)));
-                }
-                entry.1 = i as u32;
+            for (i, at) in sorted.iter_mut().enumerate() {
+                out.push_bytes(self.kept.get(*at as usize));
+                keys.push_bytes(self.keys.get(*at as usize));
+                *at = i as u32;
             }
             let kept = std::mem::replace(&mut self.kept, out);
             self.spare = (kept, std::mem::replace(&mut self.keys, keys));
@@ -1536,7 +1524,7 @@ impl Output<'_> {
             m.rows_returned.add(returned as f64);
         }
         // Each sorted record lent as it is, or decoded once.
-        for &(_, at, _) in &self.sorted {
+        for &at in &self.sorted {
             let record = self.kept.get(at as usize);
             match &mut self.reader {
                 Some(each) => each(Lent::Record(record)),

@@ -1,12 +1,14 @@
 //! An in-memory B+tree mapping composite keys to [`RowId`]s.
 //!
-//! A key is the [`encode_row`] record of its cells — byte for byte the
-//! cells of the heap record it indexes — ordered cell by cell as
-//! [`Value::total_cmp`] orders values ([`KeyRef::order`]). Duplicate keys
-//! are allowed (secondary indexes); each leaf entry owns its key and its
-//! row ids, a lone one inline. Unique enforcement is the caller's job.
-//! Every operation takes its key as values, or as a record (the `_key`
-//! forms); [`BPlusTree::scan_from`] lends each key as a [`KeyRef`].
+//! A key is the order key of its cells ([`order_key`]): bytes whose
+//! `memcmp` is [`Value::total_cmp`] cell by cell, a key before every
+//! longer key it leads, so the tree compares keys as slices, a bulk build
+//! sorts them as bytes, and the keys under a prefix are those that start
+//! with it. Duplicate keys are allowed (secondary indexes); each leaf
+//! entry owns its key and its row ids, a lone one inline. Unique
+//! enforcement is the caller's job. Every operation takes its key as
+//! values, or as an order key (the `_key` forms); [`BPlusTree::scan_from`]
+//! lends each key as a [`KeyRef`].
 //!
 //! The tree uses a conventional split-on-overflow insertion and
 //! borrow/merge-free deletion (leaves may underflow; with the archive's
@@ -18,71 +20,41 @@
 //! from what the same pairs inserted one by one would leave; every read
 //! answers the same.
 
-use crate::error::DbError;
 use crate::storage::RowId;
-use crate::value::{as_cell, cell_cmp, cells, decode_row, encode_row, sieve_record, Value};
-use std::cmp::Ordering;
+use crate::value::{order_key, order_key_cell, order_key_values, Value};
 
 /// Maximum entries per node before a split.
 const ORDER: usize = 32;
 
-/// A key as a node owns it: an [`encode_row`] record.
+/// A key as a node owns it: an order key.
 type Key = Box<[u8]>;
 
-/// A key as the tree files it, lent and read in place.
+/// A key as the tree files it, its order key, lent.
 #[derive(Debug, Clone, Copy)]
 pub struct KeyRef<'a>(pub(crate) &'a [u8]);
 
-impl<'a> KeyRef<'a> {
-    /// View `record`, once checked to be one whole [`encode_row`] record.
-    pub fn new(record: &'a [u8]) -> crate::error::Result<Self> {
-        let mut pos = 0;
-        sieve_record(record, &mut pos, |_| {})?;
-        match pos == record.len() {
-            true => Ok(KeyRef(record)),
-            false => Err(DbError::Storage("row decode: trailing bytes".into())),
-        }
-    }
-
-    /// The key's cells, as their tags and payloads.
-    pub fn cells(self) -> impl Iterator<Item = (u8, &'a [u8])> {
-        cells(self.0)
-    }
-
-    /// The key's cells, decoded.
+impl KeyRef<'_> {
+    /// The key's cells, each as a value [`Value::total_cmp`] finds equal
+    /// to the one filed: a number reads back as a DOUBLE, text as a
+    /// VARCHAR.
     pub fn values(self) -> Vec<Value> {
-        decode_row(self.0, &mut 0).expect("a key is a whole record")
-    }
-
-    /// True when this key's leading cells equal `prefix`'s.
-    pub fn has_prefix(self, prefix: KeyRef<'_>) -> bool {
-        let mut mine = self.cells();
-        (prefix.cells()).all(|p| mine.next().is_some_and(|c| cell_cmp(c, p).is_eq()))
-    }
-
-    /// The tree's order: cell by cell, a key before a longer one it leads.
-    pub fn order(self, other: KeyRef<'_>) -> Ordering {
-        let (mut mine, mut theirs) = (self.cells(), other.cells());
-        loop {
-            match (mine.next(), theirs.next()) {
-                (Some(a), Some(b)) if cell_cmp(a, b).is_eq() => {}
-                (Some(a), Some(b)) => return cell_cmp(a, b),
-                (a, b) => return a.is_some().cmp(&b.is_some()),
-            }
-        }
+        order_key_values(self.0)
     }
 }
 
-fn key_cmp(a: &[u8], b: &[u8]) -> Ordering {
-    KeyRef(a).order(KeyRef(b))
+/// The order key of `key`'s cells, all ascending.
+pub(crate) fn key_of(key: &[Value]) -> Vec<u8> {
+    let mut out = Vec::new();
+    key.iter().for_each(|v| order_key(v, false, &mut out));
+    out
 }
 
-/// `key` as a record, in a buffer sized once (≤ 5 bytes a cell beside its payload).
-pub(crate) fn key_record(key: &[Value]) -> Vec<u8> {
-    let payloads: usize = key.iter().map(|v| as_cell(v, &mut [0; 8]).1.len()).sum();
-    let mut record = Vec::with_capacity(4 + 5 * key.len() + payloads);
-    encode_row(key, &mut record);
-    record
+/// Append the order key of cells `cols` of a stored record, given as
+/// its cells' tags and payloads, to `out`: a tree's key for the row,
+/// made without decoding it.
+pub(crate) fn record_key(cols: &[usize], cells: &[(u8, &[u8])], out: &mut Vec<u8>) {
+    cols.iter()
+        .for_each(|&i| order_key_cell(cells[i], false, out));
 }
 
 /// Sizes of the fewest groups of at most `max` that `n` items spread
@@ -92,7 +64,8 @@ fn spread(n: usize, max: usize) -> impl Iterator<Item = usize> {
     (0..groups).map(move |g| n / groups + usize::from(g < n % groups))
 }
 
-/// [`KeyRef::has_prefix`] over values.
+/// Does `key` lead with `prefix`'s cells, under [`Value::total_cmp`]? What
+/// `starts_with` answers of their order keys.
 pub fn has_prefix(key: &[Value], prefix: &[Value]) -> bool {
     key.len() >= prefix.len() && key.iter().zip(prefix).all(|(k, p)| k.total_cmp(p).is_eq())
 }
@@ -162,7 +135,7 @@ struct Internal {
 impl Internal {
     /// The child whose subtree `key` falls in.
     fn child(&self, key: &[u8]) -> usize {
-        self.keys.partition_point(|k| key_cmp(k, key).is_le())
+        self.keys.partition_point(|k| **k <= *key)
     }
 }
 
@@ -201,9 +174,8 @@ impl BPlusTree {
     /// repeats allowed), read as inserting them one by one builds it:
     /// sorted, then built by [`BPlusTree::from_run`].
     pub fn from_pairs<K: AsRef<[u8]>>(mut pairs: Vec<(K, RowId)>) -> Self {
-        let cmp = |a: &(K, RowId), b: &(K, RowId)| key_cmp(a.0.as_ref(), b.0.as_ref());
-        pairs.sort_by(|a, b| cmp(a, b).then(a.1.cmp(&b.1)));
-        pairs.dedup_by(|a, b| a.1 == b.1 && cmp(a, b) == Ordering::Equal);
+        pairs.sort_unstable_by(|a, b| (a.0.as_ref(), a.1).cmp(&(b.0.as_ref(), b.1)));
+        pairs.dedup_by(|a, b| a.1 == b.1 && a.0.as_ref() == b.0.as_ref());
         Self::from_run(pairs.iter().map(|(key, row)| (key.as_ref(), *row)))
             .expect("a sorted run ascends")
     }
@@ -228,11 +200,9 @@ impl BPlusTree {
         for (at, (key, row)) in run.clone().enumerate() {
             opens.push(match last {
                 None => true,
-                Some((k, r)) => match key_cmp(k, key) {
-                    Ordering::Less => true,
-                    Ordering::Equal if r < row => false,
-                    _ => return Err(at),
-                },
+                Some(last) if last.0 < key => true,
+                Some(last) if last < (key, row) => false,
+                Some(_) => return Err(at),
             });
             last = Some((key, row));
         }
@@ -320,12 +290,12 @@ impl BPlusTree {
     /// Insert a `(key, row)` pair. Duplicate keys accumulate rows;
     /// inserting the same `(key, row)` twice is a no-op.
     pub fn insert(&mut self, key: Vec<Value>, row: RowId) {
-        self.insert_key(KeyRef(&key_record(&key)), row)
+        self.insert_key(&key_of(&key), row)
     }
 
-    /// [`BPlusTree::insert`] of a key given as a record.
-    pub fn insert_key(&mut self, key: KeyRef<'_>, row: RowId) {
-        let result = Self::insert_rec(&mut self.root, key.0, row, &mut self.len);
+    /// [`BPlusTree::insert`] of an order key.
+    pub fn insert_key(&mut self, key: &[u8], row: RowId) {
+        let result = Self::insert_rec(&mut self.root, key, row, &mut self.len);
         if let InsertResult::Split(sep, right) = result {
             let old_root = std::mem::take(&mut self.root);
             self.root = Node::Internal(Internal {
@@ -338,7 +308,7 @@ impl BPlusTree {
     fn insert_rec(node: &mut Node, key: &[u8], row: RowId, len: &mut usize) -> InsertResult {
         match node {
             Node::Leaf(leaf) => {
-                match leaf.entries.binary_search_by(|(k, _)| key_cmp(k, key)) {
+                match leaf.entries.binary_search_by(|(k, _)| (**k).cmp(key)) {
                     Ok(i) => {
                         // Row lists stay sorted so duplicate checks are
                         // O(log k) even for heavily duplicated keys.
@@ -384,12 +354,12 @@ impl BPlusTree {
 
     /// Remove a `(key, row)` pair; returns true if it was present.
     pub fn remove(&mut self, key: &[Value], row: RowId) -> bool {
-        self.remove_key(KeyRef(&key_record(key)), row)
+        self.remove_key(&key_of(key), row)
     }
 
-    /// [`BPlusTree::remove`] of a key given as a record.
-    pub fn remove_key(&mut self, key: KeyRef<'_>, row: RowId) -> bool {
-        let removed = Self::remove_rec(&mut self.root, key.0, row);
+    /// [`BPlusTree::remove`] of an order key.
+    pub fn remove_key(&mut self, key: &[u8], row: RowId) -> bool {
+        let removed = Self::remove_rec(&mut self.root, key, row);
         self.len -= usize::from(removed);
         removed
     }
@@ -397,7 +367,7 @@ impl BPlusTree {
     fn remove_rec(node: &mut Node, key: &[u8], row: RowId) -> bool {
         match node {
             Node::Leaf(leaf) => {
-                let Ok(i) = leaf.entries.binary_search_by(|(k, _)| key_cmp(k, key)) else {
+                let Ok(i) = leaf.entries.binary_search_by(|(k, _)| (**k).cmp(key)) else {
                     return false;
                 };
                 let Some(emptied) = leaf.entries[i].1.remove(row) else {
@@ -417,22 +387,22 @@ impl BPlusTree {
 
     /// All rows with exactly `key`.
     pub fn get(&self, key: &[Value]) -> Vec<RowId> {
-        self.get_key(KeyRef(&key_record(key))).to_vec()
+        self.get_key(&key_of(key)).to_vec()
     }
 
-    /// [`BPlusTree::get`] of a key given as a record, lent.
-    pub fn get_key(&self, key: KeyRef<'_>) -> &[RowId] {
+    /// [`BPlusTree::get`] of an order key, lent.
+    pub fn get_key(&self, key: &[u8]) -> &[RowId] {
         let mut node = &self.root;
         loop {
             match node {
                 Node::Leaf(leaf) => {
-                    return match leaf.entries.binary_search_by(|(k, _)| key_cmp(k, key.0)) {
+                    return match leaf.entries.binary_search_by(|(k, _)| (**k).cmp(key)) {
                         Ok(i) => leaf.entries[i].1.as_slice(),
                         Err(_) => &[],
                     };
                 }
                 Node::Internal(int) => {
-                    node = &int.children[int.child(key.0)];
+                    node = &int.children[int.child(key)];
                 }
             }
         }
@@ -445,16 +415,12 @@ impl BPlusTree {
     /// for an empty `lo`). Nothing is cloned; upper bounds are the
     /// visitor's to enforce by stopping.
     pub fn scan_from(&self, lo: &[Value], visit: impl FnMut(KeyRef<'_>, &[RowId]) -> bool) {
-        self.scan_from_key(KeyRef(&key_record(lo)), visit)
+        self.scan_from_key(&key_of(lo), visit)
     }
 
-    /// [`BPlusTree::scan_from`] from a bound given as a record.
-    pub fn scan_from_key(
-        &self,
-        lo: KeyRef<'_>,
-        mut visit: impl FnMut(KeyRef<'_>, &[RowId]) -> bool,
-    ) {
-        Self::scan_rec(&self.root, Some(lo.0), &mut visit);
+    /// [`BPlusTree::scan_from`] from an order key.
+    pub fn scan_from_key(&self, lo: &[u8], mut visit: impl FnMut(KeyRef<'_>, &[RowId]) -> bool) {
+        Self::scan_rec(&self.root, Some(lo), &mut visit);
     }
 
     /// Returns false once the visitor has stopped the walk.
@@ -465,10 +431,7 @@ impl BPlusTree {
     ) -> bool {
         match node {
             Node::Leaf(leaf) => {
-                let start = lo.map_or(0, |lo| {
-                    leaf.entries
-                        .partition_point(|(k, _)| key_cmp(k, lo) == Ordering::Less)
-                });
+                let start = lo.map_or(0, |lo| leaf.entries.partition_point(|(k, _)| **k < *lo));
                 leaf.entries[start..]
                     .iter()
                     .all(|(k, rows)| visit(KeyRef(k), rows.as_slice()))
@@ -502,6 +465,7 @@ impl BPlusTree {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cmp::Ordering;
 
     /// Keys as the tests write them: values.
     type Key = Vec<Value>;
@@ -521,12 +485,7 @@ mod tests {
     }
 
     fn from_values(pairs: Vec<(Key, RowId)>) -> BPlusTree {
-        let encode = |key: &Key| {
-            let mut record = Vec::new();
-            encode_row(key, &mut record);
-            record
-        };
-        BPlusTree::from_pairs(pairs.iter().map(|(k, r)| (encode(k), *r)).collect())
+        BPlusTree::from_pairs(pairs.iter().map(|(k, r)| (key_of(k), *r)).collect())
     }
 
     fn k(i: i64) -> Key {
@@ -626,8 +585,7 @@ mod tests {
         }
         let r = collect(&t, &k(10), Some(&k(19)));
         assert_eq!(r.len(), 10);
-        assert_eq!(r[0].0, k(10));
-        assert_eq!(r[9].0, k(19));
+        assert!(same_key(&r[0].0, &k(10)) && same_key(&r[9].0, &k(19)));
         assert_eq!(collect(&t, &[], Some(&k(4))).len(), 5);
         assert_eq!(collect(&t, &k(195), None).len(), 5);
         assert_eq!(collect(&t, &k(500), None).len(), 0);
@@ -649,7 +607,12 @@ mod tests {
                 seen.len() < 3
             });
             let first = (lo.max(0) + 1) / 2 * 2;
-            let want: Vec<Value> = (first..2000).step_by(2).take(3).map(Value::Int).collect();
+            // A number reads back as a DOUBLE.
+            let want: Vec<Value> = (first..2000)
+                .step_by(2)
+                .take(3)
+                .map(|i| Value::Double(i as f64))
+                .collect();
             assert_eq!(seen, want, "lo {lo}");
         }
         let mut visits = 0;
@@ -693,7 +656,7 @@ mod tests {
             });
             assert_eq!(
                 keys,
-                (0..50).map(Value::Int).collect::<Vec<_>>(),
+                (0..50).map(|i| Value::Double(i as f64)).collect::<Vec<_>>(),
                 "group {g}"
             );
             // A bound inside the group starts mid-group.
@@ -702,7 +665,7 @@ mod tests {
                 first = Some(key.values());
                 false
             });
-            assert_eq!(first, Some(vec![lead, Value::Int(48)]));
+            assert_eq!(first, Some(vec![lead, Value::Double(48.0)]));
         }
     }
 
@@ -742,10 +705,7 @@ mod tests {
         packed: bool,
         is_root: bool,
     ) -> (usize, usize) {
-        let in_bounds = |k: &[u8]| {
-            lo.is_none_or(|lo| key_cmp(lo, k) != Ordering::Greater)
-                && hi.is_none_or(|hi| key_cmp(k, hi) == Ordering::Less)
-        };
+        let in_bounds = |k: &[u8]| lo.is_none_or(|lo| lo <= k) && hi.is_none_or(|hi| k < hi);
         match node {
             Node::Leaf(leaf) => {
                 assert!(leaf.entries.len() <= ORDER, "leaf over ORDER");
@@ -753,7 +713,7 @@ mod tests {
                     assert!(leaf.entries.len() >= ORDER / 2, "leaf under half full");
                 }
                 for w in leaf.entries.windows(2) {
-                    assert_eq!(key_cmp(&w[0].0, &w[1].0), Ordering::Less, "leaf keys");
+                    assert!(w[0].0 < w[1].0, "leaf keys");
                 }
                 let mut pairs = 0;
                 for (k, rows) in &leaf.entries {
@@ -773,7 +733,7 @@ mod tests {
                     assert!(int.children.len() > ORDER / 2, "under half full");
                 }
                 for w in int.keys.windows(2) {
-                    assert_eq!(key_cmp(&w[0], &w[1]), Ordering::Less, "separators");
+                    assert!(w[0] < w[1], "separators");
                 }
                 assert!(int.keys.iter().all(|k| in_bounds(k)), "separator bounds");
                 let (mut depth, mut pairs) = (None, 0);

@@ -15,9 +15,10 @@
 use crate::db::Table;
 use crate::error::Result;
 use crate::expr::{Bound, EvalContext, RowSchema};
+use crate::index::btree::key_of;
 use crate::schema::TableSchema;
 use crate::sql::ast::{BinaryOp, Expr, UnaryOp};
-use crate::value::{as_cell, cell_cmp, cell_count, next_cell, scalar_cell, SqlType, Value};
+use crate::value::{cell_count, next_cell, order_key, scalar_cell, SqlType, Value};
 use crate::Database;
 use std::cmp::Ordering;
 
@@ -71,18 +72,66 @@ impl Tail {
     /// False once `v`, met walking up from [`Tail::lower_bound`], has
     /// left the tail.
     pub fn admits(&self, v: &Value) -> bool {
-        self.admits_cell(as_cell(v, &mut [0; 8]))
-    }
-
-    /// [`Tail::admits`] of a stored key cell's tag and payload.
-    pub(crate) fn admits_cell(&self, (tag, payload): (u8, &[u8])) -> bool {
         match self {
-            Tail::Range { hi: Some(hi), .. } => {
-                cell_cmp((tag, payload), as_cell(hi, &mut [0; 8])) != Ordering::Greater
-            }
-            Tail::Prefix(p) => matches!(tag, 3 | 8 | 9) && payload.starts_with(p.as_bytes()),
+            Tail::Range { hi: Some(hi), .. } => v.total_cmp(hi) != Ordering::Greater,
+            Tail::Prefix(p) => v.as_text().is_some_and(|s| s.starts_with(p.as_str())),
             _ => true,
         }
+    }
+
+    /// The walk of an index's order keys under the equality run `eq`
+    /// and this tail, as byte bounds.
+    pub fn key_range(&self, eq: &[Value]) -> KeyRange {
+        let run = key_of(eq);
+        let (mut lo, mut hi) = (run.clone(), run.clone());
+        if let Some(v) = self.lower_bound() {
+            order_key(&v, false, &mut lo);
+        }
+        match self {
+            Tail::Range { hi: Some(v), .. } => order_key(v, false, &mut hi),
+            Tail::Prefix(p) => {
+                // The text cell of `p`, without its terminator: what the
+                // key of every text starting with `p` starts with.
+                order_key(&Value::Str(p.clone()), false, &mut hi);
+                hi.truncate(hi.len() - 2);
+            }
+            _ => {}
+        }
+        let (run, prefix) = (run.len(), matches!(self, Tail::Prefix(_)));
+        KeyRange {
+            lo,
+            run,
+            hi,
+            prefix,
+        }
+    }
+}
+
+/// An index walk as bounds on order keys ([`Tail::key_range`]): it seeks
+/// to `lo` — the equality run and the tail's lower bound — and takes
+/// keys while [`KeyRange::admits`] them.
+#[derive(Debug, Clone, PartialEq)]
+pub struct KeyRange {
+    /// Where the walk starts.
+    pub lo: Vec<u8>,
+    /// How long the equality run is, at the start of `hi`.
+    run: usize,
+    /// The run and the tail's upper bound: a last key cell, or the
+    /// unterminated text cell a `LIKE 'p%'` key starts with.
+    hi: Vec<u8>,
+    prefix: bool,
+}
+
+impl KeyRange {
+    /// Is `key` in the walk: under the equality run, then not past the
+    /// upper bound (its cell no greater, or starting it when the tail is
+    /// a prefix)?
+    pub fn admits(&self, key: &[u8]) -> bool {
+        key.starts_with(&self.hi[..self.run])
+            && match self.prefix {
+                true => key.starts_with(&self.hi),
+                false => key[..key.len().min(self.hi.len())] <= self.hi[..],
+            }
     }
 }
 

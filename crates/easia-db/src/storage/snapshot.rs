@@ -29,7 +29,7 @@ use super::{put_str, Cursor, HeapTable, RowId, PAGE_SIZE};
 use crate::crc::crc32;
 use crate::db::{Index, Table};
 use crate::error::{DbError, Result};
-use crate::index::btree::KeyRef;
+use crate::index::btree::record_key;
 use crate::index::BPlusTree;
 use crate::mvcc::Csn;
 use crate::schema::TableSchema;
@@ -256,9 +256,7 @@ pub(crate) fn read(file: &[u8], into: &mut impl Restore) -> Result<(Csn, u64, u6
     }
     for (name, order) in orders {
         let t = into.table(Entry::Name(name))?;
-        fill_indexes(&t.schema, &t.heap, &mut t.indexes, Some(&order), |_, _| {
-            Ok(())
-        })?;
+        fill_indexes(&t.schema, &t.heap, &mut t.indexes, Some(&order))?;
     }
     let base = frames[0].0 + BATCH_HEADER_LEN + frames[0].1.len();
     Ok((csn, base as u64, end as u64))
@@ -296,16 +294,17 @@ pub(crate) type Frames<'a> = (Vec<(usize, &'a [u8])>, usize, Option<(usize, Stri
 
 /// Check that `rec`, the stored record at `rid`, is a row of the table:
 /// one whole row encoding — every cell's tag, length and text valid —
-/// nothing after it, and a cell per column; lend each cell to `cell`.
+/// nothing after it, and a cell per column; lend each cell's tag and
+/// payload to `cell`.
 pub(crate) fn check_record<'r>(
     schema: &TableSchema,
     rid: RowId,
     rec: &'r [u8],
-    mut cell: impl FnMut(&'r [u8]),
+    mut cell: impl FnMut((u8, &'r [u8])),
 ) -> Result<()> {
     let (mut pos, mut cells) = (0, 0);
-    let walked = sieve_record(rec, &mut pos, |span| {
-        cell(&rec[span]);
+    let walked = sieve_record(rec, &mut pos, |c| {
+        cell(c);
         cells += 1;
     });
     let what = match walked {
@@ -325,22 +324,20 @@ pub(crate) fn check_record<'r>(
 }
 
 /// Fill the (empty) trees of `indexes` from a table's heap: one walk
-/// checks each record and copies each key's cells out, then each tree is
-/// built from the order `orders` holds for it, or by sorting. An order
+/// checks each record and writes each key's order key, then each tree
+/// is built from the order `orders` holds for it, or by sorting. An order
 /// is its base's places — each checked to hold a record — less the rows
 /// removed since, merged in one pass with the rows filed since, in key
 /// order; the run must ascend, name every record and, for a unique
-/// index, hold each NULL-free key once. `admit` sees every key before it
-/// is filed and may refuse it.
+/// index, hold each NULL-free key once ([`Index::holds_twice`]).
 pub(crate) fn fill_indexes(
     schema: &TableSchema,
     heap: &HeapTable,
     indexes: &mut [Index],
     orders: Option<&Orders>,
-    mut admit: impl FnMut(RowId, KeyRef) -> Result<()>,
 ) -> Result<()> {
     let (n, mut keys) = (heap.len(), vec![Records::default(); indexes.len()]);
-    // Every key takes at least its cell count.
+    // Room for n keys' ends (one per 4 bytes reserved).
     keys.iter_mut().for_each(|k| k.reserve(4 * n, n));
     let mut rids = Vec::with_capacity(n);
     // Which record, in heap order, each place of the base's heap holds
@@ -348,13 +345,14 @@ pub(crate) fn fill_indexes(
     // place is that position itself.
     let same = orders.is_none_or(|o| !o.moved && o.places.count() == n);
     let mut at = vec![u32::MAX; orders.filter(|_| !same).map_or(0, |o| o.places.count())];
-    let mut cells = Vec::with_capacity(schema.columns.len());
+    let (mut cells, mut key) = (Vec::with_capacity(schema.columns.len()), Vec::new());
     for (rid, rec) in heap.records() {
         cells.clear();
         check_record(schema, rid, rec, |cell| cells.push(cell))?;
         for (ix, keys) in indexes.iter().zip(&mut keys) {
-            keys.push_spans(ix.col_indices.iter().map(|&i| cells[i]));
-            admit(rid, KeyRef(keys.get(keys.len() - 1)))?;
+            key.clear();
+            record_key(&ix.col_indices, &cells, &mut key);
+            keys.push_bytes(&key);
         }
         if let Some(o) = orders.filter(|_| !same) {
             if let Some(k) = o.places.of(rid).and_then(|p| at.get_mut(p)) {
@@ -387,10 +385,7 @@ pub(crate) fn fill_indexes(
         .collect::<Result<Vec<_>>>()?;
     for (i, (ix, keys)) in indexes.iter_mut().zip(&keys).enumerate() {
         let pair = |p: usize| (keys.get(p), rids[p]);
-        let cmp = |a: usize, b: usize| {
-            let ((ka, ra), (kb, rb)) = (pair(a), pair(b));
-            KeyRef(ka).order(KeyRef(kb)).then(ra.cmp(&rb))
-        };
+        let cmp = |a: usize, b: usize| pair(a).cmp(&pair(b));
         let base = (o.base[4 * o.rows * i..4 * o.rows * (i + 1)].chunks_exact(4))
             .map(|p| u32::from_le_bytes(p.try_into().expect("4 bytes")) as usize);
         let skipped = |p: usize| skip.get(p).is_some_and(|&s| s);
@@ -419,16 +414,7 @@ pub(crate) fn fill_indexes(
             _ => filed.next(),
         });
         ix.tree = BPlusTree::from_run(run.map(pair)).map_err(|_| bad("does not ascend"))?;
-        // A unique index files each NULL-free key once: the tree files
-        // equal keys under one entry.
-        let mut twice = false;
-        if ix.unique {
-            ix.tree.scan_from(&[], |key, rows| {
-                twice = rows.len() > 1 && !key.cells().any(|(tag, _)| tag == 0);
-                !twice
-            });
-        }
-        if twice {
+        if ix.unique && ix.holds_twice(|_| true) {
             return Err(bad("holds a unique key twice"));
         }
     }
@@ -512,7 +498,7 @@ pub(crate) fn index_to_ddl(schema: &TableSchema, ix: &Index) -> String {
 mod tests {
     use super::*;
     use crate::schema::ColumnDef;
-    use crate::value::{decode_row, encode_cells, SqlType, Value};
+    use crate::value::{SqlType, Value};
     use crate::Database;
 
     /// An empty table of an INTEGER key and a CLOB, with the index on
@@ -541,28 +527,29 @@ mod tests {
         }
     }
 
-    /// File (`insert`) or unfile `row` at `rid` in each of `t`'s trees.
-    fn file_keys(t: &mut Table, row: &[Value], rid: RowId, insert: bool) {
+    /// File (`insert`) or unfile the row at `rid` in each of `t`'s trees,
+    /// under the keys of its stored record's cells.
+    fn file_keys(t: &mut Table, rid: RowId, insert: bool) {
+        let mut cells = Vec::new();
+        let rec = t.heap.record(rid).unwrap();
+        check_record(&t.schema, rid, rec, |cell| cells.push(cell)).unwrap();
         for ix in &mut t.indexes {
             let mut key = Vec::new();
-            encode_cells(ix.col_indices.iter().map(|&i| &row[i]), &mut key);
+            record_key(&ix.col_indices, &cells, &mut key);
             match insert {
-                true => ix.tree.insert_key(KeyRef(&key), rid),
-                false => assert!(ix.tree.remove_key(KeyRef(&key), rid)),
+                true => ix.tree.insert_key(&key, rid),
+                false => assert!(ix.tree.remove_key(&key, rid)),
             }
         }
     }
 
     fn insert(t: &mut Table, k: i64, d: String) {
-        let row = [Value::Int(k), Value::Clob(d)];
-        let rid = t.heap.insert(&row);
-        file_keys(t, &row, rid, true);
+        let rid = t.heap.insert(&[Value::Int(k), Value::Clob(d)]);
+        file_keys(t, rid, true);
     }
 
     fn delete(t: &mut Table, rid: RowId) {
-        let rec = t.heap.record(rid).unwrap();
-        let row = decode_row(rec, &mut 0).unwrap();
-        file_keys(t, &row, rid, false);
+        file_keys(t, rid, false);
         assert!(t.heap.delete(rid));
     }
 

@@ -303,7 +303,7 @@ pub fn encode_row(row: &[Value], out: &mut Vec<u8>) {
 }
 
 /// Encode the row made of `cells`: [`encode_row`] of them, without
-/// gathering them into a row first (an index key of a row's columns).
+/// gathering them into a row first.
 pub(crate) fn encode_cells<'v>(cells: impl ExactSizeIterator<Item = &'v Value>, out: &mut Vec<u8>) {
     out.extend_from_slice(&(cells.len() as u32).to_le_bytes());
     cells.for_each(|v| encode_cell(v, out));
@@ -355,140 +355,95 @@ pub(crate) fn as_cell<'a>(v: &'a Value, word: &'a mut [u8; 8]) -> (u8, &'a [u8])
     (tag, word)
 }
 
-/// [`Value::total_cmp`] of two cells, given as their tags and payloads:
-/// ranked by kind, numbers as `f64`s (NaN last, `-0.0` equal to `0.0`),
-/// text by its UTF-8 bytes, a blob by its bytes. What orders index keys.
-pub(crate) fn cell_cmp((ta, a): (u8, &[u8]), (tb, b): (u8, &[u8])) -> Ordering {
-    rank(ta).cmp(&rank(tb)).then_with(|| match rank(ta) {
-        1 => ta.cmp(&tb),
+/// Append `v` to an order key: bytes whose `memcmp` orders cells as
+/// [`Value::total_cmp`] orders their values, and no cell's bytes lead
+/// another's, so a key of several cells compares as its cells do one by
+/// one and sorts before every longer key it leads. A rank byte (NULL,
+/// boolean, number, text, blob); then a boolean's tag; a number's `f64`
+/// as 8 big-endian bits that order as the values do (`-0.0` as `0.0`,
+/// every NaN as one NaN above the rest, an integer past 2^53 as the
+/// double it compares as); text (VARCHAR, CLOB and DATALINK alike) or a
+/// blob as its bytes, each `0x00` written `0x00 0xFF`, then `0x00 0x01`.
+/// A `desc` cell is those bytes complemented, which orders it the other
+/// way.
+pub fn order_key(v: &Value, desc: bool, out: &mut Vec<u8>) {
+    order_key_cell(as_cell(v, &mut [0; 8]), desc, out);
+}
+
+/// [`order_key`] of a cell given as its tag and payload: a stored
+/// record's cell keyed without decoding it.
+pub(crate) fn order_key_cell((tag, payload): (u8, &[u8]), desc: bool, out: &mut Vec<u8>) {
+    let at = out.len();
+    let rank = [0, 2, 2, 3, 1, 1, 2, 4, 3, 3][usize::from(tag)];
+    out.push(rank);
+    match rank {
+        1 => out.push(tag),
         2 => {
-            let (x, y) = (number(ta, a), number(tb, b));
-            x.partial_cmp(&y)
-                .unwrap_or_else(|| x.is_nan().cmp(&y.is_nan()))
-        }
-        _ => a.cmp(b),
-    })
-}
-
-/// Where a cell's kind ranks by tag: NULL, then booleans, numbers, text,
-/// blobs.
-fn rank(tag: u8) -> u8 {
-    [0, 2, 2, 3, 1, 1, 2, 4, 3, 3][usize::from(tag)]
-}
-
-/// The value of a number's cell, as [`cell_cmp`] compares it.
-fn number(tag: u8, payload: &[u8]) -> f64 {
-    scalar_cell(tag, payload)
-        .and_then(|v| v.as_f64())
-        .expect("a number")
-}
-
-/// A cell as one number that orders as [`cell_cmp`] orders the cell: its
-/// kind's rank; then a boolean's tag, a number's `f64` in bits that order
-/// as the values do (`-0.0` as `0.0`, every NaN as one, above the rest),
-/// or the first 14 bytes of text or bytes and their length up to 15. Two
-/// cells whose prefixes differ are ordered by them, and two with one
-/// prefix are equal unless it is of text or bytes 15 or more long
-/// ([`prefix_decides`]).
-pub(crate) fn sort_prefix((tag, payload): (u8, &[u8])) -> u128 {
-    let mut key = [0u8; 16];
-    key[0] = rank(tag);
-    match key[0] {
-        1 => key[1] = tag,
-        2 => {
-            let x = number(tag, payload);
+            let x = (scalar_cell(tag, payload).and_then(|v| v.as_f64())).expect("a number");
             let bits = if x.is_nan() { f64::NAN } else { x + 0.0 }.to_bits();
             let ordered = if bits >> 63 == 1 {
                 !bits
             } else {
                 bits | 1 << 63
             };
-            key[1..9].copy_from_slice(&ordered.to_be_bytes());
+            out.extend_from_slice(&ordered.to_be_bytes());
         }
         3 | 4 => {
-            let n = payload.len().min(14);
-            key[1..=n].copy_from_slice(&payload[..n]);
-            key[15] = payload.len().min(15) as u8;
+            for (i, run) in payload.split(|&b| b == 0).enumerate() {
+                if i > 0 {
+                    out.extend_from_slice(&[0, 0xFF]);
+                }
+                out.extend_from_slice(run);
+            }
+            out.extend_from_slice(&[0, 1]);
         }
         _ => {}
     }
-    u128::from_be_bytes(key)
-}
-
-/// Do two cells with this [`sort_prefix`] compare equal?
-fn prefix_decides(prefix: u128) -> bool {
-    let [rank, .., len] = prefix.to_be_bytes();
-    !matches!(rank, 3 | 4) || len < 15
-}
-
-/// A row ORDER BY sorts: record `at` of an arena of output records and
-/// of a parallel one of their expression keys (empty when there are
-/// none), where its first key's cell starts in whichever of the two
-/// holds it ([`cell_start`]), and that cell's [`sort_prefix`].
-#[derive(Clone, Copy)]
-pub(crate) struct SortRow<'r> {
-    pub(crate) out: &'r Records,
-    pub(crate) keys: &'r Records,
-    pub(crate) at: usize,
-    pub(crate) first: usize,
-    pub(crate) prefix: u128,
-}
-
-impl<'r> SortRow<'r> {
-    /// The record holding key cell `at`, and the cell's place in it: the
-    /// output record's cell `at`, or past its `width` cells the
-    /// expression key `at - width`.
-    fn holding(&self, at: usize, width: usize) -> (&'r [u8], usize) {
-        match at.checked_sub(width) {
-            Some(k) => (self.keys.get(self.at), k),
-            None => (self.out.get(self.at), at),
-        }
+    if desc {
+        out[at..].iter_mut().for_each(|b| *b = !*b);
     }
 }
 
-/// The order of two rows by their key cells, each key a cell position
-/// (read from the row's output record, or past its `width` cells from
-/// its expression keys) and whether it ascends, compared with
-/// [`cell_cmp`]. A comparison the first key's prefixes decide reads
-/// neither row.
-#[inline]
-pub(crate) fn record_cmp<'r>(
-    a: SortRow<'r>,
-    b: SortRow<'r>,
-    keys: &[(usize, bool)],
-    width: usize,
-) -> Ordering {
-    let (at, asc) = keys[0];
-    let first = match a.prefix.cmp(&b.prefix) {
-        Ordering::Equal if !prefix_decides(a.prefix) => {
-            let first = |row: SortRow<'r>| cell_at(row.holding(at, width).0, row.first);
-            cell_cmp(first(a), first(b))
-        }
-        ord => ord,
-    };
-    match first {
-        Ordering::Equal if keys.len() > 1 => later_keys_cmp(a, b, &keys[1..], width),
-        ord if asc => ord,
-        ord => ord.reverse(),
+/// The cells of `key`, an ascending order key, each as a value that
+/// [`Value::total_cmp`] finds equal to the one it was made from: what an
+/// order key keeps of it (a number reads back as a DOUBLE, text as a
+/// VARCHAR).
+pub(crate) fn order_key_values(mut key: &[u8]) -> Vec<Value> {
+    let mut values = Vec::new();
+    while let Some((&rank, rest)) = key.split_first() {
+        let (value, len) = match rank {
+            0 => (Value::Null, 0),
+            1 => (Value::Bool(rest[0] == 5), 1),
+            2 => {
+                let bits = u64::from_be_bytes(rest[..8].try_into().expect("8 bytes"));
+                let bits = if bits >> 63 == 1 {
+                    bits ^ 1 << 63
+                } else {
+                    !bits
+                };
+                (Value::Double(f64::from_bits(bits)), 8)
+            }
+            _ => {
+                let (mut bytes, mut at) = (Vec::new(), 0);
+                loop {
+                    let zero = at + rest[at..].iter().position(|&b| b == 0).expect("an end");
+                    bytes.extend_from_slice(&rest[at..zero]);
+                    at = zero + 2;
+                    if rest[zero + 1] == 1 {
+                        break;
+                    }
+                    bytes.push(0);
+                }
+                match rank {
+                    3 => (Value::Str(String::from_utf8(bytes).expect("text")), at),
+                    _ => (Value::Blob(bytes), at),
+                }
+            }
+        };
+        values.push(value);
+        key = &rest[len..];
     }
-}
-
-/// [`record_cmp`] by `keys`, the keys after the first.
-fn later_keys_cmp<'r>(
-    a: SortRow<'r>,
-    b: SortRow<'r>,
-    keys: &[(usize, bool)],
-    width: usize,
-) -> Ordering {
-    let key = |row: SortRow<'r>, at| {
-        let (record, n) = row.holding(at, width);
-        cells(record).nth(n).expect("a key cell")
-    };
-    let by = |asc: bool, ord: Ordering| if asc { ord } else { ord.reverse() };
-    keys.iter()
-        .map(|&(at, asc)| by(asc, cell_cmp(key(a, at), key(b, at))))
-        .find(|ord| ord.is_ne())
-        .unwrap_or(Ordering::Equal)
+    values
 }
 
 /// Where each cell's whole encoding lies in `record`, a whole record
@@ -525,16 +480,6 @@ pub(crate) fn cells(record: &[u8]) -> impl Iterator<Item = (u8, &[u8])> {
     std::iter::from_fn(move || {
         (pos < record.len()).then(|| next_cell(record, &mut pos).expect("a whole record"))
     })
-}
-
-/// Where the `n`th cell of `record`, a whole record, starts: what
-/// [`cell_at`] reads it back from without walking the cells before it.
-pub(crate) fn cell_start(record: &[u8], n: usize) -> usize {
-    let mut pos = 4;
-    for _ in 0..n {
-        next_cell(record, &mut pos).expect("a whole record");
-    }
-    pos
 }
 
 /// The cell starting at `pos` in `record`, a whole record.
@@ -583,6 +528,13 @@ impl Records {
         self.ends.push(self.bytes.len());
     }
 
+    /// Append `bytes` as one entry: a record, or a string of bytes that is
+    /// none (an arena of ORDER BY's order keys).
+    pub(crate) fn push_bytes(&mut self, bytes: &[u8]) {
+        self.bytes.extend_from_slice(bytes);
+        self.ends.push(self.bytes.len());
+    }
+
     /// Append the record of a row made of `cells`.
     pub fn push_cells<'v>(&mut self, cells: impl ExactSizeIterator<Item = &'v Value>) {
         encode_cells(cells, &mut self.bytes);
@@ -616,15 +568,6 @@ impl Records {
 
     /// Close the record [`Records::open`] began.
     pub(crate) fn seal(&mut self) {
-        self.ends.push(self.bytes.len());
-    }
-
-    /// Append the record of a row made of `cells`, each already encoded
-    /// (spans of other records: an index key of a stored row's columns).
-    pub(crate) fn push_spans<'c>(&mut self, cells: impl ExactSizeIterator<Item = &'c [u8]>) {
-        self.bytes
-            .extend_from_slice(&(cells.len() as u32).to_le_bytes());
-        cells.for_each(|cell| self.bytes.extend_from_slice(cell));
         self.ends.push(self.bytes.len());
     }
 
@@ -775,25 +718,23 @@ pub fn decode_some_into(
 
 /// Check the record at `pos` in `buf` as [`decode_row`] would — every
 /// tag and length, and the text of every string cell as UTF-8 — without
-/// decoding any cell, raising its first error; lend where in `buf` each
-/// cell's whole encoding lies to `cell`, and move `pos` past the record.
-/// The one entry check: a record is walked by it when it enters the
-/// process — a snapshot load (`snapshot::check_record`), an `EMB1` frame
-/// accepted ([`Records::push_checked`]), an index key handed in — and is
-/// trusted after, by the sieve and by every skipped cell (DESIGN.md,
-/// "the skipped-cell rule").
-pub(crate) fn sieve_record(
-    buf: &[u8],
+/// decoding any cell, raising its first error; lend each cell's tag and
+/// payload to `cell`, and move `pos` past the record. The one entry
+/// check: a record is walked by it when it enters the process — a
+/// snapshot load (`snapshot::check_record`), an `EMB1` frame accepted
+/// ([`Records::push_checked`]) — and is trusted after, by the sieve and
+/// by every skipped cell (DESIGN.md, "the skipped-cell rule").
+pub(crate) fn sieve_record<'a>(
+    buf: &'a [u8],
     pos: &mut usize,
-    mut cell: impl FnMut(Range<usize>),
+    mut cell: impl FnMut((u8, &'a [u8])),
 ) -> Result<()> {
     for _ in 0..cell_count(buf, pos)? {
-        let at = *pos;
         let (tag, payload) = next_cell(buf, pos)?;
         if matches!(tag, 3 | 8 | 9) {
             text(payload)?;
         }
-        cell(at..*pos);
+        cell((tag, payload));
     }
     Ok(())
 }

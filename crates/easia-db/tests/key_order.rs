@@ -1,18 +1,24 @@
-//! The order of index keys is `Value::total_cmp`'s. A B+tree files each
-//! key as the `encode_row` record of its cells and compares those bytes
-//! cell by cell (`KeyRef::order`), never decoding them; `has_prefix`
-//! reads them in place too. Both must answer as their value versions:
-//! `total_cmp` cell by cell, a key before every longer key it leads, and
-//! `btree::has_prefix` over values.
+//! The order of index keys and ORDER BY is `Value::total_cmp`'s, computed
+//! once: `value::order_key` writes each cell as bytes whose `memcmp` is
+//! that order, and a B+tree, an index walk's bounds and a sort compare
+//! those bytes. This is the encoding's oracle: over every pair of keys
+//! the bytes must answer as the value versions do — `total_cmp` cell by
+//! cell, a key before every longer key it leads; the complemented (DESC)
+//! bytes the other way round; `starts_with` as `btree::has_prefix` over
+//! values; and an index walk's byte bounds (`Tail::key_range`) admit
+//! exactly the cells `Tail::admits` admits, from where the walk seeks.
 //!
 //! The cells cover every kind, and the pairs where kinds and bit
 //! patterns meet: NULL, `0.0` beside `-0.0`, NaNs of either sign and
 //! other payloads, `1` beside `1.0`, `2^53` beside `2^53 + 1` (equal as
 //! doubles), a VARCHAR, a CLOB and a DATALINK with the same text, blobs,
-//! and keys that lead one another.
+//! and keys that lead one another; text and blobs holding `0x00`, which
+//! the encoding escapes, are added beside them.
 
-use easia_db::index::btree::{has_prefix, KeyRef};
-use easia_db::value::encode_row;
+use easia_db::index::btree::{has_prefix, BPlusTree};
+use easia_db::plan::Tail;
+use easia_db::storage::RowId;
+use easia_db::value::order_key;
 use easia_db::Value;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -64,23 +70,54 @@ fn cells() -> Vec<Value> {
     cells
 }
 
-fn record(key: &[Value]) -> Vec<u8> {
-    let mut record = Vec::new();
-    encode_row(key, &mut record);
-    record
+/// Text and blobs holding the byte the encoding escapes.
+fn zero_cells() -> Vec<Value> {
+    let mut cells = Vec::new();
+    for text in ["\0", "a\0", "a\0b", "a\0\0", "\0\u{1}"] {
+        cells.extend([
+            Value::Str(text.into()),
+            Value::Blob(text.as_bytes().to_vec()),
+        ]);
+    }
+    cells
 }
 
-/// Hold the byte order and `has_prefix` to their value versions on
-/// every pair of `keys`.
+/// `key`'s order key, each cell ascending or, with `desc`, descending.
+fn order(key: &[Value], desc: bool) -> Vec<u8> {
+    let mut bytes = Vec::new();
+    key.iter().for_each(|v| order_key(v, desc, &mut bytes));
+    bytes
+}
+
+/// The key a tree files for `key`, read back as values.
+fn filed(key: &[Value]) -> Vec<Value> {
+    let mut tree = BPlusTree::new();
+    tree.insert(key.to_vec(), RowId(0));
+    let mut back = Vec::new();
+    tree.scan_from(&[], |k, _| {
+        back = k.values();
+        false
+    });
+    back
+}
+
+/// Hold the byte order, its complement, `starts_with` and the read-back
+/// to their value versions on every pair of `keys`.
 fn agree(keys: &[Vec<Value>]) -> Result<(), TestCaseError> {
-    let records: Vec<Vec<u8>> = keys.iter().map(|k| record(k)).collect();
-    for (a, ra) in keys.iter().zip(&records) {
-        let ka = KeyRef::new(ra).unwrap();
-        for (b, rb) in keys.iter().zip(&records) {
-            let kb = KeyRef::new(rb).unwrap();
-            let (bytes, values) = (ka.order(kb), value_cmp(a, b));
+    let asc: Vec<Vec<u8>> = keys.iter().map(|k| order(k, false)).collect();
+    let desc: Vec<Vec<u8>> = keys.iter().map(|k| order(k, true)).collect();
+    for (i, a) in keys.iter().enumerate() {
+        let back = filed(a);
+        prop_assert!(value_cmp(&back, a).is_eq(), "{a:?} reads back as {back:?}");
+        for (j, b) in keys.iter().enumerate() {
+            let (bytes, values) = (asc[i].cmp(&asc[j]), value_cmp(a, b));
             prop_assert!(bytes == values, "{a:?} vs {b:?}: {bytes:?}, not {values:?}");
-            prop_assert!(ka.has_prefix(kb) == has_prefix(a, b), "{a:?} under {b:?}");
+            if a.len() == b.len() {
+                let down = desc[i].cmp(&desc[j]);
+                prop_assert!(down == values.reverse(), "DESC {a:?} vs {b:?}: {down:?}");
+            }
+            let under = asc[i].starts_with(&asc[j]);
+            prop_assert!(under == has_prefix(a, b), "{a:?} under {b:?}");
         }
     }
     Ok(())
@@ -88,7 +125,7 @@ fn agree(keys: &[Vec<Value>]) -> Result<(), TestCaseError> {
 
 #[test]
 fn every_pair_of_one_and_two_cell_keys_agrees() {
-    let cells = cells();
+    let cells = [cells(), zero_cells()].concat();
     let mut keys: Vec<Vec<Value>> = cells.iter().map(|c| vec![c.clone()]).collect();
     // Two-cell keys led by the cells that tie across kinds.
     for lead in [Value::Int(1), Value::Double(1.0), Value::Double(-0.0)] {
@@ -99,16 +136,56 @@ fn every_pair_of_one_and_two_cell_keys_agrees() {
     agree(&keys).unwrap();
 }
 
+/// Every `Range` tail over the edge cells (either end open) and every
+/// `Prefix` tail over their non-empty texts, under runs of zero to two
+/// cells: the walk's byte bound admits a key under the run exactly when
+/// `Tail::admits` admits its next cell, no key under another run, and
+/// the walk seeks to the first key not below the tail's lower bound.
 #[test]
-fn a_key_view_is_a_whole_record() {
-    let mut rec = record(&[Value::Int(7), Value::Str("seven".into())]);
-    assert!(KeyRef::new(&rec).is_ok());
-    assert!(KeyRef::new(&rec[..rec.len() - 1]).is_err(), "cut short");
-    rec.push(0);
-    assert!(KeyRef::new(&rec).is_err(), "trailing bytes");
-    rec.pop();
-    rec[4] = 0xEE;
-    assert!(KeyRef::new(&rec).is_err(), "no tag");
+fn index_walk_bounds_admit_what_the_tail_admits() {
+    let cells = [cells(), zero_cells()].concat();
+    let ends = (cells.iter().step_by(3).cloned().map(Some)).chain([None]);
+    let ends: Vec<Option<Value>> = ends.collect();
+    let mut tails = Vec::new();
+    for lo in &ends {
+        for hi in ends.iter().step_by(2) {
+            let (lo, hi) = (lo.clone(), hi.clone());
+            tails.push(Tail::Range { lo, hi });
+        }
+    }
+    let texts = cells.iter().filter_map(|c| match c {
+        Value::Str(s) if !s.is_empty() => Some(Tail::Prefix(s.clone())),
+        _ => None,
+    });
+    tails.extend(texts);
+    tails.push(Tail::All);
+    let runs = [
+        vec![],
+        vec![Value::Int(1)],
+        vec![Value::Str("a".into()), Value::Double(-0.0)],
+    ];
+    for run in &runs {
+        for tail in &tails {
+            let range = tail.key_range(run);
+            let below = |c: &Value| {
+                tail.lower_bound()
+                    .is_some_and(|lo| c.total_cmp(&lo).is_lt())
+            };
+            for c in &cells {
+                let key = order(&[&run[..], std::slice::from_ref(c)].concat(), false);
+                let admits = range.admits(&key);
+                assert_eq!(admits, tail.admits(c), "{tail:?} under {run:?}: {c:?}");
+                assert_eq!(range.lo <= key, !below(c), "{tail:?} seeks past {c:?}");
+                for other in &runs {
+                    let key = [&other[..], std::slice::from_ref(c)].concat();
+                    if !has_prefix(&key, run) {
+                        let admits = range.admits(&order(&key, false));
+                        assert!(!admits, "{tail:?} under {run:?}: {key:?}");
+                    }
+                }
+            }
+        }
+    }
 }
 
 proptest! {
@@ -117,7 +194,7 @@ proptest! {
     #[test]
     fn byte_order_and_prefixes_are_the_value_versions(seed in any::<u64>()) {
         let mut rng = StdRng::seed_from_u64(seed);
-        let cells = cells();
+        let cells = [cells(), zero_cells()].concat();
         let mut keys: Vec<Vec<Value>> = (0..24)
             .map(|_| {
                 (0..rng.gen_range(1..4))

@@ -20,9 +20,9 @@
 //!
 //! One test only: the counters are process-wide.
 
-use easia_db::index::btree::{BPlusTree, KeyRef};
+use easia_db::index::btree::BPlusTree;
 use easia_db::storage::RowId;
-use easia_db::value::encode_row;
+use easia_db::value::order_key;
 use easia_db::{Database, Value};
 
 #[path = "../../../tests/support/counting_alloc.rs"]
@@ -200,9 +200,9 @@ fn open_holds_key_runs_not_rows_and_checkpoint_allocates_per_page() {
     let _ = std::fs::remove_dir_all(&dir);
 
     // ---- a shared key: one more row is filed in place ----
-    let mut record = Vec::new();
-    encode_row(&[Value::Str("velocity".into())], &mut record);
-    let key = KeyRef::new(&record).unwrap();
+    let mut key = Vec::new();
+    order_key(&Value::Str("velocity".into()), false, &mut key);
+    let key = &key[..];
     let mut tree = BPlusTree::new();
     let ((), counts) = counted(|| (0..ROWS as u64).for_each(|i| tree.insert_key(key, RowId(i))));
     println!("shared key: {} allocations for {ROWS} rows", counts.allocs);
