@@ -498,8 +498,8 @@ impl Archive {
     }
 
     /// [`Archive::snapshot_read`] for a result screen: its columns, and
-    /// its rows lent into one record arena ([`Records::push_lent`]; a
-    /// stored row's record is copied byte for byte), not a row apiece.
+    /// its rows' records lent into one arena ([`Records::push_bytes`]; a
+    /// stored row's cells are copied byte for byte), not a row apiece.
     pub fn snapshot_records(
         &mut self,
         sql: &str,
@@ -507,7 +507,7 @@ impl Archive {
     ) -> Result<(Vec<String>, Records), DbError> {
         let mut rows = Records::default();
         let columns = self.in_snapshot(|db, snap| {
-            db.snapshot_query_each(snap, sql, params, |row| rows.push_lent(row))
+            db.snapshot_query_each(snap, sql, params, |row| rows.push_bytes(row))
         })?;
         Ok((columns, rows))
     }

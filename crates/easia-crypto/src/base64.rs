@@ -4,35 +4,54 @@
 //! `http://host/filesystem/directory/access_token;filename`, so the
 //! alphabet must be URL-safe and free of `=` padding.
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::indexing_slicing,
+        clippy::expect_used,
+        clippy::unwrap_used,
+        clippy::panic,
+        clippy::unreachable
+    )
+)]
+
 const ALPHABET: &[u8; 64] = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789-_";
 
 /// Encode `data` as unpadded URL-safe base64.
 pub fn encode_url(data: &[u8]) -> String {
     let mut out = String::with_capacity(data.len().div_ceil(3) * 4);
-    let mut chunks = data.chunks_exact(3);
-    for c in &mut chunks {
-        let n = (u32::from(c[0]) << 16) | (u32::from(c[1]) << 8) | u32::from(c[2]);
-        out.push(ALPHABET[(n >> 18) as usize & 63] as char);
-        out.push(ALPHABET[(n >> 12) as usize & 63] as char);
-        out.push(ALPHABET[(n >> 6) as usize & 63] as char);
-        out.push(ALPHABET[n as usize & 63] as char);
+    let (triples, rest) = data.as_chunks::<3>();
+    for &[a, b, c] in triples {
+        let n = (u32::from(a) << 16) | (u32::from(b) << 8) | u32::from(c);
+        for shift in [18, 12, 6, 0] {
+            out.push(symbol(n >> shift));
+        }
     }
-    match chunks.remainder() {
-        [] => {}
+    match *rest {
         [a] => {
-            let n = u32::from(*a) << 16;
-            out.push(ALPHABET[(n >> 18) as usize & 63] as char);
-            out.push(ALPHABET[(n >> 12) as usize & 63] as char);
+            let n = u32::from(a) << 16;
+            out.push(symbol(n >> 18));
+            out.push(symbol(n >> 12));
         }
         [a, b] => {
-            let n = (u32::from(*a) << 16) | (u32::from(*b) << 8);
-            out.push(ALPHABET[(n >> 18) as usize & 63] as char);
-            out.push(ALPHABET[(n >> 12) as usize & 63] as char);
-            out.push(ALPHABET[(n >> 6) as usize & 63] as char);
+            let n = (u32::from(a) << 16) | (u32::from(b) << 8);
+            out.push(symbol(n >> 18));
+            out.push(symbol(n >> 12));
+            out.push(symbol(n >> 6));
         }
-        _ => unreachable!("chunks_exact(3) remainder is at most 2 bytes"),
+        // `as_chunks` leaves at most two bytes.
+        _ => {}
     }
     out
+}
+
+/// The symbol of the low six bits of `n`.
+#[allow(
+    clippy::indexing_slicing,
+    reason = "six bits index the 64 symbols of `ALPHABET`"
+)]
+fn symbol(n: u32) -> char {
+    char::from(ALPHABET[(n & 63) as usize])
 }
 
 fn decode_char(c: u8) -> Option<u8> {
@@ -54,41 +73,21 @@ pub fn decode_url(s: &str) -> Option<Vec<u8>> {
         return None;
     }
     let mut out = Vec::with_capacity(bytes.len() * 3 / 4);
-    let mut iter = bytes.chunks(4);
-    for group in &mut iter {
-        let mut vals = [0u8; 4];
+    for group in bytes.chunks(4) {
+        // The group's six-bit values, high first, as 24 bits; its `n`
+        // symbols (2 to 4: a length of 1 mod 4 was refused) carry `n - 1`
+        // bytes.
+        let mut n = 0u32;
         for (i, &c) in group.iter().enumerate() {
-            vals[i] = decode_char(c)?;
+            n |= u32::from(decode_char(c)?) << (18 - 6 * i);
         }
-        match group.len() {
-            4 => {
-                let n = (u32::from(vals[0]) << 18)
-                    | (u32::from(vals[1]) << 12)
-                    | (u32::from(vals[2]) << 6)
-                    | u32::from(vals[3]);
-                out.push((n >> 16) as u8);
-                out.push((n >> 8) as u8);
-                out.push(n as u8);
-            }
-            3 => {
-                let n = (u32::from(vals[0]) << 18)
-                    | (u32::from(vals[1]) << 12)
-                    | (u32::from(vals[2]) << 6);
-                out.push((n >> 16) as u8);
-                out.push((n >> 8) as u8);
-                // Reject non-canonical encodings with dangling bits set.
-                if n & 0xff != 0 {
-                    return None;
-                }
-            }
-            2 => {
-                let n = (u32::from(vals[0]) << 18) | (u32::from(vals[1]) << 12);
-                out.push((n >> 16) as u8);
-                if n & 0xffff != 0 {
-                    return None;
-                }
-            }
-            _ => return None,
+        let carried = group.len() - 1;
+        for shift in [16, 8, 0].into_iter().take(carried) {
+            out.push((n >> shift) as u8);
+        }
+        // Reject non-canonical encodings with dangling bits set.
+        if n & (0xFF_FFFF >> (8 * carried)) != 0 {
+            return None;
         }
     }
     Some(out)

@@ -19,6 +19,17 @@
 //! token for one file cannot be replayed against another, and expiry cannot
 //! be extended by the client.
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::indexing_slicing,
+        clippy::expect_used,
+        clippy::unwrap_used,
+        clippy::panic,
+        clippy::unreachable
+    )
+)]
+
 use crate::base64::{decode_url, encode_url};
 use crate::hmac::{ct_eq, hmac_sha256};
 
@@ -201,22 +212,19 @@ fn encode_payload(scope: TokenScope, host: &str, path: &str, expires_at: u64) ->
 }
 
 fn decode_payload(p: &[u8]) -> Option<AccessToken> {
-    if p.len() < 12 || p[0] != VERSION {
+    let (&version, rest) = p.split_first()?;
+    let (&scope, rest) = rest.split_first()?;
+    let (expires_at, rest) = rest.split_first_chunk::<8>()?;
+    let (host_len, rest) = rest.split_first_chunk::<2>()?;
+    if version != VERSION {
         return None;
     }
-    let scope = TokenScope::from_byte(p[1])?;
-    let expires_at = u64::from_be_bytes(p[2..10].try_into().ok()?);
-    let host_len = u16::from_be_bytes([p[10], p[11]]) as usize;
-    if p.len() < 12 + host_len {
-        return None;
-    }
-    let host = std::str::from_utf8(&p[12..12 + host_len]).ok()?.to_string();
-    let path = std::str::from_utf8(&p[12 + host_len..]).ok()?.to_string();
+    let (host, path) = rest.split_at_checked(usize::from(u16::from_be_bytes(*host_len)))?;
     Some(AccessToken {
-        scope,
-        host,
-        path,
-        expires_at,
+        scope: TokenScope::from_byte(scope)?,
+        host: std::str::from_utf8(host).ok()?.to_string(),
+        path: std::str::from_utf8(path).ok()?.to_string(),
+        expires_at: u64::from_be_bytes(*expires_at),
     })
 }
 

@@ -17,7 +17,7 @@ use crate::sql::parse;
 use crate::storage::snapshot::{self, fill_indexes, Entry};
 use crate::storage::{HeapTable, RowId, PAGE_SIZE};
 use crate::txn::{seal_batch, Wal, WalCorruption, WalRecord, WAL_FILE};
-use crate::value::{Lent, Value};
+use crate::value::Value;
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::rc::Rc;
@@ -510,37 +510,37 @@ impl Database {
     }
 
     /// Run a SELECT with positional `?` parameters, lending each result
-    /// row to `each` as [`exec::run_select_each`] does, instead of
-    /// collecting a result set.
+    /// row's record to `each` as [`exec::run_select_each`] does, instead
+    /// of collecting a result set.
     pub fn execute_each(
         &self,
         sql: &str,
         params: &[Value],
-        mut each: impl FnMut(Lent),
+        mut each: impl FnMut(&[u8]),
     ) -> Result<()> {
         let refused = || DbError::Eval("execute_each runs a SELECT".into());
-        self.select_at(self.read_view(), sql, params, Some(&mut each), refused)
+        self.select_at(self.read_view(), sql, params, &mut each, refused)
             .map(drop)
     }
 
     /// The one body of every read by SQL text: parse it, book one
-    /// SELECT, and run it at `view`, its rows lent to `each` or kept in
-    /// the result set. Any other statement is `refused`.
-    fn select_at<'a>(
-        &'a self,
+    /// SELECT, and run it at `view`, its rows' records lent to `each`.
+    /// Returns the result's columns. Any other statement is `refused`.
+    fn select_at(
+        &self,
         view: ReadView,
         sql: &str,
         params: &[Value],
-        each: Option<&'a mut dyn FnMut(Lent)>,
+        each: &mut dyn FnMut(&[u8]),
         refused: fn() -> DbError,
-    ) -> Result<ResultSet> {
+    ) -> Result<Vec<String>> {
         let Stmt::Select(sel) = parse(sql)? else {
             return Err(refused());
         };
         if let Some(m) = &self.metrics {
             m.statement(crate::obs::StmtKind::Select);
         }
-        exec::select(self, &view, &sel, params, &[], each)
+        exec::run_select_each(self, &view, &sel, params, &[], each)
     }
 
     /// Execute `stmt` in `txn`, or outside any transaction when `None`.
@@ -790,21 +790,22 @@ impl Database {
         sql: &str,
         params: &[Value],
     ) -> Result<ResultSet> {
-        self.select_at(self.reader_view(snap)?, sql, params, None, read_only)
+        let view = self.reader_view(snap)?;
+        exec::result_set(|each| self.select_at(view, sql, params, each, read_only))
     }
 
-    /// [`Database::snapshot_query`], lending each result row to `each` as
-    /// [`Database::execute_each`] does instead of collecting a result
-    /// set. Returns the result's columns.
+    /// [`Database::snapshot_query`], lending each result row's record to
+    /// `each` as [`Database::execute_each`] does instead of collecting a
+    /// result set. Returns the result's columns.
     pub fn snapshot_query_each(
         &self,
         snap: SnapshotId,
         sql: &str,
         params: &[Value],
-        mut each: impl FnMut(Lent),
+        mut each: impl FnMut(&[u8]),
     ) -> Result<Vec<String>> {
         let view = self.reader_view(snap)?;
-        (self.select_at(view, sql, params, Some(&mut each), read_only)).map(|rs| rs.columns)
+        self.select_at(view, sql, params, &mut each, read_only)
     }
 
     /// Begin a transaction with a snapshot-isolation read view pinned

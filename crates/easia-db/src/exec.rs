@@ -9,9 +9,11 @@
 //! only if the row passes, the other cells the statement evaluates; every
 //! row that passes the WHERE — off the scan itself, with its record, or
 //! off the last JOIN leg — is lent to one `Sink`, which folds it into its
-//! group or projects it (a scan's cells copied out of the record as
-//! bytes), and keeps only what DISTINCT, ORDER BY and LIMIT can still
-//! return.
+//! group or projects it. Every output row is an [`encode_row`] record (a
+//! scan's cells copied out of the record it was read from as bytes), and
+//! DISTINCT, ORDER BY and LIMIT keep only the records they can still
+//! return; each is lent to the statement's reader as `&[u8]`. A result
+//! set is those records decoded ([`run_select_over`]).
 
 use crate::db::{Database, ResultSet, Table};
 use crate::error::{DbError, Result};
@@ -25,10 +27,9 @@ use crate::schema::{DatalinkSpec, TableSchema};
 use crate::sql::ast::{is_aggregate_fn, BinaryOp, Expr, JoinKind, SelectItem, SelectStmt};
 use crate::storage::RowId;
 use crate::value::{
-    assign, cell_at, cell_spans, cells, decode_row, decode_some_into, encode_key_cell, encode_row,
-    key_cells, order_key, order_key_cell, Lent, Records, Value,
+    cell_at, cell_spans, cells, decode_row, decode_some_into, encode_key_cell, encode_row,
+    key_cells, order_key, order_key_cell, Records, Value,
 };
-use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
 use std::ops::Range;
 
@@ -359,7 +360,8 @@ impl<'a> BoundSelect<'a> {
 }
 
 /// Execute a SELECT against a read view plus in-memory `relations`
-/// (see [`Relation`] for how names resolve).
+/// (see [`Relation`] for how names resolve): [`run_select_each`], each
+/// lent record decoded into the result set (`result_set`).
 ///
 /// A name that does not resolve is the statement's error before any row
 /// is read ([`BoundSelect`]). Errors rows raise keep the phase order of
@@ -375,37 +377,47 @@ pub fn run_select_over(
     params: &[Value],
     relations: &[Relation],
 ) -> Result<ResultSet> {
-    select(db, view, sel, params, relations, None)
+    result_set(|each| run_select_each(db, view, sel, params, relations, each))
 }
 
-/// [`run_select_over`], lending each result row to `each` instead of
-/// keeping it: as the row passes when nothing orders the rows, at the
-/// end under ORDER BY or an aggregate. Returns the result's columns. A
+/// The result set of the rows `run` lends, each record decoded, under
+/// the columns it returns: the one place result rows become values. A
+/// record that does not decode is the result's error, after any `run`
+/// raises itself.
+pub(crate) fn result_set(
+    run: impl FnOnce(&mut dyn FnMut(&[u8])) -> Result<Vec<String>>,
+) -> Result<ResultSet> {
+    let (mut rows, mut bad) = (Vec::new(), None);
+    let columns = run(&mut |record| match decode_row(record, &mut 0) {
+        Ok(row) => rows.push(row),
+        Err(e) => _ = bad.get_or_insert(e),
+    })?;
+    match bad {
+        Some(e) => Err(e),
+        None => Ok(ResultSet {
+            columns,
+            rows,
+            affected: 0,
+        }),
+    }
+}
+
+/// A reader each result row's record is lent to.
+type Lend<'a> = &'a mut dyn FnMut(&[u8]);
+
+/// Run a SELECT, lending each result row's [`encode_row`] record to
+/// `each`: as the row passes when nothing orders the rows, at the end
+/// under ORDER BY or an aggregate. Returns the result's columns. A
 /// statement that fails may have lent rows before its error was known;
 /// they are not its answer.
-pub fn run_select_each(
-    db: &Database,
-    view: &ReadView,
-    sel: &SelectStmt,
-    params: &[Value],
-    relations: &[Relation],
-    each: &mut dyn FnMut(Lent),
-) -> Result<Vec<String>> {
-    select(db, view, sel, params, relations, Some(each)).map(|rs| rs.columns)
-}
-
-/// A reader each result row is lent to.
-type Lend<'a> = &'a mut dyn FnMut(Lent);
-
-/// A SELECT whose rows are lent to `lend`, or kept in the result set.
-pub(crate) fn select<'a>(
+pub fn run_select_each<'a>(
     db: &'a Database,
     view: &ReadView,
     sel: &SelectStmt,
     params: &[Value],
     relations: &'a [Relation],
-    lend: Option<Lend<'a>>,
-) -> Result<ResultSet> {
+    each: &'a mut dyn FnMut(&[u8]),
+) -> Result<Vec<String>> {
     // Table-less SELECT: evaluate items against an empty row.
     let Some(from) = &sel.from else {
         let (mut columns, mut items) = (Vec::new(), Vec::new());
@@ -418,18 +430,10 @@ pub(crate) fn select<'a>(
         }
         let ctx = EvalContext::new(&[], params);
         let row: Vec<Value> = items.iter().map(|e| ctx.eval(e)).collect::<Result<_>>()?;
-        let rows = match lend {
-            Some(each) => {
-                each(Lent::Cells(&row));
-                Vec::new()
-            }
-            None => vec![row],
-        };
-        return Ok(ResultSet {
-            columns,
-            rows,
-            affected: 0,
-        });
+        let mut record = Vec::new();
+        encode_row(&row, &mut record);
+        each(&record);
+        return Ok(columns);
     };
 
     // ---- bind: the legs, then the statement over them ----
@@ -454,7 +458,7 @@ pub(crate) fn select<'a>(
         mut sink,
         ..
     } = BoundSelect::bind(db.functions(), sel, &columns, &specs)?;
-    sink.output.reader = lend;
+    sink.output.reader = Some(each);
     let base_width = columns[0].len();
 
     // ---- plan: each leg's probe, the base table's path ----
@@ -822,20 +826,18 @@ pub fn derive_name(expr: &Expr) -> String {
 }
 
 /// Where a SELECT's rows go once they pass its WHERE, each lent as it
-/// arrives: projected and offered to the [`Output`], or folded into its
-/// group, whose rows reach the output once every group is complete. A
-/// row lent with the record it was read from is projected into a record
-/// the output opens: each cell it passes through is copied as its bytes,
-/// and only an expression item or a DATALINK rendering is encoded from a
-/// value. A joined row, which has no one record, is projected as values.
-/// The first error it meets is held and it takes no row after it — the
-/// scan still owes the WHERE and decoder errors of later rows, which win.
+/// arrives: projected into a record the [`Output`] opens and offered to
+/// it, or folded into its group, whose rows reach the output once every
+/// group is complete. A row lent with the record it was read from has
+/// each cell it passes through copied as its bytes; a joined row, which
+/// has no one record, has each written from its value, as is every
+/// expression item and DATALINK rendering. The first error it meets is
+/// held and it takes no row after it — the scan still owes the WHERE and
+/// decoder errors of later rows, which win.
 struct Sink<'a> {
     held: Option<DbError>,
     shape: Shape<'a>,
     output: Output<'a>,
-    /// The projected row, refilled for each row unless the output keeps it.
-    row: Vec<Value>,
     /// Where each cell of the record in hand lies ([`cell_spans`]).
     spans: Vec<Range<usize>>,
     /// A DATALINK cell copied is a CLOB ([`Relation::links_as_clob`]).
@@ -887,7 +889,6 @@ impl<'a> Sink<'a> {
             held: None,
             shape,
             output,
-            row: Vec::new(),
             spans: Vec::new(),
             links_as_clob: false,
         })
@@ -936,53 +937,38 @@ impl<'a> Sink<'a> {
         if self.held.is_some() {
             return;
         }
-        let taken = match (&mut self.shape, record) {
-            (Shape::Rows(outs), Some(record)) => {
-                cell_spans(record, &mut self.spans);
+        let taken = match &mut self.shape {
+            Shape::Rows(outs) => {
+                if let Some(record) = record {
+                    cell_spans(record, &mut self.spans);
+                }
                 let out = self.output.open(outs.len());
-                let copied = outs.iter().try_for_each(|o| {
-                    match o {
-                        Out::Slot(i, None) => {
+                let projected = outs.iter().try_for_each(|o| {
+                    match (o, record) {
+                        (Out::Slot(i, None), Some(record)) => {
                             out.push_span(&record[self.spans[*i].clone()], self.links_as_clob)
                         }
-                        Out::Slot(i, Some(spec)) => match &ctx.row[*i] {
-                            Value::Datalink(url) => {
+                        (Out::Slot(i, spec), _) => match (&ctx.row[*i], spec) {
+                            (Value::Datalink(url), Some(spec)) => {
                                 out.push_cell(&Value::Datalink(db.render_datalink(spec, url)))
                             }
-                            v => out.push_cell(v),
+                            (v, _) => out.push_cell(v),
                         },
-                        Out::Expr(e) => out.push_cell(&*ctx.eval_cow(e)?),
+                        (Out::Expr(e), _) => out.push_cell(&*ctx.eval_cow(e)?),
                     }
                     Ok(())
                 });
-                let input = Some((record, &self.spans[..]));
-                copied.map(|()| self.output.offer_record(ctx, input))
+                let input = record.map(|record| (record, &self.spans[..]));
+                projected.map(|()| self.output.offer_record(ctx, input))
             }
-            (Shape::Rows(outs), None) => {
-                let row = &mut self.row;
-                row.reserve_exact(outs.len() - row.len());
-                let projected = outs.iter().enumerate().try_for_each(|(at, out)| {
-                    let v = match out {
-                        Out::Slot(i, spec) => match (&ctx.row[*i], spec) {
-                            (Value::Datalink(url), Some(spec)) => {
-                                Cow::Owned(Value::Datalink(db.render_datalink(spec, url)))
-                            }
-                            (v, _) => Cow::Borrowed(v),
-                        },
-                        Out::Expr(e) => ctx.eval_cow(e)?,
-                    };
-                    refill(row, at, v);
-                    Ok(())
-                });
-                projected.map(|()| self.output.offer(row, ctx))
-            }
-            (Shape::Groups(g), _) => g.fold(ctx),
+            Shape::Groups(g) => g.fold(ctx),
         };
         self.held = taken.err();
     }
 
-    /// The result, the rows it took being `width` slots wide.
-    fn finish(self, db: &Database, width: usize, params: &[Value]) -> Result<ResultSet> {
+    /// Lend the rows the output still holds, the rows it took being
+    /// `width` slots wide; returns the result's columns.
+    fn finish(self, db: &Database, width: usize, params: &[Value]) -> Result<Vec<String>> {
         if let Some(e) = self.held {
             return Err(e);
         }
@@ -1037,16 +1023,6 @@ fn project<'a>(
         }
     }
     Ok((columns, outs))
-}
-
-/// Set cell `at` of a scratch row (its next cell, if it is that short)
-/// to `v`, refilling the buffer the cell owns ([`assign`]).
-fn refill(row: &mut Vec<Value>, at: usize, v: Cow<Value>) {
-    match (row.get_mut(at), v) {
-        (Some(cell), Cow::Borrowed(v)) => assign(cell, v),
-        (Some(cell), Cow::Owned(v)) => *cell = v,
-        (None, v) => row.push(v.into_owned()),
-    }
 }
 
 /// An aggregate SELECT: group keys and aggregate arguments evaluate on
@@ -1141,14 +1117,15 @@ impl Grouping {
         Ok(())
     }
 
-    /// The result, the rows folded being `width` slots wide.
+    /// Lend the groups' rows, the rows folded being `width` slots wide;
+    /// returns the result's columns.
     fn finish(
         mut self,
         output: Output<'_>,
         db: &Database,
         width: usize,
         params: &[Value],
-    ) -> Result<ResultSet> {
+    ) -> Result<Vec<String>> {
         // A global aggregate over zero rows still yields one group.
         if self.groups.is_empty() && self.keys.is_empty() {
             let states = self.calls.iter().map(|_| AggState::default()).collect();
@@ -1229,14 +1206,17 @@ impl Finish {
         }
     }
 
+    /// Offer each group's row that passes HAVING to `output`, its select
+    /// items written into the record the output opens; returns the
+    /// result's columns.
     fn run(
         self,
         mut output: Output<'_>,
         db: &Database,
         groups: Vec<(Vec<Value>, Vec<Value>)>,
         params: &[Value],
-    ) -> Result<ResultSet> {
-        let (mut kept, mut row) = (0, Vec::new());
+    ) -> Result<Vec<String>> {
+        let mut kept = 0;
         for (rep, aggs) in groups {
             // One evaluator for HAVING and the select list: an aggregate
             // call anywhere inside them reads the group's finished value.
@@ -1249,12 +1229,12 @@ impl Finish {
                     continue;
                 }
             }
-            row.reserve_exact(self.items.len() - row.len());
-            for (at, e) in self.items.iter().enumerate() {
-                refill(&mut row, at, ctx.eval_cow(e)?);
+            let out = output.open(self.items.len());
+            for e in &self.items {
+                out.push_cell(&*ctx.eval_cow(e)?);
             }
             kept += 1;
-            output.offer(&mut row, &ctx);
+            output.offer_record(&ctx, None);
         }
         if let Some(m) = db.metrics() {
             m.stage_aggregate.observe(kept as f64);
@@ -1277,30 +1257,33 @@ pub fn finish_groups(
     groups: Vec<(Vec<Value>, Vec<Value>)>,
     params: &[Value],
 ) -> Result<ResultSet> {
-    let (finish, output) = Finish::bind(db.functions(), sel, schema, &aggregates(sel))?;
-    finish.run(output, db, groups, params)
+    result_set(|each| {
+        let (finish, mut output) = Finish::bind(db.functions(), sel, schema, &aggregates(sel))?;
+        output.reader = Some(each);
+        finish.run(output, db, groups, params)
+    })
 }
 
 /// DISTINCT, ORDER BY and LIMIT over output rows as they arrive, each
-/// offered as values or as a record opened in `kept` and filled by the
-/// caller. Without ORDER BY only the first LIMIT rows are kept, and
-/// `kept` holds just the record being offered. With it, `kept` is one
-/// arena of the output records and `keys` a parallel one of each row's
-/// order key: its sort keys' cells one after another
-/// ([`order_key_cell`]), each taken from the output record (a bare name
-/// that is an output alias, or a column the output passes through as it
-/// is), from the record the row was read from (a column the output drops;
-/// from the row itself when it has no record), or from the value of an
-/// expression over the row (and group). The rows are sorted by their
-/// keys' bytes, ties by arrival. Under a LIMIT of n the records are cut
-/// back to the n least whenever 2n have gathered. A key's error is held,
-/// since a select item raising on a later row wins over it. The rows are
-/// kept for the result set or lent to a reader: as they arrive when
-/// nothing orders them, else once the last is in — each sorted record
-/// lent as it is, and decoded only into a result set.
+/// a record [`Output::open`] begins in `kept` and the caller fills, then
+/// offered ([`Output::offer_record`]). DISTINCT keys a record by its
+/// cells ([`key_cells`]). Without ORDER BY each row is lent to the
+/// reader as it arrives, while the LIMIT allows, and `kept` holds just
+/// the record being offered. With it, `kept` is one arena of the output
+/// records and `keys` a parallel one of each row's order key: its sort
+/// keys' cells one after another ([`order_key_cell`]), each taken from
+/// the output record (a bare name that is an output alias, or a column
+/// the output passes through as it is), from the record the row was
+/// read from (a column the output drops; from the row itself when it
+/// has no record), or from the value of an expression over the row (and
+/// group). The rows are sorted by their keys' bytes, ties by arrival.
+/// Under a LIMIT of n the records are cut back to the n least whenever
+/// 2n have gathered. A key's error is held, since a select item raising
+/// on a later row wins over it. Once the last row is in, each sorted
+/// record is lent as it is.
 #[derive(Default)]
 struct Output<'a> {
-    /// The reader the rows are lent to; `None` keeps them.
+    /// The reader the rows are lent to, set before any row is offered.
     reader: Option<Lend<'a>>,
     /// Rows lent as they arrived.
     lent: usize,
@@ -1309,8 +1292,6 @@ struct Output<'a> {
     /// Each sort key and whether it ascends.
     order: Vec<(SortKey, bool)>,
     limit: usize,
-    /// Rows kept as they arrived, nothing ordering them.
-    rows: Vec<Vec<Value>>,
     /// The output records, and each one's order key; a cut copies those
     /// it keeps into `spare`.
     kept: Records,
@@ -1393,34 +1374,10 @@ impl Output<'_> {
         &mut self.kept
     }
 
-    /// Offer one output row as values, lent, taken or encoded; `ctx` is
-    /// the row (and group) it came from.
-    fn offer(&mut self, row: &mut Vec<Value>, ctx: &EvalContext) {
-        if !self.order.is_empty() {
-            let out = self.open(row.len());
-            row.iter().for_each(|v| out.push_cell(v));
-            return self.offer_record(ctx, None);
-        }
-        if let Some(seen) = &mut self.distinct {
-            self.key.clear();
-            for v in row.iter() {
-                encode_key_cell(v, &mut self.key);
-            }
-            if !first_seen(seen, &self.key) {
-                return;
-            }
-        }
-        match self.reader {
-            Some(_) => self.lend(Lent::Cells(row)),
-            None if self.rows.len() < self.limit => self.rows.push(std::mem::take(row)),
-            None => {}
-        }
-    }
-
     /// Offer the output row whose record [`Output::open`] began and the
-    /// caller filled: lent or decoded as it arrives, nothing ordering
-    /// the rows, else kept with its order key. `input` is the record the
-    /// row was read from and where each of its cells lies, if it has one.
+    /// caller filled: lent as it arrives, nothing ordering the rows, else
+    /// kept with its order key. `input` is the record the row was read
+    /// from and where each of its cells lies, if it has one.
     fn offer_record(&mut self, ctx: &EvalContext, input: Option<(&[u8], &[Range<usize>])>) {
         self.kept.seal();
         let at = self.kept.len() - 1;
@@ -1432,17 +1389,9 @@ impl Output<'_> {
             }
         }
         if self.order.is_empty() {
-            let record = self.kept.get(at);
-            match &mut self.reader {
-                Some(each) if self.lent < self.limit => {
-                    each(Lent::Record(record));
-                    self.lent += 1;
-                }
-                None if self.rows.len() < self.limit => match decode_row(record, &mut 0) {
-                    Ok(row) => self.rows.push(row),
-                    Err(e) => _ = self.late.get_or_insert(e),
-                },
-                _ => {}
+            if let (Some(each), true) = (&mut self.reader, self.lent < self.limit) {
+                each(self.kept.get(at));
+                self.lent += 1;
             }
             return;
         }
@@ -1478,15 +1427,6 @@ impl Output<'_> {
         }
     }
 
-    /// Lend one row as it arrives, nothing ordering the rows, while the
-    /// LIMIT allows.
-    fn lend(&mut self, row: Lent) {
-        if let (Some(each), true) = (&mut self.reader, self.lent < self.limit) {
-            each(row);
-            self.lent += 1;
-        }
-    }
-
     /// Sort the records by their order keys — stably, so ties stay in
     /// arrival order — and keep the first LIMIT, copied with their keys
     /// into fresh arenas in that order.
@@ -1509,7 +1449,8 @@ impl Output<'_> {
         self.sorted = sorted;
     }
 
-    fn finish(mut self, db: &Database) -> Result<ResultSet> {
+    /// Lend each sorted record as it is; returns the result's columns.
+    fn finish(mut self, db: &Database) -> Result<Vec<String>> {
         if let Some(e) = self.late {
             return Err(e);
         }
@@ -1520,22 +1461,14 @@ impl Output<'_> {
             }
         }
         if let Some(m) = db.metrics() {
-            let returned = self.lent + self.rows.len() + self.sorted.len();
-            m.rows_returned.add(returned as f64);
+            m.rows_returned.add((self.lent + self.sorted.len()) as f64);
         }
-        // Each sorted record lent as it is, or decoded once.
-        for &at in &self.sorted {
-            let record = self.kept.get(at as usize);
-            match &mut self.reader {
-                Some(each) => each(Lent::Record(record)),
-                None => self.rows.push(decode_row(record, &mut 0)?),
+        if let Some(each) = &mut self.reader {
+            for &at in &self.sorted {
+                each(self.kept.get(at as usize));
             }
         }
-        Ok(ResultSet {
-            columns: self.columns,
-            rows: self.rows,
-            affected: 0,
-        })
+        Ok(self.columns)
     }
 }
 

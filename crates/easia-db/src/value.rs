@@ -309,13 +309,15 @@ pub(crate) fn encode_cells<'v>(cells: impl ExactSizeIterator<Item = &'v Value>, 
     cells.for_each(|v| encode_cell(v, out));
 }
 
-/// Append `v` to a group key — the one encoder GROUP BY, DISTINCT and
-/// the federation's partial-aggregate merge key their groups by. It is
-/// [`encode_row`]'s cell encoding with doubles made canonical: `-0.0`
-/// files as `0.0` and every NaN as one NaN, so doubles that
-/// [`Value::total_cmp`] calls equal share a group, which shows the value
-/// it was first seen with. Cells of different kinds (`1` and `1.0`, a
-/// string and a CLOB) stay apart, as they always have.
+/// Append `v` to a group key — the one encoder GROUP BY and the
+/// federation's partial-aggregate merge key their groups by (DISTINCT
+/// keys its output records with `key_cells`, which writes these bytes
+/// without decoding a cell). It is [`encode_row`]'s cell encoding with
+/// doubles made canonical: `-0.0` files as `0.0` and every NaN as one
+/// NaN, so doubles that [`Value::total_cmp`] calls equal share a group,
+/// which shows the value it was first seen with. Cells of different
+/// kinds (`1` and `1.0`, a string and a CLOB) stay apart, as they always
+/// have.
 pub fn encode_key_cell(v: &Value, out: &mut Vec<u8>) {
     match v {
         // Adding +0.0 turns -0.0 into 0.0 and leaves every other double.
@@ -522,15 +524,10 @@ impl Records {
         self.push_cells(row.iter());
     }
 
-    /// Append a lent row's record.
-    pub fn push_lent(&mut self, row: Lent) {
-        row.encode(&mut self.bytes);
-        self.ends.push(self.bytes.len());
-    }
-
-    /// Append `bytes` as one entry: a record, or a string of bytes that is
-    /// none (an arena of ORDER BY's order keys).
-    pub(crate) fn push_bytes(&mut self, bytes: &[u8]) {
+    /// Append `bytes` as one entry: a record (a result row lent by the
+    /// executor is one), or a string of bytes that is none (an arena of
+    /// ORDER BY's order keys).
+    pub fn push_bytes(&mut self, bytes: &[u8]) {
         self.bytes.extend_from_slice(bytes);
         self.ends.push(self.bytes.len());
     }
@@ -614,48 +611,6 @@ impl Records {
         let base = self.bytes.len();
         self.bytes.extend_from_slice(&other.bytes);
         self.ends.extend(other.ends.iter().map(|end| base + end));
-    }
-}
-
-/// A result row lent to a reader: its cells, or the record they are
-/// encoded as — a scan's rows and ORDER BY's are lent as records, their
-/// stored cells copied into them as bytes.
-#[derive(Debug, Clone, Copy)]
-pub enum Lent<'r> {
-    /// The row's cells.
-    Cells(&'r [Value]),
-    /// The row's [`encode_row`] record.
-    Record(&'r [u8]),
-}
-
-impl Lent<'_> {
-    /// Append the row's record to `out`.
-    pub fn encode(self, out: &mut Vec<u8>) {
-        match self {
-            Lent::Cells(cells) => encode_row(cells, out),
-            Lent::Record(record) => out.extend_from_slice(record),
-        }
-    }
-
-    /// The row's cells, owned.
-    pub fn to_row(self) -> Result<Vec<Value>> {
-        match self {
-            Lent::Cells(cells) => Ok(cells.to_vec()),
-            Lent::Record(record) => decode_row(record, &mut 0),
-        }
-    }
-}
-
-/// `*cell = v.clone()`, refilling the buffer `cell` owns when it holds
-/// text or bytes of `v`'s kind: a row projected again and again into one
-/// scratch row allocates only when a cell outgrows what it held before.
-pub(crate) fn assign(cell: &mut Value, v: &Value) {
-    match (cell, v) {
-        (Value::Str(s), Value::Str(v))
-        | (Value::Clob(s), Value::Clob(v))
-        | (Value::Datalink(s), Value::Datalink(v)) => s.clone_from(v),
-        (Value::Blob(b), Value::Blob(v)) => b.clone_from(v),
-        (cell, v) => *cell = v.clone(),
     }
 }
 
@@ -1168,6 +1123,54 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// DISTINCT keys an output record by its cells (`key_cells`), GROUP BY
+    /// a row by its values (`encode_key_cell`): over the cells where the
+    /// two could part — NaNs of either sign and any payload, ±0.0, `1`
+    /// beside `1.0`, one text as VARCHAR, CLOB and DATALINK, blobs, NULL —
+    /// both write the same bytes, one cell or several at a time.
+    #[test]
+    fn key_cells_of_a_record_are_the_key_of_its_values() {
+        let edges = [
+            Value::Double(f64::NAN),
+            Value::Double(-f64::NAN),
+            Value::Double(f64::from_bits(0x7FF0_0000_0000_0001)),
+            Value::Double(f64::from_bits(0xFFF8_0000_DEAD_BEEF)),
+            Value::Double(0.0),
+            Value::Double(-0.0),
+            Value::Double(1.0),
+            Value::Int(1),
+            Value::Str("t".into()),
+            Value::Clob("t".into()),
+            Value::Datalink("t".into()),
+            Value::Blob(vec![]),
+            Value::Blob(vec![0, 1]),
+            Value::Null,
+        ];
+        let key_of = |row: &[Value]| {
+            let (mut record, mut by_cells, mut by_values) = (Vec::new(), Vec::new(), Vec::new());
+            encode_row(row, &mut record);
+            key_cells(&record, &mut by_cells);
+            row.iter().for_each(|v| encode_key_cell(v, &mut by_values));
+            assert_eq!(by_cells, by_values, "{row:?}");
+            by_cells
+        };
+        key_of(&edges);
+        for a in &edges {
+            for b in &edges {
+                key_of(&[a.clone(), b.clone()]);
+            }
+        }
+        // The key's classes: every NaN is one, ±0.0 one; kinds stay apart.
+        let key = |v: Value| key_of(&[v]);
+        assert!(edges[..4]
+            .iter()
+            .all(|v| key(v.clone()) == key(edges[0].clone())));
+        assert_eq!(key(Value::Double(0.0)), key(Value::Double(-0.0)));
+        assert_ne!(key(Value::Double(1.0)), key(Value::Int(1)));
+        let texts = [&edges[8], &edges[9], &edges[10]].map(|v| key(v.clone()));
+        assert!(texts[0] != texts[1] && texts[1] != texts[2] && texts[0] != texts[2]);
     }
 
     #[test]

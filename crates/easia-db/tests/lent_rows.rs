@@ -1,28 +1,34 @@
 //! Differential property of how a SELECT's rows leave the executor.
 //!
+//! Every result row leaves as an `encode_row` record lent to a reader.
 //! A scan's rows are projected out of their records — the cells a
 //! select list passes through copied as bytes, expression items and
-//! DATALINK renderings encoded from values — and ORDER BY keeps them as
+//! DATALINK renderings encoded from values; a joined row, which has no
+//! one record, and a group's row have every cell written from its value.
+//! DISTINCT keys each record by its cells, and ORDER BY keeps the
 //! records, its expression keys in an arena beside them, and lends each
-//! sorted record as it is. Three readings of one statement must agree,
+//! sorted record as it is. Four readings of one statement must agree,
 //! rows and order or error text: `Database::execute`, which decodes the
-//! owned rows of a result set; `Database::execute_each`, its lent rows
-//! collected through `Records::push_lent` and decoded after; and the
-//! same statement over an in-memory `exec::Relation` holding the table's
-//! rows, which is read through the same scan but never sieved nor
-//! probed, and has no DATALINK spec. A fourth reading joins the table to
-//! a table of one row: a joined row has no one record, so it is
-//! projected as values, and ORDER BY encodes them — the path the copies
-//! replaced, beside them.
+//! lent records into a result set; `Database::execute_each`, its lent
+//! records collected through `Records::push_bytes` and decoded after;
+//! the same statement over an in-memory `exec::Relation` holding the
+//! table's rows, which is read through the same scan but never sieved
+//! nor probed, and has no DATALINK spec; and the statement with the
+//! table joined to a table of one row, so that a scan's row becomes a
+//! joined one, written from values instead of copied.
 //!
 //! The table holds a cell of every kind — INTEGER, DOUBLE (±0.0, NaN),
 //! VARCHAR, CLOB, BLOB, BOOLEAN, TIMESTAMP and a DATALINK with a spec,
-//! rendered on its way out — with NULLs and ties. The statements are
-//! single-table SELECTs whose select lists reorder, repeat or drop
-//! columns or mix expressions with columns; ORDER BY an output column,
-//! a dropped column or an expression, ascending or descending; LIMIT,
-//! DISTINCT, a WHERE the sieve or an index serves, and a `1/0` or an
-//! `n / (n - 3)` held as a row error in the select list or a key.
+//! rendered on its way out — with NULLs and ties. The single-table
+//! statements' select lists reorder, repeat or drop columns or mix
+//! expressions with columns; ORDER BY an output column, a dropped column
+//! or an expression, ascending or descending; LIMIT, DISTINCT, a WHERE
+//! the sieve or an index serves, and a `1/0` or an `n / (n - 3)` held as
+//! a row error in the select list or a key. Beside them: a JOIN and a
+//! LEFT JOIN to an indexed table that matches some rows several times
+//! and others never (its DOUBLEs ±0.0 and NaNs of both signs, for
+//! DISTINCT), GROUP BY with HAVING, ORDER BY and LIMIT, and a table-less
+//! SELECT.
 
 use easia_db::exec::{run_select_over, Relation};
 use easia_db::sql::ast::Stmt;
@@ -75,6 +81,31 @@ const KEYS: &[&str] = &[
     "n / (n - 3)",
 ];
 
+/// Select items of the joined table `m`.
+const M_ITEMS: &[&str] = &["m.*", "mn", "tag", "w", "w * 2 AS w2", "tag || s AS ts2"];
+
+/// ORDER BY keys of a join.
+const M_KEYS: &[&str] = &["id", "mn", "tag", "w", "s", "x", "w2", "n + mn"];
+
+/// Group keys, aggregate items, HAVINGs and ORDER BY keys of a GROUP BY.
+const GROUP_KEYS: &[&str] = &["n", "s", "x", "f", "link"];
+const AGGS: &[&str] = &[
+    "COUNT(*) AS c",
+    "COUNT(doc)",
+    "SUM(n) AS sn",
+    "MIN(s)",
+    "MAX(x) AS mx",
+    "AVG(x)",
+    "MIN(id) / (COUNT(*) - 7) AS q",
+];
+const HAVINGS: &[&str] = &[
+    "",
+    " HAVING COUNT(*) > 7",
+    " HAVING MIN(id) < 3",
+    " HAVING SUM(n) / (COUNT(*) - 8) > 0",
+];
+const GROUP_ORDERS: &[&str] = &["c", "MIN(id)", "mx", "sn", "q", "COUNT(doc)"];
+
 const WHERES: &[&str] = &[
     "",
     " WHERE n > 1",
@@ -95,6 +126,27 @@ fn fixture() -> (Database, Relation) {
         db.execute(DDL).unwrap();
         db.execute("CREATE TABLE one (u INTEGER)").unwrap();
         db.execute("INSERT INTO one VALUES (1)").unwrap();
+        // `k.n` is NULL or 0..=3: 0 and 1 meet several rows, 2 and NULL
+        // none.
+        db.execute("CREATE TABLE m (mn INTEGER, tag VARCHAR(8), w DOUBLE)")
+            .unwrap();
+        db.execute("CREATE INDEX ix_m ON m (mn)").unwrap();
+        for (mn, tag, w) in [
+            (0, "a", 0.0),
+            (0, "b", -0.0),
+            (1, "a", f64::NAN),
+            (1, "c", 1.5),
+            (1, "a", -f64::NAN),
+            (3, "d", 0.0),
+            (7, "e", 2.0),
+        ] {
+            db.execute_with_params(
+                "INSERT INTO m VALUES (?, ?, ?)",
+                &[Value::Int(mn), Value::Str(tag.into()), Value::Double(w)],
+            )
+            .unwrap();
+        }
+        db.execute("INSERT INTO m VALUES (3, NULL, NULL)").unwrap();
         for id in 0..40i64 {
             let pick = |m: i64| (id * 7 + m * 3) % 5;
             let n = match pick(1) {
@@ -162,7 +214,7 @@ fn readings_of(
     let owned = db.execute_with_params(sql, &[]).map(|rs| shown(&rs.rows));
     let mut records = Records::default();
     let lent = db
-        .execute_each(sql, &[], |row| records.push_lent(row))
+        .execute_each(sql, &[], |row| records.push_bytes(row))
         .map(|()| {
             let rows = records.iter().map(|r| decode_row(r, &mut 0).unwrap());
             shown(&rows.collect::<Vec<_>>())
@@ -212,9 +264,51 @@ fn fixed_statements_read_alike() {
         "SELECT id, 1/0 AS boom FROM k WHERE id < 0",
         "SELECT k.* FROM k WHERE x >= 0 ORDER BY x DESC, id LIMIT 4",
         "SELECT s FROM k ORDER BY s LIMIT 0",
+        "SELECT id, tag, w FROM k JOIN m ON mn = n",
+        "SELECT k.*, m.* FROM k JOIN m ON m.mn = k.n ORDER BY w DESC, id, tag",
+        "SELECT id, mn, tag FROM k LEFT JOIN m ON mn = n",
+        "SELECT id, n, w FROM k LEFT JOIN m ON mn = n WHERE w IS NULL ORDER BY id LIMIT 4",
+        "SELECT DISTINCT tag, w FROM k JOIN m ON mn = n",
+        "SELECT DISTINCT n, w FROM k LEFT JOIN m ON mn = n LIMIT 3",
+        "SELECT n, COUNT(*) AS c, MIN(s) FROM k GROUP BY n",
+        "SELECT x, COUNT(*) AS c FROM k GROUP BY x HAVING COUNT(*) > 7",
+        "SELECT s, SUM(n) AS sn FROM k GROUP BY s ORDER BY sn DESC, s LIMIT 2",
+        "SELECT f, MAX(x) FROM k GROUP BY f LIMIT 1",
+        "SELECT COUNT(*), AVG(x) FROM k WHERE id < 0",
+        "SELECT DISTINCT COUNT(*) AS c FROM k GROUP BY n",
+        "SELECT tag, COUNT(*) AS c FROM k JOIN m ON mn = n GROUP BY tag ORDER BY c, tag",
+        "SELECT n, MIN(id) / (COUNT(*) - 7) AS q FROM k GROUP BY n",
+        "SELECT 1 + 2 AS three, 'x' || 'y', 1.5",
+        "SELECT 1/0",
     ] {
         check(sql).unwrap_or_else(|e| panic!("{e}"));
     }
+}
+
+/// `sql` with an ORDER BY of `keys` (each a name of `names` and whether
+/// it ascends) then `then`, if it has keys, and the LIMIT `limit` picks.
+fn ordered(
+    mut sql: String,
+    names: &[&str],
+    keys: &[(usize, bool)],
+    then: &str,
+    limit: usize,
+) -> String {
+    if !keys.is_empty() {
+        let keys: Vec<String> = keys
+            .iter()
+            .map(|&(k, asc)| format!("{} {}", names[k], if asc { "ASC" } else { "DESC" }))
+            .collect();
+        sql.push_str(&format!(" ORDER BY {}{then}", keys.join(", ")));
+    }
+    if let Some(n) = [None, Some(0), Some(1), Some(3), Some(10)]
+        .get(limit)
+        .copied()
+        .flatten()
+    {
+        sql.push_str(&format!(" LIMIT {n}"));
+    }
+    sql
 }
 
 proptest! {
@@ -227,22 +321,56 @@ proptest! {
         distinct in any::<bool>(),
     ) {
         let list: Vec<&str> = items.iter().map(|&i| ITEMS[i]).collect();
-        let mut sql = format!(
+        let sql = format!(
             "SELECT {}{} FROM k{}",
             if distinct { "DISTINCT " } else { "" },
             list.join(", "),
             WHERES[filter],
         );
-        if !keys.is_empty() {
-            let keys: Vec<String> = keys
-                .iter()
-                .map(|&(k, asc)| format!("{} {}", KEYS[k], if asc { "ASC" } else { "DESC" }))
-                .collect();
-            sql.push_str(&format!(" ORDER BY {}", keys.join(", ")));
-        }
-        if let Some(n) = [None, Some(0), Some(1), Some(3), Some(10)].get(limit).copied().flatten() {
-            sql.push_str(&format!(" LIMIT {n}"));
-        }
-        check(&sql)?;
+        check(&ordered(sql, KEYS, &keys, "", limit))?;
+    }
+
+    #[test]
+    fn every_reading_of_a_join_agrees(
+        items in proptest::collection::vec(0usize..ITEMS.len(), 0..3),
+        theirs in proptest::collection::vec(0usize..M_ITEMS.len(), 1..3),
+        keys in proptest::collection::vec((0usize..M_KEYS.len(), any::<bool>()), 0..3),
+        left in any::<bool>(),
+        limit in 0usize..6,
+        distinct in any::<bool>(),
+    ) {
+        let list: Vec<&str> = items
+            .iter()
+            .map(|&i| ITEMS[i])
+            .chain(theirs.iter().map(|&i| M_ITEMS[i]))
+            .collect();
+        let sql = format!(
+            "SELECT {}{} FROM k {}JOIN m ON mn = n",
+            if distinct { "DISTINCT " } else { "" },
+            list.join(", "),
+            if left { "LEFT " } else { "" },
+        );
+        check(&ordered(sql, M_KEYS, &keys, "", limit))?;
+    }
+
+    #[test]
+    fn every_reading_of_a_grouped_select_agrees(
+        key in 0usize..GROUP_KEYS.len(),
+        aggs in proptest::collection::vec(0usize..AGGS.len(), 1..3),
+        having in 0usize..HAVINGS.len(),
+        order in proptest::collection::vec((0usize..GROUP_ORDERS.len(), any::<bool>()), 0..2),
+        limit in 0usize..6,
+        filter in 0usize..WHERES.len(),
+    ) {
+        let group = GROUP_KEYS[key];
+        let list: Vec<&str> = std::iter::once(group).chain(aggs.iter().map(|&i| AGGS[i])).collect();
+        let sql = format!(
+            "SELECT {} FROM k{} GROUP BY {group}{}",
+            list.join(", "),
+            WHERES[filter],
+            HAVINGS[having],
+        );
+        // The group key last breaks ties, so the order is total.
+        check(&ordered(sql, GROUP_ORDERS, &order, &format!(", {group}"), limit))?;
     }
 }

@@ -151,7 +151,10 @@ fn run(db: &mut Database, relation: Option<&Relation>, sql: &str) -> ResultSet {
 /// The rows `Database::execute_each` lends for a statement.
 fn lent(db: &Database, sql: &str) -> Vec<String> {
     let mut rows = Vec::new();
-    let each = |row: easia_db::value::Lent| rows.push(format!("{:?}", row.to_row().unwrap()));
+    let each = |row: &[u8]| {
+        let row = easia_db::value::decode_row(row, &mut 0).unwrap();
+        rows.push(format!("{row:?}"));
+    };
     db.execute_each(sql, &[], each)
         .unwrap_or_else(|e| panic!("{sql}: {e}"));
     rows

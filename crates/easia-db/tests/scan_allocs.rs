@@ -21,7 +21,7 @@
 
 use easia_db::exec::{run_select_over, Relation};
 use easia_db::sql::ast::Stmt;
-use easia_db::value::{decode_some_into, Lent};
+use easia_db::value::decode_some_into;
 use easia_db::{Database, Value};
 
 #[path = "../../../tests/support/counting_alloc.rs"]
@@ -207,16 +207,9 @@ fn a_selective_scan_allocates_for_its_survivors_only() {
         assert_eq!(warm.rows.len(), rows);
         let (mut lent, mut scratch) = (Vec::with_capacity(rows), Vec::with_capacity(2));
         let (read, counts) = counted(|| {
-            db.execute_each(sql, &pattern, |row| {
-                let k = match row {
-                    Lent::Cells(cells) => cells[0].as_int(),
-                    Lent::Record(record) => {
-                        decode_some_into(record, &mut 0, &mut scratch, &[true, false], false)
-                            .unwrap();
-                        scratch[0].as_int()
-                    }
-                };
-                lent.extend(k);
+            db.execute_each(sql, &pattern, |record| {
+                decode_some_into(record, &mut 0, &mut scratch, &[true, false], false).unwrap();
+                lent.extend(scratch[0].as_int());
             })
         });
         read.unwrap();

@@ -185,7 +185,7 @@ impl Federation {
             match &p.server {
                 None => {
                     // Local partition: scan in place, no wire traffic.
-                    scan_each(hub_db, request, |row| gathered.push_lent(row))?;
+                    scan_each(hub_db, request, |row| gathered.push_bytes(row))?;
                     explain.sites.push(base);
                 }
                 Some(server) => {

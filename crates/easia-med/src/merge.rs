@@ -17,7 +17,7 @@ use easia_db::exec::{finish_groups, run_select_each, run_select_over, AggState, 
 use easia_db::expr::RowSchema;
 use easia_db::sql::ast::{SelectStmt, Stmt, TableRef};
 use easia_db::sql::parse;
-use easia_db::value::{decode_row_into, encode_key_cell, Lent, Records};
+use easia_db::value::{decode_row_into, encode_key_cell, Records};
 use easia_db::{Database, DbError, ResultSet, Value};
 use std::collections::HashMap;
 
@@ -101,7 +101,7 @@ pub(crate) fn partial_from_raw(
     let (sel, relations) = bind_legs(&sel, vec![leg]);
     let (view, params) = (hub_db.read_view(), request.effective_params());
     let mut partials = Records::default();
-    let mut each = |row: Lent| partials.push_lent(row);
+    let mut each = |row: &[u8]| partials.push_bytes(row);
     run_select_each(hub_db, &view, &sel, &params, &relations, &mut each)?;
     Ok(partials)
 }

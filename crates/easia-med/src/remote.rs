@@ -8,7 +8,7 @@
 //! the hub, a site just runs the SELECT it is handed.
 
 use crate::wire::{batch_header, encode_batch, ScanRequest, WireError, BATCH_COUNT_AT};
-use easia_db::value::Lent;
+use easia_db::value::{decode_row, encode_row};
 use easia_db::{Database, DbError, Value};
 use std::convert::Infallible;
 
@@ -36,8 +36,8 @@ impl std::fmt::Display for RemoteError {
 impl std::error::Error for RemoteError {}
 
 /// Run a decoded scan request against the database `db`, lending each
-/// result row to `each` as the executor produces it.
-pub fn scan_each(db: &Database, req: &ScanRequest, each: impl FnMut(Lent)) -> Result<(), DbError> {
+/// result row's record to `each` as the executor produces it.
+pub fn scan_each(db: &Database, req: &ScanRequest, each: impl FnMut(&[u8])) -> Result<(), DbError> {
     db.execute_each(&req.to_sql(), &req.effective_params(), each)
 }
 
@@ -47,7 +47,7 @@ pub fn scan_rows(db: &mut Database, req: &ScanRequest) -> Result<Vec<Vec<Value>>
     let (mut rows, mut decoded) = (Vec::new(), Ok(()));
     let scanned = scan_each(db, req, |row| {
         if decoded.is_ok() {
-            decoded = row.to_row().map(|row| rows.push(row));
+            decoded = decode_row(row, &mut 0).map(|row| rows.push(row));
         }
     });
     scanned.and(decoded).map_err(RemoteError::Db)?;
@@ -84,19 +84,24 @@ pub fn frame_batches(
     write_counter: u64,
 ) -> Vec<Vec<u8>> {
     let Ok(frames) = framed::<Infallible>(batch_rows, resume_from, write_counter, |each| {
-        rows.iter().for_each(|row| each(Lent::Cells(row)));
+        let mut record = Vec::new();
+        for row in rows {
+            record.clear();
+            encode_row(row, &mut record);
+            each(&record);
+        }
         Ok(())
     });
     frames
 }
 
-/// [`frame_batches`] over the rows `scan` lends, as they come: each is
-/// encoded into the frame being filled.
+/// [`frame_batches`] over the records of the rows `scan` lends, as they
+/// come: each is appended to the frame being filled.
 fn framed<E>(
     batch_rows: usize,
     resume_from: u64,
     write_counter: u64,
-    scan: impl FnOnce(&mut dyn FnMut(Lent)) -> Result<(), E>,
+    scan: impl FnOnce(&mut dyn FnMut(&[u8])) -> Result<(), E>,
 ) -> Result<Vec<Vec<u8>>, E> {
     let size = batch_rows.max(1);
     let (mut frames, mut n) = (Vec::<Vec<u8>>::new(), 0);
@@ -111,7 +116,7 @@ fn framed<E>(
                 frames.push(frame);
             }
             let frame = frames.last_mut().expect("opened at its first row");
-            row.encode(frame);
+            frame.extend_from_slice(row);
             let count = (n % size + 1) as u32;
             frame[BATCH_COUNT_AT..BATCH_COUNT_AT + 4].copy_from_slice(&count.to_le_bytes());
         }
