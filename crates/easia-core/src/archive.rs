@@ -9,7 +9,7 @@ use easia_datalink::{ArchiveClock, DataLinkManager, DatalinkUrl};
 use easia_db::value::Records;
 use easia_db::{Database, DbError, SnapshotId, Value};
 use easia_fs::{FileContent, FileServer, FsError};
-use easia_med::{Cache, FedError, Federation, Lookup, QueryOutcome};
+use easia_med::{Cache, FedError, Federation, Lookup, QueryOutcome, QueryRecords};
 use easia_net::{HostId, LinkSpec, SimNet};
 use easia_obs::Obs;
 use easia_ops::catalog::OperationCatalog;
@@ -321,8 +321,9 @@ pub struct Archive {
     /// Sandbox limits applied to operation jobs.
     pub op_limits: Limits,
     /// Speculative FK-browse prefetch cache: parked federated query
-    /// outcomes, versioned by the federation-wide write fingerprint.
-    pub prefetch: Cache<PrefetchKey, QueryOutcome>,
+    /// outcomes, their rows as the merge lent them, versioned by the
+    /// federation-wide write fingerprint.
+    pub prefetch: Cache<PrefetchKey, QueryRecords>,
 }
 
 impl Archive {
@@ -523,12 +524,26 @@ impl Archive {
     /// Execute a SELECT over a federated table: scatter the pushed-down
     /// scan across the registered sites, gather the row batches over the
     /// WAN, and merge at the hub. Returns the merged result set plus its
-    /// `EXPLAIN FEDERATED` report.
+    /// `EXPLAIN FEDERATED` report: [`Archive::federated_records`], its
+    /// rows decoded.
     pub fn federated_query(
         &mut self,
         sql: &str,
         params: &[Value],
     ) -> Result<QueryOutcome, ArchiveError> {
+        let out = self.federated_records(sql, params)?;
+        out.decode().map_err(map_fed_err)
+    }
+
+    /// [`Archive::federated_query`] for a result screen: the merged rows
+    /// as the merge lends them, their records in one arena, none
+    /// decoded — what a screen renders from and the prefetch cache
+    /// parks.
+    pub fn federated_records(
+        &mut self,
+        sql: &str,
+        params: &[Value],
+    ) -> Result<QueryRecords, ArchiveError> {
         // A click that matches a speculatively prefetched screen is
         // served without touching the WAN; the write fingerprint check
         // guarantees the parked result is indistinguishable from a
@@ -552,19 +567,17 @@ impl Archive {
             }
             Lookup::Miss => {}
         }
-        let out = self
-            .federation
-            .query(
-                &mut self.net,
-                self.db_host,
-                &mut self.db,
-                Some(&self.obs),
-                sql,
-                params,
-            )
-            .map_err(map_fed_err)?;
+        let one = [(sql.to_string(), params.to_vec())];
+        let out = self.federation.query_many_records(
+            &mut self.net,
+            self.db_host,
+            &mut self.db,
+            Some(&self.obs),
+            &one,
+        );
         self.clock.set(self.net.now() as u64);
-        Ok(out)
+        let out = out.into_iter().next().expect("one result per statement");
+        out.map_err(map_fed_err)
     }
 
     /// Speculatively run a batch of federated statements — the keyed
@@ -590,7 +603,7 @@ impl Archive {
             .obs
             .metrics
             .counter("easia_med_prefetch_issued_total", PREFETCH_ISSUED_HELP);
-        let results = self.federation.query_many(
+        let results = self.federation.query_many_records(
             &mut self.net,
             self.db_host,
             &mut self.db,

@@ -5,10 +5,11 @@
 
 use crate::admission::{Admission, AdmissionConfig, AdmissionController, RouteClass};
 use crate::archive::{Archive, ArchiveError};
-use easia_db::Value;
+use easia_db::value::{Cell, CellWalk, Records};
+use easia_db::{DbError, Value};
 use easia_ops::catalog::OperationCatalog;
 use easia_web::auth::Role;
-use easia_web::browse::{BrowseContext, ResultTable, Rows};
+use easia_web::browse::{BrowseContext, ResultTable};
 use easia_web::fed::{explain_page_body, federation_banner, federation_notice};
 use easia_web::html::{escape, link, page, page_begin, page_end};
 use easia_web::http::{url_encode, Method, Request, Response};
@@ -256,8 +257,10 @@ impl WebApp {
     /// target — run transparently across every registered site;
     /// everything else is read-only on the hub alone and runs on a
     /// snapshot: stable rows even while ingest or link control is
-    /// mid-transaction. A hub screen's rows stay records from the scan
-    /// to the page ([`Archive::snapshot_records`]).
+    /// mid-transaction. A screen's rows stay records from the scan to
+    /// the page: a hub screen's as the snapshot read lends them
+    /// ([`Archive::snapshot_records`]), a federated one's as the hub
+    /// merge does ([`Archive::federated_records`]).
     fn result_screen(
         &mut self,
         table: &str,
@@ -268,21 +271,18 @@ impl WebApp {
     ) -> Response {
         if !federated {
             return match self.archive.snapshot_records(sql, params) {
-                Ok((columns, rows)) => {
-                    self.render_result_page(table, &columns, Rows::Records(&rows), role, "")
-                }
+                Ok((columns, rows)) => self.render_result_page(table, &columns, &rows, role, ""),
                 Err(e) => Response::error(400, &e.to_string()),
             };
         }
-        match self.archive.federated_query(sql, params) {
+        match self.archive.federated_records(sql, params) {
             Ok(out) => {
                 let notice = format!(
                     "{}{}",
                     federation_banner(&out.explain),
                     federation_notice(&out.explain)
                 );
-                let rows = Rows::Values(&out.rs.rows);
-                self.render_result_page(table, &out.rs.columns, rows, role, &notice)
+                self.render_result_page(table, &out.columns, &out.rows, role, &notice)
             }
             Err(e) => error_response(&e),
         }
@@ -314,17 +314,20 @@ impl WebApp {
         }
     }
 
-    /// Render a result page in two passes over its rows. The first
-    /// decodes only the columns operation conditions and link targets
-    /// read: it judges each row's operations into one page-wide vector of
-    /// flags and gathers the screen's [`LinkPrefetches`]. The second
-    /// renders each row, decoded into one scratch row. The prefetches
-    /// run once the page is built.
+    /// Render a result page in two passes over its rows' records. The
+    /// first reads only the cells operation conditions and link targets
+    /// read, comparing their display bytes: it judges each row's
+    /// operations into one page-wide vector of flags and gathers the
+    /// screen's [`LinkPrefetches`] (a result whose conditions and links
+    /// read none of its cells is judged once, for every row). The second
+    /// renders each row from its cells' bytes ([`ResultTable::row`]). No
+    /// value is built for a cell. The prefetches run once the page is
+    /// built.
     fn render_result_page(
         &mut self,
         table: &str,
         columns: &[String],
-        rows: Rows,
+        rows: &Records,
         role: Role,
         notice: &str,
     ) -> Response {
@@ -340,19 +343,28 @@ impl WebApp {
         let mut read = vec![false; columns.len()];
         candidates.reads(&mut read);
         prefetches.reads(&mut read);
-        let (mut flags, mut text) = (Vec::new(), String::new());
-        let judge = |_, row: &[Value]| {
+        let (mut flags, mut text, mut walk) = (Vec::new(), String::new(), CellWalk::default());
+        let mut judge = |record: &[u8]| -> Result<(), DbError> {
+            walk.walk(record)?;
             let shows = |i: usize, want: &str| {
-                row.get(i)
-                    .is_some_and(|v| v.display_text(&mut text) == want)
+                let cell = walk.cell(record, i);
+                cell.is_some_and(|c| c.display_bytes(&mut text) == want.as_bytes())
             };
             candidates.for_row(shows, &mut flags);
-            prefetches.note(row, &mut text);
+            prefetches.note(|i| walk.cell(record, i), &mut text)
         };
-        // No operation and no federated link: nothing to judge.
-        let judged = match candidates.is_empty() && !read.contains(&true) {
-            true => Ok(()),
-            false => rows.each(&read, judge),
+        // Rows are judged on the cells that conditions and federated
+        // links read; where they read none, every row is judged alike,
+        // once.
+        let per_row = read.contains(&true);
+        let judged = match per_row {
+            true => rows.iter().try_for_each(&mut judge),
+            false => {
+                if !rows.is_empty() {
+                    candidates.for_row(|_, _| false, &mut flags);
+                }
+                Ok(())
+            }
         };
         let sizes = |url: &str| self.archive.file_size_of(url);
         let ctx = BrowseContext {
@@ -367,13 +379,15 @@ impl WebApp {
         let (n, has_ops) = (candidates.len(), flags.contains(&true));
         let mut screen = ResultTable::begin(&ctx, columns, rows.len(), has_ops, &mut body);
         let rendered = judged.and_then(|()| {
-            rows.each(&[], |ri, row| {
-                let ops = candidates.chosen(&flags[ri * n..(ri + 1) * n]);
-                screen.row(&mut body, row, ops);
+            rows.iter().enumerate().try_for_each(|(ri, record)| {
+                let at = if per_row { ri * n } else { 0 };
+                let ops = candidates.chosen(flags.get(at..at + n).unwrap_or(&[]));
+                screen.row(&mut body, record, ops)
             })
         });
-        // A record the read lent but cannot decode is the statement's
-        // error, as it is when the statement decodes it.
+        // A record the read lent but cannot walk, or whose text is not
+        // UTF-8, is the statement's error, as it is when the statement
+        // decodes it.
         if let Err(e) = rendered {
             return Response::error(400, &e.to_string());
         }
@@ -863,14 +877,24 @@ impl LinkPrefetches {
         }
     }
 
-    /// Gather the scans behind one row's links; `text` is scratch.
-    fn note(&mut self, row: &[Value], text: &mut String) {
-        for (v, sqls) in row.iter().zip(&self.targets) {
-            for sql in sqls.iter().filter(|_| !v.is_null()) {
+    /// Gather the scans behind one row's links, `cell(i)` being the row's
+    /// cell `i`; `text` is scratch. Only the cells of columns with a
+    /// federated target are read, and a value is built only for a scan
+    /// gathered.
+    fn note<'r>(
+        &mut self,
+        cell: impl Fn(usize) -> Option<Cell<'r>>,
+        text: &mut String,
+    ) -> Result<(), DbError> {
+        for (i, sqls) in self.targets.iter().enumerate() {
+            let Some(v) = cell(i).filter(|v| !v.is_null()) else {
+                continue;
+            };
+            for sql in sqls {
                 if self.queries.len() >= Self::MAX {
-                    return;
+                    return Ok(());
                 }
-                let value = v.display_text(text);
+                let value = v.display_text(text)?;
                 let same =
                     |(s, p): &(String, Vec<Value>)| s == sql && p[0].as_text() == Some(value);
                 if !self.queries.iter().any(same) {
@@ -879,6 +903,7 @@ impl LinkPrefetches {
                 }
             }
         }
+        Ok(())
     }
 }
 
@@ -1543,12 +1568,15 @@ mod tests {
 
         let simulation = app.archive.xuis.table("SIMULATION").unwrap();
         let (sql, params) = build_join_query(simulation, &BTreeMap::new()).unwrap();
-        let rs = app.archive.federated_query(&sql, &params).unwrap().rs;
-        assert_eq!(rs.rows.len(), 4);
+        let out = app.archive.federated_records(&sql, &params).unwrap();
+        assert_eq!(out.rows.len(), 4);
         let simulation = app.archive.xuis.table("SIMULATION").unwrap();
-        let mut issued = app.link_prefetches(simulation, &rs.columns);
-        let mut text = String::new();
-        rs.rows.iter().for_each(|row| issued.note(row, &mut text));
+        let mut issued = app.link_prefetches(simulation, &out.columns);
+        let (mut text, mut walk) = (String::new(), CellWalk::default());
+        for record in out.rows.iter() {
+            walk.walk(record).unwrap();
+            issued.note(|i| walk.cell(record, i), &mut text).unwrap();
+        }
         assert_eq!(format!("{:?}", issued.queries), ISSUED_BEFORE);
 
         // The screen itself parks exactly those four.

@@ -6,14 +6,20 @@
 //! statement's error before any row is read. Its base table is read once:
 //! each record is tested on its bytes against the sieve a total WHERE
 //! makes, and of each it keeps the cells its filter reads are decoded and,
-//! only if the row passes, the other cells the statement evaluates; every
-//! row that passes the WHERE — off the scan itself, with its record, or
-//! off the last JOIN leg — is lent to one `Sink`, which folds it into its
-//! group or projects it. Every output row is an [`encode_row`] record (a
-//! scan's cells copied out of the record it was read from as bytes), and
-//! DISTINCT, ORDER BY and LIMIT keep only the records they can still
-//! return; each is lent to the statement's reader as `&[u8]`. A result
-//! set is those records decoded ([`run_select_over`]).
+//! only if the row passes, the other cells the statement evaluates. A
+//! JOIN leg's rows are read as records too, and a joined row is its
+//! legs' records: the cells its ONs, the WHERE and the statement's
+//! expressions read are decoded, the rest only located. Every row that
+//! passes the WHERE — off the scan itself or off the last JOIN leg — is
+//! lent to one `Sink` with each of its cells' encodings, which folds it
+//! into its group or projects it. Every output row is an [`encode_row`]
+//! record (the cells a select list passes through copied as bytes, from
+//! a scan's record or a JOIN leg's, a LEFT JOIN's padding written as
+//! NULL cells), and DISTINCT, ORDER BY and LIMIT keep only the records
+//! they can still return; each is lent to the statement's reader as
+//! `&[u8]`. A result set is those records decoded, by the one function
+//! that decodes lent records ([`result_set`], as [`run_select_over`]
+//! does).
 
 use crate::db::{Database, ResultSet, Table};
 use crate::error::{DbError, Result};
@@ -27,7 +33,7 @@ use crate::schema::{DatalinkSpec, TableSchema};
 use crate::sql::ast::{is_aggregate_fn, BinaryOp, Expr, JoinKind, SelectItem, SelectStmt};
 use crate::storage::RowId;
 use crate::value::{
-    cell_at, cell_spans, cells, decode_row, decode_some_into, encode_key_cell, encode_row,
+    cell_at, cells, decode_cells_into, decode_row, decode_some_into, encode_key_cell, encode_row,
     key_cells, order_key, order_key_cell, Records, Value,
 };
 use std::collections::{HashMap, HashSet};
@@ -122,6 +128,8 @@ struct Cells<'m> {
     all: &'m [bool],
     /// DATALINK cells decode as CLOB ([`Relation::links_as_clob`]).
     links_as_clob: bool,
+    /// Note each cell's encoding, for a reader that copies cells.
+    spans: bool,
 }
 
 /// Every cell of every row, unsieved.
@@ -130,12 +138,14 @@ const WHOLE: Cells = Cells {
     filter: &[],
     all: &[],
     links_as_clob: false,
+    spans: false,
 };
 
 /// Lend the rows of `source` visible to `view`, read along `path` in
 /// storage order, to `pass`, and each that passes to `take` with its row
-/// id; see [`sift`]. A relation has no indexes and no versions: its
-/// records are visited whole, each row id its position.
+/// id, decoded row and cells' encodings; see [`sift`]. A relation has no
+/// indexes and no versions: its records are visited whole, each row id
+/// its position.
 fn fetch<'r>(
     db: &Database,
     view: &ReadView,
@@ -143,7 +153,7 @@ fn fetch<'r>(
     path: AccessPath,
     cells: Cells,
     pass: impl FnMut(&[Value]) -> Result<bool>,
-    take: impl FnMut((RowId, &'r [u8]), &mut Vec<Value>) -> Result<()>,
+    take: impl FnMut((RowId, &'r [u8]), &mut Vec<Value>, &[&'r [u8]]) -> Result<()>,
 ) -> (usize, Result<()>) {
     let t = match source {
         Source::Table(t) => t,
@@ -200,10 +210,12 @@ fn fetch<'r>(
 
 /// Test each of `records` against `sieve` on its bytes
 /// ([`SieveScan::keeps`]); decode the filter's cells of a record it keeps
-/// ([`decode_some_into`]) into a scratch row and lend it to `pass`;
-/// decode a row that passes again, with the cells of `all`, into a second
-/// scratch row and lend that to `take`, beside its row id and record,
-/// which copies out (or takes) what it keeps. A record the sieve refuses
+/// ([`decode_some_into`]) into a scratch row, noting in the same walk
+/// where each of its cells lies if `cells.spans` asks, and lend it to
+/// `pass`; decode a row that passes again, with the cells of `all`, into
+/// a second scratch row and lend that to `take`, beside its row id,
+/// record and cells (none unless asked), which copies out (or takes)
+/// what it keeps. A record the sieve refuses
 /// is walked no further than the cell that refuses it (or a later one
 /// the filter reads that could hold a NaN), and nothing of it decoded
 /// or evaluated; each scratch row refills the buffers it already owns,
@@ -216,9 +228,9 @@ fn sift<'r>(
     sieve: SieveScan,
     cells: Cells,
     mut pass: impl FnMut(&[Value]) -> Result<bool>,
-    mut take: impl FnMut((RowId, &'r [u8]), &mut Vec<Value>) -> Result<()>,
+    mut take: impl FnMut((RowId, &'r [u8]), &mut Vec<Value>, &[&'r [u8]]) -> Result<()>,
 ) -> (usize, Result<()>) {
-    let (mut sieved, mut whole) = (Vec::new(), Vec::new());
+    let (mut sieved, mut whole, mut slots) = (Vec::new(), Vec::new(), Vec::new());
     let twice = cells.filter != cells.all;
     let (mut seen, mut visited) = (0, Ok(()));
     for (rid, record) in records.by_ref() {
@@ -227,14 +239,19 @@ fn sift<'r>(
             continue;
         }
         let links = cells.links_as_clob;
-        visited = decode_some_into(record, &mut 0, &mut sieved, cells.filter, links)
+        slots.clear();
+        visited = match cells.spans {
+            true => decode_cells_into(record, &mut sieved, cells.filter, links, &mut slots),
+            false => decode_some_into(record, &mut 0, &mut sieved, cells.filter, links),
+        };
+        visited = visited
             .and_then(|()| pass(&sieved))
             .and_then(|passed| match (passed, twice) {
                 (false, _) => Ok(()),
-                (true, false) => take((rid, record), &mut sieved),
+                (true, false) => take((rid, record), &mut sieved, &slots),
                 (true, true) => {
                     decode_some_into(record, &mut 0, &mut whole, cells.all, links)?;
-                    take((rid, record), &mut whole)
+                    take((rid, record), &mut whole, &slots)
                 }
             });
         if visited.is_err() {
@@ -285,7 +302,7 @@ pub fn collect_matching(
         sieve: &sieve,
         ..WHOLE
     };
-    let (candidates, read) = fetch(db, view, source, path, cells, pass, |(rid, _), row| {
+    let (candidates, read) = fetch(db, view, source, path, cells, pass, |(rid, _), row, _| {
         matching.push((rid, std::mem::take(row)));
         Ok(())
     });
@@ -384,7 +401,7 @@ pub fn run_select_over(
 /// the columns it returns: the one place result rows become values. A
 /// record that does not decode is the result's error, after any `run`
 /// raises itself.
-pub(crate) fn result_set(
+pub fn result_set(
     run: impl FnOnce(&mut dyn FnMut(&[u8])) -> Result<Vec<String>>,
 ) -> Result<ResultSet> {
     let (mut rows, mut bad) = (Vec::new(), None);
@@ -418,22 +435,8 @@ pub fn run_select_each<'a>(
     relations: &'a [Relation],
     each: &'a mut dyn FnMut(&[u8]),
 ) -> Result<Vec<String>> {
-    // Table-less SELECT: evaluate items against an empty row.
     let Some(from) = &sel.from else {
-        let (mut columns, mut items) = (Vec::new(), Vec::new());
-        for item in &sel.items {
-            let SelectItem::Expr { expr, alias } = item else {
-                return Err(DbError::Eval("wildcard requires FROM".into()));
-            };
-            columns.push(alias.clone().unwrap_or_else(|| derive_name(expr)));
-            items.push(RowSchema::default().bind(expr, db.functions(), &[])?);
-        }
-        let ctx = EvalContext::new(&[], params);
-        let row: Vec<Value> = items.iter().map(|e| ctx.eval(e)).collect::<Result<_>>()?;
-        let mut record = Vec::new();
-        encode_row(&row, &mut record);
-        each(&record);
-        return Ok(columns);
+        return run_tableless(db, sel, params, each);
     };
 
     // ---- bind: the legs, then the statement over them ----
@@ -507,42 +510,59 @@ pub fn run_select_each<'a>(
     } else {
         own
     };
-    // A scan's rows are projected from their records: the cells they
-    // pass through are copied as bytes, so only what the filter, the
-    // select list's expressions and its DATALINK renderings read is
-    // decoded.
-    let copies = legs.is_empty() && sink.copies();
-    sink.links_as_clob = sources[0].links_as_clob();
+    // Rows are projected from their records, a scan's and each JOIN
+    // leg's: the cells they pass through are copied as bytes, so only
+    // what the filter, each ON, the select list's expressions, its
+    // DATALINK renderings and ORDER BY's expressions read is decoded. A
+    // grouped statement decodes every cell it reads.
+    let copies = sink.copies();
+    let mut evals = read.clone();
+    if copies {
+        evals.fill(false);
+        let ons = legs.iter().map(|leg| &leg.on);
+        filter.iter().chain(ons).for_each(|e| e.reads(&mut evals));
+        sink.decodes(&mut evals);
+    }
+    if sources.iter().any(Source::links_as_clob) {
+        for (source, names) in sources.iter().zip(&columns) {
+            let clob = source.links_as_clob();
+            sink.clob.extend(std::iter::repeat_n(clob, names.len()));
+        }
+    }
     let mut filter_reads = read.clone();
     if !scan_filter.is_empty() || !legs.is_empty() || copies {
         filter_reads.fill(false);
         scan_filter.iter().for_each(|e| e.reads(&mut filter_reads));
-    }
-    let mut decoded = filter_reads.clone();
-    if copies {
-        sink.decodes(&mut decoded);
     }
     let filtered = |row: &[Value]| match &filter {
         Some(w) => holds(&EvalContext::new(row, params), w),
         None => Ok(true),
     };
     let mut passed = 0;
-    let mut accept = |row: &[Value], record: Option<&[u8]>, sink: &mut Sink| {
+    let mut accept = |row: &[Value], cells: &[&[u8]], sink: &mut Sink| {
         passed += 1;
-        sink.take(db, &EvalContext::new(row, params), record);
+        sink.take(db, &EvalContext::new(row, params), cells);
     };
     if legs.is_empty() {
         let cells = Cells {
             sieve: &sieve,
             filter: &filter_reads,
-            all: if copies { &decoded } else { &read },
+            all: &evals,
+            spans: copies,
             ..WHOLE
         };
-        let (candidates, scanned) =
-            fetch(db, view, sources[0], path, cells, filtered, |rec, row| {
-                accept(row, Some(rec.1), &mut sink);
+        let (candidates, scanned) = fetch(
+            db,
+            view,
+            sources[0],
+            path,
+            cells,
+            filtered,
+            |_, row, slots| {
+                accept(row, slots, &mut sink);
                 Ok(())
-            });
+            },
+        );
         note_scan(db, index_probe, candidates);
         scanned?;
     } else {
@@ -563,26 +583,29 @@ pub fn run_select_each<'a>(
         };
         // The records of the base rows that pass.
         let mut base = Vec::new();
-        let (candidates, scanned) = fetch(db, view, sources[0], path, cells, own_pass, |rec, _| {
-            base.push(rec.1);
-            Ok(())
-        });
+        let (candidates, scanned) =
+            fetch(db, view, sources[0], path, cells, own_pass, |rec, _, _| {
+                base.push(rec.1);
+                Ok(())
+            });
         note_scan(db, index_probe, candidates);
         scanned?;
-        // Every leg but the last keeps its pairings as records; the last
-        // lends each to the WHERE, whose error waits for the ONs of the
-        // pairings after it.
+        // Every leg but the last keeps its pairings as records, their
+        // cells copied; the last lends each to the WHERE, whose error
+        // waits for the ONs of the pairings after it.
         let (mut at, mut joined, mut raised) = (base_width, 0, None);
         // The first leg meets the base's records, read as the scan reads
-        // them; a later one the pairings before it.
-        let mut left_cells = Cells {
-            all: &read[..base_width],
-            links_as_clob: sources[0].links_as_clob(),
-            ..WHOLE
-        };
+        // them; a later one the pairings before it, whose cells are
+        // copied with DATALINKs already read as their legs read them.
+        let mut links_as_clob = sources[0].links_as_clob();
         let mut pairings = Records::default();
         for (i, leg) in legs.iter().enumerate() {
-            let leg_read = &read[at..at + leg.width];
+            let left_cells = Cells {
+                all: &evals[..at],
+                links_as_clob,
+                ..WHOLE
+            };
+            let leg_evals = &evals[at..at + leg.width];
             at += leg.width;
             let prior = std::mem::take(&mut pairings);
             let left = match i {
@@ -590,21 +613,44 @@ pub fn run_select_each<'a>(
                 _ => prior.iter().collect(),
             };
             if i + 1 < legs.len() {
-                run_join(db, view, &left, left_cells, leg, leg_read, params, |row| {
-                    pairings.push(row);
-                    Ok(())
-                })?;
-                left_cells = WHOLE;
+                let clob = &sink.clob;
+                run_join(
+                    db,
+                    view,
+                    &left,
+                    left_cells,
+                    leg,
+                    leg_evals,
+                    params,
+                    |_, cells| {
+                        pairings.open(cells.len());
+                        for (i, cell) in cells.iter().enumerate() {
+                            pairings.push_span(cell, clob.get(i) == Some(&true));
+                        }
+                        pairings.seal();
+                        Ok(())
+                    },
+                )?;
+                links_as_clob = false;
             } else {
-                run_join(db, view, &left, left_cells, leg, leg_read, params, |row| {
-                    joined += 1;
-                    match raised.is_none().then(|| filtered(row)) {
-                        Some(Ok(true)) => accept(row, None, &mut sink),
-                        Some(Err(e)) => raised = Some(e),
-                        _ => {}
-                    }
-                    Ok(())
-                })?;
+                run_join(
+                    db,
+                    view,
+                    &left,
+                    left_cells,
+                    leg,
+                    leg_evals,
+                    params,
+                    |row, cells| {
+                        joined += 1;
+                        match raised.is_none().then(|| filtered(row)) {
+                            Some(Ok(true)) => accept(row, cells, &mut sink),
+                            Some(Err(e)) => raised = Some(e),
+                            _ => {}
+                        }
+                        Ok(())
+                    },
+                )?;
             }
         }
         if let Some(m) = db.metrics() {
@@ -620,6 +666,41 @@ pub fn run_select_each<'a>(
         }
     }
     sink.finish(db, read.len(), params)
+}
+
+/// A SELECT without FROM: one row of no cells, through the WHERE and the
+/// sink a table's rows go through, so its DISTINCT, ORDER BY, LIMIT and
+/// grouping hold as they do over a table. A wildcard has no table to
+/// name; each select item binds in turn, so the first that cannot is the
+/// statement's error.
+fn run_tableless<'a>(
+    db: &'a Database,
+    sel: &SelectStmt,
+    params: &[Value],
+    each: Lend<'a>,
+) -> Result<Vec<String>> {
+    for item in &sel.items {
+        let SelectItem::Expr { expr, .. } = item else {
+            return Err(DbError::Eval("wildcard requires FROM".into()));
+        };
+        RowSchema::default().bind(expr, db.functions(), &[])?;
+    }
+    let BoundSelect {
+        filter, mut sink, ..
+    } = BoundSelect::bind::<Vec<String>>(db.functions(), sel, &[], &[])?;
+    sink.output.reader = Some(each);
+    let ctx = EvalContext::new(&[], params);
+    let passed = match &filter {
+        Some(w) => holds(&ctx, w)?,
+        None => true,
+    };
+    if let (Some(_), Some(m)) = (&filter, db.metrics()) {
+        m.stage_filter.observe(f64::from(u8::from(passed)));
+    }
+    if passed {
+        sink.take(db, &ctx, &[]);
+    }
+    sink.finish(db, 0, params)
 }
 
 /// One JOIN leg.
@@ -697,43 +778,104 @@ fn probe_of<'a>(
     None
 }
 
+/// The encoding of a NULL cell: what a LEFT JOIN pads an unmatched row
+/// with.
+const NULL_CELL: &[u8] = &[0];
+
+/// The rows of a JOIN leg, read once: each row's cells as their whole
+/// encodings in its record, and the values of the cells the statement
+/// evaluates (the rest NULL), `width` of each per row, back to back.
+struct LegRows<'r> {
+    width: usize,
+    rows: usize,
+    cells: Vec<&'r [u8]>,
+    values: Vec<Value>,
+}
+
+impl<'r> LegRows<'r> {
+    fn new(width: usize) -> Self {
+        LegRows {
+            width,
+            rows: 0,
+            cells: Vec::new(),
+            values: Vec::new(),
+        }
+    }
+
+    fn clear(&mut self) {
+        self.rows = 0;
+        self.cells.clear();
+        self.values.clear();
+    }
+
+    /// Keep the row of `cells` with the values decoded from them, which
+    /// are taken (and left NULL). A record of another width is cut or
+    /// padded with NULLs to the leg's.
+    fn push(&mut self, cells: &[&'r [u8]], values: &mut [Value]) {
+        let at = self.cells.len();
+        self.cells.extend_from_slice(cells);
+        self.cells.resize(at + self.width, NULL_CELL);
+        let taken = values.iter_mut().map(|v| std::mem::replace(v, Value::Null));
+        let padded = taken.chain(std::iter::repeat_with(|| Value::Null));
+        self.values.extend(padded.take(self.width));
+        self.rows += 1;
+    }
+
+    /// Where row `j`'s cells and values lie.
+    fn row(&self, j: usize) -> Range<usize> {
+        j * self.width..(j + 1) * self.width
+    }
+}
+
 /// Join the `left` rows with `leg`, lending each pairing that passes its
-/// ON — and, for a LEFT JOIN, each unmatched left row padded with NULLs
-/// — to `emit`, in left-row order. The pairing lives in one buffer: the
-/// left record is decoded into it, each right candidate is lent to it
-/// and taken back. The right leg decodes only the cells `read` selects.
-/// Under a probe a left row meets the rows its key finds in the index,
-/// unless the key cannot be compared with the indexed column's type:
-/// then every pairing would raise or not as the ON decides, and the row
-/// meets the whole leg as it would without the probe. A left row whose
-/// key has the bytes of the one before it (so `0.0` is not `-0.0`, nor
-/// `1` `1.0`) meets the rows that one found.
+/// ON — and, for a LEFT JOIN, each unmatched left row padded with NULL
+/// cells — to `emit`, in left-row order, as its values and its cells'
+/// encodings: each left record's and each right row's, as their records
+/// hold them. Only the cells `left_cells.all` and `read` select are
+/// decoded, the rest read as NULL. The pairing's values live in one
+/// buffer: the left record is decoded into it, and each right
+/// candidate's decoded values are swapped into it and back. Under a
+/// probe a left row meets the rows its key finds in the index, unless
+/// the key cannot be compared with the indexed column's type: then
+/// every pairing would raise or not as the ON decides, and the row meets
+/// the whole leg as it would without the probe. A left row whose key has
+/// the bytes of the one before it (so `0.0` is not `-0.0`, nor `1`
+/// `1.0`) meets the rows that one found.
 #[allow(clippy::too_many_arguments)]
-fn run_join(
+fn run_join<'r>(
     db: &Database,
     view: &ReadView,
-    left: &[&[u8]],
+    left: &[&'r [u8]],
     left_cells: Cells,
-    leg: &Leg,
+    leg: &Leg<'r>,
     read: &[bool],
     params: &[Value],
-    mut emit: impl FnMut(&[Value]) -> Result<()>,
+    mut emit: impl FnMut(&[Value], &[&[u8]]) -> Result<()>,
 ) -> Result<()> {
     // The whole leg, read once: up front without a probe, under one
     // when a key first refuses the indexed column.
-    let read_whole = || -> Result<Vec<Vec<Value>>> {
+    let read_whole = || -> Result<LegRows<'r>> {
         let cells = Cells {
             filter: read,
             all: read,
+            spans: true,
             ..WHOLE
         };
-        let mut rows = Vec::new();
+        let mut rows = LegRows::new(leg.width);
         let keep_all = |_: &[Value]| Ok(true);
         let path = AccessPath::FullScan;
-        fetch(db, view, leg.source, path, cells, keep_all, |_, row| {
-            rows.push(std::mem::take(row));
-            Ok(())
-        })
+        fetch(
+            db,
+            view,
+            leg.source,
+            path,
+            cells,
+            keep_all,
+            |_, row, slots| {
+                rows.push(slots, row);
+                Ok(())
+            },
+        )
         .1?;
         Ok(rows)
     };
@@ -745,14 +887,16 @@ fn run_join(
         let visible = db.row_visibility(&p.table.schema.name, view);
         (p, visible)
     });
-    let mut pairing: Vec<Value> = Vec::new();
-    let mut probed: Vec<Vec<Value>> = Vec::new();
+    let (mut pairing, mut slots) = (Vec::new(), Vec::new());
+    let mut probed = LegRows::new(leg.width);
+    let (mut scratch, mut scratch_cells) = (Vec::new(), Vec::new());
     // The key `probed` was found under, as a record, and whether it was
     // looked up in the index; the key in hand.
     let (mut found, mut key_bytes) = (None::<(Vec<u8>, bool)>, Vec::new());
-    for record in left {
+    for &record in left {
         let links = left_cells.links_as_clob;
-        decode_some_into(record, &mut 0, &mut pairing, left_cells.all, links)?;
+        slots.clear();
+        decode_cells_into(record, &mut pairing, left_cells.all, links, &mut slots)?;
         let left_width = pairing.len();
         let mut by_index = false;
         if let Some((p, visible)) = &probe {
@@ -771,9 +915,10 @@ fn run_join(
                         let rids = index.get(std::slice::from_ref(&*key));
                         for rid in rids.into_iter().filter(|rid| visible(*rid)) {
                             if let Some(record) = p.table.heap.record(rid) {
-                                let mut row = Vec::new();
-                                decode_some_into(record, &mut 0, &mut row, read, false)?;
-                                probed.push(row);
+                                scratch_cells.clear();
+                                let cells = &mut scratch_cells;
+                                decode_cells_into(record, &mut scratch, read, false, cells)?;
+                                probed.push(&scratch_cells, &mut scratch);
                             }
                         }
                     }
@@ -793,23 +938,28 @@ fn run_join(
             Some(rows) if !by_index => rows,
             _ => &mut probed,
         };
+        pairing.resize(left_width + leg.width, Value::Null);
         let mut matched = false;
-        for rrow in candidates.iter_mut() {
-            pairing.append(rrow);
+        for j in 0..candidates.rows {
+            let right = candidates.row(j);
+            pairing[left_width..].swap_with_slice(&mut candidates.values[right.clone()]);
+            slots.truncate(left_width);
+            slots.extend_from_slice(&candidates.cells[right.clone()]);
             let lent = holds(&EvalContext::new(&pairing, params), &leg.on).and_then(|on| {
                 matched |= on;
                 if on {
-                    emit(&pairing)
+                    emit(&pairing, &slots)
                 } else {
                     Ok(())
                 }
             });
-            rrow.extend(pairing.drain(left_width..));
+            pairing[left_width..].swap_with_slice(&mut candidates.values[right]);
             lent?;
         }
         if !matched && leg.kind == JoinKind::Left {
-            pairing.extend(std::iter::repeat_n(Value::Null, leg.width));
-            emit(&pairing)?;
+            slots.truncate(left_width);
+            slots.extend(std::iter::repeat_n(NULL_CELL, leg.width));
+            emit(&pairing, &slots)?;
         }
     }
     Ok(())
@@ -828,20 +978,20 @@ pub fn derive_name(expr: &Expr) -> String {
 /// Where a SELECT's rows go once they pass its WHERE, each lent as it
 /// arrives: projected into a record the [`Output`] opens and offered to
 /// it, or folded into its group, whose rows reach the output once every
-/// group is complete. A row lent with the record it was read from has
-/// each cell it passes through copied as its bytes; a joined row, which
-/// has no one record, has each written from its value, as is every
-/// expression item and DATALINK rendering. The first error it meets is
-/// held and it takes no row after it — the scan still owes the WHERE and
-/// decoder errors of later rows, which win.
+/// group is complete. A row is lent with its cells' encodings as the
+/// records it was read from hold them (a scan's record, or each JOIN
+/// leg's); each cell it passes through is copied as its bytes, and only
+/// an expression item or a DATALINK rendering is written from a value.
+/// The first error it meets is held and it takes no row after it — the
+/// scan still owes the WHERE and decoder errors of later rows, which
+/// win.
 struct Sink<'a> {
     held: Option<DbError>,
     shape: Shape<'a>,
     output: Output<'a>,
-    /// Where each cell of the record in hand lies ([`cell_spans`]).
-    spans: Vec<Range<usize>>,
-    /// A DATALINK cell copied is a CLOB ([`Relation::links_as_clob`]).
-    links_as_clob: bool,
+    /// Per slot: a DATALINK cell copied is a CLOB
+    /// ([`Relation::links_as_clob`]); empty when no slot's is.
+    clob: Vec<bool>,
 }
 
 enum Shape<'a> {
@@ -889,19 +1039,18 @@ impl<'a> Sink<'a> {
             held: None,
             shape,
             output,
-            spans: Vec::new(),
-            links_as_clob: false,
+            clob: Vec::new(),
         })
     }
 
-    /// Does it project the rows it takes, so that a row lent with its
-    /// record is copied out of it ([`Sink::take`])?
+    /// Does it project the rows it takes, copying the cells it passes
+    /// through ([`Sink::take`])?
     fn copies(&self) -> bool {
         matches!(self.shape, Shape::Rows(_))
     }
 
-    /// Mark the slots it decodes when it copies a row out of its record:
-    /// what its expressions read and the cells it renders.
+    /// Mark the slots it decodes when it copies a row's cells: what its
+    /// expressions read and the cells it renders.
     fn decodes(&self, read: &mut [bool]) {
         if let Shape::Rows(outs) = &self.shape {
             for out in outs {
@@ -931,35 +1080,31 @@ impl<'a> Sink<'a> {
         self.output.reads(read, true);
     }
 
-    /// Take one row that passed the WHERE, and the record it was read
-    /// from, if any.
-    fn take(&mut self, db: &Database, ctx: &EvalContext, record: Option<&[u8]>) {
+    /// Take one row that passed the WHERE and its cells' encodings (a
+    /// grouped statement, which copies none, may be lent none).
+    fn take(&mut self, db: &Database, ctx: &EvalContext, cells: &[&[u8]]) {
         if self.held.is_some() {
             return;
         }
         let taken = match &mut self.shape {
             Shape::Rows(outs) => {
-                if let Some(record) = record {
-                    cell_spans(record, &mut self.spans);
-                }
                 let out = self.output.open(outs.len());
                 let projected = outs.iter().try_for_each(|o| {
-                    match (o, record) {
-                        (Out::Slot(i, None), Some(record)) => {
-                            out.push_span(&record[self.spans[*i].clone()], self.links_as_clob)
+                    match o {
+                        Out::Slot(i, None) => {
+                            out.push_span(cells[*i], self.clob.get(*i) == Some(&true))
                         }
-                        (Out::Slot(i, spec), _) => match (&ctx.row[*i], spec) {
-                            (Value::Datalink(url), Some(spec)) => {
+                        Out::Slot(i, Some(spec)) => match &ctx.row[*i] {
+                            Value::Datalink(url) => {
                                 out.push_cell(&Value::Datalink(db.render_datalink(spec, url)))
                             }
-                            (v, _) => out.push_cell(v),
+                            v => out.push_cell(v),
                         },
-                        (Out::Expr(e), _) => out.push_cell(&*ctx.eval_cow(e)?),
+                        Out::Expr(e) => out.push_cell(&*ctx.eval_cow(e)?),
                     }
                     Ok(())
                 });
-                let input = record.map(|record| (record, &self.spans[..]));
-                projected.map(|()| self.output.offer_record(ctx, input))
+                projected.map(|()| self.output.offer_record(ctx, Some(cells)))
             }
             Shape::Groups(g) => g.fold(ctx),
         };
@@ -1250,18 +1395,19 @@ impl Finish {
 /// HAVING, the select list, then DISTINCT / ORDER BY / LIMIT. Shared by
 /// the local pipeline and the federation's partial-aggregate merge, so
 /// both apply the same alias-first ORDER BY rule.
+/// Each output row's record is lent to `each`; returns the result's
+/// columns.
 pub fn finish_groups(
     db: &Database,
     sel: &SelectStmt,
     schema: &RowSchema,
     groups: Vec<(Vec<Value>, Vec<Value>)>,
     params: &[Value],
-) -> Result<ResultSet> {
-    result_set(|each| {
-        let (finish, mut output) = Finish::bind(db.functions(), sel, schema, &aggregates(sel))?;
-        output.reader = Some(each);
-        finish.run(output, db, groups, params)
-    })
+    each: &mut dyn FnMut(&[u8]),
+) -> Result<Vec<String>> {
+    let (finish, mut output) = Finish::bind(db.functions(), sel, schema, &aggregates(sel))?;
+    output.reader = Some(each);
+    finish.run(output, db, groups, params)
 }
 
 /// DISTINCT, ORDER BY and LIMIT over output rows as they arrive, each
@@ -1270,17 +1416,18 @@ pub fn finish_groups(
 /// cells ([`key_cells`]). Without ORDER BY each row is lent to the
 /// reader as it arrives, while the LIMIT allows, and `kept` holds just
 /// the record being offered. With it, `kept` is one arena of the output
-/// records and `keys` a parallel one of each row's order key: its sort
+/// records, each followed in its entry by the row's order key: its sort
 /// keys' cells one after another ([`order_key_cell`]), each taken from
 /// the output record (a bare name that is an output alias, or a column
-/// the output passes through as it is), from the record the row was
-/// read from (a column the output drops; from the row itself when it
-/// has no record), or from the value of an expression over the row (and
-/// group). The rows are sorted by their keys' bytes, ties by arrival.
-/// Under a LIMIT of n the records are cut back to the n least whenever
-/// 2n have gathered. A key's error is held, since a select item raising
-/// on a later row wins over it. Once the last row is in, each sorted
-/// record is lent as it is.
+/// the output passes through as it is), from the cell the row was read
+/// with (a column the output drops; from the row itself when it has no
+/// cells, as a group has none), or from the value of an expression over
+/// the row (and group). One arena grows for records and keys alike, so
+/// the keys cost no allocation of their own. The rows are sorted by
+/// their keys' bytes, ties by arrival. Under a LIMIT of n the entries
+/// are cut back to the n least whenever 2n have gathered. A key's error
+/// is held, since a select item raising on a later row wins over it.
+/// Once the last row is in, each sorted record is lent as it is.
 #[derive(Default)]
 struct Output<'a> {
     /// The reader the rows are lent to, set before any row is offered.
@@ -1292,14 +1439,13 @@ struct Output<'a> {
     /// Each sort key and whether it ascends.
     order: Vec<(SortKey, bool)>,
     limit: usize,
-    /// The output records, and each one's order key; a cut copies those
-    /// it keeps into `spare`.
+    /// The output records, each followed by its order key under ORDER
+    /// BY; a cut copies the entries it keeps into `spare`.
     kept: Records,
-    keys: Records,
-    spare: (Records, Records),
-    /// The positions of `kept`'s records, sorted up to the last cut, then
-    /// by arrival.
-    sorted: Vec<u32>,
+    spare: Records,
+    /// The positions of `kept`'s entries and where each one's order key
+    /// starts in it, sorted up to the last cut, then by arrival.
+    sorted: Vec<(u32, u32)>,
     /// Rows that entered ORDER BY.
     offered: usize,
     late: Option<DbError>,
@@ -1376,9 +1522,9 @@ impl Output<'_> {
 
     /// Offer the output row whose record [`Output::open`] began and the
     /// caller filled: lent as it arrives, nothing ordering the rows, else
-    /// kept with its order key. `input` is the record the row was read
-    /// from and where each of its cells lies, if it has one.
-    fn offer_record(&mut self, ctx: &EvalContext, input: Option<(&[u8], &[Range<usize>])>) {
+    /// kept with its order key. `input` is the encoding of each cell the
+    /// row was read with, if it has them.
+    fn offer_record(&mut self, ctx: &EvalContext, input: Option<&[&[u8]]>) {
         self.kept.seal();
         let at = self.kept.len() - 1;
         if let Some(seen) = &mut self.distinct {
@@ -1407,9 +1553,7 @@ impl Output<'_> {
                 (SortKey::Out(i), _) => {
                     order_key_cell(cells(record).nth(*i).expect("a cell"), desc, out)
                 }
-                (SortKey::Slot(s), Some((rec, spans))) => {
-                    order_key_cell(cell_at(rec, spans[*s].start), desc, out)
-                }
+                (SortKey::Slot(s), Some(cells)) => order_key_cell(cell_at(cells[*s], 0), desc, out),
                 (SortKey::Slot(s), None) => order_key(&ctx.row[*s], desc, out),
                 (SortKey::Expr(e), _) => match ctx.eval_cow(e) {
                     Ok(v) => order_key(&v, desc, out),
@@ -1420,31 +1564,29 @@ impl Output<'_> {
                 },
             }
         }
-        self.keys.push_bytes(&self.key);
-        self.sorted.push(at as u32);
+        let split = record.len() as u32;
+        self.kept.extend_last(&self.key);
+        self.sorted.push((at as u32, split));
         if self.sorted.len() > self.limit.saturating_mul(2) {
             self.cut();
         }
     }
 
-    /// Sort the records by their order keys — stably, so ties stay in
-    /// arrival order — and keep the first LIMIT, copied with their keys
-    /// into fresh arenas in that order.
+    /// Sort the entries by their order keys — stably, so ties stay in
+    /// arrival order — and keep the first LIMIT, copied into a fresh
+    /// arena in that order.
     fn cut(&mut self) {
         let mut sorted = std::mem::take(&mut self.sorted);
-        sorted.sort_by_key(|&at| self.keys.get(at as usize));
+        sorted.sort_by_key(|&(at, split)| &self.kept.get(at as usize)[split as usize..]);
         if sorted.len() > self.limit {
             sorted.truncate(self.limit);
-            let (mut out, mut keys) = std::mem::take(&mut self.spare);
+            let mut out = std::mem::take(&mut self.spare);
             out.clear();
-            keys.clear();
-            for (i, at) in sorted.iter_mut().enumerate() {
+            for (i, (at, _)) in sorted.iter_mut().enumerate() {
                 out.push_bytes(self.kept.get(*at as usize));
-                keys.push_bytes(self.keys.get(*at as usize));
                 *at = i as u32;
             }
-            let kept = std::mem::replace(&mut self.kept, out);
-            self.spare = (kept, std::mem::replace(&mut self.keys, keys));
+            self.spare = std::mem::replace(&mut self.kept, out);
         }
         self.sorted = sorted;
     }
@@ -1464,8 +1606,8 @@ impl Output<'_> {
             m.rows_returned.add((self.lent + self.sorted.len()) as f64);
         }
         if let Some(each) = &mut self.reader {
-            for &at in &self.sorted {
-                each(self.kept.get(at as usize));
+            for &(at, split) in &self.sorted {
+                each(&self.kept.get(at as usize)[..split as usize]);
             }
         }
         Ok(self.columns)
@@ -1683,7 +1825,7 @@ mod tests {
                 path,
                 WHOLE,
                 |_| Ok(true),
-                |_, row| {
+                |_, row, _| {
                     rows.push(row.clone());
                     Ok(())
                 },
@@ -1846,7 +1988,7 @@ mod tests {
                 AccessPath::FullScan,
                 cells,
                 pass,
-                |_, row| {
+                |_, row, _| {
                     rows.push(row.clone());
                     Ok(())
                 },
@@ -1896,7 +2038,7 @@ mod tests {
                 sieve: &sieve,
                 filter,
                 all: &[],
-                links_as_clob: false,
+                ..WHOLE
             };
             let read = fetch(
                 &db,
@@ -1905,7 +2047,7 @@ mod tests {
                 path,
                 cells,
                 |_| Ok(true),
-                |_, row| {
+                |_, row, _| {
                     rows.push(row.clone());
                     Ok(())
                 },

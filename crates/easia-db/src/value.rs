@@ -231,26 +231,17 @@ impl Value {
 
     /// The text `Display` writes, without a fresh `String`: string kinds
     /// lend their own, the others are written into `scratch` — an
-    /// integer digit by digit, not through the formatter.
+    /// integer digit by digit, not through the formatter, and so is an
+    /// integral double below 10^15, whose shortest round-trip form
+    /// `Display` writes is its integer's digits (`-0` for `-0.0`).
     pub fn display_text<'a>(&'a self, scratch: &'a mut String) -> &'a str {
         use fmt::Write as _;
         scratch.clear();
         match self {
             Value::Str(s) | Value::Clob(s) | Value::Datalink(s) => return s,
-            Value::Int(i) => {
-                let (mut digits, mut at, mut n) = ([0u8; 20], 20, i.unsigned_abs());
-                loop {
-                    at -= 1;
-                    digits[at] = b'0' + (n % 10) as u8;
-                    n /= 10;
-                    if n == 0 {
-                        break;
-                    }
-                }
-                if *i < 0 {
-                    scratch.push('-');
-                }
-                scratch.push_str(std::str::from_utf8(&digits[at..]).expect("ASCII digits"));
+            Value::Int(i) => push_digits(scratch, *i < 0, i.unsigned_abs()),
+            Value::Double(d) if d.fract() == 0.0 && d.abs() < 1e15 => {
+                push_digits(scratch, d.is_sign_negative(), d.abs() as u64)
             }
             _ => {
                 let _ = write!(scratch, "{self}");
@@ -281,6 +272,23 @@ impl Value {
             _ => None,
         }
     }
+}
+
+/// Append `n`'s decimal digits, after a `-` if `negative`.
+fn push_digits(out: &mut String, negative: bool, mut n: u64) {
+    let (mut digits, mut at) = ([0u8; 20], 20);
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    if negative {
+        out.push('-');
+    }
+    out.extend(digits[at..].iter().map(|&d| char::from(d)));
 }
 
 impl fmt::Display for Value {
@@ -448,16 +456,131 @@ pub(crate) fn order_key_values(mut key: &[u8]) -> Vec<Value> {
     values
 }
 
-/// Where each cell's whole encoding lies in `record`, a whole record
-/// (one the decoder has walked): one walk, as [`sieve_record`] walks it,
-/// but checking no text.
-pub(crate) fn cell_spans(record: &[u8], spans: &mut Vec<Range<usize>>) {
-    spans.clear();
-    let mut pos = 4;
-    while pos < record.len() {
-        let at = pos;
-        next_cell(record, &mut pos).expect("a whole record");
-        spans.push(at..pos);
+/// One cell of a lent record, neither decoded nor copied: what a reader
+/// shows or compares straight from the record's bytes. Text is checked
+/// as UTF-8 where it is read as text ([`Cell::display_text`]).
+#[derive(Debug, Clone, Copy)]
+pub struct Cell<'r> {
+    tag: u8,
+    payload: &'r [u8],
+}
+
+impl<'r> Cell<'r> {
+    /// Is it NULL?
+    #[inline]
+    pub fn is_null(self) -> bool {
+        self.tag == 0
+    }
+
+    /// A DATALINK cell's URL, checked as UTF-8; `None` for any other
+    /// kind.
+    #[inline]
+    pub fn datalink(self) -> Result<Option<&'r str>> {
+        match self.tag {
+            9 => text(self.payload).map(Some),
+            _ => Ok(None),
+        }
+    }
+
+    /// A BLOB's or CLOB's size in bytes, as [`Value::lob_size`] gives it:
+    /// its payload's length.
+    #[inline]
+    pub fn lob_size(self) -> Option<usize> {
+        matches!(self.tag, 7 | 8).then_some(self.payload.len())
+    }
+
+    /// The text [`Value::display_text`] gives the cell's value: a string
+    /// kind's own payload, checked as UTF-8, any other written into
+    /// `scratch`.
+    #[inline]
+    pub fn display_text<'s>(self, scratch: &'s mut String) -> Result<&'s str>
+    where
+        'r: 's,
+    {
+        match self.tag {
+            3 | 8 | 9 => text(self.payload),
+            _ => Ok(self.written(scratch)),
+        }
+    }
+
+    /// The bytes of [`Cell::display_text`], a string kind's unchecked:
+    /// what a reader compares with a text of its own.
+    #[inline]
+    pub fn display_bytes<'s>(self, scratch: &'s mut String) -> &'s [u8]
+    where
+        'r: 's,
+    {
+        match self.tag {
+            3 | 8 | 9 => self.payload,
+            _ => self.written(scratch).as_bytes(),
+        }
+    }
+
+    /// The display text of a cell that is no string kind, written into
+    /// `scratch` by [`Value::display_text`] of its value (a blob's by
+    /// that of an empty blob of its size).
+    fn written(self, scratch: &mut String) -> &str {
+        use fmt::Write as _;
+        match scalar_cell(self.tag, self.payload) {
+            Some(v) => _ = v.display_text(scratch),
+            None => {
+                scratch.clear();
+                let _ = write!(scratch, "<blob {} bytes>", self.payload.len());
+            }
+        }
+        scratch
+    }
+}
+
+/// Where each cell of a record lies, found by one walk that checks every
+/// tag and length but no text (as [`decode_row`] steps): a reader visits the
+/// cells of a record in any order, or more than once, without walking it
+/// again. Refilled record after record, it allocates only for a record
+/// wider than any before.
+#[derive(Debug, Default)]
+pub struct CellWalk {
+    /// Each cell's tag and where its payload lies.
+    cells: Vec<(u8, Range<usize>)>,
+}
+
+impl CellWalk {
+    /// Walk `record`, an [`encode_row`] record: its first error (a bad
+    /// tag, a length past its end) is the walk's, as it is
+    /// [`decode_row`]'s.
+    pub fn walk(&mut self, record: &[u8]) -> Result<()> {
+        self.cells.clear();
+        let mut pos = 0;
+        let walked = cell_count(record, &mut pos).and_then(|n| {
+            for _ in 0..n {
+                let (tag, payload) = next_cell(record, &mut pos)?;
+                let start = pos - payload.len();
+                self.cells.push((tag, start..pos));
+            }
+            Ok(())
+        });
+        if walked.is_err() {
+            self.cells.clear();
+        }
+        walked
+    }
+
+    /// How many cells the last record walked holds.
+    pub fn len(&self) -> usize {
+        self.cells.len()
+    }
+
+    /// Did it hold none?
+    pub fn is_empty(&self) -> bool {
+        self.cells.is_empty()
+    }
+
+    /// Cell `i` of `record`, the record last walked; `None` past its
+    /// last cell (or for a record it did not walk that is too short).
+    #[inline]
+    pub fn cell<'r>(&self, record: &'r [u8], i: usize) -> Option<Cell<'r>> {
+        let (tag, at) = self.cells.get(i)?;
+        let payload = record.get(at.clone())?;
+        Some(Cell { tag: *tag, payload })
     }
 }
 
@@ -568,6 +691,14 @@ impl Records {
         self.ends.push(self.bytes.len());
     }
 
+    /// Append `bytes` to the last entry.
+    pub(crate) fn extend_last(&mut self, bytes: &[u8]) {
+        self.bytes.extend_from_slice(bytes);
+        if let Some(end) = self.ends.last_mut() {
+            *end = self.bytes.len();
+        }
+    }
+
     /// Append the record at `pos` in `buf` and move `pos` past it,
     /// checked as [`decode_row`] checks it — every tag and length, the
     /// text of every string cell as UTF-8 — and raising the error it
@@ -581,6 +712,7 @@ impl Records {
     }
 
     /// The record appended `i`th.
+    #[inline]
     pub(crate) fn get(&self, i: usize) -> &[u8] {
         let start = i.checked_sub(1).map_or(0, |j| self.ends[j]);
         &self.bytes[start..self.ends[i]]
@@ -648,11 +780,41 @@ pub fn decode_some_into(
     read: &[bool],
     links_as_clob: bool,
 ) -> Result<()> {
+    decode_walk(buf, pos, row, read, links_as_clob, |_| {})
+}
+
+/// [`decode_some_into`] of the record `buf` holds, appending each cell's
+/// whole encoding to `cells` as the one walk steps over it (on error,
+/// some may have been appended).
+pub(crate) fn decode_cells_into<'a>(
+    buf: &'a [u8],
+    row: &mut Vec<Value>,
+    read: &[bool],
+    links_as_clob: bool,
+    cells: &mut Vec<&'a [u8]>,
+) -> Result<()> {
+    let lend = |at: Range<usize>| cells.extend(buf.get(at));
+    decode_walk(buf, &mut 0, row, read, links_as_clob, lend)
+}
+
+/// [`decode_some_into`], lending where each cell's whole encoding lies
+/// in `buf` to `cell`.
+#[inline(always)]
+fn decode_walk(
+    buf: &[u8],
+    pos: &mut usize,
+    row: &mut Vec<Value>,
+    read: &[bool],
+    links_as_clob: bool,
+    mut cell: impl FnMut(Range<usize>),
+) -> Result<()> {
     let decoded = cell_count(buf, pos).and_then(|n| {
         row.truncate(n);
         row.reserve_exact(n - row.len());
         for i in 0..n {
+            let at = *pos;
             let (tag, payload) = next_cell(buf, pos)?;
+            cell(at..*pos);
             if i == row.len() {
                 row.push(Value::Null);
             }
@@ -806,6 +968,34 @@ mod tests {
         let s = Value::Str("x".into());
         assert_eq!(s.display_text(&mut scratch), "x");
         assert_eq!(Value::Double(-0.5).display_text(&mut scratch), "-0.5");
+    }
+
+    /// A double's text is `Display`'s, integral or not, on both sides of
+    /// the digit writer's 10^15 limit and at the kinds it leaves alone.
+    #[test]
+    fn display_text_of_a_double_is_its_display() {
+        let mut scratch = String::new();
+        let limit = 1e15;
+        for d in [
+            0.0,
+            -0.0,
+            300.0,
+            -7.0,
+            1.5,
+            -1e-7,
+            limit - 1.0,
+            -(limit - 1.0),
+            limit,
+            1e300,
+            f64::MAX,
+            f64::MIN_POSITIVE,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+        ] {
+            let v = Value::Double(d);
+            assert_eq!(v.display_text(&mut scratch), v.to_string(), "{d:?}");
+        }
     }
 
     #[test]

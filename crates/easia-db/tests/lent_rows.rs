@@ -1,21 +1,31 @@
 //! Differential property of how a SELECT's rows leave the executor.
 //!
 //! Every result row leaves as an `encode_row` record lent to a reader.
-//! A scan's rows are projected out of their records — the cells a
-//! select list passes through copied as bytes, expression items and
-//! DATALINK renderings encoded from values; a joined row, which has no
-//! one record, and a group's row have every cell written from its value.
-//! DISTINCT keys each record by its cells, and ORDER BY keeps the
-//! records, its expression keys in an arena beside them, and lends each
-//! sorted record as it is. Four readings of one statement must agree,
-//! rows and order or error text: `Database::execute`, which decodes the
-//! lent records into a result set; `Database::execute_each`, its lent
-//! records collected through `Records::push_bytes` and decoded after;
-//! the same statement over an in-memory `exec::Relation` holding the
-//! table's rows, which is read through the same scan but never sieved
-//! nor probed, and has no DATALINK spec; and the statement with the
-//! table joined to a table of one row, so that a scan's row becomes a
-//! joined one, written from values instead of copied.
+//! A row is projected out of the records it was read from — a scan's
+//! record, or each JOIN leg's — the cells a select list passes through
+//! copied as bytes (a LEFT JOIN's padding written as NULL cells),
+//! expression items and DATALINK renderings encoded from values; a
+//! group's row has every cell written from its value. DISTINCT keys each
+//! record by its cells, and ORDER BY keeps the records, each row's order
+//! key beside its record in one arena, and lends each sorted record as
+//! it is. Four readings of one statement must agree, rows and order or
+//! error text: `Database::execute`, which decodes the lent records into
+//! a result set; `Database::execute_each`, its lent records collected
+//! through `Records::push_bytes` and decoded after; the same statement
+//! over an in-memory `exec::Relation` holding the table's rows, which is
+//! read through the same scan but never sieved nor probed, and has no
+//! DATALINK spec; and the statement with the table joined to a table of
+//! one row, so that a scan's row becomes a joined one, its cells copied
+//! by the join's span copy instead of the scan's.
+//!
+//! Those four share one DISTINCT, ORDER BY and LIMIT path, so a fifth
+//! reading, the oracle, does not: the generated statement without
+//! DISTINCT, ORDER BY or LIMIT, its sort keys appended to the select
+//! list, decoded into values, then deduplicated (doubles equal as
+//! `Value::total_cmp` finds them, kinds apart), stable-sorted on the
+//! appended cells with `Value::total_cmp`, cut to the LIMIT and stripped
+//! of the key cells here in the test. A key cell written raw into
+//! DISTINCT's key (so that `-0.0` is not `0.0`) fails it.
 //!
 //! The table holds a cell of every kind — INTEGER, DOUBLE (±0.0, NaN),
 //! VARCHAR, CLOB, BLOB, BOOLEAN, TIMESTAMP and a DATALINK with a spec,
@@ -36,6 +46,7 @@ use easia_db::value::{decode_row, Records};
 use easia_db::{Database, Value};
 use proptest::prelude::*;
 use std::cell::RefCell;
+use std::cmp::Ordering;
 
 const DDL: &str = "CREATE TABLE k (id INTEGER PRIMARY KEY, n INTEGER, x DOUBLE, \
                    s VARCHAR(24), doc CLOB, b BLOB, f BOOLEAN, ts TIMESTAMP, \
@@ -285,30 +296,126 @@ fn fixed_statements_read_alike() {
     }
 }
 
-/// `sql` with an ORDER BY of `keys` (each a name of `names` and whether
-/// it ascends) then `then`, if it has keys, and the LIMIT `limit` picks.
-fn ordered(
-    mut sql: String,
-    names: &[&str],
-    keys: &[(usize, bool)],
-    then: &str,
-    limit: usize,
-) -> String {
-    if !keys.is_empty() {
-        let keys: Vec<String> = keys
-            .iter()
-            .map(|&(k, asc)| format!("{} {}", names[k], if asc { "ASC" } else { "DESC" }))
-            .collect();
-        sql.push_str(&format!(" ORDER BY {}{then}", keys.join(", ")));
+/// A generated statement in its parts: what the four readings run as
+/// its text, and the oracle builds its reference from.
+struct Parts<'s> {
+    distinct: bool,
+    items: Vec<&'s str>,
+    /// Everything after the select list but ORDER BY and LIMIT.
+    rest: String,
+    /// Each ORDER BY key and whether it ascends.
+    keys: Vec<(&'s str, bool)>,
+    limit: Option<usize>,
+}
+
+impl Parts<'_> {
+    /// The statement the readings run.
+    fn sql(&self) -> String {
+        let mut sql = format!(
+            "SELECT {}{}{}",
+            if self.distinct { "DISTINCT " } else { "" },
+            self.items.join(", "),
+            self.rest
+        );
+        if !self.keys.is_empty() {
+            let keys: Vec<String> = (self.keys.iter())
+                .map(|(k, asc)| format!("{k} {}", if *asc { "ASC" } else { "DESC" }))
+                .collect();
+            sql.push_str(&format!(" ORDER BY {}", keys.join(", ")));
+        }
+        if let Some(n) = self.limit {
+            sql.push_str(&format!(" LIMIT {n}"));
+        }
+        sql
     }
-    if let Some(n) = [None, Some(0), Some(1), Some(3), Some(10)]
+
+    /// The expression a key sorts by: that of the select item it names
+    /// by its alias, else the key itself (a column or an expression).
+    fn behind<'k>(&'k self, key: &'k str) -> &'k str {
+        let aliased = self.items.iter().find_map(|item| {
+            let (expr, alias) = item.split_once(" AS ")?;
+            alias.eq_ignore_ascii_case(key).then_some(expr)
+        });
+        aliased.unwrap_or(key)
+    }
+
+    /// The oracle: the statement without DISTINCT, ORDER BY or LIMIT, the
+    /// expressions behind its keys appended to its select list; its rows
+    /// deduplicated on the select list's cells (the first kept),
+    /// stable-sorted on the appended cells, cut and stripped here.
+    fn oracle(&self, db: &mut Database) -> Result<Vec<String>, String> {
+        let appended: String = (self.keys.iter())
+            .map(|(k, _)| format!(", {}", self.behind(k)))
+            .collect();
+        let sql = format!("SELECT {}{appended}{}", self.items.join(", "), self.rest);
+        let rs = db
+            .execute_with_params(&sql, &[])
+            .map_err(|e| e.to_string())?;
+        let width = rs.columns.len() - self.keys.len();
+        let mut rows: Vec<Vec<Value>> = Vec::new();
+        for row in rs.rows {
+            let seen = |kept: &Vec<Value>| same_cells(&kept[..width], &row[..width]);
+            if !(self.distinct && rows.iter().any(seen)) {
+                rows.push(row);
+            }
+        }
+        rows.sort_by(|a, b| {
+            (self.keys.iter().enumerate())
+                .map(|(j, (_, asc))| {
+                    let ord = a[width + j].total_cmp(&b[width + j]);
+                    if *asc {
+                        ord
+                    } else {
+                        ord.reverse()
+                    }
+                })
+                .find(|ord| ord.is_ne())
+                .unwrap_or(Ordering::Equal)
+        });
+        rows.truncate(self.limit.unwrap_or(usize::MAX));
+        let stripped: Vec<Vec<Value>> = rows.into_iter().map(|r| r[..width].to_vec()).collect();
+        Ok(shown(&stripped))
+    }
+}
+
+/// Are two rows' cells one row to DISTINCT? Doubles are equal as
+/// `Value::total_cmp` finds them (`-0.0` is `0.0`, every NaN one NaN);
+/// cells of different kinds never are.
+fn same_cells(a: &[Value], b: &[Value]) -> bool {
+    a.iter().zip(b).all(|(x, y)| match (x, y) {
+        (Value::Double(x), Value::Double(y)) => x == y || (x.is_nan() && y.is_nan()),
+        _ => x == y,
+    })
+}
+
+/// The four readings of a generated statement agree, and with the
+/// oracle.
+fn check_parts(parts: &Parts) -> Result<(), TestCaseError> {
+    let sql = parts.sql();
+    check(&sql)?;
+    let (owned, oracle) = FIXTURE.with_borrow_mut(|(db, _)| {
+        let owned = db.execute_with_params(&sql, &[]);
+        (owned.map(|rs| shown(&rs.rows)), parts.oracle(db))
+    });
+    let owned = owned.map_err(|e| e.to_string());
+    prop_assert!(
+        owned == oracle,
+        "{sql}: execute {owned:?}\noracle {oracle:?}"
+    );
+    Ok(())
+}
+
+/// The LIMIT a generated `limit` picks.
+fn limit_of(limit: usize) -> Option<usize> {
+    [None, Some(0), Some(1), Some(3), Some(10)]
         .get(limit)
         .copied()
         .flatten()
-    {
-        sql.push_str(&format!(" LIMIT {n}"));
-    }
-    sql
+}
+
+/// The ORDER BY keys `keys` picks from `names`.
+fn keys_of<'s>(names: &[&'s str], keys: &[(usize, bool)]) -> Vec<(&'s str, bool)> {
+    keys.iter().map(|&(k, asc)| (names[k], asc)).collect()
 }
 
 proptest! {
@@ -320,14 +427,13 @@ proptest! {
         limit in 0usize..6,
         distinct in any::<bool>(),
     ) {
-        let list: Vec<&str> = items.iter().map(|&i| ITEMS[i]).collect();
-        let sql = format!(
-            "SELECT {}{} FROM k{}",
-            if distinct { "DISTINCT " } else { "" },
-            list.join(", "),
-            WHERES[filter],
-        );
-        check(&ordered(sql, KEYS, &keys, "", limit))?;
+        check_parts(&Parts {
+            distinct,
+            items: items.iter().map(|&i| ITEMS[i]).collect(),
+            rest: format!(" FROM k{}", WHERES[filter]),
+            keys: keys_of(KEYS, &keys),
+            limit: limit_of(limit),
+        })?;
     }
 
     #[test]
@@ -339,18 +445,14 @@ proptest! {
         limit in 0usize..6,
         distinct in any::<bool>(),
     ) {
-        let list: Vec<&str> = items
-            .iter()
-            .map(|&i| ITEMS[i])
-            .chain(theirs.iter().map(|&i| M_ITEMS[i]))
-            .collect();
-        let sql = format!(
-            "SELECT {}{} FROM k {}JOIN m ON mn = n",
-            if distinct { "DISTINCT " } else { "" },
-            list.join(", "),
-            if left { "LEFT " } else { "" },
-        );
-        check(&ordered(sql, M_KEYS, &keys, "", limit))?;
+        let items = items.iter().map(|&i| ITEMS[i]);
+        check_parts(&Parts {
+            distinct,
+            items: items.chain(theirs.iter().map(|&i| M_ITEMS[i])).collect(),
+            rest: format!(" FROM k {}JOIN m ON mn = n", if left { "LEFT " } else { "" }),
+            keys: keys_of(M_KEYS, &keys),
+            limit: limit_of(limit),
+        })?;
     }
 
     #[test]
@@ -363,14 +465,17 @@ proptest! {
         filter in 0usize..WHERES.len(),
     ) {
         let group = GROUP_KEYS[key];
-        let list: Vec<&str> = std::iter::once(group).chain(aggs.iter().map(|&i| AGGS[i])).collect();
-        let sql = format!(
-            "SELECT {} FROM k{} GROUP BY {group}{}",
-            list.join(", "),
-            WHERES[filter],
-            HAVINGS[having],
-        );
         // The group key last breaks ties, so the order is total.
-        check(&ordered(sql, GROUP_ORDERS, &order, &format!(", {group}"), limit))?;
+        let mut keys = keys_of(GROUP_ORDERS, &order);
+        if !keys.is_empty() {
+            keys.push((group, true));
+        }
+        check_parts(&Parts {
+            distinct: false,
+            items: std::iter::once(group).chain(aggs.iter().map(|&i| AGGS[i])).collect(),
+            rest: format!(" FROM k{} GROUP BY {group}{}", WHERES[filter], HAVINGS[having]),
+            keys,
+            limit: limit_of(limit),
+        })?;
     }
 }

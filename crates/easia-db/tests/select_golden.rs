@@ -502,7 +502,17 @@ fn join(rng: &mut StdRng) -> String {
     format!("SELECT {items} FROM m {kind} a ON {on}{filter}{tail}")
 }
 
-/// The fixed statements, then 320 drawn from a seeded generator.
+/// Table-less SELECTs obeying the clauses after their select list: the
+/// WHERE and LIMIT drop the one row, ORDER BY binds its key. Kept after
+/// the generated statements, so that no earlier section moves.
+const TABLELESS: [&str; 3] = [
+    "SELECT 1 WHERE 1 = 0",
+    "SELECT 1 LIMIT 0",
+    "SELECT 1 AS a ORDER BY b",
+];
+
+/// The fixed statements, then 320 drawn from a seeded generator, then
+/// the table-less ones.
 fn statements() -> Vec<String> {
     let mut rng = StdRng::seed_from_u64(2025);
     let mut all: Vec<String> = FIXED.iter().map(|s| s.to_string()).collect();
@@ -514,6 +524,7 @@ fn statements() -> Vec<String> {
             _ => join(&mut rng),
         });
     }
+    all.extend(TABLELESS.iter().map(|s| s.to_string()));
     all
 }
 

@@ -27,7 +27,12 @@
 //!    *original* statement runs over them, so every SQL feature the hub
 //!    engine supports (aggregates, GROUP BY, DISTINCT, functions, ORDER
 //!    BY/LIMIT) works federated, and pushed filters are harmlessly
-//!    re-applied. The hub database is only read.
+//!    re-applied. The hub database is only read. The merged rows are
+//!    lent as records — a shipped cell the statement passes through is
+//!    copied as its bytes, a JOIN's included — into one arena, the
+//!    statement's [`QueryRecords`] ([`Federation::query_many_records`]);
+//!    [`Federation::query`] and [`Federation::query_many`] decode it into
+//!    a result set ([`QueryRecords::decode`]).
 //!
 //! A site outage climbs the **degradation ladder** (`ladder.rs`)
 //! instead of surfacing immediately:
@@ -52,6 +57,7 @@ use crate::catalog::{CatalogError, FedCatalog, Partition};
 use crate::explain::FedExplain;
 use crate::legs::Run;
 use crate::remote::RemoteError;
+use easia_db::exec::result_set;
 use easia_db::value::Records;
 use easia_db::{Database, DbError, ResultSet, Value};
 use easia_net::{HostId, RetryPolicy, SimNet};
@@ -197,14 +203,45 @@ impl Site {
 }
 
 /// A completed federated query: the merged result set plus its
-/// `EXPLAIN FEDERATED` report. `Clone` so speculative prefetch can
-/// hold a copy for the next screen.
+/// `EXPLAIN FEDERATED` report.
 #[derive(Debug, Clone)]
 pub struct QueryOutcome {
     /// The merged rows, exactly as a single-site run would produce.
     pub rs: ResultSet,
     /// Per-site pushdown/shipping breakdown.
     pub explain: FedExplain,
+}
+
+/// A completed federated query as the merge lends it: the result's
+/// columns, each row's record in one arena and the `EXPLAIN FEDERATED`
+/// report. What a screen renders from, and `Clone` so speculative
+/// prefetch can hold one for the next screen.
+#[derive(Debug, Clone)]
+pub struct QueryRecords {
+    /// The result's columns.
+    pub columns: Vec<String>,
+    /// Each merged row's `encode_row` record, exactly the rows a
+    /// single-site run would return.
+    pub rows: Records,
+    /// Per-site pushdown/shipping breakdown.
+    pub explain: FedExplain,
+}
+
+impl QueryRecords {
+    /// The outcome with its rows decoded into a result set, through the
+    /// one function that decodes lent records ([`result_set`]).
+    pub fn decode(self) -> Result<QueryOutcome, FedError> {
+        let QueryRecords {
+            columns,
+            rows,
+            explain,
+        } = self;
+        let rs = result_set(|each| {
+            rows.iter().for_each(each);
+            Ok(columns)
+        })?;
+        Ok(QueryOutcome { rs, explain })
+    }
 }
 
 /// The hub's federation engine.
@@ -403,7 +440,8 @@ impl Federation {
     /// result comes back in input order. Wall-clock tracks the slowest
     /// statement instead of the sum. JOIN statements run after the
     /// shared pump, each on its own clock (it pipelines its legs
-    /// internally).
+    /// internally). [`Federation::query_many_records`], each result
+    /// decoded.
     pub fn query_many(
         &self,
         net: &mut SimNet,
@@ -412,6 +450,22 @@ impl Federation {
         obs: Option<&Obs>,
         queries: &[(String, Vec<Value>)],
     ) -> Vec<Result<QueryOutcome, FedError>> {
+        let lent = self.query_many_records(net, hub_host, hub_db, obs, queries);
+        lent.into_iter()
+            .map(|out| out.and_then(QueryRecords::decode))
+            .collect()
+    }
+
+    /// [`Federation::query_many`] with each result's rows lent as the
+    /// merge writes them, records in one arena, none decoded.
+    pub fn query_many_records(
+        &self,
+        net: &mut SimNet,
+        hub_host: HostId,
+        hub_db: &mut Database,
+        obs: Option<&Obs>,
+        queries: &[(String, Vec<Value>)],
+    ) -> Vec<Result<QueryRecords, FedError>> {
         let plans: Vec<_> = queries
             .iter()
             .map(|(sql, params)| self.plan(hub_db, sql, params))

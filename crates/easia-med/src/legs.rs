@@ -13,7 +13,7 @@
 
 use crate::catalog::ForeignTable;
 use crate::explain::{AggExplain, FedExplain, JoinExplain, JoinStrategy, Shipping, SiteExplain};
-use crate::federation::{FedError, Federation, QueryOutcome};
+use crate::federation::{FedError, Federation, QueryRecords};
 use crate::gather::TableGather;
 use crate::merge::{merge, merge_partial_agg, Leg};
 use crate::metrics::{
@@ -144,7 +144,7 @@ pub(crate) struct Run<'p, 'a> {
     /// stays `None`.
     leg_rows: Vec<Option<Records>>,
     /// Set once: the statement completed or failed.
-    pub(crate) outcome: Option<Result<QueryOutcome, FedError>>,
+    pub(crate) outcome: Option<Result<QueryRecords, FedError>>,
 }
 
 impl<'p, 'a> Run<'p, 'a> {
@@ -434,7 +434,7 @@ impl Federation {
         obs: Option<&Obs>,
         run: &mut Run<'_, '_>,
         now: f64,
-    ) -> Result<QueryOutcome, FedError> {
+    ) -> Result<QueryRecords, FedError> {
         let stmt = run.stmt;
         let mut explain = FedExplain {
             table: stmt.plan.legs[0].table.clone(),
@@ -454,14 +454,17 @@ impl Federation {
         PUSHDOWN_CONJUNCTS.add(obs, "pushed", pushed as u64);
         PUSHDOWN_CONJUNCTS.add(obs, "hub", stmt.plan.hub_eval.len() as u64);
 
-        let rs = match (&stmt.plan.partial_agg, stmt.tables[0]) {
+        let mut rows = Records::default();
+        let mut each = |record: &[u8]| rows.push_bytes(record);
+        let columns = match (&stmt.plan.partial_agg, stmt.tables[0]) {
             (Some(agg), Some(ft)) => {
                 let states = run.leg_rows[0].take().unwrap_or_default();
                 let partial_rows = states.len() as u64;
-                let rs = merge_partial_agg(hub_db, &stmt.sel, ft, agg, stmt.params, &states)?;
-                explain.agg = stmt.agg_explain(&explain.sites, partial_rows, rs.rows.len() as u64);
+                let (sel, params) = (&stmt.sel, stmt.params);
+                let columns = merge_partial_agg(hub_db, sel, ft, agg, params, &states, &mut each)?;
+                explain.agg = stmt.agg_explain(&explain.sites, partial_rows, rows.len() as u64);
                 PARTIAL_AGG_QUERIES.add(obs, &ft.name, 1);
-                rs
+                columns
             }
             _ => {
                 if let Some(reason) = stmt.plan.agg_fallback {
@@ -483,7 +486,7 @@ impl Federation {
                         })
                     })
                     .collect();
-                merge(hub_db, &stmt.sel, stmt.params, legs)?
+                merge(hub_db, &stmt.sel, stmt.params, legs, &mut each)?
             }
         };
 
@@ -499,6 +502,10 @@ impl Federation {
             ]);
             o.tracer.record("easia.med.query", run.t0, now, &attrs);
         }
-        Ok(QueryOutcome { rs, explain })
+        Ok(QueryRecords {
+            columns,
+            rows,
+            explain,
+        })
     }
 }

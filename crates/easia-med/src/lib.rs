@@ -64,7 +64,7 @@ pub use cache::{Cache, CacheStats, Lookup};
 pub use catalog::{CatalogError, FedCatalog, ForeignTable, Partition};
 pub use explain::{AggExplain, FedExplain, SiteExplain, SiteSource, StaleSite};
 pub use federation::{
-    FedError, Federation, PartialPolicy, QueryOutcome, Site, DEFAULT_DEADLINE_SECS,
+    FedError, Federation, PartialPolicy, QueryOutcome, QueryRecords, Site, DEFAULT_DEADLINE_SECS,
 };
 pub use planner::{plan_select, AggPlan, Finisher, TablePlan};
 pub use remote::{serve_scan, RemoteError, DEFAULT_BATCH_ROWS};

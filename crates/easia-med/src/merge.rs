@@ -2,23 +2,25 @@
 //!
 //! Nothing here writes to the hub database. Shipped rows are wrapped in
 //! in-memory [`Relation`]s and the statement runs over them through
-//! [`run_select_over`] against the hub's current read view, so a
+//! [`run_select_each`] against the hub's current read view, so a
 //! federated read creates no table, no row version and no WAL record,
 //! and works inside an open hub transaction. Partial-aggregate state
 //! rows fold into the executor's own [`AggState`] and finish through
 //! [`finish_groups`] — the overflow, NULL and ORDER BY rules exist once,
-//! in `easia-db`.
+//! in `easia-db`. Either way the merged rows are lent as the records
+//! the executor writes, the cells of the shipped rows a statement passes
+//! through copied as their bytes; nothing here decodes a result row.
 
 use crate::catalog::ForeignTable;
 use crate::planner::{AggPlan, Finisher};
 use crate::wire::ScanRequest;
 use crate::FedError;
-use easia_db::exec::{finish_groups, run_select_each, run_select_over, AggState, Relation};
+use easia_db::exec::{finish_groups, run_select_each, AggState, Relation};
 use easia_db::expr::RowSchema;
 use easia_db::sql::ast::{SelectStmt, Stmt, TableRef};
 use easia_db::sql::parse;
 use easia_db::value::{decode_row_into, encode_key_cell, Records};
-use easia_db::{Database, DbError, ResultSet, Value};
+use easia_db::{Database, DbError, Value};
 use std::collections::HashMap;
 
 /// One gathered table of a statement.
@@ -36,16 +38,21 @@ pub(crate) struct Leg<'a> {
 /// Run `sel` at the hub with each gathered leg swapped in as an
 /// in-memory relation bound under the leg's original alias, so every
 /// qualified reference still resolves; tables of `sel` without a leg
-/// are hub-local and read in place. The one function that runs a
+/// are hub-local and read in place. Each result row's record is lent to
+/// `each`; returns the result's columns. The one function that runs a
 /// statement over gathered rows.
 pub(crate) fn merge(
     hub_db: &Database,
     sel: &SelectStmt,
     params: &[Value],
     legs: Vec<Leg<'_>>,
-) -> Result<ResultSet, FedError> {
+    each: &mut dyn FnMut(&[u8]),
+) -> Result<Vec<String>, FedError> {
     let (sel, relations) = bind_legs(sel, legs);
-    run_select_over(hub_db, &hub_db.read_view(), &sel, params, &relations).map_err(FedError::Db)
+    let view = hub_db.read_view();
+    Ok(run_select_each(
+        hub_db, &view, &sel, params, &relations, each,
+    )?)
 }
 
 /// `sel` reading each leg as a relation: the statement [`merge`] runs.
@@ -121,7 +128,8 @@ fn function(fin: &Finisher) -> &'static str {
 /// shipped rows by key, fold each finisher's partials into the
 /// executor's aggregate state, and finish the groups exactly as the
 /// single-database aggregate pipeline would (HAVING, the select list,
-/// ORDER BY, LIMIT).
+/// ORDER BY, LIMIT), each result row's record lent to `each`; returns
+/// the result's columns.
 pub(crate) fn merge_partial_agg(
     hub_db: &Database,
     sel: &SelectStmt,
@@ -129,7 +137,8 @@ pub(crate) fn merge_partial_agg(
     agg: &AggPlan,
     params: &[Value],
     gathered: &Records,
-) -> Result<ResultSet, FedError> {
+    each: &mut dyn FnMut(&[u8]),
+) -> Result<Vec<String>, FedError> {
     let k = agg.group_cols.len();
     let new_states =
         || -> Vec<AggState> { agg.finishers.iter().map(|_| AggState::default()).collect() };
@@ -206,5 +215,5 @@ pub(crate) fn merge_partial_agg(
             (key_vals, aggs)
         })
         .collect();
-    finish_groups(hub_db, sel, &schema, groups, params).map_err(FedError::Db)
+    Ok(finish_groups(hub_db, sel, &schema, groups, params, each)?)
 }

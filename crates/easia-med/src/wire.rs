@@ -15,6 +15,20 @@
 //! Both directions are byte-deterministic: encoding the same logical
 //! message always yields the same bytes, which is what lets same-seed
 //! federation runs digest identically.
+//!
+//! Every frame the pump accepts is decoded here, so no byte of one can
+//! index, slice or count past what it holds: the compiler refuses an
+//! unchecked index, slice, `expect`, `unwrap`, panic or overflowing
+//! arithmetic, and each length a frame declares is checked with `get`
+//! and `checked_*` into a [`WireError`].
+#![deny(
+    clippy::indexing_slicing,
+    clippy::expect_used,
+    clippy::unwrap_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::arithmetic_side_effects
+)]
 
 use easia_db::value::{decode_row, encode_row, Records};
 use easia_db::Value;
@@ -80,7 +94,7 @@ pub(crate) fn batch_header(out: &mut Vec<u8>, seq: u32, write_counter: u64, rows
 /// Encode a batch of rows into one wire frame with its stream position
 /// and the site's current write counter in the header.
 pub fn encode_batch(rows: &[Vec<Value>], seq: u32, write_counter: u64) -> Vec<u8> {
-    let mut out = Vec::with_capacity(28 + rows.len() * 16);
+    let mut out = Vec::with_capacity(rows.len().saturating_mul(16).saturating_add(28));
     batch_header(&mut out, seq, write_counter, rows.len() as u32);
     for row in rows {
         encode_row(row, &mut out);
@@ -97,18 +111,19 @@ pub fn walk_batch(buf: &[u8], rows: &mut Records) -> Result<(u32, u64), WireErro
     if buf.len() < 20 {
         return Err(WireError::Truncated);
     }
-    if buf[..4] != BATCH_MAGIC {
+    let mut pos = 0;
+    if get(buf, &mut pos)? != BATCH_MAGIC {
         return Err(WireError::BadMagic);
     }
-    let seq = u32::from_le_bytes(buf[4..8].try_into().expect("4 bytes"));
-    let write_counter = u64::from_le_bytes(buf[8..16].try_into().expect("8 bytes"));
-    let n = u32::from_le_bytes(buf[16..20].try_into().expect("4 bytes"));
-    let (before, mut pos) = (rows.len(), 20usize);
-    rows.reserve(buf.len() - pos, n as usize);
+    let seq = u32::from_le_bytes(get(buf, &mut pos)?);
+    let write_counter = u64::from_le_bytes(get(buf, &mut pos)?);
+    let n = u32::from_le_bytes(get(buf, &mut pos)?);
+    let before = rows.len();
+    rows.reserve(buf.len().saturating_sub(pos), n as usize);
     let walked = (0..n)
         .try_for_each(|_| rows.push_checked(buf, &mut pos))
         .map_err(|e| WireError::Row(e.to_string()))
-        .and_then(|()| match buf.len() - pos {
+        .and_then(|()| match buf.len().saturating_sub(pos) {
             0 => Ok(()),
             left => Err(WireError::TrailingBytes(left)),
         });
@@ -354,13 +369,10 @@ impl ScanRequest {
 
     /// Decode a frame produced by [`ScanRequest::encode`].
     pub fn decode(buf: &[u8]) -> Result<ScanRequest, WireError> {
-        if buf.len() < 4 {
-            return Err(WireError::Truncated);
-        }
-        if buf[..4] != REQUEST_MAGIC {
+        let pos = &mut 0;
+        if get(buf, pos)? != REQUEST_MAGIC {
             return Err(WireError::BadMagic);
         }
-        let pos = &mut 4usize;
         let row = |pos: &mut usize| decode_row(buf, pos).map_err(|e| WireError::Row(e.to_string()));
         let table = get_str(buf, pos)?;
         let columns = list(buf, pos, 4, |pos| get_str(buf, pos))?;
@@ -402,7 +414,7 @@ impl ScanRequest {
             false => None,
         };
         if *pos != buf.len() {
-            return Err(WireError::TrailingBytes(buf.len() - *pos));
+            return Err(WireError::TrailingBytes(buf.len().saturating_sub(*pos)));
         }
         Ok(ScanRequest {
             table,
@@ -423,21 +435,30 @@ fn put_str(out: &mut Vec<u8>, s: &str) {
     out.extend_from_slice(s.as_bytes());
 }
 
+/// The `n` bytes at `pos`, moving past them; a length past the end of
+/// `buf` (or of the address space) is a truncated frame.
+fn take<'b>(buf: &'b [u8], pos: &mut usize, n: usize) -> Result<&'b [u8], WireError> {
+    let end = pos.checked_add(n).ok_or(WireError::Truncated)?;
+    let bytes = buf.get(*pos..end).ok_or(WireError::Truncated)?;
+    *pos = end;
+    Ok(bytes)
+}
+
 /// The `N` bytes at `pos`, moving past them.
 fn get<const N: usize>(buf: &[u8], pos: &mut usize) -> Result<[u8; N], WireError> {
-    let bytes = buf.get(*pos..*pos + N).ok_or(WireError::Truncated)?;
-    *pos += N;
-    Ok(bytes.try_into().expect("N bytes"))
+    take(buf, pos, N)?
+        .try_into()
+        .map_err(|_| WireError::Truncated)
 }
 
 fn flag(buf: &[u8], pos: &mut usize) -> Result<bool, WireError> {
-    Ok(get::<1>(buf, pos)?[0] != 0)
+    let [b] = get(buf, pos)?;
+    Ok(b != 0)
 }
 
 fn get_str(buf: &[u8], pos: &mut usize) -> Result<String, WireError> {
     let n = u32::from_le_bytes(get(buf, pos)?) as usize;
-    let s = buf.get(*pos..*pos + n).ok_or(WireError::Truncated)?;
-    *pos += n;
+    let s = take(buf, pos, n)?;
     String::from_utf8(s.to_vec()).map_err(|e| WireError::Row(e.to_string()))
 }
 
@@ -451,7 +472,8 @@ fn list<T>(
     mut item: impl FnMut(&mut usize) -> Result<T, WireError>,
 ) -> Result<Vec<T>, WireError> {
     let n = u32::from_le_bytes(get(buf, pos)?) as usize;
-    let mut items = Vec::with_capacity(n.min((buf.len() - *pos) / size));
+    let left = buf.len().saturating_sub(*pos).checked_div(size);
+    let mut items = Vec::with_capacity(n.min(left.unwrap_or(0)));
     for _ in 0..n {
         items.push(item(pos)?);
     }
@@ -459,6 +481,12 @@ fn list<T>(
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::unwrap_used,
+    clippy::indexing_slicing,
+    clippy::arithmetic_side_effects,
+    reason = "tests read frames they built, whose shape they know"
+)]
 mod tests {
     use super::*;
 

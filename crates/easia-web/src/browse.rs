@@ -13,8 +13,8 @@
 
 use crate::html::{escape_into, format_size_into};
 use crate::http::url_encode_into;
-use easia_db::value::{decode_some_into, Records};
-use easia_db::{DbError, ResultSet, Value};
+use easia_db::value::{Cell, CellWalk, Records};
+use easia_db::{DbError, ResultSet};
 use easia_xuis::{Operation, XuisColumn, XuisDoc, XuisTable};
 
 /// Everything the renderer needs besides the rows.
@@ -43,73 +43,36 @@ pub fn render_results(ctx: &BrowseContext<'_>, rs: &ResultSet) -> String {
 }
 
 /// [`render_results`] appended to `out` — a page shell already holding
-/// what precedes the table: each row through [`ResultTable`], offering
-/// its operations from [`BrowseContext::row_operations`].
+/// what precedes the table: each row encoded as the record a screen
+/// reads and rendered through [`ResultTable`], offering its operations
+/// from [`BrowseContext::row_operations`].
 pub fn render_results_into(ctx: &BrowseContext<'_>, rs: &ResultSet, out: &mut String) {
+    let mut records = Records::default();
+    rs.rows.iter().for_each(|row| records.push(row));
     let has_ops = ctx.row_operations.iter().any(|ops| !ops.is_empty());
-    let mut table = ResultTable::begin(ctx, &rs.columns, rs.rows.len(), has_ops, out);
-    for (ri, row) in rs.rows.iter().enumerate() {
+    let mut table = ResultTable::begin(ctx, &rs.columns, records.len(), has_ops, out);
+    for (ri, record) in records.iter().enumerate() {
         let ops = ctx.row_operations.get(ri).map(Vec::as_slice).unwrap_or(&[]);
-        table.row(out, row, ops.iter().copied());
+        // A record encoded from values always walks.
+        if table.row(out, record, ops.iter().copied()).is_err() {
+            break;
+        }
     }
     table.end(out);
 }
 
-/// A result's rows as a screen reads them: a result set's, or the
-/// records of one [`Records`] arena, each decoded into a scratch row.
-#[derive(Clone, Copy)]
-pub enum Rows<'r> {
-    /// Owned rows.
-    Values(&'r [Vec<Value>]),
-    /// One record per row.
-    Records(&'r Records),
-}
-
-impl Rows<'_> {
-    /// How many rows.
-    pub fn len(&self) -> usize {
-        match self {
-            Rows::Values(rows) => rows.len(),
-            Rows::Records(records) => records.len(),
-        }
-    }
-
-    /// Are there none?
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Lend each row, with its position, to `each`. A record is decoded
-    /// into one scratch row, only the cells `read` marks (the others
-    /// read as NULL; empty: every cell); a result set's rows are lent as
-    /// they are.
-    pub fn each(
-        &self,
-        read: &[bool],
-        mut each: impl FnMut(usize, &[Value]),
-    ) -> Result<(), DbError> {
-        match self {
-            Rows::Values(rows) => rows.iter().enumerate().for_each(|(i, row)| each(i, row)),
-            Rows::Records(records) => {
-                let mut row = Vec::new();
-                for (i, record) in records.iter().enumerate() {
-                    decode_some_into(record, &mut 0, &mut row, read, false)?;
-                    each(i, &row);
-                }
-            }
-        }
-        Ok(())
-    }
-}
-
 /// The one row renderer of every result screen: the table's head, then
-/// each row as it is handed over, then its end. The text a row has in
-/// common with every other is built once per result, as fragments: each
-/// column's, when the table begins (`<td><a href="/browse/fk/…?value=`,
-/// a primary-key link's `">→T</a>`), and each operation's, the first time
-/// a row offers it (`<a href="/op/T/Op?dataset=` and `">Op</a>`). A row
-/// pushes only those fragments and its own values, encoded, and
-/// allocates nothing but the page's own growth.
+/// each row as it is handed over, as its record, then its end. A row is
+/// rendered from its cells' bytes — text escaped and URL-encoded
+/// straight from its payload, a number written as its value displays, a
+/// large object's size its payload's length — and no value is built for
+/// a cell. The text a row has in common with every other is built once
+/// per result, as fragments: each column's, when the table begins
+/// (`<td><a href="/browse/fk/…?value=`, a primary-key link's
+/// `">→T</a>`), and each operation's, the first time a row offers it
+/// (`<a href="/op/T/Op?dataset=` and `">Op</a>`). A row pushes only those
+/// fragments and its own cells, encoded, and allocates nothing but the
+/// page's own growth.
 pub struct ResultTable<'c> {
     ctx: &'c BrowseContext<'c>,
     /// The XUIS describes the table; a table it does not know renders as
@@ -160,13 +123,28 @@ impl OpLink {
     }
 }
 
-/// The text a row is rendered through, refilled row after row.
+/// What a row is rendered through, refilled row after row.
 #[derive(Default)]
 struct Scratch {
-    /// A non-string value on its way into the page.
+    /// Where each cell of the row in hand lies.
+    walk: CellWalk,
+    /// A non-string cell's text on its way into the page.
     text: String,
     /// A DATALINK URL in its stored form.
     stored: String,
+}
+
+/// The cells of the row in hand: its record and where they lie in it.
+#[derive(Clone, Copy)]
+struct RowCells<'r> {
+    record: &'r [u8],
+    walk: &'r CellWalk,
+}
+
+impl<'r> RowCells<'r> {
+    fn get(self, i: usize) -> Option<Cell<'r>> {
+        self.walk.cell(self.record, i)
+    }
 }
 
 impl<'c> ResultTable<'c> {
@@ -213,23 +191,30 @@ impl<'c> ResultTable<'c> {
         }
     }
 
-    /// Render one row, offering `ops` in its operations column.
+    /// Render the row of `record`, an `encode_row` record, offering `ops`
+    /// in its operations column. A record that does not walk, or whose
+    /// text is not UTF-8, is the error [`easia_db::value::decode_row`]
+    /// would raise for it; what it left in `out` is no page.
     pub fn row<'o>(
         &mut self,
         out: &mut String,
-        row: &[Value],
+        record: &[u8],
         ops: impl IntoIterator<Item = &'o Operation>,
-    ) {
+    ) -> Result<(), DbError> {
+        let Scratch { walk, text, stored } = &mut self.scratch;
+        walk.walk(record)?;
+        let row = RowCells { record, walk };
         let row_start = out.len();
         out.push_str("<tr>");
-        for (v, plan) in row.iter().zip(&self.plans) {
-            if self.described && v.is_null() {
+        for (i, plan) in self.plans.iter().enumerate() {
+            let Some(cell) = row.get(i) else { break };
+            if self.described && cell.is_null() {
                 out.push_str("<td><i>null</i></td>");
             } else if plan.described {
-                render_cell(out, self.ctx, &self.key, plan, v, row, &mut self.scratch);
+                render_cell(out, self.ctx, &self.key, plan, cell, row, text, stored)?;
             } else {
                 out.push_str("<td>");
-                escape_into(out, v.display_text(&mut self.scratch.text));
+                escape_into(out, cell.display_text(text)?);
                 out.push_str("</td>");
             }
         }
@@ -237,7 +222,7 @@ impl<'c> ResultTable<'c> {
             out.push_str("<td>");
             let mut ops = ops.into_iter().peekable();
             let dataset = match ops.peek() {
-                Some(_) => primary_datalink(row, &mut self.scratch.stored),
+                Some(_) => primary_datalink(row, stored)?,
                 None => "",
             };
             for (n, op) in ops.enumerate() {
@@ -259,6 +244,7 @@ impl<'c> ResultTable<'c> {
             out.reserve(rest + rest / 8);
         }
         self.rendered += 1;
+        Ok(())
     }
 
     /// Close the table.
@@ -268,21 +254,23 @@ impl<'c> ResultTable<'c> {
 }
 
 /// One non-NULL cell of a column the XUIS describes, `<td>` to `</td>`;
-/// `key` is the result's [`key_plan`].
+/// `key` is the result's [`key_plan`], `text` and `stored` scratch.
+#[allow(clippy::too_many_arguments)]
 fn render_cell(
     out: &mut String,
     ctx: &BrowseContext<'_>,
     key: &[(String, usize)],
     plan: &ColumnPlan<'_>,
-    v: &Value,
-    row: &[Value],
-    Scratch { text, stored }: &mut Scratch,
-) {
+    v: Cell<'_>,
+    row: RowCells<'_>,
+    text: &mut String,
+    stored: &mut String,
+) -> Result<(), DbError> {
     // DATALINK: download link (with token already spliced by the
     // database layer) labelled with the file size; guests see a
     // restriction notice instead — "guest users cannot download
     // datasets".
-    if let Value::Datalink(url) = v {
+    if let Some(url) = v.datalink()? {
         let stored = stored_form(url, stored);
         let size = ctx.file_size.and_then(|f| f(stored));
         let size = |out: &mut String| match size {
@@ -300,10 +288,10 @@ fn render_cell(
             size(out);
             out.push_str("</a></td>");
         }
-        return;
+        return Ok(());
     }
     // BLOB/CLOB: size link that rematerialises the object.
-    if matches!(v, Value::Blob(_) | Value::Clob(_)) {
+    if let Some(size) = v.lob_size() {
         out.push_str("<td><a href=\"");
         out.push_str(&plan.lob_href);
         for (n, (name, pos)) in key.iter().enumerate() {
@@ -312,25 +300,27 @@ fn render_cell(
             }
             out.push_str(name);
             out.push('=');
-            url_encode_into(out, row[*pos].display_text(text));
+            if let Some(cell) = row.get(*pos) {
+                url_encode_into(out, cell.display_text(text)?);
+            }
         }
         out.push_str("\">");
-        format_size_into(out, v.lob_size().unwrap_or(0) as u64);
+        format_size_into(out, size as u64);
         out.push_str("</a></td>");
-        return;
+        return Ok(());
     }
     // Foreign-key browsing.
     if let Some((head, subst)) = &plan.fk {
         out.push_str(head);
-        url_encode_into(out, v.display_text(text));
+        url_encode_into(out, v.display_text(text)?);
         out.push_str("\">");
-        let label = subst.map(|i| &row[i]).filter(|l| !l.is_null()).unwrap_or(v);
-        escape_into(out, label.display_text(text));
+        let label = subst.and_then(|i| row.get(i)).filter(|l| !l.is_null());
+        escape_into(out, label.unwrap_or(v).display_text(text)?);
         out.push_str("</a></td>");
-        return;
+        return Ok(());
     }
     out.push_str("<td>");
-    let shown = v.display_text(text);
+    let shown = v.display_text(text)?;
     escape_into(out, shown);
     // Primary-key browsing: one link per referencing table.
     for (head, tail) in &plan.pk_links {
@@ -339,6 +329,7 @@ fn render_cell(
         out.push_str(tail);
     }
     out.push_str("</td>");
+    Ok(())
 }
 
 /// What the cells of one result column need beyond their value, worked
@@ -430,13 +421,13 @@ fn key_plan(xt: &XuisTable, columns: &[String]) -> Vec<(String, usize)> {
 
 /// The row's first DATALINK value in its stored form ([`stored_form`]),
 /// used as the dataset identifier when invoking operations.
-fn primary_datalink<'s>(row: &'s [Value], scratch: &'s mut String) -> &'s str {
-    row.iter()
-        .find_map(|v| match v {
-            Value::Datalink(url) => Some(url),
-            _ => None,
-        })
-        .map_or("", |url| stored_form(url, scratch))
+fn primary_datalink<'s>(row: RowCells<'s>, scratch: &'s mut String) -> Result<&'s str, DbError> {
+    for i in 0..row.walk.len() {
+        if let Some(url) = row.get(i).map(Cell::datalink).transpose()?.flatten() {
+            return Ok(stored_form(url, scratch));
+        }
+    }
+    Ok("")
 }
 
 /// `url` without its access token — dataset identity is the stored URL:
@@ -470,6 +461,7 @@ pub fn visible_columns(rs: &ResultSet) -> Vec<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use easia_db::Value;
     use easia_xuis::{FkSpec, XuisColumn};
 
     fn xuis() -> XuisDoc {

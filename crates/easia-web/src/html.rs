@@ -10,7 +10,12 @@ pub fn escape(s: &str) -> String {
 }
 
 /// Append `s` to `out`, escaped as [`escape`] does.
+#[inline]
 pub fn escape_into(out: &mut String, s: &str) {
+    if !needs_escape(s.as_bytes()) {
+        out.push_str(s);
+        return;
+    }
     // Every escaped character is one ASCII byte, so the runs between
     // them are copied whole.
     let mut copied = 0;
@@ -28,6 +33,23 @@ pub fn escape_into(out: &mut String, s: &str) {
         copied = i + 1;
     }
     out.push_str(&s[copied..]);
+}
+
+/// Does `text` hold a byte [`escape`] replaces? Eight bytes at a time:
+/// a byte of a word equal to `b` is a zero byte of the word XOR `b`
+/// repeated, which the borrow of subtracting one from each byte finds.
+fn needs_escape(text: &[u8]) -> bool {
+    const ONES: u64 = u64::MAX / 255;
+    let has = |word: u64, b: u8| {
+        let v = word ^ (ONES * u64::from(b));
+        v.wrapping_sub(ONES) & !v & (ONES << 7)
+    };
+    let (words, rest) = text.as_chunks::<8>();
+    let special = |b: &u8| matches!(b, b'&' | b'<' | b'>' | b'"' | b'\'');
+    words.iter().any(|w| {
+        let w = u64::from_le_bytes(*w);
+        has(w, b'&') | has(w, b'<') | has(w, b'>') | has(w, b'"') | has(w, b'\'') != 0
+    }) || rest.iter().any(special)
 }
 
 const PAGE_END: &str = "<hr><p><a href=\"/tables\">Archive tables</a> | \
@@ -82,7 +104,11 @@ pub fn format_size_into(out: &mut String, bytes: u64) {
         unit += 1;
     }
     if unit == 0 {
-        let _ = write!(out, "{bytes} B");
+        // Below 1000: three digits at most, written as they are.
+        let digits = [bytes / 100, bytes / 10 % 10, bytes % 10];
+        let lead = digits.iter().position(|&d| d != 0).unwrap_or(2);
+        out.extend(digits[lead..].iter().map(|&d| char::from(b'0' + d as u8)));
+        out.push_str(" B");
         return;
     }
     let start = out.len();
@@ -109,6 +135,33 @@ mod tests {
         );
     }
 
+    /// Each special byte is found at every place in and past the first
+    /// word, beside bytes one above and below it; text without one is
+    /// left as it is.
+    #[test]
+    fn every_special_byte_is_found_wherever_it_sits() {
+        for special in ['&', '<', '>', '"', '\''] {
+            for len in 1..20 {
+                for at in 0..len {
+                    let mut text: Vec<char> = "abcdefghijklmnopqrst".chars().take(len).collect();
+                    text[at] = special;
+                    let text: String = text.into_iter().collect();
+                    let slow = text.replace('&', "&amp;").replace('<', "&lt;");
+                    let slow = slow.replace('>', "&gt;").replace('"', "&quot;");
+                    assert_eq!(escape(&text), slow.replace('\'', "&#39;"), "{text}");
+                }
+            }
+            let near = [special as u8 - 1, special as u8 + 1].map(char::from);
+            let plain = near.iter().filter(|c| escape(&c.to_string()).len() == 1);
+            let text: String = plain.cycle().take(19).collect();
+            assert!(!needs_escape(text.as_bytes()), "{text}");
+        }
+        assert_eq!(
+            escape("Forced turbulence run 12 – é"),
+            "Forced turbulence run 12 – é"
+        );
+    }
+
     #[test]
     fn page_contains_title_and_body() {
         let p = page("Search & browse", "<p>x</p>");
@@ -132,6 +185,15 @@ mod tests {
 
     #[test]
     fn sizes() {
+        for (bytes, shown) in [
+            (0, "0 B"),
+            (7, "7 B"),
+            (31, "31 B"),
+            (100, "100 B"),
+            (105, "105 B"),
+        ] {
+            assert_eq!(size(bytes), shown);
+        }
         assert_eq!(size(512), "512 B");
         assert_eq!(size(85_000_000), "85.0 MB");
         assert_eq!(size(544_000_000), "544.0 MB");

@@ -150,6 +150,7 @@ pub fn url_encode(s: &str) -> String {
 /// whole, as [`crate::html::escape_into`] copies the text between the
 /// characters it escapes: a run is ASCII, so it starts and ends on a
 /// character boundary.
+#[inline]
 pub fn url_encode_into(out: &mut String, s: &str) {
     const HEX: &[u8; 16] = b"0123456789ABCDEF";
     let mut copied = 0;
