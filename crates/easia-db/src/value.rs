@@ -231,18 +231,16 @@ impl Value {
 
     /// The text `Display` writes, without a fresh `String`: string kinds
     /// lend their own, the others are written into `scratch` — an
-    /// integer digit by digit, not through the formatter, and so is an
-    /// integral double below 10^15, whose shortest round-trip form
-    /// `Display` writes is its integer's digits (`-0` for `-0.0`).
+    /// integer or timestamp digit by digit, not through the formatter, and
+    /// so is an integral double below 10^15, whose shortest round-trip
+    /// form `Display` writes is its integer's digits (`-0` for `-0.0`).
     pub fn display_text<'a>(&'a self, scratch: &'a mut String) -> &'a str {
         use fmt::Write as _;
         scratch.clear();
         match self {
             Value::Str(s) | Value::Clob(s) | Value::Datalink(s) => return s,
-            Value::Int(i) => push_digits(scratch, *i < 0, i.unsigned_abs()),
-            Value::Double(d) if d.fract() == 0.0 && d.abs() < 1e15 => {
-                push_digits(scratch, d.is_sign_negative(), d.abs() as u64)
-            }
+            Value::Int(i) | Value::Timestamp(i) => push_digits(scratch, *i < 0, i.unsigned_abs()),
+            Value::Double(d) => push_double(scratch, *d),
             _ => {
                 let _ = write!(scratch, "{self}");
             }
@@ -271,6 +269,18 @@ impl Value {
             Value::Clob(c) => Some(c.len()),
             _ => None,
         }
+    }
+}
+
+/// Append `d` as `Display` writes it: an integral double below 10^15 as
+/// its integer's digits, which is its shortest round-trip form (`-0` for
+/// `-0.0`), written digit by digit; any other through the formatter.
+fn push_double(out: &mut String, d: f64) {
+    use fmt::Write as _;
+    if d.fract() == 0.0 && d.abs() < 1e15 {
+        push_digits(out, d.is_sign_negative(), d.abs() as u64)
+    } else {
+        let _ = write!(out, "{d}");
     }
 }
 
@@ -517,16 +527,20 @@ impl<'r> Cell<'r> {
     }
 
     /// The display text of a cell that is no string kind, written into
-    /// `scratch` by [`Value::display_text`] of its value (a blob's by
-    /// that of an empty blob of its size).
+    /// `scratch` from its payload as [`Value::display_text`] writes its
+    /// value (`display_text_of_a_cell_is_its_values` holds the two
+    /// equal).
     fn written(self, scratch: &mut String) -> &str {
         use fmt::Write as _;
-        match scalar_cell(self.tag, self.payload) {
-            Some(v) => _ = v.display_text(scratch),
-            None => {
-                scratch.clear();
-                let _ = write!(scratch, "<blob {} bytes>", self.payload.len());
-            }
+        scratch.clear();
+        let word = || self.payload.try_into().map_or(0, i64::from_le_bytes);
+        match self.tag {
+            1 | 6 => push_digits(scratch, word() < 0, word().unsigned_abs()),
+            2 => push_double(scratch, f64::from_bits(word() as u64)),
+            4 => scratch.push_str("FALSE"),
+            5 => scratch.push_str("TRUE"),
+            7 => _ = write!(scratch, "<blob {} bytes>", self.payload.len()),
+            _ => scratch.push_str("NULL"),
         }
         scratch
     }
@@ -968,6 +982,69 @@ mod tests {
         let s = Value::Str("x".into());
         assert_eq!(s.display_text(&mut scratch), "x");
         assert_eq!(Value::Double(-0.5).display_text(&mut scratch), "-0.5");
+    }
+
+    /// A record's cell shows the text its value does, for every kind,
+    /// its text read straight from the payload.
+    #[test]
+    fn display_text_of_a_cell_is_its_values() {
+        let row = [
+            Value::Null,
+            Value::Int(i64::MIN),
+            Value::Int(-7),
+            Value::Double(-0.0),
+            Value::Double(300.0),
+            Value::Double(1.5),
+            Value::Double(f64::NAN),
+            Value::Str("<a & b>".into()),
+            Value::Bool(false),
+            Value::Bool(true),
+            Value::Timestamp(1_000),
+            Value::Timestamp(-3),
+            Value::Blob(vec![0, 1, 2]),
+            Value::Clob("notes".into()),
+            Value::Datalink("http://fs1/data/t1.edf".into()),
+        ];
+        let mut record = Vec::new();
+        encode_row(&row, &mut record);
+        let (mut walk, mut scratch) = (CellWalk::default(), String::new());
+        walk.walk(&record).unwrap();
+        assert_eq!(walk.len(), row.len());
+        for (i, v) in row.iter().enumerate() {
+            let cell = walk.cell(&record, i).unwrap();
+            assert_eq!(cell.display_text(&mut scratch).unwrap(), v.to_string());
+            assert_eq!(cell.display_bytes(&mut scratch), v.to_string().as_bytes());
+            assert_eq!(cell.lob_size(), v.lob_size(), "{v:?}");
+            assert_eq!(cell.is_null(), v.is_null());
+        }
+        assert!(walk.cell(&record, row.len()).is_none());
+    }
+
+    /// A record cut anywhere, or with a tag that is no tag, does not
+    /// walk, and text that is not UTF-8 is refused where it is read as
+    /// text; neither panics.
+    #[test]
+    fn a_record_that_does_not_walk_is_an_error() {
+        let mut record = Vec::new();
+        encode_row(&[Value::Str("abc".into()), Value::Int(1)], &mut record);
+        let mut walk = CellWalk::default();
+        for cut in 0..record.len() {
+            assert!(walk.walk(&record[..cut]).is_err(), "cut at {cut}");
+            assert!(walk.is_empty());
+        }
+        let mut bad_tag = record.clone();
+        bad_tag[4] = 0xEE;
+        let refused = Err(DbError::Storage("row decode: bad tag 238".into()));
+        assert_eq!(walk.walk(&bad_tag), refused);
+        let mut not_text = record.clone();
+        not_text[9] = 0xFF;
+        walk.walk(&not_text).unwrap();
+        let cell = walk.cell(&not_text, 0).unwrap();
+        let bad_utf8 = Err(DbError::Storage("row decode: bad utf8".into()));
+        assert_eq!(
+            cell.display_text(&mut String::new()).map(str::len),
+            bad_utf8
+        );
     }
 
     /// A double's text is `Display`'s, integral or not, on both sides of

@@ -630,6 +630,28 @@ mod tests {
         assert!(html.contains("S1"));
     }
 
+    /// A record cut short, or holding text that is not UTF-8, is the
+    /// row's error, never a panic.
+    #[test]
+    fn a_damaged_record_is_an_error() {
+        let doc = xuis();
+        let c = ctx(&doc, false);
+        let rs = results();
+        let mut record = Vec::new();
+        easia_db::value::encode_row(&rs.rows[0], &mut record);
+        let mut out = String::new();
+        let mut table = ResultTable::begin(&c, &rs.columns, 1, false, &mut out);
+        for cut in [1, 7, record.len() - 1] {
+            assert!(
+                table.row(&mut out, &record[..cut], []).is_err(),
+                "cut at {cut}"
+            );
+        }
+        let at = record.windows(2).position(|w| w == b"t0").unwrap();
+        record[at] = 0xFF;
+        assert!(table.row(&mut out, &record, []).is_err());
+    }
+
     #[test]
     fn subst_column_replaces_label() {
         let doc = xuis();
