@@ -951,6 +951,12 @@ impl Database {
         move |rid| self.mvcc.visible_in(versions, rid, view)
     }
 
+    /// Does any row of `table` carry version stamps? A table without
+    /// them has every row visible to every view.
+    pub(crate) fn versioned(&self, table: &str) -> bool {
+        self.mvcc.table_versions(table).is_some()
+    }
+
     /// The read view a SELECT run through [`Database::execute`] right
     /// now would use: the SQL session's, else the latest committed
     /// state. External executors driving [`exec::run_select_over`]

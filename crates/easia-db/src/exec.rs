@@ -27,21 +27,35 @@ use crate::expr::{truth, Bound, EvalContext, FnRegistry, RowSchema};
 use crate::mvcc::ReadView;
 use crate::plan::{
     bound_conjuncts, choose_bound, choose_in_scope, own_conjuncts, stand_in, AccessPath, Scope,
-    Sieve, SieveScan,
+    Sieve, SieveScan, Verdict,
 };
 use crate::schema::{DatalinkSpec, TableSchema};
 use crate::sql::ast::{is_aggregate_fn, BinaryOp, Expr, JoinKind, SelectItem, SelectStmt};
 use crate::storage::RowId;
 use crate::value::{
-    cell_at, cells, decode_cells_into, decode_row, decode_some_into, encode_key_cell, encode_row,
-    key_cells, order_key, order_key_cell, Records, Value,
+    cell_at, cells, decode_cell, decode_cells_into, decode_row, decode_some_into, encode_key_cell,
+    encode_row, key_cell, key_cells, order_key, order_key_cell, scalar_cell, shape_error,
+    step_cell, Records, Value,
 };
 use std::collections::{HashMap, HashSet};
 use std::ops::Range;
 
-/// Does `pred` hold (evaluate to TRUE, not UNKNOWN) on `ctx`'s row?
-fn holds(ctx: &EvalContext, pred: &Bound) -> Result<bool> {
-    Ok(truth(&*ctx.eval_cow(pred)?) == Some(true))
+/// Does the AND of `conjuncts` hold (evaluate to TRUE, not UNKNOWN) on
+/// `ctx`'s row? They are evaluated left to right, as the AND evaluates
+/// them: the first that is FALSE decides, and an error raised before it
+/// is the row's.
+fn holds(ctx: &EvalContext, conjuncts: &[&Bound]) -> Result<bool> {
+    #[cfg(test)]
+    tests::HOLDS.with(|n| n.set(n.get() + 1));
+    let mut all = true;
+    for c in conjuncts {
+        match truth(&*ctx.eval_cow(c)?) {
+            Some(false) => return Ok(false),
+            Some(true) => {}
+            None => all = false,
+        }
+    }
+    Ok(all)
 }
 
 /// An in-memory table a SELECT can read beside the catalogue (the hub
@@ -117,14 +131,17 @@ impl<'a> Source<'a> {
 }
 
 /// How a scan reads a record: tested against `sieve` on its bytes, then
-/// decoded — `filter`'s cells (the ones the scan's filter reads) for a
-/// row the sieve keeps, `all` (which holds them) for a row that passes
-/// the filter (for a scan whose rows are copied out of their records,
-/// only the cells the statement evaluates). An empty mask is every cell.
+/// decoded — `filter`'s cells (the ones the scan's whole filter reads)
+/// for a row the sieve keeps, `decided`'s (the ones the conjuncts it
+/// does not decide read) for a row it decides, `all` (which holds both)
+/// for a row that passes the filter (for a scan whose rows are copied out
+/// of their records, only the cells the statement evaluates). An empty
+/// mask is every cell; one that selects none decodes nothing.
 #[derive(Clone, Copy)]
 struct Cells<'m> {
     sieve: &'m Sieve,
     filter: &'m [bool],
+    decided: &'m [bool],
     all: &'m [bool],
     /// DATALINK cells decode as CLOB ([`Relation::links_as_clob`]).
     links_as_clob: bool,
@@ -136,6 +153,7 @@ struct Cells<'m> {
 const WHOLE: Cells = Cells {
     sieve: &Sieve::NONE,
     filter: &[],
+    decided: &[],
     all: &[],
     links_as_clob: false,
     spans: false,
@@ -145,14 +163,15 @@ const WHOLE: Cells = Cells {
 /// storage order, to `pass`, and each that passes to `take` with its row
 /// id, decoded row and cells' encodings; see [`sift`]. A relation has no
 /// indexes and no versions: its records are visited whole, each row id
-/// its position.
+/// its position. A table without a version map has every row visible,
+/// and its scan asks nothing of a row's visibility.
 fn fetch<'r>(
     db: &Database,
     view: &ReadView,
     source: Source<'r>,
     path: AccessPath,
     cells: Cells,
-    pass: impl FnMut(&[Value]) -> Result<bool>,
+    pass: impl FnMut(&[Value], bool) -> Result<bool>,
     take: impl FnMut((RowId, &'r [u8]), &mut Vec<Value>, &[&'r [u8]]) -> Result<()>,
 ) -> (usize, Result<()>) {
     let t = match source {
@@ -169,6 +188,9 @@ fn fetch<'r>(
     let visible = db.row_visibility(&t.schema.name, view);
     let sieve = cells.sieve.over(&t.schema, cells.filter);
     match path {
+        AccessPath::FullScan if !db.versioned(&t.schema.name) => {
+            sift(t.heap.records(), sieve, cells, pass, take)
+        }
         AccessPath::FullScan => {
             let records = t.heap.records().filter(|(rid, _)| visible(*rid));
             sift(records, sieve, cells, pass, take)
@@ -210,55 +232,83 @@ fn fetch<'r>(
 
 /// Test each of `records` against `sieve` on its bytes
 /// ([`SieveScan::keeps`]); decode the filter's cells of a record it keeps
+/// — those of the conjuncts it does not decide, for a record it decides —
 /// ([`decode_some_into`]) into a scratch row, noting in the same walk
 /// where each of its cells lies if `cells.spans` asks, and lend it to
-/// `pass`; decode a row that passes again, with the cells of `all`, into
-/// a second scratch row and lend that to `take`, beside its row id,
-/// record and cells (none unless asked), which copies out (or takes)
-/// what it keeps. A record the sieve refuses
-/// is walked no further than the cell that refuses it (or a later one
-/// the filter reads that could hold a NaN), and nothing of it decoded
-/// or evaluated; each scratch row refills the buffers it already owns,
-/// so a rejected row allocates nothing. Returns the number of records,
-/// also when a closure or the decoder raises part-way — the first error
-/// is the one returned, and what it left unvisited was a candidate all
-/// the same.
+/// `pass` with whether the sieve decided it; decode a row that passes
+/// again, with the cells of `all`, into a second scratch row and lend
+/// that to `take`, beside its row id, record and cells (none unless
+/// asked), which copies out (or takes) what it keeps. A record the sieve
+/// refuses is walked no further than the cell that refuses it (or a
+/// later one the filter reads that could hold a NaN), and nothing of it
+/// decoded or evaluated; a mask that selects no cell decodes nothing;
+/// each scratch row refills the buffers it already owns, so a rejected
+/// row allocates nothing. Returns the number of records, also when a
+/// closure or the decoder raises part-way — the first error is the one
+/// returned, and what it left unvisited was a candidate all the same.
 fn sift<'r>(
     mut records: impl Iterator<Item = (RowId, &'r [u8])>,
     sieve: SieveScan,
     cells: Cells,
-    mut pass: impl FnMut(&[Value]) -> Result<bool>,
+    mut pass: impl FnMut(&[Value], bool) -> Result<bool>,
     mut take: impl FnMut((RowId, &'r [u8]), &mut Vec<Value>, &[&'r [u8]]) -> Result<()>,
 ) -> (usize, Result<()>) {
     let (mut sieved, mut whole, mut slots) = (Vec::new(), Vec::new(), Vec::new());
-    let twice = cells.filter != cells.all;
-    let (mut seen, mut visited) = (0, Ok(()));
-    for (rid, record) in records.by_ref() {
+    let none = |mask: &[bool]| !mask.is_empty() && !mask.contains(&true);
+    // Element by element: `==` on two empty masks would `memcmp` dangling
+    // pointers, which is slow on some libcs.
+    let differ = |a: &[bool], b: &[bool]| !a.iter().eq(b);
+    // Per mask, kept and decided: whether it decodes nothing, and whether
+    // a row that passes is decoded again.
+    let kept = (none(cells.filter), differ(cells.filter, cells.all));
+    let decided = (none(cells.decided), differ(cells.decided, cells.all));
+    let all_nothing = none(cells.all);
+    let mut seen = 0;
+    // Internal iteration: a heap's pages and their slots are walked by
+    // nested loops, not one `next` at a time.
+    let visited = records.by_ref().try_for_each(|(rid, record)| {
         seen += 1;
-        if !sieve.keeps(record) {
-            continue;
-        }
+        let (filter, (nothing, twice), decides) = match sieve.keeps(record) {
+            Verdict::Refused => return Ok(()),
+            Verdict::Decided => (cells.decided, decided, true),
+            Verdict::Kept => (cells.filter, kept, false),
+        };
         let links = cells.links_as_clob;
         slots.clear();
-        visited = match cells.spans {
-            true => decode_cells_into(record, &mut sieved, cells.filter, links, &mut slots),
-            false => decode_some_into(record, &mut 0, &mut sieved, cells.filter, links),
-        };
-        visited = visited
-            .and_then(|()| pass(&sieved))
-            .and_then(|passed| match (passed, twice) {
-                (false, _) => Ok(()),
-                (true, false) => take((rid, record), &mut sieved, &slots),
-                (true, true) => {
-                    decode_some_into(record, &mut 0, &mut whole, cells.all, links)?;
-                    take((rid, record), &mut whole, &slots)
-                }
-            });
-        if visited.is_err() {
-            break;
+        match cells.spans {
+            true => decode_cells_into(record, &mut sieved, filter, links, &mut slots)?,
+            false => decode_unless(nothing, record, &mut sieved, filter, links)?,
         }
-    }
+        match (pass(&sieved, decides)?, twice) {
+            (false, _) => Ok(()),
+            (true, false) => take((rid, record), &mut sieved, &slots),
+            (true, true) => {
+                decode_unless(all_nothing, record, &mut whole, cells.all, links)?;
+                take((rid, record), &mut whole, &slots)
+            }
+        }
+    });
     (seen + records.count(), visited)
+}
+
+/// [`decode_some_into`] `record`'s cells that `read` selects into `row`,
+/// or, when it selects `nothing`, leave `row` empty without walking the
+/// record.
+#[inline(always)]
+fn decode_unless(
+    nothing: bool,
+    record: &[u8],
+    row: &mut Vec<Value>,
+    read: &[bool],
+    links_as_clob: bool,
+) -> Result<()> {
+    match nothing {
+        true => {
+            row.clear();
+            Ok(())
+        }
+        false => decode_some_into(record, &mut 0, row, read, links_as_clob),
+    }
 }
 
 /// Book one base-table scan of `rows` candidate rows.
@@ -293,8 +343,8 @@ pub fn collect_matching(
     let pred = pred.transpose()?;
     let (path, sieve) = choose_bound(t, pred.as_ref(), params);
     let index_probe = matches!(path, AccessPath::IndexRange { .. });
-    let pass = |row: &[Value]| match &pred {
-        Some(p) => holds(&EvalContext::new(row, params), p),
+    let pass = |row: &[Value], _| match &pred {
+        Some(p) => holds(&EvalContext::new(row, params), &[p]),
         None => Ok(true),
     };
     let mut matching = Vec::new();
@@ -504,24 +554,40 @@ pub fn run_select_each<'a>(
     // ---- stream ----
     // The cells the scan's own filter reads are decoded for every row it
     // visits, the rest of the statement's only for a row that passes —
-    // by the scan, or for a JOIN's base by the join, from its record.
-    let scan_filter = if legs.is_empty() {
-        filter.iter().collect()
-    } else {
-        own
+    // by the scan, or for a JOIN's base by the join, from its record. A
+    // row the sieve decided is filtered by the conjuncts it left alone,
+    // which read no more cells.
+    let scan_filter = match (legs.is_empty(), &filter) {
+        (true, Some(w)) => bound_conjuncts(w).into_iter().enumerate().collect(),
+        (true, None) => Vec::new(),
+        (false, _) => own,
     };
-    // Rows are projected from their records, a scan's and each JOIN
-    // leg's: the cells they pass through are copied as bytes, so only
-    // what the filter, each ON, the select list's expressions, its
-    // DATALINK renderings and ORDER BY's expressions read is decoded. A
-    // grouped statement decodes every cell it reads.
-    let copies = sink.copies();
-    let mut evals = read.clone();
-    if copies {
-        evals.fill(false);
+    let rest: Vec<&Bound> = scan_filter
+        .iter()
+        .filter(|(i, _)| !sieve.decides(*i))
+        .map(|(_, c)| *c)
+        .collect();
+    // A scan's records are lent to the sink, which reads their cells; a
+    // DATALINK a relation reads as a CLOB is no cell of its record.
+    if legs.is_empty() && !sources[0].links_as_clob() {
+        sink.lend_records(read.len());
+    }
+    // What a row that passed is decoded with: what the sink evaluates,
+    // and over joined rows what each ON and the WHERE read. Rows are
+    // projected from their records, a scan's and each JOIN leg's: the
+    // cells they pass through are copied as bytes, so only the select
+    // list's expressions, its DATALINK renderings and ORDER BY's
+    // expressions are decoded for the sink. A grouping decodes every
+    // cell it reads, unless it folds a scan's records from their cells.
+    let (copies, from_records) = (sink.copies(), sink.reads_records());
+    let mut evals = vec![false; read.len()];
+    if !legs.is_empty() {
         let ons = legs.iter().map(|leg| &leg.on);
         filter.iter().chain(ons).for_each(|e| e.reads(&mut evals));
-        sink.decodes(&mut evals);
+    }
+    match from_records {
+        true => sink.decodes(&mut evals),
+        false => sink.reads(&mut evals),
     }
     if sources.iter().any(Source::links_as_clob) {
         for (source, names) in sources.iter().zip(&columns) {
@@ -529,24 +595,32 @@ pub fn run_select_each<'a>(
             sink.clob.extend(std::iter::repeat_n(clob, names.len()));
         }
     }
-    let mut filter_reads = read.clone();
-    if !scan_filter.is_empty() || !legs.is_empty() || copies {
+    let (mut filter_reads, mut rest_reads) = (read.clone(), read.clone());
+    if !scan_filter.is_empty() || !legs.is_empty() || from_records {
         filter_reads.fill(false);
-        scan_filter.iter().for_each(|e| e.reads(&mut filter_reads));
+        scan_filter
+            .iter()
+            .for_each(|(_, e)| e.reads(&mut filter_reads));
+        rest_reads.fill(false);
+        rest.iter().for_each(|e| e.reads(&mut rest_reads));
     }
-    let filtered = |row: &[Value]| match &filter {
-        Some(w) => holds(&EvalContext::new(row, params), w),
-        None => Ok(true),
+    // The WHERE on a row: whole, or what the sieve left of it.
+    let filtered = |row: &[Value], decided: bool| match (&filter, decided) {
+        (None, _) => Ok(true),
+        (Some(_), true) if rest.is_empty() => Ok(true),
+        (Some(_), true) => holds(&EvalContext::new(row, params), &rest),
+        (Some(w), false) => holds(&EvalContext::new(row, params), &[w]),
     };
     let mut passed = 0;
-    let mut accept = |row: &[Value], cells: &[&[u8]], sink: &mut Sink| {
+    let mut accept = |row: &[Value], record, cells: &[&[u8]], sink: &mut Sink| {
         passed += 1;
-        sink.take(db, &EvalContext::new(row, params), cells);
+        sink.take(db, &EvalContext::new(row, params), record, cells);
     };
     if legs.is_empty() {
         let cells = Cells {
             sieve: &sieve,
             filter: &filter_reads,
+            decided: &rest_reads,
             all: &evals,
             spans: copies,
             ..WHOLE
@@ -558,8 +632,8 @@ pub fn run_select_each<'a>(
             path,
             cells,
             filtered,
-            |_, row, slots| {
-                accept(row, slots, &mut sink);
+            |(_, record), row, slots| {
+                accept(row, Some(record), slots, &mut sink);
                 Ok(())
             },
         );
@@ -569,15 +643,18 @@ pub fn run_select_each<'a>(
         // A base row failing one of its own conjuncts fails the WHERE on
         // every joined row made from it, padded or not. A conjunct that
         // raises after all keeps its row, so the WHERE raises it too.
-        let own_pass = |row: &[Value]| {
+        let own_pass = |row: &[Value], decided: bool| {
             let ctx = EvalContext::new(row, params);
-            Ok(scan_filter
-                .iter()
-                .all(|c| !matches!(holds(&ctx, c), Ok(false))))
+            let fails = |c: &&Bound| matches!(holds(&ctx, &[c]), Ok(false));
+            Ok(match decided {
+                true => !rest.iter().any(fails),
+                false => !scan_filter.iter().map(|(_, c)| c).any(fails),
+            })
         };
         let cells = Cells {
             sieve: &sieve,
             filter: &filter_reads[..base_width],
+            decided: &rest_reads[..base_width],
             all: &filter_reads[..base_width],
             ..WHOLE
         };
@@ -643,8 +720,8 @@ pub fn run_select_each<'a>(
                     params,
                     |row, cells| {
                         joined += 1;
-                        match raised.is_none().then(|| filtered(row)) {
-                            Some(Ok(true)) => accept(row, cells, &mut sink),
+                        match raised.is_none().then(|| filtered(row, false)) {
+                            Some(Ok(true)) => accept(row, None, cells, &mut sink),
                             Some(Err(e)) => raised = Some(e),
                             _ => {}
                         }
@@ -691,14 +768,14 @@ fn run_tableless<'a>(
     sink.output.reader = Some(each);
     let ctx = EvalContext::new(&[], params);
     let passed = match &filter {
-        Some(w) => holds(&ctx, w)?,
+        Some(w) => holds(&ctx, &[w])?,
         None => true,
     };
     if let (Some(_), Some(m)) = (&filter, db.metrics()) {
         m.stage_filter.observe(f64::from(u8::from(passed)));
     }
     if passed {
-        sink.take(db, &ctx, &[]);
+        sink.take(db, &ctx, None, &[]);
     }
     sink.finish(db, 0, params)
 }
@@ -862,7 +939,7 @@ fn run_join<'r>(
             ..WHOLE
         };
         let mut rows = LegRows::new(leg.width);
-        let keep_all = |_: &[Value]| Ok(true);
+        let keep_all = |_: &[Value], _| Ok(true);
         let path = AccessPath::FullScan;
         fetch(
             db,
@@ -945,7 +1022,7 @@ fn run_join<'r>(
             pairing[left_width..].swap_with_slice(&mut candidates.values[right.clone()]);
             slots.truncate(left_width);
             slots.extend_from_slice(&candidates.cells[right.clone()]);
-            let lent = holds(&EvalContext::new(&pairing, params), &leg.on).and_then(|on| {
+            let lent = holds(&EvalContext::new(&pairing, params), &[&leg.on]).and_then(|on| {
                 matched |= on;
                 if on {
                     emit(&pairing, &slots)
@@ -1049,8 +1126,29 @@ impl<'a> Sink<'a> {
         matches!(self.shape, Shape::Rows(_))
     }
 
-    /// Mark the slots it decodes when it copies a row's cells: what its
-    /// expressions read and the cells it renders.
+    /// It will be lent each row's record, the rows being `width` slots
+    /// wide: a grouping whose keys and arguments are bare columns folds
+    /// them from its cells ([`Grouping::fold_cells`]).
+    fn lend_records(&mut self, width: usize) {
+        let mut first = vec![false; width];
+        self.reads(&mut first);
+        if let Shape::Groups(g) = &mut self.shape {
+            g.fold_cells(first);
+        }
+    }
+
+    /// Does it read the cells of the records it is lent: copying them, or
+    /// folding them ([`Sink::lend_records`])?
+    fn reads_records(&self) -> bool {
+        match &self.shape {
+            Shape::Rows(_) => true,
+            Shape::Groups(g) => g.cells.is_some(),
+        }
+    }
+
+    /// Mark the slots it decodes when it reads a row's cells: what its
+    /// expressions read and the cells it renders (a grouping that folds
+    /// cells decodes none).
     fn decodes(&self, read: &mut [bool]) {
         if let Shape::Rows(outs) = &self.shape {
             for out in outs {
@@ -1060,8 +1158,8 @@ impl<'a> Sink<'a> {
                     Out::Expr(e) => e.reads(read),
                 }
             }
+            self.output.reads(read, false);
         }
-        self.output.reads(read, false);
     }
 
     /// Mark the slots it reads.
@@ -1080,9 +1178,10 @@ impl<'a> Sink<'a> {
         self.output.reads(read, true);
     }
 
-    /// Take one row that passed the WHERE and its cells' encodings (a
-    /// grouped statement, which copies none, may be lent none).
-    fn take(&mut self, db: &Database, ctx: &EvalContext, cells: &[&[u8]]) {
+    /// Take one row that passed the WHERE, the record it was scanned
+    /// from if it was, and its cells' encodings (a grouped statement,
+    /// which copies none, may be lent none).
+    fn take(&mut self, db: &Database, ctx: &EvalContext, record: Option<&[u8]>, cells: &[&[u8]]) {
         if self.held.is_some() {
             return;
         }
@@ -1106,9 +1205,11 @@ impl<'a> Sink<'a> {
                 });
                 projected.map(|()| self.output.offer_record(ctx, Some(cells)))
             }
-            Shape::Groups(g) => g.fold(ctx),
+            Shape::Groups(g) => g.fold(ctx, record),
         };
-        self.held = taken.err();
+        if let Err(e) = taken {
+            self.held = Some(e);
+        }
     }
 
     /// Lend the rows the output still holds, the rows it took being
@@ -1173,16 +1274,146 @@ fn project<'a>(
 /// An aggregate SELECT: group keys and aggregate arguments evaluate on
 /// each row as it passes, and each group keeps one representative row
 /// (its first) and its states; the rest runs once per group, in
-/// [`Finish`].
+/// [`Finish`]. When every key and argument is a bare column of a scanned
+/// record, they are read from its cells instead ([`CellFold`]).
 struct Grouping {
     keys: Vec<Bound>,
     /// Each aggregate call: its function and argument (`None` for `*`).
-    calls: Vec<(String, Option<Bound>)>,
+    calls: Vec<(Agg, Option<Bound>)>,
     finish: Finish,
-    groups: Vec<(Vec<Value>, Vec<AggState>)>,
-    /// Group key → position in `groups`.
+    groups: Groups,
+    cells: Option<CellFold>,
+}
+
+/// The groups so far, each its first row and its calls' states, found
+/// by the key of the row being folded.
+struct Groups {
+    /// Is there a GROUP BY? Without one every row is the one group's.
+    keyed: bool,
+    list: Vec<(Vec<Value>, Vec<AggState>)>,
+    /// Each group's key, in `list`'s order.
+    keys: Records,
+    /// Group key → position in `list`, once there are more than
+    /// [`FEW_GROUPS`].
     index: HashMap<Vec<u8>, usize>,
     key: Vec<u8>,
+}
+
+/// Up to this many groups a key is found by comparing it with theirs,
+/// which costs less than hashing it.
+const FEW_GROUPS: usize = 8;
+
+impl Groups {
+    /// The place of the group `key` keys, made with `calls` states and
+    /// the first row `first` writes when it is new: a comparison with
+    /// each of a few groups' keys, or one hash of the key (and one more
+    /// to file a new group's).
+    #[inline]
+    fn place(
+        &mut self,
+        calls: usize,
+        first: impl FnOnce(&mut Vec<Value>) -> Result<()>,
+    ) -> Result<usize> {
+        let found = match self.keyed {
+            false => (!self.list.is_empty()).then_some(0),
+            true if self.list.len() <= FEW_GROUPS => self.keys.iter().position(|k| k == self.key),
+            true => self.index.get(&self.key[..]).copied(),
+        };
+        if let Some(gi) = found {
+            return Ok(gi);
+        }
+        let mut row = Vec::new();
+        first(&mut row)?;
+        if self.keyed {
+            self.keys.push_bytes(&self.key);
+            if self.list.len() == FEW_GROUPS {
+                self.index = self.keys.iter().map(<[u8]>::to_vec).zip(0..).collect();
+            } else if self.list.len() > FEW_GROUPS {
+                self.index.insert(self.key.clone(), self.list.len());
+            }
+        }
+        let states = std::iter::repeat_with(AggState::default).take(calls);
+        self.list.push((row, states.collect()));
+        Ok(self.list.len() - 1)
+    }
+}
+
+/// How a grouping whose keys and arguments are bare columns folds a
+/// scanned record: one walk to the last cell they read, each key written
+/// from its cell's bytes and each argument folded from its cell, no row
+/// decoded but a new group's first.
+struct CellFold {
+    /// The slots the keys and arguments read, ascending.
+    slots: Vec<usize>,
+    /// Each key's, and each call's argument's, place in `slots`.
+    keys: Vec<usize>,
+    args: Vec<Option<usize>>,
+    /// Where the cells of `slots` lie in the record being folded: each
+    /// one's tag, and its whole encoding and its payload as ranges.
+    found: Vec<(u8, Range<usize>, Range<usize>)>,
+    /// The cells a group's first row is decoded with: what HAVING, the
+    /// select list and ORDER BY read.
+    first: Vec<bool>,
+    /// A text or blob argument, decoded into the buffer it owns.
+    scratch: Value,
+}
+
+impl CellFold {
+    /// Fold `record`, a stored row, into its group among `groups` from
+    /// its cells, for the aggregate `calls`: the key first, then each
+    /// call's argument in turn, as [`Grouping::fold`] does. The record is
+    /// trusted: bytes that are not a cell are the decoder's to raise on.
+    #[inline]
+    #[allow(
+        clippy::indexing_slicing,
+        reason = "`found` holds a place per slot, each a range `step_cell` found in `record`"
+    )]
+    fn fold(
+        &mut self,
+        record: &[u8],
+        calls: &[(Agg, Option<Bound>)],
+        groups: &mut Groups,
+    ) -> Result<()> {
+        let (mut pos, mut cell) = (4, 0);
+        self.found.clear();
+        for &slot in &self.slots {
+            loop {
+                let at = pos;
+                let (tag, payload) =
+                    step_cell(record, &mut pos).ok_or_else(|| shape_error(record))?;
+                cell += 1;
+                if cell > slot {
+                    self.found.push((tag, at..pos, pos - payload.len()..pos));
+                    break;
+                }
+            }
+        }
+        groups.key.clear();
+        for &k in &self.keys {
+            key_cell(&record[self.found[k].1.clone()], &mut groups.key);
+        }
+        let first = &self.first;
+        let gi = groups.place(calls.len(), |row| {
+            decode_some_into(record, &mut 0, row, first, false)
+        })?;
+        let states = &mut groups.list[gi].1;
+        for (((f, _), arg), st) in calls.iter().zip(&self.args).zip(states) {
+            let Some(j) = *arg else {
+                st.count += 1;
+                continue;
+            };
+            let (tag, _, payload) = &self.found[j];
+            let payload = &record[payload.clone()];
+            match scalar_cell(*tag, payload) {
+                Some(v) => st.fold_partial(*f, &v, 1)?,
+                None => {
+                    decode_cell(*tag, payload, &mut self.scratch)?;
+                    st.fold_partial(*f, &self.scratch, 1)?
+                }
+            }
+        }
+        Ok(())
+    }
 }
 
 impl Grouping {
@@ -1209,16 +1440,22 @@ impl Grouping {
                     return Err(DbError::Eval(what));
                 }
             };
-            calls.push((name.clone(), arg));
+            let f = Agg::named(name).expect("aggregates only collects aggregate calls");
+            calls.push((f, arg));
         }
         let (finish, output) = Finish::bind(functions, sel, schema, &aggs)?;
         let grouping = Grouping {
             keys,
             calls,
+            groups: Groups {
+                keyed: !sel.group_by.is_empty(),
+                list: Vec::new(),
+                keys: Records::default(),
+                index: HashMap::new(),
+                key: Vec::new(),
+            },
             finish,
-            groups: Vec::new(),
-            index: HashMap::new(),
-            key: Vec::new(),
+            cells: None,
         };
         Ok((grouping, output))
     }
@@ -1231,32 +1468,67 @@ impl Grouping {
         self.finish.reads(read);
     }
 
+    /// Fold scanned records from their cells ([`CellFold`]) when every
+    /// key and argument is a bare column, a new group's first row decoded
+    /// with the cells of `first`.
+    fn fold_cells(&mut self, first: Vec<bool>) {
+        let slot = |e: &Bound| match e {
+            Bound::Slot(s) => Some(*s),
+            _ => None,
+        };
+        let keys: Option<Vec<usize>> = self.keys.iter().map(slot).collect();
+        let args: Option<Vec<Option<usize>>> = (self.calls.iter())
+            .map(|(_, arg)| arg.as_ref().map_or(Some(None), |a| slot(a).map(Some)))
+            .collect();
+        let (Some(keys), Some(args)) = (keys, args) else {
+            return;
+        };
+        let mut slots: Vec<usize> = keys.iter().chain(args.iter().flatten()).copied().collect();
+        slots.sort_unstable();
+        slots.dedup();
+        let place = |s: usize| slots.binary_search(&s).expect("a slot read");
+        self.cells = Some(CellFold {
+            keys: keys.into_iter().map(place).collect(),
+            args: args.into_iter().map(|a| a.map(place)).collect(),
+            slots,
+            found: Vec::new(),
+            first,
+            scratch: Value::Null,
+        });
+    }
+
     /// Fold one row into its group: the key first, then each call's
     /// argument in turn — which is also the order their errors raise in.
-    fn fold(&mut self, ctx: &EvalContext) -> Result<()> {
-        self.key.clear();
-        for k in &self.keys {
-            encode_key_cell(&*ctx.eval_cow(k)?, &mut self.key);
-        }
-        // Without GROUP BY every row belongs to the one group.
-        let found = if self.keys.is_empty() {
-            (!self.groups.is_empty()).then_some(0)
-        } else {
-            self.index.get(&self.key[..]).copied()
-        };
-        let gi = match found {
-            Some(gi) => gi,
-            None => {
-                self.index.insert(self.key.clone(), self.groups.len());
-                let states = self.calls.iter().map(|_| AggState::default()).collect();
-                self.groups.push((ctx.row.to_vec(), states));
-                self.groups.len() - 1
+    /// A scanned row is folded from `record`'s cells when the grouping
+    /// reads cells ([`Grouping::fold_cells`]).
+    #[inline]
+    fn fold(&mut self, ctx: &EvalContext, record: Option<&[u8]>) -> Result<()> {
+        if let (Some(cells), Some(record)) = (&mut self.cells, record) {
+            // Only COUNT(*)s and no GROUP BY: the record is counted, and
+            // no cell of it read.
+            if let (true, false, Some((_, states))) = (
+                cells.slots.is_empty(),
+                self.groups.keyed,
+                self.groups.list.first_mut(),
+            ) {
+                states.iter_mut().for_each(|st| st.count += 1);
+                return Ok(());
             }
-        };
-        for ((name, arg), st) in self.calls.iter().zip(&mut self.groups[gi].1) {
+            return cells.fold(record, &self.calls, &mut self.groups);
+        }
+        let groups = &mut self.groups;
+        groups.key.clear();
+        for k in &self.keys {
+            encode_key_cell(&*ctx.eval_cow(k)?, &mut groups.key);
+        }
+        let gi = groups.place(self.calls.len(), |row| {
+            row.extend_from_slice(ctx.row);
+            Ok(())
+        })?;
+        for ((f, arg), st) in self.calls.iter().zip(&mut groups.list[gi].1) {
             match arg {
-                None => st.fold(name, None)?,
-                Some(arg) => st.fold(name, Some(&*ctx.eval_cow(arg)?))?,
+                None => st.count += 1,
+                Some(arg) => st.fold_partial(*f, &*ctx.eval_cow(arg)?, 1)?,
             }
         }
         Ok(())
@@ -1272,19 +1544,20 @@ impl Grouping {
         params: &[Value],
     ) -> Result<Vec<String>> {
         // A global aggregate over zero rows still yields one group.
-        if self.groups.is_empty() && self.keys.is_empty() {
+        if self.groups.list.is_empty() && !self.groups.keyed {
             let states = self.calls.iter().map(|_| AggState::default()).collect();
-            self.groups.push((vec![Value::Null; width], states));
+            self.groups.list.push((vec![Value::Null; width], states));
         }
         let calls = &self.calls;
         let groups = self
             .groups
+            .list
             .into_iter()
             .map(|(rep, states)| {
                 let aggs = calls
                     .iter()
                     .zip(&states)
-                    .map(|((name, arg), st)| st.finish(name, arg.is_none()))
+                    .map(|((f, arg), st)| st.finish(*f, arg.is_none()))
                     .collect();
                 (rep, aggs)
             })
@@ -1370,7 +1643,7 @@ impl Finish {
                 ..EvalContext::new(&rep, params)
             };
             if let Some(h) = &self.having {
-                if !holds(&ctx, h)? {
+                if !holds(&ctx, &[h])? {
                     continue;
                 }
             }
@@ -1425,7 +1698,8 @@ pub fn finish_groups(
 /// the row (and group). One arena grows for records and keys alike, so
 /// the keys cost no allocation of their own. The rows are sorted by
 /// their keys' bytes, ties by arrival. Under a LIMIT of n the entries
-/// are cut back to the n least whenever 2n have gathered. A key's error
+/// are cut back to the n least whenever 2n have gathered, and a row whose
+/// key does not sort before the last of them is not kept. A key's error
 /// is held, since a select item raising on a later row wins over it.
 /// Once the last row is in, each sorted record is lent as it is.
 #[derive(Default)]
@@ -1446,6 +1720,9 @@ struct Output<'a> {
     /// The positions of `kept`'s entries and where each one's order key
     /// starts in it, sorted up to the last cut, then by arrival.
     sorted: Vec<(u32, u32)>,
+    /// The last of the LIMIT entries a cut kept: a later row whose key
+    /// is not less than its key is never returned.
+    floor: Option<(u32, u32)>,
     /// Rows that entered ORDER BY.
     offered: usize,
     late: Option<DbError>,
@@ -1564,6 +1841,13 @@ impl Output<'_> {
                 },
             }
         }
+        // A row that sorts after the last of the n kept at the latest cut
+        // (or ties with it, arriving later) is never among the first n.
+        if let Some((last, split)) = self.floor {
+            if self.key[..] >= self.kept.get(last as usize)[split as usize..] {
+                return self.kept.truncate(at);
+            }
+        }
         let split = record.len() as u32;
         self.kept.extend_last(&self.key);
         self.sorted.push((at as u32, split));
@@ -1587,6 +1871,7 @@ impl Output<'_> {
                 *at = i as u32;
             }
             self.spare = std::mem::replace(&mut self.kept, out);
+            self.floor = sorted.last().copied();
         }
         self.sorted = sorted;
     }
@@ -1634,12 +1919,52 @@ fn collect_aggs(e: &Expr, out: &mut Vec<Expr>) {
     });
 }
 
+/// An aggregate function, resolved once when its call is bound.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Agg {
+    /// `COUNT`.
+    Count,
+    /// `SUM`.
+    Sum,
+    /// `AVG`.
+    Avg,
+    /// `MIN`.
+    Min,
+    /// `MAX`.
+    Max,
+}
+
+impl Agg {
+    /// The aggregate function `name` (upper case) names, if any.
+    pub fn named(name: &str) -> Option<Agg> {
+        Some(match name {
+            "COUNT" => Agg::Count,
+            "SUM" => Agg::Sum,
+            "AVG" => Agg::Avg,
+            "MIN" => Agg::Min,
+            "MAX" => Agg::Max,
+            _ => return None,
+        })
+    }
+
+    fn name(self) -> &'static str {
+        match self {
+            Agg::Count => "COUNT",
+            Agg::Sum => "SUM",
+            Agg::Avg => "AVG",
+            Agg::Min => "MIN",
+            Agg::Max => "MAX",
+        }
+    }
+}
+
 /// Running state of one aggregate call over one group — the only
 /// aggregate-state machine in the workspace: the local pipeline folds
 /// input values into it, the federation merge folds shipped per-site
 /// partials into it, and both finish it the same way.
 #[derive(Default)]
 pub struct AggState {
+    /// Rows folded: what `COUNT(*)` returns.
     count: i64,
     sum: f64,
     sum_is_int: bool,
@@ -1650,31 +1975,20 @@ pub struct AggState {
 }
 
 impl AggState {
-    /// Fold one input row into aggregate `name`: `arg` is the call's
-    /// evaluated argument, `None` for `COUNT(*)`.
-    fn fold(&mut self, name: &str, arg: Option<&Value>) -> Result<()> {
-        match arg {
-            None => {
-                self.count += 1;
-                Ok(())
-            }
-            Some(v) => self.fold_partial(name, v, 1),
-        }
-    }
-
-    /// Fold one partial of aggregate `name`: `v` is what `name` returned
-    /// over `n` non-NULL inputs (a single input value is its own partial
-    /// with `n` = 1). A NULL partial — a NULL input, or a group empty at
-    /// that site — contributes nothing.
-    pub fn fold_partial(&mut self, name: &str, v: &Value, n: i64) -> Result<()> {
+    /// Fold one partial of aggregate `f`: `v` is what `f` returned over
+    /// `n` non-NULL inputs (a single input value is its own partial with
+    /// `n` = 1). A NULL partial — a NULL input, or a group empty at that
+    /// site — contributes nothing.
+    #[inline]
+    pub fn fold_partial(&mut self, f: Agg, v: &Value, n: i64) -> Result<()> {
         if v.is_null() {
             return Ok(());
         }
         let first = self.non_null == 0;
         self.non_null += n;
-        match name {
-            "COUNT" => {}
-            "SUM" | "AVG" => match v {
+        match f {
+            Agg::Count => {}
+            Agg::Sum | Agg::Avg => match v {
                 Value::Int(i) => {
                     if first {
                         self.sum_is_int = true;
@@ -1693,43 +2007,34 @@ impl AggState {
                 }
                 other => {
                     let x = other.numeric().ok_or_else(|| {
-                        DbError::Type(format!("{name} over non-numeric {}", other.type_name()))
+                        let what = format!("{} over non-numeric {}", f.name(), other.type_name());
+                        DbError::Type(what)
                     })?;
                     self.sum_is_int = false;
                     self.sum += x;
                 }
             },
-            "MIN" => {
-                if self
-                    .min
-                    .as_ref()
-                    .is_none_or(|m| v.total_cmp(m) == std::cmp::Ordering::Less)
-                {
-                    self.min = Some(v.clone());
+            Agg::Min | Agg::Max => {
+                let (kept, wins) = match f {
+                    Agg::Min => (&mut self.min, std::cmp::Ordering::Less),
+                    _ => (&mut self.max, std::cmp::Ordering::Greater),
+                };
+                if kept.as_ref().is_none_or(|m| v.total_cmp(m) == wins) {
+                    *kept = Some(v.clone());
                 }
             }
-            "MAX" => {
-                if self
-                    .max
-                    .as_ref()
-                    .is_none_or(|m| v.total_cmp(m) == std::cmp::Ordering::Greater)
-                {
-                    self.max = Some(v.clone());
-                }
-            }
-            other => return Err(DbError::Eval(format!("unknown aggregate {other}"))),
         }
         Ok(())
     }
 
-    /// The final value of aggregate `name` (`star` marks `COUNT(*)`).
-    pub fn finish(&self, name: &str, star: bool) -> Value {
-        match name {
+    /// The final value of aggregate `f` (`star` marks `COUNT(*)`).
+    pub fn finish(&self, f: Agg, star: bool) -> Value {
+        match f {
             // COUNT(*) counts rows; COUNT(col) counts non-NULL values.
             // The two tallies are kept separate — conflating them
             // over-reports COUNT(col) on NULL-containing columns.
-            "COUNT" => Value::Int(if star { self.count } else { self.non_null }),
-            "SUM" => {
+            Agg::Count => Value::Int(if star { self.count } else { self.non_null }),
+            Agg::Sum => {
                 if self.non_null == 0 {
                     Value::Null
                 } else if self.sum_is_int {
@@ -1738,7 +2043,7 @@ impl AggState {
                     Value::Double(self.sum)
                 }
             }
-            "AVG" => {
+            Agg::Avg => {
                 if self.non_null == 0 {
                     Value::Null
                 } else {
@@ -1750,9 +2055,8 @@ impl AggState {
                     Value::Double(total / self.non_null as f64)
                 }
             }
-            "MIN" => self.min.clone().unwrap_or(Value::Null),
-            "MAX" => self.max.clone().unwrap_or(Value::Null),
-            _ => Value::Null,
+            Agg::Min => self.min.clone().unwrap_or(Value::Null),
+            Agg::Max => self.max.clone().unwrap_or(Value::Null),
         }
     }
 }
@@ -1767,6 +2071,12 @@ mod tests {
     use crate::sql::{expr_to_sql, parse, Stmt};
     use crate::storage::{Cursor, HeapTable};
     use crate::value::{encode_row, SqlType};
+    use std::cell::Cell;
+
+    thread_local! {
+        /// How many times this thread has asked [`holds`] about a row.
+        pub(super) static HOLDS: Cell<usize> = const { Cell::new(0) };
+    }
 
     /// Heap pages are restored from disk bytes: a record the decoder
     /// refuses is that statement's typed error, on the full scan and on
@@ -1824,7 +2134,7 @@ mod tests {
                 Source::Table(&t),
                 path,
                 WHOLE,
-                |_| Ok(true),
+                |_, _| Ok(true),
                 |_, row, _| {
                     rows.push(row.clone());
                     Ok(())
@@ -1842,6 +2152,39 @@ mod tests {
         assert_eq!(read(AccessPath::FullScan), (damaged.clone(), 50));
         assert_eq!(read(probe(7)), (damaged, 1));
         assert_eq!(read(probe(8)), (Ok(vec![row(8).to_vec()]), 1));
+    }
+
+    /// A WHERE the sieve decides in full is evaluated on no row; one it
+    /// decides in part is evaluated — the conjuncts it left — on each row
+    /// it keeps, and on no other; one it cannot narrow, on every row.
+    #[test]
+    fn the_filter_evaluates_only_what_the_sieve_leaves() {
+        let mut db = Database::new_in_memory();
+        db.execute("CREATE TABLE t (k INTEGER, s VARCHAR(16), x DOUBLE)")
+            .unwrap();
+        for k in 0..100 {
+            let row = [
+                Value::Int(k),
+                Value::Str(format!("s{}", k % 10)),
+                Value::Double(k as f64 / 2.0),
+            ];
+            db.execute_with_params("INSERT INTO t VALUES (?, ?, ?)", &row)
+                .unwrap();
+        }
+        let mut evaluated = |pred: &str| {
+            HOLDS.with(|n| n.set(0));
+            let rs = db
+                .execute(&format!("SELECT k FROM t WHERE {pred}"))
+                .unwrap();
+            (rs.rows.len(), HOLDS.with(Cell::get))
+        };
+        // k = 11, 21, …, 71.
+        assert_eq!(evaluated("s LIKE 's1%' AND k >= 10 AND x < 40.0"), (7, 0));
+        // Kept: k = 1, 11, …, 71; `k <> 21` decides each.
+        assert_eq!(evaluated("s LIKE 's1%' AND k <> 21 AND x < 40.0"), (7, 8));
+        // `LIKE 's_%'` only narrows, to the texts starting with `s`.
+        assert_eq!(evaluated("s LIKE 's_%' AND k < 50"), (50, 50));
+        assert_eq!(evaluated("k <> 21"), (99, 100));
     }
 
     /// GROUP BY and DISTINCT put doubles `Value::total_cmp` calls equal
@@ -1980,7 +2323,7 @@ mod tests {
                 all,
                 ..WHOLE
             };
-            let pass = |row: &[Value]| Ok(keep(&row[0]));
+            let pass = |row: &[Value], _| Ok(keep(&row[0]));
             let read = fetch(
                 &db,
                 &view,
@@ -2046,7 +2389,7 @@ mod tests {
                 Source::Table(t),
                 path,
                 cells,
-                |_| Ok(true),
+                |_, _| Ok(true),
                 |_, row, _| {
                     rows.push(row.clone());
                     Ok(())

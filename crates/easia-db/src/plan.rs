@@ -3,14 +3,15 @@
 //! The QBE interface generates WHERE clauses that are conjunctions of
 //! per-column restrictions (`=`, `<`, `<=`, `>`, `>=`, `LIKE`); the
 //! planner binds them to the leading columns of an index and turns a
-//! full scan into one ordered walk of that index, and hands the same
-//! restrictions to the executor as a `Sieve` for every record the path
-//! visits. Index and sieve only ever narrow: the executor still evaluates
-//! the whole predicate on every candidate they keep, so bounds are
-//! inclusive supersets, and a path or a sieve is chosen only when
-//! skipping the other rows cannot change what the statement returns *or
-//! raises* (see [`Scope::total`]). The planner reads the statement's
-//! bound form: its names were resolved, once, when it was bound.
+//! full scan into one ordered walk of that index, and lowers the same
+//! restrictions, once, into a `Sieve`: typed tests the executor makes of
+//! every record the path visits, on its bytes. The index narrows, its
+//! bounds inclusive supersets; the sieve narrows and decides the
+//! conjuncts its tests decide exactly; the executor's filter decides the
+//! rest. A path or a sieve is chosen only when skipping the other rows
+//! cannot change what the statement returns *or raises* (see
+//! [`Scope::total`]). The planner reads the statement's bound form: its
+//! names were resolved, once, when it was bound.
 
 use crate::db::Table;
 use crate::error::Result;
@@ -18,7 +19,7 @@ use crate::expr::{Bound, EvalContext, RowSchema};
 use crate::index::btree::key_of;
 use crate::schema::TableSchema;
 use crate::sql::ast::{BinaryOp, Expr, UnaryOp};
-use crate::value::{cell_count, next_cell, order_key, scalar_cell, SqlType, Value};
+use crate::value::{order_key, step_cell, SqlType, Value};
 use crate::Database;
 use std::cmp::Ordering;
 
@@ -262,21 +263,27 @@ impl Scope {
 
 /// The top-level conjuncts of `pred`, bound over a row `slots` wide,
 /// that read only its first leg, `width` columns wide (a conjunct
-/// reading no column at all is one of them). Such a conjunct reads the same values on the leg's own
-/// row as on every joined row made from it, so when `pred` and every ON
-/// are [`Scope::total`] it may filter the leg before the join: like an
-/// index it only narrows, and the whole `pred` still decides on the
-/// joined rows.
-pub fn own_conjuncts(pred: &Bound, width: usize, slots: usize) -> Vec<&Bound> {
-    let own = |c: &&Bound| {
+/// reading no column at all is one of them), each beside its place among
+/// [`bound_conjuncts`]. Such a conjunct reads the same values on the
+/// leg's own row as on every joined row made from it, so when `pred` and
+/// every ON are [`Scope::total`] it may filter the leg before the join:
+/// like an index it only narrows, and the whole `pred` still decides on
+/// the joined rows.
+pub fn own_conjuncts(pred: &Bound, width: usize, slots: usize) -> Vec<(usize, &Bound)> {
+    let own = |(_, c): &(usize, &Bound)| {
         let mut read = vec![false; slots];
         c.reads(&mut read);
         !read[width..].contains(&true)
     };
-    bound_conjuncts(pred).into_iter().filter(own).collect()
+    bound_conjuncts(pred)
+        .into_iter()
+        .enumerate()
+        .filter(own)
+        .collect()
 }
 
-/// What the WHERE's top-level conjuncts demand of one column.
+/// What the WHERE's top-level conjuncts demand of one column: the tail
+/// an index walks, its bounds inclusive.
 #[derive(Default, Clone, PartialEq)]
 struct Restriction {
     eq: Option<Value>,
@@ -285,34 +292,178 @@ struct Restriction {
     prefix: Option<String>,
 }
 
-/// The restrictions of a total WHERE on the planned table's columns
-/// (none when the WHERE is not total): `exec::fetch` tests every record
-/// it visits against them on its bytes, before decoding it. Like an
-/// index it only narrows; the whole WHERE decides every row it keeps.
-pub(crate) struct Sieve(Vec<Option<Restriction>>);
+/// A test of one cell of a stored record on its bytes, lowered once from
+/// a restriction for the column's declared type: the cell's order
+/// against a constant, or whether its text starts with one. Each
+/// restricting conjunct lowers to its own tests, bounds with their
+/// strictness, so a conjunct whose tests are exact is decided by them.
+struct Test {
+    cell: usize,
+    on: Operand,
+    /// The orders of the cell against `on` (less, equal, greater) that
+    /// keep the row: `<` keeps less, `>=` equal and greater.
+    keeps: [bool; 3],
+}
+
+/// What a [`Test`] holds a cell against.
+enum Operand {
+    /// Text bytes, which a VARCHAR, CLOB or DATALINK cell orders against
+    /// as `Value::sql_cmp`'s `str::cmp` does: by its bytes.
+    Text(Box<[u8]>),
+    /// The literal a `LIKE` pattern starts with.
+    Prefix(Box<[u8]>),
+    /// An INTEGER or TIMESTAMP cell's word, ordered as an `i64`.
+    Int(i64),
+    /// A number an INTEGER or DOUBLE cell is ordered against as an `f64`,
+    /// an INTEGER converted first, as `sql_cmp` converts it.
+    Double(f64),
+}
+
+/// What a test makes of one cell.
+enum Outcome {
+    Holds,
+    Fails,
+    /// The cell is not what the column's cells are, or a NaN: only the
+    /// evaluator can say.
+    Unsure,
+}
+
+impl Test {
+    /// The test of `col <op> v` (`op` oriented column-first) on cell
+    /// `cell` of a column of type `ty`, when it can be lowered exactly:
+    /// `sql_cmp` orders the column's kind against `v`, and the cell's
+    /// bytes order as `sql_cmp` orders its value.
+    fn lower(cell: usize, ty: SqlType, op: BinaryOp, v: &Value) -> Option<Test> {
+        let keeps = match op {
+            BinaryOp::Eq => [false, true, false],
+            BinaryOp::Lt => [true, false, false],
+            BinaryOp::LtEq => [true, true, false],
+            BinaryOp::Gt => [false, false, true],
+            BinaryOp::GtEq => [false, true, true],
+            _ => return None,
+        };
+        stand_in(ty).sql_cmp(v)?;
+        let on = match (ty, v) {
+            (SqlType::Varchar(_) | SqlType::Clob | SqlType::Datalink, v) => {
+                Operand::Text(v.as_text()?.as_bytes().into())
+            }
+            (SqlType::Integer | SqlType::Timestamp, Value::Int(i) | Value::Timestamp(i)) => {
+                Operand::Int(*i)
+            }
+            (SqlType::Integer | SqlType::Double, Value::Double(d)) => Operand::Double(*d),
+            (SqlType::Double, Value::Int(i)) => Operand::Double(*i as f64),
+            _ => return None,
+        };
+        Some(Test { cell, on, keeps })
+    }
+
+    /// The test of a text starting with `lit`.
+    fn prefix(cell: usize, lit: &str) -> Test {
+        Test {
+            cell,
+            on: Operand::Prefix(lit.as_bytes().into()),
+            keeps: [false; 3],
+        }
+    }
+
+    /// What the conjunct this test was lowered from makes of a cell of
+    /// tag `tag` holding `payload`: NULL fails every test, as no
+    /// comparison and no `LIKE` holds of it.
+    #[inline]
+    fn check(&self, tag: u8, payload: &[u8]) -> Outcome {
+        let word = || <[u8; 8]>::try_from(payload).ok().map(i64::from_le_bytes);
+        let order = match (&self.on, tag) {
+            (_, 0) => return Outcome::Fails,
+            (Operand::Prefix(p), 3 | 8 | 9) => {
+                // The first byte before the rest: most texts a prefix
+                // refuses differ there, and it costs no call.
+                let starts = match p.first() {
+                    None => true,
+                    Some(b) => payload.first() == Some(b) && payload.starts_with(p),
+                };
+                return match starts {
+                    true => Outcome::Holds,
+                    false => Outcome::Fails,
+                };
+            }
+            // An empty side orders by length alone, without a `memcmp`
+            // of nothing (slow over a dangling pointer on some libcs).
+            (Operand::Text(t), 3 | 8 | 9) if t.is_empty() || payload.is_empty() => {
+                Some(payload.len().cmp(&t.len()))
+            }
+            (Operand::Text(t), 3 | 8 | 9) => Some(payload.cmp(t)),
+            (Operand::Int(v), 1 | 6) => word().map(|w| w.cmp(v)),
+            (Operand::Double(v), 1) => word().and_then(|w| (w as f64).partial_cmp(v)),
+            (Operand::Double(v), 2) => word().and_then(|w| f64::from_bits(w as u64).partial_cmp(v)),
+            _ => None,
+        };
+        match order {
+            Some(o) if self.keeps[(o as i8 + 1) as usize] => Outcome::Holds,
+            Some(_) => Outcome::Fails,
+            None => Outcome::Unsure,
+        }
+    }
+}
+
+/// The tests a total WHERE's top-level conjuncts make of the planned
+/// table's records (none when the WHERE is not total), in cell order,
+/// and which conjuncts they decide. `exec::fetch` tests every record it
+/// visits against them on its bytes, before decoding it: like an index
+/// the sieve narrows, and it decides exactly the conjuncts whose tests
+/// are exact — typed `col = c`, the bounds `sql_cmp` orders exactly,
+/// `LIKE 'lit%'` — so a row it decides is filtered by the other
+/// conjuncts alone (DESIGN.md, "The sieve").
+pub(crate) struct Sieve {
+    tests: Vec<Test>,
+    /// Per top-level conjunct of the WHERE ([`bound_conjuncts`] order):
+    /// do its tests decide it?
+    decided: Vec<bool>,
+}
 
 impl Sieve {
-    /// The sieve that keeps every record.
-    pub(crate) const NONE: Sieve = Sieve(Vec::new());
+    /// The sieve that keeps every record and decides nothing.
+    pub(crate) const NONE: Sieve = Sieve {
+        tests: Vec::new(),
+        decided: Vec::new(),
+    };
 
-    /// This sieve as a scan of `schema`'s rows applies it, whose filter
-    /// reads the cells `read` selects (an empty mask: every cell).
+    /// Does it decide the `i`th top-level conjunct of the WHERE on every
+    /// row it calls [`Verdict::Decided`]?
+    pub(crate) fn decides(&self, i: usize) -> bool {
+        self.decided.get(i) == Some(&true)
+    }
+
+    /// This sieve as a scan of `schema`'s rows applies it, whose whole
+    /// filter reads the cells `read` selects (an empty mask: every cell).
     pub(crate) fn over<'s>(&'s self, schema: &TableSchema, read: &'s [bool]) -> SieveScan<'s> {
         let may_be_nan =
             |&i: &usize| schema.columns[i].ty == SqlType::Double && read.get(i) != Some(&false);
         let nan_end = (0..schema.columns.len()).rev().find(may_be_nan);
         SieveScan {
-            tests: &self.0,
+            tests: &self.tests,
             read,
             nan_end: nan_end.map_or(0, |i| i + 1),
         }
     }
 }
 
+/// What the sieve makes of one record.
+#[derive(Clone, Copy)]
+pub(crate) enum Verdict {
+    /// A test failed, and no DOUBLE cell the filter reads holds a NaN:
+    /// the whole WHERE is not TRUE on the row.
+    Refused,
+    /// Every test held: the conjuncts the sieve decides are TRUE, and
+    /// the others decide the row.
+    Decided,
+    /// The sieve cannot say: the whole WHERE decides the row.
+    Kept,
+}
+
 /// A [`Sieve`] as one scan applies it ([`Sieve::over`]).
 #[derive(Clone, Copy)]
 pub(crate) struct SieveScan<'s> {
-    tests: &'s [Option<Restriction>],
+    tests: &'s [Test],
     read: &'s [bool],
     /// One past the last DOUBLE cell the filter reads: how far a refused
     /// record is walked on, for a NaN that keeps it.
@@ -327,81 +478,84 @@ impl SieveScan<'_> {
         nan_end: 0,
     };
 
-    /// False when `record`, a stored row of the planned table, fails a
-    /// restriction ([`Restriction::admits`], on its bytes). The record is
-    /// trusted: it was checked when it entered the process (DESIGN.md,
-    /// "the skipped-cell rule"), so no text is checked as UTF-8 here and
-    /// the walk stops at the last restricted cell — or, at the first
-    /// refusal, as soon as no later cell the filter reads could hold a
-    /// NaN. A NaN in a DOUBLE cell the filter reads keeps the row, as
-    /// every comparison raises on it (DESIGN.md, "the sieve"). A cell
-    /// whose shape is not what a record's is keeps the row too, for
-    /// `decode_some_into` to raise the typed error. Walks nothing when
-    /// there are no restrictions, and allocates nothing.
-    pub(crate) fn keeps(&self, record: &[u8]) -> bool {
+    /// The [`Verdict`] on `record`, a stored row of the planned table,
+    /// from its bytes. The record is trusted: it was checked when it
+    /// entered the process (DESIGN.md, "the skipped-cell rule"), so no
+    /// text is checked as UTF-8 here, no cell is decoded into a value,
+    /// and the walk stops at the last tested cell — or, at the first
+    /// failure, as soon as no later cell the filter reads could hold a
+    /// NaN. A NaN in a DOUBLE cell the filter reads keeps the row for
+    /// the whole WHERE, as every comparison raises on it (DESIGN.md,
+    /// "the sieve"); so does a cell whose shape is not what a record's
+    /// is, for the decoder to raise the typed error. Walks nothing when
+    /// there are no tests, and allocates nothing.
+    #[inline]
+    pub(crate) fn keeps(&self, record: &[u8]) -> Verdict {
         if self.tests.is_empty() {
-            return true;
+            return Verdict::Kept;
         }
-        let mut pos = 0;
-        let Ok(n) = cell_count(record, &mut pos) else {
-            return true;
-        };
-        let mut refused = false;
-        for i in 0..n {
-            // Past the last restricted cell nothing refuses the row; once
-            // it is refused, past the last cell that could hold a NaN
-            // nothing keeps it.
-            let end = if refused {
-                self.nan_end
-            } else {
-                self.tests.len()
+        let (mut pos, mut cell) = (4, 0);
+        // The tested cell last read: its place, tag and payload.
+        let mut last: Option<(usize, u8, &[u8])> = None;
+        for test in self.tests {
+            let (tag, payload) = match last {
+                Some((at, tag, payload)) if at == test.cell => (tag, payload),
+                _ => {
+                    if !self.step_over(record, &mut pos, &mut cell, test.cell) {
+                        return Verdict::Kept;
+                    }
+                    let Some((tag, payload)) = step_cell(record, &mut pos) else {
+                        return Verdict::Kept;
+                    };
+                    if tag == 2 && is_nan(payload) {
+                        return Verdict::Kept;
+                    }
+                    last = Some((cell, tag, payload));
+                    cell += 1;
+                    (tag, payload)
+                }
             };
-            if i >= end {
-                break;
-            }
-            let Ok((tag, payload)) = next_cell(record, &mut pos) else {
-                return true;
-            };
-            let read = self.read.get(i) != Some(&false);
-            let nan = || matches!(scalar_cell(tag, payload), Some(Value::Double(x)) if x.is_nan());
-            if tag == 2 && read && nan() {
-                return true;
-            }
-            if let Some(Some(r)) = self.tests.get(i) {
-                refused = refused || !r.admits(tag, payload);
+            match test.check(tag, payload) {
+                Outcome::Holds => {}
+                // Past the last cell that could hold a NaN nothing keeps
+                // the row.
+                Outcome::Fails => {
+                    return match self.step_over(record, &mut pos, &mut cell, self.nan_end) {
+                        true => Verdict::Refused,
+                        false => Verdict::Kept,
+                    }
+                }
+                Outcome::Unsure => return Verdict::Kept,
             }
         }
-        !refused
+        Verdict::Decided
+    }
+
+    /// Step over the cells of `record` from `cell`, at `pos`, up to cell
+    /// `to`; false at a NaN in a DOUBLE cell the filter reads, or at
+    /// bytes that are not a cell.
+    #[inline(always)]
+    fn step_over(&self, record: &[u8], pos: &mut usize, cell: &mut usize, to: usize) -> bool {
+        while *cell < to {
+            match step_cell(record, pos) {
+                Some((2, payload)) if self.read.get(*cell) != Some(&false) && is_nan(payload) => {
+                    return false
+                }
+                Some(_) => *cell += 1,
+                None => return false,
+            }
+        }
+        true
     }
 }
 
-impl Restriction {
-    /// False only on a definite answer: a NULL cell, or an ordering by
-    /// [`Value::sql_cmp`] — the evaluator's comparison — or a prefix that
-    /// the conjuncts refuse. A pairing `sql_cmp` refuses (a NaN among
-    /// them) and a blob are admitted, for the filter to decide.
-    fn admits(&self, tag: u8, payload: &[u8]) -> bool {
-        let (cell, text) = match scalar_cell(tag, payload) {
-            Some(Value::Null) => return false,
-            cell => (cell, matches!(tag, 3 | 8 | 9)),
-        };
-        // The WHERE is total, so a string column is held against strings
-        // only, which `sql_cmp` orders by their bytes.
-        let ord = |v: &Value| match (&cell, v.as_text()) {
-            (Some(cell), _) => cell.sql_cmp(v),
-            (None, Some(s)) if text => Some(payload.cmp(s.as_bytes())),
-            _ => None,
-        };
-        let refuses = |bound: &Option<Value>, refused: fn(Ordering) -> bool| {
-            bound.as_ref().and_then(ord).is_some_and(refused)
-        };
-        let prefix = |p: &String| text && !payload.starts_with(p.as_bytes());
-        !(refuses(&self.eq, Ordering::is_ne)
-            || refuses(&self.lo, Ordering::is_lt)
-            || refuses(&self.hi, Ordering::is_gt)
-            || self.prefix.as_ref().is_some_and(prefix))
-    }
+/// Is `payload`, a DOUBLE cell's, a NaN?
+#[inline(always)]
+fn is_nan(payload: &[u8]) -> bool {
+    <[u8; 8]>::try_from(payload).map_or(true, |w| f64::from_le_bytes(w).is_nan())
+}
 
+impl Restriction {
     /// Tighten with `col <op> v` (`op` already oriented column-first).
     fn bound(&mut self, op: BinaryOp, v: Value) {
         let tighter = |old: &Option<Value>, want: Ordering| {
@@ -503,40 +657,69 @@ pub(crate) fn choose_in_scope(
         let v = EvalContext::new(&[], params).eval(konst).ok()?;
         (*slot < width && !v.is_null()).then_some((*slot, v))
     };
+    let ty = |slot: usize| table.schema.columns[slot].ty;
     let mut restrictions = vec![Restriction::default(); width];
+    let (mut tests, mut decided) = (Vec::new(), Vec::new());
     for c in bound_conjuncts(pred) {
-        match c {
+        // Each restricting conjunct's tests, and whether they are exact.
+        let (lowered, exact) = match c {
             Bound::Binary(l, op, r) => {
-                if let Some((slot, v)) = own(l, r) {
-                    restrictions[slot].bound(*op, v);
-                } else if let Some((slot, v)) = own(r, l) {
-                    restrictions[slot].bound(flipped(*op), v);
+                let oriented = match own(l, r) {
+                    Some((slot, v)) => Some((slot, *op, v)),
+                    None => own(r, l).map(|(slot, v)| (slot, flipped(*op), v)),
+                };
+                match oriented {
+                    Some((slot, op, v)) => {
+                        let test = Test::lower(slot, ty(slot), op, &v);
+                        restrictions[slot].bound(op, v);
+                        let exact = test.is_some();
+                        (test.into_iter().collect(), exact)
+                    }
+                    None => (Vec::new(), false),
                 }
             }
-            Bound::Between(expr, lo, hi, false) => {
+            Bound::Between(expr, lo, hi, false) => match (own(expr, lo), own(expr, hi)) {
                 // BETWEEN is total over operands it cannot compare, so
-                // comparability is checked here, not by `total`.
-                if let (Some((slot, lo)), Some((_, hi))) = (own(expr, lo), own(expr, hi)) {
-                    let col = stand_in(table.schema.columns[slot].ty);
-                    if col.sql_cmp(&lo).is_some() && col.sql_cmp(&hi).is_some() {
-                        restrictions[slot].bound(BinaryOp::GtEq, lo);
-                        restrictions[slot].bound(BinaryOp::LtEq, hi);
+                // comparability is checked here (`Test::lower`), not by
+                // `total`.
+                (Some((slot, lo)), Some((_, hi))) => {
+                    let lower = |op, v: &Value| Test::lower(slot, ty(slot), op, v);
+                    match (lower(BinaryOp::GtEq, &lo), lower(BinaryOp::LtEq, &hi)) {
+                        (Some(from), Some(to)) => {
+                            restrictions[slot].bound(BinaryOp::GtEq, lo);
+                            restrictions[slot].bound(BinaryOp::LtEq, hi);
+                            (vec![from, to], true)
+                        }
+                        _ => (Vec::new(), false),
                     }
                 }
-            }
-            Bound::Like(expr, pattern, false) => {
-                if let Some((slot, pat)) = own(expr, pattern) {
+                _ => (Vec::new(), false),
+            },
+            Bound::Like(expr, pattern, false) => match own(expr, pattern) {
+                Some((slot, pat)) => {
                     let pat = pat.as_text().expect("a total LIKE has a string pattern");
                     let lit = pat.split(['%', '_']).next().unwrap_or_default();
                     let r = &mut restrictions[slot];
                     if r.prefix.as_ref().is_none_or(|p| lit.len() > p.len()) && !lit.is_empty() {
                         r.prefix = Some(lit.to_string());
                     }
+                    // `'lit%'` holds of exactly the texts starting with
+                    // `lit`; any other wildcard only narrows.
+                    let exact = pat.len() == lit.len() + 1 && pat.ends_with('%');
+                    match exact || !lit.is_empty() {
+                        true => (vec![Test::prefix(slot, lit)], exact),
+                        false => (Vec::new(), false),
+                    }
                 }
-            }
-            _ => {}
-        }
+                None => (Vec::new(), false),
+            },
+            _ => (Vec::new(), false),
+        };
+        tests.extend(lowered);
+        decided.push(exact);
     }
+    // The walk meets the tests in cell order.
+    tests.sort_by_key(|t| t.cell);
     let mut best = None;
     for (index_pos, ix) in table.indexes.iter().enumerate() {
         let mut eq = Vec::new();
@@ -565,15 +748,7 @@ pub(crate) fn choose_in_scope(
         }
     }
     let path = best.map_or(AccessPath::FullScan, |(_, path)| path);
-    let mut sieve: Vec<_> = restrictions
-        .into_iter()
-        .map(|r| (r != Restriction::default()).then_some(r))
-        .collect();
-    // Columns past the last restricted one test nothing.
-    while sieve.last().is_some_and(Option::is_none) {
-        sieve.pop();
-    }
-    (path, Sieve(sieve))
+    (path, Sieve { tests, decided })
 }
 
 #[cfg(test)]

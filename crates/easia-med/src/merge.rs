@@ -15,7 +15,7 @@ use crate::catalog::ForeignTable;
 use crate::planner::{AggPlan, Finisher};
 use crate::wire::ScanRequest;
 use crate::FedError;
-use easia_db::exec::{finish_groups, run_select_each, AggState, Relation};
+use easia_db::exec::{finish_groups, run_select_each, Agg, AggState, Relation};
 use easia_db::expr::RowSchema;
 use easia_db::sql::ast::{SelectStmt, Stmt, TableRef};
 use easia_db::sql::parse;
@@ -114,13 +114,13 @@ pub(crate) fn partial_from_raw(
 }
 
 /// The aggregate function a finisher completes.
-fn function(fin: &Finisher) -> &'static str {
+fn function(fin: &Finisher) -> Agg {
     match fin {
-        Finisher::Count { .. } => "COUNT",
-        Finisher::Sum { .. } => "SUM",
-        Finisher::Avg { .. } => "AVG",
-        Finisher::Min { .. } => "MIN",
-        Finisher::Max { .. } => "MAX",
+        Finisher::Count { .. } => Agg::Count,
+        Finisher::Sum { .. } => Agg::Sum,
+        Finisher::Avg { .. } => Agg::Avg,
+        Finisher::Min { .. } => Agg::Min,
+        Finisher::Max { .. } => Agg::Max,
     }
 }
 

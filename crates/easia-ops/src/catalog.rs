@@ -81,7 +81,10 @@ impl<'a> RowOperations<'a> {
 
     /// The operations one row's flags (from [`RowOperations::for_row`])
     /// select, in catalog order.
-    pub fn chosen<'f>(&'f self, flags: &'f [bool]) -> impl Iterator<Item = &'a Operation> + 'f {
+    pub fn chosen<'f>(
+        &'f self,
+        flags: &'f [bool],
+    ) -> impl Iterator<Item = &'a Operation> + Clone + 'f {
         let flagged = self.candidates.iter().zip(flags);
         flagged.filter(|(_, on)| **on).map(|(c, _)| c.op)
     }

@@ -70,9 +70,10 @@ pub fn render_results_into(ctx: &BrowseContext<'_>, rs: &ResultSet, out: &mut St
 /// per result, as fragments: each column's, when the table begins
 /// (`<td><a href="/browse/fk/…?value=`, a primary-key link's
 /// `">→T</a>`), and each operation's, the first time a row offers it
-/// (`<a href="/op/T/Op?dataset=` and `">Op</a>`). A row pushes only those
-/// fragments and its own cells, encoded, and allocates nothing but the
-/// page's own growth.
+/// (`<a href="/op/T/Op?dataset=` and `">Op</a>`); a row's operations cell
+/// is pushed whole when it offers, on no dataset, the operations the last
+/// such row offered. A row pushes only those fragments and its own
+/// cells, encoded, and allocates nothing but the page's own growth.
 pub struct ResultTable<'c> {
     ctx: &'c BrowseContext<'c>,
     /// The XUIS describes the table; a table it does not know renders as
@@ -85,6 +86,7 @@ pub struct ResultTable<'c> {
     op_href: String,
     /// The link of each operation a row has offered so far.
     op_links: Vec<OpLink>,
+    ops_cell: OpsCell,
     /// Rows of the result, and rows rendered so far.
     rows: usize,
     rendered: usize,
@@ -121,6 +123,17 @@ impl OpLink {
         };
         &links[at]
     }
+}
+
+/// The operations cell the last row with no dataset rendered, and the
+/// operations it offers: a row offering the same ones on no dataset
+/// pushes it as it is.
+#[derive(Default)]
+struct OpsCell {
+    /// The address of each operation offered, in order.
+    ops: Vec<usize>,
+    /// `<td>` to `</td>`; empty until a row renders it.
+    html: String,
 }
 
 /// What a row is rendered through, refilled row after row.
@@ -185,6 +198,7 @@ impl<'c> ResultTable<'c> {
             has_ops,
             op_href,
             op_links: Vec::new(),
+            ops_cell: OpsCell::default(),
             rows,
             rendered: 0,
             scratch: Scratch::default(),
@@ -199,7 +213,7 @@ impl<'c> ResultTable<'c> {
         &mut self,
         out: &mut String,
         record: &[u8],
-        ops: impl IntoIterator<Item = &'o Operation>,
+        ops: impl IntoIterator<Item = &'o Operation, IntoIter: Clone>,
     ) -> Result<(), DbError> {
         let Scratch { walk, text, stored } = &mut self.scratch;
         walk.walk(record)?;
@@ -219,22 +233,41 @@ impl<'c> ResultTable<'c> {
             }
         }
         if self.has_ops {
-            out.push_str("<td>");
-            let mut ops = ops.into_iter().peekable();
-            let dataset = match ops.peek() {
+            let ops = ops.into_iter();
+            let dataset = match ops.clone().next() {
                 Some(_) => primary_datalink(row, stored)?,
                 None => "",
             };
-            for (n, op) in ops.enumerate() {
-                if n > 0 {
-                    out.push_str(" | ");
+            // Without a dataset a row's cell is its operations' alone, and
+            // rows offering the same ones show the same cell; a dataset is
+            // each row's own, so its cell is built.
+            let cell = &mut self.ops_cell;
+            let address = |op: &Operation| op as *const Operation as usize;
+            let reused = dataset.is_empty()
+                && !cell.html.is_empty()
+                && ops.clone().map(address).eq(cell.ops.iter().copied());
+            if reused {
+                out.push_str(&cell.html);
+            } else {
+                let at = out.len();
+                out.push_str("<td>");
+                for (n, op) in ops.clone().enumerate() {
+                    if n > 0 {
+                        out.push_str(" | ");
+                    }
+                    let link = OpLink::of(&mut self.op_links, &self.op_href, op);
+                    out.push_str(&link.head);
+                    url_encode_into(out, dataset);
+                    out.push_str(&link.tail);
                 }
-                let link = OpLink::of(&mut self.op_links, &self.op_href, op);
-                out.push_str(&link.head);
-                url_encode_into(out, dataset);
-                out.push_str(&link.tail);
+                out.push_str("</td>");
+                if dataset.is_empty() {
+                    cell.ops.clear();
+                    cell.ops.extend(ops.map(address));
+                    cell.html.clear();
+                    cell.html.push_str(&out[at..]);
+                }
             }
-            out.push_str("</td>");
         }
         out.push_str("</tr>");
         if self.rendered == 0 {
