@@ -941,20 +941,15 @@ impl Database {
     }
 
     /// Row-version visibility of `table` to `view` for executor scans:
-    /// the table's version map is taken once, not per row.
+    /// the table's version map is taken once, not per row. `None` when
+    /// the table has none: every row is visible to every view.
     pub(crate) fn row_visibility<'a>(
         &'a self,
         table: &str,
         view: &'a ReadView,
-    ) -> impl Fn(RowId) -> bool + 'a {
-        let versions = self.mvcc.table_versions(table);
-        move |rid| self.mvcc.visible_in(versions, rid, view)
-    }
-
-    /// Does any row of `table` carry version stamps? A table without
-    /// them has every row visible to every view.
-    pub(crate) fn versioned(&self, table: &str) -> bool {
-        self.mvcc.table_versions(table).is_some()
+    ) -> Option<impl Fn(RowId) -> bool + 'a> {
+        let versions = self.mvcc.table_versions(table)?;
+        Some(move |rid| self.mvcc.visible_in(Some(versions), rid, view))
     }
 
     /// The read view a SELECT run through [`Database::execute`] right

@@ -22,10 +22,10 @@ fn key_into<'k>(cols: &[usize], row: &[Value], key: &'k mut Vec<u8>) -> &'k [u8]
 }
 
 impl Table {
-    /// Whether a row `visible` admits holds `key`, an order key, in
-    /// columns `cols` — the one probe of both FK checks. Equal is the
-    /// index's equality, equal order keys: `1` is `1.0`, `-0.0` is `0.0`,
-    /// NaN is NaN, a VARCHAR is the CLOB of its text. An index led by
+    /// Whether a row `visible` admits (every row, if `None`) holds `key`,
+    /// an order key, in columns `cols` — the one probe of both FK checks.
+    /// Equal is the index's equality, equal order keys: `1` is `1.0`,
+    /// `-0.0` is `0.0`, NaN is NaN, a VARCHAR is the CLOB of its text. An index led by
     /// `cols` is walked under the key; otherwise every stored record is
     /// stepped through cell by cell — a damaged shape is its typed error,
     /// its text trusted as a heap's is — and the key of its cells `cols`
@@ -34,8 +34,9 @@ impl Table {
         &self,
         cols: &[usize],
         key: &[u8],
-        visible: impl Fn(RowId) -> bool,
+        visible: Option<impl Fn(RowId) -> bool>,
     ) -> Result<bool> {
+        let visible = |rid| visible.as_ref().is_none_or(|v| v(rid));
         if let Some(ix) = self
             .indexes
             .iter()

@@ -340,5 +340,45 @@ impl Expr {
 
 /// True when `name` is one of the supported aggregate functions.
 pub fn is_aggregate_fn(name: &str) -> bool {
-    matches!(name, "COUNT" | "SUM" | "AVG" | "MIN" | "MAX")
+    Agg::named(name).is_some()
+}
+
+/// An aggregate function, resolved once when its call is bound.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Agg {
+    /// `COUNT`.
+    Count,
+    /// `SUM`.
+    Sum,
+    /// `AVG`.
+    Avg,
+    /// `MIN`.
+    Min,
+    /// `MAX`.
+    Max,
+}
+
+impl Agg {
+    /// The aggregate function `name` (upper case) names, if any.
+    pub fn named(name: &str) -> Option<Agg> {
+        Some(match name {
+            "COUNT" => Agg::Count,
+            "SUM" => Agg::Sum,
+            "AVG" => Agg::Avg,
+            "MIN" => Agg::Min,
+            "MAX" => Agg::Max,
+            _ => return None,
+        })
+    }
+
+    /// The name `self` is called by.
+    pub fn name(self) -> &'static str {
+        match self {
+            Agg::Count => "COUNT",
+            Agg::Sum => "SUM",
+            Agg::Avg => "AVG",
+            Agg::Min => "MIN",
+            Agg::Max => "MAX",
+        }
+    }
 }
