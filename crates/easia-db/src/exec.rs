@@ -3,23 +3,31 @@
 //! A SELECT is bound once against the row its expressions meet
 //! ([`BoundSelect`]): each column reference becomes a slot, each aggregate
 //! call the index of its state, and a name that does not resolve is the
-//! statement's error before any row is read. Its base table is read once:
-//! each record is tested on its bytes against the sieve a total WHERE
-//! makes, and of each it keeps the cells its filter reads are decoded and,
-//! only if the row passes, the other cells the statement evaluates. A
-//! JOIN leg's rows are read as records too, and a joined row is its
-//! legs' records: the cells its ONs, the WHERE and the statement's
-//! expressions read are decoded, the rest only located. Every row that
-//! passes the WHERE — off the scan itself or off the last JOIN leg — is
-//! lent to one `Sink` with each of its cells' encodings, which folds it
-//! into its group or projects it. Every output row is an [`encode_row`]
-//! record (the cells a select list passes through copied as bytes, from
-//! a scan's record or a JOIN leg's, a LEFT JOIN's padding written as
-//! NULL cells), and DISTINCT, ORDER BY and LIMIT keep only the records
-//! they can still return; each is lent to the statement's reader as
-//! `&[u8]`. A result set is those records decoded, by the one function
-//! that decodes lent records ([`result_set`], as [`run_select_over`]
-//! does).
+//! statement's error before any row is read. Planning it settles, once,
+//! where its rows go — the `Sink`, which projects them or folds them into
+//! their groups — and what each row is decoded with. Then one loop runs
+//! per statement: each record of the base table is tested on its bytes
+//! against the sieve a total WHERE makes, and each it does not refuse is
+//! decoded once — the cells its filter and the sink read (of a row the
+//! sieve decided, only those the conjuncts it left read) — filtered, and
+//! lent to the sink with each of its cells' encodings. Under a JOIN the
+//! base rows that pass their own conjuncts are kept as records, and each
+//! leg joins the rows before it through the one `run_join` call: a leg
+//! before the last keeps its pairings as records, their cells copied; the
+//! last lends each to the WHERE and the sink. Every output row is an
+//! [`encode_row`] record (the cells a select list passes through copied as
+//! bytes, a LEFT JOIN's padding written as NULL cells), and DISTINCT,
+//! ORDER BY and LIMIT keep only the records they can still return; each
+//! is lent to the statement's reader as `&[u8]`. A result set is those
+//! records decoded, by the one function that decodes lent records
+//! ([`result_set`], as [`run_select_over`] does).
+//!
+//! A row error follows one rule, the phase order of an executor that
+//! finished each stage before the next (see [`run_select_over`]): an
+//! error of the earliest phase still running ends the statement as it is
+//! raised; a later phase's is held in one place, the output's `Held`,
+//! until the earlier phases have run over every row, and of the errors
+//! held, the earliest phase's, then the first row's, wins.
 
 use crate::db::{Database, ResultSet, Table};
 use crate::error::{DbError, Result};
@@ -131,69 +139,49 @@ impl<'a> Source<'a> {
     }
 }
 
-/// How a scan reads a record: tested against `sieve` on its bytes, then
-/// decoded — `filter`'s cells (the ones the scan's whole filter reads)
-/// for a row the sieve keeps, `decided`'s (the ones the conjuncts it
-/// does not decide read) for a row it decides, `all` (which holds both)
-/// for a row that passes the filter (for a scan whose rows are copied out
-/// of their records, only the cells the statement evaluates). An empty
-/// mask is every cell; one that selects none decodes nothing.
-#[derive(Clone, Copy)]
-struct Cells<'m> {
-    sieve: &'m Sieve,
-    filter: &'m [bool],
-    decided: &'m [bool],
-    all: &'m [bool],
-    /// DATALINK cells decode as CLOB ([`Relation::links_as_clob`]).
-    links_as_clob: bool,
-    /// Note each cell's encoding, for a reader that copies cells.
+/// What a scan decodes of each record its sieve does not refuse: the
+/// cells `read` selects of a row the sieve keeps, and of one it decides
+/// (an empty mask is every cell; one that selects none decodes nothing),
+/// and, with `spans`, where each cell lies, for a reader that copies
+/// cells. The kept row's mask is also what the sieve walks on for a NaN
+/// ([`Sieve::over`]).
+#[derive(Clone, Copy, Default)]
+struct Decode<'m> {
+    read: [&'m [bool]; 2],
     spans: bool,
 }
 
-/// Every cell of every row, unsieved.
-const WHOLE: Cells = Cells {
-    sieve: &Sieve::NONE,
-    filter: &[],
-    decided: &[],
-    all: &[],
-    links_as_clob: false,
-    spans: false,
-};
-
 /// Lend the rows of `source` visible to `view`, read along `path` in
-/// storage order, to `pass`, and each that passes to `take` with its row
-/// id, decoded row and cells' encodings; see [`sift`]. A relation has no
-/// indexes and no versions: its records are visited whole, each row id
-/// its position. A table without a version map has every row visible,
-/// and its scan asks nothing of a row's visibility.
+/// storage order and sieved by `sieve`, to `take`; see [`sift`]. A
+/// relation has no indexes and no versions and is never sieved: its
+/// records are visited whole, each row id its position, its DATALINK
+/// cells decoded as CLOB when it reads them so. A table without a
+/// version map has every row visible, and its scan asks nothing of a
+/// row's visibility.
 fn fetch<'r>(
     db: &Database,
     view: &ReadView,
     source: Source<'r>,
     path: AccessPath,
-    cells: Cells,
-    pass: impl FnMut(&[Value], bool) -> Result<bool>,
-    take: impl FnMut((RowId, &'r [u8]), &mut Vec<Value>, &[&'r [u8]]) -> Result<()>,
+    sieve: &Sieve,
+    decode: Decode,
+    take: impl FnMut((RowId, &'r [u8]), &mut Vec<Value>, &[&'r [u8]], bool) -> Result<()>,
 ) -> (usize, Result<()>) {
     let t = match source {
         Source::Table(t) => t,
         Source::Relation(r) => {
             let records = (0..).map(RowId).zip(r.rows.iter());
-            let cells = Cells {
-                links_as_clob: source.links_as_clob(),
-                ..cells
-            };
-            return sift(records, SieveScan::ALL, cells, pass, take);
+            return sift(records, SieveScan::ALL, decode, r.links_as_clob, take);
         }
     };
     let visible = db.row_visibility(&t.schema.name, view);
-    let sieve = cells.sieve.over(&t.schema, cells.filter);
+    let sieve = sieve.over(&t.schema, decode.read[0]);
     match path {
         AccessPath::FullScan => match &visible {
-            None => sift(t.heap.records(), sieve, cells, pass, take),
+            None => sift(t.heap.records(), sieve, decode, false, take),
             Some(visible) => {
                 let records = t.heap.records().filter(|(rid, _)| visible(*rid));
-                sift(records, sieve, cells, pass, take)
+                sift(records, sieve, decode, false, take)
             }
         },
         AccessPath::IndexRange {
@@ -226,90 +214,56 @@ fn fetch<'r>(
                 .into_iter()
                 .filter(|rid| visible.as_ref().is_none_or(|v| v(*rid)))
                 .filter_map(|rid| Some((rid, t.heap.record(rid)?)));
-            sift(records, sieve, cells, pass, take)
+            sift(records, sieve, decode, false, take)
         }
     }
 }
 
 /// Test each of `records` against `sieve` on its bytes
-/// ([`SieveScan::keeps`]); decode the filter's cells of a record it keeps
-/// — those of the conjuncts it does not decide, for a record it decides —
-/// ([`decode_some_into`]) into a scratch row, noting in the same walk
-/// where each of its cells lies if `cells.spans` asks, and lend it to
-/// `pass` with whether the sieve decided it; decode a row that passes
-/// again, with the cells of `all`, into a second scratch row and lend
-/// that to `take`, beside its row id, record and cells (none unless
-/// asked), which copies out (or takes) what it keeps. A record the sieve
-/// refuses is walked no further than the cell that refuses it (or a
-/// later one the filter reads that could hold a NaN), and nothing of it
-/// decoded or evaluated; a mask that selects no cell decodes nothing;
-/// each scratch row refills the buffers it already owns, so a rejected
-/// row allocates nothing. Returns the number of records, also when a
-/// closure or the decoder raises part-way — the first error is the one
-/// returned, and what it left unvisited was a candidate all the same.
+/// ([`SieveScan::keeps`]); decode the cells `decode` selects for its
+/// verdict of each record it does not refuse, once, into one scratch row
+/// ([`decode_some_into`]), noting in the same walk where each cell lies
+/// if `decode.spans` asks, and lend that row to `take` beside its row
+/// id, record and cells (none unless asked) and whether the sieve
+/// decided it. A record the sieve refuses is walked no further than the
+/// cell that refuses it (or a later one the scan decodes that could hold
+/// a NaN), and nothing of it decoded or evaluated; a mask that selects
+/// no cell decodes nothing; the scratch row refills the buffers it
+/// already owns, so a rejected row allocates nothing. Returns the number
+/// of records, also when `take` or the decoder raises part-way — the
+/// first error is the one returned, and what it left unvisited was a
+/// candidate all the same.
 fn sift<'r>(
     mut records: impl Iterator<Item = (RowId, &'r [u8])>,
     sieve: SieveScan,
-    cells: Cells,
-    mut pass: impl FnMut(&[Value], bool) -> Result<bool>,
-    mut take: impl FnMut((RowId, &'r [u8]), &mut Vec<Value>, &[&'r [u8]]) -> Result<()>,
+    decode: Decode,
+    links_as_clob: bool,
+    mut take: impl FnMut((RowId, &'r [u8]), &mut Vec<Value>, &[&'r [u8]], bool) -> Result<()>,
 ) -> (usize, Result<()>) {
-    let (mut sieved, mut whole, mut slots) = (Vec::new(), Vec::new(), Vec::new());
-    let none = |mask: &[bool]| !mask.is_empty() && !mask.contains(&true);
-    // Element by element: `==` on two empty masks would `memcmp` dangling
-    // pointers, which is slow on some libcs.
-    let differ = |a: &[bool], b: &[bool]| !a.iter().eq(b);
-    // Per mask, kept and decided: whether it decodes nothing, and whether
-    // a row that passes is decoded again.
-    let kept = (none(cells.filter), differ(cells.filter, cells.all));
-    let decided = (none(cells.decided), differ(cells.decided, cells.all));
-    let all_nothing = none(cells.all);
+    let (mut row, mut cells) = (Vec::new(), Vec::new());
+    // Per verdict: is the record walked at all?
+    let walks = decode
+        .read
+        .map(|read| decode.spans || read.is_empty() || read.contains(&true));
     let mut seen = 0;
     // Internal iteration: a heap's pages and their slots are walked by
     // nested loops, not one `next` at a time.
     let visited = records.by_ref().try_for_each(|(rid, record)| {
         seen += 1;
-        let (filter, (nothing, twice), decides) = match sieve.keeps(record) {
+        let decided = match sieve.keeps(record) {
             Verdict::Refused => return Ok(()),
-            Verdict::Decided => (cells.decided, decided, true),
-            Verdict::Kept => (cells.filter, kept, false),
+            verdict => matches!(verdict, Verdict::Decided),
         };
-        let links = cells.links_as_clob;
-        slots.clear();
-        match cells.spans {
-            true => decode_cells_into(record, &mut sieved, filter, links, &mut slots)?,
-            false => decode_unless(nothing, record, &mut sieved, filter, links)?,
+        let read = decode.read[usize::from(decided)];
+        cells.clear();
+        match (walks[usize::from(decided)], decode.spans) {
+            (false, _) => row.clear(),
+            (true, false) => decode_some_into(record, &mut 0, &mut row, read, links_as_clob)?,
+            (true, true) => decode_cells_into(record, &mut row, read, links_as_clob, &mut cells)?,
         }
-        match (pass(&sieved, decides)?, twice) {
-            (false, _) => Ok(()),
-            (true, false) => take((rid, record), &mut sieved, &slots),
-            (true, true) => {
-                decode_unless(all_nothing, record, &mut whole, cells.all, links)?;
-                take((rid, record), &mut whole, &slots)
-            }
-        }
+        take((rid, record), &mut row, &cells, decided)
     });
     (seen + records.count(), visited)
-}
-
-/// [`decode_some_into`] `record`'s cells that `read` selects into `row`,
-/// or, when it selects `nothing`, leave `row` empty without walking the
-/// record.
-#[inline(always)]
-fn decode_unless(
-    nothing: bool,
-    record: &[u8],
-    row: &mut Vec<Value>,
-    read: &[bool],
-    links_as_clob: bool,
-) -> Result<()> {
-    match nothing {
-        true => {
-            row.clear();
-            Ok(())
-        }
-        false => decode_some_into(record, &mut 0, row, read, links_as_clob),
-    }
 }
 
 /// Book one base-table scan of `rows` candidate rows.
@@ -344,19 +298,15 @@ pub fn collect_matching(
     let pred = pred.transpose()?;
     let (path, sieve) = choose_bound(t, pred.as_ref(), params);
     let index_probe = matches!(path, AccessPath::IndexRange { .. });
-    let pass = |row: &[Value], _| match &pred {
-        Some(p) => holds(&EvalContext::new(row, params), &[p]),
-        None => Ok(true),
-    };
     let mut matching = Vec::new();
-    let cells = Cells {
-        sieve: &sieve,
-        ..WHOLE
-    };
-    let (candidates, read) = fetch(db, view, source, path, cells, pass, |(rid, _), row, _| {
-        matching.push((rid, std::mem::take(row)));
+    let take = |(rid, _), row: &mut Vec<Value>, _: &[&[u8]], _| {
+        let ctx = EvalContext::new(row, params);
+        if pred.as_ref().map_or(Ok(true), |p| holds(&ctx, &[p]))? {
+            matching.push((rid, std::mem::take(row)));
+        }
         Ok(())
-    });
+    };
+    let (candidates, read) = fetch(db, view, source, path, &sieve, Decode::default(), take);
     note_scan(db, index_probe, candidates);
     read.map(|()| matching)
 }
@@ -416,7 +366,7 @@ impl<'a> BoundSelect<'a> {
         for e in filter.iter().chain(&ons) {
             e.reads(&mut read);
         }
-        sink.reads(&mut read);
+        sink.reads(&mut read, false);
         Ok(BoundSelect {
             schema,
             ons,
@@ -437,7 +387,8 @@ impl<'a> BoundSelect<'a> {
 /// probe errors, then the WHERE's (and the decoder's), then projection
 /// and grouping errors, then HAVING and the select list per group, then
 /// ORDER BY keys — within a phase, the first row's. Streaming holds a
-/// later phase's error until the earlier phases have run over every row.
+/// later phase's error (in the output's `Held`) until the earlier phases
+/// have run over every row.
 pub fn run_select_over(
     db: &Database,
     view: &ReadView,
@@ -460,14 +411,12 @@ pub fn result_set(
         Ok(row) => rows.push(row),
         Err(e) => _ = bad.get_or_insert(e),
     })?;
-    match bad {
-        Some(e) => Err(e),
-        None => Ok(ResultSet {
-            columns,
-            rows,
-            affected: 0,
-        }),
-    }
+    let answer = ResultSet {
+        columns,
+        rows,
+        affected: 0,
+    };
+    bad.map_or(Ok(answer), Err)
 }
 
 /// A reader each result row's record is lent to.
@@ -499,19 +448,12 @@ pub fn run_select_each<'a>(
     for source in &sources {
         let names = source.columns();
         scope.join(names.len(), source.schema());
-        match source.schema() {
-            Some(t) => specs.extend(t.columns.iter().map(|c| c.datalink.as_ref())),
-            None => specs.extend(names.iter().map(|_| None)),
-        }
+        let spec = |i: usize| source.schema().and_then(|t| t.columns[i].datalink.as_ref());
+        specs.extend((0..names.len()).map(spec));
         columns.push(names);
     }
-    let BoundSelect {
-        ons,
-        filter,
-        read,
-        mut sink,
-        ..
-    } = BoundSelect::bind(db.functions(), sel, &columns, &specs)?;
+    let bound = BoundSelect::bind(db.functions(), sel, &columns, &specs)?;
+    let (ons, filter, read, mut sink) = (bound.ons, bound.filter, bound.read, bound.sink);
     sink.output.reader = Some(each);
     let base_width = columns[0].len();
 
@@ -528,6 +470,7 @@ pub fn run_select_each<'a>(
         legs.push(Leg {
             source: *source,
             kind: join.kind,
+            at,
             width,
             on,
             probe,
@@ -552,196 +495,125 @@ pub fn run_select_each<'a>(
     }
     let index_probe = matches!(path, AccessPath::IndexRange { .. });
 
-    // ---- stream ----
-    // The cells the scan's own filter reads are decoded for every row it
-    // visits, the rest of the statement's only for a row that passes —
-    // by the scan, or for a JOIN's base by the join, from its record. A
-    // row the sieve decided is filtered by the conjuncts it left alone,
-    // which read no more cells.
+    // ---- the row path ----
+    // A scanned row is filtered by the WHERE's conjuncts, or a JOIN
+    // base's own; one the sieve decided, by those it does not decide.
     let scan_filter = match (legs.is_empty(), &filter) {
         (true, Some(w)) => bound_conjuncts(w).into_iter().enumerate().collect(),
         (true, None) => Vec::new(),
         (false, _) => own,
     };
-    let rest: Vec<&Bound> = scan_filter
-        .iter()
+    let rest: Vec<&Bound> = (scan_filter.iter())
         .filter(|(i, _)| !sieve.decides(*i))
         .map(|(_, c)| *c)
         .collect();
-    // A scan's records are lent to the sink, which reads their cells; a
-    // DATALINK a relation reads as a CLOB is no cell of its record.
-    if legs.is_empty() && !sources[0].links_as_clob() {
-        sink.lend_records(read.len());
-    }
-    // What a row that passed is decoded with: what the sink evaluates,
-    // and over joined rows what each ON and the WHERE read. Rows are
-    // projected from their records, a scan's and each JOIN leg's: the
-    // cells they pass through are copied as bytes, so only the select
-    // list's expressions, its DATALINK renderings and ORDER BY's
-    // expressions are decoded for the sink. A grouping decodes every
-    // cell it reads, unless it folds a scan's records from their cells.
-    let (copies, from_records) = (sink.copies(), sink.reads_records());
+    // The sink, chosen now, marks the cells it decodes: a projection
+    // copies the cells it passes through, a grouping of a scan's bare
+    // columns folds its records from their cells. Each scanned row is
+    // decoded once, with those and the cells its filter reads; over
+    // joined rows, each ON and the WHERE read theirs after the join.
     let mut evals = vec![false; read.len()];
+    let copies = sink.plan(legs.is_empty() && !sources[0].links_as_clob(), &mut evals);
+    let unread = match legs.is_empty() {
+        true => evals.clone(),
+        false => vec![false; base_width],
+    };
+    let (mut kept, mut decided) = (unread.clone(), unread);
+    scan_filter.iter().for_each(|(_, c)| c.reads(&mut kept));
+    rest.iter().for_each(|c| c.reads(&mut decided));
+    let decode = Decode {
+        read: [&kept, &decided],
+        spans: copies && legs.is_empty(),
+    };
     if !legs.is_empty() {
         let ons = legs.iter().map(|leg| &leg.on);
         filter.iter().chain(ons).for_each(|e| e.reads(&mut evals));
     }
-    match from_records {
-        true => sink.decodes(&mut evals),
-        false => sink.reads(&mut evals),
-    }
     if sources.iter().any(Source::links_as_clob) {
         for (source, names) in sources.iter().zip(&columns) {
-            let clob = source.links_as_clob();
-            sink.clob.extend(std::iter::repeat_n(clob, names.len()));
+            sink.clob
+                .extend(std::iter::repeat_n(source.links_as_clob(), names.len()));
         }
     }
-    let (mut filter_reads, mut rest_reads) = (read.clone(), read.clone());
-    if !scan_filter.is_empty() || !legs.is_empty() || from_records {
-        filter_reads.fill(false);
-        scan_filter
-            .iter()
-            .for_each(|(_, e)| e.reads(&mut filter_reads));
-        rest_reads.fill(false);
-        rest.iter().for_each(|e| e.reads(&mut rest_reads));
-    }
-    // The WHERE on a row: whole, or what the sieve left of it.
-    let filtered = |row: &[Value], decided: bool| match (&filter, decided) {
-        (None, _) => Ok(true),
-        (Some(_), true) if rest.is_empty() => Ok(true),
-        (Some(_), true) => holds(&EvalContext::new(row, params), &rest),
-        (Some(w), false) => holds(&EvalContext::new(row, params), &[w]),
-    };
-    let mut passed = 0;
-    let mut accept = |row: &[Value], record, cells: &[&[u8]], sink: &mut Sink| {
-        passed += 1;
-        sink.take(db, &EvalContext::new(row, params), record, cells);
-    };
-    if legs.is_empty() {
-        let cells = Cells {
-            sieve: &sieve,
-            filter: &filter_reads,
-            decided: &rest_reads,
-            all: &evals,
-            spans: copies,
-            ..WHOLE
-        };
-        let (candidates, scanned) = fetch(
-            db,
-            view,
-            sources[0],
-            path,
-            cells,
-            filtered,
-            |(_, record), row, slots| {
-                accept(row, Some(record), slots, &mut sink);
-                Ok(())
-            },
-        );
-        note_scan(db, index_probe, candidates);
-        scanned?;
-    } else {
-        // A base row failing one of its own conjuncts fails the WHERE on
-        // every joined row made from it, padded or not. A conjunct that
-        // raises after all keeps its row, so the WHERE raises it too.
-        let own_pass = |row: &[Value], decided: bool| {
-            let ctx = EvalContext::new(row, params);
-            let fails = |c: &&Bound| matches!(holds(&ctx, &[c]), Ok(false));
-            Ok(match decided {
-                true => !rest.iter().any(fails),
-                false => !scan_filter.iter().map(|(_, c)| c).any(fails),
-            })
-        };
-        let cells = Cells {
-            sieve: &sieve,
-            filter: &filter_reads[..base_width],
-            decided: &rest_reads[..base_width],
-            all: &filter_reads[..base_width],
-            ..WHOLE
-        };
-        // The records of the base rows that pass.
-        let mut base = Vec::new();
-        let (candidates, scanned) =
-            fetch(db, view, sources[0], path, cells, own_pass, |rec, _, _| {
-                base.push(rec.1);
-                Ok(())
-            });
-        note_scan(db, index_probe, candidates);
-        scanned?;
-        // Every leg but the last keeps its pairings as records, their
-        // cells copied; the last lends each to the WHERE, whose error
-        // waits for the ONs of the pairings after it.
-        let (mut at, mut joined, mut raised) = (base_width, 0, None);
-        // The first leg meets the base's records, read as the scan reads
-        // them; a later one the pairings before it, whose cells are
-        // copied with DATALINKs already read as their legs read them.
-        let mut links_as_clob = sources[0].links_as_clob();
-        let mut pairings = Records::default();
-        for (i, leg) in legs.iter().enumerate() {
-            let left_cells = Cells {
-                all: &evals[..at],
-                links_as_clob,
-                ..WHOLE
+    // Each row the scan lends goes past the WHERE to the sink — or, under
+    // a JOIN, into its base, unless it fails one of the base's own
+    // conjuncts, which fails the WHERE on every joined row made from it,
+    // padded or not (a conjunct that raises after all keeps its row, for
+    // the WHERE to raise it too). The base rows' records are the first
+    // leg's left rows.
+    let (mut passed, mut base) = (0, Vec::new());
+    let take = |(_, record), row: &mut Vec<Value>, cells: &[&[u8]], decided: bool| {
+        let ctx = EvalContext::new(row, params);
+        if !legs.is_empty() {
+            let fails = |c: &Bound| matches!(holds(&ctx, &[c]), Ok(false));
+            let fail = match decided {
+                false => scan_filter.iter().any(|(_, c)| fails(c)),
+                true => rest.iter().any(|c| fails(c)),
             };
-            let leg_evals = &evals[at..at + leg.width];
-            at += leg.width;
+            if !fail {
+                base.push(record);
+            }
+            return Ok(());
+        }
+        let passes = match (decided, &filter) {
+            (false, None) => true,
+            (false, Some(w)) => holds(&ctx, &[w])?,
+            (true, _) => rest.is_empty() || holds(&ctx, &rest)?,
+        };
+        if passes {
+            passed += 1;
+            sink.take(db, &ctx, record, cells);
+        }
+        Ok(())
+    };
+    let (candidates, scanned) = fetch(db, view, sources[0], path, &sieve, decode, take);
+    note_scan(db, index_probe, candidates);
+    scanned?;
+    if !legs.is_empty() {
+        // Every leg but the last keeps its pairings as records, their
+        // cells copied (DATALINKs already read as their legs read them):
+        // the next leg's left rows. The last lends each to the WHERE and
+        // the sink.
+        let (mut joined, mut pairings) = (0, Records::default());
+        for (i, leg) in legs.iter().enumerate() {
+            let last = i + 1 == legs.len();
             let prior = std::mem::take(&mut pairings);
             let left = match i {
                 0 => std::mem::take(&mut base),
                 _ => prior.iter().collect(),
             };
-            if i + 1 < legs.len() {
-                let clob = &sink.clob;
-                run_join(
-                    db,
-                    view,
-                    &left,
-                    left_cells,
-                    leg,
-                    leg_evals,
-                    params,
-                    |_, cells| {
-                        pairings.open(cells.len());
-                        for (i, cell) in cells.iter().enumerate() {
-                            pairings.push_span(cell, clob.get(i) == Some(&true));
+            let links_as_clob = i == 0 && sources[0].links_as_clob();
+            let emit = |row: &[Value], cells: &[&[u8]]| {
+                if !last {
+                    pairings.open(cells.len());
+                    for (s, cell) in cells.iter().enumerate() {
+                        pairings.push_span(cell, sink.clob.get(s) == Some(&true));
+                    }
+                    pairings.seal();
+                    return Ok(());
+                }
+                joined += 1;
+                if sink.output.held.owes(Phase::Where) {
+                    let ctx = EvalContext::new(row, params);
+                    match filter.as_ref().map_or(Ok(true), |w| holds(&ctx, &[w])) {
+                        Ok(true) => {
+                            passed += 1;
+                            sink.take(db, &ctx, &[], cells);
                         }
-                        pairings.seal();
-                        Ok(())
-                    },
-                )?;
-                links_as_clob = false;
-            } else {
-                run_join(
-                    db,
-                    view,
-                    &left,
-                    left_cells,
-                    leg,
-                    leg_evals,
-                    params,
-                    |row, cells| {
-                        joined += 1;
-                        match raised.is_none().then(|| filtered(row, false)) {
-                            Some(Ok(true)) => accept(row, None, cells, &mut sink),
-                            Some(Err(e)) => raised = Some(e),
-                            _ => {}
-                        }
-                        Ok(())
-                    },
-                )?;
-            }
+                        Ok(false) => {}
+                        Err(e) => sink.output.held.hold(Phase::Where, e),
+                    }
+                }
+                Ok(())
+            };
+            run_join(db, view, &left, links_as_clob, leg, &evals, params, emit)?;
         }
         if let Some(m) = db.metrics() {
             m.stage_join.observe(joined as f64);
         }
-        if let Some(e) = raised {
-            return Err(e);
-        }
     }
-    if filter.is_some() {
-        if let Some(m) = db.metrics() {
-            m.stage_filter.observe(passed as f64);
-        }
+    if let (Some(_), Some(m), true) = (&filter, db.metrics(), sink.output.held.owes(Phase::Where)) {
+        m.stage_filter.observe(passed as f64);
     }
     sink.finish(db, read.len(), params)
 }
@@ -768,15 +640,12 @@ fn run_tableless<'a>(
     } = BoundSelect::bind::<Vec<String>>(db.functions(), sel, &[], &[])?;
     sink.output.reader = Some(each);
     let ctx = EvalContext::new(&[], params);
-    let passed = match &filter {
-        Some(w) => holds(&ctx, &[w])?,
-        None => true,
-    };
+    let passed = filter.as_ref().map_or(Ok(true), |w| holds(&ctx, &[w]))?;
     if let (Some(_), Some(m)) = (&filter, db.metrics()) {
         m.stage_filter.observe(f64::from(u8::from(passed)));
     }
     if passed {
-        sink.take(db, &ctx, None, &[]);
+        sink.take(db, &ctx, &[], &[]);
     }
     sink.finish(db, 0, params)
 }
@@ -785,7 +654,8 @@ fn run_tableless<'a>(
 struct Leg<'a> {
     source: Source<'a>,
     kind: JoinKind,
-    /// How many columns it adds to the row.
+    /// The first of its slots in the joined row, and how many it adds.
+    at: usize,
     width: usize,
     /// ON, bound over the legs up to this one.
     on: Bound,
@@ -842,13 +712,11 @@ fn probe_of<'a>(
             let safe = matches!(**key, Bound::Slot(_)) || scope.total(key, params);
             let index = t.indexes.iter().position(|ix| ix.col_indices == [cpos]);
             if let (Some(index), true) = (index, before && safe && total(i)) {
-                let like = stand_in(t.schema.columns[cpos].ty);
-                let key = (**key).clone();
                 return Some(Probe {
                     table: t,
                     index,
-                    key,
-                    like,
+                    key: (**key).clone(),
+                    like: stand_in(t.schema.columns[cpos].ty),
                 });
             }
         }
@@ -863,6 +731,7 @@ const NULL_CELL: &[u8] = &[0];
 /// The rows of a JOIN leg, read once: each row's cells as their whole
 /// encodings in its record, and the values of the cells the statement
 /// evaluates (the rest NULL), `width` of each per row, back to back.
+#[derive(Default)]
 struct LegRows<'r> {
     width: usize,
     rows: usize,
@@ -871,15 +740,6 @@ struct LegRows<'r> {
 }
 
 impl<'r> LegRows<'r> {
-    fn new(width: usize) -> Self {
-        LegRows {
-            width,
-            rows: 0,
-            cells: Vec::new(),
-            values: Vec::new(),
-        }
-    }
-
     fn clear(&mut self) {
         self.rows = 0;
         self.cells.clear();
@@ -909,72 +769,61 @@ impl<'r> LegRows<'r> {
 /// ON — and, for a LEFT JOIN, each unmatched left row padded with NULL
 /// cells — to `emit`, in left-row order, as its values and its cells'
 /// encodings: each left record's and each right row's, as their records
-/// hold them. Only the cells `left_cells.all` and `read` select are
-/// decoded, the rest read as NULL. The pairing's values live in one
-/// buffer: the left record is decoded into it, and each right
-/// candidate's decoded values are swapped into it and back. Under a
-/// probe a left row meets the rows its key finds in the index, unless
-/// the key cannot be compared with the indexed column's type: then
-/// every pairing would raise or not as the ON decides, and the row meets
-/// the whole leg as it would without the probe. A left row whose key has
-/// the bytes of the one before it (so `0.0` is not `-0.0`, nor `1`
-/// `1.0`) meets the rows that one found.
+/// hold them. Only the cells `evals` selects are decoded (a left
+/// record's DATALINKs as CLOB with `links_as_clob`), the rest read as
+/// NULL. The pairing's values live in one buffer: the left record is
+/// decoded into it, and each right candidate's decoded values are
+/// swapped into it and back. Under a probe a left row meets the rows its
+/// key finds in the index, unless the key cannot be compared with the
+/// indexed column's type: then every pairing would raise or not as the
+/// ON decides, and the row meets the whole leg as it would without the
+/// probe. A left row whose key has the bytes of the one before it (so
+/// `0.0` is not `-0.0`, nor `1` `1.0`) meets the rows that one found.
 #[allow(clippy::too_many_arguments)]
 fn run_join<'r>(
     db: &Database,
     view: &ReadView,
     left: &[&'r [u8]],
-    left_cells: Cells,
+    links_as_clob: bool,
     leg: &Leg<'r>,
-    read: &[bool],
+    evals: &[bool],
     params: &[Value],
     mut emit: impl FnMut(&[Value], &[&[u8]]) -> Result<()>,
 ) -> Result<()> {
+    let (left_read, read) = (&evals[..leg.at], &evals[leg.at..leg.at + leg.width]);
     // The whole leg, read once: up front without a probe, under one
     // when a key first refuses the indexed column.
     let read_whole = || -> Result<LegRows<'r>> {
-        let cells = Cells {
-            filter: read,
-            all: read,
+        let decode = Decode {
+            read: [read, read],
             spans: true,
-            ..WHOLE
         };
-        let mut rows = LegRows::new(leg.width);
-        let keep_all = |_: &[Value], _| Ok(true);
-        let path = AccessPath::FullScan;
-        fetch(
-            db,
-            view,
-            leg.source,
-            path,
-            cells,
-            keep_all,
-            |_, row, slots| {
-                rows.push(slots, row);
-                Ok(())
-            },
-        )
-        .1?;
+        let mut rows = LegRows {
+            width: leg.width,
+            ..LegRows::default()
+        };
+        let (path, sieve) = (AccessPath::FullScan, &Sieve::NONE);
+        let take = |_, row: &mut Vec<Value>, cells: &[&'r [u8]], _| {
+            rows.push(cells, row);
+            Ok(())
+        };
+        fetch(db, view, leg.source, path, sieve, decode, take).1?;
         Ok(rows)
     };
-    let mut whole = match leg.probe {
-        None => Some(read_whole()?),
-        Some(_) => None,
-    };
-    let probe = leg.probe.as_ref().map(|p| {
-        let visible = db.row_visibility(&p.table.schema.name, view);
-        (p, visible)
-    });
+    let mut whole = leg.probe.is_none().then(read_whole).transpose()?;
+    let probe = (leg.probe.as_ref()).map(|p| (p, db.row_visibility(&p.table.schema.name, view)));
     let (mut pairing, mut slots) = (Vec::new(), Vec::new());
-    let mut probed = LegRows::new(leg.width);
+    let mut probed = LegRows {
+        width: leg.width,
+        ..LegRows::default()
+    };
     let (mut scratch, mut scratch_cells) = (Vec::new(), Vec::new());
     // The key `probed` was found under, as a record, and whether it was
     // looked up in the index; the key in hand.
     let (mut found, mut key_bytes) = (None::<(Vec<u8>, bool)>, Vec::new());
     for &record in left {
-        let links = left_cells.links_as_clob;
         slots.clear();
-        decode_cells_into(record, &mut pairing, left_cells.all, links, &mut slots)?;
+        decode_cells_into(record, &mut pairing, left_read, links_as_clob, &mut slots)?;
         let left_width = pairing.len();
         let mut by_index = false;
         if let Some((p, visible)) = &probe {
@@ -1048,8 +897,7 @@ fn run_join<'r>(
 /// as the aggregate pipeline labels its columns.
 pub fn derive_name(expr: &Expr) -> String {
     match expr {
-        Expr::Column { name, .. } => name.clone(),
-        Expr::Function { name, .. } => name.clone(),
+        Expr::Column { name, .. } | Expr::Function { name, .. } => name.clone(),
         _ => "EXPR".to_string(),
     }
 }
@@ -1057,15 +905,14 @@ pub fn derive_name(expr: &Expr) -> String {
 /// Where a SELECT's rows go once they pass its WHERE, each lent as it
 /// arrives: projected into a record the [`Output`] opens and offered to
 /// it, or folded into its group, whose rows reach the output once every
-/// group is complete. A row is lent with its cells' encodings as the
-/// records it was read from hold them (a scan's record, or each JOIN
-/// leg's); each cell it passes through is copied as its bytes, and only
-/// an expression item or a DATALINK rendering is written from a value.
-/// The first error it meets is held and it takes no row after it — the
-/// scan still owes the WHERE and decoder errors of later rows, which
-/// win.
+/// group is complete. Which, and what it reads of a row, is settled once
+/// the statement is planned ([`Sink::plan`]). A row is lent with its
+/// cells' encodings as the records it was read from hold them (a scan's
+/// record, or each JOIN leg's); each cell it passes through is copied as
+/// its bytes, and only an expression item or a DATALINK rendering is
+/// written from a value. Its first error is held by the output
+/// ([`Held`]), and it takes no row after it.
 struct Sink<'a> {
-    held: Option<DbError>,
     shape: Shape<'a>,
     output: Output<'a>,
     /// Per slot: a DATALINK cell copied is a CLOB
@@ -1085,6 +932,46 @@ enum Out<'a> {
     /// A cell passed through, DATALINK-rendered under its column's spec.
     Slot(usize, Option<&'a DatalinkSpec>),
     Expr(Bound),
+}
+
+/// The phases a row error is raised in, in the order of an executor
+/// that finished each before starting the next: the WHERE's (and the
+/// decoder's), then projection and grouping, then ORDER BY keys. A JOIN's
+/// ON and probe errors come before all three, and HAVING and the select
+/// list per group between grouping and ORDER BY; both end the statement
+/// as they are raised.
+#[derive(Clone, Copy, PartialEq, PartialOrd)]
+enum Phase {
+    Where,
+    Project,
+    Key,
+}
+
+/// The row error a streaming statement holds until its earlier phases
+/// have run over every row: of the earliest phase raised, the first
+/// row's. A row still owes the work of a phase before the held error's.
+#[derive(Default)]
+struct Held(Option<(Phase, DbError)>);
+
+impl Held {
+    /// Does a row still owe `phase`'s work: is no error of it, or of an
+    /// earlier phase, held?
+    #[inline]
+    fn owes(&self, phase: Phase) -> bool {
+        self.0.as_ref().is_none_or(|(held, _)| phase < *held)
+    }
+
+    /// Hold `e`, raised in `phase`, unless an error it cannot win over is.
+    fn hold(&mut self, phase: Phase, e: DbError) {
+        if self.owes(phase) {
+            self.0 = Some((phase, e));
+        }
+    }
+
+    /// The held error, if any, as the statement's.
+    fn raise(&mut self) -> Result<()> {
+        self.0.take().map_or(Ok(()), |(_, e)| Err(e))
+    }
 }
 
 impl<'a> Sink<'a> {
@@ -1115,76 +1002,61 @@ impl<'a> Sink<'a> {
             (Shape::Rows(outs), output)
         };
         Ok(Sink {
-            held: None,
             shape,
             output,
             clob: Vec::new(),
         })
     }
 
-    /// Does it project the rows it takes, copying the cells it passes
-    /// through ([`Sink::take`])?
-    fn copies(&self) -> bool {
-        matches!(self.shape, Shape::Rows(_))
-    }
-
-    /// It will be lent each row's record, the rows being `width` slots
-    /// wide: a grouping whose keys and arguments are bare columns folds
-    /// them from its cells ([`Grouping::fold_cells`]).
-    fn lend_records(&mut self, width: usize) {
-        let mut first = vec![false; width];
-        self.reads(&mut first);
-        if let Shape::Groups(g) = &mut self.shape {
-            g.fold_cells(first);
-        }
-    }
-
-    /// Does it read the cells of the records it is lent: copying them, or
-    /// folding them ([`Sink::lend_records`])?
-    fn reads_records(&self) -> bool {
-        match &self.shape {
-            Shape::Rows(_) => true,
-            Shape::Groups(g) => g.cells.is_some(),
-        }
-    }
-
-    /// Mark the slots it decodes when it reads a row's cells: what its
-    /// expressions read and the cells it renders (a grouping that folds
-    /// cells decodes none).
-    fn decodes(&self, read: &mut [bool]) {
-        if let Shape::Rows(outs) = &self.shape {
-            for out in outs {
-                match out {
-                    Out::Slot(i, Some(_)) => read[*i] = true,
-                    Out::Slot(_, None) => {}
-                    Out::Expr(e) => e.reads(read),
-                }
-            }
-            self.output.reads(read, false);
-        }
-    }
-
-    /// Mark the slots it reads.
-    fn reads(&self, read: &mut [bool]) {
-        match &self.shape {
+    /// Mark the slots it reads of a row; with `lent`, only those it
+    /// decodes of a row lent with its cells' encodings — a projection
+    /// copies the cells it passes through, and sorts by a dropped one's.
+    fn reads(&self, read: &mut [bool], lent: bool) {
+        let slots = match &self.shape {
             Shape::Rows(outs) => {
                 for out in outs {
                     match out {
-                        Out::Slot(i, _) => read[*i] = true,
+                        Out::Slot(i, spec) if !lent || spec.is_some() => read[*i] = true,
+                        Out::Slot(..) => {}
                         Out::Expr(e) => e.reads(read),
                     }
                 }
+                !lent
             }
-            Shape::Groups(g) => g.reads(read),
+            Shape::Groups(g) => {
+                g.reads(read);
+                true
+            }
+        };
+        self.output.reads(read, slots);
+    }
+
+    /// Settle how it reads the rows it takes, once the statement is
+    /// planned: mark in `decoded`, all unmarked, the slots it decodes of
+    /// each. A projection copies cells, so it is lent each row's cells'
+    /// encodings (returns true). A grouping decodes what it reads — or,
+    /// lent the records of a `scan`, folds them from their cells when
+    /// its keys and arguments are bare columns
+    /// ([`Grouping::fold_cells`]), and decodes none.
+    fn plan(&mut self, scan: bool, decoded: &mut [bool]) -> bool {
+        self.reads(decoded, true);
+        match &mut self.shape {
+            Shape::Rows(_) => true,
+            Shape::Groups(g) => {
+                if scan && g.fold_cells(decoded) {
+                    decoded.fill(false);
+                }
+                false
+            }
         }
-        self.output.reads(read, true);
     }
 
     /// Take one row that passed the WHERE, the record it was scanned
-    /// from if it was, and its cells' encodings (a grouped statement,
-    /// which copies none, may be lent none).
-    fn take(&mut self, db: &Database, ctx: &EvalContext, record: Option<&[u8]>, cells: &[&[u8]]) {
-        if self.held.is_some() {
+    /// from (empty when it was not), and its cells' encodings (a grouped
+    /// statement, which copies none, may be lent none).
+    #[inline]
+    fn take(&mut self, db: &Database, ctx: &EvalContext, record: &[u8], cells: &[&[u8]]) {
+        if !self.output.held.owes(Phase::Project) {
             return;
         }
         let taken = match &mut self.shape {
@@ -1210,19 +1082,19 @@ impl<'a> Sink<'a> {
             Shape::Groups(g) => g.fold(ctx, record),
         };
         if let Err(e) = taken {
-            self.held = Some(e);
+            self.output.held.hold(Phase::Project, e);
         }
     }
 
     /// Lend the rows the output still holds, the rows it took being
     /// `width` slots wide; returns the result's columns.
-    fn finish(self, db: &Database, width: usize, params: &[Value]) -> Result<Vec<String>> {
-        if let Some(e) = self.held {
-            return Err(e);
-        }
+    fn finish(mut self, db: &Database, width: usize, params: &[Value]) -> Result<Vec<String>> {
         match self.shape {
             Shape::Rows(_) => self.output.finish(db),
-            Shape::Groups(g) => g.finish(self.output, db, width, params),
+            Shape::Groups(g) => {
+                self.output.held.raise()?;
+                g.finish(self.output, db, width, params)
+            }
         }
     }
 }
@@ -1289,6 +1161,7 @@ struct Grouping {
 
 /// The groups so far, each its first row and its calls' states, found
 /// by the key of the row being folded.
+#[derive(Default)]
 struct Groups {
     /// Is there a GROUP BY? Without one every row is the one group's.
     keyed: bool,
@@ -1454,10 +1327,7 @@ impl Grouping {
             calls,
             groups: Groups {
                 keyed: !sel.group_by.is_empty(),
-                list: Vec::new(),
-                keys: Records::default(),
-                index: HashMap::new(),
-                key: Vec::new(),
+                ..Groups::default()
             },
             finish,
             cells: None,
@@ -1473,10 +1343,10 @@ impl Grouping {
         self.finish.reads(read);
     }
 
-    /// Fold scanned records from their cells ([`CellFold`]) when every
-    /// key and argument is a bare column, a new group's first row decoded
-    /// with the cells of `first`.
-    fn fold_cells(&mut self, first: Vec<bool>) {
+    /// Fold scanned records from their cells ([`CellFold`]) if every key
+    /// and argument is a bare column, a new group's first row decoded
+    /// with the cells of `first`; does it?
+    fn fold_cells(&mut self, first: &[bool]) -> bool {
         let slot = |e: &Bound| match e {
             Bound::Slot(s) => Some(*s),
             _ => None,
@@ -1486,7 +1356,7 @@ impl Grouping {
             .map(|(_, arg)| arg.as_ref().map_or(Some(None), |a| slot(a).map(Some)))
             .collect();
         let (Some(keys), Some(args)) = (keys, args) else {
-            return;
+            return false;
         };
         let mut slots: Vec<usize> = keys.iter().chain(args.iter().flatten()).copied().collect();
         slots.sort_unstable();
@@ -1497,27 +1367,24 @@ impl Grouping {
             args: args.into_iter().map(|a| a.map(place)).collect(),
             slots,
             found: Vec::new(),
-            first,
+            first: first.to_vec(),
             scratch: Value::Null,
         });
+        true
     }
 
     /// Fold one row into its group: the key first, then each call's
     /// argument in turn — which is also the order their errors raise in.
-    /// A scanned row is folded from `record`'s cells when the grouping
-    /// reads cells ([`Grouping::fold_cells`]).
+    /// A grouping that folds cells ([`Grouping::fold_cells`]) folds the
+    /// row's scanned `record`.
     #[inline]
-    fn fold(&mut self, ctx: &EvalContext, record: Option<&[u8]>) -> Result<()> {
-        if let (Some(cells), Some(record)) = (&mut self.cells, record) {
+    fn fold(&mut self, ctx: &EvalContext, record: &[u8]) -> Result<()> {
+        if let Some(cells) = &mut self.cells {
             // Only COUNT(*)s and no GROUP BY: the record is counted, and
             // no cell of it read. `cells.fold` would count it too, ≈ 2 ns
-            // a row slower (`examples/scan_costs`' COUNT(*), also with
-            // `CellFold::fold` inlined).
-            if let (true, false, Some((_, states))) = (
-                cells.slots.is_empty(),
-                self.groups.keyed,
-                self.groups.list.first_mut(),
-            ) {
+            // a row slower (`examples/scan_costs`' COUNT(*)).
+            let counts = cells.slots.is_empty() && !self.groups.keyed;
+            if let (true, Some((_, states))) = (counts, self.groups.list.first_mut()) {
                 states.iter_mut().for_each(|st| st.count += 1);
                 return Ok(());
             }
@@ -1556,17 +1423,13 @@ impl Grouping {
             self.groups.list.push((vec![Value::Null; width], states));
         }
         let calls = &self.calls;
-        let groups = self
-            .groups
-            .list
-            .into_iter()
+        let groups = (self.groups.list.into_iter())
             .map(|(rep, states)| {
                 let aggs = calls
                     .iter()
                     .zip(&states)
-                    .map(|((f, arg), st)| st.finish(*f, arg.is_none()))
-                    .collect();
-                (rep, aggs)
+                    .map(|((f, a), st)| st.finish(*f, a.is_none()));
+                (rep, aggs.collect())
             })
             .collect();
         self.finish.run(output, db, groups, params)
@@ -1577,17 +1440,15 @@ impl Grouping {
 /// [`Expr::visit`] meets them in the select list, HAVING and ORDER BY.
 pub fn aggregates(sel: &SelectStmt) -> Vec<Expr> {
     let mut aggs = Vec::new();
-    for item in &sel.items {
-        if let SelectItem::Expr { expr, .. } = item {
-            collect_aggs(expr, &mut aggs);
-        }
-    }
-    if let Some(h) = &sel.having {
-        collect_aggs(h, &mut aggs);
-    }
-    for ob in &sel.order_by {
-        collect_aggs(&ob.expr, &mut aggs);
-    }
+    let items = sel.items.iter().filter_map(|item| match item {
+        SelectItem::Expr { expr, .. } => Some(expr),
+        _ => None,
+    });
+    let order = sel.order_by.iter().map(|ob| &ob.expr);
+    items
+        .chain(&sel.having)
+        .chain(order)
+        .for_each(|e| collect_aggs(e, &mut aggs));
     aggs
 }
 
@@ -1707,7 +1568,8 @@ pub fn finish_groups(
 /// their keys' bytes, ties by arrival. Under a LIMIT of n the entries
 /// are cut back to the n least whenever 2n have gathered, and a row whose
 /// key does not sort before the last of them is not kept. A key's error
-/// is held, since a select item raising on a later row wins over it.
+/// is held ([`Held`]), since a select item raising on a later row wins
+/// over it.
 /// Once the last row is in, each sorted record is lent as it is.
 #[derive(Default)]
 struct Output<'a> {
@@ -1732,7 +1594,9 @@ struct Output<'a> {
     floor: Option<(u32, u32)>,
     /// Rows that entered ORDER BY.
     offered: usize,
-    late: Option<DbError>,
+    /// The statement's row error, held ([`Held`]): the sink's, and a
+    /// WHERE's over joined rows, as well as a key's.
+    held: Held,
     key: Vec<u8>,
 }
 
@@ -1814,7 +1678,7 @@ impl Output<'_> {
         if let Some(seen) = &mut self.distinct {
             self.key.clear();
             key_cells(self.kept.get(at), &mut self.key);
-            if !first_seen(seen, &self.key) {
+            if seen.contains(&self.key) || !seen.insert(self.key.clone()) {
                 return self.kept.truncate(at);
             }
         }
@@ -1825,7 +1689,7 @@ impl Output<'_> {
             }
             return;
         }
-        if self.late.is_some() {
+        if !self.held.owes(Phase::Key) {
             return self.kept.truncate(at);
         }
         self.offered += 1;
@@ -1842,7 +1706,7 @@ impl Output<'_> {
                 (SortKey::Expr(e), _) => match ctx.eval_cow(e) {
                     Ok(v) => order_key(&v, desc, out),
                     Err(e) => {
-                        self.late = Some(e);
+                        self.held.hold(Phase::Key, e);
                         return self.kept.truncate(at);
                     }
                 },
@@ -1885,9 +1749,7 @@ impl Output<'_> {
 
     /// Lend each sorted record as it is; returns the result's columns.
     fn finish(mut self, db: &Database) -> Result<Vec<String>> {
-        if let Some(e) = self.late {
-            return Err(e);
-        }
+        self.held.raise()?;
         if !self.order.is_empty() {
             self.cut();
             if let Some(m) = db.metrics() {
@@ -1904,11 +1766,6 @@ impl Output<'_> {
         }
         Ok(self.columns)
     }
-}
-
-/// Is `key` new to `seen`? It is filed if so.
-fn first_seen(seen: &mut HashSet<Vec<u8>>, key: &[u8]) -> bool {
-    !seen.contains(key) && seen.insert(key.to_vec())
 }
 
 /// Collect aggregate call sites from an expression, deduplicated, in
@@ -2002,27 +1859,13 @@ impl AggState {
             // The two tallies are kept separate — conflating them
             // over-reports COUNT(col) on NULL-containing columns.
             Agg::Count => Value::Int(if star { self.count } else { self.non_null }),
-            Agg::Sum => {
-                if self.non_null == 0 {
-                    Value::Null
-                } else if self.sum_is_int {
-                    Value::Int(self.int_sum)
-                } else {
-                    Value::Double(self.sum)
-                }
+            Agg::Sum | Agg::Avg if self.non_null == 0 => Value::Null,
+            Agg::Sum if self.sum_is_int => Value::Int(self.int_sum),
+            Agg::Sum => Value::Double(self.sum),
+            Agg::Avg if self.sum_is_int => {
+                Value::Double(self.int_sum as f64 / self.non_null as f64)
             }
-            Agg::Avg => {
-                if self.non_null == 0 {
-                    Value::Null
-                } else {
-                    let total = if self.sum_is_int {
-                        self.int_sum as f64
-                    } else {
-                        self.sum
-                    };
-                    Value::Double(total / self.non_null as f64)
-                }
-            }
+            Agg::Avg => Value::Double(self.sum / self.non_null as f64),
             Agg::Min => self.min.clone().unwrap_or(Value::Null),
             Agg::Max => self.max.clone().unwrap_or(Value::Null),
         }
@@ -2096,17 +1939,19 @@ mod tests {
         let view = db.read_view();
         let read = |path: AccessPath| {
             let mut rows = Vec::new();
+            let take = |_, row: &mut Vec<Value>, _: &[&[u8]], _| {
+                rows.push(row.clone());
+                Ok(())
+            };
+            let whole = Decode::default();
             let (seen, read) = fetch(
                 &db,
                 &view,
                 Source::Table(&t),
                 path,
-                WHOLE,
-                |_, _| Ok(true),
-                |_, row, _| {
-                    rows.push(row.clone());
-                    Ok(())
-                },
+                &Sieve::NONE,
+                whole,
+                take,
             );
             (read.map(|()| rows), seen)
         };
@@ -2244,8 +2089,8 @@ mod tests {
     /// A cell no expression reads is stepped over, not decoded: a bad tag
     /// or length in it is still the record's typed error, on every path,
     /// while text in it that is not UTF-8 goes unseen. A cell that is read
-    /// is still checked: the filter's on every row, the rest on a row that
-    /// passes. Under a sieve the record is trusted outright: the walk that
+    /// is still checked, on every row, before the row's filter: a row is
+    /// decoded once, with every cell the statement reads. Under a sieve the record is trusted outright: the walk that
     /// tests it stops at the cell that refuses the row, and nothing after
     /// that cell is examined — a heap holds only records `encode_row`
     /// wrote or a snapshot load checked whole (DESIGN.md, "the
@@ -2282,57 +2127,58 @@ mod tests {
         };
         let db = Database::new_in_memory();
         let view = db.read_view();
-        // (rows kept, or the error), with `sieve` decoded for every row,
-        // `all` for the rows whose K `keep` admits.
-        let scan = |t: &Table, sieve: &[bool], all: &[bool], keep: fn(&Value) -> bool| {
+        // (rows kept, or the error), with the cells of `read` decoded for
+        // every row, of those whose K `keep` admits.
+        let scan = |t: &Table, read: &[bool], keep: fn(&Value) -> bool| {
             let mut rows = Vec::new();
-            let cells = Cells {
-                filter: sieve,
-                all,
-                ..WHOLE
+            let take = |_, row: &mut Vec<Value>, _: &[&[u8]], _| {
+                if keep(&row[0]) {
+                    rows.push(row.clone());
+                }
+                Ok(())
             };
-            let pass = |row: &[Value], _| Ok(keep(&row[0]));
+            let decode = Decode {
+                read: [read, read],
+                spans: false,
+            };
+            let path = AccessPath::FullScan;
             let read = fetch(
                 &db,
                 &view,
                 Source::Table(t),
-                AccessPath::FullScan,
-                cells,
-                pass,
-                |_, row, _| {
-                    rows.push(row.clone());
-                    Ok(())
-                },
+                path,
+                &Sieve::NONE,
+                decode,
+                take,
             );
             assert_eq!(read.0, 50);
             read.1.map(|()| rows)
         };
         let (k_only, k_and_n) = ([true, false, false], [true, false, true]);
         let everyone = |_: &Value| true;
-        let seven = |k: &Value| *k == Value::Int(7);
         let not_seven = |k: &Value| *k != Value::Int(7);
 
         let [bad_tag, too_long, not_text] = DAMAGES.map(|(damage, _)| table(damage));
         for (t, raised) in [(&bad_tag, "bad tag 238"), (&too_long, "truncated")] {
             let damaged = Err(DbError::Storage(format!("row decode: {raised}")));
-            assert_eq!(scan(t, &[], &[], everyone), damaged);
-            assert_eq!(scan(t, &k_and_n, &k_and_n, everyone), damaged);
-            assert_eq!(scan(t, &k_only, &k_and_n, not_seven), damaged);
+            assert_eq!(scan(t, &[], everyone), damaged);
+            assert_eq!(scan(t, &k_and_n, everyone), damaged);
+            assert_eq!(scan(t, &k_only, not_seven), damaged);
         }
 
         let bad_utf8 = Err(DbError::Storage("row decode: bad utf8".into()));
-        assert_eq!(scan(&not_text, &[], &[], everyone), bad_utf8);
-        assert_eq!(scan(&not_text, &k_only, &[], seven), bad_utf8);
-        let unread = scan(&not_text, &k_and_n, &k_and_n, everyone).unwrap();
+        assert_eq!(scan(&not_text, &[], everyone), bad_utf8);
+        assert_eq!(scan(&not_text, &[], not_seven), bad_utf8);
+        let unread = scan(&not_text, &k_and_n, everyone).unwrap();
         assert_eq!(unread.len(), 50);
         assert_eq!(unread[7], [Value::Int(7), Value::Null, Value::Int(-7)]);
-        let skipped = scan(&not_text, &k_only, &[], not_seven).unwrap();
+        let skipped = scan(&not_text, &k_only, not_seven).unwrap();
         assert_eq!(skipped.len(), 49);
-        assert_eq!(skipped[7], row(8));
+        assert_eq!(skipped[7], [Value::Int(8), Value::Null, Value::Null]);
 
-        // Under the sieve of a WHERE, whose rows are every row it keeps
-        // (`filter` decoded, then all).
-        let sieved = |t: &Table, pred: &str, filter: &[bool]| {
+        // Under the sieve of a WHERE, whose rows are every row it keeps,
+        // decoded whole.
+        let sieved = |t: &Table, pred: &str| {
             let sql = format!("SELECT * FROM t WHERE {pred}");
             let Ok(crate::sql::ast::Stmt::Select(sel)) = crate::sql::parse(&sql) else {
                 unreachable!("{sql}");
@@ -2345,51 +2191,38 @@ mod tests {
             );
             let (path, sieve) = choose_bound(t, Some(&w.unwrap()), &[]);
             let mut rows = Vec::new();
-            let cells = Cells {
-                sieve: &sieve,
-                filter,
-                all: &[],
-                ..WHOLE
+            let take = |_, row: &mut Vec<Value>, _: &[&[u8]], _| {
+                rows.push(row.clone());
+                Ok(())
             };
-            let read = fetch(
-                &db,
-                &view,
-                Source::Table(t),
-                path,
-                cells,
-                |_, _| Ok(true),
-                |_, row, _| {
-                    rows.push(row.clone());
-                    Ok(())
-                },
-            );
+            let whole = Decode::default();
+            let read = fetch(&db, &view, Source::Table(t), path, &sieve, whole, take);
             assert_eq!(read.0, 50);
             read.1.map(|()| rows)
         };
-        let (s_only, n_only) = ([false, true, false], [false, false, true]);
         let just_eight = Ok(vec![row(8).to_vec()]);
         // After the cell that refuses row 7, no damage is examined: the
         // row is refused.
         for t in [&bad_tag, &too_long, &not_text] {
-            assert_eq!(sieved(t, "k = 8", &k_only), just_eight, "after");
+            assert_eq!(sieved(t, "k = 8"), just_eight, "after");
         }
         // A shape the walk cannot step at or before the tested cell keeps
         // the row, for the decoder to raise; so does any damage in a row
         // the sieve keeps.
         for (t, raised) in [(&bad_tag, "bad tag 238"), (&too_long, "truncated")] {
             let damaged = Err(DbError::Storage(format!("row decode: {raised}")));
-            assert_eq!(sieved(t, "s LIKE 'zz%'", &s_only), damaged, "at");
-            assert_eq!(sieved(t, "n = -8", &n_only), damaged, "before");
-            assert_eq!(sieved(t, "k = 7", &k_only), damaged, "kept");
+            assert_eq!(sieved(t, "s LIKE 'zz%'"), damaged, "at");
+            assert_eq!(sieved(t, "n = -8"), damaged, "before");
+            assert_eq!(sieved(t, "k = 7"), damaged, "kept");
         }
         // Text is the decoder's to check, on the rows the sieve keeps —
         // the tested cell's, one before it, one after it. Text a row is
         // refused on, or stepped over to refuse it, is trusted.
-        assert_eq!(sieved(&not_text, "s >= 'a'", &s_only), bad_utf8);
-        assert_eq!(sieved(&not_text, "n = -7", &n_only), bad_utf8);
-        assert_eq!(sieved(&not_text, "k = 7", &k_only), bad_utf8);
-        assert_eq!(sieved(&not_text, "s LIKE 'zz%'", &s_only), Ok(vec![]));
-        assert_eq!(sieved(&not_text, "n = -8", &n_only), just_eight);
+        assert_eq!(sieved(&not_text, "s >= 'a'"), bad_utf8);
+        assert_eq!(sieved(&not_text, "n = -7"), bad_utf8);
+        assert_eq!(sieved(&not_text, "k = 7"), bad_utf8);
+        assert_eq!(sieved(&not_text, "s LIKE 'zz%'"), Ok(vec![]));
+        assert_eq!(sieved(&not_text, "n = -8"), just_eight);
     }
 
     /// What the sieve trusts: `Database::open` checks every record of the

@@ -7,6 +7,14 @@
 //! a restart too, since a checkpoint copies pages with their slot numbers
 //! kept. Only a heap's compaction moves records, into fresh pages
 //! (`HeapTable::compact`).
+//!
+//! A page image read from a checkpoint is checked whole by
+//! [`Page::from_bytes`] before it is used, so no byte of one can index,
+//! slice or count past the page: the compiler refuses an unchecked
+//! index, slice, `expect`, `unwrap`, panic or overflowing arithmetic
+//! here, except where an `#[allow]` names the invariant that holds it.
+#![deny(clippy::indexing_slicing, clippy::expect_used, clippy::unwrap_used)]
+#![deny(clippy::panic, clippy::unreachable, clippy::arithmetic_side_effects)]
 
 use crate::error::{DbError, Result};
 
@@ -45,12 +53,17 @@ impl Page {
         p
     }
 
+    /// The u16 at `off`, or 0 past the page.
     fn u16_at(&self, off: usize) -> u16 {
-        u16::from_le_bytes([self.buf[off], self.buf[off + 1]])
+        let end = off.saturating_add(2);
+        let bytes = self.buf.get(off..end).and_then(|b| b.try_into().ok());
+        u16::from_le_bytes(bytes.unwrap_or_default())
     }
 
-    fn set_u16(&mut self, off: usize, v: u16) {
-        self.buf[off..off + 2].copy_from_slice(&v.to_le_bytes());
+    /// Where `slot`'s entry lies in the slot directory: its record's
+    /// offset, then its length.
+    fn slot_at(slot: SlotId) -> usize {
+        SLOT.saturating_mul(slot.into()).saturating_add(HEADER)
     }
 
     /// Number of slots (including tombstones).
@@ -73,51 +86,16 @@ impl Page {
 
     /// Whether a record of `len` bytes fits.
     pub fn fits(&self, len: usize) -> bool {
-        len > 0 && self.free_space() >= len + SLOT
-    }
-
-    /// Insert a record; returns its slot. Panics if it does not fit
-    /// (callers check [`Page::fits`] first) or if the record is empty.
-    pub fn insert(&mut self, record: &[u8]) -> SlotId {
-        assert!(self.fits(record.len()), "record does not fit in page");
-        let slot = self.slot_count();
-        let new_end = self.free_end() - record.len();
-        self.buf[new_end..new_end + record.len()].copy_from_slice(record);
-        let slot_off = HEADER + slot as usize * SLOT;
-        self.set_u16(slot_off, new_end as u16);
-        self.set_u16(slot_off + 2, record.len() as u16);
-        self.set_u16(0, slot + 1);
-        self.set_u16(2, (slot_off + SLOT) as u16);
-        self.set_u16(4, new_end as u16);
-        slot
-    }
-
-    /// Read the record in `slot`; `None` for tombstones or out-of-range.
-    pub fn get(&self, slot: SlotId) -> Option<&[u8]> {
-        if slot >= self.slot_count() {
-            return None;
-        }
-        let slot_off = HEADER + slot as usize * SLOT;
-        let off = self.u16_at(slot_off) as usize;
-        let len = self.u16_at(slot_off + 2) as usize;
-        if len == 0 {
-            None
-        } else {
-            Some(&self.buf[off..off + len])
-        }
+        len > 0 && self.free_space().saturating_sub(SLOT) >= len
     }
 
     /// Tombstone `slot`; returns true if it held a record.
     pub fn delete(&mut self, slot: SlotId) -> bool {
-        if slot >= self.slot_count() {
-            return false;
+        let live = self.get(slot).is_some();
+        if live {
+            self.set_u16(Page::slot_at(slot).saturating_add(2), 0);
         }
-        let slot_off = HEADER + slot as usize * SLOT;
-        if self.u16_at(slot_off + 2) == 0 {
-            return false;
-        }
-        self.set_u16(slot_off + 2, 0);
-        true
+        live
     }
 
     /// Check that no two live records of a page read back from disk
@@ -128,19 +106,23 @@ impl Page {
     pub(crate) fn check_disjoint(&self, spans: &mut Vec<(u16, u16)>) -> Result<()> {
         spans.clear();
         let mut below = u16::MAX;
-        for slot in 0..self.slot_count() as usize {
-            let slot_off = HEADER + slot * SLOT;
-            let (off, len) = (self.u16_at(slot_off), self.u16_at(slot_off + 2));
+        for slot in 0..self.slot_count() {
+            let slot_off = Page::slot_at(slot);
+            let (off, len) = (
+                self.u16_at(slot_off),
+                self.u16_at(slot_off.saturating_add(2)),
+            );
             if len != 0 {
-                spans.push((off, off + len));
-                below = if off + len <= below { off } else { 0 };
+                let end = off.saturating_add(len);
+                spans.push((off, end));
+                below = if end <= below { off } else { 0 };
             }
         }
         if below > 0 {
             return Ok(());
         }
         spans.sort_unstable();
-        match spans.windows(2).any(|w| w[0].1 > w[1].0) {
+        match spans.windows(2).any(|w| matches!(w, [a, b] if a.1 > b.0)) {
             true => Err(DbError::Storage("page image: two records overlap".into())),
             false => Ok(()),
         }
@@ -156,6 +138,87 @@ impl Page {
         &self.buf[..]
     }
 
+    /// Bytes of the page its deleted records still take: their slots and
+    /// their record bytes, which only a compaction gives back.
+    pub(crate) fn dead_bytes(&self) -> usize {
+        let used = (PAGE_SIZE.saturating_sub(self.free_end())).saturating_add(self.free_start());
+        let live: usize = self
+            .iter()
+            .map(|(_, rec)| rec.len().saturating_add(SLOT))
+            .sum();
+        used.saturating_sub(live.saturating_add(HEADER))
+    }
+
+    /// Rebuild from snapshot bytes. The header and the slot directory
+    /// are checked here, once, so that [`Page::get`] and [`Page::insert`]
+    /// can index by them: the directory ends where the header says free
+    /// space starts, free space ends inside the page, and every live
+    /// record lies between there and the page end. (A checksum only
+    /// proves the bytes are the ones written.)
+    pub fn from_bytes(bytes: &[u8]) -> Result<Self> {
+        let bad = |what: &str| DbError::Storage(format!("page image: {what}"));
+        let buf: [u8; PAGE_SIZE] = bytes.try_into().map_err(|_| bad("not a whole page"))?;
+        let page = Page { buf: Box::new(buf) };
+        let dir_end = SLOT
+            .saturating_mul(page.slot_count().into())
+            .saturating_add(HEADER);
+        if dir_end > PAGE_SIZE || page.free_start() != dir_end {
+            return Err(bad("slot directory does not match the header"));
+        }
+        let free_end = page.free_end();
+        if free_end < dir_end || free_end > PAGE_SIZE {
+            return Err(bad("free space outside the page"));
+        }
+        for slot_off in (HEADER..dir_end).step_by(SLOT) {
+            let off = page.u16_at(slot_off) as usize;
+            let len = page.u16_at(slot_off.saturating_add(2)) as usize;
+            if len != 0 && (off < free_end || off.saturating_add(len) > PAGE_SIZE) {
+                return Err(bad("record outside the page's record area"));
+            }
+        }
+        Ok(page)
+    }
+}
+
+/// Reads and writes at the offsets a page's slot directory gives: laid
+/// out so by [`Page::insert`], or checked so by [`Page::from_bytes`]
+/// when the page is read back from disk.
+#[allow(
+    clippy::indexing_slicing,
+    reason = "slot directory checked by Page::from_bytes"
+)]
+impl Page {
+    fn set_u16(&mut self, off: usize, v: u16) {
+        self.buf[off..off.saturating_add(2)].copy_from_slice(&v.to_le_bytes());
+    }
+
+    /// Insert a record; returns its slot. Panics if it does not fit
+    /// (callers check [`Page::fits`] first) or if the record is empty.
+    pub fn insert(&mut self, record: &[u8]) -> SlotId {
+        assert!(self.fits(record.len()), "record does not fit in page");
+        let slot = self.slot_count();
+        let new_end = self.free_end().saturating_sub(record.len());
+        self.buf[new_end..new_end.saturating_add(record.len())].copy_from_slice(record);
+        let slot_off = Page::slot_at(slot);
+        self.set_u16(slot_off, new_end as u16);
+        self.set_u16(slot_off.saturating_add(2), record.len() as u16);
+        self.set_u16(0, slot.saturating_add(1));
+        self.set_u16(2, slot_off.saturating_add(SLOT) as u16);
+        self.set_u16(4, new_end as u16);
+        slot
+    }
+
+    /// Read the record in `slot`; `None` for tombstones or out-of-range.
+    pub fn get(&self, slot: SlotId) -> Option<&[u8]> {
+        if slot >= self.slot_count() {
+            return None;
+        }
+        let slot_off = Page::slot_at(slot);
+        let off = self.u16_at(slot_off) as usize;
+        let len = self.u16_at(slot_off.saturating_add(2)) as usize;
+        (len != 0).then(|| &self.buf[off..off.saturating_add(len)])
+    }
+
     /// Append this page's bytes to `out` with the slot of every live
     /// record `keep` refuses tombstoned: slot numbers, and every other
     /// record's place, are kept. Only the records kept are copied: the
@@ -168,56 +231,17 @@ impl Page {
     ) -> Result<()> {
         let at = out.len();
         out.extend_from_slice(&self.buf[..self.free_start()]);
-        out.resize(at + PAGE_SIZE, 0);
+        out.resize(at.saturating_add(PAGE_SIZE), 0);
         for (slot, rec) in self.iter() {
+            let slot_off = at.saturating_add(Page::slot_at(slot));
             if keep(slot, rec)? {
-                let off = self.u16_at(HEADER + slot as usize * SLOT) as usize;
-                out[at + off..at + off + rec.len()].copy_from_slice(rec);
+                let off = at.saturating_add(self.u16_at(Page::slot_at(slot)).into());
+                out[off..off.saturating_add(rec.len())].copy_from_slice(rec);
             } else {
-                let len_at = at + HEADER + slot as usize * SLOT + 2;
-                out[len_at..len_at + 2].fill(0);
+                out[slot_off.saturating_add(2)..slot_off.saturating_add(SLOT)].fill(0);
             }
         }
         Ok(())
-    }
-
-    /// Bytes of the page its deleted records still take: their slots and
-    /// their record bytes, which only a compaction gives back.
-    pub(crate) fn dead_bytes(&self) -> usize {
-        let used = self.free_start() - HEADER + PAGE_SIZE - self.free_end();
-        used.saturating_sub(self.iter().map(|(_, rec)| rec.len() + SLOT).sum())
-    }
-
-    /// Rebuild from snapshot bytes. The header and the slot directory
-    /// are checked here, once, so that [`Page::get`] and [`Page::insert`]
-    /// can index by them: the directory ends where the header says free
-    /// space starts, free space ends inside the page, and every live
-    /// record lies between there and the page end. (A checksum only
-    /// proves the bytes are the ones written.)
-    pub fn from_bytes(bytes: &[u8]) -> Result<Self> {
-        let bad = |what: &str| DbError::Storage(format!("page image: {what}"));
-        if bytes.len() != PAGE_SIZE {
-            return Err(bad("not a whole page"));
-        }
-        let mut buf = Box::new([0u8; PAGE_SIZE]);
-        buf.copy_from_slice(bytes);
-        let page = Page { buf };
-        let dir_end = HEADER + page.slot_count() as usize * SLOT;
-        if dir_end > PAGE_SIZE || page.free_start() != dir_end {
-            return Err(bad("slot directory does not match the header"));
-        }
-        let free_end = page.free_end();
-        if free_end < dir_end || free_end > PAGE_SIZE {
-            return Err(bad("free space outside the page"));
-        }
-        for slot_off in (HEADER..dir_end).step_by(SLOT) {
-            let off = page.u16_at(slot_off) as usize;
-            let len = page.u16_at(slot_off + 2) as usize;
-            if len != 0 && (off < free_end || off + len > PAGE_SIZE) {
-                return Err(bad("record outside the page's record area"));
-            }
-        }
-        Ok(page)
     }
 }
 
@@ -231,6 +255,13 @@ impl std::fmt::Debug for Page {
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::indexing_slicing,
+    clippy::arithmetic_side_effects,
+    reason = "tests read pages they built, whose shape they know"
+)]
 mod tests {
     use super::*;
 

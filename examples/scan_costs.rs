@@ -17,7 +17,7 @@ use std::hint::black_box;
 use std::time::{Duration, Instant};
 
 /// The statements of the table, each beside its label.
-const STATEMENTS: [(&str, &str); 5] = [
+const STATEMENTS: [(&str, &str); 8] = [
     (
         "LIKE prefix COUNT(*)",
         "SELECT COUNT(*) FROM SIMULATION WHERE TITLE LIKE 'Forced turbulence run 12%'",
@@ -37,12 +37,30 @@ const STATEMENTS: [(&str, &str); 5] = [
         "SELECT SIMULATION_KEY, REYNOLDS FROM SIMULATION WHERE GRID_SIZE = 128 \
          ORDER BY REYNOLDS DESC, SIMULATION_KEY LIMIT 10",
     ),
+    (
+        "projection under an equality",
+        "SELECT SIMULATION_KEY, TITLE, REYNOLDS FROM SIMULATION WHERE GRID_SIZE = 128",
+    ),
+    (
+        "GROUP BY an expression",
+        "SELECT GRID_SIZE * 2, COUNT(*) FROM SIMULATION GROUP BY GRID_SIZE * 2",
+    ),
+    (
+        "INNER JOIN, PK probe",
+        "SELECT S.SIMULATION_KEY, A.NAME FROM SIMULATION S \
+         JOIN AUTHOR A ON S.AUTHOR_KEY = A.AUTHOR_KEY",
+    ),
 ];
 
-/// A site's SIMULATION partition, as the benchmark seeds one.
+/// A site's SIMULATION partition, as the benchmark seeds one, beside
+/// the three authors its rows name.
 fn partition(rows: usize) -> Database {
     const TOPICS: [&str; 4] = ["Decaying", "Forced", "Rotating", "Sheared"];
     let mut db = Database::new_in_memory();
+    db.execute("CREATE TABLE author (author_key VARCHAR(30) PRIMARY KEY, name VARCHAR(100))")
+        .expect("author schema");
+    db.execute("INSERT INTO author VALUES ('A1', 'Ada'), ('A2', 'Brian'), ('A3', 'Chen')")
+        .expect("authors");
     db.execute(
         "CREATE TABLE simulation (simulation_key VARCHAR(30) PRIMARY KEY, \
          title VARCHAR(200) NOT NULL, author_key VARCHAR(30), grid_size INTEGER, \
