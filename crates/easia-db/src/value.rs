@@ -284,21 +284,32 @@ fn push_double(out: &mut String, d: f64) {
     }
 }
 
-/// Append `n`'s decimal digits, after a `-` if `negative`.
+/// Append `n`'s decimal digits, after a `-` if `negative`: two at a time
+/// from a table of the hundred pairs, each pushed as the ASCII it is.
 fn push_digits(out: &mut String, negative: bool, mut n: u64) {
+    const PAIRS: &[u8; 200] = b"0001020304050607080910111213141516171819\
+                                2021222324252627282930313233343536373839\
+                                4041424344454647484950515253545556575859\
+                                6061626364656667686970717273747576777879\
+                                8081828384858687888990919293949596979899";
     let (mut digits, mut at) = ([0u8; 20], 20);
     loop {
-        at -= 1;
-        digits[at] = b'0' + (n % 10) as u8;
-        n /= 10;
+        at -= 2;
+        let pair = (n % 100) as usize * 2;
+        digits[at..at + 2].copy_from_slice(&PAIRS[pair..pair + 2]);
+        n /= 100;
         if n == 0 {
             break;
         }
     }
+    // The leading pair of an odd count of digits starts with a zero.
+    if digits[at] == b'0' && at < 19 {
+        at += 1;
+    }
     if negative {
         out.push('-');
     }
-    out.push_str(std::str::from_utf8(&digits[at..]).expect("ASCII digits"));
+    out.extend(digits[at..].iter().map(|&d| char::from(d)));
 }
 
 impl fmt::Display for Value {
@@ -492,6 +503,12 @@ impl<'r> Cell<'r> {
         }
     }
 
+    /// Is it a DATALINK?
+    #[inline]
+    pub fn is_datalink(self) -> bool {
+        self.tag == 9
+    }
+
     /// A BLOB's or CLOB's size in bytes, as [`Value::lob_size`] gives it:
     /// its payload's length.
     #[inline]
@@ -526,6 +543,23 @@ impl<'r> Cell<'r> {
         }
     }
 
+    /// Append the display text of a number, boolean or timestamp cell to
+    /// `out`, as [`Cell::display_text`] gives it: text that HTML escaping
+    /// and URL encoding leave as it is. Any other cell appends nothing,
+    /// and is `false`.
+    #[inline]
+    pub fn number_into(self, out: &mut String) -> bool {
+        let word = || self.payload.try_into().map_or(0, i64::from_le_bytes);
+        match self.tag {
+            1 | 6 => push_digits(out, word() < 0, word().unsigned_abs()),
+            2 => push_double(out, f64::from_bits(word() as u64)),
+            4 => out.push_str("FALSE"),
+            5 => out.push_str("TRUE"),
+            _ => return false,
+        }
+        true
+    }
+
     /// The display text of a cell that is no string kind, written into
     /// `scratch` from its payload as [`Value::display_text`] writes its
     /// value (`display_text_of_a_cell_is_its_values` holds the two
@@ -533,14 +567,11 @@ impl<'r> Cell<'r> {
     fn written(self, scratch: &mut String) -> &str {
         use fmt::Write as _;
         scratch.clear();
-        let word = || self.payload.try_into().map_or(0, i64::from_le_bytes);
-        match self.tag {
-            1 | 6 => push_digits(scratch, word() < 0, word().unsigned_abs()),
-            2 => push_double(scratch, f64::from_bits(word() as u64)),
-            4 => scratch.push_str("FALSE"),
-            5 => scratch.push_str("TRUE"),
-            7 => _ = write!(scratch, "<blob {} bytes>", self.payload.len()),
-            _ => scratch.push_str("NULL"),
+        if !self.number_into(scratch) {
+            match self.tag {
+                7 => _ = write!(scratch, "<blob {} bytes>", self.payload.len()),
+                _ => scratch.push_str("NULL"),
+            }
         }
         scratch
     }
@@ -901,8 +932,10 @@ pub(crate) fn shape_error(record: &[u8]) -> DbError {
     decode_row(record, &mut 0).err().unwrap_or_else(truncated)
 }
 
+/// The decoder's error for a record that ends before a cell it holds:
+/// also a reader's for a record with fewer cells than its columns.
 #[cold]
-fn truncated() -> DbError {
+pub fn truncated() -> DbError {
     DbError::Storage("row decode: truncated".into())
 }
 
@@ -1019,6 +1052,23 @@ mod tests {
         let s = Value::Str("x".into());
         assert_eq!(s.display_text(&mut scratch), "x");
         assert_eq!(Value::Double(-0.5).display_text(&mut scratch), "-0.5");
+    }
+
+    /// The digit writer, two digits at a time, writes what `Display`
+    /// writes, at every count of digits and both ends of `i64`.
+    #[test]
+    fn digits_are_the_display_of_the_number() {
+        let tens = (0..19).map(|e| 10i64.pow(e));
+        let edges = tens.flat_map(|t| [t - 1, t, t + 1, -t]);
+        let mut out = String::new();
+        for n in (-1000..20_000)
+            .chain(edges)
+            .chain([i64::MIN, i64::MIN + 1, i64::MAX])
+        {
+            out.clear();
+            push_digits(&mut out, n < 0, n.unsigned_abs());
+            assert_eq!(out, n.to_string());
+        }
     }
 
     /// A record's cell shows the text its value does, for every kind,

@@ -38,6 +38,7 @@ pub fn escape_into(out: &mut String, s: &str) {
 /// Does `text` hold a byte [`escape`] replaces? Eight bytes at a time:
 /// a byte of a word equal to `b` is a zero byte of the word XOR `b`
 /// repeated, which the borrow of subtracting one from each byte finds.
+#[inline]
 fn needs_escape(text: &[u8]) -> bool {
     const ONES: u64 = u64::MAX / 255;
     let has = |word: u64, b: u8| {

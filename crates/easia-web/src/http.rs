@@ -153,9 +153,19 @@ pub fn url_encode(s: &str) -> String {
 #[inline]
 pub fn url_encode_into(out: &mut String, s: &str) {
     const HEX: &[u8; 16] = b"0123456789ABCDEF";
+    // Which bytes are unreserved: one load a byte.
+    const KEPT: [bool; 256] = {
+        let mut kept = [false; 256];
+        let mut b = 0;
+        while b < 256 {
+            kept[b] = matches!(b as u8, b'a'..=b'z' | b'A'..=b'Z' | b'0'..=b'9' | b'-' | b'_' | b'.' | b'~');
+            b += 1;
+        }
+        kept
+    };
     let mut copied = 0;
     for (i, b) in s.bytes().enumerate() {
-        if matches!(b, b'a'..=b'z' | b'A'..=b'Z' | b'0'..=b'9' | b'-' | b'_' | b'.' | b'~') {
+        if KEPT[usize::from(b)] {
             continue;
         }
         if copied < i {
