@@ -303,7 +303,7 @@ fn push_digits(out: &mut String, negative: bool, mut n: u64) {
         }
     }
     // The leading pair of an odd count of digits starts with a zero.
-    if digits[at] == b'0' && at < 19 {
+    if digits[at] == b'0' {
         at += 1;
     }
     if negative {
@@ -501,12 +501,6 @@ impl<'r> Cell<'r> {
             9 => text(self.payload).map(Some),
             _ => Ok(None),
         }
-    }
-
-    /// Is it a DATALINK?
-    #[inline]
-    pub fn is_datalink(self) -> bool {
-        self.tag == 9
     }
 
     /// A BLOB's or CLOB's size in bytes, as [`Value::lob_size`] gives it:

@@ -10,12 +10,9 @@
 //!   required to access the file from the remote file server",
 //! * plus the operations column: "result table showing operations
 //!   available for post-processing datasets".
-//!
-//! A result's rows are written from a row template compiled once.
 
 use crate::html::{escape_into, format_size_into};
 use crate::http::url_encode_into;
-use easia_db::error::Result as DbResult;
 use easia_db::value::{truncated, Cell, CellWalk, Records};
 use easia_db::{DbError, ResultSet};
 use easia_xuis::{Operation, XuisColumn, XuisDoc, XuisTable};
@@ -38,53 +35,93 @@ pub struct BrowseContext<'a> {
     pub file_size: Option<&'a dyn Fn(&str) -> Option<u64>>,
 }
 
-/// Render a result set to an HTML table with browsing links: each row
-/// encoded as the record a screen reads and rendered through
-/// [`ResultTable`], offering its operations from
-/// [`BrowseContext::row_operations`].
+/// Render a result set to an HTML table with browsing links.
 pub fn render_results(ctx: &BrowseContext<'_>, rs: &ResultSet) -> String {
-    let (mut out, mut records) = (String::new(), Records::default());
-    rs.rows.iter().for_each(|row| records.push(row));
-    let has_ops = ctx.row_operations.iter().any(|ops| !ops.is_empty());
-    let mut table = ResultTable::begin(ctx, &rs.columns, records.len(), has_ops, &mut out);
-    for (ri, record) in records.iter().enumerate() {
-        let ops = ctx.row_operations.get(ri).map(Vec::as_slice).unwrap_or(&[]);
-        // A record encoded from values always walks.
-        if table.row(&mut out, record, ops.iter().copied()).is_err() {
-            break;
-        }
-    }
-    table.end(&mut out);
+    let mut out = String::new();
+    render_results_into(ctx, rs, &mut out);
     out
 }
 
-/// The one row renderer of every result screen: the table's head, each
-/// row as it is handed over (its record), then its end. `begin` compiles
-/// the result's column plan into a `RowTemplate`; a row is one walk of
-/// its record that copies the template's runs and fills each hole from
-/// its cell's bytes (text escaped and URL-encoded straight from its
-/// payload, a number written as its value displays, a large object's
-/// size its payload's length): it builds no value and grows only the page.
+/// [`render_results`] appended to `out` — a page shell already holding
+/// what precedes the table: each row encoded as the record a screen
+/// reads and rendered through [`ResultTable`], offering its operations
+/// from [`BrowseContext::row_operations`].
+pub fn render_results_into(ctx: &BrowseContext<'_>, rs: &ResultSet, out: &mut String) {
+    let mut records = Records::default();
+    rs.rows.iter().for_each(|row| records.push(row));
+    let has_ops = ctx.row_operations.iter().any(|ops| !ops.is_empty());
+    let mut table = ResultTable::begin(ctx, &rs.columns, records.len(), has_ops, out);
+    for (ri, record) in records.iter().enumerate() {
+        let ops = ctx.row_operations.get(ri).map(Vec::as_slice).unwrap_or(&[]);
+        // A record encoded from values always walks.
+        if table.row(out, record, ops.iter().copied()).is_err() {
+            break;
+        }
+    }
+    table.end(out);
+}
+
+/// The one row renderer of every result screen: the table's head, then
+/// each row as it is handed over, as its record, then its end. A row is
+/// rendered from its cells' bytes — text escaped and URL-encoded
+/// straight from its payload, a number written as its value displays, a
+/// large object's size its payload's length, a number no link needs
+/// written without an escape pass — and no value is built for a cell.
+/// The text a row has in common with every other is built once per
+/// result, as each column's fragments when the table begins
+/// (`<td><a href="/browse/fk/…?value=`, a primary-key link's `">→T</a>`);
+/// a row's operations cell is pushed whole when it offers, on no dataset,
+/// the operations the last such row offered. A row pushes only those
+/// fragments and its own cells, encoded, and allocates nothing but the
+/// page's own growth.
 pub struct ResultTable<'c> {
     ctx: &'c BrowseContext<'c>,
-    template: RowTemplate,
+    /// The XUIS describes the table; a table it does not know renders as
+    /// plain text throughout.
+    described: bool,
+    plans: Vec<ColumnPlan<'c>>,
+    key: Vec<(String, usize)>,
     has_ops: bool,
+    /// `/op/<table>/`.
+    op_href: String,
     /// The operations the last row offered on no dataset (their
     /// addresses) and the inside of its operations cell, which a row
     /// offering the same ones on no dataset copies.
     last_ops: (Vec<usize>, String),
-    /// Rows of the result, until the first row reserves room for them.
+    /// Rows of the result, and rows rendered so far.
     rows: usize,
-    /// Where each cell of the row in hand lies; a non-string cell's text
-    /// and a DATALINK's stored form on their way into the page.
+    rendered: usize,
+    scratch: Scratch,
+}
+
+/// What a row is rendered through, refilled row after row.
+#[derive(Default)]
+struct Scratch {
+    /// Where each cell of the row in hand lies.
     walk: CellWalk,
+    /// A non-string cell's text on its way into the page.
     text: String,
+    /// A DATALINK URL in its stored form.
     stored: String,
 }
 
+/// The cells of the row in hand: its record and where they lie in it.
+#[derive(Clone, Copy)]
+struct RowCells<'r> {
+    record: &'r [u8],
+    walk: &'r CellWalk,
+}
+
+impl<'r> RowCells<'r> {
+    fn get(self, i: usize) -> Option<Cell<'r>> {
+        self.walk.cell(self.record, i)
+    }
+}
+
 impl<'c> ResultTable<'c> {
-    /// Open the table of a result of `rows` rows over `columns`: its head,
-    /// with an operations column if `has_ops` and the XUIS knows the table.
+    /// Open the table of a result of `rows` rows over `columns`: its
+    /// head, with an operations column if `has_ops` and the XUIS knows
+    /// the table.
     pub fn begin(
         ctx: &'c BrowseContext<'c>,
         columns: &'c [String],
@@ -93,11 +130,17 @@ impl<'c> ResultTable<'c> {
         out: &mut String,
     ) -> Self {
         let xt = ctx.xuis.table(ctx.table);
+        let plans: Vec<ColumnPlan<'_>> = columns
+            .iter()
+            .map(|c| ColumnPlan::new(xt, c, columns))
+            .collect();
+        let mut op_href = String::from("/op/");
+        url_encode_into(&mut op_href, ctx.table);
+        op_href.push('/');
         out.push_str("<table><tr>");
-        for column in columns {
-            let xc = xt.and_then(|xt| xt.column(column));
+        for plan in &plans {
             out.push_str("<th>");
-            escape_into(out, xc.map_or(column, XuisColumn::display_name));
+            escape_into(out, plan.header);
             out.push_str("</th>");
         }
         let has_ops = xt.is_some() && has_ops;
@@ -107,13 +150,15 @@ impl<'c> ResultTable<'c> {
         out.push_str("</tr>");
         ResultTable {
             ctx,
-            template: RowTemplate::new(ctx, xt, columns, has_ops),
+            described: xt.is_some(),
+            plans,
+            key: xt.map(|xt| key_plan(xt, columns)).unwrap_or_default(),
             has_ops,
+            op_href,
             last_ops: Default::default(),
             rows,
-            walk: CellWalk::default(),
-            text: String::new(),
-            stored: String::new(),
+            rendered: 0,
+            scratch: Scratch::default(),
         }
     }
 
@@ -128,44 +173,43 @@ impl<'c> ResultTable<'c> {
         record: &[u8],
         ops: impl IntoIterator<Item = &'o Operation, IntoIter: Clone>,
     ) -> Result<(), DbError> {
-        self.walk.walk(record)?;
+        let Scratch { walk, text, stored } = &mut self.scratch;
+        walk.walk(record)?;
+        let row = RowCells { record, walk };
         let row_start = out.len();
-        // How much of the run in hand the cell before it already wrote.
-        let mut skip = 0;
-        for i in 0..self.template.columns.len() {
-            let v = self.walk.cell(record, i).ok_or_else(truncated)?;
-            let way = self.template.columns[i][shape_of(v)];
-            out.push_str(self.template.run((way.lead.0 + skip, way.lead.1)));
-            self.fill(out, way.hole, v, record)?;
-            if way.close.0 < way.close.1 {
-                out.push_str(self.template.run(way.close));
+        out.push_str("<tr>");
+        for (i, plan) in self.plans.iter().enumerate() {
+            let cell = row.get(i).ok_or_else(truncated)?;
+            if self.described && cell.is_null() {
+                out.push_str("<td><i>null</i></td>");
+            } else if plan.described {
+                render_cell(out, self.ctx, &self.key, plan, cell, row, text, stored)?;
+            } else {
+                out.push_str("<td>");
+                if !cell.number_into(out) {
+                    escape_into(out, cell.display_text(text)?);
+                }
+                out.push_str("</td>");
             }
-            skip = way.skip;
         }
-        let t = &self.template;
-        out.push_str(t.run((t.tail.0 + skip, t.tail.1)));
         if self.has_ops {
             let ops = ops.into_iter();
-            // The dataset is the row's first DATALINK, in its stored form.
-            let mut dataset = "";
-            if ops.clone().next().is_some() {
-                let cells = (0..self.walk.len()).filter_map(|i| self.walk.cell(record, i));
-                let mut urls = cells.filter_map(|cell| cell.datalink().transpose());
-                if let Some(url) = urls.next().transpose()? {
-                    dataset = stored_form(url, &mut self.stored);
-                }
-            }
+            let dataset = match ops.clone().next() {
+                Some(_) => primary_datalink(row, stored)?,
+                None => "",
+            };
             // Rows offering the same operations on no dataset show the same
             // cell; a dataset is each row's own, so its cell is built.
             let (last, html) = &mut self.last_ops;
             let address = |op: &Operation| op as *const Operation as usize;
+            out.push_str("<td>");
             if dataset.is_empty() && ops.clone().map(address).eq(last.iter().copied()) {
                 out.push_str(html);
             } else {
                 let at = out.len();
                 for (n, op) in ops.clone().enumerate() {
                     out.push_str(if n > 0 { " | <a href=\"" } else { "<a href=\"" });
-                    out.push_str(t.run(t.ops));
+                    out.push_str(&self.op_href);
                     url_encode_into(out, &op.name);
                     out.push_str("?dataset=");
                     url_encode_into(out, dataset);
@@ -180,12 +224,16 @@ impl<'c> ResultTable<'c> {
                     html.push_str(&out[at..]);
                 }
             }
-            out.push_str("</td></tr>");
+            out.push_str("</td>");
         }
-        // Rows of one result are alike: room for the rest, at the first's size.
-        let rest = (out.len() - row_start) * self.rows.saturating_sub(1);
-        out.reserve(rest + rest / 8);
-        self.rows = 0;
+        out.push_str("</tr>");
+        if self.rendered == 0 {
+            // Rows of one result are much alike: room for the rest at
+            // the first one's size and an eighth more, taken once.
+            let rest = (out.len() - row_start) * self.rows.saturating_sub(1);
+            out.reserve(rest + rest / 8);
+        }
+        self.rendered += 1;
         Ok(())
     }
 
@@ -193,273 +241,189 @@ impl<'c> ResultTable<'c> {
     pub fn end(self, out: &mut String) {
         out.push_str("</table>");
     }
-
-    /// Write `hole` of the record `row`, filled from its cell `v`.
-    fn fill(&mut self, out: &mut String, hole: Hole, v: Cell<'_>, row: &[u8]) -> DbResult<()> {
-        let (t, text) = (&self.template, &mut self.text);
-        let cell = |i| self.walk.cell(row, i);
-        match hole {
-            Hole::Null => {}
-            Hole::Text(parts) => {
-                // A number alone is written as it is: nothing to escape.
-                if parts.0 == parts.1 && v.number_into(out) {
-                    return Ok(());
-                }
-                let shown = v.display_text(text)?;
-                escape_into(out, shown);
-                for &(run, _) in &t.parts[parts.0..parts.1] {
-                    out.push_str(t.run(run));
-                    url_encode_into(out, shown);
-                }
-            }
-            Hole::Fk(subst) => {
-                let shown = v.display_text(text)?;
-                url_encode_into(out, shown);
-                out.push_str("\">");
-                match subst.and_then(cell).filter(|label| !label.is_null()) {
-                    Some(label) => escape_into(out, label.display_text(text)?),
-                    None => escape_into(out, shown),
-                }
-            }
-            Hole::Lob(parts) => {
-                for &(run, at) in &t.parts[parts.0..parts.1] {
-                    out.push_str(t.run(run));
-                    if let Some(key) = cell(at) {
-                        url_encode_into(out, key.display_text(text)?);
-                    }
-                }
-                out.push_str("\">");
-                format_size_into(out, v.lob_size().unwrap_or(0) as u64);
-            }
-            Hole::Link => {
-                let url = v.datalink()?.unwrap_or("");
-                if !self.ctx.is_guest {
-                    escape_into(out, url);
-                    out.push_str("\">");
-                }
-                let stored = stored_form(url, &mut self.stored);
-                match self.ctx.file_size.and_then(|size| size(stored)) {
-                    Some(bytes) => format_size_into(out, bytes),
-                    None => out.push_str("download"),
-                }
-            }
-        }
-        Ok(())
-    }
 }
 
-/// A result's row compiled once. Each column's cell is compiled alone in
-/// four shapes ([`shape_of`]), a run, a hole and a run; the row is the
-/// cells of the shapes their XUIS types call for, each run that ends one
-/// merged with the run that opens the next.
-#[derive(Default)]
-struct RowTemplate {
-    /// Every run, back to back.
-    text: String,
-    /// Runs inside holes, each before a value URL-encoded: a key cell's.
-    parts: Vec<(Span, usize)>,
-    /// How each column's cell of each shape is written.
-    columns: Vec<[Way; 4]>,
-    /// The row's last run, to `<td>` before the operations or `</tr>`.
-    tail: Span,
-    /// `/op/<table>/`.
-    ops: Span,
-}
-
-/// Where a run lies in the template's text, or a hole's parts.
-type Span = (usize, usize);
-
-/// A cell: the run before its hole, the hole, and the run after it — a
-/// cell alone has one, and the next run's first `skip` bytes stand for
-/// it; in the row, the next run opens with the cell's end.
-#[derive(Clone, Copy)]
-struct Way {
-    lead: Span,
-    hole: Hole,
-    close: Span,
-    skip: usize,
-}
-
-/// What a hole writes from its cell's value `v`; the runs around it are
-/// ready for the page, labels escaped.
-#[derive(Clone, Copy)]
-enum Hole {
-    /// Nothing: a NULL.
-    Null,
-    /// `v` escaped, then each part's run and `v` URL-encoded: text, and a
-    /// primary-key browsing link per table referencing it.
-    Text(Span),
-    /// Foreign-key browsing: `v` URL-encoded, `">` and, escaped, `v` or its
-    /// `NAME__SUBST` companion (XUIS `substcolumn`) where it is not NULL.
-    Fk(Option<usize>),
-    /// A BLOB/CLOB's link: each part and its key cell, `">` and the size.
-    Lob(Span),
-    /// A DATALINK's URL (token and all) and `">`, then its file's size.
-    Link,
-}
-
-const LINK: usize = 1;
-const LOB: usize = 2;
-const VALUE: usize = 3;
-
-/// Which shape of its column's cell `v` is written in: 0 for NULL, then
-/// DATALINK, BLOB/CLOB or any other value.
-fn shape_of(v: Cell<'_>) -> usize {
-    let is = [v.is_null(), v.is_datalink(), v.lob_size().is_some()];
-    is.iter().position(|&is| is).unwrap_or(VALUE)
-}
-
-impl RowTemplate {
-    fn new(ctx: &BrowseContext<'_>, xt: Option<&XuisTable>, cols: &[String], ops: bool) -> Self {
-        let mut t = RowTemplate::default();
-        t.ops = t.write(|t| {
-            t.push_str("/op/");
-            url_encode_into(t, ctx.table);
-            t.push('/');
-        });
-        let null = t.alone("<td><i>null</i></td>", Hole::Null, "");
-        let plain = t.alone("<td>", Hole::Text((0, 0)), "</td>");
-        // "Guest users cannot download datasets".
-        let link = match ctx.is_guest {
-            true => ("<td><i>download restricted (", ")</i></td>"),
-            false => ("<td><a href=\"", "</a></td>"),
+/// One non-NULL cell of a column the XUIS describes, `<td>` to `</td>`;
+/// `key` is the result's [`key_plan`], `text` and `stored` scratch.
+#[allow(clippy::too_many_arguments)]
+fn render_cell(
+    out: &mut String,
+    ctx: &BrowseContext<'_>,
+    key: &[(String, usize)],
+    plan: &ColumnPlan<'_>,
+    v: Cell<'_>,
+    row: RowCells<'_>,
+    text: &mut String,
+    stored: &mut String,
+) -> Result<(), DbError> {
+    // DATALINK: download link (with token already spliced by the
+    // database layer) labelled with the file size; guests see a
+    // restriction notice instead — "guest users cannot download
+    // datasets".
+    if let Some(url) = v.datalink()? {
+        let stored = stored_form(url, stored);
+        let size = ctx.file_size.and_then(|f| f(stored));
+        let size = |out: &mut String| match size {
+            Some(bytes) => format_size_into(out, bytes),
+            None => out.push_str("download"),
         };
-        let link = t.alone(link.0, Hole::Link, link.1);
-        // The end of the cell before each: at first, the row's start.
-        let mut end = t.write(|t| t.push_str("<tr>"));
-        for column in cols {
-            // A table the XUIS does not describe is plain text throughout,
-            // NULL included; a column it does not describe, but for NULL.
-            let (alone, takes) = match xt.and_then(|xt| Some((xt, xt.column(column)?))) {
-                None if xt.is_none() => ([plain; 4], VALUE),
-                None => ([null, plain, plain, plain], VALUE),
-                Some((xt, xc)) => {
-                    let takes = match xc.type_name.as_str() {
-                        "DATALINK" => LINK,
-                        "BLOB" | "CLOB" => LOB,
-                        _ => VALUE,
-                    };
-                    let value = t.value_cell(xc, cols);
-                    ([null, link, t.lob_cell(xt, xc, cols), value], takes)
-                }
-            };
-            let row = alone[takes];
-            let ways = alone.map(|mut way| {
-                let lead = way.lead;
-                way.lead = t.write(|t| {
-                    t.extend_from_within(end.0..end.1);
-                    t.extend_from_within(lead.0..lead.1);
-                });
-                match lead == row.lead {
-                    true => way.close = (0, 0),
-                    false => way.skip = row.close.1 - row.close.0,
-                }
-                way
-            });
-            t.columns.push(ways);
-            end = row.close;
+        if ctx.is_guest {
+            out.push_str("<td><i>download restricted (");
+            size(out);
+            out.push_str(")</i></td>");
+        } else {
+            out.push_str("<td><a href=\"");
+            escape_into(out, url);
+            out.push_str("\">");
+            size(out);
+            out.push_str("</a></td>");
         }
-        t.tail = t.write(|t| {
-            t.extend_from_within(end.0..end.1);
-            t.push_str(if ops { "<td>" } else { "</tr>" });
-        });
-        t
+        return Ok(());
     }
-
-    fn run(&self, (start, end): Span) -> &str {
-        &self.text[start..end]
-    }
-
-    /// The text `write` writes: where it lies.
-    fn write(&mut self, write: impl FnOnce(&mut String)) -> Span {
-        let start = self.text.len();
-        write(&mut self.text);
-        (start, self.text.len())
-    }
-
-    /// The cell `lead`, `hole`, `close` alone.
-    fn alone(&mut self, lead: &str, hole: Hole, close: &str) -> Way {
-        let lead = self.write(|t| t.push_str(lead));
-        self.cell(lead, hole, |t| t.push_str(close))
-    }
-
-    /// The cell `lead`, `hole` and the run `close` writes, alone.
-    fn cell(&mut self, lead: Span, hole: Hole, close: impl FnOnce(&mut String)) -> Way {
-        let close = self.write(close);
-        Way {
-            lead,
-            hole,
-            close,
-            skip: 0,
-        }
-    }
-
-    /// A BLOB/CLOB cell, e.g. a link to
-    /// `/lob/RESULT_FILE/NOTES?FILE_NAME=t000.edf&SIMULATION_KEY=S1`.
-    fn lob_cell(&mut self, xt: &XuisTable, xc: &XuisColumn, columns: &[String]) -> Way {
-        let lead = self.write(|t| {
-            t.push_str("<td><a href=\"/lob/");
-            url_encode_into(t, &xt.name);
-            t.push('/');
-            url_encode_into(t, &xc.name);
-            t.push('?');
-        });
-        let first = self.parts.len();
-        let key = xt.primary_key.iter().filter_map(|pk| {
-            let name = pk.rsplit_once('.').map_or(pk.as_str(), |(_, c)| c);
-            Some((name, columns.iter().position(|c| c == name)?))
-        });
-        for (n, (name, at)) in key.enumerate() {
-            let run = self.write(|t| {
-                t.push_str(if n > 0 { "&amp;" } else { "" });
-                url_encode_into(t, name);
-                t.push('=');
-            });
-            self.parts.push((run, at));
-        }
-        let hole = Hole::Lob((first, self.parts.len()));
-        self.cell(lead, hole, |t| t.push_str("</a></td>"))
-    }
-
-    /// Any other value of a described column: a foreign key's browsing
-    /// link, or the value and a primary-key browsing link per table
-    /// referencing it.
-    fn value_cell(&mut self, xc: &XuisColumn, columns: &[String]) -> Way {
-        let browse = |t: &mut String, kind: &str, target: &str| {
-            t.push_str(kind);
-            url_encode_into(t, target);
-            t.push_str("?value=");
-        };
-        if let Some(fk) = &xc.fk {
-            let lead = self.write(|t| browse(t, "<td><a href=\"/browse/fk/", &fk.tablecolumn));
-            let subst = format!("{}__SUBST", xc.name);
-            let hole = Hole::Fk(columns.iter().position(|c| *c == subst));
-            return self.cell(lead, hole, |t| t.push_str("</a></td>"));
-        }
-        // Each link's run ends the link before it.
-        let end = |t: &mut String, target: Option<&String>| {
-            if let Some(target) = target {
-                t.push_str("\">→");
-                escape_into(t, target.split('.').next().unwrap_or(target));
-                t.push_str("</a>");
+    // BLOB/CLOB: size link that rematerialises the object.
+    if let Some(size) = v.lob_size() {
+        out.push_str("<td><a href=\"");
+        out.push_str(&plan.lob_href);
+        for (n, (name, pos)) in key.iter().enumerate() {
+            if n > 0 {
+                out.push_str("&amp;");
             }
+            out.push_str(name);
+            out.push('=');
+            if let Some(cell) = row.get(*pos) {
+                url_encode_into(out, cell.display_text(text)?);
+            }
+        }
+        out.push_str("\">");
+        format_size_into(out, size as u64);
+        out.push_str("</a></td>");
+        return Ok(());
+    }
+    // Foreign-key browsing.
+    if let Some((head, subst)) = &plan.fk {
+        out.push_str(head);
+        let shown = v.display_text(text)?;
+        url_encode_into(out, shown);
+        out.push_str("\">");
+        match subst.and_then(|i| row.get(i)).filter(|l| !l.is_null()) {
+            Some(label) => escape_into(out, label.display_text(text)?),
+            None => escape_into(out, shown),
+        }
+        out.push_str("</a></td>");
+        return Ok(());
+    }
+    out.push_str("<td>");
+    // A number with no link to write is written as it is: nothing to escape.
+    if !(plan.pk_links.is_empty() && v.number_into(out)) {
+        let shown = v.display_text(text)?;
+        escape_into(out, shown);
+        // Primary-key browsing: one link per referencing table.
+        for (head, tail) in &plan.pk_links {
+            out.push_str(head);
+            url_encode_into(out, shown);
+            out.push_str(tail);
+        }
+    }
+    out.push_str("</td>");
+    Ok(())
+}
+
+/// What the cells of one result column need beyond their value, worked
+/// out once per result set as the fragments a cell is written from. The
+/// strings are ready for the page: URL encoding leaves nothing for HTML
+/// escaping to do, and labels are escaped here.
+struct ColumnPlan<'a> {
+    /// Column heading.
+    header: &'a str,
+    /// Whether the XUIS describes the column; one it does not is plain
+    /// text.
+    described: bool,
+    /// `/lob/<table>/<column>?`: a BLOB/CLOB link up to the row's key.
+    lob_href: String,
+    /// Foreign-key browsing: the cell up to its value,
+    /// `<td><a href="/browse/fk/<target>?value=`, and where the
+    /// `__SUBST` companion carrying the display label sits, if present.
+    fk: Option<(String, Option<usize>)>,
+    /// Primary-key browsing, per referencing table: the link up to the
+    /// value, ` <a href="/browse/pk/<target>?value=`, and after it,
+    /// `">→TABLE</a>`.
+    pk_links: Vec<(String, String)>,
+}
+
+impl<'a> ColumnPlan<'a> {
+    fn new(xt: Option<&'a XuisTable>, column: &'a str, columns: &[String]) -> Self {
+        let mut plan = ColumnPlan {
+            header: column,
+            described: false,
+            lob_href: String::new(),
+            fk: None,
+            pk_links: Vec::new(),
         };
-        let (lead, first) = (self.write(|t| t.push_str("<td>")), self.parts.len());
-        let mut before = None;
+        let Some((xt, xc)) = xt.and_then(|xt| Some((xt, xt.column(column)?))) else {
+            return plan;
+        };
+        plan.header = xc.display_name();
+        plan.described = true;
+        plan.lob_href.push_str("/lob/");
+        url_encode_into(&mut plan.lob_href, &xt.name);
+        plan.lob_href.push('/');
+        url_encode_into(&mut plan.lob_href, &xc.name);
+        plan.lob_href.push('?');
+        let browse = |open: &str, kind: &str, target: &str| {
+            let mut head = format!("{open}<a href=\"/browse/{kind}/");
+            url_encode_into(&mut head, target);
+            head.push_str("?value=");
+            head
+        };
+        plan.fk = (xc.fk.as_ref()).map(|fk| {
+            (
+                browse("<td>", "fk", &fk.tablecolumn),
+                subst_position(columns, xc),
+            )
+        });
         for target in &xc.pk_refby {
-            let run = self.write(|t| {
-                end(t, before);
-                browse(t, " <a href=\"/browse/pk/", target);
-            });
-            self.parts.push((run, 0));
-            before = Some(target);
+            let tname = target.split('.').next().unwrap_or(target);
+            let mut tail = String::from("\">→");
+            escape_into(&mut tail, tname);
+            tail.push_str("</a>");
+            plan.pk_links.push((browse(" ", "pk", target), tail));
         }
-        let hole = Hole::Text((first, self.parts.len()));
-        self.cell(lead, hole, |t| {
-            end(t, before);
-            t.push_str("</td>");
-        })
+        plan
     }
+}
+
+/// `NAME__SUBST` companion columns carry substitute display values (the
+/// XUIS `substcolumn` feature); the query layer adds them via a join.
+fn subst_position(columns: &[String], xc: &XuisColumn) -> Option<usize> {
+    let want = format!("{}__SUBST", xc.name);
+    columns.iter().position(|c| *c == want)
+}
+
+/// The primary-key columns the result carries, as (URL-encoded name,
+/// position): what identifies a row in a `/lob/` link, e.g.
+/// `FILE_NAME=t000.edf&SIMULATION_KEY=S1`.
+fn key_plan(xt: &XuisTable, columns: &[String]) -> Vec<(String, usize)> {
+    let mut key = Vec::new();
+    for pk in &xt.primary_key {
+        let col = pk.rsplit_once('.').map(|(_, c)| c).unwrap_or(pk);
+        if let Some(i) = columns.iter().position(|c| c == col) {
+            let mut name = String::new();
+            url_encode_into(&mut name, col);
+            key.push((name, i));
+        }
+    }
+    key
+}
+
+/// The row's first DATALINK value in its stored form ([`stored_form`]),
+/// used as the dataset identifier when invoking operations.
+fn primary_datalink<'s>(row: RowCells<'s>, scratch: &'s mut String) -> Result<&'s str, DbError> {
+    for i in 0..row.walk.len() {
+        if let Some(url) = row.get(i).map(Cell::datalink).transpose()?.flatten() {
+            return Ok(stored_form(url, scratch));
+        }
+    }
+    Ok("")
 }
 
 /// `url` without its access token — dataset identity is the stored URL:

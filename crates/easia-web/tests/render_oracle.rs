@@ -1,14 +1,16 @@
-//! The row template against the renderer it replaced.
+//! The result-page renderer against the renderer it grew from.
 //!
-//! `mod parent` below is `ResultTable` as it stood before result pages
-//! were written from a row template: its per-cell renderer, column plans
-//! and operations cell, copied verbatim (only the `use` lines name the
-//! crate from outside). Every generated result — XUIS tables of every
-//! column kind, `__SUBST` companions at any position, NULLs in every
-//! kind, cells whose kind their column's type does not name, text
-//! holding `<&"'>`, a guest and an administrator, operations offered on
-//! rows with and without a dataset — must render to the same page
-//! through `browse::render_results` as through that renderer.
+//! `mod parent` below is `ResultTable` as it stood before numbers were
+//! written without an escape pass, a foreign key's text was read once
+//! and the operations cell was built without a per-operation link
+//! cache: its per-cell renderer, column plans and operations cell,
+//! copied verbatim (only the `use` lines name the crate from outside).
+//! Every generated result — XUIS tables of every column kind, `__SUBST`
+//! companions at any position, NULLs in every kind, cells whose kind
+//! their column's type does not name, text holding `<&"'>`, a guest and
+//! an administrator, operations offered on rows with and without a
+//! dataset — must render to the same page through
+//! `browse::render_results` as through that renderer.
 
 use easia_db::value::Records;
 use easia_db::{ResultSet, Value};
@@ -16,7 +18,7 @@ use easia_web::browse::{render_results, BrowseContext};
 use easia_xuis::{FkSpec, Location, Operation, XuisColumn, XuisDoc, XuisTable};
 use proptest::prelude::*;
 
-/// The renderer result pages were written with before the row template.
+/// The renderer result pages were written with before.
 #[allow(clippy::all)]
 mod parent {
     use easia_db::value::{Cell, CellWalk};
@@ -662,6 +664,6 @@ proptest! {
         };
         let page = render_results(&ctx, &s.rs);
         let parent = parent_page(&ctx, &s.rs);
-        prop_assert!(page == parent, "pages differ\n  template: {page}\n    parent: {parent}");
+        prop_assert!(page == parent, "pages differ\n    page: {page}\n  parent: {parent}");
     }
 }
